@@ -3,7 +3,7 @@
 //! range aggregation, across history sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{EventKind, Seconds, Timestamp};
 use std::hint::black_box;
 
@@ -57,14 +57,14 @@ fn bench_delete_old(c: &mut Criterion) {
 }
 
 fn bench_range_aggregate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("history/first_last_login");
+    let mut group = c.benchmark_group("history/login_window_stats");
     for &n in &[100i64, 1_000, 4_000] {
         let t = table_with(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
                 // A 7-hour window in the middle of the history.
                 let lo = Timestamp(n * 150);
-                t.first_last_login_in(black_box(lo), black_box(lo + Seconds::hours(7)))
+                t.login_window_stats(black_box(lo), black_box(lo + Seconds::hours(7)))
             });
         });
     }

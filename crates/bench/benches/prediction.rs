@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use prorp_forecast::{IncrementalPredictor, ProbabilisticPredictor};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seasonality, Seconds, Timestamp};
 use std::hint::black_box;
 

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_sqlmini::{parse_statement, HistoryDb, Params, PredictArgs};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 use std::hint::black_box;
 

@@ -9,7 +9,7 @@
 
 use prorp_bench::ExperimentScale;
 use prorp_forecast::{score_prediction, AccuracyReport, ConfidenceBasis, ProbabilisticPredictor};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
 use prorp_workload::RegionName;
 

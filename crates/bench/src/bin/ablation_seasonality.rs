@@ -11,7 +11,7 @@ use prorp_bench::{env_i64, env_usize};
 use prorp_forecast::{
     detect_seasonality, score_prediction, AccuracyReport, ProbabilisticPredictor,
 };
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{DatabaseId, PolicyConfig, Seasonality, Seconds, Timestamp};
 use prorp_workload::{Archetype, Trace};
 use rand::rngs::StdRng;

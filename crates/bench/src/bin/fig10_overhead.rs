@@ -12,6 +12,7 @@
 use prorp_bench::{run_policy, ExperimentScale};
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_sim::SimPolicy;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_telemetry::Cdf;
 use prorp_types::PolicyConfig;
 use prorp_workload::RegionName;
@@ -59,7 +60,7 @@ fn main() {
     let now = scale.end();
     // Re-derive each history by replaying the trace through a tracker.
     for trace in &traces {
-        let mut history = prorp_storage::HistoryTable::new();
+        let mut history = HistoryTable::new();
         for ev in trace.events() {
             history.insert_event(ev);
         }

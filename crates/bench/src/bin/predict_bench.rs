@@ -23,7 +23,7 @@
 use prorp_bench::{json_path_from_args, write_json, ExperimentScale, JsonValue};
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seasonality, Seconds, Timestamp};
 use std::hint::black_box;
 use std::time::Instant;

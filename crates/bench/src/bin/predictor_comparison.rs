@@ -18,7 +18,7 @@ use prorp_forecast::{
     score_prediction, AccuracyReport, HourlyHistogramPredictor, LastGapPredictor, NeverPredictor,
     OraclePredictor, Predictor, ProbabilisticPredictor,
 };
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
 use prorp_workload::RegionName;
 

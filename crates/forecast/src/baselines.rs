@@ -227,7 +227,7 @@ impl<P: Predictor> Predictor for FailEvery<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prorp_storage::HistoryTable;
+    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::EventKind;
 
     const DAY: i64 = 86_400;

@@ -276,7 +276,7 @@ impl Predictor for IncrementalPredictor {
 mod tests {
     use super::*;
     use crate::ProbabilisticPredictor;
-    use prorp_storage::HistoryTable;
+    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::{EventKind, Seasonality};
 
     const DAY: i64 = 86_400;

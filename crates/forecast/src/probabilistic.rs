@@ -43,7 +43,7 @@ pub enum ConfidenceBasis {
 ///
 /// ```
 /// use prorp_forecast::ProbabilisticPredictor;
-/// use prorp_storage::HistoryTable;
+/// use prorp_storage::{HistoryStore, HistoryTable};
 /// use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 ///
 /// // A 09:00 login every day for a week …
@@ -179,7 +179,7 @@ impl Predictor for ProbabilisticPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prorp_storage::HistoryTable;
+    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::{EventKind, Seasonality, Seconds};
 
     const DAY: i64 = 86_400;

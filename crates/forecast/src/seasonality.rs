@@ -95,7 +95,7 @@ pub fn detect_seasonality(history: &dyn HistoryRead) -> Seasonality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prorp_storage::HistoryTable;
+    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::Timestamp;
 
     const DAY: i64 = 86_400;

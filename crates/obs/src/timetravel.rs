@@ -27,7 +27,7 @@
 
 use crate::span::{PredictOutcome, SpanKind, TraceRecord};
 use prorp_forecast::ProbabilisticPredictor;
-use prorp_storage::{HistoryRead, LsmHistory, TimeTravel};
+use prorp_storage::{HistoryRead, HistoryStore, LsmHistory, TimeTravel};
 use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp};
 
 /// Outcome of one time-travel replay.
@@ -121,7 +121,7 @@ pub fn replay_as_of(
 mod tests {
     use super::*;
     use crate::span::{TraceBuffer, TraceSink};
-    use prorp_storage::HistoryTable;
+    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::Seconds;
 
     const DAY: i64 = 86_400;

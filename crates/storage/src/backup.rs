@@ -115,6 +115,7 @@ fn decode_records(stream: &[u8]) -> Result<Vec<Record>, ProrpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::HistoryStore;
     use prorp_types::{EventKind, Timestamp};
 
     fn table_with(n: i64) -> HistoryTable {

@@ -4,39 +4,31 @@
 //! `event_type INT` (1 = start of activity, 0 = end).  The two maintenance
 //! procedures are transliterated here:
 //!
-//! * [`HistoryTable::insert_history`] — Algorithm 2: insert-if-not-exists;
-//! * [`HistoryTable::delete_old_history`] — Algorithm 3: trim to the last
+//! * [`HistoryStore::insert_history`] — Algorithm 2: insert-if-not-exists;
+//! * [`HistoryStore::delete_old_history`] — Algorithm 3: trim to the last
 //!   `h` time units while *keeping the oldest tuple* so the database's
 //!   lifespan remains computable, and report whether the database is "old"
 //!   (existed for at least `h`).
 //!
-//! The prediction procedure's range aggregation (Algorithm 4 lines 19–24:
-//! `MIN`/`MAX` of login timestamps within a window) is served by
-//! [`HistoryTable::first_last_login_in`] and its one-pass combined form
-//! [`HistoryTable::login_window_stats`].
+//! Both procedures' decisions, and the prediction procedure's range
+//! aggregation (Algorithm 4 lines 19–24: `MIN`/`MAX` of login timestamps
+//! within a window, [`HistoryRead::login_window_stats`]), are made by the
+//! [`LiveView`] the table holds; the table applies each mutation to the
+//! clustered B+Tree in lockstep.
 //!
 //! # Prediction-index support
 //!
-//! Alongside the clustered B-tree the table maintains, at every mutation
-//! site (`InsertHistory`, `DeleteOldHistory`, restore), two auxiliary
-//! structures the incremental predictor builds on:
-//!
-//! * a sorted cache of login timestamps ([`HistoryTable::logins`]) kept
-//!   in lockstep with the index — `O(1)` amortised for the in-order
-//!   appends the tracker produces, and drained by range on trims;
-//! * an optional [`SlotIndex`]: a per-seasonal-period occupancy bitmap
-//!   (plus per-slot login counts) over `slide`-granularity clock slots,
-//!   enabled with [`HistoryTable::configure_slot_index`] and updated
-//!   `O(1)` per login insert/delete.
-//!
-//! A monotonically increasing mutation [`version`](HistoryTable::version)
-//! is bumped on every content change so engines can key prediction
-//! caches on `(version, now)`.
+//! The view's optional [`SlotIndex`] is defined here: a
+//! per-seasonal-period occupancy bitmap (plus per-slot login counts)
+//! over `slide`-granularity clock slots, enabled with
+//! [`HistoryStore::configure_slot_index`] and updated `O(1)` per login
+//! insert/delete.
 
 use crate::btree::BTree;
-use crate::page::{self, Record};
-use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
-use std::ops::Bound;
+use crate::page::Record;
+use crate::store::{HistoryRead, HistoryStore};
+use crate::view::LiveView;
+use prorp_types::{EventKind, Seconds, Timestamp};
 
 /// Occupancy index over login *clock offsets* within one seasonal period.
 ///
@@ -85,7 +77,7 @@ impl SlotIndex {
         })
     }
 
-    /// Rebuild from a sorted login cache (shared with the LSM backend).
+    /// Rebuild from a sorted login cache.
     pub(crate) fn rebuilt(period: Seconds, slot_len: Seconds, logins: &[i64]) -> Option<SlotIndex> {
         let mut ix = SlotIndex::new(period, slot_len)?;
         for &t in logins {
@@ -174,7 +166,7 @@ impl SlotIndex {
     }
 }
 
-/// Result of one [`HistoryTable::delete_old_history`] run.
+/// Result of one [`HistoryStore::delete_old_history`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DeleteOutcome {
     /// Whether the database existed before the start of recent history —
@@ -200,18 +192,15 @@ pub struct StorageStats {
     pub index_depth: usize,
 }
 
-/// The `sys.pause_resume_history` table of one database.
+/// The `sys.pause_resume_history` table of one database: the shared
+/// [`LiveView`] every read is served from, over the §5 clustered B+Tree
+/// — the physical index (Figure 10 depth source) and the independent
+/// reference [`check_invariants`](HistoryStore::check_invariants)
+/// audits the view against.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryTable {
+    view: LiveView,
     index: BTree<i64>,
-    /// Sorted cache of login (`event_type = 1`) timestamps, maintained in
-    /// lockstep with the clustered index.
-    logins: Vec<i64>,
-    /// Monotonically increasing mutation version: bumped whenever the
-    /// stored tuple set actually changes.
-    version: u64,
-    /// Optional slot-occupancy index (see [`SlotIndex`]).
-    slots: Option<SlotIndex>,
 }
 
 impl HistoryTable {
@@ -220,300 +209,74 @@ impl HistoryTable {
         HistoryTable::default()
     }
 
-    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`.
-    ///
-    /// Inserts the event unless a tuple with the same `time_snapshot`
-    /// already exists (the `IF NOT EXISTS` guard).  Returns `true` when a
-    /// tuple was inserted.  `O(log n)` via the clustered index; the login
-    /// cache and slot index are updated `O(1)` amortised for the in-order
-    /// appends the activity tracker produces.
-    pub fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-        if self.index.contains_key(ts.as_secs()) {
-            return false;
-        }
-        self.index
-            .insert(ts.as_secs(), i64::from(kind.as_i32()))
-            .expect("contains_key checked; insert cannot collide");
-        if kind == EventKind::Start {
-            let t = ts.as_secs();
-            match self.logins.last() {
-                Some(&newest) if newest > t => {
-                    let pos = self.logins.partition_point(|&x| x < t);
-                    self.logins.insert(pos, t);
-                }
-                _ => self.logins.push(t),
-            }
-            if let Some(ix) = self.slots.as_mut() {
-                ix.add(t);
-            }
-        }
-        self.version += 1;
-        true
-    }
-
-    /// Convenience wrapper over [`insert_history`](Self::insert_history)
-    /// for an [`ActivityEvent`].
-    pub fn insert_event(&mut self, ev: ActivityEvent) -> bool {
-        self.insert_history(ev.ts, ev.kind)
-    }
-
-    /// Algorithm 3 — `sys.DeleteOldHistory(@h, @now, @old OUTPUT)`.
-    ///
-    /// Computes `historyStart = now − h`.  If the oldest tuple predates it,
-    /// the database is old and every tuple strictly between the oldest
-    /// tuple and `historyStart` is deleted (the oldest tuple itself is kept
-    /// to preserve the lifespan).  Otherwise the database is new and
-    /// nothing is deleted.
-    pub fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-        let history_start = (now - h).as_secs();
-        let Some((min_ts, _)) = self.index.min_entry() else {
-            return DeleteOutcome {
-                old: false,
-                deleted: 0,
-            };
-        };
-        if min_ts < history_start {
-            let deleted = self.index.delete_exclusive_range(min_ts, history_start);
-            if deleted > 0 {
-                // Mirror the trim on the login cache and slot index: the
-                // deleted keys are exactly those strictly inside
-                // `(min_ts, history_start)`.
-                let lo = self.logins.partition_point(|&t| t <= min_ts);
-                let hi = self.logins.partition_point(|&t| t < history_start);
-                if lo < hi {
-                    if let Some(ix) = self.slots.as_mut() {
-                        for &t in &self.logins[lo..hi] {
-                            ix.remove(t);
-                        }
-                    }
-                    self.logins.drain(lo..hi);
-                }
-                self.version += 1;
-            }
-            DeleteOutcome { old: true, deleted }
-        } else {
-            DeleteOutcome {
-                old: false,
-                deleted: 0,
-            }
-        }
-    }
-
-    /// `SELECT MIN(time_snapshot), MAX(time_snapshot) WHERE event_type = 1
-    /// AND lo <= time_snapshot AND time_snapshot <= hi`
-    /// (Algorithm 4 lines 19–24).
-    ///
-    /// Returns `None` when no login falls inside the closed window.
-    pub fn first_last_login_in(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp)> {
-        let mut first = None;
-        let mut last = None;
-        for (k, v) in self
-            .index
-            .range(Bound::Included(lo.as_secs()), Bound::Included(hi.as_secs()))
-        {
-            if *v == 1 {
-                if first.is_none() {
-                    first = Some(Timestamp(k));
-                }
-                last = Some(Timestamp(k));
-            }
-        }
-        first.zip(last)
-    }
-
-    /// Number of logins (`event_type = 1`) inside the closed window
-    /// `[lo, hi]` — used by the login-count confidence ablation.
-    pub fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-        self.index
-            .range(Bound::Included(lo.as_secs()), Bound::Included(hi.as_secs()))
-            .filter(|(_, v)| **v == 1)
-            .count() as i64
-    }
-
-    /// `MIN`, `MAX` *and* `COUNT` of login timestamps inside the closed
-    /// window `[lo, hi]`, in one index range scan — the combined form of
-    /// [`first_last_login_in`](Self::first_last_login_in) +
-    /// [`count_logins_in`](Self::count_logins_in) that lets Algorithm 4's
-    /// Logins-basis ablation stop double-scanning every window.
-    ///
-    /// Returns `None` when no login falls inside the window.
-    pub fn login_window_stats(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp, i64)> {
-        let mut first = None;
-        let mut last = None;
-        let mut count = 0i64;
-        for (k, v) in self
-            .index
-            .range(Bound::Included(lo.as_secs()), Bound::Included(hi.as_secs()))
-        {
-            if *v == 1 {
-                if first.is_none() {
-                    first = Some(Timestamp(k));
-                }
-                last = Some(Timestamp(k));
-                count += 1;
-            }
-        }
-        Some((first?, last?, count))
-    }
-
-    /// Whether any event (login *or* logout) falls inside `[lo, hi]`.
-    pub fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        self.index
-            .range(Bound::Included(lo.as_secs()), Bound::Included(hi.as_secs()))
-            .next()
-            .is_some()
-    }
-
-    /// Oldest tuple's timestamp — the database's observable lifespan start.
-    pub fn min_timestamp(&self) -> Option<Timestamp> {
-        self.index.min_entry().map(|(k, _)| Timestamp(k))
-    }
-
-    /// Newest tuple's timestamp.
-    pub fn max_timestamp(&self) -> Option<Timestamp> {
-        self.index.max_entry().map(|(k, _)| Timestamp(k))
-    }
-
-    /// Number of tuples stored.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the history holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The table's mutation version: bumped on every insert that stored a
-    /// tuple and every trim that deleted at least one.  A prediction whose
-    /// inputs are `(version, now)` can be cached until either changes.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The sorted login (`event_type = 1`) timestamps, maintained in
-    /// lockstep with the clustered index — the incremental predictor's
-    /// cursor-sweep substrate.
-    pub fn logins(&self) -> &[i64] {
-        &self.logins
-    }
-
-    /// The slot-occupancy index, when one has been configured.
-    pub fn slot_index(&self) -> Option<&SlotIndex> {
-        self.slots.as_ref()
-    }
-
-    /// (Re)build the slot-occupancy index bucketing login clock offsets
-    /// into `slot_len`-granularity slots over one `period`.  Degenerate
-    /// parameters (non-positive period or slot length) disable the index.
-    /// Subsequent mutations keep it current in `O(1)` per login.
-    pub fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.slots = SlotIndex::rebuilt(period, slot_len, &self.logins);
-    }
-
-    /// All events in timestamp order — the materialised read-only view §5
-    /// plans to publish to customers.
-    pub fn events(&self) -> Vec<ActivityEvent> {
-        self.index
-            .iter()
-            .map(|(k, v)| ActivityEvent {
-                ts: Timestamp(k),
-                kind: if *v == 1 {
-                    EventKind::Start
-                } else {
-                    EventKind::End
-                },
-            })
-            .collect()
-    }
-
-    /// Events as page records (the backup stream now serialises through
-    /// [`events`](HistoryTable::events); this remains for round-trip
-    /// tests of the bulk-load path).
-    #[cfg(test)]
-    pub(crate) fn records(&self) -> Vec<Record> {
-        self.index
-            .iter()
-            .map(|(k, v)| Record { key: k, value: *v })
-            .collect()
-    }
-
     /// Rebuild from page records (backup restore path).  Backup streams
     /// are written in key order, so the clustered index is bulk-loaded in
     /// one `O(n)` bottom-up pass.
     pub(crate) fn from_records(records: &[Record]) -> Result<Self, prorp_types::ProrpError> {
-        let pairs: Vec<(i64, i64)> = records.iter().map(|r| (r.key, r.value)).collect();
-        // Key order is a bulk-load precondition, so the filtered login
-        // cache comes out sorted for free.  The slot index is left
-        // unconfigured: the restoring engine re-enables it with its own
-        // knobs (they do not travel in the backup stream).
-        let logins = records
-            .iter()
-            .filter(|r| r.value == 1)
-            .map(|r| r.key)
-            .collect();
         Ok(HistoryTable {
-            index: BTree::bulk_load(pairs)?,
-            logins,
-            version: 0,
-            slots: None,
+            view: LiveView::from_records(records)?,
+            index: BTree::bulk_load(records.iter().map(|r| (r.key, r.value)).collect())?,
         })
     }
+}
 
-    /// Verify the table's structural invariants: the clustered index's
-    /// B-tree properties (key ordering, node occupancy, depth balance),
-    /// the login cache being exactly the index's `event_type = 1` keys in
-    /// order, and — when configured — the slot index matching a
-    /// from-scratch rebuild.  Used by the strict-invariants checker and
-    /// property tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the violated invariant.
-    pub fn check_invariants(&self) {
-        self.index.check_invariants();
-        let expected: Vec<i64> = self
-            .index
-            .iter()
-            .filter(|(_, v)| **v == 1)
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(
-            self.logins, expected,
-            "login cache diverged from the clustered index"
-        );
-        if let Some(ix) = &self.slots {
-            let rebuilt = SlotIndex::rebuilt(ix.period(), ix.slot_len(), &self.logins)
-                .expect("a configured slot index has valid parameters");
-            assert_eq!(*ix, rebuilt, "slot index diverged from a rebuild");
-        }
+impl HistoryRead for HistoryTable {
+    fn view(&self) -> &LiveView {
+        &self.view
     }
 
-    /// Storage-overhead statistics (Figure 10a–b).
-    pub fn stats(&self) -> StorageStats {
-        let tuples = self.len();
-        let pages = page::pages_for(tuples);
-        StorageStats {
-            tuples,
-            logical_bytes: tuples * page::RECORD_SIZE,
-            page_bytes: pages * page::PAGE_SIZE,
-            pages,
-            index_depth: self.index.depth(),
+    /// Storage-overhead statistics (Figure 10a–b); `index_depth` is the
+    /// clustered index's.
+    fn stats(&self) -> StorageStats {
+        self.view.stats(self.index.depth())
+    }
+}
+
+impl HistoryStore for HistoryTable {
+    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`: `O(log n)` into
+    /// the clustered index once the view's `IF NOT EXISTS` probe passes.
+    fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
+        if !self.view.insert(ts, kind) {
+            return false;
         }
+        self.index
+            .insert(ts.as_secs(), i64::from(kind.as_i32()))
+            .expect("the view holds every indexed key; insert cannot collide");
+        true
+    }
+
+    /// Algorithm 3 — `sys.DeleteOldHistory(@h, @now, @old OUTPUT)`: the
+    /// view computes the doomed range, the index walks it.
+    fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
+        let (outcome, doomed) = self.view.trim(h, now);
+        if let Some((min_ts, history_start)) = doomed {
+            let removed = self.index.delete_exclusive_range(min_ts, history_start);
+            debug_assert_eq!(removed, outcome.deleted, "index and view trims diverged");
+        }
+        outcome
+    }
+
+    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
+        self.view.configure_slot_index(period, slot_len);
+    }
+
+    /// Verify the clustered index's B-tree properties (key ordering, node
+    /// occupancy, depth balance) and that the view is exactly what the
+    /// index materialises to.
+    fn check_invariants(&self) {
+        self.index.check_invariants();
+        self.view.audit(
+            self.index.iter().map(|(k, v)| (k, *v)),
+            "the clustered index",
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page;
+    use prorp_types::ActivityEvent;
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
@@ -586,21 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn first_last_login_filters_event_type() {
-        let mut h = HistoryTable::new();
-        h.insert_history(t(10), EventKind::End); // not a login
-        h.insert_history(t(20), EventKind::Start);
-        h.insert_history(t(30), EventKind::End);
-        h.insert_history(t(40), EventKind::Start);
-        h.insert_history(t(50), EventKind::End);
-        assert_eq!(h.first_last_login_in(t(0), t(100)), Some((t(20), t(40))));
-        assert_eq!(h.first_last_login_in(t(25), t(100)), Some((t(40), t(40))));
-        assert_eq!(h.first_last_login_in(t(41), t(100)), None);
-        // Closed bounds include both ends.
-        assert_eq!(h.first_last_login_in(t(20), t(20)), Some((t(20), t(20))));
-    }
-
-    #[test]
     fn events_view_is_ordered_and_typed() {
         let mut h = HistoryTable::new();
         h.insert_history(t(30), EventKind::End);
@@ -610,24 +358,6 @@ mod tests {
             evs,
             vec![ActivityEvent::start(t(10)), ActivityEvent::end(t(30))]
         );
-    }
-
-    #[test]
-    fn login_window_stats_combines_min_max_count() {
-        let mut h = HistoryTable::new();
-        h.insert_history(t(10), EventKind::End);
-        h.insert_history(t(20), EventKind::Start);
-        h.insert_history(t(30), EventKind::End);
-        h.insert_history(t(40), EventKind::Start);
-        h.insert_history(t(50), EventKind::Start);
-        for (lo, hi) in [(0, 100), (25, 100), (41, 100), (20, 20), (0, 5)] {
-            let combined = h.login_window_stats(t(lo), t(hi));
-            let split = h
-                .first_last_login_in(t(lo), t(hi))
-                .map(|(f, l)| (f, l, h.count_logins_in(t(lo), t(hi))));
-            assert_eq!(combined, split, "window [{lo}, {hi}]");
-        }
-        assert_eq!(h.login_window_stats(t(0), t(100)), Some((t(20), t(50), 3)));
     }
 
     #[test]
@@ -708,7 +438,12 @@ mod tests {
             h.insert_history(t(d * 86_400 + 100), EventKind::Start);
             h.insert_history(t(d * 86_400 + 200), EventKind::End);
         }
-        let restored = HistoryTable::from_records(&h.records()).unwrap();
+        let records: Vec<Record> = h
+            .index
+            .iter()
+            .map(|(k, v)| Record { key: k, value: *v })
+            .collect();
+        let restored = HistoryTable::from_records(&records).unwrap();
         assert_eq!(restored.logins(), h.logins());
         assert_eq!(restored.version(), 0);
         assert!(restored.slot_index().is_none());

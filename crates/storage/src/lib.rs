@@ -11,10 +11,12 @@
 //!   paper's complexity analysis assumes;
 //! * [`page`] — slotted 8-KiB pages (over [`bytes`]) used to serialise the
 //!   tree for backups and to account history size in bytes (Figure 10b);
-//! * [`history`] — the `sys.pause_resume_history` table with the exact
-//!   semantics of Algorithm 2 (`InsertHistory`) and Algorithm 3
+//! * [`view`] — the one live-read layer: the visible tuple set with the
+//!   exact semantics of Algorithm 2 (`InsertHistory`) and Algorithm 3
 //!   (`DeleteOldHistory`), including the paper's "keep the oldest tuple to
-//!   determine lifespan" rule;
+//!   determine lifespan" rule, and every read Algorithm 4 performs;
+//! * [`history`] — the `sys.pause_resume_history` table: that view kept
+//!   in lockstep with the clustered B+Tree;
 //! * [`metadata`] — the `sys.databases` metadata store with a secondary
 //!   index on `start_of_pred_activity` so the Algorithm 5 scan is a range
 //!   lookup rather than a full scan;
@@ -28,7 +30,8 @@
 //! # Pluggable storage
 //!
 //! The [`store`] module is the trait seam over this machinery:
-//! [`HistoryRead`] (the object-safe read surface predictors consume)
+//! [`HistoryRead`] (the object-safe read surface predictors consume —
+//! an implementor supplies its [`LiveView`], the reads are provided)
 //! and [`HistoryStore`] (the Algorithm 2/3 mutation surface), with
 //! [`HistoryBackend`] as the enum-dispatch wrapper engines hold and
 //! [`StorageBackend`] as the fleet-wide knob.  Two engines implement
@@ -36,7 +39,11 @@
 //! module's [`LsmHistory`] — an LSM/MVCC tree whose monotonic seqnos
 //! power [`snapshot`](lsm::LsmHistory::snapshot) frozen views and the
 //! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
-//! Both backends are held to bit-identical observable behaviour.
+//! Both hold one [`LiveView`], so what the visible set *is* and how it
+//! is read exist once; the engines differ only in the physical state
+//! beneath (paged B+Tree; WAL + memtable + runs + range tombstones),
+//! each of which independently re-derives the visible set for the
+//! `check_invariants` audit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,6 +55,7 @@ pub mod lsm;
 pub mod metadata;
 pub mod page;
 pub mod store;
+pub mod view;
 pub mod wal;
 
 pub use backup::{backup_history, restore_backend, restore_history};
@@ -59,4 +67,5 @@ pub use lsm::{
 };
 pub use metadata::{DbMeta, MetadataStore};
 pub use store::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
+pub use view::LiveView;
 pub use wal::{DurableHistory, WalRecord, WriteAheadLog};

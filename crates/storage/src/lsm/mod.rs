@@ -2,9 +2,10 @@
 //! log-structured merge tree with snapshot time-travel.
 //!
 //! [`LsmHistory`] is a drop-in alternative to the B+Tree-backed
-//! [`crate::HistoryTable`]: same Algorithm 2/3 semantics, same window
-//! aggregates, same mutation-version discipline — the testkit's
-//! `btree ≡ lsm` differential oracles hold both to bit-identical
+//! [`crate::HistoryTable`]: the Algorithm 2/3 decisions, the window
+//! aggregates and the mutation version all come from the one
+//! [`LiveView`] both hold, and the testkit's `btree ≡ lsm` differential
+//! oracles hold the physical engines beneath to bit-identical
 //! observable behaviour.  What the LSM shape buys on top:
 //!
 //! * **MVCC versions + monotonic seqnos** — every mutation (insert or
@@ -32,14 +33,12 @@
 //!   point tombstone per doomed tuple ([`tombstone`]).  Compaction
 //!   garbage-collects covered versions lazily, dropping whole runs
 //!   when one tombstone covers a run's entire key range.
-//! * **Read path**: the hot [`window aggregates`](LsmHistory::login_window_stats)
-//!   are served from sorted visible-set caches (`keys`/`vals`/`logins`)
-//!   maintained incrementally on every mutation — the same
-//!   partition-point arithmetic the B+Tree backend's login cache uses,
-//!   so live predictions never pay a multi-run merge.  Only snapshot
-//!   reconstruction and the invariant audit still k-way-merge the
-//!   memtable and runs, resolving per-key visibility (point versions
-//!   *and* range tombstones) at the read seqno.
+//! * **Read path**: every live read is served by the shared
+//!   [`LiveView`] the store holds — the same layer, the same code, as
+//!   the B+Tree backend — so live predictions never pay a multi-run
+//!   merge.  Only snapshot reconstruction and the invariant audit
+//!   k-way-merge the memtable and runs, resolving per-key visibility
+//!   (point versions *and* range tombstones) at the read seqno.
 
 pub mod bloom;
 pub mod compaction;
@@ -53,12 +52,14 @@ pub use scheduler::{CompactionMode, CompactionScheduler};
 pub use snapshot::{LsmSnapshot, TimeTravel};
 pub use tombstone::RangeTombstone;
 
-use crate::history::{DeleteOutcome, SlotIndex, StorageStats};
+use crate::history::{DeleteOutcome, StorageStats};
 use crate::page::{self, Record};
+use crate::store::{HistoryRead, HistoryStore};
+use crate::view::LiveView;
 use crate::wal::{WalRecord, WriteAheadLog};
 use compaction::{CompactionEffort, Levels};
 use memtable::{visible_in_chain_seq, MemTable};
-use prorp_types::{ActivityEvent, EventKind, ProrpError, Seconds, Timestamp};
+use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 use run::{Entry, Run};
 use scheduler::StoreHandle;
 use std::collections::VecDeque;
@@ -228,9 +229,23 @@ impl RunStore {
     }
 }
 
-/// The LSM/MVCC implementation of the history store.
+/// The LSM/MVCC implementation of the history store: the shared
+/// [`LiveView`] inline (every live read is served from it; its version
+/// *is* the latest seqno, so prediction-cache keys and snapshot seqnos
+/// are the same number) over the boxed physical engine — cold on the
+/// read path, and boxed so every per-database arena entry stays small.
 #[derive(Debug)]
 pub struct LsmHistory {
+    view: LiveView,
+    cold: Box<Physical>,
+}
+
+/// What only the LSM has: write buffer, runs, log, tombstones, timeline
+/// and ledgers.  [`LsmHistory::scan_visible`] re-derives the visible set
+/// from this alone — the independent reference the view is audited
+/// against.
+#[derive(Debug)]
+struct Physical {
     config: LsmConfig,
     /// The write buffer (newest versions).
     memtable: MemTable,
@@ -239,21 +254,6 @@ pub struct LsmHistory {
     runs: RunStore,
     /// Embedded write-ahead log covering exactly the memtable.
     wal: WriteAheadLog,
-    /// Mutation sequence counter — equals the observable
-    /// [`version`](LsmHistory::version), so seqnos and the engines'
-    /// prediction-cache keys are the same number.
-    seqno: u64,
-    /// Sorted visible tuple keys at the latest seqno — the hot-read
-    /// substrate (every window aggregate is partition-point arithmetic
-    /// over this and `logins`).
-    keys: Vec<i64>,
-    /// Parallel `event_type` values (1 = start, 0 = end).
-    vals: Vec<i64>,
-    /// Sorted cache of visible login timestamps (mirrors
-    /// [`crate::HistoryTable`]'s cache, same maintenance rules).
-    logins: Vec<i64>,
-    /// Optional slot-occupancy index (see [`SlotIndex`]).
-    slots: Option<SlotIndex>,
     /// Range tombstones recorded by Algorithm 3 passes, seqno-ascending.
     trims: Vec<RangeTombstone>,
     /// `(applied_at, seqno)` pairs, both monotone — the
@@ -282,7 +282,7 @@ impl Clone for LsmHistory {
     /// yields a *detached* (inline-mode) clone: two stores sharing one
     /// scheduler registration would interleave their flush streams.
     fn clone(&self) -> Self {
-        let (runs, extra_effort, extra_ns) = match &self.runs {
+        let (runs, extra_effort, extra_ns) = match &self.cold.runs {
             RunStore::Inline(levels) => (RunStore::Inline(levels.clone()), None, 0),
             RunStore::Background(b) => {
                 let (levels, effort, ns, _dead) = b.handle.wait_applied(b.sent);
@@ -294,7 +294,7 @@ impl Clone for LsmHistory {
                 for &(idx, ref run) in &b.pending {
                     if idx >= applied {
                         let extra = levels
-                            .push_flush(Arc::clone(run), &self.trims)
+                            .push_flush(Arc::clone(run), &self.cold.trims)
                             .expect("page encoding of a sorted run cannot fail");
                         effort.absorb(extra);
                     }
@@ -302,25 +302,23 @@ impl Clone for LsmHistory {
                 (RunStore::Inline(levels), Some(effort), ns)
             }
         };
-        let mut metrics = self.metrics;
+        let mut metrics = self.cold.metrics;
         if let Some(effort) = extra_effort {
             metrics.absorb_effort(effort);
         }
         LsmHistory {
-            config: self.config,
-            memtable: self.memtable.clone(),
-            runs,
-            wal: self.wal.clone(),
-            seqno: self.seqno,
-            keys: self.keys.clone(),
-            vals: self.vals.clone(),
-            logins: self.logins.clone(),
-            slots: self.slots.clone(),
-            trims: self.trims.clone(),
-            timeline: self.timeline.clone(),
-            metrics,
-            stall_ns: self.stall_ns,
-            offloaded_ns: self.offloaded_ns + extra_ns,
+            view: self.view.clone(),
+            cold: Box::new(Physical {
+                config: self.cold.config,
+                memtable: self.cold.memtable.clone(),
+                runs,
+                wal: self.cold.wal.clone(),
+                trims: self.cold.trims.clone(),
+                timeline: self.cold.timeline.clone(),
+                metrics,
+                stall_ns: self.cold.stall_ns,
+                offloaded_ns: self.cold.offloaded_ns + extra_ns,
+            }),
         }
     }
 }
@@ -335,39 +333,37 @@ impl LsmHistory {
     pub fn with_config(config: LsmConfig) -> Self {
         let cap = config.memtable_cap.max(1);
         LsmHistory {
-            config: LsmConfig {
-                memtable_cap: cap,
-                ..config
-            },
-            memtable: MemTable::new(),
-            runs: RunStore::Inline(Levels::new(
-                cap * compaction::L0_RUN_LIMIT,
-                config.bloom_filters,
-            )),
-            wal: WriteAheadLog::new(),
-            seqno: 0,
-            keys: Vec::new(),
-            vals: Vec::new(),
-            logins: Vec::new(),
-            slots: None,
-            trims: Vec::new(),
-            timeline: Vec::new(),
-            metrics: LsmMetrics::default(),
-            stall_ns: 0,
-            offloaded_ns: 0,
+            view: LiveView::new(),
+            cold: Box::new(Physical {
+                config: LsmConfig {
+                    memtable_cap: cap,
+                    ..config
+                },
+                memtable: MemTable::new(),
+                runs: RunStore::Inline(Levels::new(
+                    cap * compaction::L0_RUN_LIMIT,
+                    config.bloom_filters,
+                )),
+                wal: WriteAheadLog::new(),
+                trims: Vec::new(),
+                timeline: Vec::new(),
+                metrics: LsmMetrics::default(),
+                stall_ns: 0,
+                offloaded_ns: 0,
+            }),
         }
     }
 
     /// The store's tuning knobs.
     pub fn config(&self) -> LsmConfig {
-        self.config
+        self.cold.config
     }
 
     /// Cumulative write/compaction accounting.  In background mode the
     /// worker's effort so far is folded into the returned copy.
     pub fn metrics(&self) -> LsmMetrics {
-        let mut m = self.metrics;
-        if let RunStore::Background(b) = &self.runs {
+        let mut m = self.cold.metrics;
+        if let RunStore::Background(b) = &self.cold.runs {
             let (_, _, effort, _, _) = b.handle.published();
             m.absorb_effort(effort);
         }
@@ -379,14 +375,14 @@ impl LsmHistory {
     /// background mode flushes only enqueue, so this stays 0 — the
     /// `storage_bench` stall metric.
     pub fn compaction_stall_ns(&self) -> u64 {
-        self.stall_ns
+        self.cold.stall_ns
     }
 
     /// Wall-clock nanoseconds of compaction performed off the hot path
     /// by a scheduler worker (0 in inline mode).
     pub fn offloaded_compaction_ns(&self) -> u64 {
-        let mut ns = self.offloaded_ns;
-        if let RunStore::Background(b) = &self.runs {
+        let mut ns = self.cold.offloaded_ns;
+        if let RunStore::Background(b) = &self.cold.runs {
             ns += b.handle.published().3;
         }
         ns
@@ -394,7 +390,7 @@ impl LsmHistory {
 
     /// Whether this store currently runs in background-compaction mode.
     pub fn compaction_mode(&self) -> CompactionMode {
-        match self.runs {
+        match self.cold.runs {
             RunStore::Inline(_) => CompactionMode::Deterministic,
             RunStore::Background(_) => CompactionMode::Background,
         }
@@ -402,17 +398,17 @@ impl LsmHistory {
 
     /// The embedded write-ahead log (covers the unflushed memtable).
     pub fn wal(&self) -> &WriteAheadLog {
-        &self.wal
+        &self.cold.wal
     }
 
     /// Number of immutable runs readable right now (pending + applied).
     pub fn run_count(&self) -> usize {
-        self.runs.view().len()
+        self.cold.runs.view().len()
     }
 
     /// The range tombstones recorded so far, seqno-ascending.
     pub fn trims(&self) -> &[RangeTombstone] {
-        &self.trims
+        &self.cold.trims
     }
 
     /// Largest tombstone seqno whose covered versions were dropped by a
@@ -420,18 +416,18 @@ impl LsmHistory {
     /// *reconstructed* at seqnos below this are best-effort; snapshots
     /// pinned before the merge stay exact.
     pub fn gc_floor(&self) -> u64 {
-        self.runs.gc_floor()
+        self.cold.runs.gc_floor()
     }
 
     /// Hand this store's compaction to a scheduler worker: the worker
     /// adopts the current hierarchy and all subsequent flushes enqueue
     /// instead of compacting inline.  No-op if already attached.
     pub fn attach_scheduler(&mut self, sched: &CompactionScheduler) {
-        let RunStore::Inline(levels) = &self.runs else {
+        let RunStore::Inline(levels) = &self.cold.runs else {
             return;
         };
-        let handle = sched.register(levels.clone(), self.trims.clone());
-        self.runs = RunStore::Background(BackgroundStore {
+        let handle = sched.register(levels.clone(), self.cold.trims.clone());
+        self.cold.runs = RunStore::Background(BackgroundStore {
             handle,
             pending: VecDeque::new(),
             sent: 0,
@@ -441,7 +437,7 @@ impl LsmHistory {
     /// Barrier: block until every enqueued flush has been compacted.
     /// No-op in inline mode.  The store stays attached.
     pub fn compaction_barrier(&mut self) {
-        if let RunStore::Background(b) = &mut self.runs {
+        if let RunStore::Background(b) = &mut self.cold.runs {
             let _ = b.handle.wait_applied(b.sent);
             b.prune();
         }
@@ -451,14 +447,14 @@ impl LsmHistory {
     /// return to inline mode.  Call before collecting final stats (the
     /// shard drivers do this in `finish()`).  No-op in inline mode.
     pub fn detach_compaction(&mut self) {
-        let RunStore::Background(b) = &mut self.runs else {
+        let RunStore::Background(b) = &mut self.cold.runs else {
             return;
         };
-        let (levels, effort, ns) = b.drain(&self.trims);
+        let (levels, effort, ns) = b.drain(&self.cold.trims);
         b.handle.retire();
-        self.metrics.absorb_effort(effort);
-        self.offloaded_ns += ns;
-        self.runs = RunStore::Inline(levels);
+        self.cold.metrics.absorb_effort(effort);
+        self.cold.offloaded_ns += ns;
+        self.cold.runs = RunStore::Inline(levels);
     }
 
     /// Walk visible `(key, value)` pairs with `lo <= key <= hi` at
@@ -470,8 +466,8 @@ impl LsmHistory {
         if lo > hi {
             return; // e.g. an empty range between adjacent keys
         }
-        let runs = self.runs.view();
-        let mut mem = self.memtable.range(lo, hi).peekable();
+        let runs = self.cold.runs.view();
+        let mut mem = self.cold.memtable.range(lo, hi).peekable();
         let mut cursors: Vec<usize> = runs.iter().map(|r| r.lower_bound(lo)).collect();
         loop {
             // Smallest head key across all sources, bounded by `hi`.
@@ -513,8 +509,8 @@ impl LsmHistory {
             // deletes the key; a point version newer than every
             // covering tombstone (a re-insert) survives.
             if let Some((win_seq, Some(value))) = verdict {
-                let trimmed =
-                    tombstone::newest_covering(&self.trims, key, at).is_some_and(|t| t > win_seq);
+                let trimmed = tombstone::newest_covering(&self.cold.trims, key, at)
+                    .is_some_and(|t| t > win_seq);
                 if !trimmed && !f(key, value) {
                     return;
                 }
@@ -526,20 +522,20 @@ impl LsmHistory {
     /// Inline mode compacts here (charging the stall ledger);
     /// background mode only enqueues.
     fn flush(&mut self) -> Result<(), ProrpError> {
-        if self.memtable.is_empty() {
+        if self.cold.memtable.is_empty() {
             return Ok(());
         }
-        let entries = self.memtable.drain_sorted();
-        let (run, bytes) = Run::build(entries, self.config.bloom_filters)?;
-        self.metrics.flushed_bytes += bytes;
-        self.metrics.flushes += 1;
+        let entries = self.cold.memtable.drain_sorted();
+        let (run, bytes) = Run::build(entries, self.cold.config.bloom_filters)?;
+        self.cold.metrics.flushed_bytes += bytes;
+        self.cold.metrics.flushes += 1;
         let run = Arc::new(run);
-        match &mut self.runs {
+        match &mut self.cold.runs {
             RunStore::Inline(levels) => {
                 let t0 = Instant::now();
-                let effort = levels.push_flush(run, &self.trims)?;
-                self.stall_ns += t0.elapsed().as_nanos() as u64;
-                self.metrics.absorb_effort(effort);
+                let effort = levels.push_flush(run, &self.cold.trims)?;
+                self.cold.stall_ns += t0.elapsed().as_nanos() as u64;
+                self.cold.metrics.absorb_effort(effort);
             }
             RunStore::Background(b) => {
                 b.prune();
@@ -550,12 +546,12 @@ impl LsmHistory {
         }
         // The flushed versions are durable in runs now; the WAL only
         // needs to cover the (empty) memtable.
-        self.wal.checkpoint();
+        self.cold.wal.checkpoint();
         Ok(())
     }
 
     fn maybe_flush(&mut self) {
-        if self.memtable.len() >= self.config.memtable_cap {
+        if self.cold.memtable.len() >= self.cold.config.memtable_cap {
             self.flush()
                 .expect("page encoding of a sorted run cannot fail");
         }
@@ -563,89 +559,92 @@ impl LsmHistory {
 
     /// Log one mutation to the WAL and stamp the timeline.
     fn log_mutation(&mut self, record: WalRecord, applied_at: i64) {
-        let before = self.wal.byte_len();
-        self.wal.append(record);
-        self.metrics.wal_appended_bytes += self.wal.byte_len() - before;
+        let before = self.cold.wal.byte_len();
+        self.cold.wal.append(record);
+        self.cold.metrics.wal_appended_bytes += self.cold.wal.byte_len() - before;
         // Clamp monotone: an out-of-order insert is *applied* now, even
         // though its key is older.
         let clamped = self
+            .cold
             .timeline
             .last()
             .map_or(applied_at, |&(t, _)| t.max(applied_at));
-        self.timeline.push((clamped, self.seqno));
+        self.cold.timeline.push((clamped, self.view.version()));
     }
 
-    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`; `true` when a
-    /// tuple was stored (see [`crate::HistoryTable::insert_history`]).
-    /// The IF-NOT-EXISTS probe is one binary search on the visible-key
-    /// cache — no bloom filters, no run probes.
-    pub fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-        let key = ts.as_secs();
-        let pos = self.keys.partition_point(|&k| k < key);
-        if self.keys.get(pos).copied() == Some(key) {
-            return false; // IF NOT EXISTS
+    /// Rebuild from backup page records: the tuples become one base run
+    /// at seqno 0, matching the B+Tree restore contract (version resets
+    /// to 0, slot index unconfigured, no time-travel past the restore).
+    pub(crate) fn from_records(records: &[Record]) -> Result<Self, ProrpError> {
+        let mut store = LsmHistory::new();
+        store.view = LiveView::from_records(records)?;
+        let entries: Vec<Entry> = records
+            .iter()
+            .map(|r| Entry {
+                key: r.key,
+                seqno: 0,
+                value: r.value,
+                tombstone: false,
+            })
+            .collect();
+        let (run, _) = Run::build(entries, store.cold.config.bloom_filters)?;
+        let RunStore::Inline(levels) = &mut store.cold.runs else {
+            unreachable!("a fresh store is always inline");
+        };
+        levels.install_base(run);
+        Ok(store)
+    }
+}
+
+impl HistoryRead for LsmHistory {
+    fn view(&self) -> &LiveView {
+        &self.view
+    }
+
+    /// Storage-overhead statistics.  The figures are the view's *logical*
+    /// (post-tombstone) ones — identical to the B+Tree backend's for the
+    /// same visible set, so `prorp-trace summary` and the invariant audit
+    /// agree across backends.  Physical LSM shape (runs, write
+    /// amplification, GC counters) lives in [`metrics`](Self::metrics)
+    /// and [`run_count`](Self::run_count); `index_depth` reports the
+    /// merged scan's source count (memtable + occupied levels).
+    fn stats(&self) -> StorageStats {
+        self.view
+            .stats(usize::from(!self.cold.memtable.is_empty()) + self.cold.runs.depth())
+    }
+}
+
+impl HistoryStore for LsmHistory {
+    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`: once the view's
+    /// `IF NOT EXISTS` probe passes (no bloom filters, no run probes),
+    /// one WAL append and one memtable version at the new seqno.
+    fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
+        if !self.view.insert(ts, kind) {
+            return false;
         }
-        self.seqno += 1;
+        let key = ts.as_secs();
+        let value = i64::from(kind.as_i32());
         self.log_mutation(
             WalRecord::Insert {
                 ts: key,
-                event_type: i64::from(kind.as_i32()),
+                event_type: value,
             },
             key,
         );
-        let value = i64::from(kind.as_i32());
-        self.memtable.add(key, self.seqno, value, false);
-        self.metrics.logical_write_bytes += page::RECORD_SIZE;
-        self.keys.insert(pos, key);
-        self.vals.insert(pos, value);
-        if kind == EventKind::Start {
-            match self.logins.last() {
-                Some(&newest) if newest > key => {
-                    let lp = self.logins.partition_point(|&x| x < key);
-                    self.logins.insert(lp, key);
-                }
-                _ => self.logins.push(key),
-            }
-            if let Some(ix) = self.slots.as_mut() {
-                ix.add(key);
-            }
-        }
+        self.cold
+            .memtable
+            .add(key, self.view.version(), value, false);
+        self.cold.metrics.logical_write_bytes += page::RECORD_SIZE;
         self.maybe_flush();
         true
     }
 
-    /// Convenience wrapper over [`insert_history`](Self::insert_history).
-    pub fn insert_event(&mut self, ev: ActivityEvent) -> bool {
-        self.insert_history(ev.ts, ev.kind)
-    }
-
     /// Algorithm 3 — `sys.DeleteOldHistory(@h, @now, @old OUTPUT)` as a
-    /// single [`RangeTombstone`]: `O(1)` logical work per pass (plus the
-    /// cache drains), however many tuples the pass covers.  Compare
-    /// [`crate::HistoryTable::delete_old_history`], which walks the
-    /// doomed keys.
-    pub fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-        let history_start = (now - h).as_secs();
-        let Some(&min_ts) = self.keys.first() else {
-            return DeleteOutcome {
-                old: false,
-                deleted: 0,
-            };
-        };
-        if min_ts >= history_start {
-            return DeleteOutcome {
-                old: false,
-                deleted: 0,
-            };
-        }
-        // Keys strictly inside (min_ts, history_start) die; the oldest
-        // tuple survives to preserve the lifespan.  Counting them is two
-        // binary searches on the visible-key cache.
-        let lo = self.keys.partition_point(|&k| k <= min_ts);
-        let hi = self.keys.partition_point(|&k| k < history_start);
-        let deleted = hi - lo;
-        if deleted > 0 {
-            self.seqno += 1;
+    /// single [`RangeTombstone`] over the doomed range the view computed:
+    /// `O(1)` physical work per pass, however many tuples it covers.
+    fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
+        let (outcome, doomed) = self.view.trim(h, now);
+        if let Some((min_ts, history_start)) = doomed {
             self.log_mutation(
                 WalRecord::DeleteRange {
                     min: min_ts,
@@ -656,178 +655,32 @@ impl LsmHistory {
             let tomb = RangeTombstone {
                 lo: min_ts + 1,
                 hi: history_start,
-                seqno: self.seqno,
+                seqno: self.view.version(),
             };
-            self.trims.push(tomb);
-            if let RunStore::Background(b) = &self.runs {
+            self.cold.trims.push(tomb);
+            if let RunStore::Background(b) = &self.cold.runs {
                 b.handle.send_trim(tomb);
             }
             // Logical accounting stays per tuple — the pass logically
             // deletes `deleted` records, so write amplification remains
-            // comparable across backends and across the per-tuple →
-            // range-tombstone change.  Physically only the single
+            // comparable across backends.  Physically only the single
             // tombstone record hits the WAL and the flush path.
-            self.metrics.logical_write_bytes += deleted * page::RECORD_SIZE;
-            self.metrics.range_tombstones += 1;
-            self.keys.drain(lo..hi);
-            self.vals.drain(lo..hi);
-            let llo = self.logins.partition_point(|&t| t <= min_ts);
-            let lhi = self.logins.partition_point(|&t| t < history_start);
-            if llo < lhi {
-                if let Some(ix) = self.slots.as_mut() {
-                    for &t in &self.logins[llo..lhi] {
-                        ix.remove(t);
-                    }
-                }
-                self.logins.drain(llo..lhi);
-            }
+            self.cold.metrics.logical_write_bytes += outcome.deleted * page::RECORD_SIZE;
+            self.cold.metrics.range_tombstones += 1;
         }
-        DeleteOutcome { old: true, deleted }
+        outcome
     }
 
-    /// `MIN`/`MAX` of login timestamps inside `[lo, hi]` (see
-    /// [`crate::HistoryTable::first_last_login_in`]).
-    pub fn first_last_login_in(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp)> {
-        self.login_window_stats(lo, hi).map(|(f, l, _)| (f, l))
-    }
-
-    /// Number of logins inside the closed window `[lo, hi]`.
-    pub fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-        let a = self.logins.partition_point(|&k| k < lo.as_secs());
-        let b = self.logins.partition_point(|&k| k <= hi.as_secs());
-        (b - a) as i64
-    }
-
-    /// `MIN`, `MAX` and `COUNT` of login timestamps inside `[lo, hi]` —
-    /// partition-point arithmetic on the sorted login cache, no run
-    /// merge (see [`crate::HistoryTable::login_window_stats`]).
-    pub fn login_window_stats(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp, i64)> {
-        let a = self.logins.partition_point(|&k| k < lo.as_secs());
-        let b = self.logins.partition_point(|&k| k <= hi.as_secs());
-        if a == b {
-            return None;
-        }
-        Some((
-            Timestamp(self.logins[a]),
-            Timestamp(self.logins[b - 1]),
-            (b - a) as i64,
-        ))
-    }
-
-    /// Whether any event falls inside the closed window `[lo, hi]`.
-    pub fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        let a = self.keys.partition_point(|&k| k < lo.as_secs());
-        let b = self.keys.partition_point(|&k| k <= hi.as_secs());
-        a < b
-    }
-
-    /// Oldest visible timestamp.
-    pub fn min_timestamp(&self) -> Option<Timestamp> {
-        self.keys.first().map(|&k| Timestamp(k))
-    }
-
-    /// Newest visible timestamp.
-    pub fn max_timestamp(&self) -> Option<Timestamp> {
-        self.keys.last().map(|&k| Timestamp(k))
-    }
-
-    /// Number of visible tuples (the visible-key cache length).
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the store holds no visible tuples.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The mutation version — *equal to the latest seqno by
-    /// construction*, so prediction-cache keys and snapshot seqnos are
-    /// the same number (see [`crate::HistoryTable::version`]).
-    pub fn version(&self) -> u64 {
-        self.seqno
-    }
-
-    /// The sorted visible login timestamps.
-    pub fn logins(&self) -> &[i64] {
-        &self.logins
-    }
-
-    /// The slot-occupancy index, when one has been configured.
-    pub fn slot_index(&self) -> Option<&SlotIndex> {
-        self.slots.as_ref()
-    }
-
-    /// (Re)build the slot-occupancy index (see
-    /// [`crate::HistoryTable::configure_slot_index`]).
-    pub fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.slots = SlotIndex::rebuilt(period, slot_len, &self.logins);
-    }
-
-    /// All visible events in timestamp order — zipped straight off the
-    /// visible-set caches.
-    pub fn events(&self) -> Vec<ActivityEvent> {
-        self.keys
-            .iter()
-            .zip(&self.vals)
-            .map(|(&k, &v)| ActivityEvent {
-                ts: Timestamp(k),
-                kind: if v == 1 {
-                    EventKind::Start
-                } else {
-                    EventKind::End
-                },
-            })
-            .collect()
-    }
-
-    /// Rebuild from backup page records: the tuples become one base run
-    /// at seqno 0, matching the B+Tree restore contract (version resets
-    /// to 0, slot index unconfigured, no time-travel past the restore).
-    pub(crate) fn from_records(records: &[Record]) -> Result<Self, ProrpError> {
-        let mut store = LsmHistory::new();
-        let entries: Vec<Entry> = records
-            .iter()
-            .map(|r| Entry {
-                key: r.key,
-                seqno: 0,
-                value: r.value,
-                tombstone: false,
-            })
-            .collect();
-        let (run, _) = Run::build(entries, store.config.bloom_filters)?;
-        let RunStore::Inline(levels) = &mut store.runs else {
-            unreachable!("a fresh store is always inline");
-        };
-        levels.install_base(run);
-        store.keys = records.iter().map(|r| r.key).collect();
-        store.vals = records.iter().map(|r| r.value).collect();
-        store.logins = records
-            .iter()
-            .filter(|r| r.value == 1)
-            .map(|r| r.key)
-            .collect();
-        Ok(store)
+    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
+        self.view.configure_slot_index(period, slot_len);
     }
 
     /// Audit the store's structural invariants: run shape and seqno
     /// discipline (including the pending-run ordering in background
-    /// mode), the visible-set caches against a from-scratch merged
-    /// rebuild, the slot index, and the timeline's monotonicity.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a description of the violated invariant.
-    pub fn check_invariants(&self) {
-        match &self.runs {
+    /// mode), the view against a from-scratch merged rebuild, and the
+    /// timeline's monotonicity.
+    fn check_invariants(&self) {
+        match &self.cold.runs {
             RunStore::Inline(levels) => levels.check_invariants(),
             RunStore::Background(b) => {
                 let (applied, image, ..) = b.handle.published();
@@ -851,8 +704,9 @@ impl LsmHistory {
                 }
             }
         }
-        if !self.memtable.is_empty() {
+        if !self.cold.memtable.is_empty() {
             let newest_on_runs = self
+                .cold
                 .runs
                 .view()
                 .iter()
@@ -860,94 +714,60 @@ impl LsmHistory {
                 .max()
                 .unwrap_or(0);
             assert!(
-                self.memtable.min_seqno() > newest_on_runs,
+                self.cold.memtable.min_seqno() > newest_on_runs,
                 "memtable seqnos must be strictly newer than every run"
             );
-            assert!(self.memtable.max_seqno() <= self.seqno);
+            assert!(self.cold.memtable.max_seqno() <= self.view.version());
         }
         assert!(
-            self.trims.windows(2).all(|w| w[0].seqno < w[1].seqno),
+            self.cold.trims.windows(2).all(|w| w[0].seqno < w[1].seqno),
             "range tombstones must be seqno-ascending"
         );
-        let mut visible_keys = Vec::new();
-        let mut visible_vals = Vec::new();
-        let mut visible_logins = Vec::new();
-        self.scan_visible(i64::MIN, i64::MAX, self.seqno, |k, v| {
-            visible_keys.push(k);
-            visible_vals.push(v);
-            if v == 1 {
-                visible_logins.push(k);
-            }
+        let mut visible = Vec::new();
+        self.scan_visible(i64::MIN, i64::MAX, self.view.version(), |k, v| {
+            visible.push((k, v));
             true
         });
-        assert_eq!(
-            self.keys, visible_keys,
-            "visible-key cache diverged from the merged scan"
-        );
-        assert_eq!(
-            self.vals, visible_vals,
-            "visible-value cache diverged from the merged scan"
-        );
-        assert_eq!(
-            self.logins, visible_logins,
-            "login cache diverged from the visible set"
-        );
-        if let Some(ix) = &self.slots {
-            let rebuilt = SlotIndex::rebuilt(ix.period(), ix.slot_len(), &self.logins)
-                .expect("a configured slot index has valid parameters");
-            assert_eq!(*ix, rebuilt, "slot index diverged from a rebuild");
-        }
+        self.view.audit(visible.into_iter(), "the merged scan");
         assert!(
-            self.timeline
+            self.cold
+                .timeline
                 .windows(2)
                 .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1),
             "timeline must be monotone in both time and seqno"
         );
-        if let Some(&(_, last)) = self.timeline.last() {
-            assert_eq!(last, self.seqno, "timeline must end at the latest seqno");
-        }
-    }
-
-    /// Storage-overhead statistics.  All figures are *logical*
-    /// (post-tombstone): `tuples` counts visible tuples, and the page
-    /// figures describe the pages those tuples would occupy — identical
-    /// to the B+Tree backend's accounting for the same visible set, so
-    /// `prorp-trace summary` and the invariant audit agree across
-    /// backends.  Physical LSM shape (runs, write amplification, GC
-    /// counters) lives in [`metrics`](Self::metrics) and
-    /// [`run_count`](Self::run_count); `index_depth` reports the read
-    /// path's source count (memtable + occupied levels).
-    pub fn stats(&self) -> StorageStats {
-        let tuples = self.keys.len();
-        let pages = page::pages_for(tuples);
-        StorageStats {
-            tuples,
-            logical_bytes: tuples * page::RECORD_SIZE,
-            page_bytes: pages * page::PAGE_SIZE,
-            pages,
-            index_depth: usize::from(!self.memtable.is_empty()) + self.runs.depth(),
+        if let Some(&(_, last)) = self.cold.timeline.last() {
+            assert_eq!(
+                last,
+                self.view.version(),
+                "timeline must end at the latest seqno"
+            );
         }
     }
 }
 
 impl TimeTravel for LsmHistory {
     fn latest_seqno(&self) -> u64 {
-        self.seqno
+        self.view.version()
     }
 
     fn seqno_as_of(&self, at: Timestamp) -> u64 {
-        let cut = self.timeline.partition_point(|&(t, _)| t <= at.as_secs());
+        let cut = self
+            .cold
+            .timeline
+            .partition_point(|&(t, _)| t <= at.as_secs());
         if cut == 0 {
             0
         } else {
-            self.timeline[cut - 1].1
+            self.cold.timeline[cut - 1].1
         }
     }
 
     fn snapshot(&self, seqno: u64) -> LsmSnapshot {
-        let at = seqno.min(self.seqno);
-        let pins = self.runs.view();
+        let at = seqno.min(self.view.version());
+        let pins = self.cold.runs.view();
         let overlay: Vec<Entry> = self
+            .cold
             .memtable
             .iter()
             .flat_map(|(k, chain)| {
@@ -963,45 +783,34 @@ impl TimeTravel for LsmHistory {
             })
             .collect();
         let trims: Vec<RangeTombstone> = self
+            .cold
             .trims
             .iter()
             .take_while(|t| t.seqno <= at)
             .copied()
             .collect();
-        if at == self.seqno {
-            // Fast path: the visible set at the latest seqno *is* the
-            // maintained cache — no merged scan.
-            return LsmSnapshot::with_pins(
-                at,
-                self.keys.clone(),
-                self.vals.clone(),
-                self.logins.clone(),
-                pins,
-                overlay,
-                trims,
-            );
-        }
-        let mut keys = Vec::new();
-        let mut vals = Vec::new();
-        self.scan_visible(i64::MIN, i64::MAX, at, |k, v| {
-            keys.push(k);
-            vals.push(v);
-            true
-        });
-        let logins = keys
-            .iter()
-            .zip(&vals)
-            .filter(|&(_, &v)| v == 1)
-            .map(|(&k, _)| k)
-            .collect();
-        LsmSnapshot::with_pins(at, keys, vals, logins, pins, overlay, trims)
+        let view = if at == self.view.version() {
+            // The visible set at the latest seqno *is* the maintained
+            // view — no merged scan.
+            self.view.frozen()
+        } else {
+            let mut keys = Vec::new();
+            let mut vals = Vec::new();
+            self.scan_visible(i64::MIN, i64::MAX, at, |k, v| {
+                keys.push(k);
+                vals.push(v);
+                true
+            });
+            LiveView::from_sorted(keys, vals, at)
+        };
+        LsmSnapshot::with_pins(view, pins, overlay, trims)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::HistoryRead;
+    use prorp_types::ActivityEvent;
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
@@ -1118,6 +927,7 @@ mod tests {
     #[test]
     fn snapshots_freeze_past_states() {
         let mut h = tiny();
+        h.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
         let mut seen: Vec<(u64, usize)> = Vec::new();
         for ts in [10, 20, 30, 40, 50, 60, 70] {
             h.insert_history(t(ts), EventKind::Start);
@@ -1129,6 +939,7 @@ mod tests {
             let snap = h.snapshot(seqno);
             assert_eq!(snap.seqno(), seqno);
             assert_eq!(snap.len(), live, "snapshot at seqno {seqno}");
+            assert!(snap.slot_index().is_none(), "snapshots carry no index");
         }
         // Seqno 0 is the empty store; clamping applies past the end.
         assert_eq!(h.snapshot(0).len(), 0);

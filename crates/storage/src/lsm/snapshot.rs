@@ -17,10 +17,10 @@
 
 use super::run::{Entry, Run};
 use super::tombstone::{self, RangeTombstone};
-use crate::history::{SlotIndex, StorageStats};
-use crate::page;
+use crate::history::StorageStats;
 use crate::store::HistoryRead;
-use prorp_types::{ActivityEvent, EventKind, Timestamp};
+use crate::view::LiveView;
+use prorp_types::Timestamp;
 use std::sync::Arc;
 
 /// An owned, immutable view of the history as of one seqno.
@@ -37,19 +37,13 @@ use std::sync::Arc;
 /// they pin physically different run hierarchies.
 #[derive(Clone, Debug)]
 pub struct LsmSnapshot {
-    /// The seqno this view is frozen at.
-    seqno: u64,
-    /// Visible tuple keys (`time_snapshot`), ascending.
-    keys: Vec<i64>,
-    /// Parallel `event_type` values (1 = start, 0 = end).
-    values: Vec<i64>,
-    /// Visible login keys, ascending (`values[i] == 1` subset).
-    logins: Vec<i64>,
+    /// The visible tuple set, frozen; its version is the freeze seqno.
+    view: LiveView,
     /// Runs readable at freeze time, newest first, held alive by `Arc`
     /// refcounts so compaction can retire them from the live store.
     pins: Vec<Arc<Run>>,
-    /// Memtable versions at or below `seqno`, `(key, seqno)`-sorted —
-    /// the write-buffer leg the pinned runs don't cover.
+    /// Memtable versions at or below the freeze seqno, `(key, seqno)`-sorted
+    /// — the write-buffer leg the pinned runs don't cover.
     overlay: Vec<Entry>,
     /// Range tombstones with `seqno <=` the freeze point, ascending.
     trims: Vec<RangeTombstone>,
@@ -57,10 +51,7 @@ pub struct LsmSnapshot {
 
 impl PartialEq for LsmSnapshot {
     fn eq(&self, other: &Self) -> bool {
-        self.seqno == other.seqno
-            && self.keys == other.keys
-            && self.values == other.values
-            && self.logins == other.logins
+        self.view == other.view
     }
 }
 
@@ -69,22 +60,16 @@ impl Eq for LsmSnapshot {}
 impl LsmSnapshot {
     /// Freeze a visible tuple set *and* pin the run hierarchy it was
     /// cut from.  `pins` must be newest-first; `overlay` holds the
-    /// memtable versions at or below `seqno`, `(key, seqno)`-sorted.
+    /// memtable versions at or below the view's version.
     pub(crate) fn with_pins(
-        seqno: u64,
-        keys: Vec<i64>,
-        values: Vec<i64>,
-        logins: Vec<i64>,
+        view: LiveView,
         pins: Vec<Arc<Run>>,
         mut overlay: Vec<Entry>,
         trims: Vec<RangeTombstone>,
     ) -> LsmSnapshot {
         overlay.sort_unstable_by_key(|e| (e.key, e.seqno));
         LsmSnapshot {
-            seqno,
-            keys,
-            values,
-            logins,
+            view,
             pins,
             overlay,
             trims,
@@ -93,7 +78,7 @@ impl LsmSnapshot {
 
     /// The seqno this view is frozen at.
     pub fn seqno(&self) -> u64 {
-        self.seqno
+        self.view.version()
     }
 
     /// The runs this snapshot holds alive (newest first; empty for
@@ -110,10 +95,9 @@ impl LsmSnapshot {
     /// pins.  `None` means the key was not visible.
     pub fn resolve(&self, key: i64) -> Option<i64> {
         if self.pins.is_empty() && self.overlay.is_empty() {
-            let pos = self.keys.partition_point(|&k| k < key);
-            return (self.keys.get(pos).copied() == Some(key)).then(|| self.values[pos]);
+            return self.view.get(key);
         }
-        let at = self.seqno;
+        let at = self.seqno();
         let mut verdict: Option<(u64, Option<i64>)> = None;
         let lo = self.overlay.partition_point(|e| e.key < key);
         let hi = lo + self.overlay[lo..].partition_point(|e| e.key == key && e.seqno <= at);
@@ -137,97 +121,15 @@ impl LsmSnapshot {
             value
         }
     }
-
-    /// Index range of `keys` covered by the closed window `[lo, hi]`.
-    fn key_range(&self, lo: Timestamp, hi: Timestamp) -> (usize, usize) {
-        let a = self.keys.partition_point(|&k| k < lo.as_secs());
-        let b = self.keys.partition_point(|&k| k <= hi.as_secs());
-        (a, b)
-    }
 }
 
 impl HistoryRead for LsmSnapshot {
-    fn first_last_login_in(&self, lo: Timestamp, hi: Timestamp) -> Option<(Timestamp, Timestamp)> {
-        self.login_window_stats(lo, hi).map(|(f, l, _)| (f, l))
-    }
-
-    fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-        let a = self.logins.partition_point(|&k| k < lo.as_secs());
-        let b = self.logins.partition_point(|&k| k <= hi.as_secs());
-        (b - a) as i64
-    }
-
-    fn login_window_stats(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp, i64)> {
-        let a = self.logins.partition_point(|&k| k < lo.as_secs());
-        let b = self.logins.partition_point(|&k| k <= hi.as_secs());
-        if a == b {
-            return None;
-        }
-        Some((
-            Timestamp(self.logins[a]),
-            Timestamp(self.logins[b - 1]),
-            (b - a) as i64,
-        ))
-    }
-
-    fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        let (a, b) = self.key_range(lo, hi);
-        a < b
-    }
-
-    fn min_timestamp(&self) -> Option<Timestamp> {
-        self.keys.first().map(|&k| Timestamp(k))
-    }
-
-    fn max_timestamp(&self) -> Option<Timestamp> {
-        self.keys.last().map(|&k| Timestamp(k))
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn version(&self) -> u64 {
-        self.seqno
-    }
-
-    fn logins(&self) -> &[i64] {
-        &self.logins
-    }
-
-    fn slot_index(&self) -> Option<&SlotIndex> {
-        None
-    }
-
-    fn events(&self) -> Vec<ActivityEvent> {
-        self.keys
-            .iter()
-            .zip(&self.values)
-            .map(|(&k, &v)| ActivityEvent {
-                ts: Timestamp(k),
-                kind: if v == 1 {
-                    EventKind::Start
-                } else {
-                    EventKind::End
-                },
-            })
-            .collect()
+    fn view(&self) -> &LiveView {
+        &self.view
     }
 
     fn stats(&self) -> StorageStats {
-        let tuples = self.keys.len();
-        let pages = page::pages_for(tuples);
-        StorageStats {
-            tuples,
-            logical_bytes: tuples * page::RECORD_SIZE,
-            page_bytes: pages * page::PAGE_SIZE,
-            pages,
-            index_depth: 0,
-        }
+        self.view.stats(0)
     }
 }
 
@@ -261,41 +163,11 @@ mod tests {
 
     fn snap() -> LsmSnapshot {
         LsmSnapshot::with_pins(
-            7,
-            vec![10, 20, 30, 40],
-            vec![1, 0, 1, 0],
-            vec![10, 30],
+            LiveView::from_sorted(vec![10, 20, 30, 40], vec![1, 0, 1, 0], 7),
             Vec::new(),
             Vec::new(),
             Vec::new(),
         )
-    }
-
-    #[test]
-    fn read_surface_matches_the_materialised_set() {
-        let s = snap();
-        assert_eq!(s.seqno(), 7);
-        assert_eq!(s.version(), 7);
-        assert_eq!(s.len(), 4);
-        assert!(!s.is_empty());
-        assert_eq!(s.logins(), &[10, 30]);
-        assert_eq!(s.min_timestamp(), Some(Timestamp(10)));
-        assert_eq!(s.max_timestamp(), Some(Timestamp(40)));
-        assert_eq!(
-            s.login_window_stats(Timestamp(10), Timestamp(40)),
-            Some((Timestamp(10), Timestamp(30), 2))
-        );
-        assert_eq!(
-            s.first_last_login_in(Timestamp(11), Timestamp(40)),
-            Some((Timestamp(30), Timestamp(30)))
-        );
-        assert_eq!(s.count_logins_in(Timestamp(0), Timestamp(100)), 2);
-        assert_eq!(s.login_window_stats(Timestamp(11), Timestamp(29)), None);
-        assert!(s.any_event_in(Timestamp(20), Timestamp(20)));
-        assert!(!s.any_event_in(Timestamp(21), Timestamp(29)));
-        assert!(s.slot_index().is_none());
-        assert_eq!(s.events().len(), 4);
-        assert_eq!(s.stats().tuples, 4);
     }
 
     #[test]
@@ -344,10 +216,7 @@ mod tests {
             tombstone: false,
         }];
         let s = LsmSnapshot::with_pins(
-            5,
-            vec![10, 20, 30],
-            vec![1, 1, 1],
-            vec![10, 20, 30],
+            LiveView::from_sorted(vec![10, 20, 30], vec![1, 1, 1], 5),
             vec![run],
             overlay,
             trims,
@@ -363,10 +232,7 @@ mod tests {
         assert_eq!(s.resolve(25), None);
         // At an earlier freeze point the trim wins over the run version.
         let s4 = LsmSnapshot::with_pins(
-            4,
-            vec![10, 30],
-            vec![1, 1],
-            vec![10, 30],
+            LiveView::from_sorted(vec![10, 30], vec![1, 1], 4),
             s.pinned_runs().to_vec(),
             Vec::new(),
             vec![RangeTombstone {
@@ -383,10 +249,7 @@ mod tests {
     fn equality_ignores_the_pinned_hierarchy() {
         let a = snap();
         let b = LsmSnapshot::with_pins(
-            7,
-            a.keys.clone(),
-            a.values.clone(),
-            a.logins.clone(),
+            a.view.clone(),
             vec![Arc::new(Run::default())],
             Vec::new(),
             Vec::new(),

@@ -8,8 +8,9 @@
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
 //!   incremental prediction index consume (window aggregates, the sorted
 //!   login cache, the optional slot-occupancy index, the mutation
-//!   version).  Frozen views such as [`crate::lsm::LsmSnapshot`]
-//!   implement only this half.
+//!   version).  An implementor only says where its [`LiveView`] is; every
+//!   read is a provided delegate to that one layer.  Frozen views such
+//!   as [`crate::lsm::LsmSnapshot`] implement only this half.
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
 //!   the slot-index and invariant hooks the engines call.
 //!
@@ -24,6 +25,7 @@
 
 use crate::history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
 use crate::lsm::LsmHistory;
+use crate::view::LiveView;
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
 /// Read surface of a history store — everything Algorithm 4, the
@@ -33,59 +35,73 @@ use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 /// `&dyn HistoryRead`, so one compiled predictor body serves the live
 /// B+Tree table, the live LSM store, and a frozen LSM snapshot alike.
 pub trait HistoryRead {
-    /// `MIN`/`MAX` of login (`event_type = 1`) timestamps inside the
-    /// closed window `[lo, hi]` (Algorithm 4 lines 19–24); `None` when
-    /// no login falls inside.
-    fn first_last_login_in(&self, lo: Timestamp, hi: Timestamp) -> Option<(Timestamp, Timestamp)>;
+    /// The store's visible tuple set — the single read layer every
+    /// method below delegates to.
+    fn view(&self) -> &LiveView;
 
-    /// Number of logins inside the closed window `[lo, hi]`.
-    fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64;
+    /// Storage-overhead statistics (Figure 10a–b).  Physical figures
+    /// (index depth) are backend-specific; the logical figures come
+    /// from the view and are comparable across backends.
+    fn stats(&self) -> StorageStats;
 
-    /// `MIN`, `MAX` *and* `COUNT` of login timestamps inside `[lo, hi]`
-    /// in one scan; `None` when no login falls inside.
+    /// `MIN`, `MAX` *and* `COUNT` of login (`event_type = 1`) timestamps
+    /// inside the closed window `[lo, hi]` (Algorithm 4 lines 19–24);
+    /// `None` when no login falls inside.
     fn login_window_stats(
         &self,
         lo: Timestamp,
         hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp, i64)>;
+    ) -> Option<(Timestamp, Timestamp, i64)> {
+        self.view().login_window_stats(lo, hi)
+    }
 
     /// Whether any event (login *or* logout) falls inside `[lo, hi]`.
-    fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool;
+    fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
+        self.view().any_event_in(lo, hi)
+    }
 
     /// Oldest stored timestamp — the database's observable lifespan start.
-    fn min_timestamp(&self) -> Option<Timestamp>;
+    fn min_timestamp(&self) -> Option<Timestamp> {
+        self.view().min_timestamp()
+    }
 
     /// Newest stored timestamp.
-    fn max_timestamp(&self) -> Option<Timestamp>;
+    fn max_timestamp(&self) -> Option<Timestamp> {
+        self.view().max_timestamp()
+    }
 
     /// Number of tuples currently visible.
-    fn len(&self) -> usize;
+    fn len(&self) -> usize {
+        self.view().len()
+    }
 
     /// Whether the store holds no visible tuples.
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.view().is_empty()
     }
 
     /// Monotonically increasing mutation version: bumped on every insert
     /// that stored a tuple and every trim that deleted at least one.
     /// Engines key prediction caches on `(version, now)`.
-    fn version(&self) -> u64;
+    fn version(&self) -> u64 {
+        self.view().version()
+    }
 
     /// The sorted login (`event_type = 1`) timestamps — the incremental
     /// predictor's cursor-sweep substrate.
-    fn logins(&self) -> &[i64];
+    fn logins(&self) -> &[i64] {
+        self.view().logins()
+    }
 
     /// The slot-occupancy index, when one has been configured.
-    fn slot_index(&self) -> Option<&SlotIndex>;
+    fn slot_index(&self) -> Option<&SlotIndex> {
+        self.view().slot_index()
+    }
 
     /// All visible events in timestamp order.
-    fn events(&self) -> Vec<ActivityEvent>;
-
-    /// Storage-overhead statistics (Figure 10a–b).  Physical figures
-    /// (pages, index depth) are backend-specific; only the logical
-    /// figures (`tuples`, `logical_bytes`) are comparable across
-    /// backends.
-    fn stats(&self) -> StorageStats;
+    fn events(&self) -> Vec<ActivityEvent> {
+        self.view().events()
+    }
 }
 
 /// Mutation surface of a history store — Algorithms 2 and 3 plus the
@@ -143,11 +159,10 @@ impl StorageBackend {
 /// (no boxed trait objects in the million-database arena) and `Clone`
 /// for the rebalance/backup paths.  The whole surface lives on the
 /// [`HistoryRead`] + [`HistoryStore`] trait impls — import the traits
-/// to call it (the PR 7 inherent mirror API has been removed).
-/// A fleet runs one backend for every database, so the arena pays the
-/// larger variant's footprint only when it actually uses the LSM —
-/// boxing it would put a pointer chase on every history read instead.
-#[allow(clippy::large_enum_variant)]
+/// to call it.  Every database pays the larger variant's footprint
+/// whichever backend the fleet runs, so both variants keep only the
+/// hot [`LiveView`] inline (reads never chase a pointer to reach it)
+/// and the LSM boxes its cold physical state.
 #[derive(Clone, Debug)]
 pub enum HistoryBackend {
     /// B+Tree-backed [`HistoryTable`] (the §5 default).
@@ -235,116 +250,13 @@ impl HistoryBackend {
 }
 
 impl HistoryRead for HistoryBackend {
-    fn first_last_login_in(&self, lo: Timestamp, hi: Timestamp) -> Option<(Timestamp, Timestamp)> {
-        dispatch!(self, t => t.first_last_login_in(lo, hi))
-    }
-    fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-        dispatch!(self, t => t.count_logins_in(lo, hi))
-    }
-    fn login_window_stats(
-        &self,
-        lo: Timestamp,
-        hi: Timestamp,
-    ) -> Option<(Timestamp, Timestamp, i64)> {
-        dispatch!(self, t => t.login_window_stats(lo, hi))
-    }
-    fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        dispatch!(self, t => t.any_event_in(lo, hi))
-    }
-    fn min_timestamp(&self) -> Option<Timestamp> {
-        dispatch!(self, t => t.min_timestamp())
-    }
-    fn max_timestamp(&self) -> Option<Timestamp> {
-        dispatch!(self, t => t.max_timestamp())
-    }
-    fn len(&self) -> usize {
-        dispatch!(self, t => t.len())
-    }
-    fn version(&self) -> u64 {
-        dispatch!(self, t => t.version())
-    }
-    fn logins(&self) -> &[i64] {
-        dispatch!(self, t => t.logins())
-    }
-    fn slot_index(&self) -> Option<&SlotIndex> {
-        dispatch!(self, t => t.slot_index())
-    }
-    fn events(&self) -> Vec<ActivityEvent> {
-        dispatch!(self, t => t.events())
+    fn view(&self) -> &LiveView {
+        dispatch!(self, t => t.view())
     }
     fn stats(&self) -> StorageStats {
         dispatch!(self, t => t.stats())
     }
 }
-
-macro_rules! impl_history_traits {
-    ($ty:ty) => {
-        impl HistoryRead for $ty {
-            fn first_last_login_in(
-                &self,
-                lo: Timestamp,
-                hi: Timestamp,
-            ) -> Option<(Timestamp, Timestamp)> {
-                <$ty>::first_last_login_in(self, lo, hi)
-            }
-            fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-                <$ty>::count_logins_in(self, lo, hi)
-            }
-            fn login_window_stats(
-                &self,
-                lo: Timestamp,
-                hi: Timestamp,
-            ) -> Option<(Timestamp, Timestamp, i64)> {
-                <$ty>::login_window_stats(self, lo, hi)
-            }
-            fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-                <$ty>::any_event_in(self, lo, hi)
-            }
-            fn min_timestamp(&self) -> Option<Timestamp> {
-                <$ty>::min_timestamp(self)
-            }
-            fn max_timestamp(&self) -> Option<Timestamp> {
-                <$ty>::max_timestamp(self)
-            }
-            fn len(&self) -> usize {
-                <$ty>::len(self)
-            }
-            fn version(&self) -> u64 {
-                <$ty>::version(self)
-            }
-            fn logins(&self) -> &[i64] {
-                <$ty>::logins(self)
-            }
-            fn slot_index(&self) -> Option<&SlotIndex> {
-                <$ty>::slot_index(self)
-            }
-            fn events(&self) -> Vec<ActivityEvent> {
-                <$ty>::events(self)
-            }
-            fn stats(&self) -> StorageStats {
-                <$ty>::stats(self)
-            }
-        }
-
-        impl HistoryStore for $ty {
-            fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-                <$ty>::insert_history(self, ts, kind)
-            }
-            fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-                <$ty>::delete_old_history(self, h, now)
-            }
-            fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-                <$ty>::configure_slot_index(self, period, slot_len)
-            }
-            fn check_invariants(&self) {
-                <$ty>::check_invariants(self)
-            }
-        }
-    };
-}
-
-impl_history_traits!(HistoryTable);
-impl_history_traits!(LsmHistory);
 
 impl HistoryStore for HistoryBackend {
     fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
@@ -369,42 +281,18 @@ mod tests {
         Timestamp(v)
     }
 
-    fn exercise(mut b: HistoryBackend) {
-        assert!(b.is_empty());
-        assert!(b.insert_history(t(100), EventKind::Start));
-        assert!(!b.insert_history(t(100), EventKind::End), "IF NOT EXISTS");
-        assert!(b.insert_history(t(200), EventKind::End));
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.version(), 2);
-        assert_eq!(b.logins(), &[100]);
-        assert_eq!(b.first_last_login_in(t(0), t(300)), Some((t(100), t(100))));
-        assert_eq!(
-            b.login_window_stats(t(0), t(300)),
-            Some((t(100), t(100), 1))
-        );
-        assert_eq!(b.count_logins_in(t(0), t(300)), 1);
-        assert!(b.any_event_in(t(150), t(250)));
-        assert_eq!(b.min_timestamp(), Some(t(100)));
-        assert_eq!(b.max_timestamp(), Some(t(200)));
-        assert_eq!(b.events().len(), 2);
-        assert_eq!(b.stats().tuples, 2);
-        b.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
-        assert!(b.slot_index().is_some());
-        b.check_invariants();
-    }
-
-    #[test]
-    fn both_backends_expose_the_same_surface() {
-        exercise(HistoryBackend::new(StorageBackend::BTree));
-        exercise(HistoryBackend::new(StorageBackend::Lsm));
-    }
-
     #[test]
     fn default_backend_is_the_btree() {
         assert_eq!(HistoryBackend::default().kind(), StorageBackend::BTree);
         assert_eq!(StorageBackend::default(), StorageBackend::BTree);
         assert_eq!(StorageBackend::BTree.label(), "btree");
         assert_eq!(StorageBackend::Lsm.label(), "lsm");
+    }
+
+    #[test]
+    fn per_database_footprint_stays_small() {
+        // One of these sits in the arena per database on either backend.
+        assert!(std::mem::size_of::<HistoryBackend>() <= 256);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! rather than treated as corruption.
 
 use crate::history::HistoryTable;
+use crate::store::{HistoryRead, HistoryStore};
 use bytes::{Buf, BufMut, BytesMut};
 use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 

@@ -1,13 +1,17 @@
-//! Property-based tests for the storage substrate: the B+Tree is checked
-//! against `std::collections::BTreeMap` as a model, the page codec and the
+//! Property-based tests for the storage substrate: the B+Tree and the
+//! one live-read layer ([`LiveView`]) are each checked against
+//! `std::collections::BTreeMap` as a model, the page codec and the
 //! backup stream against identity round-trips, and Algorithm 3 against its
 //! specification.
 
 use proptest::prelude::*;
 use prorp_storage::page::{decode_page, encode_page, records_per_page, Record};
 use prorp_storage::wal::{DurableHistory, WriteAheadLog};
-use prorp_storage::{backup_history, restore_history, BTree, HistoryTable};
-use prorp_types::{EventKind, Seconds, Timestamp};
+use prorp_storage::{
+    backup_history, restore_history, BTree, DeleteOutcome, HistoryRead, HistoryStore, HistoryTable,
+    LiveView,
+};
+use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -165,10 +169,118 @@ proptest! {
             .map(|(ts, _)| *ts)
             .collect();
         let expected = match (logins.first(), logins.last()) {
-            (Some(f), Some(l)) => Some((Timestamp(*f), Timestamp(*l))),
+            (Some(f), Some(l)) => Some((Timestamp(*f), Timestamp(*l), logins.len() as i64)),
             _ => None,
         };
-        prop_assert_eq!(table.first_last_login_in(Timestamp(lo), Timestamp(hi)), expected);
+        prop_assert_eq!(table.login_window_stats(Timestamp(lo), Timestamp(hi)), expected);
+    }
+}
+
+/// Mutations the [`LiveView`] model test replays.
+#[derive(Clone, Debug)]
+enum ViewOp {
+    Insert(i64, bool),
+    Trim { h: i64, now: i64 },
+}
+
+/// A key space small enough that duplicates, out-of-order arrivals and
+/// re-inserts of trimmed keys are all common; negative keys exercise the
+/// slot index's euclidean bucketing.
+fn view_op_strategy() -> impl Strategy<Value = ViewOp> {
+    prop_oneof![
+        6 => (-300i64..1_500, any::<bool>()).prop_map(|(ts, s)| ViewOp::Insert(ts, s)),
+        1 => (1i64..1_200, -300i64..2_200).prop_map(|(h, now)| ViewOp::Trim { h, now }),
+    ]
+}
+
+proptest! {
+    /// The one read layer every engine serves from, against a naive
+    /// full-scan model: Algorithm 2/3 outcomes, the version discipline,
+    /// and every read after every mutation.
+    #[test]
+    fn live_view_matches_full_scan_model(
+        ops in prop::collection::vec(view_op_strategy(), 1..120),
+        windows in prop::collection::vec((-400i64..1_600, 0i64..700), 1..6),
+    ) {
+        // A 400-s period over 1 800 s of keys wraps several times.
+        let (period, slot_len, probe_w) = (Seconds(400), Seconds(25), 60);
+        let mut view = LiveView::new();
+        view.configure_slot_index(period, slot_len);
+        let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+        let mut version = 0u64;
+        for op in ops {
+            match op {
+                ViewOp::Insert(ts, start) => {
+                    let kind = if start { EventKind::Start } else { EventKind::End };
+                    let stored = view.insert(Timestamp(ts), kind);
+                    prop_assert_eq!(stored, !model.contains_key(&ts), "IF NOT EXISTS");
+                    if stored {
+                        model.insert(ts, i64::from(start));
+                        version += 1;
+                    }
+                }
+                ViewOp::Trim { h, now } => {
+                    let history_start = now - h;
+                    let min = model.keys().next().copied();
+                    let old = min.is_some_and(|m| m < history_start);
+                    let dead: Vec<i64> = model
+                        .keys()
+                        .copied()
+                        .filter(|&k| old && min.unwrap() < k && k < history_start)
+                        .collect();
+                    let (outcome, doomed) = view.trim(Seconds(h), Timestamp(now));
+                    prop_assert_eq!(outcome, DeleteOutcome { old, deleted: dead.len() });
+                    prop_assert_eq!(
+                        doomed,
+                        (!dead.is_empty()).then(|| (min.unwrap(), history_start))
+                    );
+                    version += u64::from(!dead.is_empty());
+                    for k in dead {
+                        model.remove(&k);
+                    }
+                }
+            }
+            prop_assert_eq!(view.version(), version);
+            prop_assert_eq!(view.len(), model.len());
+            prop_assert_eq!(view.is_empty(), model.is_empty());
+            prop_assert_eq!(view.stats(0).tuples, model.len());
+            prop_assert_eq!(view.min_timestamp(), model.keys().next().map(|&k| Timestamp(k)));
+            prop_assert_eq!(view.max_timestamp(), model.keys().last().map(|&k| Timestamp(k)));
+            let events: Vec<ActivityEvent> = model
+                .iter()
+                .map(|(&k, &v)| {
+                    if v == 1 { ActivityEvent::start(Timestamp(k)) } else { ActivityEvent::end(Timestamp(k)) }
+                })
+                .collect();
+            prop_assert_eq!(view.events(), events);
+            let logins: Vec<i64> = model.iter().filter(|(_, &v)| v == 1).map(|(&k, _)| k).collect();
+            prop_assert_eq!(view.logins(), &logins[..]);
+            for &(lo, width) in &windows {
+                let hi = lo + width;
+                let inside: Vec<i64> = logins.iter().copied().filter(|&t| lo <= t && t <= hi).collect();
+                let expected = inside
+                    .first()
+                    .map(|&f| (Timestamp(f), Timestamp(inside[inside.len() - 1]), inside.len() as i64));
+                prop_assert_eq!(view.login_window_stats(Timestamp(lo), Timestamp(hi)), expected);
+                prop_assert_eq!(
+                    view.any_event_in(Timestamp(lo), Timestamp(hi)),
+                    model.keys().any(|&k| lo <= k && k <= hi)
+                );
+                prop_assert_eq!(view.get(lo), model.get(&lo).copied());
+            }
+            // The slot probe is conservative: a window containing a login
+            // never reports empty, wherever in the window the login sits.
+            let ix = view.slot_index().expect("configured above");
+            prop_assert_eq!(ix.total_logins(), logins.len() as u64);
+            for &login in &logins {
+                for lag in [0, probe_w / 2, probe_w] {
+                    prop_assert!(
+                        ix.any_login_in_clock_window(Timestamp(login - lag), Seconds(probe_w)),
+                        "probe missed login {} at lag {}", login, lag
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 #![cfg(feature = "shuttle-compaction")]
 
 use prorp_storage::{
-    CompactionScheduler, HistoryRead, LsmConfig, LsmHistory, LsmSnapshot, TimeTravel,
+    CompactionScheduler, HistoryRead, HistoryStore, LsmConfig, LsmHistory, LsmSnapshot, TimeTravel,
 };
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 use std::sync::mpsc::channel;

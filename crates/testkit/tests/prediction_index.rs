@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
 use prorp_sim::SimPolicy;
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Timestamp};
 use testkit::oracles::{assert_reports_equal, builder, run, DAY};
 use testkit::strategies::{fault_plan, fleet_spec, policy_config, FleetSpec};

@@ -9,7 +9,7 @@
 use prorp_core::MaintenanceScheduler;
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_scale::{compare_binary_vs_incremental, CapacityPlanner, DiurnalDemandModel};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 
 const DAY: i64 = 86_400;

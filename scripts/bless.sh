@@ -43,8 +43,9 @@ cargo run --release -q -p prorp-bench --bin scale_bench -- \
 cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --json results/BENCH_obs.json
 
-# Re-record the storage-backend A/B (write amplification + window-scan
-# latency for btree and lsm).  The equality gate and checksum
+# Re-record the storage-backend A/B (write amplification and trim cost
+# for btree and lsm, plus the shared live-read window-scan latency and
+# the LSM snapshot-cut cost).  The equality gate and checksum
 # assertions inside the binary are the guarantees; the timings are a
 # representative snapshot.
 cargo run --release -q -p prorp-bench --bin storage_bench -- \

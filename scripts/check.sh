@@ -67,10 +67,11 @@ run cargo run --release -q -p prorp-bench --bin fleet_report -- \
     --json results/BENCH_fleet.json
 
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
-# every timed case and records the speedups (timings vary run to run;
-# scripts/bless.sh re-records the full-scale numbers).
+# every timed case (the committed full-scale numbers in
+# results/BENCH_predict.json come from scripts/bless.sh; smoke runs
+# never write under results/).
 run cargo run --release -q -p prorp-bench --bin predict_bench -- \
-    --smoke --json results/BENCH_predict.json
+    --smoke --json target/predict_smoke.json
 
 # Scale sweep in smoke mode: asserts streamed ≡ materialised, KPI
 # shard-invariance, and the observability overhead gate (rollup-only
@@ -89,7 +90,8 @@ run cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --smoke --json target/obs_smoke.json
 
 # Storage-backend A/B in smoke mode, under BOTH LSM compaction modes:
-# asserts btree ≡ lsm fleet KPIs, checksummed window-scan agreement,
+# asserts btree ≡ lsm fleet KPIs, checksummed window-scan agreement
+# (B+Tree table ≡ LSM store ≡ snapshot over the shared read layer),
 # flat range-tombstone trim cost, and — in background mode — a
 # stall-free event-loop path (the committed full-scale numbers in
 # results/BENCH_storage.json come from scripts/bless.sh).

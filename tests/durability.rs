@@ -4,7 +4,12 @@
 
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_sim::{SimConfig, SimPolicy, Simulation};
-use prorp_storage::{backup_history, restore_history, HistoryTable};
+use prorp_storage::backup::{BACKUP_MAGIC, BACKUP_VERSION};
+use prorp_storage::page::{encode_page, Record};
+use prorp_storage::{
+    backup_history, restore_backend, restore_history, HistoryRead, HistoryStore, HistoryTable,
+    StorageBackend,
+};
 use prorp_telemetry::TelemetryKind;
 use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile};
@@ -54,6 +59,22 @@ fn corrupt_streams_fail_without_partial_state() {
     stream[n / 2] ^= 0x40;
     let err = restore_history(&stream).expect_err("corruption must be detected");
     assert_eq!(err.category(), "storage");
+
+    // A checksum-valid stream can still carry keys in any order; every
+    // read assumes sortedness, so both backends must refuse it.
+    let records: Vec<Record> = [300, 100, 200]
+        .iter()
+        .map(|&key| Record { key, value: 1 })
+        .collect();
+    let mut stream = Vec::new();
+    stream.extend_from_slice(&BACKUP_MAGIC.to_le_bytes());
+    stream.extend_from_slice(&BACKUP_VERSION.to_le_bytes());
+    stream.extend_from_slice(&1u64.to_le_bytes());
+    stream.extend_from_slice(&encode_page(&records).expect("three records fit a page"));
+    for backend in [StorageBackend::BTree, StorageBackend::Lsm] {
+        let err = restore_backend(&stream, backend).expect_err("unsorted keys must be refused");
+        assert_eq!(err.category(), "storage", "{}", backend.label());
+    }
 }
 
 #[test]

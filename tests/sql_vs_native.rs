@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_sqlmini::{HistoryDb, PredictArgs};
-use prorp_storage::HistoryTable;
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 
 const DAY: i64 = 86_400;
