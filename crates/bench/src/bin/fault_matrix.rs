@@ -13,7 +13,7 @@
 //! `--json <path>` to additionally write the grid as a machine-readable
 //! JSON document.
 
-use prorp_bench::{env_usize, json_path_from_args, write_json, ExperimentScale, JsonValue};
+use prorp_bench::{env_usize, json_path_from_args, write_json, ExperimentScale, Json};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{PolicyConfig, RetryPolicy, Seconds};
 use prorp_workload::RegionName;
@@ -65,7 +65,7 @@ fn main() {
     );
 
     let mut baseline_qos = None;
-    let mut rows: Vec<JsonValue> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     for &p in &PROBABILITIES {
         for &budget in &BUDGETS {
             let cfg = cell_config(&scale, shards, p, budget);
@@ -88,27 +88,27 @@ fn main() {
                 report.mitigations,
                 resume_secs(&report),
             );
-            rows.push(JsonValue::object(vec![
-                ("failure_probability", JsonValue::Float(p)),
-                ("retry_budget", JsonValue::UInt(u64::from(budget))),
-                ("qos_pct", JsonValue::Float(qos)),
-                ("retries", JsonValue::UInt(report.workflow.retries)),
-                ("giveups", JsonValue::UInt(report.giveups)),
-                ("incidents", JsonValue::UInt(report.incidents)),
-                ("mitigations", JsonValue::UInt(report.mitigations)),
-                ("resume_mean_secs", JsonValue::Float(resume_secs(&report))),
+            rows.push(Json::object(vec![
+                ("failure_probability", Json::Float(p)),
+                ("retry_budget", Json::from(u64::from(budget))),
+                ("qos_pct", Json::Float(qos)),
+                ("retries", Json::from(report.workflow.retries)),
+                ("giveups", Json::from(report.giveups)),
+                ("incidents", Json::from(report.incidents)),
+                ("mitigations", Json::from(report.mitigations)),
+                ("resume_mean_secs", Json::Float(resume_secs(&report))),
             ]));
         }
         println!();
     }
     if let Some(path) = json_path {
-        let doc = JsonValue::object(vec![
-            ("fleet", JsonValue::UInt(scale.fleet as u64)),
-            ("days", JsonValue::Int(scale.days)),
-            ("seed", JsonValue::UInt(scale.seed)),
-            ("shards", JsonValue::UInt(shards as u64)),
-            ("region", JsonValue::Str("eu1".into())),
-            ("rows", JsonValue::Array(rows)),
+        let doc = Json::object(vec![
+            ("fleet", Json::from(scale.fleet as u64)),
+            ("days", Json::Int(scale.days)),
+            ("seed", Json::from(scale.seed)),
+            ("shards", Json::from(shards as u64)),
+            ("region", Json::Str("eu1".into())),
+            ("rows", Json::Array(rows)),
         ]);
         write_json(&path, &doc);
     }

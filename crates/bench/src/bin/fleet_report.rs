@@ -7,44 +7,38 @@
 //! machine-readable JSON document (used by `scripts/check.sh` to emit
 //! `results/BENCH_fleet.json`).
 
-use prorp_bench::{json_path_from_args, write_json, ExperimentScale, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, ExperimentScale, Json};
 use prorp_types::Seconds;
 use prorp_workload::{FleetSummary, RegionName};
 
-fn region_json(summary: &FleetSummary) -> JsonValue {
-    let archetypes: Vec<(String, JsonValue)> = summary
+fn region_json(summary: &FleetSummary) -> Json {
+    let archetypes: Vec<(String, Json)> = summary
         .archetypes
         .iter()
         .map(|(label, a)| {
             (
                 label.clone(),
-                JsonValue::object(vec![
-                    ("databases", JsonValue::UInt(a.databases as u64)),
-                    ("sessions", JsonValue::UInt(a.sessions as u64)),
-                    (
-                        "sessions_per_db_day",
-                        JsonValue::Float(a.sessions_per_db_day),
-                    ),
-                    ("active_fraction", JsonValue::Float(a.active_fraction)),
+                Json::object(vec![
+                    ("databases", Json::from(a.databases as u64)),
+                    ("sessions", Json::from(a.sessions as u64)),
+                    ("sessions_per_db_day", Json::Float(a.sessions_per_db_day)),
+                    ("active_fraction", Json::Float(a.active_fraction)),
                 ]),
             )
         })
         .collect();
-    JsonValue::object(vec![
-        ("databases", JsonValue::UInt(summary.databases as u64)),
-        (
-            "logins_per_db_day",
-            JsonValue::Float(summary.logins_per_db_day),
-        ),
+    Json::object(vec![
+        ("databases", Json::from(summary.databases as u64)),
+        ("logins_per_db_day", Json::Float(summary.logins_per_db_day)),
         (
             "short_idle_fraction",
-            JsonValue::Float(summary.short_idle_fraction),
+            Json::Float(summary.short_idle_fraction),
         ),
         (
             "short_idle_duration_share",
-            JsonValue::Float(summary.short_idle_duration_share),
+            Json::Float(summary.short_idle_duration_share),
         ),
-        ("archetypes", JsonValue::Object(archetypes)),
+        ("archetypes", Json::Object(archetypes)),
     ])
 }
 
@@ -56,7 +50,7 @@ fn main() {
         "Synthetic fleet composition ({} databases per region, {} days, seed {})",
         scale.fleet, scale.days, scale.seed
     );
-    let mut regions: Vec<(String, JsonValue)> = Vec::new();
+    let mut regions: Vec<(String, Json)> = Vec::new();
     for region in RegionName::all() {
         let traces = scale.fleet_for(region);
         let summary = FleetSummary::from_traces(&traces, span);
@@ -66,11 +60,11 @@ fn main() {
         regions.push((region.to_string(), region_json(&summary)));
     }
     if let Some(path) = json_path {
-        let doc = JsonValue::object(vec![
-            ("fleet", JsonValue::UInt(scale.fleet as u64)),
-            ("days", JsonValue::Int(scale.days)),
-            ("seed", JsonValue::UInt(scale.seed)),
-            ("regions", JsonValue::Object(regions)),
+        let doc = Json::object(vec![
+            ("fleet", Json::from(scale.fleet as u64)),
+            ("days", Json::Int(scale.days)),
+            ("seed", Json::from(scale.seed)),
+            ("regions", Json::Object(regions)),
         ]);
         write_json(&path, &doc);
     }

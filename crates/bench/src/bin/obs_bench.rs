@@ -25,7 +25,7 @@
 //! documents a representative run, the determinism gates are the
 //! guarantees.
 
-use prorp_bench::{json_path_from_args, write_json, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, Json};
 use prorp_obs::{evaluate_alerts, QuantileSketch, SloConfig, SloSeries};
 use prorp_types::{DatabaseId, Seconds, Timestamp};
 use std::time::Instant;
@@ -52,7 +52,7 @@ fn latency_value(rng: &mut Rng) -> i64 {
 }
 
 /// Phase 1+2: sketch insert and k-way merge throughput.
-fn sketch_phases(inserts: usize, shard_count: usize, per_shard: usize) -> Vec<(String, JsonValue)> {
+fn sketch_phases(inserts: usize, shard_count: usize, per_shard: usize) -> Vec<(String, Json)> {
     // Inserts.
     let mut rng = Rng(7);
     let values: Vec<i64> = (0..inserts).map(|_| latency_value(&mut rng)).collect();
@@ -99,15 +99,15 @@ fn sketch_phases(inserts: usize, shard_count: usize, per_shard: usize) -> Vec<(S
          ({merges_per_sec:.0} merges/s)"
     );
     vec![
-        ("sketch_inserts".into(), JsonValue::UInt(inserts as u64)),
-        ("sketch_insert_s".into(), JsonValue::Float(insert_s)),
+        ("sketch_inserts".into(), Json::from(inserts as u64)),
+        ("sketch_insert_s".into(), Json::Float(insert_s)),
         (
             "sketch_inserts_per_sec".into(),
-            JsonValue::Float(inserts_per_sec),
+            Json::Float(inserts_per_sec),
         ),
-        ("merge_shards".into(), JsonValue::UInt(shard_count as u64)),
-        ("merge_s".into(), JsonValue::Float(merge_s)),
-        ("merges_per_sec".into(), JsonValue::Float(merges_per_sec)),
+        ("merge_shards".into(), Json::from(shard_count as u64)),
+        ("merge_s".into(), Json::Float(merge_s)),
+        ("merges_per_sec".into(), Json::Float(merges_per_sec)),
     ]
 }
 
@@ -121,7 +121,7 @@ enum Ev {
 }
 
 /// Phase 3: rollup ingest throughput at fleet scale.
-fn rollup_phase(dbs: u64, events: usize) -> Vec<(String, JsonValue)> {
+fn rollup_phase(dbs: u64, events: usize) -> Vec<(String, Json)> {
     let cfg = SloConfig::default();
     let week = Seconds::days(7).as_secs();
     let mut rng = Rng(23);
@@ -176,15 +176,12 @@ fn rollup_phase(dbs: u64, events: usize) -> Vec<(String, JsonValue)> {
         alerts.len()
     );
     vec![
-        ("rollup_dbs".into(), JsonValue::UInt(dbs)),
-        ("rollup_events".into(), JsonValue::UInt(events as u64)),
-        ("rollup_ingest_s".into(), JsonValue::Float(ingest_s)),
-        (
-            "rollup_events_per_sec".into(),
-            JsonValue::Float(events_per_sec),
-        ),
-        ("rollup_rows".into(), JsonValue::UInt(rows.len() as u64)),
-        ("rollup_alerts".into(), JsonValue::UInt(alerts.len() as u64)),
+        ("rollup_dbs".into(), Json::from(dbs)),
+        ("rollup_events".into(), Json::from(events as u64)),
+        ("rollup_ingest_s".into(), Json::Float(ingest_s)),
+        ("rollup_events_per_sec".into(), Json::Float(events_per_sec)),
+        ("rollup_rows".into(), Json::from(rows.len() as u64)),
+        ("rollup_alerts".into(), Json::from(alerts.len() as u64)),
     ]
 }
 
@@ -202,15 +199,15 @@ fn main() {
         (20_000_000, 1_024, 10_000, 1_000_000u64, 4_000_000)
     };
 
-    let mut fields: Vec<(String, JsonValue)> = vec![(
+    let mut fields: Vec<(String, Json)> = vec![(
         "mode".into(),
-        JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
+        Json::Str(if smoke { "smoke" } else { "full" }.into()),
     )];
     fields.extend(sketch_phases(inserts, merge_shards, per_shard));
     fields.extend(rollup_phase(dbs, events));
 
     if let Some(path) = json_path {
-        let value = JsonValue::Object(fields);
+        let value = Json::Object(fields);
         write_json(&path, &value);
     }
 }

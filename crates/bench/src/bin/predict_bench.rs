@@ -20,7 +20,7 @@
 //! per-call mean), which suppresses scheduler noise without hiding the
 //! steady-state cost.
 
-use prorp_bench::{json_path_from_args, write_json, ExperimentScale, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, ExperimentScale, Json};
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
@@ -184,12 +184,12 @@ fn main() {
             fast_ns,
             speedup
         );
-        micro_rows.push(JsonValue::object(vec![
-            ("case", JsonValue::Str(case.name.into())),
-            ("rows", JsonValue::UInt(h.len() as u64)),
-            ("naive_ns_per_op", JsonValue::Float(naive_ns)),
-            ("incremental_ns_per_op", JsonValue::Float(fast_ns)),
-            ("speedup", JsonValue::Float(speedup)),
+        micro_rows.push(Json::object(vec![
+            ("case", Json::Str(case.name.into())),
+            ("rows", Json::from(h.len() as u64)),
+            ("naive_ns_per_op", Json::Float(naive_ns)),
+            ("incremental_ns_per_op", Json::Float(fast_ns)),
+            ("speedup", Json::Float(speedup)),
         ]));
     }
 
@@ -227,26 +227,23 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        let value = JsonValue::object(vec![
+        let value = Json::object(vec![
             (
                 "mode",
-                JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
+                Json::Str(if smoke { "smoke" } else { "full" }.into()),
             ),
-            ("micro", JsonValue::Array(micro_rows)),
-            ("default_speedup", JsonValue::Float(default_speedup)),
+            ("micro", Json::Array(micro_rows)),
+            ("default_speedup", Json::Float(default_speedup)),
             (
                 "fleet",
-                JsonValue::object(vec![
-                    ("databases", JsonValue::UInt(scale.fleet as u64)),
-                    ("days", JsonValue::Int(scale.days)),
-                    ("naive_s", JsonValue::Float(naive_s)),
-                    ("incremental_s", JsonValue::Float(fast_s)),
-                    ("speedup", JsonValue::Float(fleet_speedup)),
-                    ("naive_prediction_ns_sum", JsonValue::UInt(naive_pred_ns)),
-                    (
-                        "incremental_prediction_ns_sum",
-                        JsonValue::UInt(fast_pred_ns),
-                    ),
+                Json::object(vec![
+                    ("databases", Json::from(scale.fleet as u64)),
+                    ("days", Json::Int(scale.days)),
+                    ("naive_s", Json::Float(naive_s)),
+                    ("incremental_s", Json::Float(fast_s)),
+                    ("speedup", Json::Float(fleet_speedup)),
+                    ("naive_prediction_ns_sum", Json::from(naive_pred_ns)),
+                    ("incremental_prediction_ns_sum", Json::from(fast_pred_ns)),
                 ]),
             ),
         ]);

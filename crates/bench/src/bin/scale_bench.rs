@@ -31,7 +31,7 @@
 //! cells are independent even though they share one process.  On
 //! platforms without procfs both values report as zero.
 
-use prorp_bench::{json_path_from_args, write_json, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, Json};
 use prorp_obs::SloConfig;
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
@@ -146,7 +146,7 @@ fn rollup_obs() -> ObsConfig {
 /// Asserts the KPIs are bit-identical and the rollup overhead stays
 /// under 2 % of wall time (plus a 0.2 s absolute floor so sub-second
 /// smoke cells don't trip on scheduler jitter).
-fn obs_overhead_gate(fleet: &LazyFleet, dbs: usize, shards: usize, days: i64) -> JsonValue {
+fn obs_overhead_gate(fleet: &LazyFleet, dbs: usize, shards: usize, days: i64) -> Json {
     let rounds = 3;
     let mut best = [f64::INFINITY; 2];
     let mut kpis = Vec::new();
@@ -183,13 +183,13 @@ fn obs_overhead_gate(fleet: &LazyFleet, dbs: usize, shards: usize, days: i64) ->
         "obs A/B @ {dbs} dbs x {shards} shard(s): off {off_s:.3}s, rollup-on {on_s:.3}s \
          ({overhead_pct:+.2}%)"
     );
-    JsonValue::object(vec![
-        ("databases", JsonValue::UInt(dbs as u64)),
-        ("shards", JsonValue::UInt(shards as u64)),
-        ("rounds", JsonValue::UInt(rounds as u64)),
-        ("off_best_s", JsonValue::Float(off_s)),
-        ("rollup_best_s", JsonValue::Float(on_s)),
-        ("overhead_pct", JsonValue::Float(overhead_pct)),
+    Json::object(vec![
+        ("databases", Json::from(dbs as u64)),
+        ("shards", Json::from(shards as u64)),
+        ("rounds", Json::from(rounds as u64)),
+        ("off_best_s", Json::Float(off_s)),
+        ("rollup_best_s", Json::Float(on_s)),
+        ("overhead_pct", Json::Float(overhead_pct)),
     ])
 }
 
@@ -314,38 +314,38 @@ fn main() {
                         c.offloaded_compaction_micros as f64 / 1e6,
                     );
                 }
-                shard_rows.push(JsonValue::object(vec![
-                    ("shard", JsonValue::UInt(c.shard as u64)),
-                    ("databases", JsonValue::UInt(c.databases as u64)),
-                    ("events", JsonValue::UInt(c.events_processed)),
-                    ("wall_micros", JsonValue::UInt(c.wall_clock_micros)),
-                    ("register_micros", JsonValue::UInt(c.register_micros)),
-                    ("run_micros", JsonValue::UInt(c.run_micros)),
-                    ("finish_micros", JsonValue::UInt(c.finish_micros)),
+                shard_rows.push(Json::object(vec![
+                    ("shard", Json::from(c.shard as u64)),
+                    ("databases", Json::from(c.databases as u64)),
+                    ("events", Json::from(c.events_processed)),
+                    ("wall_micros", Json::from(c.wall_clock_micros)),
+                    ("register_micros", Json::from(c.register_micros)),
+                    ("run_micros", Json::from(c.run_micros)),
+                    ("finish_micros", Json::from(c.finish_micros)),
                     (
                         "compaction_stall_micros",
-                        JsonValue::UInt(c.compaction_stall_micros),
+                        Json::from(c.compaction_stall_micros),
                     ),
                     (
                         "offloaded_compaction_micros",
-                        JsonValue::UInt(c.offloaded_compaction_micros),
+                        Json::from(c.offloaded_compaction_micros),
                     ),
                 ]));
             }
-            entries.push(JsonValue::object(vec![
-                ("databases", JsonValue::UInt(dbs as u64)),
-                ("shards", JsonValue::UInt(shards as u64)),
-                ("days", JsonValue::Int(days)),
-                ("wall_s", JsonValue::Float(wall_s)),
-                ("events", JsonValue::UInt(events)),
-                ("events_per_sec", JsonValue::Float(events_per_sec)),
-                ("peak_rss_bytes", JsonValue::UInt(rss)),
-                ("qos_pct", JsonValue::Float(report.kpi.qos_pct())),
+            entries.push(Json::object(vec![
+                ("databases", Json::from(dbs as u64)),
+                ("shards", Json::from(shards as u64)),
+                ("days", Json::Int(days)),
+                ("wall_s", Json::Float(wall_s)),
+                ("events", Json::from(events)),
+                ("events_per_sec", Json::Float(events_per_sec)),
+                ("peak_rss_bytes", Json::from(rss)),
+                ("qos_pct", Json::Float(report.kpi.qos_pct())),
                 (
                     "telemetry_events",
-                    JsonValue::UInt(report.telemetry_summary.total()),
+                    Json::from(report.telemetry_summary.total()),
                 ),
-                ("shard_breakdown", JsonValue::Array(shard_rows)),
+                ("shard_breakdown", Json::Array(shard_rows)),
             ]));
         }
         // The lazy source stays O(1) memory, so confirm nothing pinned
@@ -357,14 +357,14 @@ fn main() {
         let mut fields = vec![
             (
                 "mode",
-                JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
+                Json::Str(if smoke { "smoke" } else { "full" }.into()),
             ),
-            ("days", JsonValue::Int(days)),
-            ("entries", JsonValue::Array(entries)),
+            ("days", Json::Int(days)),
+            ("entries", Json::Array(entries)),
         ];
         if let Some(ab) = obs_ab {
             fields.push(("obs_ab", ab));
         }
-        write_json(&path, &JsonValue::object(fields));
+        write_json(&path, &Json::object(fields));
     }
 }

@@ -49,7 +49,7 @@
 //!   background mode the bench asserts `compaction_stall_ns == 0`: the
 //!   mutation paths never wait on compaction.
 
-use prorp_bench::{json_path_from_args, write_json, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, Json};
 use prorp_sim::{
     CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode,
 };
@@ -381,48 +381,39 @@ fn main() {
             lsm.write_amplification(),
             btree_amp
         );
-        amp_entries.push(JsonValue::object(vec![
-            ("logins", JsonValue::UInt(n as u64)),
-            ("cadence_s", JsonValue::Int(CADENCE)),
-            ("retention_s", JsonValue::Int(RETENTION.as_secs())),
+        amp_entries.push(Json::object(vec![
+            ("logins", Json::from(n as u64)),
+            ("cadence_s", Json::Int(CADENCE)),
+            ("retention_s", Json::Int(RETENTION.as_secs())),
             (
                 "lsm",
-                JsonValue::object(vec![
-                    ("write_amp", JsonValue::Float(lsm.write_amplification())),
-                    (
-                        "logical_bytes",
-                        JsonValue::UInt(lsm.logical_write_bytes as u64),
-                    ),
-                    ("flushed_bytes", JsonValue::UInt(lsm.flushed_bytes as u64)),
-                    (
-                        "compacted_bytes",
-                        JsonValue::UInt(lsm.compacted_bytes as u64),
-                    ),
+                Json::object(vec![
+                    ("write_amp", Json::Float(lsm.write_amplification())),
+                    ("logical_bytes", Json::from(lsm.logical_write_bytes as u64)),
+                    ("flushed_bytes", Json::from(lsm.flushed_bytes as u64)),
+                    ("compacted_bytes", Json::from(lsm.compacted_bytes as u64)),
                     (
                         "wal_appended_bytes",
-                        JsonValue::UInt(lsm.wal_appended_bytes as u64),
+                        Json::from(lsm.wal_appended_bytes as u64),
                     ),
-                    ("flushes", JsonValue::UInt(lsm.flushes as u64)),
-                    ("compactions", JsonValue::UInt(lsm.compactions as u64)),
-                    ("trimmed_tuples", JsonValue::UInt(lsm_deleted as u64)),
-                    (
-                        "range_tombstones",
-                        JsonValue::UInt(lsm.range_tombstones as u64),
-                    ),
-                    ("gc_dropped", JsonValue::UInt(lsm.gc_dropped as u64)),
-                    ("runs_dropped", JsonValue::UInt(lsm.runs_dropped as u64)),
-                    ("compaction_stall_ns", JsonValue::UInt(stall_ns)),
-                    ("offloaded_compaction_ns", JsonValue::UInt(offloaded_ns)),
+                    ("flushes", Json::from(lsm.flushes as u64)),
+                    ("compactions", Json::from(lsm.compactions as u64)),
+                    ("trimmed_tuples", Json::from(lsm_deleted as u64)),
+                    ("range_tombstones", Json::from(lsm.range_tombstones as u64)),
+                    ("gc_dropped", Json::from(lsm.gc_dropped as u64)),
+                    ("runs_dropped", Json::from(lsm.runs_dropped as u64)),
+                    ("compaction_stall_ns", Json::from(stall_ns)),
+                    ("offloaded_compaction_ns", Json::from(offloaded_ns)),
                 ]),
             ),
             (
                 "btree",
-                JsonValue::object(vec![
-                    ("write_amp", JsonValue::Float(btree_amp)),
-                    ("logical_bytes", JsonValue::UInt((mutations * 16) as u64)),
-                    ("checkpoint_bytes", JsonValue::UInt(checkpoint_bytes as u64)),
-                    ("checkpoints", JsonValue::UInt(checkpoints as u64)),
-                    ("wal_bytes", JsonValue::UInt(wal_bytes as u64)),
+                Json::object(vec![
+                    ("write_amp", Json::Float(btree_amp)),
+                    ("logical_bytes", Json::from((mutations * 16) as u64)),
+                    ("checkpoint_bytes", Json::from(checkpoint_bytes as u64)),
+                    ("checkpoints", Json::from(checkpoints as u64)),
+                    ("wal_bytes", Json::from(wal_bytes as u64)),
                 ]),
             ),
         ]));
@@ -446,12 +437,12 @@ fn main() {
         let (btree_ns, lsm_ns, deleted) = trim_cost(expired, retained, rounds, &ctx);
         println!("{expired:>9} {deleted:>9} {btree_ns:>14.0} {lsm_ns:>12.0}");
         lsm_pass.push(lsm_ns);
-        trim_entries.push(JsonValue::object(vec![
-            ("expired", JsonValue::UInt(expired as u64)),
-            ("retained", JsonValue::UInt(retained as u64)),
-            ("deleted", JsonValue::UInt(deleted as u64)),
-            ("btree_ns_per_pass", JsonValue::Float(btree_ns)),
-            ("lsm_ns_per_pass", JsonValue::Float(lsm_ns)),
+        trim_entries.push(Json::object(vec![
+            ("expired", Json::from(expired as u64)),
+            ("retained", Json::from(retained as u64)),
+            ("deleted", Json::from(deleted as u64)),
+            ("btree_ns_per_pass", Json::Float(btree_ns)),
+            ("lsm_ns_per_pass", Json::Float(lsm_ns)),
         ]));
     }
     // The range-tombstone trim must not scale with the trimmed count:
@@ -490,43 +481,38 @@ fn main() {
         assert_eq!(btree_sum, lsm_sum, "lsm scan diverged at {n} logins");
         assert_eq!(btree_sum, snap_sum, "snapshot scan diverged at {n} logins");
         println!("{n:>9} {windows:>9} {live_ns:>12.0} {cut_ns:>16.0}");
-        scan_entries.push(JsonValue::object(vec![
-            ("logins", JsonValue::UInt(n as u64)),
-            ("windows", JsonValue::UInt(windows as u64)),
-            ("window_s", JsonValue::Int(WINDOW)),
-            ("slide_s", JsonValue::Int(SLIDE)),
-            ("live_ns_per_window", JsonValue::Float(live_ns)),
-            ("snapshot_cut_ns", JsonValue::Float(cut_ns)),
+        scan_entries.push(Json::object(vec![
+            ("logins", Json::from(n as u64)),
+            ("windows", Json::from(windows as u64)),
+            ("window_s", Json::Int(WINDOW)),
+            ("slide_s", Json::Int(SLIDE)),
+            ("live_ns_per_window", Json::Float(live_ns)),
+            ("snapshot_cut_ns", Json::Float(cut_ns)),
         ]));
     }
 
     if let Some(path) = json_path {
-        let value = JsonValue::object(vec![
+        let value = Json::object(vec![
             (
                 "mode",
-                JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
+                Json::Str(if smoke { "smoke" } else { "full" }.into()),
             ),
-            ("compaction_mode", JsonValue::Str(mode.label().into())),
+            ("compaction_mode", Json::Str(mode.label().into())),
             (
                 "equality_gate",
-                JsonValue::object(vec![
-                    ("databases", JsonValue::UInt(gate_dbs as u64)),
-                    ("days", JsonValue::Int(gate_days)),
+                Json::object(vec![
+                    ("databases", Json::from(gate_dbs as u64)),
+                    ("days", Json::Int(gate_days)),
                     (
                         "shard_counts",
-                        JsonValue::Array(
-                            shard_counts
-                                .iter()
-                                .map(|&s| JsonValue::UInt(s as u64))
-                                .collect(),
-                        ),
+                        Json::Array(shard_counts.iter().map(|&s| Json::from(s as u64)).collect()),
                     ),
-                    ("backends_identical", JsonValue::Bool(true)),
+                    ("backends_identical", Json::Bool(true)),
                 ]),
             ),
-            ("write_amplification", JsonValue::Array(amp_entries)),
-            ("trim_cost", JsonValue::Array(trim_entries)),
-            ("window_scan", JsonValue::Array(scan_entries)),
+            ("write_amplification", Json::Array(amp_entries)),
+            ("trim_cost", Json::Array(trim_entries)),
+            ("window_scan", Json::Array(scan_entries)),
         ]);
         write_json(&path, &value);
     }

@@ -1,10 +1,11 @@
 //! `--json` output helpers for the experiment binaries.
 //!
-//! The [`JsonValue`] type itself lives in `prorp-obs` (shared with the
-//! `prorp-trace` CLI); this module adds the file-writing conveniences
-//! the experiment binaries need.
+//! The records are built with the workspace's one JSON codec,
+//! [`prorp_obs::json`] (the same [`Json`] the server and `prorp-trace`
+//! use); this module only adds the argument and file-writing
+//! conveniences the binaries share.
 
-pub use prorp_obs::JsonValue;
+pub use prorp_obs::Json;
 
 /// Pull a `--json <path>` argument out of the process arguments, if
 /// present.  Exits with an error message when `--json` is given without
@@ -24,7 +25,7 @@ pub fn json_path_from_args() -> Option<std::path::PathBuf> {
 /// Write a rendered JSON value to `path`, creating parent directories.
 /// Exits with an error message on I/O failure (experiment binaries have
 /// no error path worth recovering).
-pub fn write_json(path: &std::path::Path, value: &JsonValue) {
+pub fn write_json(path: &std::path::Path, value: &Json) {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             if let Err(e) = std::fs::create_dir_all(parent) {

@@ -15,7 +15,7 @@
 //! of the trace bytes, so CI runs the CLI against a golden trace.
 
 use prorp_obs::span::{DecisionAction, SpanKind, TraceRecord};
-use prorp_obs::{query, timetravel, JsonValue};
+use prorp_obs::{query, timetravel, Json};
 use prorp_types::{DatabaseId, PolicyConfig, Seasonality, Seconds, Timestamp};
 use std::process::ExitCode;
 
@@ -64,18 +64,18 @@ fn print_summary(records: &[TraceRecord], json: bool) {
         let by_kind = s
             .by_kind
             .iter()
-            .map(|(k, v)| (k.to_string(), JsonValue::UInt(*v)))
+            .map(|(k, v)| (k.to_string(), Json::from(*v)))
             .collect();
         let opt_ts = |t: Option<Timestamp>| match t {
-            Some(t) => JsonValue::Int(t.as_secs()),
-            None => JsonValue::Float(f64::NAN), // renders as null
+            Some(t) => Json::Int(t.as_secs()),
+            None => Json::Null,
         };
-        let v = JsonValue::object(vec![
-            ("records", JsonValue::UInt(s.records as u64)),
-            ("databases", JsonValue::UInt(s.databases as u64)),
+        let v = Json::object(vec![
+            ("records", Json::from(s.records as u64)),
+            ("databases", Json::from(s.databases as u64)),
             ("start", opt_ts(s.start)),
             ("end", opt_ts(s.end)),
-            ("by_kind", JsonValue::Object(by_kind)),
+            ("by_kind", Json::Object(by_kind)),
         ]);
         println!("{}", v.render());
         return;
@@ -137,21 +137,21 @@ fn print_breaker(records: &[TraceRecord], json: bool) {
         let rows = episodes
             .iter()
             .map(|e| {
-                JsonValue::object(vec![
-                    ("db", JsonValue::UInt(e.db.raw())),
-                    ("opened", JsonValue::Int(e.opened.as_secs())),
+                Json::object(vec![
+                    ("db", Json::from(e.db.raw())),
+                    ("opened", Json::Int(e.opened.as_secs())),
                     (
                         "closed",
                         match e.closed {
-                            Some(t) => JsonValue::Int(t.as_secs()),
-                            None => JsonValue::Float(f64::NAN), // renders as null
+                            Some(t) => Json::Int(t.as_secs()),
+                            None => Json::Null,
                         },
                     ),
-                    ("fallbacks", JsonValue::UInt(e.fallbacks)),
+                    ("fallbacks", Json::from(e.fallbacks)),
                 ])
             })
             .collect();
-        println!("{}", JsonValue::Array(rows).render());
+        println!("{}", Json::Array(rows).render());
         return;
     }
     if episodes.is_empty() {

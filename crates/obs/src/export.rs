@@ -1,10 +1,13 @@
 //! Exporters: JSONL trace streams and Prometheus text format.
 //!
-//! Everything here is hand-rolled canonical JSON in the style of the
-//! testkit goldens — fixed key order, no whitespace, one record per line —
-//! so exports are byte-comparable without a JSON library, and the
-//! determinism promise ("identical bytes for identical `(seed, config)`")
-//! can be asserted with `assert_eq!` on strings.
+//! The writers here ([`record_json`], [`snapshots_jsonl`], [`slo_jsonl`],
+//! [`prometheus_text`]) are plain `format!` templates — fixed key order,
+//! no whitespace, one record per line — because their bytes are the
+//! golden surface: the determinism promise ("identical bytes for
+//! identical `(seed, config)`") is asserted with `assert_eq!` on strings,
+//! and the pinned files under `tests/goldens/` are what the [`json`]
+//! codec is checked against.  Everything that *reads* JSON, and the
+//! alert rows the HTTP API also serves, goes through that one codec.
 //!
 //! * [`trace_jsonl`] / [`parse_trace_jsonl`] — the trace stream, one span
 //!   per line, losslessly round-trippable (the `prorp-trace` CLI reads
@@ -16,6 +19,7 @@
 //!   **including** the volatile `sim_self_*` self-observations, which is
 //!   what an operator scraping a live fleet wants to see.
 
+use crate::json::{self, Json};
 use crate::metrics::{is_volatile, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use crate::slo::{Alert, SloSeries};
 use crate::span::{
@@ -256,162 +260,35 @@ pub fn slo_jsonl(series: &SloSeries) -> String {
     out
 }
 
+/// One alert as a JSON object — the row schema shared by
+/// [`alerts_jsonl`] and the `alerts` array of `GET /v1/slo`.
+pub fn alert_json(a: &Alert) -> Json {
+    Json::object(vec![
+        ("window", Json::Int(a.window)),
+        ("region", Json::Int(i64::from(a.region))),
+        ("at", Json::Int(a.at.as_secs())),
+        ("kind", Json::Str(a.kind.label().into())),
+        ("fast_ppm", Json::from(a.fast_ppm)),
+        ("slow_ppm", Json::from(a.slow_ppm)),
+        ("threshold", Json::from(a.threshold)),
+    ])
+}
+
 /// Render an alert log as JSONL, one alert per line in the deterministic
 /// `(window, region, kind)` order produced by
 /// [`evaluate_alerts`](crate::slo::evaluate_alerts).
 pub fn alerts_jsonl(alerts: &[Alert]) -> String {
     let mut out = String::new();
     for a in alerts {
-        let _ = writeln!(
-            out,
-            "{{\"window\":{},\"region\":{},\"at\":{},\"kind\":\"{}\",\"fast_ppm\":{},\
-             \"slow_ppm\":{},\"threshold\":{}}}",
-            a.window,
-            a.region,
-            a.at.as_secs(),
-            a.kind.label(),
-            a.fast_ppm,
-            a.slow_ppm,
-            a.threshold
-        );
+        out.push_str(&alert_json(a).render());
+        out.push('\n');
     }
     out
 }
 
-/// One scalar value inside a flat JSON object.
-#[derive(Clone, PartialEq, Debug)]
-enum Scalar {
-    Int(i64),
-    Bool(bool),
-    Str(String),
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(line: &'a str) -> Self {
-        Scanner {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> ProrpError {
-        ProrpError::Observability(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", expected as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(self.err("escape sequences are not used by this format"));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn scalar(&mut self) -> Result<Scalar> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') | Some(b'f') => {
-                let rest = &self.bytes[self.pos..];
-                if rest.starts_with(b"true") {
-                    self.pos += 4;
-                    Ok(Scalar::Bool(true))
-                } else if rest.starts_with(b"false") {
-                    self.pos += 5;
-                    Ok(Scalar::Bool(false))
-                } else {
-                    Err(self.err("expected true/false"))
-                }
-            }
-            Some(b'-') | Some(b'0'..=b'9') => {
-                let start = self.pos;
-                if self.bytes[self.pos] == b'-' {
-                    self.pos += 1;
-                }
-                while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-                text.parse::<i64>()
-                    .map(Scalar::Int)
-                    .map_err(|_| self.err("integer out of range"))
-            }
-            _ => Err(self.err("expected a scalar value")),
-        }
-    }
-
-    /// Parse one flat `{"key":scalar,...}` object, rejecting trailing
-    /// garbage.
-    fn flat_object(&mut self) -> Result<Vec<(String, Scalar)>> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                let value = self.scalar()?;
-                fields.push((key, value));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after object"));
-        }
-        Ok(fields)
-    }
-}
-
+/// Typed access to the fields of one parsed trace line.
 struct Fields {
-    fields: Vec<(String, Scalar)>,
+    object: Json,
     line: usize,
 }
 
@@ -420,47 +297,53 @@ impl Fields {
         ProrpError::Observability(format!("trace line {}: {what}", self.line))
     }
 
-    fn get(&self, key: &str) -> Result<&Scalar> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| self.err(&format!("missing field {key:?}")))
+    /// Field `key` read through `read`; absent and mistyped fields are
+    /// both errors naming the line.
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        ty: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T> {
+        let value = self
+            .object
+            .get(key)
+            .ok_or_else(|| self.err(&format!("missing field {key:?}")))?;
+        read(value).ok_or_else(|| self.err(&format!("field {key:?} is not {ty}")))
     }
 
     fn int(&self, key: &str) -> Result<i64> {
-        match self.get(key)? {
-            Scalar::Int(v) => Ok(*v),
-            _ => Err(self.err(&format!("field {key:?} is not an integer"))),
-        }
+        self.typed(key, "an integer", Json::as_int)
     }
 
     fn uint(&self, key: &str) -> Result<u64> {
-        u64::try_from(self.int(key)?).map_err(|_| self.err(&format!("field {key:?} is negative")))
+        self.typed(key, "an unsigned integer", Json::as_u64)
+    }
+
+    fn uint32(&self, key: &str) -> Result<u32> {
+        self.typed(key, "an unsigned 32-bit integer", |v| {
+            v.as_u64().and_then(|v| u32::try_from(v).ok())
+        })
     }
 
     /// An integer field that may be absent (the format omits optional
     /// fields instead of writing `null`).
     fn opt_int(&self, key: &str) -> Result<Option<i64>> {
-        if self.fields.iter().any(|(k, _)| k == key) {
-            self.int(key).map(Some)
-        } else {
-            Ok(None)
+        match self.object.get(key) {
+            Some(_) => self.int(key).map(Some),
+            None => Ok(None),
         }
     }
 
     fn boolean(&self, key: &str) -> Result<bool> {
-        match self.get(key)? {
-            Scalar::Bool(v) => Ok(*v),
-            _ => Err(self.err(&format!("field {key:?} is not a boolean"))),
-        }
+        self.typed(key, "a boolean", |v| match v {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        })
     }
 
     fn str(&self, key: &str) -> Result<&str> {
-        match self.get(key)? {
-            Scalar::Str(v) => Ok(v),
-            _ => Err(self.err(&format!("field {key:?} is not a string"))),
-        }
+        self.typed(key, "a string", Json::as_str)
     }
 }
 
@@ -507,8 +390,7 @@ fn span_kind(fields: &Fields) -> Result<SpanKind> {
         },
         "workflow-stage" => SpanKind::WorkflowStage {
             stage: stage(fields)?,
-            attempt: u32::try_from(fields.uint("attempt")?)
-                .map_err(|_| fields.err("attempt out of range"))?,
+            attempt: fields.uint32("attempt")?,
             result: match fields.str("result")? {
                 "ok" => StageResult::Ok,
                 "retry" => StageResult::Retry,
@@ -542,12 +424,9 @@ fn span_kind(fields: &Fields) -> Result<SpanKind> {
                     other => return Err(fields.err(&format!("unknown decision action {other:?}"))),
                 },
                 predicted: fields.opt_int("predicted")?.map(Timestamp),
-                history_len: u32::try_from(fields.uint("history_len")?)
-                    .map_err(|_| fields.err("history_len out of range"))?,
-                confidence_hits: u32::try_from(fields.uint("hits")?)
-                    .map_err(|_| fields.err("hits out of range"))?,
-                confidence_total: u32::try_from(fields.uint("basis")?)
-                    .map_err(|_| fields.err("basis out of range"))?,
+                history_len: fields.uint32("history_len")?,
+                confidence_hits: fields.uint32("hits")?,
+                confidence_total: fields.uint32("basis")?,
                 breaker_open: fields.boolean("breaker_open")?,
                 cache_hit: fields.boolean("cache_hit")?,
             },
@@ -569,11 +448,11 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceRecord>> {
         if line.trim().is_empty() {
             continue;
         }
+        let line_no = idx + 1;
         let fields = Fields {
-            fields: Scanner::new(line)
-                .flat_object()
-                .map_err(|e| ProrpError::Observability(format!("trace line {}: {e}", idx + 1)))?,
-            line: idx + 1,
+            object: json::parse(line)
+                .map_err(|e| ProrpError::Observability(format!("trace line {line_no}: {e}")))?,
+            line: line_no,
         };
         records.push(TraceRecord {
             start: Timestamp(fields.int("start")?),
@@ -679,9 +558,15 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrips_every_kind() {
-        let records = sample_records();
+        let mut records = sample_records();
+        // Ids are 64-bit unsigned: one above `i64::MAX` must survive too.
+        records.push(TraceRecord {
+            db: DatabaseId(u64::MAX - 3),
+            ..records[6]
+        });
         let text = trace_jsonl(&records);
         assert_eq!(text.lines().count(), records.len());
+        assert!(text.contains("\"db\":18446744073709551612,"));
         let parsed = parse_trace_jsonl(&text).unwrap();
         assert_eq!(parsed, records);
     }

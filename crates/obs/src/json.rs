@@ -1,38 +1,109 @@
-//! Minimal JSON rendering shared by the CLI and the experiment binaries.
+//! The workspace's one JSON codec: a [`Json`] value, its renderer and
+//! its parser.
 //!
-//! The workspace deliberately vendors no serde; this mirrors the
-//! hand-rolled canonical-JSON discipline of the exporters in
-//! [`export`](crate::export): keys render in insertion order, floats use
-//! Rust's shortest round-trip formatting (non-finite values become
-//! `null`), and strings escape the JSON control set, so outputs are
-//! stable across runs and machines.  `prorp-trace --json` and the
-//! `prorp-bench` binaries both build their output with this type.
+//! The workspace vendors no serde, so everything that speaks JSON —
+//! the `prorp-server` request/response bodies and event-stream reader,
+//! `prorp-trace` (reading exported traces, writing `--json` reports),
+//! [`parse_trace_jsonl`](crate::export::parse_trace_jsonl) and the
+//! `results/*.json` records of the bench binaries — builds, renders and
+//! parses this one type (`prorp_server::json` is a re-export of it).
+//!
+//! * **Rendering** is canonical: compact, keys in insertion order,
+//!   floats in Rust's shortest round-trip form (non-finite values
+//!   become `null`), strings escaping the JSON control set — so output
+//!   is byte-stable across runs and machines.
+//! * **Parsing** is a recursive descent over the full grammar with a
+//!   depth limit of 32 instead of recursion-to-overflow.
+//! * **Integers** keep all 64 bits in either direction and have one
+//!   normal form: [`Json::Int`] whenever the value fits an `i64`,
+//!   [`Json::UInt`] only above `i64::MAX`.  The parser produces it and
+//!   [`Json::from`]`(u64)` constructs it, so `parse(render(v)) == v`.
+//!
+//! The byte-pinned `format!` writers in [`export`](crate::export) are
+//! deliberately *not* built on [`Json`]: they are the golden surface
+//! this codec is tested against, not a second codec.
 
 use std::fmt::Write as _;
 
-/// A JSON value assembled by the CLI and experiment binaries.
+/// Maximum nesting depth the parser accepts.
+const MAX_DEPTH: usize = 32;
+
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// A signed integer.
+pub enum Json {
+    /// `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// An integer that fits an `i64`.
     Int(i64),
-    /// An unsigned integer.
+    /// An integer above `i64::MAX`; build unsigned values with
+    /// [`Json::from`], which picks the normal form.
     UInt(u64),
-    /// A float (`NaN`/`±inf` render as `null`).
+    /// A non-integral number (`NaN`/`±inf` render as `null`).
     Float(f64),
     /// A string.
     Str(String),
-    /// A boolean.
-    Bool(bool),
     /// An array.
-    Array(Vec<JsonValue>),
-    /// An object; keys render in insertion order.
-    Object(Vec<(String, JsonValue)>),
+    Array(Vec<Json>),
+    /// An object; keys keep insertion order.
+    Object(Vec<(String, Json)>),
 }
 
-impl JsonValue {
+impl From<u64> for Json {
+    /// The normal form of an unsigned integer: [`Json::Int`] when it
+    /// fits, [`Json::UInt`] above `i64::MAX`.
+    fn from(v: u64) -> Json {
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
+    }
+}
+
+impl Json {
     /// Build an object from `(key, value)` pairs.
-    pub fn object(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-        JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    pub fn object(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Object field lookup (first match).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The value as an `i64`, if this is an integer that fits one.
+    pub fn as_int(&self) -> Option<i64> {
+        match self {
+            Json::Int(v) => Some(*v),
+            Json::UInt(v) => i64::try_from(*v).ok(),
+            _ => None,
+        }
+    }
+
+    /// The value as a `u64`, if this is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(v) => u64::try_from(*v).ok(),
+            Json::UInt(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The string value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
     }
 
     /// Render to a compact JSON string.
@@ -44,38 +115,23 @@ impl JsonValue {
 
     fn render_into(&self, out: &mut String) {
         match self {
-            JsonValue::Int(v) => {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => {
                 let _ = write!(out, "{v}");
             }
-            JsonValue::UInt(v) => {
+            Json::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
-            JsonValue::Float(v) => {
+            Json::Float(v) => {
                 if v.is_finite() {
                     let _ = write!(out, "{v}");
                 } else {
                     out.push_str("null");
                 }
             }
-            JsonValue::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Array(items) => {
+            Json::Str(s) => render_string(s, out),
+            Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
@@ -85,13 +141,13 @@ impl JsonValue {
                 }
                 out.push(']');
             }
-            JsonValue::Object(pairs) => {
+            Json::Object(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    JsonValue::Str(k.clone()).render_into(out);
+                    render_string(k, out);
                     out.push(':');
                     v.render_into(out);
                 }
@@ -101,20 +157,342 @@ impl JsonValue {
     }
 }
 
+fn render_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Parse one JSON document; trailing non-whitespace is an error.
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset of the first problem.
+pub fn parse(input: &str) -> Result<Json, String> {
+    let bytes = input.as_bytes();
+    let mut p = Parser { bytes, at: 0 };
+    p.skip_ws();
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.at != bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.at));
+    }
+    Ok(value)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes.get(self.at) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.at += 1;
+            } else {
+                break;
+            }
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.at).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.at += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", char::from(b), self.at))
+        }
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
+        if depth > MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) => Err(format!(
+                "unexpected byte '{}' at {}",
+                char::from(b),
+                self.at
+            )),
+            None => Err("unexpected end of input".into()),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
+            self.at += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("malformed literal at byte {}", self.at))
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.at += 1;
+            return Ok(Json::Object(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value(depth + 1)?;
+            pairs.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(Json::Object(pairs));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
+            }
+        }
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            return Ok(Json::Array(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b']') => {
+                    self.at += 1;
+                    return Ok(Json::Array(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.at += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.at += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.at + 1..self.at + 5)
+                                .ok_or_else(|| "truncated \\u escape".to_string())?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| "non-ascii \\u escape".to_string())?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {}", self.at))?;
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
+                            );
+                            self.at += 4;
+                        }
+                        _ => return Err(format!("bad escape at byte {}", self.at)),
+                    }
+                    self.at += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (the input is &str, so
+                    // byte boundaries are valid).
+                    let rest = &self.bytes[self.at..];
+                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
+                    let c = s.chars().next().expect("non-empty checked above");
+                    out.push(c);
+                    self.at += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.at;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.at += 1;
+        }
+        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+            self.at += 1;
+        }
+        let mut float = false;
+        if self.peek() == Some(b'.') {
+            float = true;
+            self.at += 1;
+            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+                self.at += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+            float = true;
+            self.at += 1;
+            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+                self.at += 1;
+            }
+            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+                self.at += 1;
+            }
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.at]).expect("number bytes are ascii");
+        let overflow = |_| format!("integer overflow at byte {start}");
+        if float {
+            text.parse::<f64>()
+                .map(Json::Float)
+                .map_err(|_| format!("bad number at byte {start}"))
+        } else if negative {
+            text.parse::<i64>().map(Json::Int).map_err(overflow)
+        } else {
+            text.parse::<u64>().map(Json::from).map_err(overflow)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// Strings over the characters the escaper distinguishes: quotes,
+    /// backslashes, named and `\u` control escapes, ASCII, multi-byte.
+    fn arb_string() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            4 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap()),
+            2 => (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            1 => Just('"'),
+            1 => Just('\\'),
+            1 => Just('/'),
+            1 => Just('é'),
+            1 => Just('\u{1f600}'),
+        ];
+        prop::collection::vec(ch, 0..6).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn arb_scalar() -> impl Strategy<Value = Json> {
+        prop_oneof![
+            1 => Just(Json::Null),
+            1 => any::<bool>().prop_map(Json::Bool),
+            2 => any::<i64>().prop_map(Json::Int),
+            2 => any::<u64>().prop_map(Json::from),
+            1 => Just(Json::Int(i64::MIN)),
+            1 => Just(Json::Int(i64::MAX)),
+            1 => Just(Json::from(u64::MAX)),
+            // A float without a fraction renders as an integer literal
+            // and reads back as one (pinned separately below), so the
+            // round-trip domain is the floats that have one.
+            2 => any::<f64>().prop_map(|f| Json::Float(if f.fract() == 0.0 { 0.5 } else { f })),
+            2 => arb_string().prop_map(Json::Str),
+        ]
+    }
+
+    /// Arbitrary trees of bounded depth, empty containers included.
+    struct ArbJson {
+        depth: usize,
+    }
+
+    impl Strategy for ArbJson {
+        type Value = Json;
+        fn generate(&self, rng: &mut TestRng) -> Json {
+            let kind = if self.depth == 0 {
+                0
+            } else {
+                (0u8..4).generate(rng)
+            };
+            let child = ArbJson {
+                depth: self.depth.saturating_sub(1),
+            };
+            match kind {
+                0 | 1 => arb_scalar().generate(rng),
+                2 => Json::Array(prop::collection::vec(child, 0..4).generate(rng)),
+                _ => Json::Object(prop::collection::vec((arb_string(), child), 0..4).generate(rng)),
+            }
+        }
+    }
+
+    /// `levels` arrays around one `0`.
+    fn nested(levels: usize) -> Json {
+        (0..levels).fold(Json::Int(0), |inner, _| Json::Array(vec![inner]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_inverts_render_and_rendering_is_byte_stable(v in ArbJson { depth: 4 }) {
+            let text = v.render();
+            let back = parse(&text).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(&back, &v, "text: {}", text);
+            prop_assert_eq!(back.render(), text);
+        }
+
+        #[test]
+        fn unsigned_integers_have_one_normal_form(n in any::<u64>()) {
+            let v = Json::from(n);
+            prop_assert_eq!(matches!(v, Json::Int(_)), n <= i64::MAX as u64);
+            prop_assert_eq!(v.as_u64(), Some(n));
+            prop_assert_eq!(v.as_int(), i64::try_from(n).ok());
+            prop_assert_eq!(parse(&n.to_string()), Ok(v));
+        }
+    }
 
     #[test]
     fn renders_nested_values_compactly() {
-        let v = JsonValue::object(vec![
-            ("n", JsonValue::UInt(3)),
-            ("qos", JsonValue::Float(99.5)),
-            ("label", JsonValue::Str("eu\"1\"".into())),
-            (
-                "rows",
-                JsonValue::Array(vec![JsonValue::Int(-1), JsonValue::Bool(true)]),
-            ),
+        let v = Json::object(vec![
+            ("n", Json::from(3)),
+            ("qos", Json::Float(99.5)),
+            ("label", Json::Str("eu\"1\"".into())),
+            ("rows", Json::Array(vec![Json::Int(-1), Json::Bool(true)])),
         ]);
         assert_eq!(
             v.render(),
@@ -124,14 +502,84 @@ mod tests {
 
     #[test]
     fn non_finite_floats_render_as_null() {
-        assert_eq!(JsonValue::Float(f64::NAN).render(), "null");
-        assert_eq!(JsonValue::Float(f64::INFINITY).render(), "null");
-        assert_eq!(JsonValue::Float(0.25).render(), "0.25");
+        assert_eq!(Json::Float(f64::NAN).render(), "null");
+        assert_eq!(Json::Float(f64::INFINITY).render(), "null");
+        assert_eq!(Json::Float(0.25).render(), "0.25");
+    }
+
+    #[test]
+    fn floats_without_a_fraction_read_back_as_integers() {
+        assert_eq!(Json::Float(-0.0).render(), "-0");
+        assert_eq!(parse("-0"), Ok(Json::Int(0)));
+        assert_eq!(parse(&Json::Float(150.0).render()), Ok(Json::Int(150)));
     }
 
     #[test]
     fn control_characters_are_escaped() {
-        let v = JsonValue::Str("a\nb\u{1}".into());
+        let v = Json::Str("a\nb\u{1}".into());
         assert_eq!(v.render(), "\"a\\nb\\u0001\"");
+        assert_eq!(parse(&v.render()), Ok(v));
+        assert_eq!(
+            parse(r#""\u0001\u00e9\/""#),
+            Ok(Json::Str("\u{1}é/".into()))
+        );
+    }
+
+    #[test]
+    fn round_trips_the_ingest_body() {
+        let body =
+            r#"{"events":[{"db":3,"at":120,"kind":"login"},{"db":4,"at":130,"kind":"logout"}]}"#;
+        let v = parse(body).unwrap();
+        let events = v.get("events").unwrap().as_array().unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].get("db").unwrap().as_int(), Some(3));
+        assert_eq!(events[1].get("kind").unwrap().as_str(), Some("logout"));
+        assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn parses_escapes_floats_and_null() {
+        let v = parse(r#"{"s":"a\"b\nc","f":1.5e2,"n":null,"b":true}"#).unwrap();
+        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\nc"));
+        assert_eq!(v.get("f"), Some(&Json::Float(150.0)));
+        assert_eq!(v.get("n"), Some(&Json::Null));
+        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn integers_keep_all_64_bits() {
+        assert_eq!(parse("-9223372036854775808"), Ok(Json::Int(i64::MIN)));
+        assert_eq!(parse("9223372036854775807"), Ok(Json::Int(i64::MAX)));
+        assert_eq!(parse("9223372036854775808"), Ok(Json::UInt(1 << 63)));
+        assert_eq!(parse("18446744073709551615"), Ok(Json::UInt(u64::MAX)));
+        assert_eq!(Json::UInt(u64::MAX).as_int(), None);
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        assert_eq!(Json::Float(1.5).as_u64(), None);
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            r#"{"a":}"#,
+            "{} trailing",
+            r#""unterminated"#,
+            "99999999999999999999",
+            "18446744073709551616",
+            "-9223372036854775809",
+        ] {
+            assert!(parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn depth_limit_is_enforced() {
+        let deep = "[".repeat(40) + &"]".repeat(40);
+        assert!(parse(&deep).is_err());
+        let at_limit = nested(MAX_DEPTH);
+        assert_eq!(parse(&at_limit.render()), Ok(at_limit));
+        assert!(parse(&nested(MAX_DEPTH + 1).render()).is_err());
     }
 }

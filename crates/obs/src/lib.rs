@@ -37,10 +37,11 @@
 //!   and multi-window burn-rate [`evaluate_alerts`];
 //! * [`config`] — the [`ObsConfig`] knob carried by `SimConfig`;
 //! * [`report`] — the merged [`ObsReport`] attached to a `SimReport`;
-//! * [`export`] — JSONL and Prometheus text exporters plus the JSONL
-//!   parser the CLI uses;
-//! * [`json`] — the hand-rolled [`JsonValue`] builder shared by
-//!   `prorp-trace --json` and the experiment binaries;
+//! * [`export`] — JSONL and Prometheus text exporters plus the trace
+//!   reader the CLI uses;
+//! * [`json`] — the workspace's one JSON codec: the [`Json`] value, its
+//!   renderer and its parser (`prorp-server`, `prorp-trace`, the trace
+//!   reader and the experiment binaries all use it);
 //! * [`query`] — operator queries (timelines, slowest stages, breaker
 //!   episodes, QoS-miss attribution, decision provenance) backing the
 //!   `prorp-trace` binary;
@@ -69,7 +70,7 @@ pub use export::{
     alerts_jsonl, parse_trace_jsonl, prometheus_text, record_json, slo_jsonl, snapshots_jsonl,
     trace_jsonl,
 };
-pub use json::JsonValue;
+pub use json::Json;
 pub use metrics::{
     is_volatile, Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, Sketch, HISTOGRAM_BUCKETS,

@@ -27,9 +27,10 @@
 
 use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
-use crate::driver::{LiveDriver, LiveEvent, LiveEventKind};
+use crate::driver::{LiveDriver, LiveEvent};
 use crate::http::{self, Request, Response, ServerHandle};
 use crate::json::{self, Json};
+use prorp_obs::export::alert_json;
 use prorp_sim::{SimConfig, SimReport};
 use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, DbState, ProrpError, Timestamp};
@@ -259,23 +260,10 @@ fn post_events(state: &mut ServerState, body: &str) -> Response {
     };
     let mut results = Vec::with_capacity(events.len());
     for ev in events {
-        let (Some(db), Some(at), Some(kind)) = (
-            ev.get("db").and_then(Json::as_int),
-            ev.get("at").and_then(Json::as_int),
-            ev.get("kind")
-                .and_then(Json::as_str)
-                .and_then(LiveEventKind::parse),
-        ) else {
-            return Response::json(400, error_body("event needs db, at, kind(login|logout)"));
+        let outcome = match LiveEvent::from_json(ev) {
+            Ok(ev) => driver.ingest(ev),
+            Err(e) => return Response::json(400, error_body(e)),
         };
-        if db < 0 {
-            return Response::json(400, error_body("negative database id"));
-        }
-        let outcome = driver.ingest(LiveEvent {
-            db: DatabaseId(db as u64),
-            at: Timestamp(at),
-            kind,
-        });
         results.push(Json::Str(outcome.label().into()));
     }
     Response::json(
@@ -314,32 +302,23 @@ fn record_json(r: &DbRecord) -> Json {
         None => Json::Null,
     };
     Json::object(vec![
-        ("db", Json::Int(r.id.raw() as i64)),
+        ("db", Json::from(r.id.raw())),
         ("state", Json::Str(state.into())),
         ("prediction", prediction),
         ("open_incident", incident),
         (
             "counters",
             Json::object(vec![
-                (
-                    "logins_available",
-                    Json::Int(r.counters.logins_available as i64),
-                ),
+                ("logins_available", Json::from(r.counters.logins_available)),
                 (
                     "logins_unavailable",
-                    Json::Int(r.counters.logins_unavailable as i64),
+                    Json::from(r.counters.logins_unavailable),
                 ),
-                (
-                    "logical_pauses",
-                    Json::Int(r.counters.logical_pauses as i64),
-                ),
-                (
-                    "physical_pauses",
-                    Json::Int(r.counters.physical_pauses as i64),
-                ),
+                ("logical_pauses", Json::from(r.counters.logical_pauses)),
+                ("physical_pauses", Json::from(r.counters.physical_pauses)),
                 (
                     "proactive_resumes",
-                    Json::Int(r.counters.proactive_resumes as i64),
+                    Json::from(r.counters.proactive_resumes),
                 ),
             ]),
         ),
@@ -409,10 +388,7 @@ fn get_metrics(state: &ServerState) -> Response {
 }
 
 fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(v) => Json::Int(v as i64),
-        None => Json::Null,
-    }
+    v.map_or(Json::Null, Json::from)
 }
 
 /// `GET /v1/slo` — the merged per-region rollup rows and the derived
@@ -432,34 +408,20 @@ fn get_slo(state: &ServerState) -> Response {
                 ("window", Json::Int(r.window)),
                 ("region", Json::Int(i64::from(r.region))),
                 ("start", Json::Int(r.window_start.as_secs())),
-                ("logins", Json::Int(r.logins as i64)),
-                ("misses", Json::Int(r.misses as i64)),
-                ("availability_ppm", Json::Int(r.availability_ppm as i64)),
-                ("miss_ppm", Json::Int(r.miss_ppm as i64)),
+                ("logins", Json::from(r.logins)),
+                ("misses", Json::from(r.misses)),
+                ("availability_ppm", Json::from(r.availability_ppm)),
+                ("miss_ppm", Json::from(r.miss_ppm)),
                 ("resume_p50", opt_u64(r.resume_p50)),
                 ("resume_p95", opt_u64(r.resume_p95)),
                 ("resume_p99", opt_u64(r.resume_p99)),
-                ("resumes", Json::Int(r.resumes as i64)),
-                ("proactive_resumes", Json::Int(r.proactive_resumes as i64)),
-                ("breaker_opens", Json::Int(r.breaker_opens as i64)),
+                ("resumes", Json::from(r.resumes)),
+                ("proactive_resumes", Json::from(r.proactive_resumes)),
+                ("breaker_opens", Json::from(r.breaker_opens)),
             ])
         })
         .collect();
-    let alerts: Vec<Json> = driver
-        .alerts()
-        .iter()
-        .map(|a| {
-            Json::object(vec![
-                ("window", Json::Int(a.window)),
-                ("region", Json::Int(i64::from(a.region))),
-                ("at", Json::Int(a.at.as_secs())),
-                ("kind", Json::Str(a.kind.label().into())),
-                ("fast_ppm", Json::Int(a.fast_ppm as i64)),
-                ("slow_ppm", Json::Int(a.slow_ppm as i64)),
-                ("threshold", Json::Int(a.threshold as i64)),
-            ])
-        })
-        .collect();
+    let alerts: Vec<Json> = driver.alerts().iter().map(alert_json).collect();
     Response::json(
         200,
         Json::object(vec![
@@ -497,7 +459,7 @@ fn get_why(state: &ServerState, id: &str) -> Response {
     Response::json(
         200,
         Json::object(vec![
-            ("db", Json::Int(id.raw() as i64)),
+            ("db", Json::from(id.raw())),
             ("at", Json::Int(at.as_secs())),
             ("action", Json::Str(explain.action.label().into())),
             ("predicted", predicted),
@@ -554,11 +516,11 @@ fn post_finish(state: &mut ServerState) -> Response {
                 ("policy", Json::Str(report.policy_label.into())),
                 ("qos_pct", Json::Float(report.kpi.qos_pct())),
                 ("saved_frac", Json::Float(report.kpi.saved_frac)),
-                ("incidents", Json::Int(report.incidents as i64)),
-                ("giveups", Json::Int(report.giveups as i64)),
+                ("incidents", Json::from(report.incidents)),
+                ("giveups", Json::from(report.giveups)),
                 (
                     "telemetry_events",
-                    Json::Int(report.telemetry_summary.total() as i64),
+                    Json::from(report.telemetry_summary.total()),
                 ),
             ])
             .render();

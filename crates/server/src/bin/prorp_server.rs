@@ -184,26 +184,7 @@ fn load_stream(path: &str) -> Result<Vec<LiveEvent>, String> {
             continue;
         }
         let v = json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let (Some(db), Some(at), Some(kind)) = (
-            v.get("db").and_then(Json::as_int),
-            v.get("at").and_then(Json::as_int),
-            v.get("kind")
-                .and_then(Json::as_str)
-                .and_then(LiveEventKind::parse),
-        ) else {
-            return Err(format!(
-                "{path}:{}: event needs db, at, kind(login|logout)",
-                lineno + 1
-            ));
-        };
-        if db < 0 {
-            return Err(format!("{path}:{}: negative database id", lineno + 1));
-        }
-        events.push(LiveEvent {
-            db: DatabaseId(db as u64),
-            at: Timestamp(at),
-            kind,
-        });
+        events.push(LiveEvent::from_json(&v).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?);
     }
     if events.is_empty() {
         return Err(format!("{path}: empty event stream"));
@@ -300,13 +281,7 @@ fn replay_over_http(o: &Options) -> Result<(SimReport, Vec<LiveEvent>), String> 
         let in_window: Vec<Json> = stream
             .iter()
             .filter(|ev| ev.at.as_secs() >= window_start && ev.at.as_secs() < window_end)
-            .map(|ev| {
-                Json::object(vec![
-                    ("db", Json::Int(ev.db.raw() as i64)),
-                    ("at", Json::Int(ev.at.as_secs())),
-                    ("kind", Json::Str(ev.kind.label().into())),
-                ])
-            })
+            .map(LiveEvent::to_json)
             .collect();
         if !in_window.is_empty() {
             let body = Json::object(vec![("events", Json::Array(in_window))]).render();

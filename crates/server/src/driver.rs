@@ -34,6 +34,7 @@
 //! engine reads each database's full future trace at registration,
 //! which a live driver by definition does not have.
 
+use crate::json::Json;
 use prorp_core::EngineCounters;
 use prorp_obs::{evaluate_alerts, Alert, DecisionExplain, SloSeries};
 use prorp_sim::events::SimEvent;
@@ -116,6 +117,44 @@ pub struct LiveEvent {
     pub at: Timestamp,
     /// Login or logout.
     pub kind: LiveEventKind,
+}
+
+impl LiveEvent {
+    /// Read the wire form `{"db":N,"at":T,"kind":"login"|"logout"}`.
+    ///
+    /// # Errors
+    ///
+    /// Names what is wrong: a missing or mistyped field, or a `db` that
+    /// is not an unsigned integer (ids use all 64 bits; negative and
+    /// fractional ones are rejected).
+    pub fn from_json(v: &Json) -> Result<LiveEvent, &'static str> {
+        let (Some(db), Some(at), Some(kind)) = (
+            v.get("db"),
+            v.get("at").and_then(Json::as_int),
+            v.get("kind")
+                .and_then(Json::as_str)
+                .and_then(LiveEventKind::parse),
+        ) else {
+            return Err("event needs db, at, kind(login|logout)");
+        };
+        let db = db
+            .as_u64()
+            .ok_or("database id must be an unsigned integer")?;
+        Ok(LiveEvent {
+            db: DatabaseId(db),
+            at: Timestamp(at),
+            kind,
+        })
+    }
+
+    /// The wire form [`from_json`](Self::from_json) reads.
+    pub fn to_json(&self) -> Json {
+        Json::object(vec![
+            ("db", Json::from(self.db.raw())),
+            ("at", Json::Int(self.at.as_secs())),
+            ("kind", Json::Str(self.kind.label().into())),
+        ])
+    }
 }
 
 /// The wall-clock driver: shard drivers plus the watermark protocol.

@@ -1,404 +1,4 @@
-//! Hand-rolled JSON for the API bodies.
-//!
-//! The workspace vendors no serde; this follows the same canonical
-//! discipline as `prorp-obs` and the bench binaries: object keys render
-//! in insertion order, strings escape the JSON control set, and the
-//! parser is a small recursive-descent over the full grammar (objects,
-//! arrays, strings with escapes, integers, floats, booleans, null) with
-//! a depth limit instead of recursion-to-overflow.
+//! The API bodies' JSON: a re-export of the workspace's one codec,
+//! [`prorp_obs::json`] (value, renderer and parser live there).
 
-use std::fmt::Write as _;
-
-/// Maximum nesting depth the parser accepts.
-const MAX_DEPTH: usize = 32;
-
-/// A JSON value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// An integer (the API's timestamps and ids are all integral).
-    Int(i64),
-    /// A non-integral number.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object; keys keep insertion order.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Build an object from `(key, value)` pairs.
-    pub fn object(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The integer value, if this is an integer.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Json::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The items, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Render to a compact JSON string.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => render_string(s, out),
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Object(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parse one JSON document; trailing non-whitespace is an error.
-///
-/// # Errors
-///
-/// Returns a message naming the byte offset of the first problem.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.at != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.at));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.at) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.at += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.at))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!(
-                "nesting deeper than {MAX_DEPTH} at byte {}",
-                self.at
-            ));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte '{}' at {}",
-                char::from(b),
-                self.at
-            )),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
-            self.at += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("malformed literal at byte {}", self.at))
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.at += 1;
-            return Ok(Json::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b'}') => {
-                    self.at += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.at += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.at += 1,
-                Some(b']') => {
-                    self.at += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.at))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                    self.at += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input is &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.at += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.at += 1;
-        }
-        let mut float = false;
-        if self.peek() == Some(b'.') {
-            float = true;
-            self.at += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.at += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            float = true;
-            self.at += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.at += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.at += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.at]).expect("number bytes are ascii");
-        if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| format!("bad number at byte {start}"))
-        } else {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| format!("integer overflow at byte {start}"))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn round_trips_the_ingest_body() {
-        let body =
-            r#"{"events":[{"db":3,"at":120,"kind":"login"},{"db":4,"at":130,"kind":"logout"}]}"#;
-        let v = parse(body).unwrap();
-        let events = v.get("events").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].get("db").unwrap().as_int(), Some(3));
-        assert_eq!(events[1].get("kind").unwrap().as_str(), Some("logout"));
-        assert_eq!(parse(&v.render()).unwrap(), v);
-    }
-
-    #[test]
-    fn parses_escapes_floats_and_null() {
-        let v = parse(r#"{"s":"a\"b\nc","f":1.5e2,"n":null,"b":true}"#).unwrap();
-        assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\nc"));
-        assert_eq!(v.get("f"), Some(&Json::Float(150.0)));
-        assert_eq!(v.get("n"), Some(&Json::Null));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            r#"{"a":}"#,
-            "{} trailing",
-            r#""unterminated"#,
-            "99999999999999999999",
-        ] {
-            assert!(parse(bad).is_err(), "accepted: {bad}");
-        }
-    }
-
-    #[test]
-    fn depth_limit_is_enforced() {
-        let deep = "[".repeat(40) + &"]".repeat(40);
-        assert!(parse(&deep).is_err());
-    }
-}
+pub use prorp_obs::json::{parse, Json};

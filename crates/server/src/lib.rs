@@ -44,8 +44,8 @@
 //! * [`clock`] — wall vs. virtual time behind one [`LiveClock`];
 //! * [`http`] — a dependency-free HTTP/1.1 server on
 //!   `std::net::TcpListener` (the workspace vendors no async runtime);
-//! * [`json`] — hand-rolled JSON parsing/rendering, same canonical
-//!   discipline as `prorp-obs`;
+//! * [`json`] — a re-export of the workspace's one JSON codec,
+//!   `prorp_obs::json`;
 //! * [`api`] — the endpoint surface: `POST /v1/events`,
 //!   `GET /v1/databases/:id`, `POST /v1/databases/:id/resume|pause`,
 //!   `GET /metrics`, `POST /v1/clock/advance`, `POST /v1/finish`.

@@ -74,7 +74,8 @@ fn http_surface_basics() {
     .observe(ObsConfig::on())
     .build()
     .expect("config validates");
-    let server = start_server(&cfg, &[DatabaseId(0), DatabaseId(1)]);
+    let wide = DatabaseId(u64::MAX - 3);
+    let server = start_server(&cfg, &[DatabaseId(0), DatabaseId(1), wide]);
     let addr = server.addr();
 
     // Lifecycle reads.
@@ -102,6 +103,24 @@ fn http_surface_basics() {
         body.contains(r#"["accepted","duplicate","unknown"]"#),
         "{body}"
     );
+    // Ids use all 64 bits on every surface: one above `i64::MAX` reads
+    // back unsigned and ingests like any other; negative and fractional
+    // ids stay malformed.
+    let (status, body) = http(addr, "GET", "/v1/databases/18446744073709551612", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.starts_with(r#"{"db":18446744073709551612,"#), "{body}");
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/events",
+        r#"{"events":[{"db":18446744073709551612,"at":650,"kind":"login"}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#"["accepted"]"#), "{body}");
+    for bad in ["-4", "1.5", "18446744073709551616"] {
+        let event = format!(r#"{{"events":[{{"db":{bad},"at":650,"kind":"login"}}]}}"#);
+        assert_eq!(http(addr, "POST", "/v1/events", &event).0, 400, "{bad}");
+    }
     assert_eq!(http(addr, "POST", "/v1/events", "{not json").0, 400);
     assert_eq!(
         http(addr, "POST", "/v1/events", r#"{"events":[{}]}"#).0,

@@ -163,36 +163,12 @@ impl Simulation {
         let cfg = &self.config;
         let partitions = shard::partition_fleet(&self.traces, cfg.shards);
 
-        let outcomes: Vec<ShardOutcome> = if cfg.shards == 1 {
-            let traces = partitions[0]
+        let sizes: Vec<usize> = partitions.iter().map(Vec::len).collect();
+        let outcomes = run_shards(cfg, &sizes, |s| {
+            partitions[s]
                 .iter()
-                .map(|&i| Cow::Borrowed(&self.traces[i]));
-            vec![shard::run_shard(cfg, 0, partitions[0].len(), traces)?]
-        } else {
-            let traces = &self.traces;
-            let joined = crossbeam::scope(|scope| {
-                let handles: Vec<_> = partitions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, idxs)| {
-                        scope.spawn(move |_| {
-                            let part = idxs.iter().map(|&j| Cow::Borrowed(&traces[j]));
-                            shard::run_shard(cfg, i, idxs.len(), part)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(ProrpError::Simulation("shard worker panicked".into()))
-                        })
-                    })
-                    .collect::<Vec<Result<ShardOutcome, ProrpError>>>()
-            })
-            .map_err(|_| ProrpError::Simulation("shard scope panicked".into()))?;
-            joined.into_iter().collect::<Result<Vec<_>, _>>()?
-        };
+                .map(|&i| Cow::Borrowed(&self.traces[i]))
+        })?;
 
         let order: HashMap<DatabaseId, usize> = self
             .traces
@@ -240,38 +216,48 @@ impl Simulation {
             }
         }
 
-        let outcomes: Vec<ShardOutcome> = if cfg.shards == 1 {
-            let traces = (0..n).map(|i| Cow::Owned(source.trace(i)));
-            vec![shard::run_shard(cfg, 0, n, traces)?]
-        } else {
-            let joined = crossbeam::scope(|scope| {
-                let handles: Vec<_> = shard_sizes
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &size)| {
-                        scope.spawn(move |_| {
-                            let part = (0..n)
-                                .filter(|&i| source.db_id(i).shard_of(cfg.shards) == s)
-                                .map(|i| Cow::Owned(source.trace(i)));
-                            shard::run_shard(cfg, s, size, part)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(ProrpError::Simulation("shard worker panicked".into()))
-                        })
-                    })
-                    .collect::<Vec<Result<ShardOutcome, ProrpError>>>()
-            })
-            .map_err(|_| ProrpError::Simulation("shard scope panicked".into()))?;
-            joined.into_iter().collect::<Result<Vec<_>, _>>()?
-        };
+        let outcomes = run_shards(cfg, &shard_sizes, |s| {
+            (0..n)
+                .filter(move |&i| source.db_id(i).shard_of(cfg.shards) == s)
+                .map(|i| Cow::Owned(source.trace(i)))
+        })?;
 
         merge_outcomes(cfg, &order, n, outcomes)
     }
+}
+
+/// The fork-join under both entry points: run every shard's event loop
+/// over `traces_of(shard)` — inline for a single shard, one scoped worker
+/// thread per shard otherwise — and return the outcomes in shard order.
+/// `sizes[shard]` is the shard's database count.
+fn run_shards<'a, I>(
+    cfg: &SimConfig,
+    sizes: &[usize],
+    traces_of: impl Fn(usize) -> I + Sync,
+) -> Result<Vec<ShardOutcome>, ProrpError>
+where
+    I: Iterator<Item = Cow<'a, Trace>>,
+{
+    if let [size] = sizes {
+        return Ok(vec![shard::run_shard(cfg, 0, *size, traces_of(0))?]);
+    }
+    let traces_of = &traces_of;
+    let joined = crossbeam::scope(|scope| {
+        let handles: Vec<_> = sizes
+            .iter()
+            .enumerate()
+            .map(|(s, &size)| scope.spawn(move |_| shard::run_shard(cfg, s, size, traces_of(s))))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err(ProrpError::Simulation("shard worker panicked".into())))
+            })
+            .collect::<Vec<Result<ShardOutcome, ProrpError>>>()
+    })
+    .map_err(|_| ProrpError::Simulation("shard scope panicked".into()))?;
+    joined.into_iter().collect()
 }
 
 /// Merge per-shard outcomes into the fleet report.

@@ -74,8 +74,6 @@ pub struct Levels {
     l0: Vec<Arc<Run>>,
     /// Levels 1…, one run each (index 0 is L1).
     leveled: Vec<Arc<Run>>,
-    /// Whether newly built runs carry bloom filters.
-    bloom: bool,
     /// Leveled capacity base: L`i` holds `base × LEVEL_FANOUT^(i-1)`.
     base: usize,
     /// Largest tombstone seqno whose covered versions were dropped by a
@@ -86,13 +84,11 @@ pub struct Levels {
 
 impl Levels {
     /// An empty hierarchy.  `base` is the L1 entry capacity (typically
-    /// the memtable capacity × [`L0_RUN_LIMIT`]); `bloom` enables
-    /// per-run filters on every run built from here on.
-    pub fn new(base: usize, bloom: bool) -> Self {
+    /// the memtable capacity × [`L0_RUN_LIMIT`]).
+    pub fn new(base: usize) -> Self {
         Levels {
             l0: Vec::new(),
             leveled: Vec::new(),
-            bloom,
             base: base.max(1),
             gc_floor: 0,
         }
@@ -230,7 +226,7 @@ impl Levels {
                 .expect("GC dropped entries, so a tombstone exists");
             self.gc_floor = self.gc_floor.max(floor);
         }
-        let (run, bytes) = Run::build(merged, self.bloom)?;
+        let (run, bytes) = Run::build(merged)?;
         effort.bytes_written += bytes;
         effort.merges += 1;
         effort.gc_dropped += dropped;
@@ -319,12 +315,12 @@ mod tests {
                 tombstone: false,
             })
             .collect();
-        Arc::new(Run::build(entries, false).unwrap().0)
+        Arc::new(Run::build(entries).unwrap().0)
     }
 
     #[test]
     fn l0_collapses_at_the_trigger() {
-        let mut levels = Levels::new(64, false);
+        let mut levels = Levels::new(64);
         let mut seqno = 1;
         for i in 0..L0_RUN_LIMIT {
             let run = run_of((i as i64) * 10..(i as i64) * 10 + 5, seqno);
@@ -340,7 +336,7 @@ mod tests {
 
     #[test]
     fn cascade_keeps_seqno_ranges_ordered() {
-        let mut levels = Levels::new(8, true);
+        let mut levels = Levels::new(8);
         let mut seqno = 1;
         for i in 0..20 {
             let run = run_of(i * 4..i * 4 + 4, seqno);
@@ -355,28 +351,22 @@ mod tests {
     #[test]
     fn merge_keeps_all_versions_above_the_floor() {
         let a = Arc::new(
-            Run::build(
-                vec![Entry {
-                    key: 5,
-                    seqno: 10,
-                    value: 1,
-                    tombstone: true,
-                }],
-                false,
-            )
+            Run::build(vec![Entry {
+                key: 5,
+                seqno: 10,
+                value: 1,
+                tombstone: true,
+            }])
             .unwrap()
             .0,
         );
         let b = Arc::new(
-            Run::build(
-                vec![Entry {
-                    key: 5,
-                    seqno: 2,
-                    value: 1,
-                    tombstone: false,
-                }],
-                false,
-            )
+            Run::build(vec![Entry {
+                key: 5,
+                seqno: 2,
+                value: 1,
+                tombstone: false,
+            }])
             .unwrap()
             .0,
         );
@@ -420,7 +410,7 @@ mod tests {
 
     #[test]
     fn gc_floor_rises_when_a_merge_drops_versions() {
-        let mut levels = Levels::new(4, false);
+        let mut levels = Levels::new(4);
         let mut seqno = 1;
         // Fill L0 to the trigger with keys under one big tombstone.
         let trims = [RangeTombstone {

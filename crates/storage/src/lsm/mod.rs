@@ -73,16 +73,11 @@ pub struct LsmConfig {
     /// (32) so a 35-day simulated history (~600 mutations) exercises
     /// flushes and several compaction rounds.
     pub memtable_cap: usize,
-    /// Whether runs carry per-run bloom filters.
-    pub bloom_filters: bool,
 }
 
 impl Default for LsmConfig {
     fn default() -> Self {
-        LsmConfig {
-            memtable_cap: 32,
-            bloom_filters: true,
-        }
+        LsmConfig { memtable_cap: 32 }
     }
 }
 
@@ -335,15 +330,9 @@ impl LsmHistory {
         LsmHistory {
             view: LiveView::new(),
             cold: Box::new(Physical {
-                config: LsmConfig {
-                    memtable_cap: cap,
-                    ..config
-                },
+                config: LsmConfig { memtable_cap: cap },
                 memtable: MemTable::new(),
-                runs: RunStore::Inline(Levels::new(
-                    cap * compaction::L0_RUN_LIMIT,
-                    config.bloom_filters,
-                )),
+                runs: RunStore::Inline(Levels::new(cap * compaction::L0_RUN_LIMIT)),
                 wal: WriteAheadLog::new(),
                 trims: Vec::new(),
                 timeline: Vec::new(),
@@ -526,7 +515,7 @@ impl LsmHistory {
             return Ok(());
         }
         let entries = self.cold.memtable.drain_sorted();
-        let (run, bytes) = Run::build(entries, self.cold.config.bloom_filters)?;
+        let (run, bytes) = Run::build(entries)?;
         self.cold.metrics.flushed_bytes += bytes;
         self.cold.metrics.flushes += 1;
         let run = Arc::new(run);
@@ -587,7 +576,7 @@ impl LsmHistory {
                 tombstone: false,
             })
             .collect();
-        let (run, _) = Run::build(entries, store.cold.config.bloom_filters)?;
+        let (run, _) = Run::build(entries)?;
         let RunStore::Inline(levels) = &mut store.cold.runs else {
             unreachable!("a fresh store is always inline");
         };
@@ -818,10 +807,7 @@ mod tests {
 
     fn tiny() -> LsmHistory {
         // Cap 4 so a handful of inserts exercises flush + compaction.
-        LsmHistory::with_config(LsmConfig {
-            memtable_cap: 4,
-            bloom_filters: true,
-        })
+        LsmHistory::with_config(LsmConfig { memtable_cap: 4 })
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! ([`crate::page`]) — the same 8-KiB pages the B+Tree backend and the
 //! backup stream use — and the encoded size is charged to the write-
 //! amplification ledger.  The decoded entries stay resident (the run's
-//! "page cache"); an optional bloom filter short-circuits point
-//! lookups.
+//! "page cache"); a bloom filter short-circuits point lookups.
 
 use super::bloom::Bloom;
 use super::memtable::Visible;
@@ -66,8 +65,8 @@ pub struct Run {
     min_seqno: u64,
     /// Largest seqno in the run.
     max_seqno: u64,
-    /// Optional per-run bloom filter over the key set.
-    bloom: Option<Bloom>,
+    /// Bloom filter over the key set.
+    bloom: Bloom,
     /// Physical size when serialised to 8-KiB slotted pages.
     page_bytes: usize,
 }
@@ -79,7 +78,7 @@ impl Default for Run {
             entries: Vec::new(),
             min_seqno: u64::MAX,
             max_seqno: 0,
-            bloom: None,
+            bloom: Bloom::build(0, []),
             page_bytes: 0,
         }
     }
@@ -102,7 +101,7 @@ impl Run {
     /// Build a run from `(key, seqno)`-sorted entries, serialising them
     /// through the page machinery.  Returns the run and the number of
     /// physical bytes written (for the write-amplification ledger).
-    pub fn build(entries: Vec<Entry>, with_bloom: bool) -> Result<(Run, usize), ProrpError> {
+    pub fn build(entries: Vec<Entry>) -> Result<(Run, usize), ProrpError> {
         debug_assert!(
             entries
                 .windows(2)
@@ -123,7 +122,7 @@ impl Run {
             entries,
             "page round-trip changed the run"
         );
-        let bloom = with_bloom.then(|| Bloom::build(entries.len(), entries.iter().map(|e| e.key)));
+        let bloom = Bloom::build(entries.len(), entries.iter().map(|e| e.key));
         let (min_seqno, max_seqno) = entries.iter().fold((u64::MAX, 0), |(lo, hi), e| {
             (lo.min(e.seqno), hi.max(e.seqno))
         });
@@ -149,10 +148,8 @@ impl Run {
     /// version's seqno — range-tombstone resolution compares it against
     /// the newest covering trim.
     pub fn visible_seq(&self, key: i64, at: u64) -> Option<(u64, Option<i64>)> {
-        if let Some(bloom) = &self.bloom {
-            if !bloom.may_contain(key) {
-                return None;
-            }
+        if !self.bloom.may_contain(key) {
+            return None;
         }
         let lo = self.entries.partition_point(|e| e.key < key);
         let hi = self.entries[lo..].partition_point(|e| e.key == key && e.seqno <= at) + lo;
@@ -199,14 +196,9 @@ impl Run {
         self.page_bytes
     }
 
-    /// Bloom-filter size in bytes (0 when the run carries none).
+    /// Bloom-filter size in bytes.
     pub fn bloom_bytes(&self) -> usize {
-        self.bloom.as_ref().map_or(0, Bloom::byte_len)
-    }
-
-    /// Whether the run carries a bloom filter.
-    pub fn has_bloom(&self) -> bool {
-        self.bloom.is_some()
+        self.bloom.byte_len()
     }
 }
 
@@ -242,7 +234,7 @@ mod tests {
             entry(100, 4, 0, true),
             entry(200, 2, 0, false),
         ];
-        let (run, bytes) = Run::build(entries, true).unwrap();
+        let (run, bytes) = Run::build(entries).unwrap();
         assert_eq!(bytes, page::PAGE_SIZE);
         assert_eq!(run.visible(100, 0), None);
         assert_eq!(run.visible(100, 1), Some(Some(1)));
@@ -252,22 +244,18 @@ mod tests {
         assert_eq!(run.visible(150, 9), None);
         assert_eq!(run.min_seqno(), 1);
         assert_eq!(run.max_seqno(), 4);
-        assert!(run.has_bloom());
         assert!(run.bloom_bytes() > 0);
-    }
 
-    #[test]
-    fn bloomless_run_still_answers_lookups() {
-        let (run, _) = Run::build(vec![entry(10, 1, 1, false)], false).unwrap();
-        assert!(!run.has_bloom());
-        assert_eq!(run.bloom_bytes(), 0);
-        assert_eq!(run.visible(10, 1), Some(Some(1)));
-        assert_eq!(run.visible(11, 1), None);
+        // A miss answers `None` whether the filter or the binary search
+        // rejects it.
+        let (single, _) = Run::build(vec![entry(10, 1, 1, false)]).unwrap();
+        assert_eq!(single.visible(10, 1), Some(Some(1)));
+        assert_eq!(single.visible(11, 1), None);
     }
 
     #[test]
     fn empty_run_is_legal() {
-        let (run, bytes) = Run::build(Vec::new(), true).unwrap();
+        let (run, bytes) = Run::build(Vec::new()).unwrap();
         assert!(run.is_empty());
         assert_eq!(bytes, 0);
         assert_eq!(run.visible(1, u64::MAX), None);

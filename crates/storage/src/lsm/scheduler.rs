@@ -316,14 +316,14 @@ mod tests {
                 tombstone: false,
             })
             .collect();
-        Arc::new(Run::build(entries, false).unwrap().0)
+        Arc::new(Run::build(entries).unwrap().0)
     }
 
     #[test]
     fn worker_matches_inline_maintenance() {
         let sched = CompactionScheduler::new();
-        let handle = sched.register(Levels::new(4, false), Vec::new());
-        let mut inline = Levels::new(4, false);
+        let handle = sched.register(Levels::new(4), Vec::new());
+        let mut inline = Levels::new(4);
         let mut seqno = 1;
         for i in 0..12 {
             let run = run_of(i * 4..i * 4 + 4, seqno);
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn shutdown_marks_attached_stores_dead() {
         let sched = CompactionScheduler::new();
-        let handle = sched.register(Levels::new(4, false), Vec::new());
+        let handle = sched.register(Levels::new(4), Vec::new());
         drop(sched);
         let (_levels, _effort, _ns, dead) = handle.wait_applied(u64::MAX);
         assert!(dead, "worker must flag attached stores on shutdown");

@@ -201,7 +201,7 @@ mod tests {
                 tombstone: false,
             },
         ];
-        let run = Arc::new(Run::build(entries, true).unwrap().0);
+        let run = Arc::new(Run::build(entries).unwrap().0);
         // Trim at seqno 4 covers [11, 30): key 20 is deleted, 10 and 30
         // survive.  A newer memtable version of 20 (seqno 5) wins back.
         let trims = vec![RangeTombstone {

@@ -21,10 +21,7 @@ use std::sync::mpsc::channel;
 use std::thread;
 
 fn tiny() -> LsmHistory {
-    LsmHistory::with_config(LsmConfig {
-        memtable_cap: 4,
-        bloom_filters: true,
-    })
+    LsmHistory::with_config(LsmConfig { memtable_cap: 4 })
 }
 
 #[test]

@@ -147,10 +147,7 @@ proptest! {
     fn forced_compaction_preserves_observable_state(
         ops in prop::collection::vec(op(), 1..60),
     ) {
-        let tiny = LsmConfig {
-            memtable_cap: 4,
-            bloom_filters: true,
-        };
+        let tiny = LsmConfig { memtable_cap: 4 };
         let sched = CompactionScheduler::new();
         let mut model = HistoryTable::new();
         let mut inline = LsmHistory::with_config(tiny);

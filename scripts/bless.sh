@@ -23,6 +23,11 @@ cargo run --release -q -p prorp-server --bin prorp-server -- \
     --end 259200 --policy proactive --shards 2 --step 21600 \
     > tests/goldens/server_replay.txt
 
+# Re-record the fleet-composition export (deterministic; check.sh diffs
+# a fresh run against it).
+cargo run --release -q -p prorp-bench --bin fleet_report -- \
+    --json results/BENCH_fleet.json
+
 # Re-record the full-scale prediction-index A/B numbers alongside the
 # goldens (timings are machine-dependent; the committed file documents a
 # representative run, the smoke run in check.sh guards the equivalence).

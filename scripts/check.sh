@@ -62,9 +62,14 @@ cargo run --release -q -p prorp-server --bin prorp-server -- \
     > target/server_replay.txt
 run diff -u tests/goldens/server_replay.txt target/server_replay.txt
 
-# Machine-readable fleet composition for downstream tooling.
+# Machine-readable fleet composition for downstream tooling.  The
+# output is deterministic, so the committed record is a gate, not a
+# by-product: a fresh run must reproduce it byte for byte (re-record
+# intentional drift with scripts/bless.sh; nothing here writes under
+# results/).
 run cargo run --release -q -p prorp-bench --bin fleet_report -- \
-    --json results/BENCH_fleet.json
+    --json target/fleet_report.json
+run diff -u results/BENCH_fleet.json target/fleet_report.json
 
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
 # every timed case (the committed full-scale numbers in
