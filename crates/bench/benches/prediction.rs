@@ -80,8 +80,8 @@ fn bench_slide_granularity(c: &mut Criterion) {
 }
 
 fn bench_naive_vs_incremental(c: &mut Criterion) {
-    // The PR 5 tentpole A/B: the from-scratch Algorithm 4 scan against
-    // the slot-index + cursor-sweep predictor on the same table, at the
+    // The from-scratch Algorithm 4 scan against the sliding-window sweep
+    // over the clock-ordered login index on the same table, at the
     // Table 1 defaults.  Both arms must return identical predictions
     // (enforced by the testkit differential oracle); only the cost may
     // differ.

@@ -84,8 +84,8 @@ fn main() {
         }
     };
     println!(
-        "    in-vivo engine mean:    {:.3} ms over {} predictions",
-        mean_ns / 1e6,
+        "    in-vivo engine mean:    {:.2} us over {} predictions",
+        mean_ns / 1e3,
         report.counters.iter().map(|c| c.predictions).sum::<u64>()
     );
     println!();

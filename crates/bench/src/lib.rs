@@ -33,6 +33,52 @@ pub fn env_i64(name: &str, default: i64) -> i64 {
         .unwrap_or(default)
 }
 
+/// Where a benchmark record came from: the `"meta"` object of a
+/// `results/BENCH_*.json` file.  `mode` is the bench's own run mode
+/// (`"full"` or `"smoke"`); `commit` is `HEAD`, with `+dirty` when the
+/// work tree differs from it; anything the host will not tell reads
+/// `"unknown"`.
+pub fn run_meta(mode: &str) -> Json {
+    let stdout_of = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|text| text.trim().to_string())
+    };
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split_once(':')?.1.trim().to_string())
+        });
+    let text = |value: Option<String>| Json::Str(value.unwrap_or_else(|| "unknown".into()));
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    // A record is usually written before its own commit exists: say so
+    // rather than pass the parent's hash off as the source.
+    let commit = stdout_of("git", &["rev-parse", "HEAD"]).map(|head| {
+        match stdout_of("git", &["status", "--porcelain"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => head + "+dirty",
+        }
+    });
+    Json::object(vec![
+        ("commit", text(commit)),
+        ("nproc", Json::from(nproc as u64)),
+        ("cpu", text(cpu)),
+        ("rustc", text(stdout_of("rustc", &["--version"]))),
+        ("profile", Json::Str(profile.into())),
+        ("mode", Json::Str(mode.into())),
+    ])
+}
+
 /// Standard experiment setup: fleet size, horizon, and split points.
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentScale {
@@ -141,6 +187,16 @@ mod tests {
     fn env_parsing_falls_back_to_defaults() {
         assert_eq!(env_usize("PRORP_DOES_NOT_EXIST", 7), 7);
         assert_eq!(env_i64("PRORP_DOES_NOT_EXIST", -3), -3);
+    }
+
+    #[test]
+    fn run_meta_names_every_field() {
+        let meta = run_meta("smoke");
+        for key in ["commit", "cpu", "rustc", "profile"] {
+            assert!(meta.get(key).and_then(Json::as_str).is_some(), "{key}");
+        }
+        assert_eq!(meta.get("mode").and_then(Json::as_str), Some("smoke"));
+        assert!(meta.get("nproc").and_then(Json::as_u64).is_some());
     }
 
     #[test]

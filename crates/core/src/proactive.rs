@@ -130,7 +130,7 @@ impl<P: Predictor> ProactiveEngine<P> {
         config.validate()?;
         breaker.validate()?;
         let mut tracker = ActivityTracker::with_backend(backend);
-        if predictor.wants_slot_index() {
+        if predictor.wants_clock_index() {
             tracker
                 .history_mut()
                 .configure_slot_index(config.seasonality.period(), config.slide);
@@ -498,7 +498,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         // The restored table restarts its mutation-version counter, so
         // cached `(version, now)` keys would collide across tables.
         self.cached = None;
-        if self.predictor.wants_slot_index() {
+        if self.predictor.wants_clock_index() {
             self.tracker
                 .history_mut()
                 .configure_slot_index(self.config.seasonality.period(), self.config.slide);
@@ -857,11 +857,11 @@ mod tests {
         let mut incr =
             ProactiveEngine::new(config(), IncrementalPredictor::new(config()).unwrap()).unwrap();
         assert!(
-            incr.history().slot_index().is_some(),
-            "engine configures the slot index for predictors that want it"
+            incr.history().clock_index().is_some(),
+            "engine configures the clock index for predictors that want it"
         );
         assert!(
-            naive.history().slot_index().is_none(),
+            naive.history().clock_index().is_none(),
             "naive reference engines stay free of index maintenance"
         );
         let a = run_daily_sessions(&mut naive, 6);
@@ -916,8 +916,8 @@ mod tests {
         moved.on_event(t(100), EngineEvent::ActivityStart);
         moved.on_event(t(200), EngineEvent::ActivityEnd);
         moved.restore_history(snapshot);
-        let ix = moved.history().slot_index().expect("index reconfigured");
-        assert_eq!(ix.total_logins() as usize, moved.history().logins().len());
+        let ix = moved.history().clock_index().expect("index reconfigured");
+        assert_eq!(ix.entries().len(), moved.history().logins().len());
         moved.history().check_invariants();
         // The next cycle predicts from the restored table, not a stale
         // cache entry keyed on the old table's version.

@@ -219,8 +219,8 @@ impl<P: Predictor> Predictor for FailEvery<P> {
         "fail-every"
     }
 
-    fn wants_slot_index(&self) -> bool {
-        self.inner.wants_slot_index()
+    fn wants_clock_index(&self) -> bool {
+        self.inner.wants_clock_index()
     }
 }
 

@@ -1,61 +1,65 @@
-//! Algorithm 4 over the incrementally maintained prediction index —
-//! bit-identical to [`ProbabilisticPredictor`], without the B-tree scans.
+//! Algorithm 4 as one sliding window over the logins in seasonal-clock
+//! order — bit-identical to [`ProbabilisticPredictor`], at
+//! `O(logins passed + window positions)` per prediction.
 //!
 //! [`ProbabilisticPredictor`]: crate::ProbabilisticPredictor
 //!
-//! The naive reference performs `window_positions × periods_in_history`
-//! B-tree range scans per prediction (~5,700 at the Table 1 defaults).
-//! This implementation reads the two structures every history backend
-//! keeps current on every mutation instead:
+//! The naive reference asks, for each of the `(p − w)/s + 1` window
+//! positions and each of the `periods` previous seasonal periods, "which
+//! logins fall in `[lo, lo + w]` with `lo = now + j·s − period·prev`?" —
+//! ~5,700 range lookups at the Table 1 defaults.  Rearranged, row `prev`
+//! sees login `t` at position `j` iff
 //!
-//! * the **sorted login cache** ([`HistoryRead::logins`]): for each
-//!   seasonal period row the sweep keeps two monotone cursors — the
-//!   first login `>= lo` and the first login `> hi` — which only move
-//!   forward as the window slides, so the whole outer×inner loop costs
-//!   `O(window_positions × periods + logins)` pointer bumps instead of
-//!   `O(window_positions × periods × log n)` tree descents, while the
-//!   aggregates (`MIN`, `MAX`, `COUNT` per window) come out *exactly* as
-//!   the reference computes them;
-//! * the **slot-occupancy bitmap** ([`HistoryRead::slot_index`], when
-//!   configured with the matching period): since
-//!   `winStart − period·prev ≡ winStart (mod period)`, one conservative
-//!   bitmap probe per window position skips the entire inner loop when
-//!   no period row can contain a login.  A false positive costs only the
-//!   exact cursor sweep; a false negative is impossible, so skipping an
-//!   empty position reproduces the reference's behaviour bit for bit
-//!   (an empty position never improves `best`, and breaks the hill-climb
-//!   iff a best already exists — exactly the reference's control flow).
+//! ```text
+//! j·s  <=  d  <=  j·s + w        where  d = t − now + period·prev
+//! ```
+//!
+//! so a (login, row) pair is one point `d` on a line, every position is
+//! the interval `[j·s, j·s + w]` on that line, and the whole outer×inner
+//! loop is a window sliding right over the points.  `d mod period` is
+//! `(t mod period) − (now mod period)`: walking the logins in
+//! `(t mod period, t div period)` order ([`ClockIndex`]), circularly from
+//! `now`'s clock offset, meets the points in ascending `d` — each trip
+//! round the circle adds `period` to `d` and one to `prev`, which is also
+//! what covers a horizon longer than one period.  Two cursors walk that
+//! sequence: *enter* admits points with `d <= j·s + w`, *leave* retires
+//! points with `d < j·s`; a per-row in-window count ([`SweepScratch`])
+//! turns their movements into exactly the aggregates the reference
+//! computes — rows with activity, logins in window, and (from the first
+//! and last valid point between the cursors) `MIN`/`MAX` offsets.  Points
+//! whose `prev` falls outside `1..=periods` (Algorithm 3's kept-oldest
+//! tuple, logins after `now`) are passed over, exactly as the reference's
+//! row loop never reaches them.
+//!
+//! The clock order comes from the history's [`ClockIndex`] when one is
+//! configured over this predictor's period; otherwise the same sweep runs
+//! over the login cache sorted into the scratch buffer.  A mismatched
+//! index is ignored, never trusted.
 //!
 //! The equivalence is enforced by the `prediction_index` differential
 //! suite in `crates/testkit` (proptest fleets, both seasonalities, both
-//! confidence bases) and by unit tests below.
+//! confidence bases) and by the edge table below.
 //!
-//! Cursor scratch lives behind a cheap shared handle
-//! ([`SweepScratch::shared`]) so a shard runner hosting thousands of
-//! engines reuses one pair of buffers instead of reallocating per
-//! database.
+//! Scratch lives behind a cheap shared handle ([`SweepScratch::shared`])
+//! so a shard runner hosting thousands of engines reuses one pair of
+//! buffers instead of reallocating per database.
 
 use crate::probabilistic::ConfidenceBasis;
 use crate::Predictor;
-use prorp_storage::HistoryRead;
+use prorp_storage::{ClockIndex, HistoryRead};
 use prorp_types::{PolicyConfig, Prediction, ProrpError, Seconds, Timestamp};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Reusable cursor buffers for the incremental sweep; one instance can
-/// serve any number of predictors on the same thread (see
-/// [`SweepScratch::shared`]).
+/// Reusable buffers for the sweep; one instance can serve any number of
+/// predictors on the same thread (see [`SweepScratch::shared`]).
 #[derive(Debug, Default)]
 pub struct SweepScratch {
-    /// Per period-row: index of the first login `>=` the row's window
-    /// start ([`UNINIT`](Self) until first touched).
-    first: Vec<usize>,
-    /// Per period-row: index of the first login `>` the row's window end.
-    end: Vec<usize>,
+    /// Per period-row (`prev − 1`): its points currently in the window.
+    in_window: Vec<u32>,
+    /// Clock order of a history that has no matching [`ClockIndex`].
+    sorted: Vec<(i64, i64)>,
 }
-
-/// Lazily initialised cursor sentinel.
-const UNINIT: usize = usize::MAX;
 
 impl SweepScratch {
     /// A fresh scratch behind the shared handle the sim's shard runner
@@ -63,21 +67,67 @@ impl SweepScratch {
     pub fn shared() -> SharedScratch {
         Rc::new(RefCell::new(SweepScratch::default()))
     }
-
-    /// Reset both cursor arrays to `n` uninitialised rows.
-    fn reset(&mut self, n: usize) {
-        self.first.clear();
-        self.first.resize(n, UNINIT);
-        self.end.clear();
-        self.end.resize(n, UNINIT);
-    }
 }
 
 /// Shared handle to a [`SweepScratch`]; `Rc` because engines of one
 /// shard live and run on that shard's worker thread.
 pub type SharedScratch = Rc<RefCell<SweepScratch>>;
 
-/// Algorithm 4 on the incremental prediction index.
+/// A position in the endless walk over clock-ordered logins that starts
+/// at `now`'s clock offset.
+#[derive(Clone, Copy)]
+struct Cursor {
+    /// Index into the clock order.
+    at: usize,
+    /// `period · laps − (now mod period)`: added to an entry's clock
+    /// offset it gives the point's `d`.
+    base: i64,
+    /// `laps + (now div period) − 1`: minus an entry's period ordinal it
+    /// gives the point's row, `prev − 1`.
+    row_base: i64,
+}
+
+impl Cursor {
+    /// The first point at or after `now`'s clock offset.  `order` must
+    /// not be empty.
+    fn start(order: &[(i64, i64)], period: i64, now: Timestamp) -> Cursor {
+        let (offset, ordinal) = ClockIndex::entry(period, now.as_secs());
+        let mut cursor = Cursor {
+            at: order.partition_point(|e| e.0 < offset),
+            base: -offset,
+            row_base: ordinal - 1,
+        };
+        cursor.wrap(order, period);
+        cursor
+    }
+
+    /// The point's `d = t − now + period·prev`.
+    fn d(&self, order: &[(i64, i64)]) -> i64 {
+        order[self.at].0 + self.base
+    }
+
+    /// The point's row `prev − 1`, unless `prev < 1`.
+    fn row(&self, order: &[(i64, i64)]) -> Option<usize> {
+        usize::try_from(self.row_base - order[self.at].1).ok()
+    }
+
+    fn advance(&mut self, order: &[(i64, i64)], period: i64) {
+        self.at += 1;
+        self.wrap(order, period);
+    }
+
+    /// Past the last entry the walk starts its next lap: the same logins,
+    /// one period further along `d`, one row further back.
+    fn wrap(&mut self, order: &[(i64, i64)], period: i64) {
+        if self.at == order.len() {
+            self.at = 0;
+            self.base += period;
+            self.row_base += 1;
+        }
+    }
+}
+
+/// Algorithm 4 as one sliding window over the clock-ordered logins.
 ///
 /// Produces exactly the same `Option<Prediction>` (start, end *and*
 /// confidence) as [`ProbabilisticPredictor`] for every history and every
@@ -85,11 +135,10 @@ pub type SharedScratch = Rc<RefCell<SweepScratch>>;
 /// the differential oracles compare against.
 ///
 /// The predictor works on any [`HistoryRead`] backend; configuring the
-/// store's slot index with the predictor's period (see
+/// store's clock index with the predictor's period (see
 /// [`configure_slot_index`](prorp_storage::HistoryStore::configure_slot_index))
-/// additionally enables the
-/// whole-window bitmap skip.  [`ProactiveEngine`] does this
-/// automatically for predictors whose [`Predictor::wants_slot_index`] is
+/// spares it sorting the logins per call.  [`ProactiveEngine`] does this
+/// automatically for predictors whose [`Predictor::wants_clock_index`] is
 /// `true`.
 ///
 /// [`ProbabilisticPredictor`]: crate::ProbabilisticPredictor
@@ -120,8 +169,8 @@ impl IncrementalPredictor {
         Self::with_scratch(config, basis, SweepScratch::shared())
     }
 
-    /// Build sharing cursor scratch with other predictors of the same
-    /// thread (the sim's per-shard reuse path).
+    /// Build sharing scratch with other predictors of the same thread
+    /// (the sim's per-shard reuse path).
     ///
     /// # Errors
     ///
@@ -144,91 +193,86 @@ impl IncrementalPredictor {
         &self.config
     }
 
-    /// Core of Algorithm 4 over the index; same contract as
+    /// Core of Algorithm 4 as the sliding-window sweep; same contract as
     /// [`ProbabilisticPredictor::predict_at`](crate::ProbabilisticPredictor::predict_at).
     pub fn predict_at(&self, history: &dyn HistoryRead, now: Timestamp) -> Option<Prediction> {
-        let w = self.config.window;
-        let s = self.config.slide;
-        let period = self.config.seasonality.period();
+        let w = self.config.window.as_secs();
+        let s = self.config.slide.as_secs();
+        let horizon = self.config.horizon.as_secs();
+        let period = self.config.seasonality.period().as_secs();
         let periods = self.config.periods_in_history();
         debug_assert!(periods >= 1, "validated config covers >= 1 period");
         // Degenerate horizon (`w > p`, including the `p = 0` disable
-        // sentinel): the outer loop below would run zero times.
-        if w > self.config.horizon {
+        // sentinel): no window position fits.
+        if w > horizon {
             return None;
         }
 
-        let logins = history.logins();
-        // The bitmap skip is sound only when the table's index buckets
-        // over this predictor's period; otherwise fall back to the
-        // cursor sweep alone (still exact, still scan-free).
-        let slots = history
-            .slot_index()
-            .filter(|ix| ix.period() == period && ix.total_logins() as usize == logins.len());
-
         let mut scratch = self.scratch.borrow_mut();
-        scratch.reset(periods as usize);
+        let SweepScratch { in_window, sorted } = &mut *scratch;
+        let order = match history
+            .clock_index()
+            .filter(|ix| ix.period().as_secs() == period)
+        {
+            Some(ix) => ix.entries(),
+            None => {
+                sorted.clear();
+                let logins = history.logins().iter();
+                sorted.extend(logins.map(|&t| ClockIndex::entry(period, t)));
+                sorted.sort_unstable();
+                sorted
+            }
+        };
+        // No logins, no points: every position has prob = 0.  (It also
+        // keeps the cursors' endless walk from spinning on nothing.)
+        if order.is_empty() {
+            return None;
+        }
+        in_window.clear();
+        in_window.resize(periods as usize, 0);
 
-        let pred_end = now + self.config.horizon;
-        let mut win_start = now;
+        let mut enter = Cursor::start(order, period, now);
+        let mut leave = enter;
+        let mut windows_with_activity: i64 = 0;
+        let mut login_count: i64 = 0;
+        // `d` of the newest admitted point: while any point is in the
+        // window it is one of them, and no in-window point lies further.
+        let mut last_d = 0;
         let mut best: Option<Prediction> = None;
 
-        // Outer loop (Algorithm 4 lines 9–47): slide across the horizon.
-        while win_start + w <= pred_end {
-            if let Some(ix) = slots {
-                if !ix.any_login_in_clock_window(win_start, w) {
-                    // No period row of this position can hold a login:
-                    // the reference would compute prob = 0, which never
-                    // improves (the threshold is positive) and ends the
-                    // hill-climb iff a best exists.
-                    if best.is_some() {
-                        break;
-                    }
-                    win_start += s;
-                    continue;
+        // Outer loop (Algorithm 4 lines 9–47): slide across the horizon;
+        // `off = j·s` is `winStart − now`.
+        let mut off = 0;
+        while off + w <= horizon {
+            let mut moved = false;
+            while enter.d(order) <= off + w {
+                if let Some(n) = enter.row(order).and_then(|r| in_window.get_mut(r)) {
+                    *n += 1;
+                    windows_with_activity += i64::from(*n == 1);
+                    login_count += 1;
+                    last_d = enter.d(order);
+                    moved = true;
                 }
+                enter.advance(order, period);
             }
-            let mut windows_with_activity: i64 = 0;
-            let mut login_count: i64 = 0;
-            let mut earliest_offset = w; // line 11: init to @w
-            let mut last_offset = Seconds::ZERO; // line 12
-
-            // Inner loop (lines 15–35): same clock window on each of the
-            // previous `periods` seasonal periods, answered from the
-            // sorted login cache by two monotone cursors per row.
-            for prev in 1..=periods {
-                let lo = (win_start - period * prev).as_secs();
-                let hi = lo + w.as_secs();
-                let row = (prev - 1) as usize;
-                let f = &mut scratch.first[row];
-                if *f == UNINIT {
-                    *f = logins.partition_point(|&t| t < lo);
-                } else {
-                    while *f < logins.len() && logins[*f] < lo {
-                        *f += 1;
-                    }
+            while leave.d(order) < off {
+                if let Some(n) = leave.row(order).and_then(|r| in_window.get_mut(r)) {
+                    *n -= 1;
+                    windows_with_activity -= i64::from(*n == 0);
+                    login_count -= 1;
+                    moved = true;
                 }
-                let f = *f;
-                let e = &mut scratch.end[row];
-                if *e == UNINIT {
-                    *e = logins.partition_point(|&t| t <= hi);
-                } else {
-                    while *e < logins.len() && logins[*e] <= hi {
-                        *e += 1;
-                    }
+                leave.advance(order, period);
+            }
+            // The same points as at the previous position give the same
+            // prob: it still fails the threshold if nothing has hit yet,
+            // and cannot improve on itself if something has.
+            if !moved {
+                if best.is_some() {
+                    break;
                 }
-                let e = *e;
-                if f < e {
-                    // `logins[f]` / `logins[e - 1]` are exactly the MIN /
-                    // MAX the reference's range scan returns, and `e - f`
-                    // its login count.
-                    earliest_offset = earliest_offset.min(Seconds(logins[f] - lo));
-                    last_offset = last_offset.max(Seconds(logins[e - 1] - lo));
-                    windows_with_activity += 1;
-                    if self.basis == ConfidenceBasis::Logins {
-                        login_count += (e - f) as i64;
-                    }
-                }
+                off += s;
+                continue;
             }
 
             let prob = match self.basis {
@@ -240,15 +284,21 @@ impl IncrementalPredictor {
                 Some(b) => prob > b.confidence,
             };
             if improves {
+                // MIN / MAX over the rows (lines 19–24): the first and
+                // the last valid point between the cursors.
+                let mut first = leave;
+                while first.row(order).and_then(|r| in_window.get(r)).is_none() {
+                    first.advance(order, period);
+                }
                 best = Some(Prediction {
-                    start: win_start + earliest_offset,
-                    end: win_start + last_offset,
+                    start: now + Seconds(first.d(order)),
+                    end: now + Seconds(last_d),
                     confidence: prob,
                 });
             } else if best.is_some() {
                 break; // first non-improving window after a hit
             }
-            win_start += s;
+            off += s;
         }
         best
     }
@@ -267,7 +317,7 @@ impl Predictor for IncrementalPredictor {
         "probabilistic-incremental"
     }
 
-    fn wants_slot_index(&self) -> bool {
+    fn wants_clock_index(&self) -> bool {
         true
     }
 }
@@ -366,6 +416,193 @@ mod tests {
         }
     }
 
+    /// Small knobs for the edge table: `w` = 2 h, `s` = 1 h, `p` = 6 h
+    /// (five positions), three periods of history.
+    fn edge_config(seasonality: Seasonality, confidence: f64) -> PolicyConfig {
+        PolicyConfig::builder()
+            .seasonality(seasonality)
+            .confidence(confidence)
+            .window(Seconds::hours(2))
+            .slide(Seconds::hours(1))
+            .horizon(Seconds::hours(6))
+            .history_len(seasonality.period() * 3)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn edge_table_matches_naive() {
+        struct Edge {
+            name: &'static str,
+            config: PolicyConfig,
+            now: i64,
+            /// Login timestamps relative to `now`.
+            logins: Vec<i64>,
+            /// Whether a prediction is expected at all (keeps the table
+            /// from passing on `None == None` throughout).
+            hit: bool,
+        }
+        let daily = edge_config(Seasonality::Daily, 0.3);
+        let weekly = edge_config(Seasonality::Weekly, 0.3);
+        let one_position = PolicyConfig {
+            window: Seconds::hours(6),
+            ..daily
+        };
+        let two_laps = PolicyConfig {
+            horizon: Seconds::days(2),
+            confidence: 0.6,
+            ..daily
+        };
+        // 23:00, so most logins below sit *behind* `now` on the clock and
+        // the walk starts by wrapping into its second lap.
+        let now = 10 * DAY + 23 * HOUR;
+        let week = 7 * DAY;
+        let edge = |name, config, logins: &[i64], hit| Edge {
+            name,
+            config,
+            now,
+            logins: logins.to_vec(),
+            hit,
+        };
+        let table = vec![
+            edge("empty history", daily, &[], false),
+            // Row prev = 1 at the first position covers [−1 d, −1 d + 2 h].
+            edge("t = lo at the first position", daily, &[-DAY], true),
+            edge(
+                "t = lo − 1 at the first position",
+                daily,
+                &[-DAY - 1],
+                false,
+            ),
+            edge(
+                "t = hi at the first position",
+                daily,
+                &[-DAY + 2 * HOUR],
+                true,
+            ),
+            edge(
+                "t = hi + 1 at the first position",
+                daily,
+                &[-DAY + 2 * HOUR + 1],
+                true,
+            ),
+            // … and at the last position [−1 d + 4 h, −1 d + 6 h].
+            edge(
+                "t = lo at the last position",
+                daily,
+                &[-DAY + 4 * HOUR],
+                true,
+            ),
+            edge(
+                "t = hi at the last position",
+                daily,
+                &[-DAY + 6 * HOUR],
+                true,
+            ),
+            edge(
+                "t = hi + 1 at the last position",
+                daily,
+                &[-DAY + 6 * HOUR + 1],
+                false,
+            ),
+            edge(
+                "window == horizon, inside",
+                one_position,
+                &[-2 * DAY + 6 * HOUR],
+                true,
+            ),
+            edge(
+                "window == horizon, outside",
+                one_position,
+                &[-2 * DAY + 6 * HOUR + 1],
+                false,
+            ),
+            // Below the 0.6 threshold until the second lap, where the
+            // login after `now` (row 1) and yesterday's (row 2) line up.
+            edge(
+                "second lap sees a login after now",
+                two_laps,
+                &[3 * HOUR, -DAY + 3 * HOUR + 60],
+                true,
+            ),
+            edge("a login after now, alone", daily, &[HOUR], false),
+            edge(
+                "a login after now is not counted",
+                daily,
+                &[HOUR, -DAY + HOUR + 60],
+                true,
+            ),
+            edge("kept-oldest tuple, alone", daily, &[-5 * DAY + HOUR], false),
+            edge(
+                "kept-oldest tuple is not counted",
+                daily,
+                &[-5 * DAY + HOUR, -DAY + HOUR + 30],
+                true,
+            ),
+            edge(
+                "several logins per row and window",
+                daily,
+                &[-DAY + 10, -DAY + 20, -2 * DAY + 30, -3 * DAY + 2 * HOUR + 5],
+                true,
+            ),
+            edge("weekly, t = lo", weekly, &[-week], true),
+            edge(
+                "weekly, t = hi at the last position",
+                weekly,
+                &[-week + 6 * HOUR],
+                true,
+            ),
+            edge("weekly, one day off", weekly, &[-week + DAY], false),
+            edge(
+                "weekly, beyond the history",
+                weekly,
+                &[-4 * week + HOUR],
+                false,
+            ),
+            Edge {
+                name: "before the epoch",
+                config: daily,
+                now: -3 * DAY + 5 * HOUR,
+                logins: vec![-DAY + HOUR, -2 * DAY + HOUR + 7],
+                hit: true,
+            },
+        ];
+        for Edge {
+            name,
+            config,
+            now,
+            logins,
+            hit,
+        } in table
+        {
+            let mut plain = HistoryTable::new();
+            for at in logins {
+                plain.insert_history(t(now + at), EventKind::Start);
+            }
+            let mut indexed = plain.clone();
+            indexed.configure_slot_index(config.seasonality.period(), config.slide);
+            let mut mismatched = plain.clone();
+            mismatched.configure_slot_index(Seconds::hours(5), config.slide);
+            for basis in [ConfidenceBasis::Windows, ConfidenceBasis::Logins] {
+                let naive = ProbabilisticPredictor::with_basis(config, basis).unwrap();
+                let incr = IncrementalPredictor::with_basis(config, basis).unwrap();
+                let want = naive.predict_at(&plain, t(now));
+                assert_eq!(want.is_some(), hit, "{name} ({basis:?}): expectation");
+                for (source, h) in [
+                    ("no index", &plain),
+                    ("index", &indexed),
+                    ("mismatched index", &mismatched),
+                ] {
+                    assert_eq!(
+                        incr.predict_at(h, t(now)),
+                        want,
+                        "{name} ({basis:?}, {source})"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn mismatched_slot_index_is_ignored_not_trusted() {
         // A daily-period index under a weekly-period predictor must not
@@ -434,7 +671,7 @@ mod tests {
     fn trait_impl_reports_name_and_index_appetite() {
         let mut p = IncrementalPredictor::new(config(0.5, 2)).unwrap();
         assert_eq!(p.name(), "probabilistic-incremental");
-        assert!(crate::Predictor::wants_slot_index(&p));
+        assert!(crate::Predictor::wants_clock_index(&p));
         let h = scrambled_history(100, 6, 1);
         assert!(crate::Predictor::predict(&mut p, &h, t(5 * DAY)).is_ok());
     }

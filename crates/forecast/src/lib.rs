@@ -3,7 +3,10 @@
 //! The deployed predictor is the probabilistic sliding-window detector of
 //! Algorithm 4, here in a native implementation over the B-tree-indexed
 //! history table ([`probabilistic`]), supporting both the daily default and
-//! the weekly seasonality variant §9.2 mentions.
+//! the weekly seasonality variant §9.2 mentions.  [`incremental`] is the
+//! same algorithm as the engines run it: one window sliding over the
+//! logins in seasonal-clock order, bit-identical to the scan at
+//! `O(logins passed + window positions)` per prediction.
 //!
 //! The paper argues (§1, §3.2, §10) that simple statistical/probabilistic
 //! techniques are accurate enough in practice and evaluates against that
@@ -61,13 +64,13 @@ pub trait Predictor {
     /// Short name for telemetry and experiment tables.
     fn name(&self) -> &'static str;
 
-    /// Whether this predictor benefits from the history store's
-    /// slot-occupancy index
+    /// Whether this predictor reads the history store's clock-ordered
+    /// login index
     /// ([`HistoryStore::configure_slot_index`](prorp_storage::HistoryStore::configure_slot_index)).
     /// Engines configure the index on their history only when the
     /// predictor asks for it, so reference/naive runs stay free of
     /// index-maintenance overhead.  Wrappers must forward this.
-    fn wants_slot_index(&self) -> bool {
+    fn wants_clock_index(&self) -> bool {
         false
     }
 }

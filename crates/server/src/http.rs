@@ -104,24 +104,30 @@ impl Response {
 /// Read and parse one request off the stream.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
+    // The head is read through a cap of one byte more than allowed, so a
+    // peer that never sends a newline cannot make a line grow without
+    // limit: a spent cap means the head was too large.
+    let mut head = reader.by_ref().take(MAX_HEAD as u64 + 1);
+    let too_large = || Response::text(413, "header block too large\n".into());
     // Request line, then headers until the blank line.
+    let mut request_line = String::new();
+    head.read_line(&mut request_line)
+        .map_err(|_| Response::text(400, "unreadable request line\n".into()))?;
+    if head.limit() == 0 {
+        return Err(too_large());
+    }
     let mut content_length = 0usize;
     let mut line = String::new();
-    reader
-        .read_line(&mut head)
-        .map_err(|_| Response::text(400, "unreadable request line\n".into()))?;
     loop {
         line.clear();
-        let n = reader
+        let n = head
             .read_line(&mut line)
             .map_err(|_| Response::text(400, "unreadable header\n".into()))?;
+        if head.limit() == 0 {
+            return Err(too_large());
+        }
         if n == 0 || line == "\r\n" || line == "\n" {
             break;
-        }
-        head.push_str(&line);
-        if head.len() > MAX_HEAD {
-            return Err(Response::text(413, "header block too large\n".into()));
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -141,7 +147,6 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
         .map_err(|_| Response::text(400, "truncated body\n".into()))?;
     let body =
         String::from_utf8(body).map_err(|_| Response::text(400, "body is not utf-8\n".into()))?;
-    let request_line = head.lines().next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m.to_string(), t),
@@ -267,6 +272,46 @@ mod tests {
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         let reply = roundtrip(&handle, "POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        handle.shutdown();
+    }
+
+    /// What the peer sees after sending `raw`: every byte up to the close.
+    /// The server may close with input unread, which resets the
+    /// connection, so write and read errors end the exchange like EOF.
+    fn reply_until_close(handle: &ServerHandle, raw: &[u8]) -> String {
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let _ = s.write_all(raw);
+        let mut out = Vec::new();
+        if let Err(e) = s.read_to_end(&mut out) {
+            assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "left open");
+            assert_ne!(e.kind(), std::io::ErrorKind::TimedOut, "left open");
+        }
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn an_endless_line_gets_413_and_a_closed_connection() {
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(|_| Response::text(200, "ok".into())),
+        )
+        .unwrap();
+        // 64 KiB and never a newline, as the request line …
+        let reply = reply_until_close(&handle, &[b'a'; 64 * 1024]);
+        assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+        // … and as a header line.
+        let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        raw.resize(64 * 1024, b'a');
+        let reply = reply_until_close(&handle, &raw);
+        assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+        // A head of exactly the cap is still served.
+        let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        raw.resize(MAX_HEAD - 4, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let reply = reply_until_close(&handle, &raw);
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
         handle.shutdown();
     }
 }

@@ -64,7 +64,7 @@ pub fn restore_history(stream: &[u8]) -> Result<HistoryTable, ProrpError> {
 /// Rebuild a history store of the requested backend kind from a backup
 /// stream — the restore half of the pluggable-storage seam.  Either
 /// backend restores from any stream (the format is backend-independent)
-/// with the shared restore contract: mutation version reset to 0, slot
+/// with the shared restore contract: mutation version reset to 0, clock
 /// index unconfigured.
 ///
 /// # Errors

@@ -18,11 +18,11 @@
 //!
 //! # Prediction-index support
 //!
-//! The view's optional [`SlotIndex`] is defined here: a
-//! per-seasonal-period occupancy bitmap (plus per-slot login counts)
-//! over `slide`-granularity clock slots, enabled with
-//! [`HistoryStore::configure_slot_index`] and updated `O(1)` per login
-//! insert/delete.
+//! The view's optional [`ClockIndex`] is defined here: the visible
+//! logins as `(t mod period, t div period)` pairs in ascending order —
+//! the order Algorithm 4's window meets them in — enabled with
+//! [`HistoryStore::configure_slot_index`] and kept current by one binary
+//! search per login insert and one pass per deleting trim.
 
 use crate::btree::BTree;
 use crate::page::Record;
@@ -30,139 +30,69 @@ use crate::store::{HistoryRead, HistoryStore};
 use crate::view::LiveView;
 use prorp_types::{EventKind, Seconds, Timestamp};
 
-/// Occupancy index over login *clock offsets* within one seasonal period.
+/// The visible logins in *seasonal-clock order*: one
+/// `(t mod period, t div period)` entry per login timestamp `t`, sorted
+/// ascending, so 16 B per login.
 ///
-/// Each login timestamp `t` lands in slot `(t mod period) / slot_len`;
-/// the index keeps a bitmap of occupied slots plus a per-slot login
-/// count.  Because Algorithm 4 compares the *same* clock window against
-/// every previous period (`winStart − period·prev ≡ winStart (mod
-/// period)`), one bitmap probe answers "could any period-row of this
-/// window position contain a login?" for all rows at once — a false
-/// positive merely costs the exact sweep, while a false negative is
-/// impossible since the probed slot range covers the window's whole
-/// clock interval.
+/// Algorithm 4 compares the same clock window against every previous
+/// period, and whether the row `prev` periods back sees login `t` at a
+/// window position depends only on `d = t − now + period·prev`, whose
+/// residue `d mod period` is `(t mod period) − (now mod period)`.
+/// Walking the entries in this order, circularly from `now`'s clock
+/// offset, therefore yields every (login, row) pair in ascending `d` —
+/// the one sequence `IncrementalPredictor` slides its window over.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SlotIndex {
+pub struct ClockIndex {
     /// Seasonal period in seconds (positive).
     period: i64,
-    /// Slot granularity in seconds (positive, at most `period`).
-    slot_len: i64,
-    /// Number of slots: `ceil(period / slot_len)`.
-    slots: usize,
-    /// Occupancy bitmap, one bit per slot.
-    words: Vec<u64>,
-    /// Logins currently indexed per slot.
-    counts: Vec<u32>,
-    /// Total logins indexed.
-    total: u64,
+    /// `(t mod period, t div period)` per visible login, ascending.
+    entries: Vec<(i64, i64)>,
 }
 
-impl SlotIndex {
-    /// An empty index; `None` when the parameters are degenerate.
-    fn new(period: Seconds, slot_len: Seconds) -> Option<SlotIndex> {
-        let p = period.as_secs();
-        let g = slot_len.as_secs();
-        if p <= 0 || g <= 0 {
+impl ClockIndex {
+    /// The index over a login cache; `None` when `period` is degenerate.
+    pub(crate) fn rebuilt(period: Seconds, logins: &[i64]) -> Option<ClockIndex> {
+        let period = period.as_secs();
+        if period <= 0 {
             return None;
         }
-        let g = g.min(p);
-        let slots = ((p + g - 1) / g) as usize;
-        Some(SlotIndex {
-            period: p,
-            slot_len: g,
-            slots,
-            words: vec![0; slots.div_ceil(64)],
-            counts: vec![0; slots],
-            total: 0,
-        })
+        let mut entries: Vec<_> = logins.iter().map(|&t| Self::entry(period, t)).collect();
+        entries.sort_unstable();
+        Some(ClockIndex { period, entries })
     }
 
-    /// Rebuild from a sorted login cache.
-    pub(crate) fn rebuilt(period: Seconds, slot_len: Seconds, logins: &[i64]) -> Option<SlotIndex> {
-        let mut ix = SlotIndex::new(period, slot_len)?;
-        for &t in logins {
-            ix.add(t);
-        }
-        Some(ix)
+    /// Where login `t` sits on a clock of `period` seconds: its offset
+    /// into the period and the period's ordinal (both euclidean, so
+    /// `t = ordinal · period + offset` with `0 <= offset < period` for
+    /// negative timestamps too).
+    pub fn entry(period: i64, t: i64) -> (i64, i64) {
+        (t.rem_euclid(period), t.div_euclid(period))
     }
 
-    /// The seasonal period this index is bucketed over.
+    /// The seasonal period this index is ordered over.
     pub fn period(&self) -> Seconds {
         Seconds(self.period)
     }
 
-    /// The slot granularity.
-    pub fn slot_len(&self) -> Seconds {
-        Seconds(self.slot_len)
+    /// The entries, ascending; one per visible login.
+    pub fn entries(&self) -> &[(i64, i64)] {
+        &self.entries
     }
 
-    /// Total logins currently indexed.
-    pub fn total_logins(&self) -> u64 {
-        self.total
+    pub(crate) fn add(&mut self, t: i64) {
+        let entry = Self::entry(self.period, t);
+        let at = self.entries.partition_point(|&e| e < entry);
+        self.entries.insert(at, entry);
     }
 
-    fn slot_of(&self, ts: i64) -> usize {
-        (ts.rem_euclid(self.period) / self.slot_len) as usize
-    }
-
-    pub(crate) fn add(&mut self, ts: i64) {
-        let s = self.slot_of(ts);
-        self.counts[s] += 1;
-        self.words[s / 64] |= 1 << (s % 64);
-        self.total += 1;
-    }
-
-    pub(crate) fn remove(&mut self, ts: i64) {
-        let s = self.slot_of(ts);
-        self.counts[s] = self.counts[s]
-            .checked_sub(1)
-            .expect("slot index decrement without a matching insert");
-        if self.counts[s] == 0 {
-            self.words[s / 64] &= !(1 << (s % 64));
-        }
-        self.total -= 1;
-    }
-
-    /// Any occupied slot in the inclusive slot range `[a, b]`?
-    fn any_in_slots(&self, a: usize, b: usize) -> bool {
-        let (wa, wb) = (a / 64, b / 64);
-        let lo_mask = !0u64 << (a % 64);
-        let hi_mask = !0u64 >> (63 - (b % 64));
-        if wa == wb {
-            return self.words[wa] & lo_mask & hi_mask != 0;
-        }
-        if self.words[wa] & lo_mask != 0 {
-            return true;
-        }
-        if self.words[wa + 1..wb].iter().any(|&w| w != 0) {
-            return true;
-        }
-        self.words[wb] & hi_mask != 0
-    }
-
-    /// Conservative occupancy probe for the clock window
-    /// `[win_start mod period, win_start mod period + w]`: `false`
-    /// guarantees no login of *any* seasonal period falls inside a
-    /// window of length `w` starting at `win_start − period·prev` for
-    /// any `prev`; `true` says some covered slot holds a login (which
-    /// may still fall outside the exact window bounds).
-    pub fn any_login_in_clock_window(&self, win_start: Timestamp, w: Seconds) -> bool {
-        if self.total == 0 {
-            return false;
-        }
-        if w.as_secs() >= self.period {
-            return true; // the window covers the whole period
-        }
-        let clock_lo = win_start.as_secs().rem_euclid(self.period);
-        let clock_hi = clock_lo + w.as_secs();
-        let a = (clock_lo / self.slot_len) as usize;
-        if clock_hi >= self.period {
-            // The clock interval wraps past the period boundary.
-            self.any_in_slots(a, self.slots - 1)
-                || self.any_in_slots(0, ((clock_hi - self.period) / self.slot_len) as usize)
-        } else {
-            self.any_in_slots(a, (clock_hi / self.slot_len) as usize)
-        }
+    /// Drop every login strictly between `lo` and `hi` (Algorithm 3's
+    /// doomed range).
+    pub(crate) fn remove_between(&mut self, lo: i64, hi: i64) {
+        let period = self.period;
+        self.entries.retain(|&(offset, ordinal)| {
+            let t = ordinal * period + offset;
+            t <= lo || hi <= t
+        });
     }
 }
 
@@ -256,8 +186,8 @@ impl HistoryStore for HistoryTable {
         outcome
     }
 
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.view.configure_slot_index(period, slot_len);
+    fn configure_slot_index(&mut self, period: Seconds, _slot_len: Seconds) {
+        self.view.configure_clock_index(period);
     }
 
     /// Verify the clustered index's B-tree properties (key ordering, node
@@ -396,38 +326,47 @@ mod tests {
         assert!(outcome.old);
         assert_eq!(h.logins(), &[100, 400, 500]);
         h.check_invariants();
-        assert_eq!(h.slot_index().unwrap().total_logins(), 3);
+        assert_eq!(h.clock_index().unwrap().entries().len(), 3);
     }
 
     #[test]
-    fn slot_index_probe_is_conservative_and_never_misses() {
+    fn clock_index_orders_logins_by_offset_then_period() {
         let mut h = HistoryTable::new();
-        let day = Seconds::days(1);
-        h.configure_slot_index(day, Seconds::minutes(5));
-        // Logins at 09:00 across three days, plus one at 23:59 (exercises
-        // windows that wrap the period boundary).
-        for d in 0..3 {
+        h.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
+        // 09:00 on three days, one 23:59 login, one before the epoch
+        // (euclidean: −60 s is 23:59 of period −1), and a logout the
+        // index must not see.
+        for d in [2, 0, 1] {
             h.insert_history(t(d * 86_400 + 9 * 3_600), EventKind::Start);
         }
         h.insert_history(t(86_400 - 60), EventKind::Start);
-        let ix = h.slot_index().unwrap();
-        let w = Seconds::hours(1);
-        // Every real login must be covered at every window that contains
-        // it: probe windows starting at each login minus a sub-window lag.
-        for &login in h.logins() {
-            for lag in [0, 1, 1_800, 3_599] {
-                assert!(
-                    ix.any_login_in_clock_window(t(login - lag), w),
-                    "probe missed login {login} at lag {lag}"
-                );
-            }
-        }
-        // A clock window with no logins anywhere near it reports empty.
-        assert!(!ix.any_login_in_clock_window(t(3 * 3_600), w));
-        // Wrapping window: starts 23:30, covers the 23:59 login.
-        assert!(ix.any_login_in_clock_window(t(23 * 3_600 + 1_800), w));
-        // A window at least one period long always reports occupancy.
-        assert!(ix.any_login_in_clock_window(t(3 * 3_600), day));
+        h.insert_history(t(-60), EventKind::Start);
+        h.insert_history(t(10 * 3_600), EventKind::End);
+        let ix = h.clock_index().unwrap();
+        assert_eq!(ix.period(), Seconds::days(1));
+        assert_eq!(
+            ix.entries(),
+            &[
+                (9 * 3_600, 0),
+                (9 * 3_600, 1),
+                (9 * 3_600, 2),
+                (86_340, -1),
+                (86_340, 0)
+            ]
+        );
+        h.check_invariants();
+        // A trim keeps the oldest tuple and drops only what lies
+        // strictly inside the doomed range.
+        h.delete_old_history(Seconds::days(1), t(2 * 86_400 + 9 * 3_600));
+        let ix = h.clock_index().unwrap();
+        assert_eq!(
+            ix.entries(),
+            &[(9 * 3_600, 1), (9 * 3_600, 2), (86_340, -1)]
+        );
+        h.check_invariants();
+        // A degenerate period disables the index.
+        h.configure_slot_index(Seconds::ZERO, Seconds::minutes(5));
+        assert!(h.clock_index().is_none());
     }
 
     #[test]
@@ -446,11 +385,11 @@ mod tests {
         let restored = HistoryTable::from_records(&records).unwrap();
         assert_eq!(restored.logins(), h.logins());
         assert_eq!(restored.version(), 0);
-        assert!(restored.slot_index().is_none());
+        assert!(restored.clock_index().is_none());
         restored.check_invariants();
         let mut reconfigured = restored;
         reconfigured.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
-        assert_eq!(reconfigured.slot_index(), h.slot_index());
+        assert_eq!(reconfigured.clock_index(), h.clock_index());
         reconfigured.check_invariants();
     }
 

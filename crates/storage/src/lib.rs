@@ -60,7 +60,7 @@ pub mod wal;
 
 pub use backup::{backup_history, restore_backend, restore_history};
 pub use btree::BTree;
-pub use history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
+pub use history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
 pub use lsm::{
     CompactionMode, CompactionScheduler, LsmConfig, LsmHistory, LsmMetrics, LsmSnapshot,
     RangeTombstone, TimeTravel,

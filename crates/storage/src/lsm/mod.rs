@@ -563,7 +563,7 @@ impl LsmHistory {
 
     /// Rebuild from backup page records: the tuples become one base run
     /// at seqno 0, matching the B+Tree restore contract (version resets
-    /// to 0, slot index unconfigured, no time-travel past the restore).
+    /// to 0, clock index unconfigured, no time-travel past the restore).
     pub(crate) fn from_records(records: &[Record]) -> Result<Self, ProrpError> {
         let mut store = LsmHistory::new();
         store.view = LiveView::from_records(records)?;
@@ -660,8 +660,8 @@ impl HistoryStore for LsmHistory {
         outcome
     }
 
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.view.configure_slot_index(period, slot_len);
+    fn configure_slot_index(&mut self, period: Seconds, _slot_len: Seconds) {
+        self.view.configure_clock_index(period);
     }
 
     /// Audit the store's structural invariants: run shape and seqno
@@ -925,7 +925,7 @@ mod tests {
             let snap = h.snapshot(seqno);
             assert_eq!(snap.seqno(), seqno);
             assert_eq!(snap.len(), live, "snapshot at seqno {seqno}");
-            assert!(snap.slot_index().is_none(), "snapshots carry no index");
+            assert!(snap.clock_index().is_none(), "snapshots carry no index");
         }
         // Seqno 0 is the empty store; clamping applies past the end.
         assert_eq!(h.snapshot(0).len(), 0);
@@ -968,7 +968,7 @@ mod tests {
         assert_eq!(restored.version(), 0);
         assert_eq!(restored.len(), 3);
         assert_eq!(restored.logins(), h.logins());
-        assert!(restored.slot_index().is_none());
+        assert!(restored.clock_index().is_none());
         restored.check_invariants();
     }
 
@@ -1004,7 +1004,7 @@ mod tests {
         let outcome = h.delete_old_history(Seconds(150), t(500));
         assert!(outcome.old);
         assert_eq!(h.logins(), &[100, 400, 500]);
-        assert_eq!(h.slot_index().unwrap().total_logins(), 3);
+        assert_eq!(h.clock_index().unwrap().entries().len(), 3);
         h.check_invariants();
     }
 

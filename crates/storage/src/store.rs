@@ -7,12 +7,12 @@
 //!
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
 //!   incremental prediction index consume (window aggregates, the sorted
-//!   login cache, the optional slot-occupancy index, the mutation
+//!   login cache, the optional clock-ordered login index, the mutation
 //!   version).  An implementor only says where its [`LiveView`] is; every
 //!   read is a provided delegate to that one layer.  Frozen views such
 //!   as [`crate::lsm::LsmSnapshot`] implement only this half.
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
-//!   the slot-index and invariant hooks the engines call.
+//!   the clock-index and invariant hooks the engines call.
 //!
 //! [`HistoryBackend`] is the enum-dispatch wrapper the engines actually
 //! store: one variant per backend, so per-database state stays `Clone`
@@ -23,7 +23,7 @@
 //! aggregates, same mutation version after every call — which the
 //! testkit's `storage_conformance` differential oracles enforce.
 
-use crate::history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
+use crate::history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
 use crate::lsm::LsmHistory;
 use crate::view::LiveView;
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
@@ -87,15 +87,16 @@ pub trait HistoryRead {
         self.view().version()
     }
 
-    /// The sorted login (`event_type = 1`) timestamps — the incremental
-    /// predictor's cursor-sweep substrate.
+    /// The sorted login (`event_type = 1`) timestamps — what the
+    /// incremental predictor sorts into clock order itself when no
+    /// matching [`clock_index`](HistoryRead::clock_index) is configured.
     fn logins(&self) -> &[i64] {
         self.view().logins()
     }
 
-    /// The slot-occupancy index, when one has been configured.
-    fn slot_index(&self) -> Option<&SlotIndex> {
-        self.view().slot_index()
+    /// The clock-ordered login index, when one has been configured.
+    fn clock_index(&self) -> Option<&ClockIndex> {
+        self.view().clock_index()
     }
 
     /// All visible events in timestamp order.
@@ -105,7 +106,7 @@ pub trait HistoryRead {
 }
 
 /// Mutation surface of a history store — Algorithms 2 and 3 plus the
-/// engine hooks (slot-index configuration, invariant audit).
+/// engine hooks (clock-index configuration, invariant audit).
 pub trait HistoryStore: HistoryRead {
     /// Algorithm 2 — insert-if-not-exists.  Returns `true` when a tuple
     /// was stored.
@@ -121,8 +122,10 @@ pub trait HistoryStore: HistoryRead {
     /// tuple, and report whether the database is "old".
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome;
 
-    /// (Re)build the slot-occupancy index; degenerate parameters disable
-    /// it.
+    /// (Re)build the [`ClockIndex`] over seasonal `period`; a
+    /// non-positive period disables it.  The name and the unused second
+    /// argument date from the slot-occupancy bitmap this index replaced
+    /// and are kept because the benchmark (`crates/ledger`) calls it.
     fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds);
 
     /// Audit the store's structural invariants, panicking with a

@@ -3,20 +3,21 @@
 //! Algorithms 2–4 only ever ask `sys.pause_resume_history` one question —
 //! "what is the visible tuple set?" — so that set is materialised exactly
 //! once, here: sorted `keys`/`vals`, the sorted login (`event_type = 1`)
-//! subset the incremental predictor sweeps, the optional [`SlotIndex`],
-//! and the mutation `version` engines key prediction caches on.
+//! subset, the optional [`ClockIndex`] holding those logins in the
+//! seasonal-clock order the incremental predictor sweeps, and the
+//! mutation `version` engines key prediction caches on.
 //!
 //! [`LiveView`] owns every decision that depends only on the visible
 //! set: Algorithm 2's `IF NOT EXISTS` probe, Algorithm 3's range
 //! computation (`min_ts`, `history_start`, doomed range, `old`/`deleted`),
-//! login-cache and slot-index maintenance, every read, the logical
+//! login-cache and clock-index maintenance, every read, the logical
 //! [`StorageStats`] and the restore-from-records build.  The engines
 //! ([`crate::HistoryTable`], [`crate::LsmHistory`],
 //! [`crate::LsmSnapshot`]) each hold one and keep only their physical
 //! state; each engine's `check_invariants` re-derives the visible set
 //! from that physical state and audits the view against it.
 
-use crate::history::{DeleteOutcome, SlotIndex, StorageStats};
+use crate::history::{ClockIndex, DeleteOutcome, StorageStats};
 use crate::page::{self, Record};
 use prorp_types::{ActivityEvent, EventKind, ProrpError, Seconds, Timestamp};
 use std::ops::Range;
@@ -30,8 +31,8 @@ pub struct LiveView {
     vals: Vec<i64>,
     /// Visible login keys, ascending (the `vals[i] == 1` subset).
     logins: Vec<i64>,
-    /// Optional slot-occupancy index over `logins`.
-    slots: Option<SlotIndex>,
+    /// Optional clock-ordered index over `logins`.
+    clock: Option<ClockIndex>,
     /// Mutation version: bumped whenever the visible set changes.
     version: u64,
 }
@@ -57,7 +58,7 @@ impl LiveView {
     }
 
     /// A view over key-ascending `(keys, vals)` columns at `version`,
-    /// with the login cache derived and no slot index.
+    /// with the login cache derived and no clock index.
     pub(crate) fn from_sorted(keys: Vec<i64>, vals: Vec<i64>, version: u64) -> LiveView {
         let logins = keys
             .iter()
@@ -69,22 +70,22 @@ impl LiveView {
             keys,
             vals,
             logins,
-            slots: None,
+            clock: None,
             version,
         }
     }
 
     /// Rebuild from backup page records — the shared restore contract:
-    /// version reset to 0, slot index unconfigured (the restoring engine
-    /// re-enables it with its own knobs; they do not travel in the
-    /// stream).
+    /// version reset to 0, clock index unconfigured (the restoring
+    /// engine re-enables it with its own period; that does not travel in
+    /// the stream).
     ///
     /// # Errors
     ///
     /// Returns [`ProrpError::Storage`] unless the keys are strictly
     /// ascending: a checksum-valid stream can still carry any key order,
     /// and every read here assumes sortedness.
-    pub(crate) fn from_records(records: &[Record]) -> Result<LiveView, ProrpError> {
+    pub fn from_records(records: &[Record]) -> Result<LiveView, ProrpError> {
         if let Some(w) = records.windows(2).find(|w| w[0].key >= w[1].key) {
             return Err(ProrpError::Storage(format!(
                 "backup records must be strictly ascending by key: {} then {}",
@@ -98,7 +99,7 @@ impl LiveView {
         ))
     }
 
-    /// A frozen copy: same tuples and version, no slot index.
+    /// A frozen copy: same tuples and version, no clock index.
     pub(crate) fn frozen(&self) -> LiveView {
         LiveView::from_sorted(self.keys.clone(), self.vals.clone(), self.version)
     }
@@ -117,7 +118,7 @@ impl LiveView {
         if kind == EventKind::Start {
             let (Ok(lp) | Err(lp)) = locate(&self.logins, key);
             self.logins.insert(lp, key);
-            if let Some(ix) = self.slots.as_mut() {
+            if let Some(ix) = self.clock.as_mut() {
                 ix.add(key);
             }
         }
@@ -152,24 +153,24 @@ impl LiveView {
             return (outcome, None);
         }
         let dead_logins = doomed(&self.logins);
-        if let Some(ix) = self.slots.as_mut() {
-            for &t in &self.logins[dead_logins.clone()] {
-                ix.remove(t);
+        if !dead_logins.is_empty() {
+            if let Some(ix) = self.clock.as_mut() {
+                ix.remove_between(min_ts, history_start);
             }
+            self.logins.drain(dead_logins);
         }
-        self.logins.drain(dead_logins);
         self.keys.drain(dead.clone());
         self.vals.drain(dead);
         self.version += 1;
         (outcome, Some((min_ts, history_start)))
     }
 
-    /// (Re)build the slot-occupancy index bucketing login clock offsets
-    /// into `slot_len`-granularity slots over one `period`; degenerate
-    /// parameters disable it.  Later mutations keep it current in `O(1)`
-    /// per login.
-    pub fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.slots = SlotIndex::rebuilt(period, slot_len, &self.logins);
+    /// (Re)build the clock-ordered login index over one seasonal
+    /// `period`; a non-positive period disables it.  Later mutations keep
+    /// it current: a binary search per login insert, one pass per trim
+    /// that deletes a login.
+    pub fn configure_clock_index(&mut self, period: Seconds) {
+        self.clock = ClockIndex::rebuilt(period, &self.logins);
     }
 
     /// `SELECT MIN(time_snapshot), MAX(time_snapshot), COUNT(*) WHERE
@@ -224,9 +225,9 @@ impl LiveView {
         &self.logins
     }
 
-    /// The slot-occupancy index, when one has been configured.
-    pub fn slot_index(&self) -> Option<&SlotIndex> {
-        self.slots.as_ref()
+    /// The clock-ordered login index, when one has been configured.
+    pub fn clock_index(&self) -> Option<&ClockIndex> {
+        self.clock.as_ref()
     }
 
     /// The `event_type` visible for `key`, if any.
@@ -267,7 +268,8 @@ impl LiveView {
 
     /// Assert that this view is exactly what `visible` — the key-ascending
     /// `(key, event_type)` pairs an engine re-derived from its physical
-    /// state — materialises to, and that the slot index matches a rebuild.
+    /// state — materialises to, and that the clock index matches a rebuild
+    /// (sorted, one entry per visible login).
     ///
     /// # Panics
     ///
@@ -287,10 +289,13 @@ impl LiveView {
             self.logins, expected.logins,
             "login cache diverged from {source}"
         );
-        if let Some(ix) = &self.slots {
-            let rebuilt = SlotIndex::rebuilt(ix.period(), ix.slot_len(), &self.logins)
-                .expect("a configured slot index has valid parameters");
-            assert_eq!(*ix, rebuilt, "slot index diverged from a rebuild");
+        if let Some(ix) = &self.clock {
+            let rebuilt = ClockIndex::rebuilt(ix.period(), &self.logins);
+            assert_eq!(
+                Some(ix),
+                rebuilt.as_ref(),
+                "clock index diverged from a rebuild"
+            );
         }
     }
 }

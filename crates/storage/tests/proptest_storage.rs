@@ -180,16 +180,23 @@ proptest! {
 #[derive(Clone, Debug)]
 enum ViewOp {
     Insert(i64, bool),
-    Trim { h: i64, now: i64 },
+    Trim {
+        h: i64,
+        now: i64,
+    },
+    /// Rebuild the view from its own backup records and re-enable the
+    /// clock index, as a database move does.
+    Restore,
 }
 
 /// A key space small enough that duplicates, out-of-order arrivals and
 /// re-inserts of trimmed keys are all common; negative keys exercise the
-/// slot index's euclidean bucketing.
+/// clock index's euclidean offsets.
 fn view_op_strategy() -> impl Strategy<Value = ViewOp> {
     prop_oneof![
-        6 => (-300i64..1_500, any::<bool>()).prop_map(|(ts, s)| ViewOp::Insert(ts, s)),
-        1 => (1i64..1_200, -300i64..2_200).prop_map(|(h, now)| ViewOp::Trim { h, now }),
+        12 => (-300i64..1_500, any::<bool>()).prop_map(|(ts, s)| ViewOp::Insert(ts, s)),
+        2 => (1i64..1_200, -300i64..2_200).prop_map(|(h, now)| ViewOp::Trim { h, now }),
+        1 => Just(ViewOp::Restore),
     ]
 }
 
@@ -203,9 +210,9 @@ proptest! {
         windows in prop::collection::vec((-400i64..1_600, 0i64..700), 1..6),
     ) {
         // A 400-s period over 1 800 s of keys wraps several times.
-        let (period, slot_len, probe_w) = (Seconds(400), Seconds(25), 60);
+        let period = 400;
         let mut view = LiveView::new();
-        view.configure_slot_index(period, slot_len);
+        view.configure_clock_index(Seconds(period));
         let mut model: BTreeMap<i64, i64> = BTreeMap::new();
         let mut version = 0u64;
         for op in ops {
@@ -239,6 +246,14 @@ proptest! {
                         model.remove(&k);
                     }
                 }
+                ViewOp::Restore => {
+                    let records: Vec<Record> =
+                        model.iter().map(|(&key, &value)| Record { key, value }).collect();
+                    view = LiveView::from_records(&records).unwrap();
+                    prop_assert!(view.clock_index().is_none(), "the index does not travel");
+                    view.configure_clock_index(Seconds(period));
+                    version = 0;
+                }
             }
             prop_assert_eq!(view.version(), version);
             prop_assert_eq!(view.len(), model.len());
@@ -268,18 +283,17 @@ proptest! {
                 );
                 prop_assert_eq!(view.get(lo), model.get(&lo).copied());
             }
-            // The slot probe is conservative: a window containing a login
-            // never reports empty, wherever in the window the login sits.
-            let ix = view.slot_index().expect("configured above");
-            prop_assert_eq!(ix.total_logins(), logins.len() as u64);
-            for &login in &logins {
-                for lag in [0, probe_w / 2, probe_w] {
-                    prop_assert!(
-                        ix.any_login_in_clock_window(Timestamp(login - lag), Seconds(probe_w)),
-                        "probe missed login {} at lag {}", login, lag
-                    );
-                }
-            }
+            // The clock index holds exactly the visible logins — one
+            // `(t mod period, t div period)` entry each — in ascending
+            // order, hence duplicate-free.
+            let ix = view.clock_index().expect("configured above");
+            let mut clock: Vec<(i64, i64)> = logins
+                .iter()
+                .map(|&t| (t.rem_euclid(period), t.div_euclid(period)))
+                .collect();
+            clock.sort_unstable();
+            prop_assert_eq!(ix.entries(), &clock[..]);
+            prop_assert!(clock.windows(2).all(|w| w[0] < w[1]));
         }
     }
 }
