@@ -19,11 +19,22 @@
 //! a DES shard worker), so the [`LiveDriver`] lives on one dedicated
 //! driver thread.  Connection handlers forward the parsed request over a
 //! channel and block on the reply — the control-plane analogue of the
-//! one-event-loop-per-shard rule the simulator already enforces.  On
-//! every watermark advance the driver republishes per-database
-//! [`DbRecord`]s and folds freshly raised incidents into *open incident*
-//! markers — the thing `GET` turns into an HTTP 503 until an operator
-//! resume clears it.
+//! one-event-loop-per-shard rule the simulator already enforces.
+//!
+//! # Publishing
+//!
+//! After every watermark advance the driver thread folds freshly raised
+//! incidents into *open incident* markers — the thing `GET` turns into
+//! an HTTP 503 until an operator resume clears it — and publishes a
+//! [`DbRecord`] for each database the advance *touched*: one an event
+//! reached ([`LiveDriver::take_touched`]) or an incident was raised
+//! for.  A minute touches a sliver of the fleet (§9.3, Figure 11), so
+//! an advance costs what it changed, never a sweep over every
+//! database; only the boot publish covers everyone, because a freshly
+//! registered database counts as touched.  A record nobody touched is
+//! still current — nothing about it can have changed — except for its
+//! `as_of`, so `GET /v1/databases/:id` stamps `as_of` from the server's
+//! watermark when it answers.
 
 use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
@@ -55,34 +66,56 @@ struct ServerState {
     driver: Option<LiveDriver>,
     clock: LiveClock,
     backend: Arc<dyn StateBackend>,
-    /// How many canonical incident-log entries have been folded into
-    /// open-incident markers already.
-    incidents_seen: usize,
     open_incidents: HashMap<DatabaseId, IncidentEntry>,
+    /// The watermark of the latest publish — what a read reports as
+    /// `as_of`, also once `finish` has consumed the driver.
+    published_at: Timestamp,
+    /// Self-metrics of the publisher, appended to `GET /metrics`.
+    advances: u64,
+    published_records: u64,
+    last_publish_records: u64,
     report: Option<SimReport>,
 }
 
 impl ServerState {
     /// Fold newly raised incidents into the open-incident markers and
-    /// republish every record at the current watermark.
-    fn publish(&mut self) {
-        let Some(driver) = &self.driver else { return };
-        let incidents = driver.incidents();
-        for entry in &incidents[self.incidents_seen.min(incidents.len())..] {
-            self.open_incidents.insert(entry.db, *entry);
+    /// publish, at the current watermark, the record of every database
+    /// touched since the last publish, of every database with a fresh
+    /// incident, and of `cleared` — the database whose open incident an
+    /// operator resume just closed.
+    fn publish(&mut self, cleared: Option<DatabaseId>) {
+        let Some(driver) = &mut self.driver else {
+            return;
+        };
+        let mut ids = driver.take_touched();
+        for entry in driver.take_fresh_incidents() {
+            self.open_incidents.insert(entry.db, entry);
+            ids.push(entry.db);
         }
-        self.incidents_seen = incidents.len();
-        let at = driver.watermark();
-        for id in driver.databases() {
+        ids.extend(cleared);
+        self.published_at = driver.watermark();
+        self.last_publish_records = ids.len() as u64;
+        self.published_records += self.last_publish_records;
+        for id in ids {
             self.backend.put(DbRecord {
                 id,
                 state: driver.db_state(id).unwrap_or(DbState::Resumed),
                 prediction: driver.db_prediction(id),
                 counters: driver.db_counters(id).unwrap_or_default(),
                 open_incident: self.open_incidents.get(&id).copied(),
-                as_of: at,
+                as_of: self.published_at,
             });
         }
+    }
+
+    /// Move the watermark to `to` and publish what that touched.
+    fn advance_to(&mut self, to: Timestamp) -> Result<(), ProrpError> {
+        if let Some(driver) = &mut self.driver {
+            driver.advance_to(to)?;
+            self.advances += 1;
+            self.publish(None);
+        }
+        Ok(())
     }
 
     /// In wall-clock mode, pull the watermark up to "now" before
@@ -92,11 +125,8 @@ impl ServerState {
             return Ok(());
         }
         let now = self.clock.now();
-        if let Some(driver) = &mut self.driver {
-            if now > driver.watermark() {
-                driver.advance_to(now)?;
-                self.publish();
-            }
+        if self.driver.as_ref().is_some_and(|d| now > d.watermark()) {
+            self.advance_to(now)?;
         }
         Ok(())
     }
@@ -154,11 +184,16 @@ impl ApiServer {
                 driver: Some(driver),
                 clock,
                 backend,
-                incidents_seen: 0,
                 open_incidents: HashMap::new(),
+                published_at: origin,
+                advances: 0,
+                published_records: 0,
+                last_publish_records: 0,
                 report: None,
             };
-            state.publish();
+            // Every database is freshly registered, hence touched: the
+            // boot publish covers the fleet.
+            state.publish(None);
             let _ = ready_tx.send(Ok(()));
             while let Ok(msg) = command_rx.recv() {
                 match msg {
@@ -326,18 +361,24 @@ fn record_json(r: &DbRecord) -> Json {
     ])
 }
 
-/// `GET /v1/databases/:id` — the published record; **503** while the
-/// database carries an unresolved incident (the record rides along so
-/// the operator sees what happened).
+/// `GET /v1/databases/:id` — the published record, as of the server's
+/// watermark (an advance that did not touch the database left its
+/// record current); **503** while the database carries an unresolved
+/// incident (the record rides along so the operator sees what happened).
 fn get_database(state: &ServerState, id: &str) -> Response {
     let Some(id) = parse_id(id) else {
         return Response::json(400, error_body("database id must be an unsigned integer"));
     };
-    match state.backend.get(id) {
-        None => Response::json(404, error_body("unknown database")),
-        Some(r) if r.open_incident.is_some() => Response::json(503, record_json(&r).render()),
-        Some(r) => Response::json(200, record_json(&r).render()),
-    }
+    let Some(mut record) = state.backend.get(id) else {
+        return Response::json(404, error_body("unknown database"));
+    };
+    record.as_of = state.published_at;
+    let status = if record.open_incident.is_some() {
+        503
+    } else {
+        200
+    };
+    Response::json(status, record_json(&record).render())
 }
 
 /// `POST /v1/databases/:id/resume|pause` — schedule the forced action
@@ -363,7 +404,7 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
     if resume {
         // The operator intervened: the incident is considered resolved.
         state.open_incidents.remove(&id);
-        state.publish();
+        state.publish(Some(id));
     }
     Response::json(
         200,
@@ -376,15 +417,33 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
 }
 
 /// `GET /metrics` — Prometheus exposition from the live registry, with
-/// the `text/plain; version=0.0.4` content type scrapers negotiate on.
+/// the `text/plain; version=0.0.4` content type scrapers negotiate on,
+/// followed by the server's self-metrics.  Those describe this process
+/// (how much each advance published), not the simulated world, so they
+/// live outside the deterministic registry.
 fn get_metrics(state: &ServerState) -> Response {
     let Some(driver) = &state.driver else {
         return Response::text(409, "run already finished\n".into());
     };
-    match driver.prometheus_text() {
-        Some(text) => Response::prometheus(200, text),
-        None => Response::text(404, "observability disabled in this config\n".into()),
+    let Some(mut text) = driver.prometheus_text() else {
+        return Response::text(404, "observability disabled in this config\n".into());
+    };
+    for (name, kind, value) in [
+        ("prorp_server_advances_total", "counter", state.advances),
+        (
+            "prorp_server_published_records_total",
+            "counter",
+            state.published_records,
+        ),
+        (
+            "prorp_server_last_publish_records",
+            "gauge",
+            state.last_publish_records,
+        ),
+    ] {
+        text.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
     }
+    Response::prometheus(200, text)
 }
 
 fn opt_u64(v: Option<u64>) -> Json {
@@ -491,13 +550,12 @@ fn post_advance(state: &mut ServerState, body: &str) -> Response {
     if !state.clock.advance(to) {
         return Response::json(400, error_body("clock may not move backwards"));
     }
-    let Some(driver) = &mut state.driver else {
+    if state.driver.is_none() {
         return Response::json(409, error_body("run already finished"));
-    };
-    if let Err(e) = driver.advance_to(to) {
+    }
+    if let Err(e) = state.advance_to(to) {
         return Response::json(400, error_body(&e.to_string()));
     }
-    state.publish();
     Response::json(
         200,
         Json::object(vec![("watermark", Json::Int(to.as_secs()))]).render(),

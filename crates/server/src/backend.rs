@@ -1,12 +1,15 @@
 //! The state-store seam the API serves reads from.
 //!
 //! The driver owns the authoritative engine state; after every
-//! watermark advance the server *publishes* a per-database
-//! [`DbRecord`] through a [`StateBackend`].  Reads (`GET
-//! /v1/databases/:id`) never touch the driver — they hit the backend,
-//! which is why the trait is shaped like a key-value store with no
-//! engine types in its signatures: an in-memory map today, a
-//! redis/postgres projection tomorrow, without touching the API layer.
+//! watermark advance the server *publishes* a [`DbRecord`] through a
+//! [`StateBackend`] for each database the advance touched — the ones
+//! an event reached or an incident was raised for — and for nobody
+//! else, so the backend sees writes in proportion to what changed, not
+//! to the fleet.  Reads (`GET /v1/databases/:id`) never touch the
+//! driver — they hit the backend, which is why the trait is shaped like
+//! a key-value store with no engine types in its signatures: an
+//! in-memory map today, a redis/postgres projection tomorrow, without
+//! touching the API layer.
 
 use prorp_core::EngineCounters;
 use prorp_telemetry::IncidentEntry;
@@ -15,7 +18,8 @@ use std::collections::HashMap;
 use std::sync::RwLock;
 
 /// The published view of one database — what the control-plane API
-/// serves, refreshed after every watermark advance.
+/// serves, rewritten after every watermark advance that touched the
+/// database.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DbRecord {
     /// The database.
@@ -30,7 +34,10 @@ pub struct DbRecord {
     /// set, the database read returns HTTP 503; an operator-forced
     /// resume clears it.
     pub open_incident: Option<IncidentEntry>,
-    /// The watermark this record was published at.
+    /// The watermark this record was last published at.  An advance
+    /// that did not touch the database leaves the record — still
+    /// current, since nothing about it changed — and this stamp alone;
+    /// the API reports the server's watermark as a read's `as_of`.
     pub as_of: Timestamp,
 }
 

@@ -30,6 +30,15 @@
 //! suite pins this with a proptest oracle over shuffled, duplicated
 //! streams.
 //!
+//! # What an advance touched
+//!
+//! A publisher of per-database state does not sweep the fleet after an
+//! advance: [`LiveDriver::take_touched`] drains the databases an event
+//! reached since the last drain (the shards mark them as they deliver
+//! events; a newly registered database starts out marked), and
+//! [`LiveDriver::take_fresh_incidents`] the incidents raised since the
+//! last call.  Both cost what the advance did, not what the fleet holds.
+//!
 //! The offline-optimal policy is rejected at construction: its oracle
 //! engine reads each database's full future trace at registration,
 //! which a live driver by definition does not have.
@@ -166,11 +175,17 @@ pub struct LiveDriver {
     /// Global registration order — the commit sort's final tie-break,
     /// and the output order of the merged report.
     order: HashMap<DatabaseId, usize>,
-    /// Events accepted but not yet committed (all at `ts >= watermark`).
-    buffer: Vec<LiveEvent>,
+    /// The registered ids, in that order (`order` inverted).
+    ids: Vec<DatabaseId>,
+    /// Events accepted but not yet committed (all at `ts >= watermark`),
+    /// each with its database's registration index.
+    buffer: Vec<(usize, LiveEvent)>,
     /// Dedup index over the buffer.
     buffered_keys: HashSet<(u64, i64, LiveEventKind)>,
     watermark: Timestamp,
+    /// Per shard, how many entries of its append-only incident log
+    /// [`take_fresh_incidents`](Self::take_fresh_incidents) has handed out.
+    incidents_taken: Vec<usize>,
 }
 
 impl LiveDriver {
@@ -218,8 +233,10 @@ impl LiveDriver {
         Ok(LiveDriver {
             watermark: cfg.start,
             cfg: cfg.clone(),
+            incidents_taken: vec![0; shards.len()],
             shards,
             order,
+            ids: dbs.to_vec(),
             buffer: Vec::new(),
             buffered_keys: HashSet::new(),
         })
@@ -238,10 +255,7 @@ impl LiveDriver {
 
     /// Databases registered, in registration order.
     pub fn databases(&self) -> Vec<DatabaseId> {
-        let mut ids: Vec<(usize, DatabaseId)> =
-            self.order.iter().map(|(&id, &i)| (i, id)).collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|(_, id)| id).collect()
+        self.ids.clone()
     }
 
     /// Whether `id` is registered.
@@ -251,17 +265,43 @@ impl LiveDriver {
 
     /// `id`'s current lifecycle state.
     pub fn db_state(&self, id: DatabaseId) -> Option<DbState> {
-        self.shard_of(id).and_then(|s| s.db_state(id))
+        self.shard_of(id).db_state(id)
     }
 
     /// `id`'s currently published prediction.
     pub fn db_prediction(&self, id: DatabaseId) -> Option<Prediction> {
-        self.shard_of(id).and_then(|s| s.db_prediction(id))
+        self.shard_of(id).db_prediction(id)
     }
 
     /// `id`'s engine counters.
     pub fn db_counters(&self, id: DatabaseId) -> Option<EngineCounters> {
-        self.shard_of(id).and_then(|s| s.db_counters(id))
+        self.shard_of(id).db_counters(id)
+    }
+
+    /// Drain the shards' touched sets: every database registered, or
+    /// reached by an event, since the previous call — each once.  These
+    /// are the databases whose published state may be out of date.
+    pub fn take_touched(&mut self) -> Vec<DatabaseId> {
+        // A database lives on one shard, so the union has no duplicates.
+        self.shards
+            .iter_mut()
+            .flat_map(ShardDriver::take_touched)
+            .collect()
+    }
+
+    /// The incidents raised since the previous call, in the canonical
+    /// `(time, database, kind)` order.  Successive calls yield
+    /// [`incidents`](Self::incidents) piece by piece: a later advance
+    /// raises only later incidents.
+    pub fn take_fresh_incidents(&mut self) -> Vec<IncidentEntry> {
+        let mut fresh = Vec::new();
+        for (s, taken) in self.shards.iter().zip(&mut self.incidents_taken) {
+            let entries = s.incident_log().entries();
+            fresh.extend_from_slice(&entries[*taken..]);
+            *taken = entries.len();
+        }
+        fresh.sort_unstable();
+        fresh
     }
 
     /// All incidents raised so far, in the canonical `(time, database,
@@ -319,15 +359,15 @@ impl LiveDriver {
     /// is unknown, `ObsConfig::explain` is off, or no decision has been
     /// made yet.
     pub fn db_last_decision(&self, id: DatabaseId) -> Option<(Timestamp, DecisionExplain)> {
-        self.shard_of(id).and_then(|s| s.db_last_decision(id))
+        self.shard_of(id).db_last_decision(id)
     }
 
     /// Ingest one customer-activity event.  Never touches an engine —
     /// only [`advance_to`](Self::advance_to) does.
     pub fn ingest(&mut self, ev: LiveEvent) -> IngestOutcome {
-        if !self.order.contains_key(&ev.db) {
+        let Some(&registered) = self.order.get(&ev.db) else {
             return IngestOutcome::Unknown;
-        }
+        };
         if ev.at < self.watermark {
             return IngestOutcome::Late;
         }
@@ -335,7 +375,7 @@ impl LiveDriver {
         if !self.buffered_keys.insert(key) {
             return IngestOutcome::Duplicate;
         }
-        self.buffer.push(ev);
+        self.buffer.push((registered, ev));
         IngestOutcome::Accepted
     }
 
@@ -345,20 +385,14 @@ impl LiveDriver {
     /// has closed.
     pub fn force_resume(&mut self, id: DatabaseId) -> bool {
         let at = self.watermark;
-        match self.shard_of_mut(id) {
-            Some(s) => s.inject_forced_resume(at, id),
-            None => false,
-        }
+        self.contains(id) && self.shard_of_mut(id).inject_forced_resume(at, id)
     }
 
     /// Schedule an operator-forced physical pause for `id` at the
     /// watermark (the engine refuses it while the database is serving).
     pub fn force_pause(&mut self, id: DatabaseId) -> bool {
         let at = self.watermark;
-        match self.shard_of_mut(id) {
-            Some(s) => s.inject_forced_pause(at, id),
-            None => false,
-        }
+        self.contains(id) && self.shard_of_mut(id).inject_forced_pause(at, id)
     }
 
     /// Advance the watermark to `to`: commit every buffered event below
@@ -399,14 +433,15 @@ impl LiveDriver {
 
     /// Commit buffered events with `ts < to` and step shards to `to`.
     fn commit_below(&mut self, to: Timestamp) -> Result<(), ProrpError> {
-        let mut batch: Vec<LiveEvent> = Vec::new();
+        let mut batch: Vec<(usize, LiveEvent)> = Vec::new();
         let mut i = 0;
         while i < self.buffer.len() {
-            if self.buffer[i].at < to {
-                let ev = self.buffer.swap_remove(i);
+            if self.buffer[i].1.at < to {
+                let entry = self.buffer.swap_remove(i);
+                let ev = entry.1;
                 self.buffered_keys
                     .remove(&(ev.db.raw(), ev.at.as_secs(), ev.kind));
-                batch.push(ev);
+                batch.push(entry);
             } else {
                 i += 1;
             }
@@ -414,8 +449,8 @@ impl LiveDriver {
         // The DES queue's order is (ts, priority, FIFO seq), and its
         // seq order for customer activity is registration order — the
         // trace loop pushes sessions as databases register.
-        batch.sort_by_key(|ev| (ev.at, ev.kind.tie_priority(ev.db), self.order[&ev.db]));
-        for ev in batch {
+        batch.sort_by_key(|&(registered, ev)| (ev.at, ev.kind.tie_priority(ev.db), registered));
+        for (_, ev) in batch {
             let shard = &mut self.shards[ev.db.shard_of(self.cfg.shards)];
             // Outside [start, end) the DES clips at registration; the
             // inject path applies the identical clip and reports it.
@@ -430,17 +465,14 @@ impl LiveDriver {
         Ok(())
     }
 
-    fn shard_of(&self, id: DatabaseId) -> Option<&ShardDriver> {
-        self.order
-            .get(&id)
-            .map(|_| &self.shards[id.shard_of(self.cfg.shards)])
+    /// The shard `id` hashes to — where it lives if it is registered;
+    /// the shard itself answers `None` for an id it does not hold.
+    fn shard_of(&self, id: DatabaseId) -> &ShardDriver {
+        &self.shards[id.shard_of(self.cfg.shards)]
     }
 
-    fn shard_of_mut(&mut self, id: DatabaseId) -> Option<&mut ShardDriver> {
-        if !self.order.contains_key(&id) {
-            return None;
-        }
-        Some(&mut self.shards[id.shard_of(self.cfg.shards)])
+    fn shard_of_mut(&mut self, id: DatabaseId) -> &mut ShardDriver {
+        &mut self.shards[id.shard_of(self.cfg.shards)]
     }
 }
 

@@ -9,18 +9,24 @@
 //!
 //! Parsing is deliberately strict and bounded: request line + headers
 //! up to 16 KiB, bodies up to 1 MiB via `Content-Length` only (no
-//! chunked encoding), anything else is a 400/413.
+//! chunked encoding), anything else is a 400/413.  Every accepted
+//! socket carries a read and a write deadline, so a peer that connects
+//! and stalls gets a 408 and its thread back instead of holding both
+//! forever.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Largest accepted header block in bytes.
 const MAX_HEAD: usize = 16 * 1024;
 /// Largest accepted body in bytes.
 const MAX_BODY: usize = 1024 * 1024;
+/// Longest an accepted socket may sit in one read or one write.
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One parsed request.
 #[derive(Clone, Debug)]
@@ -81,6 +87,7 @@ impl Response {
             400 => "Bad Request",
             404 => "Not Found",
             405 => "Method Not Allowed",
+            408 => "Request Timeout",
             409 => "Conflict",
             413 => "Payload Too Large",
             503 => "Service Unavailable",
@@ -101,6 +108,18 @@ impl Response {
     }
 }
 
+/// The reply to a failed read: 408 when the socket's read deadline
+/// passed (reported as `WouldBlock` or `TimedOut`, by platform), else
+/// 400 with `otherwise`.
+fn read_failed(e: &std::io::Error, otherwise: &str) -> Response {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            Response::text(408, "timed out waiting for the request\n".into())
+        }
+        _ => Response::text(400, otherwise.into()),
+    }
+}
+
 /// Read and parse one request off the stream.
 fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     let mut reader = BufReader::new(stream);
@@ -112,7 +131,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     // Request line, then headers until the blank line.
     let mut request_line = String::new();
     head.read_line(&mut request_line)
-        .map_err(|_| Response::text(400, "unreadable request line\n".into()))?;
+        .map_err(|e| read_failed(&e, "unreadable request line\n"))?;
     if head.limit() == 0 {
         return Err(too_large());
     }
@@ -122,7 +141,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
         line.clear();
         let n = head
             .read_line(&mut line)
-            .map_err(|_| Response::text(400, "unreadable header\n".into()))?;
+            .map_err(|e| read_failed(&e, "unreadable header\n"))?;
         if head.limit() == 0 {
             return Err(too_large());
         }
@@ -144,7 +163,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|_| Response::text(400, "truncated body\n".into()))?;
+        .map_err(|e| read_failed(&e, "truncated body\n"))?;
     let body =
         String::from_utf8(body).map_err(|_| Response::text(400, "body is not utf-8\n".into()))?;
     let mut parts = request_line.split_whitespace();
@@ -213,6 +232,13 @@ where
                 break;
             }
             let Ok(mut stream) = conn else { continue };
+            // No deadline, no service: a socket that cannot take one is
+            // dropped rather than allowed to block a thread forever.
+            if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+                || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+            {
+                continue;
+            }
             let handler = Arc::clone(&handler);
             std::thread::spawn(move || {
                 let response = match read_request(&mut stream) {
@@ -312,6 +338,29 @@ mod tests {
         raw.extend_from_slice(b"\r\n\r\n");
         let reply = reply_until_close(&handle, &raw);
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_stalled_peer_gets_408_and_a_closed_connection() {
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(|_| Response::text(200, "ok".into())),
+        )
+        .unwrap();
+        // Half a request line, then silence (`reply_until_close` keeps
+        // the socket open and only reads); beside it, a body that stops
+        // short of its content-length.
+        let (head, body) = std::thread::scope(|s| {
+            let head = s.spawn(|| reply_until_close(&handle, b"GET /v1/data"));
+            let body = s.spawn(|| {
+                let raw = b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nhalf";
+                reply_until_close(&handle, raw)
+            });
+            (head.join().unwrap(), body.join().unwrap())
+        });
+        assert!(head.starts_with("HTTP/1.1 408 Request Timeout"), "{head}");
+        assert!(body.starts_with("HTTP/1.1 408"), "{body}");
         handle.shutdown();
     }
 }

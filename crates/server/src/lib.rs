@@ -36,8 +36,9 @@
 //! Modules:
 //!
 //! * [`driver`] — the [`LiveDriver`]: ingest (idempotent, reorder-
-//!   tolerant within a watermark window), watermark advance, forced
-//!   operator actions, and the final merge into a
+//!   tolerant within a watermark window), watermark advance, the
+//!   touched-set and fresh-incident drains the publisher works from,
+//!   forced operator actions, and the final merge into a
 //!   [`SimReport`](prorp_sim::SimReport);
 //! * [`backend`] — the [`StateBackend`] seam the API serves reads from
 //!   (in-memory first; shaped so a redis/postgres backend can follow);

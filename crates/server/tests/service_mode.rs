@@ -5,12 +5,14 @@
 use prorp_obs::SloConfig;
 use prorp_server::IngestOutcome;
 use prorp_server::{
-    ApiServer, InMemoryBackend, LiveDriver, LiveEvent, LiveEventKind, ServerConfig,
+    ApiServer, DbRecord, InMemoryBackend, LiveDriver, LiveEvent, LiveEventKind, ServerConfig,
+    StateBackend,
 };
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy};
 use prorp_types::{BreakerConfig, DatabaseId, PolicyConfig, RetryPolicy, Seconds, Timestamp};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Minimal HTTP/1.1 client: one request, `Connection: close`, returns
@@ -236,6 +238,123 @@ fn slo_and_why_endpoints_serve_live_rollups() {
     assert_eq!(http(addr, "POST", "/v1/finish", "").0, 200);
     assert_eq!(http(addr, "GET", "/v1/slo", "").0, 409);
     assert_eq!(http(addr, "GET", "/v1/databases/0/why", "").0, 409);
+    server.shutdown();
+}
+
+/// An [`InMemoryBackend`] that counts the records published into it.
+#[derive(Default)]
+struct CountingBackend {
+    inner: InMemoryBackend,
+    puts: AtomicU64,
+}
+
+impl StateBackend for CountingBackend {
+    fn put(&self, record: DbRecord) {
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.inner.put(record);
+    }
+    fn get(&self, id: DatabaseId) -> Option<DbRecord> {
+        self.inner.get(id)
+    }
+    fn all(&self) -> Vec<DbRecord> {
+        self.inner.all()
+    }
+}
+
+/// The value of one un-labelled sample in a Prometheus text body.
+fn metric(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from /metrics"))
+}
+
+/// A watermark advance publishes the databases it reached, not the
+/// fleet: the backend sees at most one `put` per reached database, and
+/// the server's self-metrics on `/metrics` say the same.
+#[test]
+fn an_advance_publishes_what_it_touched_not_the_fleet() {
+    const FLEET: u64 = 1_000;
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
+        .observe(ObsConfig::on())
+        .build()
+        .expect("config validates");
+    let dbs: Vec<DatabaseId> = (0..FLEET).map(DatabaseId).collect();
+    let backend = Arc::new(CountingBackend::default());
+    let server = ApiServer::start(
+        "127.0.0.1:0",
+        &cfg,
+        &dbs,
+        backend.clone(),
+        ServerConfig::VirtualClock,
+    )
+    .expect("server boots");
+    let addr = server.addr();
+    let puts = || backend.puts.load(Ordering::Relaxed);
+    let scrape = || {
+        let (status, body) = http(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200, "{body}");
+        (
+            metric(&body, "prorp_server_advances_total"),
+            metric(&body, "prorp_server_published_records_total"),
+            metric(&body, "prorp_server_last_publish_records"),
+        )
+    };
+    // The boot publish, and only it, covers everyone.
+    assert_eq!(puts(), FLEET);
+    assert_eq!(scrape(), (0, FLEET, FLEET));
+
+    // Three logins: the advance over them reaches three databases.
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/events",
+        r#"{"events":[
+            {"db":3,"at":600,"kind":"login"},
+            {"db":500,"at":610,"kind":"login"},
+            {"db":999,"at":620,"kind":"login"}
+        ]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":900}"#);
+    assert_eq!(puts() - FLEET, 3);
+    let (advances, published, last) = scrape();
+    assert_eq!((advances, last), (1, 3));
+    assert!(published - FLEET < FLEET, "one advance re-put the fleet");
+
+    // Nothing happens for an hour: nothing is published, and the reads
+    // of touched and untouched databases alike are as of the watermark.
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":4500}"#);
+    assert_eq!(puts() - FLEET, 3);
+    assert_eq!(scrape(), (2, FLEET + 3, 0));
+    for id in [3, 4] {
+        let (status, body) = http(addr, "GET", &format!("/v1/databases/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.ends_with(r#""as_of":4500}"#), "{body}");
+    }
+
+    // Two logouts, then the logical-pause timers fire in a window with
+    // no ingest at all: each advance publishes those two databases.
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/events",
+        r#"{"events":[
+            {"db":3,"at":4600,"kind":"logout"},
+            {"db":999,"at":4600,"kind":"logout"}
+        ]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":4700}"#);
+    assert_eq!(puts() - FLEET, 5);
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":40000}"#);
+    assert_eq!(puts() - FLEET, 7);
+    let (_, body) = http(addr, "GET", "/v1/databases/999", "");
+    assert!(body.contains("physically-paused"), "{body}");
+
+    // An operator pause is scheduled, not applied: nothing to publish
+    // until the advance that delivers it.
+    assert_eq!(http(addr, "POST", "/v1/databases/500/pause", "").0, 200);
+    assert_eq!(puts() - FLEET, 7);
     server.shutdown();
 }
 

@@ -13,18 +13,31 @@
 //! * a proptest oracle proving ingest is **idempotent and
 //!   reorder-tolerant within a watermark window**: arbitrary intra-
 //!   window arrival order plus injected duplicate deliveries cannot
-//!   change a single decision.
+//!   change a single decision;
+//! * a second proptest oracle over the *published* state: the server
+//!   publishes only the databases an advance touched, and after every
+//!   advance the backend must still hold, for every database, exactly
+//!   the record a full republish from the driver would have written.
 
 use proptest::prelude::*;
 use prorp_obs::SloConfig;
-use prorp_server::{IngestOutcome, LiveDriver, LiveEvent, LiveEventKind};
+use prorp_server::json::{self, Json};
+use prorp_server::{
+    ApiServer, DbRecord, InMemoryBackend, IngestOutcome, LiveDriver, LiveEvent, LiveEventKind,
+    ServerConfig, StateBackend,
+};
 use prorp_sim::{
     CompactionMode, ObsConfig, SimConfig, SimConfigBuilder, SimPolicy, SimReport, Simulation,
     StorageBackend,
 };
-use prorp_types::{DatabaseId, PolicyConfig, RetryPolicy, Seconds, Timestamp};
+use prorp_telemetry::{IncidentEntry, IncidentKind};
+use prorp_types::{DatabaseId, DbState, PolicyConfig, RetryPolicy, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
-use testkit::oracles::{assert_reports_equal, DAY, MEASURE_DAY, SPAN_DAYS};
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
+use testkit::oracles::{assert_reports_equal, logical, DAY, MEASURE_DAY, SPAN_DAYS};
 
 fn fleet(seed: u64, dbs: usize) -> Vec<Trace> {
     RegionProfile::for_region(RegionName::Eu1).generate_fleet(
@@ -229,19 +242,264 @@ fn live_matches_des_under_fault_injection() {
     }
 }
 
+/// SplitMix64's output function: a stateless 64-bit mix.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic in-place Fisher–Yates, keyed by a proptest-chosen seed
 /// (`Date`-free and `rand`-free: the testkit only vendors proptest).
 fn shuffle<T>(items: &mut [T], mut seed: u64) {
     let mut next = move || {
         seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix(seed)
     };
     for i in (1..items.len()).rev() {
         let j = (next() % (i as u64 + 1)) as usize;
         items.swap(i, j);
+    }
+}
+
+/// One `Connection: close` HTTP exchange: `(status, body)`.
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("write request");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read reply");
+    let status = raw
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status line");
+    let body = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+    (status, body.to_string())
+}
+
+/// An `ApiServer` and, beside it, a `LiveDriver` fed the identical
+/// stream: the mirror is the driver state the server cannot show, and
+/// `open` is the open-incident fold a full republish would have made
+/// (from [`LiveDriver::incidents`], the whole canonical log).
+struct Mirrored {
+    server: ApiServer,
+    backend: Arc<InMemoryBackend>,
+    mirror: LiveDriver,
+    ids: Vec<DatabaseId>,
+    incidents_seen: usize,
+    open: HashMap<DatabaseId, IncidentEntry>,
+}
+
+impl Mirrored {
+    fn boot(cfg: &SimConfig, ids: &[DatabaseId]) -> Mirrored {
+        let backend = Arc::new(InMemoryBackend::new());
+        let server = ApiServer::start(
+            "127.0.0.1:0",
+            cfg,
+            ids,
+            backend.clone(),
+            ServerConfig::VirtualClock,
+        )
+        .expect("server boots");
+        Mirrored {
+            server,
+            backend,
+            mirror: LiveDriver::new(cfg, ids).expect("mirror builds"),
+            ids: ids.to_vec(),
+            incidents_seen: 0,
+            open: HashMap::new(),
+        }
+    }
+
+    /// Deliver `events` to both; the server must classify each one the
+    /// way the mirror does.
+    fn ingest(&mut self, events: &[LiveEvent]) {
+        let body = Json::object(vec![(
+            "events",
+            Json::Array(events.iter().map(LiveEvent::to_json).collect()),
+        )])
+        .render();
+        let (status, reply) = http(self.server.addr(), "POST", "/v1/events", &body);
+        assert_eq!(status, 200, "{reply}");
+        let expected: Vec<Json> = events
+            .iter()
+            .map(|ev| Json::Str(self.mirror.ingest(*ev).label().into()))
+            .collect();
+        let reply = json::parse(&reply).expect("ingest reply parses");
+        assert_eq!(reply.get("results"), Some(&Json::Array(expected)));
+    }
+
+    fn advance_to(&mut self, to: Timestamp) {
+        let body = format!(r#"{{"to":{}}}"#, to.as_secs());
+        let (status, reply) = http(self.server.addr(), "POST", "/v1/clock/advance", &body);
+        assert_eq!(status, 200, "{reply}");
+        self.mirror.advance_to(to).expect("mirror advances");
+        let incidents = self.mirror.incidents();
+        for entry in &incidents[self.incidents_seen..] {
+            self.open.insert(entry.db, *entry);
+        }
+        self.incidents_seen = incidents.len();
+    }
+
+    fn force(&mut self, id: DatabaseId, resume: bool) {
+        let verb = if resume { "resume" } else { "pause" };
+        let path = format!("/v1/databases/{}/{verb}", id.raw());
+        let (status, reply) = http(self.server.addr(), "POST", &path, "");
+        let scheduled = if resume {
+            self.mirror.force_resume(id)
+        } else {
+            self.mirror.force_pause(id)
+        };
+        assert_eq!(status == 200, scheduled, "{reply}");
+        if resume && scheduled {
+            self.open.remove(&id);
+        }
+    }
+
+    /// For **every** registered database: the backend holds the record
+    /// rebuilt from the driver, and the read is as of the watermark.
+    fn assert_published(&self, context: &str) {
+        let watermark = self.mirror.watermark();
+        for &id in &self.ids {
+            let context = format!("{context}, {id} at {watermark}");
+            let mut got = self.backend.get(id).expect("every database is published");
+            assert!(got.as_of <= watermark, "{context}: published in the future");
+            // Wall-clock prediction latencies differ between any two
+            // drivers; `as_of` is the read's to stamp (checked below).
+            got.counters = logical(&got.counters);
+            let want = DbRecord {
+                id,
+                state: self.mirror.db_state(id).unwrap_or(DbState::Resumed),
+                prediction: self.mirror.db_prediction(id),
+                counters: logical(&self.mirror.db_counters(id).unwrap_or_default()),
+                open_incident: self.open.get(&id).copied(),
+                as_of: got.as_of,
+            };
+            assert_eq!(got, want, "{context}: stale record");
+            let path = format!("/v1/databases/{}", id.raw());
+            let (status, body) = http(self.server.addr(), "GET", &path, "");
+            let expected = if want.open_incident.is_some() {
+                503
+            } else {
+                200
+            };
+            assert_eq!(status, expected, "{context}: {body}");
+            let body = json::parse(&body).expect("record parses");
+            assert_eq!(
+                body.get("as_of").and_then(Json::as_int),
+                Some(watermark.as_secs()),
+                "{context}: as_of"
+            );
+        }
+    }
+}
+
+/// Replay `traces` through a mirrored server — arrivals shuffled and
+/// partly duplicated inside each window, a late and an unknown event
+/// per window, operator resumes and pauses in between, windows of
+/// uneven length — checking the whole published state after every
+/// step.  Returns the incident kinds that were open at some point.
+fn check_touched_publish(cfg: &SimConfig, traces: &[Trace], seed: u64) -> Vec<IncidentKind> {
+    let events = stream_of(traces);
+    let ids: Vec<DatabaseId> = traces.iter().map(|t| t.db).collect();
+    let mut m = Mirrored::boot(cfg, &ids);
+    m.assert_published("boot");
+    let mut kinds = Vec::new();
+    let mut window_start = cfg.start;
+    let mut window_index = 0u64;
+    while window_start < cfg.end {
+        // Window lengths of 1–48 h, operator picks and shuffles all
+        // derive from the one seed.
+        let pick = |salt: u64, n: u64| mix(seed ^ window_index ^ (salt << 32)) % n;
+        let window_end = (window_start + Seconds::hours(1 + pick(1, 48) as i64)).min(cfg.end);
+        let mut arrivals: Vec<LiveEvent> = events
+            .iter()
+            .copied()
+            .filter(|e| e.at >= window_start && e.at < window_end)
+            .collect();
+        shuffle(&mut arrivals, seed ^ window_index);
+        let duplicates: Vec<LiveEvent> = arrivals.iter().copied().step_by(3).collect();
+        arrivals.extend(duplicates);
+        arrivals.push(LiveEvent {
+            db: DatabaseId(u64::MAX),
+            at: window_start,
+            kind: LiveEventKind::Login,
+        });
+        if window_start > cfg.start {
+            arrivals.push(LiveEvent {
+                db: ids[0],
+                at: Timestamp(window_start.as_secs() - 1),
+                kind: LiveEventKind::Login,
+            });
+        }
+        m.ingest(&arrivals);
+        if pick(2, 3) == 0 {
+            let id = ids[pick(3, ids.len() as u64) as usize];
+            m.force(id, pick(4, 2) == 0);
+            m.assert_published(&format!("operator action in window {window_index}"));
+        }
+        m.advance_to(window_end);
+        m.assert_published(&format!("advance {window_index}"));
+        for entry in m.open.values() {
+            if !kinds.contains(&entry.kind) {
+                kinds.push(entry.kind);
+            }
+        }
+        // An open incident is the operator's to close, promptly: the
+        // next advance must then publish the cleared record too.
+        if let Some(&id) = m.open.keys().min() {
+            if pick(5, 2) == 0 {
+                m.force(id, true);
+                m.assert_published(&format!("incident cleared after advance {window_index}"));
+            }
+        }
+        window_start = window_end;
+        window_index += 1;
+    }
+    // Sealing the run publishes nothing and moves no watermark: reads
+    // keep answering as of the last advance.
+    let (status, body) = http(m.server.addr(), "POST", "/v1/finish", "");
+    assert_eq!(status, 200, "{body}");
+    m.assert_published("after finish");
+    m.server.shutdown();
+    kinds
+}
+
+/// A fault layer that raises both incident kinds: exhausted retry
+/// budgets, and hung workflows the diagnostics sweep mitigates twice.
+fn incident_prone(policy: SimPolicy, shards: usize) -> SimConfig {
+    base_config(policy, shards)
+        .stage_failure_probabilities(0.3)
+        .retry(RetryPolicy {
+            max_attempts: 2,
+            base_backoff: Seconds(20),
+            max_backoff: Seconds::minutes(2),
+        })
+        .stuck_probability(0.2)
+        .diagnostics_period(Seconds::minutes(5))
+        .build()
+        .expect("config validates")
+}
+
+#[test]
+fn touched_publish_carries_both_incident_kinds() {
+    let traces = fleet(77, 8);
+    for (policy, shards) in [
+        (SimPolicy::Reactive, 1),
+        (SimPolicy::Proactive(PolicyConfig::default()), 2),
+    ] {
+        let kinds = check_touched_publish(&incident_prone(policy, shards), &traces, 5);
+        assert!(
+            kinds.contains(&IncidentKind::StuckWorkflow)
+                && kinds
+                    .iter()
+                    .any(|k| matches!(k, IncidentKind::RetryExhausted { .. })),
+            "the differential is vacuous, tighten the fault knobs: {kinds:?}"
+        );
     }
 }
 
@@ -300,5 +558,30 @@ proptest! {
         }
         let live = driver.finish().expect("live run finishes");
         assert_live_identical(&des, &live, "shuffled+duplicated replay");
+    }
+}
+
+proptest! {
+    // Every case boots a server and reads the whole fleet back over
+    // HTTP after every step; a dozen cases keep the suite quick.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Touched-set publish ≡ full publish: whatever the stream, the
+    /// window boundaries and the operator do, the backend holds for
+    /// every database the record a republish of the whole fleet would
+    /// have written, and every read is as of the watermark.
+    #[test]
+    fn touched_publish_matches_a_full_republish(
+        fleet_seed in 0u64..1_000,
+        seed in any::<u64>(),
+        shards in 1usize..3,
+        proactive in any::<bool>(),
+    ) {
+        let policy = if proactive {
+            SimPolicy::Proactive(PolicyConfig::default())
+        } else {
+            SimPolicy::Reactive
+        };
+        check_touched_publish(&incident_prone(policy, shards), &fleet(fleet_seed, 6), seed);
     }
 }

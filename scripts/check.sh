@@ -40,6 +40,14 @@ run cargo test -q -p testkit --test prediction_index
 # shard invariance, span traces, and time-travel reproduction).
 run cargo test -q -p testkit --test storage_conformance
 
+# The live driver must stay bit-identical to the DES under any admitted
+# stream, and the server's touched-set publish must leave the backend
+# holding what a republish of the whole fleet would (every record and
+# every read checked after every advance); the HTTP surface, incident
+# 503s and the publisher's self-metrics are pinned end to end.
+run cargo test -q -p testkit --test live_differential
+run cargo test -q -p prorp-server --test service_mode
+
 # The trace-query CLI must keep parsing the pinned trace format.
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_small.jsonl summary
