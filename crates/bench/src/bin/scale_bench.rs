@@ -2,8 +2,14 @@
 //!
 //! Runs the proactive policy over lazily generated fleets of increasing
 //! size and over increasing shard counts, recording wall time,
-//! events/second, and peak resident memory per `(fleet size × shard
-//! count)` cell into `results/BENCH_scale.json`.  The fleet is never
+//! events/second, the event queue's high-water mark and peak resident
+//! memory per `(fleet size × shard count)` cell into
+//! `results/BENCH_scale.json`.  Two event counts are recorded:
+//! `activity_events` is defined by the input (recorded logins + logouts
+//! inside the simulated span), so `activity_events_per_sec` compares
+//! like with like across shard counts; `events` is what the shards'
+//! loops popped, which grows with the shard count because every shard
+//! runs its own Algorithm 5 tick.  The fleet is never
 //! materialised: each shard worker pulls its own id-hash partition from
 //! a [`LazyFleet`] via [`Simulation::run_streamed`], and telemetry runs
 //! in [`TelemetryMode::Summary`] so the report holds per-label counts
@@ -12,7 +18,10 @@
 //! Before timing each fleet size, the harness re-proves the shard
 //! determinism contract at scale: every shard count must produce
 //! bit-identical KPIs (and, at the smallest size, bit-identical KPIs to
-//! the fully materialised [`Simulation::run`] path).  The smallest size
+//! the fully materialised [`Simulation::run`] path).  Every cell must
+//! also keep the queue's run-time lane — what the loop schedules for
+//! itself — at or below two entries per database (`queue_peak`): queue
+//! memory is O(databases), not O(sessions).  The smallest size
 //! also carries the observability overhead gate: an interleaved A/B of
 //! obs-off vs rollup-only obs (sketches + SLO series, no span trace)
 //! asserting identical KPIs and < 2 % wall-time overhead.
@@ -31,7 +40,7 @@
 //! cells are independent even though they share one process.  On
 //! platforms without procfs both values report as zero.
 
-use prorp_bench::{json_path_from_args, write_json, Json};
+use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
 use prorp_obs::SloConfig;
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
@@ -227,17 +236,35 @@ fn main() {
     );
     println!();
     println!(
-        "{:>10} {:>7} {:>9} {:>12} {:>13} {:>12} {:>7}",
-        "databases", "shards", "wall s", "events", "events/s", "peak RSS MB", "QoS %"
+        "{:>10} {:>7} {:>9} {:>12} {:>13} {:>12} {:>11} {:>12} {:>7}",
+        "databases",
+        "shards",
+        "wall s",
+        "activity ev",
+        "activity ev/s",
+        "loop events",
+        "queue peak",
+        "peak RSS MB",
+        "QoS %"
     );
 
     let profile = RegionProfile::for_region(RegionName::Eu1);
+    let storage_backend = config_for(1, 1, days, ObsConfig::off())
+        .storage_backend
+        .label();
     let mut entries = Vec::new();
     let mut obs_ab = None;
     for &dbs in &sizes {
         let start = Timestamp(0);
         let end = start + Seconds::days(days);
         let fleet = LazyFleet::new(profile.clone(), dbs, start, end, 42);
+        // Input-defined work: recorded logins + logouts inside the span.
+        let inside = |ts| ts >= start && ts < end;
+        let activity_events: u64 = fleet
+            .iter()
+            .flat_map(|t| t.sessions)
+            .map(|s| u64::from(inside(s.start)) + u64::from(inside(s.end)))
+            .sum();
 
         // Determinism gate: at the smallest size, the streamed path must
         // match the materialised path bit for bit.
@@ -283,13 +310,24 @@ fn main() {
                 .map(|c| c.events_processed)
                 .sum();
             let events_per_sec = events as f64 / wall_s.max(1e-9);
+            let activity_events_per_sec = activity_events as f64 / wall_s.max(1e-9);
+            // Each shard has its own queue: the cell's figure is the sum
+            // of their high-water marks.
+            let queue_peak: usize = report.shard_counters.iter().map(|c| c.queue_peak).sum();
+            assert!(
+                queue_peak <= 2 * dbs,
+                "queue memory must be O(databases): run-time lane peaked at {queue_peak} \
+                 entries for {dbs} databases on {shards} shard(s)"
+            );
             println!(
-                "{:>10} {:>7} {:>9.2} {:>12} {:>13.0} {:>12.1} {:>7.2}",
+                "{:>10} {:>7} {:>9.2} {:>12} {:>13.0} {:>12} {:>11} {:>12.1} {:>7.2}",
                 dbs,
                 shards,
                 wall_s,
+                activity_events,
+                activity_events_per_sec,
                 events,
-                events_per_sec,
+                queue_peak,
                 rss as f64 / (1024.0 * 1024.0),
                 report.kpi.qos_pct()
             );
@@ -318,6 +356,7 @@ fn main() {
                     ("shard", Json::from(c.shard as u64)),
                     ("databases", Json::from(c.databases as u64)),
                     ("events", Json::from(c.events_processed)),
+                    ("queue_peak", Json::from(c.queue_peak as u64)),
                     ("wall_micros", Json::from(c.wall_clock_micros)),
                     ("register_micros", Json::from(c.register_micros)),
                     ("run_micros", Json::from(c.run_micros)),
@@ -336,9 +375,16 @@ fn main() {
                 ("databases", Json::from(dbs as u64)),
                 ("shards", Json::from(shards as u64)),
                 ("days", Json::Int(days)),
+                ("storage_backend", Json::Str(storage_backend.into())),
                 ("wall_s", Json::Float(wall_s)),
+                ("activity_events", Json::from(activity_events)),
+                (
+                    "activity_events_per_sec",
+                    Json::Float(activity_events_per_sec),
+                ),
                 ("events", Json::from(events)),
                 ("events_per_sec", Json::Float(events_per_sec)),
+                ("queue_peak", Json::from(queue_peak as u64)),
                 ("peak_rss_bytes", Json::from(rss)),
                 ("qos_pct", Json::Float(report.kpi.qos_pct())),
                 (
@@ -354,11 +400,10 @@ fn main() {
     }
 
     if let Some(path) = json_path {
+        let mode = if smoke { "smoke" } else { "full" };
         let mut fields = vec![
-            (
-                "mode",
-                Json::Str(if smoke { "smoke" } else { "full" }.into()),
-            ),
+            ("meta", run_meta(mode)),
+            ("mode", Json::Str(mode.into())),
             ("days", Json::Int(days)),
             ("entries", Json::Array(entries)),
         ];

@@ -4,6 +4,33 @@
 //! Priority settles same-second ties the way the real control plane
 //! would: finished workflows and pre-warms take effect before the login
 //! that benefits from them, and logins precede logouts.
+//!
+//! # Two lanes, one order
+//!
+//! A trace-driven replay knows every recorded login and logout before
+//! the first event runs; only the loop's own reactions (timers, staged
+//! workflows, the Algorithm 5 tick, snapshots, maintenance) and what an
+//! external driver injects are discovered on the way.  The queue keeps
+//! the two apart:
+//!
+//! * the **recorded run** — [`record_start`](EventQueue::record_start) /
+//!   [`record_end`](EventQueue::record_end) append a 24-byte entry to a
+//!   flat vector, which is sorted once by the full key and then consumed
+//!   front to back by a cursor;
+//! * the **run-time lane** — [`push`](EventQueue::push) goes to a
+//!   `BinaryHeap`, which therefore holds only what the loop scheduled
+//!   for itself: O(databases) entries, not O(sessions).
+//!
+//! Both lanes draw `sequence` from the same counter at the moment of the
+//! call, and [`pop`](EventQueue::pop) returns the smaller of the two
+//! heads under the same `(timestamp, priority, sequence)` key, so the
+//! pop order is exactly what one heap over all the events would give:
+//! which lane an event sits in is invisible to the loop.
+//!
+//! The run is sorted lazily, by the first `pop`/`peek_ts` after an
+//! append — once per replay, since the DES registers every trace before
+//! it starts.  Recording more after events were consumed re-sorts the
+//! unconsumed tail only.
 
 use prorp_core::TimerToken;
 use prorp_types::{DatabaseId, Timestamp};
@@ -80,6 +107,10 @@ impl SimEvent {
     }
 }
 
+/// The total order: `(timestamp, priority, sequence)`, earliest first.
+type Key = (Timestamp, u8, u64);
+
+/// A run-time-lane entry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Scheduled {
     ts: Timestamp,
@@ -88,10 +119,16 @@ struct Scheduled {
     event: SimEvent,
 }
 
+impl Scheduled {
+    fn key(&self) -> Key {
+        (self.ts, self.priority, self.seq)
+    }
+}
+
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: reverse for earliest-first.
-        (other.ts, other.priority, other.seq).cmp(&(self.ts, self.priority, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -101,11 +138,55 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// Earliest-first event queue with stable FIFO tie-breaking.
+/// A recorded-run entry: one login or logout of a recorded session, in
+/// half the bytes of a [`Scheduled`].
+///
+/// `order` is the sequence number with [`Recorded::END`] set for a
+/// logout.  Only logins and logouts meet within the run, and a login's
+/// priority is below a logout's, so there `(ts, order)` sorts exactly
+/// like `(ts, priority, seq)`.
+#[derive(Clone, Copy, Debug)]
+struct Recorded {
+    ts: Timestamp,
+    order: u64,
+    db: DatabaseId,
+}
+
+impl Recorded {
+    /// The logout flag: the top bit of `order`, which a sequence number
+    /// (one per event ever queued) never reaches.
+    const END: u64 = 1 << 63;
+
+    fn is_end(&self) -> bool {
+        self.order & Self::END != 0
+    }
+
+    fn event(&self) -> SimEvent {
+        if self.is_end() {
+            SimEvent::ActivityEnd(self.db)
+        } else {
+            SimEvent::ActivityStart(self.db)
+        }
+    }
+
+    fn key(&self) -> Key {
+        (self.ts, self.event().priority(), self.order & !Self::END)
+    }
+}
+
+/// Earliest-first event queue with stable FIFO tie-breaking (see the
+/// module docs for the two lanes behind it).
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
+    /// Run-time lane.
     heap: BinaryHeap<Scheduled>,
+    /// Recorded run; `run[cursor..]` is still queued.
+    run: Vec<Recorded>,
+    cursor: usize,
+    /// `run[cursor..]` gained entries since it was last sorted.
+    unsorted: bool,
     seq: u64,
+    heap_peak: usize,
 }
 
 impl EventQueue {
@@ -114,7 +195,7 @@ impl EventQueue {
         EventQueue::default()
     }
 
-    /// Schedule `event` at `ts`.
+    /// Schedule `event` at `ts` in the run-time lane.
     pub fn push(&mut self, ts: Timestamp, event: SimEvent) {
         self.seq += 1;
         self.heap.push(Scheduled {
@@ -123,34 +204,101 @@ impl EventQueue {
             seq: self.seq,
             event,
         });
+        self.heap_peak = self.heap_peak.max(self.heap.len());
+    }
+
+    /// Append a recorded session's login of `db` at `ts` to the recorded
+    /// run.  Pops exactly where `push(ts, ActivityStart(db))` would.
+    pub fn record_start(&mut self, ts: Timestamp, db: DatabaseId) {
+        self.record(ts, db, 0);
+    }
+
+    /// Append a recorded session's logout of `db` at `ts` to the
+    /// recorded run.  Pops exactly where `push(ts, ActivityEnd(db))`
+    /// would.
+    pub fn record_end(&mut self, ts: Timestamp, db: DatabaseId) {
+        self.record(ts, db, Recorded::END);
+    }
+
+    fn record(&mut self, ts: Timestamp, db: DatabaseId, end: u64) {
+        self.seq += 1;
+        debug_assert!(self.seq < Recorded::END);
+        self.run.push(Recorded {
+            ts,
+            order: self.seq | end,
+            db,
+        });
+        self.unsorted = true;
+    }
+
+    /// Sort what the recorded run gained since the last call.
+    fn seal(&mut self) {
+        if self.unsorted {
+            self.run[self.cursor..].sort_unstable_by_key(|r| (r.ts, r.order));
+            self.unsorted = false;
+        }
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Timestamp, SimEvent)> {
-        self.heap.pop().map(|s| (s.ts, s.event))
+        self.seal();
+        let recorded = self.run.get(self.cursor);
+        let recorded_first = match (recorded, self.heap.peek()) {
+            (Some(r), Some(s)) => r.key() < s.key(),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if recorded_first {
+            self.cursor += 1;
+            recorded.map(|r| (r.ts, r.event()))
+        } else {
+            self.heap.pop().map(|s| (s.ts, s.event))
+        }
     }
 
     /// Timestamp of the earliest queued event without removing it —
     /// what lets a driver stop *before* a horizon instead of after
     /// popping past it.
-    pub fn peek_ts(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|s| s.ts)
+    pub fn peek_ts(&mut self) -> Option<Timestamp> {
+        self.seal();
+        let recorded = self.run.get(self.cursor).map(|r| r.ts);
+        let scheduled = self.heap.peek().map(|s| s.ts);
+        match (recorded, scheduled) {
+            (Some(r), Some(s)) => Some(r.min(s)),
+            (r, s) => r.or(s),
+        }
     }
 
-    /// Events still queued.
+    /// Events still queued, both lanes.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.recorded_len()
     }
 
     /// Whether the queue is drained.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// Entries in the run-time lane now.
+    pub fn scheduled_len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The most entries the run-time lane ever held.
+    pub fn scheduled_peak(&self) -> usize {
+        self.heap_peak
+    }
+
+    /// Recorded events not yet consumed.
+    pub fn recorded_len(&self) -> usize {
+        self.run.len() - self.cursor
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn db(id: u64) -> DatabaseId {
         DatabaseId(id)
@@ -220,5 +368,176 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_recorded_entry_is_half_a_scheduled_one() {
+        assert!(std::mem::size_of::<Recorded>() <= 24);
+        assert!(2 * std::mem::size_of::<Recorded>() <= std::mem::size_of::<Scheduled>());
+    }
+
+    #[test]
+    fn equal_key_recorded_events_pop_in_registration_order() {
+        let mut q = EventQueue::new();
+        let t = Timestamp(5);
+        // Logouts recorded first: priority still puts the logins ahead,
+        // and within each kind the recording order holds.
+        q.record_end(t, db(9));
+        q.record_end(t, db(8));
+        q.record_start(t, db(3));
+        q.record_start(t, db(1));
+        q.record_start(t, db(2));
+        let order: Vec<SimEvent> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![
+                SimEvent::ActivityStart(db(3)),
+                SimEvent::ActivityStart(db(1)),
+                SimEvent::ActivityStart(db(2)),
+                SimEvent::ActivityEnd(db(9)),
+                SimEvent::ActivityEnd(db(8)),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_injected_event_pops_after_the_recorded_one_it_ties_with() {
+        let mut q = EventQueue::new();
+        let t = Timestamp(5);
+        q.record_start(t, db(1));
+        q.push(t, SimEvent::ActivityStart(db(2)));
+        // Recorded after the injection: FIFO puts it last.
+        q.record_start(t, db(3));
+        assert_eq!(q.len(), 3);
+        assert_eq!((q.scheduled_len(), q.recorded_len()), (1, 2));
+        let order: Vec<SimEvent> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![
+                SimEvent::ActivityStart(db(1)),
+                SimEvent::ActivityStart(db(2)),
+                SimEvent::ActivityStart(db(3)),
+            ]
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_peak(), 1);
+    }
+
+    #[test]
+    fn recording_after_pops_began_resorts_the_tail() {
+        let mut q = EventQueue::new();
+        q.record_start(Timestamp(10), db(1));
+        q.record_end(Timestamp(30), db(1));
+        assert_eq!(
+            q.pop(),
+            Some((Timestamp(10), SimEvent::ActivityStart(db(1))))
+        );
+        // Earlier than everything still queued, and than what was popped.
+        q.record_end(Timestamp(20), db(2));
+        q.record_start(Timestamp(5), db(2));
+        assert_eq!(q.peek_ts(), Some(Timestamp(5)));
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_secs())
+            .collect();
+        assert_eq!(order, vec![5, 20, 30]);
+    }
+
+    /// The queue as it was before the lanes: one heap over every event.
+    /// Kept here as the oracle the two-lane queue must be
+    /// indistinguishable from.
+    #[derive(Default)]
+    struct OneHeap {
+        heap: BinaryHeap<Scheduled>,
+        seq: u64,
+    }
+
+    impl OneHeap {
+        fn push(&mut self, ts: Timestamp, event: SimEvent) {
+            self.seq += 1;
+            self.heap.push(Scheduled {
+                ts,
+                priority: event.priority(),
+                seq: self.seq,
+                event,
+            });
+        }
+
+        fn pop(&mut self) -> Option<(Timestamp, SimEvent)> {
+            self.heap.pop().map(|s| (s.ts, s.event))
+        }
+
+        fn peek_ts(&self) -> Option<Timestamp> {
+            self.heap.peek().map(|s| s.ts)
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// A recorded login (`false`) or logout (`true`).
+        Record(Timestamp, DatabaseId, bool),
+        Push(Timestamp, SimEvent),
+        Pop,
+        Peek,
+    }
+
+    /// Few timestamps and few databases, so `(ts, priority)` ties — and
+    /// ties between the lanes on the very same event — are the rule.
+    fn op() -> impl Strategy<Value = Op> {
+        let ts = || (0i64..6).prop_map(Timestamp);
+        let id = || (0u64..3).prop_map(DatabaseId);
+        let pushed = (0u8..6, id()).prop_map(|(kind, db)| match kind {
+            0 => SimEvent::ActivityStart(db),
+            1 => SimEvent::ActivityEnd(db),
+            2 => SimEvent::EngineTimer(db, TimerToken(db.raw())),
+            3 => SimEvent::WorkflowStageDone(db),
+            4 => SimEvent::ForcedPause(db),
+            _ => SimEvent::ResumeOpTick,
+        });
+        prop_oneof![
+            4 => (ts(), id(), any::<bool>()).prop_map(|(t, db, end)| Op::Record(t, db, end)),
+            4 => (ts(), pushed).prop_map(|(t, e)| Op::Push(t, e)),
+            5 => Just(Op::Pop),
+            1 => Just(Op::Peek),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any interleaving of recorded appends, run-time pushes, pops
+        /// and peeks — recording after pops began, either lane running
+        /// dry first — reads the same through both queues.
+        #[test]
+        fn two_lanes_are_one_heap(ops in prop::collection::vec(op(), 0..120)) {
+            let mut lanes = EventQueue::new();
+            let mut heap = OneHeap::default();
+            for op in ops {
+                match op {
+                    Op::Record(ts, db, false) => {
+                        lanes.record_start(ts, db);
+                        heap.push(ts, SimEvent::ActivityStart(db));
+                    }
+                    Op::Record(ts, db, true) => {
+                        lanes.record_end(ts, db);
+                        heap.push(ts, SimEvent::ActivityEnd(db));
+                    }
+                    Op::Push(ts, event) => {
+                        lanes.push(ts, event);
+                        heap.push(ts, event);
+                    }
+                    Op::Pop => prop_assert_eq!(lanes.pop(), heap.pop()),
+                    Op::Peek => prop_assert_eq!(lanes.peek_ts(), heap.peek_ts()),
+                }
+                prop_assert_eq!(lanes.len(), heap.heap.len());
+                prop_assert_eq!(lanes.is_empty(), heap.heap.is_empty());
+            }
+            while let Some(expected) = heap.pop() {
+                prop_assert_eq!(lanes.peek_ts(), Some(expected.0));
+                prop_assert_eq!(lanes.pop(), Some(expected));
+                prop_assert_eq!(lanes.len(), heap.heap.len());
+            }
+            prop_assert_eq!(lanes.pop(), None);
+            prop_assert_eq!(lanes.peek_ts(), None);
+        }
     }
 }

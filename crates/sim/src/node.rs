@@ -89,17 +89,20 @@ impl Node {
                 self.id
             )));
         }
+        // One probe either way: below capacity `insert` is right whether
+        // or not `db` already held a unit; at capacity only a holder
+        // may pass.
+        if self.allocated.len() < self.capacity {
+            self.allocated.insert(db);
+            return Ok(());
+        }
         if self.allocated.contains(&db) {
             return Ok(());
         }
-        if self.allocated.len() >= self.capacity {
-            return Err(ProrpError::Simulation(format!(
-                "node {} is at capacity ({})",
-                self.id, self.capacity
-            )));
-        }
-        self.allocated.insert(db);
-        Ok(())
+        Err(ProrpError::Simulation(format!(
+            "node {} is at capacity ({})",
+            self.id, self.capacity
+        )))
     }
 
     /// Release `db`'s allocation unit (idempotent).
@@ -136,7 +139,11 @@ mod tests {
         let mut n = Node::new(NodeId(0), 1);
         n.add_home(db(1));
         assert!(n.allocate(db(1)).is_ok());
-        assert!(n.allocate(db(1)).is_ok(), "idempotent re-allocate");
+        assert_eq!(n.free(), 0);
+        assert!(
+            n.allocate(db(1)).is_ok(),
+            "idempotent re-allocate, even full"
+        );
         assert_eq!(n.in_use(), 1);
         assert!(n.allocate(db(9)).is_err(), "not homed");
     }

@@ -87,6 +87,13 @@ pub(crate) struct SelfObservations {
     /// Micros of LSM compaction done off the hot path by the scheduler
     /// worker (0 outside background mode).
     pub offloaded_compaction_micros: u64,
+    /// Events in the queue's run-time lane now (what the loop and the
+    /// driver scheduled; recorded sessions are not in it).
+    pub queue_depth: usize,
+    /// The most events the run-time lane ever held.
+    pub queue_peak: usize,
+    /// Recorded session events the loop has not consumed yet.
+    pub queue_recorded: usize,
 }
 
 /// All observability state of one shard: trace buffer, metrics registry,
@@ -162,6 +169,9 @@ impl ShardObs {
         registry.gauge("sim_self_run_micros");
         registry.gauge("sim_self_compaction_stall_micros");
         registry.gauge("sim_self_offloaded_compaction_micros");
+        registry.gauge("sim_self_queue_depth");
+        registry.gauge("sim_self_queue_peak");
+        registry.gauge("sim_self_queue_recorded");
         ShardObs {
             trace: TraceBuffer::new(),
             trace_spans: cfg.trace_spans,
@@ -508,6 +518,15 @@ impl ShardObs {
         self.registry
             .gauge("sim_self_offloaded_compaction_micros")
             .set(stats.offloaded_compaction_micros.min(i64::MAX as u64) as i64);
+        self.registry
+            .gauge("sim_self_queue_depth")
+            .set(stats.queue_depth as i64);
+        self.registry
+            .gauge("sim_self_queue_peak")
+            .set(stats.queue_peak as i64);
+        self.registry
+            .gauge("sim_self_queue_recorded")
+            .set(stats.queue_recorded as i64);
         self.snapshots.push(self.registry.snapshot(at));
     }
 
@@ -712,6 +731,9 @@ mod tests {
                 run_micros: 11_000,
                 compaction_stall_micros: 9,
                 offloaded_compaction_micros: 90,
+                queue_depth: 5,
+                queue_peak: 8,
+                queue_recorded: 13,
             },
         );
         let report = obs.finish();
@@ -731,8 +753,16 @@ mod tests {
                 .as_gauge(),
             Some(9)
         );
+        for (name, want) in [
+            ("sim_self_queue_depth", 5),
+            ("sim_self_queue_peak", 8),
+            ("sim_self_queue_recorded", 13),
+        ] {
+            assert_eq!(snap.get(name).unwrap().as_gauge(), Some(want), "{name}");
+        }
         // The volatile gauges vanish from the deterministic surface.
         let det = snap.deterministic();
+        assert!(det.get("sim_self_queue_peak").is_none());
         assert!(det.get("sim_self_wall_clock_micros").is_none());
         assert!(det.get("sim_self_offloaded_compaction_micros").is_none());
         assert!(det.get("prorp_workflows_in_flight").is_some());

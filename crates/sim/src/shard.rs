@@ -221,7 +221,8 @@ fn apply_actions(
 /// Two drivers exist today:
 ///
 /// * the DES itself (`run_shard` / [`Simulation::run`]): register every
-///   trace (which enqueues all its session events up front), then
+///   trace (which appends its session events to the queue's recorded
+///   run — sorted once, when the loop first asks for an event), then
 ///   [`run_to_end`](Self::run_to_end);
 /// * the control-plane server's live driver: register databases with
 ///   empty traces, feed logins/logouts as they arrive over HTTP via
@@ -231,9 +232,11 @@ fn apply_actions(
 ///   [`step_until`](Self::step_until).
 ///
 /// Both paths run the *identical* handler code over the *identical*
-/// `(timestamp, priority, FIFO)`-ordered [`EventQueue`], which is what
-/// makes the sim≡live differential suite's bit-identity assertion
-/// possible rather than merely statistical.
+/// `(timestamp, priority, FIFO)`-ordered [`EventQueue`] — recorded and
+/// injected activity sit in different lanes of it, which the pop order
+/// cannot tell apart — and that is what makes the sim≡live differential
+/// suite's bit-identity assertion possible rather than merely
+/// statistical.
 ///
 /// [`Simulation::run`]: crate::Simulation::run
 pub struct ShardDriver {
@@ -317,14 +320,15 @@ impl ShardDriver {
     }
 
     /// Register one database: build its engine and segment book, place
-    /// it on the cluster, seed `sys.databases`, enqueue the trace's
-    /// session events clipped to `[start, end)`, and stagger its first
-    /// maintenance due time.
+    /// it on the cluster, seed `sys.databases`, append the trace's
+    /// session events clipped to `[start, end)` to the queue's recorded
+    /// run, and stagger its first maintenance due time.
     ///
     /// A live driver registers databases with *empty* traces (no
-    /// pre-recorded sessions) and injects activity as it arrives; the
-    /// registration side effects are identical either way, which keeps
-    /// the two drivers' event queues in the same total order.
+    /// pre-recorded sessions) and injects activity as it arrives, into
+    /// the queue's run-time lane; the registration side effects and the
+    /// sequence numbers drawn are identical either way, which keeps the
+    /// two drivers' event queues in the same total order.
     pub fn register(&mut self, trace: &Trace) -> Result<(), ProrpError> {
         if self.fleet.try_index_of(trace.db).is_some() {
             return Err(ProrpError::Simulation(format!(
@@ -355,10 +359,10 @@ impl ShardDriver {
         self.metadata.set_state(trace.db, DbState::Resumed);
         for s in &trace.sessions {
             if s.start >= cfg.start && s.start < cfg.end {
-                self.queue.push(s.start, SimEvent::ActivityStart(trace.db));
+                self.queue.record_start(s.start, trace.db);
             }
             if s.end >= cfg.start && s.end < cfg.end {
-                self.queue.push(s.end, SimEvent::ActivityEnd(trace.db));
+                self.queue.record_end(s.end, trace.db);
             }
         }
         if let Some(p) = cfg.maintenance_period {
@@ -448,11 +452,6 @@ impl ShardDriver {
     pub fn take_touched(&mut self) -> Vec<DatabaseId> {
         let ids = &self.fleet.ids;
         self.fleet.touched.drain().map(|idx| ids[idx]).collect()
-    }
-
-    /// Timestamp of the earliest pending event, if any.
-    pub fn next_event_ts(&self) -> Option<Timestamp> {
-        self.queue.peek_ts()
     }
 
     /// A live (non-recorded) metrics snapshot for the `/metrics`
@@ -567,6 +566,9 @@ impl ShardDriver {
                         run_micros: register_end.elapsed().as_micros() as u64,
                         compaction_stall_micros: stall_ns / 1_000,
                         offloaded_compaction_micros: offloaded_ns / 1_000,
+                        queue_depth: self.queue.scheduled_len(),
+                        queue_peak: self.queue.scheduled_peak(),
+                        queue_recorded: self.queue.recorded_len(),
                     };
                     if let Some(o) = self.obs.as_mut() {
                         o.take_snapshot(now, observations);
@@ -1126,6 +1128,7 @@ impl ShardDriver {
         }
 
         self.counters.telemetry_events = self.telemetry.len() as u64;
+        self.counters.queue_peak = self.queue.scheduled_peak();
         self.counters.set_wall_clock(self.started.elapsed());
 
         // Predictor circuit-breaker activity lives in the per-engine
@@ -1149,6 +1152,9 @@ impl ShardDriver {
                     run_micros: self.counters.run_micros,
                     compaction_stall_micros: self.counters.compaction_stall_micros,
                     offloaded_compaction_micros: self.counters.offloaded_compaction_micros,
+                    queue_depth: self.queue.scheduled_len(),
+                    queue_peak: self.queue.scheduled_peak(),
+                    queue_recorded: self.queue.recorded_len(),
                 },
             );
             o.finish()
@@ -1239,6 +1245,86 @@ mod tests {
             .filter(|i| workflow_hangs(9, DatabaseId(*i), Timestamp(500), 0.3))
             .count();
         assert!((2_500..3_500).contains(&hits), "got {hits}");
+    }
+
+    /// Recorded lane ≡ run-time lane at driver level (the core of
+    /// sim ≡ live): a fleet registered with its traces, and the same
+    /// fleet registered empty with every session injected in the same
+    /// database and session order, close identical books.
+    #[test]
+    fn recorded_and_injected_sessions_run_the_same_shard() {
+        use prorp_types::PolicyConfig;
+        use prorp_workload::{RegionName, RegionProfile};
+        const DAY: i64 = 86_400;
+        let (start, end) = (Timestamp(0), Timestamp(35 * DAY));
+        let cfg = SimConfig::builder(
+            SimPolicy::Proactive(PolicyConfig::default()),
+            start,
+            end,
+            Timestamp(30 * DAY),
+        )
+        .maintenance_period(Seconds::days(7))
+        .diagnostics_period(Seconds::hours(1))
+        .observe(prorp_obs::ObsConfig::on())
+        .build()
+        .unwrap();
+        let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(60, start, end, 11);
+
+        let mut recorded = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+        for t in &traces {
+            recorded.register(t).unwrap();
+        }
+        let mut injected = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+        for t in &traces {
+            let empty = Trace::new(t.db, "live", Vec::new()).unwrap();
+            injected.register(&empty).unwrap();
+        }
+        for t in &traces {
+            for s in &t.sessions {
+                injected.inject_login(s.start, t.db);
+                injected.inject_logout(s.end, t.db);
+            }
+        }
+        assert_eq!(injected.queue.recorded_len(), 0);
+        assert_eq!(recorded.queue.len(), injected.queue.len());
+        assert!(recorded.queue.recorded_len() > 1_000, "a real workload");
+
+        let close = |mut driver: ShardDriver| {
+            driver.start();
+            driver.run_to_end().unwrap();
+            driver.finish().unwrap()
+        };
+        let (a, b) = (close(recorded), close(injected));
+        assert!(a.counters.queue_peak < b.counters.queue_peak);
+        assert_eq!(a.counters, b.counters);
+        assert_eq!(a.telemetry.events(), b.telemetry.events());
+        assert_eq!(a.dbs.len(), b.dbs.len());
+        // Prediction latencies are wall-clock readings.
+        let logical = |c: &EngineCounters| EngineCounters {
+            prediction_ns_sum: 0,
+            prediction_ns_max: 0,
+            ..*c
+        };
+        for (x, y) in a.dbs.iter().zip(&b.dbs) {
+            assert_eq!((x.0, x.1, x.3), (y.0, y.1, y.3), "{:?}", x.0);
+            assert_eq!(logical(&x.2), logical(&y.2), "{:?}", x.0);
+        }
+        assert_eq!(a.resume_batches, b.resume_batches);
+        assert_eq!(a.workflow, b.workflow);
+        assert_eq!(a.incident_log, b.incident_log);
+        assert_eq!(a.maintenance, b.maintenance);
+        assert_eq!(
+            (a.mitigations, a.incidents, a.giveups, a.spill_moves),
+            (b.mitigations, b.incidents, b.giveups, b.spill_moves)
+        );
+        let snapshot = |o: &ShardOutcome| {
+            let obs = o.obs.as_ref().unwrap();
+            (
+                obs.trace.clone(),
+                obs.final_snapshot().unwrap().deterministic(),
+            )
+        };
+        assert_eq!(snapshot(&a), snapshot(&b));
     }
 
     /// The touched set reports databases reached only by the loop's own

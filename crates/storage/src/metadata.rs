@@ -74,12 +74,30 @@ impl MetadataStore {
     /// Register or update a database row, keeping the secondary index
     /// consistent.
     pub fn upsert(&mut self, db: DatabaseId, meta: DbMeta) {
-        if let Some(old) = self.rows.insert(db, meta) {
-            if let Some(ps) = Self::indexable(&old) {
-                self.by_pred_start.remove(&(ps, db));
-            }
+        let old = self.rows.insert(db, meta);
+        let was = old.as_ref().and_then(Self::indexable);
+        self.reindex(db, was, Self::indexable(&meta));
+    }
+
+    /// Edit `db`'s row in place (registering it if new) with one probe
+    /// of the row map, keeping the secondary index consistent.
+    fn update(&mut self, db: DatabaseId, edit: impl FnOnce(&mut DbMeta)) {
+        let meta = self.rows.entry(db).or_default();
+        let was = Self::indexable(meta);
+        edit(meta);
+        let is = Self::indexable(meta);
+        self.reindex(db, was, is);
+    }
+
+    /// Move `db`'s secondary-index entry from `was` to `is`.
+    fn reindex(&mut self, db: DatabaseId, was: Option<Timestamp>, is: Option<Timestamp>) {
+        if was == is {
+            return;
         }
-        if let Some(ps) = Self::indexable(&meta) {
+        if let Some(ps) = was {
+            self.by_pred_start.remove(&(ps, db));
+        }
+        if let Some(ps) = is {
             self.by_pred_start.insert((ps, db));
         }
     }
@@ -91,20 +109,18 @@ impl MetadataStore {
     /// (Algorithm 1 line 31) before the next physical pause can enter the
     /// proactive-resume queue.
     pub fn set_state(&mut self, db: DatabaseId, state: DbState) {
-        let mut meta = self.get(db).unwrap_or_default();
-        meta.state = state;
-        if state == DbState::Resumed {
-            meta.pred_start = None;
-        }
-        self.upsert(db, meta);
+        self.update(db, |meta| {
+            meta.state = state;
+            if state == DbState::Resumed {
+                meta.pred_start = None;
+            }
+        });
     }
 
     /// Record `start_of_pred_activity` for `db` — the `InsertMetadata`
     /// call of Algorithm 1 line 31 (registering the database if new).
     pub fn set_prediction(&mut self, db: DatabaseId, pred_start: Option<Timestamp>) {
-        let mut meta = self.get(db).unwrap_or_default();
-        meta.pred_start = pred_start;
-        self.upsert(db, meta);
+        self.update(db, |meta| meta.pred_start = pred_start);
     }
 
     /// Drop a database (deletion / move away from this region).

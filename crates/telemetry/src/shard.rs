@@ -56,13 +56,20 @@ pub struct ShardCounters {
     /// Micros of LSM compaction performed off the hot path by the
     /// shard's scheduler worker (0 outside background mode).  Volatile.
     pub offloaded_compaction_micros: u64,
+    /// The most events the loop's run-time queue lane ever held (timers,
+    /// workflow stages, ticks, injected activity — not recorded
+    /// sessions).  Describes how a driver fed the loop, not the
+    /// simulated world: a live driver injects what the DES records, so
+    /// the two differ on identical runs.  Excluded from equality.
+    pub queue_peak: usize,
 }
 
 impl PartialEq for ShardCounters {
     fn eq(&self, other: &Self) -> bool {
         // The wall-clock fields (total + phase breakdown + compaction
-        // timings) are volatile (they measure the simulator process, not
-        // the simulated world) and are excluded on purpose.
+        // timings) and `queue_peak` are volatile (they measure the
+        // simulator process, not the simulated world) and are excluded
+        // on purpose.
         self.shard == other.shard
             && self.databases == other.databases
             && self.events_processed == other.events_processed
@@ -144,6 +151,7 @@ mod tests {
         b.finish_micros = 33;
         b.compaction_stall_micros = 44;
         b.offloaded_compaction_micros = 55;
+        b.queue_peak = 66;
         assert_eq!(
             a, b,
             "wall clock and phase breakdown must not break determinism equality"

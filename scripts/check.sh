@@ -87,7 +87,9 @@ run cargo run --release -q -p prorp-bench --bin predict_bench -- \
     --smoke --json target/predict_smoke.json
 
 # Scale sweep in smoke mode: asserts streamed ≡ materialised, KPI
-# shard-invariance, and the observability overhead gate (rollup-only
+# shard-invariance, an event-queue heap of at most two entries per
+# database on every cell (recorded sessions must stay out of it), and
+# the observability overhead gate (rollup-only
 # obs must leave KPIs bit-identical and cost < 2% wall time) on a tiny
 # fleet (the committed full-scale numbers in results/BENCH_scale.json
 # come from scripts/bless.sh).  The smoke JSON is a scratch artefact —
