@@ -17,9 +17,15 @@
 //! The engine stack is deliberately single-threaded (its predictor
 //! scratch and metrics registry are shard-local `Rc` state, exactly like
 //! a DES shard worker), so the [`LiveDriver`] lives on one dedicated
-//! driver thread.  Connection handlers forward the parsed request over a
-//! channel and block on the reply — the control-plane analogue of the
-//! one-event-loop-per-shard rule the simulator already enforces.
+//! driver thread.  The HTTP transport ([`crate::http`]) is a fixed set of
+//! worker threads started once; a worker parses a request, forwards it
+//! over a channel through the one shared `Sender` and blocks on the
+//! reply — the control-plane analogue of the one-event-loop-per-shard
+//! rule the simulator already enforces.  A worker sends one message and
+//! then waits, so the channel into the driver holds at most as many
+//! requests as there are workers: the queue is bounded by construction,
+//! and anything beyond it waits in the listen backlog.  No thread is
+//! started per connection or per request.
 //!
 //! # Publishing
 //!
@@ -39,7 +45,7 @@
 use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
 use crate::driver::{LiveDriver, LiveEvent};
-use crate::http::{self, Request, Response, ServerHandle};
+use crate::http::{self, HttpStats, Request, Response, ServerHandle};
 use crate::json::{self, Json};
 use prorp_obs::export::alert_json;
 use prorp_sim::{SimConfig, SimReport};
@@ -47,7 +53,7 @@ use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, DbState, ProrpError, Timestamp};
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// How the server's clock advances.
@@ -74,6 +80,8 @@ struct ServerState {
     advances: u64,
     published_records: u64,
     last_publish_records: u64,
+    /// The transport's counters, appended after them.
+    http: Arc<HttpStats>,
     report: Option<SimReport>,
 }
 
@@ -161,7 +169,28 @@ impl ApiServer {
         backend: Arc<dyn StateBackend>,
         mode: ServerConfig,
     ) -> Result<ApiServer, ProrpError> {
+        // Unbounded in type, bounded in use: a message is sent by an HTTP
+        // worker that then blocks on its reply, so the channel never holds
+        // more requests than the transport has workers (plus one `Stop`).
         let (command_tx, command_rx) = mpsc::channel::<Msg>();
+        // The transport comes up first so the driver thread can be handed
+        // its counters; a request that arrives before the driver is built
+        // waits in the channel for it.
+        let forward = command_tx.clone();
+        let handle = http::serve(
+            addr,
+            Arc::new(move |req| {
+                let (reply_tx, reply_rx) = mpsc::channel();
+                if forward.send(Msg::Request(req, reply_tx)).is_err() {
+                    return Response::json(500, error_body("driver thread is gone"));
+                }
+                reply_rx
+                    .recv()
+                    .unwrap_or_else(|_| Response::json(500, error_body("driver thread is gone")))
+            }),
+        )
+        .map_err(|e| ProrpError::Simulation(format!("cannot bind {addr}: {e}")))?;
+        let http = handle.stats();
         let (ready_tx, ready_rx) = mpsc::channel::<Result<(), ProrpError>>();
         let cfg = cfg.clone();
         let dbs = dbs.to_vec();
@@ -189,6 +218,7 @@ impl ApiServer {
                 advances: 0,
                 published_records: 0,
                 last_publish_records: 0,
+                http,
                 report: None,
             };
             // Every database is freshly registered, hence touched: the
@@ -205,6 +235,7 @@ impl ApiServer {
             }
             state.report.take()
         });
+        // On either failure `handle` drops here, which stops the transport.
         match ready_rx.recv() {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
@@ -216,21 +247,6 @@ impl ApiServer {
                 return Err(ProrpError::Simulation("driver thread died on start".into()));
             }
         }
-        let forward = Mutex::new(command_tx.clone());
-        let handle = http::serve(
-            addr,
-            Arc::new(move |req| {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sender = forward.lock().expect("sender lock poisoned").clone();
-                if sender.send(Msg::Request(req, reply_tx)).is_err() {
-                    return Response::json(500, error_body("driver thread is gone"));
-                }
-                reply_rx
-                    .recv()
-                    .unwrap_or_else(|_| Response::json(500, error_body("driver thread is gone")))
-            }),
-        )
-        .map_err(|e| ProrpError::Simulation(format!("cannot bind {addr}: {e}")))?;
         Ok(ApiServer {
             handle,
             commands: command_tx,
@@ -419,8 +435,8 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
 /// `GET /metrics` — Prometheus exposition from the live registry, with
 /// the `text/plain; version=0.0.4` content type scrapers negotiate on,
 /// followed by the server's self-metrics.  Those describe this process
-/// (how much each advance published), not the simulated world, so they
-/// live outside the deterministic registry.
+/// (how much each advance published, what the HTTP transport met), not
+/// the simulated world, so they live outside the deterministic registry.
 fn get_metrics(state: &ServerState) -> Response {
     let Some(driver) = &state.driver else {
         return Response::text(409, "run already finished\n".into());
@@ -428,7 +444,7 @@ fn get_metrics(state: &ServerState) -> Response {
     let Some(mut text) = driver.prometheus_text() else {
         return Response::text(404, "observability disabled in this config\n".into());
     };
-    for (name, kind, value) in [
+    let publisher = [
         ("prorp_server_advances_total", "counter", state.advances),
         (
             "prorp_server_published_records_total",
@@ -440,7 +456,8 @@ fn get_metrics(state: &ServerState) -> Response {
             "gauge",
             state.last_publish_records,
         ),
-    ] {
+    ];
+    for (name, kind, value) in publisher.into_iter().chain(state.http.rows()) {
         text.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
     }
     Response::prometheus(200, text)

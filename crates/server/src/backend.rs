@@ -45,7 +45,7 @@ pub struct DbRecord {
 ///
 /// Implementations must be internally synchronised ([`Send`] +
 /// [`Sync`]): publishes come from whoever holds the driver, reads from
-/// per-connection handler threads.
+/// whichever thread serves the request.
 pub trait StateBackend: Send + Sync {
     /// Publish (insert or replace) one record.
     fn put(&self, record: DbRecord);

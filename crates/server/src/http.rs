@@ -1,32 +1,62 @@
 //! A dependency-free HTTP/1.1 server on `std::net::TcpListener`.
 //!
-//! The workspace vendors no async runtime, so service mode runs the
-//! classic shape: one accept loop, one short-lived thread per
-//! connection, `Connection: close` on every response.  That is plenty
-//! for a control plane whose request rate is operator actions and
-//! login notifications, and it keeps the entire transport auditable in
-//! one screen of code.
+//! The workspace vendors no async runtime, so service mode runs on
+//! threads — a fixed set of them.  [`serve`] starts `WORKERS` (16)
+//! worker threads once, and each runs the whole exchange in a loop on the
+//! shared listener: `accept` → the two socket deadlines → read one
+//! request → handler → one write → close (`Connection: close` on every
+//! response).  There is no accept thread and no hand-off queue: the
+//! kernel wakes one blocked acceptor per connection, and the listen
+//! backlog is the (bounded) queue.  A connection costs a handshake, not
+//! a thread start.
+//!
+//! **Saturation.**  At most `WORKERS` requests are in flight.  With
+//! every worker busy, new connections wait in the listen backlog and are
+//! served in arrival order as workers free up — no later than the
+//! deadlines below allow, since no request can hold a worker longer.
+//! Nothing is refused with a status code yet;
+//! `prorp_server_http_busy_workers_peak` reaching `WORKERS` on
+//! `/metrics` is how an operator sees it.  Sixteen is not a tuning
+//! point: a request holds a worker for tens of microseconds and the
+//! handler serialises on one driver thread anyway, so throughput reads
+//! the same at 8 and 32; the number only has to exceed the handful of
+//! slow or stalled peers a control plane meets at once.
+//!
+//! **Deadlines.**  Every accepted socket carries a read and a write
+//! deadline (`IO_TIMEOUT`, 5 s per call), and the request as a whole
+//! has `REQUEST_DEADLINE` (10 s) from `accept` to its last byte, checked
+//! after every read.  A peer that stalls, or trickles a byte at a time
+//! to stay inside the per-read deadline, gets a 408 and a closed
+//! connection after at most `REQUEST_DEADLINE + IO_TIMEOUT`, and the
+//! worker moves on.
 //!
 //! Parsing is deliberately strict and bounded: request line + headers
-//! up to 16 KiB, bodies up to 1 MiB via `Content-Length` only (no
-//! chunked encoding), anything else is a 400/413.  Every accepted
-//! socket carries a read and a write deadline, so a peer that connects
-//! and stalls gets a 408 and its thread back instead of holding both
-//! forever.
+//! up to 16 KiB ending in a blank line, bodies up to 1 MiB via
+//! `Content-Length` only (a `Transfer-Encoding` header is refused, not
+//! ignored), anything else is a 400/413 and never reaches the handler.
+//! A handler that panics costs its request a 500, not the server a
+//! worker.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+/// Worker threads, started once by [`serve`]: the most requests that can
+/// be in flight at a time.
+const WORKERS: usize = 16;
 /// Largest accepted header block in bytes.
 const MAX_HEAD: usize = 16 * 1024;
 /// Largest accepted body in bytes.
 const MAX_BODY: usize = 1024 * 1024;
 /// Longest an accepted socket may sit in one read or one write.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Longest a request may take from `accept` to its last byte read.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// One parsed request.
 #[derive(Clone, Debug)]
@@ -95,22 +125,80 @@ impl Response {
         }
     }
 
+    /// Head and body leave in one write: one syscall, and on loopback
+    /// one segment, so a client never sees a head without its body.
     fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let head = format!(
+        let mut reply = String::with_capacity(128 + self.body.len());
+        let _ = write!(
+            reply,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
         );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(self.body.as_bytes())
+        reply.push_str(&self.body);
+        stream.write_all(reply.as_bytes())
     }
 }
 
-/// The reply to a failed read: 408 when the socket's read deadline
-/// passed (reported as `WouldBlock` or `TimedOut`, by platform), else
-/// 400 with `otherwise`.
+/// Counters of the transport itself, shared by the workers and read by
+/// whoever renders `/metrics`.  They describe this process, not the
+/// simulated world, and publish no other data — hence `Relaxed`.
+#[derive(Debug, Default)]
+pub struct HttpStats {
+    connections: AtomicU64,
+    busy_workers: AtomicU64,
+    busy_workers_peak: AtomicU64,
+    timeouts: AtomicU64,
+    rejected: AtomicU64,
+    handler_panics: AtomicU64,
+}
+
+impl HttpStats {
+    /// The Prometheus rows `(name, type, value)`.  `busy_workers` counts
+    /// the worker that is answering the scrape; a `busy_workers_peak`
+    /// equal to the worker count means the server has been saturated.
+    pub fn rows(&self) -> [(&'static str, &'static str, u64); 6] {
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        [
+            (
+                "prorp_server_http_connections_total",
+                "counter",
+                read(&self.connections),
+            ),
+            (
+                "prorp_server_http_busy_workers",
+                "gauge",
+                read(&self.busy_workers),
+            ),
+            (
+                "prorp_server_http_busy_workers_peak",
+                "gauge",
+                read(&self.busy_workers_peak),
+            ),
+            (
+                "prorp_server_http_timeouts_total",
+                "counter",
+                read(&self.timeouts),
+            ),
+            (
+                "prorp_server_http_rejected_total",
+                "counter",
+                read(&self.rejected),
+            ),
+            (
+                "prorp_server_http_handler_panics_total",
+                "counter",
+                read(&self.handler_panics),
+            ),
+        ]
+    }
+}
+
+/// The reply to a failed read: 408 when a deadline passed (the socket's
+/// is reported as `WouldBlock` or `TimedOut`, by platform; the
+/// request's as `TimedOut`), else 400 with `otherwise`.
 fn read_failed(e: &std::io::Error, otherwise: &str) -> Response {
     match e.kind() {
         ErrorKind::WouldBlock | ErrorKind::TimedOut => {
@@ -120,14 +208,36 @@ fn read_failed(e: &std::io::Error, otherwise: &str) -> Response {
     }
 }
 
-/// Read and parse one request off the stream.
-fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
-    let mut reader = BufReader::new(stream);
+/// The socket, read against the whole-request deadline: a read that
+/// returns after it fails like one that timed out, so a peer cannot stay
+/// inside the per-read deadline for ever by trickling bytes.
+struct Deadlined<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        if Instant::now() > self.deadline {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        Ok(n)
+    }
+}
+
+/// Read and parse one request off the stream, all of it by `deadline`.
+fn read_request(stream: &TcpStream, deadline: Instant) -> Result<Request, Response> {
+    let mut reader = BufReader::new(Deadlined { stream, deadline });
     // The head is read through a cap of one byte more than allowed, so a
     // peer that never sends a newline cannot make a line grow without
     // limit: a spent cap means the head was too large.
     let mut head = reader.by_ref().take(MAX_HEAD as u64 + 1);
     let too_large = || Response::text(413, "header block too large\n".into());
+    // A line that does not end in a newline is where the stream ended:
+    // the peer went away before the blank line, and what it meant to
+    // send after it is unknown.
+    let truncated = || Response::text(400, "truncated head\n".into());
     // Request line, then headers until the blank line.
     let mut request_line = String::new();
     head.read_line(&mut request_line)
@@ -135,25 +245,37 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     if head.limit() == 0 {
         return Err(too_large());
     }
+    if !request_line.ends_with('\n') {
+        return Err(truncated());
+    }
     let mut content_length = 0usize;
     let mut line = String::new();
     loop {
         line.clear();
-        let n = head
-            .read_line(&mut line)
+        head.read_line(&mut line)
             .map_err(|e| read_failed(&e, "unreadable header\n"))?;
         if head.limit() == 0 {
             return Err(too_large());
         }
-        if n == 0 || line == "\r\n" || line == "\n" {
+        if !line.ends_with('\n') {
+            return Err(truncated());
+        }
+        if line == "\r\n" || line == "\n" {
             break;
         }
         if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
                 content_length = value
                     .trim()
                     .parse()
                     .map_err(|_| Response::text(400, "bad content-length\n".into()))?;
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                // Its payload would sit unread behind an empty body.
+                return Err(Response::text(
+                    400,
+                    "transfer-encoding is not supported\n".into(),
+                ));
             }
         }
     }
@@ -175,11 +297,79 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, Response> {
     Ok(Request { method, path, body })
 }
 
-/// A running server: its bound address plus the shutdown switch.
+/// One exchange on a just-accepted connection; the caller closes it.
+fn serve_connection<H>(stream: &mut TcpStream, stats: &HttpStats, handler: &H)
+where
+    H: Fn(Request) -> Response,
+{
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    // No deadline, no service: a socket that cannot take one is dropped
+    // rather than allowed to block a worker forever.
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    // The worker outlives whatever the request does to the handler.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        read_request(stream, deadline).map(handler)
+    }));
+    let response = match outcome {
+        Ok(Ok(response)) => response,
+        Ok(Err(refusal)) => {
+            let counter = match refusal.status {
+                408 => &stats.timeouts,
+                _ => &stats.rejected,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            refusal
+        }
+        Err(_) => {
+            stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+            Response::text(500, "the handler panicked\n".into())
+        }
+    };
+    let _ = response.write_to(stream);
+}
+
+/// One worker: accept, serve, close, until the stop flag is up.
+fn work<H>(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    in_request: &AtomicBool,
+    stats: &HttpStats,
+    handler: &H,
+) where
+    H: Fn(Request) -> Response,
+{
+    while !stop.load(Ordering::SeqCst) {
+        let conn = listener.accept();
+        // Raised before the stop flag is read, and read by `stop_workers`
+        // after it raised the flag (both `SeqCst`): either this worker
+        // sees the flag and drops the connection, or `stop_workers` sees
+        // a worker it must not wait for.
+        in_request.store(true, Ordering::SeqCst);
+        if let (false, Ok((mut stream, _))) = (stop.load(Ordering::SeqCst), conn) {
+            stats.connections.fetch_add(1, Ordering::Relaxed);
+            let busy = stats.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
+            stats.busy_workers_peak.fetch_max(busy, Ordering::Relaxed);
+            serve_connection(&mut stream, stats, handler);
+            // Before the close at the end of this block: a peer that has
+            // read its reply to the end finds this worker counted idle.
+            stats.busy_workers.fetch_sub(1, Ordering::Relaxed);
+        }
+        in_request.store(false, Ordering::SeqCst);
+    }
+}
+
+/// A running server: its bound address, its workers and their counters.
+/// Dropping it stops the server, like [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    stats: Arc<HttpStats>,
+    /// Each worker with its "inside a request" flag.
+    workers: Vec<(JoinHandle<()>, Arc<AtomicBool>)>,
 }
 
 impl ServerHandle {
@@ -188,73 +378,79 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Stop accepting and join the accept loop.  In-flight connection
-    /// threads finish on their own.
-    pub fn shutdown(mut self) {
+    /// The transport's counters, for `/metrics`.
+    pub fn stats(&self) -> Arc<HttpStats> {
+        Arc::clone(&self.stats)
+    }
+
+    /// Stop serving and join the idle workers.  A worker inside a
+    /// request is not waited for: it finishes that request (the
+    /// deadlines bound how long that takes) and exits, and the listener
+    /// closes with the last worker.  Connections still in the backlog
+    /// are dropped unanswered.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+
+    /// Raise the stop flag and wake every worker.
+    fn stop_workers(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept() with one throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // One throwaway connection per worker unblocks every `accept()`;
+        // whoever takes one sees the flag and drops it unread.  With a
+        // full backlog the connect would hang, but then no worker is
+        // parked in `accept()` either — hence the short timeout.
+        for _ in &self.workers {
+            let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(100));
+        }
+        for (thread, in_request) in self.workers.drain(..) {
+            if !in_request.load(Ordering::SeqCst) {
+                let _ = thread.join();
+            }
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stop_workers();
     }
 }
 
-/// Bind `addr` and serve `handler` until [`ServerHandle::shutdown`].
+/// Bind `addr` and serve `handler` from `WORKERS` threads until
+/// [`ServerHandle::shutdown`].
 ///
-/// The handler runs on a per-connection thread; it must be internally
-/// synchronised (it is invoked concurrently).
+/// The handler runs on the worker threads; it must be internally
+/// synchronised (it is invoked concurrently, by at most `WORKERS`
+/// callers).  No thread is started after this function returns.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure.
+/// Propagates the bind failure, or a failure to start a worker.
 pub fn serve<H>(addr: &str, handler: Arc<H>) -> std::io::Result<ServerHandle>
 where
     H: Fn(Request) -> Response + Send + Sync + 'static,
 {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let accept_thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if stop_flag.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(mut stream) = conn else { continue };
-            // No deadline, no service: a socket that cannot take one is
-            // dropped rather than allowed to block a thread forever.
-            if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
-                || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
-            {
-                continue;
-            }
-            let handler = Arc::clone(&handler);
-            std::thread::spawn(move || {
-                let response = match read_request(&mut stream) {
-                    Ok(req) => handler(req),
-                    Err(resp) => resp,
-                };
-                let _ = response.write_to(&mut stream);
-                let _ = stream.flush();
-            });
-        }
-    });
-    Ok(ServerHandle {
-        addr: bound,
-        stop,
-        accept_thread: Some(accept_thread),
-    })
+    let listener = Arc::new(TcpListener::bind(addr)?);
+    let mut handle = ServerHandle {
+        addr: listener.local_addr()?,
+        stop: Arc::new(AtomicBool::new(false)),
+        stats: Arc::new(HttpStats::default()),
+        workers: Vec::with_capacity(WORKERS),
+    };
+    for i in 0..WORKERS {
+        let listener = Arc::clone(&listener);
+        let stop = Arc::clone(&handle.stop);
+        let stats = Arc::clone(&handle.stats);
+        let handler = Arc::clone(&handler);
+        let in_request = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&in_request);
+        // A failed spawn drops `handle`, which stops the workers so far.
+        let thread = std::thread::Builder::new()
+            .name(format!("prorp-http-{i}"))
+            .spawn(move || work(&listener, &stop, &flag, &stats, &*handler))?;
+        handle.workers.push((thread, in_request));
+    }
+    Ok(handle)
 }
 
 #[cfg(test)]
@@ -361,6 +557,254 @@ mod tests {
         });
         assert!(head.starts_with("HTTP/1.1 408 Request Timeout"), "{head}");
         assert!(body.starts_with("HTTP/1.1 408"), "{body}");
+        handle.shutdown();
+    }
+
+    use std::collections::HashSet;
+    use std::net::Shutdown;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex};
+
+    /// A server whose handler counts its calls and answers `ok`.
+    fn counting_server() -> (ServerHandle, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&calls);
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(move |_| {
+                seen.fetch_add(1, Ordering::SeqCst);
+                Response::text(200, "ok".into())
+            }),
+        )
+        .unwrap();
+        (handle, calls)
+    }
+
+    fn stat(handle: &ServerHandle, name: &str) -> u64 {
+        let rows = handle.stats().rows();
+        let row = rows.iter().find(|(n, _, _)| n.ends_with(name));
+        row.unwrap_or_else(|| panic!("no stat {name}")).2
+    }
+
+    /// Spin (yielding) until `cond` holds; the states waited for here are
+    /// reached within microseconds, so ten seconds means never.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !cond() {
+            assert!(started.elapsed() < Duration::from_secs(10), "never: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// The regression gate for a thread per connection coming back: many
+    /// more concurrent clients than workers, and the handler only ever
+    /// runs on the `WORKERS` threads `serve` started.
+    #[test]
+    fn every_reply_is_its_own_and_the_handler_threads_are_the_workers() {
+        let threads = Arc::new(Mutex::new(HashSet::new()));
+        let seen = Arc::clone(&threads);
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(move |req: Request| {
+                seen.lock().unwrap().insert(std::thread::current().id());
+                Response::text(200, format!("echo:{}", req.body))
+            }),
+        )
+        .unwrap();
+        std::thread::scope(|s| {
+            for client in 0..4 * WORKERS {
+                let handle = &handle;
+                s.spawn(move || {
+                    for i in 0..50 {
+                        let body = format!("client {client} request {i}");
+                        let raw = format!(
+                            "POST /echo HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                            body.len()
+                        );
+                        let reply = roundtrip(handle, &raw);
+                        assert!(reply.starts_with("HTTP/1.1 200 OK\r\n"), "{reply}");
+                        assert!(reply.ends_with(&format!("\r\n\r\necho:{body}")), "{reply}");
+                    }
+                });
+            }
+        });
+        let threads = threads.lock().unwrap();
+        assert!(
+            threads.len() <= WORKERS,
+            "{} handler threads",
+            threads.len()
+        );
+        assert_eq!(stat(&handle, "connections_total"), 4 * WORKERS as u64 * 50);
+        assert!(stat(&handle, "busy_workers_peak") <= WORKERS as u64);
+        assert_eq!(stat(&handle, "busy_workers"), 0);
+        drop(threads);
+        handle.shutdown();
+    }
+
+    /// Saturation: with every worker held by a stalled peer, a good
+    /// request waits in the backlog and is served once a worker frees.
+    #[test]
+    fn a_saturated_pool_serves_the_backlog_once_the_stalled_peers_time_out() {
+        let (handle, calls) = counting_server();
+        // The accept queue is first in, first out: a request sent after
+        // all the stalled peers have connected is accepted after them.
+        let connected = Barrier::new(WORKERS + 1);
+        let (stalled, good, waited) = std::thread::scope(|s| {
+            let stalled: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut peer = TcpStream::connect(handle.addr()).unwrap();
+                        peer.write_all(b"GET /v1/da").unwrap();
+                        connected.wait();
+                        let mut out = String::new();
+                        let _ = peer.read_to_string(&mut out);
+                        out
+                    })
+                })
+                .collect();
+            connected.wait();
+            let sent = Instant::now();
+            let good = roundtrip(&handle, "GET / HTTP/1.1\r\n\r\n");
+            let waited = sent.elapsed();
+            let stalled: Vec<String> = stalled.into_iter().map(|t| t.join().unwrap()).collect();
+            (stalled, good, waited)
+        });
+        assert!(good.starts_with("HTTP/1.1 200"), "{good}");
+        // No worker was free before the first stalled read timed out.
+        assert!(waited > IO_TIMEOUT / 2, "answered after {waited:?}");
+        for reply in &stalled {
+            assert!(reply.starts_with("HTTP/1.1 408"), "{reply}");
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert_eq!(stat(&handle, "timeouts_total"), WORKERS as u64);
+        assert_eq!(stat(&handle, "busy_workers_peak"), WORKERS as u64);
+        handle.shutdown();
+    }
+
+    /// A peer inside every per-read deadline still has to finish inside
+    /// the request's.
+    #[test]
+    fn a_trickling_peer_gets_408_at_the_request_deadline() {
+        let (handle, calls) = counting_server();
+        let mut peer = TcpStream::connect(handle.addr()).unwrap();
+        let started = Instant::now();
+        peer.write_all(b"GET / HTTP/1.1\r\nx-slow: ").unwrap();
+        let done = AtomicBool::new(false);
+        let reply = std::thread::scope(|s| {
+            let mut trickle = peer.try_clone().unwrap();
+            let done = &done;
+            s.spawn(move || {
+                while !done.load(Ordering::SeqCst) && trickle.write_all(b"a").is_ok() {
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            });
+            peer.set_read_timeout(Some(REQUEST_DEADLINE + 3 * IO_TIMEOUT))
+                .unwrap();
+            let mut out = Vec::new();
+            let _ = peer.read_to_end(&mut out);
+            done.store(true, Ordering::SeqCst);
+            String::from_utf8(out).unwrap()
+        });
+        let took = started.elapsed();
+        assert!(reply.starts_with("HTTP/1.1 408"), "{reply}");
+        assert!(took >= REQUEST_DEADLINE, "cut off after {took:?}");
+        assert!(took < REQUEST_DEADLINE + 2 * IO_TIMEOUT, "took {took:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_a_500_not_a_worker() {
+        let handle = serve(
+            "127.0.0.1:0",
+            Arc::new(|req: Request| {
+                assert_ne!(req.path, "/boom", "boom");
+                Response::text(200, "ok".into())
+            }),
+        )
+        .unwrap();
+        // One more than there are workers: were a panic to end its
+        // worker, the last of these would find nobody to answer it.
+        for _ in 0..=WORKERS {
+            let reply = roundtrip(&handle, "GET /boom HTTP/1.1\r\n\r\n");
+            assert!(
+                reply.starts_with("HTTP/1.1 500 Internal Server Error"),
+                "{reply}"
+            );
+        }
+        let reply = roundtrip(&handle, "GET / HTTP/1.1\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert_eq!(stat(&handle, "handler_panics_total"), WORKERS as u64 + 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_stalled_peer() {
+        let (handle, calls) = counting_server();
+        let addr = handle.addr();
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(b"GET /v1/da").unwrap();
+        wait_until("the stalled peer is being served", || {
+            stat(&handle, "busy_workers") == 1
+        });
+        let started = Instant::now();
+        handle.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+        // Refused, or taken into the backlog of a listener nobody
+        // accepts from any more: either way, unanswered.
+        if let Ok(mut late) = TcpStream::connect(addr) {
+            late.set_read_timeout(Some(Duration::from_millis(300)))
+                .unwrap();
+            let _ = late.write_all(b"GET / HTTP/1.1\r\n\r\n");
+            let mut out = Vec::new();
+            let _ = late.read_to_end(&mut out);
+            assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+    }
+
+    /// What the peer gets back after sending `raw` and closing its
+    /// sending side, so the server reads end-of-stream where `raw` ends.
+    /// As in `reply_until_close`, a reset ends the exchange like EOF.
+    fn reply_to_cut_off(handle: &ServerHandle, raw: &str) -> String {
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        s.write_all(raw.as_bytes()).unwrap();
+        s.shutdown(Shutdown::Write).unwrap();
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn a_head_cut_short_or_chunked_is_a_400_the_handler_never_sees() {
+        let (handle, calls) = counting_server();
+        for cut in [
+            "",
+            "POST /v1/finish",
+            "POST /v1/finish HTTP/1.1\r\n",
+            "POST /v1/finish HTTP/1.1\r\nhost: x",
+            "POST /v1/finish HTTP/1.1\r\nhost: x\r\n",
+        ] {
+            let reply = reply_to_cut_off(&handle, cut);
+            assert!(
+                reply.starts_with("HTTP/1.1 400 Bad Request"),
+                "{cut:?}: {reply}"
+            );
+            assert!(reply.ends_with("truncated head\n"), "{cut:?}: {reply}");
+        }
+        let reply = reply_to_cut_off(
+            &handle,
+            "POST /v1/events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        );
+        assert!(reply.starts_with("HTTP/1.1 400 Bad Request"), "{reply}");
+        assert!(reply.contains("transfer-encoding"), "{reply}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        assert_eq!(stat(&handle, "rejected_total"), 6);
+        // The same head with its blank line is served.
+        let reply = reply_to_cut_off(&handle, "POST /v1/finish HTTP/1.1\r\nhost: x\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         handle.shutdown();
     }
 }

@@ -358,6 +358,57 @@ fn an_advance_publishes_what_it_touched_not_the_fleet() {
     server.shutdown();
 }
 
+/// A request whose head stops before its blank line — the peer went
+/// away mid-send — is refused by the transport and never routed: a cut
+/// `POST /v1/finish` must not seal the run.  The transport counts what
+/// it refused on `/metrics`, after the publisher's self-metrics.
+#[test]
+fn a_finish_with_its_head_cut_off_leaves_the_run_open() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
+        .observe(ObsConfig::on())
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0)]);
+    let addr = server.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"POST /v1/finish HTTP/1.1\r\nhost: x")
+        .expect("write");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("read reply");
+    assert!(reply.starts_with("HTTP/1.1 400 Bad Request"), "{reply}");
+
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/events",
+        r#"{"events":[{"db":0,"at":600,"kind":"login"}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("accepted"), "{body}");
+
+    let (status, body) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(metric(&body, "prorp_server_http_rejected_total"), 1);
+    assert_eq!(metric(&body, "prorp_server_http_connections_total"), 3);
+    assert_eq!(metric(&body, "prorp_server_http_busy_workers"), 1);
+    assert!(metric(&body, "prorp_server_http_busy_workers_peak") >= 1);
+    assert_eq!(metric(&body, "prorp_server_http_timeouts_total"), 0);
+    assert_eq!(metric(&body, "prorp_server_http_handler_panics_total"), 0);
+    let publisher = body
+        .find("prorp_server_last_publish_records")
+        .expect("publisher metrics");
+    let transport = body
+        .find("prorp_server_http_connections_total")
+        .expect("transport metrics");
+    assert!(publisher < transport, "{body}");
+    server.shutdown();
+}
+
 #[test]
 fn wall_clock_mode_rejects_manual_advance() {
     let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(1), Timestamp(0))

@@ -56,5 +56,14 @@ cargo run --release -q -p prorp-bench --bin obs_bench -- \
 cargo run --release -q -p prorp-bench --bin storage_bench -- \
     --json results/BENCH_storage.json
 
+# Re-record the whole performance ledger — five workloads, end to end
+# and layer by layer, the server's numbers among them — with the `meta`
+# (host, commit, rustc, mode) the ledger writes itself.  Timings are a
+# machine-dependent snapshot; the ledger's own correctness gates
+# (`kpi_fingerprint` equality, live ≡ DES, no failed request) are the
+# guarantees.  A few minutes of wall time.
+cargo run --release -q -p prorp-ledger --bin ledger -- \
+    --seed 42 --out results/BENCH_ledger.json
+
 echo "==> goldens re-blessed; review the drift:"
 git --no-pager diff --stat -- tests/goldens/ results/

@@ -48,6 +48,14 @@ run cargo test -q -p testkit --test storage_conformance
 run cargo test -q -p testkit --test live_differential
 run cargo test -q -p prorp-server --test service_mode
 
+# The HTTP transport's contract: a fixed set of workers (the test with
+# 4× as many concurrent clients as workers fails if the handler ever
+# runs on more threads than `serve` started — that is what catches a
+# per-connection thread coming back), the listen backlog as the queue
+# under saturation, both deadlines (408), truncated and chunked heads
+# (400), a panicking handler (500), and a prompt shutdown.
+run cargo test -q -p prorp-server --lib http
+
 # The trace-query CLI must keep parsing the pinned trace format.
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_small.jsonl summary
