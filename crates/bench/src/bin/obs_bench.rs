@@ -1,7 +1,7 @@
 //! Observability-layer throughput bench — the cost model behind the
 //! SLO rollup design.
 //!
-//! Three phases, each with a correctness gate before any timing:
+//! Four phases, each with a correctness gate:
 //!
 //! 1. **Sketch inserts** — observations/second into one
 //!    [`QuantileSketch`] over a value stream spanning seconds-to-days
@@ -13,6 +13,12 @@
 //!    million-database fleet's synthetic event stream (logins, resume
 //!    completions, proactive resumes, breaker opens), gated on an
 //!    8-way shard split merging to the bit-identical series.
+//! 4. **Span trace** — nanoseconds per record to emit a synthetic span
+//!    stream (bursts per event, ties at one `start` across databases, a
+//!    backdated share) into per-shard [`TraceBuffer`]s, to put their
+//!    lanes in canonical order, and to merge them, at 1, 2 and 8
+//!    shards; gated on every layout's merged trace being the one buffer
+//!    sorted whole (the path the lanes replaced, timed beside them).
 //!
 //! Flags:
 //!
@@ -25,8 +31,11 @@
 //! documents a representative run, the determinism gates are the
 //! guarantees.
 
-use prorp_bench::{json_path_from_args, write_json, Json};
-use prorp_obs::{evaluate_alerts, QuantileSketch, SloConfig, SloSeries};
+use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
+use prorp_obs::{
+    evaluate_alerts, QuantileSketch, SloConfig, SloSeries, SpanKind, TraceBuffer, TraceRecord,
+    TraceSink,
+};
 use prorp_types::{DatabaseId, Seconds, Timestamp};
 use std::time::Instant;
 
@@ -185,6 +194,125 @@ fn rollup_phase(dbs: u64, events: usize) -> Vec<(String, Json)> {
     ]
 }
 
+/// One synthetic span: `(start, end, db)`.
+type Span = (Timestamp, Timestamp, DatabaseId);
+
+/// A span stream shaped like the event loop's: simulated time only moves
+/// forward, an event emits a burst of one to four spans for its database
+/// at the current instant, one event in eight shares its instant with
+/// the next (ties across databases), and about three percent of spans
+/// are reported at their end and start up to ten minutes back.
+fn span_stream(events: usize, dbs: u64) -> Vec<Span> {
+    let mut rng = Rng(31);
+    let mut now = 0i64;
+    let mut spans = Vec::with_capacity(events * 3);
+    for _ in 0..events {
+        if rng.next() % 8 != 0 {
+            now += 1 + (rng.next() % 5) as i64;
+        }
+        let db = DatabaseId(rng.next() % dbs);
+        for _ in 0..1 + rng.next() % 4 {
+            let back = if rng.next() % 100 < 3 {
+                1 + (rng.next() % 600) as i64
+            } else {
+                0
+            };
+            spans.push((Timestamp(now - back), Timestamp(now), db));
+        }
+    }
+    spans
+}
+
+/// Phase 4: span-trace emit, order and merge cost per record.  `merge`
+/// consumes the lanes, so freeing them is in its figure, as it is in the
+/// simulator's.
+fn trace_phase(events: usize, dbs: u64) -> Vec<(String, Json)> {
+    const KIND: SpanKind = SpanKind::ProactiveResume;
+    let spans = span_stream(events, dbs);
+    let per_record = |t0: Instant| t0.elapsed().as_nanos() as f64 / spans.len() as f64;
+
+    // The oracle, and the path the lanes replaced: one buffer in
+    // emission order, sorted whole.
+    let mut next_seq = std::collections::HashMap::new();
+    let mut oracle: Vec<TraceRecord> = spans
+        .iter()
+        .map(|&(start, end, db)| {
+            let seq = next_seq.entry(db).or_insert(0u64);
+            *seq += 1;
+            TraceRecord {
+                start,
+                end,
+                db,
+                seq: *seq - 1,
+                kind: KIND,
+            }
+        })
+        .collect();
+    let backdated = oracle.windows(2).filter(|w| w[1].start < w[0].start);
+    let backdated_share = backdated.count() as f64 / spans.len() as f64;
+    let t0 = Instant::now();
+    oracle.sort_by_key(TraceRecord::sort_key);
+    let sort_ns = per_record(t0);
+
+    let mut rows = Vec::new();
+    let mut fields = vec![
+        ("trace_records".to_string(), Json::from(spans.len() as u64)),
+        ("trace_dbs".into(), Json::from(dbs)),
+        ("trace_backdated_share".into(), Json::Float(backdated_share)),
+        (
+            "trace_sort_whole_ns_per_record".into(),
+            Json::Float(sort_ns),
+        ),
+    ];
+    for shards in [1usize, 2, 8] {
+        // Best of three: a first pass pays the page faults of buffers
+        // the allocator then keeps, which is not what is being sized.
+        let (mut emit_ns, mut order_ns, mut merge_ns) = (f64::MAX, f64::MAX, f64::MAX);
+        for _ in 0..3 {
+            let mut buffers: Vec<TraceBuffer> = (0..shards).map(|_| TraceBuffer::new()).collect();
+            let t0 = Instant::now();
+            for &(start, end, db) in &spans {
+                buffers[db.shard_of(shards)].span(start, end, db, KIND);
+            }
+            emit_ns = emit_ns.min(per_record(t0));
+            let t0 = Instant::now();
+            let lanes: Vec<Vec<TraceRecord>> = buffers
+                .into_iter()
+                .flat_map(TraceBuffer::into_lanes)
+                .collect();
+            order_ns = order_ns.min(per_record(t0));
+            let t0 = Instant::now();
+            let merged = TraceBuffer::merge(lanes);
+            merge_ns = merge_ns.min(per_record(t0));
+            assert!(
+                merged == oracle,
+                "{shards}-shard lanes + merge diverged from the buffer sorted whole"
+            );
+        }
+        println!(
+            "trace: {} spans, {shards} shard(s): emit {emit_ns:.1} + order {order_ns:.1} + \
+             merge {merge_ns:.1} ns/record (sorting it whole: {sort_ns:.1})",
+            spans.len()
+        );
+        if shards == 2 {
+            // The ledger's `des_sharded_full` layout names the headline.
+            fields.extend([
+                ("trace_emit_ns_per_record".to_string(), Json::Float(emit_ns)),
+                ("trace_order_ns_per_record".into(), Json::Float(order_ns)),
+                ("trace_merge_ns_per_record".into(), Json::Float(merge_ns)),
+            ]);
+        }
+        rows.push(Json::object(vec![
+            ("shards", Json::from(shards as u64)),
+            ("emit_ns_per_record", Json::Float(emit_ns)),
+            ("order_ns_per_record", Json::Float(order_ns)),
+            ("merge_ns_per_record", Json::Float(merge_ns)),
+        ]));
+    }
+    fields.push(("trace_by_shards".into(), Json::Array(rows)));
+    fields
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let json_path = json_path_from_args();
@@ -193,18 +321,20 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
 
-    let (inserts, merge_shards, per_shard, dbs, events) = if smoke {
-        (200_000, 32, 1_000, 10_000u64, 100_000)
+    let (inserts, merge_shards, per_shard, dbs, events, trace_events) = if smoke {
+        (200_000, 32, 1_000, 10_000u64, 100_000, 20_000)
     } else {
-        (20_000_000, 1_024, 10_000, 1_000_000u64, 4_000_000)
+        (20_000_000, 1_024, 10_000, 1_000_000u64, 4_000_000, 190_000)
     };
 
-    let mut fields: Vec<(String, Json)> = vec![(
-        "mode".into(),
-        Json::Str(if smoke { "smoke" } else { "full" }.into()),
-    )];
+    let mode = if smoke { "smoke" } else { "full" };
+    let mut fields: Vec<(String, Json)> = vec![
+        ("meta".into(), run_meta(mode)),
+        ("mode".into(), Json::Str(mode.into())),
+    ];
     fields.extend(sketch_phases(inserts, merge_shards, per_shard));
     fields.extend(rollup_phase(dbs, events));
+    fields.extend(trace_phase(trace_events, dbs.min(10_000)));
 
     if let Some(path) = json_path {
         let value = Json::Object(fields);

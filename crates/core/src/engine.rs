@@ -37,6 +37,29 @@ impl PolicyKind {
     }
 }
 
+/// What [`DatabasePolicy::drain_explains`] yields: the pending records,
+/// removed from the engine's buffer in place — as the iterator is
+/// consumed or when it is dropped, read or not — so the buffer keeps its
+/// capacity from one event to the next.  The iterator of a policy
+/// without provenance is empty and owns nothing.
+#[derive(Debug, Default)]
+pub struct ExplainDrain<'a>(Option<std::vec::Drain<'a, (Timestamp, DecisionExplain)>>);
+
+impl<'a> ExplainDrain<'a> {
+    /// Drain all of `buffer`.
+    pub fn of(buffer: &'a mut Vec<(Timestamp, DecisionExplain)>) -> Self {
+        ExplainDrain(Some(buffer.drain(..)))
+    }
+}
+
+impl Iterator for ExplainDrain<'_> {
+    type Item = (Timestamp, DecisionExplain);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.as_mut()?.next()
+    }
+}
+
 /// Token matching a scheduled timer to its delivery; a stale token (from a
 /// timer scheduled before a state change) must be ignored by the engine.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -188,8 +211,8 @@ pub trait DatabasePolicy {
     /// Drain the [`DecisionExplain`] records captured since the last
     /// drain, in chronological order.  Empty unless capture was enabled
     /// through [`set_explain_enabled`](DatabasePolicy::set_explain_enabled).
-    fn drain_explains(&mut self) -> Vec<(Timestamp, DecisionExplain)> {
-        Vec::new()
+    fn drain_explains(&mut self) -> ExplainDrain<'_> {
+        ExplainDrain::default()
     }
 }
 

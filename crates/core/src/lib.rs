@@ -54,7 +54,7 @@ pub mod workflow;
 
 pub use breaker::CircuitBreaker;
 pub use engine::{
-    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
+    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind, TimerToken,
 };
 pub use invariants::LifecycleInvariants;
 pub use maintenance::{MaintenanceScheduler, MaintenanceSlot, MaintenanceStats};

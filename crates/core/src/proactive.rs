@@ -29,7 +29,7 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::engine::{
-    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
+    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind, TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_forecast::Predictor;
@@ -516,8 +516,8 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         }
     }
 
-    fn drain_explains(&mut self) -> Vec<(Timestamp, DecisionExplain)> {
-        std::mem::take(&mut self.explains)
+    fn drain_explains(&mut self) -> ExplainDrain<'_> {
+        ExplainDrain::of(&mut self.explains)
     }
 }
 
@@ -941,13 +941,13 @@ mod tests {
         let mut eng = engine();
         // Off by default: decisions leave no provenance behind.
         run_daily_sessions(&mut eng, 2);
-        assert!(eng.drain_explains().is_empty());
+        assert_eq!(eng.drain_explains().count(), 0);
 
         eng.set_explain_enabled(true);
         run_daily_sessions_from(&mut eng, 2, 6);
         let pred = eng.current_prediction().expect("old db predicts");
         assert_eq!(eng.state(), DbState::PhysicallyPaused);
-        let explains = eng.drain_explains();
+        let explains: Vec<_> = eng.drain_explains().collect();
         assert!(!explains.is_empty());
         // Chronological, and every record carries the history length the
         // engine saw at that instant.
@@ -968,14 +968,22 @@ mod tests {
         assert!((ratio - pred.confidence).abs() < 1e-9);
         // A proactive resume is a decision too.
         eng.on_event(pred.start, EngineEvent::ProactiveResume);
-        let resumed = eng.drain_explains();
+        let resumed: Vec<_> = eng.drain_explains().collect();
         assert_eq!(resumed.len(), 1);
+        // Draining happens in place: the buffer keeps what it grew to.
+        assert!(eng.explains.is_empty() && eng.explains.capacity() >= explains.len());
+        // Dropping the iterator unread drains too.
+        eng.on_event(pred.start, EngineEvent::ActivityStart);
+        eng.on_event(pred.start + Seconds::hours(1), EngineEvent::ActivityEnd);
+        assert!(!eng.explains.is_empty());
+        drop(eng.drain_explains());
+        assert!(eng.explains.is_empty());
         assert_eq!(resumed[0].1.action, DecisionAction::ProactiveResume);
         // Disabling clears any pending records.
         eng.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
         eng.on_event(t(6 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
         eng.set_explain_enabled(false);
-        assert!(eng.drain_explains().is_empty());
+        assert_eq!(eng.drain_explains().count(), 0);
     }
 
     #[test]

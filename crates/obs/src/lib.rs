@@ -36,7 +36,8 @@
 //! * [`slo`] — per-region [`SloSeries`] rollups, derived [`SloRow`]s,
 //!   and multi-window burn-rate [`evaluate_alerts`];
 //! * [`config`] — the [`ObsConfig`] knob carried by `SimConfig`;
-//! * [`report`] — the merged [`ObsReport`] attached to a `SimReport`;
+//! * [`report`] — the merged [`ObsReport`] attached to a `SimReport`,
+//!   and the per-shard [`ObsPart`]s it is merged from;
 //! * [`export`] — JSONL and Prometheus text exporters plus the trace
 //!   reader the CLI uses;
 //! * [`json`] — the workspace's one JSON codec: the [`Json`] value, its
@@ -79,7 +80,7 @@ pub use query::{
     breaker_episodes, decisions, qos_misses, slowest_stages, summary, timeline, why,
     BreakerEpisode, Decision, QosMiss, QosMissCause, StageLatency, TraceSummary,
 };
-pub use report::ObsReport;
+pub use report::{ObsPart, ObsReport};
 pub use sketch::QuantileSketch;
 pub use slo::{
     evaluate_alerts, Alert, AlertKind, SloConfig, SloRow, SloSeries, SloWindowStats, PPM,

@@ -21,20 +21,34 @@ pub struct ObsReport {
     pub slo: Option<SloSeries>,
 }
 
+/// One shard's share of an [`ObsReport`]: the same fields, except that
+/// the trace is still the two lanes its [`TraceBuffer`] was written in
+/// ([`TraceBuffer::into_lanes`]) — merging them is the fleet merge's
+/// work, done once for all shards.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct ObsPart {
+    /// The shard's trace lanes, each in canonical order.
+    pub trace: [Vec<TraceRecord>; 2],
+    /// The shard's metrics snapshots, end-of-run snapshot last.
+    pub snapshots: Vec<MetricsSnapshot>,
+    /// The shard's SLO rollup series, when rollups are enabled.
+    pub slo: Option<SloSeries>,
+}
+
 impl ObsReport {
-    /// Merge per-shard reports into the fleet-wide report.
+    /// Merge per-shard parts into the fleet-wide report.
     ///
     /// # Errors
     ///
     /// Fails when the per-shard snapshot series are inconsistent (see
     /// [`MetricsSnapshot::merge`]) or the SLO configs differ across
     /// shards.
-    pub fn merge(parts: Vec<ObsReport>) -> Result<ObsReport, ProrpError> {
-        let mut traces = Vec::with_capacity(parts.len());
+    pub fn merge(parts: Vec<ObsPart>) -> Result<ObsReport, ProrpError> {
+        let mut traces = Vec::with_capacity(2 * parts.len());
         let mut snapshots = Vec::with_capacity(parts.len());
         let mut slo_parts = Vec::new();
         for part in parts {
-            traces.push(part.trace);
+            traces.extend(part.trace);
             snapshots.push(part.snapshots);
             if let Some(slo) = part.slo {
                 slo_parts.push(slo);
@@ -67,7 +81,7 @@ mod tests {
     use crate::span::{SpanKind, TraceSink};
     use prorp_types::{DatabaseId, Timestamp};
 
-    fn part(db: u64, count: u64) -> ObsReport {
+    fn part(db: u64, count: u64) -> ObsPart {
         let mut buf = TraceBuffer::new();
         buf.event(
             Timestamp(db as i64),
@@ -78,8 +92,8 @@ mod tests {
         reg.counter("prorp_c").add(count);
         let mut slo = SloSeries::new(SloConfig::default());
         slo.on_login(Timestamp(10), DatabaseId(db), false);
-        ObsReport {
-            trace: buf.into_records(),
+        ObsPart {
+            trace: buf.into_lanes(),
             snapshots: vec![reg.snapshot(Timestamp(100))],
             slo: Some(slo),
         }

@@ -15,9 +15,12 @@
 //! independent of how databases are partitioned across workers.  This
 //! extends the deterministic-merge discipline of `TelemetryLog::merge` to
 //! trace streams.
+//!
+//! Nothing on that path sorts a whole trace: a [`TraceBuffer`] is written
+//! in the order it will be read, and [`TraceBuffer::merge`] copies
+//! stretches between heads.
 
-use prorp_types::{DatabaseId, DbState, Timestamp, WorkflowStage};
-use std::collections::HashMap;
+use prorp_types::{DatabaseId, DbMap, DbState, Timestamp, WorkflowStage};
 
 /// How one predictor invocation (Algorithm 4) ended.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -302,11 +305,29 @@ impl TraceSink for NullSink {
 }
 
 /// An in-memory sink that assigns per-database sequence numbers as spans
-/// arrive, preserving each database's emission order across shard merges.
+/// arrive (so each database's emission order survives shard merges) and
+/// writes them in the order they will be read.
+///
+/// The event loop emits spans at non-decreasing simulated time and
+/// nearly all start at that time; the exceptions are *backdated* — a
+/// workflow or one of its stages is reported when it ends and starts
+/// earlier.  So there are two lanes: a span whose `start` is not before
+/// the in-order lane's last `start` appends to that lane, anything else
+/// goes to the (small) backdated lane.  Canonical `(start, db, seq)`
+/// order then costs a sort of the equal-`start` groups seen to arrive out
+/// of database order plus a sort of the backdated lane — never a sort
+/// of, or even a pass over, the buffer.
 #[derive(Clone, Default, Debug)]
 pub struct TraceBuffer {
-    records: Vec<TraceRecord>,
-    next_seq: HashMap<DatabaseId, u64>,
+    /// `start` never decreases along this lane.
+    in_order: Vec<TraceRecord>,
+    /// Ascending positions in `in_order` of the records that sort before
+    /// their predecessor (same `start`, smaller database): the only
+    /// places where the lane is not yet canonical.
+    misplaced: Vec<usize>,
+    /// Spans that started before the in-order lane's last `start`.
+    backdated: Vec<TraceRecord>,
+    next_seq: DbMap<u64>,
 }
 
 impl TraceBuffer {
@@ -317,65 +338,105 @@ impl TraceBuffer {
 
     /// Number of buffered records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.in_order.len() + self.backdated.len()
     }
 
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// Consume the buffer, yielding records in emission order.
+    /// Consume the buffer into its two lanes — in-order, then backdated
+    /// — each in canonical [`TraceRecord::sort_key`] order.  A shard
+    /// hands both to the fleet-wide [`merge`](Self::merge) as they are.
+    pub fn into_lanes(mut self) -> [Vec<TraceRecord>; 2] {
+        // `start` ascends along the in-order lane and a database's `seq`
+        // ascends with emission: only databases sharing one `start` can
+        // sit out of order, and `span` noted each place where two do.
+        let lane = &mut self.in_order;
+        let mut sorted_to = 0;
+        for at in self.misplaced {
+            if at < sorted_to {
+                continue; // inside the group the previous entry sorted
+            }
+            let same_start = |r: &&TraceRecord| r.start == lane[at].start;
+            let from = at - lane[..at].iter().rev().take_while(same_start).count();
+            sorted_to = at + lane[at..].iter().take_while(same_start).count();
+            lane[from..sorted_to].sort_unstable_by_key(|r| (r.db, r.seq));
+        }
+        self.backdated.sort_unstable_by_key(TraceRecord::sort_key);
+        [self.in_order, self.backdated]
+    }
+
+    /// Consume the buffer, yielding its records in canonical
+    /// [`TraceRecord::sort_key`] order (the two lanes merged).
     pub fn into_records(self) -> Vec<TraceRecord> {
-        self.records
+        Self::merge(self.into_lanes().into())
     }
 
-    /// Merge per-shard record streams into one canonical trace.
+    /// Merge record streams — the lanes of every shard's buffer — into
+    /// one canonical trace.
     ///
     /// The output is ordered by [`TraceRecord::sort_key`].  Each database
     /// lives on exactly one shard, so its sequence numbers came from a
     /// single buffer and the result is independent of the shard layout.
     ///
-    /// Parts that already arrive in canonical order (the shard runner
-    /// sorts its buffer on the worker thread before handing it over) are
-    /// k-way merged without re-sorting, so the fleet-wide combine step is
-    /// a single linear pass; an unsorted part is detected and sorted
-    /// first, preserving the old flatten-and-sort semantics for ad-hoc
-    /// callers.
+    /// Parts are expected in canonical order, as
+    /// [`into_lanes`](Self::into_lanes) leaves them.  The merge takes the
+    /// part with the smallest head and copies its whole stretch up to the
+    /// next-smallest head in one `extend_from_slice`; a single non-empty
+    /// part is returned as it is, without a copy.  The same pass checks
+    /// the order it relies on, and a part found out of order turns the
+    /// call into flatten-and-sort — what ad-hoc callers always got
+    /// (equal keys keep part order either way).
     pub fn merge(parts: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Heap entry: (record sort key, source index).
-        type HeapKey = Reverse<((i64, u64, u64), usize)>;
-
-        let total = parts.iter().map(Vec::len).sum();
-        let mut sources: Vec<std::vec::IntoIter<TraceRecord>> = parts
-            .into_iter()
-            .map(|mut part| {
-                if !part.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key()) {
-                    part.sort_by_key(TraceRecord::sort_key);
-                }
-                part.into_iter()
-            })
-            .collect();
-        // Heap of (next sort key, source index); ties across sources
-        // cannot happen in a sharded run (each database's records sit in
-        // one part), but the source index makes the order total anyway.
-        let mut heads: Vec<Option<TraceRecord>> = sources.iter_mut().map(Iterator::next).collect();
-        let mut heap: BinaryHeap<HeapKey> = heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, h)| h.map(|r| Reverse((r.sort_key(), i))))
-            .collect();
-        let mut merged = Vec::with_capacity(total);
-        while let Some(Reverse((_, i))) = heap.pop() {
-            let record = heads[i].take().expect("heap entries have a live head");
-            merged.push(record);
-            if let Some(next) = sources[i].next() {
-                heads[i] = Some(next);
-                heap.push(Reverse((next.sort_key(), i)));
+        let mut parts: Vec<Vec<TraceRecord>> =
+            parts.into_iter().filter(|part| !part.is_empty()).collect();
+        if parts.len() <= 1 {
+            let mut only = parts.pop().unwrap_or_default();
+            if !only.windows(2).all(|w| w[0].sort_key() <= w[1].sort_key()) {
+                only.sort_by_key(TraceRecord::sort_key);
             }
+            return only;
+        }
+        let mut merged = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        let mut canonical = true;
+        let mut rest: Vec<&[TraceRecord]> = parts.iter().map(Vec::as_slice).collect();
+        let head_of = |part: &[TraceRecord]| part.first().map(TraceRecord::sort_key);
+        let mut heads: Vec<_> = rest.iter().map(|part| head_of(part)).collect();
+        loop {
+            // The smallest and second-smallest heads; the part index
+            // breaks ties between equal keys, which a sharded run never
+            // produces (a database's records sit in one buffer).
+            let (mut first, mut second) = (None, None);
+            for (i, head) in heads.iter().enumerate() {
+                let Some(head) = *head else { continue };
+                let key = (head, i);
+                if first.map_or(true, |smallest| key < smallest) {
+                    (first, second) = (Some(key), first);
+                } else if second.map_or(true, |runner_up| key < runner_up) {
+                    second = Some(key);
+                }
+            }
+            let Some((mut last, i)) = first else { break };
+            // The stretch ends before the first record past the runner-up
+            // (compared, so that record's order is checked too).
+            let mut stretch = 1;
+            for record in &rest[i][1..] {
+                let key = record.sort_key();
+                canonical &= last <= key;
+                if second.is_some_and(|bound| (key, i) > bound) {
+                    break;
+                }
+                (last, stretch) = (key, stretch + 1);
+            }
+            let (taken, left) = rest[i].split_at(stretch);
+            merged.extend_from_slice(taken);
+            (rest[i], heads[i]) = (left, head_of(left));
+        }
+        if !canonical {
+            merged = parts.concat();
+            merged.sort_by_key(TraceRecord::sort_key);
         }
         merged
     }
@@ -384,14 +445,22 @@ impl TraceBuffer {
 impl TraceSink for TraceBuffer {
     fn span(&mut self, start: Timestamp, end: Timestamp, db: DatabaseId, kind: SpanKind) {
         let seq = self.next_seq.entry(db).or_insert(0);
-        self.records.push(TraceRecord {
+        let record = TraceRecord {
             start,
             end,
             db,
             seq: *seq,
             kind,
-        });
+        };
         *seq += 1;
+        match self.in_order.last() {
+            Some(last) if start < last.start => return self.backdated.push(record),
+            Some(last) if start == last.start && db < last.db => {
+                self.misplaced.push(self.in_order.len());
+            }
+            _ => {}
+        }
+        self.in_order.push(record);
     }
 }
 
@@ -439,12 +508,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorts_backdated_parts_before_k_way_merging() {
-        // A backdated span (start before the previous record's) leaves a
-        // buffer out of canonical order; merge must detect and sort it.
-        let mut unsorted = TraceBuffer::new();
-        rec(&mut unsorted, 50, 1);
-        unsorted.span(
+    fn backdated_spans_take_the_second_lane() {
+        let mut buf = TraceBuffer::new();
+        rec(&mut buf, 50, 2);
+        rec(&mut buf, 50, 1);
+        // Backdated: starts before the in-order lane's last `start`.
+        buf.span(
             Timestamp(10),
             Timestamp(50),
             DatabaseId(1),
@@ -452,20 +521,153 @@ mod tests {
                 outcome: WorkflowOutcome::Completed,
             },
         );
-        let mut sorted = TraceBuffer::new();
-        rec(&mut sorted, 20, 2);
-        rec(&mut sorted, 60, 2);
+        // Not before it, though behind the backdated span's emission.
+        rec(&mut buf, 50, 1);
+        rec(&mut buf, 60, 2);
+        assert_eq!(buf.len(), 5);
 
-        let a = unsorted.into_records();
-        let b = sorted.into_records();
+        let key = |r: &TraceRecord| (r.start.as_secs(), r.db.raw(), r.seq);
+        let [in_order, backdated] = buf.clone().into_lanes();
+        let keys: Vec<_> = in_order.iter().map(key).collect();
+        assert_eq!(keys, [(50, 1, 0), (50, 1, 2), (50, 2, 0), (60, 2, 1)]);
+        assert_eq!(backdated.iter().map(key).collect::<Vec<_>>(), [(10, 1, 1)]);
+        let all: Vec<_> = buf.into_records().iter().map(key).collect();
+        assert_eq!(all[0], (10, 1, 1));
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn merge_sorts_backdated_parts_before_k_way_merging() {
+        // A part handed over out of canonical order (here: as a sink
+        // without lanes would have left a backdated span) must still come
+        // out flatten-and-sorted.
+        let mut a = TraceBuffer::new();
+        rec(&mut a, 50, 1);
+        a.span(
+            Timestamp(10),
+            Timestamp(50),
+            DatabaseId(1),
+            SpanKind::Workflow {
+                outcome: WorkflowOutcome::Completed,
+            },
+        );
+        let mut a = a.into_records();
+        a.reverse();
+        assert!(a[0].start > a[1].start, "deliberately unsorted");
+        let mut b = TraceBuffer::new();
+        rec(&mut b, 20, 2);
+        rec(&mut b, 60, 2);
+        let b = b.into_records();
+
         let mut want: Vec<TraceRecord> = a.iter().chain(b.iter()).copied().collect();
         want.sort_by_key(TraceRecord::sort_key);
+        assert_eq!(TraceBuffer::merge(vec![a, b]), want);
+    }
 
-        let merged = TraceBuffer::merge(vec![a, b]);
-        assert_eq!(merged, want);
-        assert!(merged
-            .windows(2)
-            .all(|w| w[0].sort_key() <= w[1].sort_key()));
+    /// The path the lanes replaced, kept as their oracle: one buffer in
+    /// emission order, sorted whole.
+    #[derive(Default)]
+    struct SortedWhole {
+        records: Vec<TraceRecord>,
+        next_seq: std::collections::HashMap<DatabaseId, u64>,
+    }
+
+    impl TraceSink for SortedWhole {
+        fn span(&mut self, start: Timestamp, end: Timestamp, db: DatabaseId, kind: SpanKind) {
+            let seq = self.next_seq.entry(db).or_insert(0);
+            self.records.push(TraceRecord {
+                start,
+                end,
+                db,
+                seq: *seq,
+                kind,
+            });
+            *seq += 1;
+        }
+    }
+
+    impl SortedWhole {
+        fn into_records(mut self) -> Vec<TraceRecord> {
+            self.records.sort_by_key(TraceRecord::sort_key);
+            self.records
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// `(start, length, db)` of one span.  Few instants and few
+    /// databases, so ties at one `start` across databases are the rule;
+    /// `start`s are drawn freely, so a span may be backdated by any
+    /// amount, also against the in-order lane's own last `start`.
+    fn spans(max: usize) -> impl Strategy<Value = Vec<(i64, i64, u64)>> {
+        prop::collection::vec((0i64..8, 0i64..3, 0u64..4), 0..max)
+    }
+
+    fn emit(sink: &mut impl TraceSink, spans: &[(i64, i64, u64)]) {
+        for &(start, len, db) in spans {
+            let kind = SpanKind::Checkpoint { bytes: len as u64 };
+            sink.span(
+                Timestamp(start),
+                Timestamp(start + len),
+                DatabaseId(db),
+                kind,
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lanes + merge ≡ emission order stably sorted by `sort_key`,
+        /// for zero, one and many records.
+        #[test]
+        fn lanes_are_the_sorted_buffer(spans in spans(60)) {
+            let (mut lanes, mut whole) = (TraceBuffer::new(), SortedWhole::default());
+            emit(&mut lanes, &spans);
+            emit(&mut whole, &spans);
+            prop_assert_eq!(lanes.len(), spans.len());
+            prop_assert_eq!(lanes.is_empty(), spans.is_empty());
+            for lane in lanes.clone().into_lanes() {
+                prop_assert!(lane.windows(2).all(|w| w[0].sort_key() < w[1].sort_key()));
+            }
+            prop_assert_eq!(lanes.into_records(), whole.into_records());
+        }
+
+        /// `merge` ≡ flatten-and-sort over 0–8 parts: empty ones, a
+        /// single one, equal keys in different parts (every part numbers
+        /// its databases from 0) and one part left deliberately unsorted.
+        #[test]
+        fn merge_is_flatten_and_sort(
+            parts in prop::collection::vec(spans(20), 0..9),
+            unsorted in 0usize..8,
+        ) {
+            let mut parts: Vec<Vec<TraceRecord>> = parts
+                .iter()
+                .map(|spans| {
+                    let mut buf = TraceBuffer::new();
+                    emit(&mut buf, spans);
+                    buf.into_records()
+                })
+                .collect();
+            if let Some(part) = parts.get_mut(unsorted) {
+                part.reverse();
+            }
+            let mut want: Vec<TraceRecord> = parts.iter().flatten().copied().collect();
+            want.sort_by_key(TraceRecord::sort_key);
+            prop_assert_eq!(TraceBuffer::merge(parts), want);
+        }
+    }
+
+    #[test]
+    fn merging_a_single_part_returns_it_without_a_copy() {
+        let mut buf = TraceBuffer::new();
+        emit(&mut buf, &[(1, 0, 0), (2, 0, 1), (3, 1, 0)]);
+        let part = buf.into_records();
+        let at = part.as_ptr();
+        let merged = TraceBuffer::merge(vec![Vec::new(), part, Vec::new()]);
+        assert_eq!(merged.len(), 3);
+        assert_eq!(merged.as_ptr(), at, "the part itself, not a copy of it");
+        assert!(TraceBuffer::merge(Vec::new()).is_empty());
     }
 
     #[test]

@@ -34,12 +34,11 @@ use prorp_core::{
 };
 use prorp_obs::span::DecisionExplain;
 use prorp_obs::{
-    BreakerTransition, Counter, Histogram, MetricsRegistry, MetricsSnapshot, ObsConfig, ObsReport,
+    BreakerTransition, Counter, Histogram, MetricsRegistry, MetricsSnapshot, ObsConfig, ObsPart,
     PredictOutcome, Sketch, SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink,
     WorkflowOutcome,
 };
-use prorp_types::{DatabaseId, DbState, Seconds, Timestamp, WorkflowStage};
-use std::collections::{HashMap, HashSet};
+use prorp_types::{DatabaseId, DbMap, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
 
 /// Handles for the §7 diagnostics-and-mitigation runner, registered
 /// through [`DiagnosticsRunner::register_metrics`].
@@ -131,10 +130,10 @@ pub(crate) struct ShardObs {
     slo: Option<SloSeries>,
     /// Latest decision-provenance record per database, for the live
     /// `why` endpoint (the full history lives in the trace).
-    last_decision: HashMap<DatabaseId, (Timestamp, DecisionExplain)>,
+    last_decision: DbMap<(Timestamp, DecisionExplain)>,
     /// Databases whose predictor breaker is currently open; lets the next
     /// successful prediction be attributed as the breaker-closing probe.
-    breaker_open: HashSet<DatabaseId>,
+    breaker_open: DbSet,
     snapshots: Vec<MetricsSnapshot>,
 }
 
@@ -192,8 +191,8 @@ impl ShardObs {
             qos_miss_delay_sketch,
             retry_backoff_sketch,
             slo: cfg.slo.map(SloSeries::new),
-            last_decision: HashMap::new(),
-            breaker_open: HashSet::new(),
+            last_decision: DbMap::default(),
+            breaker_open: DbSet::default(),
             snapshots: Vec::new(),
         }
     }
@@ -530,19 +529,17 @@ impl ShardObs {
         self.snapshots.push(self.registry.snapshot(at));
     }
 
-    /// Consume the shard's observability state into its mergeable report.
+    /// Consume the shard's observability state into its mergeable part.
     ///
-    /// The shard's trace buffer is sorted into canonical
-    /// `(start, db, seq)` order here, on the worker thread — backdated
-    /// spans (whose `start` lies before the previous record's) make the
-    /// raw emission order non-canonical — so the fleet-wide
-    /// `TraceBuffer::merge` can k-way merge pre-sorted parts in one
-    /// linear pass.
-    pub(crate) fn finish(self) -> ObsReport {
-        let mut trace = self.trace.into_records();
-        trace.sort_by_key(|r| r.sort_key());
-        ObsReport {
-            trace,
+    /// The trace leaves as the buffer's two lanes, put in canonical
+    /// `(start, db, seq)` order here, on the worker thread — which the
+    /// way they were written makes a fix-up of ties and a sort of the
+    /// few backdated spans (`TraceBuffer::into_lanes`).  Merging the
+    /// lanes is left to the fleet-wide `TraceBuffer::merge`, which has
+    /// to pass over every record anyway.
+    pub(crate) fn finish(self) -> ObsPart {
+        ObsPart {
+            trace: self.trace.into_lanes(),
             snapshots: self.snapshots,
             slo: self.slo,
         }
@@ -552,7 +549,12 @@ impl ShardObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prorp_types::Seconds;
+    use prorp_obs::ObsReport;
+
+    /// One shard's finished state as the fleet report it merges into.
+    fn report_of(obs: ShardObs) -> ObsReport {
+        ObsReport::merge(vec![obs.finish()]).unwrap()
+    }
 
     #[test]
     fn engine_event_deltas_become_spans_and_metrics() {
@@ -572,7 +574,7 @@ mod tests {
         let report = {
             let mut o = obs;
             o.take_snapshot(Timestamp(100), SelfObservations::default());
-            o.finish()
+            report_of(o)
         };
         assert_eq!(report.trace.len(), 2, "lifecycle + predict");
         let snap = report.final_snapshot().unwrap();
@@ -622,7 +624,7 @@ mod tests {
 
         let mut o = obs;
         o.take_snapshot(Timestamp(30), SelfObservations::default());
-        let report = o.finish();
+        let report = report_of(o);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(
             snap.get("prorp_breaker_opens_total").unwrap().as_counter(),
@@ -674,7 +676,7 @@ mod tests {
         obs.on_mitigation(Timestamp(200), db, true);
         obs.on_move_with_history(Timestamp(210), db, 4_096);
         obs.take_snapshot(Timestamp(300), SelfObservations::default());
-        let report = obs.finish();
+        let report = report_of(obs);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(
             snap.get("prorp_workflow_stage_seconds")
@@ -736,7 +738,7 @@ mod tests {
                 queue_recorded: 13,
             },
         );
-        let report = obs.finish();
+        let report = report_of(obs);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(snap.at, Timestamp(500));
         assert_eq!(

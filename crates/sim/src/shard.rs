@@ -53,7 +53,7 @@ use prorp_core::{
     ProactiveResumeOp, ResumeWorkflow, StageOutcome,
 };
 use prorp_forecast::SweepScratch;
-use prorp_obs::ObsReport;
+use prorp_obs::ObsPart;
 use prorp_storage::{
     backup_history, restore_backend, CompactionMode, CompactionScheduler, HistoryRead,
     MetadataStore, StorageBackend, StorageStats,
@@ -132,9 +132,10 @@ pub struct ShardOutcome {
     pub maintenance: MaintenanceStats,
     /// Timing/throughput counters for this worker.
     pub counters: ShardCounters,
-    /// The shard's observability output (`None` when observability is
-    /// disabled in the config).
-    pub obs: Option<ObsReport>,
+    /// The shard's observability output, its trace still in the
+    /// buffer's two lanes (`None` when observability is disabled in the
+    /// config).
+    pub obs: Option<ObsPart>,
 }
 
 /// Partition trace indices by database-id hash into `shard_count` groups.
@@ -260,7 +261,8 @@ pub struct ShardDriver {
     control_seeded: bool,
     /// The shard's LSM compaction worker, present only when the config
     /// asks for `CompactionMode::Background` on the LSM backend.  Every
-    /// registered (and restored) store is attached to it; `finish()`
+    /// registered (and restored) store is attached to it — which costs
+    /// the worker nothing until the store first flushes; `finish()`
     /// detaches them all — a barrier that folds the worker's effort back
     /// into each store — before any stats are collected, which is what
     /// keeps reports bit-identical across compaction modes.
@@ -1080,11 +1082,15 @@ impl ShardDriver {
         let cfg = &self.cfg;
         debug_assert_eq!(self.balance_moves_history, self.cluster.balance_moves);
 
-        // Background compaction barrier: fold every worker's effort back
-        // into its store and return to inline mode BEFORE any stats or
+        // Background compaction barrier: fold the worker's effort back
+        // into every store and return to inline mode BEFORE any stats or
         // invariant collection, so reports are bit-identical across
-        // compaction modes.  Dropping the scheduler joins the worker.
-        if self.compactor.take().is_some() {
+        // compaction modes.  The stores detach against a live worker —
+        // each one that ever flushed waits out its own backlog; the rest
+        // were never registered and have nothing to wait for — and only
+        // then is the scheduler dropped, which joins a worker with no
+        // attached store left to mark dead.
+        if let Some(compactor) = self.compactor.take() {
             for idx in 0..self.fleet.len() {
                 self.fleet
                     .engines
@@ -1092,6 +1098,7 @@ impl ShardDriver {
                     .history_mut()
                     .detach_compaction();
             }
+            drop(compactor);
         }
         let (stall_ns, offloaded_ns) = self.compaction_ns();
         self.counters.compaction_stall_micros = stall_ns / 1_000;
@@ -1139,7 +1146,7 @@ impl ShardDriver {
 
         // The end-of-run snapshot is always taken at `cfg.end`, on every
         // shard, so the merged series stays aligned.
-        let obs_report = self.obs.map(|mut o| {
+        let obs_part = self.obs.map(|mut o| {
             o.take_snapshot(
                 cfg.end,
                 SelfObservations {
@@ -1175,7 +1182,7 @@ impl ShardDriver {
             incident_log: self.incident_log,
             maintenance: self.maintenance.stats(),
             counters: self.counters,
-            obs: obs_report,
+            obs: obs_part,
         })
     }
 }
@@ -1321,7 +1328,7 @@ mod tests {
             let obs = o.obs.as_ref().unwrap();
             (
                 obs.trace.clone(),
-                obs.final_snapshot().unwrap().deterministic(),
+                obs.snapshots.last().unwrap().deterministic(),
             )
         };
         assert_eq!(snapshot(&a), snapshot(&b));

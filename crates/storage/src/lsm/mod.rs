@@ -61,7 +61,7 @@ use compaction::{CompactionEffort, Levels};
 use memtable::{visible_in_chain_seq, MemTable};
 use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 use run::{Entry, Run};
-use scheduler::StoreHandle;
+use scheduler::{Published, SchedulerLink, StoreHandle};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
@@ -137,6 +137,11 @@ impl LsmMetrics {
 enum RunStore {
     /// Compaction runs inline at each flush (the deterministic mode).
     Inline(Levels),
+    /// Attached to a [`CompactionScheduler`] and not flushed since: the
+    /// hierarchy is still here and the worker has not heard of the
+    /// store.  The first flush registers it and moves on to
+    /// `Background`; until then there is nothing to wait for.
+    Attached(Arc<SchedulerLink>, Levels),
     /// Flushes enqueue to a [`CompactionScheduler`] worker; the
     /// foreground keeps not-yet-applied runs readable in `pending`.
     Background(BackgroundStore),
@@ -157,31 +162,41 @@ struct BackgroundStore {
 impl BackgroundStore {
     /// Drop pending runs the worker has already incorporated.
     fn prune(&mut self) {
-        let applied = self.handle.applied();
+        let applied = self.handle.read(|p| p.applied);
         while self.pending.front().is_some_and(|&(idx, _)| idx < applied) {
             self.pending.pop_front();
         }
     }
 
-    /// Barrier + adopt: wait for the worker, returning the final
-    /// hierarchy and the effort/time to fold into the store's ledgers.
-    /// If the scheduler died first, the remaining pending flushes are
-    /// replayed inline over the last published image.
-    fn drain(&mut self, trims: &[RangeTombstone]) -> (Levels, CompactionEffort, u64) {
-        let (mut levels, mut effort, ns, dead) = self.handle.wait_applied(self.sent);
+    /// The pending runs the worker had not incorporated at `applied`,
+    /// oldest first.
+    fn unapplied(&self, applied: u64) -> impl DoubleEndedIterator<Item = &Arc<Run>> {
+        let fresh = self.pending.iter().filter(move |&&(idx, _)| idx >= applied);
+        fresh.map(|(_, run)| run)
+    }
+
+    /// Barrier: wait for the worker, returning the final hierarchy and
+    /// the effort/time to fold into a store's ledgers.  If the
+    /// scheduler died first, the flushes it never applied are replayed
+    /// inline over the last published image.
+    fn settled(&self, trims: &[RangeTombstone]) -> (Levels, CompactionEffort, u64) {
+        let Published {
+            applied,
+            mut levels,
+            mut effort,
+            compaction_ns,
+            dead,
+            ..
+        } = self.handle.wait_applied(self.sent);
         if dead {
-            let (applied, ..) = self.handle.published();
-            for &(idx, ref run) in &self.pending {
-                if idx >= applied {
-                    let extra = levels
-                        .push_flush(Arc::clone(run), trims)
-                        .expect("page encoding of a sorted run cannot fail");
-                    effort.absorb(extra);
-                }
+            for run in self.unapplied(applied) {
+                let extra = levels
+                    .push_flush(Arc::clone(run), trims)
+                    .expect("page encoding of a sorted run cannot fail");
+                effort.absorb(extra);
             }
         }
-        self.pending.clear();
-        (levels, effort, ns)
+        (levels, effort, compaction_ns)
     }
 }
 
@@ -190,16 +205,16 @@ impl RunStore {
     /// (background mode), then the maintained hierarchy.
     fn view(&self) -> Vec<Arc<Run>> {
         match self {
-            RunStore::Inline(levels) => levels.iter_newest_first().cloned().collect(),
+            RunStore::Inline(levels) | RunStore::Attached(_, levels) => {
+                levels.iter_newest_first().cloned().collect()
+            }
             RunStore::Background(b) => {
-                let (applied, image, ..) = b.handle.published();
-                b.pending
-                    .iter()
+                let (applied, image) = b.handle.read(|p| (p.applied, p.levels.clone()));
+                b.unapplied(applied)
                     .rev()
-                    .filter(|&&(idx, _)| idx >= applied)
-                    .map(|(_, run)| Arc::clone(run))
-                    .chain(image.iter_newest_first().cloned())
-                    .filter(|r| !r.is_empty())
+                    .chain(image.iter_newest_first())
+                    .filter(|run| !run.is_empty())
+                    .cloned()
                     .collect()
             }
         }
@@ -207,19 +222,18 @@ impl RunStore {
 
     fn depth(&self) -> usize {
         match self {
-            RunStore::Inline(levels) => levels.depth(),
+            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.depth(),
             RunStore::Background(b) => {
-                let (applied, image, ..) = b.handle.published();
-                let unapplied = b.pending.iter().filter(|&&(idx, _)| idx >= applied).count();
-                unapplied + image.depth()
+                let (applied, depth) = b.handle.read(|p| (p.applied, p.levels.depth()));
+                b.unapplied(applied).count() + depth
             }
         }
     }
 
     fn gc_floor(&self) -> u64 {
         match self {
-            RunStore::Inline(levels) => levels.gc_floor(),
-            RunStore::Background(b) => b.handle.published().1.gc_floor(),
+            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.gc_floor(),
+            RunStore::Background(b) => b.handle.read(|p| p.levels.gc_floor()),
         }
     }
 }
@@ -278,22 +292,11 @@ impl Clone for LsmHistory {
     /// scheduler registration would interleave their flush streams.
     fn clone(&self) -> Self {
         let (runs, extra_effort, extra_ns) = match &self.cold.runs {
-            RunStore::Inline(levels) => (RunStore::Inline(levels.clone()), None, 0),
+            RunStore::Inline(levels) | RunStore::Attached(_, levels) => {
+                (RunStore::Inline(levels.clone()), None, 0)
+            }
             RunStore::Background(b) => {
-                let (levels, effort, ns, _dead) = b.handle.wait_applied(b.sent);
-                // `wait_applied` leaves pending flushes unapplied only if
-                // the scheduler died; replay them inline for the clone.
-                let mut levels = levels;
-                let mut effort = effort;
-                let (applied, ..) = b.handle.published();
-                for &(idx, ref run) in &b.pending {
-                    if idx >= applied {
-                        let extra = levels
-                            .push_flush(Arc::clone(run), &self.cold.trims)
-                            .expect("page encoding of a sorted run cannot fail");
-                        effort.absorb(extra);
-                    }
-                }
+                let (levels, effort, ns) = b.settled(&self.cold.trims);
                 (RunStore::Inline(levels), Some(effort), ns)
             }
         };
@@ -353,8 +356,7 @@ impl LsmHistory {
     pub fn metrics(&self) -> LsmMetrics {
         let mut m = self.cold.metrics;
         if let RunStore::Background(b) = &self.cold.runs {
-            let (_, _, effort, _, _) = b.handle.published();
-            m.absorb_effort(effort);
+            m.absorb_effort(b.handle.read(|p| p.effort));
         }
         m
     }
@@ -372,7 +374,7 @@ impl LsmHistory {
     pub fn offloaded_compaction_ns(&self) -> u64 {
         let mut ns = self.cold.offloaded_ns;
         if let RunStore::Background(b) = &self.cold.runs {
-            ns += b.handle.published().3;
+            ns += b.handle.read(|p| p.compaction_ns);
         }
         ns
     }
@@ -381,7 +383,7 @@ impl LsmHistory {
     pub fn compaction_mode(&self) -> CompactionMode {
         match self.cold.runs {
             RunStore::Inline(_) => CompactionMode::Deterministic,
-            RunStore::Background(_) => CompactionMode::Background,
+            RunStore::Attached(..) | RunStore::Background(_) => CompactionMode::Background,
         }
     }
 
@@ -408,19 +410,21 @@ impl LsmHistory {
         self.cold.runs.gc_floor()
     }
 
-    /// Hand this store's compaction to a scheduler worker: the worker
-    /// adopts the current hierarchy and all subsequent flushes enqueue
-    /// instead of compacting inline.  No-op if already attached.
+    /// Hand this store's compaction to a scheduler worker: all
+    /// subsequent flushes enqueue instead of compacting inline.  No-op
+    /// if already attached.
+    ///
+    /// Attaching only remembers the scheduler.  The store registers with
+    /// the worker — which then adopts the hierarchy as it stands, and
+    /// the range tombstones recorded so far — at its first flush; a
+    /// store that never flushes costs the worker nothing and
+    /// [`detach_compaction`](Self::detach_compaction) finds nothing to
+    /// wait for.
     pub fn attach_scheduler(&mut self, sched: &CompactionScheduler) {
-        let RunStore::Inline(levels) = &self.cold.runs else {
-            return;
-        };
-        let handle = sched.register(levels.clone(), self.cold.trims.clone());
-        self.cold.runs = RunStore::Background(BackgroundStore {
-            handle,
-            pending: VecDeque::new(),
-            sent: 0,
-        });
+        if let RunStore::Inline(levels) = &mut self.cold.runs {
+            let levels = std::mem::replace(levels, Levels::new(0));
+            self.cold.runs = RunStore::Attached(sched.link(), levels);
+        }
     }
 
     /// Barrier: block until every enqueued flush has been compacted.
@@ -436,13 +440,16 @@ impl LsmHistory {
     /// return to inline mode.  Call before collecting final stats (the
     /// shard drivers do this in `finish()`).  No-op in inline mode.
     pub fn detach_compaction(&mut self) {
-        let RunStore::Background(b) = &mut self.cold.runs else {
-            return;
+        let levels = match &mut self.cold.runs {
+            RunStore::Inline(_) => return,
+            RunStore::Attached(_, levels) => std::mem::replace(levels, Levels::new(0)),
+            RunStore::Background(b) => {
+                let (levels, effort, ns) = b.settled(&self.cold.trims);
+                self.cold.metrics.absorb_effort(effort);
+                self.cold.offloaded_ns += ns;
+                levels
+            }
         };
-        let (levels, effort, ns) = b.drain(&self.cold.trims);
-        b.handle.retire();
-        self.cold.metrics.absorb_effort(effort);
-        self.cold.offloaded_ns += ns;
         self.cold.runs = RunStore::Inline(levels);
     }
 
@@ -518,13 +525,41 @@ impl LsmHistory {
         let (run, bytes) = Run::build(entries)?;
         self.cold.metrics.flushed_bytes += bytes;
         self.cold.metrics.flushes += 1;
-        let run = Arc::new(run);
+        self.push_run(Arc::new(run))?;
+        // The flushed versions are durable in runs now; the WAL only
+        // needs to cover the (empty) memtable.
+        self.cold.wal.checkpoint();
+        Ok(())
+    }
+
+    /// Hand a flushed run to wherever the hierarchy is maintained.
+    fn push_run(&mut self, run: Arc<Run>) -> Result<(), ProrpError> {
         match &mut self.cold.runs {
             RunStore::Inline(levels) => {
                 let t0 = Instant::now();
                 let effort = levels.push_flush(run, &self.cold.trims)?;
                 self.cold.stall_ns += t0.elapsed().as_nanos() as u64;
                 self.cold.metrics.absorb_effort(effort);
+            }
+            RunStore::Attached(link, levels) => {
+                // The first flush since attaching: now there is something
+                // to compact, so now the worker hears of this store — in
+                // the one message that also brings it the run.
+                let levels = std::mem::replace(levels, Levels::new(0));
+                match link.register(levels, self.cold.trims.clone(), Arc::clone(&run)) {
+                    Ok(handle) => {
+                        self.cold.runs = RunStore::Background(BackgroundStore {
+                            handle,
+                            pending: VecDeque::from([(0, run)]),
+                            sent: 1,
+                        });
+                    }
+                    Err(levels) => {
+                        // The scheduler is gone: compact inline from here on.
+                        self.cold.runs = RunStore::Inline(levels);
+                        return self.push_run(run);
+                    }
+                }
             }
             RunStore::Background(b) => {
                 b.prune();
@@ -533,9 +568,6 @@ impl LsmHistory {
                 b.sent += 1;
             }
         }
-        // The flushed versions are durable in runs now; the WAL only
-        // needs to cover the (empty) memtable.
-        self.cold.wal.checkpoint();
         Ok(())
     }
 
@@ -670,9 +702,9 @@ impl HistoryStore for LsmHistory {
     /// timeline's monotonicity.
     fn check_invariants(&self) {
         match &self.cold.runs {
-            RunStore::Inline(levels) => levels.check_invariants(),
+            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.check_invariants(),
             RunStore::Background(b) => {
-                let (applied, image, ..) = b.handle.published();
+                let (applied, image) = b.handle.read(|p| (p.applied, p.levels.clone()));
                 image.check_invariants();
                 // Pending (unapplied) runs must sit strictly above the
                 // image's seqno range, ascending by flush order.
@@ -681,10 +713,7 @@ impl HistoryStore for LsmHistory {
                     .map(|r| r.max_seqno())
                     .max()
                     .unwrap_or(0);
-                for &(idx, ref run) in &b.pending {
-                    if idx < applied || run.is_empty() {
-                        continue;
-                    }
+                for run in b.unapplied(applied).filter(|run| !run.is_empty()) {
                     assert!(
                         run.min_seqno() > prev_max,
                         "pending runs must carry strictly ascending seqno ranges"

@@ -5,7 +5,9 @@
 //! "passed a node index where a database id was expected" bug at zero
 //! runtime cost.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident, $prefix:literal, $inner:ty) => {
@@ -67,16 +69,54 @@ impl DatabaseId {
     #[inline]
     pub fn shard_of(self, shard_count: usize) -> usize {
         assert!(shard_count > 0, "shard_count must be positive");
-        // SplitMix64 finaliser (Steele et al.), identical to the mixing
-        // function in the workload generators.
-        let mut z = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
         // Multiply-shift reduction: unbiased bucket in [0, shard_count).
-        ((z as u128 * shard_count as u128) >> 64) as usize
+        ((mix64(self.0) as u128 * shard_count as u128) >> 64) as usize
     }
 }
+
+/// SplitMix64 finaliser (Steele et al.): the mixing function behind
+/// [`DatabaseId::shard_of`], the id hasher and the workload generators.
+#[inline]
+const fn mix64(v: u64) -> u64 {
+    let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Hasher for maps keyed by one id: the key's integer through the
+/// SplitMix64 finaliser, a handful of ALU operations where SipHash costs
+/// tens of nanoseconds per probe.  It gives up SipHash's resistance to keys
+/// crafted to collide, so use it only where the keys are the ids a
+/// driver registered itself, never for ids read off a request.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(self.0 ^ v);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+}
+
+/// A `HashMap` keyed by [`DatabaseId`] under [`IdHasher`].
+pub type DbMap<V> = HashMap<DatabaseId, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of [`DatabaseId`]s under [`IdHasher`].
+pub type DbSet = HashSet<DatabaseId, BuildHasherDefault<IdHasher>>;
 
 id_type!(
     /// Identifies one compute node within a cluster.
@@ -143,6 +183,30 @@ mod tests {
         for (s, c) in counts.iter().enumerate() {
             assert!((800..1_200).contains(c), "shard {s} got {c} of 8000");
         }
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_and_strided_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for stride in [1u64, 1 << 10, 1 << 32] {
+            // hashbrown indexes buckets by the low bits and tags by the
+            // top seven: both must vary under any id spacing.
+            let low: HashSet<u64> = (0..4_096u64)
+                .map(|i| build.hash_one(DatabaseId(i * stride)) & 0xFFF)
+                .collect();
+            let top: HashSet<u64> = (0..4_096u64)
+                .map(|i| build.hash_one(DatabaseId(i * stride)) >> 57)
+                .collect();
+            assert!(low.len() > 2_000, "stride {stride}: {} buckets", low.len());
+            assert_eq!(top.len(), 128, "stride {stride}");
+        }
+        let mut map: DbMap<u64> = DbMap::default();
+        for i in 0..1_000 {
+            *map.entry(DatabaseId(i % 10)).or_insert(0) += 1;
+        }
+        assert_eq!(map.len(), 10);
+        assert!(map.values().all(|&n| n == 100));
     }
 
     #[test]

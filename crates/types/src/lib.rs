@@ -33,7 +33,7 @@ pub mod workflow;
 pub use config::{PolicyConfig, PolicyConfigBuilder, Seasonality};
 pub use error::ProrpError;
 pub use event::{ActivityEvent, EventKind, Session};
-pub use ids::{ClusterId, DatabaseId, NodeId};
+pub use ids::{ClusterId, DatabaseId, DbMap, DbSet, IdHasher, NodeId};
 pub use prediction::Prediction;
 pub use state::{AllocationClass, DbState};
 pub use time::{Seconds, Timestamp};

@@ -42,9 +42,10 @@ cargo run --release -q -p prorp-bench --bin scale_bench -- \
     --json results/BENCH_scale.json
 
 # Re-record the observability throughput numbers (sketch insert/merge
-# rates, SLO rollup events/sec at 1M databases).  The merge ≡ pooled
-# and shard-split ≡ single-series gates inside the binary are the
-# guarantees; the rates are a representative snapshot.
+# rates, SLO rollup events/sec at 1M databases, span-trace emit/order/
+# merge ns per record).  The merge ≡ pooled, shard-split ≡
+# single-series and lanes ≡ sorted-whole gates inside the binary are
+# the guarantees; the rates are a representative snapshot.
 cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --json results/BENCH_obs.json
 

@@ -106,9 +106,10 @@ run cargo run --release -q -p prorp-bench --bin scale_bench -- \
     --smoke --json target/scale_smoke.json
 
 # Observability throughput in smoke mode: asserts sketch merge ≡ pooled
-# observation and the 8-way SLO rollup shard split ≡ single-series
-# ingest (the committed full-scale numbers in results/BENCH_obs.json
-# come from scripts/bless.sh).
+# observation, the 8-way SLO rollup shard split ≡ single-series
+# ingest, and span-trace lanes + merge ≡ the one buffer sorted whole at
+# 1, 2 and 8 shards (the committed full-scale numbers in
+# results/BENCH_obs.json come from scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --smoke --json target/obs_smoke.json
 
