@@ -8,6 +8,13 @@
 //! [`EngineEvent::Timer`] pair, and each `AllocateResources()` /
 //! `ReclaimResources()` call becomes an emitted action the resource
 //! manager executes (with real-world latency).
+//!
+//! A reply is a value, not an allocation: [`DatabasePolicy::on_event`]
+//! returns [`Actions`], a `Copy` array of at most
+//! [`Actions::CAPACITY`] entries that reads like a slice and iterates by
+//! value.  The event loop delivers hundreds of thousands of events a
+//! second and most replies hold zero to two actions, so a `Vec` per
+//! event was a `malloc`/`free` pair that bought nothing.
 
 use prorp_obs::span::DecisionExplain;
 use prorp_storage::HistoryBackend;
@@ -102,6 +109,88 @@ pub enum EngineAction {
     ScheduleTimer(Timestamp, TimerToken),
 }
 
+/// An engine's reply to one event: up to [`Actions::CAPACITY`] actions in
+/// the order the engine asked for them, held inline.
+///
+/// The capacity is the longest reply any arm of any engine can build (2
+/// today: publish a prediction, then reclaim) with room to spare; a
+/// reply that outgrows it is a bug in the engine and
+/// [`push`](Actions::push) panics by name.  Derefs to
+/// `[EngineAction]`, so `len`, `is_empty`, `iter`, `contains` and
+/// indexing read as they did on the `Vec` this replaced.
+#[derive(Clone, Copy, Debug)]
+pub struct Actions {
+    len: u8,
+    items: [EngineAction; Actions::CAPACITY],
+}
+
+impl Actions {
+    /// The most actions one reply can hold.
+    pub const CAPACITY: usize = 4;
+
+    /// An empty reply.
+    pub const fn new() -> Self {
+        Actions {
+            len: 0,
+            // Slots past `len` are never read; any value fills them.
+            items: [EngineAction::Allocate; Actions::CAPACITY],
+        }
+    }
+
+    /// Append `action`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the reply already holds [`Actions::CAPACITY`]
+    /// actions — no engine arm builds one that long.
+    pub fn push(&mut self, action: EngineAction) {
+        let at = self.len as usize;
+        assert!(
+            at < Actions::CAPACITY,
+            "Actions overflow: an engine reply outgrew Actions::CAPACITY ({})",
+            Actions::CAPACITY
+        );
+        self.items[at] = action;
+        self.len += 1;
+    }
+
+    /// The actions as a slice, in emission order.
+    pub fn as_slice(&self) -> &[EngineAction] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl Default for Actions {
+    fn default() -> Self {
+        Actions::new()
+    }
+}
+
+impl std::ops::Deref for Actions {
+    type Target = [EngineAction];
+
+    fn deref(&self) -> &[EngineAction] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Actions {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Actions {}
+
+impl IntoIterator for Actions {
+    type Item = EngineAction;
+    type IntoIter = std::iter::Take<std::array::IntoIter<EngineAction, { Actions::CAPACITY }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.items.into_iter().take(self.len as usize)
+    }
+}
+
 /// Monotonic counters every engine maintains; the telemetry crate folds
 /// them into the §8 KPI metrics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -169,7 +258,7 @@ impl EngineCounters {
 /// reproducible and the policies directly comparable on identical traces.
 pub trait DatabasePolicy {
     /// Handle one event at time `now`, returning the actions to execute.
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Vec<EngineAction>;
+    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions;
 
     /// Current lifecycle state (Figure 4).
     fn state(&self) -> DbState;
@@ -216,6 +305,64 @@ pub trait DatabasePolicy {
     }
 }
 
+/// Deliver every sequence of up to four events — each [`EngineEvent`]
+/// arm, the timer arm with both the engine's live token and a stale one
+/// — to a fresh engine from `make`, starting at `start`, and return the
+/// longest reply seen.  [`Actions::push`] panics on a reply that does
+/// not fit, so coming back at all is the capacity check; what this adds
+/// is the proof that every arm was entered from every [`DbState`].
+#[cfg(test)]
+pub(crate) fn walk_every_arm<E: DatabasePolicy>(start: Timestamp, make: impl Fn() -> E) -> usize {
+    use prorp_types::Seconds;
+    const ARMS: usize = 6;
+    const DEPTH: u32 = 4;
+    let mut entered = [[false; ARMS]; 3];
+    let mut longest = 0;
+    for mut code in 0..ARMS.pow(DEPTH) {
+        let mut engine = make();
+        let mut now = start;
+        let mut live: Option<(Timestamp, TimerToken)> = None;
+        for _ in 0..DEPTH {
+            let arm = code % ARMS;
+            code /= ARMS;
+            now += Seconds(600);
+            let event = match arm {
+                0 => EngineEvent::ActivityStart,
+                1 => EngineEvent::ActivityEnd,
+                2 => match live {
+                    Some((due, token)) => {
+                        now = now.max(due);
+                        EngineEvent::Timer(token)
+                    }
+                    None => continue,
+                },
+                3 => EngineEvent::Timer(TimerToken(u64::MAX)),
+                4 => EngineEvent::ProactiveResume,
+                _ => EngineEvent::ForcedPause,
+            };
+            entered[engine.state() as usize][arm] = true;
+            let reply = engine.on_event(now, event);
+            longest = longest.max(reply.len());
+            for action in reply {
+                if let EngineAction::ScheduleTimer(due, token) = action {
+                    live = Some((due, token));
+                }
+            }
+        }
+    }
+    for state in [
+        DbState::Resumed,
+        DbState::LogicallyPaused,
+        DbState::PhysicallyPaused,
+    ] {
+        for (arm, seen) in entered[state as usize].iter().enumerate() {
+            // An engine that never schedules a timer has no live token.
+            assert!(*seen || arm == 2, "arm {arm} never entered from {state:?}");
+        }
+    }
+    longest
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +386,39 @@ mod tests {
         c.predictions = 4;
         c.prediction_ns_sum = 400;
         assert_eq!(c.prediction_ns_mean(), 100.0);
+    }
+
+    #[test]
+    fn actions_read_like_a_slice_and_iterate_by_value() {
+        let mut reply = Actions::new();
+        assert!(reply.is_empty());
+        reply.push(EngineAction::SetPredictedStart(None));
+        reply.push(EngineAction::Reclaim);
+        assert_eq!(reply.len(), 2);
+        assert_eq!(reply[1], EngineAction::Reclaim);
+        assert!(reply.contains(&EngineAction::Reclaim));
+        assert!(matches!(
+            reply.as_slice(),
+            [EngineAction::SetPredictedStart(None), EngineAction::Reclaim]
+        ));
+        let by_value: Vec<EngineAction> = reply.into_iter().collect();
+        assert_eq!(by_value, reply.to_vec());
+        // Equality reads the live prefix only.
+        let mut other = Actions::new();
+        other.push(EngineAction::SetPredictedStart(None));
+        assert_ne!(reply, other);
+        other.push(EngineAction::Reclaim);
+        assert_eq!(reply, other);
+        assert_eq!(Actions::default(), Actions::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "Actions overflow")]
+    fn an_overlong_reply_panics_by_name() {
+        let mut reply = Actions::new();
+        for _ in 0..=Actions::CAPACITY {
+            reply.push(EngineAction::Allocate);
+        }
     }
 
     #[test]

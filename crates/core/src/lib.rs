@@ -54,7 +54,8 @@ pub mod workflow;
 
 pub use breaker::CircuitBreaker;
 pub use engine::{
-    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind, TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind,
+    TimerToken,
 };
 pub use invariants::LifecycleInvariants;
 pub use maintenance::{MaintenanceScheduler, MaintenanceSlot, MaintenanceStats};

@@ -9,7 +9,9 @@
 //! without mechanism delays and exists purely as the yard-stick every
 //! real policy is measured against.
 
-use crate::engine::{DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind};
+use crate::engine::{
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind,
+};
 use crate::tracker::ActivityTracker;
 use prorp_forecast::OraclePredictor;
 use prorp_storage::{HistoryBackend, StorageBackend};
@@ -59,8 +61,8 @@ impl OptimalEngine {
 }
 
 impl DatabasePolicy for OptimalEngine {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Vec<EngineAction> {
-        let mut actions = Vec::new();
+    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
+        let mut actions = Actions::new();
         match event {
             EngineEvent::ActivityStart => {
                 if self.active {
@@ -177,6 +179,14 @@ mod tests {
         eng.on_event(Timestamp(100), EngineEvent::ActivityStart);
         let acts = eng.on_event(Timestamp(120), EngineEvent::ActivityEnd);
         assert!(acts.contains(&EngineAction::SetPredictedStart(None)));
+    }
+
+    #[test]
+    fn every_arm_from_every_state_replies_within_capacity() {
+        let longest = crate::engine::walk_every_arm(Timestamp(0), || {
+            OptimalEngine::new(vec![s(1_000, 2_000), s(50_000, 60_000)]).unwrap()
+        });
+        assert!((1..=Actions::CAPACITY).contains(&longest), "{longest}");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::engine::{
-    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind, TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind,
+    TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_forecast::Predictor;
@@ -291,7 +292,7 @@ impl<P: Predictor> ProactiveEngine<P> {
         &mut self,
         now: Timestamp,
         count_as_logical_pause: bool,
-        actions: &mut Vec<EngineAction>,
+        actions: &mut Actions,
     ) {
         self.state = DbState::LogicallyPaused;
         self.pause_start = now;
@@ -306,7 +307,7 @@ impl<P: Predictor> ProactiveEngine<P> {
     ///  now < next.start < now+l` — the third disjunct expires no later
     /// than the second (`start <= end`), so the wake is the max of the
     /// applicable first two expiries.
-    fn schedule_wake(&mut self, now: Timestamp, actions: &mut Vec<EngineAction>) {
+    fn schedule_wake(&mut self, now: Timestamp, actions: &mut Actions) {
         let mut wake: Option<Timestamp> = None;
         let mut consider = |t: Timestamp| {
             wake = Some(wake.map_or(t, |w: Timestamp| w.max(t)));
@@ -343,7 +344,7 @@ impl<P: Predictor> ProactiveEngine<P> {
     }
 
     /// Lines 30–32: publish the predicted start and reclaim resources.
-    fn physical_pause(&mut self, now: Timestamp, actions: &mut Vec<EngineAction>) {
+    fn physical_pause(&mut self, now: Timestamp, actions: &mut Actions) {
         self.state = DbState::PhysicallyPaused;
         self.live_token = None;
         self.counters.physical_pauses += 1;
@@ -391,8 +392,8 @@ impl<P: Predictor> ProactiveEngine<P> {
 }
 
 impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Vec<EngineAction> {
-        let mut actions = Vec::new();
+    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
+        let mut actions = Actions::new();
         match event {
             EngineEvent::ActivityStart => {
                 if self.active {
@@ -551,10 +552,7 @@ mod tests {
 
     /// Drive one day of 09:00–10:00 activity plus the engine's timers.
     /// Returns the timer requests emitted on the final pause decision.
-    fn run_daily_sessions<P: Predictor>(
-        eng: &mut ProactiveEngine<P>,
-        days: i64,
-    ) -> Vec<EngineAction> {
+    fn run_daily_sessions<P: Predictor>(eng: &mut ProactiveEngine<P>, days: i64) -> Actions {
         run_daily_sessions_from(eng, 0, days)
     }
 
@@ -565,8 +563,8 @@ mod tests {
         eng: &mut ProactiveEngine<P>,
         first_day: i64,
         days: i64,
-    ) -> Vec<EngineAction> {
-        let mut last = Vec::new();
+    ) -> Actions {
+        let mut last = Actions::new();
         let mut pending_timer: Option<(Timestamp, TimerToken)> = None;
         let mut next_session = first_day;
         let mut now;
@@ -595,6 +593,22 @@ mod tests {
             next_session += 1;
         }
         last
+    }
+
+    /// A new database (no history: the reactive-like arms) and an old
+    /// one with a daily pattern (predictions published, wake timers,
+    /// immediate physical pauses).
+    #[test]
+    fn every_arm_from_every_state_replies_within_capacity() {
+        let fresh = crate::engine::walk_every_arm(t(0), engine);
+        let old = crate::engine::walk_every_arm(t(6 * DAY + 10 * HOUR), || {
+            let mut eng = engine();
+            run_daily_sessions(&mut eng, 6);
+            eng
+        });
+        for longest in [fresh, old] {
+            assert!((1..=Actions::CAPACITY).contains(&longest), "{longest}");
+        }
     }
 
     #[test]

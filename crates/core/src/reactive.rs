@@ -12,7 +12,7 @@
 //! experiments (Figure 10) comparable across policies.
 
 use crate::engine::{
-    DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
@@ -79,8 +79,8 @@ impl ReactiveEngine {
 }
 
 impl DatabasePolicy for ReactiveEngine {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Vec<EngineAction> {
-        let mut actions = Vec::new();
+    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
+        let mut actions = Actions::new();
         match event {
             EngineEvent::ActivityStart => {
                 if self.active {
@@ -216,8 +216,8 @@ mod tests {
         let actions = eng.on_event(at, EngineEvent::Timer(tok));
         assert_eq!(eng.state(), DbState::PhysicallyPaused);
         assert_eq!(
-            actions,
-            vec![EngineAction::SetPredictedStart(None), EngineAction::Reclaim]
+            actions.as_slice(),
+            [EngineAction::SetPredictedStart(None), EngineAction::Reclaim]
         );
         // Next login is a reactive resume.
         let actions = eng.on_event(at + Seconds::hours(1), EngineEvent::ActivityStart);
@@ -251,6 +251,12 @@ mod tests {
         eng.on_event(t(200), EngineEvent::ActivityStart);
         eng.on_event(t(300), EngineEvent::ActivityEnd);
         assert_eq!(eng.history().len(), 4);
+    }
+
+    #[test]
+    fn every_arm_from_every_state_replies_within_capacity() {
+        let longest = crate::engine::walk_every_arm(t(0), engine);
+        assert!((1..=Actions::CAPACITY).contains(&longest), "{longest}");
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   give-up escalates to an incident immediately (the backoff schedule
 //!   already was the mitigation).
 
-use prorp_types::{DatabaseId, Seconds, Timestamp};
-use std::collections::{HashMap, HashSet};
+use prorp_types::{DatabaseId, DbMap, DbSet, Seconds, Timestamp};
 
 /// One force-completion issued by a [`sweep`](DiagnosticsRunner::sweep).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,8 +36,11 @@ pub struct Mitigation {
 #[derive(Clone, Debug)]
 pub struct DiagnosticsRunner {
     timeout: Seconds,
-    in_flight: HashMap<DatabaseId, Timestamp>,
-    previously_mitigated: HashSet<DatabaseId>,
+    /// Start time of every in-flight resume — only the few that are in
+    /// flight, iterated whole by `sweep`, so a small id-hashed map rather
+    /// than a column per database.  The ids are the shard's own.
+    in_flight: DbMap<Timestamp>,
+    previously_mitigated: DbSet,
     peak_in_flight: usize,
     /// Hung workflows force-completed.
     pub mitigations: u64,
@@ -54,8 +56,8 @@ impl DiagnosticsRunner {
     pub fn new(timeout: Seconds) -> Self {
         DiagnosticsRunner {
             timeout,
-            in_flight: HashMap::new(),
-            previously_mitigated: HashSet::new(),
+            in_flight: DbMap::default(),
+            previously_mitigated: DbSet::default(),
             peak_in_flight: 0,
             mitigations: 0,
             incidents: 0,

@@ -26,11 +26,14 @@
 //! heads under the same `(timestamp, priority, sequence)` key, so the
 //! pop order is exactly what one heap over all the events would give:
 //! which lane an event sits in is invisible to the loop.
+//! [`pop_before`](EventQueue::pop_before) is `pop` with a horizon — the
+//! event loop's single call per event: the heads are compared once and
+//! the winner leaves only if it is due before the horizon.
 //!
-//! The run is sorted lazily, by the first `pop`/`peek_ts` after an
-//! append — once per replay, since the DES registers every trace before
-//! it starts.  Recording more after events were consumed re-sorts the
-//! unconsumed tail only.
+//! The run is sorted lazily, by the first `pop`/`pop_before`/`peek_ts`
+//! after an append — once per replay, since the DES registers every
+//! trace before it starts.  Recording more after events were consumed
+//! re-sorts the unconsumed tail only.
 
 use prorp_core::TimerToken;
 use prorp_types::{DatabaseId, Timestamp};
@@ -239,34 +242,53 @@ impl EventQueue {
         }
     }
 
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<(Timestamp, SimEvent)> {
+    /// Seal the run, then say whether the earliest queued event sits in
+    /// the recorded run (`true`) or the run-time lane, and when it is
+    /// due — the one place the two lanes' heads are compared.
+    fn head(&mut self) -> Option<(bool, Timestamp)> {
         self.seal();
-        let recorded = self.run.get(self.cursor);
-        let recorded_first = match (recorded, self.heap.peek()) {
-            (Some(r), Some(s)) => r.key() < s.key(),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if recorded_first {
+        match (self.run.get(self.cursor), self.heap.peek()) {
+            (Some(r), Some(s)) if r.key() < s.key() => Some((true, r.ts)),
+            (_, Some(s)) => Some((false, s.ts)),
+            (Some(r), None) => Some((true, r.ts)),
+            (None, None) => None,
+        }
+    }
+
+    /// Remove and return the head of the lane `head` chose.
+    fn take(&mut self, recorded: bool) -> Option<(Timestamp, SimEvent)> {
+        if recorded {
+            let r = self.run[self.cursor];
             self.cursor += 1;
-            recorded.map(|r| (r.ts, r.event()))
+            Some((r.ts, r.event()))
         } else {
             self.heap.pop().map(|s| (s.ts, s.event))
         }
+    }
+
+    /// Pop the earliest event.
+    pub fn pop(&mut self) -> Option<(Timestamp, SimEvent)> {
+        let (recorded, _) = self.head()?;
+        self.take(recorded)
+    }
+
+    /// Pop the earliest event if it is due strictly before `stop`; an
+    /// event at or past `stop` stays queued.  What `peek_ts` followed by
+    /// `pop` does, with the lanes' heads compared once — the event
+    /// loop's one queue call per event.
+    pub fn pop_before(&mut self, stop: Timestamp) -> Option<(Timestamp, SimEvent)> {
+        let (recorded, ts) = self.head()?;
+        if ts >= stop {
+            return None;
+        }
+        self.take(recorded)
     }
 
     /// Timestamp of the earliest queued event without removing it —
     /// what lets a driver stop *before* a horizon instead of after
     /// popping past it.
     pub fn peek_ts(&mut self) -> Option<Timestamp> {
-        self.seal();
-        let recorded = self.run.get(self.cursor).map(|r| r.ts);
-        let scheduled = self.heap.peek().map(|s| s.ts);
-        match (recorded, scheduled) {
-            (Some(r), Some(s)) => Some(r.min(s)),
-            (r, s) => r.or(s),
-        }
+        self.head().map(|(_, ts)| ts)
     }
 
     /// Events still queued, both lanes.
@@ -442,6 +464,34 @@ mod tests {
         assert_eq!(order, vec![5, 20, 30]);
     }
 
+    #[test]
+    fn pop_before_stops_at_a_horizon_between_the_lanes_heads() {
+        let mut q = EventQueue::new();
+        q.record_start(Timestamp(10), db(1));
+        q.push(Timestamp(20), SimEvent::ResumeOpTick);
+        q.record_end(Timestamp(30), db(1));
+        assert_eq!(q.pop_before(Timestamp(10)), None, "strictly before");
+        assert_eq!(
+            q.pop_before(Timestamp(15)),
+            Some((Timestamp(10), SimEvent::ActivityStart(db(1))))
+        );
+        // Heads are now 30 (recorded) and 20 (run-time): a horizon
+        // between them lets the run-time one out and nothing more.
+        assert_eq!(
+            q.pop_before(Timestamp(25)),
+            Some((Timestamp(20), SimEvent::ResumeOpTick))
+        );
+        assert_eq!(q.pop_before(Timestamp(25)), None);
+        assert_eq!(q.len(), 1, "the event past the horizon stays queued");
+        // Recording after pops began re-sorts the tail first.
+        q.record_start(Timestamp(22), db(2));
+        assert_eq!(
+            q.pop_before(Timestamp(25)),
+            Some((Timestamp(22), SimEvent::ActivityStart(db(2))))
+        );
+        assert_eq!(q.peek_ts(), Some(Timestamp(30)));
+    }
+
     /// The queue as it was before the lanes: one heap over every event.
     /// Kept here as the oracle the two-lane queue must be
     /// indistinguishable from.
@@ -477,6 +527,8 @@ mod tests {
         Record(Timestamp, DatabaseId, bool),
         Push(Timestamp, SimEvent),
         Pop,
+        /// `pop_before` with this horizon.
+        PopBefore(Timestamp),
         Peek,
     }
 
@@ -496,7 +548,10 @@ mod tests {
         prop_oneof![
             4 => (ts(), id(), any::<bool>()).prop_map(|(t, db, end)| Op::Record(t, db, end)),
             4 => (ts(), pushed).prop_map(|(t, e)| Op::Push(t, e)),
-            5 => Just(Op::Pop),
+            3 => Just(Op::Pop),
+            // Horizons over the same few timestamps (and one past them
+            // all): at, between and beyond the two lanes' heads.
+            4 => (0i64..8).prop_map(|t| Op::PopBefore(Timestamp(t))),
             1 => Just(Op::Peek),
         ]
     }
@@ -504,9 +559,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// Any interleaving of recorded appends, run-time pushes, pops
-        /// and peeks — recording after pops began, either lane running
-        /// dry first — reads the same through both queues.
+        /// Any interleaving of recorded appends, run-time pushes, pops,
+        /// horizon-bounded pops and peeks — recording after pops began,
+        /// either lane running dry first, a horizon between the two
+        /// lanes' heads — reads the same through both queues;
+        /// `pop_before` is the oracle's `peek_ts` then `pop`.
         #[test]
         fn two_lanes_are_one_heap(ops in prop::collection::vec(op(), 0..120)) {
             let mut lanes = EventQueue::new();
@@ -526,6 +583,13 @@ mod tests {
                         heap.push(ts, event);
                     }
                     Op::Pop => prop_assert_eq!(lanes.pop(), heap.pop()),
+                    Op::PopBefore(stop) => {
+                        let expected = match heap.peek_ts() {
+                            Some(ts) if ts < stop => heap.pop(),
+                            _ => None,
+                        };
+                        prop_assert_eq!(lanes.pop_before(stop), expected);
+                    }
                     Op::Peek => prop_assert_eq!(lanes.peek_ts(), heap.peek_ts()),
                 }
                 prop_assert_eq!(lanes.len(), heap.heap.len());

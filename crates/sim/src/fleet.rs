@@ -21,6 +21,16 @@
 //!   (`demand`, `resume_in_flight`) instead of one byte each inside a
 //!   padded struct.
 //!
+//! The column index is the database's *slot*, and this module is only
+//! the first of its three owners.  `ShardDriver::register` pushes a
+//! database here, places it on the [`Cluster`](crate::cluster::Cluster)
+//! (home-node column, allocated bit) and writes its `sys.databases` row
+//! (`MetadataStore`: row and id columns) in the same breath, and all
+//! three number in arrival order — so the index `touch` resolves once
+//! per event addresses every one of them, plus the driver's own
+//! workflow column and the observability layer's latest-decision
+//! column, with no second lookup.
+//!
 //! Determinism is untouched by the layout change: the arena preserves
 //! shard-trace order, the index map is a pure function of the inserted
 //! ids, and no operation here consults anything but its arguments.

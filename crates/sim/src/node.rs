@@ -1,22 +1,28 @@
-//! One compute node: finite capacity, per-database allocation units.
+//! One compute node: finite capacity, counted allocation units.
 //!
 //! Serverless compute reclaims idle databases' resources so that "the
 //! number of physical machines is reduced" (§1).  A node hosts many
 //! databases but only the resumed / logically-paused ones hold an
 //! allocation unit; a physically paused database occupies no compute.
+//!
+//! A node does not know *which* databases it hosts: that is one home
+//! column and one allocated bit per database slot in the
+//! [`Cluster`](crate::cluster::Cluster), which is also the only thing
+//! that moves these counters.  What a node keeps is what placement,
+//! spill and rebalancing decide on — how many databases are homed here,
+//! how many units are in use, how many there are.
 
-use prorp_types::{DatabaseId, NodeId, ProrpError};
-use std::collections::HashSet;
+use prorp_types::NodeId;
 
 /// A compute node.
 #[derive(Clone, Debug)]
 pub struct Node {
     id: NodeId,
     capacity: usize,
-    /// Databases currently holding an allocation unit.
-    allocated: HashSet<DatabaseId>,
+    /// Allocation units held by databases homed here.
+    in_use: usize,
     /// Databases homed on this node (allocated or not).
-    homed: HashSet<DatabaseId>,
+    homed: usize,
 }
 
 impl Node {
@@ -25,8 +31,8 @@ impl Node {
         Node {
             id,
             capacity,
-            allocated: HashSet::new(),
-            homed: HashSet::new(),
+            in_use: 0,
+            homed: 0,
         }
     }
 
@@ -42,128 +48,112 @@ impl Node {
 
     /// Units currently in use.
     pub fn in_use(&self) -> usize {
-        self.allocated.len()
+        self.in_use
     }
 
     /// Units still free.
     pub fn free(&self) -> usize {
-        self.capacity.saturating_sub(self.allocated.len())
-    }
-
-    /// Whether `db` is homed here.
-    pub fn hosts(&self, db: DatabaseId) -> bool {
-        self.homed.contains(&db)
-    }
-
-    /// Whether `db` holds an allocation unit here.
-    pub fn has_allocation(&self, db: DatabaseId) -> bool {
-        self.allocated.contains(&db)
+        self.capacity - self.in_use
     }
 
     /// Number of homed databases.
     pub fn homed_count(&self) -> usize {
-        self.homed.len()
+        self.homed
     }
 
-    /// Home a database on this node (without allocating).
-    pub fn add_home(&mut self, db: DatabaseId) {
-        self.homed.insert(db);
+    /// A database is now homed here (without a unit).
+    pub(crate) fn add_home(&mut self) {
+        self.homed += 1;
     }
 
-    /// Remove a database entirely (move-away / deletion).
-    pub fn remove_home(&mut self, db: DatabaseId) {
-        self.homed.remove(&db);
-        self.allocated.remove(&db);
-    }
-
-    /// Grant `db` an allocation unit.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the node is full or does not host `db`; idempotent for
-    /// a database that already holds a unit.
-    pub fn allocate(&mut self, db: DatabaseId) -> Result<(), ProrpError> {
-        if !self.homed.contains(&db) {
-            return Err(ProrpError::Simulation(format!(
-                "{db} is not homed on {}",
-                self.id
-            )));
+    /// A database homed here left (move-away), giving back its unit if
+    /// it `held_unit`.
+    pub(crate) fn remove_home(&mut self, held_unit: bool) {
+        self.homed -= 1;
+        if held_unit {
+            self.release_unit();
         }
-        // One probe either way: below capacity `insert` is right whether
-        // or not `db` already held a unit; at capacity only a holder
-        // may pass.
-        if self.allocated.len() < self.capacity {
-            self.allocated.insert(db);
-            return Ok(());
-        }
-        if self.allocated.contains(&db) {
-            return Ok(());
-        }
-        Err(ProrpError::Simulation(format!(
-            "node {} is at capacity ({})",
-            self.id, self.capacity
-        )))
     }
 
-    /// Release `db`'s allocation unit (idempotent).
-    pub fn release(&mut self, db: DatabaseId) {
-        self.allocated.remove(&db);
+    /// Grant one allocation unit; `false` (and nothing changes) when the
+    /// node is at capacity.
+    pub(crate) fn take_unit(&mut self) -> bool {
+        if self.in_use == self.capacity {
+            return false;
+        }
+        self.in_use += 1;
+        true
+    }
+
+    /// Take back one allocation unit.
+    pub(crate) fn release_unit(&mut self) {
+        self.in_use -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    //! A node's counters only move through the cluster, so these drive a
+    //! one-node (or two-node) cluster and read the node.
 
-    fn db(id: u64) -> DatabaseId {
-        DatabaseId(id)
-    }
+    use crate::cluster::{AllocationOutcome, Cluster};
+    use prorp_types::NodeId;
 
     #[test]
     fn allocate_respects_capacity() {
-        let mut n = Node::new(NodeId(0), 2);
-        n.add_home(db(1));
-        n.add_home(db(2));
-        n.add_home(db(3));
-        assert!(n.allocate(db(1)).is_ok());
-        assert!(n.allocate(db(2)).is_ok());
-        assert_eq!(n.free(), 0);
-        let err = n.allocate(db(3)).unwrap_err();
-        assert!(err.to_string().contains("capacity"));
-        n.release(db(1));
-        assert!(n.allocate(db(3)).is_ok());
+        let mut c = Cluster::new(1, 2).unwrap();
+        let slots: Vec<usize> = (0..3).map(|_| c.place()).collect();
+        assert_eq!(c.allocate(slots[0]), AllocationOutcome::OnHomeNode);
+        assert_eq!(c.allocate(slots[1]), AllocationOutcome::OnHomeNode);
+        assert_eq!(c.nodes()[0].free(), 0);
+        assert_eq!(c.allocate(slots[2]), AllocationOutcome::Oversubscribed);
+        assert_eq!(c.nodes()[0].in_use(), 2, "never beyond capacity");
+        c.release(slots[0]);
+        assert_eq!(c.allocate(slots[2]), AllocationOutcome::OnHomeNode);
+        assert_eq!(c.nodes()[0].in_use(), 2);
     }
 
     #[test]
     fn allocate_is_idempotent_and_requires_homing() {
-        let mut n = Node::new(NodeId(0), 1);
-        n.add_home(db(1));
-        assert!(n.allocate(db(1)).is_ok());
-        assert_eq!(n.free(), 0);
-        assert!(
-            n.allocate(db(1)).is_ok(),
+        let mut c = Cluster::new(2, 1).unwrap();
+        let slot = c.place();
+        let home = c.home_of(slot);
+        assert_eq!(c.allocate(slot), AllocationOutcome::OnHomeNode);
+        assert_eq!(
+            c.allocate(slot),
+            AllocationOutcome::OnHomeNode,
             "idempotent re-allocate, even full"
         );
-        assert_eq!(n.in_use(), 1);
-        assert!(n.allocate(db(9)).is_err(), "not homed");
+        // The unit is counted once, on the home node and nowhere else.
+        for n in c.nodes() {
+            assert_eq!(n.in_use(), usize::from(n.id() == home), "{:?}", n.id());
+            assert_eq!(n.homed_count(), usize::from(n.id() == home));
+        }
     }
 
     #[test]
     fn remove_home_releases_everything() {
-        let mut n = Node::new(NodeId(0), 4);
-        n.add_home(db(1));
-        n.allocate(db(1)).unwrap();
-        n.remove_home(db(1));
-        assert!(!n.hosts(db(1)));
-        assert!(!n.has_allocation(db(1)));
-        assert_eq!(n.in_use(), 0);
+        let mut c = Cluster::new(2, 4).unwrap();
+        let slot = c.place();
+        let home = c.home_of(slot);
+        c.allocate(slot);
+        let target = NodeId(1 - home.raw());
+        c.move_database(slot, target).unwrap();
+        let left = &c.nodes()[home.raw() as usize];
+        assert_eq!((left.homed_count(), left.in_use()), (0, 0));
+        assert_eq!(left.free(), left.capacity());
     }
 
     #[test]
     fn release_is_idempotent() {
-        let mut n = Node::new(NodeId(0), 1);
-        n.add_home(db(1));
-        n.release(db(1));
-        assert_eq!(n.in_use(), 0);
+        let mut c = Cluster::new(1, 1).unwrap();
+        let slot = c.place();
+        c.release(slot);
+        assert_eq!(c.nodes()[0].in_use(), 0);
+        c.allocate(slot);
+        c.release(slot);
+        c.release(slot);
+        assert_eq!(c.nodes()[0].in_use(), 0);
+        assert_eq!(c.nodes()[0].homed_count(), 1);
     }
 }

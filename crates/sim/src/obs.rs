@@ -38,7 +38,7 @@ use prorp_obs::{
     PredictOutcome, Sketch, SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink,
     WorkflowOutcome,
 };
-use prorp_types::{DatabaseId, DbMap, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
+use prorp_types::{DatabaseId, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
 
 /// Handles for the §7 diagnostics-and-mitigation runner, registered
 /// through [`DiagnosticsRunner::register_metrics`].
@@ -129,8 +129,11 @@ pub(crate) struct ShardObs {
     /// Per-region SLO rollup (`ObsConfig::slo`).
     slo: Option<SloSeries>,
     /// Latest decision-provenance record per database, for the live
-    /// `why` endpoint (the full history lives in the trace).
-    last_decision: DbMap<(Timestamp, DecisionExplain)>,
+    /// `why` endpoint (the full history lives in the trace): a column
+    /// indexed by the shard's database slot, grown by the first decision
+    /// that reaches a slot — so it is never allocated unless
+    /// `ObsConfig::explain` is on.
+    last_decision: Vec<Option<(Timestamp, DecisionExplain)>>,
     /// Databases whose predictor breaker is currently open; lets the next
     /// successful prediction be attributed as the breaker-closing probe.
     breaker_open: DbSet,
@@ -191,7 +194,7 @@ impl ShardObs {
             qos_miss_delay_sketch,
             retry_backoff_sketch,
             slo: cfg.slo.map(SloSeries::new),
-            last_decision: DbMap::default(),
+            last_decision: Vec::new(),
             breaker_open: DbSet::default(),
             snapshots: Vec::new(),
         }
@@ -203,18 +206,28 @@ impl ShardObs {
         self.explain
     }
 
-    /// Fold one drained engine decision into the trace and the
-    /// per-database latest-decision index.
-    pub(crate) fn on_decision(&mut self, at: Timestamp, db: DatabaseId, explain: DecisionExplain) {
+    /// Fold one drained engine decision of database `db`, at column
+    /// `slot`, into the trace and the latest-decision column.
+    pub(crate) fn on_decision(
+        &mut self,
+        at: Timestamp,
+        slot: usize,
+        db: DatabaseId,
+        explain: DecisionExplain,
+    ) {
         if self.trace_spans {
             self.trace.event(at, db, SpanKind::Decision { explain });
         }
-        self.last_decision.insert(db, (at, explain));
+        if slot >= self.last_decision.len() {
+            self.last_decision.resize(slot + 1, None);
+        }
+        self.last_decision[slot] = Some((at, explain));
     }
 
-    /// The latest decision recorded for `db`, if any (live `why` route).
-    pub(crate) fn last_decision(&self, db: DatabaseId) -> Option<(Timestamp, DecisionExplain)> {
-        self.last_decision.get(&db).copied()
+    /// The latest decision recorded for the database at `slot`, if any
+    /// (live `why` route).
+    pub(crate) fn last_decision(&self, slot: usize) -> Option<(Timestamp, DecisionExplain)> {
+        *self.last_decision.get(slot)?
     }
 
     /// The shard-local SLO rollup so far (live `/v1/slo` route).

@@ -49,8 +49,8 @@ use crate::obs::{SelfObservations, ShardObs};
 #[cfg(feature = "strict-invariants")]
 use prorp_core::LifecycleInvariants;
 use prorp_core::{
-    EngineAction, EngineCounters, EngineEvent, MaintenanceScheduler, MaintenanceStats, PolicyKind,
-    ProactiveResumeOp, ResumeWorkflow, StageOutcome,
+    Actions, EngineAction, EngineCounters, EngineEvent, MaintenanceScheduler, MaintenanceStats,
+    PolicyKind, ProactiveResumeOp, ResumeWorkflow, StageOutcome,
 };
 use prorp_forecast::SweepScratch;
 use prorp_obs::ObsPart;
@@ -65,7 +65,6 @@ use prorp_telemetry::{
 use prorp_types::{DatabaseId, DbState, ProrpError, Seconds, Timestamp};
 use prorp_workload::Trace;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Validate the engine's post-event state against the shadow lifecycle
@@ -99,6 +98,59 @@ fn observe_shadow(
 struct ActiveWorkflow {
     wf: ResumeWorkflow,
     expected_at: Timestamp,
+}
+
+/// The shard's in-flight staged workflows, addressed by database slot:
+/// a four-byte column entry per database pointing into a dense slab of
+/// the few workflows actually in flight.
+struct Workflows {
+    /// Per slot: where in `slab` its workflow sits, or [`Self::NONE`].
+    at: Vec<u32>,
+    /// `(slot, workflow)`, dense — removal swaps the last entry into the
+    /// hole and re-points its slot.
+    slab: Vec<(u32, ActiveWorkflow)>,
+}
+
+impl Workflows {
+    const NONE: u32 = u32::MAX;
+
+    fn with_capacity(dbs: usize) -> Self {
+        Workflows {
+            at: Vec::with_capacity(dbs),
+            slab: Vec::new(),
+        }
+    }
+
+    /// Append the next database's (empty) column entry.
+    fn push_slot(&mut self) {
+        self.at.push(Self::NONE);
+    }
+
+    /// Start tracking `active` for `slot`, superseding any workflow the
+    /// slot already had.
+    fn insert(&mut self, slot: usize, active: ActiveWorkflow) {
+        self.remove(slot);
+        self.at[slot] = u32::try_from(self.slab.len()).expect("slab is smaller than the fleet");
+        self.slab.push((slot as u32, active));
+    }
+
+    fn get_mut(&mut self, slot: usize) -> Option<&mut ActiveWorkflow> {
+        let at = self.at[slot];
+        (at != Self::NONE).then(|| &mut self.slab[at as usize].1)
+    }
+
+    /// Drop `slot`'s workflow; whether it had one.
+    fn remove(&mut self, slot: usize) -> bool {
+        let at = std::mem::replace(&mut self.at[slot], Self::NONE);
+        if at == Self::NONE {
+            return false;
+        }
+        self.slab.swap_remove(at as usize);
+        if let Some((moved, _)) = self.slab.get(at as usize) {
+            self.at[*moved as usize] = at;
+        }
+        true
+    }
 }
 
 /// Everything one shard worker produced; the runner merges these into the
@@ -174,47 +226,6 @@ fn workflow_hangs(seed: u64, db: DatabaseId, now: Timestamp, probability: f64) -
     ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < probability
 }
 
-/// Execute the side effects an engine requested.
-fn apply_actions(
-    cfg: &SimConfig,
-    actions: &[EngineAction],
-    id: DatabaseId,
-    now: Timestamp,
-    queue: &mut EventQueue,
-    metadata: &mut MetadataStore,
-    cluster: &mut Cluster,
-) {
-    let is_optimal = matches!(cfg.policy, SimPolicy::Optimal);
-    for action in actions {
-        match action {
-            EngineAction::Allocate => {
-                // Allocation is performed by the event handlers (they
-                // know the latency context); nothing extra here.
-            }
-            EngineAction::Reclaim => {
-                cluster.release(id);
-            }
-            EngineAction::SetPredictedStart(pred) => {
-                metadata.set_prediction(id, *pred);
-                if is_optimal {
-                    // The oracle policy bypasses the periodic scan and
-                    // resumes exactly on time (zero-latency idealisation).
-                    if let Some(at) = pred {
-                        if *at >= now && *at < cfg.end {
-                            queue.push(*at, SimEvent::ProactiveResume(id));
-                        }
-                    }
-                }
-            }
-            EngineAction::ScheduleTimer(at, token) => {
-                if *at < cfg.end {
-                    queue.push(*at, SimEvent::EngineTimer(id, *token));
-                }
-            }
-        }
-    }
-}
-
 /// One shard's complete event-loop state, factored out of the former
 /// monolithic `run_shard` function so that *drivers other than the DES*
 /// can own the loop.
@@ -249,7 +260,7 @@ pub struct ShardDriver {
     metadata: MetadataStore,
     telemetry: TelemetryLog,
     diagnostics: DiagnosticsRunner,
-    workflows: HashMap<DatabaseId, ActiveWorkflow>,
+    workflows: Workflows,
     workflow_stats: WorkflowStats,
     incident_log: IncidentLog,
     resume_op: ProactiveResumeOp,
@@ -294,7 +305,7 @@ impl ShardDriver {
             metadata: MetadataStore::new(),
             telemetry: TelemetryLog::new(),
             diagnostics: DiagnosticsRunner::new(cfg.stuck_timeout),
-            workflows: HashMap::new(),
+            workflows: Workflows::with_capacity(expected_dbs),
             workflow_stats: WorkflowStats::default(),
             incident_log: IncidentLog::new(),
             // Every shard ticks on the same schedule (first run at
@@ -326,6 +337,17 @@ impl ShardDriver {
     /// session events clipped to `[start, end)` to the queue's recorded
     /// run, and stagger its first maintenance due time.
     ///
+    /// # The numbering invariant
+    ///
+    /// `FleetState`, `Cluster` and `MetadataStore` each number databases
+    /// in arrival order, and this is the only place a database arrives
+    /// at any of them — so the fleet's column index, the cluster's slot
+    /// and the `sys.databases` row of a database are one number (asserted
+    /// here, per registration).  A handler resolves an event's id to that
+    /// number once (`fleet.touch`) and addresses all three, the workflow
+    /// column and the latest-decision column with it; nothing on the
+    /// event path looks an id up a second time.
+    ///
     /// A live driver registers databases with *empty* traces (no
     /// pre-recorded sessions) and injects activity as it arrives, into
     /// the queue's run-time lane; the registration side effects and the
@@ -339,11 +361,18 @@ impl ShardDriver {
             )));
         }
         let cfg = &self.cfg;
-        self.fleet.push(cfg, trace, &self.scratch)?;
+        let idx = self.fleet.push(cfg, trace, &self.scratch)?;
+        // `row_for` writes the new database's row: resumed, no prediction.
+        let (slot, row) = (self.cluster.place(), self.metadata.row_for(trace.db));
+        assert!(
+            slot == idx && row == idx,
+            "{}: fleet column {idx}, cluster slot {slot}, sys.databases row {row}",
+            trace.db
+        );
+        self.workflows.push_slot();
         if let Some(sched) = &self.compactor {
             // Background mode: the fresh store's compaction moves to the
             // shard's worker; the event loop will only enqueue flushes.
-            let idx = self.fleet.len() - 1;
             self.fleet
                 .engines
                 .get_mut(idx)
@@ -354,11 +383,8 @@ impl ShardDriver {
             // Decision provenance is captured inside the engine (it owns
             // the inputs — forecast, breaker, cache) and drained into the
             // trace after every event.
-            let idx = self.fleet.len() - 1;
             self.fleet.engines.get_mut(idx).set_explain_enabled(true);
         }
-        self.cluster.place(trace.db);
-        self.metadata.set_state(trace.db, DbState::Resumed);
         for s in &trace.sessions {
             if s.start >= cfg.start && s.start < cfg.end {
                 self.queue.record_start(s.start, trace.db);
@@ -419,6 +445,11 @@ impl ShardDriver {
     /// Databases registered on this shard.
     pub fn registered(&self) -> usize {
         self.fleet.len()
+    }
+
+    /// Events the loop has handled so far.
+    pub fn events_processed(&self) -> u64 {
+        self.counters.events_processed
     }
 
     /// Current lifecycle state of `id`, if registered here.
@@ -496,6 +527,42 @@ impl ShardDriver {
         true
     }
 
+    /// Execute the side effects an engine requested for database `id` at
+    /// column `idx` — which is also its cluster slot and its
+    /// `sys.databases` row.
+    fn apply_actions(&mut self, actions: Actions, idx: usize, id: DatabaseId, now: Timestamp) {
+        let is_optimal = matches!(self.cfg.policy, SimPolicy::Optimal);
+        let end = self.cfg.end;
+        for action in actions {
+            match action {
+                EngineAction::Allocate => {
+                    // Allocation is performed by the event handlers (they
+                    // know the latency context); nothing extra here.
+                }
+                EngineAction::Reclaim => {
+                    self.cluster.release(idx);
+                }
+                EngineAction::SetPredictedStart(pred) => {
+                    self.metadata.set_prediction_at(idx, pred);
+                    if is_optimal {
+                        // The oracle policy bypasses the periodic scan and
+                        // resumes exactly on time (zero-latency idealisation).
+                        if let Some(at) = pred {
+                            if at >= now && at < end {
+                                self.queue.push(at, SimEvent::ProactiveResume(id));
+                            }
+                        }
+                    }
+                }
+                EngineAction::ScheduleTimer(at, token) => {
+                    if at < end {
+                        self.queue.push(at, SimEvent::EngineTimer(id, token));
+                    }
+                }
+            }
+        }
+    }
+
     /// Drain the decision-provenance records the engine captured during
     /// the event just handled into the observability layer.  A no-op
     /// unless `ObsConfig::explain` is on.
@@ -505,7 +572,7 @@ impl ShardDriver {
             return;
         }
         for (at, explain) in self.fleet.engines.get_mut(idx).drain_explains() {
-            o.on_decision(at, id, explain);
+            o.on_decision(at, idx, id, explain);
         }
     }
 
@@ -515,7 +582,8 @@ impl ShardDriver {
         &self,
         id: DatabaseId,
     ) -> Option<(Timestamp, prorp_obs::DecisionExplain)> {
-        self.obs.as_ref().and_then(|o| o.last_decision(id))
+        let idx = self.fleet.try_index_of(id)?;
+        self.obs.as_ref().and_then(|o| o.last_decision(idx))
     }
 
     /// The shard's SLO rollup so far (live `/v1/slo` route); `None`
@@ -531,11 +599,7 @@ impl ShardDriver {
     /// arrived before it.  Events at or past the horizon stay queued.
     pub fn step_until(&mut self, horizon: Timestamp) -> Result<(), ProrpError> {
         let stop = horizon.min(self.cfg.end);
-        while let Some(ts) = self.queue.peek_ts() {
-            if ts >= stop {
-                break;
-            }
-            let (now, event) = self.queue.pop().expect("peeked event vanished");
+        while let Some((now, event)) = self.queue.pop_before(stop) {
             self.counters.events_processed += 1;
             self.handle_event(now, event)?;
         }
@@ -621,9 +685,9 @@ impl ShardDriver {
                     );
                     o.on_login(now, id, available);
                 }
-                self.metadata.set_state(id, DbState::Resumed);
+                self.metadata.set_state_at(idx, DbState::Resumed);
                 // Hold compute while serving (idempotent).
-                let outcome = self.cluster.allocate(id)?;
+                let outcome = self.cluster.allocate(idx);
                 if available {
                     if prewarmed {
                         self.fleet.accs[idx].reclassify_open(SegmentKind::ProactiveIdleCorrect);
@@ -647,18 +711,10 @@ impl ShardDriver {
                         self.queue
                             .push(expected_at, SimEvent::WorkflowStageDone(id));
                         self.workflows
-                            .insert(id, ActiveWorkflow { wf, expected_at });
+                            .insert(idx, ActiveWorkflow { wf, expected_at });
                     }
                 }
-                apply_actions(
-                    cfg,
-                    &actions,
-                    id,
-                    now,
-                    &mut self.queue,
-                    &mut self.metadata,
-                    &mut self.cluster,
-                );
+                self.apply_actions(actions, idx, id, now);
                 self.drain_decisions(idx, id);
             }
             SimEvent::ActivityEnd(id) => {
@@ -671,7 +727,7 @@ impl ShardDriver {
                 // A still-running staged workflow is superseded: drop its
                 // state (stale stage events are rejected by expected_at)
                 // and retire it from the diagnostics queue.
-                if self.workflows.remove(&id).is_some() {
+                if self.workflows.remove(idx) {
                     self.diagnostics.workflow_completed(id);
                 }
                 let obs_before = self.obs.as_ref().map(|_| {
@@ -686,17 +742,9 @@ impl ShardDriver {
                     .get_mut(idx)
                     .on_event(now, EngineEvent::ActivityEnd);
                 observe_shadow(&mut self.fleet, idx, now, EngineEvent::ActivityEnd)?;
-                apply_actions(
-                    cfg,
-                    &actions,
-                    id,
-                    now,
-                    &mut self.queue,
-                    &mut self.metadata,
-                    &mut self.cluster,
-                );
+                self.apply_actions(actions, idx, id, now);
                 let state = self.fleet.engines.get(idx).state();
-                self.metadata.set_state(id, state);
+                self.metadata.set_state_at(idx, state);
                 if let Some(o) = self.obs.as_mut() {
                     let (before_state, before) = obs_before.unwrap();
                     o.on_engine_event(
@@ -738,21 +786,13 @@ impl ShardDriver {
                     .get_mut(idx)
                     .on_event(now, EngineEvent::Timer(token));
                 observe_shadow(&mut self.fleet, idx, now, EngineEvent::Timer(token))?;
-                apply_actions(
-                    cfg,
-                    &actions,
-                    id,
-                    now,
-                    &mut self.queue,
-                    &mut self.metadata,
-                    &mut self.cluster,
-                );
+                self.apply_actions(actions, idx, id, now);
                 let after = self.fleet.engines.get(idx).state();
                 if before == DbState::LogicallyPaused && after == DbState::PhysicallyPaused {
                     self.telemetry.record(now, id, TelemetryKind::PhysicalPause);
                     self.fleet.accs[idx].transition(now, SegmentKind::Saved);
                 }
-                self.metadata.set_state(id, after);
+                self.metadata.set_state_at(idx, after);
                 if let Some(o) = self.obs.as_mut() {
                     o.on_engine_event(
                         now,
@@ -819,28 +859,20 @@ impl ShardDriver {
                 if let Some(o) = self.obs.as_mut() {
                     o.on_proactive_resume(now, id);
                 }
-                self.cluster.allocate(id)?;
+                self.cluster.allocate(idx);
                 // Optimistically "wrong" until the login proves it
                 // correct.
                 self.fleet.accs[idx].transition(now, SegmentKind::ProactiveIdleWrong);
                 self.metadata
-                    .set_state(id, self.fleet.engines.get(idx).state());
-                apply_actions(
-                    cfg,
-                    &actions,
-                    id,
-                    now,
-                    &mut self.queue,
-                    &mut self.metadata,
-                    &mut self.cluster,
-                );
+                    .set_state_at(idx, self.fleet.engines.get(idx).state());
+                self.apply_actions(actions, idx, id, now);
                 self.drain_decisions(idx, id);
             }
             SimEvent::WorkflowStageDone(id) => {
                 // One stage of a staged resume finished executing: draw
                 // its deterministic verdict and advance/retry/give up.
-                self.fleet.touch(id);
-                let Some(active) = self.workflows.get_mut(&id) else {
+                let idx = self.fleet.touch(id);
+                let Some(active) = self.workflows.get_mut(idx) else {
                     return Ok(()); // workflow superseded or force-completed
                 };
                 if active.expected_at != now {
@@ -869,7 +901,7 @@ impl ShardDriver {
                                 if let Some(o) = self.obs.as_mut() {
                                     o.on_workflow_completed(now, id, wf_started);
                                 }
-                                self.workflows.remove(&id);
+                                self.workflows.remove(idx);
                                 self.queue.push(now, SimEvent::WorkflowComplete(id));
                             }
                         }
@@ -894,7 +926,7 @@ impl ShardDriver {
                         if let Some(o) = self.obs.as_mut() {
                             o.on_stage_exhausted(now, id, stage, attempts, wf_started);
                         }
-                        self.workflows.remove(&id);
+                        self.workflows.remove(idx);
                         self.diagnostics.retry_exhausted(id);
                         self.incident_log
                             .push(now, id, IncidentKind::RetryExhausted { stage });
@@ -930,7 +962,7 @@ impl ShardDriver {
                     }
                     // Mitigation force-completes the workflow now; drop
                     // any staged state so stale stage events are ignored.
-                    self.workflows.remove(&m.db);
+                    self.workflows.remove(self.fleet.index_of(m.db));
                     self.queue.push(now, SimEvent::WorkflowComplete(m.db));
                 }
                 if let Some(p) = cfg.diagnostics_period {
@@ -970,16 +1002,20 @@ impl ShardDriver {
                 // database rides the existing allocation.
                 let idx = self.fleet.touch(id);
                 if self.fleet.engines.get(idx).state() == DbState::PhysicallyPaused {
-                    let _ = self.cluster.allocate(id)?;
-                    self.cluster.release(id);
+                    self.cluster.allocate(idx);
+                    self.cluster.release(idx);
                 }
             }
             SimEvent::RebalanceTick => {
-                if let Some((moved, _, _)) = self.cluster.rebalance_step(cfg.rebalance_threshold) {
+                if let Some((idx, _, _)) = self
+                    .cluster
+                    .rebalance_step(cfg.rebalance_threshold, &self.fleet.ids)
+                {
                     // Ship the history with the database (§3.3): the
                     // move serialises pages and restores them on the
                     // destination node.
-                    let idx = self.fleet.touch(moved);
+                    let moved = self.fleet.ids[idx];
+                    self.fleet.touched.mark(idx);
                     let bytes = backup_history(self.fleet.engines.get(idx).history())?;
                     let restored = restore_backend(&bytes, cfg.storage_backend)?;
                     self.fleet.engines.get_mut(idx).restore_history(restored);
@@ -1034,22 +1070,14 @@ impl ShardDriver {
                 }
                 // A pre-warm that had not yet been proven correct is
                 // simply cancelled; the operator's decision wins.
-                if self.workflows.remove(&id).is_some() {
+                if self.workflows.remove(idx) {
                     self.diagnostics.workflow_completed(id);
                 }
                 self.fleet.resume_in_flight.set(idx, false);
                 self.telemetry.record(now, id, TelemetryKind::PhysicalPause);
                 self.fleet.accs[idx].transition(now, SegmentKind::Saved);
-                self.metadata.set_state(id, after);
-                apply_actions(
-                    cfg,
-                    &actions,
-                    id,
-                    now,
-                    &mut self.queue,
-                    &mut self.metadata,
-                    &mut self.cluster,
-                );
+                self.metadata.set_state_at(idx, after);
+                self.apply_actions(actions, idx, id, now);
             }
         }
         Ok(())
@@ -1417,9 +1445,92 @@ mod tests {
         let login = quiet + Seconds(10);
         driver.inject_login(login, busy);
         assert_eq!(step(&mut driver, login + Seconds(1)), vec![busy]);
-        assert!(driver.workflows.contains_key(&busy), "resume is staged");
+        assert!(driver.workflows.get_mut(0).is_some(), "resume is staged");
         assert_eq!(step(&mut driver, login + Seconds::hours(1)), vec![busy]);
-        assert!(!driver.workflows.contains_key(&busy), "stages ran");
+        assert!(driver.workflows.get_mut(0).is_none(), "stages ran");
         assert!(driver.take_touched().is_empty());
+    }
+    #[test]
+    fn workflow_slab_stays_dense_and_repoints_the_moved_entry() {
+        let active = |at: i64| ActiveWorkflow {
+            wf: ResumeWorkflow::new(DatabaseId(0), Timestamp(at), Seconds::ZERO),
+            expected_at: Timestamp(at),
+        };
+        let mut w = Workflows::with_capacity(4);
+        for _ in 0..4 {
+            w.push_slot();
+        }
+        assert!(!w.remove(2), "nothing in flight yet");
+        for slot in [3, 0, 2] {
+            w.insert(slot, active(slot as i64));
+        }
+        // Removing the first slab entry swaps the last one into its place.
+        assert!(w.remove(3));
+        assert_eq!(w.slab.len(), 2);
+        assert!(w.get_mut(3).is_none() && w.get_mut(1).is_none());
+        for slot in [0, 2] {
+            assert_eq!(w.get_mut(slot).unwrap().expected_at, Timestamp(slot as i64));
+        }
+        // A restarted workflow supersedes the old one in place.
+        w.insert(0, active(40));
+        assert_eq!(w.get_mut(0).unwrap().expected_at, Timestamp(40));
+        assert_eq!(w.slab.len(), 2);
+        assert!(w.remove(0) && w.remove(2) && w.slab.is_empty());
+    }
+
+    /// Sparse ids (the index map spills to its hash form), two tight
+    /// nodes and an hourly rebalance that ships histories: at the end
+    /// every database's fleet column, cluster slot and `sys.databases`
+    /// row are still one number, and each of the three holds *that*
+    /// database's state.
+    #[test]
+    fn sparse_ids_and_rebalance_moves_keep_the_three_numberings_aligned() {
+        use prorp_workload::{RegionName, RegionProfile};
+        const DAY: i64 = 86_400;
+        let (start, end) = (Timestamp(0), Timestamp(10 * DAY));
+        let cfg = SimConfig::builder(SimPolicy::Reactive, start, end, start)
+            .nodes(2)
+            .node_capacity(30)
+            .rebalance_period(Seconds::hours(1))
+            .rebalance_threshold(1)
+            .build()
+            .unwrap();
+        let traces: Vec<Trace> = RegionProfile::for_region(RegionName::Eu1)
+            .generate_fleet(48, start, end, 23)
+            .into_iter()
+            .enumerate()
+            .map(|(k, t)| {
+                Trace::new(DatabaseId(u64::MAX - k as u64), "sparse", t.sessions).unwrap()
+            })
+            .collect();
+        let mut driver = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+        for t in &traces {
+            driver.register(t).unwrap();
+        }
+        driver.start();
+        driver.run_to_end().unwrap();
+
+        assert!(driver.fleet.index.is_sparse());
+        assert!(driver.cluster.balance_moves > 0, "a history was restored");
+        assert_eq!(driver.cluster.oversubscriptions, 0);
+        assert_eq!(driver.metadata.len(), traces.len());
+        let homed: usize = driver.cluster.nodes().iter().map(|n| n.homed_count()).sum();
+        assert_eq!(homed, traces.len());
+        for (idx, t) in traces.iter().enumerate() {
+            assert_eq!(driver.fleet.ids[idx], t.db);
+            assert_eq!(driver.fleet.try_index_of(t.db), Some(idx));
+            assert_eq!(driver.metadata.row_of(t.db), Some(idx));
+            let state = driver.fleet.engines.get(idx).state();
+            assert_eq!(driver.metadata.get(t.db).unwrap().state, state, "{}", t.db);
+            if state == DbState::PhysicallyPaused {
+                assert!(!driver.cluster.has_allocation(idx), "{}", t.db);
+            }
+            if driver.fleet.demand.get(idx) {
+                assert!(driver.cluster.has_allocation(idx), "{}", t.db);
+            }
+        }
+        let outcome = driver.finish().unwrap();
+        let ids: Vec<DatabaseId> = outcome.dbs.iter().map(|r| r.0).collect();
+        assert_eq!(ids, traces.iter().map(|t| t.db).collect::<Vec<_>>());
     }
 }

@@ -1,0 +1,93 @@
+//! An allocation guard on the shard event loop.
+//!
+//! Once a fleet is warm — histories at their trimmed size, the queue's
+//! run-time lane at its working depth, telemetry's buffers grown — a
+//! loop event should mostly touch memory it already owns.  What still
+//! allocates is the history store (a B+Tree leaf split now and then, a
+//! trim's scratch) and the amortised growth of the telemetry log; what
+//! must not come back is an allocation *per event*: a `Vec` built for
+//! every engine reply, a hash map node per lookup.  Before replies were
+//! values and databases were slots the second half of these runs made
+//! 25 192 allocations in 50 014 events (reactive, 0.50 per event) and
+//! 30 388 in 45 795 (proactive, 0.66); now 8 511 (0.17) and 12 334
+//! (0.27).  The counts are deterministic, so a bound of one in three is
+//! tight enough to catch either coming back.
+
+use prorp_sim::{ShardDriver, SimConfig, SimPolicy, StorageBackend};
+use prorp_types::{PolicyConfig, Timestamp};
+use prorp_workload::{RegionName, RegionProfile};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap allocations made by this thread (each test runs on its own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers every operation to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell`, which neither allocates nor
+// runs a destructor.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const DAY: i64 = 86_400;
+
+/// Heap allocations per loop event over days 4–8 of a 3 000-database,
+/// 8-day, one-shard run (B+Tree history, observability off).
+fn second_half_allocations_per_event(policy: SimPolicy) -> f64 {
+    let (start, mid, end) = (Timestamp(0), Timestamp(4 * DAY), Timestamp(8 * DAY));
+    let cfg = SimConfig::builder(policy, start, end, start)
+        .storage_backend(StorageBackend::BTree)
+        .build()
+        .unwrap();
+    let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(3_000, start, end, 7);
+    let mut driver = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+    for trace in &traces {
+        driver.register(trace).unwrap();
+    }
+    driver.start();
+    driver.step_until(mid).unwrap();
+    let (events, allocations) = (driver.events_processed(), ALLOCATIONS.with(Cell::get));
+    driver.run_to_end().unwrap();
+    let events = driver.events_processed() - events;
+    let allocations = ALLOCATIONS.with(Cell::get) - allocations;
+    assert!(events > 30_000, "a real second half: {events} events");
+    allocations as f64 / events as f64
+}
+
+#[test]
+fn a_warm_reactive_loop_allocates_less_than_once_per_three_events() {
+    let per_event = second_half_allocations_per_event(SimPolicy::Reactive);
+    assert!(
+        per_event < 1.0 / 3.0,
+        "{per_event:.3} allocations per event"
+    );
+}
+
+#[test]
+fn a_warm_proactive_loop_allocates_less_than_once_per_three_events() {
+    let per_event =
+        second_half_allocations_per_event(SimPolicy::Proactive(PolicyConfig::default()));
+    assert!(
+        per_event < 1.0 / 3.0,
+        "{per_event:.3} allocations per event"
+    );
+}

@@ -1,7 +1,7 @@
 //! The control-plane metadata table in SQL form — `sys.databases` — and
 //! Algorithm 5's selection query, verbatim.
 //!
-//! The fast path lives in `prorp_storage::MetadataStore` (hash map +
+//! The fast path lives in `prorp_storage::MetadataStore` (numbered rows +
 //! ordered secondary index); this module is its executable SQL
 //! specification, differential-tested at the workspace root.  It also
 //! follows the listing's conventions exactly: `start_of_pred_activity = 0`

@@ -17,9 +17,29 @@
 //! range lookup (`O(log n + m)`) instead of a full table scan — essential
 //! when one region holds hundreds of thousands of databases and the scan
 //! runs every minute (§9.3, Figure 11).
+//!
+//! # Rows are numbered
+//!
+//! The table is a vector: the first database ever written gets row 0,
+//! the next row 1, and so on, with the ids in a column beside the rows.
+//! [`row_for`](MetadataStore::row_for) hands that number out, and the
+//! row-addressed setters ([`set_state_at`](MetadataStore::set_state_at),
+//! [`set_prediction_at`](MetadataStore::set_prediction_at)) take it back
+//! without hashing anything — the shard event loop registers its
+//! databases here in the same order as everywhere else, so the column
+//! index it already holds *is* the row.  The id-keyed methods reach the
+//! same rows through one id→row lookup and then run the same code: one
+//! layout, one routine that maintains the secondary index.
+//!
+//! A row number stays valid for the life of the store.
+//! [`remove`](MetadataStore::remove) does not compact: it leaves a
+//! *vacant* row behind, which `len`, `state_counts`, `partition` and
+//! both scans skip and which is never handed out again — writing the
+//! same id later appends a fresh row.  Addressing a vacant row is a bug
+//! in the caller and panics.
 
-use prorp_types::{DatabaseId, DbState, Seconds, Timestamp};
-use std::collections::{BTreeSet, HashMap};
+use prorp_types::{DatabaseId, DbMap, DbState, Seconds, Timestamp};
+use std::collections::BTreeSet;
 
 /// One row of `sys.databases`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,7 +63,14 @@ impl Default for DbMeta {
 /// Region-wide metadata for all serverless databases.
 #[derive(Clone, Debug, Default)]
 pub struct MetadataStore {
-    rows: HashMap<DatabaseId, DbMeta>,
+    /// The table, in row order; `None` is the vacant row a removed
+    /// database left behind.
+    rows: Vec<Option<DbMeta>>,
+    /// The id each row was created for (kept for vacant rows too).
+    ids: Vec<DatabaseId>,
+    /// `id → row` for the live rows — the one lookup behind every
+    /// id-keyed method.
+    row_of: DbMap<u32>,
     /// `(start_of_pred_activity, database_id)` for rows that are
     /// physically paused *and* carry a prediction — exactly the rows
     /// Algorithm 5 may select.
@@ -56,44 +83,64 @@ impl MetadataStore {
         MetadataStore::default()
     }
 
-    /// Number of registered databases.
+    /// Number of registered databases (vacant rows do not count).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.row_of.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.row_of.is_empty()
     }
 
     /// Current row for `db`, if registered.
     pub fn get(&self, db: DatabaseId) -> Option<DbMeta> {
-        self.rows.get(&db).copied()
+        self.rows[self.row_of(db)?]
+    }
+
+    /// The row number of `db`, if registered.
+    pub fn row_of(&self, db: DatabaseId) -> Option<usize> {
+        self.row_of.get(&db).map(|&row| row as usize)
+    }
+
+    /// The row number of `db`, registering it with the default row
+    /// (resumed, no prediction) if it is new.  A new database always
+    /// takes the next row number — the count of rows ever created.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the store would exceed `u32::MAX` rows.
+    pub fn row_for(&mut self, db: DatabaseId) -> usize {
+        if let Some(row) = self.row_of(db) {
+            return row;
+        }
+        let row = u32::try_from(self.rows.len()).expect("sys.databases exceeds u32 rows");
+        self.rows.push(Some(DbMeta::default()));
+        self.ids.push(db);
+        self.row_of.insert(db, row);
+        row as usize
     }
 
     /// Register or update a database row, keeping the secondary index
     /// consistent.
     pub fn upsert(&mut self, db: DatabaseId, meta: DbMeta) {
-        let old = self.rows.insert(db, meta);
-        let was = old.as_ref().and_then(Self::indexable);
-        self.reindex(db, was, Self::indexable(&meta));
+        let row = self.row_for(db);
+        self.update(row, |m| *m = meta);
     }
 
-    /// Edit `db`'s row in place (registering it if new) with one probe
-    /// of the row map, keeping the secondary index consistent.
-    fn update(&mut self, db: DatabaseId, edit: impl FnOnce(&mut DbMeta)) {
-        let meta = self.rows.entry(db).or_default();
+    /// Edit the row at `row` in place, keeping the secondary index
+    /// consistent — the one routine every write goes through.
+    fn update(&mut self, row: usize, edit: impl FnOnce(&mut DbMeta)) {
+        let meta = self.rows[row]
+            .as_mut()
+            .expect("sys.databases row is vacant (its database was removed)");
         let was = Self::indexable(meta);
         edit(meta);
         let is = Self::indexable(meta);
-        self.reindex(db, was, is);
-    }
-
-    /// Move `db`'s secondary-index entry from `was` to `is`.
-    fn reindex(&mut self, db: DatabaseId, was: Option<Timestamp>, is: Option<Timestamp>) {
         if was == is {
             return;
         }
+        let db = self.ids[row];
         if let Some(ps) = was {
             self.by_pred_start.remove(&(ps, db));
         }
@@ -109,7 +156,18 @@ impl MetadataStore {
     /// (Algorithm 1 line 31) before the next physical pause can enter the
     /// proactive-resume queue.
     pub fn set_state(&mut self, db: DatabaseId, state: DbState) {
-        self.update(db, |meta| {
+        let row = self.row_for(db);
+        self.set_state_at(row, state);
+    }
+
+    /// [`set_state`](Self::set_state) for the database at `row`, with no
+    /// lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` was never handed out or is vacant.
+    pub fn set_state_at(&mut self, row: usize, state: DbState) {
+        self.update(row, |meta| {
             meta.state = state;
             if state == DbState::Resumed {
                 meta.pred_start = None;
@@ -120,18 +178,38 @@ impl MetadataStore {
     /// Record `start_of_pred_activity` for `db` — the `InsertMetadata`
     /// call of Algorithm 1 line 31 (registering the database if new).
     pub fn set_prediction(&mut self, db: DatabaseId, pred_start: Option<Timestamp>) {
-        self.update(db, |meta| meta.pred_start = pred_start);
+        let row = self.row_for(db);
+        self.set_prediction_at(row, pred_start);
     }
 
-    /// Drop a database (deletion / move away from this region).
+    /// [`set_prediction`](Self::set_prediction) for the database at
+    /// `row`, with no lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` was never handed out or is vacant.
+    pub fn set_prediction_at(&mut self, row: usize, pred_start: Option<Timestamp>) {
+        self.update(row, |meta| meta.pred_start = pred_start);
+    }
+
+    /// Drop a database (deletion / move away from this region).  Its row
+    /// becomes vacant; every other row keeps its number (see the module
+    /// docs).
     pub fn remove(&mut self, db: DatabaseId) -> Option<DbMeta> {
-        let old = self.rows.remove(&db);
-        if let Some(meta) = old {
-            if let Some(ps) = Self::indexable(&meta) {
-                self.by_pred_start.remove(&(ps, db));
-            }
+        let row = self.row_of.remove(&db)? as usize;
+        let meta = self.rows[row].take();
+        if let Some(ps) = meta.as_ref().and_then(Self::indexable) {
+            self.by_pred_start.remove(&(ps, db));
         }
-        old
+        meta
+    }
+
+    /// The live rows with their ids, in row order.
+    fn live_rows(&self) -> impl Iterator<Item = (DatabaseId, &DbMeta)> {
+        self.ids
+            .iter()
+            .zip(&self.rows)
+            .filter_map(|(db, meta)| Some((*db, meta.as_ref()?)))
     }
 
     /// The Algorithm 5 selection: physically paused databases whose
@@ -184,8 +262,8 @@ impl MetadataStore {
     pub fn partition(&self, shard_count: usize) -> Vec<MetadataStore> {
         assert!(shard_count > 0, "shard_count must be positive");
         let mut out = vec![MetadataStore::new(); shard_count];
-        for (db, meta) in &self.rows {
-            out[db.shard_of(shard_count)].upsert(*db, *meta);
+        for (db, meta) in self.live_rows() {
+            out[db.shard_of(shard_count)].upsert(db, *meta);
         }
         out
     }
@@ -193,7 +271,7 @@ impl MetadataStore {
     /// Count of rows in each lifecycle state (diagnostics, Figure 11/12).
     pub fn state_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for meta in self.rows.values() {
+        for (_, meta) in self.live_rows() {
             match meta.state {
                 DbState::Resumed => counts.0 += 1,
                 DbState::LogicallyPaused => counts.1 += 1,
@@ -215,6 +293,8 @@ impl MetadataStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn db(id: u64) -> DatabaseId {
         DatabaseId(id)
@@ -349,5 +429,169 @@ mod tests {
         store.set_state(db(3), DbState::PhysicallyPaused);
         store.set_state(db(4), DbState::PhysicallyPaused);
         assert_eq!(store.state_counts(), (1, 1, 2));
+    }
+
+    impl MetadataStore {
+        /// The secondary index rebuilt from the rows alone.
+        fn rebuilt_index(&self) -> BTreeSet<(Timestamp, DatabaseId)> {
+            self.live_rows()
+                .filter_map(|(db, meta)| Some((Self::indexable(meta)?, db)))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_vacant_row_costs_no_more_than_a_live_one() {
+        assert_eq!(
+            std::mem::size_of::<Option<DbMeta>>(),
+            std::mem::size_of::<DbMeta>()
+        );
+    }
+
+    /// Row numbers survive a removal: the vacant row is skipped by every
+    /// read, the re-registered database takes a fresh row, and the
+    /// row-addressed setters still reach the databases they were handed
+    /// out for.
+    #[test]
+    fn remove_leaves_a_vacant_row_and_every_other_row_keeps_its_number() {
+        let mut store = MetadataStore::new();
+        for id in [10, 11, 12] {
+            paused_at(&mut store, id, 500 + id as i64);
+        }
+        let rows: Vec<usize> = [10, 11, 12]
+            .iter()
+            .map(|id| store.row_of(db(*id)).unwrap())
+            .collect();
+        assert_eq!(rows, vec![0, 1, 2]);
+
+        assert!(store.remove(db(11)).is_some());
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.row_of(db(11)), None);
+        assert_eq!(store.state_counts(), (0, 0, 2));
+        assert_eq!(
+            store.partition(1)[0].len(),
+            2,
+            "partition skips the vacant row"
+        );
+        assert!(store
+            .overdue_resumes_iter(Timestamp(10_000))
+            .eq([db(10), db(12)]));
+
+        // Re-registering takes the next row, never the vacant one.
+        store.upsert(db(11), DbMeta::default());
+        assert_eq!(store.row_of(db(11)), Some(3));
+        assert_eq!(store.row_for(db(13)), 4);
+        assert_eq!(store.len(), 4);
+
+        // The old numbers still address the databases they were made for.
+        store.set_state_at(0, DbState::LogicallyPaused);
+        store.set_prediction_at(2, Some(Timestamp(900)));
+        store.set_state_at(3, DbState::PhysicallyPaused);
+        store.set_prediction_at(3, Some(Timestamp(100)));
+        assert_eq!(store.get(db(10)).unwrap().state, DbState::LogicallyPaused);
+        assert_eq!(store.get(db(12)).unwrap().pred_start, Some(Timestamp(900)));
+        assert_eq!(
+            store.get(db(11)).unwrap(),
+            DbMeta {
+                state: DbState::PhysicallyPaused,
+                pred_start: Some(Timestamp(100)),
+            }
+        );
+        assert_eq!(store.by_pred_start, store.rebuilt_index());
+        assert!(store
+            .overdue_resumes_iter(Timestamp(10_000))
+            .eq([db(11), db(12)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "row is vacant")]
+    fn addressing_a_vacant_row_panics() {
+        let mut store = MetadataStore::new();
+        store.set_state(db(1), DbState::Resumed);
+        store.remove(db(1));
+        store.set_state_at(0, DbState::PhysicallyPaused);
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Upsert(u64, DbState, Option<i64>),
+        State(u64, DbState),
+        Prediction(u64, Option<i64>),
+        Remove(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let id = || 0u64..12;
+        let state = || {
+            (0u8..3).prop_map(|s| match s {
+                0 => DbState::Resumed,
+                1 => DbState::LogicallyPaused,
+                _ => DbState::PhysicallyPaused,
+            })
+        };
+        let pred = || prop::option::of(0i64..50);
+        prop_oneof![
+            2 => (id(), state(), pred()).prop_map(|(d, s, p)| Op::Upsert(d, s, p)),
+            4 => (id(), state()).prop_map(|(d, s)| Op::State(d, s)),
+            4 => (id(), pred()).prop_map(|(d, p)| Op::Prediction(d, p)),
+            1 => id().prop_map(Op::Remove),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One store written by id, one written by row number, and the
+        /// table as it was before rows were numbered — a `HashMap` from
+        /// id to row — as the model: after every operation of a random
+        /// interleaving (removals and re-registrations included) the
+        /// three hold the same rows, and each store's secondary index
+        /// equals a rebuild from its rows.
+        #[test]
+        fn row_addressed_writes_are_id_keyed_writes(ops in prop::collection::vec(op(), 0..160)) {
+            let mut keyed = MetadataStore::new();
+            let mut addressed = MetadataStore::new();
+            let mut model: HashMap<DatabaseId, DbMeta> = HashMap::new();
+            for op in ops {
+                match op {
+                    Op::Upsert(id, state, pred) => {
+                        let meta = DbMeta { state, pred_start: pred.map(Timestamp) };
+                        keyed.upsert(db(id), meta);
+                        addressed.upsert(db(id), meta);
+                        model.insert(db(id), meta);
+                    }
+                    Op::State(id, state) => {
+                        keyed.set_state(db(id), state);
+                        let row = addressed.row_for(db(id));
+                        addressed.set_state_at(row, state);
+                        let meta = model.entry(db(id)).or_default();
+                        meta.state = state;
+                        if state == DbState::Resumed {
+                            meta.pred_start = None;
+                        }
+                    }
+                    Op::Prediction(id, pred) => {
+                        keyed.set_prediction(db(id), pred.map(Timestamp));
+                        let row = addressed.row_for(db(id));
+                        addressed.set_prediction_at(row, pred.map(Timestamp));
+                        model.entry(db(id)).or_default().pred_start = pred.map(Timestamp);
+                    }
+                    Op::Remove(id) => {
+                        let expected = model.remove(&db(id));
+                        prop_assert_eq!(keyed.remove(db(id)), expected);
+                        prop_assert_eq!(addressed.remove(db(id)), expected);
+                    }
+                }
+                for store in [&keyed, &addressed] {
+                    prop_assert_eq!(store.len(), model.len());
+                    for id in 0..12 {
+                        prop_assert_eq!(store.get(db(id)), model.get(&db(id)).copied());
+                    }
+                    prop_assert_eq!(&store.by_pred_start, &store.rebuilt_index());
+                }
+                prop_assert_eq!(&keyed.by_pred_start, &addressed.by_pred_start);
+                prop_assert_eq!(&keyed.ids, &addressed.ids, "same numbering");
+            }
+        }
     }
 }

@@ -40,6 +40,25 @@ run cargo test -q -p testkit --test prediction_index
 # shard invariance, span traces, and time-travel reproduction).
 run cargo test -q -p testkit --test storage_conformance
 
+# A registered database is a slot: the slot-addressed cluster must stay
+# indistinguishable from the id-keyed `HashMap`/`HashSet` one it replaced
+# (every outcome, home and counter under random place / allocate /
+# release / move / rebalance with spill and over-subscription),
+# row-addressed `sys.databases` writes must be id-keyed writes with the
+# secondary index equal to a rebuild after every op, and `pop_before`
+# must be `peek_ts` + `pop` over the one-heap queue.  These are what
+# catch an id-keyed map coming back beside a column and drifting from it.
+run cargo test -q -p prorp-sim --lib cluster::tests::slots_are_the_id_keyed_cluster
+run cargo test -q -p prorp-storage --lib metadata::tests::row_addressed_writes_are_id_keyed_writes
+run cargo test -q -p prorp-sim --lib events::tests::two_lanes_are_one_heap
+
+# The allocation guard: a warm 3 000-database loop, reactive and
+# proactive, must make fewer than one heap allocation per three events
+# (counting global allocator; the counts are deterministic).  This is
+# what catches a per-event `Vec` — an engine reply, a sweep result —
+# or a node-allocating map coming back onto the event path.
+run cargo test -q -p prorp-sim --test alloc_guard
+
 # The live driver must stay bit-identical to the DES under any admitted
 # stream, and the server's touched-set publish must leave the backend
 # holding what a republish of the whole fleet would (every record and
