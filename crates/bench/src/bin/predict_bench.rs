@@ -14,7 +14,11 @@
 //! * `--smoke` — small fleet and few timing repetitions, for CI
 //!   (`scripts/check.sh`); fails unless the incremental arm is at least
 //!   2× faster than the naive one on every micro case (the committed
-//!   record reads 15× and up, so host noise cannot trip it);
+//!   record reads 15× and up, so host noise cannot trip it), and
+//!   unless `young_sparse` and `fine_slide` each cost the incremental
+//!   arm at most 2× what `default` does — a prediction costs its logins,
+//!   not its window positions, and a per-position step coming back
+//!   reads 3–7× there;
 //! * `--json <path>` — write the machine-readable summary
 //!   (`results/BENCH_predict.json` by convention).
 //!
@@ -185,6 +189,8 @@ fn main() {
 
     let mut micro_rows = Vec::new();
     let mut default_speedup = 0.0;
+    // `default` is timed first; until then nothing passes the shape gate.
+    let mut default_ns = f64::NAN;
     for case in micro_cases() {
         let unindexed = case.history;
         let mut h = unindexed.clone();
@@ -214,7 +220,19 @@ fn main() {
         );
         if case.name == "default" {
             default_speedup = speedup;
+            default_ns = fast_ns;
         }
+        // Shape gate: many positions over few logins (`young_sparse`
+        // scans 180 deep over 8, `fine_slide` has 1 021) must cost what
+        // `default` costs, not what the positions would.
+        assert!(
+            !smoke
+                || !matches!(case.name, "young_sparse" | "fine_slide")
+                || fast_ns <= 2.0 * default_ns,
+            "{}: incremental {fast_ns:.0} ns/op is more than 2x default's {default_ns:.0} ns/op \
+             — the sweep is paying per window position again",
+            case.name
+        );
         println!(
             "{:<16} {:>6} {:>14.0} {:>14.0} {:>8.1}x",
             case.name,
@@ -260,9 +278,9 @@ fn main() {
         scale.fleet, scale.days, naive_s, fast_s, fleet_speedup
     );
     println!(
-        "  predictor time in fleet run: naive {:.0}ms, incremental {:.0}ms (sum over engines)",
-        naive_pred_ns as f64 / 1e6,
-        fast_pred_ns as f64 / 1e6,
+        "  predictor time in fleet run: naive {:.0}µs, incremental {:.0}µs (sum over engines)",
+        naive_pred_ns as f64 / 1e3,
+        fast_pred_ns as f64 / 1e3,
     );
 
     if let Some(path) = json_path {

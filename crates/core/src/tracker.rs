@@ -8,7 +8,9 @@
 //! captures the precise timestamp into a small buffer, and `flush` moves
 //! buffered events into the history store (Algorithm 2 semantics).  The
 //! engines flush before every read of the history — the prediction path
-//! must never observe a stale store.
+//! must never observe a stale store.  Because they do, the buffer never
+//! holds more than a login and its logout, and those two live inline in
+//! the tracker: recording touches no heap block.
 //!
 //! The tracker owns its history through the storage seam's
 //! [`HistoryBackend`] wrapper, so one tracker serves either the B+Tree
@@ -18,11 +20,19 @@
 use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
 use prorp_types::{ActivityEvent, EventKind, Timestamp};
 
+/// Pending events held in the tracker itself: a login and its logout.
+const INLINE: usize = 2;
+
 /// Buffered writer of activity events into a [`HistoryBackend`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ActivityTracker {
     history: HistoryBackend,
-    pending: Vec<ActivityEvent>,
+    /// The first [`INLINE`] events recorded since the last flush…
+    inline: [ActivityEvent; INLINE],
+    /// … how many of those slots are filled …
+    inline_len: u8,
+    /// … and any recorded after them, in order.
+    spilled: Vec<ActivityEvent>,
     /// Events suppressed by the Algorithm 2 uniqueness guard.
     duplicates_suppressed: u64,
 }
@@ -30,14 +40,16 @@ pub struct ActivityTracker {
 impl ActivityTracker {
     /// A tracker over an empty B+Tree-backed history (the default).
     pub fn new() -> Self {
-        ActivityTracker::default()
+        ActivityTracker::with_backend(StorageBackend::default())
     }
 
     /// A tracker over an empty history of the given backend kind.
     pub fn with_backend(kind: StorageBackend) -> Self {
         ActivityTracker {
             history: HistoryBackend::new(kind),
-            pending: Vec::new(),
+            inline: [ActivityEvent::start(Timestamp(0)); INLINE],
+            inline_len: 0,
+            spilled: Vec::new(),
             duplicates_suppressed: 0,
         }
     }
@@ -45,7 +57,14 @@ impl ActivityTracker {
     /// Capture a precise event timestamp (critical path: O(1), no index
     /// access).
     pub fn record(&mut self, ts: Timestamp, kind: EventKind) {
-        self.pending.push(ActivityEvent { ts, kind });
+        let ev = ActivityEvent { ts, kind };
+        match self.inline.get_mut(usize::from(self.inline_len)) {
+            Some(slot) => {
+                *slot = ev;
+                self.inline_len += 1;
+            }
+            None => self.spilled.push(ev),
+        }
     }
 
     /// Move buffered events into the history store (off the critical
@@ -53,7 +72,9 @@ impl ActivityTracker {
     /// timestamp are suppressed per Algorithm 2.
     pub fn flush(&mut self) -> usize {
         let mut inserted = 0;
-        for ev in self.pending.drain(..) {
+        let inline = self.inline.into_iter().take(usize::from(self.inline_len));
+        self.inline_len = 0;
+        for ev in inline.chain(self.spilled.drain(..)) {
             if self.history.insert_event(ev) {
                 inserted += 1;
             } else {
@@ -65,7 +86,7 @@ impl ActivityTracker {
 
     /// Number of events waiting to be flushed.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        usize::from(self.inline_len) + self.spilled.len()
     }
 
     /// Events suppressed by the uniqueness guard so far.
@@ -92,6 +113,12 @@ impl ActivityTracker {
     }
 }
 
+impl Default for ActivityTracker {
+    fn default() -> Self {
+        ActivityTracker::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +138,35 @@ mod tests {
         assert_eq!(tr.flush(), 2);
         assert_eq!(tr.pending_len(), 0);
         assert_eq!(tr.history().len(), 2);
+    }
+
+    #[test]
+    fn events_beyond_the_inline_pair_spill_in_order() {
+        let mut tr = ActivityTracker::new();
+        // The third and fourth repeat the second's timestamp: only an
+        // in-order flush keeps the End and suppresses the two Starts.
+        tr.record(t(10), EventKind::Start);
+        tr.record(t(20), EventKind::End);
+        tr.record(t(20), EventKind::Start);
+        tr.record(t(20), EventKind::Start);
+        tr.record(t(30), EventKind::Start);
+        assert_eq!(tr.pending_len(), 5);
+        assert_eq!(tr.flush(), 3);
+        assert_eq!(tr.duplicates_suppressed(), 2);
+        assert_eq!(tr.pending_len(), 0);
+        assert_eq!(
+            tr.history().events(),
+            vec![
+                ActivityEvent::start(t(10)),
+                ActivityEvent::end(t(20)),
+                ActivityEvent::start(t(30)),
+            ]
+        );
+        // The inline slots are free again after a flush.
+        tr.record(t(40), EventKind::End);
+        assert_eq!(tr.pending_len(), 1);
+        assert_eq!(tr.flush(), 1);
+        assert_eq!(tr.history().len(), 4);
     }
 
     #[test]

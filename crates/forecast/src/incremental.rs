@@ -1,6 +1,8 @@
 //! Algorithm 4 as one sliding window over the logins in seasonal-clock
 //! order — bit-identical to [`ProbabilisticPredictor`], at
-//! `O(logins passed + window positions)` per prediction.
+//! `O(points passed)` per prediction: what a prediction costs follows
+//! from the logins it meets, not from how many window positions the
+//! knobs lay across the horizon.
 //!
 //! [`ProbabilisticPredictor`]: crate::ProbabilisticPredictor
 //!
@@ -72,6 +74,17 @@ impl SweepScratch {
 /// Shared handle to a [`SweepScratch`]; `Rc` because engines of one
 /// shard live and run on that shard's worker thread.
 pub type SharedScratch = Rc<RefCell<SweepScratch>>;
+
+/// What one sweep cost.  A position is visited only when a cursor will
+/// move there or did at the one before, so `positions <= 2 · points + 2`
+/// whatever `s` is.
+#[derive(Debug, Default)]
+struct SweepWork {
+    /// Window positions evaluated or jumped to.
+    positions: usize,
+    /// Points either cursor passed.
+    points: usize,
+}
 
 /// A position in the endless walk over clock-ordered logins that starts
 /// at `now`'s clock offset.
@@ -196,6 +209,12 @@ impl IncrementalPredictor {
     /// Core of Algorithm 4 as the sliding-window sweep; same contract as
     /// [`ProbabilisticPredictor::predict_at`](crate::ProbabilisticPredictor::predict_at).
     pub fn predict_at(&self, history: &dyn HistoryRead, now: Timestamp) -> Option<Prediction> {
+        self.sweep(history, now).0
+    }
+
+    /// The sweep, and what it cost (the work-bound tests read the latter).
+    fn sweep(&self, history: &dyn HistoryRead, now: Timestamp) -> (Option<Prediction>, SweepWork) {
+        let mut work = SweepWork::default();
         let w = self.config.window.as_secs();
         let s = self.config.slide.as_secs();
         let horizon = self.config.horizon.as_secs();
@@ -205,7 +224,7 @@ impl IncrementalPredictor {
         // Degenerate horizon (`w > p`, including the `p = 0` disable
         // sentinel): no window position fits.
         if w > horizon {
-            return None;
+            return (None, work);
         }
 
         let mut scratch = self.scratch.borrow_mut();
@@ -226,7 +245,7 @@ impl IncrementalPredictor {
         // No logins, no points: every position has prob = 0.  (It also
         // keeps the cursors' endless walk from spinning on nothing.)
         if order.is_empty() {
-            return None;
+            return (None, work);
         }
         in_window.clear();
         in_window.resize(periods as usize, 0);
@@ -244,6 +263,7 @@ impl IncrementalPredictor {
         // `off = j·s` is `winStart − now`.
         let mut off = 0;
         while off + w <= horizon {
+            work.positions += 1;
             let mut moved = false;
             while enter.d(order) <= off + w {
                 if let Some(n) = enter.row(order).and_then(|r| in_window.get_mut(r)) {
@@ -254,6 +274,7 @@ impl IncrementalPredictor {
                     moved = true;
                 }
                 enter.advance(order, period);
+                work.points += 1;
             }
             while leave.d(order) < off {
                 if let Some(n) = leave.row(order).and_then(|r| in_window.get_mut(r)) {
@@ -263,15 +284,22 @@ impl IncrementalPredictor {
                     moved = true;
                 }
                 leave.advance(order, period);
+                work.points += 1;
             }
             // The same points as at the previous position give the same
-            // prob: it still fails the threshold if nothing has hit yet,
-            // and cannot improve on itself if something has.
+            // prob: it cannot improve on itself if something has hit, and
+            // still fails the threshold if nothing has — here and at
+            // every position before the first that moves a cursor, which
+            // is the first `j·s` at or past where the next point enters
+            // (`d − w`) or the oldest leaves (`d + 1`).  Both lie beyond
+            // `off >= 0`, so `/` rounds as the ceiling needs.
             if !moved {
                 if best.is_some() {
                     break;
                 }
-                off += s;
+                let change = (enter.d(order) - w).min(leave.d(order) + 1);
+                debug_assert!(change > off, "the jump moves forward");
+                off = (change + s - 1) / s * s;
                 continue;
             }
 
@@ -300,7 +328,7 @@ impl IncrementalPredictor {
             }
             off += s;
         }
-        best
+        (best, work)
     }
 }
 
@@ -371,10 +399,20 @@ mod tests {
     fn assert_identical(cfg: PolicyConfig, basis: ConfidenceBasis, h: &HistoryTable, now: i64) {
         let naive = ProbabilisticPredictor::with_basis(cfg, basis).unwrap();
         let incr = IncrementalPredictor::with_basis(cfg, basis).unwrap();
+        let (got, work) = incr.sweep(h, t(now));
         assert_eq!(
             naive.predict_at(h, t(now)),
-            incr.predict_at(h, t(now)),
+            got,
             "divergence at now={now} basis={basis:?}"
+        );
+        assert_work_bound(&work, &format!("now={now} basis={basis:?}"));
+    }
+
+    /// A position is visited only next to a cursor movement.
+    fn assert_work_bound(work: &SweepWork, what: &str) {
+        assert!(
+            work.positions <= 2 * work.points + 2,
+            "{what}: {work:?} — the sweep stepped through positions where nothing moves"
         );
     }
 
@@ -453,6 +491,22 @@ mod tests {
             confidence: 0.6,
             ..daily
         };
+        // Two of three rows must line up, far from the first position:
+        // the rows below put a login of yesterday's at the window's left
+        // edge and one of the day before's at its right edge, so only the
+        // position the jump must land on — not the one before, not the
+        // one after — holds both.  `J` = j·s for both slides.
+        let every_second = PolicyConfig {
+            slide: Seconds(1),
+            confidence: 0.6,
+            ..daily
+        };
+        let odd_slide = PolicyConfig {
+            slide: Seconds(7),
+            ..every_second
+        };
+        const J: i64 = 1_234 * 7;
+        const W: i64 = 2 * HOUR;
         // 23:00, so most logins below sit *behind* `now` on the clock and
         // the walk starts by wrapping into its second lap.
         let now = 10 * DAY + 23 * HOUR;
@@ -545,6 +599,54 @@ mod tests {
                 &[-DAY + 10, -DAY + 20, -2 * DAY + 30, -3 * DAY + 2 * HOUR + 5],
                 true,
             ),
+            edge(
+                "s = 1 s: j·s and j·s + w meet at position j",
+                every_second,
+                &[-DAY + J, -2 * DAY + J + W],
+                true,
+            ),
+            edge(
+                "s = 1 s: j·s and j·s + w + 1 never meet",
+                every_second,
+                &[-DAY + J, -2 * DAY + J + W + 1],
+                false,
+            ),
+            edge(
+                "s = 1 s: j·s − 1 leaves as j·s + w enters",
+                every_second,
+                &[-DAY + J - 1, -2 * DAY + J + W],
+                false,
+            ),
+            edge(
+                "s = 1 s: j·s − 1 and j·s + w − 1 meet at position j − 1",
+                every_second,
+                &[-DAY + J - 1, -2 * DAY + J + W - 1],
+                true,
+            ),
+            edge(
+                "s = 7 s: j·s and j·s + w meet at position j",
+                odd_slide,
+                &[-DAY + J, -2 * DAY + J + W],
+                true,
+            ),
+            edge(
+                "s = 7 s: the last second before j·s + s, the first after j·s − s + w",
+                odd_slide,
+                &[-DAY + J + 6, -2 * DAY + J + W - 6],
+                true,
+            ),
+            edge(
+                "s = 7 s: j·s + w + 1 enters at j + 1, after j·s + 6 left",
+                odd_slide,
+                &[-DAY + J + 6, -2 * DAY + J + W + 1],
+                false,
+            ),
+            edge(
+                "s = 7 s: j·s − 1 leaves as j·s + w enters",
+                odd_slide,
+                &[-DAY + J - 1, -2 * DAY + J + W],
+                false,
+            ),
             edge("weekly, t = lo", weekly, &[-week], true),
             edge(
                 "weekly, t = hi at the last position",
@@ -593,14 +695,90 @@ mod tests {
                     ("index", &indexed),
                     ("mismatched index", &mismatched),
                 ] {
-                    assert_eq!(
-                        incr.predict_at(h, t(now)),
-                        want,
-                        "{name} ({basis:?}, {source})"
-                    );
+                    let (got, work) = incr.sweep(h, t(now));
+                    assert_eq!(got, want, "{name} ({basis:?}, {source})");
+                    assert_work_bound(&work, name);
                 }
             }
         }
+    }
+
+    /// The sweep's work over logins at `logins` (absolute), which must
+    /// agree with the naive scan, with and without a clock index.
+    fn work_of(cfg: PolicyConfig, logins: &[i64], now: i64) -> (Option<Prediction>, SweepWork) {
+        let mut h = HistoryTable::new();
+        for &at in logins {
+            h.insert_history(t(at), EventKind::Start);
+        }
+        let naive = ProbabilisticPredictor::new(cfg).unwrap();
+        let incr = IncrementalPredictor::new(cfg).unwrap();
+        let want = naive.predict_at(&h, t(now));
+        assert_eq!(incr.predict_at(&h, t(now)), want, "no index");
+        h.configure_slot_index(cfg.seasonality.period(), cfg.slide);
+        let (got, work) = incr.sweep(&h, t(now));
+        assert_eq!(got, want, "index");
+        assert_work_bound(&work, "work_of");
+        (got, work)
+    }
+
+    #[test]
+    fn a_prediction_costs_its_logins_not_its_positions() {
+        // One login, `s` = 1 s, Table 1's 7 h window over a day: 61 201
+        // positions, of which the login is in reach of 25 201.
+        let every_second = PolicyConfig {
+            slide: Seconds(1),
+            ..PolicyConfig::default()
+        };
+        assert_eq!(every_second.window_positions(), 61_201);
+        let now = 30 * DAY;
+        let login = [now - 3 * DAY + 15 * HOUR];
+        // Below the threshold everywhere: the sweep crosses the whole
+        // horizon, and the login enters and leaves once.
+        let never = PolicyConfig {
+            confidence: 0.9,
+            ..every_second
+        };
+        let (got, work) = work_of(never, &login, now);
+        assert_eq!(got, None);
+        assert!(work.points >= 2 && work.positions <= 6, "{work:?}");
+        // One row of 28 is enough: the sweep jumps the 8 h to the first
+        // window that reaches the login and stops at the next.
+        let one_row = PolicyConfig {
+            confidence: 0.03,
+            ..every_second
+        };
+        let (got, work) = work_of(one_row, &login, now);
+        assert_eq!(
+            got.map(|p| p.start),
+            Some(t(now + 15 * HOUR)),
+            "the login's clock time tomorrow"
+        );
+        assert!(work.positions <= 3, "{work:?}");
+
+        // `predict_bench`'s `young_sparse`: eight days, one login a day
+        // at no settled hour.  Three share a window only from 15:00 on —
+        // position 180 of 205 — and until then a position differs from
+        // its neighbour only where one of eight logins enters or leaves.
+        let minute_of_day = [60, 120, 570, 630, 1_080, 1_140, 1_320, 1_380];
+        let logins: Vec<i64> = (0..8)
+            .map(|d| d * DAY + minute_of_day[d as usize] * 60)
+            .collect();
+        let (got, work) = work_of(PolicyConfig::default(), &logins, 8 * DAY);
+        assert!(got.is_some_and(|p| p.start >= t(8 * DAY + 15 * HOUR)));
+        // (Each login is passed at most twice a lap, entering and leaving.)
+        assert!(work.positions <= 4 * logins.len() + 2, "{work:?}");
+
+        // A horizon of two periods: the walk laps the clock, each login
+        // is a point once per lap, and the bound holds across the seam.
+        let two_laps = PolicyConfig {
+            horizon: Seconds::days(2),
+            confidence: 0.9,
+            ..every_second
+        };
+        let (got, work) = work_of(two_laps, &logins, 8 * DAY);
+        assert_eq!(got, None);
+        assert!(work.points >= 3 * logins.len(), "{work:?}");
+        assert!(work.positions <= 8 * logins.len() + 2, "{work:?}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! the weekly seasonality variant §9.2 mentions.  [`incremental`] is the
 //! same algorithm as the engines run it: one window sliding over the
 //! logins in seasonal-clock order, bit-identical to the scan at
-//! `O(logins passed + window positions)` per prediction.
+//! `O(points passed)` per prediction — it visits the window positions
+//! where a login enters or leaves, not every one the horizon holds.
 //!
 //! The paper argues (§1, §3.2, §10) that simple statistical/probabilistic
 //! techniques are accurate enough in practice and evaluates against that

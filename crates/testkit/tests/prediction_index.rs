@@ -4,8 +4,8 @@
 //! an *optimisation*, not a behaviour change: for every history, knob
 //! setting, and query instant it must return the exact same
 //! `Option<Prediction>` — confidence bit for bit — as the naive
-//! from-scratch Algorithm 4 scan it replaces.  Three oracles enforce
-//! that claim at three scales:
+//! from-scratch Algorithm 4 scan it replaces.  Four oracles enforce
+//! that claim:
 //!
 //! 1. a proptest interleaving `insert_history` / `delete_old_history` /
 //!    `predict_at` on a single table, comparing the incrementally
@@ -17,13 +17,18 @@
 //!    knobs, and fault plans;
 //! 3. a pinned shard-invariance check at 1/2/8 shards with the index
 //!    enabled, complementing the generated shard oracle in
-//!    `differential.rs`.
+//!    `differential.rs`;
+//! 4. a proptest over the knobs `policy_config()` never generates — a
+//!    slide of seconds, a window anywhere up to the horizon, a horizon
+//!    of up to three periods — on a handful of logins, where the sweep
+//!    jumps over thousands of positions at a time and an off-by-one in
+//!    where it lands would show.
 
 use proptest::prelude::*;
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
 use prorp_sim::SimPolicy;
 use prorp_storage::{HistoryStore, HistoryTable};
-use prorp_types::{EventKind, PolicyConfig, Timestamp};
+use prorp_types::{EventKind, PolicyConfig, Seasonality, Seconds, Timestamp};
 use testkit::oracles::{assert_reports_equal, builder, run, DAY};
 use testkit::strategies::{fault_plan, fleet_spec, policy_config, FleetSpec};
 
@@ -191,5 +196,104 @@ fn index_enabled_fleet_is_shard_invariant_at_1_2_8() {
             traces.clone(),
         );
         assert_reports_equal(&one, &many, &format!("1 vs {shards} shards with index"));
+    }
+}
+
+/// Knobs and logins of the sparse fine-slide regime.  `horizon` and
+/// `window` are drawn as permille so that `w ≤ p` holds by construction.
+/// A login lies `prev` periods before `now` (−1: after it; beyond
+/// `periods`: the kept-oldest tuple) and either anywhere in the stretch
+/// the windows cross or within a second of an edge of one window
+/// position the case picks — logins of different rows that enter and
+/// leave at the same position, or one apart, are what tell a jump that
+/// lands right from one that lands next door.
+#[derive(Clone, Debug)]
+struct SparseCase {
+    config: PolicyConfig,
+    logins: Vec<i64>,
+    now: i64,
+}
+
+fn sparse_case() -> impl Strategy<Value = SparseCase> {
+    (
+        (any::<bool>(), 1i64..5, 1u32..101),
+        // Mostly anywhere up to 5 min; one in four within 1–5 s.
+        prop_oneof![3 => 1i64..301, 1 => 1i64..6],
+        (1i64..1001, 0i64..1001, 0i64..1001),
+        // (prev, placement, permille if free, seconds off the edge)
+        prop::collection::vec((-1i64..7, 0u32..3, 0i64..1100, -1i64..2), 0..7),
+        -40 * DAY..40 * DAY,
+    )
+        .prop_map(
+            |((weekly, periods, c), s, (p_pm, w_pm, at_pm), logins, now)| {
+                let seasonality = if weekly {
+                    Seasonality::Weekly
+                } else {
+                    Seasonality::Daily
+                };
+                let period = seasonality.period().as_secs();
+                // Up to three periods, but no more than 100 000 positions:
+                // the naive oracle visits every one of them, per row.
+                let horizon = (3 * period * p_pm / 1000).clamp(60, 100_000 * s);
+                let window = 60 + (horizon - 60) * w_pm / 1000;
+                let config = PolicyConfig {
+                    history_len: Seconds(period * periods),
+                    horizon: Seconds(horizon),
+                    confidence: f64::from(c) / 100.0,
+                    window: Seconds(window),
+                    slide: Seconds(s),
+                    seasonality,
+                    ..PolicyConfig::default()
+                };
+                let position = (horizon - window) / s * at_pm / 1000 * s;
+                let logins = logins
+                    .into_iter()
+                    .map(|(prev, placement, pm, off_edge)| {
+                        let d = match placement {
+                            0 => (horizon + 60) * pm / 1000,
+                            1 => position + off_edge,
+                            _ => position + window + off_edge,
+                        };
+                        now - prev * period + d
+                    })
+                    .collect();
+                SparseCase {
+                    config,
+                    logins,
+                    now,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A few logins under a slide of seconds: almost every position is
+    /// one the sweep jumps over, so this is where `incremental ≡ naive`
+    /// tests the jump's landing rather than the per-position step.
+    #[test]
+    fn sparse_histories_under_fine_slides_match_naive(
+        case in sparse_case(),
+        logins_basis in any::<bool>(),
+    ) {
+        let basis = if logins_basis {
+            ConfidenceBasis::Logins
+        } else {
+            ConfidenceBasis::Windows
+        };
+        let pc = case.config;
+        let naive = ProbabilisticPredictor::with_basis(pc, basis).unwrap();
+        let fast = IncrementalPredictor::with_basis(pc, basis).unwrap();
+        let mut plain = HistoryTable::default();
+        for &at in &case.logins {
+            plain.insert_history(Timestamp(at), EventKind::Start);
+        }
+        let mut indexed = plain.clone();
+        indexed.configure_slot_index(pc.seasonality.period(), pc.slide);
+        let now = Timestamp(case.now);
+        let want = naive.predict_at(&plain, now);
+        prop_assert_eq!(fast.predict_at(&plain, now), want, "sort-per-call path");
+        prop_assert_eq!(fast.predict_at(&indexed, now), want, "clock-index path");
     }
 }

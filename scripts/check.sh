@@ -107,9 +107,13 @@ run cargo run --release -q -p prorp-bench --bin fleet_report -- \
 run diff -u results/BENCH_fleet.json target/fleet_report.json
 
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
-# every timed case (the committed full-scale numbers in
-# results/BENCH_predict.json come from scripts/bless.sh; smoke runs
-# never write under results/).
+# every timed case, and that the two cases with many window positions
+# over few logins (`young_sparse`, `fine_slide`) cost the incremental
+# arm at most 2× what `default` does — this is what catches the sweep
+# stepping through every position again instead of visiting the ones
+# where a login enters or leaves (3–7× at PR 19).  The committed
+# full-scale numbers in results/BENCH_predict.json come from
+# scripts/bless.sh; smoke runs never write under results/.
 run cargo run --release -q -p prorp-bench --bin predict_bench -- \
     --smoke --json target/predict_smoke.json
 
