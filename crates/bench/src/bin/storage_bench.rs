@@ -38,6 +38,16 @@
 //!   whose cost tracks the constant-size retained tail), so its
 //!   per-pass wall time must stay flat as the trimmed count grows.
 //!
+//! And a fourth, at the grain a fleet actually runs at:
+//!
+//! * **cold-interleaved replay** — the seed-7 fleet's activity events
+//!   (10 000 stores, 8 days, ≈14 tuples a store) delivered hour by hour
+//!   across the fleet, each logout followed by the Algorithm 3 pass the
+//!   engines make, so every store is touched cold and few ever flush;
+//!   then every store is dropped.  Nanoseconds per event and per store
+//!   dropped, B+Tree beside LSM — what the single hot store of the
+//!   other axes cannot show.
+//!
 //! Flags:
 //!
 //! * `--json <path>` — machine-readable output
@@ -49,7 +59,7 @@
 //!   background mode the bench asserts `compaction_stall_ns == 0`: the
 //!   mutation paths never wait on compaction.
 
-use prorp_bench::{json_path_from_args, write_json, Json};
+use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
 use prorp_sim::{
     CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode,
 };
@@ -57,7 +67,7 @@ use prorp_storage::{
     CompactionScheduler, DurableHistory, HistoryRead, HistoryStore, HistoryTable, LsmHistory,
     TimeTravel,
 };
-use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
+use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 use std::hint::black_box;
 use std::time::Instant;
@@ -200,6 +210,54 @@ fn trim_cost(expired: usize, retained: usize, rounds: usize, ctx: &ModeCtx) -> (
         ctx.settle(&mut lsm);
     }
     (best_btree, best_lsm, deleted.1)
+}
+
+/// The seed-7 fleet's activity events in the order a fleet delivers
+/// them — hour by hour, store by store within the hour — as
+/// `(store, event)` pairs.
+fn interleaved_events(stores: usize, days: i64) -> Vec<(usize, ActivityEvent)> {
+    let (start, end) = (Timestamp(0), Timestamp(0) + Seconds::days(days));
+    let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(stores, start, end, 7);
+    let mut events: Vec<(usize, ActivityEvent)> = traces
+        .iter()
+        .enumerate()
+        .flat_map(|(store, trace)| trace.events().into_iter().map(move |e| (store, e)))
+        .collect();
+    events.sort_by_key(|&(store, e)| (e.ts.as_secs().div_euclid(3_600), store, e.ts));
+    events
+}
+
+/// Replay `events` over `stores` fresh stores — an insert per event, the
+/// engines' Algorithm 3 pass after each logout — then settle and drop
+/// them all.  Returns `(ns per event, ns per store dropped, tuples
+/// left)`, the best of `rounds`.
+fn cold_replay<S: HistoryStore>(
+    events: &[(usize, ActivityEvent)],
+    stores: usize,
+    rounds: usize,
+    fresh: impl Fn() -> S,
+    settle: impl Fn(&mut S),
+) -> (f64, f64, usize) {
+    let mut best = (f64::INFINITY, f64::INFINITY, 0);
+    for _ in 0..rounds {
+        let mut fleet: Vec<S> = (0..stores).map(|_| fresh()).collect();
+        let t0 = Instant::now();
+        for &(store, event) in events {
+            let history = &mut fleet[store];
+            history.insert_history(event.ts, event.kind);
+            if event.kind == EventKind::End {
+                black_box(history.delete_old_history(RETENTION, event.ts));
+            }
+        }
+        let replay_ns = t0.elapsed().as_nanos() as f64 / events.len().max(1) as f64;
+        let tuples = fleet.iter().map(|history| history.len()).sum();
+        let t1 = Instant::now();
+        fleet.iter_mut().for_each(&settle);
+        drop(fleet);
+        let drop_ns = t1.elapsed().as_nanos() as f64 / stores.max(1) as f64;
+        best = (best.0.min(replay_ns), best.1.min(drop_ns), tuples);
+    }
+    best
 }
 
 /// Sweep `login_window_stats` Algorithm 4 style; returns
@@ -491,12 +549,63 @@ fn main() {
         ]));
     }
 
+    // ── Cold-interleaved replay: the fleet's grain ───────────────────
+    let (replay_stores, replay_days, replay_rounds) =
+        if smoke { (400, 4, 2) } else { (10_000, 8, 3) };
+    let events = interleaved_events(replay_stores, replay_days);
+    println!(
+        "\nCold-interleaved replay ({replay_stores} stores, {replay_days} days, seed 7: {} events \
+         hour by hour across the fleet, a trim pass after each logout; best of {replay_rounds})",
+        events.len()
+    );
+    let (btree_event_ns, btree_drop_ns, btree_tuples) = cold_replay(
+        &events,
+        replay_stores,
+        replay_rounds,
+        HistoryTable::new,
+        |_| {},
+    );
+    let (lsm_event_ns, lsm_drop_ns, lsm_tuples) = cold_replay(
+        &events,
+        replay_stores,
+        replay_rounds,
+        || ctx.store(),
+        |store| ctx.settle(store),
+    );
+    assert_eq!(btree_tuples, lsm_tuples, "backends diverged in the replay");
+    println!(
+        "{:>9} {:>12} {:>18}",
+        "backend", "ns/event", "ns/store dropped"
+    );
+    println!(
+        "{:>9} {btree_event_ns:>12.0} {btree_drop_ns:>18.0}",
+        "btree"
+    );
+    println!("{:>9} {lsm_event_ns:>12.0} {lsm_drop_ns:>18.0}", "lsm");
+    let replay_cell = |event_ns: f64, drop_ns: f64| {
+        Json::object(vec![
+            ("ns_per_event", Json::Float(event_ns)),
+            ("ns_per_store_dropped", Json::Float(drop_ns)),
+        ])
+    };
+    let cold_replay_entry = Json::object(vec![
+        ("stores", Json::from(replay_stores as u64)),
+        ("days", Json::Int(replay_days)),
+        ("seed", Json::Int(7)),
+        ("events", Json::from(events.len() as u64)),
+        (
+            "tuples_per_store",
+            Json::Float(lsm_tuples as f64 / replay_stores as f64),
+        ),
+        ("btree", replay_cell(btree_event_ns, btree_drop_ns)),
+        ("lsm", replay_cell(lsm_event_ns, lsm_drop_ns)),
+    ]);
+
     if let Some(path) = json_path {
+        let mode_label = if smoke { "smoke" } else { "full" };
         let value = Json::object(vec![
-            (
-                "mode",
-                Json::Str(if smoke { "smoke" } else { "full" }.into()),
-            ),
+            ("mode", Json::Str(mode_label.into())),
+            ("meta", run_meta(mode_label)),
             ("compaction_mode", Json::Str(mode.label().into())),
             (
                 "equality_gate",
@@ -513,6 +622,7 @@ fn main() {
             ("write_amplification", Json::Array(amp_entries)),
             ("trim_cost", Json::Array(trim_entries)),
             ("window_scan", Json::Array(scan_entries)),
+            ("cold_replay", cold_replay_entry),
         ]);
         write_json(&path, &value);
     }

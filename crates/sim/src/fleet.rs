@@ -499,12 +499,6 @@ impl FleetState {
         Ok(idx)
     }
 
-    /// Column index of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `id` belongs to another shard — an event for a
-    /// foreign database is a partitioning bug, not a recoverable state.
     /// Column index of `id`, or `None` when the database is not mapped
     /// on this shard — the non-panicking probe external drivers use to
     /// vet operator requests before scheduling events.
@@ -513,6 +507,12 @@ impl FleetState {
         self.index.get(id)
     }
 
+    /// Column index of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` belongs to another shard — an event for a
+    /// foreign database is a partitioning bug, not a recoverable state.
     #[inline]
     pub(crate) fn index_of(&self, id: DatabaseId) -> usize {
         self.index

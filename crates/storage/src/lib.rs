@@ -41,7 +41,7 @@
 //! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
 //! Both hold one [`LiveView`], so what the visible set *is* and how it
 //! is read exist once; the engines differ only in the physical state
-//! beneath (paged B+Tree; WAL + memtable + runs + range tombstones),
+//! beneath (paged B+Tree; mutation log + runs + range tombstones),
 //! each of which independently re-derives the visible set for the
 //! `check_invariants` audit.
 

@@ -1,24 +1,18 @@
-//! The LSM write buffer: an in-memory table of MVCC version chains.
+//! The write buffer the store used to keep — an in-memory table of MVCC
+//! version chains — compiled for tests only, as the oracle the
+//! [`super::log`] is property-tested against.
 //!
-//! Every mutation (insert or range-trim tombstone) lands here first,
-//! stamped with its sequence number; when the buffer reaches the
-//! configured capacity it is drained into an immutable sorted run
-//! (see [`super::run`]).  Version chains are kept per key, newest
-//! last, so a `seqno`-bounded read picks the newest version at or
-//! below the read point.
+//! Every buffered version lands here stamped with its sequence number
+//! and is drained `(key, seqno)`-sorted at a flush.  Version chains are
+//! kept per key, newest last, so a `seqno`-bounded read picks the newest
+//! version at or below the read point.
 
-use super::run::Entry;
+use super::run::{Entry, Visible};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// One stored version: `(seqno, event value, tombstone?)`.
 type Version = (u64, i64, bool);
-
-/// Visibility verdict for a key at a read point: `None` when the source
-/// holds no version at or below the read seqno, `Some(None)` when the
-/// newest visible version is a tombstone, `Some(Some(v))` when it is a
-/// live value.
-pub type Visible = Option<Option<i64>>;
 
 /// The in-memory write buffer.
 #[derive(Clone, Debug)]
@@ -35,18 +29,11 @@ pub struct MemTable {
 }
 
 /// Pick the newest version at or below `at` from a seqno-sorted chain.
-pub(crate) fn visible_in_chain(chain: &[Version], at: u64) -> Visible {
-    visible_in_chain_seq(chain, at).map(|(_, v)| v)
-}
-
-/// Like [`visible_in_chain`], but also yields the winning version's
-/// seqno — range-tombstone resolution compares it against the newest
-/// covering trim.
-pub(crate) fn visible_in_chain_seq(chain: &[Version], at: u64) -> Option<(u64, Option<i64>)> {
+fn visible_in_chain(chain: &[Version], at: u64) -> Visible {
     let cut = chain.partition_point(|&(s, _, _)| s <= at);
     chain[..cut]
         .last()
-        .map(|&(s, v, dead)| (s, (!dead).then_some(v)))
+        .map(|&(_, v, dead)| (!dead).then_some(v))
 }
 
 impl Default for MemTable {
@@ -129,17 +116,11 @@ impl MemTable {
     }
 
     /// Iterate the version chains whose keys fall in `[lo, hi]`, in key
-    /// order — the memtable leg of a merged range scan.
+    /// order.
     pub fn range(&self, lo: i64, hi: i64) -> impl Iterator<Item = (i64, &[Version])> {
         self.chains
             .range((Bound::Included(lo), Bound::Included(hi)))
             .map(|(&k, chain)| (k, chain.as_slice()))
-    }
-
-    /// Iterate all chains in key order (double-ended: the reverse walk
-    /// serves `max_timestamp`).
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (i64, &[Version])> {
-        self.chains.iter().map(|(&k, chain)| (k, chain.as_slice()))
     }
 }
 

@@ -16,12 +16,15 @@
 //!   [`TimeTravel`] mapping resolves simulated timestamps to seqnos for
 //!   "as of T" post-mortems (fjall-style `snapshot(seqno)`,
 //!   oxibase-style `AS OF`).
-//! * **Write path**: mutations append to an embedded write-ahead log
-//!   and an in-memory [`memtable`]; at [`LsmConfig::memtable_cap`]
-//!   buffered versions the memtable flushes into an immutable sorted
-//!   [`run`] serialised through the existing 8-KiB slotted-page
-//!   machinery, and the WAL truncates (its coverage is exactly the
-//!   unflushed tail).  Runs compact size-tiered at level 0 and leveled
+//! * **Write path**: a mutation is written once — one record pushed
+//!   onto the store's mutation log (`log.rs`).  The records past the
+//!   flush mark are the write buffer, what the write-ahead log covers
+//!   ([`LsmHistory::wal`] renders its bytes on demand) and, with every
+//!   record before them, the [`TimeTravel`] timeline.  At
+//!   [`LsmConfig::memtable_cap`] buffered versions the tail is sorted
+//!   into an immutable [`run`] — sized as the 8-KiB slotted pages it
+//!   would fill — and the flush mark moves past it, which is the WAL's
+//!   truncation.  Runs compact size-tiered at level 0 and leveled
 //!   below ([`compaction`]) — inline in
 //!   [`CompactionMode::Deterministic`], or on a shared
 //!   [`CompactionScheduler`] worker in
@@ -37,12 +40,15 @@
 //!   [`LiveView`] the store holds — the same layer, the same code, as
 //!   the B+Tree backend — so live predictions never pay a multi-run
 //!   merge.  Only snapshot reconstruction and the invariant audit
-//!   k-way-merge the memtable and runs, resolving per-key visibility
-//!   (point versions *and* range tombstones) at the read seqno.
+//!   k-way-merge the runs — the sorted log tail being the newest of
+//!   them — resolving per-key visibility (point versions *and* range
+//!   tombstones) at the read seqno.
 
 pub mod bloom;
 pub mod compaction;
-pub mod memtable;
+mod log;
+#[cfg(test)]
+mod memtable;
 pub mod run;
 pub mod scheduler;
 pub mod snapshot;
@@ -56,9 +62,9 @@ use crate::history::{DeleteOutcome, StorageStats};
 use crate::page::{self, Record};
 use crate::store::{HistoryRead, HistoryStore};
 use crate::view::LiveView;
-use crate::wal::{WalRecord, WriteAheadLog};
+use crate::wal::{self, WalRecord, WriteAheadLog};
 use compaction::{CompactionEffort, Levels};
-use memtable::{visible_in_chain_seq, MemTable};
+use log::MutationLog;
 use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 use run::{Entry, Run};
 use scheduler::{Published, SchedulerLink, StoreHandle};
@@ -69,9 +75,10 @@ use std::time::Instant;
 /// Tuning knobs for one [`LsmHistory`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LsmConfig {
-    /// Memtable flush trigger, in buffered versions.  Small by default
-    /// (32) so a 35-day simulated history (~600 mutations) exercises
-    /// flushes and several compaction rounds.
+    /// Flush trigger: the number of point versions (inserts) the log
+    /// tail buffers before it is sorted into a run.  Small by default
+    /// (32): about one store in nine of a simulated fleet ever fills it,
+    /// and a busy one goes through flushes and several compaction rounds.
     pub memtable_cap: usize,
 }
 
@@ -95,13 +102,13 @@ pub struct LsmMetrics {
     /// the store encodes it (a trim pass *physically* writes only one
     /// range-tombstone record, however many tuples it covers).
     pub logical_write_bytes: usize,
-    /// Physical bytes written by memtable flushes.
+    /// Physical bytes written by flushes of the log tail.
     pub flushed_bytes: usize,
     /// Physical bytes re-written by compaction merges.
     pub compacted_bytes: usize,
     /// Bytes appended to the write-ahead log (before truncations).
     pub wal_appended_bytes: usize,
-    /// Number of memtable flushes.
+    /// Number of flushes.
     pub flushes: usize,
     /// Number of compaction merges.
     pub compactions: usize,
@@ -249,27 +256,21 @@ pub struct LsmHistory {
     cold: Box<Physical>,
 }
 
-/// What only the LSM has: write buffer, runs, log, tombstones, timeline
-/// and ledgers.  [`LsmHistory::scan_visible`] re-derives the visible set
-/// from this alone — the independent reference the view is audited
-/// against.
+/// What only the LSM has: mutation log, runs, tombstones and ledgers.
+/// [`LsmHistory::scan_visible`] re-derives the visible set from this
+/// alone — the independent reference the view is audited against.
 #[derive(Debug)]
 struct Physical {
     config: LsmConfig,
-    /// The write buffer (newest versions).
-    memtable: MemTable,
+    /// Every mutation, written once: its unflushed tail is the write
+    /// buffer (newest versions) and the WAL's coverage, the whole of it
+    /// the [`TimeTravel::seqno_as_of`] timeline.
+    log: MutationLog,
     /// The immutable-run hierarchy (older versions) — inline or
     /// background-maintained.
     runs: RunStore,
-    /// Embedded write-ahead log covering exactly the memtable.
-    wal: WriteAheadLog,
     /// Range tombstones recorded by Algorithm 3 passes, seqno-ascending.
     trims: Vec<RangeTombstone>,
-    /// `(applied_at, seqno)` pairs, both monotone — the
-    /// [`TimeTravel::seqno_as_of`] substrate.  Inserts are applied at
-    /// their event timestamp (clamped monotone for stragglers), trims
-    /// at the trim's `now`.
-    timeline: Vec<(i64, u64)>,
     /// Write/compaction accounting (deterministic, `Eq`-comparable).
     metrics: LsmMetrics,
     /// Wall-clock nanoseconds the *mutation path* spent blocked on
@@ -308,11 +309,9 @@ impl Clone for LsmHistory {
             view: self.view.clone(),
             cold: Box::new(Physical {
                 config: self.cold.config,
-                memtable: self.cold.memtable.clone(),
+                log: self.cold.log.clone(),
                 runs,
-                wal: self.cold.wal.clone(),
                 trims: self.cold.trims.clone(),
-                timeline: self.cold.timeline.clone(),
                 metrics,
                 stall_ns: self.cold.stall_ns,
                 offloaded_ns: self.cold.offloaded_ns + extra_ns,
@@ -334,11 +333,9 @@ impl LsmHistory {
             view: LiveView::new(),
             cold: Box::new(Physical {
                 config: LsmConfig { memtable_cap: cap },
-                memtable: MemTable::new(),
+                log: MutationLog::default(),
                 runs: RunStore::Inline(Levels::new(cap * compaction::L0_RUN_LIMIT)),
-                wal: WriteAheadLog::new(),
                 trims: Vec::new(),
-                timeline: Vec::new(),
                 metrics: LsmMetrics::default(),
                 stall_ns: 0,
                 offloaded_ns: 0,
@@ -387,9 +384,10 @@ impl LsmHistory {
         }
     }
 
-    /// The embedded write-ahead log (covers the unflushed memtable).
-    pub fn wal(&self) -> &WriteAheadLog {
-        &self.cold.wal
+    /// The write-ahead log covering the unflushed mutations, rendered
+    /// from the mutation log.
+    pub fn wal(&self) -> WriteAheadLog {
+        self.cold.log.wal()
     }
 
     /// Number of immutable runs readable right now (pending + applied).
@@ -462,31 +460,26 @@ impl LsmHistory {
         if lo > hi {
             return; // e.g. an empty range between adjacent keys
         }
+        // Sources newest→oldest: the unflushed log tail is one more run.
         let runs = self.cold.runs.view();
-        let mut mem = self.cold.memtable.range(lo, hi).peekable();
-        let mut cursors: Vec<usize> = runs.iter().map(|r| r.lower_bound(lo)).collect();
+        let tail = self.cold.log.sorted_tail();
+        let runs = runs.iter().map(|run| run.entries());
+        let sources: Vec<&[Entry]> = std::iter::once(tail.as_slice()).chain(runs).collect();
+        let mut cursors: Vec<usize> = sources
+            .iter()
+            .map(|entries| entries.partition_point(|e| e.key < lo))
+            .collect();
         loop {
             // Smallest head key across all sources, bounded by `hi`.
-            let mut key = mem.peek().map(|&(k, _)| k);
-            for (run, &cur) in runs.iter().zip(&cursors) {
-                if let Some(e) = run.entries().get(cur) {
-                    if e.key <= hi {
-                        key = Some(key.map_or(e.key, |k: i64| k.min(e.key)));
-                    }
-                }
-            }
-            let Some(key) = key else { break };
+            let heads = sources.iter().zip(&cursors);
+            let heads = heads.filter_map(|(entries, &cur)| entries.get(cur));
+            let Some(key) = heads.map(|e| e.key).filter(|&k| k <= hi).min() else {
+                break;
+            };
             // Resolve point visibility: first source (newest-first)
             // holding a version of `key` at or below `at` wins.
             let mut verdict: Option<(u64, Option<i64>)> = None;
-            if let Some(&(k, chain)) = mem.peek() {
-                if k == key {
-                    verdict = visible_in_chain_seq(chain, at);
-                    mem.next();
-                }
-            }
-            for (run, cur) in runs.iter().zip(&mut cursors) {
-                let entries = run.entries();
+            for (entries, cur) in sources.iter().zip(&mut cursors) {
                 let mut hit: Option<(u64, Option<i64>)> = None;
                 while let Some(e) = entries.get(*cur) {
                     if e.key != key {
@@ -514,21 +507,20 @@ impl LsmHistory {
         }
     }
 
-    /// Flush the memtable into a fresh L0 run and truncate the WAL.
-    /// Inline mode compacts here (charging the stall ledger);
-    /// background mode only enqueues.
+    /// Flush the log tail into a fresh L0 run and move the flush mark
+    /// past it (the WAL's truncation).  Inline mode compacts here
+    /// (charging the stall ledger); background mode only enqueues.
     fn flush(&mut self) -> Result<(), ProrpError> {
-        if self.cold.memtable.is_empty() {
+        if self.cold.log.is_empty() {
             return Ok(());
         }
-        let entries = self.cold.memtable.drain_sorted();
-        let (run, bytes) = Run::build(entries)?;
+        let (run, bytes) = Run::build(self.cold.log.sorted_tail())?;
         self.cold.metrics.flushed_bytes += bytes;
         self.cold.metrics.flushes += 1;
         self.push_run(Arc::new(run))?;
-        // The flushed versions are durable in runs now; the WAL only
-        // needs to cover the (empty) memtable.
-        self.cold.wal.checkpoint();
+        // The flushed versions are durable in runs now; the WAL has
+        // nothing left to cover.
+        self.cold.log.mark_flushed();
         Ok(())
     }
 
@@ -572,25 +564,20 @@ impl LsmHistory {
     }
 
     fn maybe_flush(&mut self) {
-        if self.cold.memtable.len() >= self.cold.config.memtable_cap {
+        if self.cold.log.len() >= self.cold.config.memtable_cap {
             self.flush()
                 .expect("page encoding of a sorted run cannot fail");
         }
     }
 
-    /// Log one mutation to the WAL and stamp the timeline.
-    fn log_mutation(&mut self, record: WalRecord, applied_at: i64) {
-        let before = self.cold.wal.byte_len();
-        self.cold.wal.append(record);
-        self.cold.metrics.wal_appended_bytes += self.cold.wal.byte_len() - before;
-        // Clamp monotone: an out-of-order insert is *applied* now, even
-        // though its key is older.
-        let clamped = self
-            .cold
-            .timeline
-            .last()
-            .map_or(applied_at, |&(t, _)| t.max(applied_at));
-        self.cold.timeline.push((clamped, self.view.version()));
+    /// The one write a mutation makes: push it onto the log at the seqno
+    /// the view just moved to, and charge the WAL ledger the bytes its
+    /// record renders to.
+    fn append(&mut self, applied_at: i64, mutation: WalRecord) {
+        self.cold
+            .log
+            .push(applied_at, self.view.version(), mutation);
+        self.cold.metrics.wal_appended_bytes += wal::RECORD_LEN;
     }
 
     /// Rebuild from backup page records: the tuples become one base run
@@ -628,33 +615,30 @@ impl HistoryRead for LsmHistory {
     /// agree across backends.  Physical LSM shape (runs, write
     /// amplification, GC counters) lives in [`metrics`](Self::metrics)
     /// and [`run_count`](Self::run_count); `index_depth` reports the
-    /// merged scan's source count (memtable + occupied levels).
+    /// merged scan's source count (log tail + occupied levels).
     fn stats(&self) -> StorageStats {
         self.view
-            .stats(usize::from(!self.cold.memtable.is_empty()) + self.cold.runs.depth())
+            .stats(usize::from(!self.cold.log.is_empty()) + self.cold.runs.depth())
     }
 }
 
 impl HistoryStore for LsmHistory {
     /// Algorithm 2 — `sys.InsertHistory(@time, @type)`: once the view's
     /// `IF NOT EXISTS` probe passes (no bloom filters, no run probes),
-    /// one WAL append and one memtable version at the new seqno.
+    /// one log record at the new seqno.
     fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
         if !self.view.insert(ts, kind) {
             return false;
         }
         let key = ts.as_secs();
-        let value = i64::from(kind.as_i32());
-        self.log_mutation(
+        let event_type = i64::from(kind.as_i32());
+        self.append(
+            key,
             WalRecord::Insert {
                 ts: key,
-                event_type: value,
+                event_type,
             },
-            key,
         );
-        self.cold
-            .memtable
-            .add(key, self.view.version(), value, false);
         self.cold.metrics.logical_write_bytes += page::RECORD_SIZE;
         self.maybe_flush();
         true
@@ -666,13 +650,11 @@ impl HistoryStore for LsmHistory {
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
         let (outcome, doomed) = self.view.trim(h, now);
         if let Some((min_ts, history_start)) = doomed {
-            self.log_mutation(
-                WalRecord::DeleteRange {
-                    min: min_ts,
-                    history_start,
-                },
-                now.as_secs(),
-            );
+            let record = WalRecord::DeleteRange {
+                min: min_ts,
+                history_start,
+            };
+            self.append(now.as_secs(), record);
             let tomb = RangeTombstone {
                 lo: min_ts + 1,
                 hi: history_start,
@@ -685,7 +667,7 @@ impl HistoryStore for LsmHistory {
             // Logical accounting stays per tuple — the pass logically
             // deletes `deleted` records, so write amplification remains
             // comparable across backends.  Physically only the single
-            // tombstone record hits the WAL and the flush path.
+            // tombstone record hits the log and the flush path.
             self.cold.metrics.logical_write_bytes += outcome.deleted * page::RECORD_SIZE;
             self.cold.metrics.range_tombstones += 1;
         }
@@ -699,7 +681,7 @@ impl HistoryStore for LsmHistory {
     /// Audit the store's structural invariants: run shape and seqno
     /// discipline (including the pending-run ordering in background
     /// mode), the view against a from-scratch merged rebuild, and the
-    /// timeline's monotonicity.
+    /// log's monotonicity.
     fn check_invariants(&self) {
         match &self.cold.runs {
             RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.check_invariants(),
@@ -722,7 +704,7 @@ impl HistoryStore for LsmHistory {
                 }
             }
         }
-        if !self.cold.memtable.is_empty() {
+        if !self.cold.log.is_empty() {
             let newest_on_runs = self
                 .cold
                 .runs
@@ -732,10 +714,10 @@ impl HistoryStore for LsmHistory {
                 .max()
                 .unwrap_or(0);
             assert!(
-                self.cold.memtable.min_seqno() > newest_on_runs,
-                "memtable seqnos must be strictly newer than every run"
+                self.cold.log.min_seqno() > newest_on_runs,
+                "buffered seqnos must be strictly newer than every run"
             );
-            assert!(self.cold.memtable.max_seqno() <= self.view.version());
+            assert!(self.cold.log.max_seqno() <= self.view.version());
         }
         assert!(
             self.cold.trims.windows(2).all(|w| w[0].seqno < w[1].seqno),
@@ -747,20 +729,7 @@ impl HistoryStore for LsmHistory {
             true
         });
         self.view.audit(visible.into_iter(), "the merged scan");
-        assert!(
-            self.cold
-                .timeline
-                .windows(2)
-                .all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1),
-            "timeline must be monotone in both time and seqno"
-        );
-        if let Some(&(_, last)) = self.cold.timeline.last() {
-            assert_eq!(
-                last,
-                self.view.version(),
-                "timeline must end at the latest seqno"
-            );
-        }
+        self.cold.log.check_invariants(self.view.version());
     }
 }
 
@@ -770,36 +739,14 @@ impl TimeTravel for LsmHistory {
     }
 
     fn seqno_as_of(&self, at: Timestamp) -> u64 {
-        let cut = self
-            .cold
-            .timeline
-            .partition_point(|&(t, _)| t <= at.as_secs());
-        if cut == 0 {
-            0
-        } else {
-            self.cold.timeline[cut - 1].1
-        }
+        self.cold.log.seqno_as_of(at.as_secs())
     }
 
     fn snapshot(&self, seqno: u64) -> LsmSnapshot {
         let at = seqno.min(self.view.version());
         let pins = self.cold.runs.view();
-        let overlay: Vec<Entry> = self
-            .cold
-            .memtable
-            .iter()
-            .flat_map(|(k, chain)| {
-                chain
-                    .iter()
-                    .filter(|&&(s, _, _)| s <= at)
-                    .map(move |&(s, v, dead)| Entry {
-                        key: k,
-                        seqno: s,
-                        value: v,
-                        tombstone: dead,
-                    })
-            })
-            .collect();
+        let mut overlay = self.cold.log.sorted_tail();
+        overlay.retain(|e| e.seqno <= at);
         let trims: Vec<RangeTombstone> = self
             .cold
             .trims
@@ -1013,7 +960,7 @@ mod tests {
         assert!(m.compactions > 0, "200 inserts at cap 4 must compact");
         assert!(m.write_amplification() > 1.0);
         assert!(m.wal_appended_bytes > 0);
-        // The WAL only covers the unflushed memtable tail.
+        // The WAL only covers the unflushed log tail.
         assert!(h.wal().byte_len() < m.wal_appended_bytes);
         // Inline mode charges compaction time to the stall ledger.
         assert!(h.compaction_stall_ns() > 0);

@@ -1,17 +1,24 @@
 //! Immutable sorted runs — the on-"disk" leg of the LSM tree.
 //!
 //! A run is a `(key, seqno)`-sorted vector of MVCC entries produced by
-//! a memtable flush or a compaction merge.  At build time the entries
-//! are serialised through the existing slotted-page machinery
-//! ([`crate::page`]) — the same 8-KiB pages the B+Tree backend and the
-//! backup stream use — and the encoded size is charged to the write-
-//! amplification ledger.  The decoded entries stay resident (the run's
-//! "page cache"); a bloom filter short-circuits point lookups.
+//! a flush of the log tail or a compaction merge.  Its physical size is
+//! that of the 8-KiB slotted pages ([`crate::page`]) — the ones the
+//! B+Tree backend and the backup stream use — its entries would fill,
+//! and that size is charged to the write-amplification ledger; debug
+//! builds serialise the entries through the page codec and back to hold
+//! the figure, and the packing, to the format.  The entries stay
+//! resident (the run's "page cache"); a bloom filter short-circuits
+//! point lookups.
 
 use super::bloom::Bloom;
-use super::memtable::Visible;
 use crate::page::{self, Record};
 use prorp_types::ProrpError;
+
+/// Visibility verdict for a key at a read point: `None` when the source
+/// holds no version at or below the read seqno, `Some(None)` when the
+/// newest visible version is a tombstone, `Some(Some(v))` when it is a
+/// live value.
+pub type Visible = Option<Option<i64>>;
 
 /// How many low bits of the packed page value carry flags: bit 0 is the
 /// event type, bit 1 the tombstone marker; the seqno lives above them.
@@ -56,6 +63,14 @@ impl Entry {
     }
 }
 
+/// Whether `entries` are strictly `(key, seqno)`-ascending — the order
+/// every run, and every overlay read beside runs, is kept in.
+pub(crate) fn strictly_sorted(entries: &[Entry]) -> bool {
+    entries
+        .windows(2)
+        .all(|w| (w[0].key, w[0].seqno) < (w[1].key, w[1].seqno))
+}
+
 /// An immutable sorted run.
 #[derive(Clone, Debug)]
 pub struct Run {
@@ -98,30 +113,31 @@ impl Run {
 }
 
 impl Run {
-    /// Build a run from `(key, seqno)`-sorted entries, serialising them
-    /// through the page machinery.  Returns the run and the number of
-    /// physical bytes written (for the write-amplification ledger).
+    /// Build a run from `(key, seqno)`-sorted entries.  Returns the run
+    /// and the number of physical bytes writing it as slotted pages
+    /// takes (for the write-amplification ledger).
     pub fn build(entries: Vec<Entry>) -> Result<(Run, usize), ProrpError> {
         debug_assert!(
-            entries
-                .windows(2)
-                .all(|w| (w[0].key, w[0].seqno) < (w[1].key, w[1].seqno)),
+            strictly_sorted(&entries),
             "run entries must be strictly (key, seqno)-sorted"
         );
-        let records: Vec<Record> = entries.iter().map(|e| e.to_record()).collect();
-        let pages = page::encode_pages(&records)?;
-        let page_bytes: usize = pages.iter().map(|p| p.len()).sum();
-        // Round-trip through the decoder in debug builds: the page
-        // format, not the resident vector, is the source of truth.
-        debug_assert_eq!(
-            page::decode_pages(pages.iter().map(|p| p.as_ref()))
-                .expect("pages we just encoded must decode")
-                .into_iter()
-                .map(Entry::from_record)
-                .collect::<Vec<_>>(),
-            entries,
-            "page round-trip changed the run"
-        );
+        let page_bytes = page::pages_for(entries.len()) * page::PAGE_SIZE;
+        // Round-trip through the codec in debug builds: the page format,
+        // not the arithmetic or the resident vector, is the source of
+        // truth.
+        if cfg!(debug_assertions) {
+            let records: Vec<Record> = entries.iter().map(|e| e.to_record()).collect();
+            let pages = page::encode_pages(&records)?;
+            assert_eq!(
+                pages.iter().map(|p| p.len()).sum::<usize>(),
+                page_bytes,
+                "page arithmetic disagrees with the encoder"
+            );
+            let decoded = page::decode_pages(pages.iter().map(|p| p.as_ref()))
+                .expect("pages we just encoded must decode");
+            let decoded: Vec<Entry> = decoded.into_iter().map(Entry::from_record).collect();
+            assert_eq!(decoded, entries, "page round-trip changed the run");
+        }
         let bloom = Bloom::build(entries.len(), entries.iter().map(|e| e.key));
         let (min_seqno, max_seqno) = entries.iter().fold((u64::MAX, 0), |(lo, hi), e| {
             (lo.min(e.seqno), hi.max(e.seqno))
@@ -164,11 +180,6 @@ impl Run {
     /// The `(key, seqno)`-sorted entries.
     pub fn entries(&self) -> &[Entry] {
         &self.entries
-    }
-
-    /// Index of the first entry with `key >= lo`.
-    pub fn lower_bound(&self, lo: i64) -> usize {
-        self.entries.partition_point(|e| e.key < lo)
     }
 
     /// Number of entries (all versions, dead included).

@@ -15,7 +15,7 @@
 //! aggregate surface; the pins answer point-in-time version probes even
 //! below the store's GC floor.
 
-use super::run::{Entry, Run};
+use super::run::{self, Entry, Run};
 use super::tombstone::{self, RangeTombstone};
 use crate::history::StorageStats;
 use crate::store::HistoryRead;
@@ -42,7 +42,7 @@ pub struct LsmSnapshot {
     /// Runs readable at freeze time, newest first, held alive by `Arc`
     /// refcounts so compaction can retire them from the live store.
     pins: Vec<Arc<Run>>,
-    /// Memtable versions at or below the freeze seqno, `(key, seqno)`-sorted
+    /// Log-tail versions at or below the freeze seqno, `(key, seqno)`-sorted
     /// — the write-buffer leg the pinned runs don't cover.
     overlay: Vec<Entry>,
     /// Range tombstones with `seqno <=` the freeze point, ascending.
@@ -60,14 +60,15 @@ impl Eq for LsmSnapshot {}
 impl LsmSnapshot {
     /// Freeze a visible tuple set *and* pin the run hierarchy it was
     /// cut from.  `pins` must be newest-first; `overlay` holds the
-    /// memtable versions at or below the view's version.
+    /// unflushed versions at or below the view's version,
+    /// `(key, seqno)`-sorted.
     pub(crate) fn with_pins(
         view: LiveView,
         pins: Vec<Arc<Run>>,
-        mut overlay: Vec<Entry>,
+        overlay: Vec<Entry>,
         trims: Vec<RangeTombstone>,
     ) -> LsmSnapshot {
-        overlay.sort_unstable_by_key(|e| (e.key, e.seqno));
+        debug_assert!(run::strictly_sorted(&overlay));
         LsmSnapshot {
             view,
             pins,
@@ -89,7 +90,7 @@ impl LsmSnapshot {
 
     /// Version-level point probe: the value visible for `key` at the
     /// freeze seqno, resolved through the pinned sources exactly as the
-    /// live store would have at freeze time — overlay (memtable leg),
+    /// live store would have at freeze time — overlay (log-tail leg),
     /// then runs newest-first, then the frozen tombstone set.  Falls
     /// back to the materialised tuple set when the view carries no
     /// pins.  `None` means the key was not visible.
@@ -203,7 +204,7 @@ mod tests {
         ];
         let run = Arc::new(Run::build(entries).unwrap().0);
         // Trim at seqno 4 covers [11, 30): key 20 is deleted, 10 and 30
-        // survive.  A newer memtable version of 20 (seqno 5) wins back.
+        // survive.  A newer unflushed version of 20 (seqno 5) wins back.
         let trims = vec![RangeTombstone {
             lo: 11,
             hi: 30,

@@ -260,6 +260,20 @@ mod tests {
         assert!(decode_page(&[0u8; 16]).is_err());
     }
 
+    /// `Run::build` sizes a run as `pages_for(n) * PAGE_SIZE` without
+    /// encoding it: the encoder stays the definition of that figure.
+    #[test]
+    fn page_arithmetic_is_the_encoders_length() {
+        for n in 0..=2 * records_per_page() + 1 {
+            let records = sample(n);
+            let pages = encode_pages(&records).unwrap();
+            let encoded: usize = pages.iter().map(|p| p.len()).sum();
+            assert_eq!(pages_for(n) * PAGE_SIZE, encoded, "n = {n}");
+            let decoded = decode_pages(pages.iter().map(|p| p.as_ref())).unwrap();
+            assert_eq!(decoded, records, "n = {n}");
+        }
+    }
+
     #[test]
     fn multi_page_roundtrip() {
         let records = sample(records_per_page() * 2 + 13);

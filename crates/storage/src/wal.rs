@@ -25,6 +25,9 @@ use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 /// Log-record magic prefix.
 const RECORD_MAGIC: u8 = 0x57; // 'W'
 
+/// Encoded size of one record: `magic (1) | body (17) | checksum (8)`.
+pub(crate) const RECORD_LEN: usize = 1 + 17 + 8;
+
 /// One logged mutation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WalRecord {
@@ -149,7 +152,6 @@ impl WriteAheadLog {
     /// record is dropped; a *corrupt* record (bad magic or checksum in
     /// the middle) is an error.
     pub fn decode(mut image: &[u8]) -> Result<Vec<WalRecord>, ProrpError> {
-        const RECORD_LEN: usize = 1 + 17 + 8;
         let mut out = Vec::with_capacity(image.len() / RECORD_LEN);
         while !image.is_empty() {
             if image.len() < RECORD_LEN {

@@ -56,7 +56,11 @@ run cargo test -q -p prorp-sim --lib events::tests::two_lanes_are_one_heap
 # proactive, must make fewer than one heap allocation per three events
 # (counting global allocator; the counts are deterministic).  This is
 # what catches a per-event `Vec` — an engine reply, a sweep result —
-# or a node-allocating map coming back onto the event path.
+# or a node-allocating map coming back onto the event path.  The same
+# loop over the LSM history (inline compaction) must stay under one per
+# two events: 0.24 / 0.34 with one log record per mutation, 0.77 / 0.92
+# when a mutation also fed a memtable of per-key `Vec`s, an eagerly
+# encoded WAL and a timeline — any of those coming back trips it.
 run cargo test -q -p prorp-sim --test alloc_guard
 
 # The live driver must stay bit-identical to the DES under any admitted
