@@ -48,8 +48,7 @@ fn sessions(starts: impl IntoIterator<Item = i64>) -> HistoryTable {
 }
 
 /// A 28-day history with `per_day` sessions per day, the same hours
-/// every day (the criterion bench's shape, so micro numbers line up
-/// across harnesses): the hill-climb hits within the first positions.
+/// every day: the hill-climb hits within the first positions.
 fn history(per_day: i64) -> HistoryTable {
     sessions((0..28).flat_map(|d| {
         (0..per_day).map(move |s| d * DAY + 8 * HOUR + s * (10 * HOUR / per_day.max(1)))

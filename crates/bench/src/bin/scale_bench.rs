@@ -40,7 +40,7 @@
 //! cells are independent even though they share one process.  On
 //! platforms without procfs both values report as zero.
 
-use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
+use prorp_bench::{arg_value, json_path_from_args, run_meta, write_json, Json};
 use prorp_obs::SloConfig;
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
@@ -69,18 +69,6 @@ fn parse_list(spec: &str) -> Vec<usize> {
         .filter(|s| !s.trim().is_empty())
         .map(parse_size)
         .collect()
-}
-
-/// Value following `flag` in the argument list, if present.
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    match args.get(at + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("{flag} requires an argument");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Reset the process peak-RSS high-water mark (Linux; no-op elsewhere).

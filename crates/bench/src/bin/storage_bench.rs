@@ -59,7 +59,7 @@
 //!   background mode the bench asserts `compaction_stall_ns == 0`: the
 //!   mutation paths never wait on compaction.
 
-use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
+use prorp_bench::{arg_value, json_path_from_args, run_meta, write_json, Json};
 use prorp_sim::{
     CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode,
 };
@@ -344,12 +344,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_path_from_args();
-    let mode = match args
-        .iter()
-        .position(|a| a == "--compaction")
-        .and_then(|at| args.get(at + 1))
-        .map(String::as_str)
-    {
+    let mode = match arg_value(&args, "--compaction").as_deref() {
         None | Some("deterministic") => CompactionMode::Deterministic,
         Some("background") => CompactionMode::Background,
         Some(other) => {

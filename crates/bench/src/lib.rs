@@ -11,7 +11,7 @@
 
 pub mod json;
 
-pub use json::{json_path_from_args, write_json, Json};
+pub use json::{arg_value, json_path_from_args, write_json, Json};
 
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};

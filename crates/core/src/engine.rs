@@ -217,8 +217,8 @@ pub struct EngineCounters {
     /// Re-predictions short-circuited to the reactive fallback because
     /// the breaker was open (the predictor was not invoked).
     pub breaker_fallbacks: u64,
-    /// Re-predictions answered from the engine's `(history version, now)`
-    /// prediction cache without invoking the predictor.
+    /// Always 0: the engines keep no prediction cache.  The field stays
+    /// because the performance ledger reads it by name.
     pub prediction_cache_hits: u64,
     /// Total wall-clock nanoseconds spent inside the predictor.
     pub prediction_ns_sum: u64,

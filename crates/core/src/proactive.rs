@@ -69,17 +69,6 @@ pub struct ProactiveEngine<P> {
     next_token: u64,
     live_token: Option<TimerToken>,
     counters: EngineCounters,
-    /// Last successful predictor run, keyed on the exact inputs
-    /// `(history mutation version, now)`: a re-prediction with an
-    /// unchanged history at the same instant (an ActivityEnd and a timer
-    /// wake landing on the same second, say) reuses the stored forecast
-    /// instead of re-running the sweep.  Cleared when a restore swaps
-    /// the whole history table (versions of different tables are not
-    /// comparable).
-    cached: Option<(u64, Timestamp, Option<Prediction>)>,
-    /// Whether the forecast currently acted on was served from the
-    /// prediction cache (provenance input).
-    last_forecast_cached: bool,
     /// Decision-provenance capture (`ObsConfig::explain`): off by
     /// default, so the disabled path costs one branch per decision.
     explain_enabled: bool,
@@ -149,8 +138,6 @@ impl<P: Predictor> ProactiveEngine<P> {
             next_token: 0,
             live_token: None,
             counters: EngineCounters::default(),
-            cached: None,
-            last_forecast_cached: false,
             explain_enabled: false,
             explains: Vec::new(),
         })
@@ -179,11 +166,6 @@ impl<P: Predictor> ProactiveEngine<P> {
     /// cool-down elapses).
     pub fn breaker_open(&self, now: Timestamp) -> bool {
         self.breaker.is_open(now)
-    }
-
-    /// Access the activity tracker (used by the simulator's move path).
-    pub fn tracker_mut(&mut self) -> &mut ActivityTracker {
-        &mut self.tracker
     }
 
     fn fresh_token(&mut self) -> TimerToken {
@@ -222,24 +204,10 @@ impl<P: Predictor> ProactiveEngine<P> {
             self.forecast = ForecastState::Unavailable;
             return;
         }
-        self.last_forecast_cached = false;
         if !self.breaker.allows(now) {
             self.counters.breaker_fallbacks += 1;
             self.forecast = ForecastState::Unavailable;
             return;
-        }
-        // Prediction cache: a prediction is a pure function of the
-        // (trimmed) history contents and `now`, so when neither changed
-        // since the last successful run the stored forecast is reused
-        // verbatim — the predictor is not invoked at all.
-        let version = self.tracker.history().version();
-        if let Some((v, at, p)) = self.cached {
-            if v == version && at == now {
-                self.counters.prediction_cache_hits += 1;
-                self.forecast = ForecastState::Predicted(p);
-                self.last_forecast_cached = true;
-                return;
-            }
         }
         let started = Instant::now();
         let result = self.predictor.predict(self.tracker.history(), now);
@@ -251,7 +219,6 @@ impl<P: Predictor> ProactiveEngine<P> {
             Ok(p) => {
                 self.breaker.record_success();
                 self.forecast = ForecastState::Predicted(p);
-                self.cached = Some((version, now, p));
             }
             Err(_) => {
                 self.counters.forecast_failures += 1;
@@ -385,7 +352,6 @@ impl<P: Predictor> ProactiveEngine<P> {
                 confidence_hits: hits,
                 confidence_total: total,
                 breaker_open: self.breaker.is_open(now),
-                cache_hit: self.last_forecast_cached,
             },
         ));
     }
@@ -496,9 +462,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
 
     fn restore_history(&mut self, history: HistoryBackend) {
         self.tracker.replace_history(history);
-        // The restored table restarts its mutation-version counter, so
-        // cached `(version, now)` keys would collide across tables.
-        self.cached = None;
         if self.predictor.wants_clock_index() {
             self.tracker
                 .history_mut()
@@ -550,6 +513,14 @@ mod tests {
         ProactiveEngine::new(config(), predictor).unwrap()
     }
 
+    /// The wake-up an engine reply schedules, if any.
+    fn timer_of(actions: &Actions) -> Option<(Timestamp, TimerToken)> {
+        actions.iter().find_map(|a| match a {
+            EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
+            _ => None,
+        })
+    }
+
     /// Drive one day of 09:00–10:00 activity plus the engine's timers.
     /// Returns the timer requests emitted on the final pause decision.
     fn run_daily_sessions<P: Predictor>(eng: &mut ProactiveEngine<P>, days: i64) -> Actions {
@@ -576,20 +547,14 @@ mod tests {
                 if at <= start {
                     now = at;
                     let acts = eng.on_event(now, EngineEvent::Timer(tok));
-                    pending_timer = acts.iter().find_map(|a| match a {
-                        EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-                        _ => None,
-                    });
+                    pending_timer = timer_of(&acts);
                 } else {
                     break;
                 }
             }
             eng.on_event(start, EngineEvent::ActivityStart);
             last = eng.on_event(end, EngineEvent::ActivityEnd);
-            pending_timer = last.iter().find_map(|a| match a {
-                EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-                _ => None,
-            });
+            pending_timer = timer_of(&last);
             next_session += 1;
         }
         last
@@ -756,13 +721,7 @@ mod tests {
         let pred = eng.current_prediction().unwrap();
         let prewarm_at = pred.start - Seconds::minutes(5);
         let actions = eng.on_event(prewarm_at, EngineEvent::ProactiveResume);
-        let (at, tok) = actions
-            .iter()
-            .find_map(|a| match a {
-                EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-                _ => None,
-            })
-            .expect("logical pause schedules a wake");
+        let (at, tok) = timer_of(&actions).expect("logical pause schedules a wake");
         // The customer never shows up; the first wake is at predicted end.
         assert_eq!(at, pred.end.max(prewarm_at));
         // The engine may linger logically paused (the fresh re-prediction
@@ -774,10 +733,7 @@ mod tests {
         while eng.state() == DbState::LogicallyPaused {
             assert!(now <= deadline, "engine failed to re-pause by {deadline}");
             let actions = eng.on_event(now, EngineEvent::Timer(tok));
-            if let Some((next_at, next_tok)) = actions.iter().find_map(|a| match a {
-                EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-                _ => None,
-            }) {
+            if let Some((next_at, next_tok)) = timer_of(&actions) {
                 assert!(next_at > now, "wake times must advance");
                 now = next_at;
                 tok = next_tok;
@@ -842,10 +798,7 @@ mod tests {
             }
             eng.on_event(t(d * DAY + 9 * HOUR + 2_400), EngineEvent::ActivityStart);
             let acts = eng.on_event(t(d * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
-            pending = acts.iter().find_map(|a| match a {
-                EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-                _ => None,
-            });
+            pending = timer_of(&acts);
         }
         let pred = eng.current_prediction().expect("pattern detected");
         assert!(
@@ -892,35 +845,48 @@ mod tests {
     }
 
     #[test]
-    fn unchanged_history_at_same_instant_hits_the_prediction_cache() {
-        let mut eng = engine();
-        eng.on_event(t(100), EngineEvent::ActivityStart);
-        let actions = eng.on_event(t(200), EngineEvent::ActivityEnd);
-        assert_eq!(eng.counters().predictions, 1);
-        let (_, tok) = match actions.as_slice() {
-            [EngineAction::ScheduleTimer(at, tok)] => (*at, *tok),
-            other => panic!("unexpected {other:?}"),
+    fn same_instant_reprediction_is_pure() {
+        // A timer delivered in the very second of the logout that
+        // scheduled it, with no history mutation between, re-runs the
+        // predictor over identical inputs.  Three 09:00 days, then a
+        // 03:00–04:00 session: the 09:00 forecast is under `l` away, so
+        // the logout defers the pause behind a timer.
+        let (login, logout) = (t(3 * DAY + 3 * HOUR), t(3 * DAY + 4 * HOUR));
+        let first_idle = || {
+            let mut eng = engine();
+            let mut pending = timer_of(&run_daily_sessions(&mut eng, 3));
+            while let Some((at, tok)) = pending.filter(|(at, _)| *at <= login) {
+                pending = timer_of(&eng.on_event(at, EngineEvent::Timer(tok)));
+            }
+            eng.on_event(login, EngineEvent::ActivityStart);
+            let actions = eng.on_event(logout, EngineEvent::ActivityEnd);
+            (eng, actions)
         };
-        // A timer delivered at the very same second with no intervening
-        // history mutation re-predicts over identical inputs: served
-        // from the cache, predictor not invoked.
-        eng.on_event(t(200), EngineEvent::Timer(tok));
+        // The reference engine takes only the logout, so it shows what
+        // those inputs yield.
+        let (reference, _) = first_idle();
+        let (mut eng, actions) = first_idle();
+        assert_eq!(eng.state(), DbState::LogicallyPaused);
+        assert!(
+            eng.current_prediction().is_some(),
+            "a pattern to re-predict"
+        );
+        let before = eng.counters().predictions;
+        let (wake, tok) = timer_of(&actions).expect("a deferred pause schedules a wake");
+        let again = eng.on_event(logout, EngineEvent::Timer(tok));
+        assert_eq!(eng.current_prediction(), reference.current_prediction());
         let c = eng.counters();
-        assert_eq!(c.predictions, 1, "cached repredict must not re-run");
-        assert_eq!(c.prediction_cache_hits, 1);
-        // A later timer (different `now`) misses the cache.
-        let actions = eng.on_event(t(200), EngineEvent::Timer(tok));
-        if let Some((at, tok)) = actions.iter().find_map(|a| match a {
-            EngineAction::ScheduleTimer(at, tok) => Some((*at, *tok)),
-            _ => None,
-        }) {
-            eng.on_event(at, EngineEvent::Timer(tok));
-            assert!(eng.counters().predictions >= 2);
-        }
+        assert_eq!(c.predictions, before + 1, "the predictor ran again");
+        assert_eq!(c.prediction_cache_hits, 0);
+        // Same forecast, same decision: still logically paused, waking
+        // when the first wake would have.
+        assert_eq!(eng.state(), DbState::LogicallyPaused);
+        assert_eq!(again.len(), actions.len());
+        assert_eq!(timer_of(&again).map(|(at, _)| at), Some(wake));
     }
 
     #[test]
-    fn restore_invalidates_the_prediction_cache_and_reindexes() {
+    fn restore_reindexes_the_carried_history() {
         use prorp_forecast::IncrementalPredictor;
         let mk = || ProactiveEngine::new(config(), IncrementalPredictor::new(config()).unwrap());
         let mut eng = mk().unwrap();
@@ -933,11 +899,18 @@ mod tests {
         let ix = moved.history().clock_index().expect("index reconfigured");
         assert_eq!(ix.entries().len(), moved.history().logins().len());
         moved.history().check_invariants();
-        // The next cycle predicts from the restored table, not a stale
-        // cache entry keyed on the old table's version.
+        // The next cycle predicts from the restored table.
         moved.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
         moved.on_event(t(6 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
         assert!(moved.current_prediction().is_some());
+    }
+
+    /// 680 bytes when the engine carried a prediction cache: a per-engine
+    /// field coming back fails here, by name, not as an RSS drift.
+    #[test]
+    fn an_engine_is_632_bytes() {
+        use prorp_forecast::IncrementalPredictor;
+        assert!(std::mem::size_of::<ProactiveEngine<IncrementalPredictor>>() <= 632);
     }
 
     #[test]

@@ -272,12 +272,11 @@ fn print_why(
         None => println!("predicted:  nothing (no pattern cleared the confidence bar)"),
     }
     println!(
-        "inputs:     history={} logins, confidence {}/{} windows, breaker {}, cache {}",
+        "inputs:     history={} logins, confidence {}/{} windows, breaker {}",
         e.history_len,
         e.confidence_hits,
         e.confidence_total,
         if e.breaker_open { "OPEN" } else { "closed" },
-        if e.cache_hit { "warm" } else { "cold" },
     );
     match e.action {
         DecisionAction::PhysicalPause => {

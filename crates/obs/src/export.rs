@@ -89,12 +89,11 @@ pub fn record_json(r: &TraceRecord) -> String {
             }
             let _ = write!(
                 out,
-                ",\"history_len\":{},\"hits\":{},\"basis\":{},\"breaker_open\":{},\"cache_hit\":{}",
+                ",\"history_len\":{},\"hits\":{},\"basis\":{},\"breaker_open\":{}",
                 explain.history_len,
                 explain.confidence_hits,
                 explain.confidence_total,
-                explain.breaker_open,
-                explain.cache_hit
+                explain.breaker_open
             );
         }
     }
@@ -428,7 +427,6 @@ fn span_kind(fields: &Fields) -> Result<SpanKind> {
                 confidence_hits: fields.uint32("hits")?,
                 confidence_total: fields.uint32("basis")?,
                 breaker_open: fields.boolean("breaker_open")?,
-                cache_hit: fields.boolean("cache_hit")?,
             },
         },
         other => return Err(fields.err(&format!("unknown span kind {other:?}"))),
@@ -534,7 +532,6 @@ mod tests {
                         confidence_hits: 3,
                         confidence_total: 4,
                         breaker_open: false,
-                        cache_hit: true,
                     },
                 },
             ),
@@ -549,7 +546,6 @@ mod tests {
                         confidence_hits: 0,
                         confidence_total: 0,
                         breaker_open: true,
-                        cache_hit: false,
                     },
                 },
             ),
@@ -589,8 +585,12 @@ mod tests {
             with_prediction,
             "{\"start\":110,\"end\":110,\"db\":7,\"seq\":10,\"kind\":\"decision\",\
              \"action\":\"proactive-resume\",\"predicted\":470400,\"history_len\":12,\
-             \"hits\":3,\"basis\":4,\"breaker_open\":false,\"cache_hit\":true}"
+             \"hits\":3,\"basis\":4,\"breaker_open\":false}"
         );
+        // Keys are read by name: a trace written when decisions still
+        // carried `cache_hit` parses to the same record.
+        let older = with_prediction.replace('}', ",\"cache_hit\":true}");
+        assert_eq!(parse_trace_jsonl(&older).unwrap(), [records[10]]);
         let without = record_json(&records[11]);
         assert!(!without.contains("predicted"));
         assert!(without.contains("\"action\":\"physical-pause\""));

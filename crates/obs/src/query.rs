@@ -415,7 +415,6 @@ mod tests {
             confidence_hits: 4,
             confidence_total: 5,
             breaker_open: false,
-            cache_hit: false,
         };
         let resume = DecisionExplain {
             action: DecisionAction::ProactiveResume,
@@ -424,7 +423,6 @@ mod tests {
             confidence_hits: 4,
             confidence_total: 5,
             breaker_open: false,
-            cache_hit: true,
         };
         buf.event(Timestamp(100), db, SpanKind::Decision { explain: pause });
         buf.event(Timestamp(400), db, SpanKind::Decision { explain: resume });

@@ -156,8 +156,6 @@ pub struct DecisionExplain {
     pub confidence_total: u32,
     /// Whether the circuit breaker was open at decision time.
     pub breaker_open: bool,
-    /// Whether the forecast came from the prediction cache.
-    pub cache_hit: bool,
 }
 
 /// What a trace span describes.

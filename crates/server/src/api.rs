@@ -511,7 +511,7 @@ fn get_slo(state: &ServerState) -> Response {
 
 /// `GET /v1/databases/:id/why` — the latest decision-provenance record:
 /// which action the engine took and the exact inputs (prediction,
-/// confidence basis, breaker, cache) it took it on.
+/// confidence basis, breaker) it took it on.
 fn get_why(state: &ServerState, id: &str) -> Response {
     let Some(id) = parse_id(id) else {
         return Response::json(400, error_body("database id must be an unsigned integer"));
@@ -548,7 +548,6 @@ fn get_why(state: &ServerState, id: &str) -> Response {
                 ]),
             ),
             ("breaker_open", Json::Bool(explain.breaker_open)),
-            ("cache_hit", Json::Bool(explain.cache_hit)),
         ])
         .render(),
     )

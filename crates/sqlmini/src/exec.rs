@@ -436,13 +436,6 @@ impl Database {
         }
         Ok(out)
     }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
 }
 
 #[cfg(test)]

@@ -11,9 +11,6 @@
 use crate::exec::{Database, Params};
 use prorp_types::{DbState, ProrpError};
 
-/// Table name.
-pub const METADATA_TABLE: &str = "sys.databases";
-
 /// Integer encoding of [`DbState`] used in the `state` column.
 pub fn encode_state(state: DbState) -> i64 {
     match state {

@@ -10,7 +10,7 @@
 //!
 //! * **MVCC versions + monotonic seqnos** — every mutation (insert or
 //!   trim) is stamped with the store's sequence number, which *is* the
-//!   mutation version engines already key prediction caches on.
+//!   view's mutation version.
 //!   Nothing is overwritten in place, so [`LsmHistory::snapshot`] can
 //!   freeze the tuple set visible at any past seqno, and the
 //!   [`TimeTravel`] mapping resolves simulated timestamps to seqnos for
@@ -247,8 +247,8 @@ impl RunStore {
 
 /// The LSM/MVCC implementation of the history store: the shared
 /// [`LiveView`] inline (every live read is served from it; its version
-/// *is* the latest seqno, so prediction-cache keys and snapshot seqnos
-/// are the same number) over the boxed physical engine — cold on the
+/// *is* the latest seqno, so a mutation count and a snapshot seqno are
+/// the same number) over the boxed physical engine — cold on the
 /// read path, and boxed so every per-database arena entry stays small.
 #[derive(Debug)]
 pub struct LsmHistory {

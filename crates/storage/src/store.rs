@@ -82,7 +82,6 @@ pub trait HistoryRead {
 
     /// Monotonically increasing mutation version: bumped on every insert
     /// that stored a tuple and every trim that deleted at least one.
-    /// Engines key prediction caches on `(version, now)`.
     fn version(&self) -> u64 {
         self.view().version()
     }

@@ -5,7 +5,7 @@
 //! once, here: sorted `keys`/`vals`, the sorted login (`event_type = 1`)
 //! subset, the optional [`ClockIndex`] holding those logins in the
 //! seasonal-clock order the incremental predictor sweeps, and the
-//! mutation `version` engines key prediction caches on.
+//! mutation `version` the LSM stamps its seqnos from.
 //!
 //! [`LiveView`] owns every decision that depends only on the visible
 //! set: Algorithm 2's `IF NOT EXISTS` probe, Algorithm 3's range

@@ -5,8 +5,9 @@
 //! how long it took.  These counters are *operational* telemetry about
 //! the simulator itself — wall-clock time, events processed, scan
 //! iterations — not simulated-world telemetry (that lives in
-//! [`TelemetryLog`](crate::TelemetryLog)); they feed the `fleet_scaling`
-//! bench and let a run's progress be attributed to individual shards.
+//! [`TelemetryLog`](crate::TelemetryLog)); they feed `scale_bench` and
+//! the ledger and let a run's progress be attributed to individual
+//! shards.
 
 use std::fmt;
 use std::time::Duration;

@@ -343,11 +343,11 @@ fn recorded_decisions_replay_through_time_travel() {
         let SpanKind::Decision { explain } = &r.kind else {
             continue;
         };
-        // Pause-time decisions whose forecast ran fresh at the decision
-        // instant; cached or breaker-suppressed forecasts were computed
-        // at a different time, so the instant-replay contract does not
-        // apply to them.
-        if explain.cache_hit || explain.breaker_open {
+        // Pause-time decisions whose forecast ran at the decision
+        // instant; a breaker-suppressed forecast was computed at a
+        // different time, so the instant-replay contract does not apply
+        // to it.
+        if explain.breaker_open {
             continue;
         }
         if !matches!(

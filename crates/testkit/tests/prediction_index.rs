@@ -146,8 +146,8 @@ proptest! {
 
     /// Whole-fleet differential: the `naive_predictor` knob swaps the
     /// reference Algorithm 4 scan back in, and every deterministic field
-    /// of the report — KPIs, per-database counters (cache hits
-    /// included), workflow stats, incident logs — must be bit-identical
+    /// of the report — KPIs, per-database counters, workflow stats,
+    /// incident logs — must be bit-identical
     /// to the default incremental arm, whatever the fleet, knobs, and
     /// fault plan.
     #[test]

@@ -23,19 +23,6 @@ pub struct ParameterGrid {
 }
 
 impl ParameterGrid {
-    /// The paper's experimental ranges: windows of 1–8 hours (Figure 8),
-    /// confidences 0.1–0.8 (Figure 9), history 2 or 4 weeks, daily and
-    /// weekly seasonality (§9.2).
-    pub fn paper_ranges() -> Self {
-        ParameterGrid {
-            base: PolicyConfig::default(),
-            windows: (1..=8).map(Seconds::hours).collect(),
-            confidences: vec![0.1, 0.2, 0.4, 0.6, 0.8],
-            history_lens: vec![Seconds::days(14), Seconds::days(28)],
-            seasonalities: vec![Seasonality::Daily, Seasonality::Weekly],
-        }
-    }
-
     /// A small grid for quick runs and tests.
     pub fn coarse() -> Self {
         ParameterGrid {
@@ -98,18 +85,6 @@ impl ParameterGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_ranges_enumerate_fully() {
-        let grid = ParameterGrid::paper_ranges();
-        assert_eq!(grid.len(), 8 * 5 * 2 * 2);
-        let configs = grid.configs().unwrap();
-        assert_eq!(configs.len(), grid.len(), "all paper combos are valid");
-        // Every config validates.
-        for c in &configs {
-            c.validate().unwrap();
-        }
-    }
 
     #[test]
     fn invalid_combinations_are_filtered() {

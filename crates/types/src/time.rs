@@ -60,18 +60,6 @@ impl Seconds {
         self.0
     }
 
-    /// Duration expressed in whole minutes (truncating).
-    #[inline]
-    pub const fn as_minutes(self) -> i64 {
-        self.0 / SECS_PER_MINUTE
-    }
-
-    /// Duration expressed in fractional hours.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / SECS_PER_HOUR as f64
-    }
-
     /// Duration expressed in whole days (truncating).
     #[inline]
     pub const fn as_days(self) -> i64 {

@@ -5,9 +5,10 @@
 #
 # Runs, in order: the feature-matrix builds (no default features, the
 # default release build, and all features so `strict-invariants` and the
-# observability layer compile together), the full test suite, the golden
-# snapshot checks (bit-stable simulator output; re-record intentional
-# changes with scripts/bless.sh), the `prorp-trace` CLI against the
+# observability layer compile together), the full test suite — once,
+# golden snapshots included (bit-stable simulator output; re-record
+# intentional changes with scripts/bless.sh) — and a check that every
+# guard test is still in it, the `prorp-trace` CLI against the
 # golden trace, the control-plane server replay gate (live ≡ DES over
 # HTTP), the machine-readable fleet-composition export, clippy
 # (warnings are errors), rustdoc (warnings are errors), and the
@@ -26,58 +27,110 @@ run cargo build --workspace --no-default-features
 run cargo build --release
 run cargo build --workspace --all-features
 
-run cargo test -q
-run env BLESS=0 cargo test -q -p testkit --test golden_kpis
-run env BLESS=0 cargo test -q -p testkit --test obs_conformance
+# `BLESS=0`: an exported `BLESS=1` must not re-record a golden inside
+# the gate.
+run env BLESS=0 cargo test -q
 
-# The incremental prediction index must stay bit-identical to the naive
-# Algorithm 4 scan (single-table interleavings, whole-fleet reports, and
-# shard invariance with the index enabled).
-run cargo test -q -p testkit --test prediction_index
+# The suite above ran every test once.  What is left to check is that
+# the guards below are still *in* it: a filter that matches nothing
+# (`cargo test some::deleted_test`) exits 0, so a renamed or deleted
+# guard has to fail here, by name.
+guards=(
+    # Golden snapshots: bit-stable simulator KPIs, the pinned trace,
+    # Prometheus, SLO-rollup and alert exports, and every recorded
+    # decision re-derived by time travel.
+    golden_kpi_matrix
+    golden_trace_and_prometheus_exports
+    golden_slo_rollup_and_alert_exports
+    recorded_decisions_replay_through_time_travel
 
-# The LSM backend must stay observationally identical to the B+Tree
-# behind the HistoryStore seam (op interleavings, fleet differentials,
-# shard invariance, span traces, and time-travel reproduction).
-run cargo test -q -p testkit --test storage_conformance
+    # The incremental prediction index must stay bit-identical to the
+    # naive Algorithm 4 scan (single-table interleavings, whole-fleet
+    # reports, and shard invariance with the index enabled).
+    incremental_never_diverges_from_rebuild
+    naive_and_incremental_fleets_are_bit_identical
+    index_enabled_fleet_is_shard_invariant_at_1_2_8
 
-# A registered database is a slot: the slot-addressed cluster must stay
-# indistinguishable from the id-keyed `HashMap`/`HashSet` one it replaced
-# (every outcome, home and counter under random place / allocate /
-# release / move / rebalance with spill and over-subscription),
-# row-addressed `sys.databases` writes must be id-keyed writes with the
-# secondary index equal to a rebuild after every op, and `pop_before`
-# must be `peek_ts` + `pop` over the one-heap queue.  These are what
-# catch an id-keyed map coming back beside a column and drifting from it.
-run cargo test -q -p prorp-sim --lib cluster::tests::slots_are_the_id_keyed_cluster
-run cargo test -q -p prorp-storage --lib metadata::tests::row_addressed_writes_are_id_keyed_writes
-run cargo test -q -p prorp-sim --lib events::tests::two_lanes_are_one_heap
+    # The LSM backend must stay observationally identical to the B+Tree
+    # behind the HistoryStore seam (op interleavings, fleet
+    # differentials, shard invariance, span traces, and time-travel
+    # reproduction).
+    interleavings_agree_and_snapshots_rebuild
+    fleet_behaviour_is_backend_independent
+    lsm_reports_are_shard_invariant
+    span_traces_are_byte_identical_across_backends
+    time_travel_reproduces_a_recorded_prediction
 
-# The allocation guard: a warm 3 000-database loop, reactive and
-# proactive, must make fewer than one heap allocation per three events
-# (counting global allocator; the counts are deterministic).  This is
-# what catches a per-event `Vec` — an engine reply, a sweep result —
-# or a node-allocating map coming back onto the event path.  The same
-# loop over the LSM history (inline compaction) must stay under one per
-# two events: 0.24 / 0.34 with one log record per mutation, 0.77 / 0.92
-# when a mutation also fed a memtable of per-key `Vec`s, an eagerly
-# encoded WAL and a timeline — any of those coming back trips it.
-run cargo test -q -p prorp-sim --test alloc_guard
+    # A registered database is a slot: the slot-addressed cluster must
+    # stay indistinguishable from the id-keyed `HashMap`/`HashSet` one it
+    # replaced (every outcome, home and counter under random place /
+    # allocate / release / move / rebalance with spill and
+    # over-subscription), row-addressed `sys.databases` writes must be
+    # id-keyed writes with the secondary index equal to a rebuild after
+    # every op, and `pop_before` must be `peek_ts` + `pop` over the
+    # one-heap queue.  These are what catch an id-keyed map coming back
+    # beside a column and drifting from it.
+    cluster::tests::slots_are_the_id_keyed_cluster
+    metadata::tests::row_addressed_writes_are_id_keyed_writes
+    events::tests::two_lanes_are_one_heap
 
-# The live driver must stay bit-identical to the DES under any admitted
-# stream, and the server's touched-set publish must leave the backend
-# holding what a republish of the whole fleet would (every record and
-# every read checked after every advance); the HTTP surface, incident
-# 503s and the publisher's self-metrics are pinned end to end.
-run cargo test -q -p testkit --test live_differential
-run cargo test -q -p prorp-server --test service_mode
+    # The allocation guard: a warm 3 000-database loop, reactive and
+    # proactive, must make fewer than one heap allocation per three
+    # events (counting global allocator; the counts are deterministic).
+    # This is what catches a per-event `Vec` — an engine reply, a sweep
+    # result — or a node-allocating map coming back onto the event path.
+    # The same loop over the LSM history (inline compaction) must stay
+    # under one per two events: 0.24 / 0.34 with one log record per
+    # mutation, 0.77 / 0.92 when a mutation also fed a memtable of
+    # per-key `Vec`s, an eagerly encoded WAL and a timeline — any of
+    # those coming back trips it.
+    a_warm_reactive_loop_allocates_less_than_once_per_three_events
+    a_warm_proactive_loop_allocates_less_than_once_per_three_events
+    a_warm_reactive_lsm_loop_allocates_less_than_once_per_two_events
+    a_warm_proactive_lsm_loop_allocates_less_than_once_per_two_events
 
-# The HTTP transport's contract: a fixed set of workers (the test with
-# 4× as many concurrent clients as workers fails if the handler ever
-# runs on more threads than `serve` started — that is what catches a
-# per-connection thread coming back), the listen backlog as the queue
-# under saturation, both deadlines (408), truncated and chunked heads
-# (400), a panicking handler (500), and a prompt shutdown.
-run cargo test -q -p prorp-server --lib http
+    # The live driver must stay bit-identical to the DES under any
+    # admitted stream, and the server's touched-set publish must leave
+    # the backend holding what a republish of the whole fleet would
+    # (every record and every read checked after every advance); the
+    # HTTP surface, incident 503s and the publisher's self-metrics are
+    # pinned end to end.
+    live_matches_des_at_one_and_eight_shards
+    live_matches_des_under_fault_injection
+    touched_publish_matches_a_full_republish
+    http_surface_basics
+    retry_exhaustion_escalates_to_503_with_incident
+    an_advance_publishes_what_it_touched_not_the_fleet
+
+    # The HTTP transport's contract: a fixed set of workers (the test
+    # with 4× as many concurrent clients as workers fails if the handler
+    # ever runs on more threads than `serve` started — that is what
+    # catches a per-connection thread coming back), the listen backlog
+    # as the queue under saturation, both deadlines (408), truncated and
+    # chunked heads (400), a panicking handler (500), and a prompt
+    # shutdown.
+    http::tests::every_reply_is_its_own_and_the_handler_threads_are_the_workers
+    http::tests::a_saturated_pool_serves_the_backlog_once_the_stalled_peers_time_out
+    http::tests::a_stalled_peer_gets_408_and_a_closed_connection
+    http::tests::a_trickling_peer_gets_408_at_the_request_deadline
+    http::tests::a_head_cut_short_or_chunked_is_a_400_the_handler_never_sees
+    http::tests::a_panicking_handler_costs_a_500_not_a_worker
+    http::tests::shutdown_does_not_wait_for_a_stalled_peer
+
+    # A per-engine field coming back (680 bytes with the prediction
+    # cache) is a named failure, not an RSS drift to bisect.
+    proactive::tests::an_engine_is_632_bytes
+)
+echo "==> every guard test is in the suite"
+listed=$(cargo test -q -- --list 2>/dev/null)
+missing=0
+for guard in "${guards[@]}"; do
+    if ! grep -qE "(^|::)${guard}: test\$" <<<"$listed"; then
+        echo "guard test missing from the suite: ${guard}"
+        missing=1
+    fi
+done
+[ "$missing" -eq 0 ]
 
 # The trace-query CLI must keep parsing the pinned trace format.
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
