@@ -114,12 +114,12 @@ pub struct SimConfig {
     /// yields identical KPIs for 1 and N shards (see
     /// [`crate::shard`] for the exact guarantee).
     pub shards: usize,
-    /// Whether the merged per-event telemetry log is materialised in the
-    /// report ([`TelemetryMode::Full`], the default) or folded into
-    /// per-label counts only ([`TelemetryMode::Summary`]).  KPIs are
-    /// identical either way — Summary mode exists so million-database
-    /// runs do not hold tens of millions of telemetry events in the
-    /// final report.
+    /// Whether every shard logs its telemetry events and the report
+    /// carries the merged log ([`TelemetryMode::Full`], the default), or
+    /// the shards only count them per label ([`TelemetryMode::Summary`]).
+    /// KPIs and label counts are identical either way — Summary mode
+    /// exists so million-database runs never hold tens of millions of
+    /// telemetry events, in a shard or in the report.
     pub telemetry_mode: TelemetryMode,
     /// The control-plane fault layer (stage latencies/failure
     /// probabilities, retry policy, predictor circuit breaker, forecast

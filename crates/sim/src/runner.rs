@@ -22,7 +22,7 @@ use prorp_obs::ObsReport;
 use prorp_storage::StorageStats;
 use prorp_telemetry::{
     IncidentLog, KpiReport, SegmentAccumulator, ShardCounters, TelemetryKind, TelemetryLog,
-    TelemetryMergeIter, TelemetryMode, TelemetrySummary, WorkflowStats,
+    TelemetryMode, TelemetrySummary, WorkflowStats,
 };
 use prorp_types::{DatabaseId, ProrpError, Seconds, Timestamp};
 use prorp_workload::{Trace, TraceSource};
@@ -36,12 +36,13 @@ pub struct SimReport {
     pub policy_label: &'static str,
     /// Fleet-level KPIs over the measurement window.
     pub kpi: KpiReport,
-    /// Full telemetry log (whole run, timestamped).  Empty when the run
-    /// used [`TelemetryMode::Summary`] — consult
+    /// Full telemetry log (whole run, timestamped), merged from the
+    /// shard logs.  Empty when the run used [`TelemetryMode::Summary`],
+    /// whose shards log nothing — consult
     /// [`telemetry_summary`](Self::telemetry_summary) instead.
     pub telemetry: TelemetryLog,
-    /// Per-label event counts over the whole run, computed during the
-    /// streaming merge.  Populated in every mode; in
+    /// Per-label event counts over the whole run: the sum of the counts
+    /// each shard kept as it recorded.  Populated in every mode; in
     /// [`TelemetryMode::Summary`] runs it is the only telemetry output.
     pub telemetry_summary: TelemetrySummary,
     /// Per-database engine counters (whole run), in input-trace order.
@@ -91,8 +92,8 @@ impl SimReport {
     /// Figure 11 ([`TelemetryKind::ProactiveResume`]) and Figure 12
     /// ([`TelemetryKind::PhysicalPause`]) inputs.
     ///
-    /// All-zero in [`TelemetryMode::Summary`] runs (the per-event log the
-    /// bins are cut from is not materialised).
+    /// All-zero in [`TelemetryMode::Summary`] runs (no shard keeps the
+    /// per-event log the bins are cut from).
     pub fn workflow_bins(&self, kind: TelemetryKind, bin: Seconds) -> Vec<usize> {
         self.telemetry
             .counts_per_bin(kind, self.measure_from, self.end, bin)
@@ -266,15 +267,16 @@ where
 /// and workflow counts are integer sums, per-database rows are
 /// re-ordered to the input-trace order (`order` maps id → input
 /// position, `n` is the fleet size), batch sizes sum element-wise
-/// per tick, and the telemetry log is k-way merged by timestamp.
+/// per tick, and the telemetry counts add up kind by kind.
 /// Fleet KPI fractions are computed once from the summed totals —
 /// never by averaging per-shard ratios — so a shard with zero
 /// databases contributes nothing instead of dragging the QoS/COGS
 /// percentages toward its (undefined) local ratio.
 ///
-/// The KPI event counts and the per-label summary are folded out of a
-/// single pass over the streaming merge iterator; the merged log itself
-/// is materialised only in [`TelemetryMode::Full`] runs.
+/// The KPI event counts and the per-label summary are the shards' own
+/// telemetry summaries, summed; no event is visited.  Only a
+/// [`TelemetryMode::Full`] run has shard logs, which are k-way merged
+/// by timestamp into the report's log.
 pub fn merge_outcomes(
     cfg: &SimConfig,
     order: &HashMap<DatabaseId, usize>,
@@ -293,6 +295,8 @@ pub fn merge_outcomes(
         let mut incidents = 0u64;
         let mut giveups = 0u64;
         let mut maintenance = MaintenanceStats::default();
+        let mut summary = TelemetrySummary::new();
+        let mut window = TelemetrySummary::new();
         let mut shard_counters = Vec::with_capacity(outcomes.len());
         let mut shard_batches = Vec::with_capacity(outcomes.len());
         let mut shard_logs = Vec::with_capacity(outcomes.len());
@@ -320,6 +324,8 @@ pub fn merge_outcomes(
             maintenance.forced_resumes += outcome.maintenance.forced_resumes;
             shard_batches.push(outcome.resume_batches);
             shard_counters.push(outcome.counters);
+            summary.add(&outcome.telemetry_summary);
+            window.add(&outcome.telemetry_window);
             shard_logs.push(outcome.telemetry);
             shard_workflows.push(outcome.workflow);
             shard_incident_logs.push(outcome.incident_log);
@@ -333,32 +339,19 @@ pub fn merge_outcomes(
             None
         };
 
-        // One pass over the streaming k-way merge feeds the KPI event
-        // counts and the per-label summary; the merged log is only
-        // written out when the run materialises telemetry.
-        let materialise = cfg.telemetry_mode == TelemetryMode::Full;
+        // The KPI event counts are the shards' measured-window counts,
+        // added up; only a Full run has shard logs to merge.
         let mut kpi = KpiReport::from_segments(&fleet_acc);
-        let mut summary = TelemetrySummary::new();
-        let mut iter = TelemetryMergeIter::new(shard_logs);
-        let mut merged_events = Vec::with_capacity(if materialise { iter.remaining() } else { 0 });
-        for e in &mut iter {
-            summary.observe(&e);
-            if e.ts >= cfg.measure_from && e.ts < cfg.end {
-                match e.kind {
-                    TelemetryKind::Login { available: true } => kpi.logins_available += 1,
-                    TelemetryKind::Login { available: false } => kpi.logins_unavailable += 1,
-                    TelemetryKind::ProactiveResume => kpi.proactive_resumes += 1,
-                    TelemetryKind::PhysicalPause => kpi.physical_pauses += 1,
-                    TelemetryKind::ForecastFailure => kpi.forecast_failures += 1,
-                    _ => {}
-                }
-            }
-            if materialise {
-                merged_events.push(e);
-            }
-        }
-        let telemetry = TelemetryLog::from_sorted_events(merged_events);
+        let in_window = |kind: TelemetryKind| window.count(kind.label());
+        kpi.logins_available = in_window(TelemetryKind::Login { available: true });
+        kpi.logins_unavailable = in_window(TelemetryKind::Login { available: false });
+        kpi.proactive_resumes = in_window(TelemetryKind::ProactiveResume);
+        kpi.physical_pauses = in_window(TelemetryKind::PhysicalPause);
         kpi.forecast_failures = forecast_failures;
+        let telemetry = match cfg.telemetry_mode {
+            TelemetryMode::Full => TelemetryLog::merge(shard_logs),
+            TelemetryMode::Summary => TelemetryLog::new(),
+        };
         #[cfg(feature = "strict-invariants")]
         check_kpi_identities(&kpi)?;
 

@@ -20,9 +20,10 @@
 //!
 //! The merged report is a pure function of `(seed, traces)` regardless of
 //! the shard count: every cross-shard quantity is either an integer sum
-//! (segment totals, login/workflow counts, retry/giveup counters, stage
-//! latency histograms, batch sizes per tick) or a deterministic k-way
-//! merge (the telemetry log, the incident log).  No stateful RNG exists
+//! (segment totals, login/workflow counts, telemetry counts, retry/giveup
+//! counters, stage latency histograms, batch sizes per tick) or a
+//! deterministic k-way merge (the incident log, and the telemetry log of
+//! a [`TelemetryMode::Full`] run).  No stateful RNG exists
 //! anywhere in the loop: whether a workflow hangs (`workflow_hangs`),
 //! whether a workflow *stage* fails, and how much jitter its backoff
 //! draws ([`ResumeWorkflow`]) are all stateless per-key SplitMix64
@@ -60,7 +61,7 @@ use prorp_storage::{
 };
 use prorp_telemetry::{
     IncidentKind, IncidentLog, SegmentAccumulator, SegmentKind, ShardCounters, TelemetryKind,
-    TelemetryLog, WorkflowStats,
+    TelemetryLog, TelemetryMode, TelemetrySummary, WorkflowStats,
 };
 use prorp_types::{DatabaseId, DbState, ProrpError, Seconds, Timestamp};
 use prorp_workload::Trace;
@@ -153,14 +154,53 @@ impl Workflows {
     }
 }
 
+/// The shard's telemetry, counted where it is recorded: every event
+/// bumps the whole-run and (inside `[measure_from, end)`) the window
+/// summary, and is appended to the log only in [`TelemetryMode::Full`].
+struct ShardTelemetry {
+    log: TelemetryLog,
+    run: TelemetrySummary,
+    window: TelemetrySummary,
+    measured: std::ops::Range<Timestamp>,
+    keep_log: bool,
+}
+
+impl ShardTelemetry {
+    fn new(cfg: &SimConfig) -> Self {
+        ShardTelemetry {
+            log: TelemetryLog::new(),
+            run: TelemetrySummary::new(),
+            window: TelemetrySummary::new(),
+            measured: cfg.measure_from..cfg.end,
+            keep_log: cfg.telemetry_mode == TelemetryMode::Full,
+        }
+    }
+
+    fn record(&mut self, now: Timestamp, id: DatabaseId, kind: TelemetryKind) {
+        self.run.record(kind);
+        if self.measured.contains(&now) {
+            self.window.record(kind);
+        }
+        if self.keep_log {
+            self.log.record(now, id, kind);
+        }
+    }
+}
+
 /// Everything one shard worker produced; the runner merges these into the
 /// fleet-level [`SimReport`](crate::SimReport).
 pub struct ShardOutcome {
     /// Per-database results in shard-trace order: `(id, closed segment
     /// accumulator, engine counters, history storage stats)`.
     pub dbs: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)>,
-    /// The shard's time-ordered telemetry log.
+    /// The shard's time-ordered telemetry log — empty, and never
+    /// allocated, in [`TelemetryMode::Summary`] runs.
     pub telemetry: TelemetryLog,
+    /// Per-kind counts of every event the shard recorded, in every mode.
+    pub telemetry_summary: TelemetrySummary,
+    /// The same counts restricted to the measured window
+    /// `[measure_from, end)` — the KPI login, pre-warm and pause counts.
+    pub telemetry_window: TelemetrySummary,
     /// Algorithm 5 batch sizes, one entry per scan tick.
     pub resume_batches: Vec<usize>,
     /// Spill moves on this shard's cluster slice.
@@ -258,7 +298,7 @@ pub struct ShardDriver {
     queue: EventQueue,
     cluster: Cluster,
     metadata: MetadataStore,
-    telemetry: TelemetryLog,
+    telemetry: ShardTelemetry,
     diagnostics: DiagnosticsRunner,
     workflows: Workflows,
     workflow_stats: WorkflowStats,
@@ -303,7 +343,7 @@ impl ShardDriver {
             queue: EventQueue::new(),
             cluster: Cluster::with_node_range(first_node, cfg.nodes, cfg.node_capacity)?,
             metadata: MetadataStore::new(),
-            telemetry: TelemetryLog::new(),
+            telemetry: ShardTelemetry::new(cfg),
             diagnostics: DiagnosticsRunner::new(cfg.stuck_timeout),
             workflows: Workflows::with_capacity(expected_dbs),
             workflow_stats: WorkflowStats::default(),
@@ -622,7 +662,7 @@ impl ShardDriver {
                     let (stall_ns, offloaded_ns) = self.compaction_ns();
                     let observations = SelfObservations {
                         events_processed: self.counters.events_processed,
-                        telemetry_events: self.telemetry.len() as u64,
+                        telemetry_events: self.telemetry.run.total(),
                         databases: self.fleet.len(),
                         wall_clock_micros: self.started.elapsed().as_micros().min(u64::MAX as u128)
                             as u64,
@@ -1162,7 +1202,7 @@ impl ShardDriver {
             ));
         }
 
-        self.counters.telemetry_events = self.telemetry.len() as u64;
+        self.counters.telemetry_events = self.telemetry.run.total();
         self.counters.queue_peak = self.queue.scheduled_peak();
         self.counters.set_wall_clock(self.started.elapsed());
 
@@ -1198,7 +1238,9 @@ impl ShardDriver {
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
         Ok(ShardOutcome {
             dbs: db_results,
-            telemetry: self.telemetry,
+            telemetry: self.telemetry.log,
+            telemetry_summary: self.telemetry.run,
+            telemetry_window: self.telemetry.window,
             resume_batches: self.resume_op.batch_sizes().to_vec(),
             spill_moves: self.cluster.spill_moves,
             balance_moves: self.cluster.balance_moves,
@@ -1360,6 +1402,45 @@ mod tests {
             )
         };
         assert_eq!(snapshot(&a), snapshot(&b));
+    }
+
+    /// A Summary-mode shard allocates no event buffer, yet counts what a
+    /// Full-mode twin logs: its whole-run and window summaries are those
+    /// of the twin's log.
+    #[test]
+    fn summary_shard_keeps_no_log_and_counts_what_full_logs() {
+        use prorp_types::PolicyConfig;
+        use prorp_workload::{RegionName, RegionProfile};
+        const DAY: i64 = 86_400;
+        let (start, end, measure_from) = (Timestamp(0), Timestamp(35 * DAY), Timestamp(30 * DAY));
+        let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(60, start, end, 5);
+        let run = |mode: TelemetryMode| {
+            let cfg = SimConfig::builder(
+                SimPolicy::Proactive(PolicyConfig::default()),
+                start,
+                end,
+                measure_from,
+            )
+            .maintenance_period(Seconds::days(3))
+            .telemetry_mode(mode)
+            .build()
+            .unwrap();
+            run_shard(&cfg, 0, traces.len(), traces.iter().map(Cow::Borrowed)).unwrap()
+        };
+        let (full, summary) = (run(TelemetryMode::Full), run(TelemetryMode::Summary));
+
+        let log = &full.telemetry;
+        let mut window = TelemetrySummary::new();
+        for e in log.range(measure_from, end) {
+            window.observe(e);
+        }
+        assert!(log.len() > 1_000 && window.total() < log.len() as u64);
+        for outcome in [&full, &summary] {
+            assert_eq!(outcome.telemetry_summary, TelemetrySummary::from_log(log));
+            assert_eq!(outcome.telemetry_window, window);
+            assert_eq!(outcome.counters.telemetry_events, log.len() as u64);
+        }
+        assert_eq!(summary.telemetry.into_events().capacity(), 0);
     }
 
     /// The touched set reports databases reached only by the loop's own

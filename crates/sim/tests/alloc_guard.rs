@@ -4,7 +4,9 @@
 //! run-time lane at its working depth, telemetry's buffers grown — a
 //! loop event should mostly touch memory it already owns.  What still
 //! allocates is the history store (a B+Tree leaf split now and then, a
-//! trim's scratch) and the amortised growth of the telemetry log; what
+//! trim's scratch) and the amortised growth of the telemetry log — the
+//! cells run the default `TelemetryMode::Full`, which still logs every
+//! event (a `Summary` shard only counts, and has no log to grow); what
 //! must not come back is an allocation *per event*: a `Vec` built for
 //! every engine reply, a hash map node per lookup.  Before replies were
 //! values and databases were slots the second half of these runs made

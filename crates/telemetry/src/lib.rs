@@ -17,8 +17,7 @@
 //!   pipeline consumes;
 //! * [`merge`] — the streaming k-way merge over per-shard logs plus the
 //!   [`TelemetryMode`]/[`TelemetrySummary`] contract that lets
-//!   million-database runs fold telemetry into counts instead of
-//!   materialising it;
+//!   million-database runs count telemetry instead of logging it;
 //! * [`fault`] — control-plane fault-layer telemetry (§7): per-stage
 //!   workflow latency histograms, retry/giveup/fallback counters, and
 //!   the deterministic incident log;

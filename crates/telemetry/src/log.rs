@@ -2,8 +2,8 @@
 //!
 //! §8: "Customer activity and resource allocation decisions are persisted
 //! long-term for offline evaluation of KPI metrics" — in production via
-//! the Cosmos big-data platform, here an in-memory append-only log with
-//! retention trimming that the offline training pipeline reads.
+//! the Cosmos big-data platform, here an in-memory append-only log that
+//! the offline training pipeline reads.
 
 use prorp_types::{DatabaseId, Seconds, Timestamp};
 use std::collections::HashMap;
@@ -36,6 +36,35 @@ pub enum TelemetryKind {
 }
 
 impl TelemetryKind {
+    /// Every kind, in ascending [`label`](Self::label) order — position
+    /// `i` holds the kind whose [`index`](Self::index) is `i`.
+    pub const ALL: [TelemetryKind; 9] = [
+        TelemetryKind::ForecastFailure,
+        TelemetryKind::LogicalPause,
+        TelemetryKind::Login { available: true },
+        TelemetryKind::Login { available: false },
+        TelemetryKind::Maintenance { forced: true },
+        TelemetryKind::Maintenance { forced: false },
+        TelemetryKind::Move,
+        TelemetryKind::PhysicalPause,
+        TelemetryKind::ProactiveResume,
+    ];
+
+    /// Dense index in `0..ALL.len()`, ordered like the labels.
+    pub fn index(self) -> usize {
+        match self {
+            TelemetryKind::ForecastFailure => 0,
+            TelemetryKind::LogicalPause => 1,
+            TelemetryKind::Login { available: true } => 2,
+            TelemetryKind::Login { available: false } => 3,
+            TelemetryKind::Maintenance { forced: true } => 4,
+            TelemetryKind::Maintenance { forced: false } => 5,
+            TelemetryKind::Move => 6,
+            TelemetryKind::PhysicalPause => 7,
+            TelemetryKind::ProactiveResume => 8,
+        }
+    }
+
     /// Stable label for aggregation keys.
     pub fn label(self) -> &'static str {
         match self {
@@ -164,23 +193,15 @@ impl TelemetryLog {
     /// so the merge is deterministic for a fixed shard layout.
     ///
     /// This is the materialising form of
-    /// [`TelemetryMergeIter`](crate::merge::TelemetryMergeIter); consumers
-    /// that only fold the stream (KPI counters, label summaries) should
-    /// drive the iterator directly and skip the output buffer.
+    /// [`TelemetryMergeIter`](crate::merge::TelemetryMergeIter).  Counts
+    /// need neither: the simulator keeps a
+    /// [`TelemetrySummary`](crate::merge::TelemetrySummary) per shard and
+    /// adds those up.
     pub fn merge(shards: Vec<TelemetryLog>) -> TelemetryLog {
         let mut iter = crate::merge::TelemetryMergeIter::new(shards);
         let mut merged = Vec::with_capacity(iter.remaining());
         merged.extend(&mut iter);
         TelemetryLog { events: merged }
-    }
-
-    /// Drop events older than `retain` before `now` (long-term storage
-    /// has finite retention; the training pipeline reads "several months"
-    /// of it).
-    pub fn trim(&mut self, now: Timestamp, retain: Seconds) {
-        let cutoff = now - retain;
-        let keep_from = self.events.partition_point(|e| e.ts < cutoff);
-        self.events.drain(..keep_from);
     }
 }
 
@@ -271,14 +292,13 @@ mod tests {
     }
 
     #[test]
-    fn trim_enforces_retention() {
-        let mut log = TelemetryLog::new();
-        for i in 0..100 {
-            log.record(t(i), db(0), TelemetryKind::Move);
+    fn kind_index_follows_label_order() {
+        for (i, kind) in TelemetryKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
         }
-        log.trim(t(99), Seconds(10));
-        assert_eq!(log.len(), 11); // 89..=99
-        assert_eq!(log.events()[0].ts, t(89));
+        assert!(TelemetryKind::ALL
+            .windows(2)
+            .all(|w| w[0].label() < w[1].label()));
     }
 
     #[test]

@@ -13,44 +13,41 @@
 //! merge emitted — the shard-invariance oracles in the testkit hold
 //! bit-for-bit over this stream.
 //!
-//! [`TelemetryMode`] and [`TelemetrySummary`] are the streaming
-//! consumer's contract with the simulator: in
-//! [`Summary`](TelemetryMode::Summary) mode the simulator folds the
-//! stream into per-label counts (and its KPI window counters) without
-//! ever materialising the merged log — the memory that matters at
-//! million-database scale.
+//! [`TelemetryMode`] and [`TelemetrySummary`] are the simulator's
+//! contract for what a run keeps: every shard counts each event into
+//! a summary where it records it, and in
+//! [`Summary`](TelemetryMode::Summary) mode it keeps nothing else — no
+//! shard log, no merge, only the counts the report adds up.  That is
+//! the memory that matters at million-database scale.
 
-use crate::log::{TelemetryEvent, TelemetryLog};
+use crate::log::{TelemetryEvent, TelemetryKind, TelemetryLog};
 use prorp_types::Timestamp;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 
-/// How the simulator retains the merged telemetry of a run.
+/// How the simulator retains the telemetry of a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TelemetryMode {
-    /// Materialise the full merged event log (the default): per-event
-    /// queries such as `counts_per_bin` (Figures 11/12) stay available
-    /// on the report.
+    /// Keep every shard's event log and materialise the merged log (the
+    /// default): per-event queries such as `counts_per_bin` (Figures
+    /// 11/12) stay available on the report.
     #[default]
     Full,
-    /// Stream the merge: keep only the [`TelemetrySummary`] label counts
-    /// and the KPI window counters, dropping each shard's buffer as it
-    /// drains.  The report's event log is empty.  This is the
-    /// million-database mode — memory stays proportional to the label
-    /// set, not the event count.
+    /// Keep only the [`TelemetrySummary`] counts: a shard appends no
+    /// event, so neither it nor the report holds an event log.  This is
+    /// the million-database mode — memory stays proportional to the
+    /// kind set, not the event count.
     Summary,
 }
 
-/// Label-keyed event counts accumulated from the merged telemetry
-/// stream.
+/// Per-kind event counts.
 ///
-/// Deterministic by construction: the map is ordered by label and the
-/// counts are integer sums, so two runs that emit the same events
+/// Deterministic by construction: one integer per [`TelemetryKind`]
+/// and an element-wise sum, so two runs that emit the same events
 /// produce equal summaries regardless of shard count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetrySummary {
-    total: u64,
-    per_label: BTreeMap<&'static str, u64>,
+    per_kind: [u64; TelemetryKind::ALL.len()],
 }
 
 impl TelemetrySummary {
@@ -59,30 +56,49 @@ impl TelemetrySummary {
         TelemetrySummary::default()
     }
 
-    /// Fold one merged event into the counts.
+    /// Count one event of `kind`.
+    pub fn record(&mut self, kind: TelemetryKind) {
+        self.per_kind[kind.index()] += 1;
+    }
+
+    /// Count one event.
     pub fn observe(&mut self, event: &TelemetryEvent) {
-        self.total += 1;
-        *self.per_label.entry(event.kind.label()).or_insert(0) += 1;
+        self.record(event.kind);
     }
 
-    /// Total events observed.
+    /// Add `other`'s counts to these, kind by kind.
+    pub fn add(&mut self, other: &TelemetrySummary) {
+        for (mine, theirs) in self.per_kind.iter_mut().zip(other.per_kind) {
+            *mine += theirs;
+        }
+    }
+
+    /// Total events counted.
     pub fn total(&self) -> u64 {
-        self.total
+        self.per_kind.iter().sum()
     }
 
-    /// Events observed for one kind label (see
-    /// [`TelemetryKind::label`](crate::TelemetryKind::label)).
+    /// Events counted for one kind label (see
+    /// [`TelemetryKind::label`]); 0 for a label no kind has.
     pub fn count(&self, label: &str) -> u64 {
-        self.per_label.get(label).copied().unwrap_or(0)
+        TelemetryKind::ALL
+            .iter()
+            .position(|k| k.label() == label)
+            .map_or(0, |i| self.per_kind[i])
     }
 
-    /// All `(label, count)` pairs in label order.
+    /// Every `(label, count)` pair with a non-zero count, in ascending
+    /// label order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.per_label.iter().map(|(l, c)| (*l, *c))
+        TelemetryKind::ALL
+            .iter()
+            .zip(self.per_kind)
+            .filter(|(_, c)| *c > 0)
+            .map(|(k, c)| (k.label(), c))
     }
 
-    /// Build a summary from one already-merged log (equivalence anchor
-    /// for the streaming path).
+    /// Build a summary from one log (the equivalence anchor for the
+    /// counts the shards keep).
     pub fn from_log(log: &TelemetryLog) -> Self {
         let mut s = TelemetrySummary::new();
         for e in log.events() {
@@ -210,6 +226,44 @@ mod tests {
         assert_eq!(summary.count("physical-pause"), 0);
         let pairs: Vec<_> = summary.iter().collect();
         assert_eq!(pairs, vec![("login-available", 1), ("proactive-resume", 2)]);
+    }
+
+    /// Counting per shard and adding up ≡ merging the logs and counting
+    /// the merged stream, for random events over 1–5 shards.
+    #[test]
+    fn summed_shard_summaries_equal_the_merged_log_summary() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        for round in 0..40 {
+            let k = 1 + round % 5;
+            let mut logs = vec![TelemetryLog::new(); k];
+            let mut clocks = vec![0i64; k];
+            for _ in 0..draw(200) {
+                let s = draw(k as u64) as usize;
+                clocks[s] += draw(3) as i64;
+                // Leave some kinds out, so zero counts occur.
+                let kind = TelemetryKind::ALL[draw(7) as usize];
+                logs[s].record(Timestamp(clocks[s]), DatabaseId(s as u64), kind);
+            }
+            let mut summed = TelemetrySummary::new();
+            for log in &logs {
+                summed.add(&TelemetrySummary::from_log(log));
+            }
+            let merged = TelemetryLog::merge(logs);
+            assert_eq!(summed, TelemetrySummary::from_log(&merged), "round {round}");
+            assert_eq!(summed.total(), merged.len() as u64);
+            let pairs: Vec<_> = summed.iter().collect();
+            assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "{pairs:?}");
+            assert!(pairs.iter().all(|&(_, c)| c > 0), "{pairs:?}");
+            for (label, count) in merged.counts() {
+                assert_eq!(summed.count(label), count as u64, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use prorp_core::EngineCounters;
 use prorp_obs::{snapshots_jsonl, trace_jsonl};
 use prorp_sim::{
     partition_fleet, ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode,
+    TelemetrySummary,
 };
+use prorp_telemetry::TelemetryKind;
 use prorp_types::{BreakerConfig, PolicyConfig, RetryPolicy, Seconds, Timestamp};
 use prorp_workload::{LazyFleet, RegionName, RegionProfile, Trace};
 use std::collections::HashSet;
@@ -319,42 +321,68 @@ fn streamed_run_matches_materialised_run_bit_for_bit() {
 
 #[test]
 fn summary_telemetry_mode_preserves_kpis_and_label_counts() {
-    // Summary mode skips materialising the merged per-event log; KPIs
-    // and the per-label summary must be identical to Full mode.
+    // Summary-mode shards log no event; KPIs and the per-label summary
+    // must be what Full mode's materialised log says they are.
     let traces = fleet(48);
-    let build = |mode: TelemetryMode| {
-        SimConfig::builder(
-            SimPolicy::Proactive(PolicyConfig::default()),
-            Timestamp(0),
-            Timestamp(35 * DAY),
-            Timestamp(30 * DAY),
-        )
-        .shards(2)
-        .telemetry_mode(mode)
-        .build()
-        .unwrap()
-    };
-    let full = Simulation::new(build(TelemetryMode::Full), traces.clone())
-        .unwrap()
-        .run()
-        .unwrap();
-    let summary = Simulation::new(build(TelemetryMode::Summary), traces)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(summary.kpi, full.kpi);
-    assert_eq!(summary.resume_batches, full.resume_batches);
-    assert!(summary.telemetry.is_empty(), "Summary keeps no event log");
-    assert!(!full.telemetry.is_empty());
-    // Both modes fold the same per-label counts out of the stream.
-    assert_eq!(summary.telemetry_summary, full.telemetry_summary);
-    assert_eq!(full.telemetry_summary.total(), full.telemetry.len() as u64);
-    for (label, count) in full.telemetry.counts() {
-        assert_eq!(
-            summary.telemetry_summary.count(label),
-            count as u64,
-            "label {label}"
+    let (measure_from, end) = (Timestamp(30 * DAY), Timestamp(35 * DAY));
+    for shards in [1usize, 2] {
+        let build = |mode: TelemetryMode| {
+            SimConfig::builder(
+                SimPolicy::Proactive(PolicyConfig::default()),
+                Timestamp(0),
+                end,
+                measure_from,
+            )
+            .shards(shards)
+            .maintenance_period(Seconds::days(3))
+            .telemetry_mode(mode)
+            .build()
+            .unwrap()
+        };
+        let full = Simulation::new(build(TelemetryMode::Full), traces.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        let summary = Simulation::new(build(TelemetryMode::Summary), traces.clone())
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(summary.telemetry.is_empty(), "Summary keeps no event log");
+        assert!(!full.telemetry.is_empty());
+
+        // Expectations derived from the log, not from the counts.
+        let labels = TelemetrySummary::from_log(&full.telemetry);
+        let in_window = |kind: TelemetryKind| {
+            full.telemetry
+                .range(measure_from, end)
+                .iter()
+                .filter(|e| e.kind == kind)
+                .count() as u64
+        };
+        let expected = (
+            in_window(TelemetryKind::Login { available: true }),
+            in_window(TelemetryKind::Login { available: false }),
+            in_window(TelemetryKind::ProactiveResume),
+            in_window(TelemetryKind::PhysicalPause),
         );
+        assert!(expected.0 > 0 && expected.2 > 0 && expected.3 > 0);
+        for report in [&full, &summary] {
+            assert_eq!(report.telemetry_summary, labels, "{shards} shards");
+            let k = &report.kpi;
+            assert_eq!(
+                (
+                    k.logins_available,
+                    k.logins_unavailable,
+                    k.proactive_resumes,
+                    k.physical_pauses
+                ),
+                expected,
+                "{shards} shards"
+            );
+        }
+        assert_eq!(summary.kpi, full.kpi);
+        assert_eq!(summary.resume_batches, full.resume_batches);
+        assert_eq!(labels.total(), full.telemetry.len() as u64);
     }
 }
 
