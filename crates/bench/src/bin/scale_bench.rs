@@ -329,7 +329,7 @@ fn main() {
                 if shards > 1 {
                     println!(
                         "            shard {}: {} dbs, {} events | register {:.3}s, \
-                         run {:.3}s, finish {:.3}s, stall {:.3}s, offloaded {:.3}s",
+                         run {:.3}s, finish {:.3}s, stall {:.3}s",
                         c.shard,
                         c.databases,
                         c.events_processed,
@@ -337,7 +337,6 @@ fn main() {
                         c.run_micros as f64 / 1e6,
                         c.finish_micros as f64 / 1e6,
                         c.compaction_stall_micros as f64 / 1e6,
-                        c.offloaded_compaction_micros as f64 / 1e6,
                     );
                 }
                 shard_rows.push(Json::object(vec![
@@ -352,10 +351,6 @@ fn main() {
                     (
                         "compaction_stall_micros",
                         Json::from(c.compaction_stall_micros),
-                    ),
-                    (
-                        "offloaded_compaction_micros",
-                        Json::from(c.offloaded_compaction_micros),
                     ),
                 ]));
             }

@@ -53,19 +53,12 @@
 //! * `--json <path>` — machine-readable output
 //!   (`results/BENCH_storage.json` by convention);
 //! * `--smoke` — small sizes for CI (`scripts/check.sh`); assertions
-//!   are identical, only the scale changes;
-//! * `--compaction deterministic|background` — LSM compaction mode for
-//!   both the fleet gate and the synthetic single-store runs.  In
-//!   background mode the bench asserts `compaction_stall_ns == 0`: the
-//!   mutation paths never wait on compaction.
+//!   are identical, only the scale changes.
 
-use prorp_bench::{arg_value, json_path_from_args, run_meta, write_json, Json};
-use prorp_sim::{
-    CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode,
-};
+use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode};
 use prorp_storage::{
-    CompactionScheduler, DurableHistory, HistoryRead, HistoryStore, HistoryTable, LsmHistory,
-    TimeTravel,
+    DurableHistory, HistoryRead, HistoryStore, HistoryTable, LsmHistory, TimeTravel,
 };
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
@@ -80,51 +73,13 @@ const RETENTION: Seconds = Seconds(28 * 86_400);
 const WINDOW: i64 = 7 * 3_600;
 const SLIDE: i64 = 300;
 
-/// The LSM compaction mode the whole bench runs under, plus the shared
-/// scheduler that background-mode synthetic stores attach to.
-struct ModeCtx {
-    mode: CompactionMode,
-    sched: Option<CompactionScheduler>,
-}
-
-impl ModeCtx {
-    fn new(mode: CompactionMode) -> ModeCtx {
-        ModeCtx {
-            mode,
-            sched: (mode == CompactionMode::Background).then(CompactionScheduler::new),
-        }
-    }
-
-    /// A fresh synthetic store wired for this mode.
-    fn store(&self) -> LsmHistory {
-        let mut s = LsmHistory::new();
-        if let Some(sched) = &self.sched {
-            s.attach_scheduler(sched);
-        }
-        s
-    }
-
-    /// Fold the worker's effort back and return the store to inline
-    /// mode, asserting the hot path never stalled in background mode.
-    fn settle(&self, s: &mut LsmHistory) {
-        if self.mode == CompactionMode::Background {
-            assert_eq!(
-                s.compaction_stall_ns(),
-                0,
-                "background mode must keep the mutation path stall-free"
-            );
-            s.detach_compaction();
-        }
-    }
-}
-
 /// Measured LSM write amplification under the steady-state workload:
 /// one login every [`CADENCE`] seconds plus daily Algorithm 3 trims —
 /// the shape Algorithms 2 and 3 impose on every store in the fleet.
-/// Also returns the trimmed-tuple count and the (stall, offloaded)
-/// compaction nanoseconds for the run.
-fn lsm_write_amp(n: usize, ctx: &ModeCtx) -> (prorp_storage::LsmMetrics, usize, u64, u64) {
-    let mut store = ctx.store();
+/// Also returns the trimmed-tuple count and the compaction stall
+/// nanoseconds for the run.
+fn lsm_write_amp(n: usize) -> (prorp_storage::LsmMetrics, usize, u64) {
+    let mut store = LsmHistory::new();
     let mut deleted = 0;
     for i in 0..n {
         let ts = Timestamp(i as i64 * CADENCE);
@@ -133,13 +88,7 @@ fn lsm_write_amp(n: usize, ctx: &ModeCtx) -> (prorp_storage::LsmMetrics, usize, 
             deleted += store.delete_old_history(RETENTION, ts).deleted;
         }
     }
-    ctx.settle(&mut store);
-    (
-        store.metrics(),
-        deleted,
-        store.compaction_stall_ns(),
-        store.offloaded_compaction_ns(),
-    )
+    (store.metrics(), deleted, store.compaction_stall_ns())
 }
 
 /// B+Tree bytes written, measured through [`DurableHistory`]: the WAL
@@ -179,7 +128,7 @@ fn btree_write_amp(n: usize, cap: usize) -> (usize, usize, usize, usize) {
 /// `expired` tuples.  Returns `(btree_ns, lsm_ns, deleted)` — the
 /// best-of-`rounds` wall time per pass and the per-pass deleted count
 /// (identical across backends by the conformance oracle).
-fn trim_cost(expired: usize, retained: usize, rounds: usize, ctx: &ModeCtx) -> (f64, f64, usize) {
+fn trim_cost(expired: usize, retained: usize, rounds: usize) -> (f64, f64, usize) {
     assert!(retained >= 2, "need a tail for the retention window");
     let n = expired + retained;
     let now = Timestamp((n - 1) as i64 * CADENCE);
@@ -190,7 +139,7 @@ fn trim_cost(expired: usize, retained: usize, rounds: usize, ctx: &ModeCtx) -> (
     let mut deleted = (0usize, 0usize);
     for _ in 0..rounds {
         let mut btree = HistoryTable::new();
-        let mut lsm = ctx.store();
+        let mut lsm = LsmHistory::new();
         for i in 0..n {
             let ts = Timestamp(i as i64 * CADENCE);
             btree.insert_history(ts, EventKind::Start);
@@ -207,7 +156,6 @@ fn trim_cost(expired: usize, retained: usize, rounds: usize, ctx: &ModeCtx) -> (
             b.deleted, l.deleted,
             "backends disagreed on the trimmed count at {expired} expired"
         );
-        ctx.settle(&mut lsm);
     }
     (best_btree, best_lsm, deleted.1)
 }
@@ -228,15 +176,13 @@ fn interleaved_events(stores: usize, days: i64) -> Vec<(usize, ActivityEvent)> {
 }
 
 /// Replay `events` over `stores` fresh stores — an insert per event, the
-/// engines' Algorithm 3 pass after each logout — then settle and drop
-/// them all.  Returns `(ns per event, ns per store dropped, tuples
+/// engines' Algorithm 3 pass after each logout — then drop them all.  Returns `(ns per event, ns per store dropped, tuples
 /// left)`, the best of `rounds`.
 fn cold_replay<S: HistoryStore>(
     events: &[(usize, ActivityEvent)],
     stores: usize,
     rounds: usize,
     fresh: impl Fn() -> S,
-    settle: impl Fn(&mut S),
 ) -> (f64, f64, usize) {
     let mut best = (f64::INFINITY, f64::INFINITY, 0);
     for _ in 0..rounds {
@@ -252,7 +198,6 @@ fn cold_replay<S: HistoryStore>(
         let replay_ns = t0.elapsed().as_nanos() as f64 / events.len().max(1) as f64;
         let tuples = fleet.iter().map(|history| history.len()).sum();
         let t1 = Instant::now();
-        fleet.iter_mut().for_each(&settle);
         drop(fleet);
         let drop_ns = t1.elapsed().as_nanos() as f64 / stores.max(1) as f64;
         best = (best.0.min(replay_ns), best.1.min(drop_ns), tuples);
@@ -302,13 +247,7 @@ fn build_stores(n: usize) -> (HistoryTable, LsmHistory) {
 }
 
 /// The proactive fleet config for the equality gate.
-fn gate_config(
-    dbs: usize,
-    days: i64,
-    shards: usize,
-    backend: StorageBackend,
-    mode: CompactionMode,
-) -> SimConfig {
+fn gate_config(dbs: usize, days: i64, shards: usize, backend: StorageBackend) -> SimConfig {
     let start = Timestamp(0);
     SimConfig::builder(
         SimPolicy::Proactive(PolicyConfig::default()),
@@ -320,7 +259,6 @@ fn gate_config(
     .nodes(5)
     .shards(shards)
     .storage_backend(backend)
-    .compaction_mode(mode)
     .telemetry_mode(TelemetryMode::Summary)
     .build()
     .expect("gate config is valid")
@@ -332,9 +270,8 @@ fn run_gate(
     days: i64,
     shards: usize,
     b: StorageBackend,
-    mode: CompactionMode,
 ) -> SimReport {
-    Simulation::new(gate_config(dbs, days, shards, b, mode), traces.to_vec())
+    Simulation::new(gate_config(dbs, days, shards, b), traces.to_vec())
         .expect("gate config is valid")
         .run()
         .expect("gate run completes")
@@ -344,15 +281,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_path_from_args();
-    let mode = match arg_value(&args, "--compaction").as_deref() {
-        None | Some("deterministic") => CompactionMode::Deterministic,
-        Some("background") => CompactionMode::Background,
-        Some(other) => {
-            eprintln!("--compaction wants deterministic|background, got {other:?}");
-            std::process::exit(2);
-        }
-    };
-    let ctx = ModeCtx::new(mode);
 
     let (gate_dbs, gate_days, shard_counts): (usize, i64, &[usize]) = if smoke {
         (40, 6, &[1, 2])
@@ -368,8 +296,7 @@ fn main() {
     // ── Oracle: backend choice must not change behaviour ─────────────
     println!(
         "Equality gate: {gate_dbs} databases, {gate_days} days, shards {shard_counts:?}, \
-         btree vs lsm, {} compaction",
-        mode.label()
+         btree vs lsm"
     );
     let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(
         gate_dbs,
@@ -380,18 +307,7 @@ fn main() {
     let mut baseline = None;
     for &shards in shard_counts {
         for backend in [StorageBackend::BTree, StorageBackend::Lsm] {
-            let report = run_gate(&traces, gate_dbs, gate_days, shards, backend, mode);
-            if mode == CompactionMode::Background {
-                // The tentpole's contract: compaction never blocks the
-                // event-loop path when a worker owns it.
-                for c in &report.shard_counters {
-                    assert_eq!(
-                        c.compaction_stall_micros, 0,
-                        "shard {} stalled on compaction in background mode",
-                        c.shard
-                    );
-                }
-            }
+            let report = run_gate(&traces, gate_dbs, gate_days, shards, backend);
             match &baseline {
                 None => baseline = Some((report.kpi, report.telemetry_summary.clone())),
                 Some((kpi, telemetry)) => {
@@ -425,7 +341,7 @@ fn main() {
     );
     let mut amp_entries = Vec::new();
     for &n in sizes {
-        let (lsm, lsm_deleted, stall_ns, offloaded_ns) = lsm_write_amp(n, &ctx);
+        let (lsm, lsm_deleted, stall_ns) = lsm_write_amp(n);
         let (mutations, checkpoint_bytes, checkpoints, wal_bytes) = btree_write_amp(n, cap);
         let btree_amp = checkpoint_bytes as f64 / (mutations * 16) as f64;
         println!(
@@ -456,7 +372,6 @@ fn main() {
                     ("gc_dropped", Json::from(lsm.gc_dropped as u64)),
                     ("runs_dropped", Json::from(lsm.runs_dropped as u64)),
                     ("compaction_stall_ns", Json::from(stall_ns)),
-                    ("offloaded_compaction_ns", Json::from(offloaded_ns)),
                 ]),
             ),
             (
@@ -487,7 +402,7 @@ fn main() {
     let mut trim_entries = Vec::new();
     let mut lsm_pass: Vec<f64> = Vec::new();
     for &expired in trim_sizes {
-        let (btree_ns, lsm_ns, deleted) = trim_cost(expired, retained, rounds, &ctx);
+        let (btree_ns, lsm_ns, deleted) = trim_cost(expired, retained, rounds);
         println!("{expired:>9} {deleted:>9} {btree_ns:>14.0} {lsm_ns:>12.0}");
         lsm_pass.push(lsm_ns);
         trim_entries.push(Json::object(vec![
@@ -553,20 +468,10 @@ fn main() {
          hour by hour across the fleet, a trim pass after each logout; best of {replay_rounds})",
         events.len()
     );
-    let (btree_event_ns, btree_drop_ns, btree_tuples) = cold_replay(
-        &events,
-        replay_stores,
-        replay_rounds,
-        HistoryTable::new,
-        |_| {},
-    );
-    let (lsm_event_ns, lsm_drop_ns, lsm_tuples) = cold_replay(
-        &events,
-        replay_stores,
-        replay_rounds,
-        || ctx.store(),
-        |store| ctx.settle(store),
-    );
+    let (btree_event_ns, btree_drop_ns, btree_tuples) =
+        cold_replay(&events, replay_stores, replay_rounds, HistoryTable::new);
+    let (lsm_event_ns, lsm_drop_ns, lsm_tuples) =
+        cold_replay(&events, replay_stores, replay_rounds, LsmHistory::new);
     assert_eq!(btree_tuples, lsm_tuples, "backends diverged in the replay");
     println!(
         "{:>9} {:>12} {:>18}",
@@ -601,7 +506,6 @@ fn main() {
         let value = Json::object(vec![
             ("mode", Json::Str(mode_label.into())),
             ("meta", run_meta(mode_label)),
-            ("compaction_mode", Json::Str(mode.label().into())),
             (
                 "equality_gate",
                 Json::object(vec![

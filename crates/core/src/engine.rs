@@ -276,10 +276,6 @@ pub trait DatabasePolicy {
     /// either the B+Tree or the LSM engine.
     fn history(&self) -> &HistoryBackend;
 
-    /// Mutable access to the history store — the shard drivers use it to
-    /// attach and detach the LSM compaction scheduler around a run.
-    fn history_mut(&mut self) -> &mut HistoryBackend;
-
     /// Replace the history store (restore after a load-balancing move,
     /// §3.3).
     fn restore_history(&mut self, history: HistoryBackend);

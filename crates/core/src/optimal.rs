@@ -143,10 +143,6 @@ impl DatabasePolicy for OptimalEngine {
         self.tracker.history()
     }
 
-    fn history_mut(&mut self) -> &mut HistoryBackend {
-        self.tracker.history_mut()
-    }
-
     fn restore_history(&mut self, history: HistoryBackend) {
         self.tracker.replace_history(history);
     }

@@ -456,10 +456,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         self.tracker.history()
     }
 
-    fn history_mut(&mut self) -> &mut HistoryBackend {
-        self.tracker.history_mut()
-    }
-
     fn restore_history(&mut self, history: HistoryBackend) {
         self.tracker.replace_history(history);
         if self.predictor.wants_clock_index() {

@@ -5,10 +5,7 @@
 //! prorp-server replay --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
 //! prorp-server golden --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
 //!
-//! All commands also take `--storage btree|lsm` and `--compaction
-//! deterministic|background` (LSM only): the live driver runs the same
-//! per-shard compaction-scheduler lifecycle as the DES, so a background
-//! worker keeps physical LSM maintenance off the request path.
+//! All commands also take `--storage btree|lsm`.
 //! ```
 //!
 //! * `serve` boots the HTTP API (wall clock by default, `--virtual` for
@@ -26,7 +23,7 @@
 
 use prorp_server::json::{self, Json};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
-use prorp_sim::{CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::Trace;
 use std::collections::BTreeMap;
@@ -56,7 +53,6 @@ struct Options {
     virtual_clock: bool,
     trace: Option<String>,
     storage: StorageBackend,
-    compaction: CompactionMode,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -70,7 +66,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         virtual_clock: false,
         trace: None,
         storage: StorageBackend::default(),
-        compaction: CompactionMode::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -94,13 +89,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     "btree" => StorageBackend::BTree,
                     "lsm" => StorageBackend::Lsm,
                     other => return Err(format!("unknown storage backend {other:?}")),
-                }
-            }
-            "--compaction" => {
-                o.compaction = match value("--compaction")?.as_str() {
-                    "deterministic" => CompactionMode::Deterministic,
-                    "background" => CompactionMode::Background,
-                    other => return Err(format!("unknown compaction mode {other:?}")),
                 }
             }
             "--policy" => {
@@ -132,7 +120,6 @@ fn config(o: &Options) -> Result<SimConfig, String> {
     )
     .shards(o.shards)
     .storage_backend(o.storage)
-    .compaction_mode(o.compaction)
     .build()
     .map_err(|e| e.to_string())
 }

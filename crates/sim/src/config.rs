@@ -98,14 +98,10 @@ pub struct SimConfig {
     /// KPIs — so this knob exists for A/B benchmarking and differential
     /// testing of the storage seam.
     pub storage_backend: StorageBackend,
-    /// Where LSM compaction work runs: inline at each flush
-    /// ([`CompactionMode::Deterministic`], the default) or on a
-    /// per-shard scheduler worker ([`CompactionMode::Background`]) so
-    /// the event-loop path only enqueues.  Final state and KPIs are
-    /// bit-identical across the two modes — the shard driver barriers
-    /// and detaches every store before collecting results — so this
-    /// knob only moves *where* the compaction wall time is spent.
-    /// Ignored on the B+Tree backend.
+    /// Read by nothing: LSM compaction always runs inline at the flush
+    /// that triggers it, whichever [`CompactionMode`] is set.  Kept, and
+    /// `Background` still accepted, only because the benchmark
+    /// (`crates/ledger`) sets it; ROADMAP item 2 deletes it.
     pub compaction_mode: CompactionMode,
     /// Number of simulation shards (worker threads).  Databases are
     /// partitioned by id-hash ([`prorp_types::DatabaseId::shard_of`]) and
@@ -373,8 +369,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Where LSM compaction runs (inline-deterministic or on a per-shard
-    /// background worker; bit-identical final state either way).
+    /// Set [`SimConfig::compaction_mode`], which nothing reads (kept for
+    /// the benchmark until ROADMAP item 2 deletes it).
     pub fn compaction_mode(mut self, v: CompactionMode) -> Self {
         self.cfg.compaction_mode = v;
         self

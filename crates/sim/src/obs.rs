@@ -80,12 +80,9 @@ pub(crate) struct SelfObservations {
     pub register_micros: u64,
     /// Wall-clock micros of the event-loop phase so far.
     pub run_micros: u64,
-    /// Micros the shard's mutation paths spent blocked on inline LSM
-    /// compaction (0 on B+Tree and in background mode).
+    /// Micros the shard's mutation paths spent compacting LSM
+    /// histories (0 on B+Tree).
     pub compaction_stall_micros: u64,
-    /// Micros of LSM compaction done off the hot path by the scheduler
-    /// worker (0 outside background mode).
-    pub offloaded_compaction_micros: u64,
     /// Events in the queue's run-time lane now (what the loop and the
     /// driver scheduled; recorded sessions are not in it).
     pub queue_depth: usize,
@@ -170,7 +167,6 @@ impl ShardObs {
         registry.gauge("sim_self_register_micros");
         registry.gauge("sim_self_run_micros");
         registry.gauge("sim_self_compaction_stall_micros");
-        registry.gauge("sim_self_offloaded_compaction_micros");
         registry.gauge("sim_self_queue_depth");
         registry.gauge("sim_self_queue_peak");
         registry.gauge("sim_self_queue_recorded");
@@ -528,9 +524,6 @@ impl ShardObs {
             .gauge("sim_self_compaction_stall_micros")
             .set(stats.compaction_stall_micros.min(i64::MAX as u64) as i64);
         self.registry
-            .gauge("sim_self_offloaded_compaction_micros")
-            .set(stats.offloaded_compaction_micros.min(i64::MAX as u64) as i64);
-        self.registry
             .gauge("sim_self_queue_depth")
             .set(stats.queue_depth as i64);
         self.registry
@@ -745,7 +738,6 @@ mod tests {
                 register_micros: 1_000,
                 run_micros: 11_000,
                 compaction_stall_micros: 9,
-                offloaded_compaction_micros: 90,
                 queue_depth: 5,
                 queue_peak: 8,
                 queue_recorded: 13,
@@ -779,7 +771,7 @@ mod tests {
         let det = snap.deterministic();
         assert!(det.get("sim_self_queue_peak").is_none());
         assert!(det.get("sim_self_wall_clock_micros").is_none());
-        assert!(det.get("sim_self_offloaded_compaction_micros").is_none());
+        assert!(det.get("sim_self_compaction_stall_micros").is_none());
         assert!(det.get("prorp_workflows_in_flight").is_some());
     }
 }

@@ -55,10 +55,7 @@ use prorp_core::{
 };
 use prorp_forecast::SweepScratch;
 use prorp_obs::ObsPart;
-use prorp_storage::{
-    backup_history, restore_backend, CompactionMode, CompactionScheduler, HistoryRead,
-    MetadataStore, StorageBackend, StorageStats,
-};
+use prorp_storage::{backup_history, restore_backend, HistoryRead, MetadataStore, StorageStats};
 use prorp_telemetry::{
     IncidentKind, IncidentLog, SegmentAccumulator, SegmentKind, ShardCounters, TelemetryKind,
     TelemetryLog, TelemetryMode, TelemetrySummary, WorkflowStats,
@@ -310,14 +307,6 @@ pub struct ShardDriver {
     fleet: FleetState,
     balance_moves_history: u64,
     control_seeded: bool,
-    /// The shard's LSM compaction worker, present only when the config
-    /// asks for `CompactionMode::Background` on the LSM backend.  Every
-    /// registered (and restored) store is attached to it — which costs
-    /// the worker nothing until the store first flushes; `finish()`
-    /// detaches them all — a barrier that folds the worker's effort back
-    /// into each store — before any stats are collected, which is what
-    /// keeps reports bit-identical across compaction modes.
-    compactor: Option<CompactionScheduler>,
     /// When the last `register()` call returned — the boundary between
     /// the registration and event-loop phases in the volatile wall-time
     /// breakdown.
@@ -364,9 +353,6 @@ impl ShardDriver {
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             balance_moves_history: 0,
             control_seeded: false,
-            compactor: (cfg.compaction_mode == CompactionMode::Background
-                && cfg.storage_backend == StorageBackend::Lsm)
-                .then(CompactionScheduler::new),
             register_done: None,
             cfg: cfg.clone(),
         })
@@ -410,15 +396,6 @@ impl ShardDriver {
             trace.db
         );
         self.workflows.push_slot();
-        if let Some(sched) = &self.compactor {
-            // Background mode: the fresh store's compaction moves to the
-            // shard's worker; the event loop will only enqueue flushes.
-            self.fleet
-                .engines
-                .get_mut(idx)
-                .history_mut()
-                .attach_compaction(sched);
-        }
         if cfg.observe().explain {
             // Decision provenance is captured inside the engine (it owns
             // the inputs — forecast, breaker, cache) and drained into the
@@ -659,7 +636,7 @@ impl ShardDriver {
             SimEvent::ObsSnapshot => {
                 if self.obs.is_some() {
                     let register_end = self.register_done.unwrap_or(self.started);
-                    let (stall_ns, offloaded_ns) = self.compaction_ns();
+                    let stall_ns = self.compaction_stall_ns();
                     let observations = SelfObservations {
                         events_processed: self.counters.events_processed,
                         telemetry_events: self.telemetry.run.total(),
@@ -671,7 +648,6 @@ impl ShardDriver {
                             as u64,
                         run_micros: register_end.elapsed().as_micros() as u64,
                         compaction_stall_micros: stall_ns / 1_000,
-                        offloaded_compaction_micros: offloaded_ns / 1_000,
                         queue_depth: self.queue.scheduled_len(),
                         queue_peak: self.queue.scheduled_peak(),
                         queue_recorded: self.queue.recorded_len(),
@@ -1059,15 +1035,6 @@ impl ShardDriver {
                     let bytes = backup_history(self.fleet.engines.get(idx).history())?;
                     let restored = restore_backend(&bytes, cfg.storage_backend)?;
                     self.fleet.engines.get_mut(idx).restore_history(restored);
-                    if let Some(sched) = &self.compactor {
-                        // The restored store arrives in inline mode;
-                        // re-attach it so background compaction resumes.
-                        self.fleet
-                            .engines
-                            .get_mut(idx)
-                            .history_mut()
-                            .attach_compaction(sched);
-                    }
                     self.telemetry.record(now, moved, TelemetryKind::Move);
                     if let Some(o) = self.obs.as_mut() {
                         o.on_move_with_history(now, moved, bytes.len() as u64);
@@ -1123,18 +1090,13 @@ impl ShardDriver {
         Ok(())
     }
 
-    /// Sum of (inline stall, offloaded worker) compaction wall-clock
-    /// nanoseconds across the shard's engines.  Volatile diagnostics:
-    /// these measure the simulator process, never the simulated world.
-    fn compaction_ns(&self) -> (u64, u64) {
-        let mut stall = 0u64;
-        let mut offloaded = 0u64;
-        for idx in 0..self.fleet.len() {
-            let h = self.fleet.engines.get(idx).history();
-            stall += h.compaction_stall_ns();
-            offloaded += h.offloaded_compaction_ns();
-        }
-        (stall, offloaded)
+    /// Wall-clock nanoseconds the shard's engines spent compacting
+    /// their LSM histories.  Volatile diagnostics: it measures the
+    /// simulator process, never the simulated world.
+    fn compaction_stall_ns(&self) -> u64 {
+        (0..self.fleet.len())
+            .map(|idx| self.fleet.engines.get(idx).history().compaction_stall_ns())
+            .sum()
     }
 
     /// Close the books: final segment accounting, invariant audits, the
@@ -1150,27 +1112,7 @@ impl ShardDriver {
         let cfg = &self.cfg;
         debug_assert_eq!(self.balance_moves_history, self.cluster.balance_moves);
 
-        // Background compaction barrier: fold the worker's effort back
-        // into every store and return to inline mode BEFORE any stats or
-        // invariant collection, so reports are bit-identical across
-        // compaction modes.  The stores detach against a live worker —
-        // each one that ever flushed waits out its own backlog; the rest
-        // were never registered and have nothing to wait for — and only
-        // then is the scheduler dropped, which joins a worker with no
-        // attached store left to mark dead.
-        if let Some(compactor) = self.compactor.take() {
-            for idx in 0..self.fleet.len() {
-                self.fleet
-                    .engines
-                    .get_mut(idx)
-                    .history_mut()
-                    .detach_compaction();
-            }
-            drop(compactor);
-        }
-        let (stall_ns, offloaded_ns) = self.compaction_ns();
-        self.counters.compaction_stall_micros = stall_ns / 1_000;
-        self.counters.offloaded_compaction_micros = offloaded_ns / 1_000;
+        self.counters.compaction_stall_micros = self.compaction_stall_ns() / 1_000;
 
         // Close the books.
         let mut db_results: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)> =
@@ -1226,7 +1168,6 @@ impl ShardDriver {
                     register_micros: self.counters.register_micros,
                     run_micros: self.counters.run_micros,
                     compaction_stall_micros: self.counters.compaction_stall_micros,
-                    offloaded_compaction_micros: self.counters.offloaded_compaction_micros,
                     queue_depth: self.queue.scheduled_len(),
                     queue_peak: self.queue.scheduled_peak(),
                     queue_recorded: self.queue.recorded_len(),

@@ -11,20 +11,21 @@
 //! every engine reply, a hash map node per lookup.  Before replies were
 //! values and databases were slots the second half of these runs made
 //! 25 192 allocations in 50 014 events (reactive, 0.50 per event) and
-//! 30 388 in 45 795 (proactive, 0.66); now 8 511 (0.17) and 12 334
-//! (0.27).  The counts are deterministic, so a bound of one in three is
+//! 30 388 in 45 795 (proactive, 0.66); now 8 120 (0.16) and 11 943
+//! (0.26).  The counts are deterministic, so a bound of one in three is
 //! tight enough to catch either coming back.
 //!
 //! The LSM history gets its own two cells and a bar of one in two.  When
 //! a mutation was written three times — a `BTreeMap` entry with a `Vec`
 //! per key, an encoded WAL record, a timeline pair — those halves made
 //! 0.77 (reactive) and 0.92 (proactive) allocations per event; with one
-//! log record per mutation they make 0.24 and 0.34, the B+Tree's figure
-//! plus a run and its bloom filter per flush.  A per-key `Vec`, a
-//! node-allocating map or a second per-mutation buffer coming back
-//! crosses the bar.
+//! log record per mutation they made 0.24 and 0.34 (11 896 and 15 719),
+//! and with no bloom filter built per run 0.23 and 0.33 (11 463 and
+//! 15 286): the B+Tree's figure plus a run per flush and its merges.  A
+//! per-key `Vec`, a node-allocating map or a second per-mutation buffer
+//! coming back crosses the bar.
 
-use prorp_sim::{CompactionMode, ShardDriver, SimConfig, SimPolicy, StorageBackend};
+use prorp_sim::{ShardDriver, SimConfig, SimPolicy, StorageBackend};
 use prorp_types::{PolicyConfig, Timestamp};
 use prorp_workload::{RegionName, RegionProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -62,12 +63,11 @@ static GLOBAL: Counting = Counting;
 const DAY: i64 = 86_400;
 
 /// Heap allocations per loop event over days 4–8 of a 3 000-database,
-/// 8-day, one-shard run (inline compaction, observability off).
+/// 8-day, one-shard run (observability off).
 fn second_half_allocations_per_event(policy: SimPolicy, backend: StorageBackend) -> f64 {
     let (start, mid, end) = (Timestamp(0), Timestamp(4 * DAY), Timestamp(8 * DAY));
     let cfg = SimConfig::builder(policy, start, end, start)
         .storage_backend(backend)
-        .compaction_mode(CompactionMode::Deterministic)
         .build()
         .unwrap();
     let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(3_000, start, end, 7);

@@ -6,12 +6,9 @@
 //! level, each allowed [`LEVEL_FANOUT`]× the entries of the previous —
 //! and an over-full level cascades its run into the next.
 //!
-//! Runs are held behind [`Arc`] so three parties can share them without
-//! copies: the live store's read path, frozen [`super::LsmSnapshot`]s
-//! (which pin the runs they were built over), and the background
-//! compaction worker ([`super::scheduler`]) merging them off the event
-//! loop.  A run replaced by a merge stays alive for exactly as long as
-//! someone still holds a pin.
+//! Runs are held behind [`Arc`] so a cloned store shares them instead
+//! of copying them.  Compaction runs inline, at the flush that fills
+//! L0 or over-fills a level.
 //!
 //! Merges garbage-collect against the store's [`RangeTombstone`] list:
 //! a version covered by a newer tombstone is dropped instead of
@@ -20,8 +17,8 @@
 //! GC is the one deliberate loss of MVCC history: after a merge drops
 //! versions below tombstone seqno `s`, reconstructing a *new* snapshot
 //! at a seqno below `s` is best-effort (the [`Levels::gc_floor`] records
-//! the boundary) — snapshots pinned *before* the merge keep reading the
-//! dropped runs through their own [`Arc`]s and stay exact.
+//! the boundary) — a snapshot taken *before* the merge is its own
+//! materialised view and stays exact.
 //!
 //! The seqno-range discipline falls out of the merge order: every flush
 //! carries strictly newer seqnos than all on-level entries, and merges
@@ -66,8 +63,7 @@ impl CompactionEffort {
 }
 
 /// The immutable-run hierarchy: a size-tiered L0 stack over leveled
-/// single-run levels.  Cloning is cheap (the runs are shared `Arc`s) —
-/// the background scheduler publishes clones as read images.
+/// single-run levels.  Cloning is cheap (the runs are shared `Arc`s).
 #[derive(Clone, Debug, Default)]
 pub struct Levels {
     /// Level-0 runs, newest first.
@@ -78,7 +74,7 @@ pub struct Levels {
     base: usize,
     /// Largest tombstone seqno whose covered versions were dropped by a
     /// merge (0 before any GC).  Snapshots *reconstructed* below this
-    /// seqno are best-effort; snapshots pinned earlier are unaffected.
+    /// seqno are best-effort; snapshots taken earlier are unaffected.
     gc_floor: u64,
 }
 

@@ -7,12 +7,18 @@
 //! kept per key, newest last, so a `seqno`-bounded read picks the newest
 //! version at or below the read point.
 
-use super::run::{Entry, Visible};
+use super::run::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
 /// One stored version: `(seqno, event value, tombstone?)`.
 type Version = (u64, i64, bool);
+
+/// Visibility verdict for a key at a read point: `None` when the table
+/// holds no version at or below the read seqno, `Some(None)` when the
+/// newest visible version is a tombstone, `Some(Some(v))` when it is a
+/// live value.
+type Visible = Option<Option<i64>>;
 
 /// The in-memory write buffer.
 #[derive(Clone, Debug)]

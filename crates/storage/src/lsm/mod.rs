@@ -25,12 +25,10 @@
 //!   into an immutable [`run`] — sized as the 8-KiB slotted pages it
 //!   would fill — and the flush mark moves past it, which is the WAL's
 //!   truncation.  Runs compact size-tiered at level 0 and leveled
-//!   below ([`compaction`]) — inline in
-//!   [`CompactionMode::Deterministic`], or on a shared
-//!   [`CompactionScheduler`] worker in
-//!   [`CompactionMode::Background`], where the event-loop path only
-//!   enqueues ([`scheduler`]).  Every physical byte written is charged
-//!   to a write-amplification ledger ([`LsmMetrics`]).
+//!   below ([`compaction`]), inline at the flush that triggers the
+//!   merge; its wall time is charged to
+//!   [`LsmHistory::compaction_stall_ns`].  Every physical byte written
+//!   is charged to a write-amplification ledger ([`LsmMetrics`]).
 //! * **Trim path**: an Algorithm 3 retention pass records one
 //!   [`RangeTombstone`] — `O(1)` logical work per pass instead of one
 //!   point tombstone per doomed tuple ([`tombstone`]).  Compaction
@@ -44,7 +42,6 @@
 //!   them — resolving per-key visibility (point versions *and* range
 //!   tombstones) at the read seqno.
 
-pub mod bloom;
 pub mod compaction;
 mod log;
 #[cfg(test)]
@@ -67,8 +64,6 @@ use compaction::{CompactionEffort, Levels};
 use log::MutationLog;
 use prorp_types::{EventKind, ProrpError, Seconds, Timestamp};
 use run::{Entry, Run};
-use scheduler::{Published, SchedulerLink, StoreHandle};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,11 +85,9 @@ impl Default for LsmConfig {
 
 /// Cumulative write/compaction accounting for one store.
 ///
-/// Deterministic across compaction modes once a barrier has drained the
-/// background worker — wall-clock figures live outside this struct
-/// ([`LsmHistory::compaction_stall_ns`],
-/// [`LsmHistory::offloaded_compaction_ns`]) precisely so this one can
-/// stay `Eq`-comparable.
+/// Deterministic: the wall-clock figure lives outside this struct
+/// ([`LsmHistory::compaction_stall_ns`]) precisely so this one can stay
+/// `Eq`-comparable.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LsmMetrics {
     /// Logical bytes written: 16 B per insert and 16 B per trimmed
@@ -139,118 +132,12 @@ impl LsmMetrics {
     }
 }
 
-/// Where a store's run hierarchy is maintained.
-#[derive(Debug)]
-enum RunStore {
-    /// Compaction runs inline at each flush (the deterministic mode).
-    Inline(Levels),
-    /// Attached to a [`CompactionScheduler`] and not flushed since: the
-    /// hierarchy is still here and the worker has not heard of the
-    /// store.  The first flush registers it and moves on to
-    /// `Background`; until then there is nothing to wait for.
-    Attached(Arc<SchedulerLink>, Levels),
-    /// Flushes enqueue to a [`CompactionScheduler`] worker; the
-    /// foreground keeps not-yet-applied runs readable in `pending`.
-    Background(BackgroundStore),
-}
-
-/// Foreground state of a background-compacted store.
-#[derive(Debug)]
-struct BackgroundStore {
-    handle: StoreHandle,
-    /// `(flush index, run)` pairs sent but possibly not yet applied by
-    /// the worker, oldest first.  Lazily pruned against the published
-    /// applied count.
-    pending: VecDeque<(u64, Arc<Run>)>,
-    /// Flush messages sent so far.
-    sent: u64,
-}
-
-impl BackgroundStore {
-    /// Drop pending runs the worker has already incorporated.
-    fn prune(&mut self) {
-        let applied = self.handle.read(|p| p.applied);
-        while self.pending.front().is_some_and(|&(idx, _)| idx < applied) {
-            self.pending.pop_front();
-        }
-    }
-
-    /// The pending runs the worker had not incorporated at `applied`,
-    /// oldest first.
-    fn unapplied(&self, applied: u64) -> impl DoubleEndedIterator<Item = &Arc<Run>> {
-        let fresh = self.pending.iter().filter(move |&&(idx, _)| idx >= applied);
-        fresh.map(|(_, run)| run)
-    }
-
-    /// Barrier: wait for the worker, returning the final hierarchy and
-    /// the effort/time to fold into a store's ledgers.  If the
-    /// scheduler died first, the flushes it never applied are replayed
-    /// inline over the last published image.
-    fn settled(&self, trims: &[RangeTombstone]) -> (Levels, CompactionEffort, u64) {
-        let Published {
-            applied,
-            mut levels,
-            mut effort,
-            compaction_ns,
-            dead,
-            ..
-        } = self.handle.wait_applied(self.sent);
-        if dead {
-            for run in self.unapplied(applied) {
-                let extra = levels
-                    .push_flush(Arc::clone(run), trims)
-                    .expect("page encoding of a sorted run cannot fail");
-                effort.absorb(extra);
-            }
-        }
-        (levels, effort, compaction_ns)
-    }
-}
-
-impl RunStore {
-    /// The readable run sources, newest→oldest: unapplied pending runs
-    /// (background mode), then the maintained hierarchy.
-    fn view(&self) -> Vec<Arc<Run>> {
-        match self {
-            RunStore::Inline(levels) | RunStore::Attached(_, levels) => {
-                levels.iter_newest_first().cloned().collect()
-            }
-            RunStore::Background(b) => {
-                let (applied, image) = b.handle.read(|p| (p.applied, p.levels.clone()));
-                b.unapplied(applied)
-                    .rev()
-                    .chain(image.iter_newest_first())
-                    .filter(|run| !run.is_empty())
-                    .cloned()
-                    .collect()
-            }
-        }
-    }
-
-    fn depth(&self) -> usize {
-        match self {
-            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.depth(),
-            RunStore::Background(b) => {
-                let (applied, depth) = b.handle.read(|p| (p.applied, p.levels.depth()));
-                b.unapplied(applied).count() + depth
-            }
-        }
-    }
-
-    fn gc_floor(&self) -> u64 {
-        match self {
-            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.gc_floor(),
-            RunStore::Background(b) => b.handle.read(|p| p.levels.gc_floor()),
-        }
-    }
-}
-
 /// The LSM/MVCC implementation of the history store: the shared
 /// [`LiveView`] inline (every live read is served from it; its version
 /// *is* the latest seqno, so a mutation count and a snapshot seqno are
 /// the same number) over the boxed physical engine — cold on the
 /// read path, and boxed so every per-database arena entry stays small.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct LsmHistory {
     view: LiveView,
     cold: Box<Physical>,
@@ -259,64 +146,27 @@ pub struct LsmHistory {
 /// What only the LSM has: mutation log, runs, tombstones and ledgers.
 /// [`LsmHistory::scan_visible`] re-derives the visible set from this
 /// alone — the independent reference the view is audited against.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Physical {
     config: LsmConfig,
     /// Every mutation, written once: its unflushed tail is the write
     /// buffer (newest versions) and the WAL's coverage, the whole of it
     /// the [`TimeTravel::seqno_as_of`] timeline.
     log: MutationLog,
-    /// The immutable-run hierarchy (older versions) — inline or
-    /// background-maintained.
-    runs: RunStore,
+    /// The immutable-run hierarchy (older versions).
+    runs: Levels,
     /// Range tombstones recorded by Algorithm 3 passes, seqno-ascending.
     trims: Vec<RangeTombstone>,
     /// Write/compaction accounting (deterministic, `Eq`-comparable).
     metrics: LsmMetrics,
-    /// Wall-clock nanoseconds the *mutation path* spent blocked on
-    /// compaction work (volatile; 0 by construction in background mode).
+    /// Wall-clock nanoseconds the mutation path spent compacting
+    /// (volatile).
     stall_ns: u64,
-    /// Wall-clock nanoseconds of compaction performed off the hot path
-    /// by a scheduler worker, folded in at detach (volatile).
-    offloaded_ns: u64,
 }
 
 impl Default for LsmHistory {
     fn default() -> Self {
         LsmHistory::new()
-    }
-}
-
-impl Clone for LsmHistory {
-    /// Cloning a background-compacted store barriers the worker and
-    /// yields a *detached* (inline-mode) clone: two stores sharing one
-    /// scheduler registration would interleave their flush streams.
-    fn clone(&self) -> Self {
-        let (runs, extra_effort, extra_ns) = match &self.cold.runs {
-            RunStore::Inline(levels) | RunStore::Attached(_, levels) => {
-                (RunStore::Inline(levels.clone()), None, 0)
-            }
-            RunStore::Background(b) => {
-                let (levels, effort, ns) = b.settled(&self.cold.trims);
-                (RunStore::Inline(levels), Some(effort), ns)
-            }
-        };
-        let mut metrics = self.cold.metrics;
-        if let Some(effort) = extra_effort {
-            metrics.absorb_effort(effort);
-        }
-        LsmHistory {
-            view: self.view.clone(),
-            cold: Box::new(Physical {
-                config: self.cold.config,
-                log: self.cold.log.clone(),
-                runs,
-                trims: self.cold.trims.clone(),
-                metrics,
-                stall_ns: self.cold.stall_ns,
-                offloaded_ns: self.cold.offloaded_ns + extra_ns,
-            }),
-        }
     }
 }
 
@@ -334,11 +184,10 @@ impl LsmHistory {
             cold: Box::new(Physical {
                 config: LsmConfig { memtable_cap: cap },
                 log: MutationLog::default(),
-                runs: RunStore::Inline(Levels::new(cap * compaction::L0_RUN_LIMIT)),
+                runs: Levels::new(cap * compaction::L0_RUN_LIMIT),
                 trims: Vec::new(),
                 metrics: LsmMetrics::default(),
                 stall_ns: 0,
-                offloaded_ns: 0,
             }),
         }
     }
@@ -348,40 +197,16 @@ impl LsmHistory {
         self.cold.config
     }
 
-    /// Cumulative write/compaction accounting.  In background mode the
-    /// worker's effort so far is folded into the returned copy.
+    /// Cumulative write/compaction accounting.
     pub fn metrics(&self) -> LsmMetrics {
-        let mut m = self.cold.metrics;
-        if let RunStore::Background(b) = &self.cold.runs {
-            m.absorb_effort(b.handle.read(|p| p.effort));
-        }
-        m
+        self.cold.metrics
     }
 
-    /// Wall-clock nanoseconds the mutation path spent blocked on
-    /// compaction work.  Inline mode accumulates every merge here; in
-    /// background mode flushes only enqueue, so this stays 0 — the
+    /// Wall-clock nanoseconds the mutation path spent compacting: every
+    /// merge runs inline at the flush that triggers it — the
     /// `storage_bench` stall metric.
     pub fn compaction_stall_ns(&self) -> u64 {
         self.cold.stall_ns
-    }
-
-    /// Wall-clock nanoseconds of compaction performed off the hot path
-    /// by a scheduler worker (0 in inline mode).
-    pub fn offloaded_compaction_ns(&self) -> u64 {
-        let mut ns = self.cold.offloaded_ns;
-        if let RunStore::Background(b) = &self.cold.runs {
-            ns += b.handle.read(|p| p.compaction_ns);
-        }
-        ns
-    }
-
-    /// Whether this store currently runs in background-compaction mode.
-    pub fn compaction_mode(&self) -> CompactionMode {
-        match self.cold.runs {
-            RunStore::Inline(_) => CompactionMode::Deterministic,
-            RunStore::Attached(..) | RunStore::Background(_) => CompactionMode::Background,
-        }
     }
 
     /// The write-ahead log covering the unflushed mutations, rendered
@@ -390,9 +215,9 @@ impl LsmHistory {
         self.cold.log.wal()
     }
 
-    /// Number of immutable runs readable right now (pending + applied).
+    /// Number of non-empty immutable runs.
     pub fn run_count(&self) -> usize {
-        self.cold.runs.view().len()
+        self.cold.runs.run_count()
     }
 
     /// The range tombstones recorded so far, seqno-ascending.
@@ -402,53 +227,11 @@ impl LsmHistory {
 
     /// Largest tombstone seqno whose covered versions were dropped by a
     /// garbage-collecting merge (0 before any GC).  Snapshots
-    /// *reconstructed* at seqnos below this are best-effort; snapshots
-    /// pinned before the merge stay exact.
+    /// *reconstructed* at seqnos below this are best-effort; a snapshot
+    /// taken before the merge is its own materialised view and stays
+    /// exact.
     pub fn gc_floor(&self) -> u64 {
         self.cold.runs.gc_floor()
-    }
-
-    /// Hand this store's compaction to a scheduler worker: all
-    /// subsequent flushes enqueue instead of compacting inline.  No-op
-    /// if already attached.
-    ///
-    /// Attaching only remembers the scheduler.  The store registers with
-    /// the worker — which then adopts the hierarchy as it stands, and
-    /// the range tombstones recorded so far — at its first flush; a
-    /// store that never flushes costs the worker nothing and
-    /// [`detach_compaction`](Self::detach_compaction) finds nothing to
-    /// wait for.
-    pub fn attach_scheduler(&mut self, sched: &CompactionScheduler) {
-        if let RunStore::Inline(levels) = &mut self.cold.runs {
-            let levels = std::mem::replace(levels, Levels::new(0));
-            self.cold.runs = RunStore::Attached(sched.link(), levels);
-        }
-    }
-
-    /// Barrier: block until every enqueued flush has been compacted.
-    /// No-op in inline mode.  The store stays attached.
-    pub fn compaction_barrier(&mut self) {
-        if let RunStore::Background(b) = &mut self.cold.runs {
-            let _ = b.handle.wait_applied(b.sent);
-            b.prune();
-        }
-    }
-
-    /// Barrier, fold the worker's effort into this store's ledgers, and
-    /// return to inline mode.  Call before collecting final stats (the
-    /// shard drivers do this in `finish()`).  No-op in inline mode.
-    pub fn detach_compaction(&mut self) {
-        let levels = match &mut self.cold.runs {
-            RunStore::Inline(_) => return,
-            RunStore::Attached(_, levels) => std::mem::replace(levels, Levels::new(0)),
-            RunStore::Background(b) => {
-                let (levels, effort, ns) = b.settled(&self.cold.trims);
-                self.cold.metrics.absorb_effort(effort);
-                self.cold.offloaded_ns += ns;
-                levels
-            }
-        };
-        self.cold.runs = RunStore::Inline(levels);
     }
 
     /// Walk visible `(key, value)` pairs with `lo <= key <= hi` at
@@ -461,9 +244,8 @@ impl LsmHistory {
             return; // e.g. an empty range between adjacent keys
         }
         // Sources newest→oldest: the unflushed log tail is one more run.
-        let runs = self.cold.runs.view();
         let tail = self.cold.log.sorted_tail();
-        let runs = runs.iter().map(|run| run.entries());
+        let runs = self.cold.runs.iter_newest_first().map(|run| run.entries());
         let sources: Vec<&[Entry]> = std::iter::once(tail.as_slice()).chain(runs).collect();
         let mut cursors: Vec<usize> = sources
             .iter()
@@ -508,8 +290,8 @@ impl LsmHistory {
     }
 
     /// Flush the log tail into a fresh L0 run and move the flush mark
-    /// past it (the WAL's truncation).  Inline mode compacts here
-    /// (charging the stall ledger); background mode only enqueues.
+    /// past it (the WAL's truncation), compacting the hierarchy inline
+    /// and charging the time to the stall ledger.
     fn flush(&mut self) -> Result<(), ProrpError> {
         if self.cold.log.is_empty() {
             return Ok(());
@@ -517,49 +299,13 @@ impl LsmHistory {
         let (run, bytes) = Run::build(self.cold.log.sorted_tail())?;
         self.cold.metrics.flushed_bytes += bytes;
         self.cold.metrics.flushes += 1;
-        self.push_run(Arc::new(run))?;
+        let t0 = Instant::now();
+        let effort = self.cold.runs.push_flush(Arc::new(run), &self.cold.trims)?;
+        self.cold.stall_ns += t0.elapsed().as_nanos() as u64;
+        self.cold.metrics.absorb_effort(effort);
         // The flushed versions are durable in runs now; the WAL has
         // nothing left to cover.
         self.cold.log.mark_flushed();
-        Ok(())
-    }
-
-    /// Hand a flushed run to wherever the hierarchy is maintained.
-    fn push_run(&mut self, run: Arc<Run>) -> Result<(), ProrpError> {
-        match &mut self.cold.runs {
-            RunStore::Inline(levels) => {
-                let t0 = Instant::now();
-                let effort = levels.push_flush(run, &self.cold.trims)?;
-                self.cold.stall_ns += t0.elapsed().as_nanos() as u64;
-                self.cold.metrics.absorb_effort(effort);
-            }
-            RunStore::Attached(link, levels) => {
-                // The first flush since attaching: now there is something
-                // to compact, so now the worker hears of this store — in
-                // the one message that also brings it the run.
-                let levels = std::mem::replace(levels, Levels::new(0));
-                match link.register(levels, self.cold.trims.clone(), Arc::clone(&run)) {
-                    Ok(handle) => {
-                        self.cold.runs = RunStore::Background(BackgroundStore {
-                            handle,
-                            pending: VecDeque::from([(0, run)]),
-                            sent: 1,
-                        });
-                    }
-                    Err(levels) => {
-                        // The scheduler is gone: compact inline from here on.
-                        self.cold.runs = RunStore::Inline(levels);
-                        return self.push_run(run);
-                    }
-                }
-            }
-            RunStore::Background(b) => {
-                b.prune();
-                b.pending.push_back((b.sent, Arc::clone(&run)));
-                b.handle.send_flush(run);
-                b.sent += 1;
-            }
-        }
         Ok(())
     }
 
@@ -596,10 +342,7 @@ impl LsmHistory {
             })
             .collect();
         let (run, _) = Run::build(entries)?;
-        let RunStore::Inline(levels) = &mut store.cold.runs else {
-            unreachable!("a fresh store is always inline");
-        };
-        levels.install_base(run);
+        store.cold.runs.install_base(run);
         Ok(store)
     }
 }
@@ -624,7 +367,7 @@ impl HistoryRead for LsmHistory {
 
 impl HistoryStore for LsmHistory {
     /// Algorithm 2 — `sys.InsertHistory(@time, @type)`: once the view's
-    /// `IF NOT EXISTS` probe passes (no bloom filters, no run probes),
+    /// `IF NOT EXISTS` probe passes (no run probes),
     /// one log record at the new seqno.
     fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
         if !self.view.insert(ts, kind) {
@@ -661,9 +404,6 @@ impl HistoryStore for LsmHistory {
                 seqno: self.view.version(),
             };
             self.cold.trims.push(tomb);
-            if let RunStore::Background(b) = &self.cold.runs {
-                b.handle.send_trim(tomb);
-            }
             // Logical accounting stays per tuple — the pass logically
             // deletes `deleted` records, so write amplification remains
             // comparable across backends.  Physically only the single
@@ -679,37 +419,15 @@ impl HistoryStore for LsmHistory {
     }
 
     /// Audit the store's structural invariants: run shape and seqno
-    /// discipline (including the pending-run ordering in background
-    /// mode), the view against a from-scratch merged rebuild, and the
-    /// log's monotonicity.
+    /// discipline, the view against a from-scratch merged rebuild, and
+    /// the log's monotonicity.
     fn check_invariants(&self) {
-        match &self.cold.runs {
-            RunStore::Inline(levels) | RunStore::Attached(_, levels) => levels.check_invariants(),
-            RunStore::Background(b) => {
-                let (applied, image) = b.handle.read(|p| (p.applied, p.levels.clone()));
-                image.check_invariants();
-                // Pending (unapplied) runs must sit strictly above the
-                // image's seqno range, ascending by flush order.
-                let mut prev_max = image
-                    .iter_newest_first()
-                    .map(|r| r.max_seqno())
-                    .max()
-                    .unwrap_or(0);
-                for run in b.unapplied(applied).filter(|run| !run.is_empty()) {
-                    assert!(
-                        run.min_seqno() > prev_max,
-                        "pending runs must carry strictly ascending seqno ranges"
-                    );
-                    prev_max = run.max_seqno();
-                }
-            }
-        }
+        self.cold.runs.check_invariants();
         if !self.cold.log.is_empty() {
             let newest_on_runs = self
                 .cold
                 .runs
-                .view()
-                .iter()
+                .iter_newest_first()
                 .map(|r| r.max_seqno())
                 .max()
                 .unwrap_or(0);
@@ -744,31 +462,19 @@ impl TimeTravel for LsmHistory {
 
     fn snapshot(&self, seqno: u64) -> LsmSnapshot {
         let at = seqno.min(self.view.version());
-        let pins = self.cold.runs.view();
-        let mut overlay = self.cold.log.sorted_tail();
-        overlay.retain(|e| e.seqno <= at);
-        let trims: Vec<RangeTombstone> = self
-            .cold
-            .trims
-            .iter()
-            .take_while(|t| t.seqno <= at)
-            .copied()
-            .collect();
-        let view = if at == self.view.version() {
+        if at == self.view.version() {
             // The visible set at the latest seqno *is* the maintained
             // view — no merged scan.
-            self.view.frozen()
-        } else {
-            let mut keys = Vec::new();
-            let mut vals = Vec::new();
-            self.scan_visible(i64::MIN, i64::MAX, at, |k, v| {
-                keys.push(k);
-                vals.push(v);
-                true
-            });
-            LiveView::from_sorted(keys, vals, at)
-        };
-        LsmSnapshot::with_pins(view, pins, overlay, trims)
+            return LsmSnapshot::new(self.view.frozen());
+        }
+        let mut keys = Vec::new();
+        let mut vals = Vec::new();
+        self.scan_visible(i64::MIN, i64::MAX, at, |k, v| {
+            keys.push(k);
+            vals.push(v);
+            true
+        });
+        LsmSnapshot::new(LiveView::from_sorted(keys, vals, at))
     }
 }
 
@@ -962,9 +668,8 @@ mod tests {
         assert!(m.wal_appended_bytes > 0);
         // The WAL only covers the unflushed log tail.
         assert!(h.wal().byte_len() < m.wal_appended_bytes);
-        // Inline mode charges compaction time to the stall ledger.
+        // Compaction time is charged to the stall ledger.
         assert!(h.compaction_stall_ns() > 0);
-        assert_eq!(h.offloaded_compaction_ns(), 0);
     }
 
     #[test]
@@ -1013,10 +718,11 @@ mod tests {
 
     #[test]
     fn background_mode_matches_inline_mode_bit_for_bit() {
+        // What the `Background` selector does to a store: attach it to a
+        // scheduler, and detach it when the shard finishes.
         let sched = CompactionScheduler::new();
-        let mut bg = tiny();
-        bg.attach_scheduler(&sched);
-        assert_eq!(bg.compaction_mode(), CompactionMode::Background);
+        let mut bg = crate::HistoryBackend::Lsm(tiny());
+        bg.attach_compaction(&sched);
         let mut inline = tiny();
         for day in 0..35 {
             for slot in 0..10 {
@@ -1034,11 +740,13 @@ mod tests {
                 inline.delete_old_history(Seconds::days(7), now)
             );
         }
-        // Background mode never compacted on the mutation path.
-        assert_eq!(bg.compaction_stall_ns(), 0);
         bg.detach_compaction();
-        assert_eq!(bg.compaction_mode(), CompactionMode::Deterministic);
-        assert!(bg.offloaded_compaction_ns() > 0);
+        let crate::HistoryBackend::Lsm(bg) = bg else {
+            unreachable!("built on the LSM backend");
+        };
+        // Both compacted on the mutation path.
+        assert!(bg.compaction_stall_ns() > 0);
+        assert!(inline.compaction_stall_ns() > 0);
         // Observable state and the physical ledgers agree exactly.
         assert_eq!(bg.events(), inline.events());
         assert_eq!(bg.logins(), inline.logins());
@@ -1049,47 +757,6 @@ mod tests {
         assert_eq!(bg.gc_floor(), inline.gc_floor());
         bg.check_invariants();
         inline.check_invariants();
-    }
-
-    #[test]
-    fn background_reads_are_exact_before_the_barrier() {
-        let sched = CompactionScheduler::new();
-        let mut bg = tiny();
-        bg.attach_scheduler(&sched);
-        let mut model = crate::HistoryTable::new();
-        for ts in 0..200 {
-            bg.insert_history(t(ts * 60), EventKind::Start);
-            model.insert_history(t(ts * 60), EventKind::Start);
-            // No barrier: reads must still see every version through the
-            // pending list + published image.
-            if ts % 37 == 0 {
-                assert_eq!(bg.len(), model.len());
-                assert_eq!(
-                    bg.login_window_stats(t(0), t(ts * 60)),
-                    model.login_window_stats(t(0), t(ts * 60))
-                );
-                bg.check_invariants();
-            }
-        }
-        bg.detach_compaction();
-        assert_eq!(bg.events(), model.events());
-    }
-
-    #[test]
-    fn cloning_a_background_store_detaches_the_clone() {
-        let sched = CompactionScheduler::new();
-        let mut bg = tiny();
-        bg.attach_scheduler(&sched);
-        for ts in 0..100 {
-            bg.insert_history(t(ts * 60), EventKind::Start);
-        }
-        let clone = bg.clone();
-        assert_eq!(clone.compaction_mode(), CompactionMode::Deterministic);
-        assert_eq!(clone.events(), bg.events());
-        bg.detach_compaction();
-        assert_eq!(clone.metrics(), bg.metrics());
-        assert_eq!(clone.run_count(), bg.run_count());
-        clone.check_invariants();
     }
 
     #[test]

@@ -7,18 +7,12 @@
 //! and that size is charged to the write-amplification ledger; debug
 //! builds serialise the entries through the page codec and back to hold
 //! the figure, and the packing, to the format.  The entries stay
-//! resident (the run's "page cache"); a bloom filter short-circuits
-//! point lookups.
+//! resident (the run's "page cache"); nothing probes a run by key — the
+//! live view answers point reads, and merges and the merged scan walk
+//! whole runs.
 
-use super::bloom::Bloom;
 use crate::page::{self, Record};
 use prorp_types::ProrpError;
-
-/// Visibility verdict for a key at a read point: `None` when the source
-/// holds no version at or below the read seqno, `Some(None)` when the
-/// newest visible version is a tombstone, `Some(Some(v))` when it is a
-/// live value.
-pub type Visible = Option<Option<i64>>;
 
 /// How many low bits of the packed page value carry flags: bit 0 is the
 /// event type, bit 1 the tombstone marker; the seqno lives above them.
@@ -64,7 +58,7 @@ impl Entry {
 }
 
 /// Whether `entries` are strictly `(key, seqno)`-ascending — the order
-/// every run, and every overlay read beside runs, is kept in.
+/// every run is kept in.
 pub(crate) fn strictly_sorted(entries: &[Entry]) -> bool {
     entries
         .windows(2)
@@ -80,8 +74,6 @@ pub struct Run {
     min_seqno: u64,
     /// Largest seqno in the run.
     max_seqno: u64,
-    /// Bloom filter over the key set.
-    bloom: Bloom,
     /// Physical size when serialised to 8-KiB slotted pages.
     page_bytes: usize,
 }
@@ -93,7 +85,6 @@ impl Default for Run {
             entries: Vec::new(),
             min_seqno: u64::MAX,
             max_seqno: 0,
-            bloom: Bloom::build(0, []),
             page_bytes: 0,
         }
     }
@@ -138,7 +129,6 @@ impl Run {
             let decoded: Vec<Entry> = decoded.into_iter().map(Entry::from_record).collect();
             assert_eq!(decoded, entries, "page round-trip changed the run");
         }
-        let bloom = Bloom::build(entries.len(), entries.iter().map(|e| e.key));
         let (min_seqno, max_seqno) = entries.iter().fold((u64::MAX, 0), |(lo, hi), e| {
             (lo.min(e.seqno), hi.max(e.seqno))
         });
@@ -147,34 +137,10 @@ impl Run {
                 entries,
                 min_seqno,
                 max_seqno,
-                bloom,
                 page_bytes,
             },
             page_bytes,
         ))
-    }
-
-    /// Newest version of `key` at or below `at`, when present: bloom
-    /// probe, then binary search on the sorted entries.
-    pub fn visible(&self, key: i64, at: u64) -> Visible {
-        self.visible_seq(key, at).map(|(_, v)| v)
-    }
-
-    /// Like [`visible`](Run::visible), but also yields the winning
-    /// version's seqno — range-tombstone resolution compares it against
-    /// the newest covering trim.
-    pub fn visible_seq(&self, key: i64, at: u64) -> Option<(u64, Option<i64>)> {
-        if !self.bloom.may_contain(key) {
-            return None;
-        }
-        let lo = self.entries.partition_point(|e| e.key < key);
-        let hi = self.entries[lo..].partition_point(|e| e.key == key && e.seqno <= at) + lo;
-        if hi > lo {
-            let e = &self.entries[hi - 1];
-            Some((e.seqno, (!e.tombstone).then_some(e.value)))
-        } else {
-            None
-        }
     }
 
     /// The `(key, seqno)`-sorted entries.
@@ -206,11 +172,6 @@ impl Run {
     pub fn page_bytes(&self) -> usize {
         self.page_bytes
     }
-
-    /// Bloom-filter size in bytes.
-    pub fn bloom_bytes(&self) -> usize {
-        self.bloom.byte_len()
-    }
 }
 
 #[cfg(test)]
@@ -239,29 +200,19 @@ mod tests {
     }
 
     #[test]
-    fn visible_picks_newest_version_at_or_below() {
+    fn build_records_the_seqno_range_and_page_size() {
         let entries = vec![
             entry(100, 1, 1, false),
             entry(100, 4, 0, true),
             entry(200, 2, 0, false),
         ];
-        let (run, bytes) = Run::build(entries).unwrap();
+        let (run, bytes) = Run::build(entries.clone()).unwrap();
         assert_eq!(bytes, page::PAGE_SIZE);
-        assert_eq!(run.visible(100, 0), None);
-        assert_eq!(run.visible(100, 1), Some(Some(1)));
-        assert_eq!(run.visible(100, 3), Some(Some(1)));
-        assert_eq!(run.visible(100, 4), Some(None));
-        assert_eq!(run.visible(200, 9), Some(Some(0)));
-        assert_eq!(run.visible(150, 9), None);
+        assert_eq!(run.page_bytes(), bytes);
+        assert_eq!(run.entries(), entries.as_slice());
+        assert_eq!((run.min_key(), run.max_key()), (100, 200));
         assert_eq!(run.min_seqno(), 1);
         assert_eq!(run.max_seqno(), 4);
-        assert!(run.bloom_bytes() > 0);
-
-        // A miss answers `None` whether the filter or the binary search
-        // rejects it.
-        let (single, _) = Run::build(vec![entry(10, 1, 1, false)]).unwrap();
-        assert_eq!(single.visible(10, 1), Some(Some(1)));
-        assert_eq!(single.visible(11, 1), None);
     }
 
     #[test]
@@ -269,6 +220,6 @@ mod tests {
         let (run, bytes) = Run::build(Vec::new()).unwrap();
         assert!(run.is_empty());
         assert_eq!(bytes, 0);
-        assert_eq!(run.visible(1, u64::MAX), None);
+        assert_eq!((run.min_seqno(), run.max_seqno()), (u64::MAX, 0));
     }
 }

@@ -24,7 +24,7 @@
 //! testkit's `storage_conformance` differential oracles enforce.
 
 use crate::history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
-use crate::lsm::LsmHistory;
+use crate::lsm::{CompactionScheduler, LsmHistory};
 use crate::view::LiveView;
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
@@ -205,48 +205,20 @@ impl HistoryBackend {
         }
     }
 
-    /// Hand compaction to a scheduler worker (LSM only; the B+Tree
-    /// backend has no compaction and ignores the call).
-    pub fn attach_compaction(&mut self, sched: &crate::lsm::CompactionScheduler) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.attach_scheduler(sched);
-        }
-    }
+    /// A no-op kept for the benchmark (`crates/ledger`) until ROADMAP
+    /// item 2 deletes it: compaction stays inline.
+    pub fn attach_compaction(&mut self, _sched: &CompactionScheduler) {}
 
-    /// Barrier + fold + return to inline compaction (no-op on the
-    /// B+Tree backend or an already-inline LSM store).  Shard drivers
-    /// call this before collecting final stats so figures are
-    /// deterministic across compaction modes.
-    pub fn detach_compaction(&mut self) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.detach_compaction();
-        }
-    }
+    /// A no-op kept for the benchmark (`crates/ledger`) until ROADMAP
+    /// item 2 deletes it: there is no worker to wait for.
+    pub fn detach_compaction(&mut self) {}
 
-    /// Block until every enqueued flush has been compacted, staying
-    /// attached (no-op outside background LSM mode) — the conformance
-    /// suite's explicit barrier point.
-    pub fn compaction_barrier(&mut self) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.compaction_barrier();
-        }
-    }
-
-    /// Wall-clock nanoseconds the mutation path spent blocked on
-    /// compaction work (0 on the B+Tree backend, which has none).
+    /// Wall-clock nanoseconds the mutation path spent compacting (0 on
+    /// the B+Tree backend, which has no compaction).
     pub fn compaction_stall_ns(&self) -> u64 {
         match self {
             HistoryBackend::BTree(_) => 0,
             HistoryBackend::Lsm(store) => store.compaction_stall_ns(),
-        }
-    }
-
-    /// Wall-clock nanoseconds of compaction performed off the hot path
-    /// by a scheduler worker (0 outside background LSM mode).
-    pub fn offloaded_compaction_ns(&self) -> u64 {
-        match self {
-            HistoryBackend::BTree(_) => 0,
-            HistoryBackend::Lsm(store) => store.offloaded_compaction_ns(),
         }
     }
 }
@@ -309,5 +281,42 @@ mod tests {
         assert_eq!(read.len(), 2);
         assert!(!read.is_empty());
         assert_eq!(read.logins(), &[10]);
+    }
+
+    #[test]
+    fn an_attached_lsm_store_compacts_inline() {
+        use crate::lsm::{LsmConfig, LsmHistory};
+        const CAP: usize = 8;
+        let lsm = || HistoryBackend::Lsm(LsmHistory::with_config(LsmConfig { memtable_cap: CAP }));
+        // Logins a minute apart, with a retention pass every fifth insert
+        // so merges have range tombstones to garbage-collect against.
+        let mutate = |h: &mut HistoryBackend| {
+            for i in 0..20 * CAP as i64 {
+                h.insert_history(t(i * 60), EventKind::Start);
+                if (i + 1) % 5 == 0 {
+                    h.delete_old_history(Seconds(150), t(i * 60));
+                }
+            }
+        };
+        let sched = CompactionScheduler::new();
+        let mut attached = lsm();
+        attached.attach_compaction(&sched);
+        mutate(&mut attached);
+        attached.detach_compaction();
+        let mut twin = lsm();
+        mutate(&mut twin);
+
+        let (HistoryBackend::Lsm(a), HistoryBackend::Lsm(b)) = (&attached, &twin) else {
+            unreachable!("both stores were built on the LSM backend");
+        };
+        assert!(a.metrics().flushes > 1, "the cap must have flushed");
+        assert_eq!(a.metrics(), b.metrics());
+        assert_eq!(a.run_count(), b.run_count());
+        assert_eq!(a.gc_floor(), b.gc_floor());
+        assert_eq!(attached.events(), twin.events());
+        // The merges ran on the mutation path, where the stall ledger
+        // sees them.
+        assert!(attached.compaction_stall_ns() > 0);
+        attached.check_invariants();
     }
 }

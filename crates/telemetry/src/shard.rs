@@ -50,12 +50,12 @@ pub struct ShardCounters {
     /// Wall-clock micros spent closing the books in `finish()`
     /// (invariant audits, stats collection, report assembly).  Volatile.
     pub finish_micros: u64,
-    /// Micros the shard's mutation paths spent blocked on inline LSM
-    /// compaction (0 on the B+Tree backend and in background-compaction
-    /// mode).  Volatile.
+    /// Micros the shard's mutation paths spent compacting LSM histories
+    /// (0 on the B+Tree backend).  Volatile.
     pub compaction_stall_micros: u64,
-    /// Micros of LSM compaction performed off the hot path by the
-    /// shard's scheduler worker (0 outside background mode).  Volatile.
+    /// Always 0: compaction runs inline, so none is offloaded.  Kept
+    /// only because the benchmark (`crates/ledger`) reads it; ROADMAP
+    /// item 2 deletes it.
     pub offloaded_compaction_micros: u64,
     /// The most events the loop's run-time queue lane ever held (timers,
     /// workflow stages, ticks, injected activity — not recorded

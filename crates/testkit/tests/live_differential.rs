@@ -27,8 +27,7 @@ use prorp_server::{
     ServerConfig, StateBackend,
 };
 use prorp_sim::{
-    CompactionMode, ObsConfig, SimConfig, SimConfigBuilder, SimPolicy, SimReport, Simulation,
-    StorageBackend,
+    ObsConfig, SimConfig, SimConfigBuilder, SimPolicy, SimReport, Simulation, StorageBackend,
 };
 use prorp_telemetry::{IncidentEntry, IncidentKind};
 use prorp_types::{DatabaseId, DbState, PolicyConfig, RetryPolicy, Seconds, Timestamp};
@@ -182,34 +181,21 @@ fn live_matches_des_at_one_and_eight_shards() {
     }
 }
 
-/// The storage hot-path changes reach service mode too: a live driver
-/// running the LSM backend with the background compaction scheduler
-/// must make decisions bit-identical to the DES running the same
-/// backend with inline (deterministic) compaction.  This is the
-/// end-to-end form of the `CompactionScheduler` determinism argument —
-/// worker threads under the wall-clock-capable driver change nothing
-/// observable.
+/// The storage seam reaches service mode too: a live driver running
+/// the LSM backend must make decisions bit-identical to the DES running
+/// the same backend.
 #[test]
-fn live_lsm_background_matches_des_inline_compaction() {
+fn live_lsm_matches_des() {
     let traces = fleet(909, 12);
     let events = stream_of(&traces);
     for shards in [1usize, 4] {
-        let des_cfg = base_config(SimPolicy::Proactive(PolicyConfig::default()), shards)
+        let cfg = base_config(SimPolicy::Proactive(PolicyConfig::default()), shards)
             .storage_backend(StorageBackend::Lsm)
             .build()
             .expect("config validates");
-        let live_cfg = base_config(SimPolicy::Proactive(PolicyConfig::default()), shards)
-            .storage_backend(StorageBackend::Lsm)
-            .compaction_mode(CompactionMode::Background)
-            .build()
-            .expect("config validates");
-        let des = run_des(&des_cfg, &traces);
-        let live = run_live(&live_cfg, &traces, &events, Seconds::hours(6));
-        assert_live_identical(
-            &des,
-            &live,
-            &format!("lsm inline-DES vs background-live @ {shards} shard(s)"),
-        );
+        let des = run_des(&cfg, &traces);
+        let live = run_live(&cfg, &traces, &events, Seconds::hours(6));
+        assert_live_identical(&des, &live, &format!("lsm @ {shards} shard(s)"));
     }
 }
 

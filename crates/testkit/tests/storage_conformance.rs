@@ -28,8 +28,7 @@ use prorp_obs::span::SpanKind;
 use prorp_obs::{timetravel, trace_jsonl, ObsConfig, PredictOutcome};
 use prorp_sim::{CompactionMode, SimPolicy, SimReport, StorageBackend};
 use prorp_storage::{
-    CompactionScheduler, HistoryRead, HistoryStore, HistoryTable, LsmConfig, LsmHistory,
-    LsmSnapshot, TimeTravel,
+    HistoryRead, HistoryStore, HistoryTable, LsmConfig, LsmHistory, LsmSnapshot, TimeTravel,
 };
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use testkit::oracles::{assert_behaviour_equal, assert_reports_equal, builder, run, DAY};
@@ -138,67 +137,37 @@ proptest! {
     /// Forced-compaction oracle for the range-tombstone path: a
     /// tiny-memtable LSM store (flush every 4 versions, so trims become
     /// range tombstones that real merges then garbage-collect) must stay
-    /// read-identical to the per-tuple-delete B+Tree model in BOTH
-    /// compaction modes, with a worker barrier forced after every trim.
-    /// Snapshots pinned mid-stream must keep resolving their exact
-    /// historical tuples even after compaction has merged or dropped the
-    /// runs they pin.
+    /// read-identical to the per-tuple-delete B+Tree model.  Snapshots
+    /// taken mid-stream must keep reading their exact historical tuples
+    /// after later merges have garbage-collected them from the store.
     #[test]
     fn forced_compaction_preserves_observable_state(
         ops in prop::collection::vec(op(), 1..60),
     ) {
-        let tiny = LsmConfig { memtable_cap: 4 };
-        let sched = CompactionScheduler::new();
         let mut model = HistoryTable::new();
-        let mut inline = LsmHistory::with_config(tiny);
-        let mut bg = LsmHistory::with_config(tiny);
-        bg.attach_scheduler(&sched);
-        // `(snapshot, events the model held at freeze time)` pairs,
-        // pinned eagerly while the runs they read through are live.
-        let mut pins: Vec<(LsmSnapshot, Vec<ActivityEvent>)> = Vec::new();
+        let mut lsm = LsmHistory::with_config(LsmConfig { memtable_cap: 4 });
+        // `(snapshot, events the model held at freeze time)` pairs.
+        let mut frozen: Vec<(LsmSnapshot, Vec<ActivityEvent>)> = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut model, op);
-            apply(&mut inline, op);
-            apply(&mut bg, op);
+            apply(&mut lsm, op);
             if i % 5 == 0 {
-                pins.push((inline.snapshot(inline.version()), model.events()));
-                pins.push((bg.snapshot(bg.version()), model.events()));
-            }
-            if matches!(op, Op::Trim { .. }) {
-                // Let the worker catch up, then the two modes must agree
-                // on every read the engines perform.
-                bg.compaction_barrier();
-                assert_reads_equal(&inline, &bg, &format!("inline vs background after op {i}"));
+                frozen.push((lsm.snapshot(lsm.version()), model.events()));
             }
         }
-        bg.compaction_barrier();
-        assert_reads_equal(&model, &inline, "model vs inline at end");
-        assert_reads_equal(&model, &bg, "model vs background at end");
-        // Physical convergence: background compaction is a pure
-        // relocation of the inline work, so the effort ledgers, the run
-        // layout, and the GC floor all match bit for bit.
-        prop_assert_eq!(inline.metrics(), bg.metrics(), "effort ledgers diverged");
-        prop_assert_eq!(inline.run_count(), bg.run_count());
-        prop_assert_eq!(inline.gc_floor(), bg.gc_floor());
-        prop_assert_eq!(
-            bg.compaction_stall_ns(),
-            0u64,
-            "background mode must keep the mutation path stall-free"
-        );
-        // Pinned snapshots stay exact below the GC floor: every tuple
-        // the model held at freeze time resolves through the pinned run
-        // hierarchy even though the live stores may have dropped it.
-        for (snap, expected) in &pins {
-            prop_assert_eq!(snap.len(), expected.len(), "pinned len at seqno {}", snap.seqno());
+        assert_reads_equal(&model, &lsm, "model vs lsm at end");
+        // Every tuple the model held at freeze time still reads back,
+        // however the store compacted afterwards.
+        for (snap, expected) in &frozen {
+            prop_assert_eq!(snap.len(), expected.len(), "frozen len at seqno {}", snap.seqno());
             for ev in expected {
                 prop_assert_eq!(
-                    snap.resolve(ev.ts.as_secs()),
+                    snap.view().get(ev.ts.as_secs()),
                     Some(i64::from(ev.kind == EventKind::Start)),
-                    "pinned resolve of {} at seqno {}", ev.ts, snap.seqno()
+                    "frozen read of {} at seqno {}", ev.ts, snap.seqno()
                 );
             }
         }
-        bg.detach_compaction();
     }
 }
 
@@ -275,9 +244,11 @@ proptest! {
     }
 }
 
-/// Shard invariance holds on the LSM backend exactly as on the B+Tree,
-/// in both compaction modes: 1, 2, and 8 shards produce bit-identical
-/// reports, including the merged history storage statistics.
+/// Shard invariance holds on the LSM backend exactly as on the B+Tree:
+/// 1, 2, and 8 shards produce bit-identical reports, including the
+/// merged history storage statistics.  Both `CompactionMode` values are
+/// run, which proves the selector the benchmark sets cannot change a
+/// report.
 #[test]
 fn lsm_reports_are_shard_invariant() {
     let (spec, plan) = pinned();
@@ -288,17 +259,15 @@ fn lsm_reports_are_shard_invariant() {
             assert_reports_equal(
                 &single,
                 &sharded,
-                &format!("lsm at {shards} shards ({} compaction)", mode.label()),
+                &format!("lsm at {shards} shards ({mode:?} compaction)"),
             );
         }
     }
 }
 
-/// A whole simulated fleet reports bit-identically whether LSM
-/// compaction runs inline at flush points or on the scheduler's
-/// background worker: the drivers detach every store behind a barrier
-/// before collecting stats, and history statistics are logical
-/// (post-tombstone), so not a single byte of the report may move.
+/// A whole simulated fleet reports bit-identically under either
+/// `CompactionMode`: both compact inline at flush points, so the
+/// selector the benchmark sets may not move a byte of the report.
 #[test]
 fn fleet_reports_are_compaction_mode_independent() {
     let (spec, plan) = pinned();

@@ -61,6 +61,12 @@ guards=(
     span_traces_are_byte_identical_across_backends
     time_travel_reproduces_a_recorded_prediction
 
+    # LSM compaction runs inline, on the mutation path: a store attached
+    # to the (thread-free) `CompactionScheduler` the benchmark still
+    # builds must match a never-attached twin and charge its merges to
+    # the stall ledger.  A compaction worker coming back fails it.
+    an_attached_lsm_store_compacts_inline
+
     # A registered database is a slot: the slot-addressed cluster must
     # stay indistinguishable from the id-keyed `HashMap`/`HashSet` one it
     # replaced (every outcome, home and counter under random place /
@@ -79,9 +85,9 @@ guards=(
     # events (counting global allocator; the counts are deterministic).
     # This is what catches a per-event `Vec` — an engine reply, a sweep
     # result — or a node-allocating map coming back onto the event path.
-    # The same loop over the LSM history (inline compaction) must stay
-    # under one per two events: 0.24 / 0.34 with one log record per
-    # mutation, 0.77 / 0.92 when a mutation also fed a memtable of
+    # The same loop over the LSM history must stay under one per two
+    # events: 0.23 / 0.33 with one log record per mutation and no bloom
+    # filter per run, 0.77 / 0.92 when a mutation also fed a memtable of
     # per-key `Vec`s, an eagerly encoded WAL and a timeline — any of
     # those coming back trips it.
     a_warm_reactive_loop_allocates_less_than_once_per_three_events
@@ -193,22 +199,13 @@ run cargo run --release -q -p prorp-bench --bin scale_bench -- \
 run cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --smoke --json target/obs_smoke.json
 
-# Storage-backend A/B in smoke mode, under BOTH LSM compaction modes:
-# asserts btree ≡ lsm fleet KPIs, checksummed window-scan agreement
-# (B+Tree table ≡ LSM store ≡ snapshot over the shared read layer),
-# flat range-tombstone trim cost, and — in background mode — a
-# stall-free event-loop path (the committed full-scale numbers in
-# results/BENCH_storage.json come from scripts/bless.sh).
+# Storage-backend A/B in smoke mode: asserts btree ≡ lsm fleet KPIs,
+# checksummed window-scan agreement (B+Tree table ≡ LSM store ≡
+# snapshot over the shared read layer) and flat range-tombstone trim
+# cost (the committed full-scale numbers in results/BENCH_storage.json
+# come from scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin storage_bench -- \
-    --smoke --compaction deterministic --json target/storage_smoke.json
-run cargo run --release -q -p prorp-bench --bin storage_bench -- \
-    --smoke --compaction background --json target/storage_smoke_bg.json
-
-# Hand-rolled multi-thread stress of the compaction scheduler: pinned
-# snapshots stay exact while a real worker compacts underneath them,
-# and many stores share one scheduler without cross-talk.
-run cargo test -q -p prorp-storage --features shuttle-compaction \
-    --test shuttle_compaction
+    --smoke --json target/storage_smoke.json
 
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
