@@ -1,15 +1,16 @@
 //! Storage-backend A/B — the PR 7 tentpole measurement.
 //!
 //! Compares the two `HistoryStore` implementations behind the storage
-//! seam — the B+Tree [`HistoryTable`] and the LSM/MVCC [`LsmHistory`] —
-//! on the two axes the redesign trades between, writing the results to
+//! seam — the §5 [`HistoryTable`] (the `btree` backend: its sorted view,
+//! backed up as its page image) and the LSM/MVCC [`LsmHistory`] — on
+//! the two axes the redesign trades between, writing the results to
 //! `results/BENCH_storage.json`:
 //!
 //! * **write amplification** — physical bytes written per logical byte
 //!   under the simulator's steady-state workload (periodic logins plus
 //!   daily Algorithm 3 trims).  The LSM number is *measured* from its
 //!   flush/compaction ledger ([`LsmMetrics`](prorp_storage::LsmMetrics));
-//!   the B+Tree number is measured through the repo's own durability
+//!   the `btree` number is measured through the repo's own durability
 //!   machinery ([`DurableHistory`]), which checkpoints the whole table
 //!   image — the same bytes the `Checkpoint` spans carry — on the same
 //!   cadence as the LSM memtable flush;
@@ -25,18 +26,18 @@
 //! on a real fleet: the same traces and seed must produce bit-identical
 //! KPIs and telemetry with either backend at every shard count — the
 //! backend is a storage decision, not a behaviour decision.  The same
-//! property holds tuple-for-tuple in the scan sweep (the B+Tree table's,
+//! property holds tuple-for-tuple in the scan sweep (the §5 table's,
 //! the LSM store's and the snapshot's window stats are checksummed and
 //! compared).
 //!
 //! A third axis landed with the storage hot-path overhaul:
 //!
 //! * **trim cost** — one timed Algorithm 3 pass per backend as the
-//!   number of expired tuples grows under a fixed retained tail.  The
-//!   B+Tree deletes per tuple (cost grows with the trimmed count); the
-//!   LSM writes a single range tombstone (both drain the shared view,
-//!   whose cost tracks the constant-size retained tail), so its
-//!   per-pass wall time must stay flat as the trimmed count grows.
+//!   number of expired tuples grows under a fixed retained tail.  Both
+//!   drain the shared view, whose cost tracks the constant-size
+//!   retained tail; the `btree` table does nothing else, and the LSM
+//!   also writes a single range tombstone, so its per-pass wall time
+//!   must stay flat as the trimmed count grows.
 //!
 //! And a fourth, at the grain a fleet actually runs at:
 //!
@@ -45,7 +46,7 @@
 //!   across the fleet, each logout followed by the Algorithm 3 pass the
 //!   engines make, so every store is touched cold and few ever flush;
 //!   then every store is dropped.  Nanoseconds per event and per store
-//!   dropped, B+Tree beside LSM — what the single hot store of the
+//!   dropped, `btree` beside LSM — what the single hot store of the
 //!   other axes cannot show.
 //!
 //! Flags:

@@ -110,10 +110,11 @@ impl LifecycleInvariants {
         Ok(())
     }
 
-    /// Validate the history store a run leaves behind: the backend (B-tree
-    /// or LSM, behind the [`HistoryStore`] seam) must satisfy its
-    /// structural invariants and yield strictly ascending timestamps
-    /// (every tuple is keyed by its timestamp).
+    /// Validate the history store a run leaves behind: the backend's
+    /// audit (behind the [`HistoryStore`] seam: the §5 table's view
+    /// against its page image, the LSM's view against its merged runs)
+    /// must pass, and its events must come back in strictly ascending
+    /// timestamp order (every tuple is keyed by its timestamp).
     ///
     /// # Errors
     ///

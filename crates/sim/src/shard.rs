@@ -1123,8 +1123,9 @@ impl ShardDriver {
             #[cfg(feature = "strict-invariants")]
             {
                 // History tuples must come back in strictly ascending
-                // timestamp order from a structurally sound B-tree, and every
-                // closed book must account for exactly the measured window.
+                // timestamp order from a store that passes its own audit,
+                // and every closed book must account for exactly the
+                // measured window.
                 LifecycleInvariants::check_history(id, self.fleet.engines.get(idx).history())?;
                 let measured = self.fleet.accs[idx].grand_total();
                 let expected = cfg.end.since(cfg.measure_from);

@@ -3,27 +3,32 @@
 //! Once a fleet is warm — histories at their trimmed size, the queue's
 //! run-time lane at its working depth, telemetry's buffers grown — a
 //! loop event should mostly touch memory it already owns.  What still
-//! allocates is the history store (a B+Tree leaf split now and then, a
-//! trim's scratch) and the amortised growth of the telemetry log — the
-//! cells run the default `TelemetryMode::Full`, which still logs every
-//! event (a `Summary` shard only counts, and has no log to grow); what
-//! must not come back is an allocation *per event*: a `Vec` built for
-//! every engine reply, a hash map node per lookup.  Before replies were
-//! values and databases were slots the second half of these runs made
-//! 25 192 allocations in 50 014 events (reactive, 0.50 per event) and
-//! 30 388 in 45 795 (proactive, 0.66); now 8 120 (0.16) and 11 943
-//! (0.26).  The counts are deterministic, so a bound of one in three is
-//! tight enough to catch either coming back.
+//! allocates is the history store (a view column growing now and then)
+//! and the amortised growth of the telemetry log — the cells run the
+//! default `TelemetryMode::Full`, which still logs every event (a
+//! `Summary` shard only counts, and has no log to grow); what must not
+//! come back is an allocation *per event*: a `Vec` built for every
+//! engine reply, a hash map node per lookup.  Before replies were values
+//! and databases were slots the second half of these runs made 25 192
+//! allocations in 50 014 events (reactive, 0.50 per event) and 30 388 in
+//! 45 795 (proactive, 0.66).  The counts are deterministic, so a bound
+//! of one in three is tight enough to catch either coming back.
+//!
+//! The default (`StorageBackend::BTree`) table is its sorted view and
+//! nothing else, and makes 0.11 (reactive) and 0.20 (proactive)
+//! allocations per event.  While it also wrote every row into a
+//! per-database B+Tree (leaf splits, a trim's temporary key list) it made
+//! 0.16 and 0.26, so the two tighter cells below (< 0.13, < 0.23) fail
+//! by name when a second per-row structure comes back.
 //!
 //! The LSM history gets its own two cells and a bar of one in two.  When
 //! a mutation was written three times — a `BTreeMap` entry with a `Vec`
 //! per key, an encoded WAL record, a timeline pair — those halves made
 //! 0.77 (reactive) and 0.92 (proactive) allocations per event; with one
-//! log record per mutation they made 0.24 and 0.34 (11 896 and 15 719),
-//! and with no bloom filter built per run 0.23 and 0.33 (11 463 and
-//! 15 286): the B+Tree's figure plus a run per flush and its merges.  A
-//! per-key `Vec`, a node-allocating map or a second per-mutation buffer
-//! coming back crosses the bar.
+//! log record per mutation and no bloom filter built per run they make
+//! 0.17 and 0.27: the view's figure plus a run per flush and its merges.
+//! A per-key `Vec`, a node-allocating map or a second per-mutation
+//! buffer coming back crosses the bar.
 
 use prorp_sim::{ShardDriver, SimConfig, SimPolicy, StorageBackend};
 use prorp_types::{PolicyConfig, Timestamp};
@@ -102,6 +107,19 @@ fn a_warm_proactive_loop_allocates_less_than_once_per_three_events() {
         per_event < 1.0 / 3.0,
         "{per_event:.3} allocations per event"
     );
+}
+
+#[test]
+fn a_warm_reactive_loop_writes_each_history_row_once() {
+    let per_event = second_half_allocations_per_event(SimPolicy::Reactive, StorageBackend::BTree);
+    assert!(per_event < 0.13, "{per_event:.3} allocations per event");
+}
+
+#[test]
+fn a_warm_proactive_loop_writes_each_history_row_once() {
+    let policy = SimPolicy::Proactive(PolicyConfig::default());
+    let per_event = second_half_allocations_per_event(policy, StorageBackend::BTree);
+    assert!(per_event < 0.23, "{per_event:.3} allocations per event");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! An order-configurable B+Tree over `i64` keys.
 //!
 //! The history table's clustered index (§5) is a B-tree on the
-//! `time_snapshot` column; this module supplies it.  All values live in the
+//! `time_snapshot` column; this module supplies it to `prorp-sqlmini`,
+//! whose tables store their rows in it.  All values live in the
 //! leaves (B+Tree layout), internal nodes hold only separator keys, so a
 //! range scan touches `O(log n + m)` entries — the asymptotics the paper's
 //! complexity analysis (§5, §6) relies on.
@@ -152,103 +153,6 @@ impl<V> BTree<V> {
                     node = &mut children[idx];
                 }
             }
-        }
-    }
-
-    /// Build a tree from strictly-ascending `(key, value)` pairs in one
-    /// bottom-up pass: `O(n)` instead of `O(n log n)` repeated inserts.
-    /// Used by the backup-restore path, where records arrive sorted from
-    /// the page stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProrpError::Storage`] if the keys are not strictly
-    /// ascending.
-    pub fn bulk_load(pairs: Vec<(i64, V)>) -> Result<Self, ProrpError> {
-        Self::bulk_load_with_order(pairs, DEFAULT_ORDER)
-    }
-
-    /// [`bulk_load`](Self::bulk_load) with an explicit node order.
-    pub fn bulk_load_with_order(pairs: Vec<(i64, V)>, order: usize) -> Result<Self, ProrpError> {
-        assert!(order >= 4, "B+Tree order must be at least 4, got {order}");
-        for w in pairs.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err(ProrpError::Storage(format!(
-                    "bulk load requires strictly ascending keys: {} then {}",
-                    w[0].0, w[1].0
-                )));
-            }
-        }
-        let len = pairs.len();
-        if len == 0 {
-            return Ok(Self::with_order(order));
-        }
-        if len <= order {
-            return Ok(BTree {
-                root: Node::Leaf { entries: pairs },
-                len,
-                order,
-            });
-        }
-        // Fill leaves to ~3/4 of the order so post-load inserts do not
-        // immediately split every node.
-        let fill = (order * 3 / 4).max(2);
-        let mut pairs = pairs;
-        let mut leaves: Vec<Node<V>> = Vec::with_capacity(len / fill + 1);
-        while !pairs.is_empty() {
-            let take = fill.min(pairs.len());
-            let rest = pairs.split_off(take);
-            leaves.push(Node::Leaf { entries: pairs });
-            pairs = rest;
-        }
-        // Stack levels of internal nodes until one root remains.
-        let mut level = leaves;
-        while level.len() > 1 {
-            let mut next: Vec<Node<V>> = Vec::with_capacity(level.len() / fill + 1);
-            let mut iter = level.into_iter().peekable();
-            while iter.peek().is_some() {
-                let mut children: Vec<Node<V>> = Vec::with_capacity(fill);
-                for _ in 0..fill {
-                    match iter.next() {
-                        Some(c) => children.push(c),
-                        None => break,
-                    }
-                }
-                // A trailing singleton child cannot form a valid internal
-                // node; merge it into the previous group.
-                if children.len() == 1 {
-                    if let Some(Node::Internal {
-                        keys: prev_keys,
-                        children: prev_children,
-                    }) = next.last_mut()
-                    {
-                        let child = children.pop().expect("len checked");
-                        prev_keys.push(Self::min_key_of(&child));
-                        prev_children.push(child);
-                        continue;
-                    }
-                    // Only group at this level: it becomes the root child.
-                    next.push(children.pop().expect("len checked"));
-                    continue;
-                }
-                let keys: Vec<i64> = children[1..].iter().map(Self::min_key_of).collect();
-                next.push(Node::Internal { keys, children });
-            }
-            level = next;
-        }
-        let root = level.pop().expect("non-empty input yields a root");
-        let tree = BTree { root, len, order };
-        debug_assert!({
-            tree.check_invariants();
-            true
-        });
-        Ok(tree)
-    }
-
-    fn min_key_of(node: &Node<V>) -> i64 {
-        match node {
-            Node::Leaf { entries } => entries[0].0,
-            Node::Internal { children, .. } => Self::min_key_of(&children[0]),
         }
     }
 
@@ -410,26 +314,7 @@ impl<V> BTree<V> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Collect the keys strictly inside `(lo, hi)` — the exclusive range
-    /// Algorithm 3 deletes.
-    pub fn keys_in_exclusive_range(&self, lo: i64, hi: i64) -> Vec<i64> {
-        self.range(Bound::Excluded(lo), Bound::Excluded(hi))
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    /// Delete every key strictly inside `(lo, hi)`; returns how many were
-    /// removed.  `O(m log n)`.
-    pub fn delete_exclusive_range(&mut self, lo: i64, hi: i64) -> usize {
-        let keys = self.keys_in_exclusive_range(lo, hi);
-        for k in &keys {
-            self.remove(*k);
-        }
-        keys.len()
-    }
-
-    /// Depth of the tree (1 for a lone leaf) — used by tests and the
-    /// overhead bench.
+    /// Depth of the tree (1 for a lone leaf).
     pub fn depth(&self) -> usize {
         let mut d = 1;
         let mut node = &self.root;
@@ -689,19 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_exclusive_range_keeps_bounds() {
-        let mut t = tree_of(0..50);
-        let removed = t.delete_exclusive_range(10, 20);
-        assert_eq!(removed, 9); // 11..=19
-        assert!(t.contains_key(10));
-        assert!(t.contains_key(20));
-        for k in 11..20 {
-            assert!(!t.contains_key(k), "key {k} should be gone");
-        }
-        t.check_invariants();
-    }
-
-    #[test]
     fn interleaved_inserts_and_removes_stay_consistent() {
         let mut t = BTree::with_order(4);
         let mut model = std::collections::BTreeMap::new();
@@ -737,40 +609,5 @@ mod tests {
     #[should_panic(expected = "order must be at least 4")]
     fn tiny_order_panics() {
         let _ = BTree::<i64>::with_order(2);
-    }
-
-    #[test]
-    fn bulk_load_equals_incremental_insert() {
-        for n in [0usize, 1, 3, 5, 64, 65, 256, 1_000] {
-            let pairs: Vec<(i64, i64)> = (0..n as i64).map(|k| (k * 3, k)).collect();
-            let bulk = BTree::bulk_load_with_order(pairs.clone(), 8).unwrap();
-            bulk.check_invariants();
-            let mut incremental = BTree::with_order(8);
-            for (k, v) in &pairs {
-                incremental.insert(*k, *v).unwrap();
-            }
-            let a: Vec<_> = bulk.iter().map(|(k, v)| (k, *v)).collect();
-            let b: Vec<_> = incremental.iter().map(|(k, v)| (k, *v)).collect();
-            assert_eq!(a, b, "n = {n}");
-            assert_eq!(bulk.len(), n);
-        }
-    }
-
-    #[test]
-    fn bulk_load_rejects_unsorted_keys() {
-        assert!(BTree::bulk_load(vec![(2, ()), (1, ())]).is_err());
-        assert!(BTree::bulk_load(vec![(1, ()), (1, ())]).is_err());
-    }
-
-    #[test]
-    fn bulk_loaded_tree_accepts_further_inserts() {
-        let pairs: Vec<(i64, i64)> = (0..500).map(|k| (k * 2, k)).collect();
-        let mut t = BTree::bulk_load(pairs).unwrap();
-        for k in 0..500 {
-            t.insert(k * 2 + 1, -k).unwrap();
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 1_000);
-        assert_eq!(t.get(7), Some(&-3));
     }
 }

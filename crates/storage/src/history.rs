@@ -10,11 +10,14 @@
 //!   lifespan remains computable, and report whether the database is "old"
 //!   (existed for at least `h`).
 //!
-//! Both procedures' decisions, and the prediction procedure's range
-//! aggregation (Algorithm 4 lines 19–24: `MIN`/`MAX` of login timestamps
-//! within a window, [`HistoryRead::login_window_stats`]), are made by the
-//! [`LiveView`] the table holds; the table applies each mutation to the
-//! clustered B+Tree in lockstep.
+//! The table is its [`LiveView`]: the sorted tuple columns every
+//! procedure's decision and every read (Algorithm 4 lines 19–24:
+//! `MIN`/`MAX` of login timestamps within a window,
+//! [`HistoryRead::login_window_stats`]) is made from, kept in clustered
+//! key order, and written once per mutation.  Its physical form is the
+//! 8-KiB page image a backup serialises it to; the clustered B-tree of §5
+//! stays executable in `prorp-sqlmini`, which `tests/sql_vs_native.rs`
+//! holds equal to this table row for row.
 //!
 //! # Prediction-index support
 //!
@@ -24,7 +27,7 @@
 //! [`HistoryStore::configure_slot_index`] and kept current by one binary
 //! search per login insert and one pass per deleting trim.
 
-use crate::btree::BTree;
+use crate::backup::{backup_history, restore_history};
 use crate::page::Record;
 use crate::store::{HistoryRead, HistoryStore};
 use crate::view::LiveView;
@@ -118,19 +121,17 @@ pub struct StorageStats {
     pub page_bytes: usize,
     /// Number of pages the table serialises to.
     pub pages: usize,
-    /// Depth of the clustered index.
-    pub index_depth: usize,
 }
 
-/// The `sys.pause_resume_history` table of one database: the shared
-/// [`LiveView`] every read is served from, over the §5 clustered B+Tree
-/// — the physical index (Figure 10 depth source) and the independent
-/// reference [`check_invariants`](HistoryStore::check_invariants)
-/// audits the view against.
+/// The `sys.pause_resume_history` table of one database: the
+/// [`LiveView`] every read is served from and every mutation is written
+/// to, once.  Its physical form is the page image
+/// [`backup_history`] encodes, which
+/// [`check_invariants`](HistoryStore::check_invariants) audits the view
+/// against.
 #[derive(Clone, Debug, Default)]
 pub struct HistoryTable {
     view: LiveView,
-    index: BTree<i64>,
 }
 
 impl HistoryTable {
@@ -139,13 +140,10 @@ impl HistoryTable {
         HistoryTable::default()
     }
 
-    /// Rebuild from page records (backup restore path).  Backup streams
-    /// are written in key order, so the clustered index is bulk-loaded in
-    /// one `O(n)` bottom-up pass.
+    /// Rebuild from page records (backup restore path).
     pub(crate) fn from_records(records: &[Record]) -> Result<Self, prorp_types::ProrpError> {
         Ok(HistoryTable {
             view: LiveView::from_records(records)?,
-            index: BTree::bulk_load(records.iter().map(|r| (r.key, r.value)).collect())?,
         })
     }
 }
@@ -154,50 +152,35 @@ impl HistoryRead for HistoryTable {
     fn view(&self) -> &LiveView {
         &self.view
     }
-
-    /// Storage-overhead statistics (Figure 10a–b); `index_depth` is the
-    /// clustered index's.
-    fn stats(&self) -> StorageStats {
-        self.view.stats(self.index.depth())
-    }
 }
 
 impl HistoryStore for HistoryTable {
-    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`: `O(log n)` into
-    /// the clustered index once the view's `IF NOT EXISTS` probe passes.
+    /// Algorithm 2 — `sys.InsertHistory(@time, @type)`.
     fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-        if !self.view.insert(ts, kind) {
-            return false;
-        }
-        self.index
-            .insert(ts.as_secs(), i64::from(kind.as_i32()))
-            .expect("the view holds every indexed key; insert cannot collide");
-        true
+        self.view.insert(ts, kind)
     }
 
-    /// Algorithm 3 — `sys.DeleteOldHistory(@h, @now, @old OUTPUT)`: the
-    /// view computes the doomed range, the index walks it.
+    /// Algorithm 3 — `sys.DeleteOldHistory(@h, @now, @old OUTPUT)`.
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-        let (outcome, doomed) = self.view.trim(h, now);
-        if let Some((min_ts, history_start)) = doomed {
-            let removed = self.index.delete_exclusive_range(min_ts, history_start);
-            debug_assert_eq!(removed, outcome.deleted, "index and view trims diverged");
-        }
-        outcome
+        self.view.trim(h, now).0
     }
 
     fn configure_slot_index(&mut self, period: Seconds, _slot_len: Seconds) {
         self.view.configure_clock_index(period);
     }
 
-    /// Verify the clustered index's B-tree properties (key ordering, node
-    /// occupancy, depth balance) and that the view is exactly what the
-    /// index materialises to.
+    /// Round-trip the view through its checksummed 8-KiB page image
+    /// (encode, decode, strictly-ascending restore) and audit the view
+    /// against what comes back: columns, login cache and clock index.
     fn check_invariants(&self) {
-        self.index.check_invariants();
+        let stream = backup_history(self).expect("a sorted view always encodes");
+        let image = restore_history(&stream).expect("a fresh page image always restores");
         self.view.audit(
-            self.index.iter().map(|(k, v)| (k, *v)),
-            "the clustered index",
+            image
+                .events()
+                .into_iter()
+                .map(|e| (e.ts.as_secs(), i64::from(e.kind.as_i32()))),
+            "the page image",
         );
     }
 }
@@ -378,9 +361,12 @@ mod tests {
             h.insert_history(t(d * 86_400 + 200), EventKind::End);
         }
         let records: Vec<Record> = h
-            .index
+            .events()
             .iter()
-            .map(|(k, v)| Record { key: k, value: *v })
+            .map(|e| Record {
+                key: e.ts.as_secs(),
+                value: i64::from(e.kind.as_i32()),
+            })
             .collect();
         let restored = HistoryTable::from_records(&records).unwrap();
         assert_eq!(restored.logins(), h.logins());
@@ -406,6 +392,5 @@ mod tests {
         assert_eq!(s.logical_bytes, 8_000);
         assert_eq!(s.pages, 2);
         assert_eq!(s.page_bytes, 2 * page::PAGE_SIZE);
-        assert!(s.index_depth >= 1);
     }
 }

@@ -8,15 +8,16 @@
 //!
 //! * [`btree`] — an order-configurable B+Tree over `i64` keys giving the
 //!   `O(log n)` point operations and `O(log n + m)` range operations the
-//!   paper's complexity analysis assumes;
-//! * [`page`] — slotted 8-KiB pages (over [`bytes`]) used to serialise the
-//!   tree for backups and to account history size in bytes (Figure 10b);
+//!   paper's complexity analysis assumes; `prorp-sqlmini`'s clustered
+//!   tables, the executable §5 specification, store their rows in it;
+//! * [`page`] — slotted 8-KiB pages (over [`bytes`]) used to serialise a
+//!   history for backups and to account its size in bytes (Figure 10b);
 //! * [`view`] — the one live-read layer: the visible tuple set with the
 //!   exact semantics of Algorithm 2 (`InsertHistory`) and Algorithm 3
 //!   (`DeleteOldHistory`), including the paper's "keep the oldest tuple to
 //!   determine lifespan" rule, and every read Algorithm 4 performs;
-//! * [`history`] — the `sys.pause_resume_history` table: that view kept
-//!   in lockstep with the clustered B+Tree;
+//! * [`history`] — the `sys.pause_resume_history` table: that view,
+//!   written once per mutation and backed up as its page image;
 //! * [`metadata`] — the `sys.databases` metadata store with a secondary
 //!   index on `start_of_pred_activity` so the Algorithm 5 scan is a range
 //!   lookup rather than a full scan;
@@ -35,15 +36,15 @@
 //! and [`HistoryStore`] (the Algorithm 2/3 mutation surface), with
 //! [`HistoryBackend`] as the enum-dispatch wrapper engines hold and
 //! [`StorageBackend`] as the fleet-wide knob.  Two engines implement
-//! the seam: the B+Tree [`HistoryTable`] (default) and the [`lsm`]
+//! the seam: the §5 [`HistoryTable`] (default) and the [`lsm`]
 //! module's [`LsmHistory`] — an LSM/MVCC tree whose monotonic seqnos
 //! power [`snapshot`](lsm::LsmHistory::snapshot) frozen views and the
 //! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
 //! Both hold one [`LiveView`], so what the visible set *is* and how it
-//! is read exist once; the engines differ only in the physical state
-//! beneath (paged B+Tree; mutation log + runs + range tombstones),
-//! each of which independently re-derives the visible set for the
-//! `check_invariants` audit.
+//! is read exist once.  The table is that view and nothing else, and
+//! its `check_invariants` audits it against its own page image; the LSM
+//! keeps a mutation log, runs and range tombstones beneath it, from
+//! which its audit re-derives the visible set independently.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,11 @@
 //! The LSM/MVCC history engine — `sys.pause_resume_history` on a
 //! log-structured merge tree with snapshot time-travel.
 //!
-//! [`LsmHistory`] is a drop-in alternative to the B+Tree-backed
+//! [`LsmHistory`] is a drop-in alternative to the §5
 //! [`crate::HistoryTable`]: the Algorithm 2/3 decisions, the window
 //! aggregates and the mutation version all come from the one
 //! [`LiveView`] both hold, and the testkit's `btree ≡ lsm` differential
-//! oracles hold the physical engines beneath to bit-identical
+//! oracles hold the LSM's physical engine beneath to bit-identical
 //! observable behaviour.  What the LSM shape buys on top:
 //!
 //! * **MVCC versions + monotonic seqnos** — every mutation (insert or
@@ -36,7 +36,7 @@
 //!   when one tombstone covers a run's entire key range.
 //! * **Read path**: every live read is served by the shared
 //!   [`LiveView`] the store holds — the same layer, the same code, as
-//!   the B+Tree backend — so live predictions never pay a multi-run
+//!   the §5 table — so live predictions never pay a multi-run
 //!   merge.  Only snapshot reconstruction and the invariant audit
 //!   k-way-merge the runs — the sorted log tail being the newest of
 //!   them — resolving per-key visibility (point versions *and* range
@@ -55,7 +55,7 @@ pub use scheduler::{CompactionMode, CompactionScheduler};
 pub use snapshot::{LsmSnapshot, TimeTravel};
 pub use tombstone::RangeTombstone;
 
-use crate::history::{DeleteOutcome, StorageStats};
+use crate::history::DeleteOutcome;
 use crate::page::{self, Record};
 use crate::store::{HistoryRead, HistoryStore};
 use crate::view::LiveView;
@@ -350,18 +350,6 @@ impl LsmHistory {
 impl HistoryRead for LsmHistory {
     fn view(&self) -> &LiveView {
         &self.view
-    }
-
-    /// Storage-overhead statistics.  The figures are the view's *logical*
-    /// (post-tombstone) ones — identical to the B+Tree backend's for the
-    /// same visible set, so `prorp-trace summary` and the invariant audit
-    /// agree across backends.  Physical LSM shape (runs, write
-    /// amplification, GC counters) lives in [`metrics`](Self::metrics)
-    /// and [`run_count`](Self::run_count); `index_depth` reports the
-    /// merged scan's source count (log tail + occupied levels).
-    fn stats(&self) -> StorageStats {
-        self.view
-            .stats(usize::from(!self.cold.log.is_empty()) + self.cold.runs.depth())
     }
 }
 

@@ -11,7 +11,6 @@
 //! so later flushes, merges and garbage collection in the live store
 //! cannot change what it reads.
 
-use crate::history::StorageStats;
 use crate::store::HistoryRead;
 use crate::view::LiveView;
 use prorp_types::Timestamp;
@@ -45,10 +44,6 @@ impl LsmSnapshot {
 impl HistoryRead for LsmSnapshot {
     fn view(&self) -> &LiveView {
         &self.view
-    }
-
-    fn stats(&self) -> StorageStats {
-        self.view.stats(0)
     }
 }
 

@@ -10,12 +10,13 @@
 //! [`LiveView`] owns every decision that depends only on the visible
 //! set: Algorithm 2's `IF NOT EXISTS` probe, Algorithm 3's range
 //! computation (`min_ts`, `history_start`, doomed range, `old`/`deleted`),
-//! login-cache and clock-index maintenance, every read, the logical
+//! login-cache and clock-index maintenance, every read, the
 //! [`StorageStats`] and the restore-from-records build.  The engines
 //! ([`crate::HistoryTable`], [`crate::LsmHistory`],
-//! [`crate::LsmSnapshot`]) each hold one and keep only their physical
-//! state; each engine's `check_invariants` re-derives the visible set
-//! from that physical state and audits the view against it.
+//! [`crate::LsmSnapshot`]) each hold one.  [`crate::HistoryTable`] is
+//! nothing else, and its `check_invariants` audits the view against its
+//! own page image; the LSM keeps its log, runs and tombstones beside it
+//! and audits the view against the visible set it re-derives from them.
 
 use crate::history::{ClockIndex, DeleteOutcome, StorageStats};
 use crate::page::{self, Record};
@@ -251,10 +252,9 @@ impl LiveView {
             .collect()
     }
 
-    /// Logical storage-overhead figures (Figure 10a–b) for the visible
-    /// set — tuples × 16 B and the 8-KiB pages they would occupy — with
-    /// the engine-specific `index_depth` filled in by the caller.
-    pub fn stats(&self, index_depth: usize) -> StorageStats {
+    /// Storage-overhead figures (Figure 10a–b) for the visible set —
+    /// tuples × 16 B and the 8-KiB pages they occupy.
+    pub fn stats(&self) -> StorageStats {
         let tuples = self.keys.len();
         let pages = page::pages_for(tuples);
         StorageStats {
@@ -262,7 +262,6 @@ impl LiveView {
             logical_bytes: tuples * page::RECORD_SIZE,
             page_bytes: pages * page::PAGE_SIZE,
             pages,
-            index_depth,
         }
     }
 

@@ -1,7 +1,7 @@
 //! Storage-backend conformance: behind the `HistoryStore` seam, the
 //! LSM/MVCC engine must be observationally indistinguishable from the
-//! B+Tree — on a single store, across a whole simulated fleet, and in
-//! the recorded observability stream.
+//! §5 table (`StorageBackend::BTree`) — on a single store, across a
+//! whole simulated fleet, and in the recorded observability stream.
 //!
 //! Four layers:
 //!
@@ -137,7 +137,8 @@ proptest! {
     /// Forced-compaction oracle for the range-tombstone path: a
     /// tiny-memtable LSM store (flush every 4 versions, so trims become
     /// range tombstones that real merges then garbage-collect) must stay
-    /// read-identical to the per-tuple-delete B+Tree model.  Snapshots
+    /// read-identical to the §5 table model, whose trim is a drain of
+    /// its sorted view.  Snapshots
     /// taken mid-stream must keep reading their exact historical tuples
     /// after later merges have garbage-collected them from the store.
     #[test]

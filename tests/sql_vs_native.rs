@@ -2,17 +2,55 @@
 //! `prorp-sqlmini` (the executable specification transliterated from the
 //! paper's listings) must agree exactly with the native fast paths in
 //! `prorp-storage` / `prorp-forecast` that the policy engines run.
+//!
+//! The sqlmini table stores its rows in the clustered B+Tree of §5; the
+//! native table is a sorted view.  `insert_history_agrees` and
+//! `delete_old_history_agrees` hold the two equal row for row after
+//! every insert and every trim, which makes this file the oracle for
+//! the §5 B-tree.
 
 use proptest::prelude::*;
 use prorp_forecast::ProbabilisticPredictor;
-use prorp_sqlmini::{HistoryDb, PredictArgs};
+use prorp_sqlmini::{HistoryDb, Params, PredictArgs};
 use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 
 const DAY: i64 = 86_400;
 const HOUR: i64 = 3_600;
 
-/// Build both representations from the same event list.
+/// The sqlmini table's `(time_snapshot, event_type)` rows in key order.
+fn sql_rows(sql: &mut HistoryDb) -> Vec<(i64, i64)> {
+    sql.database_mut()
+        .run(
+            "SELECT time_snapshot, event_type FROM sys.pause_resume_history
+             ORDER BY time_snapshot ASC",
+            &Params::new(),
+        )
+        .expect("sql select")
+        .result
+        .expect("SELECT returns rows")
+        .rows
+        .iter()
+        .map(|row| {
+            (
+                row[0].expect("NOT NULL key"),
+                row[1].expect("NOT NULL type"),
+            )
+        })
+        .collect()
+}
+
+/// The native table's events as `(time_snapshot, event_type)` rows.
+fn native_rows(native: &HistoryTable) -> Vec<(i64, i64)> {
+    native
+        .events()
+        .iter()
+        .map(|e| (e.ts.as_secs(), i64::from(e.kind.as_i32())))
+        .collect()
+}
+
+/// Build both representations from the same event list, holding them
+/// equal row for row after every insert.
 fn build_both(events: &[(i64, i64)]) -> (HistoryDb, HistoryTable) {
     let mut sql = HistoryDb::new();
     let mut native = HistoryTable::new();
@@ -21,6 +59,11 @@ fn build_both(events: &[(i64, i64)]) -> (HistoryDb, HistoryTable) {
         let native_inserted =
             native.insert_history(Timestamp(ts), EventKind::from_i32(kind as i32).unwrap());
         assert_eq!(sql_inserted, native_inserted, "insert guard at ts={ts}");
+        assert_eq!(
+            sql_rows(&mut sql),
+            native_rows(&native),
+            "rows after inserting ts={ts}"
+        );
     }
     (sql, native)
 }
@@ -28,7 +71,8 @@ fn build_both(events: &[(i64, i64)]) -> (HistoryDb, HistoryTable) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Algorithm 2: the IF NOT EXISTS guard and final contents agree.
+    /// Algorithm 2: the IF NOT EXISTS guard and the rows agree after
+    /// every insert.
     #[test]
     fn insert_history_agrees(
         events in prop::collection::vec((0i64..40 * DAY, 0i64..2), 1..120)
@@ -37,19 +81,21 @@ proptest! {
         prop_assert_eq!(sql.count().unwrap() as usize, native.len());
     }
 
-    /// Algorithm 3: old flag, deleted count, and survivors agree.
+    /// Algorithm 3: old flag, deleted count, and the surviving rows agree
+    /// after every trim of a sequence.
     #[test]
     fn delete_old_history_agrees(
         events in prop::collection::vec((0i64..60 * DAY, 0i64..2), 1..120),
-        h_days in 1i64..40,
-        now in 0i64..70 * DAY,
+        trims in prop::collection::vec((1i64..40, 0i64..70 * DAY), 1..4),
     ) {
         let (mut sql, mut native) = build_both(&events);
-        let (sql_old, sql_deleted) = sql.delete_old_history(h_days, now).unwrap();
-        let outcome = native.delete_old_history(Seconds::days(h_days), Timestamp(now));
-        prop_assert_eq!(sql_old, outcome.old);
-        prop_assert_eq!(sql_deleted, outcome.deleted);
-        prop_assert_eq!(sql.count().unwrap() as usize, native.len());
+        for (h_days, now) in trims {
+            let (sql_old, sql_deleted) = sql.delete_old_history(h_days, now).unwrap();
+            let outcome = native.delete_old_history(Seconds::days(h_days), Timestamp(now));
+            prop_assert_eq!(sql_old, outcome.old);
+            prop_assert_eq!(sql_deleted, outcome.deleted);
+            prop_assert_eq!(sql_rows(&mut sql), native_rows(&native));
+        }
     }
 
     /// Algorithm 4: prediction start, end, and confidence agree for the
