@@ -20,30 +20,6 @@ use prorp_obs::span::DecisionExplain;
 use prorp_storage::HistoryBackend;
 use prorp_types::{DbState, Timestamp};
 
-/// Identifies which policy family an engine implements; the simulator uses
-/// it for labelling and to grant the idealised optimal policy zero-latency
-/// allocation (§2.3 defines the optimum without mechanism delays).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PolicyKind {
-    /// The pre-ProRP reactive policy (§2.2).
-    Reactive,
-    /// The ProRP proactive policy (Algorithm 1).
-    Proactive,
-    /// The Figure 2(c) oracle optimum.
-    Optimal,
-}
-
-impl PolicyKind {
-    /// Stable lowercase label for telemetry and experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            PolicyKind::Reactive => "reactive",
-            PolicyKind::Proactive => "proactive",
-            PolicyKind::Optimal => "optimal",
-        }
-    }
-}
-
 /// What [`DatabasePolicy::drain_explains`] yields: the pending records,
 /// removed from the engine's buffer in place — as the iterator is
 /// consumed or when it is dropped, read or not — so the buffer keeps its
@@ -263,9 +239,6 @@ pub trait DatabasePolicy {
     /// Current lifecycle state (Figure 4).
     fn state(&self) -> DbState;
 
-    /// Which policy family this engine implements.
-    fn kind(&self) -> PolicyKind;
-
     /// Counter snapshot.
     fn counters(&self) -> EngineCounters;
 
@@ -273,7 +246,7 @@ pub trait DatabasePolicy {
     /// backup/move path).  The optimal oracle policy keeps one too — the
     /// activity tracker of §5 runs regardless of policy.  Held behind the
     /// storage seam's [`HistoryBackend`] wrapper, so a fleet can run on
-    /// either the B+Tree or the LSM engine.
+    /// either the default §5 history table or the LSM engine.
     fn history(&self) -> &HistoryBackend;
 
     /// Replace the history store (restore after a load-balancing move,
@@ -415,12 +388,5 @@ mod tests {
         for _ in 0..=Actions::CAPACITY {
             reply.push(EngineAction::Allocate);
         }
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(PolicyKind::Reactive.label(), "reactive");
-        assert_eq!(PolicyKind::Proactive.label(), "proactive");
-        assert_eq!(PolicyKind::Optimal.label(), "optimal");
     }
 }

@@ -54,8 +54,7 @@ pub mod workflow;
 
 pub use breaker::CircuitBreaker;
 pub use engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind,
-    TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, TimerToken,
 };
 pub use invariants::LifecycleInvariants;
 pub use maintenance::{MaintenanceScheduler, MaintenanceSlot, MaintenanceStats};

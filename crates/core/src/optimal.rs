@@ -9,9 +9,7 @@
 //! without mechanism delays and exists purely as the yard-stick every
 //! real policy is measured against.
 
-use crate::engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind,
-};
+use crate::engine::{Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent};
 use crate::tracker::ActivityTracker;
 use prorp_forecast::OraclePredictor;
 use prorp_storage::{HistoryBackend, StorageBackend};
@@ -129,10 +127,6 @@ impl DatabasePolicy for OptimalEngine {
 
     fn state(&self) -> DbState {
         self.state
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Optimal
     }
 
     fn counters(&self) -> EngineCounters {

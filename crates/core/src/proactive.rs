@@ -29,8 +29,7 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, PolicyKind,
-    TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_forecast::Predictor;
@@ -104,7 +103,7 @@ impl<P: Predictor> ProactiveEngine<P> {
     }
 
     /// Build an engine whose history lives in the given storage backend
-    /// (B+Tree or LSM).  Policy behaviour is backend-independent: the
+    /// (the §5 table or the LSM).  Policy behaviour is backend-independent: the
     /// same event sequence yields the same actions, predictions, and
     /// counters on either engine.
     ///
@@ -442,10 +441,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
 
     fn state(&self) -> DbState {
         self.state
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Proactive
     }
 
     fn counters(&self) -> EngineCounters {

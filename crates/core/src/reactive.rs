@@ -12,7 +12,7 @@
 //! experiments (Figure 10) comparable across policies.
 
 use crate::engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
@@ -45,7 +45,7 @@ impl ReactiveEngine {
     }
 
     /// Build a reactive engine whose history lives in the given storage
-    /// backend (B+Tree or LSM); behaviour is identical either way.
+    /// backend (the §5 table or the LSM); behaviour is identical either way.
     ///
     /// # Errors
     ///
@@ -148,10 +148,6 @@ impl DatabasePolicy for ReactiveEngine {
 
     fn state(&self) -> DbState {
         self.state
-    }
-
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Reactive
     }
 
     fn counters(&self) -> EngineCounters {

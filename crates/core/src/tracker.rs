@@ -13,8 +13,8 @@
 //! the tracker: recording touches no heap block.
 //!
 //! The tracker owns its history through the storage seam's
-//! [`HistoryBackend`] wrapper, so one tracker serves either the B+Tree
-//! or the LSM engine; [`ActivityTracker::with_backend`] picks the
+//! [`HistoryBackend`] wrapper, so one tracker serves either the §5
+//! history table or the LSM engine; [`ActivityTracker::with_backend`] picks the
 //! engine at construction.
 
 use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
@@ -38,7 +38,7 @@ pub struct ActivityTracker {
 }
 
 impl ActivityTracker {
-    /// A tracker over an empty B+Tree-backed history (the default).
+    /// A tracker over an empty §5 history table (the default backend).
     pub fn new() -> Self {
         ActivityTracker::with_backend(StorageBackend::default())
     }

@@ -26,7 +26,7 @@
 //!
 //! * [`span`] — the [`TraceSink`] trait, the [`SpanKind`] taxonomy
 //!   (lifecycle transitions per Algorithm 1, staged resume workflows per
-//!   Algorithm 5, predictor invocations per Algorithm 4, B-tree
+//!   Algorithm 5, predictor invocations per Algorithm 4, history
 //!   checkpoint/recover), and the deterministic [`TraceBuffer`];
 //! * [`metrics`] — [`Counter`]/[`Gauge`]/[`Histogram`] handles, the
 //!   [`MetricsRegistry`], and mergeable [`MetricsSnapshot`]s;

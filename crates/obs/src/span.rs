@@ -3,8 +3,8 @@
 //! A *span* is one unit of control-plane work with a start and end in
 //! **simulated** time: a lifecycle transition of the Algorithm 1 FSM, one
 //! stage (or the whole) of an Algorithm 5 staged resume workflow, one
-//! predictor invocation of Algorithm 4, or a B-tree checkpoint/recover
-//! during a rebalance move.  An *event* is a zero-width span
+//! predictor invocation of Algorithm 4, or a history-page
+//! checkpoint/recover during a rebalance move.  An *event* is a zero-width span
 //! (`start == end`), used for points such as logins or breaker trips.
 //!
 //! Because spans are stamped with simulated timestamps only — never wall
@@ -210,12 +210,12 @@ pub enum SpanKind {
         /// Whether the mitigation escalated (repeat offender).
         escalated: bool,
     },
-    /// A B-tree metadata checkpoint taken during a rebalance move.
+    /// A history page-image checkpoint taken during a rebalance move.
     Checkpoint {
         /// Size of the checkpoint image in bytes.
         bytes: u64,
     },
-    /// A B-tree metadata recovery from a checkpoint image.
+    /// A history recovery from a checkpoint page image.
     Recover {
         /// Size of the recovered image in bytes.
         bytes: u64,

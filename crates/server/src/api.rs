@@ -44,7 +44,7 @@
 
 use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
-use crate::driver::{LiveDriver, LiveEvent};
+use crate::driver::{IngestOutcome, LiveDriver, LiveEvent};
 use crate::http::{self, HttpStats, Request, Response, ServerHandle};
 use crate::json::{self, Json};
 use prorp_obs::export::alert_json;
@@ -80,6 +80,9 @@ struct ServerState {
     advances: u64,
     published_records: u64,
     last_publish_records: u64,
+    /// Events `POST /v1/events` answered with each outcome, indexed by
+    /// `IngestOutcome as usize`.
+    ingested: [u64; IngestOutcome::ALL.len()],
     /// The transport's counters, appended after them.
     http: Arc<HttpStats>,
     report: Option<SimReport>,
@@ -218,6 +221,7 @@ impl ApiServer {
                 advances: 0,
                 published_records: 0,
                 last_publish_records: 0,
+                ingested: [0; IngestOutcome::ALL.len()],
                 http,
                 report: None,
             };
@@ -315,6 +319,7 @@ fn post_events(state: &mut ServerState, body: &str) -> Response {
             Ok(ev) => driver.ingest(ev),
             Err(e) => return Response::json(400, error_body(e)),
         };
+        state.ingested[outcome as usize] += 1;
         results.push(Json::Str(outcome.label().into()));
     }
     Response::json(
@@ -435,8 +440,9 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
 /// `GET /metrics` — Prometheus exposition from the live registry, with
 /// the `text/plain; version=0.0.4` content type scrapers negotiate on,
 /// followed by the server's self-metrics.  Those describe this process
-/// (how much each advance published, what the HTTP transport met), not
-/// the simulated world, so they live outside the deterministic registry.
+/// (how much each advance published, how each ingested event was
+/// classified, what the HTTP transport met), not the simulated world, so
+/// they live outside the deterministic registry.
 fn get_metrics(state: &ServerState) -> Response {
     let Some(driver) = &state.driver else {
         return Response::text(409, "run already finished\n".into());
@@ -457,8 +463,18 @@ fn get_metrics(state: &ServerState) -> Response {
             state.last_publish_records,
         ),
     ];
-    for (name, kind, value) in publisher.into_iter().chain(state.http.rows()) {
+    let mut row = |name: &str, kind: &str, value: u64| {
         text.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+    };
+    for (name, kind, value) in publisher {
+        row(name, kind, value);
+    }
+    for (outcome, value) in IngestOutcome::ALL.into_iter().zip(state.ingested) {
+        let name = format!("prorp_server_ingest_{}_total", outcome.label());
+        row(&name, "counter", value);
+    }
+    for (name, kind, value) in state.http.rows() {
+        row(name, kind, value);
     }
     Response::prometheus(200, text)
 }

@@ -69,6 +69,14 @@ pub enum IngestOutcome {
 }
 
 impl IngestOutcome {
+    /// Every outcome, in declaration order: `ALL[o as usize] == o`.
+    pub const ALL: [IngestOutcome; 4] = [
+        IngestOutcome::Accepted,
+        IngestOutcome::Duplicate,
+        IngestOutcome::Late,
+        IngestOutcome::Unknown,
+    ];
+
     /// Stable lowercase label for API responses.
     pub fn label(&self) -> &'static str {
         match self {

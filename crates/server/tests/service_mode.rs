@@ -409,6 +409,48 @@ fn a_finish_with_its_head_cut_off_leaves_the_run_open() {
     server.shutdown();
 }
 
+/// `/metrics` counts every event `POST /v1/events` classified, one
+/// counter per ingest outcome.
+#[test]
+fn ingest_outcomes_are_counted_on_metrics() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
+        .observe(ObsConfig::on())
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0)]);
+    let addr = server.addr();
+    let post = |events: &str| {
+        let (status, body) = http(addr, "POST", "/v1/events", events);
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let body = post(
+        r#"{"events":[
+            {"db":0,"at":600,"kind":"login"},
+            {"db":0,"at":600,"kind":"login"},
+            {"db":7,"at":600,"kind":"login"}
+        ]}"#,
+    );
+    assert!(
+        body.contains(r#"["accepted","duplicate","unknown"]"#),
+        "{body}"
+    );
+    assert_eq!(
+        http(addr, "POST", "/v1/clock/advance", r#"{"to":3600}"#).0,
+        200
+    );
+    let body = post(r#"{"events":[{"db":0,"at":100,"kind":"logout"}]}"#);
+    assert!(body.contains(r#"["late"]"#), "{body}");
+
+    let (status, body) = http(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    for outcome in IngestOutcome::ALL {
+        let name = format!("prorp_server_ingest_{}_total", outcome.label());
+        assert_eq!(metric(&body, &name), 1, "{body}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn wall_clock_mode_rejects_manual_advance() {
     let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(1), Timestamp(0))

@@ -93,7 +93,7 @@ pub struct SimConfig {
     /// knob exists for A/B benchmarking and differential testing.
     pub naive_predictor: bool,
     /// Which storage engine backs every database's activity history
-    /// (B+Tree default, or the LSM/MVCC engine).  Policy behaviour is
+    /// (the §5 table by default, or the LSM/MVCC engine).  Policy behaviour is
     /// backend-independent — same trace and seed yield bit-identical
     /// KPIs — so this knob exists for A/B benchmarking and differential
     /// testing of the storage seam.

@@ -19,6 +19,10 @@
 //!   [`retry_exhausted`](DiagnosticsRunner::retry_exhausted); every
 //!   give-up escalates to an incident immediately (the backoff schedule
 //!   already was the mitigation).
+//!
+//! The runner counts mitigations only.  Each give-up is counted once, by
+//! the shard's `WorkflowStats`, and each incident once, as an entry of
+//! the shard's `IncidentLog`.
 
 use prorp_types::{DatabaseId, DbMap, DbSet, Seconds, Timestamp};
 
@@ -41,14 +45,8 @@ pub struct DiagnosticsRunner {
     /// than a column per database.  The ids are the shard's own.
     in_flight: DbMap<Timestamp>,
     previously_mitigated: DbSet,
-    peak_in_flight: usize,
     /// Hung workflows force-completed.
     pub mitigations: u64,
-    /// Escalations to the on-call engineer: repeat-stuck databases plus
-    /// every retry-budget exhaustion.
-    pub incidents: u64,
-    /// Staged workflows that exhausted their retry budget.
-    pub giveups: u64,
 }
 
 impl DiagnosticsRunner {
@@ -58,17 +56,13 @@ impl DiagnosticsRunner {
             timeout,
             in_flight: DbMap::default(),
             previously_mitigated: DbSet::default(),
-            peak_in_flight: 0,
             mitigations: 0,
-            incidents: 0,
-            giveups: 0,
         }
     }
 
     /// A resume workflow started for `db`.
     pub fn workflow_started(&mut self, db: DatabaseId, now: Timestamp) {
         self.in_flight.insert(db, now);
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight.len());
     }
 
     /// A resume workflow completed normally.
@@ -77,30 +71,16 @@ impl DiagnosticsRunner {
     }
 
     /// A staged workflow for `db` exhausted its retry budget: remove it
-    /// from the queue, count the give-up, and escalate an incident.
+    /// from the queue and mark the database, so a later stuck workflow
+    /// escalates.
     pub fn retry_exhausted(&mut self, db: DatabaseId) {
         self.in_flight.remove(&db);
         self.previously_mitigated.insert(db);
-        self.giveups += 1;
-        self.incidents += 1;
     }
 
     /// Current queue depth (monitored quantity).
     pub fn in_flight_count(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Deepest the in-flight queue ever got (monitored quantity: the §7
-    /// runner watches that these queues drain).
-    pub fn peak_in_flight(&self) -> usize {
-        self.peak_in_flight
-    }
-
-    /// Register the runner's observability handles
-    /// ([`DiagnosticsMetrics`](crate::obs::DiagnosticsMetrics)) against a
-    /// shard-local metrics registry.
-    pub fn register_metrics(reg: &prorp_obs::MetricsRegistry) -> crate::obs::DiagnosticsMetrics {
-        crate::obs::DiagnosticsMetrics::register(reg)
     }
 
     /// One periodic sweep: returns a [`Mitigation`] for every workflow
@@ -120,9 +100,6 @@ impl DiagnosticsRunner {
                 self.in_flight.remove(&db);
                 self.mitigations += 1;
                 let escalated = !self.previously_mitigated.insert(db);
-                if escalated {
-                    self.incidents += 1;
-                }
                 Mitigation { db, escalated }
             })
             .collect()
@@ -159,27 +136,24 @@ mod tests {
         assert_eq!(dbs(&d.sweep(Timestamp(100))), vec![db(1)]);
         assert_eq!(d.mitigations, 1);
         assert_eq!(d.in_flight_count(), 1);
-        assert_eq!(dbs(&d.sweep(Timestamp(150))), vec![db(2)]);
+        let second = d.sweep(Timestamp(150));
+        assert_eq!(dbs(&second), vec![db(2)]);
+        assert!(!second[0].escalated, "a first mitigation does not escalate");
         assert_eq!(d.mitigations, 2);
-        assert_eq!(d.incidents, 0);
     }
 
     #[test]
-    fn queue_drains_after_mitigation_and_peak_is_tracked() {
+    fn queue_drains_after_mitigation() {
         let mut d = DiagnosticsRunner::new(Seconds(10));
         for id in 0..5 {
             d.workflow_started(db(id), Timestamp(0));
         }
         assert_eq!(d.in_flight_count(), 5);
-        assert_eq!(d.peak_in_flight(), 5);
         d.workflow_completed(db(0));
         d.workflow_completed(db(1));
         assert_eq!(d.sweep(Timestamp(10)).len(), 3, "the rest are swept");
         assert_eq!(d.in_flight_count(), 0, "queue fully drained");
         assert!(d.sweep(Timestamp(1_000)).is_empty(), "nothing left");
-        // Peak is a high-water mark, not the current depth.
-        d.workflow_started(db(9), Timestamp(20));
-        assert_eq!(d.peak_in_flight(), 5);
     }
 
     #[test]
@@ -204,7 +178,6 @@ mod tests {
             }]
         );
         assert_eq!(d.mitigations, 2);
-        assert_eq!(d.incidents, 1);
     }
 
     #[test]
@@ -213,14 +186,12 @@ mod tests {
         d.workflow_started(db(3), Timestamp(0));
         d.retry_exhausted(db(3));
         assert_eq!(d.in_flight_count(), 0);
-        assert_eq!(d.giveups, 1);
-        assert_eq!(d.incidents, 1);
+        assert!(d.sweep(Timestamp(50)).is_empty(), "a give-up is not swept");
         assert_eq!(d.mitigations, 0, "give-ups are not sweep mitigations");
         // The database is marked: a later stuck workflow escalates too.
         d.workflow_started(db(3), Timestamp(100));
         let swept = d.sweep(Timestamp(200));
         assert!(swept[0].escalated);
-        assert_eq!(d.incidents, 2);
     }
 
     #[test]

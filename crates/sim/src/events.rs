@@ -255,7 +255,10 @@ impl EventQueue {
         }
     }
 
-    /// Remove and return the head of the lane `head` chose.
+    /// Remove and return the head of the lane `head` chose.  Once per
+    /// loop event, so forced inline into `pop_before`'s caller: left to
+    /// the optimiser, the call stays out of line in the shard loop.
+    #[inline(always)]
     fn take(&mut self, recorded: bool) -> Option<(Timestamp, SimEvent)> {
         if recorded {
             let r = self.run[self.cursor];

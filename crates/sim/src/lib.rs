@@ -62,7 +62,6 @@ pub mod shard;
 pub use config::{SimConfig, SimConfigBuilder, SimPolicy};
 pub use diagnostics::{DiagnosticsRunner, Mitigation};
 pub use fleet::{BitSet, DbIndexMap};
-pub use obs::DiagnosticsMetrics;
 pub use prorp_obs::ObsConfig;
 pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};

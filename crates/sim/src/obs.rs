@@ -10,10 +10,11 @@
 //! # How engine activity is observed
 //!
 //! The policy engines are never instrumented directly.  Instead the
-//! runner captures the engine's `Copy` [`EngineCounters`] (and
-//! [`DbState`]) immediately before and after each `on_event` call and
-//! hands both readings to `ShardObs::on_engine_event`, which turns the
-//! *deltas* into spans and metric increments:
+//! shard's one delivery path (`ShardDriver::deliver`) captures the
+//! engine's [`DbState`] and `Copy` [`EngineCounters`] immediately before
+//! and after each `on_event` call and hands both readings to
+//! `ShardObs::on_engine_event`, which turns the *deltas* into spans and
+//! metric increments:
 //!
 //! * a state change emits a `lifecycle` span (Algorithm 1, Figure 4);
 //! * prediction/forecast-failure/fallback deltas emit `predict` spans
@@ -27,7 +28,6 @@
 //! All spans carry simulated timestamps only, so the merged trace is
 //! bit-identical at any shard count (see `prorp_obs::span`).
 
-use crate::diagnostics::DiagnosticsRunner;
 use prorp_core::{
     BreakerMetrics, CircuitBreaker, EngineCounters, EngineMetrics, ProactiveResumeOp,
     ResumeOpMetrics,
@@ -38,12 +38,13 @@ use prorp_obs::{
     PredictOutcome, Sketch, SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink,
     WorkflowOutcome,
 };
+use prorp_telemetry::ShardCounters;
 use prorp_types::{DatabaseId, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
 
-/// Handles for the §7 diagnostics-and-mitigation runner, registered
-/// through [`DiagnosticsRunner::register_metrics`].
+/// Handles for the §7 diagnostics-and-mitigation runner's outcomes:
+/// mitigations, incidents and workflow give-ups.
 #[derive(Clone, Debug)]
-pub struct DiagnosticsMetrics {
+pub(crate) struct DiagnosticsMetrics {
     mitigations: Counter,
     incidents: Counter,
     giveups: Counter,
@@ -57,39 +58,6 @@ impl DiagnosticsMetrics {
             giveups: reg.counter("prorp_workflow_giveups_total"),
         }
     }
-}
-
-/// Per-shard self-observations fed into the volatile `sim_self_*` gauges
-/// at snapshot time.  These describe the simulator *process* (wall
-/// clocks, per-shard work counts), vary with the shard layout, and are
-/// therefore excluded from every determinism assertion.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SelfObservations {
-    /// Simulation events the shard's loop has processed so far.
-    pub events_processed: u64,
-    /// Telemetry records the shard has emitted so far.
-    pub telemetry_events: u64,
-    /// Databases assigned to this shard.
-    pub databases: usize,
-    /// Wall-clock micros since the shard loop started.
-    pub wall_clock_micros: u64,
-    /// Resume workflows currently tracked by the diagnostics runner.
-    pub workflows_in_flight: usize,
-    /// Wall-clock micros of the registration phase (engine construction
-    /// and trace seeding).
-    pub register_micros: u64,
-    /// Wall-clock micros of the event-loop phase so far.
-    pub run_micros: u64,
-    /// Micros the shard's mutation paths spent compacting LSM
-    /// histories (0 on B+Tree).
-    pub compaction_stall_micros: u64,
-    /// Events in the queue's run-time lane now (what the loop and the
-    /// driver scheduled; recorded sessions are not in it).
-    pub queue_depth: usize,
-    /// The most events the run-time lane ever held.
-    pub queue_peak: usize,
-    /// Recorded session events the loop has not consumed yet.
-    pub queue_recorded: usize,
 }
 
 /// All observability state of one shard: trace buffer, metrics registry,
@@ -145,7 +113,7 @@ impl ShardObs {
         let engine = EngineMetrics::register(&registry);
         let breaker = CircuitBreaker::register_metrics(&registry);
         let resume_op = ProactiveResumeOp::register_metrics(&registry);
-        let diagnostics = DiagnosticsRunner::register_metrics(&registry);
+        let diagnostics = DiagnosticsMetrics::register(&registry);
         let lifecycle_transitions = registry.counter("prorp_lifecycle_transitions_total");
         let stage_seconds = registry.histogram("prorp_workflow_stage_seconds");
         let workflow_seconds = registry.histogram("prorp_workflow_seconds");
@@ -232,15 +200,13 @@ impl ShardObs {
     }
 
     /// Fold one engine event into spans and metrics from its
-    /// before/after counter and state readings.
+    /// `(state, counters)` readings before and after the event.
     pub(crate) fn on_engine_event(
         &mut self,
         now: Timestamp,
         db: DatabaseId,
-        before_state: DbState,
-        before: &EngineCounters,
-        after_state: DbState,
-        after: &EngineCounters,
+        (before_state, before): (DbState, &EngineCounters),
+        (after_state, after): (DbState, &EngineCounters),
     ) {
         self.engine.observe_delta(before, after);
         if before_state != after_state {
@@ -473,8 +439,8 @@ impl ShardObs {
         }
     }
 
-    /// A rebalance move checkpointed this database's history B-tree into
-    /// a `bytes`-byte image and recovered it on the destination.
+    /// A rebalance move checkpointed this database's history into a
+    /// `bytes`-byte page image and recovered it on the destination.
     pub(crate) fn on_move_with_history(&mut self, now: Timestamp, db: DatabaseId, bytes: u64) {
         self.checkpoints.inc();
         self.checkpoint_bytes.add(bytes);
@@ -485,8 +451,6 @@ impl ShardObs {
         }
     }
 
-    /// Take one metrics snapshot at simulated instant `at`, refreshing
-    /// the gauges from the current self-observations first.
     /// A snapshot of the current registry state *without* recording it
     /// into the deterministic snapshot series — the live `/metrics`
     /// endpoint scrapes this so a scrape never perturbs the run's
@@ -495,43 +459,43 @@ impl ShardObs {
         self.registry.snapshot(at)
     }
 
-    pub(crate) fn take_snapshot(&mut self, at: Timestamp, stats: SelfObservations) {
-        self.registry
-            .gauge("prorp_workflows_in_flight")
-            .set(stats.workflows_in_flight as i64);
-        self.registry
-            .gauge("sim_self_events_processed")
-            .set(stats.events_processed as i64);
-        self.registry
-            .gauge("sim_self_telemetry_events")
-            .set(stats.telemetry_events as i64);
-        self.registry
-            .gauge("sim_self_trace_records")
-            .set(self.trace.len() as i64);
-        self.registry
-            .gauge("sim_self_databases")
-            .set(stats.databases as i64);
-        self.registry
-            .gauge("sim_self_wall_clock_micros")
-            .set(stats.wall_clock_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_register_micros")
-            .set(stats.register_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_run_micros")
-            .set(stats.run_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_compaction_stall_micros")
-            .set(stats.compaction_stall_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_queue_depth")
-            .set(stats.queue_depth as i64);
-        self.registry
-            .gauge("sim_self_queue_peak")
-            .set(stats.queue_peak as i64);
-        self.registry
-            .gauge("sim_self_queue_recorded")
-            .set(stats.queue_recorded as i64);
+    /// Take one metrics snapshot at simulated instant `at`, first setting
+    /// the volatile self-observation gauges from the shard's `counters`
+    /// and the three live readings they do not hold: resume workflows in
+    /// flight, the run-time queue lane's depth, and the recorded session
+    /// events not yet consumed.  These describe the simulator process,
+    /// vary with the shard layout, and are excluded from every
+    /// determinism assertion.
+    pub(crate) fn take_snapshot(
+        &mut self,
+        at: Timestamp,
+        counters: &ShardCounters,
+        workflows_in_flight: usize,
+        queue_depth: usize,
+        queue_recorded: usize,
+    ) {
+        let gauges = [
+            ("prorp_workflows_in_flight", workflows_in_flight as u64),
+            ("sim_self_events_processed", counters.events_processed),
+            ("sim_self_telemetry_events", counters.telemetry_events),
+            ("sim_self_trace_records", self.trace.len() as u64),
+            ("sim_self_databases", counters.databases as u64),
+            ("sim_self_wall_clock_micros", counters.wall_clock_micros),
+            ("sim_self_register_micros", counters.register_micros),
+            ("sim_self_run_micros", counters.run_micros),
+            (
+                "sim_self_compaction_stall_micros",
+                counters.compaction_stall_micros,
+            ),
+            ("sim_self_queue_depth", queue_depth as u64),
+            ("sim_self_queue_peak", counters.queue_peak as u64),
+            ("sim_self_queue_recorded", queue_recorded as u64),
+        ];
+        for (name, value) in gauges {
+            self.registry
+                .gauge(name)
+                .set(value.min(i64::MAX as u64) as i64);
+        }
         self.snapshots.push(self.registry.snapshot(at));
     }
 
@@ -572,14 +536,12 @@ mod tests {
         obs.on_engine_event(
             Timestamp(60),
             DatabaseId(3),
-            DbState::Resumed,
-            &before,
-            DbState::LogicallyPaused,
-            &after,
+            (DbState::Resumed, &before),
+            (DbState::LogicallyPaused, &after),
         );
         let report = {
             let mut o = obs;
-            o.take_snapshot(Timestamp(100), SelfObservations::default());
+            o.take_snapshot(Timestamp(100), &ShardCounters::default(), 0, 0, 0);
             report_of(o)
         };
         assert_eq!(report.trace.len(), 2, "lifecycle + predict");
@@ -610,10 +572,8 @@ mod tests {
         obs.on_engine_event(
             Timestamp(10),
             db,
-            DbState::Resumed,
-            &before,
-            DbState::Resumed,
-            &opened,
+            (DbState::Resumed, &before),
+            (DbState::Resumed, &opened),
         );
 
         // Event 2: the half-open re-probe succeeds → breaker closed.
@@ -622,14 +582,12 @@ mod tests {
         obs.on_engine_event(
             Timestamp(20),
             db,
-            DbState::Resumed,
-            &opened,
-            DbState::Resumed,
-            &closed,
+            (DbState::Resumed, &opened),
+            (DbState::Resumed, &closed),
         );
 
         let mut o = obs;
-        o.take_snapshot(Timestamp(30), SelfObservations::default());
+        o.take_snapshot(Timestamp(30), &ShardCounters::default(), 0, 0, 0);
         let report = report_of(o);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(
@@ -681,7 +639,7 @@ mod tests {
         obs.on_workflow_completed(Timestamp(180), db, Timestamp(100));
         obs.on_mitigation(Timestamp(200), db, true);
         obs.on_move_with_history(Timestamp(210), db, 4_096);
-        obs.take_snapshot(Timestamp(300), SelfObservations::default());
+        obs.take_snapshot(Timestamp(300), &ShardCounters::default(), 0, 0, 0);
         let report = report_of(obs);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(
@@ -727,22 +685,18 @@ mod tests {
     #[test]
     fn snapshots_carry_self_observations_as_volatile_gauges() {
         let mut obs = ShardObs::new(&ObsConfig::on());
-        obs.take_snapshot(
-            Timestamp(500),
-            SelfObservations {
-                events_processed: 42,
-                telemetry_events: 7,
-                databases: 3,
-                wall_clock_micros: 12_345,
-                workflows_in_flight: 2,
-                register_micros: 1_000,
-                run_micros: 11_000,
-                compaction_stall_micros: 9,
-                queue_depth: 5,
-                queue_peak: 8,
-                queue_recorded: 13,
-            },
-        );
+        let counters = ShardCounters {
+            events_processed: 42,
+            telemetry_events: 7,
+            databases: 3,
+            wall_clock_micros: 12_345,
+            register_micros: 1_000,
+            run_micros: 11_000,
+            compaction_stall_micros: 9,
+            queue_peak: 8,
+            ..ShardCounters::default()
+        };
+        obs.take_snapshot(Timestamp(500), &counters, 2, 5, 13);
         let report = report_of(obs);
         let snap = report.final_snapshot().unwrap();
         assert_eq!(snap.at, Timestamp(500));

@@ -61,9 +61,10 @@ pub struct SimReport {
     /// Hung workflows force-completed by the diagnostics runner.
     pub mitigations: u64,
     /// Escalations to the on-call engineer: repeat stuck databases plus
-    /// retry-budget exhaustions (equals `incident_log.len()`).
+    /// retry-budget exhaustions (`incident_log.len()`).
     pub incidents: u64,
-    /// Staged workflows that exhausted their retry budget.
+    /// Staged workflows that exhausted their retry budget
+    /// (`workflow.giveups`).
     pub giveups: u64,
     /// Staged-workflow telemetry: per-stage latency histograms plus
     /// retry/giveup and circuit-breaker counters, fleet-wide.
@@ -292,8 +293,6 @@ pub fn merge_outcomes(
         let mut balance_moves = 0u64;
         let mut oversubscriptions = 0u64;
         let mut mitigations = 0u64;
-        let mut incidents = 0u64;
-        let mut giveups = 0u64;
         let mut maintenance = MaintenanceStats::default();
         let mut summary = TelemetrySummary::new();
         let mut window = TelemetrySummary::new();
@@ -318,8 +317,6 @@ pub fn merge_outcomes(
             balance_moves += outcome.balance_moves;
             oversubscriptions += outcome.oversubscriptions;
             mitigations += outcome.mitigations;
-            incidents += outcome.incidents;
-            giveups += outcome.giveups;
             maintenance.piggybacked += outcome.maintenance.piggybacked;
             maintenance.forced_resumes += outcome.maintenance.forced_resumes;
             shard_batches.push(outcome.resume_batches);
@@ -352,6 +349,10 @@ pub fn merge_outcomes(
             TelemetryMode::Full => TelemetryLog::merge(shard_logs),
             TelemetryMode::Summary => TelemetryLog::new(),
         };
+        // The merges are commutative sums / a canonical sort, so the
+        // fleet-wide values are identical at any shard count.
+        let workflow = WorkflowStats::merge(&shard_workflows);
+        let incident_log = IncidentLog::merge(shard_incident_logs);
         #[cfg(feature = "strict-invariants")]
         check_kpi_identities(&kpi)?;
 
@@ -378,12 +379,10 @@ pub fn merge_outcomes(
             balance_moves,
             oversubscriptions,
             mitigations,
-            incidents,
-            giveups,
-            // The merges are commutative sums / a canonical sort, so the
-            // fleet-wide values are identical at any shard count.
-            workflow: WorkflowStats::merge(&shard_workflows),
-            incident_log: IncidentLog::merge(shard_incident_logs),
+            incidents: incident_log.len() as u64,
+            giveups: workflow.giveups,
+            workflow,
+            incident_log,
             maintenance,
             shard_counters,
             obs,

@@ -46,12 +46,12 @@ use crate::config::{SimConfig, SimPolicy};
 use crate::diagnostics::DiagnosticsRunner;
 use crate::events::{EventQueue, SimEvent};
 use crate::fleet::FleetState;
-use crate::obs::{SelfObservations, ShardObs};
+use crate::obs::ShardObs;
 #[cfg(feature = "strict-invariants")]
 use prorp_core::LifecycleInvariants;
 use prorp_core::{
     Actions, EngineAction, EngineCounters, EngineEvent, MaintenanceScheduler, MaintenanceStats,
-    PolicyKind, ProactiveResumeOp, ResumeWorkflow, StageOutcome,
+    ProactiveResumeOp, ResumeWorkflow, StageOutcome,
 };
 use prorp_forecast::SweepScratch;
 use prorp_obs::ObsPart;
@@ -173,6 +173,9 @@ impl ShardTelemetry {
         }
     }
 
+    /// Forced inline: every login and pause records, and left to the
+    /// optimiser some of the loop's record sites become calls.
+    #[inline(always)]
     fn record(&mut self, now: Timestamp, id: DatabaseId, kind: TelemetryKind) {
         self.run.record(kind);
         if self.measured.contains(&now) {
@@ -208,14 +211,12 @@ pub struct ShardOutcome {
     pub oversubscriptions: u64,
     /// Hung workflows the shard's diagnostics runner force-completed.
     pub mitigations: u64,
-    /// Escalations: repeat stuck databases plus retry-budget exhaustions.
-    pub incidents: u64,
-    /// Staged workflows that exhausted their retry budget.
-    pub giveups: u64,
     /// Staged-workflow telemetry: per-stage latency histograms plus
-    /// retry/giveup/breaker counters.
+    /// retry/giveup/breaker counters — the one count of give-ups.
     pub workflow: WorkflowStats,
-    /// The shard's incident log (canonically ordered by the merge).
+    /// The shard's incident log (canonically ordered by the merge) — the
+    /// one count of incidents: repeat stuck databases plus retry-budget
+    /// exhaustions.
     pub incident_log: IncidentLog,
     /// Maintenance placement counters.
     pub maintenance: MaintenanceStats,
@@ -628,36 +629,72 @@ impl ShardDriver {
         self.step_until(self.cfg.end)
     }
 
-    /// Handle one popped event — the body of the former `run_shard`
-    /// match, verbatim.  An early `return Ok(())` is the old `continue`.
+    /// Deliver `event` to the engine at column `idx` — the one path every
+    /// engine event takes.  Reads the engine's state (and, with
+    /// observability on, its counters), runs `on_event`, checks the new
+    /// state against the shadow lifecycle, and hands the before and after
+    /// readings to observability.  Returns the state before, the state
+    /// after and the engine's actions.
+    fn deliver(
+        &mut self,
+        now: Timestamp,
+        idx: usize,
+        id: DatabaseId,
+        event: EngineEvent,
+    ) -> Result<(DbState, DbState, Actions), ProrpError> {
+        let engine = self.fleet.engines.get_mut(idx);
+        let before = engine.state();
+        let counters_before = self.obs.as_ref().map(|_| engine.counters());
+        let actions = engine.on_event(now, event);
+        let after = engine.state();
+        observe_shadow(&mut self.fleet, idx, now, event)?;
+        if let (Some(o), Some(counters_before)) = (self.obs.as_mut(), &counters_before) {
+            let counters_after = self.fleet.engines.get(idx).counters();
+            o.on_engine_event(now, id, (before, counters_before), (after, &counters_after));
+        }
+        Ok((before, after, actions))
+    }
+
+    /// Account for the engine at column `idx` moving from `before` to
+    /// `after`: entering a logical pause is a `logical-pause` record and
+    /// logical-pause idle time, entering a physical pause a
+    /// `physical-pause` record and saved time.  A state that did not
+    /// change records nothing, so a pause is counted once however many
+    /// events reach the paused database.
+    fn account_pause(
+        &mut self,
+        now: Timestamp,
+        idx: usize,
+        id: DatabaseId,
+        before: DbState,
+        after: DbState,
+    ) {
+        if after == before {
+            return;
+        }
+        let (kind, segment) = match after {
+            DbState::LogicallyPaused => {
+                (TelemetryKind::LogicalPause, SegmentKind::LogicalPauseIdle)
+            }
+            DbState::PhysicallyPaused => (TelemetryKind::PhysicalPause, SegmentKind::Saved),
+            DbState::Resumed => return,
+        };
+        self.telemetry.record(now, id, kind);
+        self.fleet.accs[idx].transition(now, segment);
+    }
+
+    /// Handle one popped event.  An early `return Ok(())` drops an event
+    /// that no longer applies.
     fn handle_event(&mut self, now: Timestamp, event: SimEvent) -> Result<(), ProrpError> {
         let cfg = &self.cfg;
         match event {
             SimEvent::ObsSnapshot => {
                 if self.obs.is_some() {
-                    let register_end = self.register_done.unwrap_or(self.started);
-                    let stall_ns = self.compaction_stall_ns();
-                    let observations = SelfObservations {
-                        events_processed: self.counters.events_processed,
-                        telemetry_events: self.telemetry.run.total(),
-                        databases: self.fleet.len(),
-                        wall_clock_micros: self.started.elapsed().as_micros().min(u64::MAX as u128)
-                            as u64,
-                        workflows_in_flight: self.diagnostics.in_flight_count(),
-                        register_micros: register_end.duration_since(self.started).as_micros()
-                            as u64,
-                        run_micros: register_end.elapsed().as_micros() as u64,
-                        compaction_stall_micros: stall_ns / 1_000,
-                        queue_depth: self.queue.scheduled_len(),
-                        queue_peak: self.queue.scheduled_peak(),
-                        queue_recorded: self.queue.recorded_len(),
-                    };
-                    if let Some(o) = self.obs.as_mut() {
-                        o.take_snapshot(now, observations);
-                    }
+                    self.refresh_counters();
+                    self.take_obs_snapshot(now);
                 }
-                if let Some(p) = cfg.observe().snapshot_every {
-                    if now + p < cfg.end {
+                if let Some(p) = self.cfg.observe().snapshot_every {
+                    if now + p < self.cfg.end {
                         self.queue.push(now + p, SimEvent::ObsSnapshot);
                     }
                 }
@@ -669,36 +706,19 @@ impl ShardDriver {
             }
             SimEvent::ActivityStart(id) => {
                 let idx = self.fleet.touch(id);
-                let was_state = self.fleet.engines.get(idx).state();
-                let kind = self.fleet.engines.get(idx).kind();
                 let prewarmed = matches!(
                     self.fleet.accs[idx].open_kind(),
                     Some(SegmentKind::ProactiveIdleWrong) | Some(SegmentKind::ProactiveIdleCorrect)
                 );
                 self.fleet.demand.set(idx, true);
-                let obs_before = self
-                    .obs
-                    .as_ref()
-                    .map(|_| self.fleet.engines.get(idx).counters());
-                let actions = self
-                    .fleet
-                    .engines
-                    .get_mut(idx)
-                    .on_event(now, EngineEvent::ActivityStart);
-                observe_shadow(&mut self.fleet, idx, now, EngineEvent::ActivityStart)?;
+                let (before, _, actions) =
+                    self.deliver(now, idx, id, EngineEvent::ActivityStart)?;
+                let cfg = &self.cfg;
                 let available =
-                    was_state != DbState::PhysicallyPaused || kind == PolicyKind::Optimal;
+                    before != DbState::PhysicallyPaused || matches!(cfg.policy, SimPolicy::Optimal);
                 self.telemetry
                     .record(now, id, TelemetryKind::Login { available });
                 if let Some(o) = self.obs.as_mut() {
-                    o.on_engine_event(
-                        now,
-                        id,
-                        was_state,
-                        &obs_before.unwrap(),
-                        self.fleet.engines.get(idx).state(),
-                        &self.fleet.engines.get(idx).counters(),
-                    );
                     o.on_login(now, id, available);
                 }
                 self.metadata.set_state_at(idx, DbState::Resumed);
@@ -746,79 +766,20 @@ impl ShardDriver {
                 if self.workflows.remove(idx) {
                     self.diagnostics.workflow_completed(id);
                 }
-                let obs_before = self.obs.as_ref().map(|_| {
-                    (
-                        self.fleet.engines.get(idx).state(),
-                        self.fleet.engines.get(idx).counters(),
-                    )
-                });
-                let actions = self
-                    .fleet
-                    .engines
-                    .get_mut(idx)
-                    .on_event(now, EngineEvent::ActivityEnd);
-                observe_shadow(&mut self.fleet, idx, now, EngineEvent::ActivityEnd)?;
+                let (before, after, actions) =
+                    self.deliver(now, idx, id, EngineEvent::ActivityEnd)?;
                 self.apply_actions(actions, idx, id, now);
-                let state = self.fleet.engines.get(idx).state();
-                self.metadata.set_state_at(idx, state);
-                if let Some(o) = self.obs.as_mut() {
-                    let (before_state, before) = obs_before.unwrap();
-                    o.on_engine_event(
-                        now,
-                        id,
-                        before_state,
-                        &before,
-                        state,
-                        &self.fleet.engines.get(idx).counters(),
-                    );
-                }
+                self.metadata.set_state_at(idx, after);
                 self.drain_decisions(idx, id);
-                match state {
-                    DbState::LogicallyPaused => {
-                        self.telemetry.record(now, id, TelemetryKind::LogicalPause);
-                        self.fleet.accs[idx].transition(now, SegmentKind::LogicalPauseIdle);
-                    }
-                    DbState::PhysicallyPaused => {
-                        self.telemetry.record(now, id, TelemetryKind::PhysicalPause);
-                        self.fleet.accs[idx].transition(now, SegmentKind::Saved);
-                    }
-                    DbState::Resumed => {
-                        // Engines always leave Resumed on ActivityEnd;
-                        // defensive only.
-                        self.fleet.accs[idx].transition(now, SegmentKind::Active);
-                    }
-                }
+                self.account_pause(now, idx, id, before, after);
             }
             SimEvent::EngineTimer(id, token) => {
                 let idx = self.fleet.touch(id);
-                let before = self.fleet.engines.get(idx).state();
-                let obs_before = self
-                    .obs
-                    .as_ref()
-                    .map(|_| self.fleet.engines.get(idx).counters());
-                let actions = self
-                    .fleet
-                    .engines
-                    .get_mut(idx)
-                    .on_event(now, EngineEvent::Timer(token));
-                observe_shadow(&mut self.fleet, idx, now, EngineEvent::Timer(token))?;
+                let (before, after, actions) =
+                    self.deliver(now, idx, id, EngineEvent::Timer(token))?;
                 self.apply_actions(actions, idx, id, now);
-                let after = self.fleet.engines.get(idx).state();
-                if before == DbState::LogicallyPaused && after == DbState::PhysicallyPaused {
-                    self.telemetry.record(now, id, TelemetryKind::PhysicalPause);
-                    self.fleet.accs[idx].transition(now, SegmentKind::Saved);
-                }
+                self.account_pause(now, idx, id, before, after);
                 self.metadata.set_state_at(idx, after);
-                if let Some(o) = self.obs.as_mut() {
-                    o.on_engine_event(
-                        now,
-                        id,
-                        before,
-                        &obs_before.unwrap(),
-                        after,
-                        &self.fleet.engines.get(idx).counters(),
-                    );
-                }
                 self.drain_decisions(idx, id);
             }
             SimEvent::ResumeOpTick => {
@@ -844,29 +805,8 @@ impl ShardDriver {
                 {
                     return Ok(()); // raced with a login
                 }
-                let obs_before = self.obs.as_ref().map(|_| {
-                    (
-                        self.fleet.engines.get(idx).state(),
-                        self.fleet.engines.get(idx).counters(),
-                    )
-                });
-                let actions = self
-                    .fleet
-                    .engines
-                    .get_mut(idx)
-                    .on_event(now, EngineEvent::ProactiveResume);
-                observe_shadow(&mut self.fleet, idx, now, EngineEvent::ProactiveResume)?;
-                if let Some(o) = self.obs.as_mut() {
-                    let (before_state, before) = obs_before.unwrap();
-                    o.on_engine_event(
-                        now,
-                        id,
-                        before_state,
-                        &before,
-                        self.fleet.engines.get(idx).state(),
-                        &self.fleet.engines.get(idx).counters(),
-                    );
-                }
+                let (_, after, actions) =
+                    self.deliver(now, idx, id, EngineEvent::ProactiveResume)?;
                 if actions.is_empty() {
                     return Ok(()); // the engine declined (e.g. reactive)
                 }
@@ -879,8 +819,7 @@ impl ShardDriver {
                 // Optimistically "wrong" until the login proves it
                 // correct.
                 self.fleet.accs[idx].transition(now, SegmentKind::ProactiveIdleWrong);
-                self.metadata
-                    .set_state_at(idx, self.fleet.engines.get(idx).state());
+                self.metadata.set_state_at(idx, after);
                 self.apply_actions(actions, idx, id, now);
                 self.drain_decisions(idx, id);
             }
@@ -1050,28 +989,8 @@ impl ShardDriver {
                 if self.fleet.demand.get(idx) {
                     return Ok(()); // serving: the engine would refuse anyway
                 }
-                let before = self.fleet.engines.get(idx).state();
-                let obs_before = self
-                    .obs
-                    .as_ref()
-                    .map(|_| self.fleet.engines.get(idx).counters());
-                let actions = self
-                    .fleet
-                    .engines
-                    .get_mut(idx)
-                    .on_event(now, EngineEvent::ForcedPause);
-                observe_shadow(&mut self.fleet, idx, now, EngineEvent::ForcedPause)?;
-                let after = self.fleet.engines.get(idx).state();
-                if let Some(o) = self.obs.as_mut() {
-                    o.on_engine_event(
-                        now,
-                        id,
-                        before,
-                        &obs_before.unwrap(),
-                        after,
-                        &self.fleet.engines.get(idx).counters(),
-                    );
-                }
+                let (before, after, actions) =
+                    self.deliver(now, idx, id, EngineEvent::ForcedPause)?;
                 if actions.is_empty() {
                     return Ok(()); // refused (already physically paused)
                 }
@@ -1081,8 +1000,7 @@ impl ShardDriver {
                     self.diagnostics.workflow_completed(id);
                 }
                 self.fleet.resume_in_flight.set(idx, false);
-                self.telemetry.record(now, id, TelemetryKind::PhysicalPause);
-                self.fleet.accs[idx].transition(now, SegmentKind::Saved);
+                self.account_pause(now, idx, id, before, after);
                 self.metadata.set_state_at(idx, after);
                 self.apply_actions(actions, idx, id, now);
             }
@@ -1090,13 +1008,34 @@ impl ShardDriver {
         Ok(())
     }
 
-    /// Wall-clock nanoseconds the shard's engines spent compacting
-    /// their LSM histories.  Volatile diagnostics: it measures the
-    /// simulator process, never the simulated world.
-    fn compaction_stall_ns(&self) -> u64 {
-        (0..self.fleet.len())
+    /// Bring the volatile fields of the shard's counters up to date: the
+    /// wall-clock phase breakdown so far, the LSM compaction stall, the
+    /// telemetry count and the run-time queue's peak.
+    fn refresh_counters(&mut self) {
+        let register_end = self.register_done.unwrap_or(self.started);
+        let c = &mut self.counters;
+        c.register_micros = register_end.duration_since(self.started).as_micros() as u64;
+        c.run_micros = register_end.elapsed().as_micros() as u64;
+        c.set_wall_clock(self.started.elapsed());
+        c.telemetry_events = self.telemetry.run.total();
+        c.queue_peak = self.queue.scheduled_peak();
+        // Wall-clock nanoseconds the engines spent compacting their LSM
+        // histories: it measures the process, never the simulated world.
+        c.compaction_stall_micros = (0..self.fleet.len())
             .map(|idx| self.fleet.engines.get(idx).history().compaction_stall_ns())
-            .sum()
+            .sum::<u64>()
+            / 1_000;
+    }
+
+    /// Record one observability snapshot at `at` from the shard's
+    /// counters (refreshed by the caller) and its live queue and
+    /// workflow readings.
+    fn take_obs_snapshot(&mut self, at: Timestamp) {
+        let in_flight = self.diagnostics.in_flight_count();
+        let (depth, recorded) = (self.queue.scheduled_len(), self.queue.recorded_len());
+        if let Some(o) = self.obs.as_mut() {
+            o.take_snapshot(at, &self.counters, in_flight, depth, recorded);
+        }
     }
 
     /// Close the books: final segment accounting, invariant audits, the
@@ -1104,17 +1043,11 @@ impl ShardDriver {
     /// [`ShardOutcome`].
     pub fn finish(mut self) -> Result<ShardOutcome, ProrpError> {
         let finish_started = Instant::now();
-        let register_end = self.register_done.unwrap_or(self.started);
-        self.counters.register_micros =
-            register_end.duration_since(self.started).as_micros() as u64;
-        self.counters.run_micros = finish_started.duration_since(register_end).as_micros() as u64;
-
-        let cfg = &self.cfg;
+        self.refresh_counters();
         debug_assert_eq!(self.balance_moves_history, self.cluster.balance_moves);
 
-        self.counters.compaction_stall_micros = self.compaction_stall_ns() / 1_000;
-
         // Close the books.
+        let cfg = &self.cfg;
         let mut db_results: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)> =
             Vec::with_capacity(self.fleet.len());
         for idx in 0..self.fleet.len() {
@@ -1145,10 +1078,6 @@ impl ShardDriver {
             ));
         }
 
-        self.counters.telemetry_events = self.telemetry.run.total();
-        self.counters.queue_peak = self.queue.scheduled_peak();
-        self.counters.set_wall_clock(self.started.elapsed());
-
         // Predictor circuit-breaker activity lives in the per-engine
         // counters; fold the shard totals into the workflow telemetry.
         self.workflow_stats.breaker_opens = db_results.iter().map(|r| r.2.breaker_opens).sum();
@@ -1157,25 +1086,8 @@ impl ShardDriver {
 
         // The end-of-run snapshot is always taken at `cfg.end`, on every
         // shard, so the merged series stays aligned.
-        let obs_part = self.obs.map(|mut o| {
-            o.take_snapshot(
-                cfg.end,
-                SelfObservations {
-                    events_processed: self.counters.events_processed,
-                    telemetry_events: self.counters.telemetry_events,
-                    databases: self.fleet.len(),
-                    wall_clock_micros: self.counters.wall_clock_micros,
-                    workflows_in_flight: self.diagnostics.in_flight_count(),
-                    register_micros: self.counters.register_micros,
-                    run_micros: self.counters.run_micros,
-                    compaction_stall_micros: self.counters.compaction_stall_micros,
-                    queue_depth: self.queue.scheduled_len(),
-                    queue_peak: self.queue.scheduled_peak(),
-                    queue_recorded: self.queue.recorded_len(),
-                },
-            );
-            o.finish()
-        });
+        self.take_obs_snapshot(self.cfg.end);
+        let obs_part = self.obs.map(ShardObs::finish);
 
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
         Ok(ShardOutcome {
@@ -1188,8 +1100,6 @@ impl ShardDriver {
             balance_moves: self.cluster.balance_moves,
             oversubscriptions: self.cluster.oversubscriptions,
             mitigations: self.diagnostics.mitigations,
-            incidents: self.diagnostics.incidents,
-            giveups: self.diagnostics.giveups,
             workflow: self.workflow_stats,
             incident_log: self.incident_log,
             maintenance: self.maintenance.stats(),
@@ -1333,8 +1243,8 @@ mod tests {
         assert_eq!(a.incident_log, b.incident_log);
         assert_eq!(a.maintenance, b.maintenance);
         assert_eq!(
-            (a.mitigations, a.incidents, a.giveups, a.spill_moves),
-            (b.mitigations, b.incidents, b.giveups, b.spill_moves)
+            (a.mitigations, a.spill_moves),
+            (b.mitigations, b.spill_moves)
         );
         let snapshot = |o: &ShardOutcome| {
             let obs = o.obs.as_ref().unwrap();
@@ -1473,6 +1383,111 @@ mod tests {
         assert!(driver.workflows.get_mut(0).is_none(), "stages ran");
         assert!(driver.take_touched().is_empty());
     }
+
+    /// A forced pause of a logically paused database is one
+    /// `physical-pause` record, saved time, a paused `sys.databases` row
+    /// with no prediction, released compute and one lifecycle span; the
+    /// stale logical-pause timer that fires later adds nothing.  A forced
+    /// pause of a serving or an already physically paused database
+    /// records nothing at all.
+    #[test]
+    fn a_forced_pause_is_accounted_once() {
+        use prorp_obs::{ObsReport, SpanKind};
+        use prorp_types::PolicyConfig;
+        let hour = |h: i64| Timestamp(h * 3_600);
+        let cfg = SimConfig::builder(
+            SimPolicy::Proactive(PolicyConfig::default()),
+            Timestamp(0),
+            hour(48),
+            Timestamp(0),
+        )
+        .observe(prorp_obs::ObsConfig::on())
+        .build()
+        .unwrap();
+        let (paused, serving, cold) = (DatabaseId(0), DatabaseId(1), DatabaseId(2));
+        let mut driver = ShardDriver::new(&cfg, 0, 3).unwrap();
+        for id in [paused, serving, cold] {
+            driver
+                .register(&Trace::new(id, "live", Vec::new()).unwrap())
+                .unwrap();
+            assert!(driver.inject_login(hour(1), id));
+        }
+        // With no history yet both logouts land in a logical pause, and
+        // `cold`'s timer takes it on to a physical pause.
+        assert!(driver.inject_logout(hour(2), paused));
+        assert!(driver.inject_logout(hour(2), cold));
+        driver.start();
+        driver.step_until(hour(3)).unwrap();
+        assert_eq!(driver.db_state(paused), Some(DbState::LogicallyPaused));
+        assert!(driver.inject_forced_pause(hour(3), paused));
+        assert!(driver.inject_forced_pause(hour(3), serving));
+        driver.step_until(hour(20)).unwrap(); // past logout + 7 h
+        assert_eq!(driver.db_state(cold), Some(DbState::PhysicallyPaused));
+        assert!(driver.inject_forced_pause(hour(20), cold));
+        driver.step_until(hour(21)).unwrap();
+
+        let expected = [
+            (DbState::PhysicallyPaused, SegmentKind::Saved, false),
+            (DbState::Resumed, SegmentKind::Active, true),
+            (DbState::PhysicallyPaused, SegmentKind::Saved, false),
+        ];
+        for (idx, (state, segment, allocated)) in expected.into_iter().enumerate() {
+            let id = DatabaseId(idx as u64);
+            assert_eq!(driver.db_state(id), Some(state), "{id}");
+            assert_eq!(driver.fleet.accs[idx].open_kind(), Some(segment), "{id}");
+            assert_eq!(driver.cluster.has_allocation(idx), allocated, "{id}");
+            let row = driver.metadata.get(id).unwrap();
+            assert_eq!((row.state, row.pred_start), (state, None), "{id}");
+        }
+
+        let outcome = driver.finish().unwrap();
+        let physical_pauses = |id: DatabaseId| -> Vec<Timestamp> {
+            let events = outcome.telemetry.events().iter();
+            events
+                .filter(|e| e.db == id && e.kind == TelemetryKind::PhysicalPause)
+                .map(|e| e.ts)
+                .collect()
+        };
+        assert_eq!(physical_pauses(paused), vec![hour(3)]);
+        assert!(physical_pauses(serving).is_empty());
+        let timed_out = physical_pauses(cold);
+        assert!(
+            timed_out.len() == 1 && timed_out[0] < hour(20),
+            "{timed_out:?}"
+        );
+        let engine_pauses: Vec<u64> = outcome.dbs.iter().map(|r| r.2.physical_pauses).collect();
+        assert_eq!(engine_pauses, vec![1, 0, 1]);
+
+        let trace = ObsReport::merge(vec![outcome.obs.unwrap()]).unwrap().trace;
+        let lifecycle = |id: DatabaseId| -> Vec<(Timestamp, DbState, DbState)> {
+            trace
+                .iter()
+                .filter(|r| r.db == id)
+                .filter_map(|r| match r.kind {
+                    SpanKind::Lifecycle { from, to } => Some((r.start, from, to)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (resumed, logical, physical) = (
+            DbState::Resumed,
+            DbState::LogicallyPaused,
+            DbState::PhysicallyPaused,
+        );
+        assert_eq!(
+            lifecycle(paused),
+            vec![(hour(2), resumed, logical), (hour(3), logical, physical)]
+        );
+        assert!(lifecycle(serving).is_empty());
+        assert_eq!(
+            lifecycle(cold),
+            vec![
+                (hour(2), resumed, logical),
+                (timed_out[0], logical, physical)
+            ]
+        );
+    }
+
     #[test]
     fn workflow_slab_stays_dense_and_repoints_the_moved_entry() {
         let active = |at: i64| ActiveWorkflow {

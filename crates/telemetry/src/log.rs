@@ -23,8 +23,6 @@ pub enum TelemetryKind {
     PhysicalPause,
     /// The control plane pre-warmed the database (Algorithm 5).
     ProactiveResume,
-    /// The predictor failed and the reactive fallback engaged.
-    ForecastFailure,
     /// The database was moved to another node for load balancing.
     Move,
     /// A system maintenance job ran; `forced` records whether it needed a
@@ -38,8 +36,7 @@ pub enum TelemetryKind {
 impl TelemetryKind {
     /// Every kind, in ascending [`label`](Self::label) order — position
     /// `i` holds the kind whose [`index`](Self::index) is `i`.
-    pub const ALL: [TelemetryKind; 9] = [
-        TelemetryKind::ForecastFailure,
+    pub const ALL: [TelemetryKind; 8] = [
         TelemetryKind::LogicalPause,
         TelemetryKind::Login { available: true },
         TelemetryKind::Login { available: false },
@@ -53,15 +50,14 @@ impl TelemetryKind {
     /// Dense index in `0..ALL.len()`, ordered like the labels.
     pub fn index(self) -> usize {
         match self {
-            TelemetryKind::ForecastFailure => 0,
-            TelemetryKind::LogicalPause => 1,
-            TelemetryKind::Login { available: true } => 2,
-            TelemetryKind::Login { available: false } => 3,
-            TelemetryKind::Maintenance { forced: true } => 4,
-            TelemetryKind::Maintenance { forced: false } => 5,
-            TelemetryKind::Move => 6,
-            TelemetryKind::PhysicalPause => 7,
-            TelemetryKind::ProactiveResume => 8,
+            TelemetryKind::LogicalPause => 0,
+            TelemetryKind::Login { available: true } => 1,
+            TelemetryKind::Login { available: false } => 2,
+            TelemetryKind::Maintenance { forced: true } => 3,
+            TelemetryKind::Maintenance { forced: false } => 4,
+            TelemetryKind::Move => 5,
+            TelemetryKind::PhysicalPause => 6,
+            TelemetryKind::ProactiveResume => 7,
         }
     }
 
@@ -73,7 +69,6 @@ impl TelemetryKind {
             TelemetryKind::LogicalPause => "logical-pause",
             TelemetryKind::PhysicalPause => "physical-pause",
             TelemetryKind::ProactiveResume => "proactive-resume",
-            TelemetryKind::ForecastFailure => "forecast-failure",
             TelemetryKind::Move => "move",
             TelemetryKind::Maintenance { forced: true } => "maintenance-forced",
             TelemetryKind::Maintenance { forced: false } => "maintenance-piggybacked",

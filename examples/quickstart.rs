@@ -92,9 +92,7 @@ fn classify_instant(report: &prorp_sim::SimReport, t: Timestamp) -> char {
             TelemetryKind::LogicalPause => '=',
             TelemetryKind::PhysicalPause => '.',
             TelemetryKind::ProactiveResume => '+',
-            TelemetryKind::ForecastFailure
-            | TelemetryKind::Move
-            | TelemetryKind::Maintenance { .. } => state,
+            TelemetryKind::Move | TelemetryKind::Maintenance { .. } => state,
         };
     }
     // A '!' resolves into '#' once the resume workflow (~60 s) completes;

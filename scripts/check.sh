@@ -140,6 +140,12 @@ guards=(
     # A per-engine field coming back (680 bytes with the prediction
     # cache) is a named failure, not an RSS drift to bisect.
     proactive::tests::an_engine_is_632_bytes
+
+    # A pause counted twice: a forced pause, or the stale timer after it,
+    # adding a second `physical-pause` record, segment move or span.
+    a_forced_pause_is_accounted_once
+    # An ingest outcome that goes uncounted on `/metrics`.
+    ingest_outcomes_are_counted_on_metrics
 )
 echo "==> every guard test is in the suite"
 listed=$(cargo test -q -- --list 2>/dev/null)
