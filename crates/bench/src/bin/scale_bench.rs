@@ -320,7 +320,7 @@ fn main() {
                 report.kpi.qos_pct()
             );
             // Per-shard wall-time breakdown: where each worker's time
-            // went (registration, event loop, close-out, compaction).
+            // went (registration, event loop, close-out).
             // Diagnoses multi-shard scaling losses — a shard whose
             // register phase dominates is starved by setup, not by the
             // event loop.
@@ -329,14 +329,13 @@ fn main() {
                 if shards > 1 {
                     println!(
                         "            shard {}: {} dbs, {} events | register {:.3}s, \
-                         run {:.3}s, finish {:.3}s, stall {:.3}s",
+                         run {:.3}s, finish {:.3}s",
                         c.shard,
                         c.databases,
                         c.events_processed,
                         c.register_micros as f64 / 1e6,
                         c.run_micros as f64 / 1e6,
                         c.finish_micros as f64 / 1e6,
-                        c.compaction_stall_micros as f64 / 1e6,
                     );
                 }
                 shard_rows.push(Json::object(vec![
@@ -348,10 +347,6 @@ fn main() {
                     ("register_micros", Json::from(c.register_micros)),
                     ("run_micros", Json::from(c.run_micros)),
                     ("finish_micros", Json::from(c.finish_micros)),
-                    (
-                        "compaction_stall_micros",
-                        Json::from(c.compaction_stall_micros),
-                    ),
                 ]));
             }
             entries.push(Json::object(vec![

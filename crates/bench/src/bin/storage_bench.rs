@@ -6,14 +6,15 @@
 //! the two axes the redesign trades between, writing the results to
 //! `results/BENCH_storage.json`:
 //!
-//! * **write amplification** — physical bytes written per logical byte
-//!   under the simulator's steady-state workload (periodic logins plus
-//!   daily Algorithm 3 trims).  The LSM number is *measured* from its
-//!   flush/compaction ledger ([`LsmMetrics`](prorp_storage::LsmMetrics));
-//!   the `btree` number is measured through the repo's own durability
-//!   machinery ([`DurableHistory`]), which checkpoints the whole table
-//!   image — the same bytes the `Checkpoint` spans carry — on the same
-//!   cadence as the LSM memtable flush;
+//! * **write amplification** — bytes written per logical byte under the
+//!   simulator's steady-state workload (periodic logins plus daily
+//!   Algorithm 3 trims).  The LSM writes its mutation log and nothing
+//!   else, so its number is log bytes per logical byte
+//!   ([`LsmMetrics`](prorp_storage::LsmMetrics)); the `btree` number is
+//!   measured through the repo's own durability machinery
+//!   ([`DurableHistory`]), which checkpoints the whole table image — the
+//!   same bytes the `Checkpoint` spans carry — every
+//!   [`CHECKPOINT_EVERY`] mutations;
 //! * **window-scan latency** — `login_window_stats` over an Algorithm 4
 //!   style sliding sweep (7 h window, 5 min slide), per window position.
 //!   Every engine serves reads from the one
@@ -36,7 +37,7 @@
 //!   number of expired tuples grows under a fixed retained tail.  Both
 //!   drain the shared view, whose cost tracks the constant-size
 //!   retained tail; the `btree` table does nothing else, and the LSM
-//!   also writes a single range tombstone, so its per-pass wall time
+//!   also logs a single range-delete record, so its per-pass wall time
 //!   must stay flat as the trimmed count grows.
 //!
 //! And a fourth, at the grain a fleet actually runs at:
@@ -44,10 +45,10 @@
 //! * **cold-interleaved replay** — the seed-7 fleet's activity events
 //!   (10 000 stores, 8 days, ≈14 tuples a store) delivered hour by hour
 //!   across the fleet, each logout followed by the Algorithm 3 pass the
-//!   engines make, so every store is touched cold and few ever flush;
-//!   then every store is dropped.  Nanoseconds per event and per store
-//!   dropped, `btree` beside LSM — what the single hot store of the
-//!   other axes cannot show.
+//!   engines make, so every store is touched cold; then every store is
+//!   dropped.  Nanoseconds per event and per store dropped, `btree`
+//!   beside LSM — what the single hot store of the other axes cannot
+//!   show.
 //!
 //! Flags:
 //!
@@ -73,13 +74,14 @@ const RETENTION: Seconds = Seconds(28 * 86_400);
 /// Algorithm 4 window / slide for the scan sweep (Table 1).
 const WINDOW: i64 = 7 * 3_600;
 const SLIDE: i64 = 300;
+/// Mutations between two checkpoints of the `btree` durability run.
+const CHECKPOINT_EVERY: usize = 32;
 
 /// Measured LSM write amplification under the steady-state workload:
 /// one login every [`CADENCE`] seconds plus daily Algorithm 3 trims —
 /// the shape Algorithms 2 and 3 impose on every store in the fleet.
-/// Also returns the trimmed-tuple count and the compaction stall
-/// nanoseconds for the run.
-fn lsm_write_amp(n: usize) -> (prorp_storage::LsmMetrics, usize, u64) {
+/// Also returns the trimmed-tuple count for the run.
+fn lsm_write_amp(n: usize) -> (prorp_storage::LsmMetrics, usize) {
     let mut store = LsmHistory::new();
     let mut deleted = 0;
     for i in 0..n {
@@ -89,13 +91,13 @@ fn lsm_write_amp(n: usize) -> (prorp_storage::LsmMetrics, usize, u64) {
             deleted += store.delete_old_history(RETENTION, ts).deleted;
         }
     }
-    (store.metrics(), deleted, store.compaction_stall_ns())
+    (store.metrics(), deleted)
 }
 
 /// B+Tree bytes written, measured through [`DurableHistory`]: the WAL
 /// covers every mutation and a checkpoint serialises the full table
-/// image every `cap` mutations (matching the LSM memtable cadence).
-fn btree_write_amp(n: usize, cap: usize) -> (usize, usize, usize, usize) {
+/// image every [`CHECKPOINT_EVERY`] mutations.
+fn btree_write_amp(n: usize) -> (usize, usize, usize, usize) {
     let mut store = DurableHistory::new();
     let mut mutations = 0usize;
     let mut checkpoint_bytes = 0usize;
@@ -112,7 +114,7 @@ fn btree_write_amp(n: usize, cap: usize) -> (usize, usize, usize, usize) {
             mutations += outcome.deleted;
             since_checkpoint += outcome.deleted;
         }
-        if since_checkpoint >= cap {
+        if since_checkpoint >= CHECKPOINT_EVERY {
             wal_bytes += store.wal().byte_len();
             checkpoint_bytes += store.checkpoint().expect("checkpoint succeeds").len();
             checkpoints += 1;
@@ -331,19 +333,18 @@ fn main() {
     println!("  KPIs and telemetry bit-identical across backends and shard counts\n");
 
     // ── Write amplification ──────────────────────────────────────────
-    let cap = prorp_storage::LsmConfig::default().memtable_cap;
     println!(
         "Write amplification ({CADENCE}s login cadence, daily trims at 28d retention, \
-         checkpoint/flush every {cap} mutations)"
+         btree checkpoint every {CHECKPOINT_EVERY} mutations)"
     );
     println!(
         "{:>9} {:>14} {:>15}",
-        "logins", "lsm (measured)", "btree (durable)"
+        "logins", "lsm (log)", "btree (durable)"
     );
     let mut amp_entries = Vec::new();
     for &n in sizes {
-        let (lsm, lsm_deleted, stall_ns) = lsm_write_amp(n);
-        let (mutations, checkpoint_bytes, checkpoints, wal_bytes) = btree_write_amp(n, cap);
+        let (lsm, lsm_deleted) = lsm_write_amp(n);
+        let (mutations, checkpoint_bytes, checkpoints, wal_bytes) = btree_write_amp(n);
         let btree_amp = checkpoint_bytes as f64 / (mutations * 16) as f64;
         println!(
             "{:>9} {:>14.2} {:>15.2}",
@@ -360,19 +361,12 @@ fn main() {
                 Json::object(vec![
                     ("write_amp", Json::Float(lsm.write_amplification())),
                     ("logical_bytes", Json::from(lsm.logical_write_bytes as u64)),
-                    ("flushed_bytes", Json::from(lsm.flushed_bytes as u64)),
-                    ("compacted_bytes", Json::from(lsm.compacted_bytes as u64)),
                     (
-                        "wal_appended_bytes",
-                        Json::from(lsm.wal_appended_bytes as u64),
+                        "log_appended_bytes",
+                        Json::from(lsm.log_appended_bytes as u64),
                     ),
-                    ("flushes", Json::from(lsm.flushes as u64)),
-                    ("compactions", Json::from(lsm.compactions as u64)),
                     ("trimmed_tuples", Json::from(lsm_deleted as u64)),
                     ("range_tombstones", Json::from(lsm.range_tombstones as u64)),
-                    ("gc_dropped", Json::from(lsm.gc_dropped as u64)),
-                    ("runs_dropped", Json::from(lsm.runs_dropped as u64)),
-                    ("compaction_stall_ns", Json::from(stall_ns)),
                 ]),
             ),
             (
@@ -414,7 +408,7 @@ fn main() {
             ("lsm_ns_per_pass", Json::Float(lsm_ns)),
         ]));
     }
-    // The range-tombstone trim must not scale with the trimmed count:
+    // The range-delete trim must not scale with the trimmed count:
     // its cost tracks the constant retained tail, so the pass time at
     // the largest size stays within noise of the smallest (generous 3x
     // + 200us absolute floor — a per-tuple path would grow ~linearly).

@@ -112,7 +112,7 @@ impl LifecycleInvariants {
 
     /// Validate the history store a run leaves behind: the backend's
     /// audit (behind the [`HistoryStore`] seam: the §5 table's view
-    /// against its page image, the LSM's view against its merged runs)
+    /// against its page image, the LSM's view against its replayed log)
     /// must pass, and its events must come back in strictly ascending
     /// timestamp order (every tuple is keyed by its timestamp).
     ///

@@ -98,8 +98,8 @@ pub struct SimConfig {
     /// KPIs — so this knob exists for A/B benchmarking and differential
     /// testing of the storage seam.
     pub storage_backend: StorageBackend,
-    /// Read by nothing: LSM compaction always runs inline at the flush
-    /// that triggers it, whichever [`CompactionMode`] is set.  Kept, and
+    /// Read by nothing: no history backend compacts, whichever
+    /// [`CompactionMode`] is set.  Kept, and
     /// `Background` still accepted, only because the benchmark
     /// (`crates/ledger`) sets it; ROADMAP item 2 deletes it.
     pub compaction_mode: CompactionMode,

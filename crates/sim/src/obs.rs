@@ -134,7 +134,6 @@ impl ShardObs {
         registry.gauge("sim_self_wall_clock_micros");
         registry.gauge("sim_self_register_micros");
         registry.gauge("sim_self_run_micros");
-        registry.gauge("sim_self_compaction_stall_micros");
         registry.gauge("sim_self_queue_depth");
         registry.gauge("sim_self_queue_peak");
         registry.gauge("sim_self_queue_recorded");
@@ -483,10 +482,6 @@ impl ShardObs {
             ("sim_self_wall_clock_micros", counters.wall_clock_micros),
             ("sim_self_register_micros", counters.register_micros),
             ("sim_self_run_micros", counters.run_micros),
-            (
-                "sim_self_compaction_stall_micros",
-                counters.compaction_stall_micros,
-            ),
             ("sim_self_queue_depth", queue_depth as u64),
             ("sim_self_queue_peak", counters.queue_peak as u64),
             ("sim_self_queue_recorded", queue_recorded as u64),
@@ -692,7 +687,6 @@ mod tests {
             wall_clock_micros: 12_345,
             register_micros: 1_000,
             run_micros: 11_000,
-            compaction_stall_micros: 9,
             queue_peak: 8,
             ..ShardCounters::default()
         };
@@ -708,12 +702,6 @@ mod tests {
             snap.get("prorp_workflows_in_flight").unwrap().as_gauge(),
             Some(2)
         );
-        assert_eq!(
-            snap.get("sim_self_compaction_stall_micros")
-                .unwrap()
-                .as_gauge(),
-            Some(9)
-        );
         for (name, want) in [
             ("sim_self_queue_depth", 5),
             ("sim_self_queue_peak", 8),
@@ -725,7 +713,6 @@ mod tests {
         let det = snap.deterministic();
         assert!(det.get("sim_self_queue_peak").is_none());
         assert!(det.get("sim_self_wall_clock_micros").is_none());
-        assert!(det.get("sim_self_compaction_stall_micros").is_none());
         assert!(det.get("prorp_workflows_in_flight").is_some());
     }
 }

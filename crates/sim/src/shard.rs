@@ -1009,8 +1009,8 @@ impl ShardDriver {
     }
 
     /// Bring the volatile fields of the shard's counters up to date: the
-    /// wall-clock phase breakdown so far, the LSM compaction stall, the
-    /// telemetry count and the run-time queue's peak.
+    /// wall-clock phase breakdown so far, the telemetry count and the
+    /// run-time queue's peak.
     fn refresh_counters(&mut self) {
         let register_end = self.register_done.unwrap_or(self.started);
         let c = &mut self.counters;
@@ -1019,12 +1019,6 @@ impl ShardDriver {
         c.set_wall_clock(self.started.elapsed());
         c.telemetry_events = self.telemetry.run.total();
         c.queue_peak = self.queue.scheduled_peak();
-        // Wall-clock nanoseconds the engines spent compacting their LSM
-        // histories: it measures the process, never the simulated world.
-        c.compaction_stall_micros = (0..self.fleet.len())
-            .map(|idx| self.fleet.engines.get(idx).history().compaction_stall_ns())
-            .sum::<u64>()
-            / 1_000;
     }
 
     /// Record one observability snapshot at `at` from the shard's

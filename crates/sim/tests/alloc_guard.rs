@@ -21,14 +21,16 @@
 //! 0.16 and 0.26, so the two tighter cells below (< 0.13, < 0.23) fail
 //! by name when a second per-row structure comes back.
 //!
-//! The LSM history gets its own two cells and a bar of one in two.  When
-//! a mutation was written three times — a `BTreeMap` entry with a `Vec`
-//! per key, an encoded WAL record, a timeline pair — those halves made
-//! 0.77 (reactive) and 0.92 (proactive) allocations per event; with one
-//! log record per mutation and no bloom filter built per run they make
-//! 0.17 and 0.27: the view's figure plus a run per flush and its merges.
-//! A per-key `Vec`, a node-allocating map or a second per-mutation
-//! buffer coming back crosses the bar.
+//! The LSM history gets its own two cells.  When a mutation was written
+//! three times — a `BTreeMap` entry with a `Vec` per key, an encoded WAL
+//! record, a timeline pair — those halves made 0.77 (reactive) and 0.92
+//! (proactive) allocations per event; with one log record per mutation
+//! but runs flushed and merged beneath it, 0.17 and 0.27.  As the view
+//! plus its append-only log they make 0.146 and 0.243: the view's figure
+//! plus the log's amortised growth.  The bars (< 0.165, < 0.26) sit
+//! about 0.02 above that, so a run hierarchy, a per-key `Vec`, a
+//! node-allocating map or a second per-mutation buffer coming back
+//! crosses them.
 
 use prorp_sim::{ShardDriver, SimConfig, SimPolicy, StorageBackend};
 use prorp_types::{PolicyConfig, Timestamp};
@@ -125,12 +127,12 @@ fn a_warm_proactive_loop_writes_each_history_row_once() {
 #[test]
 fn a_warm_reactive_lsm_loop_allocates_less_than_once_per_two_events() {
     let per_event = second_half_allocations_per_event(SimPolicy::Reactive, StorageBackend::Lsm);
-    assert!(per_event < 0.5, "{per_event:.3} allocations per event");
+    assert!(per_event < 0.165, "{per_event:.3} allocations per event");
 }
 
 #[test]
 fn a_warm_proactive_lsm_loop_allocates_less_than_once_per_two_events() {
     let policy = SimPolicy::Proactive(PolicyConfig::default());
     let per_event = second_half_allocations_per_event(policy, StorageBackend::Lsm);
-    assert!(per_event < 0.5, "{per_event:.3} allocations per event");
+    assert!(per_event < 0.26, "{per_event:.3} allocations per event");
 }

@@ -37,14 +37,14 @@
 //! [`HistoryBackend`] as the enum-dispatch wrapper engines hold and
 //! [`StorageBackend`] as the fleet-wide knob.  Two engines implement
 //! the seam: the §5 [`HistoryTable`] (default) and the [`lsm`]
-//! module's [`LsmHistory`] — an LSM/MVCC tree whose monotonic seqnos
+//! module's [`LsmHistory`] — an MVCC store whose monotonic seqnos
 //! power [`snapshot`](lsm::LsmHistory::snapshot) frozen views and the
 //! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
 //! Both hold one [`LiveView`], so what the visible set *is* and how it
 //! is read exist once.  The table is that view and nothing else, and
 //! its `check_invariants` audits it against its own page image; the LSM
-//! keeps a mutation log, runs and range tombstones beneath it, from
-//! which its audit re-derives the visible set independently.
+//! keeps the append-only log of every mutation beside it, which its
+//! snapshots and its audit replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,8 +63,7 @@ pub use backup::{backup_history, restore_backend, restore_history};
 pub use btree::BTree;
 pub use history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
 pub use lsm::{
-    CompactionMode, CompactionScheduler, LsmConfig, LsmHistory, LsmMetrics, LsmSnapshot,
-    RangeTombstone, TimeTravel,
+    CompactionMode, CompactionScheduler, LsmHistory, LsmMetrics, LsmSnapshot, TimeTravel,
 };
 pub use metadata::{DbMeta, MetadataStore};
 pub use store::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};

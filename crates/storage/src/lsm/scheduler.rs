@@ -1,29 +1,27 @@
 //! The compaction selector and scheduler, both inert.
 //!
-//! LSM compaction has one path: every flush runs its merges inline, at
-//! the mutation that triggered it, and charges their wall time to
-//! [`LsmHistory::compaction_stall_ns`](super::LsmHistory::compaction_stall_ns).
+//! An LSM store is its view and its mutation log: there are no runs to
+//! flush or merge, so there is no compaction to schedule.
 //! [`CompactionMode`] and [`CompactionScheduler`] are kept only because
 //! the benchmark (`crates/ledger`) names them; ROADMAP item 2's façade
 //! PR deletes them.  Neither holds a thread or changes a byte of state.
 
 /// The `SimConfig::compaction_mode` selector, kept only because the
 /// benchmark (`crates/ledger`) names it; ROADMAP item 2's façade PR
-/// deletes it.  Every LSM flush compacts inline whichever value is
-/// chosen, so the two are indistinguishable.
+/// deletes it.  Nothing reads the value, so the two are
+/// indistinguishable.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum CompactionMode {
-    /// Compaction runs inline at each flush.
+    /// The default.
     #[default]
     Deterministic,
-    /// Also inline: the selector the benchmark's sharded cell names.
+    /// The selector the benchmark's sharded cell names.
     Background,
 }
 
 /// A compaction scheduler that holds no thread, kept only because the
 /// benchmark (`crates/ledger`) builds one and attaches stores to it
-/// (ROADMAP item 2 deletes it).  Attaching a store changes nothing:
-/// LSM compaction always runs inline at the flush that triggers it.
+/// (ROADMAP item 2 deletes it).  Attaching a store changes nothing.
 #[derive(Debug, Default)]
 pub struct CompactionScheduler;
 
@@ -37,15 +35,9 @@ impl CompactionScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lsm::{LsmConfig, LsmHistory};
+    use crate::lsm::{LsmHistory, TimeTravel};
     use crate::store::{HistoryBackend, HistoryRead, HistoryStore};
     use prorp_types::{EventKind, Seconds, Timestamp};
-
-    const CAP: usize = 8;
-
-    fn store() -> HistoryBackend {
-        HistoryBackend::Lsm(LsmHistory::with_config(LsmConfig { memtable_cap: CAP }))
-    }
 
     fn lsm(h: &HistoryBackend) -> &LsmHistory {
         match h {
@@ -55,8 +47,7 @@ mod tests {
     }
 
     /// `inserts` logins a minute apart; with `trim_every`, a retention
-    /// pass after every that-many inserts (so tombstones exist before
-    /// the first flush when it is below the memtable cap).
+    /// pass after every that-many inserts.
     fn mutate(h: &mut HistoryBackend, inserts: i64, trim_every: Option<i64>) {
         for i in 0..inserts {
             h.insert_history(Timestamp(i * 60), EventKind::Start);
@@ -68,29 +59,35 @@ mod tests {
 
     #[test]
     fn attach_mutate_detach_equals_inline() {
-        // Below the cap (never flushes), at it, and far past it; with and
-        // without range tombstones recorded before the first flush; the
-        // detached store and a clone taken while it was attached.
-        for inserts in [CAP as i64 - 1, CAP as i64, 20 * CAP as i64] {
+        // A short history and a long one, with and without range
+        // deletes; the detached store and a clone taken while it was
+        // attached.
+        for inserts in [7, 160] {
             for trim_every in [None, Some(3)] {
                 let case = format!("{inserts} inserts, trims {trim_every:?}");
                 let sched = CompactionScheduler::new();
-                let mut attached = store();
+                let mut attached = HistoryBackend::Lsm(LsmHistory::new());
                 attached.attach_compaction(&sched);
                 mutate(&mut attached, inserts, trim_every);
                 let clone = attached.clone();
                 attached.detach_compaction();
 
-                let mut inline = store();
+                let mut inline = HistoryBackend::Lsm(LsmHistory::new());
                 mutate(&mut inline, inserts, trim_every);
                 let want = lsm(&inline);
                 for (who, h) in [("detached", &attached), ("clone", &clone)] {
                     let got = lsm(h);
                     assert_eq!(got.metrics(), want.metrics(), "{case}: {who}");
-                    assert_eq!(got.run_count(), want.run_count(), "{case}: {who}");
                     assert_eq!(got.stats(), want.stats(), "{case}: {who}");
-                    assert_eq!(got.gc_floor(), want.gc_floor(), "{case}: {who}");
                     assert_eq!(got.events(), want.events(), "{case}: {who}");
+                    assert_eq!(got.version(), want.version(), "{case}: {who}");
+                    for seqno in 0..=got.version() {
+                        assert_eq!(
+                            got.snapshot(seqno),
+                            want.snapshot(seqno),
+                            "{case}: {who} at seqno {seqno}"
+                        );
+                    }
                     h.check_invariants();
                 }
             }

@@ -6,10 +6,6 @@
 //! post-mortem can ask "what history did the predictor see as of T?"
 //! and re-run Algorithm 4 against exactly that state — the oxibase
 //! `AS OF` idiom over fjall-style sequence numbers.
-//!
-//! A snapshot is its materialised view: it owns the visible tuple set,
-//! so later flushes, merges and garbage collection in the live store
-//! cannot change what it reads.
 
 use crate::store::HistoryRead;
 use crate::view::LiveView;
@@ -20,9 +16,8 @@ use prorp_types::Timestamp;
 /// Implements only the read half of the storage seam
 /// ([`HistoryRead`]): predictors run against a snapshot exactly as
 /// they run against the live store, but nothing can mutate it.  The
-/// view is materialised (not a reference into the tree), so it stays
-/// valid — and stays exact — however the live store compacts or
-/// garbage-collects afterwards.
+/// view is materialised (not a reference into the store), so later
+/// mutations of the live store cannot change what it reads.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LsmSnapshot {
     /// The visible tuple set, frozen; its version is the freeze seqno.

@@ -15,8 +15,8 @@
 //! ([`crate::HistoryTable`], [`crate::LsmHistory`],
 //! [`crate::LsmSnapshot`]) each hold one.  [`crate::HistoryTable`] is
 //! nothing else, and its `check_invariants` audits the view against its
-//! own page image; the LSM keeps its log, runs and tombstones beside it
-//! and audits the view against the visible set it re-derives from them.
+//! own page image; the LSM keeps its mutation log beside it and audits
+//! the view against the visible set it replays from the log.
 
 use crate::history::{ClockIndex, DeleteOutcome, StorageStats};
 use crate::page::{self, Record};

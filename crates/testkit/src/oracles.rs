@@ -90,8 +90,8 @@ pub fn assert_reports_equal(a: &SimReport, b: &SimReport, context: &str) {
 /// Used by the oracles that compare *different engines* (`p = 0`
 /// proactive vs. the reactive baseline): the two trim history per
 /// Algorithm 3 at different instants — reactive only on activity end,
-/// proactive on every re-prediction — so the B-trees take different
-/// split/merge paths even though every observable behaviour matches.
+/// proactive on every re-prediction — so they retain different tuples
+/// even though every observable behaviour matches.
 ///
 /// # Panics
 ///

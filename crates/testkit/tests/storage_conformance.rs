@@ -8,11 +8,13 @@
 //! * a single-store interleaving property — arbitrary Algorithm 2/3
 //!   op sequences applied through `&mut dyn HistoryStore` to both
 //!   backends must agree on every read (with the B+Tree as the model),
-//!   and every intermediate LSM seqno must `snapshot()` back to exactly
-//!   the state the model held at that point;
+//!   every LSM seqno must `snapshot()` back to exactly the state the
+//!   model held at that point, and a snapshot frozen mid-stream must
+//!   keep reading its tuples after later trims;
 //! * a fleet differential — generated fleets under generated fault
-//!   plans produce bit-identical behaviour (KPIs, per-database engine
-//!   counters, incidents, batches) on either backend;
+//!   plans produce bit-identical reports (KPIs, per-database engine
+//!   counters, incidents, batches, history storage statistics) on
+//!   either backend;
 //! * LSM shard invariance — a pinned faulty scenario on the LSM backend
 //!   reports identically at 1, 2, and 8 shards, including the history
 //!   storage statistics;
@@ -27,11 +29,9 @@ use prorp_forecast::ProbabilisticPredictor;
 use prorp_obs::span::SpanKind;
 use prorp_obs::{timetravel, trace_jsonl, ObsConfig, PredictOutcome};
 use prorp_sim::{CompactionMode, SimPolicy, SimReport, StorageBackend};
-use prorp_storage::{
-    HistoryRead, HistoryStore, HistoryTable, LsmConfig, LsmHistory, LsmSnapshot, TimeTravel,
-};
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, LsmHistory, LsmSnapshot, TimeTravel};
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
-use testkit::oracles::{assert_behaviour_equal, assert_reports_equal, builder, run, DAY};
+use testkit::oracles::{assert_reports_equal, builder, run, DAY};
 use testkit::strategies::{fault_plan, fleet_spec, FaultPlan, FleetSpec};
 
 // ── Layer 1: single-store interleavings ──────────────────────────────
@@ -104,61 +104,39 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Arbitrary insert/trim interleavings: the LSM store must agree
-    /// with the B+Tree after every op, and each recorded seqno must
-    /// snapshot back to the exact event set the model held then.
+    /// with the B+Tree after every op, and every seqno from 0 to the
+    /// last must snapshot back to the exact event set the model held
+    /// then — including seqnos whose tuples later trims deleted.
     #[test]
     fn interleavings_agree_and_snapshots_rebuild(ops in prop::collection::vec(op(), 1..60)) {
         let mut model = HistoryTable::new();
         let mut lsm = LsmHistory::new();
-        // `(seqno, events the model held at that seqno)` after each op.
-        let mut states: Vec<(u64, Vec<ActivityEvent>)> = Vec::new();
-        for (i, &op) in ops.iter().enumerate() {
-            apply(&mut model, op);
-            apply(&mut lsm, op);
-            assert_reads_equal(&model, &lsm, &format!("after op {i} ({op:?})"));
-            states.push((lsm.version(), model.events()));
-        }
-        // Time travel back through every recorded seqno: the snapshot
-        // must equal the state rebuilt from the op prefix (held by the
-        // model at that point), not just the final state.
-        for (seqno, expected) in &states {
-            let snap = lsm.snapshot(*seqno);
-            prop_assert_eq!(snap.seqno(), *seqno);
-            prop_assert_eq!(&snap.events(), expected, "snapshot at seqno {}", seqno);
-        }
-        // Seqno 0 is always the empty store.
-        prop_assert!(lsm.snapshot(0).is_empty());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Forced-compaction oracle for the range-tombstone path: a
-    /// tiny-memtable LSM store (flush every 4 versions, so trims become
-    /// range tombstones that real merges then garbage-collect) must stay
-    /// read-identical to the §5 table model, whose trim is a drain of
-    /// its sorted view.  Snapshots
-    /// taken mid-stream must keep reading their exact historical tuples
-    /// after later merges have garbage-collected them from the store.
-    #[test]
-    fn forced_compaction_preserves_observable_state(
-        ops in prop::collection::vec(op(), 1..60),
-    ) {
-        let mut model = HistoryTable::new();
-        let mut lsm = LsmHistory::with_config(LsmConfig { memtable_cap: 4 });
+        // `visible[s]`: the events the model held at seqno `s`.
+        let mut visible: Vec<Vec<ActivityEvent>> = vec![Vec::new()];
         // `(snapshot, events the model held at freeze time)` pairs.
         let mut frozen: Vec<(LsmSnapshot, Vec<ActivityEvent>)> = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut model, op);
             apply(&mut lsm, op);
+            assert_reads_equal(&model, &lsm, &format!("after op {i} ({op:?})"));
+            if lsm.version() as usize == visible.len() {
+                visible.push(model.events());
+            }
+            prop_assert_eq!(lsm.version() as usize + 1, visible.len());
             if i % 5 == 0 {
                 frozen.push((lsm.snapshot(lsm.version()), model.events()));
             }
         }
-        assert_reads_equal(&model, &lsm, "model vs lsm at end");
-        // Every tuple the model held at freeze time still reads back,
-        // however the store compacted afterwards.
+        // Time travel back through every seqno: the snapshot must equal
+        // the state rebuilt from the op prefix (held by the model at
+        // that point), not just the final state.
+        for (seqno, expected) in visible.iter().enumerate() {
+            let snap = lsm.snapshot(seqno as u64);
+            prop_assert_eq!(snap.seqno(), seqno as u64);
+            prop_assert_eq!(&snap.events(), expected, "snapshot at seqno {}", seqno);
+        }
+        // Every tuple the model held at freeze time still reads back from
+        // a snapshot frozen then, whatever the store did afterwards.
         for (snap, expected) in &frozen {
             prop_assert_eq!(snap.len(), expected.len(), "frozen len at seqno {}", snap.seqno());
             for ev in expected {
@@ -229,11 +207,11 @@ fn pinned() -> (FleetSpec, FaultPlan) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The storage backend is invisible to behaviour: generated fleets
-    /// under generated fault plans report identical KPIs, engine
-    /// counters, incidents, and resume batches on either backend.
-    /// (History *storage statistics* legitimately differ — the LSM
-    /// retains MVCC versions — so this compares behaviour, not pages.)
+    /// The storage backend is invisible: generated fleets under
+    /// generated fault plans report identical KPIs, engine counters,
+    /// incidents, resume batches and history storage statistics on
+    /// either backend (both report the logical figure of the one view
+    /// they share).
     #[test]
     fn fleet_behaviour_is_backend_independent(
         spec in fleet_spec(),
@@ -241,7 +219,7 @@ proptest! {
     ) {
         let btree = run_backend(&spec, &plan, 2, StorageBackend::BTree, false);
         let lsm = run_backend(&spec, &plan, 2, StorageBackend::Lsm, false);
-        assert_behaviour_equal(&btree, &lsm, &format!("{spec:?} under {plan:?}"));
+        assert_reports_equal(&btree, &lsm, &format!("{spec:?} under {plan:?}"));
     }
 }
 
@@ -267,8 +245,8 @@ fn lsm_reports_are_shard_invariant() {
 }
 
 /// A whole simulated fleet reports bit-identically under either
-/// `CompactionMode`: both compact inline at flush points, so the
-/// selector the benchmark sets may not move a byte of the report.
+/// `CompactionMode`: nothing reads the selector the benchmark sets, so
+/// it may not move a byte of the report.
 #[test]
 fn fleet_reports_are_compaction_mode_independent() {
     let (spec, plan) = pinned();
