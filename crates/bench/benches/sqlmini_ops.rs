@@ -54,7 +54,7 @@ fn bench_range_query(c: &mut Criterion) {
 fn bench_sql_vs_native_prediction(c: &mut Criterion) {
     let mut group = c.benchmark_group("sqlmini/predict_next_activity");
     let mut sql_db = loaded_db(28);
-    let mut native = HistoryTable::new();
+    let mut native = HistoryTable::default();
     for d in 0..28 {
         native.insert_history(Timestamp(d * DAY + 9 * HOUR), EventKind::Start);
         native.insert_history(Timestamp(d * DAY + 10 * HOUR), EventKind::End);

@@ -34,7 +34,7 @@ fn main() {
         let predictor = ProbabilisticPredictor::with_basis(config, basis).expect("valid knobs");
         let mut report = AccuracyReport::default();
         for trace in &traces {
-            let mut history = HistoryTable::new();
+            let mut history = HistoryTable::default();
             let events = trace.events();
             let mut next_event = 0;
             let mut now = scale.measure_from();

@@ -66,7 +66,7 @@ fn main() {
     for (label, fixed) in configs {
         let mut report = AccuracyReport::default();
         for trace in &traces {
-            let mut history = HistoryTable::new();
+            let mut history = HistoryTable::default();
             let events = trace.events();
             let mut next_event = 0;
             let mut now = start + Seconds::days(warmup);

@@ -60,7 +60,7 @@ fn main() {
     let now = scale.end();
     // Re-derive each history by replaying the trace through a tracker.
     for trace in &traces {
-        let mut history = HistoryTable::new();
+        let mut history = HistoryTable::default();
         for ev in trace.events() {
             history.insert_event(ev);
         }

@@ -39,7 +39,7 @@ const HOUR: i64 = 3_600;
 
 /// One 20-minute session starting at each of `starts`.
 fn sessions(starts: impl IntoIterator<Item = i64>) -> HistoryTable {
-    let mut h = HistoryTable::new();
+    let mut h = HistoryTable::default();
     for start in starts {
         h.insert_history(Timestamp(start), EventKind::Start);
         h.insert_history(Timestamp(start + 1_200), EventKind::End);

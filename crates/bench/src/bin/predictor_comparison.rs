@@ -69,7 +69,7 @@ fn main() {
         let mut report = AccuracyReport::default();
         for trace in &traces {
             // Build the history visible at each instant incrementally.
-            let mut history = HistoryTable::new();
+            let mut history = HistoryTable::default();
             let events = trace.events();
             let mut next_event = 0;
             for &now in &eval_instants {
@@ -96,7 +96,7 @@ fn main() {
         for trace in &traces {
             let mut oracle =
                 OraclePredictor::new(trace.sessions.clone()).expect("traces are ordered");
-            let empty = HistoryTable::new();
+            let empty = HistoryTable::default();
             for &now in &eval_instants {
                 let pred = oracle.predict(&empty, now).ok().flatten();
                 let actual = trace.next_login_after(now);

@@ -1,44 +1,42 @@
 //! Storage-backend A/B — the PR 7 tentpole measurement.
 //!
-//! Compares the two `HistoryStore` implementations behind the storage
-//! seam — the §5 [`HistoryTable`] (the `btree` backend: its sorted view,
-//! backed up as its page image) and the LSM/MVCC [`LsmHistory`] — on
-//! the two axes the redesign trades between, writing the results to
-//! `results/BENCH_storage.json`:
+//! Compares the §5 [`HistoryTable`] as its sorted view alone (the
+//! `btree` backend, backed up as its page image) with the same table
+//! keeping its [`MutationLog`](prorp_storage::MutationLog) (the `lsm`
+//! backend) on the axes that choice trades between, writing the results
+//! to `results/BENCH_storage.json`:
 //!
 //! * **write amplification** — bytes written per logical byte under the
 //!   simulator's steady-state workload (periodic logins plus daily
-//!   Algorithm 3 trims).  The LSM writes its mutation log and nothing
-//!   else, so its number is log bytes per logical byte
-//!   ([`LsmMetrics`](prorp_storage::LsmMetrics)); the `btree` number is
-//!   measured through the repo's own durability machinery
-//!   ([`DurableHistory`]), which checkpoints the whole table image — the
-//!   same bytes the `Checkpoint` spans carry — every
-//!   [`CHECKPOINT_EVERY`] mutations;
+//!   Algorithm 3 trims).  The `lsm` number is the whole log's
+//!   write-ahead-log image per logical byte; the `btree` number is what
+//!   a log-off table made durable would write: a checkpoint — the whole
+//!   table's backup image, the same bytes the `Checkpoint` spans carry —
+//!   every [`CHECKPOINT_EVERY`] mutations, with the log-on table's WAL
+//!   image since the last checkpoint reported beside it;
 //! * **window-scan latency** — `login_window_stats` over an Algorithm 4
 //!   style sliding sweep (7 h window, 5 min slide), per window position.
-//!   Every engine serves reads from the one
+//!   Every table serves reads from its one
 //!   [`LiveView`](prorp_storage::LiveView), so this is *one* live-read
-//!   figure, not a backend A/B; what the LSM adds is the cost of cutting
-//!   a frozen [`LsmSnapshot`](prorp_storage::LsmSnapshot), reported
-//!   beside it.
+//!   figure, not a backend A/B; what the log adds is the cost of cutting
+//!   a snapshot at the latest seqno (a replay of the whole log),
+//!   reported beside it.
 //!
-//! Before timing anything, the harness re-proves the redesign's oracle
+//! Before timing anything, the harness re-proves the conformance oracle
 //! on a real fleet: the same traces and seed must produce bit-identical
-//! KPIs and telemetry with either backend at every shard count — the
-//! backend is a storage decision, not a behaviour decision.  The same
-//! property holds tuple-for-tuple in the scan sweep (the §5 table's,
-//! the LSM store's and the snapshot's window stats are checksummed and
-//! compared).
+//! KPIs and telemetry with or without the log at every shard count —
+//! the backend is a storage decision, not a behaviour decision.  The
+//! same property holds tuple-for-tuple in the scan sweep (the log-off
+//! table's, the log-on table's and the snapshot's window stats are
+//! checksummed and compared).
 //!
 //! A third axis landed with the storage hot-path overhaul:
 //!
 //! * **trim cost** — one timed Algorithm 3 pass per backend as the
 //!   number of expired tuples grows under a fixed retained tail.  Both
-//!   drain the shared view, whose cost tracks the constant-size
-//!   retained tail; the `btree` table does nothing else, and the LSM
-//!   also logs a single range-delete record, so its per-pass wall time
-//!   must stay flat as the trimmed count grows.
+//!   drain the view, whose cost tracks the constant-size retained tail;
+//!   the log-on table also logs a single range-delete record, so its
+//!   per-pass wall time must stay flat as the trimmed count grows.
 //!
 //! And a fourth, at the grain a fleet actually runs at:
 //!
@@ -47,7 +45,7 @@
 //!   across the fleet, each logout followed by the Algorithm 3 pass the
 //!   engines make, so every store is touched cold; then every store is
 //!   dropped.  Nanoseconds per event and per store dropped, `btree`
-//!   beside LSM — what the single hot store of the other axes cannot
+//!   beside `lsm` — what the single hot store of the other axes cannot
 //!   show.
 //!
 //! Flags:
@@ -59,9 +57,7 @@
 
 use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode};
-use prorp_storage::{
-    DurableHistory, HistoryRead, HistoryStore, HistoryTable, LsmHistory, TimeTravel,
-};
+use prorp_storage::{backup_history, HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 use std::hint::black_box;
@@ -77,52 +73,60 @@ const SLIDE: i64 = 300;
 /// Mutations between two checkpoints of the `btree` durability run.
 const CHECKPOINT_EVERY: usize = 32;
 
-/// Measured LSM write amplification under the steady-state workload:
-/// one login every [`CADENCE`] seconds plus daily Algorithm 3 trims —
-/// the shape Algorithms 2 and 3 impose on every store in the fleet.
-/// Also returns the trimmed-tuple count for the run.
-fn lsm_write_amp(n: usize) -> (prorp_storage::LsmMetrics, usize) {
-    let mut store = LsmHistory::new();
-    let mut deleted = 0;
-    for i in 0..n {
-        let ts = Timestamp(i as i64 * CADENCE);
-        store.insert_history(ts, EventKind::Start);
-        if ts.as_secs() > 0 && ts.as_secs() % 86_400 == 0 {
-            deleted += store.delete_old_history(RETENTION, ts).deleted;
-        }
-    }
-    (store.metrics(), deleted)
+/// Bytes written by one log-keeping table under the steady-state
+/// workload — one login every [`CADENCE`] seconds plus daily Algorithm 3
+/// trims, the shape Algorithms 2 and 3 impose on every store in the
+/// fleet — read both ways: the whole log (the `lsm` row), and a
+/// checkpoint every [`CHECKPOINT_EVERY`] logical mutations with the WAL
+/// image between checkpoints (the `btree` row).
+#[derive(Default)]
+struct WriteAmp {
+    /// 16 B per insert and per trimmed tuple.
+    logical_bytes: usize,
+    /// The whole log's write-ahead-log image.
+    log_bytes: usize,
+    /// Trims that deleted, each one range-delete record.
+    range_deletes: usize,
+    trimmed: usize,
+    checkpoint_bytes: usize,
+    checkpoints: usize,
+    /// The WAL images between checkpoints, summed.
+    wal_bytes: usize,
 }
 
-/// B+Tree bytes written, measured through [`DurableHistory`]: the WAL
-/// covers every mutation and a checkpoint serialises the full table
-/// image every [`CHECKPOINT_EVERY`] mutations.
-fn btree_write_amp(n: usize) -> (usize, usize, usize, usize) {
-    let mut store = DurableHistory::new();
-    let mut mutations = 0usize;
-    let mut checkpoint_bytes = 0usize;
-    let mut checkpoints = 0usize;
-    let mut wal_bytes = 0usize;
-    let mut since_checkpoint = 0usize;
+fn write_amp(n: usize) -> WriteAmp {
+    let mut store = HistoryTable::new(StorageBackend::Lsm);
+    let mut w = WriteAmp::default();
+    let (mut mutations, mut since_checkpoint, mut checkpoint_at) = (0usize, 0usize, 0u64);
     for i in 0..n {
         let ts = Timestamp(i as i64 * CADENCE);
         store.insert_history(ts, EventKind::Start);
         mutations += 1;
         since_checkpoint += 1;
         if ts.as_secs() > 0 && ts.as_secs() % 86_400 == 0 {
-            let outcome = store.delete_old_history(RETENTION, ts);
-            mutations += outcome.deleted;
-            since_checkpoint += outcome.deleted;
+            let deleted = store.delete_old_history(RETENTION, ts).deleted;
+            w.trimmed += deleted;
+            w.range_deletes += usize::from(deleted > 0);
+            mutations += deleted;
+            since_checkpoint += deleted;
         }
         if since_checkpoint >= CHECKPOINT_EVERY {
-            wal_bytes += store.wal().byte_len();
-            checkpoint_bytes += store.checkpoint().expect("checkpoint succeeds").len();
-            checkpoints += 1;
+            w.wal_bytes += wal(&store).wal_image(checkpoint_at).len();
+            w.checkpoint_bytes += backup_history(&store).expect("checkpoint succeeds").len();
+            checkpoint_at = store.version();
+            w.checkpoints += 1;
             since_checkpoint = 0;
         }
     }
-    wal_bytes += store.wal().byte_len();
-    (mutations, checkpoint_bytes, checkpoints, wal_bytes)
+    w.wal_bytes += wal(&store).wal_image(checkpoint_at).len();
+    w.log_bytes = wal(&store).wal_image(0).len();
+    w.logical_bytes = mutations * 16;
+    w
+}
+
+/// The mutation log of a table built to keep one.
+fn wal(store: &HistoryTable) -> &prorp_storage::MutationLog {
+    store.log().expect("built with its log")
 }
 
 /// One timed Algorithm 3 pass per backend: build `expired + retained`
@@ -141,13 +145,7 @@ fn trim_cost(expired: usize, retained: usize, rounds: usize) -> (f64, f64, usize
     let mut best_lsm = f64::INFINITY;
     let mut deleted = (0usize, 0usize);
     for _ in 0..rounds {
-        let mut btree = HistoryTable::new();
-        let mut lsm = LsmHistory::new();
-        for i in 0..n {
-            let ts = Timestamp(i as i64 * CADENCE);
-            btree.insert_history(ts, EventKind::Start);
-            lsm.insert_history(ts, EventKind::Start);
-        }
+        let (mut btree, mut lsm) = build_stores(n);
         let t0 = Instant::now();
         let b = btree.delete_old_history(h, now);
         best_btree = best_btree.min(t0.elapsed().as_nanos() as f64);
@@ -178,18 +176,19 @@ fn interleaved_events(stores: usize, days: i64) -> Vec<(usize, ActivityEvent)> {
     events
 }
 
-/// Replay `events` over `stores` fresh stores — an insert per event, the
-/// engines' Algorithm 3 pass after each logout — then drop them all.  Returns `(ns per event, ns per store dropped, tuples
+/// Replay `events` over `stores` fresh tables of `kind` — an insert per
+/// event, the engines' Algorithm 3 pass after each logout — then drop
+/// them all.  Returns `(ns per event, ns per store dropped, tuples
 /// left)`, the best of `rounds`.
-fn cold_replay<S: HistoryStore>(
+fn cold_replay(
     events: &[(usize, ActivityEvent)],
     stores: usize,
     rounds: usize,
-    fresh: impl Fn() -> S,
+    kind: StorageBackend,
 ) -> (f64, f64, usize) {
     let mut best = (f64::INFINITY, f64::INFINITY, 0);
     for _ in 0..rounds {
-        let mut fleet: Vec<S> = (0..stores).map(|_| fresh()).collect();
+        let mut fleet: Vec<HistoryTable> = (0..stores).map(|_| HistoryTable::new(kind)).collect();
         let t0 = Instant::now();
         for &(store, event) in events {
             let history = &mut fleet[store];
@@ -237,10 +236,10 @@ fn scan_sweep(store: &dyn HistoryRead) -> (usize, f64, u64) {
     (windows, ns, checksum)
 }
 
-/// A store of `n` logins at the synthetic cadence, per backend.
-fn build_stores(n: usize) -> (HistoryTable, LsmHistory) {
-    let mut btree = HistoryTable::new();
-    let mut lsm = LsmHistory::new();
+/// A table of `n` logins at the synthetic cadence, per backend.
+fn build_stores(n: usize) -> (HistoryTable, HistoryTable) {
+    let mut btree = HistoryTable::default();
+    let mut lsm = HistoryTable::new(StorageBackend::Lsm);
     for i in 0..n {
         let ts = Timestamp(i as i64 * CADENCE);
         btree.insert_history(ts, EventKind::Start);
@@ -343,15 +342,10 @@ fn main() {
     );
     let mut amp_entries = Vec::new();
     for &n in sizes {
-        let (lsm, lsm_deleted) = lsm_write_amp(n);
-        let (mutations, checkpoint_bytes, checkpoints, wal_bytes) = btree_write_amp(n);
-        let btree_amp = checkpoint_bytes as f64 / (mutations * 16) as f64;
-        println!(
-            "{:>9} {:>14.2} {:>15.2}",
-            n,
-            lsm.write_amplification(),
-            btree_amp
-        );
+        let w = write_amp(n);
+        let lsm_amp = w.log_bytes as f64 / w.logical_bytes as f64;
+        let btree_amp = w.checkpoint_bytes as f64 / w.logical_bytes as f64;
+        println!("{n:>9} {lsm_amp:>14.2} {btree_amp:>15.2}");
         amp_entries.push(Json::object(vec![
             ("logins", Json::from(n as u64)),
             ("cadence_s", Json::Int(CADENCE)),
@@ -359,24 +353,21 @@ fn main() {
             (
                 "lsm",
                 Json::object(vec![
-                    ("write_amp", Json::Float(lsm.write_amplification())),
-                    ("logical_bytes", Json::from(lsm.logical_write_bytes as u64)),
-                    (
-                        "log_appended_bytes",
-                        Json::from(lsm.log_appended_bytes as u64),
-                    ),
-                    ("trimmed_tuples", Json::from(lsm_deleted as u64)),
-                    ("range_tombstones", Json::from(lsm.range_tombstones as u64)),
+                    ("write_amp", Json::Float(lsm_amp)),
+                    ("logical_bytes", Json::from(w.logical_bytes as u64)),
+                    ("log_appended_bytes", Json::from(w.log_bytes as u64)),
+                    ("trimmed_tuples", Json::from(w.trimmed as u64)),
+                    ("range_tombstones", Json::from(w.range_deletes as u64)),
                 ]),
             ),
             (
                 "btree",
                 Json::object(vec![
                     ("write_amp", Json::Float(btree_amp)),
-                    ("logical_bytes", Json::from((mutations * 16) as u64)),
-                    ("checkpoint_bytes", Json::from(checkpoint_bytes as u64)),
-                    ("checkpoints", Json::from(checkpoints as u64)),
-                    ("wal_bytes", Json::from(wal_bytes as u64)),
+                    ("logical_bytes", Json::from(w.logical_bytes as u64)),
+                    ("checkpoint_bytes", Json::from(w.checkpoint_bytes as u64)),
+                    ("checkpoints", Json::from(w.checkpoints as u64)),
+                    ("wal_bytes", Json::from(w.wal_bytes as u64)),
                 ]),
             ),
         ]));
@@ -436,7 +427,7 @@ fn main() {
     for &n in sizes {
         let (btree, lsm) = build_stores(n);
         let t0 = Instant::now();
-        let snapshot = lsm.snapshot(lsm.latest_seqno());
+        let snapshot = wal(&lsm).snapshot(lsm.version());
         let cut_ns = t0.elapsed().as_nanos() as f64;
         let (windows, live_ns, btree_sum) = scan_sweep(&btree);
         let (_, _, lsm_sum) = scan_sweep(&lsm);
@@ -464,9 +455,9 @@ fn main() {
         events.len()
     );
     let (btree_event_ns, btree_drop_ns, btree_tuples) =
-        cold_replay(&events, replay_stores, replay_rounds, HistoryTable::new);
+        cold_replay(&events, replay_stores, replay_rounds, StorageBackend::BTree);
     let (lsm_event_ns, lsm_drop_ns, lsm_tuples) =
-        cold_replay(&events, replay_stores, replay_rounds, LsmHistory::new);
+        cold_replay(&events, replay_stores, replay_rounds, StorageBackend::Lsm);
     assert_eq!(btree_tuples, lsm_tuples, "backends diverged in the replay");
     println!(
         "{:>9} {:>12} {:>18}",

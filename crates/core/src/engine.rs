@@ -17,7 +17,7 @@
 //! event was a `malloc`/`free` pair that bought nothing.
 
 use prorp_obs::span::DecisionExplain;
-use prorp_storage::HistoryBackend;
+use prorp_storage::HistoryTable;
 use prorp_types::{DbState, Timestamp};
 
 /// What [`DatabasePolicy::drain_explains`] yields: the pending records,
@@ -244,14 +244,14 @@ pub trait DatabasePolicy {
 
     /// The database's activity history (for overhead accounting and the
     /// backup/move path).  The optimal oracle policy keeps one too — the
-    /// activity tracker of §5 runs regardless of policy.  Held behind the
-    /// storage seam's [`HistoryBackend`] wrapper, so a fleet can run on
-    /// either the default §5 history table or the LSM engine.
-    fn history(&self) -> &HistoryBackend;
+    /// activity tracker of §5 runs regardless of policy.  A fleet's
+    /// [`StorageBackend`](prorp_storage::StorageBackend) says whether the
+    /// table keeps its mutation log.
+    fn history(&self) -> &HistoryTable;
 
     /// Replace the history store (restore after a load-balancing move,
     /// §3.3).
-    fn restore_history(&mut self, history: HistoryBackend);
+    fn restore_history(&mut self, history: HistoryTable);
 
     /// The next-activity prediction this policy currently holds, if any —
     /// consumed by prediction-aware maintenance scheduling (§11 future

@@ -139,7 +139,7 @@ impl LifecycleInvariants {
 mod tests {
     use super::*;
     use crate::engine::TimerToken;
-    use prorp_storage::{HistoryBackend, HistoryTable, StorageBackend};
+    use prorp_storage::{HistoryTable, StorageBackend};
     use prorp_types::EventKind;
 
     fn t(v: i64) -> Timestamp {
@@ -220,12 +220,12 @@ mod tests {
 
     #[test]
     fn history_ordering_is_validated() {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         h.insert_history(t(10), EventKind::Start);
         h.insert_history(t(20), EventKind::End);
         LifecycleInvariants::check_history(DatabaseId(1), &h).unwrap();
-        // The checker accepts any backend through the seam.
-        let mut b = HistoryBackend::new(StorageBackend::Lsm);
+        // The checker accepts a table that keeps its mutation log too.
+        let mut b = HistoryTable::new(StorageBackend::Lsm);
         b.insert_history(t(10), EventKind::Start);
         b.insert_history(t(20), EventKind::End);
         LifecycleInvariants::check_history(DatabaseId(1), &b).unwrap();

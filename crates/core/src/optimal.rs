@@ -12,7 +12,7 @@
 use crate::engine::{Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent};
 use crate::tracker::ActivityTracker;
 use prorp_forecast::OraclePredictor;
-use prorp_storage::{HistoryBackend, StorageBackend};
+use prorp_storage::{HistoryTable, StorageBackend};
 use prorp_types::{DbState, EventKind, Prediction, ProrpError, Session, Timestamp};
 
 /// The clairvoyant per-database engine.
@@ -133,11 +133,11 @@ impl DatabasePolicy for OptimalEngine {
         self.counters
     }
 
-    fn history(&self) -> &HistoryBackend {
+    fn history(&self) -> &HistoryTable {
         self.tracker.history()
     }
 
-    fn restore_history(&mut self, history: HistoryBackend) {
+    fn restore_history(&mut self, history: HistoryTable) {
         self.tracker.replace_history(history);
     }
 

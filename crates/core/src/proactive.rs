@@ -34,7 +34,7 @@ use crate::engine::{
 use crate::tracker::ActivityTracker;
 use prorp_forecast::Predictor;
 use prorp_obs::span::{DecisionAction, DecisionExplain};
-use prorp_storage::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, StorageBackend};
 use prorp_types::{
     BreakerConfig, DbState, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp,
 };
@@ -447,11 +447,11 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         self.counters
     }
 
-    fn history(&self) -> &HistoryBackend {
+    fn history(&self) -> &HistoryTable {
         self.tracker.history()
     }
 
-    fn restore_history(&mut self, history: HistoryBackend) {
+    fn restore_history(&mut self, history: HistoryTable) {
         self.tracker.replace_history(history);
         if self.predictor.wants_clock_index() {
             self.tracker

@@ -15,7 +15,7 @@ use crate::engine::{
     Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, TimerToken,
 };
 use crate::tracker::ActivityTracker;
-use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryStore, HistoryTable, StorageBackend};
 use prorp_types::{DbState, EventKind, ProrpError, Seconds, Timestamp};
 
 /// The reactive per-database engine.
@@ -154,11 +154,11 @@ impl DatabasePolicy for ReactiveEngine {
         self.counters
     }
 
-    fn history(&self) -> &HistoryBackend {
+    fn history(&self) -> &HistoryTable {
         self.tracker.history()
     }
 
-    fn restore_history(&mut self, history: HistoryBackend) {
+    fn restore_history(&mut self, history: HistoryTable) {
         self.tracker.replace_history(history);
     }
 }

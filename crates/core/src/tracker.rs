@@ -12,21 +12,20 @@
 //! holds more than a login and its logout, and those two live inline in
 //! the tracker: recording touches no heap block.
 //!
-//! The tracker owns its history through the storage seam's
-//! [`HistoryBackend`] wrapper, so one tracker serves either the §5
-//! history table or the LSM engine; [`ActivityTracker::with_backend`] picks the
-//! engine at construction.
+//! The tracker owns its [`HistoryTable`];
+//! [`ActivityTracker::with_backend`] says at construction whether that
+//! table keeps its mutation log.
 
-use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryStore, HistoryTable, StorageBackend};
 use prorp_types::{ActivityEvent, EventKind, Timestamp};
 
 /// Pending events held in the tracker itself: a login and its logout.
 const INLINE: usize = 2;
 
-/// Buffered writer of activity events into a [`HistoryBackend`].
+/// Buffered writer of activity events into a [`HistoryTable`].
 #[derive(Clone, Debug)]
 pub struct ActivityTracker {
-    history: HistoryBackend,
+    history: HistoryTable,
     /// The first [`INLINE`] events recorded since the last flush…
     inline: [ActivityEvent; INLINE],
     /// … how many of those slots are filled …
@@ -46,7 +45,7 @@ impl ActivityTracker {
     /// A tracker over an empty history of the given backend kind.
     pub fn with_backend(kind: StorageBackend) -> Self {
         ActivityTracker {
-            history: HistoryBackend::new(kind),
+            history: HistoryTable::new(kind),
             inline: [ActivityEvent::start(Timestamp(0)); INLINE],
             inline_len: 0,
             spilled: Vec::new(),
@@ -95,20 +94,20 @@ impl ActivityTracker {
     }
 
     /// Read access to the (flushed) history.
-    pub fn history(&self) -> &HistoryBackend {
+    pub fn history(&self) -> &HistoryTable {
         &self.history
     }
 
     /// Mutable access to the history for maintenance (Algorithm 3 runs
     /// against the flushed store).
-    pub fn history_mut(&mut self) -> &mut HistoryBackend {
+    pub fn history_mut(&mut self) -> &mut HistoryTable {
         &mut self.history
     }
 
     /// Replace the history wholesale (restore after a move, §3.3).
     /// Pending events recorded on this node are preserved and will flush
     /// into the restored store.
-    pub fn replace_history(&mut self, history: HistoryBackend) {
+    pub fn replace_history(&mut self, history: HistoryTable) {
         self.history = history;
     }
 }
@@ -188,7 +187,7 @@ mod tests {
         tr.record(t(5), EventKind::Start);
         tr.flush();
         tr.record(t(30), EventKind::End); // pending across the move
-        let mut restored = HistoryBackend::default();
+        let mut restored = HistoryTable::default();
         restored.insert_history(t(5), EventKind::Start);
         restored.insert_history(t(10), EventKind::End);
         tr.replace_history(restored);

@@ -238,7 +238,7 @@ mod tests {
     }
 
     fn daily_history(days: i64, hour: i64) -> HistoryTable {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for d in 0..days {
             h.insert_history(t(d * DAY + hour * HOUR), EventKind::Start);
             h.insert_history(t(d * DAY + hour * HOUR + 1800), EventKind::End);
@@ -258,7 +258,7 @@ mod tests {
     fn last_gap_projects_the_median_gap() {
         let mut p = LastGapPredictor::default();
         // Logins exactly every 6 hours.
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for i in 0..8 {
             h.insert_history(t(i * 6 * HOUR), EventKind::Start);
             h.insert_history(t(i * 6 * HOUR + 600), EventKind::End);
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn last_gap_needs_two_logins() {
         let mut p = LastGapPredictor::default();
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         assert_eq!(p.predict(&h, t(0)).unwrap(), None);
         h.insert_history(t(100), EventKind::Start);
         assert_eq!(p.predict(&h, t(200)).unwrap(), None);
@@ -281,7 +281,7 @@ mod tests {
     #[test]
     fn last_gap_skips_past_now() {
         let mut p = LastGapPredictor::default();
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         h.insert_history(t(0), EventKind::Start);
         h.insert_history(t(HOUR), EventKind::Start);
         // Median gap = 1h; last login at 1h; now = 10h → prediction must
@@ -321,7 +321,7 @@ mod tests {
             history_days: 10,
         };
         // 5 logins in hour 9, all on the same day: probability is 1/10.
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for i in 0..5 {
             h.insert_history(t(9 * HOUR + i * 60), EventKind::Start);
         }
@@ -334,13 +334,13 @@ mod tests {
             confidence: 0.5,
             history_days: 0,
         };
-        assert!(p.predict(&HistoryTable::new(), t(0)).is_err());
+        assert!(p.predict(&HistoryTable::default(), t(0)).is_err());
     }
 
     #[test]
     fn fail_every_injects_faults_on_schedule() {
         let mut p = FailEvery::new(NeverPredictor, 3);
-        let h = HistoryTable::new();
+        let h = HistoryTable::default();
         assert!(p.predict(&h, t(0)).is_ok());
         assert!(p.predict(&h, t(0)).is_ok());
         let err = p.predict(&h, t(0)).unwrap_err();

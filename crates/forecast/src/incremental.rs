@@ -376,7 +376,7 @@ mod tests {
     /// A deterministic pseudo-random history: `n` events hashed into
     /// `[0, days)` days at second granularity.
     fn scrambled_history(n: u64, days: i64, seed: u64) -> HistoryTable {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         let mut x = seed | 1;
         for _ in 0..n {
             // SplitMix64 step.
@@ -677,7 +677,7 @@ mod tests {
             hit,
         } in table
         {
-            let mut plain = HistoryTable::new();
+            let mut plain = HistoryTable::default();
             for at in logins {
                 plain.insert_history(t(now + at), EventKind::Start);
             }
@@ -706,7 +706,7 @@ mod tests {
     /// The sweep's work over logins at `logins` (absolute), which must
     /// agree with the naive scan, with and without a clock index.
     fn work_of(cfg: PolicyConfig, logins: &[i64], now: i64) -> (Option<Prediction>, SweepWork) {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for &at in logins {
             h.insert_history(t(at), EventKind::Start);
         }
@@ -792,7 +792,7 @@ mod tests {
             .history_len(Seconds::days(28))
             .build()
             .unwrap();
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for wk in 0..4 {
             h.insert_history(t(wk * 7 * DAY + 9 * HOUR), EventKind::Start);
             h.insert_history(t(wk * 7 * DAY + 10 * HOUR), EventKind::End);
@@ -811,7 +811,7 @@ mod tests {
             horizon: Seconds::ZERO,
             ..config(0.3, 2)
         };
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for d in 0..5 {
             h.insert_history(t(d * DAY + 9 * HOUR), EventKind::Start);
         }

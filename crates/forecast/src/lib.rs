@@ -49,8 +49,8 @@ use prorp_types::{Prediction, ProrpError, Timestamp};
 /// activity is expected (Algorithm 4's `start = 0` sentinel).
 ///
 /// The history arrives through the storage seam's read trait
-/// ([`HistoryRead`]), so one compiled predictor serves the B+Tree
-/// table, the LSM store, and frozen time-travel snapshots alike.
+/// ([`HistoryRead`]), so one compiled predictor serves the live table
+/// and frozen time-travel snapshots alike.
 ///
 /// Errors signal component failure; per §3.2 the caller must degrade to
 /// the reactive policy, never crash the database.

@@ -94,7 +94,7 @@ mod tests {
     fn trait_impl_maps_sessions_to_predictions() {
         let mut oracle = OraclePredictor::new(vec![s(10, 20)]).unwrap();
         let pred = oracle
-            .predict(&HistoryTable::new(), Timestamp(0))
+            .predict(&HistoryTable::default(), Timestamp(0))
             .unwrap()
             .unwrap();
         assert_eq!(pred.start, Timestamp(10));

@@ -47,7 +47,7 @@ pub enum ConfidenceBasis {
 /// use prorp_types::{EventKind, PolicyConfig, Seconds, Timestamp};
 ///
 /// // A 09:00 login every day for a week …
-/// let mut history = HistoryTable::new();
+/// let mut history = HistoryTable::default();
 /// for day in 0..7 {
 ///     history.insert_history(Timestamp(day * 86_400 + 9 * 3_600), EventKind::Start);
 ///     history.insert_history(Timestamp(day * 86_400 + 10 * 3_600), EventKind::End);
@@ -200,7 +200,7 @@ mod tests {
 
     /// History with a session at `hour`..`hour+1` on each listed day.
     fn history_on_days(days: &[i64], hour: i64) -> HistoryTable {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for &d in days {
             h.insert_history(t(d * DAY + hour * HOUR), EventKind::Start);
             h.insert_history(t(d * DAY + (hour + 1) * HOUR), EventKind::End);
@@ -236,13 +236,13 @@ mod tests {
     #[test]
     fn empty_history_predicts_nothing() {
         let p = ProbabilisticPredictor::new(config(0.1, 2)).unwrap();
-        assert!(p.predict_at(&HistoryTable::new(), t(0)).is_none());
+        assert!(p.predict_at(&HistoryTable::default(), t(0)).is_none());
     }
 
     #[test]
     fn earliest_local_maximum_wins() {
         // Morning (daily) and evening (daily) activity: morning wins.
-        let mut history = HistoryTable::new();
+        let mut history = HistoryTable::default();
         for d in 0..5 {
             history.insert_history(t(d * DAY + 8 * HOUR), EventKind::Start);
             history.insert_history(t(d * DAY + 8 * HOUR + 1800), EventKind::End);
@@ -303,7 +303,7 @@ mod tests {
         // Two logins per day inside one wide window must count the day
         // once (§6: "we count the number of windows with activity ...
         // rather than the number of first logins").
-        let mut history = HistoryTable::new();
+        let mut history = HistoryTable::default();
         for d in 0..5 {
             history.insert_history(t(d * DAY + 9 * HOUR), EventKind::Start);
             history.insert_history(t(d * DAY + 9 * HOUR + 600), EventKind::End);
@@ -323,7 +323,7 @@ mod tests {
         // windows basis sees confidence 1/5 = 0.2 (below c = 0.5); the
         // logins basis sees 5/5 = 1.0 and wrongly predicts — exactly the
         // failure mode §6's "count windows, not logins" rule prevents.
-        let mut history = HistoryTable::new();
+        let mut history = HistoryTable::default();
         for i in 0..5 {
             history.insert_history(t(2 * DAY + 9 * HOUR + i * 600), EventKind::Start);
             history.insert_history(t(2 * DAY + 9 * HOUR + i * 600 + 300), EventKind::End);

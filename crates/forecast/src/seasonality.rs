@@ -102,7 +102,7 @@ mod tests {
     const HOUR: i64 = 3_600;
 
     fn history_from_logins(logins: &[i64]) -> HistoryTable {
-        let mut h = HistoryTable::new();
+        let mut h = HistoryTable::default();
         for &t in logins {
             h.insert_history(Timestamp(t), EventKind::Start);
             h.insert_history(Timestamp(t + 600), EventKind::End);
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn empty_and_single_period_histories_default_to_daily() {
-        let h = HistoryTable::new();
+        let h = HistoryTable::default();
         assert_eq!(detect_seasonality(&h), Seasonality::Daily);
         assert_eq!(score_seasonalities(&h).daily, 0.0);
         // All logins inside one day: nothing recurs yet.

@@ -47,8 +47,8 @@
 //!   episodes, QoS-miss attribution, decision provenance) backing the
 //!   `prorp-trace` binary;
 //! * [`timetravel`] — trace-driven time travel: replay a database's
-//!   Login spans into an LSM history, freeze a
-//!   [`snapshot_as_of(T)`](prorp_storage::TimeTravel::snapshot_as_of),
+//!   Login spans into a history table that keeps its mutation log, freeze
+//!   a [`snapshot_as_of(T)`](prorp_storage::MutationLog::snapshot_as_of),
 //!   and re-run Algorithm 4 exactly as the engine saw it
 //!   (the `prorp-trace time-travel` subcommand).
 

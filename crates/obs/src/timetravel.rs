@@ -3,12 +3,12 @@
 //! A span trace records every customer login of every database
 //! ([`SpanKind::Login`] events carry the simulated login instant), which
 //! is exactly the input Algorithm 2 feeds into the history store: one
-//! tuple per login second.  Replaying a database's login events into the
-//! LSM backend therefore reconstructs the *full versioned history* the
-//! predictor consumed over the run — and because the LSM store maps
-//! applied-at timestamps to sequence numbers
-//! ([`prorp_storage::TimeTravel`]), a frozen
-//! [`snapshot_as_of(T)`](prorp_storage::TimeTravel::snapshot_as_of)
+//! tuple per login second.  Replaying a database's login events into a
+//! history table that keeps its mutation log
+//! ([`StorageBackend::Lsm`]) therefore reconstructs the *full versioned
+//! history* the predictor consumed over the run — and because that log
+//! maps applied-at timestamps to sequence numbers,
+//! [`MutationLog::snapshot_as_of(T)`](prorp_storage::MutationLog::snapshot_as_of)
 //! yields the history exactly as the predictor saw it at any recorded
 //! prediction instant `T`.
 //!
@@ -27,7 +27,7 @@
 
 use crate::span::{PredictOutcome, SpanKind, TraceRecord};
 use prorp_forecast::ProbabilisticPredictor;
-use prorp_storage::{HistoryRead, HistoryStore, LsmHistory, TimeTravel};
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, StorageBackend};
 use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp};
 
 /// Outcome of one time-travel replay.
@@ -37,7 +37,7 @@ pub struct TimeTravelReport {
     pub db: DatabaseId,
     /// The instant the snapshot was frozen at.
     pub as_of: Timestamp,
-    /// Login events replayed into the LSM store (the whole trace, not
+    /// Login events replayed into the history (the whole trace, not
     /// just those before `as_of` — the snapshot does the cut-off).
     pub logins_replayed: usize,
     /// Tuples visible in the frozen snapshot.
@@ -64,8 +64,8 @@ impl TimeTravelReport {
     }
 }
 
-/// Replay `db`'s login events from `records` into a fresh LSM history,
-/// freeze a snapshot as of `at`, and re-run the Algorithm 4 sweep over
+/// Replay `db`'s login events from `records` into a fresh history table
+/// that keeps its mutation log, freeze a snapshot as of `at`, and re-run the Algorithm 4 sweep over
 /// it with `config`'s knobs.
 ///
 /// `records` may hold the whole fleet's trace; only `db`'s Login events
@@ -75,8 +75,7 @@ impl TimeTravelReport {
 ///
 /// # Errors
 ///
-/// Propagates [`PolicyConfig`] validation failures and LSM write
-/// failures.
+/// Propagates [`PolicyConfig`] validation failures.
 pub fn replay_as_of(
     records: &[TraceRecord],
     db: DatabaseId,
@@ -84,7 +83,7 @@ pub fn replay_as_of(
     config: PolicyConfig,
 ) -> Result<TimeTravelReport, ProrpError> {
     let predictor = ProbabilisticPredictor::new(config)?;
-    let mut history = LsmHistory::new();
+    let mut history = HistoryTable::new(StorageBackend::Lsm);
     let mut timeline: Vec<&TraceRecord> = records.iter().filter(|r| r.db == db).collect();
     timeline.sort_by_key(|r| r.sort_key());
     let mut logins_replayed = 0;
@@ -104,14 +103,17 @@ pub fn replay_as_of(
             _ => {}
         }
     }
-    let snapshot = history.snapshot_as_of(at);
+    let Some(log) = history.log() else {
+        unreachable!("the history was built with its log");
+    };
+    let snapshot = log.snapshot_as_of(at);
     let prediction = predictor.predict_at(&snapshot, at);
     Ok(TimeTravelReport {
         db,
         as_of: at,
         logins_replayed,
         snapshot_len: snapshot.len(),
-        snapshot_seqno: snapshot.seqno(),
+        snapshot_seqno: snapshot.version(),
         prediction,
         recorded,
     })
@@ -121,7 +123,6 @@ pub fn replay_as_of(
 mod tests {
     use super::*;
     use crate::span::{TraceBuffer, TraceSink};
-    use prorp_storage::{HistoryStore, HistoryTable};
     use prorp_types::Seconds;
 
     const DAY: i64 = 86_400;
@@ -168,8 +169,8 @@ mod tests {
         let report = replay_as_of(&trace(), DatabaseId(1), at, config()).unwrap();
         assert_eq!(report.logins_replayed, 6);
         assert_eq!(report.snapshot_len, 6, "all logins precede the cut-off");
-        // Reference: the same logins in a B+Tree table, predicted directly.
-        let mut table = HistoryTable::new();
+        // Reference: the same logins in a log-off table, predicted directly.
+        let mut table = HistoryTable::default();
         for d in 0..6 {
             table.insert_history(Timestamp(d * DAY + 9 * HOUR), EventKind::Start);
         }

@@ -21,7 +21,8 @@
 //! 0.16 and 0.26, so the two tighter cells below (< 0.13, < 0.23) fail
 //! by name when a second per-row structure comes back.
 //!
-//! The LSM history gets its own two cells.  When a mutation was written
+//! The table keeping its mutation log (`StorageBackend::Lsm`) gets its
+//! own two cells.  When a mutation was written
 //! three times — a `BTreeMap` entry with a `Vec` per key, an encoded WAL
 //! record, a timeline pair — those halves made 0.77 (reactive) and 0.92
 //! (proactive) allocations per event; with one log record per mutation

@@ -11,9 +11,8 @@
 //! `page_count` raw 8-KiB page images.
 
 use crate::history::HistoryTable;
-use crate::lsm::LsmHistory;
 use crate::page::{self, Record, PAGE_SIZE};
-use crate::store::{HistoryBackend, HistoryRead, StorageBackend};
+use crate::store::{HistoryRead, StorageBackend};
 use bytes::{Buf, BufMut, BytesMut};
 use prorp_types::ProrpError;
 
@@ -26,10 +25,10 @@ pub const BACKUP_HEADER_SIZE: usize = 16;
 
 /// Serialise a history store into a self-describing backup stream.
 ///
-/// The stream is *backend-independent*: it serialises the visible
-/// events in key order, so a B+Tree table and an LSM store holding the
-/// same history produce byte-identical backups, and either side can
-/// restore from the other's stream.
+/// The stream holds the visible events in key order and nothing else,
+/// so a table with a mutation log and one without, holding the same
+/// history, produce byte-identical backups, and either restores from
+/// the other's stream.
 pub fn backup_history<H: HistoryRead + ?Sized>(table: &H) -> Result<Vec<u8>, ProrpError> {
     let records: Vec<Record> = table
         .events()
@@ -50,7 +49,7 @@ pub fn backup_history<H: HistoryRead + ?Sized>(table: &H) -> Result<Vec<u8>, Pro
     Ok(out.to_vec())
 }
 
-/// Rebuild a history table from a backup stream produced by
+/// Rebuild a log-off history table from a backup stream produced by
 /// [`backup_history`].
 ///
 /// # Errors
@@ -58,25 +57,20 @@ pub fn backup_history<H: HistoryRead + ?Sized>(table: &H) -> Result<Vec<u8>, Pro
 /// Returns [`ProrpError::Storage`] on truncated input, bad magic, an
 /// unsupported version, or page-level corruption.
 pub fn restore_history(stream: &[u8]) -> Result<HistoryTable, ProrpError> {
-    HistoryTable::from_records(&decode_records(stream)?)
+    restore_backend(stream, StorageBackend::BTree)
 }
 
-/// Rebuild a history store of the requested backend kind from a backup
-/// stream — the restore half of the pluggable-storage seam.  Either
-/// backend restores from any stream (the format is backend-independent)
-/// with the shared restore contract: mutation version reset to 0, clock
-/// index unconfigured.
+/// Rebuild a history table from a backup stream, keeping a mutation log
+/// when `kind` asks for one (its base is the restored tuples, at seqno
+/// 0).  Either way the restore contract is the same: mutation version
+/// reset to 0, clock index unconfigured.
 ///
 /// # Errors
 ///
 /// Returns [`ProrpError::Storage`] on truncated input, bad magic, an
 /// unsupported version, or page-level corruption.
-pub fn restore_backend(stream: &[u8], kind: StorageBackend) -> Result<HistoryBackend, ProrpError> {
-    let records = decode_records(stream)?;
-    Ok(match kind {
-        StorageBackend::BTree => HistoryBackend::BTree(HistoryTable::from_records(&records)?),
-        StorageBackend::Lsm => HistoryBackend::Lsm(LsmHistory::from_records(&records)?),
-    })
+pub fn restore_backend(stream: &[u8], kind: StorageBackend) -> Result<HistoryTable, ProrpError> {
+    HistoryTable::from_records(&decode_records(stream)?, kind)
 }
 
 /// Validate a backup stream's framing and decode its page records.
@@ -119,7 +113,7 @@ mod tests {
     use prorp_types::{EventKind, Timestamp};
 
     fn table_with(n: i64) -> HistoryTable {
-        let mut t = HistoryTable::new();
+        let mut t = HistoryTable::default();
         for i in 0..n {
             let kind = if i % 2 == 0 {
                 EventKind::Start
@@ -133,7 +127,7 @@ mod tests {
 
     #[test]
     fn empty_table_roundtrips() {
-        let stream = backup_history(&HistoryTable::new()).unwrap();
+        let stream = backup_history(&HistoryTable::default()).unwrap();
         assert_eq!(stream.len(), BACKUP_HEADER_SIZE);
         let restored = restore_history(&stream).unwrap();
         assert!(restored.is_empty());
@@ -175,8 +169,8 @@ mod tests {
 
     #[test]
     fn backup_bytes_are_backend_independent() {
-        let mut lsm = LsmHistory::new();
-        let mut btree = HistoryTable::new();
+        let mut lsm = HistoryTable::new(StorageBackend::Lsm);
+        let mut btree = HistoryTable::default();
         for i in 0..300 {
             let kind = if i % 3 == 0 {
                 EventKind::Start
@@ -198,8 +192,8 @@ mod tests {
         assert_eq!(as_lsm.logins(), as_btree.logins());
         assert_eq!(as_lsm.version(), 0);
         assert_eq!(as_btree.version(), 0);
-        assert_eq!(as_lsm.kind(), StorageBackend::Lsm);
-        assert_eq!(as_btree.kind(), StorageBackend::BTree);
+        assert!(as_lsm.log().is_some());
+        assert!(as_btree.log().is_none());
     }
 
     #[test]

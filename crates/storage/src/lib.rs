@@ -24,27 +24,26 @@
 //! * [`backup`] — page-image backup and restore, exercised by the
 //!   load-balancing *database move* in the simulator (§3.3: "history must
 //!   move with it");
-//! * [`wal`] — a write-ahead log bridging the gap between backups: every
-//!   Algorithm 2/3 mutation is logged before it is applied, and crash
-//!   recovery replays the log tail over the last backup image.
+//! * [`wal`] — the mutation log a table may keep, and its write-ahead-log
+//!   form bridging the gap between backups: crash recovery replays the
+//!   log's image since a checkpoint over that checkpoint's backup.
 //!
 //! # Pluggable storage
 //!
 //! The [`store`] module is the trait seam over this machinery:
 //! [`HistoryRead`] (the object-safe read surface predictors consume —
 //! an implementor supplies its [`LiveView`], the reads are provided)
-//! and [`HistoryStore`] (the Algorithm 2/3 mutation surface), with
-//! [`HistoryBackend`] as the enum-dispatch wrapper engines hold and
-//! [`StorageBackend`] as the fleet-wide knob.  Two engines implement
-//! the seam: the §5 [`HistoryTable`] (default) and the [`lsm`]
-//! module's [`LsmHistory`] — an MVCC store whose monotonic seqnos
-//! power [`snapshot`](lsm::LsmHistory::snapshot) frozen views and the
-//! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
-//! Both hold one [`LiveView`], so what the visible set *is* and how it
-//! is read exist once.  The table is that view and nothing else, and
-//! its `check_invariants` audits it against its own page image; the LSM
-//! keeps the append-only log of every mutation beside it, which its
-//! snapshots and its audit replay.
+//! and [`HistoryStore`] (the Algorithm 2/3 mutation surface), each
+//! implemented by the one store type, [`HistoryTable`].
+//! [`StorageBackend`] is the fleet-wide knob, and all it decides is
+//! whether a table keeps its [`MutationLog`] beside the view.  A table
+//! with a log writes the view first and then pushes one record per
+//! mutation; the log gives it exact snapshots at any past seqno
+//! ([`MutationLog::snapshot`], [`MutationLog::snapshot_as_of`] for "as
+//! of T" post-mortems) and its write-ahead log since any checkpoint
+//! ([`MutationLog::wal_image`], [`HistoryTable::recover`]).  A snapshot,
+//! the invariant audit and crash recovery all rebuild a visible set the
+//! same way: the log's base with its records replayed in order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +51,6 @@
 pub mod backup;
 pub mod btree;
 pub mod history;
-pub mod lsm;
 pub mod metadata;
 pub mod page;
 pub mod store;
@@ -62,10 +60,9 @@ pub mod wal;
 pub use backup::{backup_history, restore_backend, restore_history};
 pub use btree::BTree;
 pub use history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
-pub use lsm::{
-    CompactionMode, CompactionScheduler, LsmHistory, LsmMetrics, LsmSnapshot, TimeTravel,
-};
 pub use metadata::{DbMeta, MetadataStore};
-pub use store::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
+pub use store::{
+    CompactionMode, CompactionScheduler, HistoryBackend, HistoryRead, HistoryStore, StorageBackend,
+};
 pub use view::LiveView;
-pub use wal::{DurableHistory, WalRecord, WriteAheadLog};
+pub use wal::{MutationLog, WalRecord, WriteAheadLog};

@@ -1,30 +1,30 @@
-//! The storage-engine trait seam and backend dispatch.
+//! The history store's trait seam and its one knob.
 //!
-//! Until this module existed, `HistoryTable` was a concrete struct wired
-//! directly into the policy engines, the predictors, and the simulator
-//! arena — no alternative history backend could exist.  The seam splits
-//! the table's surface into two traits:
+//! The table's surface is split into two traits, each implemented by
+//! [`HistoryTable`] alone:
 //!
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
 //!   incremental prediction index consume (window aggregates, the sorted
 //!   login cache, the optional clock-ordered login index, the mutation
 //!   version).  An implementor only says where its [`LiveView`] is; every
-//!   read is a provided delegate to that one layer.  Frozen views such
-//!   as [`crate::lsm::LsmSnapshot`] implement only this half.
+//!   read is a provided delegate to that one layer.
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
 //!   the clock-index and invariant hooks the engines call.
 //!
-//! [`HistoryBackend`] is the enum-dispatch wrapper the engines actually
-//! store: one variant per backend, so per-database state stays `Clone`
-//! and allocation-free to switch on, and the simulator can flip the
-//! whole fleet between the §5 table and the LSM engine with one
-//! [`StorageBackend`] knob.  Both backends promise *bit-identical
-//! observable behaviour* — same insert/trim outcomes, same window
-//! aggregates, same mutation version after every call — which the
-//! testkit's `storage_conformance` differential oracles enforce.
+//! Predictors take `&dyn HistoryRead`, so one compiled predictor body
+//! reads a live table and a time-travel snapshot alike.
+//! [`StorageBackend`] says whether a fleet's tables keep their mutation
+//! log ([`StorageBackend::Lsm`]) beside the view; a table behaves the
+//! same either way — same insert/trim outcomes, same window aggregates,
+//! same mutation version after every call — which the testkit's
+//! `storage_conformance` differential oracles enforce.
+//!
+//! The rest of this module is what the benchmark (`crates/ledger`) still
+//! names and ROADMAP item 2's façade PR deletes: the [`HistoryBackend`]
+//! alias and the inert [`CompactionMode`] / [`CompactionScheduler`]
+//! with the table's no-op attach and detach.
 
 use crate::history::{ClockIndex, DeleteOutcome, HistoryTable, StorageStats};
-use crate::lsm::{CompactionScheduler, LsmHistory};
 use crate::view::LiveView;
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
@@ -33,14 +33,13 @@ use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 ///
 /// The trait is object-safe on purpose: predictors take
 /// `&dyn HistoryRead`, so one compiled predictor body serves the live
-/// §5 table, the live LSM store, and a frozen LSM snapshot alike.
+/// table and a frozen snapshot alike.
 pub trait HistoryRead {
     /// The store's visible tuple set — the single read layer every
     /// method below delegates to.
     fn view(&self) -> &LiveView;
 
-    /// Storage-overhead statistics (Figure 10a–b) of the visible set,
-    /// identical across backends.
+    /// Storage-overhead statistics (Figure 10a–b) of the visible set.
     fn stats(&self) -> StorageStats {
         self.view().stats()
     }
@@ -134,18 +133,19 @@ pub trait HistoryStore: HistoryRead {
     fn check_invariants(&self);
 }
 
-/// Which history storage engine a fleet runs on — the
+/// Whether a fleet's history tables keep their mutation log — the
 /// `SimConfig::builder().storage_backend(..)` knob.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum StorageBackend {
-    /// The §5 table ([`HistoryTable`], the default) held as its sorted
-    /// view and backed up as its page image.  The name (and the
-    /// `"btree"` label) predates the table dropping its B+Tree copy;
-    /// the benchmark (`crates/ledger`) names the variant.
+    /// The §5 table as its sorted view alone, backed up as its page
+    /// image (the default).  The name (and the `"btree"` label)
+    /// predates the table dropping its B+Tree copy; the benchmark
+    /// (`crates/ledger`) names the variant.
     #[default]
     BTree,
-    /// The LSM/MVCC engine with snapshot time-travel
-    /// ([`crate::lsm::LsmHistory`]).
+    /// The same table keeping the append-only log of every mutation
+    /// beside its view ([`crate::MutationLog`]): exact snapshots at any
+    /// past seqno and a write-ahead-log image since any checkpoint.
     Lsm,
 }
 
@@ -159,58 +159,41 @@ impl StorageBackend {
     }
 }
 
-/// Enum-dispatch wrapper over the concrete history backends.
-///
-/// The policy engines store one of these per database: static dispatch
-/// (no boxed trait objects in the million-database arena) and `Clone`
-/// for the rebalance/backup paths.  The whole surface lives on the
-/// [`HistoryRead`] + [`HistoryStore`] trait impls — import the traits
-/// to call it.  Every database pays the larger variant's footprint
-/// whichever backend the fleet runs, so both variants keep only the
-/// hot [`LiveView`] inline (reads never chase a pointer to reach it)
-/// and the LSM boxes its cold mutation log.
-#[derive(Clone, Debug)]
-pub enum HistoryBackend {
-    /// The §5 [`HistoryTable`] (the default): its view and nothing else.
-    BTree(HistoryTable),
-    /// LSM/MVCC [`LsmHistory`] with snapshot time-travel.
-    Lsm(LsmHistory),
+/// The history store's former enum name, kept as an alias because the
+/// benchmark (`crates/ledger`) builds one with `HistoryBackend::new`;
+/// ROADMAP item 2's façade PR deletes it.  In-tree code names
+/// [`HistoryTable`].
+pub type HistoryBackend = HistoryTable;
+
+/// The `SimConfig::compaction_mode` selector, kept only because the
+/// benchmark (`crates/ledger`) names it; ROADMAP item 2's façade PR
+/// deletes it.  Nothing compacts and nothing reads the value, so the
+/// two are indistinguishable.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum CompactionMode {
+    /// The default.
+    #[default]
+    Deterministic,
+    /// The selector the benchmark's sharded cell names.
+    Background,
 }
 
-impl Default for HistoryBackend {
-    fn default() -> Self {
-        HistoryBackend::BTree(HistoryTable::new())
+/// A compaction scheduler that holds no thread, kept only because the
+/// benchmark (`crates/ledger`) builds one and attaches stores to it
+/// (ROADMAP item 2 deletes it).  Attaching a store changes nothing.
+#[derive(Debug, Default)]
+pub struct CompactionScheduler;
+
+impl CompactionScheduler {
+    /// A scheduler; there is nothing to start.
+    pub fn new() -> Self {
+        CompactionScheduler
     }
 }
 
-macro_rules! dispatch {
-    ($self:ident, $table:ident => $body:expr) => {
-        match $self {
-            HistoryBackend::BTree($table) => $body,
-            HistoryBackend::Lsm($table) => $body,
-        }
-    };
-}
-
-impl HistoryBackend {
-    /// An empty store of the given backend kind.
-    pub fn new(kind: StorageBackend) -> Self {
-        match kind {
-            StorageBackend::BTree => HistoryBackend::BTree(HistoryTable::new()),
-            StorageBackend::Lsm => HistoryBackend::Lsm(LsmHistory::new()),
-        }
-    }
-
-    /// Which backend this store runs on.
-    pub fn kind(&self) -> StorageBackend {
-        match self {
-            HistoryBackend::BTree(_) => StorageBackend::BTree,
-            HistoryBackend::Lsm(_) => StorageBackend::Lsm,
-        }
-    }
-
+impl HistoryTable {
     /// A no-op kept for the benchmark (`crates/ledger`) until ROADMAP
-    /// item 2 deletes it: neither backend compacts.
+    /// item 2 deletes it: a table never compacts.
     pub fn attach_compaction(&mut self, _sched: &CompactionScheduler) {}
 
     /// A no-op kept for the benchmark (`crates/ledger`) until ROADMAP
@@ -218,30 +201,10 @@ impl HistoryBackend {
     pub fn detach_compaction(&mut self) {}
 }
 
-impl HistoryRead for HistoryBackend {
-    fn view(&self) -> &LiveView {
-        dispatch!(self, t => t.view())
-    }
-}
-
-impl HistoryStore for HistoryBackend {
-    fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-        dispatch!(self, t => t.insert_history(ts, kind))
-    }
-    fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-        dispatch!(self, t => t.delete_old_history(h, now))
-    }
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        dispatch!(self, t => t.configure_slot_index(period, slot_len))
-    }
-    fn check_invariants(&self) {
-        dispatch!(self, t => t.check_invariants())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{WalRecord, WriteAheadLog};
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
@@ -249,7 +212,7 @@ mod tests {
 
     #[test]
     fn default_backend_is_the_btree() {
-        assert_eq!(HistoryBackend::default().kind(), StorageBackend::BTree);
+        assert!(HistoryTable::default().log().is_none());
         assert_eq!(StorageBackend::default(), StorageBackend::BTree);
         assert_eq!(StorageBackend::BTree.label(), "btree");
         assert_eq!(StorageBackend::Lsm.label(), "lsm");
@@ -257,15 +220,15 @@ mod tests {
 
     #[test]
     fn per_database_footprint_stays_small() {
-        // One of these sits in the arena per database on either backend:
-        // 120 B, the view inline.  A second per-row structure beside the
-        // view crosses the bound.
-        assert!(std::mem::size_of::<HistoryBackend>() <= 128);
+        // One of these sits in the arena per database, log or no log:
+        // 120 B, the view inline and the log behind one pointer.  A
+        // second per-row structure beside the view crosses the bound.
+        assert!(std::mem::size_of::<HistoryTable>() <= 120);
     }
 
     #[test]
     fn trait_objects_dispatch_through_the_enum() {
-        let mut b = HistoryBackend::new(StorageBackend::Lsm);
+        let mut b = HistoryTable::new(StorageBackend::Lsm);
         {
             let store: &mut dyn HistoryStore = &mut b;
             store.insert_event(ActivityEvent::start(t(10)));
@@ -279,35 +242,55 @@ mod tests {
 
     #[test]
     fn an_attached_lsm_store_equals_a_never_attached_twin() {
-        use crate::lsm::TimeTravel;
-        // Logins a minute apart, with a retention pass every fifth insert
-        // so the log holds range deletes.
-        let mutate = |h: &mut HistoryBackend| {
-            for i in 0..160 {
+        // `inserts` logins a minute apart; with `trim_every`, a retention
+        // pass after every that-many inserts, so the log holds range
+        // deletes.  A short history and a long one, with and without
+        // trims; the detached store and a clone taken while attached.
+        let mutate = |h: &mut HistoryTable, inserts: i64, trim_every: Option<i64>| {
+            for i in 0..inserts {
                 h.insert_history(t(i * 60), EventKind::Start);
-                if (i + 1) % 5 == 0 {
+                if trim_every.is_some_and(|n| (i + 1) % n == 0) {
                     h.delete_old_history(Seconds(150), t(i * 60));
                 }
             }
         };
-        let sched = CompactionScheduler::new();
-        let mut attached = HistoryBackend::new(StorageBackend::Lsm);
-        attached.attach_compaction(&sched);
-        mutate(&mut attached);
-        attached.detach_compaction();
-        let mut twin = HistoryBackend::new(StorageBackend::Lsm);
-        mutate(&mut twin);
+        for inserts in [7, 160] {
+            for trim_every in [None, Some(3), Some(5)] {
+                let case = format!("{inserts} inserts, trims {trim_every:?}");
+                let sched = CompactionScheduler::new();
+                let mut attached = HistoryTable::new(StorageBackend::Lsm);
+                attached.attach_compaction(&sched);
+                mutate(&mut attached, inserts, trim_every);
+                let clone = attached.clone();
+                attached.detach_compaction();
+                let mut twin = HistoryTable::new(StorageBackend::Lsm);
+                mutate(&mut twin, inserts, trim_every);
 
-        let (HistoryBackend::Lsm(a), HistoryBackend::Lsm(b)) = (&attached, &twin) else {
-            unreachable!("both stores were built on the LSM backend");
-        };
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.version(), b.version());
-        assert_eq!(a.metrics(), b.metrics());
-        assert!(a.metrics().range_tombstones > 0, "the trims deleted");
-        for seqno in 0..=a.version() {
-            assert_eq!(a.snapshot(seqno), b.snapshot(seqno), "seqno {seqno}");
+                let want = twin.log().expect("the twin keeps its log");
+                for (who, h) in [("detached", &attached), ("clone", &clone)] {
+                    let got = h.log().expect("attaching keeps the log");
+                    assert_eq!(h.events(), twin.events(), "{case}: {who}");
+                    assert_eq!(h.stats(), twin.stats(), "{case}: {who}");
+                    assert_eq!(h.version(), twin.version(), "{case}: {who}");
+                    assert_eq!(got.wal_image(0), want.wal_image(0), "{case}: {who}");
+                    for seqno in 0..=h.version() {
+                        let (a, b) = (got.snapshot(seqno), want.snapshot(seqno));
+                        assert_eq!(a.events(), b.events(), "{case}: {who} at {seqno}");
+                        assert_eq!(a.version(), seqno, "{case}: {who} at {seqno}");
+                    }
+                    h.check_invariants();
+                }
+                let logged = WriteAheadLog::decode(&want.wal_image(0)).unwrap();
+                let ranges = logged
+                    .iter()
+                    .filter(|r| matches!(r, WalRecord::DeleteRange { .. }))
+                    .count();
+                assert_eq!(
+                    ranges > 0,
+                    trim_every.is_some(),
+                    "{case}: the trims deleted"
+                );
+            }
         }
-        attached.check_invariants();
     }
 }

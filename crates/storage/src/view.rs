@@ -5,18 +5,18 @@
 //! once, here: sorted `keys`/`vals`, the sorted login (`event_type = 1`)
 //! subset, the optional [`ClockIndex`] holding those logins in the
 //! seasonal-clock order the incremental predictor sweeps, and the
-//! mutation `version` the LSM stamps its seqnos from.
+//! mutation `version` a mutation log numbers its seqnos by.
 //!
 //! [`LiveView`] owns every decision that depends only on the visible
 //! set: Algorithm 2's `IF NOT EXISTS` probe, Algorithm 3's range
 //! computation (`min_ts`, `history_start`, doomed range, `old`/`deleted`),
 //! login-cache and clock-index maintenance, every read, the
-//! [`StorageStats`] and the restore-from-records build.  The engines
-//! ([`crate::HistoryTable`], [`crate::LsmHistory`],
-//! [`crate::LsmSnapshot`]) each hold one.  [`crate::HistoryTable`] is
-//! nothing else, and its `check_invariants` audits the view against its
-//! own page image; the LSM keeps its mutation log beside it and audits
-//! the view against the visible set it replays from the log.
+//! [`StorageStats`] and the restore-from-records build.
+//! [`crate::HistoryTable`] holds one and writes every mutation to it
+//! first; its `check_invariants` audits the view against its own page
+//! image and, when the table keeps a [`crate::MutationLog`], against the
+//! visible set replayed from that log.  A time-travel snapshot is a
+//! table whose view was built from such a replay.
 
 use crate::history::{ClockIndex, DeleteOutcome, StorageStats};
 use crate::page::{self, Record};
@@ -98,11 +98,6 @@ impl LiveView {
             records.iter().map(|r| r.value).collect(),
             0,
         ))
-    }
-
-    /// A frozen copy: same tuples and version, no clock index.
-    pub(crate) fn frozen(&self) -> LiveView {
-        LiveView::from_sorted(self.keys.clone(), self.vals.clone(), self.version)
     }
 
     /// Algorithm 2 — insert unless a tuple with the same `time_snapshot`

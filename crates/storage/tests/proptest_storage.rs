@@ -1,15 +1,16 @@
 //! Property-based tests for the storage substrate: the B+Tree and the
 //! one live-read layer ([`LiveView`]) are each checked against
 //! `std::collections::BTreeMap` as a model, the page codec and the
-//! backup stream against identity round-trips, and Algorithm 3 against its
-//! specification.
+//! backup stream against identity round-trips, Algorithm 3 against its
+//! specification, and crash recovery — a backup plus a (possibly torn)
+//! write-ahead-log image — against the table's own snapshots.
 
 use proptest::prelude::*;
 use prorp_storage::page::{decode_page, encode_page, records_per_page, Record};
-use prorp_storage::wal::{DurableHistory, WriteAheadLog};
+use prorp_storage::wal::{WriteAheadLog, RECORD_LEN};
 use prorp_storage::{
     backup_history, restore_history, BTree, DeleteOutcome, HistoryRead, HistoryStore, HistoryTable,
-    LiveView,
+    LiveView, MutationLog, StorageBackend,
 };
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 use std::collections::BTreeMap;
@@ -119,7 +120,7 @@ proptest! {
     fn backup_roundtrip_preserves_history(
         stamps in prop::collection::btree_set(0i64..1_000_000, 0..1_200)
     ) {
-        let mut table = HistoryTable::new();
+        let mut table = HistoryTable::default();
         for (i, ts) in stamps.iter().enumerate() {
             let kind = if i % 2 == 0 { EventKind::Start } else { EventKind::End };
             assert!(table.insert_history(Timestamp(*ts), kind));
@@ -135,7 +136,7 @@ proptest! {
         h in 1i64..1_000_000,
         now in 0i64..3_000_000,
     ) {
-        let mut table = HistoryTable::new();
+        let mut table = HistoryTable::default();
         for ts in &stamps {
             table.insert_history(Timestamp(*ts), EventKind::Start);
         }
@@ -162,7 +163,7 @@ proptest! {
         lo in 0i64..10_000,
         width in 0i64..5_000,
     ) {
-        let mut table = HistoryTable::new();
+        let mut table = HistoryTable::default();
         for (ts, kind) in &events {
             let kind = EventKind::from_i32(*kind as i32).unwrap();
             table.insert_history(Timestamp(*ts), kind);
@@ -317,6 +318,44 @@ fn wal_op_strategy() -> impl Strategy<Value = WalOp> {
     ]
 }
 
+/// A table keeping its mutation log, after `ops`.
+fn logged(ops: &[WalOp]) -> HistoryTable {
+    let mut table = HistoryTable::new(StorageBackend::Lsm);
+    apply(&mut table, ops);
+    table
+}
+
+fn apply(table: &mut HistoryTable, ops: &[WalOp]) {
+    for op in ops {
+        match op {
+            WalOp::Insert(ts, start) => {
+                let kind = if *start {
+                    EventKind::Start
+                } else {
+                    EventKind::End
+                };
+                table.insert_history(Timestamp(*ts), kind);
+            }
+            WalOp::Trim { h, now } => {
+                table.delete_old_history(Seconds(*h), Timestamp(*now));
+            }
+        }
+    }
+}
+
+/// A checkpoint: the table's backup image and the seqno it was taken at.
+fn checkpoint(table: &HistoryTable) -> (Vec<u8>, u64) {
+    (backup_history(table).unwrap(), table.version())
+}
+
+fn log(table: &HistoryTable) -> &MutationLog {
+    table.log().expect("built with its log")
+}
+
+fn recover(backup: &[u8], wal_image: &[u8]) -> Result<HistoryTable, prorp_types::ProrpError> {
+    HistoryTable::recover(backup, wal_image, StorageBackend::Lsm)
+}
+
 proptest! {
     /// Crash anywhere after a checkpoint: backup + WAL replay must
     /// reproduce the live table exactly.
@@ -325,58 +364,34 @@ proptest! {
         pre in prop::collection::vec(wal_op_strategy(), 0..40),
         post in prop::collection::vec(wal_op_strategy(), 0..40),
     ) {
-        let mut durable = DurableHistory::new();
-        let apply = |d: &mut DurableHistory, op: &WalOp| match op {
-            WalOp::Insert(ts, start) => {
-                let kind = if *start { EventKind::Start } else { EventKind::End };
-                d.insert_history(Timestamp(*ts), kind);
-            }
-            WalOp::Trim { h, now } => {
-                d.delete_old_history(Seconds(*h), Timestamp(*now));
-            }
-        };
-        for op in &pre {
-            apply(&mut durable, op);
-        }
-        let backup = durable.checkpoint().unwrap();
-        for op in &post {
-            apply(&mut durable, op);
-        }
-        let wal_image = durable.wal().as_bytes().to_vec();
-        let recovered = DurableHistory::recover(&backup, &wal_image).unwrap();
-        prop_assert_eq!(recovered.table().events(), durable.table().events());
+        let mut live = logged(&pre);
+        let (backup, at) = checkpoint(&live);
+        apply(&mut live, &post);
+        let recovered = recover(&backup, &log(&live).wal_image(at)).unwrap();
+        prop_assert_eq!(recovered.events(), live.events());
+        prop_assert_eq!(recovered.version(), live.version() - at);
+        recovered.check_invariants();
     }
 
-    /// A truncated WAL image recovers a consistent *prefix* of the
-    /// mutation stream (never an error, never an impossible state).
+    /// A truncated WAL image recovers exactly the table as it stood
+    /// after the last whole record that survived the cut.
     #[test]
     fn torn_wal_recovers_a_prefix(
         ops in prop::collection::vec(wal_op_strategy(), 1..30),
         cut in 0usize..800,
     ) {
-        let mut durable = DurableHistory::new();
-        let backup = durable.checkpoint().unwrap();
-        for op in &ops {
-            match op {
-                WalOp::Insert(ts, start) => {
-                    let kind = if *start { EventKind::Start } else { EventKind::End };
-                    durable.insert_history(Timestamp(*ts), kind);
-                }
-                WalOp::Trim { h, now } => {
-                    durable.delete_old_history(Seconds(*h), Timestamp(*now));
-                }
-            }
-        }
-        let image = durable.wal().as_bytes();
+        let empty = HistoryTable::new(StorageBackend::Lsm);
+        let backup = backup_history(&empty).unwrap();
+        let live = logged(&ops);
+        let image = log(&live).wal_image(0);
         let cut = cut.min(image.len());
-        // Records are 26 bytes: compute how many full records survive.
-        let survivors = cut / 26;
+        let survivors = cut / RECORD_LEN;
         let torn = &image[..cut];
-        let decoded = WriteAheadLog::decode(torn).unwrap();
-        prop_assert_eq!(decoded.len(), survivors);
-        // Recovery over the torn log never fails.
-        let recovered = DurableHistory::recover(&backup, torn).unwrap();
-        prop_assert!(recovered.table().len() <= durable.table().len().max(ops.len()));
+        prop_assert_eq!(WriteAheadLog::decode(torn).unwrap().len(), survivors);
+        // Recovery over the torn log never fails, and is exact.
+        let recovered = recover(&backup, torn).unwrap();
+        let expected = log(&live).snapshot(survivors as u64);
+        prop_assert_eq!(recovered.events(), expected.events());
     }
 }
 
@@ -410,94 +425,76 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Checkpointing is stable and truncating: it empties the WAL,
-    /// recovering from the backup alone reproduces the table, and a
-    /// second checkpoint over the unchanged table is byte-identical.
+    /// Checkpointing is stable and truncating: the WAL since it is
+    /// empty, recovering from the backup alone reproduces the table, and
+    /// a second checkpoint over the unchanged table is byte-identical.
     #[test]
     fn checkpoint_truncates_and_is_stable(
         ops in prop::collection::vec(wal_op_strategy(), 0..60),
     ) {
-        let mut durable = DurableHistory::new();
-        for op in &ops {
-            match op {
-                WalOp::Insert(ts, start) => {
-                    let kind = if *start { EventKind::Start } else { EventKind::End };
-                    durable.insert_history(Timestamp(*ts), kind);
-                }
-                WalOp::Trim { h, now } => {
-                    durable.delete_old_history(Seconds(*h), Timestamp(*now));
-                }
-            }
-        }
-        let backup = durable.checkpoint().unwrap();
-        prop_assert!(durable.wal().is_empty(), "checkpoint must truncate the log");
-        let recovered = DurableHistory::recover(&backup, &[]).unwrap();
-        prop_assert_eq!(recovered.table().events(), durable.table().events());
-        let again = durable.checkpoint().unwrap();
+        let live = logged(&ops);
+        let (backup, at) = checkpoint(&live);
+        prop_assert!(log(&live).wal_image(at).is_empty(), "nothing follows the checkpoint");
+        let recovered = recover(&backup, &[]).unwrap();
+        prop_assert_eq!(recovered.events(), live.events());
+        let (again, _) = checkpoint(&live);
         prop_assert_eq!(backup, again, "checkpoint over an unchanged table must be stable");
     }
 
     /// Recovery is idempotent: recovering, checkpointing the recovered
-    /// replica, and recovering again converges after one step.
+    /// replica, and recovering again converges after one step — and the
+    /// recovered table's own log is the WAL image it was recovered from.
     #[test]
     fn recover_of_recover_is_identity(
         pre in prop::collection::vec(wal_op_strategy(), 0..30),
         post in prop::collection::vec(wal_op_strategy(), 0..30),
     ) {
-        let mut durable = DurableHistory::new();
-        let apply = |d: &mut DurableHistory, op: &WalOp| match op {
-            WalOp::Insert(ts, start) => {
-                let kind = if *start { EventKind::Start } else { EventKind::End };
-                d.insert_history(Timestamp(*ts), kind);
-            }
-            WalOp::Trim { h, now } => {
-                d.delete_old_history(Seconds(*h), Timestamp(*now));
-            }
-        };
-        for op in &pre {
-            apply(&mut durable, op);
-        }
-        let backup = durable.checkpoint().unwrap();
-        for op in &post {
-            apply(&mut durable, op);
-        }
-        let wal_image = durable.wal().as_bytes().to_vec();
-        let mut first = DurableHistory::recover(&backup, &wal_image).unwrap();
-        let second_backup = first.checkpoint().unwrap();
-        let second = DurableHistory::recover(&second_backup, &[]).unwrap();
-        prop_assert_eq!(second.table().events(), durable.table().events());
+        let mut live = logged(&pre);
+        let (backup, at) = checkpoint(&live);
+        apply(&mut live, &post);
+        let wal_image = log(&live).wal_image(at);
+        let first = recover(&backup, &wal_image).unwrap();
+        prop_assert_eq!(log(&first).wal_image(0), wal_image);
+        let (second_backup, _) = checkpoint(&first);
+        let second = recover(&second_backup, &[]).unwrap();
+        prop_assert_eq!(second.events(), live.events());
     }
 
-    /// `DurableHistory::recover` is exactly backup-restore plus a manual
-    /// decode-and-replay of the log — no hidden state rides along.
+    /// Recovery is exact to the record: with a checkpoint at seqno `s`,
+    /// the WAL image cut at *every* byte recovers the table's snapshot at
+    /// `s + cut / 26`.  A checksum flipped on a record mid-image is an
+    /// error; flipped on the final record it is a torn tail.
     #[test]
-    fn recover_equals_manual_decode_and_replay(
+    fn a_torn_wal_recovers_the_snapshot_at_its_last_whole_record(
         pre in prop::collection::vec(wal_op_strategy(), 0..30),
         post in prop::collection::vec(wal_op_strategy(), 1..30),
     ) {
-        let mut durable = DurableHistory::new();
-        let apply = |d: &mut DurableHistory, op: &WalOp| match op {
-            WalOp::Insert(ts, start) => {
-                let kind = if *start { EventKind::Start } else { EventKind::End };
-                d.insert_history(Timestamp(*ts), kind);
-            }
-            WalOp::Trim { h, now } => {
-                d.delete_old_history(Seconds(*h), Timestamp(*now));
-            }
+        let mut live = logged(&pre);
+        let (backup, at) = checkpoint(&live);
+        apply(&mut live, &post);
+        let image = log(&live).wal_image(at);
+        let whole = (image.len() / RECORD_LEN) as u64;
+        for cut in 0..=image.len() {
+            let records = (cut / RECORD_LEN) as u64;
+            let recovered = recover(&backup, &image[..cut]).unwrap();
+            let expected = log(&live).snapshot(at + records);
+            prop_assert_eq!(recovered.events(), expected.events(), "cut at byte {}", cut);
+            prop_assert_eq!(recovered.version(), records, "cut at byte {}", cut);
+        }
+        // The checksum is a record's last 8 bytes.
+        let flip_checksum = |record: u64| {
+            let mut bad = image.clone();
+            bad[(record as usize + 1) * RECORD_LEN - 1] ^= 0x01;
+            bad
         };
-        for op in &pre {
-            apply(&mut durable, op);
+        if whole >= 2 {
+            let err = recover(&backup, &flip_checksum(0)).unwrap_err();
+            prop_assert!(err.to_string().contains("checksum"), "{}", err);
         }
-        let backup = durable.checkpoint().unwrap();
-        for op in &post {
-            apply(&mut durable, op);
+        if whole >= 1 {
+            let torn = recover(&backup, &flip_checksum(whole - 1)).unwrap();
+            let expected = log(&live).snapshot(at + whole - 1);
+            prop_assert_eq!(torn.events(), expected.events());
         }
-        let image = durable.wal().as_bytes();
-        let recovered = DurableHistory::recover(&backup, image).unwrap();
-
-        let mut manual = restore_history(&backup).unwrap();
-        let records = WriteAheadLog::decode(image).unwrap();
-        WriteAheadLog::replay(&records, &mut manual).unwrap();
-        prop_assert_eq!(recovered.table().events(), manual.events());
     }
 }

@@ -1,35 +1,37 @@
-//! Storage-backend conformance: behind the `HistoryStore` seam, the
-//! LSM/MVCC engine must be observationally indistinguishable from the
-//! §5 table (`StorageBackend::BTree`) — on a single store, across a
-//! whole simulated fleet, and in the recorded observability stream.
+//! Storage-backend conformance: a history table that keeps its mutation
+//! log (`StorageBackend::Lsm`) must be observationally indistinguishable
+//! from one that does not (`StorageBackend::BTree`) — on a single store,
+//! across a whole simulated fleet, and in the recorded observability
+//! stream.
 //!
 //! Four layers:
 //!
 //! * a single-store interleaving property — arbitrary Algorithm 2/3
 //!   op sequences applied through `&mut dyn HistoryStore` to both
-//!   backends must agree on every read (with the B+Tree as the model),
-//!   every LSM seqno must `snapshot()` back to exactly the state the
-//!   model held at that point, and a snapshot frozen mid-stream must
-//!   keep reading its tuples after later trims;
+//!   tables must agree on every read (with the log-off table as the
+//!   model), every seqno of the log must `snapshot()` back to exactly
+//!   the state the model held at that point, and a snapshot frozen
+//!   mid-stream must keep reading its tuples after later trims;
 //! * a fleet differential — generated fleets under generated fault
 //!   plans produce bit-identical reports (KPIs, per-database engine
 //!   counters, incidents, batches, history storage statistics) on
 //!   either backend;
-//! * LSM shard invariance — a pinned faulty scenario on the LSM backend
+//! * LSM shard invariance — a pinned faulty scenario on the log-keeping
+//!   backend
 //!   reports identically at 1, 2, and 8 shards, including the history
 //!   storage statistics;
 //! * observability equality and time travel — the JSONL span trace of a
 //!   pinned scenario is byte-identical across backends (checkpoints
 //!   serialise events, not pages), and replaying a recorded database's
 //!   Login spans through `prorp_obs::timetravel` at a recorded Predict
-//!   instant reproduces the predictor run from an LSM snapshot.
+//!   instant reproduces the predictor run from a snapshot of the log.
 
 use proptest::prelude::*;
 use prorp_forecast::ProbabilisticPredictor;
 use prorp_obs::span::SpanKind;
 use prorp_obs::{timetravel, trace_jsonl, ObsConfig, PredictOutcome};
 use prorp_sim::{CompactionMode, SimPolicy, SimReport, StorageBackend};
-use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, LsmHistory, LsmSnapshot, TimeTravel};
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use testkit::oracles::{assert_reports_equal, builder, run, DAY};
 use testkit::strategies::{fault_plan, fleet_spec, FaultPlan, FleetSpec};
@@ -100,21 +102,27 @@ fn assert_reads_equal(model: &dyn HistoryRead, lsm: &dyn HistoryRead, context: &
     }
 }
 
+/// The mutation log of a table built to keep one.
+fn log(table: &HistoryTable) -> &prorp_storage::MutationLog {
+    table.log().expect("built with its log")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary insert/trim interleavings: the LSM store must agree
-    /// with the B+Tree after every op, and every seqno from 0 to the
-    /// last must snapshot back to the exact event set the model held
-    /// then — including seqnos whose tuples later trims deleted.
+    /// Arbitrary insert/trim interleavings: the table keeping its log
+    /// must agree with the log-off table after every op, and every seqno
+    /// from 0 to the last must snapshot back to the exact event set the
+    /// model held then — including seqnos whose tuples later trims
+    /// deleted.
     #[test]
     fn interleavings_agree_and_snapshots_rebuild(ops in prop::collection::vec(op(), 1..60)) {
-        let mut model = HistoryTable::new();
-        let mut lsm = LsmHistory::new();
+        let mut model = HistoryTable::default();
+        let mut lsm = HistoryTable::new(StorageBackend::Lsm);
         // `visible[s]`: the events the model held at seqno `s`.
         let mut visible: Vec<Vec<ActivityEvent>> = vec![Vec::new()];
         // `(snapshot, events the model held at freeze time)` pairs.
-        let mut frozen: Vec<(LsmSnapshot, Vec<ActivityEvent>)> = Vec::new();
+        let mut frozen: Vec<(HistoryTable, Vec<ActivityEvent>)> = Vec::new();
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut model, op);
             apply(&mut lsm, op);
@@ -124,26 +132,26 @@ proptest! {
             }
             prop_assert_eq!(lsm.version() as usize + 1, visible.len());
             if i % 5 == 0 {
-                frozen.push((lsm.snapshot(lsm.version()), model.events()));
+                frozen.push((log(&lsm).snapshot(lsm.version()), model.events()));
             }
         }
         // Time travel back through every seqno: the snapshot must equal
         // the state rebuilt from the op prefix (held by the model at
         // that point), not just the final state.
         for (seqno, expected) in visible.iter().enumerate() {
-            let snap = lsm.snapshot(seqno as u64);
-            prop_assert_eq!(snap.seqno(), seqno as u64);
+            let snap = log(&lsm).snapshot(seqno as u64);
+            prop_assert_eq!(snap.version(), seqno as u64);
             prop_assert_eq!(&snap.events(), expected, "snapshot at seqno {}", seqno);
         }
         // Every tuple the model held at freeze time still reads back from
         // a snapshot frozen then, whatever the store did afterwards.
         for (snap, expected) in &frozen {
-            prop_assert_eq!(snap.len(), expected.len(), "frozen len at seqno {}", snap.seqno());
+            prop_assert_eq!(snap.len(), expected.len(), "frozen len at seqno {}", snap.version());
             for ev in expected {
                 prop_assert_eq!(
                     snap.view().get(ev.ts.as_secs()),
                     Some(i64::from(ev.kind == EventKind::Start)),
-                    "frozen read of {} at seqno {}", ev.ts, snap.seqno()
+                    "frozen read of {} at seqno {}", ev.ts, snap.version()
                 );
             }
         }
@@ -223,7 +231,7 @@ proptest! {
     }
 }
 
-/// Shard invariance holds on the LSM backend exactly as on the B+Tree:
+/// Shard invariance holds with the log kept exactly as without it:
 /// 1, 2, and 8 shards produce bit-identical reports, including the
 /// merged history storage statistics.  Both `CompactionMode` values are
 /// run, which proves the selector the benchmark sets cannot change a
@@ -280,10 +288,10 @@ fn span_traces_are_byte_identical_across_backends() {
 }
 
 /// End-to-end time travel: pick a recorded Predict instant from a real
-/// simulated trace, replay that database's Login spans through the LSM
-/// store, and re-run Algorithm 4 over `snapshot_as_of(T)`.  The result
-/// must equal a prediction computed over a directly rebuilt B+Tree
-/// history — the same tuples by a different engine and route.
+/// simulated trace, replay that database's Login spans into a table
+/// that keeps its log, and re-run Algorithm 4 over `snapshot_as_of(T)`.
+/// The result must equal a prediction computed over a directly rebuilt
+/// log-off history — the same tuples by a different route.
 #[test]
 fn time_travel_reproduces_a_recorded_prediction() {
     let (spec, plan) = pinned();
@@ -312,8 +320,8 @@ fn time_travel_reproduces_a_recorded_prediction() {
     assert!(replay.snapshot_len > 0, "history precedes the predict run");
 
     // Independent route: rebuild the pre-T history directly in a
-    // B+Tree and predict over it.
-    let mut table = HistoryTable::new();
+    // log-off table and predict over it.
+    let mut table = HistoryTable::default();
     for r in records.iter().filter(|r| r.db == db && r.start <= at) {
         if matches!(r.kind, SpanKind::Login { .. }) {
             table.insert_history(r.start, EventKind::Start);
@@ -324,6 +332,6 @@ fn time_travel_reproduces_a_recorded_prediction() {
         .predict_at(&table, at);
     assert_eq!(
         replay.prediction, expected,
-        "LSM snapshot replay diverged from the direct rebuild"
+        "snapshot replay diverged from the direct rebuild"
     );
 }

@@ -28,6 +28,11 @@ cargo run --release -q -p prorp-server --bin prorp-server -- \
 cargo run --release -q -p prorp-bench --bin fleet_report -- \
     --json results/BENCH_fleet.json
 
+# Re-record the paper's figure, table and example outputs at their one
+# pinned scale (300 databases, 35 days, seed 42; check.sh diffs a fresh
+# run against them).  Figure 10 prints timings and is not re-recorded.
+./scripts/figures.sh results
+
 # Re-record the full-scale prediction-index A/B numbers alongside the
 # goldens (timings are machine-dependent; the committed file documents a
 # representative run, the smoke run in check.sh guards the equivalence).

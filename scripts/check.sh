@@ -10,7 +10,8 @@
 # intentional changes with scripts/bless.sh) — and a check that every
 # guard test is still in it, the `prorp-trace` CLI against the
 # golden trace, the control-plane server replay gate (live ≡ DES over
-# HTTP), the machine-readable fleet-composition export, clippy
+# HTTP), the machine-readable fleet-composition export, the paper's
+# figure, table and example outputs (byte for byte), clippy
 # (warnings are errors), rustdoc (warnings are errors), and the
 # formatting check.  Fails fast on the first broken step.
 
@@ -59,21 +60,20 @@ guards=(
     insert_history_agrees
     delete_old_history_agrees
 
-    # The LSM backend must stay observationally identical to the §5 table
-    # behind the HistoryStore seam (op interleavings, fleet
-    # differentials, shard invariance, span traces, and time-travel
-    # reproduction).
+    # A table that keeps its mutation log (log-on, `StorageBackend::Lsm`)
+    # must stay observationally identical to one that does not (log-off):
+    # op interleavings, fleet differentials, shard invariance, span
+    # traces, and time-travel reproduction.
     interleavings_agree_and_snapshots_rebuild
     fleet_behaviour_is_backend_independent
     lsm_reports_are_shard_invariant
     span_traces_are_byte_identical_across_backends
     time_travel_reproduces_a_recorded_prediction
 
-    # An LSM store is its view and its mutation log: a store attached
-    # to the (thread-free) `CompactionScheduler` the benchmark still
-    # builds must equal a never-attached twin on events, version,
-    # metrics and every snapshot.  A compaction worker coming back
-    # fails it.
+    # A log-on table is its view and its mutation log: one attached to
+    # the (thread-free) `CompactionScheduler` the benchmark still builds
+    # must equal a never-attached twin on events, version, WAL image and
+    # every snapshot.  A compaction worker coming back fails it.
     an_attached_lsm_store_equals_a_never_attached_twin
 
     # Time travel is exact below a trim: with the log as the only record
@@ -81,6 +81,13 @@ guards=(
     # is the 349 tuples it held then (193 while merges garbage-collected
     # trimmed versions).
     a_snapshot_below_a_collected_trim_is_exact
+
+    # Crash recovery is exact to the record: a backup at seqno `s` plus
+    # its WAL image cut at any byte recovers the snapshot at
+    # `s + cut / 26`; a bad checksum mid-image is an error and on the
+    # final record a torn tail.  Snapshots, the audit and recovery share
+    # one replay, so a second replay path coming back fails it.
+    a_torn_wal_recovers_the_snapshot_at_its_last_whole_record
 
     # A registered database is a slot: the slot-addressed cluster must
     # stay indistinguishable from the id-keyed `HashMap`/`HashSet` one it
@@ -104,7 +111,7 @@ guards=(
     # 0.20 per event, 0.16 / 0.26 while every row was also written into
     # a per-database B+Tree, so the `writes_each_history_row_once` cells
     # (< 0.13 / < 0.23) fail when a second per-row structure comes back.
-    # The same loop over the LSM history reads 0.146 / 0.243 as the view
+    # The same loop over log-on tables reads 0.146 / 0.243 as the view
     # plus its append-only log, against bars of < 0.165 / < 0.26: not
     # the view-only table's 0.13 / 0.23, since the log's amortised
     # growth allocates.  It read 0.17 / 0.27 with runs flushed and merged
@@ -198,6 +205,14 @@ run cargo run --release -q -p prorp-bench --bin fleet_report -- \
     --json target/fleet_report.json
 run diff -u results/BENCH_fleet.json target/fleet_report.json
 
+# The paper's figure, table and example outputs are deterministic at
+# their pinned scale too: a fresh run must reproduce every committed
+# file byte for byte (Figure 10, which prints timings, is not gated).
+run ./scripts/figures.sh target/figures
+for fresh in target/figures/*.txt; do
+    run diff -u "results/$(basename "$fresh")" "$fresh"
+done
+
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
 # every timed case, and that the two cases with many window positions
 # over few logins (`young_sparse`, `fine_slide`) cost the incremental
@@ -228,10 +243,9 @@ run cargo run --release -q -p prorp-bench --bin scale_bench -- \
 run cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --smoke --json target/obs_smoke.json
 
-# Storage-backend A/B in smoke mode: asserts btree ≡ lsm fleet KPIs,
-# checksummed window-scan agreement (B+Tree table ≡ LSM store ≡
-# snapshot over the shared read layer) and flat range-delete trim
-# cost (the committed full-scale numbers in results/BENCH_storage.json
+# Storage-backend A/B in smoke mode: asserts log-off ≡ log-on fleet
+# KPIs, checksummed window-scan agreement (log-off table ≡ log-on table
+# ≡ a snapshot replayed from the log) and flat range-delete trim cost (the committed full-scale numbers in results/BENCH_storage.json
 # come from scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin storage_bench -- \
     --smoke --json target/storage_smoke.json

@@ -18,7 +18,7 @@ const DAY: i64 = 86_400;
 const HOUR: i64 = 3_600;
 
 fn daily_history(days: i64) -> HistoryTable {
-    let mut h = HistoryTable::new();
+    let mut h = HistoryTable::default();
     for d in 0..days {
         h.insert_history(Timestamp(d * DAY + 9 * HOUR), EventKind::Start);
         h.insert_history(Timestamp(d * DAY + 10 * HOUR), EventKind::End);

@@ -53,7 +53,7 @@ fn native_rows(native: &HistoryTable) -> Vec<(i64, i64)> {
 /// equal row for row after every insert.
 fn build_both(events: &[(i64, i64)]) -> (HistoryDb, HistoryTable) {
     let mut sql = HistoryDb::new();
-    let mut native = HistoryTable::new();
+    let mut native = HistoryTable::default();
     for &(ts, kind) in events {
         let sql_inserted = sql.insert_history(ts, kind).expect("sql insert");
         let native_inserted =
