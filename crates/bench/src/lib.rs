@@ -36,8 +36,10 @@ pub fn env_i64(name: &str, default: i64) -> i64 {
 /// Where a benchmark record came from: the `"meta"` object of a
 /// `results/BENCH_*.json` file.  `mode` is the bench's own run mode
 /// (`"full"` or `"smoke"`); `commit` is `HEAD`, with `+dirty` when the
-/// work tree differs from it; anything the host will not tell reads
-/// `"unknown"`.
+/// work tree differs from it; `strict_invariants` says whether the
+/// simulator was built with its per-event lifecycle checker
+/// ([`prorp_sim::STRICT_INVARIANTS`]), which no timing should be; anything
+/// the host will not tell reads `"unknown"`.
 pub fn run_meta(mode: &str) -> Json {
     let stdout_of = |program: &str, args: &[&str]| {
         std::process::Command::new(program)
@@ -75,6 +77,10 @@ pub fn run_meta(mode: &str) -> Json {
         ("cpu", text(cpu)),
         ("rustc", text(stdout_of("rustc", &["--version"]))),
         ("profile", Json::Str(profile.into())),
+        (
+            "strict_invariants",
+            Json::Bool(prorp_sim::STRICT_INVARIANTS),
+        ),
         ("mode", Json::Str(mode.into())),
     ])
 }
@@ -197,6 +203,10 @@ mod tests {
         }
         assert_eq!(meta.get("mode").and_then(Json::as_str), Some("smoke"));
         assert!(meta.get("nproc").and_then(Json::as_u64).is_some());
+        assert_eq!(
+            meta.get("strict_invariants"),
+            Some(&Json::Bool(prorp_sim::STRICT_INVARIANTS))
+        );
     }
 
     #[test]

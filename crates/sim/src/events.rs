@@ -15,10 +15,10 @@
 //!
 //! * the **recorded run** — [`record_start`](EventQueue::record_start) /
 //!   [`record_end`](EventQueue::record_end) append a 24-byte entry to a
-//!   flat vector, which is sorted once by the full key and then consumed
-//!   front to back by a cursor;
+//!   flat vector, which is sealed once by a stable radix sort on
+//!   `(timestamp, is_end)` and then consumed front to back by a cursor;
 //! * the **run-time lane** — [`push`](EventQueue::push) goes to a
-//!   `BinaryHeap`, which therefore holds only what the loop scheduled
+//!   calendar queue, which therefore holds only what the loop scheduled
 //!   for itself: O(databases) entries, not O(sessions).
 //!
 //! Both lanes draw `sequence` from the same counter at the moment of the
@@ -30,10 +30,30 @@
 //! event loop's single call per event: the heads are compared once and
 //! the winner leaves only if it is due before the horizon.
 //!
-//! The run is sorted lazily, by the first `pop`/`pop_before`/`peek_ts`
+//! # The run-time lane: a calendar
+//!
+//! The lane is a ring of 1 024 buckets of 64 s — an 18 h horizon — with
+//! an occupancy bitmap.  A push lands unsorted in its bucket in O(1).
+//! When the clock reaches a bucket, the bucket is sorted once by the full
+//! key and drained from its end.  Whatever is pushed into or before the
+//! current bucket (a reaction at `now`, a late injection), or past the
+//! horizon (a day-long timer), goes to one small `BinaryHeap` instead,
+//! and the lane's head is the smaller of the two.  Nothing here changes
+//! the order, only what an event costs: a bit set and an append instead
+//! of a heap walk.
+//!
+//! # Sealing the recorded run
+//!
+//! The run is sealed lazily, by the first `pop`/`pop_before`/`peek_ts`
 //! after an append — once per replay, since the DES registers every
-//! trace before it starts.  Recording more after events were consumed
-//! re-sorts the unconsumed tail only.
+//! trace before it starts.  Within a run, entries of equal `(timestamp,
+//! is_end)` sit in sequence order (appends only raise it), so a *stable*
+//! sort on that narrow key yields the full key's order: an LSD radix
+//! sort on `timestamp − min`, two 11-bit passes for an 8-day replay,
+//! with a scratch copy freed when it ends.  Recording more after events
+//! were consumed re-seals the unconsumed tail only: the sealed part is
+//! still in sequence order within each key, and every new entry's
+//! sequence is above it.
 
 use prorp_core::TimerToken;
 use prorp_types::{DatabaseId, Timestamp};
@@ -177,19 +197,246 @@ impl Recorded {
     }
 }
 
+/// Width of a calendar bucket, as a shift: 64 s.
+const BUCKET_SHIFT: u32 = 6;
+
+/// Buckets in the calendar ring: 1 024 × 64 s ≈ 18.2 h.
+const RING: usize = 1024;
+
+/// Calendar bucket number of an instant (floor division, so negative
+/// instants bucket correctly too).
+fn bucket_of(ts: Timestamp) -> i64 {
+    ts.as_secs() >> BUCKET_SHIFT
+}
+
+/// Ring slot of a bucket number.
+fn slot_of(bucket: i64) -> usize {
+    (bucket & (RING as i64 - 1)) as usize
+}
+
+/// End of a bucket's list, or of the free list.
+const NIL: usize = usize::MAX;
+
+/// A ring entry in the calendar's slab, linked to the next entry of its
+/// bucket (or, once drained, of the free list).
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    entry: Scheduled,
+    next: usize,
+}
+
+/// The run-time lane: a calendar ring over the next 18 h plus one small
+/// heap for the rest (see the module docs).
+///
+/// A bucket is an unsorted list threaded through one slab of nodes, and
+/// a drained node goes on a free list, so the lane holds memory for the
+/// most entries it ever held, not for every bucket's busiest hour, and a
+/// warm loop allocates nothing.
+#[derive(Clone, Debug)]
+struct Calendar {
+    /// The current bucket, sorted latest-first so the earliest entry
+    /// leaves from the end.
+    current: Vec<Scheduled>,
+    /// The current bucket's number; the ring holds buckets `cur + 1 ..
+    /// cur + RING`.  Starts below every instant, so what is pushed before
+    /// the first pop goes to `other`.
+    cur: i64,
+    /// Entries pushed into or before the current bucket, or past the
+    /// ring's horizon.
+    other: BinaryHeap<Scheduled>,
+    /// Every ring entry; slot `b % RING` holds bucket `b`, a list from
+    /// `heads[slot]`.
+    nodes: Vec<Node>,
+    heads: Box<[usize]>,
+    /// First node of the free list.
+    free: usize,
+    /// One bit per ring slot: set when the slot holds entries.
+    occupied: [u64; RING / 64],
+    len: usize,
+    peak: usize,
+}
+
+impl Default for Calendar {
+    fn default() -> Self {
+        Calendar {
+            current: Vec::new(),
+            cur: i64::MIN,
+            other: BinaryHeap::new(),
+            nodes: Vec::new(),
+            heads: vec![NIL; RING].into_boxed_slice(),
+            free: NIL,
+            occupied: [0; RING / 64],
+            len: 0,
+            peak: 0,
+        }
+    }
+}
+
+impl Calendar {
+    fn push(&mut self, entry: Scheduled) {
+        let bucket = bucket_of(entry.ts);
+        if bucket > self.cur && bucket < self.cur + RING as i64 {
+            let slot = slot_of(bucket);
+            let node = Node {
+                entry,
+                next: self.heads[slot],
+            };
+            self.heads[slot] = match self.free {
+                NIL => {
+                    self.nodes.push(node);
+                    self.nodes.len() - 1
+                }
+                at => {
+                    self.free = std::mem::replace(&mut self.nodes[at], node).next;
+                    at
+                }
+            };
+            self.occupied[slot / 64] |= 1 << (slot % 64);
+        } else {
+            self.other.push(entry);
+        }
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
+    /// The nearest occupied ring bucket after the current one.
+    fn next_occupied(&self) -> Option<i64> {
+        let from = slot_of(self.cur.wrapping_add(1));
+        let words = self.occupied.len();
+        // The first word from `from` on, the other words in ring order,
+        // then the first word's bits before `from`.
+        (0..=words).find_map(|i| {
+            let word = (from / 64 + i) % words;
+            let bits = match i {
+                0 => self.occupied[word] & (!0 << (from % 64)),
+                _ => self.occupied[word],
+            };
+            let slot = word * 64 + bits.trailing_zeros() as usize;
+            (bits != 0).then(|| self.cur + 1 + ((slot + RING - from) % RING) as i64)
+        })
+    }
+
+    /// Make the lane's head one of `current`'s end and `other`'s top:
+    /// when neither is due in the current bucket, move the clock to the
+    /// nearest bucket either holds and sort that bucket out of the ring.
+    fn settle(&mut self) {
+        if !self.current.is_empty() {
+            return;
+        }
+        let other = self.other.peek().map(|s| bucket_of(s.ts));
+        if other.is_some_and(|b| b <= self.cur) {
+            return;
+        }
+        let ring = self.next_occupied();
+        let Some(next) = ring.into_iter().chain(other).min() else {
+            return;
+        };
+        self.cur = next;
+        if ring == Some(next) {
+            let slot = slot_of(next);
+            let mut at = std::mem::replace(&mut self.heads[slot], NIL);
+            while at != NIL {
+                let node = &mut self.nodes[at];
+                self.current.push(node.entry);
+                let next = std::mem::replace(&mut node.next, self.free);
+                self.free = at;
+                at = next;
+            }
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            self.current
+                .sort_unstable_by_key(|s| std::cmp::Reverse(s.key()));
+        }
+    }
+
+    /// The lane's earliest entry, and whether it ends `current` (`true`)
+    /// or tops `other`.
+    fn head(&mut self) -> Option<(bool, &Scheduled)> {
+        self.settle();
+        match (self.current.last(), self.other.peek()) {
+            (Some(c), Some(o)) if o.key() < c.key() => Some((false, o)),
+            (Some(c), _) => Some((true, c)),
+            (None, o) => o.map(|o| (false, o)),
+        }
+    }
+
+    /// Remove the head `head` just named.
+    fn take(&mut self, current: bool) -> Option<Scheduled> {
+        let taken = if current {
+            self.current.pop()
+        } else {
+            self.other.pop()
+        };
+        self.len -= usize::from(taken.is_some());
+        taken
+    }
+}
+
+/// Where the earliest queued event sits.
+#[derive(Clone, Copy, Debug)]
+enum Lane {
+    Recorded,
+    /// The run-time lane; `true` when it ends the current bucket.
+    RunTime(bool),
+}
+
+/// Radix digit width for [`seal_run`]: 2 048 counters.
+const DIGIT_BITS: u32 = 11;
+const DIGIT_MASK: u128 = (1 << DIGIT_BITS) - 1;
+
+/// Stable LSD radix sort of `run` by `(ts − min ts, is_end)` — the full
+/// `(ts, order)` order whenever equal keys already sit in sequence
+/// order (see the module docs).  Passes whose digit is the same for
+/// every entry are skipped; the scratch copy is freed on return.
+fn seal_run(run: &mut [Recorded]) {
+    let Some(min) = run.iter().map(|r| r.ts.as_secs()).min() else {
+        return;
+    };
+    let key =
+        |r: &Recorded| (u128::from(r.ts.as_secs().abs_diff(min)) << 1) | u128::from(r.is_end());
+    let top = run.iter().map(key).max().unwrap_or(0);
+    let passes = (u128::BITS - top.leading_zeros()).div_ceil(DIGIT_BITS);
+    let mut scratch = run.to_vec();
+    let mut counts = vec![0usize; 1 << DIGIT_BITS];
+    let (mut src, mut dst): (&mut [Recorded], &mut [Recorded]) = (run, &mut scratch);
+    let mut in_scratch = false;
+    for pass in 0..passes {
+        let digit = |r: &Recorded| ((key(r) >> (pass * DIGIT_BITS)) & DIGIT_MASK) as usize;
+        counts.fill(0);
+        for r in src.iter() {
+            counts[digit(r)] += 1;
+        }
+        if counts.contains(&src.len()) {
+            continue;
+        }
+        let mut offset = 0;
+        for c in counts.iter_mut() {
+            (*c, offset) = (offset, offset + *c);
+        }
+        for r in src.iter() {
+            let d = digit(r);
+            dst[counts[d]] = *r;
+            counts[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        dst.copy_from_slice(src);
+    }
+}
+
 /// Earliest-first event queue with stable FIFO tie-breaking (see the
 /// module docs for the two lanes behind it).
 #[derive(Clone, Debug, Default)]
 pub struct EventQueue {
     /// Run-time lane.
-    heap: BinaryHeap<Scheduled>,
+    calendar: Calendar,
     /// Recorded run; `run[cursor..]` is still queued.
     run: Vec<Recorded>,
     cursor: usize,
-    /// `run[cursor..]` gained entries since it was last sorted.
+    /// `run[cursor..]` gained entries since it was last sealed.
     unsorted: bool,
     seq: u64,
-    heap_peak: usize,
 }
 
 impl EventQueue {
@@ -201,13 +448,12 @@ impl EventQueue {
     /// Schedule `event` at `ts` in the run-time lane.
     pub fn push(&mut self, ts: Timestamp, event: SimEvent) {
         self.seq += 1;
-        self.heap.push(Scheduled {
+        self.calendar.push(Scheduled {
             ts,
             priority: event.priority(),
             seq: self.seq,
             event,
         });
-        self.heap_peak = self.heap_peak.max(self.heap.len());
     }
 
     /// Append a recorded session's login of `db` at `ts` to the recorded
@@ -237,20 +483,20 @@ impl EventQueue {
     /// Sort what the recorded run gained since the last call.
     fn seal(&mut self) {
         if self.unsorted {
-            self.run[self.cursor..].sort_unstable_by_key(|r| (r.ts, r.order));
+            seal_run(&mut self.run[self.cursor..]);
             self.unsorted = false;
         }
     }
 
-    /// Seal the run, then say whether the earliest queued event sits in
-    /// the recorded run (`true`) or the run-time lane, and when it is
-    /// due — the one place the two lanes' heads are compared.
-    fn head(&mut self) -> Option<(bool, Timestamp)> {
+    /// Seal the run, then say which lane holds the earliest queued event
+    /// and when it is due — the one place the two lanes' heads are
+    /// compared.
+    fn head(&mut self) -> Option<(Lane, Timestamp)> {
         self.seal();
-        match (self.run.get(self.cursor), self.heap.peek()) {
-            (Some(r), Some(s)) if r.key() < s.key() => Some((true, r.ts)),
-            (_, Some(s)) => Some((false, s.ts)),
-            (Some(r), None) => Some((true, r.ts)),
+        match (self.run.get(self.cursor), self.calendar.head()) {
+            (Some(r), Some((_, s))) if r.key() < s.key() => Some((Lane::Recorded, r.ts)),
+            (_, Some((current, s))) => Some((Lane::RunTime(current), s.ts)),
+            (Some(r), None) => Some((Lane::Recorded, r.ts)),
             (None, None) => None,
         }
     }
@@ -259,20 +505,21 @@ impl EventQueue {
     /// loop event, so forced inline into `pop_before`'s caller: left to
     /// the optimiser, the call stays out of line in the shard loop.
     #[inline(always)]
-    fn take(&mut self, recorded: bool) -> Option<(Timestamp, SimEvent)> {
-        if recorded {
-            let r = self.run[self.cursor];
-            self.cursor += 1;
-            Some((r.ts, r.event()))
-        } else {
-            self.heap.pop().map(|s| (s.ts, s.event))
+    fn take(&mut self, lane: Lane) -> Option<(Timestamp, SimEvent)> {
+        match lane {
+            Lane::Recorded => {
+                let r = self.run[self.cursor];
+                self.cursor += 1;
+                Some((r.ts, r.event()))
+            }
+            Lane::RunTime(current) => self.calendar.take(current).map(|s| (s.ts, s.event)),
         }
     }
 
     /// Pop the earliest event.
     pub fn pop(&mut self) -> Option<(Timestamp, SimEvent)> {
-        let (recorded, _) = self.head()?;
-        self.take(recorded)
+        let (lane, _) = self.head()?;
+        self.take(lane)
     }
 
     /// Pop the earliest event if it is due strictly before `stop`; an
@@ -280,11 +527,11 @@ impl EventQueue {
     /// `pop` does, with the lanes' heads compared once — the event
     /// loop's one queue call per event.
     pub fn pop_before(&mut self, stop: Timestamp) -> Option<(Timestamp, SimEvent)> {
-        let (recorded, ts) = self.head()?;
+        let (lane, ts) = self.head()?;
         if ts >= stop {
             return None;
         }
-        self.take(recorded)
+        self.take(lane)
     }
 
     /// Timestamp of the earliest queued event without removing it —
@@ -296,7 +543,7 @@ impl EventQueue {
 
     /// Events still queued, both lanes.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.recorded_len()
+        self.scheduled_len() + self.recorded_len()
     }
 
     /// Whether the queue is drained.
@@ -306,12 +553,12 @@ impl EventQueue {
 
     /// Entries in the run-time lane now.
     pub fn scheduled_len(&self) -> usize {
-        self.heap.len()
+        self.calendar.len
     }
 
     /// The most entries the run-time lane ever held.
     pub fn scheduled_peak(&self) -> usize {
-        self.heap_peak
+        self.calendar.peak
     }
 
     /// Recorded events not yet consumed.
@@ -535,10 +782,13 @@ mod tests {
         Peek,
     }
 
-    /// Few timestamps and few databases, so `(ts, priority)` ties — and
-    /// ties between the lanes on the very same event — are the rule.
-    fn op() -> impl Strategy<Value = Op> {
-        let ts = || (0i64..6).prop_map(Timestamp);
+    /// Few databases, so `(ts, priority)` ties — and ties between the
+    /// lanes on the very same event — are common.  Instants and horizons
+    /// are [`spread`] when `wide`, else a few instants in one bucket and
+    /// horizons at, between and one past them.
+    fn op(wide: bool) -> impl Strategy<Value = Op> {
+        let ts = move || if wide { spread() } else { (0i64..6).boxed() };
+        let stop = if wide { spread() } else { (0i64..8).boxed() };
         let id = || (0u64..3).prop_map(DatabaseId);
         let pushed = (0u8..6, id()).prop_map(|(kind, db)| match kind {
             0 => SimEvent::ActivityStart(db),
@@ -549,26 +799,82 @@ mod tests {
             _ => SimEvent::ResumeOpTick,
         });
         prop_oneof![
-            4 => (ts(), id(), any::<bool>()).prop_map(|(t, db, end)| Op::Record(t, db, end)),
-            4 => (ts(), pushed).prop_map(|(t, e)| Op::Push(t, e)),
+            4 => (ts(), id(), any::<bool>())
+                .prop_map(|(t, db, end)| Op::Record(Timestamp(t), db, end)),
+            4 => (ts(), pushed).prop_map(|(t, e)| Op::Push(Timestamp(t), e)),
             3 => Just(Op::Pop),
-            // Horizons over the same few timestamps (and one past them
-            // all): at, between and beyond the two lanes' heads.
-            4 => (0i64..8).prop_map(|t| Op::PopBefore(Timestamp(t))),
+            4 => stop.prop_map(|t| Op::PopBefore(Timestamp(t))),
             1 => Just(Op::Peek),
         ]
     }
 
+    /// Instants across the calendar: clusters of ties on either side of
+    /// a bucket edge over several ring widths (a ring is 4 × 16 384 s),
+    /// negative instants, pushes past the 18 h horizon from wherever the
+    /// clock stands, and the extremes of the timestamp range.
+    fn spread() -> BoxedStrategy<i64> {
+        prop_oneof![
+            4 => (-4i64..9, -1i64..2).prop_map(|(k, d)| k * 16_384 + d),
+            3 => -200_000i64..400_000,
+            1 => (0usize..4).prop_map(|i| [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX][i]),
+        ]
+        .boxed()
+    }
+
+    /// Whole cases inside one bucket, or spread across the calendar.
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop_oneof![
+            prop::collection::vec(op(false), 0..120),
+            prop::collection::vec(op(true), 0..160),
+        ]
+    }
+
+    /// Recorded-run entries in sequence order, from `instants`.
+    fn recorded(instants: &[(i64, bool)], first_seq: u64) -> Vec<Recorded> {
+        (first_seq..)
+            .zip(instants)
+            .map(|(seq, &(ts, end))| Recorded {
+                ts: Timestamp(ts),
+                order: seq | if end { Recorded::END } else { 0 },
+                db: DatabaseId(seq),
+            })
+            .collect()
+    }
+
+    fn keys(run: &[Recorded]) -> Vec<(Timestamp, u64, DatabaseId)> {
+        run.iter().map(|r| (r.ts, r.order, r.db)).collect()
+    }
+
+    #[test]
+    fn a_push_behind_or_beyond_the_calendar_pops_in_order() {
+        let mut q = EventQueue::new();
+        q.push(Timestamp(10_000), SimEvent::ResumeOpTick);
+        q.push(Timestamp(200_000), SimEvent::RebalanceTick);
+        assert_eq!(q.pop().map(|(t, _)| t), Some(Timestamp(10_000)));
+        // The clock stands in 10 000's bucket: one before it, one in it,
+        // one a bucket on and one past the horizon.
+        q.push(Timestamp(5), SimEvent::DiagnosticsTick);
+        q.push(Timestamp(10_001), SimEvent::ActivityStart(db(1)));
+        q.push(Timestamp(10_100), SimEvent::ActivityEnd(db(1)));
+        q.push(Timestamp(100_000), SimEvent::MeasureStart);
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_secs())
+            .collect();
+        assert_eq!(order, vec![5, 10_001, 10_100, 100_000, 200_000]);
+        assert_eq!(q.scheduled_peak(), 5);
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(2048))]
 
         /// Any interleaving of recorded appends, run-time pushes, pops,
         /// horizon-bounded pops and peeks — recording after pops began,
         /// either lane running dry first, a horizon between the two
-        /// lanes' heads — reads the same through both queues;
-        /// `pop_before` is the oracle's `peek_ts` then `pop`.
+        /// lanes' heads or between two buckets, a push behind the
+        /// calendar's clock or past its horizon — reads the same through
+        /// both queues; `pop_before` is the oracle's `peek_ts` then `pop`.
         #[test]
-        fn two_lanes_are_one_heap(ops in prop::collection::vec(op(), 0..120)) {
+        fn two_lanes_are_one_heap(ops in ops()) {
             let mut lanes = EventQueue::new();
             let mut heap = OneHeap::default();
             for op in ops {
@@ -605,6 +911,31 @@ mod tests {
             }
             prop_assert_eq!(lanes.pop(), None);
             prop_assert_eq!(lanes.peek_ts(), None);
+        }
+
+        /// The radix seal orders a run exactly as a comparison sort on
+        /// the full `(ts, order)` key does — ties at one instant, runs
+        /// spanning the whole timestamp range — and so does a re-seal of
+        /// the unconsumed tail after more was recorded once pops began.
+        #[test]
+        fn the_radix_seal_is_the_full_key_sort(
+            first in prop::collection::vec((spread(), any::<bool>()), 0..300),
+            popped in 0usize..300,
+            more in prop::collection::vec((spread(), any::<bool>()), 0..300),
+        ) {
+            let by_key = |run: &mut [Recorded]| run.sort_by_key(|r| (r.ts, r.order));
+            let mut run = recorded(&first, 1);
+            let mut expected = run.clone();
+            by_key(&mut expected);
+            seal_run(&mut run);
+            prop_assert_eq!(keys(&run), keys(&expected));
+
+            let cursor = popped.min(run.len());
+            run.extend(recorded(&more, first.len() as u64 + 1));
+            let mut expected = run.clone();
+            by_key(&mut expected[cursor..]);
+            seal_run(&mut run[cursor..]);
+            prop_assert_eq!(keys(&run), keys(&expected));
         }
     }
 }

@@ -10,7 +10,7 @@
 //!   lifespan remains computable, and report whether the database is "old"
 //!   (existed for at least `h`).
 //!
-//! The table is its [`LiveView`]: the sorted tuple columns every
+//! The table is its [`LiveView`]: the sorted row column every
 //! procedure's decision and every read (Algorithm 4 lines 19–24:
 //! `MIN`/`MAX` of login timestamps within a window,
 //! [`HistoryRead::login_window_stats`]) is made from, kept in clustered
@@ -178,9 +178,8 @@ impl HistoryTable {
 
     /// A log-off table over a replayed `key → event_type` set at `version`.
     pub(crate) fn replayed(visible: BTreeMap<i64, i64>, version: u64) -> Self {
-        let (keys, vals) = visible.into_iter().unzip();
         HistoryTable {
-            view: LiveView::from_sorted(keys, vals, version),
+            view: LiveView::from_sorted(visible.into_iter().collect(), version),
             log: None,
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Algorithms 2–4 only ever ask `sys.pause_resume_history` one question —
 //! "what is the visible tuple set?" — so that set is materialised exactly
-//! once, here: sorted `keys`/`vals`, the sorted login (`event_type = 1`)
-//! subset, the optional [`ClockIndex`] holding those logins in the
+//! once, here: one key-sorted `(time_snapshot, event_type)` row column,
+//! the sorted login (`event_type = 1`) subset, the optional [`ClockIndex`] holding those logins in the
 //! seasonal-clock order the incremental predictor sweeps, and the
 //! mutation `version` a mutation log numbers its seqnos by.
 //!
@@ -26,11 +26,10 @@ use std::ops::Range;
 /// The visible tuple set of one database's history plus its read indexes.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LiveView {
-    /// Visible tuple keys (`time_snapshot`), strictly ascending.
-    keys: Vec<i64>,
-    /// Parallel `event_type` values (1 = start, 0 = end).
-    vals: Vec<i64>,
-    /// Visible login keys, ascending (the `vals[i] == 1` subset).
+    /// Visible `(time_snapshot, event_type)` rows, keys strictly
+    /// ascending (event type 1 = start, 0 = end).
+    rows: Vec<(i64, i64)>,
+    /// Visible login keys, ascending (the rows with event type 1).
     logins: Vec<i64>,
     /// Optional clock-ordered index over `logins`.
     clock: Option<ClockIndex>,
@@ -38,18 +37,51 @@ pub struct LiveView {
     version: u64,
 }
 
+/// Rows the first insert reserves: a typical ledger-fleet history (≈14
+/// rows per database) in one allocation instead of three regrowths.
+const ROW_BLOCK: usize = 16;
+
+/// Logins the first login insert reserves (about half the rows).
+const LOGIN_BLOCK: usize = 8;
+
+/// An element of a key-sorted column: a login key, or a row keyed by its
+/// `time_snapshot`.
+trait Keyed: Copy {
+    fn key(self) -> i64;
+}
+
+impl Keyed for i64 {
+    fn key(self) -> i64 {
+        self
+    }
+}
+
+impl Keyed for (i64, i64) {
+    fn key(self) -> i64 {
+        self.0
+    }
+}
+
 /// Where `key` sits (`Ok`) or belongs (`Err`) in a sorted duplicate-free
-/// slice — `O(1)` for the in-order appends the activity tracker produces.
-fn locate(sorted: &[i64], key: i64) -> Result<usize, usize> {
+/// column — `O(1)` for the in-order appends the activity tracker produces.
+fn locate<T: Keyed>(sorted: &[T], key: i64) -> Result<usize, usize> {
     match sorted.last() {
-        Some(&newest) if newest >= key => sorted.binary_search(&key),
+        Some(&newest) if newest.key() >= key => sorted.binary_search_by_key(&key, |&e| e.key()),
         _ => Err(sorted.len()),
     }
 }
 
 /// Index range of `sorted` covered by the closed window `[lo, hi]`.
-fn closed_window(sorted: &[i64], lo: Timestamp, hi: Timestamp) -> Range<usize> {
-    sorted.partition_point(|&k| k < lo.as_secs())..sorted.partition_point(|&k| k <= hi.as_secs())
+fn closed_window<T: Keyed>(sorted: &[T], lo: Timestamp, hi: Timestamp) -> Range<usize> {
+    sorted.partition_point(|e| e.key() < lo.as_secs())
+        ..sorted.partition_point(|e| e.key() <= hi.as_secs())
+}
+
+/// Index range of `sorted` strictly between `min_ts` and `history_start`
+/// — what Algorithm 3 deletes.
+fn doomed<T: Keyed>(sorted: &[T], min_ts: i64, history_start: i64) -> Range<usize> {
+    sorted.partition_point(|e| e.key() <= min_ts)
+        ..sorted.partition_point(|e| e.key() < history_start)
 }
 
 impl LiveView {
@@ -58,18 +90,16 @@ impl LiveView {
         LiveView::default()
     }
 
-    /// A view over key-ascending `(keys, vals)` columns at `version`,
+    /// A view over key-ascending `(key, event_type)` rows at `version`,
     /// with the login cache derived and no clock index.
-    pub(crate) fn from_sorted(keys: Vec<i64>, vals: Vec<i64>, version: u64) -> LiveView {
-        let logins = keys
+    pub(crate) fn from_sorted(rows: Vec<(i64, i64)>, version: u64) -> LiveView {
+        let logins = rows
             .iter()
-            .zip(&vals)
-            .filter(|&(_, &v)| v == 1)
-            .map(|(&k, _)| k)
+            .filter(|&&(_, v)| v == 1)
+            .map(|&(k, _)| k)
             .collect();
         LiveView {
-            keys,
-            vals,
+            rows,
             logins,
             clock: None,
             version,
@@ -94,8 +124,7 @@ impl LiveView {
             )));
         }
         Ok(LiveView::from_sorted(
-            records.iter().map(|r| r.key).collect(),
-            records.iter().map(|r| r.value).collect(),
+            records.iter().map(|r| (r.key, r.value)).collect(),
             0,
         ))
     }
@@ -106,12 +135,17 @@ impl LiveView {
     /// the version has been bumped and the engine must store it too.
     pub fn insert(&mut self, ts: Timestamp, kind: EventKind) -> bool {
         let key = ts.as_secs();
-        let Err(pos) = locate(&self.keys, key) else {
+        let Err(pos) = locate(&self.rows, key) else {
             return false;
         };
-        self.keys.insert(pos, key);
-        self.vals.insert(pos, i64::from(kind.as_i32()));
+        if self.rows.is_empty() {
+            self.rows.reserve(ROW_BLOCK);
+        }
+        self.rows.insert(pos, (key, i64::from(kind.as_i32())));
         if kind == EventKind::Start {
+            if self.logins.is_empty() {
+                self.logins.reserve(LOGIN_BLOCK);
+            }
             let (Ok(lp) | Err(lp)) = locate(&self.logins, key);
             self.logins.insert(lp, key);
             if let Some(ix) = self.clock.as_mut() {
@@ -134,13 +168,10 @@ impl LiveView {
             old: false,
             deleted: 0,
         };
-        let Some(&min_ts) = self.keys.first().filter(|&&k| k < history_start) else {
+        let Some(&(min_ts, _)) = self.rows.first().filter(|r| r.0 < history_start) else {
             return (young, None);
         };
-        let doomed = |sorted: &[i64]| {
-            sorted.partition_point(|&k| k <= min_ts)..sorted.partition_point(|&k| k < history_start)
-        };
-        let dead = doomed(&self.keys);
+        let dead = doomed(&self.rows, min_ts, history_start);
         let outcome = DeleteOutcome {
             old: true,
             deleted: dead.len(),
@@ -148,15 +179,14 @@ impl LiveView {
         if dead.is_empty() {
             return (outcome, None);
         }
-        let dead_logins = doomed(&self.logins);
+        let dead_logins = doomed(&self.logins, min_ts, history_start);
         if !dead_logins.is_empty() {
             if let Some(ix) = self.clock.as_mut() {
                 ix.remove_between(min_ts, history_start);
             }
             self.logins.drain(dead_logins);
         }
-        self.keys.drain(dead.clone());
-        self.vals.drain(dead);
+        self.rows.drain(dead);
         self.version += 1;
         (outcome, Some((min_ts, history_start)))
     }
@@ -187,27 +217,27 @@ impl LiveView {
 
     /// Whether any event (login *or* logout) falls inside `[lo, hi]`.
     pub fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        !closed_window(&self.keys, lo, hi).is_empty()
+        !closed_window(&self.rows, lo, hi).is_empty()
     }
 
     /// Oldest visible timestamp — the observable lifespan start.
     pub fn min_timestamp(&self) -> Option<Timestamp> {
-        self.keys.first().map(|&k| Timestamp(k))
+        self.rows.first().map(|&(k, _)| Timestamp(k))
     }
 
     /// Newest visible timestamp.
     pub fn max_timestamp(&self) -> Option<Timestamp> {
-        self.keys.last().map(|&k| Timestamp(k))
+        self.rows.last().map(|&(k, _)| Timestamp(k))
     }
 
     /// Number of visible tuples.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.rows.len()
     }
 
     /// Whether no tuple is visible.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.rows.is_empty()
     }
 
     /// The mutation version: bumped on every insert that stored a tuple
@@ -228,15 +258,14 @@ impl LiveView {
 
     /// The `event_type` visible for `key`, if any.
     pub fn get(&self, key: i64) -> Option<i64> {
-        locate(&self.keys, key).ok().map(|pos| self.vals[pos])
+        locate(&self.rows, key).ok().map(|pos| self.rows[pos].1)
     }
 
     /// All visible events in timestamp order.
     pub fn events(&self) -> Vec<ActivityEvent> {
-        self.keys
+        self.rows
             .iter()
-            .zip(&self.vals)
-            .map(|(&k, &v)| ActivityEvent {
+            .map(|&(k, v)| ActivityEvent {
                 ts: Timestamp(k),
                 kind: if v == 1 {
                     EventKind::Start
@@ -250,7 +279,7 @@ impl LiveView {
     /// Storage-overhead figures (Figure 10a–b) for the visible set —
     /// tuples × 16 B and the 8-KiB pages they occupy.
     pub fn stats(&self) -> StorageStats {
-        let tuples = self.keys.len();
+        let tuples = self.rows.len();
         let pages = page::pages_for(tuples);
         StorageStats {
             tuples,
@@ -269,15 +298,10 @@ impl LiveView {
     ///
     /// Panics naming `source` and the diverged column.
     pub(crate) fn audit(&self, visible: impl Iterator<Item = (i64, i64)>, source: &str) {
-        let (keys, vals) = visible.unzip();
-        let expected = LiveView::from_sorted(keys, vals, self.version);
+        let expected = LiveView::from_sorted(visible.collect(), self.version);
         assert_eq!(
-            self.keys, expected.keys,
-            "visible keys diverged from {source}"
-        );
-        assert_eq!(
-            self.vals, expected.vals,
-            "visible values diverged from {source}"
+            self.rows, expected.rows,
+            "visible rows diverged from {source}"
         );
         assert_eq!(
             self.logins, expected.logins,

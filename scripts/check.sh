@@ -95,26 +95,33 @@ guards=(
     # allocate / release / move / rebalance with spill and
     # over-subscription), row-addressed `sys.databases` writes must be
     # id-keyed writes with the secondary index equal to a rebuild after
-    # every op, and `pop_before` must be `peek_ts` + `pop` over the
-    # one-heap queue.  These are what catch an id-keyed map coming back
-    # beside a column and drifting from it.
+    # every op, and the two-lane queue (calendar run-time lane, radix-
+    # sealed recorded run) must pop what one heap over every event would,
+    # `pop_before` being `peek_ts` + `pop`, across buckets, past the
+    # calendar's horizon and behind its clock, with the radix seal equal
+    # to a comparison sort on the full key.  These are what catch an
+    # id-keyed map coming back beside a column and drifting from it, or
+    # a queue fast path that reorders a tie.
     cluster::tests::slots_are_the_id_keyed_cluster
     metadata::tests::row_addressed_writes_are_id_keyed_writes
     events::tests::two_lanes_are_one_heap
+    events::tests::the_radix_seal_is_the_full_key_sort
 
     # The allocation guard: a warm 3 000-database loop, reactive and
     # proactive, must make fewer than one heap allocation per three
     # events (counting global allocator; the counts are deterministic).
     # This is what catches a per-event `Vec` — an engine reply, a sweep
     # result — or a node-allocating map coming back onto the event path.
-    # On the default backend the table is its sorted view alone: 0.11 /
-    # 0.20 per event, 0.16 / 0.26 while every row was also written into
-    # a per-database B+Tree, so the `writes_each_history_row_once` cells
-    # (< 0.13 / < 0.23) fail when a second per-row structure comes back.
-    # The same loop over log-on tables reads 0.146 / 0.243 as the view
-    # plus its append-only log, against bars of < 0.165 / < 0.26: not
-    # the view-only table's 0.13 / 0.23, since the log's amortised
-    # growth allocates.  It read 0.17 / 0.27 with runs flushed and merged
+    # On the default backend the table is its sorted view alone, one
+    # row column reserved a 16-row block at a time: 0.041 / 0.128 per
+    # event, 0.108 / 0.201 while the view's parallel columns regrew row
+    # by row and 0.16 / 0.26 while every row was also written into a
+    # per-database B+Tree, so the `writes_each_history_row_once` cells
+    # (< 0.065 / < 0.155) fail when a second per-row structure comes
+    # back.  The same loop over log-on tables reads 0.079 / 0.169 as the
+    # view plus its append-only log, against bars of < 0.10 / < 0.195:
+    # not the view-only table's bars, since the log's amortised growth
+    # allocates.  It read 0.17 / 0.27 with runs flushed and merged
     # beneath the log and 0.77 / 0.92 when a mutation also fed a memtable
     # of per-key `Vec`s, an eagerly encoded WAL and a timeline — any of
     # those coming back trips it.
@@ -154,8 +161,9 @@ guards=(
     http::tests::shutdown_does_not_wait_for_a_stalled_peer
 
     # A per-engine field coming back (680 bytes with the prediction
-    # cache) is a named failure, not an RSS drift to bisect.
-    proactive::tests::an_engine_is_632_bytes
+    # cache, 576 with the history view's parallel key and value columns)
+    # is a named failure, not an RSS drift to bisect.
+    proactive::tests::an_engine_is_552_bytes
 
     # A pause counted twice: a forced pause, or the stale timer after it,
     # adding a second `physical-pause` record, segment move or span.
@@ -225,7 +233,7 @@ run cargo run --release -q -p prorp-bench --bin predict_bench -- \
     --smoke --json target/predict_smoke.json
 
 # Scale sweep in smoke mode: asserts streamed ≡ materialised, KPI
-# shard-invariance, an event-queue heap of at most two entries per
+# shard-invariance, a queue run-time lane of at most two entries per
 # database on every cell (recorded sessions must stay out of it), and
 # the observability overhead gate (rollup-only
 # obs must leave KPIs bit-identical and cost < 2% wall time) on a tiny
