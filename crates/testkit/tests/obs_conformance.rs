@@ -5,14 +5,15 @@
 //! Three layers:
 //!
 //! * a reconciliation property — for generated fleets and fault plans,
-//!   every counter in the final metrics snapshot must equal the
-//!   corresponding `SimReport` aggregate (the snapshot is built from
-//!   live counter deltas, the report from offline folds; agreement means
-//!   neither path drops or double-counts an event);
+//!   every counter and histogram in the final metrics snapshot must
+//!   equal the corresponding `SimReport` aggregate, bucket for bucket
+//!   (agreement means the snapshot neither drops nor double-counts an
+//!   event the report folded);
 //! * a shard-invariance property — the JSONL trace of a generated
 //!   scenario is byte-identical at 1 and 3 shards;
-//! * golden exports — a fixed faulty scenario's trace (`.jsonl`) and
-//!   deterministic Prometheus text (`.prom`) are pinned under
+//! * golden exports — a fixed faulty scenario's trace (`.jsonl`), its
+//!   whole snapshot series (`snapshots_small.jsonl`) and the final
+//!   snapshot's deterministic Prometheus text (`.prom`) are pinned under
 //!   `tests/goldens/`, re-recordable with `scripts/bless.sh`.  The CI
 //!   gate also runs the `prorp-trace` CLI against the golden trace.
 //!
@@ -31,10 +32,11 @@
 use proptest::prelude::*;
 use prorp_core::EngineCounters;
 use prorp_obs::{
-    alerts_jsonl, evaluate_alerts, prometheus_text, replay_as_of, slo_jsonl, trace_jsonl,
-    DecisionAction, ObsConfig, QuantileSketch, SloConfig, SpanKind,
+    alerts_jsonl, evaluate_alerts, prometheus_text, replay_as_of, slo_jsonl, snapshots_jsonl,
+    trace_jsonl, DecisionAction, MetricValue, ObsConfig, QuantileSketch, SloConfig, SpanKind,
 };
 use prorp_sim::{SimPolicy, SimReport};
+use prorp_telemetry::LatencyHistogram;
 use prorp_types::{PolicyConfig, Seconds};
 use testkit::golden::check_golden_file;
 use testkit::oracles::{builder, run};
@@ -69,9 +71,8 @@ fn run_observed_slo(spec: &FleetSpec, plan: &FaultPlan, shards: usize) -> SimRep
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The final metrics snapshot and the offline `SimReport` are two
-    /// independent aggregations of the same event stream; every shared
-    /// quantity must match exactly.
+    /// The final metrics snapshot and the offline `SimReport` must agree
+    /// exactly on every quantity they share.
     #[test]
     fn snapshot_totals_reconcile_with_the_report(
         spec in fleet_spec(),
@@ -130,15 +131,29 @@ proptest! {
         prop_assert_eq!(counter("prorp_workflow_giveups_total"), report.giveups);
         prop_assert_eq!(counter("prorp_mitigations_total"), report.mitigations);
         prop_assert_eq!(counter("prorp_incidents_total"), report.incidents);
-        let (stage_count, _) = snap
-            .get("prorp_workflow_stage_seconds")
-            .and_then(|v| v.as_histogram())
-            .expect("stage histogram registered");
+        // Both histograms, bucket for bucket: the stage histogram is the
+        // four per-stage latency histograms summed, the workflow one is
+        // the end-to-end latency histogram.
+        let mut stages = LatencyHistogram::new();
+        for h in &report.workflow.stage_latency {
+            stages.absorb(h);
+        }
         prop_assert_eq!(
-            stage_count,
+            stages.count(),
             report.workflow.stage_completions.iter().sum::<u64>(),
             "every completed stage is one histogram observation"
         );
+        for (name, want) in [
+            ("prorp_workflow_stage_seconds", &stages),
+            ("prorp_workflow_seconds", &report.workflow.workflow_latency),
+        ] {
+            let want = MetricValue::Histogram {
+                buckets: *want.buckets(),
+                count: want.count(),
+                sum: want.total().as_secs(),
+            };
+            prop_assert_eq!(snap.get(name), Some(&want), "{}", name);
+        }
         // Trace-level identity: one Login span per served/refused login.
         let login_spans = obs
             .trace
@@ -295,6 +310,11 @@ fn golden_trace_and_prometheus_exports() {
         .expect("a final snapshot is always taken")
         .deterministic();
     if let Err(msg) = check_golden_file("metrics_small.prom", &prometheus_text(&snap)) {
+        drifts.push(msg);
+    }
+    // Every snapshot of the series, not just the last: the four weekly
+    // ones and the end-of-run one, deterministic metrics only.
+    if let Err(msg) = check_golden_file("snapshots_small.jsonl", &snapshots_jsonl(&obs.snapshots)) {
         drifts.push(msg);
     }
     assert!(
