@@ -91,12 +91,6 @@ impl CircuitBreaker {
             false
         }
     }
-
-    /// Register the breaker's observability handles (open/close/fallback
-    /// counters) against a shard-local metrics registry.
-    pub fn register_metrics(reg: &prorp_obs::MetricsRegistry) -> crate::obs::BreakerMetrics {
-        crate::obs::BreakerMetrics::register(reg)
-    }
 }
 
 #[cfg(test)]

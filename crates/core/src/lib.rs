@@ -31,8 +31,6 @@
 //!   re-probes after a cool-down;
 //! * [`invariants`] — the observational lifecycle checker the simulator
 //!   threads through every engine under its `strict-invariants` feature;
-//! * [`obs`] — the typed metric-handle bundles these components register
-//!   with the deterministic observability layer (`prorp-obs`);
 //! * [`maintenance`] — the §11 future-work extension: schedule system
 //!   maintenance inside predicted-online windows so backups and updates
 //!   stop forcing maintenance-only resumes.
@@ -44,7 +42,6 @@ pub mod breaker;
 pub mod engine;
 pub mod invariants;
 pub mod maintenance;
-pub mod obs;
 pub mod optimal;
 pub mod proactive;
 pub mod reactive;
@@ -58,7 +55,6 @@ pub use engine::{
 };
 pub use invariants::LifecycleInvariants;
 pub use maintenance::{MaintenanceScheduler, MaintenanceSlot, MaintenanceStats};
-pub use obs::{BreakerMetrics, EngineMetrics, ResumeOpMetrics};
 pub use optimal::OptimalEngine;
 pub use proactive::ProactiveEngine;
 pub use reactive::ReactiveEngine;

@@ -122,12 +122,6 @@ impl ProactiveResumeOp {
     pub fn max_batch(&self) -> usize {
         self.batch_sizes.iter().copied().max().unwrap_or(0)
     }
-
-    /// Register the scan's observability handles (selected-database and
-    /// scan-tick counters) against a shard-local metrics registry.
-    pub fn register_metrics(reg: &prorp_obs::MetricsRegistry) -> crate::obs::ResumeOpMetrics {
-        crate::obs::ResumeOpMetrics::register(reg)
-    }
 }
 
 #[cfg(test)]

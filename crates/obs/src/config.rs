@@ -5,9 +5,9 @@ use prorp_types::{ProrpError, Result, Seconds};
 
 /// Observability knobs, set through `SimConfig::builder().observe(..)`.
 ///
-/// The default is **off**: no sinks are built, no handles registered, and
-/// the instrumentation sites in the shard runner reduce to one branch on
-/// an `Option` — the zero-overhead-when-disabled fast path.
+/// The default is **off**: no trace buffer, sketch or snapshot series is
+/// built, and the instrumentation sites in the shard runner reduce to one
+/// branch on an `Option` — the zero-overhead-when-disabled fast path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ObsConfig {
     /// Master switch: when `false` the simulator allocates no

@@ -466,7 +466,7 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceRecord>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::tests::{histogram, sketch, snapshot};
 
     fn sample_records() -> Vec<TraceRecord> {
         let mut seq = 0..;
@@ -620,13 +620,16 @@ mod tests {
 
     #[test]
     fn snapshots_jsonl_drops_volatile_metrics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("prorp_c").add(3);
-        reg.gauge("prorp_g").set(-2);
-        reg.counter("sim_self_events_processed_total").add(99);
-        let h = reg.histogram("prorp_h_seconds");
-        h.observe(1);
-        let text = snapshots_jsonl(&[reg.snapshot(Timestamp(3600))]);
+        let snap = snapshot(
+            3600,
+            vec![
+                ("prorp_c", MetricValue::Counter(3)),
+                ("prorp_g", MetricValue::Gauge(-2)),
+                ("sim_self_events_processed_total", MetricValue::Counter(99)),
+                ("prorp_h_seconds", histogram(&[1])),
+            ],
+        );
+        let text = snapshots_jsonl(&[snap]);
         assert!(text.starts_with("{\"at\":3600,\"metrics\":{"));
         assert!(text.contains("\"prorp_c\":3"));
         assert!(text.contains("\"prorp_g\":-2"));
@@ -636,14 +639,15 @@ mod tests {
 
     #[test]
     fn prometheus_text_includes_volatile_and_histogram_series() {
-        let reg = MetricsRegistry::new();
-        reg.counter("prorp_logins_available_total").add(5);
-        reg.gauge("sim_self_databases").set(64);
-        let h = reg.histogram("prorp_workflow_seconds");
-        h.observe(0);
-        h.observe(3);
-        h.observe(1 << 30);
-        let text = prometheus_text(&reg.snapshot(Timestamp(0)));
+        let snap = snapshot(
+            0,
+            vec![
+                ("prorp_logins_available_total", MetricValue::Counter(5)),
+                ("sim_self_databases", MetricValue::Gauge(64)),
+                ("prorp_workflow_seconds", histogram(&[0, 3, 1 << 30])),
+            ],
+        );
+        let text = prometheus_text(&snap);
         assert!(text.contains("# TYPE prorp_logins_available_total counter"));
         assert!(text.contains("prorp_logins_available_total 5"));
         assert!(text.contains("# TYPE sim_self_databases gauge"));
@@ -657,12 +661,13 @@ mod tests {
 
     #[test]
     fn sketches_render_as_summaries_in_both_exports() {
-        let reg = MetricsRegistry::new();
-        let s = reg.sketch("prorp_resume_latency_seconds");
-        for v in [10, 20, 30, 40, 1000] {
-            s.observe(v);
-        }
-        let snap = reg.snapshot(Timestamp(60));
+        let snap = snapshot(
+            60,
+            vec![(
+                "prorp_resume_latency_seconds",
+                sketch(&[10, 20, 30, 40, 1000]),
+            )],
+        );
         let jsonl = snapshots_jsonl(std::slice::from_ref(&snap));
         assert!(jsonl
             .contains("\"prorp_resume_latency_seconds\":{\"count\":5,\"sum\":1100,\"sketch\":[["));
@@ -674,9 +679,7 @@ mod tests {
         assert!(prom.contains("prorp_resume_latency_seconds_count 5"));
 
         // An empty sketch still exports _sum/_count but no quantiles.
-        let reg = MetricsRegistry::new();
-        reg.sketch("prorp_empty_seconds");
-        let prom = prometheus_text(&reg.snapshot(Timestamp(0)));
+        let prom = prometheus_text(&snapshot(0, vec![("prorp_empty_seconds", sketch(&[]))]));
         assert!(!prom.contains("quantile"));
         assert!(prom.contains("prorp_empty_seconds_count 0"));
     }

@@ -3,7 +3,7 @@
 //! The simulator's original instrumentation was purely *offline*: KPIs
 //! aggregated into a `SimReport` after the run.  This crate adds the
 //! *online* substrate a production control plane needs — per-database
-//! span traces and a live metrics registry — while keeping the
+//! span traces and live metrics snapshots — while keeping the
 //! reproduction's core promise: **bit-identical output for identical
 //! `(seed, config)` at any shard count**.
 //!
@@ -28,8 +28,9 @@
 //!   (lifecycle transitions per Algorithm 1, staged resume workflows per
 //!   Algorithm 5, predictor invocations per Algorithm 4, history
 //!   checkpoint/recover), and the deterministic [`TraceBuffer`];
-//! * [`metrics`] — [`Counter`]/[`Gauge`]/[`Histogram`] handles, the
-//!   [`MetricsRegistry`], and mergeable [`MetricsSnapshot`]s;
+//! * [`metrics`] — mergeable [`MetricsSnapshot`]s of counter, gauge,
+//!   histogram and sketch readings; a shard builds one by reading the
+//!   books it already keeps, so this crate holds no counting state;
 //! * [`sketch`] — the deterministic mergeable [`QuantileSketch`]
 //!   (log-linear integer buckets; shard merges are exact bucket-count
 //!   sums, so fleet percentiles are bit-identical at any shard count);
@@ -72,10 +73,7 @@ pub use export::{
     trace_jsonl,
 };
 pub use json::Json;
-pub use metrics::{
-    is_volatile, Counter, Gauge, Histogram, MetricEntry, MetricValue, MetricsRegistry,
-    MetricsSnapshot, Sketch, HISTOGRAM_BUCKETS,
-};
+pub use metrics::{is_volatile, MetricEntry, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use query::{
     breaker_episodes, decisions, qos_misses, slowest_stages, summary, timeline, why,
     BreakerEpisode, Decision, QosMiss, QosMissCause, StageLatency, TraceSummary,

@@ -1,11 +1,13 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms.
+//! Metrics snapshots: counter, gauge, histogram and sketch readings.
 //!
-//! Handles are cheap `Rc` clones over shard-local cells — each simulation
-//! shard owns one [`MetricsRegistry`] and runs single-threaded, so no
-//! atomics are needed and registration/update cost is a pointer chase.
-//! Snapshots taken at the same *simulated* instant on every shard merge
-//! into one fleet-wide snapshot by elementwise integer sums, the same
-//! discipline `TelemetryLog::merge` uses.
+//! A [`MetricsSnapshot`] is the value of every metric of one simulation
+//! shard at one *simulated* instant, sorted by name.  Nothing here
+//! counts: a shard builds its snapshot by reading the books it already
+//! keeps (`ShardDriver::metrics_snapshot` in `prorp-sim`), so a recorded
+//! snapshot and a live scrape are the same read.  Snapshots taken at the
+//! same simulated instant on every shard merge into one fleet-wide
+//! snapshot by elementwise integer sums, the same discipline
+//! `TelemetryLog::merge` uses.
 //!
 //! Two metric families exist, distinguished by name prefix:
 //!
@@ -18,114 +20,12 @@
 
 use crate::sketch::QuantileSketch;
 use prorp_types::{ProrpError, Timestamp};
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
 /// Number of histogram buckets; bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i)`, bucket 0 holds zero (and negative) values, and the
 /// last bucket absorbs everything above — the same layout as the
 /// telemetry crate's `LatencyHistogram`.
 pub const HISTOGRAM_BUCKETS: usize = 16;
-
-/// A monotonically-increasing counter handle.
-#[derive(Clone, Default, Debug)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A gauge handle: a signed value that can move both ways.
-#[derive(Clone, Default, Debug)]
-pub struct Gauge(Rc<Cell<i64>>);
-
-impl Gauge {
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.get()
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-struct HistogramData {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: i64,
-}
-
-/// A fixed-bucket power-of-two histogram handle (integer observations,
-/// typically seconds of simulated time).
-#[derive(Clone, Default, Debug)]
-pub struct Histogram(Rc<RefCell<HistogramData>>);
-
-impl Histogram {
-    fn bucket_of(value: i64) -> usize {
-        let v = value.max(0) as u64;
-        if v == 0 {
-            return 0;
-        }
-        let idx = 64 - v.leading_zeros() as usize; // floor(log2) + 1
-        idx.min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Record one observation (negative values clamp to zero).
-    #[inline]
-    pub fn observe(&self, value: i64) {
-        let clamped = value.max(0);
-        let mut data = self.0.borrow_mut();
-        data.buckets[Self::bucket_of(clamped)] += 1;
-        data.count += 1;
-        data.sum += clamped;
-    }
-
-    /// Number of observations so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count
-    }
-}
-
-/// A mergeable quantile-sketch handle (log-linear relative-error
-/// buckets; see [`QuantileSketch`]).
-#[derive(Clone, Default, Debug)]
-pub struct Sketch(Rc<RefCell<QuantileSketch>>);
-
-impl Sketch {
-    /// Record one observation (negative values clamp to zero).
-    #[inline]
-    pub fn observe(&self, value: i64) {
-        self.0.borrow_mut().observe(value);
-    }
-
-    /// Number of observations so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count()
-    }
-}
 
 /// The value of one metric at snapshot time.
 ///
@@ -252,8 +152,8 @@ pub fn is_volatile(name: &str) -> bool {
     name.starts_with("sim_self_")
 }
 
-/// All metric readings of one registry at one simulated instant,
-/// sorted by metric name.
+/// All metric readings of one shard (or, merged, of the fleet) at one
+/// simulated instant, sorted by metric name.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MetricsSnapshot {
     /// The simulated instant the snapshot was taken.
@@ -345,147 +245,56 @@ impl MetricsSnapshot {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-    Sketch(Sketch),
-}
-
-impl Slot {
-    fn kind(&self) -> &'static str {
-        match self {
-            Slot::Counter(_) => "counter",
-            Slot::Gauge(_) => "gauge",
-            Slot::Histogram(_) => "histogram",
-            Slot::Sketch(_) => "summary",
-        }
-    }
-}
-
-/// A shard-local registry of named metrics.
-///
-/// Cloning shares the underlying slots, so components can hold their own
-/// copy and register handles independently; registering the same name
-/// twice with the same kind returns the existing handle (idempotent).
-///
-/// # Panics
-///
-/// Registration panics when a name is re-registered with a different
-/// kind — that is a programming error, not a runtime condition.
-#[derive(Clone, Default, Debug)]
-pub struct MetricsRegistry {
-    slots: Rc<RefCell<Vec<(&'static str, Slot)>>>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(&self, name: &'static str, make: impl FnOnce() -> Slot) -> Slot {
-        let mut slots = self.slots.borrow_mut();
-        if let Some((_, slot)) = slots.iter().find(|(n, _)| *n == name) {
-            return slot.clone();
-        }
-        let slot = make();
-        slots.push((name, slot.clone()));
-        slot
-    }
-
-    /// Register (or fetch) a counter.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        match self.register(name, || Slot::Counter(Counter::default())) {
-            Slot::Counter(c) => c,
-            other => panic!("metric {name} already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Register (or fetch) a gauge.
-    pub fn gauge(&self, name: &'static str) -> Gauge {
-        match self.register(name, || Slot::Gauge(Gauge::default())) {
-            Slot::Gauge(g) => g,
-            other => panic!("metric {name} already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Register (or fetch) a histogram.
-    pub fn histogram(&self, name: &'static str) -> Histogram {
-        match self.register(name, || Slot::Histogram(Histogram::default())) {
-            Slot::Histogram(h) => h,
-            other => panic!("metric {name} already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Register (or fetch) a quantile sketch.
-    pub fn sketch(&self, name: &'static str) -> Sketch {
-        match self.register(name, || Slot::Sketch(Sketch::default())) {
-            Slot::Sketch(s) => s,
-            other => panic!("metric {name} already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Read every registered metric at simulated instant `at`, sorted by
-    /// name.
-    pub fn snapshot(&self, at: Timestamp) -> MetricsSnapshot {
-        let slots = self.slots.borrow();
-        let mut entries: Vec<MetricEntry> = slots
-            .iter()
-            .map(|(name, slot)| MetricEntry {
-                name,
-                value: match slot {
-                    Slot::Counter(c) => MetricValue::Counter(c.get()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Slot::Histogram(h) => {
-                        let data = h.0.borrow();
-                        MetricValue::Histogram {
-                            buckets: data.buckets,
-                            count: data.count,
-                            sum: data.sum,
-                        }
-                    }
-                    Slot::Sketch(s) => MetricValue::Sketch(s.0.borrow().clone()),
-                },
-            })
-            .collect();
-        entries.sort_by(|a, b| a.name.cmp(b.name));
-        MetricsSnapshot { at, entries }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn registration_is_idempotent_and_shared() {
-        let reg = MetricsRegistry::new();
-        let a = reg.counter("prorp_logins_available_total");
-        let b = reg.counter("prorp_logins_available_total");
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3, "both handles hit the same cell");
+    /// A snapshot at `at` holding `entries`, sorted by name.
+    pub(crate) fn snapshot(at: i64, entries: Vec<(&'static str, MetricValue)>) -> MetricsSnapshot {
+        let mut entries: Vec<MetricEntry> = entries
+            .into_iter()
+            .map(|(name, value)| MetricEntry { name, value })
+            .collect();
+        entries.sort_by_key(|e| e.name);
+        MetricsSnapshot {
+            at: Timestamp(at),
+            entries,
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_clash_panics() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.counter("prorp_thing");
-        let _ = reg.gauge("prorp_thing");
+    /// A histogram reading of the (non-negative) `values`.
+    pub(crate) fn histogram(values: &[i64]) -> MetricValue {
+        let mut buckets = [0; HISTOGRAM_BUCKETS];
+        for &v in values {
+            let idx = 64 - (v as u64).leading_zeros() as usize;
+            buckets[idx.min(HISTOGRAM_BUCKETS - 1)] += 1;
+        }
+        MetricValue::Histogram {
+            buckets,
+            count: values.len() as u64,
+            sum: values.iter().sum(),
+        }
+    }
+
+    /// A sketch reading of `values`.
+    pub(crate) fn sketch(values: &[i64]) -> MetricValue {
+        let mut s = QuantileSketch::new();
+        for &v in values {
+            s.observe(v);
+        }
+        MetricValue::Sketch(s)
     }
 
     #[test]
     fn snapshot_is_sorted_and_queryable() {
-        let reg = MetricsRegistry::new();
-        reg.gauge("prorp_z").set(-4);
-        reg.counter("prorp_a").add(7);
-        let h = reg.histogram("prorp_m_seconds");
-        h.observe(3);
-        h.observe(300);
-        let snap = reg.snapshot(Timestamp(60));
+        let snap = snapshot(
+            60,
+            vec![
+                ("prorp_z", MetricValue::Gauge(-4)),
+                ("prorp_a", MetricValue::Counter(7)),
+                ("prorp_m_seconds", histogram(&[3, 300])),
+            ],
+        );
         let names: Vec<_> = snap.entries.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["prorp_a", "prorp_m_seconds", "prorp_z"]);
         assert_eq!(snap.get("prorp_a"), Some(&MetricValue::Counter(7)));
@@ -500,11 +309,17 @@ mod tests {
     #[test]
     fn merge_sums_elementwise() {
         let mk = |n: u64| {
-            let reg = MetricsRegistry::new();
-            reg.counter("prorp_c").add(n);
-            reg.histogram("prorp_h_seconds").observe(n as i64);
-            reg.gauge("sim_self_databases").set(n as i64);
-            vec![reg.snapshot(Timestamp(10)), reg.snapshot(Timestamp(20))]
+            let at = |t| {
+                snapshot(
+                    t,
+                    vec![
+                        ("prorp_c", MetricValue::Counter(n)),
+                        ("prorp_h_seconds", histogram(&[n as i64])),
+                        ("sim_self_databases", MetricValue::Gauge(n as i64)),
+                    ],
+                )
+            };
+            vec![at(10), at(20)]
         };
         let merged = MetricsSnapshot::merge(vec![mk(1), mk(2), mk(4)]).unwrap();
         assert_eq!(merged.len(), 2);
@@ -517,35 +332,35 @@ mod tests {
             merged[1].get("prorp_h_seconds").unwrap().as_histogram(),
             Some((3, 7))
         );
+        assert_eq!(
+            merged[1].get("prorp_h_seconds"),
+            Some(&histogram(&[1, 2, 4]))
+        );
     }
 
     #[test]
     fn merge_rejects_mismatched_series() {
-        let reg = MetricsRegistry::new();
-        reg.counter("prorp_c");
-        let one = vec![reg.snapshot(Timestamp(10))];
+        let counter = |name, at| vec![snapshot(at, vec![(name, MetricValue::Counter(0))])];
+        let one = counter("prorp_c", 10);
         let err = MetricsSnapshot::merge(vec![one.clone(), Vec::new()]).unwrap_err();
         assert_eq!(err.category(), "observability");
 
-        let other = MetricsRegistry::new();
-        other.counter("prorp_d");
-        let err = MetricsSnapshot::merge(vec![one.clone(), vec![other.snapshot(Timestamp(10))]])
-            .unwrap_err();
+        let err = MetricsSnapshot::merge(vec![one.clone(), counter("prorp_d", 10)]).unwrap_err();
         assert!(err.to_string().contains("name mismatch"));
 
-        let late = MetricsRegistry::new();
-        late.counter("prorp_c");
-        let err =
-            MetricsSnapshot::merge(vec![one, vec![late.snapshot(Timestamp(11))]]).unwrap_err();
+        let err = MetricsSnapshot::merge(vec![one, counter("prorp_c", 11)]).unwrap_err();
         assert!(err.to_string().contains("instants differ"));
     }
 
     #[test]
     fn deterministic_filter_drops_volatile_metrics() {
-        let reg = MetricsRegistry::new();
-        reg.counter("prorp_c").inc();
-        reg.counter("sim_self_events_processed_total").inc();
-        let snap = reg.snapshot(Timestamp(0));
+        let snap = snapshot(
+            0,
+            vec![
+                ("prorp_c", MetricValue::Counter(1)),
+                ("sim_self_events_processed_total", MetricValue::Counter(1)),
+            ],
+        );
         assert_eq!(snap.entries.len(), 2);
         let det = snap.deterministic();
         assert_eq!(det.entries.len(), 1);
@@ -557,13 +372,9 @@ mod tests {
     #[test]
     fn sketches_register_snapshot_and_merge() {
         let mk = |values: &[i64]| {
-            let reg = MetricsRegistry::new();
-            let s = reg.sketch("prorp_resume_latency_seconds");
-            for &v in values {
-                s.observe(v);
-            }
-            assert_eq!(s.count(), values.len() as u64);
-            vec![reg.snapshot(Timestamp(9))]
+            let reading = sketch(values);
+            assert_eq!(reading.as_sketch().unwrap().count(), values.len() as u64);
+            vec![snapshot(9, vec![("prorp_resume_latency_seconds", reading)])]
         };
         let merged = MetricsSnapshot::merge(vec![mk(&[1, 60, 3600]), mk(&[7]), mk(&[])]).unwrap();
         let sketch = merged[0]
@@ -573,36 +384,11 @@ mod tests {
             .expect("sketch survives the merge");
         assert_eq!(sketch.count(), 4);
         assert_eq!(sketch.sum(), 1 + 60 + 3600 + 7);
-        // And a whole-fleet sketch built in one registry agrees bit for bit.
+        // And a whole-fleet sketch observed in one place agrees bit for bit.
         let whole = mk(&[1, 60, 3600, 7]);
         assert_eq!(
             whole[0].get("prorp_resume_latency_seconds"),
             merged[0].get("prorp_resume_latency_seconds")
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn sketch_kind_clash_panics() {
-        let reg = MetricsRegistry::new();
-        let _ = reg.sketch("prorp_thing");
-        let _ = reg.counter("prorp_thing");
-    }
-
-    #[test]
-    fn histogram_buckets_match_telemetry_layout() {
-        let h = Histogram::default();
-        h.observe(0);
-        h.observe(-5);
-        h.observe(1);
-        h.observe(3);
-        h.observe(1 << 40);
-        let data = h.0.borrow();
-        assert_eq!(data.buckets[0], 2);
-        assert_eq!(data.buckets[1], 1);
-        assert_eq!(data.buckets[2], 1);
-        assert_eq!(data.buckets[HISTOGRAM_BUCKETS - 1], 1);
-        assert_eq!(data.count, 5);
-        assert_eq!(data.sum, 4 + (1 << 40));
     }
 }

@@ -76,7 +76,8 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::tests::snapshot;
+    use crate::metrics::MetricValue;
     use crate::slo::SloConfig;
     use crate::span::{SpanKind, TraceSink};
     use prorp_types::{DatabaseId, Timestamp};
@@ -88,13 +89,14 @@ mod tests {
             DatabaseId(db),
             SpanKind::ProactiveResume,
         );
-        let reg = MetricsRegistry::new();
-        reg.counter("prorp_c").add(count);
         let mut slo = SloSeries::new(SloConfig::default());
         slo.on_login(Timestamp(10), DatabaseId(db), false);
         ObsPart {
             trace: buf.into_lanes(),
-            snapshots: vec![reg.snapshot(Timestamp(100))],
+            snapshots: vec![snapshot(
+                100,
+                vec![("prorp_c", MetricValue::Counter(count))],
+            )],
             slo: Some(slo),
         }
     }

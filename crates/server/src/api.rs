@@ -8,24 +8,24 @@
 //! | `GET /v1/databases/:id/why`       | Latest decision-provenance record for the db    |
 //! | `POST /v1/databases/:id/resume`   | Operator-forced resume; clears an open incident |
 //! | `POST /v1/databases/:id/pause`    | Operator-forced physical pause                  |
-//! | `GET /metrics`                    | Prometheus exposition of the live registry      |
+//! | `GET /metrics`                    | Prometheus exposition of the live snapshot      |
 //! | `POST /v1/clock/advance`          | Move a virtual clock (`409` on a wall clock)    |
 //! | `POST /v1/finish`                 | Drain to end-of-window, return the final report |
 //!
 //! # Threading
 //!
 //! The engine stack is deliberately single-threaded (its predictor
-//! scratch and metrics registry are shard-local `Rc` state, exactly like
-//! a DES shard worker), so the [`LiveDriver`] lives on one dedicated
-//! driver thread.  The HTTP transport ([`crate::http`]) is a fixed set of
-//! worker threads started once; a worker parses a request, forwards it
-//! over a channel through the one shared `Sender` and blocks on the
-//! reply — the control-plane analogue of the one-event-loop-per-shard
-//! rule the simulator already enforces.  A worker sends one message and
-//! then waits, so the channel into the driver holds at most as many
-//! requests as there are workers: the queue is bounded by construction,
-//! and anything beyond it waits in the listen backlog.  No thread is
-//! started per connection or per request.
+//! scratch is shard-local `Rc` state, exactly like a DES shard worker),
+//! so the [`LiveDriver`] lives on one dedicated driver thread.  The HTTP
+//! transport ([`crate::http`]) is a fixed set of worker threads started
+//! once; a worker parses a request, forwards it over a channel through
+//! the one shared `Sender` and blocks on the reply — the control-plane
+//! analogue of the one-event-loop-per-shard rule the simulator already
+//! enforces.  A worker sends one message and then waits, so the channel
+//! into the driver holds at most as many requests as there are workers:
+//! the queue is bounded by construction, and anything beyond it waits in
+//! the listen backlog.  No thread is started per connection or per
+//! request.
 //!
 //! # Publishing
 //!
@@ -437,12 +437,13 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
     )
 }
 
-/// `GET /metrics` — Prometheus exposition from the live registry, with
+/// `GET /metrics` — Prometheus exposition of each shard's live metrics
+/// snapshot (read at the watermark), with
 /// the `text/plain; version=0.0.4` content type scrapers negotiate on,
 /// followed by the server's self-metrics.  Those describe this process
 /// (how much each advance published, how each ingested event was
 /// classified, what the HTTP transport met), not the simulated world, so
-/// they live outside the deterministic registry.
+/// they live outside the deterministic snapshot.
 fn get_metrics(state: &ServerState) -> Response {
     let Some(driver) = &state.driver else {
         return Response::text(409, "run already finished\n".into());

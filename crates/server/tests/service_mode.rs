@@ -146,7 +146,7 @@ fn http_surface_basics() {
     );
     assert!(body.contains("late"), "{body}");
 
-    // Prometheus exposition from the live registry.
+    // Prometheus exposition of the live snapshot.
     let (status, body) = http(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     assert!(body.contains("prorp_"), "{body}");

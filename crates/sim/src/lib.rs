@@ -39,9 +39,10 @@
 //!   stuck workflows (fault injection), mitigates them, and escalates
 //!   repeat offenders and retry-budget exhaustions as incidents;
 //! * [`obs`] — shard-local wiring of the deterministic observability
-//!   layer (`prorp-obs`): builds the trace buffer and metrics registry
-//!   when `SimConfig::builder().observe(..)` enables them, turns engine
-//!   counter deltas into spans, and snapshots metrics on the
+//!   layer (`prorp-obs`): builds the trace buffer, sketches and SLO
+//!   rollup when `SimConfig::builder().observe(..)` enables them, turns
+//!   engine counter deltas into spans, and keeps the series of metrics
+//!   snapshots the shard records on the
 //!   [`SimEvent::ObsSnapshot`](events::SimEvent::ObsSnapshot) schedule.
 //!   The merged [`ObsReport`](prorp_obs::ObsReport) rides on
 //!   [`SimReport::obs`].

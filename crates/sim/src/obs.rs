@@ -2,9 +2,10 @@
 //!
 //! `ShardObs` is the single object the shard runner threads through its
 //! instrumentation sites when `SimConfig::observe()` is enabled.  It owns
-//! the shard's [`TraceBuffer`], its [`MetricsRegistry`], and every typed
-//! metric-handle bundle, so the event loop itself stays free of metric
-//! names.  When observability is disabled the runner holds
+//! the shard's [`TraceBuffer`], its SLO rollup, its snapshot series, and
+//! the few quantities no other book of the shard keeps (lifecycle
+//! transitions, breaker closes, checkpoint bytes and three quantile
+//! sketches).  When observability is disabled the runner holds
 //! `Option::<ShardObs>::None` and every site reduces to one branch.
 //!
 //! # How engine activity is observed
@@ -13,84 +14,59 @@
 //! shard's one delivery path (`ShardDriver::deliver`) captures the
 //! engine's [`DbState`] and `Copy` [`EngineCounters`] immediately before
 //! and after each `on_event` call and hands both readings to
-//! `ShardObs::on_engine_event`, which turns the *deltas* into spans and
-//! metric increments:
+//! `ShardObs::on_engine_event`, which turns the *deltas* into spans:
 //!
 //! * a state change emits a `lifecycle` span (Algorithm 1, Figure 4);
 //! * prediction/forecast-failure/fallback deltas emit `predict` spans
 //!   with the matching [`PredictOutcome`];
-//! * a breaker-open delta emits a `breaker opened` span and marks the
-//!   database open; the next successful prediction on a marked database
-//!   emits the matching `breaker closed` span (the engine closes its
-//!   breaker exactly on that success — see `CircuitBreaker::
-//!   record_success` — so the derivation is exact, not heuristic).
+//! * a breaker-open delta emits a `breaker opened` span, feeds the SLO
+//!   rollup and marks the database open; the next successful prediction
+//!   on a marked database emits the matching `breaker closed` span and
+//!   counts a close (the engine closes its breaker exactly on that
+//!   success — see `CircuitBreaker::record_success` — so the derivation
+//!   is exact, not heuristic).
+//!
+//! The engine counters themselves are not repeated here: a metrics
+//! snapshot (`ShardDriver::metrics_snapshot`) sums them over the shard's
+//! engines when it is taken, and reads every other shard book the same
+//! way.
 //!
 //! All spans carry simulated timestamps only, so the merged trace is
 //! bit-identical at any shard count (see `prorp_obs::span`).
 
-use prorp_core::{
-    BreakerMetrics, CircuitBreaker, EngineCounters, EngineMetrics, ProactiveResumeOp,
-    ResumeOpMetrics,
-};
+use prorp_core::EngineCounters;
 use prorp_obs::span::DecisionExplain;
 use prorp_obs::{
-    BreakerTransition, Counter, Histogram, MetricsRegistry, MetricsSnapshot, ObsConfig, ObsPart,
-    PredictOutcome, Sketch, SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink,
-    WorkflowOutcome,
+    BreakerTransition, MetricsSnapshot, ObsConfig, ObsPart, PredictOutcome, QuantileSketch,
+    SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink, WorkflowOutcome,
 };
-use prorp_telemetry::ShardCounters;
 use prorp_types::{DatabaseId, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
 
-/// Handles for the §7 diagnostics-and-mitigation runner's outcomes:
-/// mitigations, incidents and workflow give-ups.
-#[derive(Clone, Debug)]
-pub(crate) struct DiagnosticsMetrics {
-    mitigations: Counter,
-    incidents: Counter,
-    giveups: Counter,
-}
-
-impl DiagnosticsMetrics {
-    pub(crate) fn register(reg: &MetricsRegistry) -> Self {
-        DiagnosticsMetrics {
-            mitigations: reg.counter("prorp_mitigations_total"),
-            incidents: reg.counter("prorp_incidents_total"),
-            giveups: reg.counter("prorp_workflow_giveups_total"),
-        }
-    }
-}
-
-/// All observability state of one shard: trace buffer, metrics registry,
-/// typed handle bundles, and the snapshot series.
+/// All observability state of one shard: trace buffer, SLO rollup,
+/// snapshot series, and what only observability counts.
 pub(crate) struct ShardObs {
-    trace: TraceBuffer,
+    pub(crate) trace: TraceBuffer,
     /// Record span traces at all (`ObsConfig::trace_spans`); rollup-only
     /// runs keep metrics, sketches, and SLO series without the per-event
     /// trace memory.
     trace_spans: bool,
     /// Capture `SpanKind::Decision` provenance (`ObsConfig::explain`).
     explain: bool,
-    registry: MetricsRegistry,
-    engine: EngineMetrics,
-    breaker: BreakerMetrics,
-    resume_op: ResumeOpMetrics,
-    diagnostics: DiagnosticsMetrics,
-    lifecycle_transitions: Counter,
-    stage_seconds: Histogram,
-    workflow_seconds: Histogram,
-    workflow_retries: Counter,
-    checkpoints: Counter,
-    checkpoint_bytes: Counter,
-    recovers: Counter,
+    /// Engine state changes.
+    pub(crate) lifecycle_transitions: u64,
+    /// Breakers closed by a successful half-open re-probe.
+    pub(crate) breaker_closes: u64,
+    /// Page-image bytes shipped by rebalance moves.
+    pub(crate) checkpoint_bytes: u64,
     /// Resume-stage durations as a mergeable quantile sketch (the
-    /// histogram above keeps the coarse Prometheus buckets; the sketch
+    /// workflow histograms keep the coarse Prometheus buckets; the sketch
     /// yields exact deterministic percentiles at any shard count).
-    stage_latency_sketch: Sketch,
+    pub(crate) stage_latency_sketch: QuantileSketch,
     /// Customer-visible QoS-miss delay: the staged-workflow duration an
     /// unavailable login waited out.
-    qos_miss_delay_sketch: Sketch,
+    pub(crate) qos_miss_delay_sketch: QuantileSketch,
     /// Backoff waits drawn by workflow stage retries.
-    retry_backoff_sketch: Sketch,
+    pub(crate) retry_backoff_sketch: QuantileSketch,
     /// Per-region SLO rollup (`ObsConfig::slo`).
     slo: Option<SloSeries>,
     /// Latest decision-provenance record per database, for the live
@@ -102,60 +78,23 @@ pub(crate) struct ShardObs {
     /// Databases whose predictor breaker is currently open; lets the next
     /// successful prediction be attributed as the breaker-closing probe.
     breaker_open: DbSet,
-    snapshots: Vec<MetricsSnapshot>,
+    /// The recorded snapshot series.
+    pub(crate) snapshots: Vec<MetricsSnapshot>,
 }
 
 impl ShardObs {
-    /// Build the shard's observability state, registering every metric
-    /// up front so all shards snapshot identical name sets.
+    /// Build the shard's observability state.
     pub(crate) fn new(cfg: &ObsConfig) -> Self {
-        let registry = MetricsRegistry::new();
-        let engine = EngineMetrics::register(&registry);
-        let breaker = CircuitBreaker::register_metrics(&registry);
-        let resume_op = ProactiveResumeOp::register_metrics(&registry);
-        let diagnostics = DiagnosticsMetrics::register(&registry);
-        let lifecycle_transitions = registry.counter("prorp_lifecycle_transitions_total");
-        let stage_seconds = registry.histogram("prorp_workflow_stage_seconds");
-        let workflow_seconds = registry.histogram("prorp_workflow_seconds");
-        let workflow_retries = registry.counter("prorp_workflow_retries_total");
-        let checkpoints = registry.counter("prorp_checkpoints_total");
-        let checkpoint_bytes = registry.counter("prorp_checkpoint_bytes_total");
-        let recovers = registry.counter("prorp_recovers_total");
-        let stage_latency_sketch = registry.sketch("prorp_resume_stage_latency_seconds");
-        let qos_miss_delay_sketch = registry.sketch("prorp_qos_miss_delay_seconds");
-        let retry_backoff_sketch = registry.sketch("prorp_retry_backoff_seconds");
-        // Volatile self-observations: registered eagerly (so merges see
-        // consistent name sets) but only written at snapshot time.
-        registry.gauge("prorp_workflows_in_flight");
-        registry.gauge("sim_self_events_processed");
-        registry.gauge("sim_self_telemetry_events");
-        registry.gauge("sim_self_trace_records");
-        registry.gauge("sim_self_databases");
-        registry.gauge("sim_self_wall_clock_micros");
-        registry.gauge("sim_self_register_micros");
-        registry.gauge("sim_self_run_micros");
-        registry.gauge("sim_self_queue_depth");
-        registry.gauge("sim_self_queue_peak");
-        registry.gauge("sim_self_queue_recorded");
         ShardObs {
             trace: TraceBuffer::new(),
             trace_spans: cfg.trace_spans,
             explain: cfg.explain,
-            registry,
-            engine,
-            breaker,
-            resume_op,
-            diagnostics,
-            lifecycle_transitions,
-            stage_seconds,
-            workflow_seconds,
-            workflow_retries,
-            checkpoints,
-            checkpoint_bytes,
-            recovers,
-            stage_latency_sketch,
-            qos_miss_delay_sketch,
-            retry_backoff_sketch,
+            lifecycle_transitions: 0,
+            breaker_closes: 0,
+            checkpoint_bytes: 0,
+            stage_latency_sketch: QuantileSketch::new(),
+            qos_miss_delay_sketch: QuantileSketch::new(),
+            retry_backoff_sketch: QuantileSketch::new(),
             slo: cfg.slo.map(SloSeries::new),
             last_decision: Vec::new(),
             breaker_open: DbSet::default(),
@@ -198,8 +137,8 @@ impl ShardObs {
         self.slo.as_ref()
     }
 
-    /// Fold one engine event into spans and metrics from its
-    /// `(state, counters)` readings before and after the event.
+    /// Fold one engine event into spans from its `(state, counters)`
+    /// readings before and after the event.
     pub(crate) fn on_engine_event(
         &mut self,
         now: Timestamp,
@@ -207,9 +146,8 @@ impl ShardObs {
         (before_state, before): (DbState, &EngineCounters),
         (after_state, after): (DbState, &EngineCounters),
     ) {
-        self.engine.observe_delta(before, after);
         if before_state != after_state {
-            self.lifecycle_transitions.inc();
+            self.lifecycle_transitions += 1;
             if self.trace_spans {
                 self.trace.event(
                     now,
@@ -221,43 +159,24 @@ impl ShardObs {
                 );
             }
         }
-        let fallbacks = after.breaker_fallbacks - before.breaker_fallbacks;
-        for _ in 0..fallbacks {
-            self.breaker.fallback();
-            if self.trace_spans {
-                self.trace.event(
-                    now,
-                    db,
-                    SpanKind::Predict {
-                        outcome: PredictOutcome::BreakerFallback,
-                    },
-                );
-            }
-        }
         let predictions = after.predictions - before.predictions;
         let failures = after.forecast_failures - before.forecast_failures;
         if self.trace_spans {
-            for _ in 0..failures {
-                self.trace.event(
-                    now,
-                    db,
-                    SpanKind::Predict {
-                        outcome: PredictOutcome::Failed,
-                    },
-                );
-            }
-            for _ in 0..predictions.saturating_sub(failures) {
-                self.trace.event(
-                    now,
-                    db,
-                    SpanKind::Predict {
-                        outcome: PredictOutcome::Predicted,
-                    },
-                );
+            let fallbacks = after.breaker_fallbacks - before.breaker_fallbacks;
+            for (n, outcome) in [
+                (fallbacks, PredictOutcome::BreakerFallback),
+                (failures, PredictOutcome::Failed),
+                (
+                    predictions.saturating_sub(failures),
+                    PredictOutcome::Predicted,
+                ),
+            ] {
+                for _ in 0..n {
+                    self.trace.event(now, db, SpanKind::Predict { outcome });
+                }
             }
         }
         if after.breaker_opens > before.breaker_opens {
-            self.breaker.opened();
             self.breaker_open.insert(db);
             if let Some(slo) = self.slo.as_mut() {
                 for _ in 0..(after.breaker_opens - before.breaker_opens) {
@@ -276,7 +195,7 @@ impl ShardObs {
         } else if predictions > failures && self.breaker_open.remove(&db) {
             // A successful prediction on a breaker-open database is the
             // half-open re-probe that closed the breaker.
-            self.breaker.closed();
+            self.breaker_closes += 1;
             if self.trace_spans {
                 self.trace.event(
                     now,
@@ -309,11 +228,6 @@ impl ShardObs {
         }
     }
 
-    /// One scan tick selected `batch` databases.
-    pub(crate) fn on_scan(&mut self, batch: usize) {
-        self.resume_op.observe_scan(batch);
-    }
-
     /// A workflow stage attempt succeeded after `spent` (entry to
     /// success); the span covers that window.
     pub(crate) fn on_stage_completed(
@@ -324,7 +238,6 @@ impl ShardObs {
         attempt: u32,
         spent: prorp_types::Seconds,
     ) {
-        self.stage_seconds.observe(spent.as_secs());
         self.stage_latency_sketch.observe(spent.as_secs());
         if self.trace_spans {
             self.trace.span(
@@ -350,7 +263,6 @@ impl ShardObs {
         attempt: u32,
         backoff: Seconds,
     ) {
-        self.workflow_retries.inc();
         self.retry_backoff_sketch.observe(backoff.as_secs());
         if self.trace_spans {
             self.trace.event(
@@ -375,8 +287,6 @@ impl ShardObs {
         attempts: u32,
         started: Timestamp,
     ) {
-        self.diagnostics.giveups.inc();
-        self.diagnostics.incidents.inc();
         if self.trace_spans {
             self.trace.event(
                 now,
@@ -407,7 +317,6 @@ impl ShardObs {
         started: Timestamp,
     ) {
         let waited = now.since(started);
-        self.workflow_seconds.observe(waited.as_secs());
         // Every staged workflow serves an unavailable login, so its total
         // duration *is* the customer's QoS-miss delay.
         self.qos_miss_delay_sketch.observe(waited.as_secs());
@@ -428,10 +337,6 @@ impl ShardObs {
 
     /// The diagnostics sweep force-completed a stuck workflow.
     pub(crate) fn on_mitigation(&mut self, now: Timestamp, db: DatabaseId, escalated: bool) {
-        self.diagnostics.mitigations.inc();
-        if escalated {
-            self.diagnostics.incidents.inc();
-        }
         if self.trace_spans {
             self.trace
                 .event(now, db, SpanKind::Mitigation { escalated });
@@ -441,57 +346,11 @@ impl ShardObs {
     /// A rebalance move checkpointed this database's history into a
     /// `bytes`-byte page image and recovered it on the destination.
     pub(crate) fn on_move_with_history(&mut self, now: Timestamp, db: DatabaseId, bytes: u64) {
-        self.checkpoints.inc();
-        self.checkpoint_bytes.add(bytes);
-        self.recovers.inc();
+        self.checkpoint_bytes += bytes;
         if self.trace_spans {
             self.trace.event(now, db, SpanKind::Checkpoint { bytes });
             self.trace.event(now, db, SpanKind::Recover { bytes });
         }
-    }
-
-    /// A snapshot of the current registry state *without* recording it
-    /// into the deterministic snapshot series — the live `/metrics`
-    /// endpoint scrapes this so a scrape never perturbs the run's
-    /// observable output.
-    pub(crate) fn live_snapshot(&self, at: Timestamp) -> MetricsSnapshot {
-        self.registry.snapshot(at)
-    }
-
-    /// Take one metrics snapshot at simulated instant `at`, first setting
-    /// the volatile self-observation gauges from the shard's `counters`
-    /// and the three live readings they do not hold: resume workflows in
-    /// flight, the run-time queue lane's depth, and the recorded session
-    /// events not yet consumed.  These describe the simulator process,
-    /// vary with the shard layout, and are excluded from every
-    /// determinism assertion.
-    pub(crate) fn take_snapshot(
-        &mut self,
-        at: Timestamp,
-        counters: &ShardCounters,
-        workflows_in_flight: usize,
-        queue_depth: usize,
-        queue_recorded: usize,
-    ) {
-        let gauges = [
-            ("prorp_workflows_in_flight", workflows_in_flight as u64),
-            ("sim_self_events_processed", counters.events_processed),
-            ("sim_self_telemetry_events", counters.telemetry_events),
-            ("sim_self_trace_records", self.trace.len() as u64),
-            ("sim_self_databases", counters.databases as u64),
-            ("sim_self_wall_clock_micros", counters.wall_clock_micros),
-            ("sim_self_register_micros", counters.register_micros),
-            ("sim_self_run_micros", counters.run_micros),
-            ("sim_self_queue_depth", queue_depth as u64),
-            ("sim_self_queue_peak", counters.queue_peak as u64),
-            ("sim_self_queue_recorded", queue_recorded as u64),
-        ];
-        for (name, value) in gauges {
-            self.registry
-                .gauge(name)
-                .set(value.min(i64::MAX as u64) as i64);
-        }
-        self.snapshots.push(self.registry.snapshot(at));
     }
 
     /// Consume the shard's observability state into its mergeable part.
@@ -534,22 +393,14 @@ mod tests {
             (DbState::Resumed, &before),
             (DbState::LogicallyPaused, &after),
         );
-        let report = {
-            let mut o = obs;
-            o.take_snapshot(Timestamp(100), &ShardCounters::default(), 0, 0, 0);
-            report_of(o)
-        };
+        assert_eq!(obs.lifecycle_transitions, 1);
+        let report = report_of(obs);
         assert_eq!(report.trace.len(), 2, "lifecycle + predict");
-        let snap = report.final_snapshot().unwrap();
         assert_eq!(
-            snap.get("prorp_lifecycle_transitions_total")
-                .unwrap()
-                .as_counter(),
-            Some(1)
-        );
-        assert_eq!(
-            snap.get("prorp_predictions_total").unwrap().as_counter(),
-            Some(1)
+            report.trace[1].kind,
+            SpanKind::Predict {
+                outcome: PredictOutcome::Predicted
+            }
         );
     }
 
@@ -570,6 +421,7 @@ mod tests {
             (DbState::Resumed, &before),
             (DbState::Resumed, &opened),
         );
+        assert_eq!(obs.breaker_closes, 0);
 
         // Event 2: the half-open re-probe succeeds → breaker closed.
         let mut closed = opened;
@@ -580,19 +432,9 @@ mod tests {
             (DbState::Resumed, &opened),
             (DbState::Resumed, &closed),
         );
+        assert_eq!(obs.breaker_closes, 1);
 
-        let mut o = obs;
-        o.take_snapshot(Timestamp(30), &ShardCounters::default(), 0, 0, 0);
-        let report = report_of(o);
-        let snap = report.final_snapshot().unwrap();
-        assert_eq!(
-            snap.get("prorp_breaker_opens_total").unwrap().as_counter(),
-            Some(1)
-        );
-        assert_eq!(
-            snap.get("prorp_breaker_closes_total").unwrap().as_counter(),
-            Some(1)
-        );
+        let report = report_of(obs);
         let breaker_spans: Vec<_> = report
             .trace
             .iter()
@@ -634,39 +476,12 @@ mod tests {
         obs.on_workflow_completed(Timestamp(180), db, Timestamp(100));
         obs.on_mitigation(Timestamp(200), db, true);
         obs.on_move_with_history(Timestamp(210), db, 4_096);
-        obs.take_snapshot(Timestamp(300), &ShardCounters::default(), 0, 0, 0);
+        let sketched = |s: &QuantileSketch| (s.count(), s.sum());
+        assert_eq!(sketched(&obs.stage_latency_sketch), (1, 30));
+        assert_eq!(sketched(&obs.retry_backoff_sketch), (1, 20));
+        assert_eq!(sketched(&obs.qos_miss_delay_sketch), (1, 80));
+        assert_eq!(obs.checkpoint_bytes, 4_096);
         let report = report_of(obs);
-        let snap = report.final_snapshot().unwrap();
-        assert_eq!(
-            snap.get("prorp_workflow_stage_seconds")
-                .unwrap()
-                .as_histogram(),
-            Some((1, 30))
-        );
-        assert_eq!(
-            snap.get("prorp_workflow_seconds").unwrap().as_histogram(),
-            Some((1, 80))
-        );
-        assert_eq!(
-            snap.get("prorp_workflow_retries_total")
-                .unwrap()
-                .as_counter(),
-            Some(1)
-        );
-        assert_eq!(
-            snap.get("prorp_mitigations_total").unwrap().as_counter(),
-            Some(1)
-        );
-        assert_eq!(
-            snap.get("prorp_incidents_total").unwrap().as_counter(),
-            Some(1)
-        );
-        assert_eq!(
-            snap.get("prorp_checkpoint_bytes_total")
-                .unwrap()
-                .as_counter(),
-            Some(4_096)
-        );
         // The stage span covers [entry, success].
         let stage = report
             .trace
@@ -677,38 +492,48 @@ mod tests {
         assert_eq!(stage.end, Timestamp(130));
     }
 
+    /// The `sim_self_*` gauges read the shard as it stands at each scrape,
+    /// and drop out of the deterministic surface.
     #[test]
     fn snapshots_carry_self_observations_as_volatile_gauges() {
-        let mut obs = ShardObs::new(&ObsConfig::on());
-        let counters = ShardCounters {
-            events_processed: 42,
-            telemetry_events: 7,
-            databases: 3,
-            wall_clock_micros: 12_345,
-            register_micros: 1_000,
-            run_micros: 11_000,
-            queue_peak: 8,
-            ..ShardCounters::default()
-        };
-        obs.take_snapshot(Timestamp(500), &counters, 2, 5, 13);
-        let report = report_of(obs);
-        let snap = report.final_snapshot().unwrap();
-        assert_eq!(snap.at, Timestamp(500));
-        assert_eq!(
-            snap.get("sim_self_wall_clock_micros").unwrap().as_gauge(),
-            Some(12_345)
-        );
-        assert_eq!(
-            snap.get("prorp_workflows_in_flight").unwrap().as_gauge(),
-            Some(2)
-        );
-        for (name, want) in [
-            ("sim_self_queue_depth", 5),
-            ("sim_self_queue_peak", 8),
-            ("sim_self_queue_recorded", 13),
-        ] {
-            assert_eq!(snap.get(name).unwrap().as_gauge(), Some(want), "{name}");
+        use crate::{ShardDriver, SimConfig, SimPolicy};
+        use prorp_workload::{RegionName, RegionProfile};
+        let (start, mid, end) = (Timestamp(0), Timestamp(86_400), Timestamp(3 * 86_400));
+        let cfg = SimConfig::builder(SimPolicy::Reactive, start, end, start)
+            .observe(ObsConfig::on())
+            .build()
+            .unwrap();
+        let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(20, start, end, 5);
+        let mut driver = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+        for t in &traces {
+            driver.register(t).unwrap();
         }
+        driver.start();
+        let within = |t: Timestamp| i64::from(t >= start && t < end);
+        let edges: i64 = traces
+            .iter()
+            .flat_map(|t| &t.sessions)
+            .map(|s| within(s.start) + within(s.end))
+            .sum();
+        let gauge = |snap: &MetricsSnapshot, name| snap.get(name).unwrap().as_gauge().unwrap();
+
+        let first = driver.metrics_snapshot(start).unwrap();
+        assert_eq!(gauge(&first, "sim_self_queue_recorded"), edges);
+        assert_eq!(gauge(&first, "sim_self_events_processed"), 0);
+
+        driver.step_until(mid).unwrap();
+        let snap = driver.metrics_snapshot(mid).unwrap();
+        assert_eq!(snap.at, mid);
+        assert!(driver.events_processed() > 0);
+        assert_eq!(
+            gauge(&snap, "sim_self_events_processed"),
+            driver.events_processed() as i64
+        );
+        assert_eq!(gauge(&snap, "sim_self_databases"), 20);
+        assert!(gauge(&snap, "sim_self_queue_recorded") < edges);
+        assert!(gauge(&snap, "sim_self_trace_records") > 0);
+        assert!(gauge(&snap, "sim_self_queue_peak") >= gauge(&snap, "sim_self_queue_depth"));
+        assert!(gauge(&snap, "sim_self_wall_clock_micros") >= gauge(&snap, "sim_self_run_micros"));
         // The volatile gauges vanish from the deterministic surface.
         let det = snap.deterministic();
         assert!(det.get("sim_self_queue_peak").is_none());

@@ -54,11 +54,11 @@ use prorp_core::{
     ProactiveResumeOp, ResumeWorkflow, StageOutcome,
 };
 use prorp_forecast::SweepScratch;
-use prorp_obs::ObsPart;
+use prorp_obs::{MetricEntry, MetricValue, MetricsSnapshot, ObsPart};
 use prorp_storage::{backup_history, restore_backend, HistoryRead, MetadataStore, StorageStats};
 use prorp_telemetry::{
-    IncidentKind, IncidentLog, SegmentAccumulator, SegmentKind, ShardCounters, TelemetryKind,
-    TelemetryLog, TelemetryMode, TelemetrySummary, WorkflowStats,
+    IncidentKind, IncidentLog, LatencyHistogram, SegmentAccumulator, SegmentKind, ShardCounters,
+    TelemetryKind, TelemetryLog, TelemetryMode, TelemetrySummary, WorkflowStats,
 };
 use prorp_types::{DatabaseId, DbState, ProrpError, Seconds, Timestamp};
 use prorp_workload::Trace;
@@ -343,9 +343,9 @@ impl ShardDriver {
             // element-wise across shards.
             resume_op: ProactiveResumeOp::new(cfg.prewarm, cfg.resume_op_period, cfg.start)?,
             maintenance: MaintenanceScheduler::new(),
-            // Disabled observability stays `None`: no allocations, no
-            // handles, and every instrumentation site below is one
-            // branch on the Option.
+            // Disabled observability stays `None`: no allocations, and
+            // every instrumentation site below is one branch on the
+            // Option.
             obs: cfg.observe().enabled.then(|| ShardObs::new(cfg.observe())),
             // All the shard's incremental predictors share one
             // cursor-scratch buffer: engines live and run on this
@@ -505,10 +505,129 @@ impl ShardDriver {
         self.fleet.touched.drain().map(|idx| ids[idx]).collect()
     }
 
-    /// A live (non-recorded) metrics snapshot for the `/metrics`
-    /// endpoint; `None` when observability is disabled.
-    pub fn metrics_snapshot(&self, at: Timestamp) -> Option<prorp_obs::MetricsSnapshot> {
-        self.obs.as_ref().map(|o| o.live_snapshot(at))
+    /// The shard's metrics at simulated instant `at`, sorted by name;
+    /// `None` when observability is disabled.
+    ///
+    /// A snapshot is a read of the books the shard already keeps, and
+    /// every metric name is listed here, once.  Recording a snapshot
+    /// pushes this value into the series; the live `/metrics` endpoint
+    /// calls it without recording, so a scrape never perturbs the run's
+    /// observable output and reads every gauge as it stands.  Summing
+    /// the engine counters costs one pass over the shard's engines.
+    pub fn metrics_snapshot(&self, at: Timestamp) -> Option<MetricsSnapshot> {
+        use MetricValue::{Counter, Gauge, Sketch};
+        let o = self.obs.as_ref()?;
+        let mut e = EngineCounters::default();
+        for idx in 0..self.fleet.len() {
+            let c = self.fleet.engines.get(idx).counters();
+            e.logins_available += c.logins_available;
+            e.logins_unavailable += c.logins_unavailable;
+            e.logical_pauses += c.logical_pauses;
+            e.physical_pauses += c.physical_pauses;
+            e.proactive_resumes += c.proactive_resumes;
+            e.predictions += c.predictions;
+            e.forecast_failures += c.forecast_failures;
+            e.breaker_opens += c.breaker_opens;
+            e.breaker_fallbacks += c.breaker_fallbacks;
+        }
+        let wf = &self.workflow_stats;
+        let mut stages = LatencyHistogram::new();
+        for h in &wf.stage_latency {
+            stages.absorb(h);
+        }
+        let histogram = |h: &LatencyHistogram| MetricValue::Histogram {
+            buckets: *h.buckets(),
+            count: h.count(),
+            sum: h.total().as_secs(),
+        };
+        let gauge = |v: u64| Gauge(i64::try_from(v).unwrap_or(i64::MAX));
+        let c = self.counters_now();
+        let selected: usize = self.resume_op.batch_sizes().iter().sum();
+        let moves = self.balance_moves_history;
+        let mut entries: Vec<MetricEntry> = [
+            ("prorp_breaker_closes_total", Counter(o.breaker_closes)),
+            (
+                "prorp_breaker_fallbacks_total",
+                Counter(e.breaker_fallbacks),
+            ),
+            ("prorp_breaker_opens_total", Counter(e.breaker_opens)),
+            ("prorp_checkpoint_bytes_total", Counter(o.checkpoint_bytes)),
+            ("prorp_checkpoints_total", Counter(moves)),
+            (
+                "prorp_forecast_failures_total",
+                Counter(e.forecast_failures),
+            ),
+            (
+                "prorp_incidents_total",
+                Counter(self.incident_log.len() as u64),
+            ),
+            (
+                "prorp_lifecycle_transitions_total",
+                Counter(o.lifecycle_transitions),
+            ),
+            ("prorp_logical_pauses_total", Counter(e.logical_pauses)),
+            ("prorp_logins_available_total", Counter(e.logins_available)),
+            (
+                "prorp_logins_unavailable_total",
+                Counter(e.logins_unavailable),
+            ),
+            (
+                "prorp_mitigations_total",
+                Counter(self.diagnostics.mitigations),
+            ),
+            ("prorp_physical_pauses_total", Counter(e.physical_pauses)),
+            ("prorp_predictions_total", Counter(e.predictions)),
+            (
+                "prorp_proactive_resumes_total",
+                Counter(e.proactive_resumes),
+            ),
+            (
+                "prorp_qos_miss_delay_seconds",
+                Sketch(o.qos_miss_delay_sketch.clone()),
+            ),
+            ("prorp_recovers_total", Counter(moves)),
+            ("prorp_resume_op_selected_total", Counter(selected as u64)),
+            (
+                "prorp_resume_stage_latency_seconds",
+                Sketch(o.stage_latency_sketch.clone()),
+            ),
+            (
+                "prorp_retry_backoff_seconds",
+                Sketch(o.retry_backoff_sketch.clone()),
+            ),
+            ("prorp_workflow_giveups_total", Counter(wf.giveups)),
+            ("prorp_workflow_retries_total", Counter(wf.retries)),
+            ("prorp_workflow_seconds", histogram(&wf.workflow_latency)),
+            ("prorp_workflow_stage_seconds", histogram(&stages)),
+            (
+                "prorp_workflows_in_flight",
+                gauge(self.diagnostics.in_flight_count() as u64),
+            ),
+            ("sim_self_databases", gauge(c.databases as u64)),
+            ("sim_self_events_processed", gauge(c.events_processed)),
+            (
+                "sim_self_queue_depth",
+                gauge(self.queue.scheduled_len() as u64),
+            ),
+            ("sim_self_queue_peak", gauge(c.queue_peak as u64)),
+            (
+                "sim_self_queue_recorded",
+                gauge(self.queue.recorded_len() as u64),
+            ),
+            ("sim_self_register_micros", gauge(c.register_micros)),
+            // Scan ticks fire once per shard per period, so the fleet
+            // total varies with the shard count: volatile by definition.
+            ("sim_self_resume_op_scans_total", Counter(c.resume_scans)),
+            ("sim_self_run_micros", gauge(c.run_micros)),
+            ("sim_self_telemetry_events", gauge(c.telemetry_events)),
+            ("sim_self_trace_records", gauge(o.trace.len() as u64)),
+            ("sim_self_wall_clock_micros", gauge(c.wall_clock_micros)),
+        ]
+        .into_iter()
+        .map(|(name, value)| MetricEntry { name, value })
+        .collect();
+        entries.sort_unstable_by_key(|e| e.name);
+        Some(MetricsSnapshot { at, entries })
     }
 
     /// Schedule a login for `id` at `at`.  Returns `false` (and
@@ -689,10 +808,7 @@ impl ShardDriver {
         let cfg = &self.cfg;
         match event {
             SimEvent::ObsSnapshot => {
-                if self.obs.is_some() {
-                    self.refresh_counters();
-                    self.take_obs_snapshot(now);
-                }
+                self.record_snapshot(now);
                 if let Some(p) = self.cfg.observe().snapshot_every {
                     if now + p < self.cfg.end {
                         self.queue.push(now + p, SimEvent::ObsSnapshot);
@@ -787,9 +903,6 @@ impl ShardDriver {
                 let selected = self
                     .resume_op
                     .run(now, std::slice::from_ref(&self.metadata));
-                if let Some(o) = self.obs.as_mut() {
-                    o.on_scan(selected.len());
-                }
                 for id in selected {
                     self.queue.push(now, SimEvent::ProactiveResume(id));
                 }
@@ -1008,27 +1121,26 @@ impl ShardDriver {
         Ok(())
     }
 
-    /// Bring the volatile fields of the shard's counters up to date: the
-    /// wall-clock phase breakdown so far, the telemetry count and the
-    /// run-time queue's peak.
-    fn refresh_counters(&mut self) {
+    /// The shard's counters with their volatile fields brought up to
+    /// date: the wall-clock phase breakdown so far, the telemetry count
+    /// and the run-time queue's peak.
+    fn counters_now(&self) -> ShardCounters {
         let register_end = self.register_done.unwrap_or(self.started);
-        let c = &mut self.counters;
+        let mut c = self.counters;
         c.register_micros = register_end.duration_since(self.started).as_micros() as u64;
         c.run_micros = register_end.elapsed().as_micros() as u64;
         c.set_wall_clock(self.started.elapsed());
         c.telemetry_events = self.telemetry.run.total();
         c.queue_peak = self.queue.scheduled_peak();
+        c
     }
 
-    /// Record one observability snapshot at `at` from the shard's
-    /// counters (refreshed by the caller) and its live queue and
-    /// workflow readings.
-    fn take_obs_snapshot(&mut self, at: Timestamp) {
-        let in_flight = self.diagnostics.in_flight_count();
-        let (depth, recorded) = (self.queue.scheduled_len(), self.queue.recorded_len());
-        if let Some(o) = self.obs.as_mut() {
-            o.take_snapshot(at, &self.counters, in_flight, depth, recorded);
+    /// Record the metrics snapshot at `at` into the shard's series (a
+    /// no-op when observability is disabled).
+    fn record_snapshot(&mut self, at: Timestamp) {
+        let snapshot = self.metrics_snapshot(at);
+        if let (Some(o), Some(snapshot)) = (self.obs.as_mut(), snapshot) {
+            o.snapshots.push(snapshot);
         }
     }
 
@@ -1037,7 +1149,7 @@ impl ShardDriver {
     /// [`ShardOutcome`].
     pub fn finish(mut self) -> Result<ShardOutcome, ProrpError> {
         let finish_started = Instant::now();
-        self.refresh_counters();
+        self.counters = self.counters_now();
         debug_assert_eq!(self.balance_moves_history, self.cluster.balance_moves);
 
         // Close the books.
@@ -1072,15 +1184,9 @@ impl ShardDriver {
             ));
         }
 
-        // Predictor circuit-breaker activity lives in the per-engine
-        // counters; fold the shard totals into the workflow telemetry.
-        self.workflow_stats.breaker_opens = db_results.iter().map(|r| r.2.breaker_opens).sum();
-        self.workflow_stats.breaker_fallbacks =
-            db_results.iter().map(|r| r.2.breaker_fallbacks).sum();
-
         // The end-of-run snapshot is always taken at `cfg.end`, on every
         // shard, so the merged series stays aligned.
-        self.take_obs_snapshot(self.cfg.end);
+        self.record_snapshot(self.cfg.end);
         let obs_part = self.obs.map(ShardObs::finish);
 
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
@@ -1248,6 +1354,56 @@ mod tests {
             )
         };
         assert_eq!(snapshot(&a), snapshot(&b));
+    }
+
+    /// A live scrape reads the shard as it stands: stepped to each
+    /// instant of a twin's 10-s recorded series, the driver's
+    /// `metrics_snapshot` is the recorded entry, gauges included (a
+    /// scrape that only re-reads what the last recorded snapshot set
+    /// reads `prorp_workflows_in_flight` as 0 throughout).
+    #[test]
+    fn a_live_scrape_is_the_recorded_snapshot() {
+        use prorp_workload::{RegionName, RegionProfile};
+        const DAY: i64 = 86_400;
+        let (start, end) = (Timestamp(DAY), Timestamp(3 * DAY));
+        let config = |obs| {
+            SimConfig::builder(SimPolicy::Reactive, start, end, start)
+                .seed(42)
+                .observe(obs)
+                .build()
+                .unwrap()
+        };
+        let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(300, start, end, 42);
+        let driver = |cfg: &SimConfig| {
+            let mut d = ShardDriver::new(cfg, 0, traces.len()).unwrap();
+            for t in &traces {
+                d.register(t).unwrap();
+            }
+            d.start();
+            d
+        };
+        let mut twin = driver(&config(prorp_obs::ObsConfig::with_snapshots(Seconds(10))));
+        twin.run_to_end().unwrap();
+        let recorded = twin.finish().unwrap().obs.unwrap().snapshots;
+        assert_eq!(recorded.len(), 17_280);
+
+        let mut live = driver(&config(prorp_obs::ObsConfig::on()));
+        let mut busy = 0;
+        for want in &recorded {
+            live.step_until(want.at).unwrap();
+            let got = live.metrics_snapshot(want.at).unwrap();
+            assert_eq!(
+                got.deterministic(),
+                want.deterministic(),
+                "at {:?}",
+                want.at
+            );
+            let processed = got.get("sim_self_events_processed").unwrap();
+            assert_eq!(processed.as_gauge(), Some(live.events_processed() as i64));
+            let in_flight = got.get("prorp_workflows_in_flight").unwrap();
+            busy += usize::from(in_flight.as_gauge() != Some(0));
+        }
+        assert!(busy > 0, "workflows were in flight at some instant");
     }
 
     /// A Summary-mode shard allocates no event buffer, yet counts what a

@@ -116,7 +116,9 @@ impl fmt::Display for LatencyHistogram {
 }
 
 /// Aggregated workflow telemetry: per-stage completions and latency
-/// histograms plus the retry/giveup/fallback counters of the fault layer.
+/// histograms plus the retry and giveup counters of the fault layer.
+/// (Predictor circuit-breaker activity lives in the per-database
+/// `EngineCounters`.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct WorkflowStats {
     /// Per-stage success counts, indexed by [`WorkflowStage::index`].
@@ -131,11 +133,6 @@ pub struct WorkflowStats {
     /// Workflows that exhausted a stage's retry budget and were
     /// force-completed by the mitigation path.
     pub giveups: u64,
-    /// Re-predictions short-circuited to reactive because a predictor
-    /// circuit breaker was open.
-    pub breaker_fallbacks: u64,
-    /// Times a predictor circuit breaker opened.
-    pub breaker_opens: u64,
 }
 
 impl WorkflowStats {
@@ -170,8 +167,6 @@ impl WorkflowStats {
             out.workflow_latency.absorb(&s.workflow_latency);
             out.retries += s.retries;
             out.giveups += s.giveups;
-            out.breaker_fallbacks += s.breaker_fallbacks;
-            out.breaker_opens += s.breaker_opens;
         }
         out
     }
@@ -306,12 +301,10 @@ mod tests {
         a.record_stage(WorkflowStage::AllocateNode, Seconds(30));
         a.record_workflow(Seconds(90));
         a.retries = 2;
-        a.breaker_opens = 1;
         let mut b = WorkflowStats::default();
         b.record_stage(WorkflowStage::AllocateNode, Seconds(45));
         b.record_stage(WorkflowStage::MarkResumed, Seconds(6));
         b.giveups = 1;
-        b.breaker_fallbacks = 4;
         let ab = WorkflowStats::merge(&[a, b]);
         let ba = WorkflowStats::merge(&[b, a]);
         assert_eq!(ab, ba);
@@ -319,8 +312,6 @@ mod tests {
         assert_eq!(ab.total_stage_completions(), 3);
         assert_eq!(ab.retries, 2);
         assert_eq!(ab.giveups, 1);
-        assert_eq!(ab.breaker_fallbacks, 4);
-        assert_eq!(ab.breaker_opens, 1);
         assert_eq!(ab.stage_latency[0].count(), 2);
         // Merging a merge with nothing is the identity.
         assert_eq!(WorkflowStats::merge(&[ab]), ab);

@@ -23,6 +23,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
+use prorp_core::EngineCounters;
 use prorp_sim::SimReport;
 use prorp_telemetry::KpiReport;
 
@@ -75,15 +76,16 @@ pub fn render_report(report: &SimReport) -> String {
     let _ = writeln!(out, "  \"workflow\": {{");
     let _ = writeln!(out, "    \"retries\": {},", report.workflow.retries);
     let _ = writeln!(out, "    \"giveups\": {},", report.workflow.giveups);
+    let engine_sum = |f: fn(&EngineCounters) -> u64| report.counters.iter().map(f).sum::<u64>();
     let _ = writeln!(
         out,
         "    \"breaker_opens\": {},",
-        report.workflow.breaker_opens
+        engine_sum(|c| c.breaker_opens)
     );
     let _ = writeln!(
         out,
         "    \"breaker_fallbacks\": {},",
-        report.workflow.breaker_fallbacks
+        engine_sum(|c| c.breaker_fallbacks)
     );
     let _ = writeln!(
         out,

@@ -170,6 +170,12 @@ guards=(
     a_forced_pause_is_accounted_once
     # An ingest outcome that goes uncounted on `/metrics`.
     ingest_outcomes_are_counted_on_metrics
+    # A live `/metrics` scrape that reads anything other than what a
+    # recorded snapshot at the same instant holds: a shard stepped to
+    # each instant of a twin's 10-s series must scrape the twin's entry
+    # (it read `prorp_workflows_in_flight` as 0 throughout while scrapes
+    # re-read gauges only a recorded snapshot set).
+    a_live_scrape_is_the_recorded_snapshot
 )
 echo "==> every guard test is in the suite"
 listed=$(cargo test -q -- --list 2>/dev/null)
