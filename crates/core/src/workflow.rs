@@ -135,8 +135,8 @@ impl ResumeWorkflow {
 
     /// Nominal execution latency of the current stage (move penalty folded
     /// into the first stage).
-    fn stage_latency(&self, faults: &FaultConfig) -> Seconds {
-        let base = faults.stage(self.stage).latency;
+    fn stage_latency(&self) -> Seconds {
+        let base = self.stage.latency();
         if self.stage == WorkflowStage::AllocateNode {
             base + self.move_penalty
         } else {
@@ -146,8 +146,8 @@ impl ResumeWorkflow {
 
     /// When the first stage's first attempt finishes executing — the time
     /// the caller schedules the first stage event for.
-    pub fn first_ready_at(&self, faults: &FaultConfig) -> Timestamp {
-        self.started + self.stage_latency(faults)
+    pub fn first_ready_at(&self) -> Timestamp {
+        self.started + self.stage_latency()
     }
 
     /// The current stage's attempt just finished executing at `now`: draw
@@ -179,7 +179,7 @@ impl ResumeWorkflow {
                     StageOutcome::Completed {
                         stage,
                         spent,
-                        next_ready_at: Some(now + self.stage_latency(faults)),
+                        next_ready_at: Some(now + self.stage_latency()),
                     }
                 }
                 None => StageOutcome::Completed {
@@ -209,7 +209,7 @@ impl ResumeWorkflow {
         StageOutcome::Retry {
             stage,
             attempt: self.attempt,
-            ready_at: now + backoff + self.stage_latency(faults),
+            ready_at: now + backoff + self.stage_latency(),
         }
     }
 
@@ -245,7 +245,7 @@ mod tests {
     fn failure_free_workflow_walks_all_stages_and_preserves_total_latency() {
         let faults = FaultConfig::default();
         let mut wf = ResumeWorkflow::new(DatabaseId(7), Timestamp(1_000), Seconds::ZERO);
-        let mut now = wf.first_ready_at(&faults);
+        let mut now = wf.first_ready_at();
         let mut completed = Vec::new();
         loop {
             match wf.on_stage_executed(now, 42, &faults) {
@@ -264,17 +264,16 @@ mod tests {
             }
         }
         assert_eq!(completed, WorkflowStage::ALL);
-        assert_eq!(now, Timestamp(1_000) + faults.total_latency());
+        assert_eq!(now, Timestamp(1_000) + Seconds(60));
         assert_eq!(wf.total_retries(), 0);
     }
 
     #[test]
     fn move_penalty_lands_on_the_first_stage_only() {
-        let faults = FaultConfig::default();
         let wf = ResumeWorkflow::new(DatabaseId(1), Timestamp(0), Seconds(120));
         assert_eq!(
-            wf.first_ready_at(&faults),
-            Timestamp(0) + faults.stage(WorkflowStage::AllocateNode).latency + Seconds(120)
+            wf.first_ready_at(),
+            Timestamp(0) + WorkflowStage::AllocateNode.latency() + Seconds(120)
         );
     }
 
@@ -287,7 +286,7 @@ mod tests {
             max_backoff: Seconds(40),
         };
         let mut wf = ResumeWorkflow::new(DatabaseId(9), Timestamp(500), Seconds::ZERO);
-        let mut now = wf.first_ready_at(&faults);
+        let mut now = wf.first_ready_at();
         // Two retries, then exhaustion.
         for expected_attempt in [2u32, 3] {
             match wf.on_stage_executed(now, 7, &faults) {
@@ -319,7 +318,7 @@ mod tests {
         let faults = faults_with(0.5);
         let run = |seed: u64, db: u64| {
             let mut wf = ResumeWorkflow::new(DatabaseId(db), Timestamp(100), Seconds::ZERO);
-            let mut now = wf.first_ready_at(&faults);
+            let mut now = wf.first_ready_at();
             let mut trace = Vec::new();
             for _ in 0..16 {
                 let out = wf.on_stage_executed(now, seed, &faults);
@@ -362,7 +361,7 @@ mod tests {
         let faults = FaultConfig::default();
         for seed in 0..64 {
             let mut wf = ResumeWorkflow::new(DatabaseId(3), Timestamp(0), Seconds::ZERO);
-            let out = wf.on_stage_executed(wf.first_ready_at(&faults), seed, &faults);
+            let out = wf.on_stage_executed(wf.first_ready_at(), seed, &faults);
             assert!(matches!(out, StageOutcome::Completed { .. }));
         }
     }

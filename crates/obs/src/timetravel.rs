@@ -3,14 +3,10 @@
 //! A span trace records every customer login of every database
 //! ([`SpanKind::Login`] events carry the simulated login instant), which
 //! is exactly the input Algorithm 2 feeds into the history store: one
-//! tuple per login second.  Replaying a database's login events into a
-//! history table that keeps its mutation log
-//! ([`StorageBackend::Lsm`]) therefore reconstructs the *full versioned
-//! history* the predictor consumed over the run — and because that log
-//! maps applied-at timestamps to sequence numbers,
-//! [`MutationLog::snapshot_as_of(T)`](prorp_storage::MutationLog::snapshot_as_of)
-//! yields the history exactly as the predictor saw it at any recorded
-//! prediction instant `T`.
+//! tuple per login second.  Replaying the prefix of a database's login
+//! events up to an instant `T` into a plain history table therefore
+//! rebuilds the history as the predictor saw it at `T`, for any recorded
+//! prediction instant.
 //!
 //! Algorithm 4 reads only login tuples inside windows that never reach
 //! behind the retention horizon (`lo >= now - h`), so a replay of the
@@ -27,7 +23,7 @@
 
 use crate::span::{PredictOutcome, SpanKind, TraceRecord};
 use prorp_forecast::ProbabilisticPredictor;
-use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, StorageBackend};
+use prorp_storage::{HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp};
 
 /// Outcome of one time-travel replay.
@@ -35,16 +31,17 @@ use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, T
 pub struct TimeTravelReport {
     /// The database that was replayed.
     pub db: DatabaseId,
-    /// The instant the snapshot was frozen at.
+    /// The instant the history was rebuilt as of.
     pub as_of: Timestamp,
-    /// Login events replayed into the history (the whole trace, not
-    /// just those before `as_of` — the snapshot does the cut-off).
+    /// Login events the trace holds for the database (all of them, not
+    /// just the ones at or before `as_of` that reach the history).
     pub logins_replayed: usize,
-    /// Tuples visible in the frozen snapshot.
+    /// Tuples in the history as of `as_of`.
     pub snapshot_len: usize,
-    /// The sequence number the snapshot reads at.
+    /// The history's version as of `as_of`: one per login second
+    /// inserted.
     pub snapshot_seqno: u64,
-    /// What Algorithm 4 predicts over the snapshot at `as_of`.
+    /// What Algorithm 4 predicts over that history at `as_of`.
     pub prediction: Option<Prediction>,
     /// The last recorded predictor run at or before `as_of`, if the
     /// trace holds one: `(instant, outcome)`.
@@ -64,13 +61,12 @@ impl TimeTravelReport {
     }
 }
 
-/// Replay `db`'s login events from `records` into a fresh history table
-/// that keeps its mutation log, freeze a snapshot as of `at`, and re-run the Algorithm 4 sweep over
-/// it with `config`'s knobs.
+/// Replay `db`'s login events at or before `at` from `records` into a
+/// fresh history table and re-run the Algorithm 4 sweep over it at `at`
+/// with `config`'s knobs.
 ///
 /// `records` may hold the whole fleet's trace; only `db`'s Login events
-/// are replayed (in canonical trace order, which is chronological per
-/// database).  Pass the same `config` the engine ran with to reproduce
+/// are replayed.  Pass the same `config` the engine ran with to reproduce
 /// its predictions bit-for-bit.
 ///
 /// # Errors
@@ -83,7 +79,7 @@ pub fn replay_as_of(
     config: PolicyConfig,
 ) -> Result<TimeTravelReport, ProrpError> {
     let predictor = ProbabilisticPredictor::new(config)?;
-    let mut history = HistoryTable::new(StorageBackend::Lsm);
+    let mut history = HistoryTable::default();
     let mut timeline: Vec<&TraceRecord> = records.iter().filter(|r| r.db == db).collect();
     timeline.sort_by_key(|r| r.sort_key());
     let mut logins_replayed = 0;
@@ -92,9 +88,10 @@ pub fn replay_as_of(
         match r.kind {
             SpanKind::Login { .. } => {
                 // Algorithm 2: insert-if-not-exists, one tuple per login
-                // second.  The insert is logged at its event timestamp,
-                // so the seqno timeline mirrors the simulated clock.
-                history.insert_history(r.start, EventKind::Start);
+                // second.
+                if r.start <= at {
+                    history.insert_history(r.start, EventKind::Start);
+                }
                 logins_replayed += 1;
             }
             SpanKind::Predict { outcome } if r.start <= at => {
@@ -103,17 +100,13 @@ pub fn replay_as_of(
             _ => {}
         }
     }
-    let Some(log) = history.log() else {
-        unreachable!("the history was built with its log");
-    };
-    let snapshot = log.snapshot_as_of(at);
-    let prediction = predictor.predict_at(&snapshot, at);
+    let prediction = predictor.predict_at(&history, at);
     Ok(TimeTravelReport {
         db,
         as_of: at,
         logins_replayed,
-        snapshot_len: snapshot.len(),
-        snapshot_seqno: snapshot.version(),
+        snapshot_len: history.len(),
+        snapshot_seqno: history.version(),
         prediction,
         recorded,
     })
@@ -169,7 +162,7 @@ mod tests {
         let report = replay_as_of(&trace(), DatabaseId(1), at, config()).unwrap();
         assert_eq!(report.logins_replayed, 6);
         assert_eq!(report.snapshot_len, 6, "all logins precede the cut-off");
-        // Reference: the same logins in a log-off table, predicted directly.
+        // Reference: the same logins inserted and predicted directly.
         let mut table = HistoryTable::default();
         for d in 0..6 {
             table.insert_history(Timestamp(d * DAY + 9 * HOUR), EventKind::Start);
@@ -188,8 +181,8 @@ mod tests {
         // 5-day history; the replay must not see the later logins.
         let at = Timestamp(2 * DAY);
         let report = replay_as_of(&trace(), DatabaseId(1), at, config()).unwrap();
-        assert_eq!(report.logins_replayed, 6, "replay loads the whole trace");
-        assert_eq!(report.snapshot_len, 2, "snapshot ends at the cut-off");
+        assert_eq!(report.logins_replayed, 6, "every login is counted");
+        assert_eq!(report.snapshot_len, 2, "the history ends at the cut-off");
         assert!(report.snapshot_seqno < 6);
         assert!(report.recorded.is_none(), "no predict span before day 2");
     }

@@ -23,7 +23,7 @@
 
 use prorp_server::json::{self, Json};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
-use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::Trace;
 use std::collections::BTreeMap;
@@ -111,6 +111,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
+/// The config every command runs.  Telemetry is counted per label, not
+/// logged: nothing here reads the event log (`/v1/finish` and the golden
+/// rendering read the summary), and a long-running `serve` would grow it
+/// for the life of the process.
 fn config(o: &Options) -> Result<SimConfig, String> {
     SimConfig::builder(
         o.policy.clone(),
@@ -120,6 +124,7 @@ fn config(o: &Options) -> Result<SimConfig, String> {
     )
     .shards(o.shards)
     .storage_backend(o.storage)
+    .telemetry_mode(TelemetryMode::Summary)
     .build()
     .map_err(|e| e.to_string())
 }

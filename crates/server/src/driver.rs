@@ -12,14 +12,18 @@
 //! 1. **Buffer**: [`LiveDriver::ingest`] accepts an event only if its
 //!    timestamp is at or past the current watermark (older ones are
 //!    [`IngestOutcome::Late`]) and it is not already buffered
-//!    ([`IngestOutcome::Duplicate`]).  Accepted events sit in the buffer;
-//!    nothing reaches an engine yet.
-//! 2. **Commit**: [`LiveDriver::advance_to`]`(w)` drains every buffered
-//!    event with timestamp `< w`, sorts the batch by `(timestamp, queue
-//!    tie-priority, registration order)`, and pushes each into its
-//!    shard's queue.  Because an event older than the watermark can
-//!    never be accepted afterwards, all events at one timestamp are
-//!    committed in a single batch — the sort fully determines their
+//!    ([`IngestOutcome::Duplicate`]).  Accepted events sit in the buffer,
+//!    one ordered map keyed `(timestamp, queue tie-priority, registration
+//!    order)`; nothing reaches an engine yet.  The key is one-to-one with
+//!    `(database, timestamp, kind)` — registration order is one-to-one
+//!    with the database, and a login and a logout have different tie
+//!    priorities — so the map is both the dedup index and the commit
+//!    order.
+//! 2. **Commit**: [`LiveDriver::advance_to`]`(w)` splits off every
+//!    buffered event with timestamp `< w`, in key order, and pushes each
+//!    into its shard's queue.  Because an event older than the watermark
+//!    can never be accepted afterwards, all events at one timestamp are
+//!    committed in a single batch — the key fully determines their
 //!    relative order, exactly as the DES's push order did.
 //! 3. **Step**: every shard then drains its queue strictly below `w`
 //!    via [`ShardDriver::step_until`] and the watermark becomes `w`.
@@ -51,7 +55,8 @@ use prorp_sim::{merge_outcomes, ShardDriver, SimConfig, SimPolicy, SimReport};
 use prorp_telemetry::{IncidentEntry, IncidentLog};
 use prorp_types::{DatabaseId, DbState, Prediction, ProrpError, Timestamp};
 use prorp_workload::Trace;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
 /// What happened to one ingested event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,16 +185,15 @@ impl LiveEvent {
 pub struct LiveDriver {
     cfg: SimConfig,
     shards: Vec<ShardDriver>,
-    /// Global registration order — the commit sort's final tie-break,
+    /// Global registration order — the commit order's final tie-break,
     /// and the output order of the merged report.
     order: HashMap<DatabaseId, usize>,
     /// The registered ids, in that order (`order` inverted).
     ids: Vec<DatabaseId>,
     /// Events accepted but not yet committed (all at `ts >= watermark`),
-    /// each with its database's registration index.
-    buffer: Vec<(usize, LiveEvent)>,
-    /// Dedup index over the buffer.
-    buffered_keys: HashSet<(u64, i64, LiveEventKind)>,
+    /// keyed `(ts, tie-priority, registration index)`: commit order, and
+    /// one entry per `(database, ts, kind)`.
+    buffer: BTreeMap<(Timestamp, u8, usize), LiveEvent>,
     watermark: Timestamp,
     /// Per shard, how many entries of its append-only incident log
     /// [`take_fresh_incidents`](Self::take_fresh_incidents) has handed out.
@@ -245,8 +249,7 @@ impl LiveDriver {
             shards,
             order,
             ids: dbs.to_vec(),
-            buffer: Vec::new(),
-            buffered_keys: HashSet::new(),
+            buffer: BTreeMap::new(),
         })
     }
 
@@ -379,12 +382,16 @@ impl LiveDriver {
         if ev.at < self.watermark {
             return IngestOutcome::Late;
         }
-        let key = (ev.db.raw(), ev.at.as_secs(), ev.kind);
-        if !self.buffered_keys.insert(key) {
-            return IngestOutcome::Duplicate;
+        match self
+            .buffer
+            .entry((ev.at, ev.kind.tie_priority(ev.db), registered))
+        {
+            Entry::Occupied(_) => IngestOutcome::Duplicate,
+            Entry::Vacant(slot) => {
+                slot.insert(ev);
+                IngestOutcome::Accepted
+            }
         }
-        self.buffer.push((registered, ev));
-        IngestOutcome::Accepted
     }
 
     /// Schedule an operator-forced resume for `id` at the watermark
@@ -441,24 +448,13 @@ impl LiveDriver {
 
     /// Commit buffered events with `ts < to` and step shards to `to`.
     fn commit_below(&mut self, to: Timestamp) -> Result<(), ProrpError> {
-        let mut batch: Vec<(usize, LiveEvent)> = Vec::new();
-        let mut i = 0;
-        while i < self.buffer.len() {
-            if self.buffer[i].1.at < to {
-                let entry = self.buffer.swap_remove(i);
-                let ev = entry.1;
-                self.buffered_keys
-                    .remove(&(ev.db.raw(), ev.at.as_secs(), ev.kind));
-                batch.push(entry);
-            } else {
-                i += 1;
-            }
-        }
         // The DES queue's order is (ts, priority, FIFO seq), and its
         // seq order for customer activity is registration order — the
-        // trace loop pushes sessions as databases register.
-        batch.sort_by_key(|&(registered, ev)| (ev.at, ev.kind.tie_priority(ev.db), registered));
-        for (_, ev) in batch {
+        // trace loop pushes sessions as databases register — so the
+        // buffer's key order is the commit order.
+        let later = self.buffer.split_off(&(to, 0, 0));
+        let batch = std::mem::replace(&mut self.buffer, later);
+        for ev in batch.into_values() {
             let shard = &mut self.shards[ev.db.shard_of(self.cfg.shards)];
             // Outside [start, end) the DES clips at registration; the
             // inject path applies the identical clip and reports it.

@@ -2,8 +2,8 @@
 //!
 //! [`SimConfig`] is built through [`SimConfig::builder`], which validates
 //! every knob at [`SimConfigBuilder::build`].  The control-plane fault
-//! layer (stage latencies and failure probabilities, retry budget,
-//! predictor circuit breaker, forecast fault injection) is configured
+//! layer (stage failure probabilities, retry budget, predictor circuit
+//! breaker, forecast fault injection) is configured
 //! *only* through the builder: the [`FaultConfig`] lives in a private
 //! field, so a hand-mutated config cannot bypass its validation.
 
@@ -51,19 +51,16 @@ pub struct SimConfig {
     /// KPIs are measured from here (time before is warm-up during which
     /// databases accrue the history the predictor needs).
     pub measure_from: Timestamp,
-    /// Total failure-free latency of a resource-allocation (resume)
-    /// workflow; the builder splits it over the four workflow stages
-    /// unless explicit stage latencies were given.
-    pub resume_latency: Seconds,
-    /// Extra latency when a resume requires a cross-node move (§1).
-    pub move_penalty: Seconds,
     /// Number of compute nodes.
     pub nodes: usize,
     /// Allocation units per node.
     pub node_capacity: usize,
     /// Period of the Algorithm 5 proactive-resume scan (production: 1 min).
     pub resume_op_period: Seconds,
-    /// Pre-warm lead time `k`.
+    /// Pre-warm lead time `k` of the Algorithm 5 scan.  Not a knob of
+    /// its own: [`SimConfigBuilder::build`] copies the proactive
+    /// policy's [`PolicyConfig::prewarm`] here, and Table 1's default
+    /// under the reactive and optimal policies.
     pub prewarm: Seconds,
     /// Period of the diagnostics-and-mitigation runner, if enabled.
     pub diagnostics_period: Option<Seconds>,
@@ -80,11 +77,6 @@ pub struct SimConfig {
     /// if enabled — placed by the prediction-aware scheduler (§11 future
     /// work 4).
     pub maintenance_period: Option<Seconds>,
-    /// Duration of one maintenance job.
-    pub maintenance_duration: Seconds,
-    /// How long a due job may wait for a predicted-online window before
-    /// it is forced.
-    pub maintenance_deadline: Seconds,
     /// RNG seed for fault injection.
     pub seed: u64,
     /// Run the proactive policy on the naive reference predictor (B-tree
@@ -117,10 +109,10 @@ pub struct SimConfig {
     /// exists so million-database runs never hold tens of millions of
     /// telemetry events, in a shard or in the report.
     pub telemetry_mode: TelemetryMode,
-    /// The control-plane fault layer (stage latencies/failure
-    /// probabilities, retry policy, predictor circuit breaker, forecast
-    /// fault injection).  Private on purpose: these knobs are set only
-    /// through [`SimConfig::builder`], which validates them at `build()`.
+    /// The control-plane fault layer (stage failure probabilities, retry
+    /// policy, predictor circuit breaker, forecast fault injection).
+    /// Private on purpose: these knobs are set only through
+    /// [`SimConfig::builder`], which validates them at `build()`.
     fault: FaultConfig,
     /// Runtime observability (span traces + metrics snapshots).  Private
     /// for the same reason as `fault`: set through
@@ -141,20 +133,16 @@ impl SimConfig {
             start,
             end,
             measure_from,
-            resume_latency: Seconds(60),
-            move_penalty: Seconds(120),
             nodes: 4,
             node_capacity: 200,
             resume_op_period: Seconds::minutes(1),
-            prewarm: Seconds::minutes(5),
+            prewarm: PolicyConfig::default().prewarm,
             diagnostics_period: None,
             stuck_probability: 0.0,
             stuck_timeout: Seconds::minutes(10),
             rebalance_period: None,
             rebalance_threshold: 8,
             maintenance_period: None,
-            maintenance_duration: Seconds::minutes(20),
-            maintenance_deadline: Seconds::hours(24),
             seed: 0,
             naive_predictor: false,
             storage_backend: StorageBackend::default(),
@@ -177,7 +165,6 @@ impl SimConfig {
     ) -> SimConfigBuilder {
         SimConfigBuilder {
             cfg: SimConfig::with_defaults(policy, start, end, measure_from),
-            explicit_stage_latencies: None,
         }
     }
 
@@ -207,11 +194,6 @@ impl SimConfig {
                 self.measure_from, self.start, self.end
             )));
         }
-        if self.resume_latency.as_secs() < 0 || self.move_penalty.as_secs() < 0 {
-            return Err(ProrpError::InvalidConfig(
-                "latencies must be non-negative".into(),
-            ));
-        }
         if self.nodes == 0 || self.node_capacity == 0 {
             return Err(ProrpError::InvalidConfig(
                 "cluster needs nodes and capacity".into(),
@@ -220,11 +202,6 @@ impl SimConfig {
         if self.resume_op_period.as_secs() <= 0 || self.prewarm.as_secs() <= 0 {
             return Err(ProrpError::InvalidConfig(
                 "resume-op period and prewarm must be positive".into(),
-            ));
-        }
-        if self.maintenance_duration.as_secs() <= 0 || self.maintenance_deadline.as_secs() <= 0 {
-            return Err(ProrpError::InvalidConfig(
-                "maintenance duration and deadline must be positive".into(),
             ));
         }
         if self.shards == 0 {
@@ -250,31 +227,13 @@ impl SimConfig {
 /// Builder for [`SimConfig`]; obtained from [`SimConfig::builder`].
 ///
 /// Setters are chainable and unchecked; [`build`](Self::build) validates
-/// the whole configuration at once.  Unless
-/// [`stage_latencies`](Self::stage_latencies) is called, the four
-/// workflow-stage latencies are derived from
-/// [`resume_latency`](Self::resume_latency) (50/25/15/10 % split), so the
-/// stages always sum to the configured end-to-end resume latency.
+/// the whole configuration at once.
 #[derive(Clone, Debug)]
 pub struct SimConfigBuilder {
     cfg: SimConfig,
-    explicit_stage_latencies: Option<[Seconds; WorkflowStage::COUNT]>,
 }
 
 impl SimConfigBuilder {
-    /// Total failure-free resume-workflow latency (stage latencies are
-    /// derived from it unless set explicitly).
-    pub fn resume_latency(mut self, v: Seconds) -> Self {
-        self.cfg.resume_latency = v;
-        self
-    }
-
-    /// Extra latency for a cross-node move.
-    pub fn move_penalty(mut self, v: Seconds) -> Self {
-        self.cfg.move_penalty = v;
-        self
-    }
-
     /// Number of compute nodes.
     pub fn nodes(mut self, v: usize) -> Self {
         self.cfg.nodes = v;
@@ -290,12 +249,6 @@ impl SimConfigBuilder {
     /// Period of the Algorithm 5 proactive-resume scan.
     pub fn resume_op_period(mut self, v: Seconds) -> Self {
         self.cfg.resume_op_period = v;
-        self
-    }
-
-    /// Pre-warm lead time `k`.
-    pub fn prewarm(mut self, v: Seconds) -> Self {
-        self.cfg.prewarm = v;
         self
     }
 
@@ -335,19 +288,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Duration of one maintenance job.
-    pub fn maintenance_duration(mut self, v: Seconds) -> Self {
-        self.cfg.maintenance_duration = v;
-        self
-    }
-
-    /// How long a due maintenance job may wait for a predicted-online
-    /// window.
-    pub fn maintenance_deadline(mut self, v: Seconds) -> Self {
-        self.cfg.maintenance_deadline = v;
-        self
-    }
-
     /// RNG seed for fault injection.
     pub fn seed(mut self, v: u64) -> Self {
         self.cfg.seed = v;
@@ -379,13 +319,6 @@ impl SimConfigBuilder {
     /// Number of simulation shards (worker threads).
     pub fn shards(mut self, v: usize) -> Self {
         self.cfg.shards = v;
-        self
-    }
-
-    /// Explicit per-stage workflow latencies (overrides the split derived
-    /// from [`resume_latency`](Self::resume_latency)).
-    pub fn stage_latencies(mut self, v: [Seconds; WorkflowStage::COUNT]) -> Self {
-        self.explicit_stage_latencies = Some(v);
         self
     }
 
@@ -441,19 +374,8 @@ impl SimConfigBuilder {
     /// Returns [`ProrpError::InvalidConfig`] describing the first
     /// offending knob.
     pub fn build(mut self) -> Result<SimConfig, ProrpError> {
-        // Derive stage latencies from the end-to-end resume latency
-        // unless explicit latencies were given; failure probabilities
-        // set through the builder are preserved either way.
-        let latencies = match self.explicit_stage_latencies {
-            Some(explicit) => explicit,
-            None => FaultConfig::stages_for_total(self.cfg.resume_latency).map(|s| s.latency),
-        };
-        for (slot, latency) in self.cfg.fault.stages.iter_mut().zip(latencies) {
-            slot.latency = latency;
-        }
-        if self.explicit_stage_latencies.is_some() {
-            // Keep the public total consistent with the explicit stages.
-            self.cfg.resume_latency = self.cfg.fault.total_latency();
+        if let SimPolicy::Proactive(pc) = &self.cfg.policy {
+            self.cfg.prewarm = pc.prewarm;
         }
         self.cfg.check()?;
         Ok(self.cfg)
@@ -572,29 +494,12 @@ mod tests {
     }
 
     #[test]
-    fn stage_latencies_default_to_the_resume_latency_split() {
-        let cfg = base().build().unwrap();
-        assert_eq!(cfg.fault().total_latency(), Seconds(60));
-        let cfg = base().resume_latency(Seconds(200)).build().unwrap();
-        assert_eq!(cfg.fault().total_latency(), Seconds(200));
-        assert_eq!(
-            cfg.fault().stage(WorkflowStage::AllocateNode).latency,
-            Seconds(100)
-        );
-        // Explicit latencies win and re-derive the public total.
-        let cfg = base()
-            .resume_latency(Seconds(200))
-            .stage_latencies([Seconds(1), Seconds(2), Seconds(3), Seconds(4)])
-            .build()
-            .unwrap();
-        assert_eq!(cfg.fault().total_latency(), Seconds(10));
-        assert_eq!(cfg.resume_latency, Seconds(10));
-    }
-
-    #[test]
     fn default_fault_layer_is_inert() {
         let cfg = base().build().unwrap();
-        assert_eq!(cfg.fault().total_latency(), Seconds(60));
+        let resume = WorkflowStage::ALL
+            .iter()
+            .fold(Seconds::ZERO, |acc, s| acc + s.latency());
+        assert_eq!(resume, Seconds(60));
         assert!(!cfg.fault().injects_stage_faults());
     }
 

@@ -45,7 +45,7 @@ use prorp_forecast::{
     ConfidenceBasis, FailEvery, IncrementalPredictor, ProbabilisticPredictor, SharedScratch,
 };
 use prorp_telemetry::{SegmentAccumulator, SegmentKind};
-use prorp_types::{DatabaseId, ProrpError, Seconds};
+use prorp_types::{DatabaseId, PolicyConfig, ProrpError};
 use prorp_workload::Trace;
 use std::collections::HashMap;
 
@@ -326,9 +326,11 @@ impl EngineArena {
         let backend = cfg.storage_backend;
         match self {
             EngineArena::Reactive(v) => {
+                // The baseline pauses and trims on Table 1's `l` and `h`.
+                let table1 = PolicyConfig::default();
                 v.push(ReactiveEngine::with_backend(
-                    Seconds::hours(7),
-                    Seconds::days(28),
+                    table1.logical_pause,
+                    table1.history_len,
                     backend,
                 )?);
             }

@@ -65,6 +65,15 @@ use prorp_workload::Trace;
 use std::borrow::Cow;
 use std::time::Instant;
 
+/// Extra latency a reactive resume pays on its first workflow stage when
+/// the allocation crossed nodes (§1).
+const MOVE_PENALTY: Seconds = Seconds::minutes(2);
+/// Duration of one maintenance job.
+const MAINTENANCE_DURATION: Seconds = Seconds::minutes(20);
+/// How long a due maintenance job may wait for a predicted-online
+/// window before it is forced.
+const MAINTENANCE_DEADLINE: Seconds = Seconds::hours(24);
+
 /// Validate the engine's post-event state against the shadow lifecycle
 /// checker.  Compiled out (always `Ok`) unless `strict-invariants` is on.
 #[cfg(feature = "strict-invariants")]
@@ -851,7 +860,7 @@ impl ShardDriver {
                     self.fleet.accs[idx].transition(now, SegmentKind::Unavailable);
                     let mut move_penalty = Seconds::ZERO;
                     if matches!(outcome, AllocationOutcome::Moved { .. }) {
-                        move_penalty = cfg.move_penalty;
+                        move_penalty = MOVE_PENALTY;
                     }
                     self.diagnostics.workflow_started(id, now);
                     self.fleet.resume_in_flight.set(idx, true);
@@ -859,7 +868,7 @@ impl ShardDriver {
                     // sweep is its only way out.
                     if !workflow_hangs(cfg.seed, id, now, cfg.stuck_probability) {
                         let wf = ResumeWorkflow::new(id, now, move_penalty);
-                        let expected_at = wf.first_ready_at(cfg.fault());
+                        let expected_at = wf.first_ready_at();
                         self.queue
                             .push(expected_at, SimEvent::WorkflowStageDone(id));
                         self.workflows
@@ -1040,12 +1049,11 @@ impl ShardDriver {
             SimEvent::MaintenanceDue(id) => {
                 let idx = self.fleet.touch(id);
                 let prediction = self.fleet.engines.get(idx).current_prediction();
-                let deadline = now + cfg.maintenance_deadline;
                 let slot = self.maintenance.place(
                     now,
                     prediction.as_ref(),
-                    cfg.maintenance_duration,
-                    deadline,
+                    MAINTENANCE_DURATION,
+                    now + MAINTENANCE_DEADLINE,
                 )?;
                 if slot.start() < cfg.end {
                     self.queue.push(slot.start(), SimEvent::MaintenanceRun(id));

@@ -189,10 +189,7 @@ impl HistoryTable {
     /// at — over it, through the replay snapshots use.  The backup is
     /// seqno 0 of the result, so a recovery at `s + n` whole records is
     /// the table's snapshot at `s + n` with version `n`; a torn final
-    /// record is dropped, a corrupt one mid-image is an error.  The image
-    /// carries no apply instant, so on the recovered log's time-travel
-    /// timeline an insert sits at its key and a trim at its history
-    /// start.
+    /// record is dropped, a corrupt one mid-image is an error.
     ///
     /// # Errors
     ///
@@ -208,14 +205,10 @@ impl HistoryTable {
             unreachable!("a restore with a log keeps one");
         };
         for mutation in WriteAheadLog::decode(wal_image)? {
-            let applied_at = match mutation {
-                WalRecord::Insert { ts, event_type } => {
-                    EventKind::from_i32(event_type as i32)?;
-                    ts
-                }
-                WalRecord::DeleteRange { history_start, .. } => history_start,
-            };
-            log.push(applied_at, mutation);
+            if let WalRecord::Insert { event_type, .. } = mutation {
+                EventKind::from_i32(event_type as i32)?;
+            }
+            log.push(mutation);
         }
         let table = log.snapshot(u64::MAX);
         Ok(HistoryTable {
@@ -239,15 +232,10 @@ impl HistoryStore for HistoryTable {
             return false;
         }
         if let Some(log) = self.log.as_mut() {
-            let key = ts.as_secs();
-            let event_type = i64::from(kind.as_i32());
-            log.push(
-                key,
-                WalRecord::Insert {
-                    ts: key,
-                    event_type,
-                },
-            );
+            log.push(WalRecord::Insert {
+                ts: ts.as_secs(),
+                event_type: i64::from(kind.as_i32()),
+            });
         }
         true
     }
@@ -258,7 +246,7 @@ impl HistoryStore for HistoryTable {
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
         let (outcome, doomed) = self.view.trim(h, now);
         if let (Some(log), Some((min, history_start))) = (self.log.as_mut(), doomed) {
-            log.push(now.as_secs(), WalRecord::DeleteRange { min, history_start });
+            log.push(WalRecord::DeleteRange { min, history_start });
         }
         outcome
     }
@@ -270,8 +258,7 @@ impl HistoryStore for HistoryTable {
     /// Round-trip the view through its checksummed 8-KiB page image
     /// (encode, decode, strictly-ascending restore) and audit the view
     /// against what comes back: columns, login cache and clock index.
-    /// With a log, also check it is time-ascending and ends at the
-    /// view's version, and audit the view against the whole log
+    /// With a log, also check it ends at the view's version, and audit the view against the whole log
     /// replayed into a plain `BTreeMap` — a reference that shares none
     /// of the view's mutation code.
     fn check_invariants(&self) {

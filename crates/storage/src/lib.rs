@@ -39,8 +39,7 @@
 //! whether a table keeps its [`MutationLog`] beside the view.  A table
 //! with a log writes the view first and then pushes one record per
 //! mutation; the log gives it exact snapshots at any past seqno
-//! ([`MutationLog::snapshot`], [`MutationLog::snapshot_as_of`] for "as
-//! of T" post-mortems) and its write-ahead log since any checkpoint
+//! ([`MutationLog::snapshot`]) and its write-ahead log since any checkpoint
 //! ([`MutationLog::wal_image`], [`HistoryTable::recover`]).  A snapshot,
 //! the invariant audit and crash recovery all rebuild a visible set the
 //! same way: the log's base with its records replayed in order.

@@ -33,7 +33,7 @@
 use crate::history::HistoryTable;
 use crate::page::Record;
 use bytes::Buf;
-use prorp_types::{ProrpError, Timestamp};
+use prorp_types::ProrpError;
 use std::collections::BTreeMap;
 
 /// Log-record magic prefix.
@@ -183,25 +183,12 @@ impl WriteAheadLog {
     }
 }
 
-/// One logged mutation: what the WAL carries for it, and when it applied.
-#[derive(Clone, Copy, Debug)]
-struct LogRecord {
-    /// Simulated time the mutation applied — an insert's key or a trim's
-    /// `now`, clamped so the log stays time-ascending (a straggler
-    /// insert applies *now*, however old its key is).
-    applied_at: i64,
-    /// The insert's `(key, value)` or the trim's `(min, history_start)`.
-    mutation: WalRecord,
-}
-
 /// The append-only log of every mutation a log-keeping [`HistoryTable`]
 /// applied, over the tuples a restore installed at seqno 0.
 ///
 /// * **time travel is a replay** — the tuple set visible at seqno `s` is
 ///   the base with the first `s` records applied
 ///   ([`snapshot`](MutationLog::snapshot)), exact at every seqno;
-/// * **the timeline is the log** — `applied_at` is clamped monotone, so
-///   [`seqno_as_of`](MutationLog::seqno_as_of) is a binary search;
 /// * **durability is the log** — [`wal_image`](MutationLog::wal_image)
 ///   is the write-ahead log since any checkpoint.
 #[derive(Clone, Debug, Default)]
@@ -210,7 +197,7 @@ pub struct MutationLog {
     /// for a table that was never restored).
     base: Vec<Record>,
     /// Every mutation since; `records[i]` took the table to seqno `i + 1`.
-    records: Vec<LogRecord>,
+    records: Vec<WalRecord>,
 }
 
 impl MutationLog {
@@ -223,24 +210,13 @@ impl MutationLog {
     }
 
     /// Append the next mutation; its seqno is its position + 1.
-    pub(crate) fn push(&mut self, applied_at: i64, mutation: WalRecord) {
-        let newest = self.records.last().map(|r| r.applied_at);
-        self.records.push(LogRecord {
-            applied_at: newest.map_or(applied_at, |t| t.max(applied_at)),
-            mutation,
-        });
+    pub(crate) fn push(&mut self, mutation: WalRecord) {
+        self.records.push(mutation);
     }
 
     /// The newest seqno: the number of records.
     fn latest(&self) -> u64 {
         self.records.len() as u64
-    }
-
-    /// Newest seqno applied at or before `at` (0 when nothing was): the
-    /// number of records at or before it, as seqnos are positions.
-    pub fn seqno_as_of(&self, at: Timestamp) -> u64 {
-        self.records
-            .partition_point(|r| r.applied_at <= at.as_secs()) as u64
     }
 
     /// The tuple set visible at `seqno` (clamped to the log's end) as
@@ -250,7 +226,7 @@ impl MutationLog {
         let mut visible: BTreeMap<i64, i64> = self.base.iter().map(|r| (r.key, r.value)).collect();
         let upto = self.records.len().min(seqno as usize);
         for r in &self.records[..upto] {
-            r.mutation.apply(&mut visible);
+            r.apply(&mut visible);
         }
         visible
     }
@@ -263,28 +239,17 @@ impl MutationLog {
         HistoryTable::replayed(self.replay(at), at)
     }
 
-    /// The table as it stood at simulated time `at`.
-    pub fn snapshot_as_of(&self, at: Timestamp) -> HistoryTable {
-        self.snapshot(self.seqno_as_of(at))
-    }
-
     /// The write-ahead log since seqno `since`: the records after it,
     /// encoded by [`WriteAheadLog::encode`].  A checkpoint is a backup
     /// image and the table's version when it was taken; that image and
     /// this one are what [`HistoryTable::recover`] needs.
     pub fn wal_image(&self, since: u64) -> Vec<u8> {
         let from = self.records.len().min(since as usize);
-        WriteAheadLog::encode(self.records[from..].iter().map(|r| &r.mutation))
+        WriteAheadLog::encode(&self.records[from..])
     }
 
-    /// Assert the log is time-ascending and ends at `version`.
+    /// Assert the log ends at `version`.
     pub(crate) fn check_invariants(&self, version: u64) {
-        assert!(
-            self.records
-                .windows(2)
-                .all(|w| w[0].applied_at <= w[1].applied_at),
-            "the log must be monotone in time"
-        );
         assert_eq!(
             self.latest(),
             version,
@@ -299,7 +264,7 @@ mod tests {
     use crate::backup::backup_history;
     use crate::store::{HistoryRead, HistoryStore, StorageBackend};
     use proptest::prelude::*;
-    use prorp_types::{ActivityEvent, EventKind, Seconds};
+    use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
@@ -385,7 +350,7 @@ mod tests {
 
     #[test]
     fn a_record_fits_half_a_cache_line() {
-        assert!(std::mem::size_of::<LogRecord>() <= 32);
+        assert!(std::mem::size_of::<WalRecord>() <= 24);
     }
 
     #[test]
@@ -515,27 +480,7 @@ mod tests {
         let (seqno, held) = day_30.expect("the loop passes day 30");
         assert_eq!(held.len(), 349);
         assert_eq!(log(&h).snapshot(seqno).events(), held);
-        assert_eq!(log(&h).snapshot_as_of(t(30 * DAY - 1)).events(), held);
         h.check_invariants();
-    }
-
-    #[test]
-    fn time_travel_resolves_applied_timestamps() {
-        let mut h = logged();
-        h.insert_history(t(100), EventKind::Start);
-        h.insert_history(t(200), EventKind::End);
-        // Straggler applied out of order: clamped onto the timeline at
-        // its application point (after t=200).
-        h.insert_history(t(150), EventKind::Start);
-        let log = log(&h);
-        assert_eq!(log.seqno_as_of(t(99)), 0);
-        assert_eq!(log.seqno_as_of(t(100)), 1);
-        assert_eq!(log.seqno_as_of(t(199)), 1);
-        assert_eq!(log.seqno_as_of(t(200)), 3, "straggler clamps to t=200");
-        let as_of_150 = log.snapshot_as_of(t(150));
-        assert_eq!(as_of_150.len(), 1, "only the t=100 insert had applied");
-        let now = log.snapshot_as_of(t(10_000));
-        assert_eq!(now.len(), 3);
     }
 
     #[derive(Clone, Debug)]
@@ -570,29 +515,26 @@ mod tests {
 
     /// Replay `ops` against a log-keeping table and a log-off one,
     /// comparing after every op: each seqno's snapshot against the
-    /// log-off table's state at that seqno, the timeline against
-    /// `(applied_at, seqno)` pairs kept beside it, and the WAL image
-    /// against the mutations made.
+    /// log-off table's state at that seqno, and the WAL image against the
+    /// mutations made.
     fn replay(ops: &[Op]) -> Result<(), TestCaseError> {
         let mut store = logged();
         // `visible[s]`: the tuple set after the first `s` mutations, from
-        // the log-off table run in step; `timeline`: when each seqno
-        // applied.
+        // the log-off table run in step.
         let mut model = HistoryTable::default();
         let mut visible: Vec<Vec<ActivityEvent>> = vec![Vec::new()];
-        let mut timeline: Vec<(i64, u64)> = Vec::new();
         let mut trims = 0;
         let mut clock = 0i64;
         for op in ops {
             let before = store.version();
-            // The insert an op makes, if any, and when it applies.
-            let (applied_at, insert) = match *op {
+            // The insert an op makes, if any.
+            let insert = match *op {
                 Op::Next(dt, login) => {
                     clock += dt;
-                    (clock, Some(kind(login)))
+                    Some((clock, kind(login)))
                 }
-                Op::Straggler(back, login) => (clock - back, Some(kind(login))),
-                Op::Duplicate => (clock, Some(EventKind::Start)),
+                Op::Straggler(back, login) => Some((clock - back, kind(login))),
+                Op::Duplicate => Some((clock, EventKind::Start)),
                 Op::Trim(h) => {
                     let outcome = store.delete_old_history(Seconds(h), Timestamp(clock));
                     prop_assert_eq!(
@@ -600,11 +542,11 @@ mod tests {
                         model.delete_old_history(Seconds(h), Timestamp(clock))
                     );
                     trims += usize::from(outcome.deleted > 0);
-                    (clock, None)
+                    None
                 }
             };
-            if let Some(kind) = insert {
-                let ts = Timestamp(applied_at);
+            if let Some((key, kind)) = insert {
+                let ts = Timestamp(key);
                 prop_assert_eq!(
                     store.insert_history(ts, kind),
                     model.insert_history(ts, kind)
@@ -613,10 +555,6 @@ mod tests {
             if store.version() > before {
                 prop_assert_eq!(store.version(), before + 1);
                 visible.push(model.events());
-                let clamped = timeline
-                    .last()
-                    .map_or(applied_at, |&(t, _)| t.max(applied_at));
-                timeline.push((clamped, store.version()));
             }
             store.check_invariants();
 
@@ -626,11 +564,6 @@ mod tests {
             let ranges = written.iter();
             let ranges = ranges.filter(|r| matches!(r, WalRecord::DeleteRange { .. }));
             prop_assert_eq!(ranges.count(), trims);
-            for at in -42..=clock + 1 {
-                let cut = timeline.partition_point(|&(t, _)| t <= at);
-                let want = cut.checked_sub(1).map_or(0, |i| timeline[i].1);
-                prop_assert_eq!(log.seqno_as_of(Timestamp(at)), want, "seqno as of {}", at);
-            }
             for seqno in 0..=store.version() {
                 let snapshot = log.snapshot(seqno);
                 prop_assert_eq!(snapshot.version(), seqno);
@@ -649,7 +582,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Replaying the log to any seqno gives the log-off table's state
-        /// at that seqno, and the log is the time-travel timeline.
+        /// at that seqno.
         #[test]
         fn the_log_replays_every_state_the_table_held(
             ops in prop::collection::vec(op_strategy(), 1..100),

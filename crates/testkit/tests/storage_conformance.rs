@@ -288,10 +288,9 @@ fn span_traces_are_byte_identical_across_backends() {
 }
 
 /// End-to-end time travel: pick a recorded Predict instant from a real
-/// simulated trace, replay that database's Login spans into a table
-/// that keeps its log, and re-run Algorithm 4 over `snapshot_as_of(T)`.
-/// The result must equal a prediction computed over a directly rebuilt
-/// log-off history — the same tuples by a different route.
+/// simulated trace, replay that database's Login spans up to `T`, and
+/// re-run Algorithm 4 at `T`.  The result must equal a prediction
+/// computed over a directly rebuilt history.
 #[test]
 fn time_travel_reproduces_a_recorded_prediction() {
     let (spec, plan) = pinned();
@@ -319,8 +318,8 @@ fn time_travel_reproduces_a_recorded_prediction() {
     assert!(replay.logins_replayed > 0, "the database logged in");
     assert!(replay.snapshot_len > 0, "history precedes the predict run");
 
-    // Independent route: rebuild the pre-T history directly in a
-    // log-off table and predict over it.
+    // Direct route: rebuild the pre-T history in a table and predict
+    // over it.
     let mut table = HistoryTable::default();
     for r in records.iter().filter(|r| r.db == db && r.start <= at) {
         if matches!(r.kind, SpanKind::Login { .. }) {

@@ -8,7 +8,8 @@
 //! * [`WorkflowStage`] — the four stages a resume workflow traverses;
 //! * [`RetryPolicy`] — capped, jittered exponential backoff for transient
 //!   stage failures;
-//! * [`StageFault`] — per-stage latency and failure-probability knobs;
+//! * [`StageFault`] — the per-stage failure-probability knob (each
+//!   stage's latency is a constant, [`WorkflowStage::latency`]);
 //! * [`BreakerConfig`] — the predictor circuit breaker that degrades a
 //!   database to the §3.2 reactive default when forecasts fail repeatedly;
 //! * [`FaultConfig`] — the whole fault layer, carried by the simulator
@@ -68,6 +69,19 @@ impl WorkflowStage {
             WorkflowStage::AttachStorage => Some(WorkflowStage::WarmCache),
             WorkflowStage::WarmCache => Some(WorkflowStage::MarkResumed),
             WorkflowStage::MarkResumed => None,
+        }
+    }
+
+    /// Nominal execution latency of one attempt of this stage: the
+    /// 60-s failure-free resume split 30 / 15 / 9 / 6 s over the four
+    /// stages.
+    #[inline]
+    pub const fn latency(self) -> Seconds {
+        match self {
+            WorkflowStage::AllocateNode => Seconds(30),
+            WorkflowStage::AttachStorage => Seconds(15),
+            WorkflowStage::WarmCache => Seconds(9),
+            WorkflowStage::MarkResumed => Seconds(6),
         }
     }
 
@@ -159,11 +173,9 @@ impl RetryPolicy {
     }
 }
 
-/// Fault-injection knobs for one workflow stage.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// Fault-injection knob for one workflow stage.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct StageFault {
-    /// Nominal execution latency of one attempt of this stage.
-    pub latency: Seconds,
     /// Probability that one attempt of this stage fails (transiently);
     /// drawn deterministically per `(seed, db, workflow, stage, attempt)`.
     pub failure_probability: f64,
@@ -220,7 +232,7 @@ impl BreakerConfig {
     }
 }
 
-/// The whole control-plane fault layer: per-stage latencies and failure
+/// The whole control-plane fault layer: per-stage failure
 /// probabilities, the retry policy, the predictor circuit breaker, and
 /// forecast fault injection.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -237,12 +249,11 @@ pub struct FaultConfig {
 }
 
 impl Default for FaultConfig {
-    /// Stage latencies split the 60 s default resume latency, zero failure
-    /// probability everywhere: byte-identical behaviour to the pre-fault
-    /// simulator.
+    /// Zero failure probability everywhere: byte-identical behaviour to
+    /// the pre-fault simulator.
     fn default() -> Self {
         FaultConfig {
-            stages: FaultConfig::stages_for_total(Seconds(60)),
+            stages: [StageFault::default(); WorkflowStage::COUNT],
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             forecast_fail_every: None,
@@ -251,34 +262,10 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Split a total resume latency over the four stages (50 % allocate,
-    /// 25 % attach, 15 % warm, remainder mark-resumed) with zero failure
-    /// probability — the derivation the config builder uses when stage
-    /// latencies are not set explicitly.
-    pub fn stages_for_total(total: Seconds) -> [StageFault; WorkflowStage::COUNT] {
-        let t = total.as_secs().max(0);
-        let allocate = t * 50 / 100;
-        let attach = t * 25 / 100;
-        let warm = t * 15 / 100;
-        let mark = t - allocate - attach - warm;
-        [allocate, attach, warm, mark].map(|latency| StageFault {
-            latency: Seconds(latency),
-            failure_probability: 0.0,
-        })
-    }
-
     /// Knobs for one stage.
     #[inline]
     pub fn stage(&self, stage: WorkflowStage) -> &StageFault {
         &self.stages[stage.index()]
-    }
-
-    /// Sum of the nominal stage latencies — the failure-free duration of
-    /// one resume workflow.
-    pub fn total_latency(&self) -> Seconds {
-        self.stages
-            .iter()
-            .fold(Seconds::ZERO, |acc, s| acc + s.latency)
     }
 
     /// Whether any stage can fail (the staged fault layer is active).
@@ -290,16 +277,10 @@ impl FaultConfig {
     ///
     /// # Errors
     ///
-    /// Rejects negative latencies, probabilities outside `[0, 1]`, and
-    /// invalid retry/breaker sub-configs.
+    /// Rejects probabilities outside `[0, 1]` and invalid retry/breaker
+    /// sub-configs.
     pub fn validate(&self) -> Result<(), ProrpError> {
         for (stage, knobs) in WorkflowStage::ALL.iter().zip(&self.stages) {
-            if knobs.latency.is_negative() {
-                return Err(ProrpError::InvalidConfig(format!(
-                    "stage {stage} latency must be non-negative, got {:?}",
-                    knobs.latency
-                )));
-            }
             if !(0.0..=1.0).contains(&knobs.failure_probability) {
                 return Err(ProrpError::InvalidConfig(format!(
                     "stage {stage} failure probability must be in [0, 1], got {}",
@@ -382,26 +363,17 @@ mod tests {
         let f = FaultConfig::default();
         assert!(f.validate().is_ok());
         assert!(!f.injects_stage_faults());
-        assert_eq!(f.total_latency(), Seconds(60));
-        assert_eq!(f.stage(WorkflowStage::AllocateNode).latency, Seconds(30));
-    }
-
-    #[test]
-    fn stage_split_preserves_the_total() {
-        for total in [0i64, 1, 7, 59, 60, 61, 600] {
-            let stages = FaultConfig::stages_for_total(Seconds(total));
-            let sum: i64 = stages.iter().map(|s| s.latency.as_secs()).sum();
-            assert_eq!(sum, total, "total {total}");
-        }
+        let total = WorkflowStage::ALL
+            .iter()
+            .fold(Seconds::ZERO, |acc, s| acc + s.latency());
+        assert_eq!(total, Seconds(60));
+        assert_eq!(WorkflowStage::AllocateNode.latency(), Seconds(30));
     }
 
     #[test]
     fn fault_config_validation_rejects_bad_knobs() {
         let mut f = FaultConfig::default();
         f.stages[1].failure_probability = 1.5;
-        assert!(f.validate().is_err());
-        let mut f = FaultConfig::default();
-        f.stages[0].latency = Seconds(-1);
         assert!(f.validate().is_err());
         let f = FaultConfig {
             forecast_fail_every: Some(0),

@@ -165,6 +165,11 @@ guards=(
     # is a named failure, not an RSS drift to bisect.
     proactive::tests::an_engine_is_552_bytes
 
+    # Table 1's `k` has one home, the policy: two proactive runs that
+    # differ only in `PolicyConfig::prewarm` must pre-warm differently
+    # (they were identical while the Algorithm 5 scan read a second,
+    # config-level `k` that no policy reached).
+    the_policys_k_reaches_the_resume_scan
     # A pause counted twice: a forced pause, or the stale timer after it,
     # adding a second `physical-pause` record, segment move or span.
     a_forced_pause_is_accounted_once

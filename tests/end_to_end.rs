@@ -3,7 +3,7 @@
 
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_telemetry::TelemetryKind;
-use prorp_types::{PolicyConfig, Timestamp};
+use prorp_types::{DatabaseId, PolicyConfig, Seconds, Session, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 
 const DAY: i64 = 86_400;
@@ -176,4 +176,47 @@ fn one_day_measurement_windows_work() {
         + report.kpi.idle_proactive_correct_frac
         + report.kpi.idle_proactive_wrong_frac;
     assert!((total - 1.0).abs() < 1e-9);
+}
+
+#[test]
+fn the_policys_k_reaches_the_resume_scan() {
+    // Four databases used 8 h every day, from 08:00, 09:00, 10:00 and
+    // 11:00: a daily pattern the predictor learns, so the Algorithm 5
+    // scan pre-warms each one `k` ahead of its predicted login.
+    const HOUR: i64 = 3_600;
+    let traces: Vec<Trace> = (0..4)
+        .map(|db| {
+            let sessions = (0..35)
+                .map(|d| {
+                    let login = d * DAY + (8 + db) * HOUR;
+                    Session::new(Timestamp(login), Timestamp(login + 8 * HOUR))
+                        .expect("well-formed session")
+                })
+                .collect();
+            Trace::new(DatabaseId(db as u64), "daily", sessions).expect("ordered sessions")
+        })
+        .collect();
+    let run_with_k = |k: Seconds| {
+        let pc = PolicyConfig::builder().prewarm(k).build().expect("valid k");
+        let config = SimConfig::builder(
+            SimPolicy::Proactive(pc),
+            Timestamp(0),
+            Timestamp(35 * DAY),
+            Timestamp(28 * DAY),
+        )
+        .build()
+        .expect("valid config");
+        assert_eq!(config.prewarm, k, "the scan's k is the policy's k");
+        Simulation::new(config, traces.clone())
+            .expect("valid config")
+            .run()
+            .expect("simulation completes")
+    };
+    let short = run_with_k(Seconds::minutes(1));
+    let long = run_with_k(Seconds::minutes(10));
+    assert!(short.kpi.proactive_resumes > 0, "the fleet is pre-warmed");
+    assert_ne!(
+        short.kpi.idle_proactive_correct_frac, long.kpi.idle_proactive_correct_frac,
+        "a 10-min k must hold pre-warmed resources longer than a 1-min k"
+    );
 }

@@ -304,15 +304,14 @@ proptest! {
         db in 0u64..1_000,
         started in 0i64..100_000,
         move_penalty in 0i64..300,
-        latencies in prop::collection::vec(1i64..120, 4),
         fail_pct in prop::collection::vec(0u32..101, 4),
         max_attempts in 1u32..6,
         base_backoff in 1i64..60,
         backoff_mult in 1i64..8,
     ) {
+        let latencies = WorkflowStage::ALL.map(|s| s.latency().as_secs());
         let mut faults = FaultConfig::default();
         for (i, slot) in faults.stages.iter_mut().enumerate() {
-            slot.latency = Seconds(latencies[i]);
             slot.failure_probability = f64::from(fail_pct[i]) / 100.0;
         }
         faults.retry = RetryPolicy {
@@ -323,7 +322,7 @@ proptest! {
 
         let run = |faults: &FaultConfig| -> Result<Vec<StageOutcome>, TestCaseError> {
             let mut wf = ResumeWorkflow::new(DatabaseId(db), Timestamp(started), Seconds(move_penalty));
-            let mut now = wf.first_ready_at(faults);
+            let mut now = wf.first_ready_at();
             prop_assert_eq!(
                 now,
                 Timestamp(started) + Seconds(latencies[0]) + Seconds(move_penalty),
@@ -410,15 +409,10 @@ proptest! {
         db in 0u64..1_000,
         started in 0i64..100_000,
         move_penalty in 0i64..300,
-        latencies in prop::collection::vec(1i64..120, 4),
     ) {
-        let mut faults = FaultConfig::default();
-        for (i, slot) in faults.stages.iter_mut().enumerate() {
-            slot.latency = Seconds(latencies[i]);
-            slot.failure_probability = 0.0;
-        }
+        let faults = FaultConfig::default();
         let mut wf = ResumeWorkflow::new(DatabaseId(db), Timestamp(started), Seconds(move_penalty));
-        let mut now = wf.first_ready_at(&faults);
+        let mut now = wf.first_ready_at();
         let mut completions = 0;
         loop {
             match wf.on_stage_executed(now, seed, &faults) {
@@ -435,7 +429,7 @@ proptest! {
         }
         prop_assert_eq!(completions, 4);
         prop_assert_eq!(wf.total_retries(), 0);
-        let total: i64 = latencies.iter().sum();
+        let total: i64 = WorkflowStage::ALL.iter().map(|s| s.latency().as_secs()).sum();
         prop_assert_eq!(now, Timestamp(started) + Seconds(move_penalty) + Seconds(total));
     }
 }
