@@ -27,20 +27,16 @@
 //! the listen backlog.  No thread is started per connection or per
 //! request.
 //!
-//! # Publishing
+//! # Reads
 //!
-//! After every watermark advance the driver thread folds freshly raised
-//! incidents into *open incident* markers — the thing `GET` turns into
-//! an HTTP 503 until an operator resume clears it — and publishes a
-//! [`DbRecord`] for each database the advance *touched*: one an event
-//! reached ([`LiveDriver::take_touched`]) or an incident was raised
-//! for.  A minute touches a sliver of the fleet (§9.3, Figure 11), so
-//! an advance costs what it changed, never a sweep over every
-//! database; only the boot publish covers everyone, because a freshly
-//! registered database counts as touched.  A record nobody touched is
-//! still current — nothing about it can have changed — except for its
-//! `as_of`, so `GET /v1/databases/:id` stamps `as_of` from the server's
-//! watermark when it answers.
+//! `GET /v1/databases/:id` runs on the driver thread like every other
+//! request, so it reads the [`LiveDriver`] itself: state, prediction and
+//! counters from the engine, `as_of` from the watermark, and the *open
+//! incident* marker — the thing a read turns into an HTTP 503 until an
+//! operator resume clears it — from a map every advance folds freshly
+//! raised incidents into.  `POST /v1/finish` consumes the driver, so it
+//! first puts every database's record, as of the last advance, into the
+//! [`StateBackend`]; the reads after it answer from there.
 
 use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
@@ -67,19 +63,32 @@ pub enum ServerConfig {
     VirtualClock,
 }
 
+/// `id`'s record as the driver holds it at its watermark; `None` when
+/// `id` is not registered.
+fn read_record(
+    driver: &LiveDriver,
+    open_incidents: &HashMap<DatabaseId, IncidentEntry>,
+    id: DatabaseId,
+) -> Option<DbRecord> {
+    Some(DbRecord {
+        id,
+        state: driver.db_state(id)?,
+        prediction: driver.db_prediction(id),
+        counters: driver.db_counters(id)?,
+        open_incident: open_incidents.get(&id).copied(),
+        as_of: driver.watermark(),
+    })
+}
+
 /// Everything the driver thread owns.
 struct ServerState {
     driver: Option<LiveDriver>,
     clock: LiveClock,
+    /// The records `finish` leaves behind for the reads after it.
     backend: Arc<dyn StateBackend>,
     open_incidents: HashMap<DatabaseId, IncidentEntry>,
-    /// The watermark of the latest publish — what a read reports as
-    /// `as_of`, also once `finish` has consumed the driver.
-    published_at: Timestamp,
-    /// Self-metrics of the publisher, appended to `GET /metrics`.
+    /// Watermark advances so far, appended to `GET /metrics`.
     advances: u64,
-    published_records: u64,
-    last_publish_records: u64,
     /// Events `POST /v1/events` answered with each outcome, indexed by
     /// `IngestOutcome as usize`.
     ingested: [u64; IngestOutcome::ALL.len()],
@@ -89,42 +98,24 @@ struct ServerState {
 }
 
 impl ServerState {
-    /// Fold newly raised incidents into the open-incident markers and
-    /// publish, at the current watermark, the record of every database
-    /// touched since the last publish, of every database with a fresh
-    /// incident, and of `cleared` — the database whose open incident an
-    /// operator resume just closed.
-    fn publish(&mut self, cleared: Option<DatabaseId>) {
-        let Some(driver) = &mut self.driver else {
-            return;
-        };
-        let mut ids = driver.take_touched();
-        for entry in driver.take_fresh_incidents() {
-            self.open_incidents.insert(entry.db, entry);
-            ids.push(entry.db);
-        }
-        ids.extend(cleared);
-        self.published_at = driver.watermark();
-        self.last_publish_records = ids.len() as u64;
-        self.published_records += self.last_publish_records;
-        for id in ids {
-            self.backend.put(DbRecord {
-                id,
-                state: driver.db_state(id).unwrap_or(DbState::Resumed),
-                prediction: driver.db_prediction(id),
-                counters: driver.db_counters(id).unwrap_or_default(),
-                open_incident: self.open_incidents.get(&id).copied(),
-                as_of: self.published_at,
-            });
+    /// `id`'s record: read from the driver, or, once `finish` has
+    /// consumed it, from the backend.
+    fn record(&self, id: DatabaseId) -> Option<DbRecord> {
+        match &self.driver {
+            Some(driver) => read_record(driver, &self.open_incidents, id),
+            None => self.backend.get(id),
         }
     }
 
-    /// Move the watermark to `to` and publish what that touched.
+    /// Move the watermark to `to` and open an incident marker for each
+    /// incident the advance raised.
     fn advance_to(&mut self, to: Timestamp) -> Result<(), ProrpError> {
         if let Some(driver) = &mut self.driver {
             driver.advance_to(to)?;
             self.advances += 1;
-            self.publish(None);
+            for entry in driver.take_fresh_incidents() {
+                self.open_incidents.insert(entry.db, entry);
+            }
         }
         Ok(())
     }
@@ -158,8 +149,9 @@ pub struct ApiServer {
 
 impl ApiServer {
     /// Bind `addr` (e.g. `127.0.0.1:0`), build a [`LiveDriver`] over
-    /// `cfg`/`dbs` on a dedicated driver thread, and serve it through
-    /// `backend` under the given clock mode.
+    /// `cfg`/`dbs` on a dedicated driver thread, and serve it under the
+    /// given clock mode; `POST /v1/finish` leaves every database's last
+    /// record in `backend`.
     ///
     /// # Errors
     ///
@@ -217,17 +209,11 @@ impl ApiServer {
                 clock,
                 backend,
                 open_incidents: HashMap::new(),
-                published_at: origin,
                 advances: 0,
-                published_records: 0,
-                last_publish_records: 0,
                 ingested: [0; IngestOutcome::ALL.len()],
                 http,
                 report: None,
             };
-            // Every database is freshly registered, hence touched: the
-            // boot publish covers the fleet.
-            state.publish(None);
             let _ = ready_tx.send(Ok(()));
             while let Ok(msg) = command_rx.recv() {
                 match msg {
@@ -301,7 +287,8 @@ fn route(state: &mut ServerState, req: Request) -> Response {
 }
 
 /// `POST /v1/events` — body `{"events":[{"db":N,"at":T,"kind":"login"}]}`;
-/// replies with one outcome label per event, in order.
+/// replies with one outcome label per event, in order.  A batch with a
+/// malformed event is a 400 that ingests none of it.
 fn post_events(state: &mut ServerState, body: &str) -> Response {
     let Some(driver) = &mut state.driver else {
         return Response::json(409, error_body("run already finished"));
@@ -313,12 +300,17 @@ fn post_events(state: &mut ServerState, body: &str) -> Response {
     let Some(events) = parsed.get("events").and_then(Json::as_array) else {
         return Response::json(400, error_body("missing \"events\" array"));
     };
+    let events = match events
+        .iter()
+        .map(LiveEvent::from_json)
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(events) => events,
+        Err(e) => return Response::json(400, error_body(e)),
+    };
     let mut results = Vec::with_capacity(events.len());
     for ev in events {
-        let outcome = match LiveEvent::from_json(ev) {
-            Ok(ev) => driver.ingest(ev),
-            Err(e) => return Response::json(400, error_body(e)),
-        };
+        let outcome = driver.ingest(ev);
         state.ingested[outcome as usize] += 1;
         results.push(Json::Str(outcome.label().into()));
     }
@@ -382,18 +374,16 @@ fn record_json(r: &DbRecord) -> Json {
     ])
 }
 
-/// `GET /v1/databases/:id` — the published record, as of the server's
-/// watermark (an advance that did not touch the database left its
-/// record current); **503** while the database carries an unresolved
-/// incident (the record rides along so the operator sees what happened).
+/// `GET /v1/databases/:id` — the database's record as of the
+/// watermark; **503** while the database carries an unresolved incident
+/// (the record rides along so the operator sees what happened).
 fn get_database(state: &ServerState, id: &str) -> Response {
     let Some(id) = parse_id(id) else {
         return Response::json(400, error_body("database id must be an unsigned integer"));
     };
-    let Some(mut record) = state.backend.get(id) else {
+    let Some(record) = state.record(id) else {
         return Response::json(404, error_body("unknown database"));
     };
-    record.as_of = state.published_at;
     let status = if record.open_incident.is_some() {
         503
     } else {
@@ -425,7 +415,6 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
     if resume {
         // The operator intervened: the incident is considered resolved.
         state.open_incidents.remove(&id);
-        state.publish(Some(id));
     }
     Response::json(
         200,
@@ -441,9 +430,9 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
 /// snapshot (read at the watermark), with
 /// the `text/plain; version=0.0.4` content type scrapers negotiate on,
 /// followed by the server's self-metrics.  Those describe this process
-/// (how much each advance published, how each ingested event was
-/// classified, what the HTTP transport met), not the simulated world, so
-/// they live outside the deterministic snapshot.
+/// (how many advances it made, how each ingested event was classified,
+/// what the HTTP transport met), not the simulated world, so they live
+/// outside the deterministic snapshot.
 fn get_metrics(state: &ServerState) -> Response {
     let Some(driver) = &state.driver else {
         return Response::text(409, "run already finished\n".into());
@@ -451,25 +440,10 @@ fn get_metrics(state: &ServerState) -> Response {
     let Some(mut text) = driver.prometheus_text() else {
         return Response::text(404, "observability disabled in this config\n".into());
     };
-    let publisher = [
-        ("prorp_server_advances_total", "counter", state.advances),
-        (
-            "prorp_server_published_records_total",
-            "counter",
-            state.published_records,
-        ),
-        (
-            "prorp_server_last_publish_records",
-            "gauge",
-            state.last_publish_records,
-        ),
-    ];
     let mut row = |name: &str, kind: &str, value: u64| {
         text.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
     };
-    for (name, kind, value) in publisher {
-        row(name, kind, value);
-    }
+    row("prorp_server_advances_total", "counter", state.advances);
     for (outcome, value) in IngestOutcome::ALL.into_iter().zip(state.ingested) {
         let name = format!("prorp_server_ingest_{}_total", outcome.label());
         row(&name, "counter", value);
@@ -596,11 +570,17 @@ fn post_advance(state: &mut ServerState, body: &str) -> Response {
 }
 
 /// `POST /v1/finish` — drain to the end of the configured window and
-/// return the decision-relevant summary; the run is sealed afterwards.
+/// return the decision-relevant summary; the run is sealed afterwards,
+/// and reads answer from the backend, as of the last advance.
 fn post_finish(state: &mut ServerState) -> Response {
     let Some(driver) = state.driver.take() else {
         return Response::json(409, error_body("run already finished"));
     };
+    for id in driver.databases() {
+        if let Some(record) = read_record(&driver, &state.open_incidents, id) {
+            state.backend.put(record);
+        }
+    }
     match driver.finish() {
         Ok(report) => {
             let body = Json::object(vec![

@@ -1,15 +1,14 @@
-//! The state-store seam the API serves reads from.
+//! The state-store seam a finished run's reads are served from.
 //!
-//! The driver owns the authoritative engine state; after every
-//! watermark advance the server *publishes* a [`DbRecord`] through a
-//! [`StateBackend`] for each database the advance touched — the ones
-//! an event reached or an incident was raised for — and for nobody
-//! else, so the backend sees writes in proportion to what changed, not
-//! to the fleet.  Reads (`GET /v1/databases/:id`) never touch the
-//! driver — they hit the backend, which is why the trait is shaped like
-//! a key-value store with no engine types in its signatures: an
-//! in-memory map today, a redis/postgres projection tomorrow, without
-//! touching the API layer.
+//! While the run is open, `GET /v1/databases/:id` reads the driver
+//! itself: the driver thread serves every request, so a second copy of
+//! the state would add no concurrency, only a way to go stale.
+//! `POST /v1/finish` consumes the driver, so it first puts each
+//! database's [`DbRecord`], as of the last advance, into a
+//! [`StateBackend`], and the reads after it answer from there.  The
+//! trait is shaped like a key-value store with no engine types in its
+//! signatures: an in-memory map today, a redis/postgres projection
+//! tomorrow, without touching the API layer.
 
 use prorp_core::EngineCounters;
 use prorp_telemetry::IncidentEntry;
@@ -17,37 +16,32 @@ use prorp_types::{DatabaseId, DbState, Prediction, Timestamp};
 use std::collections::HashMap;
 use std::sync::RwLock;
 
-/// The published view of one database — what the control-plane API
-/// serves, rewritten after every watermark advance that touched the
-/// database.
+/// One database as the control-plane API serves it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct DbRecord {
     /// The database.
     pub id: DatabaseId,
-    /// Lifecycle state at the publish watermark.
+    /// Lifecycle state at the watermark.
     pub state: DbState,
     /// The engine's currently published predicted next activity, if any.
     pub prediction: Option<Prediction>,
-    /// Engine counters at the publish watermark.
+    /// Engine counters at the watermark.
     pub counters: EngineCounters,
     /// An unresolved incident (retry exhaustion, stuck workflow).  While
     /// set, the database read returns HTTP 503; an operator-forced
     /// resume clears it.
     pub open_incident: Option<IncidentEntry>,
-    /// The watermark this record was last published at.  An advance
-    /// that did not touch the database leaves the record — still
-    /// current, since nothing about it changed — and this stamp alone;
-    /// the API reports the server's watermark as a read's `as_of`.
+    /// The watermark the record was read at.
     pub as_of: Timestamp,
 }
 
-/// Publish/read seam between the driver thread and the API handlers.
+/// Put/read seam for the records a finished run leaves behind.
 ///
 /// Implementations must be internally synchronised ([`Send`] +
-/// [`Sync`]): publishes come from whoever holds the driver, reads from
-/// whichever thread serves the request.
+/// [`Sync`]): the driver thread writes and reads them, and whoever
+/// handed the backend to the server may read them too.
 pub trait StateBackend: Send + Sync {
-    /// Publish (insert or replace) one record.
+    /// Insert or replace one record.
     fn put(&self, record: DbRecord);
     /// Read one record.
     fn get(&self, id: DatabaseId) -> Option<DbRecord>;

@@ -34,14 +34,14 @@
 //! suite pins this with a proptest oracle over shuffled, duplicated
 //! streams.
 //!
-//! # What an advance touched
+//! # Reads
 //!
-//! A publisher of per-database state does not sweep the fleet after an
-//! advance: [`LiveDriver::take_touched`] drains the databases an event
-//! reached since the last drain (the shards mark them as they deliver
-//! events; a newly registered database starts out marked), and
-//! [`LiveDriver::take_fresh_incidents`] the incidents raised since the
-//! last call.  Both cost what the advance did, not what the fleet holds.
+//! The driver is the one record of every database: [`LiveDriver::db_state`],
+//! [`db_prediction`](LiveDriver::db_prediction) and
+//! [`db_counters`](LiveDriver::db_counters) read its engine as of the
+//! watermark, and [`LiveDriver::take_fresh_incidents`] hands out the
+//! incidents raised since the last call — what the advance raised, not
+//! what the fleet holds.
 //!
 //! The offline-optimal policy is rejected at construction: its oracle
 //! engine reads each database's full future trace at registration,
@@ -287,17 +287,6 @@ impl LiveDriver {
     /// `id`'s engine counters.
     pub fn db_counters(&self, id: DatabaseId) -> Option<EngineCounters> {
         self.shard_of(id).db_counters(id)
-    }
-
-    /// Drain the shards' touched sets: every database registered, or
-    /// reached by an event, since the previous call — each once.  These
-    /// are the databases whose published state may be out of date.
-    pub fn take_touched(&mut self) -> Vec<DatabaseId> {
-        // A database lives on one shard, so the union has no duplicates.
-        self.shards
-            .iter_mut()
-            .flat_map(ShardDriver::take_touched)
-            .collect()
     }
 
     /// The incidents raised since the previous call, in the canonical

@@ -37,11 +37,12 @@
 //!
 //! * [`driver`] — the [`LiveDriver`]: ingest (idempotent, reorder-
 //!   tolerant within a watermark window), watermark advance, the
-//!   touched-set and fresh-incident drains the publisher works from,
-//!   forced operator actions, and the final merge into a
+//!   per-database reads and the fresh-incident drain the API serves
+//!   from, forced operator actions, and the final merge into a
 //!   [`SimReport`](prorp_sim::SimReport);
-//! * [`backend`] — the [`StateBackend`] seam the API serves reads from
-//!   (in-memory first; shaped so a redis/postgres backend can follow);
+//! * [`backend`] — the [`StateBackend`] seam that holds each database's
+//!   last record once the run is finished (in-memory first; shaped so a
+//!   redis/postgres backend can follow);
 //! * [`clock`] — wall vs. virtual time behind one [`LiveClock`];
 //! * [`http`] — a dependency-free HTTP/1.1 server on
 //!   `std::net::TcpListener` (the workspace vendors no async runtime);

@@ -9,7 +9,9 @@ use prorp_server::{
     StateBackend,
 };
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy};
-use prorp_types::{BreakerConfig, DatabaseId, PolicyConfig, RetryPolicy, Seconds, Timestamp};
+use prorp_types::{
+    BreakerConfig, DatabaseId, DbState, PolicyConfig, RetryPolicy, Seconds, Timestamp,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -241,7 +243,7 @@ fn slo_and_why_endpoints_serve_live_rollups() {
     server.shutdown();
 }
 
-/// An [`InMemoryBackend`] that counts the records published into it.
+/// An [`InMemoryBackend`] that counts the records put into it.
 #[derive(Default)]
 struct CountingBackend {
     inner: InMemoryBackend,
@@ -268,12 +270,14 @@ fn metric(body: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("{name} missing from /metrics"))
 }
 
-/// A watermark advance publishes the databases it reached, not the
-/// fleet: the backend sees at most one `put` per reached database, and
-/// the server's self-metrics on `/metrics` say the same.
+/// While the run is open a read is the driver's: it shows an advance
+/// the moment it is made, for a database no event reached as well, and
+/// the backend is not written.  `POST /v1/finish` puts every database's
+/// record into the backend once, as of the last advance, and the reads
+/// after it answer from there.
 #[test]
-fn an_advance_publishes_what_it_touched_not_the_fleet() {
-    const FLEET: u64 = 1_000;
+fn reads_follow_the_driver_and_after_finish_the_backend() {
+    const FLEET: u64 = 100;
     let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
         .observe(ObsConfig::on())
         .build()
@@ -290,78 +294,90 @@ fn an_advance_publishes_what_it_touched_not_the_fleet() {
     .expect("server boots");
     let addr = server.addr();
     let puts = || backend.puts.load(Ordering::Relaxed);
-    let scrape = || {
-        let (status, body) = http(addr, "GET", "/metrics", "");
+    let read = |id: u64| {
+        let (status, body) = http(addr, "GET", &format!("/v1/databases/{id}"), "");
         assert_eq!(status, 200, "{body}");
-        (
-            metric(&body, "prorp_server_advances_total"),
-            metric(&body, "prorp_server_published_records_total"),
-            metric(&body, "prorp_server_last_publish_records"),
-        )
+        body
     };
-    // The boot publish, and only it, covers everyone.
-    assert_eq!(puts(), FLEET);
-    assert_eq!(scrape(), (0, FLEET, FLEET));
 
-    // Three logins: the advance over them reaches three databases.
     let (status, body) = http(
         addr,
         "POST",
         "/v1/events",
         r#"{"events":[
             {"db":3,"at":600,"kind":"login"},
-            {"db":500,"at":610,"kind":"login"},
-            {"db":999,"at":620,"kind":"login"}
+            {"db":3,"at":1200,"kind":"logout"}
         ]}"#,
     );
     assert_eq!(status, 200, "{body}");
-    http(addr, "POST", "/v1/clock/advance", r#"{"to":900}"#);
-    assert_eq!(puts() - FLEET, 3);
-    let (advances, published, last) = scrape();
-    assert_eq!((advances, last), (1, 3));
-    assert!(published - FLEET < FLEET, "one advance re-put the fleet");
+    assert!(read(3).contains(r#""state":"resumed""#));
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":1300}"#);
+    let body = read(3);
+    assert!(body.contains(r#""state":"logically-paused""#), "{body}");
+    assert!(body.contains(r#""logins_available":1,"#), "{body}");
+    assert!(body.ends_with(r#""as_of":1300}"#), "{body}");
+    assert!(read(4).ends_with(r#""as_of":1300}"#));
 
-    // Nothing happens for an hour: nothing is published, and the reads
-    // of touched and untouched databases alike are as of the watermark.
-    http(addr, "POST", "/v1/clock/advance", r#"{"to":4500}"#);
-    assert_eq!(puts() - FLEET, 3);
-    assert_eq!(scrape(), (2, FLEET + 3, 0));
-    for id in [3, 4] {
-        let (status, body) = http(addr, "GET", &format!("/v1/databases/{id}"), "");
-        assert_eq!(status, 200, "{body}");
-        assert!(body.ends_with(r#""as_of":4500}"#), "{body}");
-    }
+    // The logical-pause timer fires in a window with no ingest at all.
+    http(addr, "POST", "/v1/clock/advance", r#"{"to":40000}"#);
+    let before = read(3);
+    assert!(before.contains("physically-paused"), "{before}");
+    assert!(before.ends_with(r#""as_of":40000}"#), "{before}");
+    let (_, metrics) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&metrics, "prorp_server_advances_total"), 2);
+    assert_eq!(puts(), 0, "an open run's reads write nothing");
 
-    // Two logouts, then the logical-pause timers fire in a window with
-    // no ingest at all: each advance publishes those two databases.
+    // Finish drains to the end of the window, yet the reads stay as of
+    // the last advance, from one put per database.
+    assert_eq!(http(addr, "POST", "/v1/finish", "").0, 200);
+    assert_eq!(puts(), FLEET);
+    assert_eq!(read(3), before);
+    assert!(backend.all().iter().all(|r| r.as_of == Timestamp(40_000)));
+    assert_eq!(http(addr, "GET", "/v1/databases/100", "").0, 404);
+    // What the backend holds is what a read answers.
+    let mut record = backend.get(DatabaseId(3)).expect("finish put it");
+    record.state = DbState::Resumed;
+    backend.put(record);
+    assert!(read(3).contains(r#""state":"resumed""#));
+    server.shutdown();
+}
+
+/// A batch with one malformed event is a 400 that ingests none of it:
+/// re-posting its valid event is accepted, not a duplicate, and only
+/// that one is counted.
+#[test]
+fn a_rejected_batch_ingests_nothing() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
+        .observe(ObsConfig::on())
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0)]);
+    let addr = server.addr();
     let (status, body) = http(
         addr,
         "POST",
         "/v1/events",
-        r#"{"events":[
-            {"db":3,"at":4600,"kind":"logout"},
-            {"db":999,"at":4600,"kind":"logout"}
-        ]}"#,
+        r#"{"events":[{"db":0,"at":600,"kind":"login"},{}]}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    let (status, body) = http(
+        addr,
+        "POST",
+        "/v1/events",
+        r#"{"events":[{"db":0,"at":600,"kind":"login"}]}"#,
     );
     assert_eq!(status, 200, "{body}");
-    http(addr, "POST", "/v1/clock/advance", r#"{"to":4700}"#);
-    assert_eq!(puts() - FLEET, 5);
-    http(addr, "POST", "/v1/clock/advance", r#"{"to":40000}"#);
-    assert_eq!(puts() - FLEET, 7);
-    let (_, body) = http(addr, "GET", "/v1/databases/999", "");
-    assert!(body.contains("physically-paused"), "{body}");
-
-    // An operator pause is scheduled, not applied: nothing to publish
-    // until the advance that delivers it.
-    assert_eq!(http(addr, "POST", "/v1/databases/500/pause", "").0, 200);
-    assert_eq!(puts() - FLEET, 7);
+    assert!(body.contains(r#"["accepted"]"#), "{body}");
+    let (_, body) = http(addr, "GET", "/metrics", "");
+    assert_eq!(metric(&body, "prorp_server_ingest_accepted_total"), 1);
+    assert_eq!(metric(&body, "prorp_server_ingest_duplicate_total"), 0);
     server.shutdown();
 }
 
 /// A request whose head stops before its blank line — the peer went
 /// away mid-send — is refused by the transport and never routed: a cut
 /// `POST /v1/finish` must not seal the run.  The transport counts what
-/// it refused on `/metrics`, after the publisher's self-metrics.
+/// it refused on `/metrics`, after the server's own self-metrics.
 #[test]
 fn a_finish_with_its_head_cut_off_leaves_the_run_open() {
     let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
@@ -399,13 +415,13 @@ fn a_finish_with_its_head_cut_off_leaves_the_run_open() {
     assert!(metric(&body, "prorp_server_http_busy_workers_peak") >= 1);
     assert_eq!(metric(&body, "prorp_server_http_timeouts_total"), 0);
     assert_eq!(metric(&body, "prorp_server_http_handler_panics_total"), 0);
-    let publisher = body
-        .find("prorp_server_last_publish_records")
-        .expect("publisher metrics");
+    let server_rows = body
+        .find("prorp_server_advances_total")
+        .expect("server metrics");
     let transport = body
         .find("prorp_server_http_connections_total")
         .expect("transport metrics");
-    assert!(publisher < transport, "{body}");
+    assert!(server_rows < transport, "{body}");
     server.shutdown();
 }
 

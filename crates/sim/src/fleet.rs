@@ -26,7 +26,7 @@
 //! database here, places it on the [`Cluster`](crate::cluster::Cluster)
 //! (home-node column, allocated bit) and writes its `sys.databases` row
 //! (`MetadataStore`: row and id columns) in the same breath, and all
-//! three number in arrival order — so the index `touch` resolves once
+//! three number in arrival order — so the index `index_of` resolves once
 //! per event addresses every one of them, plus the driver's own
 //! workflow column and the observability layer's latest-decision
 //! column, with no second lookup.
@@ -225,42 +225,6 @@ impl BitSet {
     }
 }
 
-/// The databases an event has reached since the set was last drained,
-/// by column index: one bit per database plus the list of marked
-/// indices, so marking is a bit test and the list never outgrows the
-/// fleet — a driver that never drains it (the DES) pays nothing more.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TouchedSet {
-    marked: BitSet,
-    list: Vec<u32>,
-}
-
-impl TouchedSet {
-    /// Append the next column, marked: nothing has reported it yet.
-    pub(crate) fn push(&mut self) {
-        let idx = u32::try_from(self.marked.len()).expect("shard fleet exceeds u32 index space");
-        self.marked.push(true);
-        self.list.push(idx);
-    }
-
-    /// Mark column `idx`.
-    #[inline]
-    pub(crate) fn mark(&mut self, idx: usize) {
-        if !self.marked.get(idx) {
-            self.marked.set(idx, true);
-            self.list.push(idx as u32);
-        }
-    }
-
-    /// Empty the set, yielding each marked column once, in marking order.
-    pub(crate) fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
-        for &idx in &self.list {
-            self.marked.set(idx as usize, false);
-        }
-        self.list.drain(..).map(|idx| idx as usize)
-    }
-}
-
 /// One homogeneous arena of policy engines.
 ///
 /// The run's policy/predictor/fault combination picks the variant once;
@@ -440,8 +404,6 @@ pub(crate) struct FleetState {
     pub(crate) demand: BitSet,
     /// Whether a reactive resume workflow is in flight.
     pub(crate) resume_in_flight: BitSet,
-    /// Databases an event reached since `ShardDriver::take_touched`.
-    pub(crate) touched: TouchedSet,
     /// Observational lifecycle checkers (strict-invariants builds only).
     #[cfg(feature = "strict-invariants")]
     pub(crate) shadows: Vec<LifecycleInvariants>,
@@ -459,7 +421,6 @@ impl FleetState {
             accs: Vec::with_capacity(capacity),
             demand: BitSet::with_capacity(capacity),
             resume_in_flight: BitSet::with_capacity(capacity),
-            touched: TouchedSet::default(),
             #[cfg(feature = "strict-invariants")]
             shadows: Vec::with_capacity(capacity),
             index: DbIndexMap::with_capacity(capacity),
@@ -489,7 +450,6 @@ impl FleetState {
         self.accs.push(acc);
         self.demand.push(false);
         self.resume_in_flight.push(false);
-        self.touched.push();
         self.index.insert(trace.db, idx);
         self.ids.push(trace.db);
         #[cfg(feature = "strict-invariants")]
@@ -520,17 +480,6 @@ impl FleetState {
         self.index
             .get(id)
             .expect("event for a database of another shard")
-    }
-
-    /// [`index_of`](Self::index_of) for an event being delivered to
-    /// `id`: also marks the database touched.  Touched means "an event
-    /// reached it", not "its record changed" — republishing an
-    /// unchanged record is harmless, a missed one is a stale read.
-    #[inline]
-    pub(crate) fn touch(&mut self, id: DatabaseId) -> usize {
-        let idx = self.index_of(id);
-        self.touched.mark(idx);
-        idx
     }
 }
 

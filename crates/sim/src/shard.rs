@@ -380,7 +380,7 @@ impl ShardDriver {
     /// at any of them — so the fleet's column index, the cluster's slot
     /// and the `sys.databases` row of a database are one number (asserted
     /// here, per registration).  A handler resolves an event's id to that
-    /// number once (`fleet.touch`) and addresses all three, the workflow
+    /// number once (`fleet.index_of`) and addresses all three, the workflow
     /// column and the latest-decision column with it; nothing on the
     /// event path looks an id up a second time.
     ///
@@ -501,17 +501,6 @@ impl ShardDriver {
     /// workflows) — what the server surfaces as HTTP 503s.
     pub fn incident_log(&self) -> &IncidentLog {
         &self.incident_log
-    }
-
-    /// Drain the touched set: every database registered, or reached by
-    /// an event (its own activity, timers, pre-warms, workflow stages,
-    /// maintenance, a rebalance move), since the previous call — each
-    /// once.  A driver that publishes per-database state republishes
-    /// exactly these; one that never calls this (the DES) leaves a set
-    /// bounded by the fleet size behind.
-    pub fn take_touched(&mut self) -> Vec<DatabaseId> {
-        let ids = &self.fleet.ids;
-        self.fleet.touched.drain().map(|idx| ids[idx]).collect()
     }
 
     /// The shard's metrics at simulated instant `at`, sorted by name;
@@ -830,7 +819,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ActivityStart(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 let prewarmed = matches!(
                     self.fleet.accs[idx].open_kind(),
                     Some(SegmentKind::ProactiveIdleWrong) | Some(SegmentKind::ProactiveIdleCorrect)
@@ -879,7 +868,7 @@ impl ShardDriver {
                 self.drain_decisions(idx, id);
             }
             SimEvent::ActivityEnd(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 if !self.fleet.demand.get(idx) {
                     return Ok(());
                 }
@@ -899,7 +888,7 @@ impl ShardDriver {
                 self.account_pause(now, idx, id, before, after);
             }
             SimEvent::EngineTimer(id, token) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 let (before, after, actions) =
                     self.deliver(now, idx, id, EngineEvent::Timer(token))?;
                 self.apply_actions(actions, idx, id, now);
@@ -921,7 +910,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ProactiveResume(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 if self.fleet.engines.get(idx).state() != DbState::PhysicallyPaused
                     || self.fleet.demand.get(idx)
                 {
@@ -948,7 +937,7 @@ impl ShardDriver {
             SimEvent::WorkflowStageDone(id) => {
                 // One stage of a staged resume finished executing: draw
                 // its deterministic verdict and advance/retry/give up.
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 let Some(active) = self.workflows.get_mut(idx) else {
                     return Ok(()); // workflow superseded or force-completed
                 };
@@ -1012,7 +1001,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::WorkflowComplete(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 self.diagnostics.workflow_completed(id);
                 if !self.fleet.resume_in_flight.get(idx) {
                     return Ok(()); // superseded (activity ended meanwhile)
@@ -1047,7 +1036,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::MaintenanceDue(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 let prediction = self.fleet.engines.get(idx).current_prediction();
                 let slot = self.maintenance.place(
                     now,
@@ -1076,7 +1065,7 @@ impl ShardDriver {
                 // and releases compute (the backend load the scheduler
                 // minimises); a job on a resumed or logically paused
                 // database rides the existing allocation.
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 if self.fleet.engines.get(idx).state() == DbState::PhysicallyPaused {
                     self.cluster.allocate(idx);
                     self.cluster.release(idx);
@@ -1091,7 +1080,6 @@ impl ShardDriver {
                     // move serialises pages and restores them on the
                     // destination node.
                     let moved = self.fleet.ids[idx];
-                    self.fleet.touched.mark(idx);
                     let bytes = backup_history(self.fleet.engines.get(idx).history())?;
                     let restored = restore_backend(&bytes, cfg.storage_backend)?;
                     self.fleet.engines.get_mut(idx).restore_history(restored);
@@ -1106,7 +1094,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ForcedPause(id) => {
-                let idx = self.fleet.touch(id);
+                let idx = self.fleet.index_of(id);
                 if self.fleet.demand.get(idx) {
                     return Ok(()); // serving: the engine would refuse anyway
                 }
@@ -1451,95 +1439,6 @@ mod tests {
             assert_eq!(outcome.counters.telemetry_events, log.len() as u64);
         }
         assert_eq!(summary.telemetry.into_events().capacity(), 0);
-    }
-
-    /// The touched set reports databases reached only by the loop's own
-    /// events — windows in which the driver injected nothing for them.
-    #[test]
-    fn take_touched_reports_timer_scan_and_workflow_windows() {
-        use prorp_types::PolicyConfig;
-        const DAY: i64 = 86_400;
-        let cfg = SimConfig::builder(
-            SimPolicy::Proactive(PolicyConfig::default()),
-            Timestamp(0),
-            Timestamp(40 * DAY),
-            Timestamp(0),
-        )
-        .build()
-        .unwrap();
-        let (busy, idle) = (DatabaseId(0), DatabaseId(1));
-        let mut driver = ShardDriver::new(&cfg, 0, 2).unwrap();
-        for id in [busy, idle] {
-            driver
-                .register(&Trace::new(id, "live", Vec::new()).unwrap())
-                .unwrap();
-        }
-        driver.start();
-        // Registration counts: nothing has reported these databases yet.
-        assert_eq!(driver.take_touched(), vec![busy, idle]);
-        assert!(driver.take_touched().is_empty(), "a second drain is empty");
-
-        let step = |driver: &mut ShardDriver, to: Timestamp| {
-            driver.step_until(to).unwrap();
-            driver.take_touched()
-        };
-        let session = |driver: &mut ShardDriver, day: i64| {
-            let login = Timestamp(day * DAY + 9 * 3_600);
-            assert!(driver.inject_login(login, busy));
-            assert!(driver.inject_logout(login + Seconds::hours(1), busy));
-            login + Seconds::hours(1)
-        };
-
-        // EngineTimer alone: with no history yet, the first logout lands
-        // in logical pause and a timer ends it — in a window with no
-        // injection.
-        let logout = session(&mut driver, 0);
-        assert_eq!(step(&mut driver, logout + Seconds(1)), vec![busy]);
-        assert_eq!(driver.db_state(busy), Some(DbState::LogicallyPaused));
-        let mut hour = logout;
-        while driver.db_state(busy) != Some(DbState::PhysicallyPaused) {
-            hour += Seconds::hours(1);
-            assert!(hour < Timestamp(DAY), "the pause timer never fired");
-            let touched = step(&mut driver, hour);
-            if driver.db_state(busy) == Some(DbState::PhysicallyPaused) {
-                assert_eq!(touched, vec![busy], "timer window");
-            }
-        }
-
-        // A daily 09:00–10:00 session teaches the predictor the pattern;
-        // the idle neighbour is never reported.
-        for day in 1..=30 {
-            session(&mut driver, day);
-            let touched = step(&mut driver, Timestamp((day + 1) * DAY));
-            assert_eq!(touched, vec![busy], "day {day}");
-        }
-
-        // ProactiveResume selected by the Algorithm 5 scan: the pre-warm
-        // ahead of tomorrow's predicted login, again with no injection.
-        let resumes = driver.db_counters(busy).unwrap().proactive_resumes;
-        let mut quiet = Timestamp(31 * DAY + 9 * 3_600);
-        let touched = step(&mut driver, quiet);
-        assert_eq!(
-            driver.db_counters(busy).unwrap().proactive_resumes,
-            resumes + 1
-        );
-        assert_eq!(touched, vec![busy], "scan window");
-
-        // Workflow stages: let the unused pre-warm lapse, log in against
-        // the physically paused database, and the staged resume's stage
-        // events land in a later window on their own.
-        while driver.db_state(busy) != Some(DbState::PhysicallyPaused) {
-            quiet += Seconds::hours(1);
-            assert!(quiet < Timestamp(33 * DAY), "the pre-warm never lapsed");
-            step(&mut driver, quiet);
-        }
-        let login = quiet + Seconds(10);
-        driver.inject_login(login, busy);
-        assert_eq!(step(&mut driver, login + Seconds(1)), vec![busy]);
-        assert!(driver.workflows.get_mut(0).is_some(), "resume is staged");
-        assert_eq!(step(&mut driver, login + Seconds::hours(1)), vec![busy]);
-        assert!(driver.workflows.get_mut(0).is_none(), "stages ran");
-        assert!(driver.take_touched().is_empty());
     }
 
     /// A forced pause of a logically paused database is one

@@ -14,17 +14,16 @@
 //!   reorder-tolerant within a watermark window**: arbitrary intra-
 //!   window arrival order plus injected duplicate deliveries cannot
 //!   change a single decision;
-//! * a second proptest oracle over the *published* state: the server
-//!   publishes only the databases an advance touched, and after every
-//!   advance the backend must still hold, for every database, exactly
-//!   the record a full republish from the driver would have written.
+//! * a second proptest oracle over the *read* surface: after every
+//!   advance, operator action and the final `POST /v1/finish`, every
+//!   `GET /v1/databases/:id` must answer with exactly the record a
+//!   mirrored driver fed the same stream holds, as of the watermark.
 
 use proptest::prelude::*;
 use prorp_obs::SloConfig;
 use prorp_server::json::{self, Json};
 use prorp_server::{
-    ApiServer, DbRecord, InMemoryBackend, IngestOutcome, LiveDriver, LiveEvent, LiveEventKind,
-    ServerConfig, StateBackend,
+    ApiServer, InMemoryBackend, IngestOutcome, LiveDriver, LiveEvent, LiveEventKind, ServerConfig,
 };
 use prorp_sim::{
     ObsConfig, SimConfig, SimConfigBuilder, SimPolicy, SimReport, Simulation, StorageBackend,
@@ -36,7 +35,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use testkit::oracles::{assert_reports_equal, logical, DAY, MEASURE_DAY, SPAN_DAYS};
+use testkit::oracles::{assert_reports_equal, DAY, MEASURE_DAY, SPAN_DAYS};
 
 fn fleet(seed: u64, dbs: usize) -> Vec<Trace> {
     RegionProfile::for_region(RegionName::Eu1).generate_fleet(
@@ -268,12 +267,11 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String)
 }
 
 /// An `ApiServer` and, beside it, a `LiveDriver` fed the identical
-/// stream: the mirror is the driver state the server cannot show, and
-/// `open` is the open-incident fold a full republish would have made
-/// (from [`LiveDriver::incidents`], the whole canonical log).
+/// stream: the mirror is the driver state the server's reads must show,
+/// and `open` is the open-incident fold over the whole canonical log
+/// ([`LiveDriver::incidents`]), less what an operator resume cleared.
 struct Mirrored {
     server: ApiServer,
-    backend: Arc<InMemoryBackend>,
     mirror: LiveDriver,
     ids: Vec<DatabaseId>,
     incidents_seen: usize,
@@ -282,18 +280,16 @@ struct Mirrored {
 
 impl Mirrored {
     fn boot(cfg: &SimConfig, ids: &[DatabaseId]) -> Mirrored {
-        let backend = Arc::new(InMemoryBackend::new());
         let server = ApiServer::start(
             "127.0.0.1:0",
             cfg,
             ids,
-            backend.clone(),
+            Arc::new(InMemoryBackend::new()),
             ServerConfig::VirtualClock,
         )
         .expect("server boots");
         Mirrored {
             server,
-            backend,
             mirror: LiveDriver::new(cfg, ids).expect("mirror builds"),
             ids: ids.to_vec(),
             incidents_seen: 0,
@@ -346,39 +342,71 @@ impl Mirrored {
         }
     }
 
-    /// For **every** registered database: the backend holds the record
-    /// rebuilt from the driver, and the read is as of the watermark.
-    fn assert_published(&self, context: &str) {
-        let watermark = self.mirror.watermark();
+    /// The body `GET /v1/databases/:id` must answer with: the mirror's
+    /// engine state, prediction and counters, the open-incident fold,
+    /// and the watermark as `as_of`.
+    fn expected_read(&self, id: DatabaseId) -> Json {
+        let m = &self.mirror;
+        let state = match m.db_state(id).expect("registered") {
+            DbState::Resumed => "resumed",
+            DbState::LogicallyPaused => "logically-paused",
+            DbState::PhysicallyPaused => "physically-paused",
+        };
+        let prediction = m.db_prediction(id).map_or(Json::Null, |p| {
+            Json::object(vec![
+                ("start", Json::Int(p.start.as_secs())),
+                ("end", Json::Int(p.end.as_secs())),
+                ("confidence", Json::Float(p.confidence)),
+            ])
+        });
+        let incident = self.open.get(&id).map_or(Json::Null, |i| {
+            Json::object(vec![
+                ("at", Json::Int(i.at.as_secs())),
+                ("kind", Json::Str(i.kind.label().into())),
+            ])
+        });
+        let c = m.db_counters(id).expect("registered");
+        Json::object(vec![
+            ("db", Json::from(id.raw())),
+            ("state", Json::Str(state.into())),
+            ("prediction", prediction),
+            ("open_incident", incident),
+            (
+                "counters",
+                Json::object(vec![
+                    ("logins_available", Json::from(c.logins_available)),
+                    ("logins_unavailable", Json::from(c.logins_unavailable)),
+                    ("logical_pauses", Json::from(c.logical_pauses)),
+                    ("physical_pauses", Json::from(c.physical_pauses)),
+                    ("proactive_resumes", Json::from(c.proactive_resumes)),
+                ]),
+            ),
+            ("as_of", Json::Int(m.watermark().as_secs())),
+        ])
+    }
+
+    /// For **every** registered database: the read answers with the
+    /// mirror's record, and with 503 exactly while an incident is open.
+    fn assert_reads(&self, context: &str) {
         for &id in &self.ids {
-            let context = format!("{context}, {id} at {watermark}");
-            let mut got = self.backend.get(id).expect("every database is published");
-            assert!(got.as_of <= watermark, "{context}: published in the future");
-            // Wall-clock prediction latencies differ between any two
-            // drivers; `as_of` is the read's to stamp (checked below).
-            got.counters = logical(&got.counters);
-            let want = DbRecord {
-                id,
-                state: self.mirror.db_state(id).unwrap_or(DbState::Resumed),
-                prediction: self.mirror.db_prediction(id),
-                counters: logical(&self.mirror.db_counters(id).unwrap_or_default()),
-                open_incident: self.open.get(&id).copied(),
-                as_of: got.as_of,
-            };
-            assert_eq!(got, want, "{context}: stale record");
-            let path = format!("/v1/databases/{}", id.raw());
-            let (status, body) = http(self.server.addr(), "GET", &path, "");
-            let expected = if want.open_incident.is_some() {
+            let context = format!("{context}, {id} at {}", self.mirror.watermark());
+            let (status, body) = http(
+                self.server.addr(),
+                "GET",
+                &format!("/v1/databases/{}", id.raw()),
+                "",
+            );
+            let expected = if self.open.contains_key(&id) {
                 503
             } else {
                 200
             };
             assert_eq!(status, expected, "{context}: {body}");
-            let body = json::parse(&body).expect("record parses");
+            let want = json::parse(&self.expected_read(id).render()).expect("record renders");
             assert_eq!(
-                body.get("as_of").and_then(Json::as_int),
-                Some(watermark.as_secs()),
-                "{context}: as_of"
+                json::parse(&body).expect("record parses"),
+                want,
+                "{context}: stale read"
             );
         }
     }
@@ -387,13 +415,13 @@ impl Mirrored {
 /// Replay `traces` through a mirrored server — arrivals shuffled and
 /// partly duplicated inside each window, a late and an unknown event
 /// per window, operator resumes and pauses in between, windows of
-/// uneven length — checking the whole published state after every
-/// step.  Returns the incident kinds that were open at some point.
-fn check_touched_publish(cfg: &SimConfig, traces: &[Trace], seed: u64) -> Vec<IncidentKind> {
+/// uneven length — reading every database back after every step.
+/// Returns the incident kinds that were open at some point.
+fn check_reads(cfg: &SimConfig, traces: &[Trace], seed: u64) -> Vec<IncidentKind> {
     let events = stream_of(traces);
     let ids: Vec<DatabaseId> = traces.iter().map(|t| t.db).collect();
     let mut m = Mirrored::boot(cfg, &ids);
-    m.assert_published("boot");
+    m.assert_reads("boot");
     let mut kinds = Vec::new();
     let mut window_start = cfg.start;
     let mut window_index = 0u64;
@@ -426,31 +454,31 @@ fn check_touched_publish(cfg: &SimConfig, traces: &[Trace], seed: u64) -> Vec<In
         if pick(2, 3) == 0 {
             let id = ids[pick(3, ids.len() as u64) as usize];
             m.force(id, pick(4, 2) == 0);
-            m.assert_published(&format!("operator action in window {window_index}"));
+            m.assert_reads(&format!("operator action in window {window_index}"));
         }
         m.advance_to(window_end);
-        m.assert_published(&format!("advance {window_index}"));
+        m.assert_reads(&format!("advance {window_index}"));
         for entry in m.open.values() {
             if !kinds.contains(&entry.kind) {
                 kinds.push(entry.kind);
             }
         }
-        // An open incident is the operator's to close, promptly: the
-        // next advance must then publish the cleared record too.
+        // An open incident is the operator's to close, and the next read
+        // shows it closed.
         if let Some(&id) = m.open.keys().min() {
             if pick(5, 2) == 0 {
                 m.force(id, true);
-                m.assert_published(&format!("incident cleared after advance {window_index}"));
+                m.assert_reads(&format!("incident cleared after advance {window_index}"));
             }
         }
         window_start = window_end;
         window_index += 1;
     }
-    // Sealing the run publishes nothing and moves no watermark: reads
-    // keep answering as of the last advance.
+    // Sealing the run moves no watermark: reads keep answering as of the
+    // last advance.
     let (status, body) = http(m.server.addr(), "POST", "/v1/finish", "");
     assert_eq!(status, 200, "{body}");
-    m.assert_published("after finish");
+    m.assert_reads("after finish");
     m.server.shutdown();
     kinds
 }
@@ -472,13 +500,13 @@ fn incident_prone(policy: SimPolicy, shards: usize) -> SimConfig {
 }
 
 #[test]
-fn touched_publish_carries_both_incident_kinds() {
+fn reads_carry_both_incident_kinds() {
     let traces = fleet(77, 8);
     for (policy, shards) in [
         (SimPolicy::Reactive, 1),
         (SimPolicy::Proactive(PolicyConfig::default()), 2),
     ] {
-        let kinds = check_touched_publish(&incident_prone(policy, shards), &traces, 5);
+        let kinds = check_reads(&incident_prone(policy, shards), &traces, 5);
         assert!(
             kinds.contains(&IncidentKind::StuckWorkflow)
                 && kinds
@@ -552,12 +580,11 @@ proptest! {
     // HTTP after every step; a dozen cases keep the suite quick.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Touched-set publish ≡ full publish: whatever the stream, the
-    /// window boundaries and the operator do, the backend holds for
-    /// every database the record a republish of the whole fleet would
-    /// have written, and every read is as of the watermark.
+    /// Every read ≡ the mirrored driver: whatever the stream, the
+    /// window boundaries and the operator do, every database reads back
+    /// as the mirror holds it, as of the watermark — also after finish.
     #[test]
-    fn touched_publish_matches_a_full_republish(
+    fn every_read_matches_the_mirrored_driver(
         fleet_seed in 0u64..1_000,
         seed in any::<u64>(),
         shards in 1usize..3,
@@ -568,6 +595,6 @@ proptest! {
         } else {
             SimPolicy::Reactive
         };
-        check_touched_publish(&incident_prone(policy, shards), &fleet(fleet_seed, 6), seed);
+        check_reads(&incident_prone(policy, shards), &fleet(fleet_seed, 6), seed);
     }
 }

@@ -133,17 +133,19 @@ guards=(
     a_warm_proactive_lsm_loop_allocates_less_than_once_per_two_events
 
     # The live driver must stay bit-identical to the DES under any
-    # admitted stream, and the server's touched-set publish must leave
-    # the backend holding what a republish of the whole fleet would
-    # (every record and every read checked after every advance); the
-    # HTTP surface, incident 503s and the publisher's self-metrics are
-    # pinned end to end.
+    # admitted stream, and every server read must be the record a
+    # mirrored driver holds (every database read back after every
+    # advance, operator action and finish); a read follows an advance
+    # at once, and after finish answers from the backend; the HTTP
+    # surface and incident 503s are pinned end to end, and a batch with
+    # a malformed event ingests none of it.
     live_matches_des_at_one_and_eight_shards
     live_matches_des_under_fault_injection
-    touched_publish_matches_a_full_republish
+    every_read_matches_the_mirrored_driver
     http_surface_basics
     retry_exhaustion_escalates_to_503_with_incident
-    an_advance_publishes_what_it_touched_not_the_fleet
+    reads_follow_the_driver_and_after_finish_the_backend
+    a_rejected_batch_ingests_nothing
 
     # The HTTP transport's contract: a fixed set of workers (the test
     # with 4× as many concurrent clients as workers fails if the handler
@@ -181,6 +183,15 @@ guards=(
     # (it read `prorp_workflows_in_flight` as 0 throughout while scrapes
     # re-read gauges only a recorded snapshot set).
     a_live_scrape_is_the_recorded_snapshot
+    # The paper's shape, read off the gated figure outputs
+    # (`tests/paper_shape.rs`): proactive QoS above reactive in every
+    # region (Figure 6), QoS and idle time higher at a 7-h window than a
+    # 1-h one (Figure 8), every proactive idle decomposition summing to
+    # its total, and Figure 3's two shares inside their stated band.
+    proactive_qos_beats_reactive_in_every_region
+    qos_and_idle_rise_from_a_1h_to_a_7h_window
+    the_idle_decomposition_sums_to_the_total
+    short_idle_intervals_are_common_and_carry_little_idle_time
 )
 echo "==> every guard test is in the suite"
 listed=$(cargo test -q -- --list 2>/dev/null)
