@@ -12,7 +12,7 @@
 //! runs its own Algorithm 5 tick.  The fleet is never
 //! materialised: each shard worker pulls its own id-hash partition from
 //! a [`LazyFleet`] via [`Simulation::run_streamed`], and telemetry runs
-//! in [`TelemetryMode::Summary`] so the report holds per-label counts
+//! in the default `TelemetryMode::Summary`, so the report holds counts
 //! instead of tens of millions of events.
 //!
 //! Before timing each fleet size, the harness re-proves the shard
@@ -42,7 +42,7 @@
 
 use prorp_bench::{arg_value, json_path_from_args, run_meta, write_json, Json};
 use prorp_obs::SloConfig;
-use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode};
+use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{LazyFleet, RegionName, RegionProfile, TraceSource};
 use std::time::Instant;
@@ -109,7 +109,6 @@ fn config_for(dbs: usize, shards: usize, days: i64, observe: ObsConfig) -> SimCo
     .node_capacity((dbs / 4).max(8))
     .nodes(5)
     .shards(shards)
-    .telemetry_mode(TelemetryMode::Summary)
     .observe(observe)
     .build()
     .expect("scale-sweep defaults are valid")

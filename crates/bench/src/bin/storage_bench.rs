@@ -56,7 +56,7 @@
 //!   are identical, only the scale changes.
 
 use prorp_bench::{json_path_from_args, run_meta, write_json, Json};
-use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend};
 use prorp_storage::{backup_history, HistoryRead, HistoryStore, HistoryTable};
 use prorp_types::{ActivityEvent, EventKind, PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
@@ -261,7 +261,6 @@ fn gate_config(dbs: usize, days: i64, shards: usize, backend: StorageBackend) ->
     .nodes(5)
     .shards(shards)
     .storage_backend(backend)
-    .telemetry_mode(TelemetryMode::Summary)
     .build()
     .expect("gate config is valid")
 }

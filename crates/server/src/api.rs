@@ -46,7 +46,7 @@ use crate::json::{self, Json};
 use prorp_obs::export::alert_json;
 use prorp_sim::{SimConfig, SimReport};
 use prorp_telemetry::IncidentEntry;
-use prorp_types::{DatabaseId, DbState, ProrpError, Timestamp};
+use prorp_types::{DatabaseId, ProrpError, Timestamp};
 use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -329,11 +329,6 @@ fn parse_id(id: &str) -> Option<DatabaseId> {
 }
 
 fn record_json(r: &DbRecord) -> Json {
-    let state = match r.state {
-        DbState::Resumed => "resumed",
-        DbState::LogicallyPaused => "logically-paused",
-        DbState::PhysicallyPaused => "physically-paused",
-    };
     let prediction = match &r.prediction {
         Some(p) => Json::object(vec![
             ("start", Json::Int(p.start.as_secs())),
@@ -351,7 +346,7 @@ fn record_json(r: &DbRecord) -> Json {
     };
     Json::object(vec![
         ("db", Json::from(r.id.raw())),
-        ("state", Json::Str(state.into())),
+        ("state", Json::Str(r.state.to_string())),
         ("prediction", prediction),
         ("open_incident", incident),
         (

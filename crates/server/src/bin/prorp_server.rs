@@ -4,8 +4,6 @@
 //! prorp-server serve  --dbs N --end SECS [--addr A] [--policy P] [--shards K] [--virtual]
 //! prorp-server replay --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
 //! prorp-server golden --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
-//!
-//! All commands also take `--storage btree|lsm`.
 //! ```
 //!
 //! * `serve` boots the HTTP API (wall clock by default, `--virtual` for
@@ -23,7 +21,7 @@
 
 use prorp_server::json::{self, Json};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
-use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, StorageBackend, TelemetryMode};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::Trace;
 use std::collections::BTreeMap;
@@ -52,7 +50,6 @@ struct Options {
     step: i64,
     virtual_clock: bool,
     trace: Option<String>,
-    storage: StorageBackend,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -65,7 +62,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         step: 3600,
         virtual_clock: false,
         trace: None,
-        storage: StorageBackend::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -84,13 +80,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--step" => o.step = value("--step")?.parse().map_err(|_| "bad --step")?,
             "--trace" => o.trace = Some(value("--trace")?),
             "--virtual" => o.virtual_clock = true,
-            "--storage" => {
-                o.storage = match value("--storage")?.as_str() {
-                    "btree" => StorageBackend::BTree,
-                    "lsm" => StorageBackend::Lsm,
-                    other => return Err(format!("unknown storage backend {other:?}")),
-                }
-            }
             "--policy" => {
                 o.policy = match value("--policy")?.as_str() {
                     "reactive" => SimPolicy::Reactive,
@@ -111,10 +100,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-/// The config every command runs.  Telemetry is counted per label, not
-/// logged: nothing here reads the event log (`/v1/finish` and the golden
-/// rendering read the summary), and a long-running `serve` would grow it
-/// for the life of the process.
+/// The config every command runs.  Telemetry keeps the default counts,
+/// not a log: `/v1/finish` and the golden rendering read the summary,
+/// and a long-running `serve` would grow a log for the life of the
+/// process.
 fn config(o: &Options) -> Result<SimConfig, String> {
     SimConfig::builder(
         o.policy.clone(),
@@ -123,8 +112,6 @@ fn config(o: &Options) -> Result<SimConfig, String> {
         Timestamp(0),
     )
     .shards(o.shards)
-    .storage_backend(o.storage)
-    .telemetry_mode(TelemetryMode::Summary)
     .build()
     .map_err(|e| e.to_string())
 }

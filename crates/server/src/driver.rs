@@ -11,14 +11,15 @@
 //!
 //! 1. **Buffer**: [`LiveDriver::ingest`] accepts an event only if its
 //!    timestamp is at or past the current watermark (older ones are
-//!    [`IngestOutcome::Late`]) and it is not already buffered
-//!    ([`IngestOutcome::Duplicate`]).  Accepted events sit in the buffer,
-//!    one ordered map keyed `(timestamp, queue tie-priority, registration
-//!    order)`; nothing reaches an engine yet.  The key is one-to-one with
-//!    `(database, timestamp, kind)` — registration order is one-to-one
-//!    with the database, and a login and a logout have different tie
-//!    priorities — so the map is both the dedup index and the commit
-//!    order.
+//!    [`IngestOutcome::Late`]), before the run's end (later ones are
+//!    [`IngestOutcome::AfterEnd`]: no window ever commits them) and it
+//!    is not already buffered ([`IngestOutcome::Duplicate`]).  Accepted
+//!    events sit in the buffer, one ordered map keyed `(timestamp, queue
+//!    tie-priority, registration order)`; nothing reaches an engine yet.
+//!    The key is one-to-one with `(database, timestamp, kind)` —
+//!    registration order is one-to-one with the database, and a login
+//!    and a logout have different tie priorities — so the map is both
+//!    the dedup index and the commit order.
 //! 2. **Commit**: [`LiveDriver::advance_to`]`(w)` splits off every
 //!    buffered event with timestamp `< w`, in key order, and pushes each
 //!    into its shard's queue.  Because an event older than the watermark
@@ -71,15 +72,19 @@ pub enum IngestOutcome {
     Late,
     /// The database was never registered with this driver.
     Unknown,
+    /// Timestamp at or past the run's end: no window will ever commit
+    /// it, so it is dropped.
+    AfterEnd,
 }
 
 impl IngestOutcome {
     /// Every outcome, in declaration order: `ALL[o as usize] == o`.
-    pub const ALL: [IngestOutcome; 4] = [
+    pub const ALL: [IngestOutcome; 5] = [
         IngestOutcome::Accepted,
         IngestOutcome::Duplicate,
         IngestOutcome::Late,
         IngestOutcome::Unknown,
+        IngestOutcome::AfterEnd,
     ];
 
     /// Stable lowercase label for API responses.
@@ -89,6 +94,7 @@ impl IngestOutcome {
             IngestOutcome::Duplicate => "duplicate",
             IngestOutcome::Late => "late",
             IngestOutcome::Unknown => "unknown",
+            IngestOutcome::AfterEnd => "after_end",
         }
     }
 }
@@ -371,6 +377,9 @@ impl LiveDriver {
         if ev.at < self.watermark {
             return IngestOutcome::Late;
         }
+        if ev.at >= self.cfg.end {
+            return IngestOutcome::AfterEnd;
+        }
         match self
             .buffer
             .entry((ev.at, ev.kind.tie_priority(ev.db), registered))
@@ -445,8 +454,8 @@ impl LiveDriver {
         let batch = std::mem::replace(&mut self.buffer, later);
         for ev in batch.into_values() {
             let shard = &mut self.shards[ev.db.shard_of(self.cfg.shards)];
-            // Outside [start, end) the DES clips at registration; the
-            // inject path applies the identical clip and reports it.
+            // `ingest` buffers only `[watermark, end)`, inside the
+            // `[start, end)` the inject path clips to, so none is dropped.
             let _ = match ev.kind {
                 LiveEventKind::Login => shard.inject_login(ev.at, ev.db),
                 LiveEventKind::Logout => shard.inject_logout(ev.at, ev.db),

@@ -457,6 +457,8 @@ fn ingest_outcomes_are_counted_on_metrics() {
     );
     let body = post(r#"{"events":[{"db":0,"at":100,"kind":"logout"}]}"#);
     assert!(body.contains(r#"["late"]"#), "{body}");
+    let body = post(r#"{"events":[{"db":0,"at":172800,"kind":"logout"}]}"#);
+    assert!(body.contains(r#"["after_end"]"#), "{body}");
 
     let (status, body) = http(addr, "GET", "/metrics", "");
     assert_eq!(status, 200, "{body}");
@@ -465,6 +467,28 @@ fn ingest_outcomes_are_counted_on_metrics() {
         assert_eq!(metric(&body, &name), 1, "{body}");
     }
     server.shutdown();
+}
+
+/// An event at or past the run's end can never commit, so ingest says
+/// so instead of accepting it: the run counts only the login inside
+/// the window.
+#[test]
+fn an_event_past_the_end_is_not_accepted() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(1), Timestamp(0))
+        .build()
+        .expect("config validates");
+    let mut driver = LiveDriver::new(&cfg, &[DatabaseId(0)]).expect("driver boots");
+    let login = |at: i64| LiveEvent {
+        db: DatabaseId(0),
+        at: Timestamp(at),
+        kind: LiveEventKind::Login,
+    };
+    assert_eq!(driver.ingest(login(87_000)), IngestOutcome::AfterEnd);
+    assert_eq!(driver.ingest(login(86_400)), IngestOutcome::AfterEnd);
+    assert_eq!(driver.ingest(login(600)), IngestOutcome::Accepted);
+    let report = driver.finish().expect("run finishes");
+    let logins = report.kpi.logins_available + report.kpi.logins_unavailable;
+    assert_eq!(logins, 1);
 }
 
 #[test]

@@ -102,12 +102,13 @@ pub struct SimConfig {
     /// yields identical KPIs for 1 and N shards (see
     /// [`crate::shard`] for the exact guarantee).
     pub shards: usize,
-    /// Whether every shard logs its telemetry events and the report
-    /// carries the merged log ([`TelemetryMode::Full`], the default), or
-    /// the shards only count them per label ([`TelemetryMode::Summary`]).
-    /// KPIs and label counts are identical either way — Summary mode
-    /// exists so million-database runs never hold tens of millions of
-    /// telemetry events, in a shard or in the report.
+    /// Whether the shards only count their telemetry events, per label
+    /// over the run and per label and minute over the measured window
+    /// ([`TelemetryMode::Summary`], the default), or also log every
+    /// event and the report carries the merged log
+    /// ([`TelemetryMode::Full`]).  KPIs, label counts and the Figure
+    /// 11/12 bins are identical either way; only a caller that reads
+    /// individual events needs Full.
     pub telemetry_mode: TelemetryMode,
     /// The control-plane fault layer (stage failure probabilities, retry
     /// policy, predictor circuit breaker, forecast fault injection).
@@ -148,7 +149,7 @@ impl SimConfig {
             storage_backend: StorageBackend::default(),
             compaction_mode: CompactionMode::default(),
             shards: 1,
-            telemetry_mode: TelemetryMode::Full,
+            telemetry_mode: TelemetryMode::default(),
             fault: FaultConfig::default(),
             observe: ObsConfig::default(),
         }

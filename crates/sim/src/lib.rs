@@ -32,7 +32,7 @@
 //!   workflows with latency, reclamation, timers, metadata publication),
 //!   runs the Algorithm 5 proactive-resume scan over the shard-local
 //!   `sys.databases` partition, accounts every second of fleet time into
-//!   [`prorp_telemetry::SegmentKind`]s, and emits the telemetry log; N
+//!   [`prorp_telemetry::SegmentKind`]s, and counts its telemetry; N
 //!   shards run with zero cross-thread coordination while the merged
 //!   KPIs stay bit-identical to a single-threaded run;
 //! * [`diagnostics`] — the §7 diagnostics-and-mitigation runner: detects

@@ -36,15 +36,17 @@ pub struct SimReport {
     pub policy_label: &'static str,
     /// Fleet-level KPIs over the measurement window.
     pub kpi: KpiReport,
-    /// Full telemetry log (whole run, timestamped), merged from the
-    /// shard logs.  Empty when the run used [`TelemetryMode::Summary`],
-    /// whose shards log nothing — consult
-    /// [`telemetry_summary`](Self::telemetry_summary) instead.
+    /// The merged telemetry log (whole run, timestamped) of a
+    /// [`TelemetryMode::Full`] run; empty in the default
+    /// [`TelemetryMode::Summary`].  No report query reads it.
     pub telemetry: TelemetryLog,
     /// Per-label event counts over the whole run: the sum of the counts
-    /// each shard kept as it recorded.  Populated in every mode; in
-    /// [`TelemetryMode::Summary`] runs it is the only telemetry output.
+    /// each shard kept as it recorded.  Populated in every mode.
     pub telemetry_summary: TelemetrySummary,
+    /// The same counts over the measured window, one summary per minute
+    /// from `measure_from` up to the last minute with an event, summed
+    /// minute by minute over the shards.  Populated in every mode.
+    pub telemetry_window: Vec<TelemetrySummary>,
     /// Per-database engine counters (whole run), in input-trace order.
     pub counters: Vec<EngineCounters>,
     /// Batch sizes of each proactive-resume scan iteration (Figure 11).
@@ -91,13 +93,23 @@ pub struct SimReport {
 impl SimReport {
     /// Workflow counts per `bin` over the measurement window — the
     /// Figure 11 ([`TelemetryKind::ProactiveResume`]) and Figure 12
-    /// ([`TelemetryKind::PhysicalPause`]) inputs.
-    ///
-    /// All-zero in [`TelemetryMode::Summary`] runs (no shard keeps the
-    /// per-event log the bins are cut from).
+    /// ([`TelemetryKind::PhysicalPause`]) inputs — summed from the
+    /// [`telemetry_window`](Self::telemetry_window) minutes, trailing
+    /// empty bins included.  Panics unless `bin` is a positive whole
+    /// number of minutes.
     pub fn workflow_bins(&self, kind: TelemetryKind, bin: Seconds) -> Vec<usize> {
-        self.telemetry
-            .counts_per_bin(kind, self.measure_from, self.end, bin)
+        let secs = bin.as_secs();
+        assert!(
+            secs > 0 && secs % 60 == 0,
+            "bin width must be a positive whole number of minutes, got {bin:?}"
+        );
+        let span = (self.end - self.measure_from).as_secs();
+        let mut bins = vec![0usize; (span as usize).div_ceil(secs as usize)];
+        let minutes_per_bin = (secs / 60) as usize;
+        for (minute, counts) in self.telemetry_window.iter().enumerate() {
+            bins[minute / minutes_per_bin] += counts.count(kind.label()) as usize;
+        }
+        bins
     }
 }
 
@@ -274,10 +286,11 @@ where
 /// databases contributes nothing instead of dragging the QoS/COGS
 /// percentages toward its (undefined) local ratio.
 ///
-/// The KPI event counts and the per-label summary are the shards' own
-/// telemetry summaries, summed; no event is visited.  Only a
-/// [`TelemetryMode::Full`] run has shard logs, which are k-way merged
-/// by timestamp into the report's log.
+/// The per-label summary and the per-minute window series are the
+/// shards' own, summed (the series, of any lengths, minute by minute),
+/// and the KPI event counts are the series' total; no event is visited.
+/// Only a [`TelemetryMode::Full`] run has shard logs, which are k-way
+/// merged by timestamp into the report's log.
 pub fn merge_outcomes(
     cfg: &SimConfig,
     order: &HashMap<DatabaseId, usize>,
@@ -295,7 +308,7 @@ pub fn merge_outcomes(
         let mut mitigations = 0u64;
         let mut maintenance = MaintenanceStats::default();
         let mut summary = TelemetrySummary::new();
-        let mut window = TelemetrySummary::new();
+        let mut window: Vec<TelemetrySummary> = Vec::new();
         let mut shard_counters = Vec::with_capacity(outcomes.len());
         let mut shard_batches = Vec::with_capacity(outcomes.len());
         let mut shard_logs = Vec::with_capacity(outcomes.len());
@@ -322,7 +335,14 @@ pub fn merge_outcomes(
             shard_batches.push(outcome.resume_batches);
             shard_counters.push(outcome.counters);
             summary.add(&outcome.telemetry_summary);
-            window.add(&outcome.telemetry_window);
+            // The longest series is the base, so one shard's is moved.
+            let mut series = outcome.telemetry_window;
+            if series.len() > window.len() {
+                std::mem::swap(&mut window, &mut series);
+            }
+            for (sum, minute) in window.iter_mut().zip(&series) {
+                sum.add(minute);
+            }
             shard_logs.push(outcome.telemetry);
             shard_workflows.push(outcome.workflow);
             shard_incident_logs.push(outcome.incident_log);
@@ -336,10 +356,14 @@ pub fn merge_outcomes(
             None
         };
 
-        // The KPI event counts are the shards' measured-window counts,
-        // added up; only a Full run has shard logs to merge.
+        // The KPI event counts are the measured-window series' total;
+        // only a Full run has shard logs to merge.
         let mut kpi = KpiReport::from_segments(&fleet_acc);
-        let in_window = |kind: TelemetryKind| window.count(kind.label());
+        let mut window_total = TelemetrySummary::new();
+        for minute in &window {
+            window_total.add(minute);
+        }
+        let in_window = |kind: TelemetryKind| window_total.count(kind.label());
         kpi.logins_available = in_window(TelemetryKind::Login { available: true });
         kpi.logins_unavailable = in_window(TelemetryKind::Login { available: false });
         kpi.proactive_resumes = in_window(TelemetryKind::ProactiveResume);
@@ -372,6 +396,7 @@ pub fn merge_outcomes(
             kpi,
             telemetry,
             telemetry_summary: summary,
+            telemetry_window: window,
             counters: collect(counters, "counters")?,
             resume_batches: ProactiveResumeOp::sum_shard_batches(&shard_batches),
             history_stats: collect(history_stats, "history stats")?,
@@ -486,7 +511,26 @@ mod tests {
         let b = run(SimPolicy::Proactive(PolicyConfig::default()), traces);
         assert_eq!(a.kpi, b.kpi);
         assert_eq!(a.resume_batches, b.resume_batches);
-        assert_eq!(a.telemetry.len(), b.telemetry.len());
+        assert!(a.telemetry_summary.total() > 0);
+        assert_eq!(a.telemetry_summary, b.telemetry_summary);
+        assert!(!a.telemetry_window.is_empty());
+        assert_eq!(a.telemetry_window, b.telemetry_window);
+    }
+
+    #[test]
+    fn workflow_bins_cut_the_window_in_whole_minutes() {
+        let report = run(SimPolicy::Reactive, vec![daily_trace()]);
+        // Five measured nights, one physical pause each; 7 200 minutes.
+        assert_eq!(report.kpi.physical_pauses, 5);
+        let bins = report.workflow_bins(TelemetryKind::PhysicalPause, Seconds::minutes(7));
+        assert_eq!(bins.len(), 7_200usize.div_ceil(7));
+        assert_eq!(bins.iter().sum::<usize>(), 5);
+        for secs in [0, -60, 90] {
+            let cut = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                report.workflow_bins(TelemetryKind::PhysicalPause, Seconds(secs))
+            }));
+            assert!(cut.is_err(), "a {secs} s bin must be refused");
+        }
     }
 
     #[test]
@@ -580,8 +624,7 @@ mod tests {
             proactive.maintenance
         );
         // Telemetry labels the outcomes.
-        let counts = proactive.telemetry.counts();
-        assert!(counts.get("maintenance-piggybacked").copied().unwrap_or(0) > 0);
+        assert!(proactive.telemetry_summary.count("maintenance-piggybacked") > 0);
     }
 
     #[test]

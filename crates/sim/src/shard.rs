@@ -161,24 +161,25 @@ impl Workflows {
 }
 
 /// The shard's telemetry, counted where it is recorded: every event
-/// bumps the whole-run and (inside `[measure_from, end)`) the window
-/// summary, and is appended to the log only in [`TelemetryMode::Full`].
+/// bumps the whole-run summary and, inside `[measure_from, end)`, its
+/// minute's summary in the window series, and is appended to the log
+/// only in [`TelemetryMode::Full`].
 struct ShardTelemetry {
-    log: TelemetryLog,
+    log: Option<TelemetryLog>,
     run: TelemetrySummary,
-    window: TelemetrySummary,
+    /// Minute `m` from `measure_from` at `window[m]`, grown as records
+    /// arrive: it ends at the last minute that saw one.
+    window: Vec<TelemetrySummary>,
     measured: std::ops::Range<Timestamp>,
-    keep_log: bool,
 }
 
 impl ShardTelemetry {
     fn new(cfg: &SimConfig) -> Self {
         ShardTelemetry {
-            log: TelemetryLog::new(),
+            log: (cfg.telemetry_mode == TelemetryMode::Full).then(TelemetryLog::new),
             run: TelemetrySummary::new(),
-            window: TelemetrySummary::new(),
+            window: Vec::new(),
             measured: cfg.measure_from..cfg.end,
-            keep_log: cfg.telemetry_mode == TelemetryMode::Full,
         }
     }
 
@@ -188,10 +189,14 @@ impl ShardTelemetry {
     fn record(&mut self, now: Timestamp, id: DatabaseId, kind: TelemetryKind) {
         self.run.record(kind);
         if self.measured.contains(&now) {
-            self.window.record(kind);
+            let minute = ((now - self.measured.start).as_secs() / 60) as usize;
+            if minute >= self.window.len() {
+                self.window.resize_with(minute + 1, TelemetrySummary::new);
+            }
+            self.window[minute].record(kind);
         }
-        if self.keep_log {
-            self.log.record(now, id, kind);
+        if let Some(log) = &mut self.log {
+            log.record(now, id, kind);
         }
     }
 }
@@ -207,9 +212,11 @@ pub struct ShardOutcome {
     pub telemetry: TelemetryLog,
     /// Per-kind counts of every event the shard recorded, in every mode.
     pub telemetry_summary: TelemetrySummary,
-    /// The same counts restricted to the measured window
-    /// `[measure_from, end)` — the KPI login, pre-warm and pause counts.
-    pub telemetry_window: TelemetrySummary,
+    /// The same counts over the measured window `[measure_from, end)`,
+    /// one summary per minute from `measure_from`, ending at the last
+    /// minute with an event — the KPI login, pre-warm and pause counts
+    /// and the Figure 11/12 bins.
+    pub telemetry_window: Vec<TelemetrySummary>,
     /// Algorithm 5 batch sizes, one entry per scan tick.
     pub resume_batches: Vec<usize>,
     /// Spill moves on this shard's cluster slice.
@@ -1188,7 +1195,7 @@ impl ShardDriver {
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
         Ok(ShardOutcome {
             dbs: db_results,
-            telemetry: self.telemetry.log,
+            telemetry: self.telemetry.log.unwrap_or_default(),
             telemetry_summary: self.telemetry.run,
             telemetry_window: self.telemetry.window,
             resume_batches: self.resume_op.batch_sizes().to_vec(),
@@ -1291,6 +1298,7 @@ mod tests {
         .maintenance_period(Seconds::days(7))
         .diagnostics_period(Seconds::hours(1))
         .observe(prorp_obs::ObsConfig::on())
+        .telemetry_mode(TelemetryMode::Full)
         .build()
         .unwrap();
         let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(60, start, end, 11);
@@ -1403,8 +1411,8 @@ mod tests {
     }
 
     /// A Summary-mode shard allocates no event buffer, yet counts what a
-    /// Full-mode twin logs: its whole-run and window summaries are those
-    /// of the twin's log.
+    /// Full-mode twin logs: its whole-run summary and per-minute window
+    /// series are those of the twin's log.
     #[test]
     fn summary_shard_keeps_no_log_and_counts_what_full_logs() {
         use prorp_types::PolicyConfig;
@@ -1428,11 +1436,16 @@ mod tests {
         let (full, summary) = (run(TelemetryMode::Full), run(TelemetryMode::Summary));
 
         let log = &full.telemetry;
-        let mut window = TelemetrySummary::new();
+        let mut window: Vec<TelemetrySummary> = Vec::new();
         for e in log.range(measure_from, end) {
-            window.observe(e);
+            let minute = ((e.ts - measure_from).as_secs() / 60) as usize;
+            if minute >= window.len() {
+                window.resize_with(minute + 1, TelemetrySummary::new);
+            }
+            window[minute].record(e.kind);
         }
-        assert!(log.len() > 1_000 && window.total() < log.len() as u64);
+        let in_window: u64 = window.iter().map(TelemetrySummary::total).sum();
+        assert!(log.len() > 1_000 && in_window < log.len() as u64);
         for outcome in [&full, &summary] {
             assert_eq!(outcome.telemetry_summary, TelemetrySummary::from_log(log));
             assert_eq!(outcome.telemetry_window, window);
@@ -1459,6 +1472,7 @@ mod tests {
             Timestamp(0),
         )
         .observe(prorp_obs::ObsConfig::on())
+        .telemetry_mode(TelemetryMode::Full)
         .build()
         .unwrap();
         let (paused, serving, cold) = (DatabaseId(0), DatabaseId(1), DatabaseId(2));

@@ -5,8 +5,7 @@
 //! the Cosmos big-data platform, here an in-memory append-only log that
 //! the offline training pipeline reads.
 
-use prorp_types::{DatabaseId, Seconds, Timestamp};
-use std::collections::HashMap;
+use prorp_types::{DatabaseId, Timestamp};
 
 /// What happened.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -148,37 +147,6 @@ impl TelemetryLog {
         &self.events[lo..hi]
     }
 
-    /// Count events per kind label.
-    pub fn counts(&self) -> HashMap<&'static str, usize> {
-        let mut out = HashMap::new();
-        for e in &self.events {
-            *out.entry(e.kind.label()).or_insert(0) += 1;
-        }
-        out
-    }
-
-    /// Count events of one kind per fixed-width time bin — the input to
-    /// the Figure 11/12 box plots (workflows per scan interval).
-    pub fn counts_per_bin(
-        &self,
-        kind: TelemetryKind,
-        from: Timestamp,
-        to: Timestamp,
-        bin: Seconds,
-    ) -> Vec<usize> {
-        assert!(bin.as_secs() > 0, "bin width must be positive");
-        let span = (to - from).as_secs().max(0);
-        let bins = (span as usize).div_ceil(bin.as_secs() as usize).max(1);
-        let mut out = vec![0usize; bins];
-        for e in self.range(from, to) {
-            if e.kind == kind {
-                let idx = ((e.ts - from).as_secs() / bin.as_secs()) as usize;
-                out[idx.min(bins - 1)] += 1;
-            }
-        }
-        out
-    }
-
     /// Merge per-shard logs into one time-ordered log.
     ///
     /// Each input log is individually time-ordered (the per-shard event
@@ -220,10 +188,10 @@ mod tests {
         log.record(t(3), db(2), TelemetryKind::Login { available: false });
         log.record(t(4), db(2), TelemetryKind::PhysicalPause);
         assert_eq!(log.len(), 4);
-        let counts = log.counts();
-        assert_eq!(counts["login-available"], 1);
-        assert_eq!(counts["login-unavailable"], 1);
-        assert_eq!(counts["physical-pause"], 1);
+        let counts = crate::TelemetrySummary::from_log(&log);
+        assert_eq!(counts.count("login-available"), 1);
+        assert_eq!(counts.count("login-unavailable"), 1);
+        assert_eq!(counts.count("physical-pause"), 1);
     }
 
     #[test]
@@ -236,19 +204,6 @@ mod tests {
         assert_eq!(r.len(), 3); // 20, 30, 40
         assert_eq!(r[0].ts, t(20));
         assert_eq!(r.last().unwrap().ts, t(40));
-    }
-
-    #[test]
-    fn counts_per_bin_shapes_figure_11() {
-        let mut log = TelemetryLog::new();
-        // 3 proactive resumes in bin 0, 1 in bin 2.
-        for ts in [5, 20, 59] {
-            log.record(t(ts), db(0), TelemetryKind::ProactiveResume);
-        }
-        log.record(t(60), db(0), TelemetryKind::PhysicalPause); // other kind
-        log.record(t(130), db(0), TelemetryKind::ProactiveResume);
-        let bins = log.counts_per_bin(TelemetryKind::ProactiveResume, t(0), t(180), Seconds(60));
-        assert_eq!(bins, vec![3, 0, 1]);
     }
 
     #[test]
@@ -294,12 +249,5 @@ mod tests {
         assert!(TelemetryKind::ALL
             .windows(2)
             .all(|w| w[0].label() < w[1].label()));
-    }
-
-    #[test]
-    #[should_panic(expected = "bin width must be positive")]
-    fn zero_bin_panics() {
-        let log = TelemetryLog::new();
-        let _ = log.counts_per_bin(TelemetryKind::Move, t(0), t(10), Seconds(0));
     }
 }

@@ -15,10 +15,10 @@
 //!
 //! [`TelemetryMode`] and [`TelemetrySummary`] are the simulator's
 //! contract for what a run keeps: every shard counts each event into
-//! a summary where it records it, and in
-//! [`Summary`](TelemetryMode::Summary) mode it keeps nothing else — no
-//! shard log, no merge, only the counts the report adds up.  That is
-//! the memory that matters at million-database scale.
+//! summaries where it records it, and in
+//! [`Summary`](TelemetryMode::Summary) mode, the default, it keeps
+//! nothing else — no shard log, no merge, only the counts the report
+//! adds up.  That is the memory that matters at million-database scale.
 
 use crate::log::{TelemetryEvent, TelemetryKind, TelemetryLog};
 use prorp_types::Timestamp;
@@ -28,16 +28,19 @@ use std::collections::BinaryHeap;
 /// How the simulator retains the telemetry of a run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TelemetryMode {
-    /// Keep every shard's event log and materialise the merged log (the
-    /// default): per-event queries such as `counts_per_bin` (Figures
-    /// 11/12) stay available on the report.
+    /// Keep only the [`TelemetrySummary`] counts (the default): a shard
+    /// counts each event where it records it, per kind over the whole
+    /// run and per kind and minute over the measured window, and
+    /// appends nothing.  Memory stays proportional to the kind set and
+    /// the minutes reached, not the event count; the per-minute counts
+    /// are what Figures 11 and 12 bin.
     #[default]
-    Full,
-    /// Keep only the [`TelemetrySummary`] counts: a shard appends no
-    /// event, so neither it nor the report holds an event log.  This is
-    /// the million-database mode — memory stays proportional to the
-    /// kind set, not the event count.
     Summary,
+    /// Also keep every shard's event log and materialise the merged log
+    /// on the report, for callers that read individual events (the
+    /// benchmark's telemetry-merge layer and the tests that compare
+    /// logs event by event).
+    Full,
 }
 
 /// Per-kind event counts.
@@ -59,11 +62,6 @@ impl TelemetrySummary {
     /// Count one event of `kind`.
     pub fn record(&mut self, kind: TelemetryKind) {
         self.per_kind[kind.index()] += 1;
-    }
-
-    /// Count one event.
-    pub fn observe(&mut self, event: &TelemetryEvent) {
-        self.record(event.kind);
     }
 
     /// Add `other`'s counts to these, kind by kind.
@@ -102,7 +100,7 @@ impl TelemetrySummary {
     pub fn from_log(log: &TelemetryLog) -> Self {
         let mut s = TelemetrySummary::new();
         for e in log.events() {
-            s.observe(e);
+            s.record(e.kind);
         }
         s
     }
@@ -260,14 +258,15 @@ mod tests {
             let pairs: Vec<_> = summed.iter().collect();
             assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "{pairs:?}");
             assert!(pairs.iter().all(|&(_, c)| c > 0), "{pairs:?}");
-            for (label, count) in merged.counts() {
-                assert_eq!(summed.count(label), count as u64, "{label}");
+            for kind in TelemetryKind::ALL {
+                let logged = merged.events().iter().filter(|e| e.kind == kind).count();
+                assert_eq!(summed.count(kind.label()), logged as u64, "{kind:?}");
             }
         }
     }
 
     #[test]
-    fn telemetry_mode_defaults_to_full() {
-        assert_eq!(TelemetryMode::default(), TelemetryMode::Full);
+    fn telemetry_mode_defaults_to_summary() {
+        assert_eq!(TelemetryMode::default(), TelemetryMode::Summary);
     }
 }

@@ -1,10 +1,9 @@
 //! Property tests for the telemetry aggregations: CDF percentiles against
-//! a sorted reference, box-plot bounds, segment accounting conservation,
-//! and bin counting.
+//! a sorted reference, box-plot bounds, and segment accounting conservation.
 
 use proptest::prelude::*;
-use prorp_telemetry::{BoxPlot, Cdf, SegmentAccumulator, SegmentKind, TelemetryKind, TelemetryLog};
-use prorp_types::{DatabaseId, Seconds, Timestamp};
+use prorp_telemetry::{BoxPlot, Cdf, SegmentAccumulator, SegmentKind};
+use prorp_types::{Seconds, Timestamp};
 
 proptest! {
     #[test]
@@ -58,32 +57,5 @@ proptest! {
         // Fractions form a probability distribution.
         let total: f64 = SegmentKind::ALL.iter().map(|k| acc.fraction(*k)).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bin_counts_sum_to_filtered_events(
-        stamps in prop::collection::vec(0i64..10_000, 0..200),
-        bin in 1i64..3_000,
-    ) {
-        let mut stamps = stamps;
-        stamps.sort_unstable();
-        let mut log = TelemetryLog::new();
-        for (i, ts) in stamps.iter().enumerate() {
-            let kind = if i % 2 == 0 {
-                TelemetryKind::PhysicalPause
-            } else {
-                TelemetryKind::LogicalPause
-            };
-            log.record(Timestamp(*ts), DatabaseId(0), kind);
-        }
-        let bins = log.counts_per_bin(
-            TelemetryKind::PhysicalPause,
-            Timestamp(0),
-            Timestamp(10_000),
-            Seconds(bin),
-        );
-        let total: usize = bins.iter().sum();
-        let expected = stamps.len().div_ceil(2);
-        prop_assert_eq!(total, expected);
     }
 }

@@ -119,7 +119,8 @@ pub fn render_report(report: &SimReport) -> String {
         "    \"resumes_scheduled\": {},",
         report.resume_batches.iter().sum::<usize>()
     );
-    let _ = writeln!(out, "    \"telemetry_events\": {}", report.telemetry.len());
+    let events = report.telemetry_summary.total();
+    let _ = writeln!(out, "    \"telemetry_events\": {events}");
     let _ = writeln!(out, "  }}");
     let _ = writeln!(out, "}}");
     out

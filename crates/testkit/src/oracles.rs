@@ -137,8 +137,11 @@ pub fn assert_behaviour_equal(a: &SimReport, b: &SimReport, context: &str) {
         "{context}: maintenance differs"
     );
     assert_eq!(
-        a.telemetry.len(),
-        b.telemetry.len(),
-        "{context}: telemetry volumes differ"
+        a.telemetry_summary, b.telemetry_summary,
+        "{context}: telemetry counts differ"
+    );
+    assert_eq!(
+        a.telemetry_window, b.telemetry_window,
+        "{context}: per-minute telemetry counts differ"
     );
 }

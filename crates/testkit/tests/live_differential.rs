@@ -27,6 +27,7 @@ use prorp_server::{
 };
 use prorp_sim::{
     ObsConfig, SimConfig, SimConfigBuilder, SimPolicy, SimReport, Simulation, StorageBackend,
+    TelemetryMode,
 };
 use prorp_telemetry::{IncidentEntry, IncidentKind};
 use prorp_types::{DatabaseId, DbState, PolicyConfig, RetryPolicy, Seconds, Timestamp};
@@ -59,6 +60,7 @@ fn base_config(policy: SimPolicy, shards: usize) -> SimConfigBuilder {
             .with_slo(SloConfig::default())
             .with_explain(),
     )
+    .telemetry_mode(TelemetryMode::Full)
 }
 
 /// Flatten traces into the wire-form event stream, in trace order (the
@@ -109,6 +111,7 @@ fn run_live(cfg: &SimConfig, traces: &[Trace], events: &[LiveEvent], chunk: Seco
 /// counters, and span traces" from the issue, literally.
 fn assert_live_identical(des: &SimReport, live: &SimReport, context: &str) {
     assert_reports_equal(des, live, context);
+    assert!(!des.telemetry.is_empty(), "{context}: a Full run logs");
     assert_eq!(
         des.telemetry.events(),
         live.telemetry.events(),

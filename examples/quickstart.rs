@@ -8,9 +8,9 @@
 //! cargo run --release -p prorp-bench --example quickstart
 //! ```
 
-use prorp_sim::{SimConfig, SimPolicy, Simulation};
-use prorp_telemetry::{SegmentKind, TelemetryKind};
-use prorp_types::{DatabaseId, PolicyConfig, Seconds, Session, Timestamp};
+use prorp_obs::SpanKind;
+use prorp_sim::{ObsConfig, SimConfig, SimPolicy, Simulation};
+use prorp_types::{DatabaseId, DbState, PolicyConfig, Seconds, Session, Timestamp};
 use prorp_workload::Trace;
 
 const DAY: i64 = 86_400;
@@ -44,6 +44,7 @@ fn main() {
             Timestamp(35 * DAY),
             Timestamp(28 * DAY),
         )
+        .observe(ObsConfig::on())
         .build()
         .expect("valid config");
         let report = Simulation::new(config, vec![trace.clone()])
@@ -76,30 +77,33 @@ fn main() {
 }
 
 /// Rough instant classification for the ASCII art: derived from the
-/// telemetry events nearest to `t`.
+/// trace spans nearest to `t`.
 fn classify_instant(report: &prorp_sim::SimReport, t: Timestamp) -> char {
-    // Replay the day's telemetry to find the database's condition at t.
+    // Replay the trace to find the database's condition at t.
+    let trace = &report.obs.as_ref().expect("observability on").trace;
     let mut state = '.';
     let mut since = Timestamp(0);
-    for e in report.telemetry.events() {
-        if e.ts > t {
+    for r in trace {
+        if r.start > t {
             break;
         }
-        since = e.ts;
-        state = match e.kind {
-            TelemetryKind::Login { available: true } => '#',
-            TelemetryKind::Login { available: false } => '!',
-            TelemetryKind::LogicalPause => '=',
-            TelemetryKind::PhysicalPause => '.',
-            TelemetryKind::ProactiveResume => '+',
-            TelemetryKind::Move | TelemetryKind::Maintenance { .. } => state,
+        state = match r.kind {
+            SpanKind::Login { available: true } => '#',
+            SpanKind::Login { available: false } => '!',
+            SpanKind::Lifecycle { to, .. } => match to {
+                DbState::LogicallyPaused => '=',
+                DbState::PhysicallyPaused => '.',
+                DbState::Resumed => continue,
+            },
+            SpanKind::ProactiveResume => '+',
+            _ => continue,
         };
+        since = r.start;
     }
     // A '!' resolves into '#' once the resume workflow (~60 s) completes;
     // keep '!' visible only in the slot containing the login itself.
     if state == '!' && (t - since) > Seconds(1_800) {
         state = '#';
     }
-    let _ = SegmentKind::Active;
     state
 }

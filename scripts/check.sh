@@ -177,6 +177,9 @@ guards=(
     a_forced_pause_is_accounted_once
     # An ingest outcome that goes uncounted on `/metrics`.
     ingest_outcomes_are_counted_on_metrics
+    # An event at or past the run's end answered `accepted`: no window
+    # ever commits it, so it sat in the buffer for the driver's life.
+    an_event_past_the_end_is_not_accepted
     # A live `/metrics` scrape that reads anything other than what a
     # recorded snapshot at the same instant holds: a shard stepped to
     # each instant of a twin's 10-s series must scrape the twin's entry
@@ -187,11 +190,17 @@ guards=(
     # (`tests/paper_shape.rs`): proactive QoS above reactive in every
     # region (Figure 6), QoS and idle time higher at a 7-h window than a
     # 1-h one (Figure 8), every proactive idle decomposition summing to
-    # its total, and Figure 3's two shares inside their stated band.
+    # its total, Figure 3's two shares inside their stated band, the
+    # busiest interval growing from 1 to 15 minutes (Figures 11 and 12)
+    # with proactive pausing more than reactive, and QoS, idle time and
+    # pre-warms all falling from c = 0.1 to c = 0.8 (Figure 9).
     proactive_qos_beats_reactive_in_every_region
     qos_and_idle_rise_from_a_1h_to_a_7h_window
     the_idle_decomposition_sums_to_the_total
     short_idle_intervals_are_common_and_carry_little_idle_time
+    figure_11_busiest_interval_grows_from_1_to_15_min
+    figure_12_pauses_grow_with_the_interval_and_proactive_pauses_more
+    figure_9_a_stricter_confidence_lowers_qos_idle_and_resumes
 )
 echo "==> every guard test is in the suite"
 listed=$(cargo test -q -- --list 2>/dev/null)

@@ -109,12 +109,7 @@ fn simulated_moves_do_not_degrade_the_proactive_policy() {
     moving.rebalance_threshold = 1;
     let moved = Simulation::new(moving, traces).unwrap().run().unwrap();
 
-    let move_count = moved
-        .telemetry
-        .events()
-        .iter()
-        .filter(|e| e.kind == TelemetryKind::Move)
-        .count();
+    let move_count = moved.telemetry_summary.count(TelemetryKind::Move.label());
     assert!(
         move_count > 0,
         "load balancing must actually move databases"

@@ -1,7 +1,7 @@
 //! End-to-end fleet invariants across the whole stack: workload
 //! generation → policy engines → simulator → telemetry.
 
-use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode};
 use prorp_telemetry::TelemetryKind;
 use prorp_types::{DatabaseId, PolicyConfig, Seconds, Session, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
@@ -18,12 +18,17 @@ fn fleet(n: usize, days: i64, seed: u64) -> Vec<Trace> {
 }
 
 fn run(policy: SimPolicy, traces: &[Trace], days: i64) -> SimReport {
+    run_with(policy, traces, days, TelemetryMode::default())
+}
+
+fn run_with(policy: SimPolicy, traces: &[Trace], days: i64, mode: TelemetryMode) -> SimReport {
     let config = SimConfig::builder(
         policy,
         Timestamp(0),
         Timestamp(days * DAY),
         Timestamp((days - 4) * DAY),
     )
+    .telemetry_mode(mode)
     .build()
     .expect("valid config");
     Simulation::new(config, traces.to_vec())
@@ -77,8 +82,14 @@ fn time_accounting_is_exhaustive() {
 #[test]
 fn telemetry_agrees_with_kpi_counters() {
     let traces = fleet(30, 32, 11);
-    let report = run(SimPolicy::Proactive(PolicyConfig::default()), &traces, 32);
+    let report = run_with(
+        SimPolicy::Proactive(PolicyConfig::default()),
+        &traces,
+        32,
+        TelemetryMode::Full,
+    );
     let window = report.telemetry.range(report.measure_from, report.end);
+    assert!(!window.is_empty());
     let logins_avail = window
         .iter()
         .filter(|e| e.kind == TelemetryKind::Login { available: true })
@@ -121,7 +132,9 @@ fn runs_are_reproducible() {
     let a = run(SimPolicy::Proactive(PolicyConfig::default()), &traces, 30);
     let b = run(SimPolicy::Proactive(PolicyConfig::default()), &traces, 30);
     assert_eq!(a.kpi, b.kpi);
-    assert_eq!(a.telemetry.len(), b.telemetry.len());
+    assert!(a.telemetry_summary.total() > 0);
+    assert_eq!(a.telemetry_summary, b.telemetry_summary);
+    assert_eq!(a.telemetry_window, b.telemetry_window);
     assert_eq!(a.resume_batches, b.resume_batches);
     assert_eq!(a.counters.len(), b.counters.len());
     for (x, y) in a.counters.iter().zip(&b.counters) {

@@ -1,11 +1,13 @@
 //! The paper's shape claims, asserted on the committed figure outputs.
 //!
 //! `scripts/figures.sh` regenerates `results/fig03_idle_fragmentation.txt`,
-//! `fig06_regions.txt` and `fig08_window_size.txt` at 300 databases × 35
-//! days, seed 42, and `scripts/check.sh` diffs them byte for byte, so these
-//! files are what the tree produces.  The tests below read them and check
-//! the claims the paper draws from Figures 3, 6 and 8 — the direction of
-//! each effect, not the paper's absolute numbers, which a synthetic fleet
+//! `fig06_regions.txt`, `fig08_window_size.txt`, `fig09_confidence.txt`,
+//! `fig11_resume_frequency.txt` and `fig12_pause_frequency.txt` at 300
+//! databases × 35 days, seed 42, and `scripts/check.sh` diffs them byte
+//! for byte, so these files are what the tree produces.  The tests below
+//! read them and check the claims the paper draws from Figures 3, 6, 8, 9,
+//! 11 and 12 — the direction of each effect, comparing the ends of a
+//! sweep only, not the paper's absolute numbers, which a synthetic fleet
 //! does not reproduce (DESIGN.md §2 states the gaps).
 
 use std::path::Path;
@@ -145,5 +147,99 @@ fn short_idle_intervals_are_common_and_carry_little_idle_time() {
     assert!(
         (1.0..=3.0).contains(&time_share),
         "their share of idle time: {time_share}%"
+    );
+}
+
+/// The lines of `text` after the one starting with `header`, up to the
+/// next blank line.
+fn block<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
+    let block: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with(header))
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .collect();
+    assert!(!block.is_empty(), "no {header:?} block in {text}");
+    block
+}
+
+/// The `max=` of the `1 min` and the `15 min` box-plot rows of a
+/// Figure 11/12 block.
+fn max_at_1_and_15_min(block: &[&str]) -> (f64, f64) {
+    let max_at = |minutes: &str| {
+        let row = block
+            .iter()
+            .find(|l| l.starts_with(&format!("{minutes} min ")))
+            .unwrap_or_else(|| panic!("no {minutes} min row in {block:?}"));
+        number_after(row, "max=")
+    };
+    (max_at("1"), max_at("15"))
+}
+
+/// Figure 11: the busiest interval holds at least as many workflows at a
+/// 15-minute period as at a 1-minute one, for the proactive batches and
+/// the reactive resumes alike (the paper: 29 → 406).
+#[test]
+fn figure_11_busiest_interval_grows_from_1_to_15_min() {
+    let text = result("fig11_resume_frequency.txt");
+    for header in ["proactive policy", "reactive policy"] {
+        let (one, fifteen) = max_at_1_and_15_min(&block(&text, header));
+        assert!(fifteen >= one, "{header}: max {one} → {fifteen}");
+    }
+}
+
+/// Figure 12: the same growth for physical pauses under both policies
+/// (the paper: 31 → 458), and the proactive policy pauses more often
+/// than the reactive one over the measured week.
+#[test]
+fn figure_12_pauses_grow_with_the_interval_and_proactive_pauses_more() {
+    let text = result("fig12_pause_frequency.txt");
+    let mut totals = Vec::new();
+    for header in ["proactive (gray)", "reactive (white)"] {
+        let rows = block(&text, header);
+        let (one, fifteen) = max_at_1_and_15_min(&rows);
+        assert!(fifteen >= one, "{header}: max {one} → {fifteen}");
+        let total = rows
+            .iter()
+            .find(|l| l.contains("total pauses"))
+            .unwrap_or_else(|| panic!("no total in {rows:?}"));
+        totals.push(number_after(total, "window:"));
+    }
+    assert!(
+        totals[0] > totals[1],
+        "proactive {} ≤ reactive {} pauses",
+        totals[0],
+        totals[1]
+    );
+}
+
+/// Figure 9: a stricter confidence threshold trades QoS for idle time —
+/// QoS, idle time and proactive resumes are all lower at c = 0.8 than at
+/// c = 0.1 — and at c = 0.8 QoS falls below the reactive policy's on the
+/// same region (Figure 6, EU1).
+#[test]
+fn figure_9_a_stricter_confidence_lowers_qos_idle_and_resumes() {
+    let text = result("fig09_confidence.txt");
+    let row = |c: &str| {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&format!("{c} ")))
+            .unwrap_or_else(|| panic!("no c = {c} row in {text}"));
+        cells(&line[c.len()..])
+    };
+    let (loose, strict) = (row("0.1"), row("0.8"));
+    for (i, what) in ["QoS", "idle", "proactive resumes"].iter().enumerate() {
+        assert!(strict[i] < loose[i], "{what}: {} → {}", loose[i], strict[i]);
+    }
+    let fig06 = result("fig06_regions.txt");
+    let eu1 = fig06
+        .lines()
+        .find(|l| l.starts_with("EU1 "))
+        .unwrap_or_else(|| panic!("no EU1 row in {fig06}"));
+    let reactive_qos = cells(&eu1[4..])[0];
+    assert!(
+        strict[0] < reactive_qos,
+        "QoS at c = 0.8 {} ≥ reactive {reactive_qos}",
+        strict[0]
     );
 }

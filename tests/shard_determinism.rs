@@ -71,8 +71,9 @@ fn same_seed_yields_identical_kpis_for_1_2_and_8_shards() {
         // fractions: equality here means bit-identical KPIs.
         assert_eq!(sharded.kpi, baseline.kpi, "{shards} shards");
         assert_eq!(sharded.resume_batches, baseline.resume_batches);
-        assert_eq!(sharded.telemetry.len(), baseline.telemetry.len());
-        assert_eq!(sharded.telemetry.counts(), baseline.telemetry.counts());
+        assert!(baseline.telemetry_summary.total() > 0);
+        assert_eq!(sharded.telemetry_summary, baseline.telemetry_summary);
+        assert_eq!(sharded.telemetry_window, baseline.telemetry_window);
         assert_eq!(
             logical(&sharded.counters),
             logical(&baseline.counters),
@@ -294,6 +295,7 @@ fn streamed_run_matches_materialised_run_bit_for_bit() {
                 Timestamp(30 * DAY),
             )
             .shards(shards)
+            .telemetry_mode(TelemetryMode::Full)
             .build()
             .unwrap()
         };
@@ -302,6 +304,7 @@ fn streamed_run_matches_materialised_run_bit_for_bit() {
             .run()
             .unwrap();
         let streamed = Simulation::run_streamed(build(), &lazy).unwrap();
+        assert!(!materialised.telemetry.is_empty());
         assert_eq!(streamed.kpi, materialised.kpi, "{shards} shards");
         assert_eq!(streamed.resume_batches, materialised.resume_batches);
         assert_eq!(
@@ -319,13 +322,28 @@ fn streamed_run_matches_materialised_run_bit_for_bit() {
     }
 }
 
+/// Workflow counts per `minutes`-wide bin of `[measure_from, end)`, cut
+/// from a Full run's log: the bins the per-minute series must reproduce.
+fn bins_from_log(report: &SimReport, kind: TelemetryKind, minutes: i64) -> Vec<usize> {
+    let width = minutes * 60;
+    let span = (report.end - report.measure_from).as_secs();
+    let mut bins = vec![0usize; (span as usize).div_ceil(width as usize).max(1)];
+    for e in report.telemetry.range(report.measure_from, report.end) {
+        if e.kind == kind {
+            bins[((e.ts - report.measure_from).as_secs() / width) as usize] += 1;
+        }
+    }
+    bins
+}
+
 #[test]
 fn summary_telemetry_mode_preserves_kpis_and_label_counts() {
-    // Summary-mode shards log no event; KPIs and the per-label summary
-    // must be what Full mode's materialised log says they are.
+    // Summary-mode shards log no event; KPIs, the per-label summary and
+    // the Figure 11/12 bins must be what Full mode's materialised log
+    // says they are.
     let traces = fleet(48);
     let (measure_from, end) = (Timestamp(30 * DAY), Timestamp(35 * DAY));
-    for shards in [1usize, 2] {
+    for shards in [1usize, 2, 8] {
         let build = |mode: TelemetryMode| {
             SimConfig::builder(
                 SimPolicy::Proactive(PolicyConfig::default()),
@@ -383,6 +401,29 @@ fn summary_telemetry_mode_preserves_kpis_and_label_counts() {
         assert_eq!(summary.kpi, full.kpi);
         assert_eq!(summary.resume_batches, full.resume_batches);
         assert_eq!(labels.total(), full.telemetry.len() as u64);
+
+        // Every kind at every Figure 11/12 width, trailing empty bins
+        // included: the minute series is the log, cut.
+        for kind in TelemetryKind::ALL {
+            for minutes in [1i64, 5, 10, 15] {
+                let expected = bins_from_log(&full, kind, minutes);
+                assert_eq!(expected.len(), 7_200 / minutes as usize);
+                for report in [&full, &summary] {
+                    assert_eq!(
+                        report.workflow_bins(kind, Seconds::minutes(minutes)),
+                        expected,
+                        "{shards} shards, {kind:?} per {minutes} min"
+                    );
+                }
+            }
+        }
+        for kind in [
+            TelemetryKind::Login { available: false },
+            TelemetryKind::PhysicalPause,
+        ] {
+            let bins = summary.workflow_bins(kind, Seconds::minutes(1));
+            assert!(bins.iter().any(|&b| b > 0), "{shards} shards, {kind:?}");
+        }
     }
 }
 
