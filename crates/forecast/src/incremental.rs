@@ -44,17 +44,19 @@
 //!
 //! Scratch lives behind a cheap shared handle ([`SweepScratch::shared`])
 //! so a shard runner hosting thousands of engines reuses one pair of
-//! buffers instead of reallocating per database.
+//! buffers instead of reallocating per database.  The handle is an
+//! `Arc<Mutex<_>>`, so an engine — and the shard driver and live driver
+//! holding it — can move between threads; a shard runs on one thread at
+//! a time, so the lock is never contended.
 
 use crate::probabilistic::ConfidenceBasis;
 use crate::Predictor;
 use prorp_storage::{ClockIndex, HistoryRead};
 use prorp_types::{PolicyConfig, Prediction, ProrpError, Seconds, Timestamp};
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Reusable buffers for the sweep; one instance can serve any number of
-/// predictors on the same thread (see [`SweepScratch::shared`]).
+/// predictors, one sweep at a time (see [`SweepScratch::shared`]).
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     /// Per period-row (`prev − 1`): its points currently in the window.
@@ -67,13 +69,14 @@ impl SweepScratch {
     /// A fresh scratch behind the shared handle the sim's shard runner
     /// hands to every engine it builds.
     pub fn shared() -> SharedScratch {
-        Rc::new(RefCell::new(SweepScratch::default()))
+        Arc::new(Mutex::new(SweepScratch::default()))
     }
 }
 
-/// Shared handle to a [`SweepScratch`]; `Rc` because engines of one
-/// shard live and run on that shard's worker thread.
-pub type SharedScratch = Rc<RefCell<SweepScratch>>;
+/// Shared handle to a [`SweepScratch`].  The engines of one shard share
+/// it, and a shard runs on one thread at a time, so the lock is taken
+/// uncontended once per sweep.
+pub type SharedScratch = Arc<Mutex<SweepScratch>>;
 
 /// What one sweep cost.  A position is visited only when a cursor will
 /// move there or did at the one before, so `positions <= 2 · points + 2`
@@ -182,8 +185,8 @@ impl IncrementalPredictor {
         Self::with_scratch(config, basis, SweepScratch::shared())
     }
 
-    /// Build sharing scratch with other predictors of the same thread
-    /// (the sim's per-shard reuse path).
+    /// Build sharing scratch with other predictors (the sim's per-shard
+    /// reuse path).
     ///
     /// # Errors
     ///
@@ -227,7 +230,10 @@ impl IncrementalPredictor {
             return (None, work);
         }
 
-        let mut scratch = self.scratch.borrow_mut();
+        // A sweep that panicked mid-way poisons the lock, yet what it
+        // left behind is harmless: `in_window` is cleared below and
+        // `sorted` before it is filled, so no sweep reads another's data.
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
         let SweepScratch { in_window, sorted } = &mut *scratch;
         let order = match history
             .clock_index()

@@ -14,28 +14,31 @@
 //!
 //! # Threading
 //!
-//! The engine stack is deliberately single-threaded (its predictor
-//! scratch is shard-local `Rc` state, exactly like a DES shard worker),
-//! so the [`LiveDriver`] lives on one dedicated driver thread.  The HTTP
-//! transport ([`crate::http`]) is a fixed set of worker threads started
-//! once; a worker parses a request, forwards it over a channel through
-//! the one shared `Sender` and blocks on the reply — the control-plane
-//! analogue of the one-event-loop-per-shard rule the simulator already
-//! enforces.  A worker sends one message and then waits, so the channel
-//! into the driver holds at most as many requests as there are workers:
-//! the queue is bounded by construction, and anything beyond it waits in
-//! the listen backlog.  No thread is started per connection or per
-//! request.
+//! The HTTP transport ([`crate::http`]) is a fixed set of worker threads
+//! started once, and a worker serves the request it read itself: it
+//! locks the server's one state — the [`LiveDriver`] with the server's
+//! books around it — routes the request, and unlocks.  Requests are
+//! therefore served one at a time, in the order their workers took the
+//! lock, the control-plane analogue of the one-event-loop-per-shard rule
+//! the simulator enforces: a shard still steps on one thread at a time,
+//! only no longer on the same one.  The lock is held for the route
+//! alone, never across socket I/O, so a slow peer holds a worker but not
+//! the driver.  No thread is started per connection or per request, and
+//! none beside the workers.
+//!
+//! A route that panics poisons the lock.  The driver may then be half
+//! way through an advance, so nothing reads it again: every later
+//! request answers `503 {"error":"the driver failed"}`.
 //!
 //! # Reads
 //!
-//! `GET /v1/databases/:id` runs on the driver thread like every other
-//! request, so it reads the [`LiveDriver`] itself: state, prediction and
-//! counters from the engine, `as_of` from the watermark, and the *open
-//! incident* marker — the thing a read turns into an HTTP 503 until an
-//! operator resume clears it — from a map every advance folds freshly
-//! raised incidents into.  `POST /v1/finish` consumes the driver, so it
-//! first puts every database's record, as of the last advance, into the
+//! `GET /v1/databases/:id` holds the lock like every other request, so
+//! it reads the [`LiveDriver`] itself: state, prediction and counters
+//! from the engine, `as_of` from the watermark, and the *open incident*
+//! marker — the thing a read turns into an HTTP 503 until an operator
+//! resume clears it — from a map every advance folds freshly raised
+//! incidents into.  `POST /v1/finish` consumes the driver, so it first
+//! puts every database's record, as of the last advance, into the
 //! [`StateBackend`]; the reads after it answer from there.
 
 use crate::backend::{DbRecord, StateBackend};
@@ -48,9 +51,7 @@ use prorp_sim::{SimConfig, SimReport};
 use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, ProrpError, Timestamp};
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the server's clock advances.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -80,10 +81,12 @@ fn read_record(
     })
 }
 
-/// Everything the driver thread owns.
+/// Everything a request may read or change, behind the server's lock.
 struct ServerState {
     driver: Option<LiveDriver>,
-    clock: LiveClock,
+    /// Where watermarks come from in wall-clock mode; `None` in virtual
+    /// mode, where the driver's watermark is the clock.
+    wall_clock: Option<LiveClock>,
     /// The records `finish` leaves behind for the reads after it.
     backend: Arc<dyn StateBackend>,
     open_incidents: HashMap<DatabaseId, IncidentEntry>,
@@ -123,10 +126,10 @@ impl ServerState {
     /// In wall-clock mode, pull the watermark up to "now" before
     /// serving a request.  Virtual mode only moves on explicit advance.
     fn sync_wall_clock(&mut self) -> Result<(), ProrpError> {
-        if self.clock.is_virtual() {
+        let Some(clock) = &self.wall_clock else {
             return Ok(());
-        }
-        let now = self.clock.now();
+        };
+        let now = clock.now();
         if self.driver.as_ref().is_some_and(|d| now > d.watermark()) {
             self.advance_to(now)?;
         }
@@ -134,29 +137,22 @@ impl ServerState {
     }
 }
 
-/// A request forwarded to the driver thread, with its reply channel.
-enum Msg {
-    Request(Request, mpsc::Sender<Response>),
-    Stop,
-}
-
 /// The HTTP control plane around one [`LiveDriver`].
 pub struct ApiServer {
     handle: ServerHandle,
-    commands: mpsc::Sender<Msg>,
-    driver_thread: Option<JoinHandle<Option<SimReport>>>,
+    state: Arc<Mutex<ServerState>>,
 }
 
 impl ApiServer {
-    /// Bind `addr` (e.g. `127.0.0.1:0`), build a [`LiveDriver`] over
-    /// `cfg`/`dbs` on a dedicated driver thread, and serve it under the
-    /// given clock mode; `POST /v1/finish` leaves every database's last
-    /// record in `backend`.
+    /// Build a [`LiveDriver`] over `cfg`/`dbs`, bind `addr` (e.g.
+    /// `127.0.0.1:0`), and serve the driver under the given clock mode;
+    /// `POST /v1/finish` leaves every database's last record in
+    /// `backend`.
     ///
     /// # Errors
     ///
-    /// Propagates the TCP bind failure and driver construction errors
-    /// (invalid config, duplicate ids, the optimal policy).
+    /// Propagates driver construction errors (invalid config, duplicate
+    /// ids, the optimal policy) and the TCP bind failure.
     pub fn start(
         addr: &str,
         cfg: &SimConfig,
@@ -164,84 +160,26 @@ impl ApiServer {
         backend: Arc<dyn StateBackend>,
         mode: ServerConfig,
     ) -> Result<ApiServer, ProrpError> {
-        // Unbounded in type, bounded in use: a message is sent by an HTTP
-        // worker that then blocks on its reply, so the channel never holds
-        // more requests than the transport has workers (plus one `Stop`).
-        let (command_tx, command_rx) = mpsc::channel::<Msg>();
-        // The transport comes up first so the driver thread can be handed
-        // its counters; a request that arrives before the driver is built
-        // waits in the channel for it.
-        let forward = command_tx.clone();
-        let handle = http::serve(
-            addr,
-            Arc::new(move |req| {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if forward.send(Msg::Request(req, reply_tx)).is_err() {
-                    return Response::json(500, error_body("driver thread is gone"));
-                }
-                reply_rx
-                    .recv()
-                    .unwrap_or_else(|_| Response::json(500, error_body("driver thread is gone")))
-            }),
-        )
-        .map_err(|e| ProrpError::Simulation(format!("cannot bind {addr}: {e}")))?;
-        let http = handle.stats();
-        let (ready_tx, ready_rx) = mpsc::channel::<Result<(), ProrpError>>();
-        let cfg = cfg.clone();
-        let dbs = dbs.to_vec();
-        let driver_thread = std::thread::spawn(move || {
-            // The driver is shard-local Rc state: build it here, on the
-            // only thread that will ever touch it.
-            let driver = match LiveDriver::new(&cfg, &dbs) {
-                Ok(d) => d,
-                Err(e) => {
-                    let _ = ready_tx.send(Err(e));
-                    return None;
-                }
-            };
-            let origin = driver.watermark();
-            let clock = match mode {
-                ServerConfig::WallClock => LiveClock::wall(origin),
-                ServerConfig::VirtualClock => LiveClock::virtual_at(origin),
-            };
-            let mut state = ServerState {
-                driver: Some(driver),
-                clock,
-                backend,
-                open_incidents: HashMap::new(),
-                advances: 0,
-                ingested: [0; IngestOutcome::ALL.len()],
-                http,
-                report: None,
-            };
-            let _ = ready_tx.send(Ok(()));
-            while let Ok(msg) = command_rx.recv() {
-                match msg {
-                    Msg::Request(req, reply) => {
-                        let _ = reply.send(route(&mut state, req));
-                    }
-                    Msg::Stop => break,
-                }
-            }
-            state.report.take()
-        });
-        // On either failure `handle` drops here, which stops the transport.
-        match ready_rx.recv() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                let _ = driver_thread.join();
-                return Err(e);
-            }
-            Err(_) => {
-                let _ = driver_thread.join();
-                return Err(ProrpError::Simulation("driver thread died on start".into()));
-            }
-        }
-        Ok(ApiServer {
-            handle,
-            commands: command_tx,
-            driver_thread: Some(driver_thread),
-        })
+        let driver = LiveDriver::new(cfg, dbs)?;
+        let wall_clock = match mode {
+            ServerConfig::WallClock => Some(LiveClock::wall(driver.watermark())),
+            ServerConfig::VirtualClock => None,
+        };
+        let http = Arc::new(HttpStats::default());
+        let state = Arc::new(Mutex::new(ServerState {
+            driver: Some(driver),
+            wall_clock,
+            backend,
+            open_incidents: HashMap::new(),
+            advances: 0,
+            ingested: [0; IngestOutcome::ALL.len()],
+            http: Arc::clone(&http),
+            report: None,
+        }));
+        let shared = Arc::clone(&state);
+        let handle = http::serve(addr, http, Arc::new(move |req| serve_locked(&shared, req)))
+            .map_err(|e| ProrpError::Simulation(format!("cannot bind {addr}: {e}")))?;
+        Ok(ApiServer { handle, state })
     }
 
     /// The bound address.
@@ -251,14 +189,22 @@ impl ApiServer {
 
     /// Stop serving.  The final report, if `POST /v1/finish` produced
     /// one, is returned so a caller can persist it.
-    pub fn shutdown(mut self) -> Option<SimReport> {
-        let _ = self.commands.send(Msg::Stop);
-        let report = self
-            .driver_thread
-            .take()
-            .and_then(|t| t.join().unwrap_or(None));
+    pub fn shutdown(self) -> Option<SimReport> {
         self.handle.shutdown();
-        report
+        // A report is stored whole as `finish`'s last step, so one is
+        // sound to hand out even from a state a later request poisoned.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.report.take()
+    }
+}
+
+/// Serve one request on the calling worker: lock the state and route.
+/// A poisoned lock means a route panicked with the driver in hand, so
+/// the request is refused with a 503 instead of reading it.
+fn serve_locked(state: &Mutex<ServerState>, req: Request) -> Response {
+    match state.lock() {
+        Ok(mut state) => route(&mut state, req),
+        Err(_) => Response::json(503, error_body("the driver failed")),
     }
 }
 
@@ -540,21 +486,20 @@ fn get_why(state: &ServerState, id: &str) -> Response {
 }
 
 /// `POST /v1/clock/advance` — body `{"to":T}`; virtual clocks only.
+/// The driver's watermark is the virtual clock, so a refused advance —
+/// a finished run, a backwards move — moves nothing.
 fn post_advance(state: &mut ServerState, body: &str) -> Response {
-    if !state.clock.is_virtual() {
+    if state.wall_clock.is_some() {
         return Response::json(409, error_body("wall-clock mode advances by itself"));
+    }
+    if state.driver.is_none() {
+        return Response::json(409, error_body("run already finished"));
     }
     let to = match json::parse(body).map(|v| v.get("to").and_then(Json::as_int)) {
         Ok(Some(to)) => Timestamp(to),
         Ok(None) => return Response::json(400, error_body("missing integer \"to\"")),
         Err(e) => return Response::json(400, error_body(&e)),
     };
-    if !state.clock.advance(to) {
-        return Response::json(400, error_body("clock may not move backwards"));
-    }
-    if state.driver.is_none() {
-        return Response::json(409, error_body("run already finished"));
-    }
     if let Err(e) = state.advance_to(to) {
         return Response::json(400, error_body(&e.to_string()));
     }
@@ -594,5 +539,59 @@ fn post_finish(state: &mut ServerState) -> Response {
             Response::json(200, body)
         }
         Err(e) => Response::json(500, error_body(&e.to_string())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::InMemoryBackend;
+    use prorp_sim::SimPolicy;
+
+    fn get(path: &str) -> Request {
+        Request {
+            method: "GET".into(),
+            path: path.into(),
+            body: String::new(),
+        }
+    }
+
+    /// A route that panics with the lock held leaves the driver in an
+    /// unknown state: that request and every one after it answer 503.
+    #[test]
+    fn a_poisoned_driver_answers_503_to_every_request() {
+        let cfg = SimConfig::builder(
+            SimPolicy::Reactive,
+            Timestamp(0),
+            Timestamp(86_400),
+            Timestamp(0),
+        )
+        .build()
+        .expect("config validates");
+        let server = ApiServer::start(
+            "127.0.0.1:0",
+            &cfg,
+            &[DatabaseId(0)],
+            Arc::new(InMemoryBackend::new()),
+            ServerConfig::VirtualClock,
+        )
+        .expect("server boots");
+        assert_eq!(
+            serve_locked(&server.state, get("/v1/databases/0")).status,
+            200
+        );
+        let state = Arc::clone(&server.state);
+        let panicked = std::thread::spawn(move || {
+            let _held = state.lock().unwrap();
+            panic!("a route failed mid-advance");
+        })
+        .join();
+        assert!(panicked.is_err());
+        for _ in 0..2 {
+            let reply = serve_locked(&server.state, get("/v1/databases/0"));
+            assert_eq!(reply.status, 503);
+            assert_eq!(reply.body, r#"{"error":"the driver failed"}"#);
+        }
+        assert!(server.shutdown().is_none());
     }
 }

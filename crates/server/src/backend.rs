@@ -1,8 +1,8 @@
 //! The state-store seam a finished run's reads are served from.
 //!
 //! While the run is open, `GET /v1/databases/:id` reads the driver
-//! itself: the driver thread serves every request, so a second copy of
-//! the state would add no concurrency, only a way to go stale.
+//! itself: every request holds the lock on it, so a second copy of the
+//! state would add no concurrency, only a way to go stale.
 //! `POST /v1/finish` consumes the driver, so it first puts each
 //! database's [`DbRecord`], as of the last advance, into a
 //! [`StateBackend`], and the reads after it answer from there.  The
@@ -38,8 +38,8 @@ pub struct DbRecord {
 /// Put/read seam for the records a finished run leaves behind.
 ///
 /// Implementations must be internally synchronised ([`Send`] +
-/// [`Sync`]): the driver thread writes and reads them, and whoever
-/// handed the backend to the server may read them too.
+/// [`Sync`]): the HTTP workers write and read them, and whoever handed
+/// the backend to the server may read them too.
 pub trait StateBackend: Send + Sync {
     /// Insert or replace one record.
     fn put(&self, record: DbRecord);

@@ -1,37 +1,27 @@
-//! Wall vs. virtual time behind one seam.
+//! Wall-clock time for service mode.
 //!
-//! The driver itself is clock-free — it only ever sees watermarks.  The
-//! server picks where watermarks come from: a [`LiveClock::wall`] maps
-//! real elapsed seconds onto the simulated timeline (service mode), a
-//! [`LiveClock::virtual_at`] only moves when told to (`POST
-//! /v1/clock/advance`) — which is what makes the differential suite and
-//! the `scripts/check.sh` replay gate deterministic.
+//! The driver itself is clock-free — it only ever sees watermarks.  In
+//! wall-clock mode the server takes them from a [`LiveClock`], which
+//! maps real elapsed seconds onto the simulated timeline.  In virtual
+//! mode there is no clock beside the driver: its watermark moves only on
+//! `POST /v1/clock/advance`, which is what makes the differential suite
+//! and the `scripts/check.sh` replay gate deterministic.
 
 use prorp_types::Timestamp;
 use std::time::Instant;
 
-/// A monotonic source of simulated time.
-pub enum LiveClock {
-    /// Simulated time advances only via [`LiveClock::advance`].
-    Virtual(Timestamp),
-    /// Simulated time is `origin + wall-clock seconds since anchor`.
-    Wall {
-        /// When the server started (real time).
-        anchor: Instant,
-        /// The simulated instant the server started at.
-        origin: Timestamp,
-    },
+/// Simulated time that is `origin + wall-clock seconds since anchor`.
+pub struct LiveClock {
+    /// When the server started (real time).
+    anchor: Instant,
+    /// The simulated instant the server started at.
+    origin: Timestamp,
 }
 
 impl LiveClock {
-    /// A virtual clock starting at `at`.
-    pub fn virtual_at(at: Timestamp) -> Self {
-        LiveClock::Virtual(at)
-    }
-
     /// A wall clock mapping "now" to the simulated `origin`.
     pub fn wall(origin: Timestamp) -> Self {
-        LiveClock::Wall {
+        LiveClock {
             anchor: Instant::now(),
             origin,
         }
@@ -39,29 +29,7 @@ impl LiveClock {
 
     /// The current simulated instant.
     pub fn now(&self) -> Timestamp {
-        match self {
-            LiveClock::Virtual(at) => *at,
-            LiveClock::Wall { anchor, origin } => {
-                Timestamp(origin.as_secs() + anchor.elapsed().as_secs() as i64)
-            }
-        }
-    }
-
-    /// Whether this is the virtual variant (advance-on-request).
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, LiveClock::Virtual(_))
-    }
-
-    /// Move a virtual clock forward to `to`.  Returns `false` (and does
-    /// nothing) on a wall clock or a backwards move.
-    pub fn advance(&mut self, to: Timestamp) -> bool {
-        match self {
-            LiveClock::Virtual(at) if to >= *at => {
-                *at = to;
-                true
-            }
-            _ => false,
-        }
+        Timestamp(self.origin.as_secs() + self.anchor.elapsed().as_secs() as i64)
     }
 }
 
@@ -70,21 +38,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn virtual_clock_only_moves_forward_on_request() {
-        let mut c = LiveClock::virtual_at(Timestamp(100));
-        assert!(c.is_virtual());
-        assert_eq!(c.now(), Timestamp(100));
-        assert!(c.advance(Timestamp(200)));
-        assert_eq!(c.now(), Timestamp(200));
-        assert!(!c.advance(Timestamp(150)));
-        assert_eq!(c.now(), Timestamp(200));
-    }
-
-    #[test]
     fn wall_clock_tracks_origin() {
         let c = LiveClock::wall(Timestamp(1_000));
         let now = c.now();
-        assert!(!c.is_virtual());
         assert!(now >= Timestamp(1_000));
         assert!(now <= Timestamp(1_010), "wall clock jumped: {now}");
     }

@@ -18,9 +18,9 @@
 //! `prorp_server_http_busy_workers_peak` reaching `WORKERS` on
 //! `/metrics` is how an operator sees it.  Sixteen is not a tuning
 //! point: a request holds a worker for tens of microseconds and the
-//! handler serialises on one driver thread anyway, so throughput reads
-//! the same at 8 and 32; the number only has to exceed the handful of
-//! slow or stalled peers a control plane meets at once.
+//! server's handler serialises on the one driver's lock anyway, so
+//! throughput reads the same at 8 and 32; the number only has to exceed
+//! the handful of slow or stalled peers a control plane meets at once.
 //!
 //! **Deadlines.**  Every accepted socket carries a read and a write
 //! deadline (`IO_TIMEOUT`, 5 s per call), and the request as a whole
@@ -362,12 +362,11 @@ fn work<H>(
     }
 }
 
-/// A running server: its bound address, its workers and their counters.
-/// Dropping it stops the server, like [`ServerHandle::shutdown`].
+/// A running server: its bound address and its workers.  Dropping it
+/// stops the server, like [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    stats: Arc<HttpStats>,
     /// Each worker with its "inside a request" flag.
     workers: Vec<(JoinHandle<()>, Arc<AtomicBool>)>,
 }
@@ -376,11 +375,6 @@ impl ServerHandle {
     /// The address the listener bound (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The transport's counters, for `/metrics`.
-    pub fn stats(&self) -> Arc<HttpStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Stop serving and join the idle workers.  A worker inside a
@@ -417,7 +411,7 @@ impl Drop for ServerHandle {
 }
 
 /// Bind `addr` and serve `handler` from `WORKERS` threads until
-/// [`ServerHandle::shutdown`].
+/// [`ServerHandle::shutdown`], counting into `stats`.
 ///
 /// The handler runs on the worker threads; it must be internally
 /// synchronised (it is invoked concurrently, by at most `WORKERS`
@@ -426,7 +420,7 @@ impl Drop for ServerHandle {
 /// # Errors
 ///
 /// Propagates the bind failure, or a failure to start a worker.
-pub fn serve<H>(addr: &str, handler: Arc<H>) -> std::io::Result<ServerHandle>
+pub fn serve<H>(addr: &str, stats: Arc<HttpStats>, handler: Arc<H>) -> std::io::Result<ServerHandle>
 where
     H: Fn(Request) -> Response + Send + Sync + 'static,
 {
@@ -434,13 +428,12 @@ where
     let mut handle = ServerHandle {
         addr: listener.local_addr()?,
         stop: Arc::new(AtomicBool::new(false)),
-        stats: Arc::new(HttpStats::default()),
         workers: Vec::with_capacity(WORKERS),
     };
     for i in 0..WORKERS {
         let listener = Arc::clone(&listener);
         let stop = Arc::clone(&handle.stop);
-        let stats = Arc::clone(&handle.stats);
+        let stats = Arc::clone(&stats);
         let handler = Arc::clone(&handler);
         let in_request = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&in_request);
@@ -469,6 +462,7 @@ mod tests {
     fn serves_and_echoes_bodies() {
         let handle = serve(
             "127.0.0.1:0",
+            Arc::default(),
             Arc::new(|req: Request| {
                 Response::text(200, format!("{} {} [{}]", req.method, req.path, req.body))
             }),
@@ -487,6 +481,7 @@ mod tests {
     fn malformed_requests_get_400() {
         let handle = serve(
             "127.0.0.1:0",
+            Arc::default(),
             Arc::new(|_| Response::text(200, "ok".into())),
         )
         .unwrap();
@@ -517,6 +512,7 @@ mod tests {
     fn an_endless_line_gets_413_and_a_closed_connection() {
         let handle = serve(
             "127.0.0.1:0",
+            Arc::default(),
             Arc::new(|_| Response::text(200, "ok".into())),
         )
         .unwrap();
@@ -541,6 +537,7 @@ mod tests {
     fn a_stalled_peer_gets_408_and_a_closed_connection() {
         let handle = serve(
             "127.0.0.1:0",
+            Arc::default(),
             Arc::new(|_| Response::text(200, "ok".into())),
         )
         .unwrap();
@@ -565,23 +562,26 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::{Barrier, Mutex};
 
-    /// A server whose handler counts its calls and answers `ok`.
-    fn counting_server() -> (ServerHandle, Arc<AtomicUsize>) {
+    /// A server whose handler counts its calls and answers `ok`, with
+    /// the transport's counters.
+    fn counting_server() -> (ServerHandle, Arc<AtomicUsize>, Arc<HttpStats>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&calls);
+        let stats = Arc::new(HttpStats::default());
         let handle = serve(
             "127.0.0.1:0",
+            Arc::clone(&stats),
             Arc::new(move |_| {
                 seen.fetch_add(1, Ordering::SeqCst);
                 Response::text(200, "ok".into())
             }),
         )
         .unwrap();
-        (handle, calls)
+        (handle, calls, stats)
     }
 
-    fn stat(handle: &ServerHandle, name: &str) -> u64 {
-        let rows = handle.stats().rows();
+    fn stat(stats: &HttpStats, name: &str) -> u64 {
+        let rows = stats.rows();
         let row = rows.iter().find(|(n, _, _)| n.ends_with(name));
         row.unwrap_or_else(|| panic!("no stat {name}")).2
     }
@@ -603,8 +603,10 @@ mod tests {
     fn every_reply_is_its_own_and_the_handler_threads_are_the_workers() {
         let threads = Arc::new(Mutex::new(HashSet::new()));
         let seen = Arc::clone(&threads);
+        let stats = Arc::new(HttpStats::default());
         let handle = serve(
             "127.0.0.1:0",
+            Arc::clone(&stats),
             Arc::new(move |req: Request| {
                 seen.lock().unwrap().insert(std::thread::current().id());
                 Response::text(200, format!("echo:{}", req.body))
@@ -634,9 +636,9 @@ mod tests {
             "{} handler threads",
             threads.len()
         );
-        assert_eq!(stat(&handle, "connections_total"), 4 * WORKERS as u64 * 50);
-        assert!(stat(&handle, "busy_workers_peak") <= WORKERS as u64);
-        assert_eq!(stat(&handle, "busy_workers"), 0);
+        assert_eq!(stat(&stats, "connections_total"), 4 * WORKERS as u64 * 50);
+        assert!(stat(&stats, "busy_workers_peak") <= WORKERS as u64);
+        assert_eq!(stat(&stats, "busy_workers"), 0);
         drop(threads);
         handle.shutdown();
     }
@@ -645,7 +647,7 @@ mod tests {
     /// request waits in the backlog and is served once a worker frees.
     #[test]
     fn a_saturated_pool_serves_the_backlog_once_the_stalled_peers_time_out() {
-        let (handle, calls) = counting_server();
+        let (handle, calls, stats) = counting_server();
         // The accept queue is first in, first out: a request sent after
         // all the stalled peers have connected is accepted after them.
         let connected = Barrier::new(WORKERS + 1);
@@ -676,8 +678,8 @@ mod tests {
             assert!(reply.starts_with("HTTP/1.1 408"), "{reply}");
         }
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(stat(&handle, "timeouts_total"), WORKERS as u64);
-        assert_eq!(stat(&handle, "busy_workers_peak"), WORKERS as u64);
+        assert_eq!(stat(&stats, "timeouts_total"), WORKERS as u64);
+        assert_eq!(stat(&stats, "busy_workers_peak"), WORKERS as u64);
         handle.shutdown();
     }
 
@@ -685,7 +687,7 @@ mod tests {
     /// the request's.
     #[test]
     fn a_trickling_peer_gets_408_at_the_request_deadline() {
-        let (handle, calls) = counting_server();
+        let (handle, calls, _) = counting_server();
         let mut peer = TcpStream::connect(handle.addr()).unwrap();
         let started = Instant::now();
         peer.write_all(b"GET / HTTP/1.1\r\nx-slow: ").unwrap();
@@ -715,8 +717,10 @@ mod tests {
 
     #[test]
     fn a_panicking_handler_costs_a_500_not_a_worker() {
+        let stats = Arc::new(HttpStats::default());
         let handle = serve(
             "127.0.0.1:0",
+            Arc::clone(&stats),
             Arc::new(|req: Request| {
                 assert_ne!(req.path, "/boom", "boom");
                 Response::text(200, "ok".into())
@@ -734,18 +738,18 @@ mod tests {
         }
         let reply = roundtrip(&handle, "GET / HTTP/1.1\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
-        assert_eq!(stat(&handle, "handler_panics_total"), WORKERS as u64 + 1);
+        assert_eq!(stat(&stats, "handler_panics_total"), WORKERS as u64 + 1);
         handle.shutdown();
     }
 
     #[test]
     fn shutdown_does_not_wait_for_a_stalled_peer() {
-        let (handle, calls) = counting_server();
+        let (handle, calls, stats) = counting_server();
         let addr = handle.addr();
         let mut stalled = TcpStream::connect(addr).unwrap();
         stalled.write_all(b"GET /v1/da").unwrap();
         wait_until("the stalled peer is being served", || {
-            stat(&handle, "busy_workers") == 1
+            stat(&stats, "busy_workers") == 1
         });
         let started = Instant::now();
         handle.shutdown();
@@ -778,7 +782,7 @@ mod tests {
 
     #[test]
     fn a_head_cut_short_or_chunked_is_a_400_the_handler_never_sees() {
-        let (handle, calls) = counting_server();
+        let (handle, calls, stats) = counting_server();
         for cut in [
             "",
             "POST /v1/finish",
@@ -800,7 +804,7 @@ mod tests {
         assert!(reply.starts_with("HTTP/1.1 400 Bad Request"), "{reply}");
         assert!(reply.contains("transfer-encoding"), "{reply}");
         assert_eq!(calls.load(Ordering::SeqCst), 0);
-        assert_eq!(stat(&handle, "rejected_total"), 6);
+        assert_eq!(stat(&stats, "rejected_total"), 6);
         // The same head with its blank line is served.
         let reply = reply_to_cut_off(&handle, "POST /v1/finish HTTP/1.1\r\nhost: x\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");

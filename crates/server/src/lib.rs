@@ -43,7 +43,8 @@
 //! * [`backend`] — the [`StateBackend`] seam that holds each database's
 //!   last record once the run is finished (in-memory first; shaped so a
 //!   redis/postgres backend can follow);
-//! * [`clock`] — wall vs. virtual time behind one [`LiveClock`];
+//! * [`clock`] — the [`LiveClock`] wall-clock mode takes watermarks
+//!   from (in virtual mode the driver's watermark is the clock);
 //! * [`http`] — a dependency-free HTTP/1.1 server on
 //!   `std::net::TcpListener` (the workspace vendors no async runtime);
 //! * [`json`] — a re-export of the workspace's one JSON codec,

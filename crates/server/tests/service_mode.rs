@@ -243,6 +243,37 @@ fn slo_and_why_endpoints_serve_live_rollups() {
     server.shutdown();
 }
 
+/// The driver's watermark is the virtual clock, so an advance the run
+/// refuses moves nothing: after finish every advance is a 409, forward
+/// or back, and the reads stay as of the last advance before it.
+#[test]
+fn an_advance_after_finish_answers_409_and_moves_nothing() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(7), Timestamp(0))
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0)]);
+    let addr = server.addr();
+    let advance = |to: i64| {
+        http(
+            addr,
+            "POST",
+            "/v1/clock/advance",
+            &format!(r#"{{"to":{to}}}"#),
+        )
+    };
+    assert_eq!(advance(3_600).0, 200);
+    assert_eq!(http(addr, "POST", "/v1/finish", "").0, 200);
+    for to in [500_000, 400_000, 60] {
+        let (status, body) = advance(to);
+        assert_eq!(status, 409, "to {to}: {body}");
+        assert!(body.contains("run already finished"), "{body}");
+    }
+    let (status, body) = http(addr, "GET", "/v1/databases/0", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.ends_with(r#""as_of":3600}"#), "{body}");
+    server.shutdown();
+}
+
 /// An [`InMemoryBackend`] that counts the records put into it.
 #[derive(Default)]
 struct CountingBackend {

@@ -364,8 +364,8 @@ impl ShardDriver {
             // Option.
             obs: cfg.observe().enabled.then(|| ShardObs::new(cfg.observe())),
             // All the shard's incremental predictors share one
-            // cursor-scratch buffer: engines live and run on this
-            // worker (or server) thread only.
+            // cursor-scratch buffer: the shard steps on one thread at a
+            // time, so its lock is never contended.
             scratch: SweepScratch::shared(),
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             balance_moves_history: 0,

@@ -147,6 +147,16 @@ guards=(
     reads_follow_the_driver_and_after_finish_the_backend
     a_rejected_batch_ingests_nothing
 
+    # The HTTP workers serve each request under the driver's lock: eight
+    # clients posting and reading at once must seal the DES's report (a
+    # compile-time `Send` guard on `LiveDriver` sits beside it), a route
+    # that panicked with the lock held answers 503 from then on, and an
+    # advance the run refuses moves no clock (it moved `LiveClock`
+    # before the run was checked, so a second one answered 400).
+    concurrent_clients_match_the_des
+    api::tests::a_poisoned_driver_answers_503_to_every_request
+    an_advance_after_finish_answers_409_and_moves_nothing
+
     # The HTTP transport's contract: a fixed set of workers (the test
     # with 4× as many concurrent clients as workers fails if the handler
     # ever runs on more threads than `serve` started — that is what
