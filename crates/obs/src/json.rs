@@ -1,5 +1,5 @@
-//! The workspace's one JSON codec: a [`Json`] value, its renderer and
-//! its parser.
+//! The workspace's one JSON codec: a [`Json`] value, its renderer, its
+//! parser, and the pull [`Reader`] the parser is built on.
 //!
 //! The workspace vendors no serde, so everything that speaks JSON —
 //! the `prorp-server` request/response bodies and event-stream reader,
@@ -13,7 +13,15 @@
 //!   become `null`), strings escaping the JSON control set — so output
 //!   is byte-stable across runs and machines.
 //! * **Parsing** is a recursive descent over the full grammar with a
-//!   depth limit of 32 instead of recursion-to-overflow.
+//!   depth limit of 32 instead of recursion-to-overflow, in time linear
+//!   in the input: a string is copied a run of bytes at a time, never
+//!   re-scanned per character.
+//! * **Decoding** a document of known shape needs no tree: [`Reader`]
+//!   exposes the parser's token routines — a string (borrowed from the
+//!   input when it holds no escape), a number, an object or array walk,
+//!   and a skip-any-value under the same depth limit — so a typed
+//!   decoder (the `prorp-server` ingest body) accepts and rejects
+//!   exactly what [`parse`] does, with the same messages.
 //! * **Integers** keep all 64 bits in either direction and have one
 //!   normal form: [`Json::Int`] whenever the value fits an `i64`,
 //!   [`Json::UInt`] only above `i64::MAX`.  The parser produces it and
@@ -23,6 +31,7 @@
 //! deliberately *not* built on [`Json`]: they are the golden surface
 //! this codec is tested against, not a second codec.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts.
@@ -181,35 +190,62 @@ fn render_string(s: &str, out: &mut String) {
 ///
 /// Returns a message naming the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.at != bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.at));
-    }
+    let mut r = Reader::new(input);
+    let value = r.value()?;
+    r.end()?;
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document: the token routines [`parse`]
+/// is built on, for a caller that decodes a document of known shape
+/// straight into its own types instead of through a [`Json`] tree.
+///
+/// Every read skips the whitespace before its token.  [`object`] and
+/// [`array`] own a container's punctuation and hand the reader back
+/// positioned at each member, which the callback must consume whole —
+/// with a typed read ([`string`], [`number`]), or with [`skip_value`],
+/// which validates a value of any type without building it.  The
+/// grammar, the depth limit and every error message are [`parse`]'s, so
+/// a decoder over this reader rejects exactly the documents `parse`
+/// does, with the same text.  A reader that has returned an error is
+/// spent.
+///
+/// [`object`]: Reader::object
+/// [`array`]: Reader::array
+/// [`string`]: Reader::string
+/// [`number`]: Reader::number
+/// [`skip_value`]: Reader::skip_value
+pub struct Reader<'a> {
+    text: &'a str,
     at: usize,
+    /// Containers open around the reader's position.
+    depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.at) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.at += 1;
-            } else {
-                break;
-            }
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            at: 0,
+            depth: 0,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.at).copied()
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes().get(self.at) {
+            self.at += 1;
+        }
+    }
+
+    /// The next byte after whitespace, not consumed; `None` at the end.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes().get(self.at).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -221,170 +257,265 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
+    /// The end of the document: only whitespace may follow.
+    ///
+    /// # Errors
+    ///
+    /// Names the first trailing byte.
+    pub fn end(mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing garbage at byte {}", self.at)),
+        }
+    }
+
+    fn check_depth(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} at byte {}",
                 self.at
             ));
         }
+        Ok(())
+    }
+
+    /// Read one value into a [`Json`] tree.
+    fn value(&mut self) -> Result<Json, String> {
+        self.check_depth()?;
         match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!(
-                "unexpected byte '{}' at {}",
-                char::from(b),
-                self.at
-            )),
-            None => Err("unexpected end of input".into()),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    pairs.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Object(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Array(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            _ => self.number(),
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.at..].starts_with(lit.as_bytes()) {
+    /// Read one value and drop it, building nothing: the grammar and
+    /// depth limit [`parse`] applies.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or nesting deeper than the limit.
+    pub fn skip_value(&mut self) -> Result<(), String> {
+        self.check_depth()?;
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip_value()),
+            Some(b'[') => self.array(Reader::skip_value),
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            _ => self.number().map(drop),
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if self.bytes()[self.at..].starts_with(lit.as_bytes()) {
             self.at += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(format!("malformed literal at byte {}", self.at))
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
+    /// Read an object, calling `field(reader, key)` at each member with
+    /// the reader positioned at its value, which `field` must consume.
+    /// Keys arrive in document order, duplicates included.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or the first error `field` returns.
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.check_depth()?;
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
-            return Ok(Json::Object(pairs));
+            return Ok(());
         }
+        self.depth += 1;
         loop {
-            self.skip_ws();
             let key = self.string()?;
-            self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
-            self.skip_ws();
+            field(self, key)?;
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b'}') => {
                     self.at += 1;
-                    return Ok(Json::Object(pairs));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
             }
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
+    /// Read an array, calling `item(reader)` at each element, which
+    /// `item` must consume.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error, or the first error `item` returns.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.check_depth()?;
         self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(Json::Array(items));
+            return Ok(());
         }
+        self.depth += 1;
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
+            item(self)?;
             match self.peek() {
                 Some(b',') => self.at += 1,
                 Some(b']') => {
                     self.at += 1;
-                    return Ok(Json::Array(items));
+                    self.depth -= 1;
+                    return Ok(());
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.at)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Read a string.  One without escapes is borrowed from the input;
+    /// either way the text is copied a run at a time — every byte up
+    /// to the next `"` or `\` at once — so a string costs time linear
+    /// in its length.
+    ///
+    /// # Errors
+    ///
+    /// A missing opening quote, a bad escape, or the input ending first.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
+        let mut run = self.run();
+        if self.bytes().get(self.at) == Some(&b'"') {
+            self.at += 1;
+            return Ok(Cow::Borrowed(run));
+        }
         let mut out = String::new();
         loop {
-            match self.peek() {
+            // `"` and `\` are ASCII, so a run ends on a char boundary.
+            out.push_str(run);
+            match self.bytes().get(self.at) {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.at += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.at += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.at + 1..self.at + 5)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.at))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "surrogate \\u escape".to_string())?,
-                            );
-                            self.at += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.at)),
-                    }
-                    self.at += 1;
+                    return Ok(Cow::Owned(out));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is &str, so
-                    // byte boundaries are valid).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    self.at += 1;
+                    self.escape(&mut out)?;
                 }
             }
+            run = self.run();
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Advance over the bytes before the next `"` or `\` (or the end)
+    /// and return them.
+    fn run(&mut self) -> &'a str {
         let start = self.at;
-        let negative = self.peek() == Some(b'-');
+        let len = self.bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(self.text.len() - start);
+        self.at += len;
+        &self.text[start..self.at]
+    }
+
+    /// Decode the escape whose backslash was just consumed.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.bytes().get(self.at) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = self
+                    .bytes()
+                    .get(self.at + 1..self.at + 5)
+                    .ok_or_else(|| "truncated \\u escape".to_string())?;
+                let hex =
+                    std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape".to_string())?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| format!("bad \\u escape at byte {}", self.at))?;
+                out.push(char::from_u32(code).ok_or_else(|| "surrogate \\u escape".to_string())?);
+                self.at += 4;
+            }
+            _ => return Err(format!("bad escape at byte {}", self.at)),
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    /// Read a number in [`Json`]'s integer normal form: [`Json::Int`],
+    /// [`Json::UInt`] above `i64::MAX`, or [`Json::Float`].
+    ///
+    /// # Errors
+    ///
+    /// Anything that does not start a value, a malformed number, or an
+    /// integer beyond 64 bits.
+    pub fn number(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b) if b == b'-' || b.is_ascii_digit() => {}
+            Some(b) => {
+                return Err(format!(
+                    "unexpected byte '{}' at {}",
+                    char::from(b),
+                    self.at
+                ))
+            }
+            None => return Err("unexpected end of input".into()),
+        }
+        let start = self.at;
+        let negative = self.bytes()[start] == b'-';
         if negative {
             self.at += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.at += 1;
-        }
+        self.digits();
         let mut float = false;
-        if self.peek() == Some(b'.') {
+        if self.bytes().get(self.at) == Some(&b'.') {
             float = true;
             self.at += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.at += 1;
-            }
+            self.digits();
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if let Some(b'e' | b'E') = self.bytes().get(self.at) {
             float = true;
             self.at += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if let Some(b'+' | b'-') = self.bytes().get(self.at) {
                 self.at += 1;
             }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.at += 1;
-            }
+            self.digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.at]).expect("number bytes are ascii");
+        let text = &self.text[start..self.at];
         let overflow = |_| format!("integer overflow at byte {start}");
         if float {
             text.parse::<f64>()
@@ -394,6 +525,12 @@ impl Parser<'_> {
             text.parse::<i64>().map(Json::Int).map_err(overflow)
         } else {
             text.parse::<u64>().map(Json::from).map_err(overflow)
+        }
+    }
+
+    fn digits(&mut self) {
+        while self.bytes().get(self.at).is_some_and(u8::is_ascii_digit) {
+            self.at += 1;
         }
     }
 }
@@ -465,8 +602,64 @@ mod tests {
         (0..levels).fold(Json::Int(0), |inner, _| Json::Array(vec![inner]))
     }
 
+    /// `text` cut after `cut` chars, or with the char at `at` replaced
+    /// by one of the grammar's significant bytes (both modulo the char
+    /// count, so every draw applies): what a truncated or corrupted
+    /// body looks like, and still a `&str`.
+    fn damage(text: &str, cut: Option<usize>, at: usize, with: char) -> String {
+        let chars: Vec<char> = text.chars().collect();
+        if chars.is_empty() {
+            return String::new();
+        }
+        match cut {
+            Some(cut) => chars[..cut % chars.len()].iter().collect(),
+            None => {
+                let at = at % chars.len();
+                let mut out = chars;
+                out[at] = with;
+                out.into_iter().collect()
+            }
+        }
+    }
+
+    fn arb_damage() -> impl Strategy<Value = (Option<usize>, usize, char)> {
+        let with = prop_oneof![
+            Just('{'),
+            Just('}'),
+            Just('['),
+            Just(']'),
+            Just(','),
+            Just(':'),
+            Just('"'),
+            Just('\\'),
+            Just(' '),
+            Just('-'),
+            Just('.'),
+            Just('e'),
+            Just('0'),
+            Just('9'),
+            Just('u'),
+            Just('n'),
+            Just('x'),
+        ];
+        (prop::option::of(0usize..4096), 0usize..4096, with)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn skipping_a_value_accepts_and_rejects_what_parsing_does(
+            v in ArbJson { depth: 4 },
+            (cut, at, with) in arb_damage(),
+        ) {
+            let text = v.render();
+            for text in [text.clone(), damage(&text, cut, at, with)] {
+                let mut r = Reader::new(&text);
+                let skipped = r.skip_value().and_then(|()| r.end());
+                prop_assert_eq!(skipped, parse(&text).map(drop), "text: {}", text);
+            }
+        }
 
         #[test]
         fn parse_inverts_render_and_rendering_is_byte_stable(v in ArbJson { depth: 4 }) {
@@ -575,11 +768,39 @@ mod tests {
     }
 
     #[test]
+    fn strings_without_escapes_are_borrowed() {
+        let mut r = Reader::new(r#" "plain é" "a\tb""#);
+        assert_eq!(r.string(), Ok(Cow::Borrowed("plain é")));
+        assert_eq!(r.string(), Ok(Cow::Owned::<str>("a\tb".into())));
+        assert_eq!(r.end(), Ok(()));
+    }
+
+    /// Parsing is linear in the input: a 1 MiB string — multi-byte
+    /// chars and escapes included — takes milliseconds.  A parser that
+    /// re-validates the rest of the input for every char takes minutes.
+    #[test]
+    fn a_mebibyte_string_parses_within_a_second() {
+        let unit = r#"ab\"é\n"#;
+        let units = (1 << 20) / unit.len();
+        let text = format!("\"{}\"", unit.repeat(units));
+        let t0 = std::time::Instant::now();
+        let v = parse(&text).expect("parses");
+        let took = t0.elapsed();
+        assert_eq!(v, Json::Str("ab\"é\n".repeat(units)));
+        assert!(took.as_secs_f64() < 1.0, "took {took:?}");
+    }
+
+    #[test]
     fn depth_limit_is_enforced() {
         let deep = "[".repeat(40) + &"]".repeat(40);
         assert!(parse(&deep).is_err());
         let at_limit = nested(MAX_DEPTH);
         assert_eq!(parse(&at_limit.render()), Ok(at_limit));
         assert!(parse(&nested(MAX_DEPTH + 1).render()).is_err());
+        for levels in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let text = nested(levels).render();
+            let mut r = Reader::new(&text);
+            assert_eq!(r.skip_value(), parse(&text).map(drop));
+        }
     }
 }

@@ -45,12 +45,13 @@ use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
 use crate::driver::{IngestOutcome, LiveDriver, LiveEvent};
 use crate::http::{self, HttpStats, Request, Response, ServerHandle};
-use crate::json::{self, Json};
+use crate::json::{self, Json, Reader};
 use prorp_obs::export::alert_json;
 use prorp_sim::{SimConfig, SimReport};
 use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, ProrpError, Timestamp};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// How the server's clock advances.
@@ -233,41 +234,96 @@ fn route(state: &mut ServerState, req: Request) -> Response {
 }
 
 /// `POST /v1/events` — body `{"events":[{"db":N,"at":T,"kind":"login"}]}`;
-/// replies with one outcome label per event, in order.  A batch with a
-/// malformed event is a 400 that ingests none of it.
+/// replies `{"results":[…],"watermark":N}`, one outcome label per
+/// event, in order.  The body is decoded whole before any of it is
+/// ingested, so a batch with a malformed event is a 400 that ingests
+/// none of it.
+///
+/// Decoding reads the body once, straight into [`LiveEvent`]s, with no
+/// [`Json`] tree: [`decode_events`] over the codec's pull
+/// [`Reader`](crate::json::Reader), in time linear in the body.  It
+/// accepts and rejects exactly what parsing the body and reading the
+/// tree would, with the same error text.
 fn post_events(state: &mut ServerState, body: &str) -> Response {
     let Some(driver) = &mut state.driver else {
         return Response::json(409, error_body("run already finished"));
     };
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
+    let events = match decode_events(body) {
+        Ok(events) => events,
         Err(e) => return Response::json(400, error_body(&e)),
     };
-    let Some(events) = parsed.get("events").and_then(Json::as_array) else {
-        return Response::json(400, error_body("missing \"events\" array"));
-    };
-    let events = match events
-        .iter()
-        .map(LiveEvent::from_json)
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(events) => events,
-        Err(e) => return Response::json(400, error_body(e)),
-    };
-    let mut results = Vec::with_capacity(events.len());
+    let mut outcomes = Vec::with_capacity(events.len());
     for ev in events {
         let outcome = driver.ingest(ev);
         state.ingested[outcome as usize] += 1;
-        results.push(Json::Str(outcome.label().into()));
+        outcomes.push(outcome);
     }
-    Response::json(
-        200,
-        Json::object(vec![
-            ("results", Json::Array(results)),
-            ("watermark", Json::Int(driver.watermark().as_secs())),
-        ])
-        .render(),
-    )
+    Response::json(200, ingest_reply(&outcomes, driver.watermark()))
+}
+
+/// Why a body is not a batch: no `"events"` member holding an array.
+const MISSING_EVENTS: &str = "missing \"events\" array";
+
+/// Decode a `POST /v1/events` body: the first `"events"` member (as
+/// [`Json::get`] finds it) read item by item with [`LiveEvent::read`],
+/// every other member skipped but validated.  No [`Json`] tree is
+/// built, and the body is read once.
+///
+/// # Errors
+///
+/// A syntax error anywhere in the body comes first, then a body without
+/// an `"events"` array, then the first event that is not one — each
+/// with the text parsing the body and reading the tree would give.
+pub fn decode_events(body: &str) -> Result<Vec<LiveEvent>, String> {
+    let mut r = Reader::new(body);
+    // `None` until the first `"events"` member is read.
+    let mut events: Option<Result<Vec<LiveEvent>, &'static str>> = None;
+    if r.peek() == Some(b'{') {
+        r.object(|r, key| {
+            if key != "events" || events.is_some() {
+                return r.skip_value();
+            }
+            if r.peek() != Some(b'[') {
+                events = Some(Err(MISSING_EVENTS));
+                return r.skip_value();
+            }
+            let mut items = Vec::new();
+            let mut wrong = None;
+            r.array(|r| {
+                match LiveEvent::read(r)? {
+                    Ok(ev) => items.push(ev),
+                    Err(e) => {
+                        wrong.get_or_insert(e);
+                    }
+                }
+                Ok(())
+            })?;
+            events = Some(wrong.map_or(Ok(items), Err));
+            Ok(())
+        })?;
+    } else {
+        r.skip_value()?;
+    }
+    r.end()?;
+    Ok(events.unwrap_or(Err(MISSING_EVENTS))?)
+}
+
+/// The `POST /v1/events` reply, written directly: byte for byte the
+/// render of `{"results":[<label>…],"watermark":N}` as a [`Json`]
+/// tree (the labels are plain ASCII words, so none needs escaping).
+fn ingest_reply(outcomes: &[IngestOutcome], watermark: Timestamp) -> String {
+    let mut out = String::with_capacity(32 + 12 * outcomes.len());
+    out.push_str(r#"{"results":["#);
+    for (i, outcome) in outcomes.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(outcome.label());
+        out.push('"');
+    }
+    let _ = write!(out, r#"],"watermark":{}}}"#, watermark.as_secs());
+    out
 }
 
 fn parse_id(id: &str) -> Option<DatabaseId> {
@@ -546,6 +602,7 @@ fn post_finish(state: &mut ServerState) -> Response {
 mod tests {
     use super::*;
     use crate::backend::InMemoryBackend;
+    use proptest::prelude::*;
     use prorp_sim::SimPolicy;
 
     fn get(path: &str) -> Request {
@@ -556,10 +613,16 @@ mod tests {
         }
     }
 
-    /// A route that panics with the lock held leaves the driver in an
-    /// unknown state: that request and every one after it answer 503.
-    #[test]
-    fn a_poisoned_driver_answers_503_to_every_request() {
+    fn post(path: &str, body: &str) -> Request {
+        Request {
+            method: "POST".into(),
+            path: path.into(),
+            body: body.into(),
+        }
+    }
+
+    /// A virtual-clock server over a one-day reactive run.
+    fn one_day_server(dbs: &[DatabaseId]) -> ApiServer {
         let cfg = SimConfig::builder(
             SimPolicy::Reactive,
             Timestamp(0),
@@ -568,14 +631,366 @@ mod tests {
         )
         .build()
         .expect("config validates");
-        let server = ApiServer::start(
+        ApiServer::start(
             "127.0.0.1:0",
             &cfg,
-            &[DatabaseId(0)],
+            dbs,
             Arc::new(InMemoryBackend::new()),
             ServerConfig::VirtualClock,
         )
-        .expect("server boots");
+        .expect("server boots")
+    }
+
+    /// The tree path the decoder replaced: parse the body, look up
+    /// `"events"`, read each item with [`LiveEvent::from_json`].
+    fn reference(body: &str) -> Result<Vec<LiveEvent>, String> {
+        let v = json::parse(body)?;
+        let items = v
+            .get("events")
+            .and_then(Json::as_array)
+            .ok_or(MISSING_EVENTS)?;
+        items
+            .iter()
+            .map(LiveEvent::from_json)
+            .collect::<Result<_, _>>()
+            .map_err(String::from)
+    }
+
+    fn lit(text: &'static str) -> BoxedStrategy<String> {
+        Just(text.to_string()).boxed()
+    }
+
+    fn ws() -> BoxedStrategy<String> {
+        prop_oneof![6 => lit(""), 1 => lit(" "), 1 => lit("\n\t "), 1 => lit("\r\n")].boxed()
+    }
+
+    /// `name` as a JSON key: mostly plain, else with one char written
+    /// as a `\u` escape (`"d\u0062"` is the key `db`).
+    fn key(name: &'static str) -> BoxedStrategy<String> {
+        (0..2 * name.len() + 1)
+            .prop_map(move |i| {
+                let mut out = String::from('"');
+                for (j, c) in name.chars().enumerate() {
+                    if j == i {
+                        out.push_str(&format!("\\u{:04x}", u32::from(c)));
+                    } else {
+                        out.push(c);
+                    }
+                }
+                out + "\""
+            })
+            .boxed()
+    }
+
+    /// `levels` arrays around one `0`: inside an event (depth 3) 29
+    /// levels are at the depth limit and 30 past it, at the top (depth
+    /// 1) 31 and 32.
+    fn nested(levels: usize) -> String {
+        "[".repeat(levels) + "0" + &"]".repeat(levels)
+    }
+
+    fn valid_db() -> BoxedStrategy<String> {
+        prop_oneof![
+            8 => (0u64..6).prop_map(|n| n.to_string()),
+            1 => Just(u64::MAX.to_string()),
+            1 => Just((1u64 << 63).to_string()),
+            1 => lit("-0"),
+        ]
+        .boxed()
+    }
+
+    fn valid_at() -> BoxedStrategy<String> {
+        prop_oneof![
+            6 => (0i64..90_000).prop_map(|n| n.to_string()),
+            1 => any::<i64>().prop_map(|n| n.to_string()),
+        ]
+        .boxed()
+    }
+
+    fn valid_kind() -> BoxedStrategy<String> {
+        prop_oneof![
+            4 => lit(r#""login""#),
+            4 => lit(r#""logout""#),
+            1 => lit(r#""log\u0069n""#),
+            1 => lit(r#""logou\u0074""#),
+        ]
+        .boxed()
+    }
+
+    /// A value of any type, nested ones and ones at or past the depth
+    /// limit included.
+    fn any_value() -> BoxedStrategy<String> {
+        prop_oneof![
+            4 => (-5i64..5).prop_map(|n| n.to_string()),
+            2 => lit("1.5"),
+            2 => lit("-2e3"),
+            2 => lit("18446744073709551615"),
+            1 => lit("18446744073709551616"),
+            1 => lit("-9223372036854775809"),
+            2 => lit(r#""s\"\\é""#),
+            2 => lit(r#""login""#),
+            2 => lit("null"),
+            2 => lit("true"),
+            2 => lit("[]"),
+            2 => lit(r#"{"db":1,"x":[1,{"y":"z"}]}"#),
+            2 => lit(r#"[{"events":[]},{"kind":"login"}]"#),
+            2 => (27usize..34).prop_map(nested),
+        ]
+        .boxed()
+    }
+
+    /// One `key:value` member with whitespace around its parts.
+    fn member(key: BoxedStrategy<String>, value: BoxedStrategy<String>) -> BoxedStrategy<String> {
+        (ws(), key, ws(), ws(), value, ws())
+            .prop_map(|(a, k, b, c, v, d)| format!("{a}{k}{b}:{c}{v}{d}"))
+            .boxed()
+    }
+
+    fn unknown_member() -> BoxedStrategy<String> {
+        let name = prop_oneof![
+            lit(r#""x""#),
+            lit(r#""dbx""#),
+            lit(r#""Db""#),
+            lit(r#""""#),
+            lit(r#""é""#),
+            lit(r#""events""#),
+        ];
+        member(name.boxed(), any_value())
+    }
+
+    /// Any member an event may carry: a known one with a value of any
+    /// type, or an unknown one.
+    fn any_event_member() -> BoxedStrategy<String> {
+        prop_oneof![
+            member(key("db"), prop_oneof![valid_db(), any_value()].boxed()),
+            member(key("at"), prop_oneof![valid_at(), any_value()].boxed()),
+            member(key("kind"), prop_oneof![valid_kind(), any_value()].boxed()),
+            unknown_member(),
+        ]
+        .boxed()
+    }
+
+    fn object(members: Vec<String>) -> String {
+        format!("{{{}}}", members.join(","))
+    }
+
+    /// An event that is valid unless a duplicate or unknown member
+    /// breaks the syntax: unknown members first, the three fields in
+    /// any order, then duplicates (which lose to the first occurrence)
+    /// and more unknown members.
+    fn valid_event() -> BoxedStrategy<String> {
+        (
+            prop::collection::vec(unknown_member(), 0..2),
+            member(key("db"), valid_db()),
+            member(key("at"), valid_at()),
+            member(key("kind"), valid_kind()),
+            0usize..6,
+            prop::collection::vec(any_event_member(), 0..3),
+        )
+            .prop_map(|(mut members, db, at, kind, order, tail)| {
+                let mut fields = [db, at, kind];
+                fields.rotate_left(order % 3);
+                if order >= 3 {
+                    fields.swap(0, 1);
+                }
+                members.extend(fields);
+                members.extend(tail);
+                object(members)
+            })
+            .boxed()
+    }
+
+    fn item() -> BoxedStrategy<String> {
+        prop_oneof![
+            12 => valid_event(),
+            1 => prop::collection::vec(any_event_member(), 0..5).prop_map(object),
+            1 => any_value(),
+        ]
+        .boxed()
+    }
+
+    fn batch() -> BoxedStrategy<String> {
+        (ws(), prop::collection::vec(item(), 0..6), ws())
+            .prop_map(|(a, items, b)| format!("[{a}{}{b}]", items.join(",")))
+            .boxed()
+    }
+
+    /// A body: mostly a batch among unknown top-level members (a second
+    /// `"events"` included), else an `"events"` that is not an array, no
+    /// `"events"` at all, or a top level that is not an object.
+    fn body() -> BoxedStrategy<String> {
+        let tail = prop_oneof![
+            3 => unknown_member(),
+            1 => member(key("events"), prop_oneof![batch(), any_value()].boxed()),
+        ];
+        prop_oneof![
+            8 => (
+                prop::collection::vec(unknown_member(), 0..2),
+                member(key("events"), batch()),
+                prop::collection::vec(tail, 0..2),
+            )
+                .prop_map(|(mut members, events, tail)| {
+                    members.push(events);
+                    members.extend(tail);
+                    object(members)
+                }),
+            1 => member(key("events"), any_value()).prop_map(|m| object(vec![m])),
+            1 => prop::collection::vec(unknown_member(), 0..3).prop_map(object),
+            1 => prop_oneof![batch(), any_value()],
+        ]
+        .boxed()
+    }
+
+    /// `text` cut after `cut` chars, or with the char at `at` replaced
+    /// (both modulo the char count): a truncated or corrupted body that
+    /// is still a `&str`.
+    fn damage(text: &str, cut: Option<usize>, at: usize, with: char) -> String {
+        let mut chars: Vec<char> = text.chars().collect();
+        if chars.is_empty() {
+            return String::new();
+        }
+        match cut {
+            Some(cut) => chars.truncate(cut % chars.len()),
+            None => {
+                let at = at % chars.len();
+                chars[at] = with;
+            }
+        }
+        chars.into_iter().collect()
+    }
+
+    /// The decoder is the tree path it replaced: on every body — valid,
+    /// invalid, truncated or with one char changed — it returns the
+    /// same events or the same error text, and the route answers 200
+    /// with one result per event, or the 400 the tree path answered.
+    #[test]
+    fn the_decoder_is_the_tree_reading_of_every_body() {
+        let server = one_day_server(&(0..4).map(DatabaseId).collect::<Vec<_>>());
+        let bodies = (
+            body(),
+            prop_oneof![
+                3 => Just(None),
+                1 => (prop::option::of(0usize..4096), 0usize..4096).prop_map(Some),
+            ],
+            prop_oneof![
+                Just('{'),
+                Just('}'),
+                Just('['),
+                Just(']'),
+                Just(','),
+                Just(':'),
+                Just('"'),
+                Just('\\'),
+                Just(' '),
+                Just('-'),
+                Just('.'),
+                Just('1'),
+                Just('u'),
+                Just('x'),
+            ],
+        );
+        let (mut valid, mut invalid) = (0, 0);
+        proptest::test_runner::run_cases(
+            ProptestConfig::with_cases(2048),
+            "the_decoder_is_the_tree_reading_of_every_body",
+            |rng| {
+                let (text, damaged, with) = bodies.generate(rng);
+                let text = match damaged {
+                    Some((cut, at)) => damage(&text, cut, at, with),
+                    None => text,
+                };
+                let want = reference(&text);
+                prop_assert_eq!(decode_events(&text), want.clone(), "body: {}", text);
+                let reply = serve_locked(&server.state, post("/v1/events", &text));
+                match want {
+                    Ok(events) => {
+                        valid += 1;
+                        prop_assert_eq!(reply.status, 200, "body: {}", text);
+                        let results = json::parse(&reply.body).map_err(TestCaseError::fail)?;
+                        let results = results.get("results").and_then(Json::as_array);
+                        prop_assert_eq!(results.map(<[Json]>::len), Some(events.len()));
+                    }
+                    Err(e) => {
+                        invalid += 1;
+                        prop_assert_eq!(reply.status, 400, "body: {}", text);
+                        prop_assert_eq!(reply.body, error_body(&e));
+                    }
+                }
+                Ok(())
+            },
+        );
+        // Both sides of the oracle are exercised.
+        assert!(
+            valid > 250 && invalid > 250,
+            "{valid} valid, {invalid} invalid"
+        );
+        server.shutdown();
+    }
+
+    /// The three semantic errors keep their texts, and a syntax error
+    /// anywhere in the body outranks them.
+    #[test]
+    fn decode_errors_keep_their_texts_and_syntax_comes_first() {
+        for (body, error) in [
+            (r#"{"event":[]}"#, r#"missing "events" array"#),
+            (r#"{"events":{}}"#, r#"missing "events" array"#),
+            (r#"[{"events":[]}]"#, r#"missing "events" array"#),
+            (
+                r#"{"events":[{"db":0,"at":1.5,"kind":"login"}]}"#,
+                "event needs db, at, kind(login|logout)",
+            ),
+            (
+                r#"{"events":[7]}"#,
+                "event needs db, at, kind(login|logout)",
+            ),
+            (
+                r#"{"events":[{"db":-1,"at":1,"kind":"login"}]}"#,
+                "database id must be an unsigned integer",
+            ),
+            (
+                r#"{"events":[{"db":-1,"at":1,"kind":"login"}],"x":[}"#,
+                "unexpected byte '}' at 49",
+            ),
+        ] {
+            assert_eq!(decode_events(body), Err(error.to_string()), "{body}");
+            assert_eq!(reference(body), Err(error.to_string()), "{body}");
+        }
+    }
+
+    /// The direct reply is byte for byte the tree render, for every
+    /// outcome, alone and all together, at any watermark.
+    #[test]
+    fn the_direct_reply_is_the_tree_render() {
+        let render = |outcomes: &[IngestOutcome], watermark: i64| {
+            let results = outcomes
+                .iter()
+                .map(|o| Json::Str(o.label().into()))
+                .collect();
+            Json::object(vec![
+                ("results", Json::Array(results)),
+                ("watermark", Json::Int(watermark)),
+            ])
+            .render()
+        };
+        let mut cases: Vec<Vec<IngestOutcome>> =
+            IngestOutcome::ALL.iter().map(|&o| vec![o]).collect();
+        cases.push(Vec::new());
+        cases.push(IngestOutcome::ALL.to_vec());
+        for outcomes in &cases {
+            for watermark in [0, 86_400, -1, i64::MIN, i64::MAX] {
+                assert_eq!(
+                    ingest_reply(outcomes, Timestamp(watermark)),
+                    render(outcomes, watermark)
+                );
+            }
+        }
+    }
+
+    /// A route that panics with the lock held leaves the driver in an
+    /// unknown state: that request and every one after it answer 503.
+    #[test]
+    fn a_poisoned_driver_answers_503_to_every_request() {
+        let server = one_day_server(&[DatabaseId(0)]);
         assert_eq!(
             serve_locked(&server.state, get("/v1/databases/0")).status,
             200

@@ -19,7 +19,7 @@
 //!
 //! Event-stream lines are `{"db":N,"at":T,"kind":"login"|"logout"}`.
 
-use prorp_server::json::{self, Json};
+use prorp_server::json::{Json, Reader};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
@@ -154,7 +154,8 @@ fn serve(o: &Options) -> Result<(), String> {
     }
 }
 
-/// Load a JSONL event stream; malformed lines are hard errors.
+/// Load a JSONL event stream, each line read by [`LiveEvent::read`];
+/// malformed lines are hard errors.
 fn load_stream(path: &str) -> Result<Vec<LiveEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut events = Vec::new();
@@ -162,8 +163,11 @@ fn load_stream(path: &str) -> Result<Vec<LiveEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        events.push(LiveEvent::from_json(&v).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?);
+        let at_line = |e: &str| format!("{path}:{}: {e}", lineno + 1);
+        let mut r = Reader::new(line);
+        let event = LiveEvent::read(&mut r).map_err(|e| at_line(&e))?;
+        r.end().map_err(|e| at_line(&e))?;
+        events.push(event.map_err(at_line)?);
     }
     if events.is_empty() {
         return Err(format!("{path}: empty event stream"));

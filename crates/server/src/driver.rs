@@ -48,7 +48,7 @@
 //! engine reads each database's full future trace at registration,
 //! which a live driver by definition does not have.
 
-use crate::json::Json;
+use crate::json::{Json, Reader};
 use prorp_core::EngineCounters;
 use prorp_obs::{evaluate_alerts, Alert, DecisionExplain, SloSeries};
 use prorp_sim::events::SimEvent;
@@ -56,6 +56,7 @@ use prorp_sim::{merge_outcomes, ShardDriver, SimConfig, SimPolicy, SimReport};
 use prorp_telemetry::{IncidentEntry, IncidentLog};
 use prorp_types::{DatabaseId, DbState, Prediction, ProrpError, Timestamp};
 use prorp_workload::Trace;
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
@@ -147,15 +148,67 @@ pub struct LiveEvent {
     pub kind: LiveEventKind,
 }
 
+/// Why a well-formed event is not one: a missing or mistyped member.
+const EVENT_NEEDS_FIELDS: &str = "event needs db, at, kind(login|logout)";
+/// Why a well-formed event is not one: a negative or fractional id.
+const DB_NOT_UNSIGNED: &str = "database id must be an unsigned integer";
+
 impl LiveEvent {
-    /// Read the wire form `{"db":N,"at":T,"kind":"login"|"logout"}`.
+    /// Read the wire form `{"db":N,"at":T,"kind":"login"|"logout"}` at
+    /// `r`'s position, building no [`Json`] tree.
+    ///
+    /// A member's first occurrence is the one read, as [`Json::get`]
+    /// finds it; later duplicates and unknown members are skipped, but
+    /// still validated.  The value is consumed whole even when it is
+    /// not an event, so a caller can read on and let a syntax error
+    /// later in the document take precedence, as it does for [`parse`]
+    /// followed by a lookup.
     ///
     /// # Errors
     ///
-    /// Names what is wrong: a missing or mistyped field, or a `db` that
-    /// is not an unsigned integer (ids use all 64 bits; negative and
-    /// fractional ones are rejected).
-    pub fn from_json(v: &Json) -> Result<LiveEvent, &'static str> {
+    /// The outer error is a syntax error (the reader is spent).  The
+    /// inner one names what is wrong with a well-formed value: a
+    /// missing or mistyped member, or a `db` that is not an unsigned
+    /// integer (ids use all 64 bits; negative and fractional ones are
+    /// rejected).
+    ///
+    /// [`parse`]: crate::json::parse
+    pub fn read(r: &mut Reader<'_>) -> Result<Result<LiveEvent, &'static str>, String> {
+        if r.peek() != Some(b'{') {
+            r.skip_value()?;
+            return Ok(Err(EVENT_NEEDS_FIELDS));
+        }
+        // Each member's first occurrence; `Some(None)` is one present
+        // with the wrong type.
+        let (mut db, mut at, mut kind) = (None, None, None);
+        r.object(|r, key| {
+            match &*key {
+                "db" if db.is_none() => db = Some(number(r)?.and_then(|n| n.as_u64())),
+                "at" if at.is_none() => at = Some(number(r)?.and_then(|n| n.as_int())),
+                "kind" if kind.is_none() => {
+                    kind = Some(string(r)?.as_deref().and_then(LiveEventKind::parse));
+                }
+                _ => r.skip_value()?,
+            }
+            Ok(())
+        })?;
+        let (Some(db), Some(Some(at)), Some(Some(kind))) = (db, at, kind) else {
+            return Ok(Err(EVENT_NEEDS_FIELDS));
+        };
+        let Some(db) = db else {
+            return Ok(Err(DB_NOT_UNSIGNED));
+        };
+        Ok(Ok(LiveEvent {
+            db: DatabaseId(db),
+            at: Timestamp(at),
+            kind,
+        }))
+    }
+
+    /// The tree-walking reading of the wire form: what [`read`](Self::read)
+    /// must agree with, kept as its oracle.
+    #[cfg(test)]
+    pub(crate) fn from_json(v: &Json) -> Result<LiveEvent, &'static str> {
         let (Some(db), Some(at), Some(kind)) = (
             v.get("db"),
             v.get("at").and_then(Json::as_int),
@@ -163,11 +216,9 @@ impl LiveEvent {
                 .and_then(Json::as_str)
                 .and_then(LiveEventKind::parse),
         ) else {
-            return Err("event needs db, at, kind(login|logout)");
+            return Err(EVENT_NEEDS_FIELDS);
         };
-        let db = db
-            .as_u64()
-            .ok_or("database id must be an unsigned integer")?;
+        let db = db.as_u64().ok_or(DB_NOT_UNSIGNED)?;
         Ok(LiveEvent {
             db: DatabaseId(db),
             at: Timestamp(at),
@@ -175,13 +226,31 @@ impl LiveEvent {
         })
     }
 
-    /// The wire form [`from_json`](Self::from_json) reads.
+    /// The wire form [`read`](Self::read) reads.
     pub fn to_json(&self) -> Json {
         Json::object(vec![
             ("db", Json::from(self.db.raw())),
             ("at", Json::Int(self.at.as_secs())),
             ("kind", Json::Str(self.kind.label().into())),
         ])
+    }
+}
+
+/// The number at `r`, or `None` after skipping a value of any other
+/// type.
+fn number(r: &mut Reader<'_>) -> Result<Option<Json>, String> {
+    match r.peek() {
+        Some(b'-' | b'0'..=b'9') => r.number().map(Some),
+        _ => r.skip_value().map(|()| None),
+    }
+}
+
+/// The string at `r`, or `None` after skipping a value of any other
+/// type.
+fn string<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, String> {
+    match r.peek() {
+        Some(b'"') => r.string().map(Some),
+        _ => r.skip_value().map(|()| None),
     }
 }
 

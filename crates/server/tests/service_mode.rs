@@ -405,6 +405,55 @@ fn a_rejected_batch_ingests_nothing() {
     server.shutdown();
 }
 
+/// A batch just under the transport's 1 MiB body cap — about 27 000
+/// events — is decoded in one linear pass, so it holds the driver's lock
+/// for milliseconds: a read sent right behind it is answered within 2 s.
+/// A decoder that re-scans the rest of the body for every character of
+/// a string holds the lock for seconds, and the read waits as long.
+#[test]
+fn a_full_size_batch_does_not_hold_the_driver() {
+    const MAX_BODY: usize = 1024 * 1024;
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(2), Timestamp(0))
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0), DatabaseId(1)]);
+    let addr = server.addr();
+    let mut body = String::from(r#"{"events":["#);
+    let mut events = 0;
+    loop {
+        let kind = if events % 2 == 0 { "login" } else { "logout" };
+        let event = format!(
+            r#"{{"db":{},"at":{},"kind":"{kind}"}}"#,
+            events % 2,
+            600 + events
+        );
+        if body.len() + 1 + event.len() + 2 > MAX_BODY {
+            break;
+        }
+        if events > 0 {
+            body.push(',');
+        }
+        body.push_str(&event);
+        events += 1;
+    }
+    body.push_str("]}");
+    assert!(events > 26_000, "{events} events");
+    let batch = std::thread::spawn(move || http(addr, "POST", "/v1/events", &body));
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let sent = std::time::Instant::now();
+    let (status, read) = http(addr, "GET", "/v1/databases/0", "");
+    let waited = sent.elapsed();
+    assert_eq!(status, 200, "{read}");
+    let (status, reply) = batch.join().expect("poster thread");
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(reply.matches("\"accepted\"").count(), events);
+    assert!(
+        waited < std::time::Duration::from_secs(2),
+        "a read behind a full-size batch waited {waited:?}"
+    );
+    server.shutdown();
+}
+
 /// A request whose head stops before its blank line — the peer went
 /// away mid-send — is refused by the transport and never routed: a cut
 /// `POST /v1/finish` must not seal the run.  The transport counts what

@@ -157,6 +157,22 @@ guards=(
     api::tests::a_poisoned_driver_answers_503_to_every_request
     an_advance_after_finish_answers_409_and_moves_nothing
 
+    # Ingest decodes in one linear pass, straight into `LiveEvent`s: the
+    # decoder is the tree path it replaced (parse, look up `"events"`,
+    # read each item) on every body, valid or not — the same events or
+    # the same error text, and the route's 200 or 400 — and the direct
+    # reply is the tree's render.  A batch at the 1 MiB body cap must
+    # not hold the driver (a read behind it waited ≈6 s while string
+    # parsing re-scanned the rest of the input per character), nor a
+    # 1 MiB string take more than a second; the pull reader's skip
+    # accepts and rejects exactly what parsing does.
+    api::tests::the_decoder_is_the_tree_reading_of_every_body
+    api::tests::decode_errors_keep_their_texts_and_syntax_comes_first
+    api::tests::the_direct_reply_is_the_tree_render
+    a_full_size_batch_does_not_hold_the_driver
+    json::tests::a_mebibyte_string_parses_within_a_second
+    json::tests::skipping_a_value_accepts_and_rejects_what_parsing_does
+
     # The HTTP transport's contract: a fixed set of workers (the test
     # with 4× as many concurrent clients as workers fails if the handler
     # ever runs on more threads than `serve` started — that is what
