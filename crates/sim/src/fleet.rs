@@ -17,9 +17,8 @@
 //!   dense ids, so the map is a flat `Vec<u32>` indexed by raw id
 //!   (sentinel [`u32::MAX`] = absent) with an automatic spill to a
 //!   `HashMap` when ids turn out sparse.
-//! * [`BitSet`] — one bit per database for the boolean flags
-//!   (`demand`, `resume_in_flight`) instead of one byte each inside a
-//!   padded struct.
+//! * [`BitSet`] — one bit per database for the `demand` flag instead
+//!   of one byte inside a padded struct.
 //!
 //! The column index is the database's *slot*, and this module is only
 //! the first of its three owners.  `ShardDriver::register` pushes a
@@ -27,9 +26,9 @@
 //! (home-node column, allocated bit) and writes its `sys.databases` row
 //! (`MetadataStore`: row and id columns) in the same breath, and all
 //! three number in arrival order — so the index `index_of` resolves once
-//! per event addresses every one of them, plus the driver's own
-//! workflow column and the observability layer's latest-decision
-//! column, with no second lookup.
+//! per event addresses every one of them, plus the column of the
+//! driver's in-flight resume book and the observability layer's
+//! latest-decision column, with no second lookup.
 //!
 //! Determinism is untouched by the layout change: the arena preserves
 //! shard-trace order, the index map is a pure function of the inserted
@@ -402,8 +401,6 @@ pub(crate) struct FleetState {
     pub(crate) accs: Vec<SegmentAccumulator>,
     /// Whether a customer session is currently active.
     pub(crate) demand: BitSet,
-    /// Whether a reactive resume workflow is in flight.
-    pub(crate) resume_in_flight: BitSet,
     /// Observational lifecycle checkers (strict-invariants builds only).
     #[cfg(feature = "strict-invariants")]
     pub(crate) shadows: Vec<LifecycleInvariants>,
@@ -420,7 +417,6 @@ impl FleetState {
             engines: EngineArena::for_config(cfg, capacity),
             accs: Vec::with_capacity(capacity),
             demand: BitSet::with_capacity(capacity),
-            resume_in_flight: BitSet::with_capacity(capacity),
             #[cfg(feature = "strict-invariants")]
             shadows: Vec::with_capacity(capacity),
             index: DbIndexMap::with_capacity(capacity),
@@ -449,7 +445,6 @@ impl FleetState {
         acc.transition(cfg.start, SegmentKind::Saved);
         self.accs.push(acc);
         self.demand.push(false);
-        self.resume_in_flight.push(false);
         self.index.insert(trace.db, idx);
         self.ids.push(trace.db);
         #[cfg(feature = "strict-invariants")]

@@ -16,11 +16,12 @@
 //!   [`SimConfig::builder`], which owns the fault-layer knobs (stage
 //!   failure probabilities, retry policy, predictor circuit breaker) and
 //!   validates everything at `build()`;
-//! * [`runner`] — the driver: partitions the fleet by id-hash, fans the
+//! * [`runner`] — the driver: [`Simulation::run_streamed`] has each
+//!   shard read its own id-hash partition of a
+//!   [`prorp_workload::TraceSource`] one trace at a time, fans the
 //!   shards out over worker threads, and merges the per-shard outcomes
-//!   into one [`SimReport`].  [`Simulation::run_streamed`] does the same
-//!   over a [`prorp_workload::TraceSource`] without ever materialising
-//!   the whole fleet;
+//!   into one [`SimReport`]; [`Simulation::run`] is that run over a
+//!   `Vec<Trace>`;
 //! * [`fleet`] — struct-of-arrays per-shard database state: one arena of
 //!   homogeneous policy engines (`EngineArena`, internal), flat
 //!   segment-accumulator and flag columns ([`BitSet`]), and a dense
@@ -35,9 +36,11 @@
 //!   [`prorp_telemetry::SegmentKind`]s, and counts its telemetry; N
 //!   shards run with zero cross-thread coordination while the merged
 //!   KPIs stay bit-identical to a single-threaded run;
-//! * [`diagnostics`] — the §7 diagnostics-and-mitigation runner: detects
-//!   stuck workflows (fault injection), mitigates them, and escalates
-//!   repeat offenders and retry-budget exhaustions as incidents;
+//! * [`diagnostics`] — the §7 diagnostics-and-mitigation runner and the
+//!   shard's one book of in-flight reactive resumes: detects stuck
+//!   workflows (fault injection), mitigates them — a hung resume even
+//!   after its customer logged out — and escalates repeat offenders and
+//!   retry-budget exhaustions as incidents;
 //! * [`obs`] — shard-local wiring of the deterministic observability
 //!   layer (`prorp-obs`): builds the trace buffer, sketches and SLO
 //!   rollup when `SimConfig::builder().observe(..)` enables them, turns
@@ -61,13 +64,13 @@ pub mod runner;
 pub mod shard;
 
 pub use config::{SimConfig, SimConfigBuilder, SimPolicy};
-pub use diagnostics::{DiagnosticsRunner, Mitigation};
+pub use diagnostics::Mitigation;
 pub use fleet::{BitSet, DbIndexMap};
 pub use prorp_obs::ObsConfig;
 pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};
 pub use runner::{merge_outcomes, SimReport, Simulation};
-pub use shard::{partition_fleet, ShardDriver, ShardOutcome};
+pub use shard::{ShardDriver, ShardOutcome};
 
 /// Whether this build runs the `strict-invariants` lifecycle checker on
 /// every event.  Cargo unifies features across what one command builds,

@@ -6,13 +6,11 @@
 use prorp_core::EngineCounters;
 use prorp_obs::{snapshots_jsonl, trace_jsonl};
 use prorp_sim::{
-    partition_fleet, ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode,
-    TelemetrySummary,
+    ObsConfig, SimConfig, SimPolicy, SimReport, Simulation, TelemetryMode, TelemetrySummary,
 };
 use prorp_telemetry::TelemetryKind;
 use prorp_types::{BreakerConfig, PolicyConfig, RetryPolicy, Seconds, Timestamp};
 use prorp_workload::{LazyFleet, RegionName, RegionProfile, Trace};
-use std::collections::HashSet;
 
 const DAY: i64 = 86_400;
 
@@ -234,48 +232,56 @@ fn observability_streams_are_byte_identical_across_shard_layouts() {
     }
 }
 
+/// How many of `traces` `shard_of` sends to each of `shards` shards,
+/// checking that it sends each id to exactly one shard in range, and the
+/// same one every time.
+fn shard_sizes(traces: &[Trace], shards: usize) -> Vec<usize> {
+    let mut sizes = vec![0usize; shards];
+    for t in traces {
+        let s = t.db.shard_of(shards);
+        assert!(s < shards, "{} sent to shard {s} of {shards}", t.db);
+        assert_eq!(t.db.shard_of(shards), s, "stable assignment");
+        sizes[s] += 1;
+    }
+    sizes
+}
+
 #[test]
 fn partitioning_covers_every_database_exactly_once() {
     let traces = fleet(200);
     for shards in [1usize, 2, 3, 8, 16] {
-        let parts = partition_fleet(&traces, shards);
-        assert_eq!(parts.len(), shards);
-        let mut seen = HashSet::new();
-        for (s, part) in parts.iter().enumerate() {
-            for &i in part {
-                assert_eq!(traces[i].db.shard_of(shards), s, "stable assignment");
-                assert!(seen.insert(i), "trace {i} assigned twice ({shards} shards)");
-            }
-        }
-        assert_eq!(seen.len(), traces.len(), "{shards} shards must cover all");
+        let sizes = shard_sizes(&traces, shards);
+        assert_eq!(sizes.iter().sum::<usize>(), traces.len());
+        // A run registers on each shard exactly the databases `shard_of`
+        // sends there.
+        let report = run_with_shards(SimPolicy::Reactive, traces.clone(), shards);
+        let registered: Vec<usize> = report.shard_counters.iter().map(|c| c.databases).collect();
+        assert_eq!(registered, sizes, "{shards} shards");
+        assert_eq!(report.counters.len(), traces.len());
     }
 }
 
 #[test]
 fn partitioning_edge_cases_are_well_formed() {
     // Empty fleet: every shard exists and owns nothing.
-    let parts = partition_fleet(&[], 4);
-    assert_eq!(parts.len(), 4);
-    assert!(parts.iter().all(Vec::is_empty));
+    assert_eq!(shard_sizes(&[], 4), vec![0; 4]);
+    let empty = run_with_shards(SimPolicy::Reactive, Vec::new(), 4);
+    let registered: Vec<usize> = empty.shard_counters.iter().map(|c| c.databases).collect();
+    assert_eq!(registered, vec![0; 4]);
 
-    // Single database: exactly one shard owns exactly that trace, at any
-    // shard count.
+    // Single database: exactly one shard owns it, at any shard count.
     let one = fleet(1);
     for shards in [1usize, 2, 16] {
-        let parts = partition_fleet(&one, shards);
-        assert_eq!(parts.len(), shards);
-        let owned: Vec<usize> = parts.iter().flatten().copied().collect();
-        assert_eq!(owned, vec![0], "{shards} shards");
-        assert_eq!(parts[one[0].db.shard_of(shards)], vec![0]);
+        let mut expected = vec![0; shards];
+        expected[one[0].db.shard_of(shards)] = 1;
+        assert_eq!(shard_sizes(&one, shards), expected, "{shards} shards");
     }
 
-    // More shards than databases: all traces covered once, the rest of
-    // the shards empty.
-    let five = fleet(5);
-    let parts = partition_fleet(&five, 16);
-    let total: usize = parts.iter().map(Vec::len).sum();
-    assert_eq!(total, 5);
-    assert!(parts.iter().filter(|p| p.is_empty()).count() >= 11);
+    // More shards than databases: every database covered once, the rest
+    // of the shards empty.
+    let sizes = shard_sizes(&fleet(5), 16);
+    assert_eq!(sizes.iter().sum::<usize>(), 5);
+    assert!(sizes.iter().filter(|&&n| n == 0).count() >= 11);
 }
 
 #[test]
