@@ -20,13 +20,11 @@
 //! Event-stream lines are `{"db":N,"at":T,"kind":"login"|"logout"}`.
 
 use prorp_server::json::{Json, Reader};
-use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
+use prorp_server::{http, ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::Trace;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -205,31 +203,15 @@ fn stream_to_traces(stream: &[LiveEvent]) -> Result<Vec<Trace>, String> {
     Ok(traces)
 }
 
-/// One blocking HTTP request against the in-process server.
+/// One blocking HTTP request against the in-process server: `(status,
+/// body)`.
 fn http_request(
     addr: std::net::SocketAddr,
     method: &str,
     path: &str,
     body: &str,
 ) -> Result<(u16, String), String> {
-    let mut s = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: prorp\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
-    s.write_all(head.as_bytes()).map_err(|e| e.to_string())?;
-    s.write_all(body.as_bytes()).map_err(|e| e.to_string())?;
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).map_err(|e| e.to_string())?;
-    let status: u16 = reply
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.get(..3))
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| format!("malformed reply: {reply:?}"))?;
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    let (status, _, body) = http::request(addr, method, path, body).map_err(|e| e.to_string())?;
     Ok((status, body))
 }
 

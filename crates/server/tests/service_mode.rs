@@ -3,6 +3,7 @@
 //! workflow stack driven by the live driver's virtual clock.
 
 use prorp_obs::SloConfig;
+use prorp_server::http::request;
 use prorp_server::IngestOutcome;
 use prorp_server::{
     ApiServer, DbRecord, InMemoryBackend, LiveDriver, LiveEvent, LiveEventKind, ServerConfig,
@@ -17,38 +18,9 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Minimal HTTP/1.1 client: one request, `Connection: close`, returns
-/// `(status, header-block, body)`.
-fn http_full(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read reply");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let (head, body) = raw
-        .split_once("\r\n\r\n")
-        .map(|(h, b)| (h.to_string(), b.to_string()))
-        .unwrap_or_default();
-    (status, head, body)
-}
-
-/// `(status, body)` shorthand for the common case.
+/// `(status, body)` of one exchange.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let (status, _, body) = http_full(addr, method, path, body);
+    let (status, _, body) = request(addr, method, path, body).expect("HTTP exchange");
     (status, body)
 }
 
@@ -191,7 +163,7 @@ fn slo_and_why_endpoints_serve_live_rollups() {
 
     // The scrape endpoint advertises the text-format version scrapers
     // content-negotiate on.
-    let (status, head, _) = http_full(addr, "GET", "/metrics", "");
+    let (status, head, _) = request(addr, "GET", "/metrics", "").expect("HTTP exchange");
     assert_eq!(status, 200);
     assert!(
         head.to_ascii_lowercase()

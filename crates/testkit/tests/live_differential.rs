@@ -21,6 +21,7 @@
 
 use proptest::prelude::*;
 use prorp_obs::SloConfig;
+use prorp_server::http::request;
 use prorp_server::json::{self, Json};
 use prorp_server::{
     ApiServer, InMemoryBackend, IngestOutcome, LiveDriver, LiveEvent, LiveEventKind, ServerConfig,
@@ -33,8 +34,7 @@ use prorp_telemetry::{IncidentEntry, IncidentKind};
 use prorp_types::{DatabaseId, DbState, PolicyConfig, RetryPolicy, Seconds, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use testkit::oracles::{assert_reports_equal, DAY, MEASURE_DAY, SPAN_DAYS};
 
@@ -252,21 +252,8 @@ fn shuffle<T>(items: &mut [T], mut seed: u64) {
 
 /// One `Connection: close` HTTP exchange: `(status, body)`.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).expect("read reply");
-    let status = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let body = raw.split_once("\r\n\r\n").map_or("", |(_, b)| b);
-    (status, body.to_string())
+    let (status, _, body) = request(addr, method, path, body).expect("HTTP exchange");
+    (status, body)
 }
 
 /// An `ApiServer` and, beside it, a `LiveDriver` fed the identical
