@@ -1,12 +1,13 @@
 //! The paper's shape claims, asserted on the committed figure outputs.
 //!
 //! `scripts/figures.sh` regenerates `results/fig03_idle_fragmentation.txt`,
-//! `fig06_regions.txt`, `fig08_window_size.txt`, `fig09_confidence.txt`,
+//! `fig06_regions.txt`, `fig07_days.txt`, `fig08_window_size.txt`,
+//! `fig09_confidence.txt`,
 //! `fig11_resume_frequency.txt` and `fig12_pause_frequency.txt` at 300
 //! databases × 35 days, seed 42, and `scripts/check.sh` diffs them byte
 //! for byte, so these files are what the tree produces.  The tests below
-//! read them and check the claims the paper draws from Figures 3, 6, 8, 9,
-//! 11 and 12 — the direction of each effect, comparing the ends of a
+//! read them and check the claims the paper draws from Figures 3, 6, 7, 8,
+//! 9, 11 and 12 — the direction of each effect, comparing the ends of a
 //! sweep only, not the paper's absolute numbers, which a synthetic fleet
 //! does not reproduce (DESIGN.md §2 states the gaps).
 
@@ -74,6 +75,36 @@ fn proactive_qos_beats_reactive_in_every_region() {
         assert!(
             proactive_qos > reactive_qos,
             "{region}: proactive QoS {proactive_qos} ≤ reactive {reactive_qos}"
+        );
+    }
+}
+
+/// Figure 7: on every evaluation day the proactive policy serves more
+/// logins than the reactive one, and pays for it in idle time (the cost
+/// of pre-warming).
+#[test]
+fn figure_7_proactive_beats_reactive_qos_and_idles_more_every_day() {
+    let text = result("fig07_days.txt");
+    let days: Vec<(&str, Vec<f64>)> = text
+        .lines()
+        .filter_map(|l| {
+            let rest = l.strip_prefix("day ")?;
+            let (day, rest) = rest.split_once(' ')?;
+            day.parse::<u32>().ok().map(|_| (l, cells(rest)))
+        })
+        .collect();
+    assert!(!days.is_empty(), "{text}");
+    for (line, row) in days {
+        let [reactive_qos, reactive_idle, proactive_qos, proactive_idle] = row[..] else {
+            panic!("{line}: {row:?}")
+        };
+        assert!(
+            proactive_qos > reactive_qos,
+            "{line}: proactive QoS {proactive_qos} ≤ reactive {reactive_qos}"
+        );
+        assert!(
+            proactive_idle > reactive_idle,
+            "{line}: proactive idle {proactive_idle} ≤ reactive {reactive_idle}"
         );
     }
 }
