@@ -153,17 +153,11 @@ fn micro_cases() -> Vec<MicroCase> {
 /// Run the fleet once with the chosen predictor arm, returning the
 /// report and the wall-clock seconds of the `run()` call.
 fn fleet_run(scale: &ExperimentScale, naive: bool) -> (SimReport, f64) {
-    let cfg: SimConfig = SimConfig::builder(
-        SimPolicy::Proactive(PolicyConfig::default()),
-        scale.start(),
-        scale.end(),
-        scale.measure_from(),
-    )
-    .node_capacity((scale.fleet / 4).max(8))
-    .nodes(5)
-    .naive_predictor(naive)
-    .build()
-    .expect("experiment defaults are valid");
+    let cfg: SimConfig = scale
+        .config_builder(SimPolicy::Proactive(PolicyConfig::default()))
+        .naive_predictor(naive)
+        .build()
+        .expect("experiment defaults are valid");
     let traces = scale.fleet_for(prorp_workload::RegionName::Eu1);
     let sim = Simulation::new(cfg, traces).expect("experiment config is valid");
     let t0 = Instant::now();
