@@ -6,7 +6,7 @@
 //! This binary trains on the same 28-day warm-up and evaluates each of
 //! the four following days separately.
 
-use prorp_bench::{run_policy, ExperimentScale};
+use prorp_bench::ExperimentScale;
 use prorp_sim::{SimPolicy, Simulation};
 use prorp_types::{PolicyConfig, Seconds};
 use prorp_workload::RegionName;
@@ -50,6 +50,4 @@ fn main() {
     println!();
     println!("paper bands: reactive QoS 60-68%, proactive QoS 80-90%;");
     println!("             reactive idle 5-12%, proactive idle 7-14%.");
-    // Keep the helper crate linked even when unused code paths change.
-    let _ = run_policy;
 }

@@ -217,14 +217,6 @@ impl EngineCounters {
         }
         self.logins_available as f64 / total as f64
     }
-
-    /// Mean prediction latency in nanoseconds.
-    pub fn prediction_ns_mean(&self) -> f64 {
-        if self.predictions == 0 {
-            return 0.0;
-        }
-        self.prediction_ns_sum as f64 / self.predictions as f64
-    }
 }
 
 /// A per-database resource-allocation policy.
@@ -335,6 +327,16 @@ pub(crate) fn walk_every_arm<E: DatabasePolicy>(start: Timestamp, make: impl Fn(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EngineCounters {
+        /// Mean prediction latency in nanoseconds.
+        pub(crate) fn prediction_ns_mean(&self) -> f64 {
+            if self.predictions == 0 {
+                return 0.0;
+            }
+            self.prediction_ns_sum as f64 / self.predictions as f64
+        }
+    }
 
     #[test]
     fn qos_is_the_available_login_fraction() {

@@ -150,11 +150,6 @@ impl<P: Predictor> ProactiveEngine<P> {
         }
     }
 
-    /// Whether the engine currently considers the database old.
-    pub fn is_old(&self) -> bool {
-        self.old
-    }
-
     /// Whether the last forecast attempt failed (reactive-fallback mode).
     pub fn forecast_unavailable(&self) -> bool {
         self.forecast == ForecastState::Unavailable
@@ -481,6 +476,13 @@ mod tests {
     use super::*;
     use prorp_forecast::{FailEvery, NeverPredictor, ProbabilisticPredictor};
     use prorp_types::Seconds;
+
+    impl<P: Predictor> ProactiveEngine<P> {
+        /// Whether the engine currently considers the database old.
+        pub(crate) fn is_old(&self) -> bool {
+            self.old
+        }
+    }
 
     const DAY: i64 = 86_400;
     const HOUR: i64 = 3_600;

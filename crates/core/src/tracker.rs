@@ -83,11 +83,6 @@ impl ActivityTracker {
         inserted
     }
 
-    /// Number of events waiting to be flushed.
-    pub fn pending_len(&self) -> usize {
-        usize::from(self.inline_len) + self.spilled.len()
-    }
-
     /// Events suppressed by the uniqueness guard so far.
     pub fn duplicates_suppressed(&self) -> u64 {
         self.duplicates_suppressed
@@ -122,6 +117,13 @@ impl Default for ActivityTracker {
 mod tests {
     use super::*;
     use prorp_storage::HistoryRead;
+
+    impl ActivityTracker {
+        /// Number of events waiting to be flushed.
+        pub(crate) fn pending_len(&self) -> usize {
+            usize::from(self.inline_len) + self.spilled.len()
+        }
+    }
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)

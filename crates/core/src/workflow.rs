@@ -15,7 +15,7 @@
 //! of the key, never of shard layout or event interleaving, so a fleet
 //! simulation produces bit-identical fault behaviour at any shard count.
 
-use prorp_types::{DatabaseId, FaultConfig, ProrpError, Seconds, Timestamp, WorkflowStage};
+use prorp_types::{DatabaseId, FaultConfig, Seconds, Timestamp, WorkflowStage};
 
 /// Domain-separation constant for stage-failure draws.
 const STAGE_FAIL_TAG: u64 = 0x5374_6167_6546_6C70; // "StageFlp"
@@ -212,26 +212,28 @@ impl ResumeWorkflow {
             ready_at: now + backoff + self.stage_latency(),
         }
     }
-
-    /// The structured error describing one failed stage attempt.
-    pub fn stage_error(stage: WorkflowStage, attempt: u32) -> ProrpError {
-        ProrpError::WorkflowStageFailed {
-            stage,
-            attempt,
-            cause: Box::new(ProrpError::FaultInjected(format!("injected {stage} fault"))),
-        }
-    }
-
-    /// The structured error describing an exhausted retry budget.
-    pub fn exhausted_error(stage: WorkflowStage, attempts: u32) -> ProrpError {
-        ProrpError::RetryExhausted { stage, attempts }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prorp_types::RetryPolicy;
+    use prorp_types::{ProrpError, RetryPolicy};
+
+    impl ResumeWorkflow {
+        /// The structured error describing one failed stage attempt.
+        pub(crate) fn stage_error(stage: WorkflowStage, attempt: u32) -> ProrpError {
+            ProrpError::WorkflowStageFailed {
+                stage,
+                attempt,
+                cause: Box::new(ProrpError::FaultInjected(format!("injected {stage} fault"))),
+            }
+        }
+
+        /// The structured error describing an exhausted retry budget.
+        pub(crate) fn exhausted_error(stage: WorkflowStage, attempts: u32) -> ProrpError {
+            ProrpError::RetryExhausted { stage, attempts }
+        }
+    }
 
     fn faults_with(p: f64) -> FaultConfig {
         let mut f = FaultConfig::default();

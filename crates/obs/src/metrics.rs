@@ -77,22 +77,6 @@ impl MetricValue {
         }
     }
 
-    /// `(count, sum)` of a histogram reading, if this is a histogram.
-    pub fn as_histogram(&self) -> Option<(u64, i64)> {
-        match self {
-            MetricValue::Histogram { count, sum, .. } => Some((*count, *sum)),
-            _ => None,
-        }
-    }
-
-    /// The sketch reading, if this is a quantile sketch.
-    pub fn as_sketch(&self) -> Option<&QuantileSketch> {
-        match self {
-            MetricValue::Sketch(s) => Some(s),
-            _ => None,
-        }
-    }
-
     fn merge_from(&mut self, other: &MetricValue, name: &str) -> Result<(), ProrpError> {
         match (self, other) {
             (MetricValue::Counter(a), MetricValue::Counter(b)) => {
@@ -248,6 +232,24 @@ impl MetricsSnapshot {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    impl MetricValue {
+        /// `(count, sum)` of a histogram reading, if this is a histogram.
+        pub(crate) fn as_histogram(&self) -> Option<(u64, i64)> {
+            match self {
+                MetricValue::Histogram { count, sum, .. } => Some((*count, *sum)),
+                _ => None,
+            }
+        }
+
+        /// The sketch reading, if this is a quantile sketch.
+        pub(crate) fn as_sketch(&self) -> Option<&QuantileSketch> {
+            match self {
+                MetricValue::Sketch(s) => Some(s),
+                _ => None,
+            }
+        }
+    }
 
     /// A snapshot at `at` holding `entries`, sorted by name.
     pub(crate) fn snapshot(at: i64, entries: Vec<(&'static str, MetricValue)>) -> MetricsSnapshot {

@@ -423,8 +423,8 @@ fn post_forced(state: &mut ServerState, id: &str, resume: bool) -> Response {
     )
 }
 
-/// `GET /metrics` — Prometheus exposition of each shard's live metrics
-/// snapshot (read at the watermark), with
+/// `GET /metrics` — Prometheus exposition of the fleet's live metrics
+/// snapshot (the shards' merged, read at the watermark), with
 /// the `text/plain; version=0.0.4` content type scrapers negotiate on,
 /// followed by the server's self-metrics.  Those describe this process
 /// (how many advances it made, how each ingested event was classified,

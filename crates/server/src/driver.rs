@@ -1,5 +1,5 @@
 //! The wall-clock driver: [`LiveDriver`] feeds externally ingested
-//! events into the same per-shard engine stack the DES runs.
+//! events into the same [`Shards`] the DES runs.
 //!
 //! # The watermark protocol
 //!
@@ -27,7 +27,8 @@
 //!    committed in a single batch — the key fully determines their
 //!    relative order, exactly as the DES's push order did.
 //! 3. **Step**: every shard then drains its queue strictly below `w`
-//!    via [`ShardDriver::step_until`] and the watermark becomes `w`.
+//!    (`ShardDriver::step_until`), in the DES's fork-join
+//!    ([`Shards::each`]), and the watermark becomes `w`.
 //!
 //! Within one watermark window ingest is therefore **idempotent and
 //! reorder-tolerant by construction**: arrival order and duplicates
@@ -42,7 +43,8 @@
 //! [`db_counters`](LiveDriver::db_counters) read its engine as of the
 //! watermark, and [`LiveDriver::take_fresh_incidents`] hands out the
 //! incidents raised since the last call — what the advance raised, not
-//! what the fleet holds.
+//! what the fleet holds.  Fleet-wide reads (`/metrics`, the SLO rollup,
+//! incidents) are [`Shards`]' merges, the same at any shard count.
 //!
 //! The offline-optimal policy is rejected at construction: its oracle
 //! engine reads each database's full future trace at registration,
@@ -52,13 +54,13 @@ use crate::json::{Json, Reader};
 use prorp_core::EngineCounters;
 use prorp_obs::{evaluate_alerts, Alert, DecisionExplain, SloSeries};
 use prorp_sim::events::SimEvent;
-use prorp_sim::{merge_outcomes, ShardDriver, SimConfig, SimPolicy, SimReport};
-use prorp_telemetry::{IncidentEntry, IncidentLog};
+use prorp_sim::{Shards, SimConfig, SimPolicy, SimReport};
+use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, DbState, Prediction, ProrpError, Timestamp};
 use prorp_workload::Trace;
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// What happened to one ingested event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -254,25 +256,23 @@ fn string<'a>(r: &mut Reader<'a>) -> Result<Option<Cow<'a, str>>, String> {
     }
 }
 
-/// The wall-clock driver: shard drivers plus the watermark protocol.
+/// The wall-clock driver: the run's [`Shards`] plus the watermark
+/// protocol.
 ///
 /// See the [module docs](self) for the commit-order argument.
 pub struct LiveDriver {
-    cfg: SimConfig,
-    shards: Vec<ShardDriver>,
-    /// Global registration order — the commit order's final tie-break,
-    /// and the output order of the merged report.
-    order: HashMap<DatabaseId, usize>,
-    /// The registered ids, in that order (`order` inverted).
-    ids: Vec<DatabaseId>,
+    /// The fleet, in the DES's form: sizing, routing, the fork-join, the
+    /// merged reads and the final merge.  Its registration order is the
+    /// commit order's final tie-break and the merged report's row order.
+    shards: Shards,
     /// Events accepted but not yet committed (all at `ts >= watermark`),
     /// keyed `(ts, tie-priority, registration index)`: commit order, and
     /// one entry per `(database, ts, kind)`.
     buffer: BTreeMap<(Timestamp, u8, usize), LiveEvent>,
     watermark: Timestamp,
-    /// Per shard, how many entries of its append-only incident log
+    /// How many entries of the merged incident log
     /// [`take_fresh_incidents`](Self::take_fresh_incidents) has handed out.
-    incidents_taken: Vec<usize>,
+    incidents_taken: usize,
 }
 
 impl LiveDriver {
@@ -297,40 +297,27 @@ impl LiveDriver {
                     .into(),
             ));
         }
-        let mut sizes = vec![0usize; cfg.shards];
-        for id in dbs {
-            sizes[id.shard_of(cfg.shards)] += 1;
-        }
-        let mut shards = (0..cfg.shards)
-            .map(|s| ShardDriver::new(cfg, s, sizes[s]))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut order = HashMap::with_capacity(dbs.len());
-        for (i, &id) in dbs.iter().enumerate() {
-            if order.insert(id, i).is_some() {
-                return Err(ProrpError::Simulation(format!(
-                    "database {id} registered twice"
-                )));
+        let mut shards = Shards::new(cfg, dbs.to_vec())?;
+        shards.each(|shard| {
+            for &id in dbs {
+                if shard.owns(id) {
+                    shard.register(&Trace::new(id, "live", Vec::new())?)?;
+                }
             }
-            let trace = Trace::new(id, "live", Vec::new())?;
-            shards[id.shard_of(cfg.shards)].register(&trace)?;
-        }
-        for s in &mut shards {
-            s.start();
-        }
+            shard.start();
+            Ok(())
+        })?;
         Ok(LiveDriver {
             watermark: cfg.start,
-            cfg: cfg.clone(),
-            incidents_taken: vec![0; shards.len()],
             shards,
-            order,
-            ids: dbs.to_vec(),
             buffer: BTreeMap::new(),
+            incidents_taken: 0,
         })
     }
 
     /// The driver's config.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        self.shards.config()
     }
 
     /// The current watermark: every event strictly before it has been
@@ -341,84 +328,63 @@ impl LiveDriver {
 
     /// Databases registered, in registration order.
     pub fn databases(&self) -> Vec<DatabaseId> {
-        self.ids.clone()
+        self.shards.ids().to_vec()
     }
 
     /// Whether `id` is registered.
     pub fn contains(&self, id: DatabaseId) -> bool {
-        self.order.contains_key(&id)
+        self.shards.position(id).is_some()
     }
 
     /// `id`'s current lifecycle state.
     pub fn db_state(&self, id: DatabaseId) -> Option<DbState> {
-        self.shard_of(id).db_state(id)
+        self.shards.shard(id).db_state(id)
     }
 
     /// `id`'s currently published prediction.
     pub fn db_prediction(&self, id: DatabaseId) -> Option<Prediction> {
-        self.shard_of(id).db_prediction(id)
+        self.shards.shard(id).db_prediction(id)
     }
 
     /// `id`'s engine counters.
     pub fn db_counters(&self, id: DatabaseId) -> Option<EngineCounters> {
-        self.shard_of(id).db_counters(id)
+        self.shards.shard(id).db_counters(id)
     }
 
     /// The incidents raised since the previous call, in the canonical
     /// `(time, database, kind)` order.  Successive calls yield
-    /// [`incidents`](Self::incidents) piece by piece: a later advance
-    /// raises only later incidents.
+    /// [`incidents`](Self::incidents) piece by piece: an incident is
+    /// stamped with the instant that raised it, and an advance processes
+    /// only instants at or past the previous watermark, so what it
+    /// raises sorts after everything handed out before.
     pub fn take_fresh_incidents(&mut self) -> Vec<IncidentEntry> {
-        let mut fresh = Vec::new();
-        for (s, taken) in self.shards.iter().zip(&mut self.incidents_taken) {
-            let entries = s.incident_log().entries();
-            fresh.extend_from_slice(&entries[*taken..]);
-            *taken = entries.len();
-        }
-        fresh.sort_unstable();
+        let all = self.shards.incidents();
+        let fresh = all.entries()[self.incidents_taken..].to_vec();
+        self.incidents_taken = all.len();
         fresh
     }
 
     /// All incidents raised so far, in the canonical `(time, database,
     /// kind)` order.
     pub fn incidents(&self) -> Vec<IncidentEntry> {
-        IncidentLog::merge(
-            self.shards
-                .iter()
-                .map(|s| s.incident_log().clone())
-                .collect(),
-        )
-        .entries()
-        .to_vec()
+        self.shards.incidents().entries().to_vec()
     }
 
-    /// A live Prometheus snapshot at the watermark, shard-local texts
-    /// concatenated with a `shard` label comment per block; `None` when
-    /// observability is disabled.
+    /// A live Prometheus exposition of the fleet's metrics at the
+    /// watermark: one merged snapshot, the same at any shard count save
+    /// the volatile `sim_self_*` readings; `None` when observability is
+    /// disabled.
     pub fn prometheus_text(&self) -> Option<String> {
-        let mut out = String::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let snap = s.metrics_snapshot(self.watermark)?;
-            if self.shards.len() > 1 {
-                out.push_str(&format!("# shard {i}\n"));
-            }
-            out.push_str(&prorp_obs::prometheus_text(&snap));
-        }
-        Some(out)
+        let snap = self.shards.metrics_snapshot(self.watermark)?;
+        Some(prorp_obs::prometheus_text(&snap))
     }
 
-    /// The fleet SLO rollup so far: the shard-local series merged with
-    /// the same elementwise integer sums the DES report merge uses, so
-    /// the live surface agrees bit for bit with an offline replay.
-    /// `None` when rollups are disabled in the config.
+    /// The fleet SLO rollup so far, merged with the same elementwise
+    /// integer sums the DES report merge uses, so the live surface
+    /// agrees bit for bit with an offline replay.  `None` when rollups
+    /// are disabled in the config.
     pub fn slo_series(&self) -> Option<SloSeries> {
-        let parts: Vec<SloSeries> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.slo_series().cloned())
-            .collect();
-        // Every shard shares one config, so the merge cannot fail.
-        SloSeries::merge(parts).ok().flatten()
+        self.shards.slo_series()
     }
 
     /// The deterministic burn-rate alert log derived from the merged
@@ -434,19 +400,19 @@ impl LiveDriver {
     /// is unknown, `ObsConfig::explain` is off, or no decision has been
     /// made yet.
     pub fn db_last_decision(&self, id: DatabaseId) -> Option<(Timestamp, DecisionExplain)> {
-        self.shard_of(id).db_last_decision(id)
+        self.shards.shard(id).db_last_decision(id)
     }
 
     /// Ingest one customer-activity event.  Never touches an engine —
     /// only [`advance_to`](Self::advance_to) does.
     pub fn ingest(&mut self, ev: LiveEvent) -> IngestOutcome {
-        let Some(&registered) = self.order.get(&ev.db) else {
+        let Some(registered) = self.shards.position(ev.db) else {
             return IngestOutcome::Unknown;
         };
         if ev.at < self.watermark {
             return IngestOutcome::Late;
         }
-        if ev.at >= self.cfg.end {
+        if ev.at >= self.config().end {
             return IngestOutcome::AfterEnd;
         }
         match self
@@ -467,14 +433,14 @@ impl LiveDriver {
     /// has closed.
     pub fn force_resume(&mut self, id: DatabaseId) -> bool {
         let at = self.watermark;
-        self.contains(id) && self.shard_of_mut(id).inject_forced_resume(at, id)
+        self.contains(id) && self.shards.shard_mut(id).inject_forced_resume(at, id)
     }
 
     /// Schedule an operator-forced physical pause for `id` at the
     /// watermark (the engine refuses it while the database is serving).
     pub fn force_pause(&mut self, id: DatabaseId) -> bool {
         let at = self.watermark;
-        self.contains(id) && self.shard_of_mut(id).inject_forced_pause(at, id)
+        self.contains(id) && self.shards.shard_mut(id).inject_forced_pause(at, id)
     }
 
     /// Advance the watermark to `to`: commit every buffered event below
@@ -504,16 +470,12 @@ impl LiveDriver {
     ///
     /// Propagates engine invariant violations and merge failures.
     pub fn finish(mut self) -> Result<SimReport, ProrpError> {
-        self.commit_below(self.cfg.end)?;
-        let mut outcomes = Vec::with_capacity(self.shards.len());
-        for mut s in self.shards {
-            s.run_to_end()?;
-            outcomes.push(s.finish()?);
-        }
-        merge_outcomes(&self.cfg, &self.order, self.order.len(), outcomes)
+        self.commit_below(self.config().end)?;
+        self.shards.finish()
     }
 
-    /// Commit buffered events with `ts < to` and step shards to `to`.
+    /// Commit buffered events with `ts < to` and step the shards to `to`,
+    /// in parallel when there are several, as the DES runs them.
     fn commit_below(&mut self, to: Timestamp) -> Result<(), ProrpError> {
         // The DES queue's order is (ts, priority, FIFO seq), and its
         // seq order for customer activity is registration order — the
@@ -522,7 +484,7 @@ impl LiveDriver {
         let later = self.buffer.split_off(&(to, 0, 0));
         let batch = std::mem::replace(&mut self.buffer, later);
         for ev in batch.into_values() {
-            let shard = &mut self.shards[ev.db.shard_of(self.cfg.shards)];
+            let shard = self.shards.shard_mut(ev.db);
             // `ingest` buffers only `[watermark, end)`, inside the
             // `[start, end)` the inject path clips to, so none is dropped.
             let _ = match ev.kind {
@@ -530,20 +492,7 @@ impl LiveDriver {
                 LiveEventKind::Logout => shard.inject_logout(ev.at, ev.db),
             };
         }
-        for s in &mut self.shards {
-            s.step_until(to)?;
-        }
-        Ok(())
-    }
-
-    /// The shard `id` hashes to — where it lives if it is registered;
-    /// the shard itself answers `None` for an id it does not hold.
-    fn shard_of(&self, id: DatabaseId) -> &ShardDriver {
-        &self.shards[id.shard_of(self.cfg.shards)]
-    }
-
-    fn shard_of_mut(&mut self, id: DatabaseId) -> &mut ShardDriver {
-        &mut self.shards[id.shard_of(self.cfg.shards)]
+        self.shards.each(|shard| shard.step_until(to))
     }
 }
 

@@ -21,6 +21,9 @@
 //! server's handler serialises on the one driver's lock anyway, so
 //! throughput reads the same at 8 and 32; the number only has to exceed
 //! the handful of slow or stalled peers a control plane meets at once.
+//! `--shards K` does not change that: it steps the driver's K shards in
+//! parallel inside an advance, under the lock, and serves no more
+//! requests at once.
 //!
 //! **Deadlines.**  Every accepted socket carries a read and a write
 //! deadline (`IO_TIMEOUT`, 5 s per call), and the request as a whole
@@ -472,13 +475,20 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::net::Shutdown;
 
+    /// What the peer gets back after sending `raw` and closing its
+    /// sending side, so the server reads end-of-stream where `raw` ends.
+    /// The server may close with input unread, which resets the
+    /// connection, so write and read errors end the exchange like EOF.
     fn roundtrip(handle: &ServerHandle, raw: &str) -> String {
         let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(raw.as_bytes()).unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out
+        let _ = s.write_all(raw.as_bytes());
+        let _ = s.shutdown(Shutdown::Write);
+        let mut out = Vec::new();
+        let _ = s.read_to_end(&mut out);
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
@@ -581,7 +591,6 @@ mod tests {
     }
 
     use std::collections::HashSet;
-    use std::net::Shutdown;
     use std::sync::atomic::AtomicUsize;
     use std::sync::{Barrier, Mutex};
 
@@ -791,18 +800,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 0);
     }
 
-    /// What the peer gets back after sending `raw` and closing its
-    /// sending side, so the server reads end-of-stream where `raw` ends.
-    /// As in `reply_until_close`, a reset ends the exchange like EOF.
-    fn reply_to_cut_off(handle: &ServerHandle, raw: &str) -> String {
-        let mut s = TcpStream::connect(handle.addr()).unwrap();
-        s.write_all(raw.as_bytes()).unwrap();
-        s.shutdown(Shutdown::Write).unwrap();
-        let mut out = Vec::new();
-        let _ = s.read_to_end(&mut out);
-        String::from_utf8(out).unwrap()
-    }
-
     #[test]
     fn a_head_cut_short_or_chunked_is_a_400_the_handler_never_sees() {
         let (handle, calls, stats) = counting_server();
@@ -813,14 +810,14 @@ mod tests {
             "POST /v1/finish HTTP/1.1\r\nhost: x",
             "POST /v1/finish HTTP/1.1\r\nhost: x\r\n",
         ] {
-            let reply = reply_to_cut_off(&handle, cut);
+            let reply = roundtrip(&handle, cut);
             assert!(
                 reply.starts_with("HTTP/1.1 400 Bad Request"),
                 "{cut:?}: {reply}"
             );
             assert!(reply.ends_with("truncated head\n"), "{cut:?}: {reply}");
         }
-        let reply = reply_to_cut_off(
+        let reply = roundtrip(
             &handle,
             "POST /v1/events HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
         );
@@ -829,9 +826,101 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 0);
         assert_eq!(stat(&stats, "rejected_total"), 6);
         // The same head with its blank line is served.
-        let reply = reply_to_cut_off(&handle, "POST /v1/finish HTTP/1.1\r\nhost: x\r\n\r\n");
+        let reply = roundtrip(&handle, "POST /v1/finish HTTP/1.1\r\nhost: x\r\n\r\n");
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+        handle.shutdown();
+    }
+
+    /// One request head from a small grammar — a request line, headers,
+    /// the blank line and a body, each well-formed or not: oversized
+    /// lines, a missing, invalid, duplicated or oversized
+    /// `Content-Length`, `Transfer-Encoding`, a header without a colon —
+    /// cut short anywhere, or not at all.
+    fn request_heads() -> impl Strategy<Value = String> {
+        let lit = |s: &str| Just(s.to_string());
+        let line = prop_oneof![
+            3 => lit("GET / HTTP/1.1"),
+            3 => lit("POST /v1/events?x=1 HTTP/1.1"),
+            1 => lit("GET"),
+            1 => lit(""),
+            1 => lit("GET / HTTP/1.1 extra"),
+            2 => (MAX_HEAD - 16..MAX_HEAD + 16).prop_map(|n| format!("GET /{}", "a".repeat(n))),
+        ];
+        let header = prop_oneof![
+            6 => lit("Host: x"),
+            3 => (0usize..48).prop_map(|n| format!("Content-Length: {n}")),
+            1 => lit("content-length: 99999999999999999999999"),
+            1 => lit(&format!("Content-Length: {}", MAX_BODY + 1)),
+            1 => lit("Content-Length: -1"),
+            1 => lit("Content-Length: nope"),
+            1 => lit("Content-Length:"),
+            1 => lit("Transfer-Encoding: chunked"),
+            1 => lit("no colon here"),
+            2 => (MAX_HEAD / 2..MAX_HEAD).prop_map(|n| format!("X-Big: {}", "b".repeat(n))),
+        ];
+        let eol = prop_oneof![3 => lit("\r\n"), 1 => lit("\n")];
+        let headers = prop::collection::vec((header, eol), 0..5);
+        let body = (0usize..40).prop_map(|n| "{\"x\":1}".repeat(n / 7 + 1)[..n].to_string());
+        let blank = prop_oneof![3 => Just(true), 1 => Just(false)];
+        let cut = prop_oneof![3 => Just(None), 1 => any::<usize>().prop_map(Some)];
+        (line, headers, blank, body, cut).prop_map(|(line, headers, blank, body, cut)| {
+            let mut raw = format!("{line}\r\n");
+            for (header, eol) in headers {
+                raw.push_str(&header);
+                raw.push_str(&eol);
+            }
+            if blank {
+                raw.push_str("\r\n");
+            }
+            raw.push_str(&body);
+            if let Some(cut) = cut {
+                raw.truncate(cut % (raw.len() + 1));
+            }
+            raw
+        })
+    }
+
+    /// Whatever head a peer sends and however it stops, the server
+    /// answers it with a parseable 200, 400 or 413, never panics in the
+    /// handler, and answers a well-formed request next.  The peer
+    /// half-closes after its bytes, so a cut-off head reads as one (a
+    /// 400), not as a stall (a 408 after the socket deadline).
+    #[test]
+    fn any_request_head_is_answered_and_the_server_serves_on() {
+        let (handle, _, stats) = counting_server();
+        let heads = request_heads();
+        let mut answered = std::collections::BTreeMap::new();
+        proptest::test_runner::run_cases(
+            ProptestConfig::with_cases(512),
+            "any_request_head_is_answered_and_the_server_serves_on",
+            |rng| {
+                let raw = heads.generate(rng);
+                let reply = roundtrip(&handle, &raw);
+                let status = reply.split_whitespace().nth(1).and_then(|s| s.parse().ok());
+                prop_assert!(
+                    matches!(status, Some(200 | 400 | 413)),
+                    "{:.200?} -> {:.200?}",
+                    raw,
+                    reply
+                );
+                *answered.entry(status).or_insert(0) += 1;
+                prop_assert_eq!(stat(&stats, "handler_panics_total"), 0);
+                let next = roundtrip(&handle, "GET / HTTP/1.1\r\n\r\n");
+                prop_assert!(
+                    next.starts_with("HTTP/1.1 200"),
+                    "after {:.200?}: {}",
+                    raw,
+                    next
+                );
+                Ok(())
+            },
+        );
+        // Every answer is exercised.
+        assert!(
+            answered.len() == 3 && answered.values().all(|&n| n > 25),
+            "{answered:?}"
+        );
         handle.shutdown();
     }
 }

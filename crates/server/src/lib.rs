@@ -5,22 +5,24 @@
 //! The simulator ([`prorp_sim`]) answers *what would the control plane
 //! have done over this recorded month*; this crate answers *what does
 //! the control plane do right now* — and proves the two give the same
-//! answer.  The seam is [`prorp_sim::ShardDriver`]: one per-shard event
-//! loop owning the policy engines, the staged-resume workflow stack with
-//! its retry budget and circuit breaker, the Algorithm 5 scan, the
-//! diagnostics runner, and the telemetry books.  The DES drives it by
-//! draining a pre-loaded queue to the horizon; the [`LiveDriver`] here
-//! drives it by committing externally ingested events up to a
-//! monotonically advancing **watermark**.
+//! answer.  The seam is [`prorp_sim::Shards`]: the run's fleet of
+//! per-shard event loops ([`prorp_sim::ShardDriver`], each owning the
+//! policy engines, the staged-resume workflow stack with its retry
+//! budget and circuit breaker, the Algorithm 5 scan, the diagnostics
+//! runner, and the telemetry books), with the id routing, the fork-join
+//! over them, the merged reads and the final merge.  The DES registers
+//! it and drains a pre-loaded queue to the horizon; the [`LiveDriver`]
+//! here registers it empty and steps it by committing externally
+//! ingested events up to a monotonically advancing **watermark**.
 //!
 //! ```text
-//!                    ┌──────────────────────────────┐
-//!   recorded trace ─►│ run_shard (DES)              │
-//!                    │   queue pre-loaded, drain    │──► SimReport
-//!                    ├──────────────────────────────┤      ║ bit-
-//!   POST /v1/events ─►│ LiveDriver (service mode)   │      ║ identical
-//!   clock watermark ─►│   buffer → sort → commit    │──► SimReport
-//!                    └──────────────────────────────┘
+//!                     ┌ Shards: route · each (fork-join) · finish ┐
+//!   recorded trace  ─►│ run_streamed (DES)                        │
+//!                     │   queue pre-loaded, drain                 │─► SimReport
+//!                     ├───────────────────────────────────────────┤     ║ bit-
+//!   POST /v1/events ─►│ LiveDriver (service mode)                 │     ║ identical
+//!   clock watermark ─►│   buffer → sort → commit → step           │─► SimReport
+//!                     └───────────────────────────────────────────┘
 //! ```
 //!
 //! Bit-identity holds because commit order reconstructs the DES queue's

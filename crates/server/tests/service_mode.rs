@@ -521,6 +521,64 @@ fn ingest_outcomes_are_counted_on_metrics() {
     server.shutdown();
 }
 
+/// `/metrics` is one Prometheus exposition at any shard count: every
+/// `# TYPE` line appears once, and the `prorp_*` series a 2-shard server
+/// scrapes are the 1-shard server's, line for line (only the volatile
+/// `sim_self_*` readings may differ).  Shard texts pasted one after the
+/// other typed every series once per shard.
+#[test]
+fn metrics_is_one_exposition_at_any_shard_count() {
+    let scrape = |shards: usize| {
+        let cfg = SimConfig::builder(
+            SimPolicy::Proactive(PolicyConfig::default()),
+            Timestamp(0),
+            day(2),
+            Timestamp(0),
+        )
+        .observe(ObsConfig::on())
+        .shards(shards)
+        .build()
+        .expect("config validates");
+        let dbs: Vec<DatabaseId> = (0..12).map(DatabaseId).collect();
+        let server = start_server(&cfg, &dbs);
+        let addr = server.addr();
+        let events: Vec<String> = (0..12u64)
+            .flat_map(|db| {
+                let at = 600 + 1_800 * db as i64;
+                [
+                    format!(r#"{{"db":{db},"at":{at},"kind":"login"}}"#),
+                    format!(r#"{{"db":{db},"at":{},"kind":"logout"}}"#, at + 3_600),
+                ]
+            })
+            .collect();
+        let batch = format!(r#"{{"events":[{}]}}"#, events.join(","));
+        assert_eq!(http(addr, "POST", "/v1/events", &batch).0, 200);
+        let (status, body) = http(addr, "POST", "/v1/clock/advance", r#"{"to":86400}"#);
+        assert_eq!(status, 200, "{body}");
+        let (status, text) = http(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200, "{text}");
+        server.shutdown();
+        text
+    };
+    let (one, two) = (scrape(1), scrape(2));
+    for text in [&one, &two] {
+        let mut typed = std::collections::HashSet::new();
+        for name in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let name = name.split(' ').next().unwrap_or_default();
+            assert!(typed.insert(name), "{name} typed twice:\n{text}");
+        }
+        assert!(typed.contains("prorp_logins_available_total"), "{text}");
+    }
+    let prorp = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.trim_start_matches("# TYPE ").starts_with("prorp_"))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(prorp(&one), prorp(&two));
+    assert!(metric(&one, "prorp_logins_available_total") > 0, "{one}");
+}
+
 /// An event at or past the run's end can never commit, so ingest says
 /// so instead of accepting it: the run counts only the login inside
 /// the window.

@@ -109,24 +109,9 @@ impl Cluster {
         })
     }
 
-    /// The node the database at `slot` is homed on.
-    pub fn home_of(&self, slot: usize) -> NodeId {
-        self.nodes[self.home[slot] as usize].id()
-    }
-
-    /// Whether the database at `slot` holds an allocation unit.
-    pub fn has_allocation(&self, slot: usize) -> bool {
-        self.allocated.get(slot)
-    }
-
     /// All nodes (read-only).
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
-    }
-
-    /// Total units in use across the cluster.
-    pub fn total_in_use(&self) -> usize {
-        self.nodes.iter().map(Node::in_use).sum()
     }
 
     /// Place a new database on the node with the fewest homed databases
@@ -237,6 +222,23 @@ impl Cluster {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Cluster {
+        /// The node the database at `slot` is homed on.
+        pub(crate) fn home_of(&self, slot: usize) -> NodeId {
+            self.nodes[self.home[slot] as usize].id()
+        }
+
+        /// Whether the database at `slot` holds an allocation unit.
+        pub(crate) fn has_allocation(&self, slot: usize) -> bool {
+            self.allocated.get(slot)
+        }
+
+        /// Total units in use across the cluster.
+        pub(crate) fn total_in_use(&self) -> usize {
+            self.nodes.iter().map(Node::in_use).sum()
+        }
+    }
 
     /// Place `n` databases and return their slots (`0..n`).
     fn place(c: &mut Cluster, n: usize) -> Vec<usize> {

@@ -16,12 +16,13 @@
 //!   [`SimConfig::builder`], which owns the fault-layer knobs (stage
 //!   failure probabilities, retry policy, predictor circuit breaker) and
 //!   validates everything at `build()`;
-//! * [`runner`] — the driver: [`Simulation::run_streamed`] has each
-//!   shard read its own id-hash partition of a
-//!   [`prorp_workload::TraceSource`] one trace at a time, fans the
-//!   shards out over worker threads, and merges the per-shard outcomes
-//!   into one [`SimReport`]; [`Simulation::run`] is that run over a
-//!   `Vec<Trace>`;
+//! * [`runner`] — the driver: [`Shards`], the fleet of shard drivers
+//!   both the DES and the live server hold (sizing, id routing, the
+//!   fork-join over worker threads, merged reads, the final merge), and
+//!   [`Simulation::run_streamed`], which has each shard read its own
+//!   id-hash partition of a [`prorp_workload::TraceSource`] one trace at
+//!   a time and merges the per-shard outcomes into one [`SimReport`];
+//!   [`Simulation::run`] is that run over a `Vec<Trace>`;
 //! * [`fleet`] — struct-of-arrays per-shard database state: one arena of
 //!   homogeneous policy engines (`EngineArena`, internal), flat
 //!   segment-accumulator and flag columns ([`BitSet`]), and a dense
@@ -69,7 +70,7 @@ pub use fleet::{BitSet, DbIndexMap};
 pub use prorp_obs::ObsConfig;
 pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};
-pub use runner::{merge_outcomes, SimReport, Simulation};
+pub use runner::{merge_outcomes, Shards, SimReport, Simulation};
 pub use shard::{ShardDriver, ShardOutcome};
 
 /// Whether this build runs the `strict-invariants` lifecycle checker on

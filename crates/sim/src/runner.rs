@@ -8,17 +8,19 @@
 //!
 //! The event loop itself lives in [`crate::shard`]: the fleet is
 //! partitioned by database-id hash into [`SimConfig::shards`] shards,
-//! each shard runs a complete loop (on its own worker thread when more
-//! than one shard is configured), and this module merges the per-shard
-//! outcomes into one [`SimReport`].  The merge works on integer totals
-//! and counts only, so one run is fully deterministic given the config
-//! seed and the traces — and, under uncontended capacity, bit-identical
-//! across shard counts.
+//! held together by one [`Shards`], each shard runs a complete loop (on
+//! its own worker thread when more than one shard is configured), and
+//! [`merge_outcomes`] merges the per-shard outcomes into one
+//! [`SimReport`].  The merge works on integer totals and counts only, so
+//! one run is fully deterministic given the config seed and the traces —
+//! and, under uncontended capacity, bit-identical across shard counts.
+//! The control-plane server's live driver holds its fleet in the same
+//! [`Shards`], stepped to each watermark instead of to the end.
 
 use crate::config::SimConfig;
-use crate::shard::{self, ShardOutcome};
+use crate::shard::{ShardDriver, ShardOutcome};
 use prorp_core::{EngineCounters, MaintenanceStats, ProactiveResumeOp};
-use prorp_obs::ObsReport;
+use prorp_obs::{MetricsSnapshot, ObsReport, SloSeries};
 use prorp_storage::StorageStats;
 use prorp_telemetry::{
     IncidentLog, KpiReport, SegmentAccumulator, ShardCounters, TelemetryKind, TelemetryLog,
@@ -27,6 +29,7 @@ use prorp_telemetry::{
 use prorp_types::{DatabaseId, ProrpError, Seconds, Timestamp};
 use prorp_workload::{Trace, TraceSource};
 use std::collections::HashMap;
+use std::panic::resume_unwind;
 
 /// Results of one simulation run.
 #[derive(Clone, Debug)]
@@ -174,78 +177,188 @@ impl Simulation {
 
     /// Run over a [`TraceSource`] without materialising the fleet.
     ///
-    /// With `config.shards == 1` the whole fleet runs on the calling
-    /// thread; with more, each shard's event loop runs on its own scoped
-    /// worker thread.  Each shard generates exactly its own id-hash
-    /// partition of the fleet ([`DatabaseId::shard_of`]), one trace at a
-    /// time, while building its event queue — so peak memory holds the
-    /// per-database engine state but never a million session vectors at
+    /// In one [`Shards::each`] every shard registers its own id-hash
+    /// partition of the source, one trace at a time, and runs to the
+    /// end, so peak memory never holds a million session vectors at
     /// once.  The merged report is the same at any shard count (see
-    /// [`crate::shard`] for the determinism guarantee), and for any
-    /// source whose `trace(i)` agrees with a materialised `Vec<Trace>`
-    /// (e.g. [`prorp_workload::LazyFleet`] vs
-    /// [`prorp_workload::RegionProfile::generate_fleet`]) it is
-    /// [`Simulation::run`] over that vector.
+    /// [`crate::shard`]), and for any source whose `trace(i)` agrees with
+    /// a materialised `Vec<Trace>` (e.g. [`prorp_workload::LazyFleet`])
+    /// it is [`Simulation::run`] over that vector.
     ///
     /// # Errors
     ///
-    /// Propagates config validation failures, rejects duplicate database
-    /// ids in the source, and returns [`ProrpError::Simulation`] on
-    /// internal invariant violations.
+    /// As [`Shards::new`], and [`ProrpError::Simulation`] on internal
+    /// invariant violations.
     pub fn run_streamed<S: TraceSource + ?Sized>(
         config: SimConfig,
         source: &S,
     ) -> Result<SimReport, ProrpError> {
-        config.check()?;
-        let cfg = &config;
         let n = source.len();
+        let mut shards = Shards::new(&config, (0..n).map(|i| source.db_id(i)).collect())?;
+        shards.each(|shard| {
+            for i in 0..n {
+                if shard.owns(source.db_id(i)) {
+                    shard.register(&source.trace(i))?;
+                }
+            }
+            shard.start();
+            shard.run_to_end()
+        })?;
+        shards.finish()
+    }
+}
 
-        // One cheap id pass sizes the shards and fixes the output order.
-        let mut shard_sizes = vec![0usize; cfg.shards];
-        let mut order: HashMap<DatabaseId, usize> = HashMap::with_capacity(n);
-        for i in 0..n {
-            let id = source.db_id(i);
-            shard_sizes[id.shard_of(cfg.shards)] += 1;
+/// A run's fleet: one [`ShardDriver`] per shard and the registration
+/// order.  The DES and the control-plane server's live driver both hold
+/// one, so sizing, routing, the fork-join and the merges are written once.
+pub struct Shards {
+    cfg: SimConfig,
+    drivers: Vec<ShardDriver>,
+    /// Registration order: id → position.  The merged report's row
+    /// order, and the live driver's commit tie-break.
+    order: HashMap<DatabaseId, usize>,
+    /// The registered ids, in that order (`order` inverted).
+    ids: Vec<DatabaseId>,
+}
+
+impl Shards {
+    /// Validate `cfg`, fix `ids`' registration order, and build one empty
+    /// [`ShardDriver`] per shard, sized to the ids it owns; the caller
+    /// registers them, usually in one [`each`](Self::each).
+    ///
+    /// # Errors
+    ///
+    /// Propagates config validation failures; rejects a repeated id.
+    pub fn new(cfg: &SimConfig, ids: Vec<DatabaseId>) -> Result<Self, ProrpError> {
+        cfg.check()?;
+        let mut sizes = vec![0usize; cfg.shards];
+        let mut order = HashMap::with_capacity(ids.len());
+        for (i, &id) in ids.iter().enumerate() {
             if order.insert(id, i).is_some() {
                 return Err(ProrpError::Simulation(format!(
-                    "duplicate database id {id} in trace source"
+                    "database {id} registered twice"
                 )));
             }
+            sizes[id.shard_of(cfg.shards)] += 1;
         }
+        let drivers = sizes
+            .iter()
+            .enumerate()
+            .map(|(s, &size)| ShardDriver::new(cfg, s, size))
+            .collect::<Result<_, _>>()?;
+        Ok(Shards {
+            cfg: cfg.clone(),
+            drivers,
+            order,
+            ids,
+        })
+    }
 
-        // The fork-join: each shard's loop over the traces it owns,
-        // inline for a single shard, one scoped worker thread per shard
-        // otherwise; outcomes in shard order.
-        let traces_of = |s: usize| {
-            (0..n)
-                .filter(move |&i| source.db_id(i).shard_of(cfg.shards) == s)
-                .map(|i| source.trace(i))
-        };
-        let outcomes = if let [size] = shard_sizes[..] {
-            vec![shard::run_shard(cfg, 0, size, traces_of(0))?]
-        } else {
-            let traces_of = &traces_of;
-            let joined = crossbeam::scope(|scope| {
-                let handles: Vec<_> = shard_sizes
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &size)| {
-                        scope.spawn(move |_| shard::run_shard(cfg, s, size, traces_of(s)))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(ProrpError::Simulation("shard worker panicked".into()))
-                        })
-                    })
-                    .collect::<Vec<Result<ShardOutcome, ProrpError>>>()
-            })
-            .map_err(|_| ProrpError::Simulation("shard scope panicked".into()))?;
-            joined.into_iter().collect::<Result<_, _>>()?
-        };
-        merge_outcomes(cfg, &order, n, outcomes)
+    /// The run's config.
+    pub fn config(&self) -> &SimConfig {
+        &self.cfg
+    }
+
+    /// The ids, in registration order.
+    pub fn ids(&self) -> &[DatabaseId] {
+        &self.ids
+    }
+
+    /// `id`'s registration position, if it is one of the ids.
+    pub fn position(&self, id: DatabaseId) -> Option<usize> {
+        self.order.get(&id).copied()
+    }
+
+    /// The shard `id` hashes to — where it lives if it is registered;
+    /// the shard itself answers `None` for an id it does not hold.
+    pub fn shard(&self, id: DatabaseId) -> &ShardDriver {
+        &self.drivers[id.shard_of(self.cfg.shards)]
+    }
+
+    /// The shard `id` hashes to, mutably.
+    pub fn shard_mut(&mut self, id: DatabaseId) -> &mut ShardDriver {
+        &mut self.drivers[id.shard_of(self.cfg.shards)]
+    }
+
+    /// The fork-join: run `f` on every shard, inline for a single shard,
+    /// one scoped worker thread per shard otherwise.  A worker's panic
+    /// is the caller's, as it is inline.
+    ///
+    /// # Errors
+    ///
+    /// The first error `f` returned, in shard order.
+    pub fn each<F>(&mut self, f: F) -> Result<(), ProrpError>
+    where
+        F: Fn(&mut ShardDriver) -> Result<(), ProrpError> + Sync,
+    {
+        if let [only] = &mut self.drivers[..] {
+            return f(only);
+        }
+        let f = &f;
+        let results = crossbeam::scope(|scope| {
+            let workers: Vec<_> = self
+                .drivers
+                .iter_mut()
+                .map(|shard| scope.spawn(move |_| f(shard)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect::<Vec<_>>()
+        })
+        .unwrap_or_else(|p| resume_unwind(p));
+        results.into_iter().collect()
+    }
+
+    /// The fleet's metrics at `at`: every shard's snapshot, merged by
+    /// [`MetricsSnapshot::merge`]'s integer sums; `None` when
+    /// observability is disabled.
+    pub fn metrics_snapshot(&self, at: Timestamp) -> Option<MetricsSnapshot> {
+        let parts = self
+            .drivers
+            .iter()
+            .map(|s| s.metrics_snapshot(at).map(|snap| vec![snap]))
+            .collect::<Option<Vec<_>>>()?;
+        // Every shard lists the same names at one instant, so the merge
+        // cannot fail.
+        MetricsSnapshot::merge(parts).ok()?.pop()
+    }
+
+    /// The fleet SLO rollup so far, merged by elementwise integer sums;
+    /// `None` when rollups are disabled in the config.
+    pub fn slo_series(&self) -> Option<SloSeries> {
+        let parts: Vec<SloSeries> = self
+            .drivers
+            .iter()
+            .filter_map(|s| s.slo_series().cloned())
+            .collect();
+        // Every shard shares one config, so the merge cannot fail.
+        SloSeries::merge(parts).ok().flatten()
+    }
+
+    /// Every incident raised so far, in canonical order.
+    pub fn incidents(&self) -> IncidentLog {
+        IncidentLog::merge(
+            self.drivers
+                .iter()
+                .map(|s| s.incident_log().clone())
+                .collect(),
+        )
+    }
+
+    /// Close every shard's books and merge the outcomes into the fleet
+    /// report ([`merge_outcomes`]), rows in registration order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates invariant violations and merge failures.
+    pub fn finish(self) -> Result<SimReport, ProrpError> {
+        let outcomes = self
+            .drivers
+            .into_iter()
+            .map(ShardDriver::finish)
+            .collect::<Result<_, _>>()?;
+        merge_outcomes(&self.cfg, &self.order, self.ids.len(), outcomes)
     }
 }
 

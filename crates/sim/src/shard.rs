@@ -204,15 +204,13 @@ fn workflow_hangs(seed: u64, db: DatabaseId, now: Timestamp, probability: f64) -
     ((h >> 11) as f64) * (1.0 / (1u64 << 53) as f64) < probability
 }
 
-/// One shard's complete event-loop state, factored out of the former
-/// monolithic `run_shard` function so that *drivers other than the DES*
-/// can own the loop.
+/// One shard's complete event-loop state, owned by a driver.  A run's
+/// shards are held together by one [`Shards`](crate::Shards), which
+/// both drivers use:
 ///
-/// Two drivers exist today:
-///
-/// * the DES itself (`run_shard` / [`Simulation::run`]): register every
-///   trace (which appends its session events to the queue's recorded
-///   run — sorted once, when the loop first asks for an event), then
+/// * the DES itself ([`Simulation::run`]): register every trace (which
+///   appends its session events to the queue's recorded run — sorted
+///   once, when the loop first asks for an event), then
 ///   [`run_to_end`](Self::run_to_end);
 /// * the control-plane server's live driver: register databases with
 ///   empty traces, feed logins/logouts as they arrive over HTTP via
@@ -386,19 +384,10 @@ impl ShardDriver {
         }
     }
 
-    /// The shard's config.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
-    /// Whether `id` is registered on this shard.
-    pub fn contains(&self, id: DatabaseId) -> bool {
-        self.fleet.try_index_of(id).is_some()
-    }
-
-    /// Databases registered on this shard.
-    pub fn registered(&self) -> usize {
-        self.fleet.len()
+    /// Whether `id` hashes to this shard ([`DatabaseId::shard_of`]):
+    /// whether it is this shard's to register.
+    pub fn owns(&self, id: DatabaseId) -> bool {
+        id.shard_of(self.cfg.shards) == self.counters.shard
     }
 
     /// Events the loop has handled so far.
@@ -1116,31 +1105,6 @@ impl ShardDriver {
     }
 }
 
-/// Run one shard's complete event loop over `traces` (the shard's subset
-/// of the fleet, consumed one trace at a time so a streamed source never
-/// materialises the whole partition) and return its mergeable outcome.
-/// `expected_dbs` pre-sizes the per-database arrays; an inexact hint
-/// costs a reallocation, nothing else.
-///
-/// This is now a thin wrapper over [`ShardDriver`]: register every
-/// trace, seed the control events, drain to the horizon, close the
-/// books.  Every pre-existing determinism test therefore exercises the
-/// extracted driver.
-pub(crate) fn run_shard(
-    cfg: &SimConfig,
-    shard: usize,
-    expected_dbs: usize,
-    traces: impl IntoIterator<Item = Trace>,
-) -> Result<ShardOutcome, ProrpError> {
-    let mut driver = ShardDriver::new(cfg, shard, expected_dbs)?;
-    for trace in traces {
-        driver.register(&trace)?;
-    }
-    driver.start();
-    driver.run_to_end()?;
-    driver.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1313,7 +1277,13 @@ mod tests {
             .telemetry_mode(mode)
             .build()
             .unwrap();
-            run_shard(&cfg, 0, traces.len(), traces.iter().cloned()).unwrap()
+            let mut driver = ShardDriver::new(&cfg, 0, traces.len()).unwrap();
+            for trace in &traces {
+                driver.register(trace).unwrap();
+            }
+            driver.start();
+            driver.run_to_end().unwrap();
+            driver.finish().unwrap()
         };
         let (full, summary) = (run(TelemetryMode::Full), run(TelemetryMode::Summary));
 

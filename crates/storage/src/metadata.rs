@@ -234,18 +234,6 @@ impl MetadataStore {
             .map(|(_, db)| *db)
     }
 
-    /// Databases whose predicted start has already been missed (it is in
-    /// the past but they are still physically paused).  The diagnostics
-    /// runner (§7) monitors this queue for stuck databases.
-    ///
-    /// Streams off the secondary index in `start_of_pred_activity`
-    /// order, like [`databases_to_resume_iter`](Self::databases_to_resume_iter).
-    pub fn overdue_resumes_iter(&self, now: Timestamp) -> impl Iterator<Item = DatabaseId> + '_ {
-        self.by_pred_start
-            .range(..(now, DatabaseId(u64::MIN)))
-            .map(|(_, db)| *db)
-    }
-
     /// Split the store into `shard_count` shard-local stores by id-hash
     /// ([`DatabaseId::shard_of`]), each with its own secondary
     /// `start_of_pred_activity` index.
@@ -295,6 +283,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    impl MetadataStore {
+        /// Databases whose predicted start has already been missed (it is in
+        /// the past but they are still physically paused).  The diagnostics
+        /// runner (§7) monitors this queue for stuck databases.
+        ///
+        /// Streams off the secondary index in `start_of_pred_activity`
+        /// order, like [`databases_to_resume_iter`](Self::databases_to_resume_iter).
+        pub(crate) fn overdue_resumes_iter(
+            &self,
+            now: Timestamp,
+        ) -> impl Iterator<Item = DatabaseId> + '_ {
+            self.by_pred_start
+                .range(..(now, DatabaseId(u64::MIN)))
+                .map(|(_, db)| *db)
+        }
+    }
 
     fn db(id: u64) -> DatabaseId {
         DatabaseId(id)

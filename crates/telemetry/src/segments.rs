@@ -149,15 +149,6 @@ impl SegmentAccumulator {
         self.total(kind).as_secs() as f64 / total as f64
     }
 
-    /// The §8 idle-time fraction (all three idle causes).
-    pub fn idle_fraction(&self) -> f64 {
-        SegmentKind::ALL
-            .iter()
-            .filter(|k| k.is_idle())
-            .map(|k| self.fraction(*k))
-            .sum()
-    }
-
     /// Zero the closed totals at `now`, keeping the currently open
     /// segment open (re-based to `now`).  Used to start the measurement
     /// window after a warm-up phase: only time after `now` counts.
@@ -182,6 +173,17 @@ impl SegmentAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SegmentAccumulator {
+        /// The §8 idle-time fraction (all three idle causes).
+        pub(crate) fn idle_fraction(&self) -> f64 {
+            SegmentKind::ALL
+                .iter()
+                .filter(|k| k.is_idle())
+                .map(|k| self.fraction(*k))
+                .sum()
+        }
+    }
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)

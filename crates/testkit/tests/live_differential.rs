@@ -519,89 +519,96 @@ const _: () = {
 /// and read their databases back, all at once; a barrier, then one
 /// advance per window.  Which worker takes the lock first cannot
 /// matter, since the buffer commits in `(ts, priority, registration)`
-/// order, so the report `POST /v1/finish` seals must equal the DES's.
+/// order, so the report `POST /v1/finish` seals must equal the DES's —
+/// at 1, 2 and 16 shards, the last two stepped in parallel.
 #[test]
 fn concurrent_clients_match_the_des() {
     const CLIENTS: usize = 8;
     let traces = fleet(4242, 24);
-    let cfg = base_config(SimPolicy::Proactive(PolicyConfig::default()), 2)
-        .build()
-        .expect("config validates");
-    let des = run_des(&cfg, &traces);
-    let ids: Vec<DatabaseId> = traces.iter().map(|t| t.db).collect();
-    let server = ApiServer::start(
-        "127.0.0.1:0",
-        &cfg,
-        &ids,
-        Arc::new(InMemoryBackend::new()),
-        ServerConfig::VirtualClock,
-    )
-    .expect("server boots");
-    let addr = server.addr();
-    let chunk = Seconds::hours(6);
-    let windows: Vec<(Timestamp, Timestamp)> = (0..)
-        .map(|i| cfg.start + Seconds(i * chunk.as_secs()))
-        .take_while(|&from| from < cfg.end)
-        .map(|from| (from, (from + chunk).min(cfg.end)))
-        .collect();
-    let window_done = Barrier::new(CLIENTS);
-    let advanced = Barrier::new(CLIENTS);
-    // A client notes what went wrong and carries on: one that panicked
-    // would leave the others waiting at the barrier for ever.
-    let failures: Vec<String> = std::thread::scope(|s| {
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|client| {
-                let mine: Vec<Trace> = traces
-                    .iter()
-                    .skip(client)
-                    .step_by(CLIENTS)
-                    .cloned()
-                    .collect();
-                let events = stream_of(&mine);
-                let (windows, window_done, advanced) = (&windows, &window_done, &advanced);
-                s.spawn(move || {
-                    let mut failures = Vec::new();
-                    for &(from, to) in windows {
-                        for ev in events.iter().filter(|e| e.at >= from && e.at < to) {
-                            let body =
-                                Json::object(vec![("events", Json::Array(vec![ev.to_json()]))])
-                                    .render();
-                            let (status, reply) = http(addr, "POST", "/v1/events", &body);
-                            if status != 200 || !reply.contains(r#"["accepted"]"#) {
-                                failures.push(format!("{ev:?}: {status} {reply}"));
-                            }
-                        }
-                        for trace in &mine {
-                            let path = format!("/v1/databases/{}", trace.db.raw());
-                            let (status, reply) = http(addr, "GET", &path, "");
-                            let as_of = format!(r#""as_of":{}}}"#, from.as_secs());
-                            if status != 200 || !reply.ends_with(&as_of) {
-                                failures.push(format!("{path} at {from}: {status} {reply}"));
-                            }
-                        }
-                        if window_done.wait().is_leader() {
-                            let body = format!(r#"{{"to":{}}}"#, to.as_secs());
-                            let (status, reply) = http(addr, "POST", "/v1/clock/advance", &body);
-                            if status != 200 {
-                                failures.push(format!("advance to {to}: {status} {reply}"));
-                            }
-                        }
-                        advanced.wait();
-                    }
-                    failures
-                })
-            })
+    // One shard steps inline; two and sixteen (over only 24 databases)
+    // step in the fork-join.
+    for shards in [1, 2, 16] {
+        let cfg = base_config(SimPolicy::Proactive(PolicyConfig::default()), shards)
+            .build()
+            .expect("config validates");
+        let des = run_des(&cfg, &traces);
+        let ids: Vec<DatabaseId> = traces.iter().map(|t| t.db).collect();
+        let server = ApiServer::start(
+            "127.0.0.1:0",
+            &cfg,
+            &ids,
+            Arc::new(InMemoryBackend::new()),
+            ServerConfig::VirtualClock,
+        )
+        .expect("server boots");
+        let addr = server.addr();
+        let chunk = Seconds::hours(6);
+        let windows: Vec<(Timestamp, Timestamp)> = (0..)
+            .map(|i| cfg.start + Seconds(i * chunk.as_secs()))
+            .take_while(|&from| from < cfg.end)
+            .map(|from| (from, (from + chunk).min(cfg.end)))
             .collect();
-        clients
-            .into_iter()
-            .flat_map(|c| c.join().expect("client thread"))
-            .collect()
-    });
-    assert!(failures.is_empty(), "{failures:#?}");
-    let (status, body) = http(addr, "POST", "/v1/finish", "");
-    assert_eq!(status, 200, "{body}");
-    let live = server.shutdown().expect("finish stored the report");
-    assert_live_identical(&des, &live, "8 concurrent clients");
+        let window_done = Barrier::new(CLIENTS);
+        let advanced = Barrier::new(CLIENTS);
+        // A client notes what went wrong and carries on: one that panicked
+        // would leave the others waiting at the barrier for ever.
+        let failures: Vec<String> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let mine: Vec<Trace> = traces
+                        .iter()
+                        .skip(client)
+                        .step_by(CLIENTS)
+                        .cloned()
+                        .collect();
+                    let events = stream_of(&mine);
+                    let (windows, window_done, advanced) = (&windows, &window_done, &advanced);
+                    s.spawn(move || {
+                        let mut failures = Vec::new();
+                        for &(from, to) in windows {
+                            for ev in events.iter().filter(|e| e.at >= from && e.at < to) {
+                                let body =
+                                    Json::object(vec![("events", Json::Array(vec![ev.to_json()]))])
+                                        .render();
+                                let (status, reply) = http(addr, "POST", "/v1/events", &body);
+                                if status != 200 || !reply.contains(r#"["accepted"]"#) {
+                                    failures.push(format!("{ev:?}: {status} {reply}"));
+                                }
+                            }
+                            for trace in &mine {
+                                let path = format!("/v1/databases/{}", trace.db.raw());
+                                let (status, reply) = http(addr, "GET", &path, "");
+                                let as_of = format!(r#""as_of":{}}}"#, from.as_secs());
+                                if status != 200 || !reply.ends_with(&as_of) {
+                                    failures.push(format!("{path} at {from}: {status} {reply}"));
+                                }
+                            }
+                            if window_done.wait().is_leader() {
+                                let body = format!(r#"{{"to":{}}}"#, to.as_secs());
+                                let (status, reply) =
+                                    http(addr, "POST", "/v1/clock/advance", &body);
+                                if status != 200 {
+                                    failures.push(format!("advance to {to}: {status} {reply}"));
+                                }
+                            }
+                            advanced.wait();
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("client thread"))
+                .collect()
+        });
+        assert!(failures.is_empty(), "{failures:#?}");
+        let (status, body) = http(addr, "POST", "/v1/finish", "");
+        assert_eq!(status, 200, "{body}");
+        let live = server.shutdown().expect("finish stored the report");
+        let what = format!("8 concurrent clients, {shards} shards");
+        assert_live_identical(&des, &live, &what);
+    }
 }
 
 proptest! {

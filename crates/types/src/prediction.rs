@@ -37,14 +37,6 @@ impl Prediction {
         self.end < now
     }
 
-    /// Whether the predicted activity starts within the next `window`
-    /// seconds — the `now < nextActivity.start < now + l` guard that keeps
-    /// resources logically paused (Algorithm 1 line 19).
-    #[inline]
-    pub fn starts_within(&self, now: Timestamp, window: Seconds) -> bool {
-        now < self.start && self.start < now + window
-    }
-
     /// Whether no activity is expected for at least `window` seconds — the
     /// physical-pause condition `now + l <= nextActivity.start`
     /// (Algorithm 1 line 10).
@@ -67,6 +59,16 @@ impl fmt::Display for Prediction {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Prediction {
+        /// Whether the predicted activity starts within the next `window`
+        /// seconds — the `now < nextActivity.start < now + l` guard that keeps
+        /// resources logically paused (Algorithm 1 line 19).
+        #[inline]
+        pub(crate) fn starts_within(&self, now: Timestamp, window: Seconds) -> bool {
+            now < self.start && self.start < now + window
+        }
+    }
 
     fn pred(start: i64, end: i64) -> Prediction {
         Prediction {

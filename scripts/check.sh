@@ -187,6 +187,11 @@ guards=(
     http::tests::a_head_cut_short_or_chunked_is_a_400_the_handler_never_sees
     http::tests::a_panicking_handler_costs_a_500_not_a_worker
     http::tests::shutdown_does_not_wait_for_a_stalled_peer
+    # Any request head — from a grammar of request lines and headers,
+    # oversized lines, bad or duplicated `Content-Length`,
+    # `Transfer-Encoding`, cut off anywhere — answers a parseable 200,
+    # 400 or 413 without a handler panic, and the next request is served.
+    http::tests::any_request_head_is_answered_and_the_server_serves_on
 
     # A per-engine field coming back (680 bytes with the prediction
     # cache, 576 with the history view's parallel key and value columns)
@@ -208,6 +213,10 @@ guards=(
     a_hung_resume_outlives_its_logout_and_a_superseded_one_is_not_swept
     # An ingest outcome that goes uncounted on `/metrics`.
     ingest_outcomes_are_counted_on_metrics
+    # `/metrics` that is not one exposition: with shard texts pasted
+    # together, a 2-shard server typed every series twice.  Its `prorp_*`
+    # lines must be the 1-shard server's.
+    metrics_is_one_exposition_at_any_shard_count
     # An event at or past the run's end answered `accepted`: no window
     # ever commits it, so it sat in the buffer for the driver's life.
     an_event_past_the_end_is_not_accepted
