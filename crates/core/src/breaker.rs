@@ -12,13 +12,17 @@
 //!
 //! The breaker is driven purely by event timestamps (no wall clocks), so
 //! simulations stay deterministic.
+//!
+//! It holds one database's state only: its knobs are the run's
+//! ([`Knobs::breaker`](prorp_forecast::Knobs::breaker)), passed to each
+//! call that reads them.
 
 use prorp_types::{BreakerConfig, Timestamp};
 
-/// Per-database circuit breaker over the prediction path.
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// Per-database circuit breaker over the prediction path; it starts
+/// closed.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     consecutive_failures: u32,
     /// `Some(t)` while open: predictions are suppressed before `t`, and
     /// the first attempt at or after `t` is the half-open probe.
@@ -27,21 +31,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// Build a breaker; `config.failure_threshold == 0` disables it.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            consecutive_failures: 0,
-            open_until: None,
-            opens: 0,
-        }
-    }
-
-    /// The knobs this breaker runs with.
-    pub fn config(&self) -> BreakerConfig {
-        self.config
-    }
-
     /// Whether a prediction may be attempted at `now`.  While open this
     /// is `false` until the cool-down elapses; at or after the cool-down
     /// it lets the half-open probe through.
@@ -70,21 +59,22 @@ impl CircuitBreaker {
         self.open_until = None;
     }
 
-    /// Record a failed prediction at `now`.  Returns `true` when this
-    /// failure (re-)opened the breaker.
-    pub fn record_failure(&mut self, now: Timestamp) -> bool {
-        if self.config.failure_threshold == 0 {
+    /// Record a failed prediction at `now` under the run's `config`
+    /// (`failure_threshold == 0` disables the breaker).  Returns `true`
+    /// when this failure (re-)opened the breaker.
+    pub fn record_failure(&mut self, config: &BreakerConfig, now: Timestamp) -> bool {
+        if config.failure_threshold == 0 {
             return false; // disabled: never open
         }
         if self.open_until.is_some() {
             // The half-open probe failed: re-open for a fresh cool-down.
-            self.open_until = Some(now + self.config.cooldown);
+            self.open_until = Some(now + config.cooldown);
             self.opens += 1;
             return true;
         }
         self.consecutive_failures += 1;
-        if self.consecutive_failures >= self.config.failure_threshold {
-            self.open_until = Some(now + self.config.cooldown);
+        if self.consecutive_failures >= config.failure_threshold {
+            self.open_until = Some(now + config.cooldown);
             self.opens += 1;
             true
         } else {
@@ -98,31 +88,31 @@ mod tests {
     use super::*;
     use prorp_types::Seconds;
 
-    fn breaker(threshold: u32, cooldown: i64) -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
+    fn knobs(threshold: u32, cooldown: i64) -> BreakerConfig {
+        BreakerConfig {
             failure_threshold: threshold,
             cooldown: Seconds(cooldown),
-        })
+        }
     }
 
     #[test]
     fn opens_after_consecutive_failures_only() {
-        let mut b = breaker(3, 100);
+        let (c, mut b) = (knobs(3, 100), CircuitBreaker::default());
         let t = Timestamp(0);
-        assert!(!b.record_failure(t));
-        assert!(!b.record_failure(t));
+        assert!(!b.record_failure(&c, t));
+        assert!(!b.record_failure(&c, t));
         b.record_success(); // breaks the run
-        assert!(!b.record_failure(t));
-        assert!(!b.record_failure(t));
-        assert!(b.record_failure(t), "third consecutive failure opens");
+        assert!(!b.record_failure(&c, t));
+        assert!(!b.record_failure(&c, t));
+        assert!(b.record_failure(&c, t), "third consecutive failure opens");
         assert!(b.is_open(Timestamp(50)));
         assert_eq!(b.opens(), 1);
     }
 
     #[test]
     fn cooldown_lets_a_probe_through_and_success_closes() {
-        let mut b = breaker(1, 100);
-        assert!(b.record_failure(Timestamp(10)));
+        let (c, mut b) = (knobs(1, 100), CircuitBreaker::default());
+        assert!(b.record_failure(&c, Timestamp(10)));
         assert!(!b.allows(Timestamp(109)));
         assert!(b.allows(Timestamp(110)), "probe allowed after cool-down");
         b.record_success();
@@ -132,10 +122,13 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens_for_a_fresh_cooldown() {
-        let mut b = breaker(1, 100);
-        b.record_failure(Timestamp(0));
+        let (c, mut b) = (knobs(1, 100), CircuitBreaker::default());
+        b.record_failure(&c, Timestamp(0));
         assert!(b.allows(Timestamp(100)));
-        assert!(b.record_failure(Timestamp(100)), "failed probe re-opens");
+        assert!(
+            b.record_failure(&c, Timestamp(100)),
+            "failed probe re-opens"
+        );
         assert!(!b.allows(Timestamp(199)));
         assert!(b.allows(Timestamp(200)));
         assert_eq!(b.opens(), 2);
@@ -143,9 +136,9 @@ mod tests {
 
     #[test]
     fn disabled_breaker_never_opens() {
-        let mut b = CircuitBreaker::new(BreakerConfig::disabled());
+        let mut b = CircuitBreaker::default();
         for i in 0..100 {
-            assert!(!b.record_failure(Timestamp(i)));
+            assert!(!b.record_failure(&BreakerConfig::disabled(), Timestamp(i)));
         }
         assert!(b.allows(Timestamp(0)));
         assert_eq!(b.opens(), 0);

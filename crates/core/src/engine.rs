@@ -20,26 +20,64 @@ use prorp_obs::span::DecisionExplain;
 use prorp_storage::HistoryTable;
 use prorp_types::{DbState, Timestamp};
 
-/// What [`DatabasePolicy::drain_explains`] yields: the pending records,
-/// removed from the engine's buffer in place — as the iterator is
-/// consumed or when it is dropped, read or not — so the buffer keeps its
-/// capacity from one event to the next.  The iterator of a policy
-/// without provenance is empty and owns nothing.
-#[derive(Debug, Default)]
-pub struct ExplainDrain<'a>(Option<std::vec::Drain<'a, (Timestamp, DecisionExplain)>>);
+/// One decision-provenance record: when, and what the engine saw.
+type Explain = (Timestamp, DecisionExplain);
 
-impl<'a> ExplainDrain<'a> {
-    /// Drain all of `buffer`.
-    pub fn of(buffer: &'a mut Vec<(Timestamp, DecisionExplain)>) -> Self {
-        ExplainDrain(Some(buffer.drain(..)))
+/// An engine's decision-provenance records not yet drained, in decision
+/// order.  A shard drains after every event and an event makes at most
+/// one decision, so the oldest record has a slot of its own beside the
+/// log's header, in the same allocation; only records that wait longer
+/// (an engine no shard drains) go to `rest`, which keeps its capacity
+/// from one drain to the next.
+#[derive(Debug, Default)]
+pub(crate) struct ExplainLog {
+    first: Option<Explain>,
+    rest: Vec<Explain>,
+}
+
+impl ExplainLog {
+    /// Append one record.
+    pub(crate) fn push(&mut self, record: Explain) {
+        if self.first.is_none() {
+            self.first = Some(record);
+        } else {
+            self.rest.push(record);
+        }
+    }
+
+    /// Drain every record, oldest first.
+    pub(crate) fn drain(&mut self) -> ExplainDrain<'_> {
+        ExplainDrain {
+            first: self.first.take(),
+            rest: Some(self.rest.drain(..)),
+        }
     }
 }
 
+#[cfg(test)]
+impl ExplainLog {
+    /// Records waiting, and the spill buffer's capacity.
+    pub(crate) fn shape(&self) -> (usize, usize) {
+        let waiting = usize::from(self.first.is_some()) + self.rest.len();
+        (waiting, self.rest.capacity())
+    }
+}
+
+/// What [`DatabasePolicy::drain_explains`] yields: the pending records,
+/// removed from the engine's log in place — as the iterator is consumed
+/// or when it is dropped, read or not.  The iterator of a policy
+/// without provenance is empty and owns nothing.
+#[derive(Debug, Default)]
+pub struct ExplainDrain<'a> {
+    first: Option<Explain>,
+    rest: Option<std::vec::Drain<'a, Explain>>,
+}
+
 impl Iterator for ExplainDrain<'_> {
-    type Item = (Timestamp, DecisionExplain);
+    type Item = Explain;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.as_mut()?.next()
+        self.first.take().or_else(|| self.rest.as_mut()?.next())
     }
 }
 

@@ -29,15 +29,17 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, ExplainLog,
+    TimerToken,
 };
 use crate::tracker::ActivityTracker;
-use prorp_forecast::Predictor;
+use prorp_forecast::{ConfidenceBasis, Knobs, Predictor, SharedKnobs, SweepScratch};
 use prorp_obs::span::{DecisionAction, DecisionExplain};
 use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, StorageBackend};
 use prorp_types::{
     BreakerConfig, DbState, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The forecast the engine is currently acting on.
@@ -52,9 +54,13 @@ enum ForecastState {
 }
 
 /// The proactive per-database engine (Algorithm 1).
+///
+/// It holds one database's state.  The policy and breaker knobs are the
+/// run's, behind one [`SharedKnobs`] handle: the predictor's, when the
+/// predictor reads the same knobs through one.
 #[derive(Debug)]
 pub struct ProactiveEngine<P> {
-    config: PolicyConfig,
+    knobs: SharedKnobs,
     predictor: P,
     tracker: ActivityTracker,
     state: DbState,
@@ -68,10 +74,13 @@ pub struct ProactiveEngine<P> {
     next_token: u64,
     live_token: Option<TimerToken>,
     counters: EngineCounters,
-    /// Decision-provenance capture (`ObsConfig::explain`): off by
-    /// default, so the disabled path costs one branch per decision.
-    explain_enabled: bool,
-    explains: Vec<(Timestamp, DecisionExplain)>,
+    /// Decision-provenance capture (`ObsConfig::explain`): `None`, one
+    /// pointer and one branch per decision, until capture is turned on.
+    explains: Option<Box<ExplainLog>>,
+    /// Whether `explains` holds undrained records: the shard drains
+    /// after every event, and most events decide nothing, so the drain
+    /// reads this flag instead of the boxed log's cache line.
+    explains_pending: bool,
 }
 
 impl<P: Predictor> ProactiveEngine<P> {
@@ -107,6 +116,10 @@ impl<P: Predictor> ProactiveEngine<P> {
     /// same event sequence yields the same actions, predictions, and
     /// counters on either engine.
     ///
+    /// When the predictor's [`knobs`](Predictor::knobs) hold this
+    /// `config` and `breaker`, the engine shares them; otherwise it
+    /// holds knobs of its own.
+    ///
     /// # Errors
     ///
     /// Propagates configuration validation failures.
@@ -116,8 +129,15 @@ impl<P: Predictor> ProactiveEngine<P> {
         breaker: BreakerConfig,
         backend: StorageBackend,
     ) -> Result<Self, ProrpError> {
-        config.validate()?;
-        breaker.validate()?;
+        let knobs = match predictor.knobs() {
+            Some(k) if *k.config() == config && *k.breaker() == breaker => Arc::clone(k),
+            _ => Knobs::shared(
+                config,
+                breaker,
+                ConfidenceBasis::default(),
+                SweepScratch::shared(),
+            )?,
+        };
         let mut tracker = ActivityTracker::with_backend(backend);
         if predictor.wants_clock_index() {
             tracker
@@ -125,21 +145,31 @@ impl<P: Predictor> ProactiveEngine<P> {
                 .configure_slot_index(config.seasonality.period(), config.slide);
         }
         Ok(ProactiveEngine {
-            config,
+            knobs,
             predictor,
             tracker,
             state: DbState::Resumed,
             active: false,
             old: false,
             forecast: ForecastState::Predicted(None),
-            breaker: CircuitBreaker::new(breaker),
+            breaker: CircuitBreaker::default(),
             pause_start: Timestamp::EPOCH,
             next_token: 0,
             live_token: None,
             counters: EngineCounters::default(),
-            explain_enabled: false,
-            explains: Vec::new(),
+            explains: None,
+            explains_pending: false,
         })
+    }
+
+    /// The run's policy knobs.
+    fn config(&self) -> &PolicyConfig {
+        self.knobs.config()
+    }
+
+    /// The run's knobs this engine reads.
+    pub fn knobs(&self) -> &SharedKnobs {
+        &self.knobs
     }
 
     /// The prediction currently acted on, if any (testing / diagnostics).
@@ -187,9 +217,9 @@ impl<P: Predictor> ProactiveEngine<P> {
         let outcome = self
             .tracker
             .history_mut()
-            .delete_old_history(self.config.history_len, now);
+            .delete_old_history(self.knobs.config().history_len, now);
         self.old = outcome.old;
-        if self.config.prediction_disabled() {
+        if self.config().prediction_disabled() {
             // `p = 0`: prediction is switched off, not failing.  Take the
             // §3.2 reactive-fallback path (logical pause for `l`, then
             // physical pause) without invoking the predictor, counting a
@@ -216,7 +246,7 @@ impl<P: Predictor> ProactiveEngine<P> {
             }
             Err(_) => {
                 self.counters.forecast_failures += 1;
-                if self.breaker.record_failure(now) {
+                if self.breaker.record_failure(self.knobs.breaker(), now) {
                     self.counters.breaker_opens += 1;
                 }
                 self.forecast = ForecastState::Unavailable;
@@ -229,7 +259,7 @@ impl<P: Predictor> ProactiveEngine<P> {
     fn initial_physical_pause_condition(&self, now: Timestamp) -> bool {
         match self.forecast {
             ForecastState::Unavailable => false, // reactive: logical pause first
-            ForecastState::Predicted(Some(p)) => p.starts_after(now, self.config.logical_pause),
+            ForecastState::Predicted(Some(p)) => p.starts_after(now, self.config().logical_pause),
             ForecastState::Predicted(None) => self.old,
         }
     }
@@ -237,11 +267,11 @@ impl<P: Predictor> ProactiveEngine<P> {
     /// Line 26: `(!old & pauseStart + l <= now) || now + l <=
     /// nextActivity.start || (old & nextActivity.start = 0)`.
     fn recheck_physical_pause_condition(&self, now: Timestamp) -> bool {
-        let timeout = self.pause_start + self.config.logical_pause <= now;
+        let timeout = self.pause_start + self.config().logical_pause <= now;
         match self.forecast {
             ForecastState::Unavailable => timeout, // reactive fallback
             ForecastState::Predicted(Some(p)) => {
-                (!self.old && timeout) || p.starts_after(now, self.config.logical_pause)
+                (!self.old && timeout) || p.starts_after(now, self.config().logical_pause)
             }
             ForecastState::Predicted(None) => self.old || timeout,
         }
@@ -273,7 +303,7 @@ impl<P: Predictor> ProactiveEngine<P> {
         let mut consider = |t: Timestamp| {
             wake = Some(wake.map_or(t, |w: Timestamp| w.max(t)));
         };
-        let timeout_at = self.pause_start + self.config.logical_pause;
+        let timeout_at = self.pause_start + self.config().logical_pause;
         match self.forecast {
             ForecastState::Unavailable => consider(timeout_at),
             ForecastState::Predicted(Some(p)) => {
@@ -298,7 +328,7 @@ impl<P: Predictor> ProactiveEngine<P> {
         // the listing's `while pauseEnd = 0` loop re-evaluates as soon as
         // the wait disjunction is false, and the prediction can only
         // change once the window slides past the historical logins.
-        let at = wake.unwrap_or(now + self.config.slide).max(now);
+        let at = wake.unwrap_or(now + self.config().slide).max(now);
         let token = self.fresh_token();
         self.live_token = Some(token);
         actions.push(EngineAction::ScheduleTimer(at, token));
@@ -326,18 +356,18 @@ impl<P: Predictor> ProactiveEngine<P> {
     /// activity count from the float confidence (`prob = hits / periods`
     /// holds exactly, so the round-trip is lossless).
     fn record_decision(&mut self, now: Timestamp, action: DecisionAction) {
-        if !self.explain_enabled {
+        let Some(explains) = &mut self.explains else {
             return;
-        }
+        };
         let (predicted, hits, total) = match self.forecast {
             ForecastState::Predicted(Some(p)) => {
-                let periods = self.config.periods_in_history().max(0) as u32;
+                let periods = self.knobs.config().periods_in_history().max(0) as u32;
                 let hits = (p.confidence * f64::from(periods)).round() as u32;
                 (Some(p.start), hits, periods)
             }
             ForecastState::Predicted(None) | ForecastState::Unavailable => (None, 0, 0),
         };
-        self.explains.push((
+        explains.push((
             now,
             DecisionExplain {
                 action,
@@ -348,6 +378,7 @@ impl<P: Predictor> ProactiveEngine<P> {
                 breaker_open: self.breaker.is_open(now),
             },
         ));
+        self.explains_pending = true;
     }
 }
 
@@ -449,9 +480,10 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
     fn restore_history(&mut self, history: HistoryTable) {
         self.tracker.replace_history(history);
         if self.predictor.wants_clock_index() {
+            let config = self.knobs.config();
             self.tracker
                 .history_mut()
-                .configure_slot_index(self.config.seasonality.period(), self.config.slide);
+                .configure_slot_index(config.seasonality.period(), config.slide);
         }
     }
 
@@ -460,14 +492,21 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
     }
 
     fn set_explain_enabled(&mut self, enabled: bool) {
-        self.explain_enabled = enabled;
-        if !enabled {
-            self.explains.clear();
+        match (enabled, &self.explains) {
+            (true, None) => self.explains = Some(Box::default()),
+            (false, Some(_)) => {
+                self.explains = None;
+                self.explains_pending = false;
+            }
+            _ => {}
         }
     }
 
     fn drain_explains(&mut self) -> ExplainDrain<'_> {
-        ExplainDrain::of(&mut self.explains)
+        match &mut self.explains {
+            Some(explains) if std::mem::take(&mut self.explains_pending) => explains.drain(),
+            _ => ExplainDrain::default(),
+        }
     }
 }
 
@@ -899,16 +938,47 @@ mod tests {
     }
 
     /// 680 bytes when the engine carried a prediction cache, 576 while
-    /// its history view kept parallel key and value columns: a per-engine
-    /// field coming back, or one leaving, fails here by name, not as an
-    /// RSS drift.
+    /// its history view kept parallel key and value columns, 552 while
+    /// the engine and its predictor each held a copy of the run's policy
+    /// knobs and the breaker its own, and the explain buffer was an
+    /// unboxed `Vec`.  Now the engine and predictor hold one pointer each
+    /// to the shard's [`Knobs`]: a per-engine field coming back, or one
+    /// leaving, fails here by name, not as an RSS drift.
     #[test]
-    fn an_engine_is_552_bytes() {
+    fn an_engine_is_392_bytes() {
         use prorp_forecast::IncrementalPredictor;
         assert_eq!(
             std::mem::size_of::<ProactiveEngine<IncrementalPredictor>>(),
-            552
+            392
         );
+    }
+
+    /// An engine shares its predictor's knobs when they are its own, and
+    /// keeps a copy of its own when they are not: a predictor built with
+    /// the default breaker must not lend an engine that breaker.
+    #[test]
+    fn an_engine_shares_its_predictors_knobs_only_when_they_agree() {
+        use prorp_forecast::IncrementalPredictor;
+        let predictor = IncrementalPredictor::new(config()).unwrap();
+        let shared = predictor.knobs().unwrap().clone();
+        let eng = ProactiveEngine::new(config(), predictor.clone()).unwrap();
+        assert!(Arc::ptr_eq(eng.knobs(), &shared));
+        let strict = BreakerConfig {
+            failure_threshold: 1,
+            ..BreakerConfig::default()
+        };
+        let own = ProactiveEngine::with_breaker(config(), predictor.clone(), strict).unwrap();
+        assert!(!Arc::ptr_eq(own.knobs(), &shared));
+        assert_eq!(*own.knobs().breaker(), strict);
+        let other = PolicyConfig {
+            confidence: 0.9,
+            ..config()
+        };
+        let own = ProactiveEngine::new(other, predictor).unwrap();
+        assert_eq!(own.knobs().config().confidence, 0.9);
+        // A predictor with no knobs of its own: the engine's are private.
+        let never = ProactiveEngine::new(config(), NeverPredictor).unwrap();
+        assert_eq!(Arc::strong_count(never.knobs()), 1);
     }
 
     #[test]
@@ -955,19 +1025,23 @@ mod tests {
         eng.on_event(pred.start, EngineEvent::ProactiveResume);
         let resumed: Vec<_> = eng.drain_explains().collect();
         assert_eq!(resumed.len(), 1);
-        // Draining happens in place: the buffer keeps what it grew to.
-        assert!(eng.explains.is_empty() && eng.explains.capacity() >= explains.len());
+        // Draining happens in place: the spill buffer keeps what it grew
+        // to.
+        let log = |e: &ProactiveEngine<_>| e.explains.as_deref().map(ExplainLog::shape);
+        let (len, capacity) = log(&eng).expect("capture is on");
+        assert!(len == 0 && capacity + 1 >= explains.len());
         // Dropping the iterator unread drains too.
         eng.on_event(pred.start, EngineEvent::ActivityStart);
         eng.on_event(pred.start + Seconds::hours(1), EngineEvent::ActivityEnd);
-        assert!(!eng.explains.is_empty());
+        assert!(log(&eng).is_some_and(|(len, _)| len > 0));
         drop(eng.drain_explains());
-        assert!(eng.explains.is_empty());
+        assert!(log(&eng).is_some_and(|(len, _)| len == 0));
         assert_eq!(resumed[0].1.action, DecisionAction::ProactiveResume);
-        // Disabling clears any pending records.
+        // Disabling drops any pending records, and the buffer with them.
         eng.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
         eng.on_event(t(6 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
         eng.set_explain_enabled(false);
+        assert!(eng.explains.is_none());
         assert_eq!(eng.drain_explains().count(), 0);
     }
 

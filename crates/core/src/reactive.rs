@@ -256,4 +256,13 @@ mod tests {
         assert!(ReactiveEngine::new(Seconds::ZERO, Seconds::days(1)).is_err());
         assert!(ReactiveEngine::new(Seconds::hours(1), Seconds(-5)).is_err());
     }
+
+    /// The reactive engine's own size guard, beside the proactive
+    /// engine's `an_engine_is_392_bytes`: a field added to or dropped
+    /// from the baseline fails here by name, not as an RSS drift.  Its
+    /// two durations are still per engine.
+    #[test]
+    fn a_reactive_engine_is_312_bytes() {
+        assert_eq!(std::mem::size_of::<ReactiveEngine>(), 312);
+    }
 }

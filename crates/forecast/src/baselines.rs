@@ -6,7 +6,7 @@
 //! provides the fault injection the §3.2 "default to reactive" design
 //! principle is tested with.
 
-use crate::Predictor;
+use crate::{Predictor, SharedKnobs};
 use prorp_storage::HistoryRead;
 use prorp_types::{Prediction, ProrpError, Seconds, Timestamp};
 
@@ -221,6 +221,10 @@ impl<P: Predictor> Predictor for FailEvery<P> {
 
     fn wants_clock_index(&self) -> bool {
         self.inner.wants_clock_index()
+    }
+
+    fn knobs(&self) -> Option<&SharedKnobs> {
+        self.inner.knobs()
     }
 }
 

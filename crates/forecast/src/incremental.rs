@@ -42,17 +42,19 @@
 //! suite in `crates/testkit` (proptest fleets, both seasonalities, both
 //! confidence bases) and by the edge table below.
 //!
-//! Scratch lives behind a cheap shared handle ([`SweepScratch::shared`])
-//! so a shard runner hosting thousands of engines reuses one pair of
-//! buffers instead of reallocating per database.  The handle is an
-//! `Arc<Mutex<_>>`, so an engine — and the shard driver and live driver
-//! holding it — can move between threads; a shard runs on one thread at
-//! a time, so the lock is never contended.
+//! The predictor is one [`SharedKnobs`] handle: the policy knobs, the
+//! confidence basis and the scratch behind it are the run's, so a shard
+//! hosting thousands of engines keeps one copy of each and reuses one
+//! pair of buffers instead of reallocating per database.  The scratch
+//! is an `Arc<Mutex<_>>`, so an engine — and the shard driver and live
+//! driver holding it — can move between threads; a shard runs on one
+//! thread at a time, so the lock is never contended.
 
+use crate::knobs::{Knobs, SharedKnobs};
 use crate::probabilistic::ConfidenceBasis;
 use crate::Predictor;
 use prorp_storage::{ClockIndex, HistoryRead};
-use prorp_types::{PolicyConfig, Prediction, ProrpError, Seconds, Timestamp};
+use prorp_types::{BreakerConfig, PolicyConfig, Prediction, ProrpError, Seconds, Timestamp};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Reusable buffers for the sweep; one instance can serve any number of
@@ -66,8 +68,7 @@ pub struct SweepScratch {
 }
 
 impl SweepScratch {
-    /// A fresh scratch behind the shared handle the sim's shard runner
-    /// hands to every engine it builds.
+    /// A fresh scratch behind the shared handle a run's [`Knobs`] hold.
     pub fn shared() -> SharedScratch {
         Arc::new(Mutex::new(SweepScratch::default()))
     }
@@ -159,11 +160,12 @@ impl Cursor {
 ///
 /// [`ProbabilisticPredictor`]: crate::ProbabilisticPredictor
 /// [`ProactiveEngine`]: ../prorp_core/struct.ProactiveEngine.html
+///
+/// A clone shares its original's knobs; [`From<SharedKnobs>`] builds one
+/// over a run's knobs.
 #[derive(Clone, Debug)]
 pub struct IncrementalPredictor {
-    config: PolicyConfig,
-    basis: ConfidenceBasis,
-    scratch: SharedScratch,
+    knobs: SharedKnobs,
 }
 
 impl IncrementalPredictor {
@@ -196,17 +198,13 @@ impl IncrementalPredictor {
         basis: ConfidenceBasis,
         scratch: SharedScratch,
     ) -> Result<Self, ProrpError> {
-        config.validate()?;
-        Ok(IncrementalPredictor {
-            config,
-            basis,
-            scratch,
-        })
+        let knobs = Knobs::shared(config, BreakerConfig::default(), basis, scratch)?;
+        Ok(IncrementalPredictor { knobs })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &PolicyConfig {
-        &self.config
+        self.knobs.config()
     }
 
     /// Core of Algorithm 4 as the sliding-window sweep; same contract as
@@ -218,11 +216,12 @@ impl IncrementalPredictor {
     /// The sweep, and what it cost (the work-bound tests read the latter).
     fn sweep(&self, history: &dyn HistoryRead, now: Timestamp) -> (Option<Prediction>, SweepWork) {
         let mut work = SweepWork::default();
-        let w = self.config.window.as_secs();
-        let s = self.config.slide.as_secs();
-        let horizon = self.config.horizon.as_secs();
-        let period = self.config.seasonality.period().as_secs();
-        let periods = self.config.periods_in_history();
+        let config = self.knobs.config();
+        let w = config.window.as_secs();
+        let s = config.slide.as_secs();
+        let horizon = config.horizon.as_secs();
+        let period = config.seasonality.period().as_secs();
+        let periods = config.periods_in_history();
         debug_assert!(periods >= 1, "validated config covers >= 1 period");
         // Degenerate horizon (`w > p`, including the `p = 0` disable
         // sentinel): no window position fits.
@@ -233,7 +232,11 @@ impl IncrementalPredictor {
         // A sweep that panicked mid-way poisons the lock, yet what it
         // left behind is harmless: `in_window` is cleared below and
         // `sorted` before it is filled, so no sweep reads another's data.
-        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scratch = self
+            .knobs
+            .scratch()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let SweepScratch { in_window, sorted } = &mut *scratch;
         let order = match history
             .clock_index()
@@ -309,12 +312,12 @@ impl IncrementalPredictor {
                 continue;
             }
 
-            let prob = match self.basis {
+            let prob = match self.knobs.basis() {
                 ConfidenceBasis::Windows => windows_with_activity as f64 / periods as f64,
                 ConfidenceBasis::Logins => (login_count as f64 / periods as f64).min(1.0),
             };
             let improves = match &best {
-                None => windows_with_activity > 0 && prob >= self.config.confidence,
+                None => windows_with_activity > 0 && prob >= config.confidence,
                 Some(b) => prob > b.confidence,
             };
             if improves {
@@ -338,6 +341,14 @@ impl IncrementalPredictor {
     }
 }
 
+impl From<SharedKnobs> for IncrementalPredictor {
+    /// A predictor over a run's knobs: the sim's shard builds every
+    /// engine's predictor this way, so all of them read one copy.
+    fn from(knobs: SharedKnobs) -> Self {
+        IncrementalPredictor { knobs }
+    }
+}
+
 impl Predictor for IncrementalPredictor {
     fn predict(
         &mut self,
@@ -353,6 +364,10 @@ impl Predictor for IncrementalPredictor {
 
     fn wants_clock_index(&self) -> bool {
         true
+    }
+
+    fn knobs(&self) -> Option<&SharedKnobs> {
+        Some(&self.knobs)
     }
 }
 
@@ -821,11 +836,7 @@ mod tests {
         for d in 0..5 {
             h.insert_history(t(d * DAY + 9 * HOUR), EventKind::Start);
         }
-        let p = IncrementalPredictor {
-            config: cfg,
-            basis: ConfidenceBasis::Windows,
-            scratch: SweepScratch::shared(),
-        };
+        let p = IncrementalPredictor::from(Knobs::unchecked(cfg, ConfidenceBasis::Windows));
         assert_eq!(p.predict_at(&h, t(5 * DAY)), None);
     }
 

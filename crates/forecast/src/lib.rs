@@ -25,6 +25,7 @@
 pub mod accuracy;
 pub mod baselines;
 pub mod incremental;
+pub mod knobs;
 pub mod oracle;
 pub mod probabilistic;
 pub mod seasonality;
@@ -32,6 +33,7 @@ pub mod seasonality;
 pub use accuracy::{score_prediction, AccuracyReport, PredictionOutcome};
 pub use baselines::{FailEvery, HourlyHistogramPredictor, LastGapPredictor, NeverPredictor};
 pub use incremental::{IncrementalPredictor, SharedScratch, SweepScratch};
+pub use knobs::{Knobs, SharedKnobs};
 pub use oracle::OraclePredictor;
 pub use probabilistic::{ConfidenceBasis, ProbabilisticPredictor};
 pub use seasonality::{
@@ -73,5 +75,13 @@ pub trait Predictor {
     /// index-maintenance overhead.  Wrappers must forward this.
     fn wants_clock_index(&self) -> bool {
         false
+    }
+
+    /// The run's knobs, if this predictor reads them through a
+    /// [`SharedKnobs`] handle.  An engine built over it with the same
+    /// policy and breaker knobs holds the same handle instead of a copy
+    /// of its own.  Wrappers must forward this.
+    fn knobs(&self) -> Option<&SharedKnobs> {
+        None
     }
 }

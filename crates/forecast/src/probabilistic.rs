@@ -15,9 +15,10 @@
 //! `ELSE BREAK` interpretation: the scan returns the earliest window run
 //! whose confidence climbs to a local maximum above the threshold.
 
-use crate::Predictor;
+use crate::knobs::{Knobs, SharedKnobs};
+use crate::{Predictor, SweepScratch};
 use prorp_storage::HistoryRead;
-use prorp_types::{PolicyConfig, Prediction, ProrpError, Timestamp};
+use prorp_types::{BreakerConfig, PolicyConfig, Prediction, ProrpError, Timestamp};
 
 /// What the window probability counts — §6's explicit design choice:
 /// "we count the number of windows with activity on h previous days,
@@ -65,10 +66,12 @@ pub enum ConfidenceBasis {
 /// assert_eq!(prediction.confidence, 1.0);
 /// assert_eq!(prediction.start.hour_of_day(), 9);
 /// ```
+///
+/// Like [`IncrementalPredictor`](crate::IncrementalPredictor) it reads
+/// its knobs through one [`SharedKnobs`] handle.
 #[derive(Clone, Debug)]
 pub struct ProbabilisticPredictor {
-    config: PolicyConfig,
-    basis: ConfidenceBasis,
+    knobs: SharedKnobs,
 }
 
 impl ProbabilisticPredictor {
@@ -87,29 +90,36 @@ impl ProbabilisticPredictor {
     ///
     /// Propagates [`PolicyConfig::validate`] failures.
     pub fn with_basis(config: PolicyConfig, basis: ConfidenceBasis) -> Result<Self, ProrpError> {
-        config.validate()?;
-        Ok(ProbabilisticPredictor { config, basis })
+        let knobs = Knobs::shared(
+            config,
+            BreakerConfig::default(),
+            basis,
+            SweepScratch::shared(),
+        )?;
+        Ok(ProbabilisticPredictor { knobs })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &PolicyConfig {
-        &self.config
+        self.knobs.config()
     }
 
     /// Core of Algorithm 4, shared by the trait impl.
     pub fn predict_at(&self, history: &dyn HistoryRead, now: Timestamp) -> Option<Prediction> {
-        let w = self.config.window;
-        let s = self.config.slide;
-        let period = self.config.seasonality.period();
-        let periods = self.config.periods_in_history();
+        let config = self.knobs.config();
+        let basis = self.knobs.basis();
+        let w = config.window;
+        let s = config.slide;
+        let period = config.seasonality.period();
+        let periods = config.periods_in_history();
         debug_assert!(periods >= 1, "validated config covers >= 1 period");
         // Degenerate horizon (`w > p`, including the `p = 0` disable
         // sentinel): no window position fits, so skip the loop setup.
-        if w > self.config.horizon {
+        if w > config.horizon {
             return None;
         }
 
-        let pred_end = now + self.config.horizon;
+        let pred_end = now + config.horizon;
         let mut win_start = now;
         let mut best: Option<Prediction> = None;
 
@@ -131,20 +141,20 @@ impl ProbabilisticPredictor {
                     earliest_offset = earliest_offset.min(first - lo);
                     last_offset = last_offset.max(last - lo);
                     windows_with_activity += 1;
-                    if self.basis == ConfidenceBasis::Logins {
+                    if basis == ConfidenceBasis::Logins {
                         login_count += count;
                     }
                 }
             }
 
-            let prob = match self.basis {
+            let prob = match basis {
                 // line 36 as published.
                 ConfidenceBasis::Windows => windows_with_activity as f64 / periods as f64,
                 // The ablated alternative §6 argues against.
                 ConfidenceBasis::Logins => (login_count as f64 / periods as f64).min(1.0),
             };
             let improves = match &best {
-                None => windows_with_activity > 0 && prob >= self.config.confidence,
+                None => windows_with_activity > 0 && prob >= config.confidence,
                 Some(b) => prob > b.confidence,
             };
             if improves {
@@ -162,6 +172,14 @@ impl ProbabilisticPredictor {
     }
 }
 
+impl From<SharedKnobs> for ProbabilisticPredictor {
+    /// A predictor over a run's knobs (the sim's shard builds its naive
+    /// engines' predictors this way).
+    fn from(knobs: SharedKnobs) -> Self {
+        ProbabilisticPredictor { knobs }
+    }
+}
+
 impl Predictor for ProbabilisticPredictor {
     fn predict(
         &mut self,
@@ -173,6 +191,10 @@ impl Predictor for ProbabilisticPredictor {
 
     fn name(&self) -> &'static str {
         "probabilistic"
+    }
+
+    fn knobs(&self) -> Option<&SharedKnobs> {
+        Some(&self.knobs)
     }
 }
 
@@ -363,20 +385,14 @@ mod tests {
             horizon: Seconds::ZERO,
             ..config(0.5, 2)
         };
-        let p = ProbabilisticPredictor {
-            config: cfg,
-            basis: ConfidenceBasis::Windows,
-        };
+        let p = ProbabilisticPredictor::from(Knobs::unchecked(cfg, ConfidenceBasis::Windows));
         assert_eq!(p.predict_at(&history, t(5 * DAY)), None);
         // Any horizon shorter than the window is equally degenerate.
         let cfg = PolicyConfig {
             horizon: Seconds::hours(1),
             ..config(0.5, 2)
         };
-        let p = ProbabilisticPredictor {
-            config: cfg,
-            basis: ConfidenceBasis::Windows,
-        };
+        let p = ProbabilisticPredictor::from(Knobs::unchecked(cfg, ConfidenceBasis::Windows));
         assert_eq!(p.predict_at(&history, t(5 * DAY)), None);
     }
 

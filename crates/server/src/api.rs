@@ -102,6 +102,32 @@ struct ServerState {
 }
 
 impl ServerState {
+    /// A [`LiveDriver`] over `cfg`/`dbs` under the given clock mode,
+    /// counting the transport's requests in `http`.
+    fn new(
+        cfg: &SimConfig,
+        dbs: &[DatabaseId],
+        backend: Arc<dyn StateBackend>,
+        mode: ServerConfig,
+        http: Arc<HttpStats>,
+    ) -> Result<ServerState, ProrpError> {
+        let driver = LiveDriver::new(cfg, dbs)?;
+        let wall_clock = match mode {
+            ServerConfig::WallClock => Some(LiveClock::wall(driver.watermark())),
+            ServerConfig::VirtualClock => None,
+        };
+        Ok(ServerState {
+            driver: Some(driver),
+            wall_clock,
+            backend,
+            open_incidents: HashMap::new(),
+            advances: 0,
+            ingested: [0; IngestOutcome::ALL.len()],
+            http,
+            report: None,
+        })
+    }
+
     /// `id`'s record: read from the driver, or, once `finish` has
     /// consumed it, from the backend.
     fn record(&self, id: DatabaseId) -> Option<DbRecord> {
@@ -161,22 +187,9 @@ impl ApiServer {
         backend: Arc<dyn StateBackend>,
         mode: ServerConfig,
     ) -> Result<ApiServer, ProrpError> {
-        let driver = LiveDriver::new(cfg, dbs)?;
-        let wall_clock = match mode {
-            ServerConfig::WallClock => Some(LiveClock::wall(driver.watermark())),
-            ServerConfig::VirtualClock => None,
-        };
         let http = Arc::new(HttpStats::default());
-        let state = Arc::new(Mutex::new(ServerState {
-            driver: Some(driver),
-            wall_clock,
-            backend,
-            open_incidents: HashMap::new(),
-            advances: 0,
-            ingested: [0; IngestOutcome::ALL.len()],
-            http: Arc::clone(&http),
-            report: None,
-        }));
+        let state = ServerState::new(cfg, dbs, backend, mode, Arc::clone(&http))?;
+        let state = Arc::new(Mutex::new(state));
         let shared = Arc::clone(&state);
         let handle = http::serve(addr, http, Arc::new(move |req| serve_locked(&shared, req)))
             .map_err(|e| ProrpError::Simulation(format!("cannot bind {addr}: {e}")))?;
@@ -621,19 +634,23 @@ mod tests {
         }
     }
 
-    /// A virtual-clock server over a one-day reactive run.
-    fn one_day_server(dbs: &[DatabaseId]) -> ApiServer {
-        let cfg = SimConfig::builder(
+    /// A one-day reactive run.
+    fn one_day() -> SimConfig {
+        SimConfig::builder(
             SimPolicy::Reactive,
             Timestamp(0),
             Timestamp(86_400),
             Timestamp(0),
         )
         .build()
-        .expect("config validates");
+        .expect("config validates")
+    }
+
+    /// A virtual-clock server over a one-day reactive run.
+    fn one_day_server(dbs: &[DatabaseId]) -> ApiServer {
         ApiServer::start(
             "127.0.0.1:0",
-            &cfg,
+            &one_day(),
             dbs,
             Arc::new(InMemoryBackend::new()),
             ServerConfig::VirtualClock,
@@ -925,6 +942,133 @@ mod tests {
             "{valid} valid, {invalid} invalid"
         );
         server.shutdown();
+    }
+
+    /// A `to` of every class the advance route sorts: inside the run,
+    /// past its end, negative, the `i64` extremes, and values that are
+    /// not an integer.
+    fn to_value() -> BoxedStrategy<String> {
+        prop_oneof![
+            6 => (0i64..86_400).prop_map(|n| n.to_string()),
+            2 => (86_400i64..10_000_000).prop_map(|n| n.to_string()),
+            2 => (-100_000i64..0).prop_map(|n| n.to_string()),
+            1 => Just(i64::MIN.to_string()),
+            1 => Just(i64::MAX.to_string()),
+            1 => lit(r#""600""#),
+            4 => any_value(),
+        ]
+        .boxed()
+    }
+
+    /// An advance body: mostly a `"to"` among unknown members (a second
+    /// `"to"` included), else no `"to"` at all or a top level that is
+    /// not an object.
+    fn advance_body() -> BoxedStrategy<String> {
+        let tail = prop_oneof![unknown_member(), member(key("to"), to_value())];
+        prop_oneof![
+            8 => (
+                prop::collection::vec(unknown_member(), 0..2),
+                member(key("to"), to_value()),
+                prop::collection::vec(tail, 0..2),
+            )
+                .prop_map(|(mut members, to, tail)| {
+                    members.push(to);
+                    members.extend(tail);
+                    object(members)
+                }),
+            1 => prop::collection::vec(unknown_member(), 0..3).prop_map(object),
+            1 => any_value(),
+        ]
+        .boxed()
+    }
+
+    /// Every `POST /v1/clock/advance` body — valid, missing or
+    /// mistyped `to`, behind the watermark, past the end, the `i64`
+    /// extremes, truncated or with one char changed — answers 200 or
+    /// 400 without a panic; a 400 leaves the watermark where it was, and
+    /// a 200 moves it to `to`.  Each case sends a few bodies to a fresh
+    /// server, so later ones meet the watermark the earlier ones left.
+    #[test]
+    fn every_advance_body_answers_200_or_400_and_only_a_200_moves_the_clock() {
+        let bodies = prop::collection::vec(
+            (
+                advance_body(),
+                prop_oneof![
+                    3 => Just(None),
+                    1 => (prop::option::of(0usize..256), 0usize..256).prop_map(Some),
+                ],
+                prop_oneof![
+                    Just('{'),
+                    Just('}'),
+                    Just(':'),
+                    Just('"'),
+                    Just('-'),
+                    Just('.'),
+                    Just('9'),
+                    Just('x'),
+                ],
+            ),
+            1..5,
+        );
+        let watermark = |state: &Mutex<ServerState>| {
+            let state = state.lock().unwrap();
+            state.driver.as_ref().map(LiveDriver::watermark)
+        };
+        let session =
+            r#"{"events":[{"db":0,"at":600,"kind":"login"},{"db":0,"at":4000,"kind":"logout"}]}"#;
+        let (mut moved, mut refused) = (0, 0);
+        proptest::test_runner::run_cases(
+            ProptestConfig::with_cases(512),
+            "every_advance_body_answers_200_or_400_and_only_a_200_moves_the_clock",
+            |rng| {
+                let http = Arc::new(HttpStats::default());
+                let backend = Arc::new(InMemoryBackend::new());
+                let dbs = [DatabaseId(0), DatabaseId(1)];
+                let state =
+                    ServerState::new(&one_day(), &dbs, backend, ServerConfig::VirtualClock, http)
+                        .expect("driver builds");
+                let state = Mutex::new(state);
+                prop_assert_eq!(
+                    serve_locked(&state, post("/v1/events", session)).status,
+                    200
+                );
+                for (text, damaged, with) in bodies.generate(rng) {
+                    let text = match damaged {
+                        Some((cut, at)) => damage(&text, cut, at, with),
+                        None => text,
+                    };
+                    let before = watermark(&state).expect("the run is open");
+                    let reply = serve_locked(&state, post("/v1/clock/advance", &text));
+                    let after = watermark(&state).expect("the run is open");
+                    match reply.status {
+                        200 => {
+                            moved += 1;
+                            let to = json::parse(&text)
+                                .ok()
+                                .and_then(|v| v.get("to").and_then(Json::as_int));
+                            prop_assert_eq!(Some(after.as_secs()), to, "body: {}", text);
+                            prop_assert_eq!(
+                                reply.body,
+                                format!(r#"{{"watermark":{}}}"#, after.as_secs())
+                            );
+                        }
+                        400 => {
+                            refused += 1;
+                            prop_assert_eq!(after, before, "body: {}", text);
+                        }
+                        status => prop_assert!(false, "{} for body {}", status, text),
+                    }
+                }
+                // The server serves on: the run still finishes.
+                prop_assert_eq!(serve_locked(&state, post("/v1/finish", "")).status, 200);
+                Ok(())
+            },
+        );
+        // Both answers are exercised.
+        assert!(
+            moved > 150 && refused > 150,
+            "{moved} moved, {refused} refused"
+        );
     }
 
     /// The three semantic errors keep their texts, and a syntax error

@@ -27,6 +27,16 @@ pub enum SimPolicy {
 }
 
 impl SimPolicy {
+    /// The policy knobs its engines run with: the proactive policy's
+    /// own, and Table 1's for the baselines (the reactive engine pauses
+    /// and trims on its `l` and `h`).
+    pub(crate) fn config(&self) -> PolicyConfig {
+        match self {
+            SimPolicy::Proactive(pc) => *pc,
+            SimPolicy::Reactive | SimPolicy::Optimal => PolicyConfig::default(),
+        }
+    }
+
     /// Stable label for reports.
     pub fn label(&self) -> &'static str {
         match self {

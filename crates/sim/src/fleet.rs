@@ -41,10 +41,11 @@ use crate::config::{SimConfig, SimPolicy};
 use prorp_core::LifecycleInvariants;
 use prorp_core::{DatabasePolicy, OptimalEngine, ProactiveEngine, ReactiveEngine};
 use prorp_forecast::{
-    ConfidenceBasis, FailEvery, IncrementalPredictor, ProbabilisticPredictor, SharedScratch,
+    FailEvery, IncrementalPredictor, Predictor, ProbabilisticPredictor, SharedKnobs,
 };
+use prorp_storage::StorageBackend;
 use prorp_telemetry::{SegmentAccumulator, SegmentKind};
-use prorp_types::{DatabaseId, PolicyConfig, ProrpError};
+use prorp_types::{DatabaseId, ProrpError};
 use prorp_workload::Trace;
 use std::collections::HashMap;
 
@@ -277,20 +278,24 @@ impl EngineArena {
     }
 
     /// Build and append the engine for `trace`, exactly as the old boxed
-    /// `build_engine` did (same constructors, same fault wrapping).
+    /// `build_engine` did (same constructors, same fault wrapping).  A
+    /// proactive engine and its predictor both point at `knobs`, the
+    /// shard's one copy of the run's knobs.
     pub(crate) fn push(
         &mut self,
         cfg: &SimConfig,
         trace: &Trace,
-        scratch: &SharedScratch,
+        knobs: &SharedKnobs,
     ) -> Result<(), ProrpError> {
-        let breaker = cfg.fault().breaker;
-        let fail_every = cfg.fault().forecast_fail_every.map(u64::from);
+        let fail_every = || {
+            let n = cfg.fault().forecast_fail_every;
+            u64::from(n.expect("faulty variant requires forecast_fail_every"))
+        };
         let backend = cfg.storage_backend;
         match self {
             EngineArena::Reactive(v) => {
                 // The baseline pauses and trims on Table 1's `l` and `h`.
-                let table1 = PolicyConfig::default();
+                let table1 = knobs.config();
                 v.push(ReactiveEngine::with_backend(
                     table1.logical_pause,
                     table1.history_len,
@@ -304,55 +309,26 @@ impl EngineArena {
                 )?);
             }
             EngineArena::Incremental(v) => {
-                let SimPolicy::Proactive(pc) = &cfg.policy else {
-                    unreachable!("arena variant chosen from cfg.policy");
-                };
-                let predictor = IncrementalPredictor::with_scratch(
-                    *pc,
-                    ConfidenceBasis::Windows,
-                    scratch.clone(),
-                )?;
-                v.push(ProactiveEngine::with_backend(
-                    *pc, predictor, breaker, backend,
-                )?);
+                let predictor = IncrementalPredictor::from(knobs.clone());
+                v.push(proactive(knobs, predictor, backend)?);
             }
             EngineArena::IncrementalFaulty(v) => {
-                let SimPolicy::Proactive(pc) = &cfg.policy else {
-                    unreachable!("arena variant chosen from cfg.policy");
-                };
-                let predictor = IncrementalPredictor::with_scratch(
-                    *pc,
-                    ConfidenceBasis::Windows,
-                    scratch.clone(),
-                )?;
-                let n = fail_every.expect("faulty variant requires forecast_fail_every");
-                v.push(ProactiveEngine::with_backend(
-                    *pc,
-                    FailEvery::new(predictor, n),
-                    breaker,
+                let predictor = IncrementalPredictor::from(knobs.clone());
+                v.push(proactive(
+                    knobs,
+                    FailEvery::new(predictor, fail_every()),
                     backend,
                 )?);
             }
             EngineArena::Naive(v) => {
-                let SimPolicy::Proactive(pc) = &cfg.policy else {
-                    unreachable!("arena variant chosen from cfg.policy");
-                };
-                v.push(ProactiveEngine::with_backend(
-                    *pc,
-                    ProbabilisticPredictor::new(*pc)?,
-                    breaker,
-                    backend,
-                )?);
+                let predictor = ProbabilisticPredictor::from(knobs.clone());
+                v.push(proactive(knobs, predictor, backend)?);
             }
             EngineArena::NaiveFaulty(v) => {
-                let SimPolicy::Proactive(pc) = &cfg.policy else {
-                    unreachable!("arena variant chosen from cfg.policy");
-                };
-                let n = fail_every.expect("faulty variant requires forecast_fail_every");
-                v.push(ProactiveEngine::with_backend(
-                    *pc,
-                    FailEvery::new(ProbabilisticPredictor::new(*pc)?, n),
-                    breaker,
+                let predictor = ProbabilisticPredictor::from(knobs.clone());
+                v.push(proactive(
+                    knobs,
+                    FailEvery::new(predictor, fail_every()),
                     backend,
                 )?);
             }
@@ -385,6 +361,16 @@ impl EngineArena {
             EngineArena::NaiveFaulty(v) => &v[i],
         }
     }
+}
+
+/// A proactive engine over `predictor` that shares the predictor's
+/// `knobs`.
+fn proactive<P: Predictor>(
+    knobs: &SharedKnobs,
+    predictor: P,
+    backend: StorageBackend,
+) -> Result<ProactiveEngine<P>, ProrpError> {
+    ProactiveEngine::with_backend(*knobs.config(), predictor, *knobs.breaker(), backend)
 }
 
 /// All per-database state of one shard, struct-of-arrays.
@@ -436,10 +422,10 @@ impl FleetState {
         &mut self,
         cfg: &SimConfig,
         trace: &Trace,
-        scratch: &SharedScratch,
+        knobs: &SharedKnobs,
     ) -> Result<usize, ProrpError> {
         let idx = self.ids.len();
-        self.engines.push(cfg, trace, scratch)?;
+        self.engines.push(cfg, trace, knobs)?;
         debug_assert_eq!(self.engines.len(), idx + 1, "columns out of step");
         let mut acc = SegmentAccumulator::new();
         acc.transition(cfg.start, SegmentKind::Saved);

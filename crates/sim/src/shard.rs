@@ -58,7 +58,7 @@ use prorp_core::{
     Actions, EngineAction, EngineCounters, EngineEvent, MaintenanceScheduler, MaintenanceStats,
     ProactiveResumeOp, ResumeWorkflow, StageOutcome,
 };
-use prorp_forecast::SweepScratch;
+use prorp_forecast::{ConfidenceBasis, Knobs, SharedKnobs, SweepScratch};
 use prorp_obs::{MetricEntry, MetricValue, MetricsSnapshot, ObsPart};
 use prorp_storage::{backup_history, restore_backend, HistoryRead, MetadataStore, StorageStats};
 use prorp_telemetry::{
@@ -241,7 +241,7 @@ pub struct ShardDriver {
     resume_op: ProactiveResumeOp,
     maintenance: MaintenanceScheduler,
     obs: Option<ShardObs>,
-    scratch: prorp_forecast::SharedScratch,
+    knobs: SharedKnobs,
     fleet: FleetState,
     control_seeded: bool,
     /// When the last `register()` call returned — the boundary between
@@ -282,10 +282,17 @@ impl ShardDriver {
             // every instrumentation site below is one branch on the
             // Option.
             obs: cfg.observe().enabled.then(|| ShardObs::new(cfg.observe())),
-            // All the shard's incremental predictors share one
-            // cursor-scratch buffer: the shard steps on one thread at a
-            // time, so its lock is never contended.
-            scratch: SweepScratch::shared(),
+            // The run's knobs, once per shard: every engine and predictor
+            // the shard registers points at this copy, and its sweep
+            // scratch serves them all (the shard steps on one thread at a
+            // time, so the lock is never contended).  Per shard, not per
+            // process, so no two threads share its reference count.
+            knobs: Knobs::shared(
+                cfg.policy.config(),
+                cfg.fault().breaker,
+                ConfidenceBasis::Windows,
+                SweepScratch::shared(),
+            )?,
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             control_seeded: false,
             register_done: None,
@@ -322,7 +329,7 @@ impl ShardDriver {
             )));
         }
         let cfg = &self.cfg;
-        let idx = self.fleet.push(cfg, trace, &self.scratch)?;
+        let idx = self.fleet.push(cfg, trace, &self.knobs)?;
         // `row_for` writes the new database's row: resumed, no prediction.
         let (slot, row) = (self.cluster.place(), self.metadata.row_for(trace.db));
         assert!(
@@ -1108,6 +1115,66 @@ impl ShardDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One knobs allocation per shard: every engine a shard registers,
+    /// and that engine's predictor, point at the shard's copy and at no
+    /// other, and another shard holds its own — one copy per process
+    /// bounced its reference count between the shards' threads.  Every
+    /// proactive arena: incremental and naive, with and without fault
+    /// injection.
+    #[test]
+    fn every_engine_points_at_its_shards_one_knobs_allocation() {
+        use crate::fleet::EngineArena;
+        use prorp_types::PolicyConfig;
+        use prorp_workload::{RegionName, RegionProfile};
+        use std::sync::Arc;
+        const DAY: i64 = 86_400;
+        let (start, end) = (Timestamp(0), Timestamp(10 * DAY));
+        let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(40, start, end, 5);
+        for (naive, faulty) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut builder = SimConfig::builder(
+                SimPolicy::Proactive(PolicyConfig::default()),
+                start,
+                end,
+                Timestamp(5 * DAY),
+            )
+            .naive_predictor(naive);
+            if faulty {
+                builder = builder.forecast_fail_every(3);
+            }
+            let cfg = builder.build().unwrap();
+            let mut shards = [0, 1].map(|i| ShardDriver::new(&cfg, i, traces.len()).unwrap());
+            for t in &traces {
+                shards[t.db.shard_of(2)].register(t).unwrap();
+            }
+            for shard in &shards {
+                let held: Vec<&SharedKnobs> = match &shard.fleet.engines {
+                    EngineArena::Incremental(v) => v.iter().map(|e| e.knobs()).collect(),
+                    EngineArena::IncrementalFaulty(v) => v.iter().map(|e| e.knobs()).collect(),
+                    EngineArena::Naive(v) => v.iter().map(|e| e.knobs()).collect(),
+                    EngineArena::NaiveFaulty(v) => v.iter().map(|e| e.knobs()).collect(),
+                    EngineArena::Reactive(_) | EngineArena::Optimal(_) => unreachable!(),
+                };
+                assert!(
+                    held.len() > 5,
+                    "naive {naive}, faulty {faulty}: a real shard"
+                );
+                for knobs in &held {
+                    assert!(Arc::ptr_eq(knobs, &shard.knobs));
+                }
+                // The shard, each engine and each predictor: one handle
+                // apiece, and nothing else holds the knobs.
+                let handles = Arc::strong_count(&shard.knobs);
+                assert_eq!(
+                    handles,
+                    1 + 2 * held.len(),
+                    "naive {naive}, faulty {faulty}"
+                );
+            }
+            assert!(!Arc::ptr_eq(&shards[0].knobs, &shards[1].knobs));
+        }
+    }
+
     #[test]
     fn fault_injection_is_stateless_and_respects_extremes() {
         let (db, at) = (DatabaseId(7), Timestamp(12_345));

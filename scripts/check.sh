@@ -192,11 +192,22 @@ guards=(
     # `Transfer-Encoding`, cut off anywhere — answers a parseable 200,
     # 400 or 413 without a handler panic, and the next request is served.
     http::tests::any_request_head_is_answered_and_the_server_serves_on
+    # Any `POST /v1/clock/advance` body — `to` missing, mistyped,
+    # negative, behind the watermark, past the end, `i64::MIN` or
+    # `i64::MAX`, truncated or corrupted — answers 200 or 400 without a
+    # panic; only a 200 moves the watermark, and to `to`.
+    api::tests::every_advance_body_answers_200_or_400_and_only_a_200_moves_the_clock
 
     # A per-engine field coming back (680 bytes with the prediction
-    # cache, 576 with the history view's parallel key and value columns)
-    # is a named failure, not an RSS drift to bisect.
-    proactive::tests::an_engine_is_552_bytes
+    # cache, 576 with the history view's parallel key and value columns,
+    # 552 with the run's knobs copied into every engine) is a named
+    # failure, not an RSS drift to bisect — for the reactive baseline
+    # too.  The run's knobs are one allocation per shard: every engine
+    # and predictor a shard registers points at it, and two shards'
+    # differ (one per process bounced its count between cores).
+    proactive::tests::an_engine_is_392_bytes
+    reactive::tests::a_reactive_engine_is_312_bytes
+    every_engine_points_at_its_shards_one_knobs_allocation
 
     # Table 1's `k` has one home, the policy: two proactive runs that
     # differ only in `PolicyConfig::prewarm` must pre-warm differently

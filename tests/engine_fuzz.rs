@@ -242,10 +242,11 @@ proptest! {
         cooldown in 10i64..2_000,
         schedule in prop::collection::vec((0i64..5_000, any::<bool>()), 1..150),
     ) {
-        let mut breaker = CircuitBreaker::new(BreakerConfig {
+        let knobs = BreakerConfig {
             failure_threshold: threshold,
             cooldown: Seconds(cooldown),
-        });
+        };
+        let mut breaker = CircuitBreaker::default();
         let mut mode = BreakerMode::Closed { run: 0 };
         let mut model_opens = 0u64;
         let mut now = 0i64;
@@ -263,7 +264,7 @@ proptest! {
                 continue;
             }
             if fail {
-                let opened = breaker.record_failure(Timestamp(now));
+                let opened = breaker.record_failure(&knobs, Timestamp(now));
                 match mode {
                     BreakerMode::Open { .. } => {
                         // A failed half-open probe re-opens immediately.
@@ -440,15 +441,22 @@ proptest! {
 /// stop covering the three-state walk.
 #[test]
 fn breaker_full_cycle_spot_check() {
-    let mut b = CircuitBreaker::new(BreakerConfig {
+    let knobs = BreakerConfig {
         failure_threshold: 2,
         cooldown: Seconds(100),
-    });
-    assert!(!b.record_failure(Timestamp(0)));
-    assert!(b.record_failure(Timestamp(10)), "second failure opens");
+    };
+    let mut b = CircuitBreaker::default();
+    assert!(!b.record_failure(&knobs, Timestamp(0)));
+    assert!(
+        b.record_failure(&knobs, Timestamp(10)),
+        "second failure opens"
+    );
     assert!(b.is_open(Timestamp(109)));
     assert!(b.allows(Timestamp(110)), "half-open at the cool-down");
-    assert!(b.record_failure(Timestamp(110)), "failed probe re-opens");
+    assert!(
+        b.record_failure(&knobs, Timestamp(110)),
+        "failed probe re-opens"
+    );
     assert!(b.is_open(Timestamp(209)));
     assert!(b.allows(Timestamp(210)));
     b.record_success();
