@@ -35,16 +35,19 @@
 //!   (`results/BENCH_scale.json` by convention);
 //! * `--smoke` — tiny sweep for CI (`scripts/check.sh`).
 //!
-//! Peak RSS is read from `/proc/self/status` (`VmHWM`); the high-water
-//! mark is reset through `/proc/self/clear_refs` before each cell, so
-//! cells are independent even though they share one process.  On
-//! platforms without procfs both values report as zero.
+//! Each timed cell runs in a child process of the harness: the binary
+//! re-run with the internal `--cell DBS,SHARDS,DAYS` argument.  The child runs the one cell, reads its own peak
+//! RSS from `/proc/self/status` (`VmHWM`; zero where procfs is absent),
+//! prints the cell's rows and then its record and KPIs as one JSON line.
+//! So a cell's peak is its own, with nothing written under `/proc`, and
+//! the harness still compares the cells' KPIs.
 
 use prorp_bench::{arg_value, json_path_from_args, run_meta, write_json, ExperimentScale, Json};
 use prorp_obs::SloConfig;
 use prorp_sim::{ObsConfig, SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{PolicyConfig, Seconds, Timestamp};
 use prorp_workload::{LazyFleet, RegionName, RegionProfile, TraceSource};
+use std::process::{Command, Stdio};
 use std::time::Instant;
 
 /// Parse one fleet-size token: `500`, `10k`, `1m`.
@@ -71,12 +74,8 @@ fn parse_list(spec: &str) -> Vec<usize> {
         .collect()
 }
 
-/// Reset the process peak-RSS high-water mark (Linux; no-op elsewhere).
-fn reset_peak_rss() {
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-}
-
-/// Current peak RSS in bytes from `VmHWM` (0 where procfs is absent).
+/// This process's peak RSS in bytes from `VmHWM` (0 where procfs is
+/// absent).
 fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -186,10 +185,151 @@ fn obs_overhead_gate(fleet: &LazyFleet, dbs: usize, shards: usize, days: i64) ->
     ])
 }
 
+/// The sweep's fleet of `dbs` databases over `days` days.
+fn fleet_for(dbs: usize, days: i64) -> LazyFleet {
+    let start = Timestamp(0);
+    let profile = RegionProfile::for_region(RegionName::Eu1);
+    LazyFleet::new(profile, dbs, start, start + Seconds::days(days), 42)
+}
+
+/// The child side of one timed cell: run it with observability off,
+/// print its rows, then one JSON line holding its record (`entry`) and
+/// its KPIs' `Debug` rendering (`kpi`), which equal KPIs and only equal
+/// KPIs share.
+fn run_child_cell(dbs: usize, shards: usize, days: i64) {
+    let fleet = fleet_for(dbs, days);
+    let cfg = config_for(dbs, shards, days, ObsConfig::off());
+    // Input-defined work: recorded logins + logouts inside the span.
+    let inside = |ts| ts >= cfg.start && ts < cfg.end;
+    let activity_events: u64 = fleet
+        .iter()
+        .flat_map(|t| t.sessions)
+        .map(|s| u64::from(inside(s.start)) + u64::from(inside(s.end)))
+        .sum();
+    let (report, wall_s) = run_cell(&fleet, dbs, shards, days, ObsConfig::off());
+    let rss = peak_rss_bytes();
+    let events: u64 = report
+        .shard_counters
+        .iter()
+        .map(|c| c.events_processed)
+        .sum();
+    let events_per_sec = events as f64 / wall_s.max(1e-9);
+    let activity_events_per_sec = activity_events as f64 / wall_s.max(1e-9);
+    // Each shard has its own queue: the cell's figure is the sum
+    // of their high-water marks.
+    let queue_peak: usize = report.shard_counters.iter().map(|c| c.queue_peak).sum();
+    assert!(
+        queue_peak <= 2 * dbs,
+        "queue memory must be O(databases): run-time lane peaked at {queue_peak} \
+         entries for {dbs} databases on {shards} shard(s)"
+    );
+    println!(
+        "{:>10} {:>7} {:>9.2} {:>12} {:>13.0} {:>12} {:>11} {:>12.1} {:>7.2}",
+        dbs,
+        shards,
+        wall_s,
+        activity_events,
+        activity_events_per_sec,
+        events,
+        queue_peak,
+        rss as f64 / (1024.0 * 1024.0),
+        report.kpi.qos_pct()
+    );
+    // Per-shard wall-time breakdown: where each worker's time
+    // went (registration, event loop, close-out).
+    // Diagnoses multi-shard scaling losses — a shard whose
+    // register phase dominates is starved by setup, not by the
+    // event loop.
+    let mut shard_rows = Vec::with_capacity(report.shard_counters.len());
+    for c in &report.shard_counters {
+        if shards > 1 {
+            println!(
+                "            shard {}: {} dbs, {} events | register {:.3}s, \
+                 run {:.3}s, finish {:.3}s",
+                c.shard,
+                c.databases,
+                c.events_processed,
+                c.register_micros as f64 / 1e6,
+                c.run_micros as f64 / 1e6,
+                c.finish_micros as f64 / 1e6,
+            );
+        }
+        shard_rows.push(Json::object(vec![
+            ("shard", Json::from(c.shard as u64)),
+            ("databases", Json::from(c.databases as u64)),
+            ("events", Json::from(c.events_processed)),
+            ("queue_peak", Json::from(c.queue_peak as u64)),
+            ("wall_micros", Json::from(c.wall_clock_micros)),
+            ("register_micros", Json::from(c.register_micros)),
+            ("run_micros", Json::from(c.run_micros)),
+            ("finish_micros", Json::from(c.finish_micros)),
+        ]));
+    }
+    let entry = Json::object(vec![
+        ("databases", Json::from(dbs as u64)),
+        ("shards", Json::from(shards as u64)),
+        ("days", Json::Int(days)),
+        (
+            "storage_backend",
+            Json::Str(cfg.storage_backend.label().into()),
+        ),
+        ("wall_s", Json::Float(wall_s)),
+        ("activity_events", Json::from(activity_events)),
+        (
+            "activity_events_per_sec",
+            Json::Float(activity_events_per_sec),
+        ),
+        ("events", Json::from(events)),
+        ("events_per_sec", Json::Float(events_per_sec)),
+        ("queue_peak", Json::from(queue_peak as u64)),
+        ("peak_rss_bytes", Json::from(rss)),
+        ("qos_pct", Json::Float(report.kpi.qos_pct())),
+        (
+            "telemetry_events",
+            Json::from(report.telemetry_summary.total()),
+        ),
+        ("shard_breakdown", Json::Array(shard_rows)),
+    ]);
+    let line = Json::object(vec![
+        ("entry", entry),
+        ("kpi", Json::Str(format!("{:?}", report.kpi))),
+    ]);
+    println!("{}", line.render());
+}
+
+/// The harness side of one timed cell: run it in a child process, pass
+/// its rows through, and return its record and KPIs.
+fn run_cell_in_child(dbs: usize, shards: usize, days: i64) -> (Json, Json) {
+    let exe = std::env::current_exe().expect("the harness finds its own executable");
+    let output = Command::new(exe)
+        .args(["--cell", &format!("{dbs},{shards},{days}")])
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("the harness spawns a cell");
+    let text = String::from_utf8_lossy(&output.stdout);
+    let Some((rows, last)) = text.trim_end().rsplit_once('\n') else {
+        panic!("cell {dbs} x {shards} ({}) printed {text:?}", output.status);
+    };
+    println!("{rows}");
+    let line = prorp_obs::json::parse(last).unwrap_or(Json::Null);
+    let field = |key| {
+        line.get(key)
+            .cloned()
+            .expect("a cell reports its record and KPIs")
+    };
+    (field("entry"), field("kpi"))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_path_from_args();
+    if let Some(cell) = arg_value(&args, "--cell") {
+        let [dbs, shards, days] = parse_list(&cell)[..] else {
+            panic!("--cell wants DBS,SHARDS,DAYS, got {cell:?}");
+        };
+        return run_child_cell(dbs, shards, days as i64);
+    }
 
     let (default_dbs, default_shards) = if smoke {
         ("500,2k", "1,2")
@@ -232,27 +372,15 @@ fn main() {
         "QoS %"
     );
 
-    let profile = RegionProfile::for_region(RegionName::Eu1);
-    let storage_backend = config_for(1, 1, days, ObsConfig::off())
-        .storage_backend
-        .label();
     let mut entries = Vec::new();
     let mut obs_ab = None;
     for &dbs in &sizes {
-        let start = Timestamp(0);
-        let end = start + Seconds::days(days);
-        let fleet = LazyFleet::new(profile.clone(), dbs, start, end, 42);
-        // Input-defined work: recorded logins + logouts inside the span.
-        let inside = |ts| ts >= start && ts < end;
-        let activity_events: u64 = fleet
-            .iter()
-            .flat_map(|t| t.sessions)
-            .map(|s| u64::from(inside(s.start)) + u64::from(inside(s.end)))
-            .sum();
+        let fleet = fleet_for(dbs, days);
 
-        // Determinism gate: at the smallest size, the streamed path must
-        // match the materialised path bit for bit.
-        if dbs == sizes[0] && dbs <= 10_000 {
+        // Determinism gate: at the smallest size, the streamed path (the
+        // first shard count's cell) must match the materialised path bit
+        // for bit.
+        let materialised_kpi = (dbs == sizes[0] && dbs <= 10_000).then(|| {
             let eager: Vec<_> = fleet.iter().collect();
             let materialised = Simulation::new(
                 config_for(dbs, shard_counts[0], days, ObsConfig::off()),
@@ -261,12 +389,8 @@ fn main() {
             .expect("config valid")
             .run()
             .expect("materialised run completes");
-            let (streamed, _) = run_cell(&fleet, dbs, shard_counts[0], days, ObsConfig::off());
-            assert_eq!(
-                materialised.kpi, streamed.kpi,
-                "run_streamed diverged from run at {dbs} databases"
-            );
-        }
+            Json::Str(format!("{:?}", materialised.kpi))
+        });
 
         // Observability overhead gate at the smallest size: rollup-only
         // obs must not move the KPIs or cost more than 2% wall time.
@@ -276,97 +400,23 @@ fn main() {
 
         let mut baseline_kpi = None;
         for &shards in &shard_counts {
-            reset_peak_rss();
-            let (report, wall_s) = run_cell(&fleet, dbs, shards, days, ObsConfig::off());
-            let rss = peak_rss_bytes();
+            let (entry, kpi) = run_cell_in_child(dbs, shards, days);
+            if let (Some(eager), true) = (&materialised_kpi, shards == shard_counts[0]) {
+                assert_eq!(
+                    *eager, kpi,
+                    "run_streamed diverged from run at {dbs} databases"
+                );
+            }
             // Shard-invariance gate at every scale: KPIs must not depend
             // on the shard count.
             match &baseline_kpi {
-                None => baseline_kpi = Some(report.kpi),
-                Some(kpi) => assert_eq!(
-                    *kpi, report.kpi,
+                None => baseline_kpi = Some(kpi),
+                Some(first) => assert_eq!(
+                    *first, kpi,
                     "KPIs diverged between shard counts at {dbs} databases"
                 ),
             }
-            let events: u64 = report
-                .shard_counters
-                .iter()
-                .map(|c| c.events_processed)
-                .sum();
-            let events_per_sec = events as f64 / wall_s.max(1e-9);
-            let activity_events_per_sec = activity_events as f64 / wall_s.max(1e-9);
-            // Each shard has its own queue: the cell's figure is the sum
-            // of their high-water marks.
-            let queue_peak: usize = report.shard_counters.iter().map(|c| c.queue_peak).sum();
-            assert!(
-                queue_peak <= 2 * dbs,
-                "queue memory must be O(databases): run-time lane peaked at {queue_peak} \
-                 entries for {dbs} databases on {shards} shard(s)"
-            );
-            println!(
-                "{:>10} {:>7} {:>9.2} {:>12} {:>13.0} {:>12} {:>11} {:>12.1} {:>7.2}",
-                dbs,
-                shards,
-                wall_s,
-                activity_events,
-                activity_events_per_sec,
-                events,
-                queue_peak,
-                rss as f64 / (1024.0 * 1024.0),
-                report.kpi.qos_pct()
-            );
-            // Per-shard wall-time breakdown: where each worker's time
-            // went (registration, event loop, close-out).
-            // Diagnoses multi-shard scaling losses — a shard whose
-            // register phase dominates is starved by setup, not by the
-            // event loop.
-            let mut shard_rows = Vec::with_capacity(report.shard_counters.len());
-            for c in &report.shard_counters {
-                if shards > 1 {
-                    println!(
-                        "            shard {}: {} dbs, {} events | register {:.3}s, \
-                         run {:.3}s, finish {:.3}s",
-                        c.shard,
-                        c.databases,
-                        c.events_processed,
-                        c.register_micros as f64 / 1e6,
-                        c.run_micros as f64 / 1e6,
-                        c.finish_micros as f64 / 1e6,
-                    );
-                }
-                shard_rows.push(Json::object(vec![
-                    ("shard", Json::from(c.shard as u64)),
-                    ("databases", Json::from(c.databases as u64)),
-                    ("events", Json::from(c.events_processed)),
-                    ("queue_peak", Json::from(c.queue_peak as u64)),
-                    ("wall_micros", Json::from(c.wall_clock_micros)),
-                    ("register_micros", Json::from(c.register_micros)),
-                    ("run_micros", Json::from(c.run_micros)),
-                    ("finish_micros", Json::from(c.finish_micros)),
-                ]));
-            }
-            entries.push(Json::object(vec![
-                ("databases", Json::from(dbs as u64)),
-                ("shards", Json::from(shards as u64)),
-                ("days", Json::Int(days)),
-                ("storage_backend", Json::Str(storage_backend.into())),
-                ("wall_s", Json::Float(wall_s)),
-                ("activity_events", Json::from(activity_events)),
-                (
-                    "activity_events_per_sec",
-                    Json::Float(activity_events_per_sec),
-                ),
-                ("events", Json::from(events)),
-                ("events_per_sec", Json::Float(events_per_sec)),
-                ("queue_peak", Json::from(queue_peak as u64)),
-                ("peak_rss_bytes", Json::from(rss)),
-                ("qos_pct", Json::Float(report.kpi.qos_pct())),
-                (
-                    "telemetry_events",
-                    Json::from(report.telemetry_summary.total()),
-                ),
-                ("shard_breakdown", Json::Array(shard_rows)),
-            ]));
+            entries.push(entry);
         }
         // The lazy source stays O(1) memory, so confirm nothing pinned
         // the fleet: len is parameters-only.

@@ -16,6 +16,7 @@
 //! second and most replies hold zero to two actions, so a `Vec` per
 //! event was a `malloc`/`free` pair that bought nothing.
 
+use crate::tracker::ActivityTracker;
 use prorp_obs::span::DecisionExplain;
 use prorp_storage::HistoryTable;
 use prorp_types::{DbState, Timestamp};
@@ -272,12 +273,24 @@ pub trait DatabasePolicy {
     /// Counter snapshot.
     fn counters(&self) -> EngineCounters;
 
+    /// The database's §5 activity tracker.  The optimal oracle policy
+    /// keeps one too — activity tracking runs regardless of policy.
+    fn tracker(&self) -> &ActivityTracker;
+
+    /// Whether a customer session is open: a login was delivered and
+    /// its logout not yet.  The tracker's held login is the one record
+    /// of it.
+    fn serving(&self) -> bool {
+        self.tracker().serving()
+    }
+
     /// The database's activity history (for overhead accounting and the
-    /// backup/move path).  The optimal oracle policy keeps one too — the
-    /// activity tracker of §5 runs regardless of policy.  A fleet's
+    /// backup/move path).  A fleet's
     /// [`StorageBackend`](prorp_storage::StorageBackend) says whether the
     /// table keeps its mutation log.
-    fn history(&self) -> &HistoryTable;
+    fn history(&self) -> &HistoryTable {
+        self.tracker().history()
+    }
 
     /// Replace the history store (restore after a load-balancing move,
     /// §3.3).

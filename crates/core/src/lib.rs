@@ -9,9 +9,9 @@
 //!   [`EngineAction`]s it emits (allocate, reclaim, publish prediction,
 //!   schedule timer), the [`DatabasePolicy`] trait, and per-engine
 //!   counters;
-//! * [`tracker`] — customer-activity tracking (§5): precise login/logout
-//!   timestamps buffered off the critical path and flushed into the
-//!   history table;
+//! * [`tracker`] — customer-activity tracking (§5): the login timestamp
+//!   captured on the critical path and inserted with its logout, and the
+//!   one record of whether a session is open;
 //! * [`proactive`] — Algorithm 1: the Resumed → LogicallyPaused →
 //!   PhysicallyPaused lifecycle of Figure 4 driven by the Algorithm 4
 //!   predictor, with the §3.2 *default-to-reactive* fallback when the

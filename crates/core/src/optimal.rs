@@ -13,7 +13,7 @@ use crate::engine::{Actions, DatabasePolicy, EngineAction, EngineCounters, Engin
 use crate::tracker::ActivityTracker;
 use prorp_forecast::OraclePredictor;
 use prorp_storage::{HistoryTable, StorageBackend};
-use prorp_types::{DbState, EventKind, Prediction, ProrpError, Session, Timestamp};
+use prorp_types::{DbState, Prediction, ProrpError, Session, Timestamp};
 
 /// The clairvoyant per-database engine.
 #[derive(Debug)]
@@ -21,7 +21,6 @@ pub struct OptimalEngine {
     oracle: OraclePredictor,
     tracker: ActivityTracker,
     state: DbState,
-    active: bool,
     counters: EngineCounters,
     published: Option<Prediction>,
 }
@@ -51,7 +50,6 @@ impl OptimalEngine {
             tracker: ActivityTracker::with_backend(backend),
             // The optimum holds no resources before the first session.
             state: DbState::PhysicallyPaused,
-            active: false,
             counters: EngineCounters::default(),
             published: None,
         })
@@ -63,30 +61,22 @@ impl DatabasePolicy for OptimalEngine {
         let mut actions = Actions::new();
         match event {
             EngineEvent::ActivityStart => {
-                if self.active {
+                if !self.tracker.login(now) {
                     return actions;
                 }
-                self.active = true;
-                self.tracker.record(now, EventKind::Start);
-                match self.state {
-                    DbState::PhysicallyPaused => {
-                        // The simulator applies zero latency for the
-                        // optimal policy, so this login is still counted
-                        // as served-with-availability.
-                        self.counters.logins_available += 1;
-                        actions.push(EngineAction::Allocate);
-                    }
-                    _ => self.counters.logins_available += 1,
+                // The simulator applies zero latency for the optimal
+                // policy, so even a login that allocates is counted as
+                // served-with-availability.
+                self.counters.logins_available += 1;
+                if self.state == DbState::PhysicallyPaused {
+                    actions.push(EngineAction::Allocate);
                 }
                 self.state = DbState::Resumed;
             }
             EngineEvent::ActivityEnd => {
-                if !self.active {
+                if !self.tracker.logout(now) {
                     return actions;
                 }
-                self.active = false;
-                self.tracker.record(now, EventKind::End);
-                self.tracker.flush();
                 // Allocation == demand: reclaim immediately, publish the
                 // exact next start.
                 self.state = DbState::PhysicallyPaused;
@@ -104,7 +94,7 @@ impl DatabasePolicy for OptimalEngine {
                 // The optimal policy schedules no timers.
             }
             EngineEvent::ProactiveResume => {
-                if self.state != DbState::PhysicallyPaused || self.active {
+                if self.state != DbState::PhysicallyPaused || self.tracker.serving() {
                     return actions;
                 }
                 self.counters.proactive_resumes += 1;
@@ -112,7 +102,7 @@ impl DatabasePolicy for OptimalEngine {
                 self.state = DbState::LogicallyPaused;
             }
             EngineEvent::ForcedPause => {
-                if self.active || self.state == DbState::PhysicallyPaused {
+                if self.tracker.serving() || self.state == DbState::PhysicallyPaused {
                     return actions;
                 }
                 self.state = DbState::PhysicallyPaused;
@@ -133,8 +123,8 @@ impl DatabasePolicy for OptimalEngine {
         self.counters
     }
 
-    fn history(&self) -> &HistoryTable {
-        self.tracker.history()
+    fn tracker(&self) -> &ActivityTracker {
+        &self.tracker
     }
 
     fn restore_history(&mut self, history: HistoryTable) {

@@ -36,9 +36,7 @@ use crate::tracker::ActivityTracker;
 use prorp_forecast::{ConfidenceBasis, Knobs, Predictor, SharedKnobs, SweepScratch};
 use prorp_obs::span::{DecisionAction, DecisionExplain};
 use prorp_storage::{HistoryRead, HistoryStore, HistoryTable, StorageBackend};
-use prorp_types::{
-    BreakerConfig, DbState, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp,
-};
+use prorp_types::{BreakerConfig, DbState, PolicyConfig, Prediction, ProrpError, Timestamp};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,7 +62,6 @@ pub struct ProactiveEngine<P> {
     predictor: P,
     tracker: ActivityTracker,
     state: DbState,
-    active: bool,
     /// `@old` — whether the database has a full history window
     /// (Algorithm 3 output).
     old: bool,
@@ -149,7 +146,6 @@ impl<P: Predictor> ProactiveEngine<P> {
             predictor,
             tracker,
             state: DbState::Resumed,
-            active: false,
             old: false,
             forecast: ForecastState::Predicted(None),
             breaker: CircuitBreaker::default(),
@@ -213,7 +209,6 @@ impl<P: Predictor> ProactiveEngine<P> {
     /// all: the engine short-circuits to the reactive fallback until the
     /// cool-down admits a half-open probe.
     fn repredict(&mut self, now: Timestamp) {
-        self.tracker.flush();
         let outcome = self
             .tracker
             .history_mut()
@@ -387,12 +382,10 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         let mut actions = Actions::new();
         match event {
             EngineEvent::ActivityStart => {
-                if self.active {
+                if !self.tracker.login(now) {
                     return actions; // duplicate start: already serving
                 }
-                self.active = true;
                 self.live_token = None;
-                self.tracker.record(now, EventKind::Start);
                 match self.state {
                     DbState::PhysicallyPaused => {
                         self.counters.logins_unavailable += 1;
@@ -405,12 +398,9 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                 self.state = DbState::Resumed;
             }
             EngineEvent::ActivityEnd => {
-                if !self.active {
+                if !self.tracker.logout(now) {
                     return actions;
                 }
-                self.active = false;
-                self.tracker.record(now, EventKind::End);
-                self.tracker.flush();
                 if self.needs_reprediction(now) {
                     self.repredict(now);
                 }
@@ -426,7 +416,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                     return actions; // superseded timer
                 }
                 self.live_token = None;
-                if self.active || self.state != DbState::LogicallyPaused {
+                if self.tracker.serving() || self.state != DbState::LogicallyPaused {
                     return actions;
                 }
                 // Lines 24–29: re-trim, re-predict, re-decide.
@@ -440,7 +430,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                 }
             }
             EngineEvent::ProactiveResume => {
-                if self.state != DbState::PhysicallyPaused || self.active {
+                if self.state != DbState::PhysicallyPaused || self.tracker.serving() {
                     return actions; // raced with a customer login
                 }
                 self.counters.proactive_resumes += 1;
@@ -450,7 +440,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                 self.enter_logical_pause(now, false, &mut actions);
             }
             EngineEvent::ForcedPause => {
-                if self.active || self.state == DbState::PhysicallyPaused {
+                if self.tracker.serving() || self.state == DbState::PhysicallyPaused {
                     return actions;
                 }
                 self.live_token = None;
@@ -473,8 +463,8 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         self.counters
     }
 
-    fn history(&self) -> &HistoryTable {
-        self.tracker.history()
+    fn tracker(&self) -> &ActivityTracker {
+        &self.tracker
     }
 
     fn restore_history(&mut self, history: HistoryTable) {
@@ -941,15 +931,18 @@ mod tests {
     /// its history view kept parallel key and value columns, 552 while
     /// the engine and its predictor each held a copy of the run's policy
     /// knobs and the breaker its own, and the explain buffer was an
-    /// unboxed `Vec`.  Now the engine and predictor hold one pointer each
-    /// to the shard's [`Knobs`]: a per-engine field coming back, or one
-    /// leaving, fails here by name, not as an RSS drift.
+    /// unboxed `Vec`, and 392 while the engine kept its own session flag
+    /// beside an activity tracker that buffered any number of events.
+    /// Now the engine and predictor hold one pointer each to the shard's
+    /// [`Knobs`], and the tracker's held login is the one record of an
+    /// open session: a per-engine field coming back, or one leaving,
+    /// fails here by name, not as an RSS drift.
     #[test]
-    fn an_engine_is_392_bytes() {
+    fn an_engine_is_336_bytes() {
         use prorp_forecast::IncrementalPredictor;
         assert_eq!(
             std::mem::size_of::<ProactiveEngine<IncrementalPredictor>>(),
-            392
+            336
         );
     }
 

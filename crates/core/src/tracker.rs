@@ -4,112 +4,85 @@
 //! and end of **customer** activity (system-maintenance resumes are
 //! ignored), with timestamps captured **on the critical login path** for
 //! precision while the tuple insertion itself runs **off the critical
-//! path on a timer**.  [`ActivityTracker`] reproduces that split: `record`
-//! captures the precise timestamp into a small buffer, and `flush` moves
-//! buffered events into the history store (Algorithm 2 semantics).  The
-//! engines flush before every read of the history — the prediction path
-//! must never observe a stale store.  Because they do, the buffer never
-//! holds more than a login and its logout, and those two live inline in
-//! the tracker: recording touches no heap block.
+//! path**.  [`ActivityTracker`] reproduces that split: `login` captures
+//! the precise timestamp and inserts nothing, and `logout` inserts the
+//! login row and then the logout row into the history store (Algorithm 2
+//! semantics).  The engines read the history only after a logout, so the
+//! prediction path never observes a stale store.
+//!
+//! The held login is also the one record of whether the database is
+//! serving a session: [`ActivityTracker::serving`] is what every engine
+//! and the simulator's shard read.
 //!
 //! The tracker owns its [`HistoryTable`];
 //! [`ActivityTracker::with_backend`] says at construction whether that
 //! table keeps its mutation log.
 
 use prorp_storage::{HistoryStore, HistoryTable, StorageBackend};
-use prorp_types::{ActivityEvent, EventKind, Timestamp};
+use prorp_types::{EventKind, Timestamp};
 
-/// Pending events held in the tracker itself: a login and its logout.
-const INLINE: usize = 2;
-
-/// Buffered writer of activity events into a [`HistoryTable`].
+/// Writer of a database's login/logout pairs into its [`HistoryTable`].
 #[derive(Clone, Debug)]
 pub struct ActivityTracker {
     history: HistoryTable,
-    /// The first [`INLINE`] events recorded since the last flush…
-    inline: [ActivityEvent; INLINE],
-    /// … how many of those slots are filled …
-    inline_len: u8,
-    /// … and any recorded after them, in order.
-    spilled: Vec<ActivityEvent>,
-    /// Events suppressed by the Algorithm 2 uniqueness guard.
-    duplicates_suppressed: u64,
+    /// The open session's login time, held until its logout: `Some`
+    /// exactly while a session is open.
+    pending_login: Option<Timestamp>,
 }
 
 impl ActivityTracker {
-    /// A tracker over an empty §5 history table (the default backend).
-    pub fn new() -> Self {
-        ActivityTracker::with_backend(StorageBackend::default())
-    }
-
     /// A tracker over an empty history of the given backend kind.
     pub fn with_backend(kind: StorageBackend) -> Self {
         ActivityTracker {
             history: HistoryTable::new(kind),
-            inline: [ActivityEvent::start(Timestamp(0)); INLINE],
-            inline_len: 0,
-            spilled: Vec::new(),
-            duplicates_suppressed: 0,
+            pending_login: None,
         }
     }
 
-    /// Capture a precise event timestamp (critical path: O(1), no index
-    /// access).
-    pub fn record(&mut self, ts: Timestamp, kind: EventKind) {
-        let ev = ActivityEvent { ts, kind };
-        match self.inline.get_mut(usize::from(self.inline_len)) {
-            Some(slot) => {
-                *slot = ev;
-                self.inline_len += 1;
-            }
-            None => self.spilled.push(ev),
+    /// Open a session at `ts` (critical path: O(1), no index access).
+    /// Returns `false`, recording nothing, when one is already open.
+    pub fn login(&mut self, ts: Timestamp) -> bool {
+        if self.pending_login.is_some() {
+            return false;
         }
+        self.pending_login = Some(ts);
+        true
     }
 
-    /// Move buffered events into the history store (off the critical
-    /// path).  Returns how many tuples were inserted; duplicates by
-    /// timestamp are suppressed per Algorithm 2.
-    pub fn flush(&mut self) -> usize {
-        let mut inserted = 0;
-        let inline = self.inline.into_iter().take(usize::from(self.inline_len));
-        self.inline_len = 0;
-        for ev in inline.chain(self.spilled.drain(..)) {
-            if self.history.insert_event(ev) {
-                inserted += 1;
-            } else {
-                self.duplicates_suppressed += 1;
-            }
-        }
-        inserted
+    /// Close the open session at `ts`: insert its login row, then the
+    /// logout row (Algorithm 2 suppresses a row whose timestamp is
+    /// already stored).  Returns `false`, recording nothing, when no
+    /// session is open.
+    pub fn logout(&mut self, ts: Timestamp) -> bool {
+        let Some(login) = self.pending_login.take() else {
+            return false;
+        };
+        self.history.insert_history(login, EventKind::Start);
+        self.history.insert_history(ts, EventKind::End);
+        true
     }
 
-    /// Events suppressed by the uniqueness guard so far.
-    pub fn duplicates_suppressed(&self) -> u64 {
-        self.duplicates_suppressed
+    /// Whether a session is open: a login recorded and its logout not
+    /// yet.
+    pub fn serving(&self) -> bool {
+        self.pending_login.is_some()
     }
 
-    /// Read access to the (flushed) history.
+    /// Read access to the history (the open session's login is not in
+    /// it yet).
     pub fn history(&self) -> &HistoryTable {
         &self.history
     }
 
-    /// Mutable access to the history for maintenance (Algorithm 3 runs
-    /// against the flushed store).
+    /// Mutable access to the history for maintenance (Algorithm 3).
     pub fn history_mut(&mut self) -> &mut HistoryTable {
         &mut self.history
     }
 
-    /// Replace the history wholesale (restore after a move, §3.3).
-    /// Pending events recorded on this node are preserved and will flush
-    /// into the restored store.
+    /// Replace the history wholesale (restore after a move, §3.3).  An
+    /// open session stays open and its rows go into the restored store.
     pub fn replace_history(&mut self, history: HistoryTable) {
         self.history = history;
-    }
-}
-
-impl Default for ActivityTracker {
-    fn default() -> Self {
-        ActivityTracker::new()
     }
 }
 
@@ -117,85 +90,68 @@ impl Default for ActivityTracker {
 mod tests {
     use super::*;
     use prorp_storage::HistoryRead;
-
-    impl ActivityTracker {
-        /// Number of events waiting to be flushed.
-        pub(crate) fn pending_len(&self) -> usize {
-            usize::from(self.inline_len) + self.spilled.len()
-        }
-    }
+    use prorp_types::ActivityEvent;
 
     fn t(v: i64) -> Timestamp {
         Timestamp(v)
     }
 
-    #[test]
-    fn record_is_buffered_until_flush() {
-        let mut tr = ActivityTracker::new();
-        tr.record(t(10), EventKind::Start);
-        tr.record(t(20), EventKind::End);
-        assert_eq!(tr.pending_len(), 2);
-        assert!(tr.history().is_empty());
-        assert_eq!(tr.flush(), 2);
-        assert_eq!(tr.pending_len(), 0);
-        assert_eq!(tr.history().len(), 2);
+    fn tracker() -> ActivityTracker {
+        ActivityTracker::with_backend(StorageBackend::default())
     }
 
     #[test]
-    fn events_beyond_the_inline_pair_spill_in_order() {
-        let mut tr = ActivityTracker::new();
-        // The third and fourth repeat the second's timestamp: only an
-        // in-order flush keeps the End and suppresses the two Starts.
-        tr.record(t(10), EventKind::Start);
-        tr.record(t(20), EventKind::End);
-        tr.record(t(20), EventKind::Start);
-        tr.record(t(20), EventKind::Start);
-        tr.record(t(30), EventKind::Start);
-        assert_eq!(tr.pending_len(), 5);
-        assert_eq!(tr.flush(), 3);
-        assert_eq!(tr.duplicates_suppressed(), 2);
-        assert_eq!(tr.pending_len(), 0);
+    fn a_login_is_held_until_its_logout() {
+        let mut tr = tracker();
+        assert!(!tr.serving());
+        assert!(tr.login(t(10)));
+        assert!(tr.serving());
+        assert!(tr.history().is_empty());
+        assert!(tr.logout(t(20)));
+        assert!(!tr.serving());
         assert_eq!(
             tr.history().events(),
-            vec![
-                ActivityEvent::start(t(10)),
-                ActivityEvent::end(t(20)),
-                ActivityEvent::start(t(30)),
-            ]
+            vec![ActivityEvent::start(t(10)), ActivityEvent::end(t(20))]
         );
-        // The inline slots are free again after a flush.
-        tr.record(t(40), EventKind::End);
-        assert_eq!(tr.pending_len(), 1);
-        assert_eq!(tr.flush(), 1);
-        assert_eq!(tr.history().len(), 4);
+    }
+
+    #[test]
+    fn a_second_login_or_an_unmatched_logout_records_nothing() {
+        let mut tr = tracker();
+        assert!(!tr.logout(t(5)));
+        assert!(tr.login(t(10)));
+        assert!(!tr.login(t(15)), "the session is already open");
+        assert!(tr.logout(t(20)));
+        assert!(!tr.logout(t(25)));
+        assert_eq!(
+            tr.history().events(),
+            vec![ActivityEvent::start(t(10)), ActivityEvent::end(t(20))]
+        );
     }
 
     #[test]
     fn duplicate_timestamps_are_suppressed() {
-        let mut tr = ActivityTracker::new();
-        tr.record(t(10), EventKind::Start);
-        tr.record(t(10), EventKind::End); // same second: unique key wins
-        assert_eq!(tr.flush(), 1);
-        assert_eq!(tr.duplicates_suppressed(), 1);
-        // Across flushes too.
-        tr.record(t(10), EventKind::Start);
-        assert_eq!(tr.flush(), 0);
-        assert_eq!(tr.duplicates_suppressed(), 2);
+        let mut tr = tracker();
+        tr.login(t(10));
+        tr.logout(t(10)); // same second: unique key wins
+        assert_eq!(tr.history().events(), vec![ActivityEvent::start(t(10))]);
+        // Across sessions too.
+        tr.login(t(10));
+        tr.logout(t(10));
+        assert_eq!(tr.history().len(), 1);
     }
 
     #[test]
     fn replace_history_keeps_pending_events() {
-        let mut tr = ActivityTracker::new();
-        tr.record(t(5), EventKind::Start);
-        tr.flush();
-        tr.record(t(30), EventKind::End); // pending across the move
+        let mut tr = tracker();
+        tr.login(t(30)); // open across the move
         let mut restored = HistoryTable::default();
         restored.insert_history(t(5), EventKind::Start);
         restored.insert_history(t(10), EventKind::End);
         tr.replace_history(restored);
-        assert_eq!(tr.pending_len(), 1);
-        tr.flush();
-        assert_eq!(tr.history().len(), 3);
+        assert!(tr.serving());
+        tr.logout(t(40));
+        assert_eq!(tr.history().len(), 4);
     }
 
     #[test]
@@ -203,13 +159,12 @@ mod tests {
         let mut a = ActivityTracker::with_backend(StorageBackend::BTree);
         let mut b = ActivityTracker::with_backend(StorageBackend::Lsm);
         for tr in [&mut a, &mut b] {
-            tr.record(t(10), EventKind::Start);
-            tr.record(t(10), EventKind::End);
-            tr.record(t(20), EventKind::End);
-            tr.flush();
+            tr.login(t(10));
+            tr.logout(t(10));
+            tr.login(t(20));
+            tr.logout(t(30));
         }
         assert_eq!(a.history().events(), b.history().events());
         assert_eq!(a.history().version(), b.history().version());
-        assert_eq!(a.duplicates_suppressed(), b.duplicates_suppressed());
     }
 }

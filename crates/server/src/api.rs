@@ -1071,6 +1071,126 @@ mod tests {
         );
     }
 
+    /// An `:id` path segment, a few pieces run together: registered and
+    /// unregistered ids, `u64::MAX` and one past it, signs, leading
+    /// zeros, spaces, non-ASCII digits and letters, or nothing at all.
+    fn id_segment() -> BoxedStrategy<String> {
+        let piece = prop_oneof![
+            6 => prop_oneof![lit("0"), lit("1"), lit("7")],
+            3 => (0u64..20).prop_map(|n| n.to_string()),
+            1 => lit("18446744073709551615"),
+            1 => lit("18446744073709551616"),
+            1 => lit("99999999999999999999999"),
+            1 => lit("-"),
+            1 => lit("+"),
+            1 => lit("00"),
+            1 => lit(" "),
+            1 => lit("é"),
+            1 => lit("\u{661}"),
+            1 => lit("\u{ff11}"),
+            1 => lit("x"),
+        ];
+        prop::collection::vec(piece, 0..3)
+            .prop_map(|pieces| pieces.concat())
+            .boxed()
+    }
+
+    /// The routes whose only outside input is the `:id` segment — a
+    /// database's record and its `why`, the forced resume and pause —
+    /// under arbitrary ids and bodies answer 200, 400, 404, 409 or 503,
+    /// never a 500 or a panic.  Only a forced action's 200 schedules
+    /// anything: a twin server sent just those requests reads the same
+    /// as the probed one, database by database, after the next advance.
+    #[test]
+    fn every_id_route_answers_and_only_a_scheduled_action_changes_the_run() {
+        let requests = prop::collection::vec(
+            (
+                0usize..4,
+                id_segment(),
+                prop_oneof![3 => lit(""), 1 => any_value()],
+            ),
+            1..8,
+        );
+        let dbs = [DatabaseId(0), DatabaseId(1), DatabaseId(7)];
+        // At the 5 000 s watermark database 0 is logically paused, 1 has
+        // never served and 7 is serving, so a forced pause or resume
+        // changes what the next advance reads.
+        let session = r#"{"events":[{"db":0,"at":600,"kind":"login"},{"db":0,"at":4000,"kind":"logout"},{"db":7,"at":900,"kind":"login"}]}"#;
+        let server = || {
+            let http = Arc::new(HttpStats::default());
+            let backend = Arc::new(InMemoryBackend::new());
+            let state =
+                ServerState::new(&one_day(), &dbs, backend, ServerConfig::VirtualClock, http)
+                    .expect("driver builds");
+            let state = Mutex::new(state);
+            assert_eq!(
+                serve_locked(&state, post("/v1/events", session)).status,
+                200
+            );
+            let reply = serve_locked(&state, post("/v1/clock/advance", r#"{"to":5000}"#));
+            assert_eq!(reply.status, 200);
+            state
+        };
+        let reads = |state: &Mutex<ServerState>| -> Vec<(u16, String)> {
+            dbs.iter()
+                .flat_map(|id| {
+                    let raw = id.raw();
+                    [
+                        format!("/v1/databases/{raw}"),
+                        format!("/v1/databases/{raw}/why"),
+                    ]
+                })
+                .map(|path| {
+                    let reply = serve_locked(state, get(&path));
+                    (reply.status, reply.body)
+                })
+                .collect()
+        };
+        let mut answered = std::collections::BTreeMap::new();
+        proptest::test_runner::run_cases(
+            ProptestConfig::with_cases(256),
+            "every_id_route_answers_and_only_a_scheduled_action_changes_the_run",
+            |rng| {
+                let (probed, twin) = (server(), server());
+                for (route, id, body) in requests.generate(rng) {
+                    let (method, path) = match route {
+                        0 => ("GET", format!("/v1/databases/{id}")),
+                        1 => ("GET", format!("/v1/databases/{id}/why")),
+                        2 => ("POST", format!("/v1/databases/{id}/resume")),
+                        _ => ("POST", format!("/v1/databases/{id}/pause")),
+                    };
+                    let req = Request {
+                        method: method.into(),
+                        path: path.clone(),
+                        body,
+                    };
+                    let status = serve_locked(&probed, req.clone()).status;
+                    *answered.entry(status).or_insert(0usize) += 1;
+                    match status {
+                        200 if method == "POST" => {
+                            prop_assert_eq!(serve_locked(&twin, req).status, 200, "{}", path);
+                        }
+                        200 | 400 | 404 | 409 | 503 => {}
+                        other => prop_assert!(false, "{} for {} {}", other, method, path),
+                    }
+                }
+                for state in [&probed, &twin] {
+                    let reply = serve_locked(state, post("/v1/clock/advance", r#"{"to":50000}"#));
+                    prop_assert_eq!(reply.status, 200);
+                }
+                prop_assert_eq!(reads(&probed), reads(&twin));
+                Ok(())
+            },
+        );
+        // Scheduled actions, malformed ids and unknown ids are all met.
+        for status in [200, 400, 404] {
+            assert!(
+                answered.get(&status).copied().unwrap_or(0) > 100,
+                "{answered:?}"
+            );
+        }
+    }
+
     /// The three semantic errors keep their texts, and a syntax error
     /// anywhere in the body outranks them.
     #[test]

@@ -68,8 +68,6 @@ pub enum SimEvent {
     /// exactly the events strictly before `T` — a shard-layout-invariant
     /// cut of the run.
     ObsSnapshot,
-    /// The measurement window opens (KPI accumulators re-base).
-    MeasureStart,
     /// One stage of a staged resume workflow finished executing for this
     /// database (evaluate its deterministic fault draw: advance, retry,
     /// or give up).
@@ -106,19 +104,18 @@ impl SimEvent {
     fn priority(&self) -> u8 {
         match self {
             SimEvent::ObsSnapshot => 0,
-            SimEvent::MeasureStart => 1,
-            SimEvent::WorkflowStageDone(_) => 2,
-            SimEvent::WorkflowComplete(_) => 3,
-            SimEvent::ProactiveResume(_) => 4,
-            SimEvent::ResumeOpTick => 5,
-            SimEvent::DiagnosticsTick => 6,
-            SimEvent::RebalanceTick => 7,
-            SimEvent::MaintenanceDue(_) => 8,
-            SimEvent::MaintenanceRun(_) => 9,
-            SimEvent::EngineTimer(..) => 10,
-            SimEvent::ActivityStart(_) => 11,
-            SimEvent::ActivityEnd(_) => 12,
-            SimEvent::ForcedPause(_) => 13,
+            SimEvent::WorkflowStageDone(_) => 1,
+            SimEvent::WorkflowComplete(_) => 2,
+            SimEvent::ProactiveResume(_) => 3,
+            SimEvent::ResumeOpTick => 4,
+            SimEvent::DiagnosticsTick => 5,
+            SimEvent::RebalanceTick => 6,
+            SimEvent::MaintenanceDue(_) => 7,
+            SimEvent::MaintenanceRun(_) => 8,
+            SimEvent::EngineTimer(..) => 9,
+            SimEvent::ActivityStart(_) => 10,
+            SimEvent::ActivityEnd(_) => 11,
+            SimEvent::ForcedPause(_) => 12,
         }
     }
 
@@ -856,7 +853,7 @@ mod tests {
         q.push(Timestamp(5), SimEvent::DiagnosticsTick);
         q.push(Timestamp(10_001), SimEvent::ActivityStart(db(1)));
         q.push(Timestamp(10_100), SimEvent::ActivityEnd(db(1)));
-        q.push(Timestamp(100_000), SimEvent::MeasureStart);
+        q.push(Timestamp(100_000), SimEvent::ObsSnapshot);
         let order: Vec<i64> = std::iter::from_fn(|| q.pop())
             .map(|(t, _)| t.as_secs())
             .collect();

@@ -17,8 +17,8 @@
 //!   dense ids, so the map is a flat `Vec<u32>` indexed by raw id
 //!   (sentinel [`u32::MAX`] = absent) with an automatic spill to a
 //!   `HashMap` when ids turn out sparse.
-//! * [`BitSet`] — one bit per database for the `demand` flag instead
-//!   of one byte inside a padded struct.
+//! * [`SegmentBook`] — each database's open §8 segment (16 bytes) and
+//!   the shard's one per-kind total of measured time.
 //!
 //! The column index is the database's *slot*, and this module is only
 //! the first of its three owners.  `ShardDriver::register` pushes a
@@ -29,6 +29,10 @@
 //! per event addresses every one of them, plus the column of the
 //! driver's in-flight resume book and the observability layer's
 //! latest-decision column, with no second lookup.
+//!
+//! Whether a database is serving a session is not a column here: the
+//! engine's activity tracker holds the open session's login, and
+//! [`DatabasePolicy::serving`] reads it.
 //!
 //! Determinism is untouched by the layout change: the arena preserves
 //! shard-trace order, the index map is a pure function of the inserted
@@ -44,7 +48,7 @@ use prorp_forecast::{
     FailEvery, IncrementalPredictor, Predictor, ProbabilisticPredictor, SharedKnobs,
 };
 use prorp_storage::StorageBackend;
-use prorp_telemetry::{SegmentAccumulator, SegmentKind};
+use prorp_telemetry::{SegmentBook, SegmentKind};
 use prorp_types::{DatabaseId, ProrpError};
 use prorp_workload::Trace;
 use std::collections::HashMap;
@@ -167,14 +171,6 @@ impl BitSet {
     /// An empty bit set.
     pub fn new() -> Self {
         BitSet::default()
-    }
-
-    /// An empty bit set with room for `capacity` bits.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BitSet {
-            words: Vec::with_capacity(capacity.div_ceil(64)),
-            len: 0,
-        }
     }
 
     /// Number of bits.
@@ -376,17 +372,16 @@ fn proactive<P: Predictor>(
 /// All per-database state of one shard, struct-of-arrays.
 ///
 /// Fields are `pub(crate)` so the event loop can borrow different
-/// columns (`engines` mutably, `accs` mutably, `demand` read) without
-/// fighting a struct-level borrow.
+/// columns (`engines` and `segments` mutably) without fighting a
+/// struct-level borrow.
 pub(crate) struct FleetState {
     /// Database ids in shard-trace order.
     pub(crate) ids: Vec<DatabaseId>,
     /// Policy engines, same order.
     pub(crate) engines: EngineArena,
-    /// §8 segment accumulators, same order.
-    pub(crate) accs: Vec<SegmentAccumulator>,
-    /// Whether a customer session is currently active.
-    pub(crate) demand: BitSet,
+    /// §8 segment book: each database's open segment, same order, and
+    /// the shard's totals over `[measure_from, end)`.
+    pub(crate) segments: SegmentBook,
     /// Observational lifecycle checkers (strict-invariants builds only).
     #[cfg(feature = "strict-invariants")]
     pub(crate) shadows: Vec<LifecycleInvariants>,
@@ -401,8 +396,7 @@ impl FleetState {
         FleetState {
             ids: Vec::with_capacity(capacity),
             engines: EngineArena::for_config(cfg, capacity),
-            accs: Vec::with_capacity(capacity),
-            demand: BitSet::with_capacity(capacity),
+            segments: SegmentBook::with_capacity(cfg.measure_from..cfg.end, capacity),
             #[cfg(feature = "strict-invariants")]
             shadows: Vec::with_capacity(capacity),
             index: DbIndexMap::with_capacity(capacity),
@@ -414,7 +408,7 @@ impl FleetState {
         self.ids.len()
     }
 
-    /// Append one database: build its engine, open its segment book in
+    /// Append one database: build its engine, open its first segment in
     /// [`SegmentKind::Saved`] at `cfg.start` (§2.1: a new serverless
     /// database starts paused from the fleet's perspective), and map its
     /// id.  Returns the database's column index.
@@ -427,10 +421,7 @@ impl FleetState {
         let idx = self.ids.len();
         self.engines.push(cfg, trace, knobs)?;
         debug_assert_eq!(self.engines.len(), idx + 1, "columns out of step");
-        let mut acc = SegmentAccumulator::new();
-        acc.transition(cfg.start, SegmentKind::Saved);
-        self.accs.push(acc);
-        self.demand.push(false);
+        self.segments.open(cfg.start, SegmentKind::Saved);
         self.index.insert(trace.db, idx);
         self.ids.push(trace.db);
         #[cfg(feature = "strict-invariants")]
@@ -506,7 +497,7 @@ mod tests {
 
     #[test]
     fn bitset_round_trips_bits_across_word_boundaries() {
-        let mut bits = BitSet::with_capacity(130);
+        let mut bits = BitSet::new();
         for i in 0..130 {
             bits.push(i % 3 == 0);
         }

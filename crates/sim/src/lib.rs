@@ -24,9 +24,9 @@
 //!   a time and merges the per-shard outcomes into one [`SimReport`];
 //!   [`Simulation::run`] is that run over a `Vec<Trace>`;
 //! * [`fleet`] — struct-of-arrays per-shard database state: one arena of
-//!   homogeneous policy engines (`EngineArena`, internal), flat
-//!   segment-accumulator and flag columns ([`BitSet`]), and a dense
-//!   [`DbIndexMap`] from database id to arena slot.  This is what lets
+//!   homogeneous policy engines (`EngineArena`, internal), the §8
+//!   segment book (one open segment per database, one total per shard),
+//!   and a dense [`DbIndexMap`] from database id to arena slot.  This is what lets
 //!   one shard hold hundreds of thousands of databases without a boxed
 //!   allocation per database;
 //! * [`shard`] — the per-shard event loop: replays traces through

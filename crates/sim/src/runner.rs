@@ -23,7 +23,7 @@ use prorp_core::{EngineCounters, MaintenanceStats, ProactiveResumeOp};
 use prorp_obs::{MetricsSnapshot, ObsReport, SloSeries};
 use prorp_storage::StorageStats;
 use prorp_telemetry::{
-    IncidentLog, KpiReport, SegmentAccumulator, ShardCounters, TelemetryKind, TelemetryLog,
+    IncidentLog, KpiReport, SegmentTotals, ShardCounters, TelemetryKind, TelemetryLog,
     TelemetryMode, TelemetrySummary, WorkflowStats,
 };
 use prorp_types::{DatabaseId, ProrpError, Seconds, Timestamp};
@@ -386,7 +386,7 @@ pub fn merge_outcomes(
     outcomes: Vec<ShardOutcome>,
 ) -> Result<SimReport, ProrpError> {
     {
-        let mut fleet_acc = SegmentAccumulator::new();
+        let mut segments = SegmentTotals::default();
         let mut counters: Vec<Option<EngineCounters>> = vec![None; n];
         let mut history_stats: Vec<Option<StorageStats>> = vec![None; n];
         let mut forecast_failures = 0u64;
@@ -405,8 +405,8 @@ pub fn merge_outcomes(
         let mut shard_obs = Vec::with_capacity(outcomes.len());
 
         for outcome in outcomes {
-            for (id, acc, ctr, stats) in &outcome.dbs {
-                fleet_acc.merge(acc);
+            segments.merge(&outcome.segments);
+            for (id, ctr, stats) in &outcome.dbs {
                 forecast_failures += ctr.forecast_failures;
                 let at = *order
                     .get(id)
@@ -446,7 +446,7 @@ pub fn merge_outcomes(
 
         // The KPI event counts are the measured-window series' total;
         // only a Full run has shard logs to merge.
-        let mut kpi = KpiReport::from_segments(&fleet_acc);
+        let mut kpi = KpiReport::from_segments(&segments);
         let mut window_total = TelemetrySummary::new();
         for minute in &window {
             window_total.add(minute);

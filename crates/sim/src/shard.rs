@@ -62,7 +62,7 @@ use prorp_forecast::{ConfidenceBasis, Knobs, SharedKnobs, SweepScratch};
 use prorp_obs::{MetricEntry, MetricValue, MetricsSnapshot, ObsPart};
 use prorp_storage::{backup_history, restore_backend, HistoryRead, MetadataStore, StorageStats};
 use prorp_telemetry::{
-    IncidentKind, IncidentLog, LatencyHistogram, SegmentAccumulator, SegmentKind, ShardCounters,
+    IncidentKind, IncidentLog, LatencyHistogram, SegmentKind, SegmentTotals, ShardCounters,
     TelemetryKind, TelemetryLog, TelemetryMode, TelemetrySummary, WorkflowStats,
 };
 use prorp_types::{DatabaseId, DbState, ProrpError, Seconds, Timestamp};
@@ -146,9 +146,11 @@ impl ShardTelemetry {
 /// Everything one shard worker produced; the runner merges these into the
 /// fleet-level [`SimReport`](crate::SimReport).
 pub struct ShardOutcome {
-    /// Per-database results in shard-trace order: `(id, closed segment
-    /// accumulator, engine counters, history storage stats)`.
-    pub dbs: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)>,
+    /// Per-database results in shard-trace order: `(id, engine
+    /// counters, history storage stats)`.
+    pub dbs: Vec<(DatabaseId, EngineCounters, StorageStats)>,
+    /// The shard's segment time per kind over `[measure_from, end)`.
+    pub segments: SegmentTotals,
     /// The shard's time-ordered telemetry log — empty, and never
     /// allocated, in [`TelemetryMode::Summary`] runs.
     pub telemetry: TelemetryLog,
@@ -243,9 +245,8 @@ pub struct ShardDriver {
     obs: Option<ShardObs>,
     knobs: SharedKnobs,
     fleet: FleetState,
-    control_seeded: bool,
-    /// When the last `register()` call returned — the boundary between
-    /// the registration and event-loop phases in the volatile wall-time
+    /// When [`start`](Self::start) ran — the boundary between the
+    /// registration and event-loop phases in the volatile wall-time
     /// breakdown.
     register_done: Option<Instant>,
 }
@@ -294,7 +295,6 @@ impl ShardDriver {
                 SweepScratch::shared(),
             )?,
             fleet: FleetState::with_capacity(cfg, expected_dbs),
-            control_seeded: false,
             register_done: None,
             cfg: cfg.clone(),
         })
@@ -359,21 +359,18 @@ impl ShardDriver {
             self.queue
                 .push(cfg.start + stagger, SimEvent::MaintenanceDue(trace.db));
         }
-        self.counters.databases = self.fleet.len();
-        self.register_done = Some(Instant::now());
         Ok(())
     }
 
-    /// Seed the control-plane's periodic events (measurement window,
-    /// Algorithm 5 scan, diagnostics, rebalance, observability
-    /// snapshots).  Idempotent; call once after registration.
+    /// Seed the control-plane's periodic events (Algorithm 5 scan,
+    /// diagnostics, rebalance, observability snapshots) and mark the end
+    /// of registration.  Idempotent; call once after registration.
     pub fn start(&mut self) {
-        if self.control_seeded {
+        if self.register_done.is_some() {
             return;
         }
-        self.control_seeded = true;
+        self.register_done = Some(Instant::now());
         let cfg = &self.cfg;
-        self.queue.push(cfg.measure_from, SimEvent::MeasureStart);
         if !matches!(cfg.policy, SimPolicy::Optimal) {
             self.queue
                 .push(self.resume_op.next_run(), SimEvent::ResumeOpTick);
@@ -717,7 +714,7 @@ impl ShardDriver {
             DbState::Resumed => return,
         };
         self.telemetry.record(now, id, kind);
-        self.fleet.accs[idx].transition(now, segment);
+        self.fleet.segments.transition(idx, now, segment);
     }
 
     /// Handle one popped event.  An early `return Ok(())` drops an event
@@ -733,18 +730,12 @@ impl ShardDriver {
                     }
                 }
             }
-            SimEvent::MeasureStart => {
-                for acc in self.fleet.accs.iter_mut() {
-                    acc.reset_keeping_open(now);
-                }
-            }
             SimEvent::ActivityStart(id) => {
                 let idx = self.fleet.index_of(id);
                 let prewarmed = matches!(
-                    self.fleet.accs[idx].open_kind(),
-                    Some(SegmentKind::ProactiveIdleWrong) | Some(SegmentKind::ProactiveIdleCorrect)
+                    self.fleet.segments.open_kind(idx),
+                    SegmentKind::ProactiveIdleWrong | SegmentKind::ProactiveIdleCorrect
                 );
-                self.fleet.demand.set(idx, true);
                 let (before, _, actions) =
                     self.deliver(now, idx, id, EngineEvent::ActivityStart)?;
                 let cfg = &self.cfg;
@@ -760,13 +751,19 @@ impl ShardDriver {
                 let outcome = self.cluster.allocate(idx);
                 if available {
                     if prewarmed {
-                        self.fleet.accs[idx].reclassify_open(SegmentKind::ProactiveIdleCorrect);
+                        self.fleet
+                            .segments
+                            .reclassify_open(idx, SegmentKind::ProactiveIdleCorrect);
                     }
-                    self.fleet.accs[idx].transition(now, SegmentKind::Active);
+                    self.fleet
+                        .segments
+                        .transition(idx, now, SegmentKind::Active);
                 } else {
                     // Reactive resume: the customer waits out the staged
                     // allocation workflow (§2.2's delay; §7's stages).
-                    self.fleet.accs[idx].transition(now, SegmentKind::Unavailable);
+                    self.fleet
+                        .segments
+                        .transition(idx, now, SegmentKind::Unavailable);
                     let mut move_penalty = Seconds::ZERO;
                     if matches!(outcome, AllocationOutcome::Moved { .. }) {
                         move_penalty = MOVE_PENALTY;
@@ -788,10 +785,9 @@ impl ShardDriver {
             }
             SimEvent::ActivityEnd(id) => {
                 let idx = self.fleet.index_of(id);
-                if !self.fleet.demand.get(idx) {
+                if !self.fleet.engines.get(idx).serving() {
                     return Ok(());
                 }
-                self.fleet.demand.set(idx, false);
                 // A still-running staged workflow is superseded (stale
                 // stage events are rejected by `expected_at`); a hung one
                 // stays for the sweep.
@@ -827,7 +823,7 @@ impl ShardDriver {
             SimEvent::ProactiveResume(id) => {
                 let idx = self.fleet.index_of(id);
                 if self.fleet.engines.get(idx).state() != DbState::PhysicallyPaused
-                    || self.fleet.demand.get(idx)
+                    || self.fleet.engines.get(idx).serving()
                 {
                     return Ok(()); // raced with a login
                 }
@@ -844,7 +840,9 @@ impl ShardDriver {
                 self.cluster.allocate(idx);
                 // Optimistically "wrong" until the login proves it
                 // correct.
-                self.fleet.accs[idx].transition(now, SegmentKind::ProactiveIdleWrong);
+                self.fleet
+                    .segments
+                    .transition(idx, now, SegmentKind::ProactiveIdleWrong);
                 self.metadata.set_state_at(idx, after);
                 self.apply_actions(actions, idx, id, now);
                 self.drain_decisions(idx, id);
@@ -919,12 +917,17 @@ impl ShardDriver {
                 if !self.resumes.complete(idx) {
                     return Ok(()); // superseded (activity ended meanwhile)
                 }
-                match self.fleet.engines.get(idx).state() {
-                    DbState::Resumed if self.fleet.demand.get(idx) => {
-                        self.fleet.accs[idx].transition(now, SegmentKind::Active);
+                let engine = self.fleet.engines.get(idx);
+                match engine.state() {
+                    DbState::Resumed if engine.serving() => {
+                        self.fleet
+                            .segments
+                            .transition(idx, now, SegmentKind::Active);
                     }
                     DbState::LogicallyPaused => {
-                        self.fleet.accs[idx].transition(now, SegmentKind::LogicalPauseIdle);
+                        self.fleet
+                            .segments
+                            .transition(idx, now, SegmentKind::LogicalPauseIdle);
                     }
                     _ => {}
                 }
@@ -1006,7 +1009,7 @@ impl ShardDriver {
             }
             SimEvent::ForcedPause(id) => {
                 let idx = self.fleet.index_of(id);
-                if self.fleet.demand.get(idx) {
+                if self.fleet.engines.get(idx).serving() {
                     return Ok(()); // serving: the engine would refuse anyway
                 }
                 let (before, after, actions) =
@@ -1026,7 +1029,8 @@ impl ShardDriver {
 
     /// The shard's counters with the fields other owners keep brought up
     /// to date: the wall-clock phase breakdown so far, the scan count,
-    /// the telemetry count and the run-time queue's peak.
+    /// the telemetry count, the run-time queue's peak and the database
+    /// count.
     fn counters_now(&self) -> ShardCounters {
         let register_end = self.register_done.unwrap_or(self.started);
         let mut c = self.counters;
@@ -1036,6 +1040,7 @@ impl ShardDriver {
         c.resume_scans = self.resume_op.batch_sizes().len() as u64;
         c.telemetry_events = self.telemetry.run.total();
         c.queue_peak = self.queue.scheduled_peak();
+        c.databases = self.fleet.len();
         c
     }
 
@@ -1055,36 +1060,16 @@ impl ShardDriver {
         let finish_started = Instant::now();
         self.counters = self.counters_now();
 
-        // Close the books.
-        let cfg = &self.cfg;
-        let mut db_results: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)> =
+        let mut db_results: Vec<(DatabaseId, EngineCounters, StorageStats)> =
             Vec::with_capacity(self.fleet.len());
         for idx in 0..self.fleet.len() {
             let id = self.fleet.ids[idx];
-            self.fleet.accs[idx].close(cfg.end);
-            #[cfg(feature = "strict-invariants")]
-            {
-                // History tuples must come back in strictly ascending
-                // timestamp order from a store that passes its own audit,
-                // and every closed book must account for exactly the
-                // measured window.
-                LifecycleInvariants::check_history(id, self.fleet.engines.get(idx).history())?;
-                let measured = self.fleet.accs[idx].grand_total();
-                let expected = cfg.end.since(cfg.measure_from);
-                if measured != expected {
-                    return Err(ProrpError::InvariantViolation(format!(
-                        "db {id:?}: segment totals cover {measured:?} of a \
-                     {expected:?} measurement window"
-                    )));
-                }
-            }
             let engine = self.fleet.engines.get(idx);
-            db_results.push((
-                id,
-                self.fleet.accs[idx],
-                engine.counters(),
-                engine.history().stats(),
-            ));
+            // History tuples must come back in strictly ascending
+            // timestamp order from a store that passes its own audit.
+            #[cfg(feature = "strict-invariants")]
+            LifecycleInvariants::check_history(id, engine.history())?;
+            db_results.push((id, engine.counters(), engine.history().stats()));
         }
 
         // The end-of-run snapshot is always taken at `cfg.end`, on every
@@ -1092,9 +1077,24 @@ impl ShardDriver {
         self.record_snapshot(self.cfg.end);
         let obs_part = self.obs.map(ShardObs::finish);
 
+        // Close the books: every database accounts for exactly the
+        // measured window.
+        let segments = self.fleet.segments.finish(self.cfg.end);
+        #[cfg(feature = "strict-invariants")]
+        {
+            let window = self.cfg.end.since(self.cfg.measure_from).as_secs();
+            let (measured, n) = (segments.grand_total().as_secs(), db_results.len() as i64);
+            if measured != window * n {
+                return Err(ProrpError::InvariantViolation(format!(
+                    "segment totals cover {measured} s, not {n} databases × {window} s"
+                )));
+            }
+        }
+
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
         Ok(ShardOutcome {
             dbs: db_results,
+            segments,
             telemetry: self.telemetry.log.unwrap_or_default(),
             telemetry_summary: self.telemetry.run,
             telemetry_window: self.telemetry.window,
@@ -1245,6 +1245,7 @@ mod tests {
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.telemetry.events(), b.telemetry.events());
         assert_eq!(a.dbs.len(), b.dbs.len());
+        assert_eq!(a.segments, b.segments);
         // Prediction latencies are wall-clock readings.
         let logical = |c: &EngineCounters| EngineCounters {
             prediction_ns_sum: 0,
@@ -1252,8 +1253,8 @@ mod tests {
             ..*c
         };
         for (x, y) in a.dbs.iter().zip(&b.dbs) {
-            assert_eq!((x.0, x.1, x.3), (y.0, y.1, y.3), "{:?}", x.0);
-            assert_eq!(logical(&x.2), logical(&y.2), "{:?}", x.0);
+            assert_eq!((x.0, x.2), (y.0, y.2), "{:?}", x.0);
+            assert_eq!(logical(&x.1), logical(&y.1), "{:?}", x.0);
         }
         assert_eq!(a.resume_batches, b.resume_batches);
         assert_eq!(a.workflow, b.workflow);
@@ -1424,7 +1425,7 @@ mod tests {
         for (idx, (state, segment, allocated)) in expected.into_iter().enumerate() {
             let id = DatabaseId(idx as u64);
             assert_eq!(driver.db_state(id), Some(state), "{id}");
-            assert_eq!(driver.fleet.accs[idx].open_kind(), Some(segment), "{id}");
+            assert_eq!(driver.fleet.segments.open_kind(idx), segment, "{id}");
             assert_eq!(driver.cluster.has_allocation(idx), allocated, "{id}");
             let row = driver.metadata.get(id).unwrap();
             assert_eq!((row.state, row.pred_start), (state, None), "{id}");
@@ -1445,7 +1446,7 @@ mod tests {
             timed_out.len() == 1 && timed_out[0] < hour(20),
             "{timed_out:?}"
         );
-        let engine_pauses: Vec<u64> = outcome.dbs.iter().map(|r| r.2.physical_pauses).collect();
+        let engine_pauses: Vec<u64> = outcome.dbs.iter().map(|r| r.1.physical_pauses).collect();
         assert_eq!(engine_pauses, vec![1, 0, 1]);
 
         let trace = ObsReport::merge(vec![outcome.obs.unwrap()]).unwrap().trace;
@@ -1514,10 +1515,10 @@ mod tests {
             assert!(driver.inject_logout(after(3, leave_after), leaves));
             driver.start();
             driver.step_until(hour(3) + Seconds(1)).unwrap();
-            let open = |d: &ShardDriver| d.fleet.accs[1].open_kind();
-            assert_eq!(open(&driver), Some(SegmentKind::Unavailable));
+            let open = |d: &ShardDriver| d.fleet.segments.open_kind(1);
+            assert_eq!(open(&driver), SegmentKind::Unavailable);
             driver.step_until(hour(5)).unwrap();
-            assert_eq!(open(&driver), Some(SegmentKind::Active), "resumed");
+            assert_eq!(open(&driver), SegmentKind::Active, "resumed");
             driver
         };
         // The unresolved resumes at a snapshot taken at `at`: a snapshot
@@ -1675,7 +1676,7 @@ mod tests {
             if state == DbState::PhysicallyPaused {
                 assert!(!driver.cluster.has_allocation(idx), "{}", t.db);
             }
-            if driver.fleet.demand.get(idx) {
+            if driver.fleet.engines.get(idx).serving() {
                 assert!(driver.cluster.has_allocation(idx), "{}", t.db);
             }
         }

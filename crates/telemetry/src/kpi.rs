@@ -5,7 +5,7 @@
 //! "the percentage of time during which resources are idle due to
 //! logical pause and proactive resume of resources", decomposed by cause.
 
-use crate::segments::{SegmentAccumulator, SegmentKind};
+use crate::segments::{SegmentKind, SegmentTotals};
 use std::fmt;
 
 /// Aggregated key performance indicators for one policy run.
@@ -36,8 +36,8 @@ pub struct KpiReport {
 }
 
 impl KpiReport {
-    /// Build the time fractions from a merged fleet accumulator.
-    pub fn from_segments(acc: &SegmentAccumulator) -> Self {
+    /// Build the time fractions from merged fleet segment totals.
+    pub fn from_segments(acc: &SegmentTotals) -> Self {
         KpiReport {
             idle_logical_frac: acc.fraction(SegmentKind::LogicalPauseIdle),
             idle_proactive_correct_frac: acc.fraction(SegmentKind::ProactiveIdleCorrect),
@@ -145,6 +145,7 @@ impl fmt::Display for KpiReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segments::SegmentBook;
     use prorp_types::Timestamp;
 
     #[test]
@@ -169,12 +170,11 @@ mod tests {
 
     #[test]
     fn from_segments_copies_fractions() {
-        let mut acc = SegmentAccumulator::new();
-        acc.transition(Timestamp(0), SegmentKind::Active);
-        acc.transition(Timestamp(50), SegmentKind::LogicalPauseIdle);
-        acc.transition(Timestamp(75), SegmentKind::Saved);
-        acc.close(Timestamp(100));
-        let r = KpiReport::from_segments(&acc);
+        let mut book = SegmentBook::with_capacity(Timestamp(0)..Timestamp(100), 1);
+        book.open(Timestamp(0), SegmentKind::Active);
+        book.transition(0, Timestamp(50), SegmentKind::LogicalPauseIdle);
+        book.transition(0, Timestamp(75), SegmentKind::Saved);
+        let r = KpiReport::from_segments(&book.finish(Timestamp(100)));
         assert!((r.active_frac - 0.5).abs() < 1e-12);
         assert!((r.idle_logical_frac - 0.25).abs() < 1e-12);
         assert!((r.saved_frac - 0.25).abs() < 1e-12);

@@ -43,5 +43,5 @@ pub use fault::{IncidentEntry, IncidentKind, IncidentLog, LatencyHistogram, Work
 pub use kpi::KpiReport;
 pub use log::{TelemetryEvent, TelemetryKind, TelemetryLog};
 pub use merge::{TelemetryMergeIter, TelemetryMode, TelemetrySummary};
-pub use segments::{SegmentAccumulator, SegmentKind};
+pub use segments::{SegmentBook, SegmentKind, SegmentTotals};
 pub use shard::ShardCounters;

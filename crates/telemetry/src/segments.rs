@@ -12,11 +12,14 @@
 //! * **wrong-proactive idle** — resources pre-warmed for a login that
 //!   never came.
 //!
-//! The simulator opens and closes segments as the policy transitions; the
-//! accumulator only sums durations, so accounting is O(1) per transition.
+//! The simulator opens and closes segments as the policy transitions; a
+//! [`SegmentBook`] keeps each database's open segment and sums closed
+//! durations per kind once for all its databases, so accounting is O(1)
+//! per transition and 16 bytes per database.
 
 use prorp_types::{Seconds, Timestamp};
 use std::fmt;
+use std::ops::Range;
 
 /// What a database's resources were doing during a segment.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -38,7 +41,8 @@ pub enum SegmentKind {
 }
 
 impl SegmentKind {
-    /// All kinds, for iteration in reports.
+    /// All kinds, for iteration in reports, in declaration order: a
+    /// kind's position is `kind as usize`.
     pub const ALL: [SegmentKind; 6] = [
         SegmentKind::Active,
         SegmentKind::LogicalPauseIdle,
@@ -77,62 +81,17 @@ impl fmt::Display for SegmentKind {
     }
 }
 
-/// Accumulates segment durations for one database (or a whole fleet —
-/// accumulators merge).
+/// Closed segment time per kind — one shard's, or a whole fleet's
+/// (totals merge).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SegmentAccumulator {
+pub struct SegmentTotals {
     totals: [i64; 6],
-    open: Option<(Timestamp, SegmentKind)>,
 }
 
-impl SegmentAccumulator {
-    /// A fresh accumulator with no open segment.
-    pub fn new() -> Self {
-        SegmentAccumulator::default()
-    }
-
-    fn idx(kind: SegmentKind) -> usize {
-        SegmentKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("ALL covers every kind")
-    }
-
-    /// Close any open segment at `now` and open a new one of `kind`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if time moves backwards.
-    pub fn transition(&mut self, now: Timestamp, kind: SegmentKind) {
-        self.close(now);
-        self.open = Some((now, kind));
-    }
-
-    /// Close the open segment at `now` without opening a new one.
-    pub fn close(&mut self, now: Timestamp) {
-        if let Some((since, kind)) = self.open.take() {
-            let dur = (now - since).as_secs();
-            debug_assert!(dur >= 0, "segment closed before it opened");
-            self.totals[Self::idx(kind)] += dur.max(0);
-        }
-    }
-
-    /// Reclassify the *currently open* segment (e.g. a pre-warm segment
-    /// whose outcome — correct vs wrong — is only known at close time).
-    pub fn reclassify_open(&mut self, kind: SegmentKind) {
-        if let Some((_, k)) = self.open.as_mut() {
-            *k = kind;
-        }
-    }
-
-    /// Kind of the currently open segment.
-    pub fn open_kind(&self) -> Option<SegmentKind> {
-        self.open.map(|(_, k)| k)
-    }
-
-    /// Total accumulated time of one kind (open segment excluded).
+impl SegmentTotals {
+    /// Total time of one kind.
     pub fn total(&self, kind: SegmentKind) -> Seconds {
-        Seconds(self.totals[Self::idx(kind)])
+        Seconds(self.totals[kind as usize])
     }
 
     /// Sum across all kinds.
@@ -149,23 +108,85 @@ impl SegmentAccumulator {
         self.total(kind).as_secs() as f64 / total as f64
     }
 
-    /// Zero the closed totals at `now`, keeping the currently open
-    /// segment open (re-based to `now`).  Used to start the measurement
-    /// window after a warm-up phase: only time after `now` counts.
-    pub fn reset_keeping_open(&mut self, now: Timestamp) {
-        let open_kind = self.open.map(|(_, k)| k);
-        self.totals = [0; 6];
-        self.open = open_kind.map(|k| (now, k));
+    /// Add another set of totals into this one.
+    pub fn merge(&mut self, other: &SegmentTotals) {
+        for (sum, t) in self.totals.iter_mut().zip(other.totals) {
+            *sum += t;
+        }
+    }
+}
+
+/// One database's open segment: since when, and of what kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct OpenSegment {
+    since: Timestamp,
+    kind: SegmentKind,
+}
+
+/// The segment book of a set of databases (one shard's): each
+/// database's open segment, addressed by its slot — how many databases
+/// [`open`](Self::open)ed before it — and one per-kind total of closed
+/// time.
+///
+/// Only time inside the measured window counts: closing a segment adds
+/// the part of it that falls in `[window.start, window.end)`, so a
+/// warm-up before the window needs no reset pass.
+#[derive(Clone, Debug)]
+pub struct SegmentBook {
+    open: Vec<OpenSegment>,
+    window: Range<Timestamp>,
+    totals: SegmentTotals,
+}
+
+impl SegmentBook {
+    /// An empty book counting time inside `window`, with room for
+    /// `capacity` databases.
+    pub fn with_capacity(window: Range<Timestamp>, capacity: usize) -> Self {
+        SegmentBook {
+            open: Vec::with_capacity(capacity),
+            window,
+            totals: SegmentTotals::default(),
+        }
     }
 
-    /// Merge another accumulator's closed totals into this one.
-    pub fn merge(&mut self, other: &SegmentAccumulator) {
-        debug_assert!(
-            other.open.is_none(),
-            "merge requires the other accumulator to be closed"
-        );
-        for i in 0..self.totals.len() {
-            self.totals[i] += other.totals[i];
+    /// Add a database whose first segment, of `kind`, opens at `at`.
+    pub fn open(&mut self, at: Timestamp, kind: SegmentKind) {
+        self.open.push(OpenSegment { since: at, kind });
+    }
+
+    /// Close `slot`'s open segment at `now` (which must not precede its
+    /// start; debug builds check) and open one of `kind`.
+    pub fn transition(&mut self, slot: usize, now: Timestamp, kind: SegmentKind) {
+        let seg = std::mem::replace(&mut self.open[slot], OpenSegment { since: now, kind });
+        self.count(seg, now);
+    }
+
+    /// Reclassify `slot`'s *open* segment (e.g. a pre-warm segment whose
+    /// outcome — correct vs wrong — is only known at close time).
+    pub fn reclassify_open(&mut self, slot: usize, kind: SegmentKind) {
+        self.open[slot].kind = kind;
+    }
+
+    /// Kind of `slot`'s open segment.
+    pub fn open_kind(&self, slot: usize) -> SegmentKind {
+        self.open[slot].kind
+    }
+
+    /// Close every open segment at `at` and return the totals.
+    pub fn finish(mut self, at: Timestamp) -> SegmentTotals {
+        for seg in std::mem::take(&mut self.open) {
+            self.count(seg, at);
+        }
+        self.totals
+    }
+
+    /// Add the part of `seg`, closing at `now`, inside the window.
+    fn count(&mut self, seg: OpenSegment, now: Timestamp) {
+        debug_assert!(now >= seg.since, "segment closed before it opened");
+        let from = seg.since.max(self.window.start);
+        let to = now.min(self.window.end);
+        if to > from {
+            self.totals.totals[seg.kind as usize] += (to - from).as_secs();
         }
     }
 }
@@ -174,7 +195,7 @@ impl SegmentAccumulator {
 mod tests {
     use super::*;
 
-    impl SegmentAccumulator {
+    impl SegmentTotals {
         /// The §8 idle-time fraction (all three idle causes).
         pub(crate) fn idle_fraction(&self) -> f64 {
             SegmentKind::ALL
@@ -189,13 +210,19 @@ mod tests {
         Timestamp(v)
     }
 
+    /// A book whose window holds every instant these tests use.
+    fn book() -> SegmentBook {
+        SegmentBook::with_capacity(t(0)..t(1_000_000), 1)
+    }
+
     #[test]
     fn transitions_accumulate_durations() {
-        let mut acc = SegmentAccumulator::new();
-        acc.transition(t(0), SegmentKind::Active);
-        acc.transition(t(100), SegmentKind::LogicalPauseIdle);
-        acc.transition(t(150), SegmentKind::Saved);
-        acc.close(t(400));
+        let mut book = book();
+        book.open(t(0), SegmentKind::Active);
+        let db = 0;
+        book.transition(db, t(100), SegmentKind::LogicalPauseIdle);
+        book.transition(db, t(150), SegmentKind::Saved);
+        let acc = book.finish(t(400));
         assert_eq!(acc.total(SegmentKind::Active), Seconds(100));
         assert_eq!(acc.total(SegmentKind::LogicalPauseIdle), Seconds(50));
         assert_eq!(acc.total(SegmentKind::Saved), Seconds(250));
@@ -206,14 +233,15 @@ mod tests {
 
     #[test]
     fn reclassify_resolves_prewarm_outcome_at_close() {
-        let mut acc = SegmentAccumulator::new();
+        let mut book = book();
         // Pre-warm opens optimistically as "wrong" …
-        acc.transition(t(0), SegmentKind::ProactiveIdleWrong);
-        assert_eq!(acc.open_kind(), Some(SegmentKind::ProactiveIdleWrong));
+        book.open(t(0), SegmentKind::ProactiveIdleWrong);
+        let db = 0;
+        assert_eq!(book.open_kind(db), SegmentKind::ProactiveIdleWrong);
         // … and is upgraded when the login arrives.
-        acc.reclassify_open(SegmentKind::ProactiveIdleCorrect);
-        acc.transition(t(60), SegmentKind::Active);
-        acc.close(t(100));
+        book.reclassify_open(db, SegmentKind::ProactiveIdleCorrect);
+        book.transition(db, t(60), SegmentKind::Active);
+        let acc = book.finish(t(100));
         assert_eq!(acc.total(SegmentKind::ProactiveIdleCorrect), Seconds(60));
         assert_eq!(acc.total(SegmentKind::ProactiveIdleWrong), Seconds::ZERO);
         assert_eq!(acc.total(SegmentKind::Active), Seconds(40));
@@ -221,13 +249,12 @@ mod tests {
 
     #[test]
     fn merge_combines_fleets() {
-        let mut a = SegmentAccumulator::new();
-        a.transition(t(0), SegmentKind::Active);
-        a.close(t(10));
-        let mut b = SegmentAccumulator::new();
-        b.transition(t(0), SegmentKind::Saved);
-        b.close(t(30));
-        a.merge(&b);
+        let mut a = book();
+        a.open(t(0), SegmentKind::Active);
+        let mut a = a.finish(t(10));
+        let mut b = book();
+        b.open(t(0), SegmentKind::Saved);
+        a.merge(&b.finish(t(30)));
         assert_eq!(a.total(SegmentKind::Active), Seconds(10));
         assert_eq!(a.total(SegmentKind::Saved), Seconds(30));
         assert_eq!(a.grand_total(), Seconds(40));
@@ -235,7 +262,7 @@ mod tests {
 
     #[test]
     fn empty_accumulator_has_zero_fractions() {
-        let acc = SegmentAccumulator::new();
+        let acc = SegmentTotals::default();
         assert_eq!(acc.fraction(SegmentKind::Active), 0.0);
         assert_eq!(acc.idle_fraction(), 0.0);
         assert_eq!(acc.grand_total(), Seconds::ZERO);
@@ -243,26 +270,35 @@ mod tests {
 
     #[test]
     fn zero_length_segments_are_harmless() {
-        let mut acc = SegmentAccumulator::new();
-        acc.transition(t(5), SegmentKind::Active);
-        acc.transition(t(5), SegmentKind::Saved);
-        acc.close(t(5));
-        assert_eq!(acc.grand_total(), Seconds::ZERO);
+        let mut book = book();
+        book.open(t(5), SegmentKind::Active);
+        let db = 0;
+        book.transition(db, t(5), SegmentKind::Saved);
+        assert_eq!(book.finish(t(5)).grand_total(), Seconds::ZERO);
     }
 
     #[test]
-    fn reset_keeping_open_starts_the_measurement_window() {
-        let mut acc = SegmentAccumulator::new();
-        acc.transition(t(0), SegmentKind::Active);
-        acc.transition(t(100), SegmentKind::LogicalPauseIdle);
-        // Warm-up ends at t=150, mid-segment.
-        acc.reset_keeping_open(t(150));
-        assert_eq!(acc.open_kind(), Some(SegmentKind::LogicalPauseIdle));
-        acc.transition(t(200), SegmentKind::Saved);
-        acc.close(t(300));
+    fn the_measurement_window_clamps_each_segment() {
+        // Warm-up ends at t=150, mid-segment; the window ends at t=280.
+        let mut book = SegmentBook::with_capacity(t(150)..t(280), 2);
+        book.open(t(0), SegmentKind::Active);
+        let db = 0;
+        book.open(t(0), SegmentKind::Saved); // a database that never moves
+        book.transition(db, t(100), SegmentKind::LogicalPauseIdle);
+        book.transition(db, t(200), SegmentKind::Saved);
+        let acc = book.finish(t(300));
         assert_eq!(acc.total(SegmentKind::Active), Seconds::ZERO);
         assert_eq!(acc.total(SegmentKind::LogicalPauseIdle), Seconds(50));
-        assert_eq!(acc.total(SegmentKind::Saved), Seconds(100));
+        assert_eq!(acc.total(SegmentKind::Saved), Seconds(80 + 130));
+        // Every database covers exactly the window.
+        assert_eq!(acc.grand_total(), Seconds(2 * 130));
+    }
+
+    /// A database's slot in the book is its open segment alone: totals
+    /// moving back into each database fail here by name.
+    #[test]
+    fn an_open_segment_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<OpenSegment>(), 16);
     }
 
     #[test]
@@ -270,5 +306,8 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             SegmentKind::ALL.iter().map(|k| k.label()).collect();
         assert_eq!(labels.len(), SegmentKind::ALL.len());
+        for (at, kind) in SegmentKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, at, "{kind}");
+        }
     }
 }

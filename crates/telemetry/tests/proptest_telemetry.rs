@@ -1,8 +1,9 @@
 //! Property tests for the telemetry aggregations: CDF percentiles against
-//! a sorted reference, box-plot bounds, and segment accounting conservation.
+//! a sorted reference, box-plot bounds, segment accounting conservation,
+//! and the segment book's clamp to the measured window.
 
 use proptest::prelude::*;
-use prorp_telemetry::{BoxPlot, Cdf, SegmentAccumulator, SegmentKind};
+use prorp_telemetry::{BoxPlot, Cdf, SegmentBook, SegmentKind};
 use prorp_types::{Seconds, Timestamp};
 
 proptest! {
@@ -43,19 +44,70 @@ proptest! {
     fn segment_accounting_conserves_time(
         transitions in prop::collection::vec((1i64..10_000, 0usize..6), 1..100)
     ) {
-        let mut acc = SegmentAccumulator::new();
+        let mut book = SegmentBook::with_capacity(Timestamp(0)..Timestamp(i64::MAX), 1);
         let mut now = Timestamp(0);
-        acc.transition(now, SegmentKind::Saved);
+        book.open(now, SegmentKind::Saved);
         for (advance, kind_idx) in &transitions {
             now += Seconds(*advance);
-            acc.transition(now, SegmentKind::ALL[*kind_idx]);
+            book.transition(0, now, SegmentKind::ALL[*kind_idx]);
         }
         now += Seconds(1);
-        acc.close(now);
+        let acc = book.finish(now);
         // Total accumulated time equals elapsed wall time.
         prop_assert_eq!(acc.grand_total(), now - Timestamp(0));
         // Fractions form a probability distribution.
         let total: f64 = SegmentKind::ALL.iter().map(|k| acc.fraction(*k)).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    /// Random transitions on a few databases, some before the measured
+    /// window opens, some inside it, some past its end, with pre-warm
+    /// reclassifications: each kind's total is the overlap of every
+    /// segment of that kind with `[from, end)`, computed here from the
+    /// list of segments.
+    #[test]
+    fn the_clamped_book_counts_each_segments_overlap_with_the_window(
+        from in 0i64..2_000,
+        span in 1i64..2_000,
+        ops in prop::collection::vec((0usize..3, 0i64..300, 0usize..6, any::<bool>()), 0..60),
+        tail in 0i64..500,
+    ) {
+        const DBS: usize = 3;
+        let window = Timestamp(from)..Timestamp(from + span);
+        let mut book = SegmentBook::with_capacity(window.clone(), DBS);
+        let mut open = [(Timestamp(0), SegmentKind::Saved); DBS];
+        for _ in 0..DBS {
+            book.open(Timestamp(0), SegmentKind::Saved);
+        }
+        let mut closed: Vec<(Timestamp, Timestamp, SegmentKind)> = Vec::new();
+        let mut now = Timestamp(0);
+        for (db, advance, kind_idx, reclassify) in ops {
+            now += Seconds(advance);
+            let kind = SegmentKind::ALL[kind_idx];
+            if reclassify {
+                book.reclassify_open(db, kind);
+                open[db].1 = kind;
+            } else {
+                book.transition(db, now, kind);
+                closed.push((open[db].0, now, open[db].1));
+                open[db] = (now, kind);
+            }
+            prop_assert_eq!(book.open_kind(db), open[db].1);
+        }
+        let close_at = now + Seconds(tail);
+        let totals = book.finish(close_at);
+        closed.extend(open.iter().map(|&(since, kind)| (since, close_at, kind)));
+        for kind in SegmentKind::ALL {
+            let expected: i64 = closed
+                .iter()
+                .filter(|seg| seg.2 == kind)
+                .map(|&(since, until, _)| {
+                    let lo = since.as_secs().max(window.start.as_secs());
+                    let hi = until.as_secs().min(window.end.as_secs());
+                    (hi - lo).max(0)
+                })
+                .sum();
+            prop_assert_eq!(totals.total(kind), Seconds(expected), "{}", kind);
+        }
     }
 }

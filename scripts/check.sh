@@ -197,17 +197,32 @@ guards=(
     # `i64::MAX`, truncated or corrupted — answers 200 or 400 without a
     # panic; only a 200 moves the watermark, and to `to`.
     api::tests::every_advance_body_answers_200_or_400_and_only_a_200_moves_the_clock
+    # Any `:id` — overflowing, negative, empty, non-ASCII — on the
+    # record, `why`, forced resume and forced pause routes, with any
+    # body, answers 200, 400, 404, 409 or 503 without a panic, and only
+    # a forced action's 200 schedules anything: a twin sent only those
+    # reads the same after the next advance.
+    api::tests::every_id_route_answers_and_only_a_scheduled_action_changes_the_run
 
     # A per-engine field coming back (680 bytes with the prediction
     # cache, 576 with the history view's parallel key and value columns,
-    # 552 with the run's knobs copied into every engine) is a named
-    # failure, not an RSS drift to bisect — for the reactive baseline
-    # too.  The run's knobs are one allocation per shard: every engine
-    # and predictor a shard registers points at it, and two shards'
-    # differ (one per process bounced its count between cores).
-    proactive::tests::an_engine_is_392_bytes
-    reactive::tests::a_reactive_engine_is_312_bytes
+    # 552 with the run's knobs copied into every engine, 392 / 312 with
+    # a session flag beside a tracker that buffered any number of
+    # events) is a named failure, not an RSS drift to bisect — for the
+    # reactive baseline too.  The run's knobs are one allocation per
+    # shard: every engine and predictor a shard registers points at it,
+    # and two shards' differ (one per process bounced its count between
+    # cores).
+    proactive::tests::an_engine_is_336_bytes
+    reactive::tests::a_reactive_engine_is_256_bytes
     every_engine_points_at_its_shards_one_knobs_allocation
+    # A database's slot in the shard's segment book is its open segment
+    # alone (16 bytes; 64 while every database kept its own per-kind
+    # totals), and the shard's totals count exactly each segment's
+    # overlap with the measured window — the clamp that replaced the
+    # warm-up reset pass.
+    segments::tests::an_open_segment_is_16_bytes
+    the_clamped_book_counts_each_segments_overlap_with_the_window
 
     # Table 1's `k` has one home, the policy: two proactive runs that
     # differ only in `PolicyConfig::prewarm` must pre-warm differently

@@ -170,6 +170,8 @@ fn drive(engine: &mut dyn DatabasePolicy, steps: &[FuzzStep]) -> Result<(), Test
         if active {
             prop_assert_eq!(engine.state(), DbState::Resumed);
         }
+        // It serves exactly while a delivered login awaits its logout.
+        prop_assert_eq!(engine.serving(), active, "serving() after {:?}", event);
     }
     Ok(())
 }
