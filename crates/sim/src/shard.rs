@@ -300,8 +300,8 @@ impl ShardDriver {
         })
     }
 
-    /// Register one database: build its engine and segment book, place
-    /// it on the cluster, seed `sys.databases`, append the trace's
+    /// Register one database: build its engine, open its first segment,
+    /// place it on the cluster, seed `sys.databases`, append the trace's
     /// session events clipped to `[start, end)` to the queue's recorded
     /// run, and stagger its first maintenance due time.
     ///
