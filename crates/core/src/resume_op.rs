@@ -65,8 +65,9 @@ impl ProactiveResumeOp {
     /// to each returned database.
     ///
     /// The scan runs over the `sys.databases` partitions of a sharded
-    /// metadata store (see [`MetadataStore::partition`]); an unsharded
-    /// store is the 1-partition slice (`std::slice::from_ref(&store)`).
+    /// region — one [`MetadataStore`] per shard, holding the databases
+    /// whose [`DatabaseId::shard_of`] is that shard; an unsharded store
+    /// is the 1-partition slice (`std::slice::from_ref(&store)`).
     /// Because partitioning assigns every row to exactly one shard, the
     /// union of the per-partition range lookups equals a global scan; the
     /// combined batch is re-sorted by `(start_of_pred_activity, id)` so
@@ -130,16 +131,17 @@ mod tests {
     use prorp_storage::DbMeta;
     use prorp_types::DbState;
 
+    fn paused(pred: i64) -> DbMeta {
+        DbMeta {
+            state: DbState::PhysicallyPaused,
+            pred_start: Some(Timestamp(pred)),
+        }
+    }
+
     fn store_with_paused(preds: &[(u64, i64)]) -> MetadataStore {
         let mut store = MetadataStore::new();
-        for (id, pred) in preds {
-            store.upsert(
-                DatabaseId(*id),
-                DbMeta {
-                    state: DbState::PhysicallyPaused,
-                    pred_start: Some(Timestamp(*pred)),
-                },
-            );
+        for &(id, pred) in preds {
+            store.upsert(DatabaseId(id), paused(pred));
         }
         store
     }
@@ -200,7 +202,11 @@ mod tests {
             let mut sharded =
                 ProactiveResumeOp::new(Seconds(300), Seconds(60), Timestamp(0)).unwrap();
             let expected = global.run(Timestamp(0), std::slice::from_ref(&store));
-            let parts = store.partition(shards);
+            let mut parts = vec![MetadataStore::new(); shards];
+            for &(id, pred) in &preds {
+                let part = &mut parts[DatabaseId(id).shard_of(shards)];
+                part.upsert(DatabaseId(id), paused(pred));
+            }
             let got = sharded.run(Timestamp(0), &parts);
             assert_eq!(got, expected, "{shards} shards");
             assert_eq!(sharded.batch_sizes(), global.batch_sizes());

@@ -9,11 +9,13 @@
 //!
 //! The cluster is slot-addressed.  [`place`](Cluster::place) numbers
 //! databases 0, 1, 2, … in the order they arrive — the same order, and
-//! so the same numbers, as the shard's `FleetState` columns and its
-//! `MetadataStore` rows — and every other method takes that slot.  Per
-//! slot it keeps the home node and one allocated bit; per node, counters
-//! ([`Node`]).  Nothing here is keyed by `DatabaseId`, so the event loop
-//! allocates and releases without hashing.
+//! so the same numbers, as the shard's `MetadataStore` rows, which hold
+//! the shard's one id→slot lookup — and every other method takes that
+//! slot.  Per slot it keeps the home node and one allocated bit; per
+//! node, counters ([`Node`]).  Nothing here is keyed by `DatabaseId`, so
+//! the event loop allocates and releases without hashing; the one
+//! method that compares ids ([`rebalance_step`](Cluster::rebalance_step))
+//! is handed the store's id column.
 
 use crate::fleet::BitSet;
 use crate::node::Node;

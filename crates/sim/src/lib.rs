@@ -24,11 +24,11 @@
 //!   a time and merges the per-shard outcomes into one [`SimReport`];
 //!   [`Simulation::run`] is that run over a `Vec<Trace>`;
 //! * [`fleet`] — struct-of-arrays per-shard database state: one arena of
-//!   homogeneous policy engines (`EngineArena`, internal), the §8
+//!   homogeneous policy engines (`EngineArena`, internal) and the §8
 //!   segment book (one open segment per database, one total per shard),
-//!   and a dense [`DbIndexMap`] from database id to arena slot.  This is what lets
-//!   one shard hold hundreds of thousands of databases without a boxed
-//!   allocation per database;
+//!   both addressed by the slot the shard's `sys.databases` row number
+//!   gives each database.  This is what lets one shard hold hundreds of
+//!   thousands of databases without a boxed allocation per database;
 //! * [`shard`] — the per-shard event loop: replays traces through
 //!   per-database policy engines, executes their actions (allocation
 //!   workflows with latency, reclamation, timers, metadata publication),
@@ -66,7 +66,6 @@ pub mod shard;
 
 pub use config::{SimConfig, SimConfigBuilder, SimPolicy};
 pub use diagnostics::Mitigation;
-pub use fleet::{BitSet, DbIndexMap};
 pub use prorp_obs::ObsConfig;
 pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};

@@ -11,9 +11,11 @@
 //! * [`EventQueue`] over the shard's traces only;
 //! * cluster slice ([`Cluster::with_node_range`]) with globally unique
 //!   node ids, full `nodes × node_capacity` per shard;
-//! * shard-local `sys.databases` partition ([`MetadataStore`]) scanned by
-//!   a shard-local Algorithm 5 [`ProactiveResumeOp`] on the *same* tick
-//!   schedule as every other shard;
+//! * shard-local `sys.databases` ([`MetadataStore`]) scanned by a
+//!   shard-local Algorithm 5 [`ProactiveResumeOp`] on the *same* tick
+//!   schedule as every other shard — its id column and id→row lookup
+//!   are also the shard's one record of which database sits at which
+//!   slot;
 //! * book of in-flight reactive resumes (`diagnostics::Resumes`), the
 //!   only record of one: each handler that starts, supersedes, completes,
 //!   gives up on or mitigates a resume makes one call on it, and a hung
@@ -269,7 +271,7 @@ impl ShardDriver {
             counters: ShardCounters::new(shard, expected_dbs),
             queue: EventQueue::new(),
             cluster: Cluster::with_node_range(first_node, cfg.nodes, cfg.node_capacity)?,
-            metadata: MetadataStore::new(),
+            metadata: MetadataStore::with_capacity(expected_dbs),
             telemetry: ShardTelemetry::new(cfg),
             resumes: Resumes::new(cfg.stuck_timeout, expected_dbs),
             workflow_stats: WorkflowStats::default(),
@@ -311,10 +313,10 @@ impl ShardDriver {
     /// in arrival order, and this is the only place a database arrives
     /// at any of them — so the fleet's column index, the cluster's slot
     /// and the `sys.databases` row of a database are one number (asserted
-    /// here, per registration).  A handler resolves an event's id to that
-    /// number once (`fleet.index_of`) and addresses all three, the resume
-    /// book's column and the latest-decision column with it; nothing on the
-    /// event path looks an id up a second time.
+    /// here, per registration).  The store alone maps ids to that number:
+    /// a handler resolves an event's id once (`slot_of`) and addresses
+    /// all three, the resume book's column and the latest-decision column
+    /// with it; nothing on the event path looks an id up a second time.
     ///
     /// A live driver registers databases with *empty* traces (no
     /// pre-recorded sessions) and injects activity as it arrives, into
@@ -322,7 +324,7 @@ impl ShardDriver {
     /// sequence numbers drawn are identical either way, which keeps the
     /// two drivers' event queues in the same total order.
     pub fn register(&mut self, trace: &Trace) -> Result<(), ProrpError> {
-        if self.fleet.try_index_of(trace.db).is_some() {
+        if self.metadata.row_of(trace.db).is_some() {
             return Err(ProrpError::Simulation(format!(
                 "database {:?} registered twice on one shard",
                 trace.db
@@ -333,10 +335,11 @@ impl ShardDriver {
         // `row_for` writes the new database's row: resumed, no prediction.
         let (slot, row) = (self.cluster.place(), self.metadata.row_for(trace.db));
         assert!(
-            slot == idx && row == idx,
-            "{}: fleet column {idx}, cluster slot {slot}, sys.databases row {row}",
+            slot == row,
+            "{}: cluster slot {slot}, sys.databases row {row}",
             trace.db
         );
+        debug_assert_eq!(idx, row, "fleet column out of step");
         self.resumes.push_slot();
         if cfg.observe().explain {
             // Decision provenance is captured inside the engine (it owns
@@ -401,19 +404,19 @@ impl ShardDriver {
 
     /// Current lifecycle state of `id`, if registered here.
     pub fn db_state(&self, id: DatabaseId) -> Option<DbState> {
-        let idx = self.fleet.try_index_of(id)?;
+        let idx = self.metadata.row_of(id)?;
         Some(self.fleet.engines.get(idx).state())
     }
 
     /// `id`'s currently published prediction, if any.
     pub fn db_prediction(&self, id: DatabaseId) -> Option<prorp_types::Prediction> {
-        let idx = self.fleet.try_index_of(id)?;
+        let idx = self.metadata.row_of(id)?;
         self.fleet.engines.get(idx).current_prediction()
     }
 
     /// `id`'s engine counters, if registered here.
     pub fn db_counters(&self, id: DatabaseId) -> Option<EngineCounters> {
-        let idx = self.fleet.try_index_of(id)?;
+        let idx = self.metadata.row_of(id)?;
         Some(self.fleet.engines.get(idx).counters())
     }
 
@@ -579,6 +582,20 @@ impl ShardDriver {
         true
     }
 
+    /// The slot of `id`: its `sys.databases` row, fleet column and
+    /// cluster slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` belongs to another shard — an event for a
+    /// foreign database is a partitioning bug, not a recoverable state.
+    #[inline]
+    fn slot_of(&self, id: DatabaseId) -> usize {
+        self.metadata
+            .row_of(id)
+            .expect("event for a database of another shard")
+    }
+
     /// Execute the side effects an engine requested for database `id` at
     /// column `idx` — which is also its cluster slot and its
     /// `sys.databases` row.
@@ -634,7 +651,7 @@ impl ShardDriver {
         &self,
         id: DatabaseId,
     ) -> Option<(Timestamp, prorp_obs::DecisionExplain)> {
-        let idx = self.fleet.try_index_of(id)?;
+        let idx = self.metadata.row_of(id)?;
         self.obs.as_ref().and_then(|o| o.last_decision(idx))
     }
 
@@ -731,7 +748,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ActivityStart(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 let prewarmed = matches!(
                     self.fleet.segments.open_kind(idx),
                     SegmentKind::ProactiveIdleWrong | SegmentKind::ProactiveIdleCorrect
@@ -784,7 +801,7 @@ impl ShardDriver {
                 self.drain_decisions(idx, id);
             }
             SimEvent::ActivityEnd(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 if !self.fleet.engines.get(idx).serving() {
                     return Ok(());
                 }
@@ -800,7 +817,7 @@ impl ShardDriver {
                 self.account_pause(now, idx, id, before, after);
             }
             SimEvent::EngineTimer(id, token) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 let (before, after, actions) =
                     self.deliver(now, idx, id, EngineEvent::Timer(token))?;
                 self.apply_actions(actions, idx, id, now);
@@ -821,7 +838,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ProactiveResume(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 if self.fleet.engines.get(idx).state() != DbState::PhysicallyPaused
                     || self.fleet.engines.get(idx).serving()
                 {
@@ -850,7 +867,7 @@ impl ShardDriver {
             SimEvent::WorkflowStageDone(id) => {
                 // One stage of a staged resume finished executing: draw
                 // its deterministic verdict and advance/retry/give up.
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 let Some(active) = self.resumes.staged_mut(idx) else {
                     return Ok(()); // workflow superseded or force-completed
                 };
@@ -913,7 +930,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::WorkflowComplete(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 if !self.resumes.complete(idx) {
                     return Ok(()); // superseded (activity ended meanwhile)
                 }
@@ -951,7 +968,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::MaintenanceDue(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 let prediction = self.fleet.engines.get(idx).current_prediction();
                 let slot = self.maintenance.place(
                     now,
@@ -980,7 +997,7 @@ impl ShardDriver {
                 // and releases compute (the backend load the scheduler
                 // minimises); a job on a resumed or logically paused
                 // database rides the existing allocation.
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 if self.fleet.engines.get(idx).state() == DbState::PhysicallyPaused {
                     self.cluster.allocate(idx);
                     self.cluster.release(idx);
@@ -989,12 +1006,12 @@ impl ShardDriver {
             SimEvent::RebalanceTick => {
                 if let Some((idx, _, _)) = self
                     .cluster
-                    .rebalance_step(cfg.rebalance_threshold, &self.fleet.ids)
+                    .rebalance_step(cfg.rebalance_threshold, self.metadata.ids())
                 {
                     // Ship the history with the database (§3.3): the
                     // move serialises pages and restores them on the
                     // destination node.
-                    let moved = self.fleet.ids[idx];
+                    let moved = self.metadata.ids()[idx];
                     let bytes = backup_history(self.fleet.engines.get(idx).history())?;
                     let restored = restore_backend(&bytes, cfg.storage_backend)?;
                     self.fleet.engines.get_mut(idx).restore_history(restored);
@@ -1008,7 +1025,7 @@ impl ShardDriver {
                 }
             }
             SimEvent::ForcedPause(id) => {
-                let idx = self.fleet.index_of(id);
+                let idx = self.slot_of(id);
                 if self.fleet.engines.get(idx).serving() {
                     return Ok(()); // serving: the engine would refuse anyway
                 }
@@ -1062,8 +1079,7 @@ impl ShardDriver {
 
         let mut db_results: Vec<(DatabaseId, EngineCounters, StorageStats)> =
             Vec::with_capacity(self.fleet.len());
-        for idx in 0..self.fleet.len() {
-            let id = self.fleet.ids[idx];
+        for (idx, &id) in self.metadata.ids().iter().enumerate() {
             let engine = self.fleet.engines.get(idx);
             // History tuples must come back in strictly ascending
             // timestamp order from a store that passes its own audit.
@@ -1629,11 +1645,11 @@ mod tests {
         assert!(w.complete(0) && w.complete(2) && w.len() == 0);
     }
 
-    /// Sparse ids (the index map spills to its hash form), two tight
-    /// nodes and an hourly rebalance that ships histories: at the end
-    /// every database's fleet column, cluster slot and `sys.databases`
-    /// row are still one number, and each of the three holds *that*
-    /// database's state.
+    /// Sparse ids (the store's id→row lookup spills to its hash form),
+    /// two tight nodes and an hourly rebalance that ships histories: at
+    /// the end every database's id and row round-trip through the store,
+    /// its fleet column, cluster slot and `sys.databases` row are still
+    /// one number, and each of the three holds *that* database's state.
     #[test]
     fn sparse_ids_and_rebalance_moves_keep_the_three_numberings_aligned() {
         use prorp_workload::{RegionName, RegionProfile};
@@ -1661,15 +1677,14 @@ mod tests {
         driver.start();
         driver.run_to_end().unwrap();
 
-        assert!(driver.fleet.index.is_sparse());
+        assert!(driver.metadata.is_sparse());
         assert!(driver.cluster.balance_moves > 0, "a history was restored");
         assert_eq!(driver.cluster.oversubscriptions, 0);
         assert_eq!(driver.metadata.len(), traces.len());
         let homed: usize = driver.cluster.nodes().iter().map(|n| n.homed_count()).sum();
         assert_eq!(homed, traces.len());
         for (idx, t) in traces.iter().enumerate() {
-            assert_eq!(driver.fleet.ids[idx], t.db);
-            assert_eq!(driver.fleet.try_index_of(t.db), Some(idx));
+            assert_eq!(driver.metadata.ids()[idx], t.db);
             assert_eq!(driver.metadata.row_of(t.db), Some(idx));
             let state = driver.fleet.engines.get(idx).state();
             assert_eq!(driver.metadata.get(t.db).unwrap().state, state, "{}", t.db);

@@ -26,20 +26,21 @@
 //! row-addressed setters ([`set_state_at`](MetadataStore::set_state_at),
 //! [`set_prediction_at`](MetadataStore::set_prediction_at)) take it back
 //! without hashing anything — the shard event loop registers its
-//! databases here in the same order as everywhere else, so the column
-//! index it already holds *is* the row.  The id-keyed methods reach the
-//! same rows through one id→row lookup and then run the same code: one
-//! layout, one routine that maintains the secondary index.
+//! databases here in the same order as everywhere else, so the row *is*
+//! the database's slot in every other per-shard column.  The id-keyed
+//! methods reach the same rows through one id→row lookup and then run
+//! the same code: one layout, one routine that maintains the secondary
+//! index.
 //!
-//! A row number stays valid for the life of the store.
-//! [`remove`](MetadataStore::remove) does not compact: it leaves a
-//! *vacant* row behind, which `len`, `state_counts`, `partition` and
-//! both scans skip and which is never handed out again — writing the
-//! same id later appends a fresh row.  Addressing a vacant row is a bug
-//! in the caller and panics.
+//! This is a shard's only record of which database sits at which slot:
+//! its id column ([`ids`](MetadataStore::ids)) and its one id→row
+//! lookup ([`row_of`](MetadataStore::row_of)).  Generated fleets number
+//! their databases densely, so the lookup is a flat vector indexed by
+//! raw id that spills to a hash map when ids turn out sparse.  A row is
+//! never removed: its number stays valid for the life of the store.
 
-use prorp_types::{DatabaseId, DbMap, DbState, Seconds, Timestamp};
-use std::collections::BTreeSet;
+use prorp_types::{DatabaseId, DbState, Seconds, Timestamp};
+use std::collections::{BTreeSet, HashMap};
 
 /// One row of `sys.databases`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -60,17 +61,91 @@ impl Default for DbMeta {
     }
 }
 
+/// Absent-entry sentinel in the dense index vector.
+const SENTINEL: u32 = u32::MAX;
+
+/// A `DatabaseId → row` map specialised for mostly-dense ids.
+///
+/// Generated fleets number their databases `0..n`, so a shard's ids —
+/// an id-hash partition of that range — fit a flat `Vec<u32>` keyed by
+/// raw id with a small constant factor of waste.  Ids that stray far
+/// beyond the dense range (hand-built fleets, external id spaces) make
+/// the map migrate every entry into a `HashMap` once and stay there.
+/// Lookups are a bounds check plus one array read on the dense path.
+#[derive(Clone, Debug, Default)]
+struct DbIndexMap {
+    dense: Vec<u32>,
+    sparse: HashMap<DatabaseId, u32>,
+    len: usize,
+}
+
+impl DbIndexMap {
+    /// Raw-id ceiling below which an id keeps the map dense: a shard of
+    /// an id-hashed `0..n` fleet holds roughly `n / shards` entries with
+    /// raw ids up to `n`, so the dense vector is allowed to be a wide
+    /// multiple of the entry count before spilling.
+    fn dense_limit(&self) -> u64 {
+        32 * (self.len as u64 + 1) + 1024
+    }
+
+    /// Map `id` to `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` is the reserved sentinel or `id` is already
+    /// mapped.
+    fn insert(&mut self, id: DatabaseId, row: u32) {
+        assert!(row != SENTINEL, "row u32::MAX is reserved");
+        if self.sparse.is_empty() {
+            let raw = id.raw();
+            if raw < self.dense_limit() {
+                let at = raw as usize;
+                if at >= self.dense.len() {
+                    self.dense.resize(at + 1, SENTINEL);
+                }
+                assert!(self.dense[at] == SENTINEL, "database {id} mapped twice");
+                self.dense[at] = row;
+                self.len += 1;
+                return;
+            }
+            // Sparse ids: migrate the dense prefix into the hash map and
+            // stay sparse from here on.
+            self.sparse.reserve(self.len + 1);
+            for (raw, &v) in self.dense.iter().enumerate() {
+                if v != SENTINEL {
+                    self.sparse.insert(DatabaseId(raw as u64), v);
+                }
+            }
+            self.dense = Vec::new();
+        }
+        let prev = self.sparse.insert(id, row);
+        assert!(prev.is_none(), "database {id} mapped twice");
+        self.len += 1;
+    }
+
+    /// The row of `id`, if mapped.
+    #[inline]
+    fn get(&self, id: DatabaseId) -> Option<usize> {
+        if self.sparse.is_empty() {
+            let raw = id.raw();
+            if (raw as usize) < self.dense.len() && self.dense[raw as usize] != SENTINEL {
+                return Some(self.dense[raw as usize] as usize);
+            }
+            return None;
+        }
+        self.sparse.get(&id).map(|&v| v as usize)
+    }
+}
+
 /// Region-wide metadata for all serverless databases.
 #[derive(Clone, Debug, Default)]
 pub struct MetadataStore {
-    /// The table, in row order; `None` is the vacant row a removed
-    /// database left behind.
-    rows: Vec<Option<DbMeta>>,
-    /// The id each row was created for (kept for vacant rows too).
+    /// The table, in row order.
+    rows: Vec<DbMeta>,
+    /// The id of each row.
     ids: Vec<DatabaseId>,
-    /// `id → row` for the live rows — the one lookup behind every
-    /// id-keyed method.
-    row_of: DbMap<u32>,
+    /// `id → row` — the one lookup behind every id-keyed method.
+    row_of: DbIndexMap,
     /// `(start_of_pred_activity, database_id)` for rows that are
     /// physically paused *and* carry a prediction — exactly the rows
     /// Algorithm 5 may select.
@@ -83,29 +158,55 @@ impl MetadataStore {
         MetadataStore::default()
     }
 
-    /// Number of registered databases (vacant rows do not count).
+    /// An empty store expecting about `capacity` databases.
+    pub fn with_capacity(capacity: usize) -> Self {
+        MetadataStore {
+            rows: Vec::with_capacity(capacity),
+            ids: Vec::with_capacity(capacity),
+            row_of: DbIndexMap {
+                dense: Vec::with_capacity(capacity),
+                ..DbIndexMap::default()
+            },
+            by_pred_start: BTreeSet::new(),
+        }
+    }
+
+    /// Number of registered databases.
     pub fn len(&self) -> usize {
-        self.row_of.len()
+        self.rows.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.row_of.is_empty()
+        self.rows.is_empty()
     }
 
     /// Current row for `db`, if registered.
     pub fn get(&self, db: DatabaseId) -> Option<DbMeta> {
-        self.rows[self.row_of(db)?]
+        Some(self.rows[self.row_of(db)?])
     }
 
     /// The row number of `db`, if registered.
+    #[inline]
     pub fn row_of(&self, db: DatabaseId) -> Option<usize> {
-        self.row_of.get(&db).map(|&row| row as usize)
+        self.row_of.get(db)
+    }
+
+    /// The database ids in row order: `ids()[row]` is the database at
+    /// `row`.
+    pub fn ids(&self) -> &[DatabaseId] {
+        &self.ids
+    }
+
+    /// Whether the id→row lookup spilled from its dense vector to a hash
+    /// map (an id far beyond the row count was registered).
+    pub fn is_sparse(&self) -> bool {
+        !self.row_of.sparse.is_empty()
     }
 
     /// The row number of `db`, registering it with the default row
     /// (resumed, no prediction) if it is new.  A new database always
-    /// takes the next row number — the count of rows ever created.
+    /// takes the next row number — the count of rows.
     ///
     /// # Panics
     ///
@@ -115,9 +216,9 @@ impl MetadataStore {
             return row;
         }
         let row = u32::try_from(self.rows.len()).expect("sys.databases exceeds u32 rows");
-        self.rows.push(Some(DbMeta::default()));
-        self.ids.push(db);
         self.row_of.insert(db, row);
+        self.rows.push(DbMeta::default());
+        self.ids.push(db);
         row as usize
     }
 
@@ -131,9 +232,7 @@ impl MetadataStore {
     /// Edit the row at `row` in place, keeping the secondary index
     /// consistent — the one routine every write goes through.
     fn update(&mut self, row: usize, edit: impl FnOnce(&mut DbMeta)) {
-        let meta = self.rows[row]
-            .as_mut()
-            .expect("sys.databases row is vacant (its database was removed)");
+        let meta = &mut self.rows[row];
         let was = Self::indexable(meta);
         edit(meta);
         let is = Self::indexable(meta);
@@ -165,7 +264,7 @@ impl MetadataStore {
     ///
     /// # Panics
     ///
-    /// Panics when `row` was never handed out or is vacant.
+    /// Panics when `row` was never handed out.
     pub fn set_state_at(&mut self, row: usize, state: DbState) {
         self.update(row, |meta| {
             meta.state = state;
@@ -187,29 +286,9 @@ impl MetadataStore {
     ///
     /// # Panics
     ///
-    /// Panics when `row` was never handed out or is vacant.
+    /// Panics when `row` was never handed out.
     pub fn set_prediction_at(&mut self, row: usize, pred_start: Option<Timestamp>) {
         self.update(row, |meta| meta.pred_start = pred_start);
-    }
-
-    /// Drop a database (deletion / move away from this region).  Its row
-    /// becomes vacant; every other row keeps its number (see the module
-    /// docs).
-    pub fn remove(&mut self, db: DatabaseId) -> Option<DbMeta> {
-        let row = self.row_of.remove(&db)? as usize;
-        let meta = self.rows[row].take();
-        if let Some(ps) = meta.as_ref().and_then(Self::indexable) {
-            self.by_pred_start.remove(&(ps, db));
-        }
-        meta
-    }
-
-    /// The live rows with their ids, in row order.
-    fn live_rows(&self) -> impl Iterator<Item = (DatabaseId, &DbMeta)> {
-        self.ids
-            .iter()
-            .zip(&self.rows)
-            .filter_map(|(db, meta)| Some((*db, meta.as_ref()?)))
     }
 
     /// The Algorithm 5 selection: physically paused databases whose
@@ -232,41 +311,6 @@ impl MetadataStore {
         self.by_pred_start
             .range((lo, DatabaseId(u64::MIN))..=(hi, DatabaseId(u64::MAX)))
             .map(|(_, db)| *db)
-    }
-
-    /// Split the store into `shard_count` shard-local stores by id-hash
-    /// ([`DatabaseId::shard_of`]), each with its own secondary
-    /// `start_of_pred_activity` index.
-    ///
-    /// Every row lands in exactly one partition, so the union of the
-    /// partitions' [`databases_to_resume_iter`](Self::databases_to_resume_iter)
-    /// results equals the global scan — this is what lets the Algorithm 5
-    /// scan run shard-parallel (one worker per partition) without any
-    /// cross-shard coordination.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_count` is zero.
-    pub fn partition(&self, shard_count: usize) -> Vec<MetadataStore> {
-        assert!(shard_count > 0, "shard_count must be positive");
-        let mut out = vec![MetadataStore::new(); shard_count];
-        for (db, meta) in self.live_rows() {
-            out[db.shard_of(shard_count)].upsert(db, *meta);
-        }
-        out
-    }
-
-    /// Count of rows in each lifecycle state (diagnostics, Figure 11/12).
-    pub fn state_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for (_, meta) in self.live_rows() {
-            match meta.state {
-                DbState::Resumed => counts.0 += 1,
-                DbState::LogicallyPaused => counts.1 += 1,
-                DbState::PhysicallyPaused => counts.2 += 1,
-            }
-        }
-        counts
     }
 
     fn indexable(meta: &DbMeta) -> Option<Timestamp> {
@@ -298,6 +342,19 @@ mod tests {
             self.by_pred_start
                 .range(..(now, DatabaseId(u64::MIN)))
                 .map(|(_, db)| *db)
+        }
+
+        /// Count of rows in each lifecycle state.
+        fn state_counts(&self) -> (usize, usize, usize) {
+            let mut counts = (0, 0, 0);
+            for meta in &self.rows {
+                match meta.state {
+                    DbState::Resumed => counts.0 += 1,
+                    DbState::LogicallyPaused => counts.1 += 1,
+                    DbState::PhysicallyPaused => counts.2 += 1,
+                }
+            }
+            counts
         }
     }
 
@@ -380,19 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_clears_both_structures() {
-        let mut store = MetadataStore::new();
-        paused_at(&mut store, 7, 500);
-        assert!(store.remove(db(7)).is_some());
-        assert!(store.is_empty());
-        assert!(store
-            .databases_to_resume_iter(Timestamp(0), Seconds(400), Seconds(200))
-            .next()
-            .is_none());
-        assert!(store.remove(db(7)).is_none());
-    }
-
-    #[test]
     fn overdue_resumes_reports_missed_predictions() {
         let mut store = MetadataStore::new();
         paused_at(&mut store, 1, 100);
@@ -407,8 +451,10 @@ mod tests {
         for id in 0..200 {
             paused_at(&mut store, id, 1_000 + id as i64);
         }
-        let parts = store.partition(4);
-        assert_eq!(parts.len(), 4);
+        let mut parts = vec![MetadataStore::new(); 4];
+        for (&id, meta) in store.ids.iter().zip(&store.rows) {
+            parts[id.shard_of(4)].upsert(id, *meta);
+        }
         assert_eq!(parts.iter().map(MetadataStore::len).sum::<usize>(), 200);
         for id in 0..200 {
             let owners = parts.iter().filter(|p| p.get(db(id)).is_some()).count();
@@ -439,82 +485,48 @@ mod tests {
     impl MetadataStore {
         /// The secondary index rebuilt from the rows alone.
         fn rebuilt_index(&self) -> BTreeSet<(Timestamp, DatabaseId)> {
-            self.live_rows()
-                .filter_map(|(db, meta)| Some((Self::indexable(meta)?, db)))
+            self.ids
+                .iter()
+                .zip(&self.rows)
+                .filter_map(|(&db, meta)| Some((Self::indexable(meta)?, db)))
                 .collect()
         }
     }
 
     #[test]
-    fn a_vacant_row_costs_no_more_than_a_live_one() {
-        assert_eq!(
-            std::mem::size_of::<Option<DbMeta>>(),
-            std::mem::size_of::<DbMeta>()
-        );
-    }
-
-    /// Row numbers survive a removal: the vacant row is skipped by every
-    /// read, the re-registered database takes a fresh row, and the
-    /// row-addressed setters still reach the databases they were handed
-    /// out for.
-    #[test]
-    fn remove_leaves_a_vacant_row_and_every_other_row_keeps_its_number() {
-        let mut store = MetadataStore::new();
-        for id in [10, 11, 12] {
-            paused_at(&mut store, id, 500 + id as i64);
+    fn dense_ids_stay_in_the_flat_vector() {
+        let mut map = DbIndexMap::default();
+        for (row, raw) in [0u64, 7, 3, 1_000].into_iter().enumerate() {
+            map.insert(DatabaseId(raw), row as u32);
         }
-        let rows: Vec<usize> = [10, 11, 12]
-            .iter()
-            .map(|id| store.row_of(db(*id)).unwrap())
-            .collect();
-        assert_eq!(rows, vec![0, 1, 2]);
-
-        assert!(store.remove(db(11)).is_some());
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.row_of(db(11)), None);
-        assert_eq!(store.state_counts(), (0, 0, 2));
-        assert_eq!(
-            store.partition(1)[0].len(),
-            2,
-            "partition skips the vacant row"
-        );
-        assert!(store
-            .overdue_resumes_iter(Timestamp(10_000))
-            .eq([db(10), db(12)]));
-
-        // Re-registering takes the next row, never the vacant one.
-        store.upsert(db(11), DbMeta::default());
-        assert_eq!(store.row_of(db(11)), Some(3));
-        assert_eq!(store.row_for(db(13)), 4);
-        assert_eq!(store.len(), 4);
-
-        // The old numbers still address the databases they were made for.
-        store.set_state_at(0, DbState::LogicallyPaused);
-        store.set_prediction_at(2, Some(Timestamp(900)));
-        store.set_state_at(3, DbState::PhysicallyPaused);
-        store.set_prediction_at(3, Some(Timestamp(100)));
-        assert_eq!(store.get(db(10)).unwrap().state, DbState::LogicallyPaused);
-        assert_eq!(store.get(db(12)).unwrap().pred_start, Some(Timestamp(900)));
-        assert_eq!(
-            store.get(db(11)).unwrap(),
-            DbMeta {
-                state: DbState::PhysicallyPaused,
-                pred_start: Some(Timestamp(100)),
-            }
-        );
-        assert_eq!(store.by_pred_start, store.rebuilt_index());
-        assert!(store
-            .overdue_resumes_iter(Timestamp(10_000))
-            .eq([db(11), db(12)]));
+        assert_eq!(map.len, 4);
+        assert!(map.sparse.is_empty());
+        assert_eq!(map.get(DatabaseId(3)), Some(2));
+        assert_eq!(map.get(DatabaseId(1_000)), Some(3));
+        assert_eq!(map.get(DatabaseId(2)), None);
+        assert_eq!(map.get(DatabaseId(u64::MAX)), None, "huge probe is safe");
     }
 
     #[test]
-    #[should_panic(expected = "row is vacant")]
-    fn addressing_a_vacant_row_panics() {
-        let mut store = MetadataStore::new();
-        store.set_state(db(1), DbState::Resumed);
-        store.remove(db(1));
-        store.set_state_at(0, DbState::PhysicallyPaused);
+    fn sparse_ids_spill_to_the_hash_map_and_keep_old_entries() {
+        let mut map = DbIndexMap::default();
+        map.insert(DatabaseId(5), 0);
+        map.insert(DatabaseId(0xDEAD_BEEF_DEAD_BEEF), 1);
+        assert!(!map.sparse.is_empty() && map.dense.is_empty());
+        assert_eq!(map.get(DatabaseId(5)), Some(0), "dense prefix migrated");
+        assert_eq!(map.get(DatabaseId(0xDEAD_BEEF_DEAD_BEEF)), Some(1));
+        assert_eq!(map.get(DatabaseId(6)), None);
+        map.insert(DatabaseId(6), 2);
+        assert_eq!(map.get(DatabaseId(6)), Some(2));
+        assert_eq!(map.len, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "mapped twice")]
+    fn duplicate_ids_are_rejected() {
+        let mut map = DbIndexMap::default();
+        map.insert(DatabaseId(1), 0);
+        map.insert(DatabaseId(1), 1);
     }
 
     #[derive(Clone, Copy, Debug)]
@@ -522,11 +534,13 @@ mod tests {
         Upsert(u64, DbState, Option<i64>),
         State(u64, DbState),
         Prediction(u64, Option<i64>),
-        Remove(u64),
     }
 
+    /// Ten dense ids and two far beyond them.
+    const IDS: [u64; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1 << 40, u64::MAX];
+
     fn op() -> impl Strategy<Value = Op> {
-        let id = || 0u64..12;
+        let id = || (0..IDS.len()).prop_map(|i| IDS[i]);
         let state = || {
             (0u8..3).prop_map(|s| match s {
                 0 => DbState::Resumed,
@@ -539,7 +553,6 @@ mod tests {
             2 => (id(), state(), pred()).prop_map(|(d, s, p)| Op::Upsert(d, s, p)),
             4 => (id(), state()).prop_map(|(d, s)| Op::State(d, s)),
             4 => (id(), pred()).prop_map(|(d, p)| Op::Prediction(d, p)),
-            1 => id().prop_map(Op::Remove),
         ]
     }
 
@@ -549,9 +562,9 @@ mod tests {
         /// One store written by id, one written by row number, and the
         /// table as it was before rows were numbered — a `HashMap` from
         /// id to row — as the model: after every operation of a random
-        /// interleaving (removals and re-registrations included) the
-        /// three hold the same rows, and each store's secondary index
-        /// equals a rebuild from its rows.
+        /// interleaving (ids dense and sparse, so the lookup spills) the
+        /// three hold the same rows, each id's row holds that id, and
+        /// each store's secondary index equals a rebuild from its rows.
         #[test]
         fn row_addressed_writes_are_id_keyed_writes(ops in prop::collection::vec(op(), 0..160)) {
             let mut keyed = MetadataStore::new();
@@ -581,16 +594,14 @@ mod tests {
                         addressed.set_prediction_at(row, pred.map(Timestamp));
                         model.entry(db(id)).or_default().pred_start = pred.map(Timestamp);
                     }
-                    Op::Remove(id) => {
-                        let expected = model.remove(&db(id));
-                        prop_assert_eq!(keyed.remove(db(id)), expected);
-                        prop_assert_eq!(addressed.remove(db(id)), expected);
-                    }
                 }
                 for store in [&keyed, &addressed] {
                     prop_assert_eq!(store.len(), model.len());
-                    for id in 0..12 {
+                    for id in IDS {
                         prop_assert_eq!(store.get(db(id)), model.get(&db(id)).copied());
+                    }
+                    for (row, &id) in store.ids().iter().enumerate() {
+                        prop_assert_eq!(store.row_of(id), Some(row));
                     }
                     prop_assert_eq!(&store.by_pred_start, &store.rebuilt_index());
                 }
