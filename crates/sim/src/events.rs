@@ -30,6 +30,17 @@
 //! event loop's single call per event: the heads are compared once and
 //! the winner leaves only if it is due before the horizon.
 //!
+//! The sealed run is also a look-ahead.  Its unconsumed part is exactly
+//! the recorded events still to pop, in pop order, so
+//! [`recorded_ahead(k)`](EventQueue::recorded_ahead) names the database
+//! of the `k`-th of them without popping anything; run-time events that
+//! pop in between are not counted.  The shard loop uses it to prefetch
+//! a database's cold lines a few events before its login or logout
+//! arrives (`ShardDriver::step_until`).  It answers `None` while the
+//! run holds unsealed appends, so it never names an order the seal has
+//! not fixed.  A live driver injects into the run-time lane only, so
+//! there it always answers `None`.
+//!
 //! # The run-time lane: a calendar
 //!
 //! The lane is a ring of 1 024 buckets of 64 s — an 18 h horizon — with
@@ -538,6 +549,21 @@ impl EventQueue {
         self.head().map(|(_, ts)| ts)
     }
 
+    /// The database of the `k`-th recorded event still queued (`k = 1` is
+    /// the recorded lane's head).  `None` for `k = 0`, while the run holds
+    /// entries appended since it was last sealed, and when fewer than `k`
+    /// recorded events are left.  Run-time events in between do not
+    /// count: this names the `k`-th recorded event the loop will pop, not
+    /// the `k`-th event.  What the shard loop prefetches by (see the
+    /// module docs).
+    #[inline]
+    pub fn recorded_ahead(&self, k: usize) -> Option<DatabaseId> {
+        if self.unsorted {
+            return None;
+        }
+        self.run.get(self.cursor + k.checked_sub(1)?).map(|r| r.db)
+    }
+
     /// Events still queued, both lanes.
     pub fn len(&self) -> usize {
         self.scheduled_len() + self.recorded_len()
@@ -934,5 +960,104 @@ mod tests {
             seal_run(&mut run[cursor..]);
             prop_assert_eq!(keys(&run), keys(&expected));
         }
+
+        /// After every pop, `recorded_ahead(k)` for k in {1, 4, 8} names
+        /// the database of the k-th recorded event popped from then on,
+        /// whatever run-time events pop in between; it is `None` before
+        /// the seal — at the start and after recording resumed mid-run —
+        /// and past the run's end.
+        #[test]
+        fn the_look_ahead_names_the_kth_recorded_pop(
+            run in prop::collection::vec((spread(), 0u64..50, any::<bool>()), 0..200),
+            steps in prop::collection::vec(
+                prop_oneof![
+                    4 => Just(Step::Pop),
+                    3 => (spread(), 0u8..3).prop_map(|(t, kind)| Step::Push(Timestamp(t), kind)),
+                    1 => (spread(), 0u64..50).prop_map(|(t, id)| Step::Record(Timestamp(t), id)),
+                ],
+                0..400,
+            ),
+        ) {
+            const KS: [usize; 3] = [1, 4, 8];
+            let mut q = EventQueue::new();
+            for &(t, id, end) in &run {
+                match end {
+                    false => q.record_start(Timestamp(t), db(id)),
+                    true => q.record_end(Timestamp(t), db(id)),
+                }
+            }
+            for k in [0, 1, 4, 8] {
+                prop_assert_eq!(q.recorded_ahead(k), None, "unsealed");
+            }
+            // Every pop, with what the look-ahead said right after it and
+            // how many recordings preceded it.
+            let mut pops: Vec<(SimEvent, [Option<DatabaseId>; 3], usize)> = Vec::new();
+            let mut recordings = 0;
+            let mut pop = |q: &mut EventQueue, recordings: usize| {
+                let popped = q.pop();
+                if let Some((_, event)) = popped {
+                    pops.push((event, KS.map(|k| q.recorded_ahead(k)), recordings));
+                }
+                popped.is_some()
+            };
+            for step in steps {
+                match step {
+                    Step::Pop => {
+                        pop(&mut q, recordings);
+                    }
+                    // Run-time events only, none of them a login or a
+                    // logout: those are the recorded lane's.
+                    Step::Push(t, kind) => q.push(
+                        t,
+                        match kind {
+                            0 => SimEvent::ResumeOpTick,
+                            1 => SimEvent::EngineTimer(db(7), TimerToken(7)),
+                            _ => SimEvent::WorkflowComplete(db(9)),
+                        },
+                    ),
+                    Step::Record(t, id) => {
+                        q.record_start(t, db(id));
+                        recordings += 1;
+                        prop_assert_eq!(q.recorded_ahead(1), None, "re-recorded");
+                    }
+                }
+            }
+            while pop(&mut q, recordings) {}
+            for k in [0, 1, 4, 8] {
+                prop_assert_eq!(q.recorded_ahead(k), None, "past the end");
+            }
+            // A recording mid-run changes what is ahead, so pop `i` is
+            // held to the pops before the next recording only: a k-th
+            // recorded pop among them, or, in the last stretch, none.
+            for (i, &(_, said, at)) in pops.iter().enumerate() {
+                let stretch: Vec<DatabaseId> = pops[i + 1..]
+                    .iter()
+                    .take_while(|p| p.2 == at)
+                    .filter_map(|p| match p.0 {
+                        SimEvent::ActivityStart(id) | SimEvent::ActivityEnd(id) => Some(id),
+                        _ => None,
+                    })
+                    .collect();
+                for (j, k) in KS.into_iter().enumerate() {
+                    match stretch.get(k - 1) {
+                        Some(&id) => prop_assert_eq!(said[j], Some(id), "pop {} k {}", i, k),
+                        None if at == recordings => {
+                            prop_assert_eq!(said[j], None, "pop {} k {}", i, k)
+                        }
+                        None => {}
+                    }
+                }
+            }
+        }
+    }
+
+    /// One step of [`the_look_ahead_names_the_kth_recorded_pop`].
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Pop,
+        /// A run-time event of one of three kinds.
+        Push(Timestamp, u8),
+        /// A login recorded after pops may have begun.
+        Record(Timestamp, u64),
     }
 }

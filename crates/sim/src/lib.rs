@@ -51,7 +51,7 @@
 //!   The merged [`ObsReport`](prorp_obs::ObsReport) rides on
 //!   [`SimReport::obs`].
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cluster;
@@ -61,6 +61,7 @@ pub mod events;
 pub mod fleet;
 pub mod node;
 pub mod obs;
+mod prefetch;
 pub mod runner;
 pub mod shard;
 

@@ -54,6 +54,7 @@ use crate::diagnostics::{Resumes, Staged};
 use crate::events::{EventQueue, SimEvent};
 use crate::fleet::FleetState;
 use crate::obs::ShardObs;
+use crate::prefetch::prefetch;
 #[cfg(feature = "strict-invariants")]
 use prorp_core::LifecycleInvariants;
 use prorp_core::{
@@ -79,6 +80,16 @@ const MAINTENANCE_DURATION: Seconds = Seconds::minutes(20);
 /// How long a due maintenance job may wait for a predicted-online
 /// window before it is forced.
 const MAINTENANCE_DEADLINE: Seconds = Seconds::hours(24);
+/// How many recorded events ahead the loop prefetches a database's
+/// engine, `sys.databases` row and open segment.
+const FAR_AHEAD: usize = 8;
+/// How many recorded events ahead it prefetches the database's history
+/// lines, which it finds through the engine's lines fetched at
+/// [`FAR_AHEAD`].
+const NEAR_AHEAD: usize = 4;
+/// The most clock-index entries prefetched: four lines of 16-byte
+/// entries, all of a typical history's.
+const CLOCK_ENTRIES: usize = 16;
 
 /// Validate the engine's post-event state against the shadow lifecycle
 /// checker.  Compiled out (always `Ok`) unless `strict-invariants` is on.
@@ -669,10 +680,48 @@ impl ShardDriver {
     pub fn step_until(&mut self, horizon: Timestamp) -> Result<(), ProrpError> {
         let stop = horizon.min(self.cfg.end);
         while let Some((now, event)) = self.queue.pop_before(stop) {
+            // Only a recorded pop moves the look-ahead on; after any other
+            // event it would name the same databases again.
+            if matches!(event, SimEvent::ActivityStart(_) | SimEvent::ActivityEnd(_)) {
+                self.look_ahead();
+            }
             self.counters.events_processed += 1;
             self.handle_event(now, event)?;
         }
         Ok(())
+    }
+
+    /// Prefetch what the recorded events [`FAR_AHEAD`] and
+    /// [`NEAR_AHEAD`] places on will touch (see [`crate::prefetch`]):
+    /// first a database's engine, row and segment, then, once the
+    /// engine's lines are in, the history lines its login or logout
+    /// reads — the oldest row Algorithm 3 checks, the newest row and
+    /// login an in-order insert lands beside, and the clock index the
+    /// predictor sweeps.  A hint only: nothing here writes, so what the
+    /// loop computes is the same with it or without it.
+    #[inline]
+    fn look_ahead(&self) {
+        let slot = |k| {
+            let id = self.queue.recorded_ahead(k)?;
+            self.metadata.row_of(id)
+        };
+        if let Some(idx) = slot(FAR_AHEAD) {
+            prefetch(self.fleet.engines.get(idx));
+            prefetch(self.metadata.meta_at(idx));
+            prefetch(self.fleet.segments.open_segment(idx));
+        }
+        if let Some(idx) = slot(NEAR_AHEAD) {
+            let view = self.fleet.engines.get(idx).history().view();
+            let rows = view.rows();
+            let logins = view.logins();
+            prefetch(&rows[..rows.len().min(1)]);
+            prefetch(&rows[rows.len().saturating_sub(1)..]);
+            prefetch(&logins[logins.len().saturating_sub(1)..]);
+            if let Some(clock) = view.clock_index() {
+                let entries = clock.entries();
+                prefetch(&entries[..entries.len().min(CLOCK_ENTRIES)]);
+            }
+        }
     }
 
     /// Drain the event loop to the end of the simulated horizon.

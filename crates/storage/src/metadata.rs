@@ -186,6 +186,15 @@ impl MetadataStore {
         Some(self.rows[self.row_of(db)?])
     }
 
+    /// The row at `row`, by reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `row` is out of bounds.
+    pub fn meta_at(&self, row: usize) -> &DbMeta {
+        &self.rows[row]
+    }
+
     /// The row number of `db`, if registered.
     #[inline]
     pub fn row_of(&self, db: DatabaseId) -> Option<usize> {

@@ -246,6 +246,11 @@ impl LiveView {
         self.version
     }
 
+    /// The visible `(time_snapshot, event_type)` rows, keys ascending.
+    pub fn rows(&self) -> &[(i64, i64)] {
+        &self.rows
+    }
+
     /// The sorted visible login timestamps.
     pub fn logins(&self) -> &[i64] {
         &self.logins

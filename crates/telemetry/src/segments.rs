@@ -118,7 +118,7 @@ impl SegmentTotals {
 
 /// One database's open segment: since when, and of what kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OpenSegment {
+pub struct OpenSegment {
     since: Timestamp,
     kind: SegmentKind,
 }
@@ -170,6 +170,11 @@ impl SegmentBook {
     /// Kind of `slot`'s open segment.
     pub fn open_kind(&self, slot: usize) -> SegmentKind {
         self.open[slot].kind
+    }
+
+    /// `slot`'s open segment, by reference.
+    pub fn open_segment(&self, slot: usize) -> &OpenSegment {
+        &self.open[slot]
     }
 
     /// Close every open segment at `at` and return the totals.

@@ -106,6 +106,13 @@ guards=(
     metadata::tests::row_addressed_writes_are_id_keyed_writes
     events::tests::two_lanes_are_one_heap
     events::tests::the_radix_seal_is_the_full_key_sort
+    # The shard loop prefetches by the recorded lane's look-ahead: after
+    # every pop, `recorded_ahead(k)` must name the k-th recorded event
+    # the loop pops next, across run-time pops and a re-seal, and nothing
+    # before the seal or past the run's end.  A look-ahead off by one
+    # costs no output, only the speed it was for, so this is where it
+    # shows.
+    events::tests::the_look_ahead_names_the_kth_recorded_pop
 
     # The allocation guard: a warm 3 000-database loop, reactive and
     # proactive, must make fewer than one heap allocation per three
@@ -287,6 +294,34 @@ for guard in "${guards[@]}"; do
 done
 [ "$missing" -eq 0 ]
 
+# `unsafe` stays in one place: the shard loop's prefetch
+# (`crates/sim/src/prefetch.rs`), the one function that carries
+# `#[allow(unsafe_code)]` in a crate that denies it.  Every other crate
+# root forbids it (the ledger, which measures from outside, denies it
+# itself), so an `allow` cannot reopen it anywhere else.
+echo "==> unsafe is confined to the shard loop's prefetch"
+confined=1
+for dir in crates/*/; do
+    root="${dir}src/lib.rs"
+    [ -f "$root" ] || root="${dir}src/main.rs"
+    case "$dir" in
+        crates/ledger/) continue ;;
+        crates/sim/) lint='#![deny(unsafe_code)]' ;;
+        *) lint='#![forbid(unsafe_code)]' ;;
+    esac
+    if ! grep -qxF "$lint" "$root"; then
+        echo "${root} lacks ${lint}"
+        confined=0
+    fi
+done
+allows=$(grep -rE --include='*.rs' -c '#\[allow\(unsafe_code\)\]' crates/sim/src | awk -F: '{s += $2} END {print s + 0}')
+blocks=$(grep -rE --include='*.rs' -c '(^|[^_[:alnum:]])unsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates/sim/src | awk -F: '{s += $2} END {print s + 0}')
+if [ "$allows" -gt 1 ] || [ "$blocks" -gt 1 ]; then
+    echo "crates/sim/src holds ${allows} #[allow(unsafe_code)] and ${blocks} unsafe items or blocks; one of each is allowed"
+    confined=0
+fi
+[ "$confined" -eq 1 ]
+
 # The trace-query CLI must keep parsing the pinned trace format.
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_small.jsonl summary
@@ -362,6 +397,11 @@ run cargo run --release -q -p prorp-bench --bin obs_bench -- \
 # come from scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin storage_bench -- \
     --smoke --json target/storage_smoke.json
+
+# The A/B harness, self against self in smoke mode, so it cannot rot:
+# one build (BASE is HEAD), one pair, no timing bar, and its record
+# kept out of results/.
+run ./scripts/ab.sh --out target/ab_smoke.json HEAD 1 -- scale_bench --smoke
 
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
