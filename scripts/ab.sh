@@ -113,11 +113,11 @@ jq -s \
     --arg name "$name" --arg bin "$bin" --arg base "$base_commit" \
     --arg head "$head_commit" --argjson dirty "$dirty" \
     --argjson args "$(printf '%s\n' "${args[@]}" | jq -R . | jq -sc 'map(select(. != ""))')" '
-    def quantile(p): sort as $s | (($s | length) - 1) * p as $i
+    def quantile(p): sort as $s | ((($s | length) - 1) * p) as $i
         | $s[$i | floor] + ($s[$i | ceil] - $s[$i | floor]) * ($i - ($i | floor));
     def spread: {median: quantile(0.5), q1: quantile(0.25), q3: quantile(0.75)};
     . as $runs
-    | ([$runs[] | .cells[].cell] | unique) as $cells
+    | [$runs[0].cells[].cell] as $cells
     | {
         name: $name, bin: $bin, args: $args,
         base: {commit: $base, meta: ([$runs[] | select(.side == "base")][0].meta)},
@@ -141,5 +141,8 @@ jq -s \
     }' "$runs" >"$out"
 
 echo "==> ${name}: base ${base_commit:0:12} vs working tree ${head_commit:0:12} (dirty: ${dirty}), wall s"
-jq -r '.cells[] | "\(.cell): base \(.base_wall_s.median) [\(.base_wall_s.q1), \(.base_wall_s.q3)]  head \(.head_wall_s.median) [\(.head_wall_s.q1), \(.head_wall_s.q3)]  ratio \(.ratio_median)  head won \(.head_won)/\(.n_pairs)"' "$out"
+jq -r '
+    def r3: . * 1000 | round / 1000;
+    def side: "\(.median | r3) [\(.q1 | r3), \(.q3 | r3)]";
+    .cells[] | "\(.cell): base \(.base_wall_s | side)  head \(.head_wall_s | side)  ratio \(.ratio_median | r3)  head won \(.head_won)/\(.n_pairs)"' "$out"
 echo "==> wrote ${out}"
