@@ -57,13 +57,15 @@ dirty=false
 
 echo "==> building ${bin} from the working tree (${head_commit:0:12}, dirty: ${dirty})"
 cargo build --release -q -p prorp-bench --bin "$bin"
-head_bin="target/ab/head-${bin}"
 mkdir -p target/ab
+head_bin="$PWD/target/ab/head-${bin}"
 cp "target/release/${bin}" "$head_bin"
+head_dir="$PWD"
 
 if [ "$base_commit" = "$head_commit" ]; then
     echo "==> BASE is HEAD: one build, run against itself"
     base_bin="$head_bin"
+    base_dir="$head_dir"
 else
     tree="target/ab/${base_commit:0:12}"
     if [ ! -d "$tree" ]; then
@@ -71,18 +73,20 @@ else
     fi
     echo "==> building ${bin} at ${base_commit:0:12} in ${tree}"
     (cd "$tree" && cargo build --release -q -p prorp-bench --bin "$bin")
-    base_bin="${tree}/target/release/${bin}"
+    base_dir="$PWD/${tree}"
+    base_bin="${base_dir}/target/release/${bin}"
 fi
 
 runs=$(mktemp)
 record=$(mktemp)
 trap 'rm -f "$runs" "$record"' EXIT
 
-# One timed run of `side`; appends {pair, side, first, meta, cells} to
-# the run log.
+# One timed run of `side`, from its own tree so that the record's
+# `meta.commit` is that side's; appends {pair, side, first, meta, cells}
+# to the run log.
 run_side() {
-    local pair="$1" side="$2" first="$3" exe="$4"
-    "$exe" "${args[@]}" --json "$record" >/dev/null
+    local pair="$1" side="$2" first="$3" exe="$4" dir="$5"
+    (cd "$dir" && "$exe" "${args[@]}" --json "$record" >/dev/null)
     if [ "$(jq '.meta.strict_invariants' "$record")" != "false" ]; then
         echo "refusing a ${side} record whose meta.strict_invariants is not false" >&2
         exit 1
@@ -99,11 +103,11 @@ run_side() {
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then first=base; else first=head; fi
     if [ "$first" = base ]; then
-        run_side "$i" base base "$base_bin"
-        run_side "$i" head base "$head_bin"
+        run_side "$i" base base "$base_bin" "$base_dir"
+        run_side "$i" head base "$head_bin" "$head_dir"
     else
-        run_side "$i" head head "$head_bin"
-        run_side "$i" base head "$base_bin"
+        run_side "$i" head head "$head_bin" "$head_dir"
+        run_side "$i" base head "$base_bin" "$base_dir"
     fi
     echo "    pair ${i}/${pairs} done (${first} first)"
 done
