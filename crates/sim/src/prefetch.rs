@@ -6,9 +6,10 @@
 //! the databases of the events to come
 //! ([`EventQueue::recorded_ahead`](crate::events::EventQueue::recorded_ahead)),
 //! so the loop asks for their lines a few events early.  A plain read of
-//! the same lines (`std::hint::black_box`) did not help: it stalls the
-//! loop on the miss it means to hide, so this is the prefetch
-//! instruction itself, and the crate's one `unsafe`.
+//! the same lines (`std::hint::black_box`) read level when the
+//! look-ahead was sized, as a load waits on the miss it means to hide,
+//! so this is the prefetch instruction itself, and the crate's one
+//! `unsafe`.
 
 /// A cache line's size on the targets this runs on.
 const LINE: usize = 64;
