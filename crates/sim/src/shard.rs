@@ -695,10 +695,10 @@ impl ShardDriver {
     /// [`NEAR_AHEAD`] places on will touch (see [`crate::prefetch`]):
     /// first a database's engine, row and segment, then, once the
     /// engine's lines are in, the history lines its login or logout
-    /// reads — the oldest row Algorithm 3 checks, the newest row and
-    /// login an in-order insert lands beside, and the clock index the
-    /// predictor sweeps.  A hint only: nothing here writes, so what the
-    /// loop computes is the same with it or without it.
+    /// reads — the newest row and login an in-order insert lands beside,
+    /// and the clock index the predictor sweeps.  A hint only: nothing
+    /// here writes, so what the loop computes is the same with it or
+    /// without it.
     #[inline]
     fn look_ahead(&self) {
         let slot = |k| {
@@ -714,7 +714,6 @@ impl ShardDriver {
             let view = self.fleet.engines.get(idx).history().view();
             let rows = view.rows();
             let logins = view.logins();
-            prefetch(&rows[..rows.len().min(1)]);
             prefetch(&rows[rows.len().saturating_sub(1)..]);
             prefetch(&logins[logins.len().saturating_sub(1)..]);
             if let Some(clock) = view.clock_index() {

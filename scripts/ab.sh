@@ -2,7 +2,7 @@
 # A/B timing of one bench bin: the working tree against a base commit,
 # in alternated pairs, in one sitting.
 #
-#   ./scripts/ab.sh [--name NAME] [--out PATH] BASE N -- BIN ARGS...
+#   ./scripts/ab.sh [--out PATH] BASE N -- BIN ARGS...
 #
 # BASE is any commit git can name (`HEAD~1`, a hash).  It is checked out
 # into a `git worktree` under target/ab/ and built there; the working
@@ -20,23 +20,20 @@
 # wall time with its quartiles, the median of the per-pair ratios
 # base / head (above 1: the working tree is faster) and the pairs the
 # working tree won.  It writes every pair, both commits and both sides'
-# `meta` to PATH (default results/AB_NAME.json, NAME defaulting to BIN).
+# `meta` to PATH (default results/AB_BIN.json); the record's `name` is
+# PATH's file name without its `AB_` prefix and `.json` suffix.
 # Nothing here judges the numbers: it has no timing bar.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-name=""
 out=""
-while [ $# -gt 0 ]; do
-    case "$1" in
-        --name) name="$2"; shift 2 ;;
-        --out) out="$2"; shift 2 ;;
-        *) break ;;
-    esac
-done
+if [ "${1:-}" = "--out" ]; then
+    out="${2:?--out needs a path}"
+    shift 2
+fi
 if [ $# -lt 4 ] || [ "$3" != "--" ]; then
-    echo "usage: $0 [--name NAME] [--out PATH] BASE N -- BIN ARGS..." >&2
+    echo "usage: $0 [--out PATH] BASE N -- BIN ARGS..." >&2
     exit 2
 fi
 base_rev="$1"
@@ -47,8 +44,9 @@ args=("$@")
 case "$pairs" in
     '' | *[!0-9]* | 0) echo "N must be a positive integer, got '$pairs'" >&2; exit 2 ;;
 esac
-name="${name:-$bin}"
-out="${out:-results/AB_${name}.json}"
+out="${out:-results/AB_${bin}.json}"
+name=$(basename "$out" .json)
+name="${name#AB_}"
 
 base_commit=$(git rev-parse --verify "${base_rev}^{commit}")
 head_commit=$(git rev-parse --verify HEAD)
