@@ -35,21 +35,14 @@ pub fn env_i64(name: &str, default: i64) -> i64 {
 
 /// Where a benchmark record came from: the `"meta"` object of a
 /// `results/BENCH_*.json` file.  `mode` is the bench's own run mode
-/// (`"full"` or `"smoke"`); `commit` is `HEAD`, with `+dirty` when the
-/// work tree differs from it; `strict_invariants` says whether the
+/// (`"full"` or `"smoke"`); `commit` is the `HEAD` of the git tree the
+/// running executable sits in — the tree it was built from, whatever the
+/// current directory — with `+dirty` when that tree differs from it;
+/// `strict_invariants` says whether the
 /// simulator was built with its per-event lifecycle checker
 /// ([`prorp_sim::STRICT_INVARIANTS`]), which no timing should be; anything
 /// the host will not tell reads `"unknown"`.
 pub fn run_meta(mode: &str) -> Json {
-    let stdout_of = |program: &str, args: &[&str]| {
-        std::process::Command::new(program)
-            .args(args)
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|text| text.trim().to_string())
-    };
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|info| {
@@ -63,16 +56,8 @@ pub fn run_meta(mode: &str) -> Json {
     } else {
         "release"
     };
-    // A record is usually written before its own commit exists: say so
-    // rather than pass the parent's hash off as the source.
-    let commit = stdout_of("git", &["rev-parse", "HEAD"]).map(|head| {
-        match stdout_of("git", &["status", "--porcelain"]) {
-            Some(changes) if changes.is_empty() => head,
-            _ => head + "+dirty",
-        }
-    });
     Json::object(vec![
-        ("commit", text(commit)),
+        ("commit", text(build_tree_commit())),
         ("nproc", Json::from(nproc as u64)),
         ("cpu", text(cpu)),
         ("rustc", text(stdout_of("rustc", &["--version"]))),
@@ -83,6 +68,40 @@ pub fn run_meta(mode: &str) -> Json {
         ),
         ("mode", Json::Str(mode.into())),
     ])
+}
+
+/// The trimmed standard output of `program args`, if it ran and
+/// succeeded.
+fn stdout_of(program: &str, args: &[&str]) -> Option<String> {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|text| text.trim().to_string())
+}
+
+/// The commit of the git tree the running executable sits in
+/// (`target/release/BIN` under the tree it was built from), with
+/// `+dirty` when that tree's files differ from it; `None` for an
+/// executable outside any git tree.
+///
+/// The tree is found from [`std::env::current_exe`], never from the
+/// current directory: a binary built in one checkout and run from
+/// another must not stamp the other's commit.  A record is usually
+/// written before its own commit exists, so `+dirty` says so rather
+/// than pass the parent's hash off as the source.
+fn build_tree_commit() -> Option<String> {
+    let exe = std::env::current_exe().ok()?;
+    let dir = exe.parent()?.to_str()?;
+    let head = stdout_of("git", &["-C", dir, "rev-parse", "HEAD"])?;
+    Some(
+        match stdout_of("git", &["-C", dir, "status", "--porcelain"]) {
+            Some(changes) if changes.is_empty() => head,
+            _ => head + "+dirty",
+        },
+    )
 }
 
 /// Standard experiment setup: fleet size, horizon, and split points.

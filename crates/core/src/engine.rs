@@ -15,72 +15,27 @@
 //! value.  The event loop delivers hundreds of thousands of events a
 //! second and most replies hold zero to two actions, so a `Vec` per
 //! event was a `malloc`/`free` pair that bought nothing.
+//!
+//! The reply also carries the event's decision provenance: with capture
+//! on ([`DatabasePolicy::set_explain_enabled`]), an event that makes a
+//! decision — a pause taken or deferred, a proactive resume — returns
+//! its [`DecisionExplain`] in [`Actions::decision`], decided at the
+//! event's own instant.  An event makes at most one decision, so one
+//! slot holds it; nothing is buffered in the engine and nothing is left
+//! for the caller to drain.
 
 use crate::tracker::ActivityTracker;
 use prorp_obs::span::DecisionExplain;
 use prorp_storage::HistoryTable;
 use prorp_types::{DbState, Timestamp};
 
-/// One decision-provenance record: when, and what the engine saw.
-type Explain = (Timestamp, DecisionExplain);
-
-/// An engine's decision-provenance records not yet drained, in decision
-/// order.  A shard drains after every event and an event makes at most
-/// one decision, so the oldest record has a slot of its own beside the
-/// log's header, in the same allocation; only records that wait longer
-/// (an engine no shard drains) go to `rest`, which keeps its capacity
-/// from one drain to the next.
-#[derive(Debug, Default)]
-pub(crate) struct ExplainLog {
-    first: Option<Explain>,
-    rest: Vec<Explain>,
-}
-
-impl ExplainLog {
-    /// Append one record.
-    pub(crate) fn push(&mut self, record: Explain) {
-        if self.first.is_none() {
-            self.first = Some(record);
-        } else {
-            self.rest.push(record);
-        }
-    }
-
-    /// Drain every record, oldest first.
-    pub(crate) fn drain(&mut self) -> ExplainDrain<'_> {
-        ExplainDrain {
-            first: self.first.take(),
-            rest: Some(self.rest.drain(..)),
-        }
-    }
-}
-
-#[cfg(test)]
-impl ExplainLog {
-    /// Records waiting, and the spill buffer's capacity.
-    pub(crate) fn shape(&self) -> (usize, usize) {
-        let waiting = usize::from(self.first.is_some()) + self.rest.len();
-        (waiting, self.rest.capacity())
-    }
-}
-
-/// What [`DatabasePolicy::drain_explains`] yields: the pending records,
-/// removed from the engine's log in place — as the iterator is consumed
-/// or when it is dropped, read or not.  The iterator of a policy
-/// without provenance is empty and owns nothing.
-#[derive(Debug, Default)]
-pub struct ExplainDrain<'a> {
-    first: Option<Explain>,
-    rest: Option<std::vec::Drain<'a, Explain>>,
-}
-
-impl Iterator for ExplainDrain<'_> {
-    type Item = Explain;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.first.take().or_else(|| self.rest.as_mut()?.next())
-    }
-}
+/// What [`DatabasePolicy::drain_explains`] returns: nothing.  A decision
+/// rides its engine's reply ([`Actions::decision`]); the trait method and
+/// this type remain only because the performance ledger still calls the
+/// drain by name (`crates/ledger/src/layers.rs:56`), and go with it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ExplainDrain;
 
 /// Token matching a scheduled timer to its delivery; a stale token (from a
 /// timer scheduled before a state change) must be ignored by the engine.
@@ -125,7 +80,8 @@ pub enum EngineAction {
 }
 
 /// An engine's reply to one event: up to [`Actions::CAPACITY`] actions in
-/// the order the engine asked for them, held inline.
+/// the order the engine asked for them, held inline, and the decision the
+/// event produced, if capture is on and it made one.
 ///
 /// The capacity is the longest reply any arm of any engine can build (2
 /// today: publish a prediction, then reclaim) with room to spare; a
@@ -137,6 +93,7 @@ pub enum EngineAction {
 pub struct Actions {
     len: u8,
     items: [EngineAction; Actions::CAPACITY],
+    decision: Option<DecisionExplain>,
 }
 
 impl Actions {
@@ -149,6 +106,7 @@ impl Actions {
             len: 0,
             // Slots past `len` are never read; any value fills them.
             items: [EngineAction::Allocate; Actions::CAPACITY],
+            decision: None,
         }
     }
 
@@ -173,6 +131,26 @@ impl Actions {
     pub fn as_slice(&self) -> &[EngineAction] {
         &self.items[..self.len as usize]
     }
+
+    /// Attach the decision this event made, decided at the event's
+    /// instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the reply already carries one — no engine arm decides
+    /// twice on one event.
+    pub fn set_decision(&mut self, explain: DecisionExplain) {
+        assert!(
+            self.decision.is_none(),
+            "an engine reply carries at most one decision"
+        );
+        self.decision = Some(explain);
+    }
+
+    /// The decision this event made, if capture is on and it made one.
+    pub fn decision(&self) -> Option<DecisionExplain> {
+        self.decision
+    }
 }
 
 impl Default for Actions {
@@ -191,7 +169,7 @@ impl std::ops::Deref for Actions {
 
 impl PartialEq for Actions {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.as_slice() == other.as_slice() && self.decision == other.decision
     }
 }
 
@@ -304,16 +282,18 @@ pub trait DatabasePolicy {
     }
 
     /// Enable or disable decision-provenance capture
-    /// (`ObsConfig::explain`).  The default is off, and policies without
-    /// provenance support (reactive, optimal) ignore the request — their
-    /// decisions are input-free, so there is nothing to explain.
+    /// (`ObsConfig::explain`): while on, a reply that makes a decision
+    /// carries it in [`Actions::decision`].  The default is off, and
+    /// policies without provenance support (reactive, optimal) ignore the
+    /// request — their decisions are input-free, so there is nothing to
+    /// explain.
     fn set_explain_enabled(&mut self, _enabled: bool) {}
 
-    /// Drain the [`DecisionExplain`] records captured since the last
-    /// drain, in chronological order.  Empty unless capture was enabled
-    /// through [`set_explain_enabled`](DatabasePolicy::set_explain_enabled).
-    fn drain_explains(&mut self) -> ExplainDrain<'_> {
-        ExplainDrain::default()
+    /// Does nothing: decisions ride the reply.  Kept, hidden, only while
+    /// the performance ledger calls it (`crates/ledger/src/layers.rs:56`).
+    #[doc(hidden)]
+    fn drain_explains(&mut self) -> ExplainDrain {
+        ExplainDrain
     }
 }
 
@@ -325,6 +305,17 @@ pub trait DatabasePolicy {
 /// is the proof that every arm was entered from every [`DbState`].
 #[cfg(test)]
 pub(crate) fn walk_every_arm<E: DatabasePolicy>(start: Timestamp, make: impl Fn() -> E) -> usize {
+    walk_every_reply(start, make, |_, _| {})
+}
+
+/// [`walk_every_arm`], handing each delivered event and its reply to
+/// `check` as well.
+#[cfg(test)]
+pub(crate) fn walk_every_reply<E: DatabasePolicy>(
+    start: Timestamp,
+    make: impl Fn() -> E,
+    mut check: impl FnMut(EngineEvent, &Actions),
+) -> usize {
     use prorp_types::Seconds;
     const ARMS: usize = 6;
     const DEPTH: u32 = 4;
@@ -354,6 +345,7 @@ pub(crate) fn walk_every_arm<E: DatabasePolicy>(start: Timestamp, make: impl Fn(
             };
             entered[engine.state() as usize][arm] = true;
             let reply = engine.on_event(now, event);
+            check(event, &reply);
             longest = longest.max(reply.len());
             for action in reply {
                 if let EngineAction::ScheduleTimer(due, token) = action {

@@ -29,8 +29,7 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::engine::{
-    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, ExplainLog,
-    TimerToken,
+    Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, TimerToken,
 };
 use crate::tracker::ActivityTracker;
 use prorp_forecast::{ConfidenceBasis, Knobs, Predictor, SharedKnobs, SweepScratch};
@@ -71,13 +70,9 @@ pub struct ProactiveEngine<P> {
     next_token: u64,
     live_token: Option<TimerToken>,
     counters: EngineCounters,
-    /// Decision-provenance capture (`ObsConfig::explain`): `None`, one
-    /// pointer and one branch per decision, until capture is turned on.
-    explains: Option<Box<ExplainLog>>,
-    /// Whether `explains` holds undrained records: the shard drains
-    /// after every event, and most events decide nothing, so the drain
-    /// reads this flag instead of the boxed log's cache line.
-    explains_pending: bool,
+    /// Decision-provenance capture (`ObsConfig::explain`): while on, a
+    /// decision rides the reply that made it ([`Actions::decision`]).
+    explain: bool,
 }
 
 impl<P: Predictor> ProactiveEngine<P> {
@@ -153,8 +148,7 @@ impl<P: Predictor> ProactiveEngine<P> {
             next_token: 0,
             live_token: None,
             counters: EngineCounters::default(),
-            explains: None,
-            explains_pending: false,
+            explain: false,
         })
     }
 
@@ -338,22 +332,23 @@ impl<P: Predictor> ProactiveEngine<P> {
             ForecastState::Predicted(Some(p)) => Some(p.start),
             _ => None,
         };
-        self.record_decision(now, DecisionAction::PhysicalPause);
+        self.record_decision(now, DecisionAction::PhysicalPause, actions);
         actions.push(EngineAction::SetPredictedStart(pred_start));
         actions.push(EngineAction::Reclaim);
     }
 
-    /// Capture one decision-provenance record (no-op unless enabled).
+    /// Attach one decision-provenance record to the reply (no-op unless
+    /// capture is on).
     ///
     /// The confidence basis is stored as the exact integer rational the
     /// Algorithm 4 sweep computed: the denominator is the config's
     /// periods-in-history and the numerator recovers the windows-with-
     /// activity count from the float confidence (`prob = hits / periods`
     /// holds exactly, so the round-trip is lossless).
-    fn record_decision(&mut self, now: Timestamp, action: DecisionAction) {
-        let Some(explains) = &mut self.explains else {
+    fn record_decision(&self, now: Timestamp, action: DecisionAction, actions: &mut Actions) {
+        if !self.explain {
             return;
-        };
+        }
         let (predicted, hits, total) = match self.forecast {
             ForecastState::Predicted(Some(p)) => {
                 let periods = self.knobs.config().periods_in_history().max(0) as u32;
@@ -362,18 +357,14 @@ impl<P: Predictor> ProactiveEngine<P> {
             }
             ForecastState::Predicted(None) | ForecastState::Unavailable => (None, 0, 0),
         };
-        explains.push((
-            now,
-            DecisionExplain {
-                action,
-                predicted,
-                history_len: self.tracker.history().logins().len() as u32,
-                confidence_hits: hits,
-                confidence_total: total,
-                breaker_open: self.breaker.is_open(now),
-            },
-        ));
-        self.explains_pending = true;
+        actions.set_decision(DecisionExplain {
+            action,
+            predicted,
+            history_len: self.tracker.history().logins().len() as u32,
+            confidence_hits: hits,
+            confidence_total: total,
+            breaker_open: self.breaker.is_open(now),
+        });
     }
 }
 
@@ -407,7 +398,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                 if self.initial_physical_pause_condition(now) {
                     self.physical_pause(now, &mut actions);
                 } else {
-                    self.record_decision(now, DecisionAction::DeferPause);
+                    self.record_decision(now, DecisionAction::DeferPause, &mut actions);
                     self.enter_logical_pause(now, true, &mut actions);
                 }
             }
@@ -425,7 +416,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                     self.physical_pause(now, &mut actions);
                 } else {
                     // Stay logically paused; pause_start is preserved.
-                    self.record_decision(now, DecisionAction::DeferPause);
+                    self.record_decision(now, DecisionAction::DeferPause, &mut actions);
                     self.schedule_wake(now, &mut actions);
                 }
             }
@@ -434,7 +425,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                     return actions; // raced with a customer login
                 }
                 self.counters.proactive_resumes += 1;
-                self.record_decision(now, DecisionAction::ProactiveResume);
+                self.record_decision(now, DecisionAction::ProactiveResume, &mut actions);
                 actions.push(EngineAction::Allocate);
                 // Algorithm 5 line 8: d.LogicalPause().
                 self.enter_logical_pause(now, false, &mut actions);
@@ -482,21 +473,7 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
     }
 
     fn set_explain_enabled(&mut self, enabled: bool) {
-        match (enabled, &self.explains) {
-            (true, None) => self.explains = Some(Box::default()),
-            (false, Some(_)) => {
-                self.explains = None;
-                self.explains_pending = false;
-            }
-            _ => {}
-        }
-    }
-
-    fn drain_explains(&mut self) -> ExplainDrain<'_> {
-        match &mut self.explains {
-            Some(explains) if std::mem::take(&mut self.explains_pending) => explains.drain(),
-            _ => ExplainDrain::default(),
-        }
+        self.explain = enabled;
     }
 }
 
@@ -932,17 +909,20 @@ mod tests {
     /// the engine and its predictor each held a copy of the run's policy
     /// knobs and the breaker its own, and the explain buffer was an
     /// unboxed `Vec`, and 392 while the engine kept its own session flag
-    /// beside an activity tracker that buffered any number of events.
-    /// Now the engine and predictor hold one pointer each to the shard's
-    /// [`Knobs`], and the tracker's held login is the one record of an
-    /// open session: a per-engine field coming back, or one leaving,
-    /// fails here by name, not as an RSS drift.
+    /// beside an activity tracker that buffered any number of events,
+    /// and 336 while decisions waited in a boxed per-engine log (its
+    /// pointer plus a pending flag) for the shard to drain.  Now the
+    /// engine and predictor hold one pointer each to the shard's
+    /// [`Knobs`], the tracker's held login is the one record of an open
+    /// session, and a decision rides the reply behind one capture flag:
+    /// a per-engine field coming back, or one leaving, fails here by
+    /// name, not as an RSS drift.
     #[test]
-    fn an_engine_is_336_bytes() {
+    fn an_engine_is_328_bytes() {
         use prorp_forecast::IncrementalPredictor;
         assert_eq!(
             std::mem::size_of::<ProactiveEngine<IncrementalPredictor>>(),
-            336
+            328
         );
     }
 
@@ -984,27 +964,117 @@ mod tests {
         assert!(c.prediction_ns_mean() > 0.0);
     }
 
+    /// The decision a reply must carry, read off the reply alone: a
+    /// logout or live timer that pauses (it reclaims) or defers (it
+    /// schedules a wake and reclaims nothing), and a proactive resume
+    /// that allocates.  A login, a forced pause, a stale timer and any
+    /// event the engine refuses decide nothing.
+    fn decision_of(event: EngineEvent, reply: &Actions) -> Option<DecisionAction> {
+        match event {
+            EngineEvent::ActivityEnd | EngineEvent::Timer(_) if !reply.is_empty() => {
+                Some(if reply.contains(&EngineAction::Reclaim) {
+                    DecisionAction::PhysicalPause
+                } else {
+                    DecisionAction::DeferPause
+                })
+            }
+            EngineEvent::ProactiveResume if !reply.is_empty() => {
+                Some(DecisionAction::ProactiveResume)
+            }
+            _ => None,
+        }
+    }
+
+    /// Every sequence of four events from a fresh and from an old
+    /// database: with capture on, each reply carries exactly the decision
+    /// its event made — `ActivityEnd` a pause or a deferral, a live timer
+    /// one, a proactive resume one, and a login, a forced pause or a
+    /// stale timer none.  With capture off no reply carries one, and the
+    /// actions are the same either way.
+    #[test]
+    fn a_reply_carries_exactly_the_decision_its_event_made() {
+        let old = || {
+            let mut eng = engine();
+            run_daily_sessions(&mut eng, 6);
+            eng
+        };
+        let mut seen = std::collections::HashSet::new();
+        for (start, make) in [
+            (
+                t(0),
+                &engine as &dyn Fn() -> ProactiveEngine<ProbabilisticPredictor>,
+            ),
+            (t(6 * DAY + 10 * HOUR), &old),
+        ] {
+            let (mut on, mut off) = (Vec::new(), Vec::new());
+            let capturing = || {
+                let mut eng = make();
+                eng.set_explain_enabled(true);
+                eng
+            };
+            crate::engine::walk_every_reply(start, capturing, |event, reply| {
+                let decided = reply.decision().map(|d| d.action);
+                assert_eq!(decided, decision_of(event, reply), "{event:?} → {reply:?}");
+                if let Some(action) = decided {
+                    let arm = std::mem::discriminant(&event);
+                    seen.insert((arm, action.label()));
+                }
+                on.push(reply.to_vec());
+            });
+            crate::engine::walk_every_reply(start, make, |_, reply| {
+                assert_eq!(reply.decision(), None, "capture is off");
+                off.push(reply.to_vec());
+            });
+            assert_eq!(on, off, "capture changes no action");
+        }
+        // Every decision each arm can make was reached.
+        let end = std::mem::discriminant(&EngineEvent::ActivityEnd);
+        let timer = std::mem::discriminant(&EngineEvent::Timer(TimerToken(0)));
+        let resume = std::mem::discriminant(&EngineEvent::ProactiveResume);
+        for want in [
+            (end, "defer-pause"),
+            (end, "physical-pause"),
+            (timer, "defer-pause"),
+            (timer, "physical-pause"),
+            (resume, "proactive-resume"),
+        ] {
+            assert!(seen.contains(&want), "{want:?} never decided");
+        }
+    }
+
     #[test]
     fn explain_capture_records_decision_inputs() {
         let mut eng = engine();
-        // Off by default: decisions leave no provenance behind.
-        run_daily_sessions(&mut eng, 2);
-        assert_eq!(eng.drain_explains().count(), 0);
-
         eng.set_explain_enabled(true);
-        run_daily_sessions_from(&mut eng, 2, 6);
+        // A new database: the logout defers, a stale timer decides
+        // nothing, the live one pauses without a forecast to show.
+        assert_eq!(
+            eng.on_event(t(100), EngineEvent::ActivityStart).decision(),
+            None
+        );
+        let deferred = eng.on_event(t(200), EngineEvent::ActivityEnd);
+        let (wake, token) = timer_of(&deferred).expect("a wake");
+        let deferred = deferred.decision().expect("a logout decides");
+        assert_eq!(deferred.action, DecisionAction::DeferPause);
+        assert_eq!(deferred.history_len, 1);
+        let stale = eng.on_event(wake, EngineEvent::Timer(TimerToken(token.0 + 1)));
+        assert!(stale.is_empty() && stale.decision().is_none());
+        let paused = eng.on_event(wake, EngineEvent::Timer(token));
+        let paused = paused.decision().expect("a live timer decides");
+        assert_eq!(paused.action, DecisionAction::PhysicalPause);
+        assert_eq!(eng.state(), DbState::PhysicallyPaused);
+
+        // An old database with a daily pattern pauses at its logout on
+        // the forecast, and says which one.
+        let mut eng = engine();
+        run_daily_sessions(&mut eng, 5);
+        eng.set_explain_enabled(true);
+        eng.on_event(t(5 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
+        let reply = eng.on_event(t(5 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
         let pred = eng.current_prediction().expect("old db predicts");
         assert_eq!(eng.state(), DbState::PhysicallyPaused);
-        let explains: Vec<_> = eng.drain_explains().collect();
-        assert!(!explains.is_empty());
-        // Chronological, and every record carries the history length the
-        // engine saw at that instant.
-        for pair in explains.windows(2) {
-            assert!(pair[0].0 <= pair[1].0);
-        }
-        let (at, last) = *explains.last().unwrap();
+        let last = reply.decision().expect("the logout decided");
         assert_eq!(last.action, DecisionAction::PhysicalPause);
-        assert_eq!(at, t(5 * DAY + 10 * HOUR), "decided at the last logout");
         assert_eq!(last.predicted, Some(pred.start));
         assert!(last.history_len > 0);
         assert!(!last.breaker_open);
@@ -1014,28 +1084,20 @@ mod tests {
         assert!(last.confidence_hits <= last.confidence_total);
         let ratio = f64::from(last.confidence_hits) / f64::from(last.confidence_total);
         assert!((ratio - pred.confidence).abs() < 1e-9);
-        // A proactive resume is a decision too.
-        eng.on_event(pred.start, EngineEvent::ProactiveResume);
-        let resumed: Vec<_> = eng.drain_explains().collect();
-        assert_eq!(resumed.len(), 1);
-        // Draining happens in place: the spill buffer keeps what it grew
-        // to.
-        let log = |e: &ProactiveEngine<_>| e.explains.as_deref().map(ExplainLog::shape);
-        let (len, capacity) = log(&eng).expect("capture is on");
-        assert!(len == 0 && capacity + 1 >= explains.len());
-        // Dropping the iterator unread drains too.
-        eng.on_event(pred.start, EngineEvent::ActivityStart);
-        eng.on_event(pred.start + Seconds::hours(1), EngineEvent::ActivityEnd);
-        assert!(log(&eng).is_some_and(|(len, _)| len > 0));
-        drop(eng.drain_explains());
-        assert!(log(&eng).is_some_and(|(len, _)| len == 0));
-        assert_eq!(resumed[0].1.action, DecisionAction::ProactiveResume);
-        // Disabling drops any pending records, and the buffer with them.
-        eng.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
-        eng.on_event(t(6 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
+        // A forced pause is the operator's, not a decision; a proactive
+        // resume is one.
+        let resumed = eng.on_event(pred.start, EngineEvent::ProactiveResume);
+        assert_eq!(
+            resumed.decision().map(|d| d.action),
+            Some(DecisionAction::ProactiveResume)
+        );
+        let forced = eng.on_event(pred.start + Seconds(1), EngineEvent::ForcedPause);
+        assert!(forced.contains(&EngineAction::Reclaim) && forced.decision().is_none());
+        // Turned off, the same kind of logout carries nothing.
         eng.set_explain_enabled(false);
-        assert!(eng.explains.is_none());
-        assert_eq!(eng.drain_explains().count(), 0);
+        eng.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
+        let quiet = eng.on_event(t(6 * DAY + 10 * HOUR), EngineEvent::ActivityEnd);
+        assert!(!quiet.is_empty() && quiet.decision().is_none());
     }
 
     #[test]

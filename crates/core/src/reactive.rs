@@ -251,7 +251,7 @@ mod tests {
     }
 
     /// The reactive engine's own size guard, beside the proactive
-    /// engine's `an_engine_is_336_bytes`: a field added to or dropped
+    /// engine's `an_engine_is_328_bytes`: a field added to or dropped
     /// from the baseline fails here by name, not as an RSS drift.  Its
     /// two durations are still per engine.
     #[test]

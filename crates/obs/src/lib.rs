@@ -84,6 +84,6 @@ pub use slo::{
 };
 pub use span::{
     BreakerTransition, DecisionAction, DecisionExplain, NullSink, PredictOutcome, SpanKind,
-    StageResult, TraceBuffer, TraceRecord, TraceSink, WorkflowOutcome,
+    StageResult, TraceBuffer, TracePos, TraceRecord, TraceSink, WorkflowOutcome,
 };
 pub use timetravel::{replay_as_of, TimeTravelReport};

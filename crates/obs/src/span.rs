@@ -294,6 +294,21 @@ impl TraceRecord {
     }
 }
 
+/// Where a [`TraceBuffer`] keeps one record: which of its two lanes, and
+/// the record's index in that lane.
+///
+/// A position holds until the buffer is consumed
+/// ([`into_lanes`](TraceBuffer::into_lanes) puts the lanes in order in
+/// place); until then [`TraceBuffer::get`] reads the record back.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct TracePos {
+    /// Whether the record went to the backdated lane (its `start` was
+    /// before the in-order lane's last `start`).
+    pub backdated: bool,
+    /// The record's index in its lane.
+    pub index: usize,
+}
+
 /// Destination for spans emitted by instrumented components.
 ///
 /// Implementations must not look at wall clocks: everything needed to
@@ -357,6 +372,54 @@ impl TraceBuffer {
     /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Record a span covering `[start, end]`, as [`TraceSink::span`]
+    /// does, and say where the buffer keeps it.
+    pub fn push(
+        &mut self,
+        start: Timestamp,
+        end: Timestamp,
+        db: DatabaseId,
+        kind: SpanKind,
+    ) -> TracePos {
+        let seq = self.next_seq.entry(db).or_insert(0);
+        let record = TraceRecord {
+            start,
+            end,
+            db,
+            seq: *seq,
+            kind,
+        };
+        *seq += 1;
+        let backdated = match self.in_order.last() {
+            Some(last) if start < last.start => true,
+            Some(last) if start == last.start && db < last.db => {
+                self.misplaced.push(self.in_order.len());
+                false
+            }
+            _ => false,
+        };
+        let lane = if backdated {
+            &mut self.backdated
+        } else {
+            &mut self.in_order
+        };
+        lane.push(record);
+        TracePos {
+            backdated,
+            index: lane.len() - 1,
+        }
+    }
+
+    /// The record kept at `pos`, as [`push`](Self::push) reported it.
+    pub fn get(&self, pos: TracePos) -> Option<&TraceRecord> {
+        let lane = if pos.backdated {
+            &self.backdated
+        } else {
+            &self.in_order
+        };
+        lane.get(pos.index)
     }
 
     /// Consume the buffer into its two lanes — in-order, then backdated
@@ -456,24 +519,9 @@ impl TraceBuffer {
 }
 
 impl TraceSink for TraceBuffer {
+    #[inline]
     fn span(&mut self, start: Timestamp, end: Timestamp, db: DatabaseId, kind: SpanKind) {
-        let seq = self.next_seq.entry(db).or_insert(0);
-        let record = TraceRecord {
-            start,
-            end,
-            db,
-            seq: *seq,
-            kind,
-        };
-        *seq += 1;
-        match self.in_order.last() {
-            Some(last) if start < last.start => return self.backdated.push(record),
-            Some(last) if start == last.start && db < last.db => {
-                self.misplaced.push(self.in_order.len());
-            }
-            _ => {}
-        }
-        self.in_order.push(record);
+        self.push(start, end, db, kind);
     }
 }
 
@@ -644,6 +692,28 @@ mod tests {
                 prop_assert!(lane.windows(2).all(|w| w[0].sort_key() < w[1].sort_key()));
             }
             prop_assert_eq!(lanes.into_records(), whole.into_records());
+        }
+
+        /// Every position `push` reports reads back the record it took,
+        /// in either lane, however many records came after it.
+        #[test]
+        fn every_position_reads_back_its_record(spans in spans(60)) {
+            let mut buf = TraceBuffer::new();
+            let mut taken = Vec::new();
+            for &(start, len, db) in &spans {
+                let kind = SpanKind::Checkpoint { bytes: len as u64 };
+                let (start, end, db) = (Timestamp(start), Timestamp(start + len), DatabaseId(db));
+                let pos = buf.push(start, end, db, kind);
+                let backdated = buf.in_order.last().is_some_and(|last| start < last.start);
+                prop_assert_eq!(pos.backdated, backdated);
+                taken.push((pos, (start, end, db, kind)));
+            }
+            for (pos, want) in taken {
+                let got = buf.get(pos).map(|r| (r.start, r.end, r.db, r.kind));
+                prop_assert_eq!(got, Some(want));
+            }
+            let past = TracePos { backdated: false, index: buf.in_order.len() };
+            prop_assert!(buf.get(past).is_none());
         }
 
         /// `merge` ≡ flatten-and-sort over 0–8 parts: empty ones, a

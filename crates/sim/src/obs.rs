@@ -31,6 +31,17 @@
 //! engines when it is taken, and reads every other shard book the same
 //! way.
 //!
+//! # How decisions are kept
+//!
+//! With `ObsConfig::explain` on, an engine puts the decision an event
+//! made into its reply ([`prorp_core::Actions::decision`]); the shard
+//! hands it to `ShardObs::on_decision` where it applies that reply.  The
+//! decision is kept once, as its `Decision` span: `TraceBuffer::push`
+//! reports the lane and index it stored the record at, and a `u32` per
+//! database slot (`decision_at`, 0 for none) remembers that position,
+//! from which `last_decision` — the live `why` route — reads the record
+//! back.  Positions hold until `finish` consumes the buffer.
+//!
 //! All spans carry simulated timestamps only, so the merged trace is
 //! bit-identical at any shard count (see `prorp_obs::span`).
 
@@ -38,7 +49,7 @@ use prorp_core::EngineCounters;
 use prorp_obs::span::DecisionExplain;
 use prorp_obs::{
     BreakerTransition, MetricsSnapshot, ObsConfig, ObsPart, PredictOutcome, QuantileSketch,
-    SloSeries, SpanKind, StageResult, TraceBuffer, TraceSink, WorkflowOutcome,
+    SloSeries, SpanKind, StageResult, TraceBuffer, TracePos, TraceSink, WorkflowOutcome,
 };
 use prorp_types::{DatabaseId, DbSet, DbState, Seconds, Timestamp, WorkflowStage};
 
@@ -48,10 +59,9 @@ pub(crate) struct ShardObs {
     pub(crate) trace: TraceBuffer,
     /// Record span traces at all (`ObsConfig::trace_spans`); rollup-only
     /// runs keep metrics, sketches, and SLO series without the per-event
-    /// trace memory.
+    /// trace memory.  Decision capture (`ObsConfig::explain`) requires
+    /// it, so a decision always has a trace record to live in.
     trace_spans: bool,
-    /// Capture `SpanKind::Decision` provenance (`ObsConfig::explain`).
-    explain: bool,
     /// Engine state changes.
     pub(crate) lifecycle_transitions: u64,
     /// Breakers closed by a successful half-open re-probe.
@@ -69,12 +79,13 @@ pub(crate) struct ShardObs {
     pub(crate) retry_backoff_sketch: QuantileSketch,
     /// Per-region SLO rollup (`ObsConfig::slo`).
     slo: Option<SloSeries>,
-    /// Latest decision-provenance record per database, for the live
-    /// `why` endpoint (the full history lives in the trace): a column
-    /// indexed by the shard's database slot, grown by the first decision
-    /// that reaches a slot — so it is never allocated unless
-    /// `ObsConfig::explain` is on.
-    last_decision: Vec<Option<(Timestamp, DecisionExplain)>>,
+    /// Where each database's newest `Decision` record sits in the trace,
+    /// for the live `why` endpoint: a column indexed by the shard's
+    /// database slot, 0 for none, else [`TraceBuffer::push`]'s position
+    /// packed by [`pack`].  The decision itself is kept once, in its
+    /// trace record.  Grown by the first decision that reaches a slot —
+    /// so it is never allocated unless `ObsConfig::explain` is on.
+    decision_at: Vec<u32>,
     /// Databases whose predictor breaker is currently open; lets the next
     /// successful prediction be attributed as the breaker-closing probe.
     breaker_open: DbSet,
@@ -88,7 +99,6 @@ impl ShardObs {
         ShardObs {
             trace: TraceBuffer::new(),
             trace_spans: cfg.trace_spans,
-            explain: cfg.explain,
             lifecycle_transitions: 0,
             breaker_closes: 0,
             checkpoint_bytes: 0,
@@ -96,20 +106,15 @@ impl ShardObs {
             qos_miss_delay_sketch: QuantileSketch::new(),
             retry_backoff_sketch: QuantileSketch::new(),
             slo: cfg.slo.map(SloSeries::new),
-            last_decision: Vec::new(),
+            decision_at: Vec::new(),
             breaker_open: DbSet::default(),
             snapshots: Vec::new(),
         }
     }
 
-    /// Whether decision-provenance capture is on (the driver only drains
-    /// engine explains when it is).
-    pub(crate) fn explain_enabled(&self) -> bool {
-        self.explain
-    }
-
-    /// Fold one drained engine decision of database `db`, at column
-    /// `slot`, into the trace and the latest-decision column.
+    /// Record the decision an engine reply of database `db`, at column
+    /// `slot`, carried: a `Decision` span in the trace, and where it sits
+    /// in the latest-decision column.
     pub(crate) fn on_decision(
         &mut self,
         at: Timestamp,
@@ -117,19 +122,23 @@ impl ShardObs {
         db: DatabaseId,
         explain: DecisionExplain,
     ) {
-        if self.trace_spans {
-            self.trace.event(at, db, SpanKind::Decision { explain });
+        debug_assert!(self.trace_spans, "decision capture requires span tracing");
+        let pos = self.trace.push(at, at, db, SpanKind::Decision { explain });
+        if slot >= self.decision_at.len() {
+            self.decision_at.resize(slot + 1, 0);
         }
-        if slot >= self.last_decision.len() {
-            self.last_decision.resize(slot + 1, None);
-        }
-        self.last_decision[slot] = Some((at, explain));
+        self.decision_at[slot] = pack(pos);
     }
 
     /// The latest decision recorded for the database at `slot`, if any
-    /// (live `why` route).
+    /// (live `why` route): read back from its trace record.
     pub(crate) fn last_decision(&self, slot: usize) -> Option<(Timestamp, DecisionExplain)> {
-        *self.last_decision.get(slot)?
+        let pos = unpack(*self.decision_at.get(slot)?)?;
+        let record = self.trace.get(pos)?;
+        let SpanKind::Decision { explain } = record.kind else {
+            unreachable!("a decision position names a {} record", record.kind.label());
+        };
+        Some((record.start, explain))
     }
 
     /// The shard-local SLO rollup so far (live `/v1/slo` route).
@@ -370,10 +379,97 @@ impl ShardObs {
     }
 }
 
+/// A trace position as one `u32`: `1 + (index << 1 | backdated)`, so 0
+/// is free to mean "no decision yet".
+fn pack(pos: TracePos) -> u32 {
+    (pos.index << 1 | usize::from(pos.backdated))
+        .checked_add(1)
+        .and_then(|packed| u32::try_from(packed).ok())
+        // 2³¹ records of one shard's trace would be over 100 GiB.
+        .expect("a shard trace outgrew 2^31 records")
+}
+
+/// The position [`pack`] packed; `None` for 0.
+fn unpack(packed: u32) -> Option<TracePos> {
+    let bits = packed.checked_sub(1)? as usize;
+    Some(TracePos {
+        backdated: bits & 1 == 1,
+        index: bits >> 1,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use prorp_obs::ObsReport;
+
+    #[test]
+    fn a_packed_position_unpacks_to_itself() {
+        assert_eq!(unpack(0), None);
+        for backdated in [false, true] {
+            for index in [0, 1, 2, 1 << 20, (u32::MAX as usize - 2) >> 1] {
+                let pos = TracePos { backdated, index };
+                assert_eq!(unpack(pack(pos)), Some(pos));
+            }
+        }
+    }
+
+    /// The latest-decision column holds positions, and reads each
+    /// database's newest `Decision` record back out of the trace,
+    /// backdated lane included.
+    #[test]
+    fn the_last_decision_is_read_back_from_the_trace() {
+        use prorp_obs::DecisionAction;
+        let mut obs = ShardObs::new(&ObsConfig::on().with_explain());
+        let decision = |action, history_len| DecisionExplain {
+            action,
+            predicted: Some(Timestamp(900)),
+            history_len,
+            confidence_hits: 2,
+            confidence_total: 4,
+            breaker_open: false,
+        };
+        let (a, b) = (DatabaseId(7), DatabaseId(3));
+        assert_eq!(obs.last_decision(0), None);
+        obs.on_decision(
+            Timestamp(100),
+            0,
+            a,
+            decision(DecisionAction::DeferPause, 1),
+        );
+        obs.on_login(Timestamp(200), b, true);
+        obs.on_decision(
+            Timestamp(200),
+            5,
+            b,
+            decision(DecisionAction::PhysicalPause, 2),
+        );
+        obs.on_decision(
+            Timestamp(300),
+            0,
+            a,
+            decision(DecisionAction::PhysicalPause, 3),
+        );
+        // Behind the in-order lane's last start: the backdated lane.
+        obs.on_decision(
+            Timestamp(150),
+            5,
+            b,
+            decision(DecisionAction::ProactiveResume, 4),
+        );
+        assert_eq!(
+            obs.last_decision(0),
+            Some((Timestamp(300), decision(DecisionAction::PhysicalPause, 3)))
+        );
+        assert_eq!(
+            obs.last_decision(5),
+            Some((Timestamp(150), decision(DecisionAction::ProactiveResume, 4)))
+        );
+        for undecided in [1, 4, 6, 1_000] {
+            assert_eq!(obs.last_decision(undecided), None);
+        }
+        assert_eq!(obs.decision_at.len(), 6);
+    }
 
     /// One shard's finished state as the fleet report it merges into.
     fn report_of(obs: ShardObs) -> ObsReport {

@@ -354,8 +354,8 @@ impl ShardDriver {
         self.resumes.push_slot();
         if cfg.observe().explain {
             // Decision provenance is captured inside the engine (it owns
-            // the inputs — forecast, breaker, cache) and drained into the
-            // trace after every event.
+            // the inputs — forecast, breaker, history) and rides the reply
+            // of the event that decided.
             self.fleet.engines.get_mut(idx).set_explain_enabled(true);
         }
         for s in &trace.sessions {
@@ -643,21 +643,18 @@ impl ShardDriver {
         }
     }
 
-    /// Drain the decision-provenance records the engine captured during
-    /// the event just handled into the observability layer.  A no-op
-    /// unless `ObsConfig::explain` is on.
-    fn drain_decisions(&mut self, idx: usize, id: DatabaseId) {
-        let Some(o) = self.obs.as_mut() else { return };
-        if !o.explain_enabled() {
-            return;
-        }
-        for (at, explain) in self.fleet.engines.get_mut(idx).drain_explains() {
-            o.on_decision(at, idx, id, explain);
+    /// Hand the decision an engine reply carried, made at `now`, to the
+    /// observability layer.  Only an engine with capture on decides in
+    /// its reply, and capture is on only when `ObsConfig::explain` is.
+    fn record_decision(&mut self, now: Timestamp, idx: usize, id: DatabaseId, reply: &Actions) {
+        if let (Some(o), Some(explain)) = (self.obs.as_mut(), reply.decision()) {
+            o.on_decision(now, idx, id, explain);
         }
     }
 
-    /// The latest recorded decision for `id` (live `why` route); `None`
-    /// unless decision provenance is enabled and a decision was made.
+    /// The latest recorded decision for `id` (live `why` route), read
+    /// back from its trace record; `None` unless decision provenance is
+    /// enabled and a decision was made.
     pub fn db_last_decision(
         &self,
         id: DatabaseId,
@@ -845,8 +842,8 @@ impl ShardDriver {
                         });
                     self.resumes.start(idx, id, now, staged);
                 }
+                // A login decides nothing, so its reply carries no decision.
                 self.apply_actions(actions, idx, id, now);
-                self.drain_decisions(idx, id);
             }
             SimEvent::ActivityEnd(id) => {
                 let idx = self.slot_of(id);
@@ -861,7 +858,7 @@ impl ShardDriver {
                     self.deliver(now, idx, id, EngineEvent::ActivityEnd)?;
                 self.apply_actions(actions, idx, id, now);
                 self.metadata.set_state_at(idx, after);
-                self.drain_decisions(idx, id);
+                self.record_decision(now, idx, id, &actions);
                 self.account_pause(now, idx, id, before, after);
             }
             SimEvent::EngineTimer(id, token) => {
@@ -871,7 +868,7 @@ impl ShardDriver {
                 self.apply_actions(actions, idx, id, now);
                 self.account_pause(now, idx, id, before, after);
                 self.metadata.set_state_at(idx, after);
-                self.drain_decisions(idx, id);
+                self.record_decision(now, idx, id, &actions);
             }
             SimEvent::ResumeOpTick => {
                 let selected = self
@@ -910,7 +907,7 @@ impl ShardDriver {
                     .transition(idx, now, SegmentKind::ProactiveIdleWrong);
                 self.metadata.set_state_at(idx, after);
                 self.apply_actions(actions, idx, id, now);
-                self.drain_decisions(idx, id);
+                self.record_decision(now, idx, id, &actions);
             }
             SimEvent::WorkflowStageDone(id) => {
                 // One stage of a staged resume finished executing: draw

@@ -39,15 +39,31 @@
 //! so a run hierarchy, a per-key `Vec`, a node-allocating map or a
 //! second per-mutation buffer coming back crosses them.
 //!
-//! The last cell counts bytes, not allocations: the heap a one-shard
+//! The byte cell counts bytes, not allocations: the heap a one-shard
 //! driver holds once 3 000 databases with empty traces are registered.
-//! It reads 1 201 400 B (400.5 per database).  While the fleet kept its
-//! own id column and dense id→slot map beside `sys.databases`' id
-//! column and hashed id→row map, it read 1 330 120 B (443.4).  The bar
-//! sits 3 B per database above the count, below the 4 B a second dense
-//! id map costs and the 8 B of a second id column.
+//! It reads 1 177 400 B (392.5 per database; 400.5 while the engine
+//! carried a pointer to a decision log and a flag beside it).  While the
+//! fleet kept its own id column and dense id→slot map beside
+//! `sys.databases`' id column and hashed id→row map, it read
+//! 1 330 120 B (443.4).  The bar sits 3 B per database above the count,
+//! below the 4 B a second dense id map costs and the 8 B of a second id
+//! column.
+//!
+//! The last two cells run with decision capture on
+//! (`ObsConfig::on().with_explain()`).  A decision rides the engine's
+//! reply into its trace record, so capture costs a registered database
+//! nothing: the same 1 177 400 B as with it off.  While each engine
+//! boxed a log for its decisions (64 B) and was 8 B larger for the
+//! pointer, the same registration read 1 393 400 B (464.5 per
+//! database).  The warm loop with capture on makes 5 862 allocations in
+//! 45 795 events (0.128 per event), three more than with observability
+//! off — the span trace's amortised growth — before and after the
+//! change: the log's inline first slot meant no decision ever spilled
+//! to the heap, and the latest-decision column only grows when a slot
+//! first decides.  Its bar (< 0.135) fails when a decision, or the
+//! shard's bookkeeping of one, allocates per event.
 
-use prorp_sim::{ShardDriver, SimConfig, SimPolicy, StorageBackend, STRICT_INVARIANTS};
+use prorp_sim::{ObsConfig, ShardDriver, SimConfig, SimPolicy, StorageBackend, STRICT_INVARIANTS};
 use prorp_types::{DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -99,9 +115,20 @@ const DAY: i64 = 86_400;
 /// Heap allocations per loop event over days 4–8 of a 3 000-database,
 /// 8-day, one-shard run (observability off).
 fn second_half_allocations_per_event(policy: SimPolicy, backend: StorageBackend) -> f64 {
+    second_half_allocations_per_event_observed(policy, backend, ObsConfig::off())
+}
+
+/// [`second_half_allocations_per_event`] under the observability
+/// configuration `obs`.
+fn second_half_allocations_per_event_observed(
+    policy: SimPolicy,
+    backend: StorageBackend,
+    obs: ObsConfig,
+) -> f64 {
     let (start, mid, end) = (Timestamp(0), Timestamp(4 * DAY), Timestamp(8 * DAY));
     let cfg = SimConfig::builder(policy, start, end, start)
         .storage_backend(backend)
+        .observe(obs)
         .build()
         .unwrap();
     let traces = RegionProfile::for_region(RegionName::Eu1).generate_fleet(3_000, start, end, 7);
@@ -169,11 +196,12 @@ const DBS: usize = 3_000;
 
 /// Live heap bytes held by a one-shard driver, built and then handed
 /// `DBS` databases with empty traces (as the live server registers
-/// them), proactive policy, observability off.
-fn registered_bytes() -> usize {
+/// them), proactive policy, under the observability configuration `obs`.
+fn registered_bytes(obs: ObsConfig) -> usize {
     let (start, end) = (Timestamp(0), Timestamp(8 * DAY));
     let policy = SimPolicy::Proactive(PolicyConfig::default());
     let cfg = SimConfig::builder(policy, start, end, start)
+        .observe(obs)
         .build()
         .unwrap();
     let traces: Vec<Trace> = (0..DBS as u64)
@@ -191,10 +219,38 @@ fn registered_bytes() -> usize {
 
 #[test]
 fn registering_a_database_keeps_one_id_column_and_one_id_map() {
-    // 400.5 B per database; the `strict-invariants` lifecycle checker
+    // 392.5 B per database; the `strict-invariants` lifecycle checker
     // (on in a workspace `cargo test`) adds its 24 B shadow.
-    let pinned = 1_201_400 + if STRICT_INVARIANTS { 24 * DBS } else { 0 };
-    let bytes = registered_bytes();
+    let pinned = 1_177_400 + if STRICT_INVARIANTS { 24 * DBS } else { 0 };
+    let bytes = registered_bytes(ObsConfig::off());
+    assert!(
+        bytes <= pinned + 3 * DBS,
+        "{bytes} live bytes for {DBS} databases, pinned at {pinned}"
+    );
+}
+
+/// Decision capture on, with the span trace it requires.
+fn explain() -> ObsConfig {
+    ObsConfig::on().with_explain()
+}
+
+#[test]
+fn a_warm_explaining_loop_allocates_nothing_per_decision() {
+    let policy = SimPolicy::Proactive(PolicyConfig::default());
+    let per_event =
+        second_half_allocations_per_event_observed(policy, StorageBackend::BTree, explain());
+    assert!(per_event < 0.135, "{per_event:.3} allocations per event");
+}
+
+#[test]
+fn capturing_decisions_allocates_nothing_per_database() {
+    let bytes = registered_bytes(explain());
+    assert_eq!(
+        bytes,
+        registered_bytes(ObsConfig::off()),
+        "live bytes for {DBS} databases with capture on and off"
+    );
+    let pinned = 1_177_400 + if STRICT_INVARIANTS { 24 * DBS } else { 0 };
     assert!(
         bytes <= pinned + 3 * DBS,
         "{bytes} live bytes for {DBS} databases, pinned at {pinned}"

@@ -44,6 +44,14 @@ guards=(
     golden_trace_and_prometheus_exports
     golden_slo_rollup_and_alert_exports
     recorded_decisions_replay_through_time_travel
+    # A decision rides the engine's reply and is kept once, in its trace
+    # record: every arm's reply carries exactly the decision it made
+    # (none with capture off), and `db_last_decision` — the live `why`
+    # answer — is the trace's newest `Decision` record for every
+    # database at several watermarks, DES and live, at 1 and 2 shards.
+    proactive::tests::a_reply_carries_exactly_the_decision_its_event_made
+    a_shards_last_decision_is_its_newest_decision_record
+    a_live_drivers_last_decision_is_its_newest_decision_record
 
     # The incremental prediction index must stay bit-identical to the
     # naive Algorithm 4 scan (single-table interleavings, whole-fleet
@@ -139,11 +147,19 @@ guards=(
     a_warm_reactive_lsm_loop_allocates_less_than_once_per_two_events
     a_warm_proactive_lsm_loop_allocates_less_than_once_per_two_events
     # Its byte cell: a one-shard driver holding 3 000 registered
-    # databases with empty traces keeps 1 201 400 live heap bytes, bar
+    # databases with empty traces keeps 1 177 400 live heap bytes, bar
     # 3 B per database above that.  A second id column (8 B) or id→slot
     # map (≥ 4 B) beside `sys.databases`' own fails it; the fleet's
     # copy of both read 1 330 120.
     registering_a_database_keeps_one_id_column_and_one_id_map
+    # The same two kinds of cell with decision capture on: a decision
+    # rides its engine's reply into the trace, so capture adds no byte
+    # to a registered database (a boxed per-engine decision log read
+    # 1 393 400) and no allocation per decision to a warm loop (bar
+    # < 0.135 per event; it reads 0.128, three allocations above the
+    # loop without observability: the trace's growth).
+    a_warm_explaining_loop_allocates_nothing_per_decision
+    capturing_decisions_allocates_nothing_per_database
 
     # The live driver must stay bit-identical to the DES under any
     # admitted stream, and every server read must be the record a
@@ -221,12 +237,12 @@ guards=(
     # cache, 576 with the history view's parallel key and value columns,
     # 552 with the run's knobs copied into every engine, 392 / 312 with
     # a session flag beside a tracker that buffered any number of
-    # events) is a named failure, not an RSS drift to bisect — for the
+    # events, 336 with a boxed decision log) is a named failure, not an RSS drift to bisect — for the
     # reactive baseline too.  The run's knobs are one allocation per
     # shard: every engine and predictor a shard registers points at it,
     # and two shards' differ (one per process bounced its count between
     # cores).
-    proactive::tests::an_engine_is_336_bytes
+    proactive::tests::an_engine_is_328_bytes
     reactive::tests::a_reactive_engine_is_256_bytes
     every_engine_points_at_its_shards_one_knobs_allocation
     # A database's slot in the shard's segment book is its open segment
@@ -412,10 +428,15 @@ run cargo run --release -q -p prorp-bench --bin obs_bench -- \
 run cargo run --release -q -p prorp-bench --bin storage_bench -- \
     --smoke --json target/storage_smoke.json
 
-# The A/B harness, self against self in smoke mode, so it cannot rot:
-# one build (BASE is HEAD), one pair, no timing bar, and its record
-# kept out of results/.
+# The A/B harness against HEAD in smoke mode, so it cannot rot: one
+# pair, no timing bar, and its record kept out of results/.  On a clean
+# tree that is one build run against itself; with uncommitted changes
+# HEAD is built once more, in its clone under target/ab/.
 run ./scripts/ab.sh --out target/ab_smoke.json HEAD 1 -- scale_bench --smoke
+# Its ledger reader the same way: one `--check` child per side (tiny
+# sizes; its numbers mean nothing), refused unless it reads correct.
+run ./scripts/ab.sh --out target/ab_ledger_smoke.json HEAD 1 -- ledger \
+    --workload des_sharded_full --seed 42 --seconds 1 --trace 0 --check
 
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
