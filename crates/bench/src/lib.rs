@@ -38,10 +38,9 @@ pub fn env_i64(name: &str, default: i64) -> i64 {
 /// (`"full"` or `"smoke"`); `commit` is the `HEAD` of the git tree the
 /// running executable sits in — the tree it was built from, whatever the
 /// current directory — with `+dirty` when that tree differs from it;
-/// `strict_invariants` says whether the
-/// simulator was built with its per-event lifecycle checker
-/// ([`prorp_sim::STRICT_INVARIANTS`]), which no timing should be; anything
-/// the host will not tell reads `"unknown"`.
+/// `profile` is `"debug"` when the simulator's per-event lifecycle checks
+/// were compiled in, which no timing should be; anything the host will
+/// not tell reads `"unknown"`.
 pub fn run_meta(mode: &str) -> Json {
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -62,10 +61,6 @@ pub fn run_meta(mode: &str) -> Json {
         ("cpu", text(cpu)),
         ("rustc", text(stdout_of("rustc", &["--version"]))),
         ("profile", Json::Str(profile.into())),
-        (
-            "strict_invariants",
-            Json::Bool(prorp_sim::STRICT_INVARIANTS),
-        ),
         ("mode", Json::Str(mode.into())),
     ])
 }
@@ -228,10 +223,18 @@ mod tests {
         }
         assert_eq!(meta.get("mode").and_then(Json::as_str), Some("smoke"));
         assert!(meta.get("nproc").and_then(Json::as_u64).is_some());
-        assert_eq!(
-            meta.get("strict_invariants"),
-            Some(&Json::Bool(prorp_sim::STRICT_INVARIANTS))
-        );
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        assert_eq!(meta.get("profile").and_then(Json::as_str), Some(profile));
+        // `profile` is the one build stamp: no other field names the build.
+        let Json::Object(fields) = &meta else {
+            panic!("meta is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["commit", "nproc", "cpu", "rustc", "profile", "mode"]);
     }
 
     #[test]

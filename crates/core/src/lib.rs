@@ -29,8 +29,9 @@
 //! * [`breaker`] — the predictor circuit breaker that pins a database to
 //!   reactive behaviour after repeated forecast failures (§3.2) and
 //!   re-probes after a cool-down;
-//! * [`invariants`] — the observational lifecycle checker the simulator
-//!   threads through every engine under its `strict-invariants` feature;
+//! * [`invariants`] — the observational lifecycle checks (legal state
+//!   transitions, an ascending history) the simulator runs in debug
+//!   builds;
 //! * [`maintenance`] — the §11 future-work extension: schedule system
 //!   maintenance inside predicted-online windows so backups and updates
 //!   stop forcing maintenance-only resumes.
@@ -53,7 +54,6 @@ pub use breaker::CircuitBreaker;
 pub use engine::{
     Actions, DatabasePolicy, EngineAction, EngineCounters, EngineEvent, ExplainDrain, TimerToken,
 };
-pub use invariants::LifecycleInvariants;
 pub use maintenance::{MaintenanceScheduler, MaintenanceSlot, MaintenanceStats};
 pub use optimal::OptimalEngine;
 pub use proactive::ProactiveEngine;

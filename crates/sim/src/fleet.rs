@@ -39,8 +39,6 @@
 //! count) is the regression net proving it.
 
 use crate::config::{SimConfig, SimPolicy};
-#[cfg(feature = "strict-invariants")]
-use prorp_core::LifecycleInvariants;
 use prorp_core::{DatabasePolicy, OptimalEngine, ProactiveEngine, ReactiveEngine};
 use prorp_forecast::{
     FailEvery, IncrementalPredictor, Predictor, ProbabilisticPredictor, SharedKnobs,
@@ -260,9 +258,6 @@ pub(crate) struct FleetState {
     /// §8 segment book: each database's open segment, same order, and
     /// the shard's totals over `[measure_from, end)`.
     pub(crate) segments: SegmentBook,
-    /// Observational lifecycle checkers (strict-invariants builds only).
-    #[cfg(feature = "strict-invariants")]
-    pub(crate) shadows: Vec<LifecycleInvariants>,
 }
 
 impl FleetState {
@@ -272,8 +267,6 @@ impl FleetState {
         FleetState {
             engines: EngineArena::for_config(cfg, capacity),
             segments: SegmentBook::with_capacity(cfg.measure_from..cfg.end, capacity),
-            #[cfg(feature = "strict-invariants")]
-            shadows: Vec::with_capacity(capacity),
         }
     }
 
@@ -295,12 +288,6 @@ impl FleetState {
         let idx = self.engines.len();
         self.engines.push(cfg, trace, knobs)?;
         self.segments.open(cfg.start, SegmentKind::Saved);
-        #[cfg(feature = "strict-invariants")]
-        self.shadows.push(LifecycleInvariants::new(
-            trace.db,
-            cfg.start,
-            self.engines.get(idx).state(),
-        ));
         Ok(idx)
     }
 }

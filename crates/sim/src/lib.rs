@@ -72,11 +72,3 @@ pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};
 pub use runner::{merge_outcomes, Shards, SimReport, Simulation};
 pub use shard::{ShardDriver, ShardOutcome};
-
-/// Whether this build runs the `strict-invariants` lifecycle checker on
-/// every event.  Cargo unifies features across what one command builds,
-/// so a workspace `cargo test --release` (the testkit turns the checker
-/// on) leaves release binaries behind that check every event and run
-/// the DES several times slower; benches stamp this beside their build
-/// profile so such a timing cannot pass for a release figure.
-pub const STRICT_INVARIANTS: bool = cfg!(feature = "strict-invariants");

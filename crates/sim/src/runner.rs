@@ -115,10 +115,9 @@ impl SimReport {
     }
 }
 
-/// KPI accounting identities the merge must preserve (checked in
-/// strict-invariants builds): every fraction lies in `[0, 1]` and the six
+/// KPI accounting identities the merge must preserve (checked once per
+/// run, in every build): every fraction lies in `[0, 1]` and the six
 /// segment fractions partition the measured window exactly.
-#[cfg(feature = "strict-invariants")]
 fn check_kpi_identities(kpi: &KpiReport) -> Result<(), ProrpError> {
     const EPS: f64 = 1e-9;
     let fracs = [
@@ -465,7 +464,6 @@ pub fn merge_outcomes(
         // fleet-wide values are identical at any shard count.
         let workflow = WorkflowStats::merge(&shard_workflows);
         let incident_log = IncidentLog::merge(shard_incident_logs);
-        #[cfg(feature = "strict-invariants")]
         check_kpi_identities(&kpi)?;
 
         fn collect<T>(rows: Vec<Option<T>>, what: &str) -> Result<Vec<T>, ProrpError> {

@@ -55,8 +55,7 @@ use crate::events::{EventQueue, SimEvent};
 use crate::fleet::FleetState;
 use crate::obs::ShardObs;
 use crate::prefetch::prefetch;
-#[cfg(feature = "strict-invariants")]
-use prorp_core::LifecycleInvariants;
+use prorp_core::invariants::{check_history, transition_allowed};
 use prorp_core::{
     Actions, EngineAction, EngineCounters, EngineEvent, MaintenanceScheduler, MaintenanceStats,
     ProactiveResumeOp, ResumeWorkflow, StageOutcome,
@@ -90,30 +89,6 @@ const NEAR_AHEAD: usize = 4;
 /// The most clock-index entries prefetched: four lines of 16-byte
 /// entries, all of a typical history's.
 const CLOCK_ENTRIES: usize = 16;
-
-/// Validate the engine's post-event state against the shadow lifecycle
-/// checker.  Compiled out (always `Ok`) unless `strict-invariants` is on.
-#[cfg(feature = "strict-invariants")]
-fn observe_shadow(
-    fleet: &mut FleetState,
-    idx: usize,
-    now: Timestamp,
-    event: EngineEvent,
-) -> Result<(), ProrpError> {
-    let after = fleet.engines.get(idx).state();
-    fleet.shadows[idx].observe(now, event, after)
-}
-
-#[cfg(not(feature = "strict-invariants"))]
-#[inline(always)]
-fn observe_shadow(
-    _fleet: &mut FleetState,
-    _idx: usize,
-    _now: Timestamp,
-    _event: EngineEvent,
-) -> Result<(), ProrpError> {
-    Ok(())
-}
 
 /// The shard's telemetry, counted where it is recorded: every event
 /// bumps the whole-run summary and, inside `[measure_from, end)`, its
@@ -262,6 +237,9 @@ pub struct ShardDriver {
     /// registration and event-loop phases in the volatile wall-time
     /// breakdown.
     register_done: Option<Instant>,
+    /// The instant of the event popped last; kept, and checked against
+    /// every pop, in debug builds only.
+    last_pop: Timestamp,
 }
 
 impl ShardDriver {
@@ -309,6 +287,7 @@ impl ShardDriver {
             )?,
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             register_done: None,
+            last_pop: cfg.start,
             cfg: cfg.clone(),
         })
     }
@@ -677,6 +656,9 @@ impl ShardDriver {
     pub fn step_until(&mut self, horizon: Timestamp) -> Result<(), ProrpError> {
         let stop = horizon.min(self.cfg.end);
         while let Some((now, event)) = self.queue.pop_before(stop) {
+            if cfg!(debug_assertions) {
+                self.check_time_order(now)?;
+            }
             // Only a recorded pop moves the look-ahead on; after any other
             // event it would name the same databases again.
             if matches!(event, SimEvent::ActivityStart(_) | SimEvent::ActivityEnd(_)) {
@@ -720,6 +702,19 @@ impl ShardDriver {
         }
     }
 
+    /// The debug builds' time-order check, once per shard: no event pops
+    /// before the run's start or before the event popped last.
+    fn check_time_order(&mut self, now: Timestamp) -> Result<(), ProrpError> {
+        if now < self.last_pop {
+            return Err(ProrpError::InvariantViolation(format!(
+                "shard {}: an event at {now} popped after one at {}",
+                self.counters.shard, self.last_pop
+            )));
+        }
+        self.last_pop = now;
+        Ok(())
+    }
+
     /// Drain the event loop to the end of the simulated horizon.
     pub fn run_to_end(&mut self) -> Result<(), ProrpError> {
         self.step_until(self.cfg.end)
@@ -727,8 +722,9 @@ impl ShardDriver {
 
     /// Deliver `event` to the engine at column `idx` — the one path every
     /// engine event takes.  Reads the engine's state (and, with
-    /// observability on, its counters), runs `on_event`, checks the new
-    /// state against the shadow lifecycle, and hands the before and after
+    /// observability on, its counters), runs `on_event`, checks in debug
+    /// builds that the event may move the engine between the two states
+    /// it read ([`transition_allowed`]), and hands the before and after
     /// readings to observability.  Returns the state before, the state
     /// after and the engine's actions.
     fn deliver(
@@ -743,7 +739,11 @@ impl ShardDriver {
         let counters_before = self.obs.as_ref().map(|_| engine.counters());
         let actions = engine.on_event(now, event);
         let after = engine.state();
-        observe_shadow(&mut self.fleet, idx, now, event)?;
+        if cfg!(debug_assertions) && !transition_allowed(event, before, after) {
+            return Err(ProrpError::InvariantViolation(format!(
+                "db {id:?}: event {event:?} at {now} moved {before:?} -> {after:?}"
+            )));
+        }
         if let (Some(o), Some(counters_before)) = (self.obs.as_mut(), &counters_before) {
             let counters_after = self.fleet.engines.get(idx).counters();
             o.on_engine_event(now, id, (before, counters_before), (after, &counters_after));
@@ -1127,9 +1127,11 @@ impl ShardDriver {
         for (idx, &id) in self.metadata.ids().iter().enumerate() {
             let engine = self.fleet.engines.get(idx);
             // History tuples must come back in strictly ascending
-            // timestamp order from a store that passes its own audit.
-            #[cfg(feature = "strict-invariants")]
-            LifecycleInvariants::check_history(id, engine.history())?;
+            // timestamp order from a store that passes its own audit (a
+            // page-image round trip per database: debug builds only).
+            if cfg!(debug_assertions) {
+                check_history(id, engine.history())?;
+            }
             db_results.push((id, engine.counters(), engine.history().stats()));
         }
 
@@ -1141,15 +1143,12 @@ impl ShardDriver {
         // Close the books: every database accounts for exactly the
         // measured window.
         let segments = self.fleet.segments.finish(self.cfg.end);
-        #[cfg(feature = "strict-invariants")]
-        {
-            let window = self.cfg.end.since(self.cfg.measure_from).as_secs();
-            let (measured, n) = (segments.grand_total().as_secs(), db_results.len() as i64);
-            if measured != window * n {
-                return Err(ProrpError::InvariantViolation(format!(
-                    "segment totals cover {measured} s, not {n} databases × {window} s"
-                )));
-            }
+        let window = self.cfg.end.since(self.cfg.measure_from).as_secs();
+        let (measured, n) = (segments.grand_total().as_secs(), db_results.len() as i64);
+        if measured != window * n {
+            return Err(ProrpError::InvariantViolation(format!(
+                "segment totals cover {measured} s, not {n} databases × {window} s"
+            )));
         }
 
         self.counters.finish_micros = finish_started.elapsed().as_micros() as u64;
@@ -1743,5 +1742,37 @@ mod tests {
         let outcome = driver.finish().unwrap();
         let ids: Vec<DatabaseId> = outcome.dbs.iter().map(|r| r.0).collect();
         assert_eq!(ids, traces.iter().map(|t| t.db).collect::<Vec<_>>());
+    }
+
+    /// Time order is checked once per shard, where the loop pops: an
+    /// event popped behind the one popped last stops a debug build's run
+    /// with an invariant violation (release builds compile the check out).
+    #[test]
+    fn a_pop_behind_the_last_pop_fails_in_a_debug_build() {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let hour = |h: i64| Timestamp(h * 3_600);
+        let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), hour(24), Timestamp(0))
+            .build()
+            .unwrap();
+        let id = DatabaseId(0);
+        let mut driver = ShardDriver::new(&cfg, 0, 1).unwrap();
+        driver
+            .register(&Trace::new(id, "live", Vec::new()).unwrap())
+            .unwrap();
+        assert!(driver.inject_login(hour(1), id));
+        driver.start();
+        driver.step_until(hour(3)).unwrap();
+        // The inject path checks only `[start, end)`, so a logout behind
+        // the shard's clock is queued.
+        assert!(driver.inject_logout(hour(2), id));
+        let err = driver.step_until(hour(4)).unwrap_err();
+        assert_eq!(err.category(), "invariant");
+        assert!(
+            err.to_string()
+                .contains("an event at day 0 02:00:00 popped after one at"),
+            "{err}"
+        );
     }
 }

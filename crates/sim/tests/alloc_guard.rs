@@ -63,7 +63,7 @@
 //! first decides.  Its bar (< 0.135) fails when a decision, or the
 //! shard's bookkeeping of one, allocates per event.
 
-use prorp_sim::{ObsConfig, ShardDriver, SimConfig, SimPolicy, StorageBackend, STRICT_INVARIANTS};
+use prorp_sim::{ObsConfig, ShardDriver, SimConfig, SimPolicy, StorageBackend};
 use prorp_types::{DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::{RegionName, RegionProfile, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -219,9 +219,8 @@ fn registered_bytes(obs: ObsConfig) -> usize {
 
 #[test]
 fn registering_a_database_keeps_one_id_column_and_one_id_map() {
-    // 392.5 B per database; the `strict-invariants` lifecycle checker
-    // (on in a workspace `cargo test`) adds its 24 B shadow.
-    let pinned = 1_177_400 + if STRICT_INVARIANTS { 24 * DBS } else { 0 };
+    // 392.5 B per database, in debug and release builds alike.
+    let pinned = 1_177_400;
     let bytes = registered_bytes(ObsConfig::off());
     assert!(
         bytes <= pinned + 3 * DBS,
@@ -250,7 +249,7 @@ fn capturing_decisions_allocates_nothing_per_database() {
         registered_bytes(ObsConfig::off()),
         "live bytes for {DBS} databases with capture on and off"
     );
-    let pinned = 1_177_400 + if STRICT_INVARIANTS { 24 * DBS } else { 0 };
+    let pinned = 1_177_400;
     assert!(
         bytes <= pinned + 3 * DBS,
         "{bytes} live bytes for {DBS} databases, pinned at {pinned}"

@@ -128,8 +128,8 @@ pub trait HistoryStore: HistoryRead {
     fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds);
 
     /// Audit the store's structural invariants, panicking with a
-    /// description on violation (strict-invariants builds and property
-    /// tests).
+    /// description on violation (the simulator's end-of-run audit in
+    /// debug builds, and property tests).
     fn check_invariants(&self);
 }
 

@@ -26,12 +26,12 @@
 //!   `tests/goldens/` with a `BLESS=1` re-recording mode (see
 //!   `scripts/bless.sh`).
 //!
-//! Because this crate depends on `prorp-sim` with the
-//! `strict-invariants` feature, **every simulation executed by the
-//! testkit also runs the observational lifecycle checker**: illegal
-//! state transitions, backwards timestamps, out-of-order history tables,
-//! and broken KPI accounting identities turn into hard errors inside the
-//! property runs themselves.
+//! The simulator runs its observational lifecycle checks in every debug
+//! build, so **every simulation a `cargo test` of this crate executes is
+//! also audited by them**: illegal state transitions, backwards
+//! timestamps and out-of-order history tables (debug builds), and broken
+//! KPI accounting identities (every build) turn into hard errors inside
+//! the property runs themselves.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

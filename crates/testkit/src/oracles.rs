@@ -39,7 +39,7 @@ pub fn builder(policy: SimPolicy) -> SimConfigBuilder {
 /// # Panics
 ///
 /// Panics if the simulation rejects the config or an invariant check
-/// fails mid-run (the testkit always runs with `strict-invariants`).
+/// fails mid-run (a debug build checks every event's transition).
 pub fn run(cfg: SimConfig, traces: Vec<Trace>) -> SimReport {
     Simulation::new(cfg, traces)
         .expect("testkit configs must validate")

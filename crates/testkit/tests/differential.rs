@@ -1,9 +1,9 @@
 //! Differential oracles across the three policy engines.
 //!
-//! Every property here runs complete fleet simulations with the
-//! `strict-invariants` lifecycle checker active, so each case is doubly
+//! Every property here runs complete fleet simulations, and a debug build
+//! runs the simulator's lifecycle checks in each, so each case is doubly
 //! audited: the explicit oracle assertions below, and the transition /
-//! monotonicity / accounting checks inside the sim runner.
+//! time-order / accounting checks inside the sim runner.
 
 use proptest::prelude::*;
 use prorp_sim::SimPolicy;

@@ -29,9 +29,9 @@ pub enum ProrpError {
     Forecast(String),
     /// A simulator invariant violation (e.g. capacity accounting bug).
     Simulation(String),
-    /// A lifecycle/accounting invariant violated under the
-    /// `strict-invariants` checker (illegal state transition, time going
-    /// backwards, history out of order, KPI identity broken).
+    /// A lifecycle/accounting invariant violated: an illegal state
+    /// transition, time going backwards or a history out of order (checked
+    /// in debug builds), or a broken KPI identity (checked in every build).
     InvariantViolation(String),
     /// An injected fault (used by tests exercising the reactive fallback).
     FaultInjected(String),

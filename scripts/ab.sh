@@ -21,10 +21,12 @@
 #   side whose line does not read `"correct": true` is refused.  The
 #   record has two cells, `activity_events_per_ref_s` (higher is better)
 #   and `setup_s` (lower is better).
-# * any other BIN — both sides build `-p prorp-bench --bin BIN` only,
-#   never the workspace, so testkit's `strict-invariants` is not unified
-#   in; a record whose `meta.strict_invariants` is `true` is refused all
-#   the same.  BIN must accept `--json PATH` and write a record with
+# * any other BIN — both sides build `-p prorp-bench --bin BIN`, and a
+#   record whose `meta.profile` is not `"release"` is refused: a debug
+#   build runs the simulator's per-event lifecycle checks, so it is no
+#   timing.  No other `meta` field is read (an older BASE stamps one more
+#   build flag beside `profile`; it is kept in the record and ignored).
+#   BIN must accept `--json PATH` and write a record with
 #   `meta` and an `entries` array whose items carry `wall_s` —
 #   `scale_bench` does.  Each entry is a cell, keyed by its `databases` ×
 #   `shards` × `days`, and lower is better.
@@ -123,8 +125,8 @@ run_side() {
         return
     fi
     (cd "$dir" && "$exe" "${args[@]}" --json "$record" >/dev/null)
-    if [ "$(jq '.meta.strict_invariants' "$record")" != "false" ]; then
-        echo "refusing a ${side} record whose meta.strict_invariants is not false" >&2
+    if [ "$(jq -r '.meta.profile' "$record")" != "release" ]; then
+        echo "refusing a ${side} record whose meta.profile is not \"release\"" >&2
         exit 1
     fi
     jq -c --argjson pair "$pair" --arg side "$side" --arg first "$first" '{

@@ -3,9 +3,8 @@
 #
 #   ./scripts/check.sh
 #
-# Runs, in order: the feature-matrix builds (no default features, the
-# default release build, and all features so `strict-invariants` and the
-# observability layer compile together), the full test suite — once,
+# Runs, in order: a check that no crate declares cargo features (there
+# is one build), the release build, the full test suite — once,
 # golden snapshots included (bit-stable simulator output; re-record
 # intentional changes with scripts/bless.sh) — and a check that every
 # guard test is still in it, the `prorp-trace` CLI against the
@@ -23,10 +22,16 @@ run() {
     "$@"
 }
 
-# Feature matrix: every combination a downstream crate can select.
-run cargo build --workspace --no-default-features
+# One build: no crate declares `[features]`, so there is no feature
+# matrix to build, and what `cargo build --release` leaves behind is
+# what a timing runs.  Checks that cost per event or per database run
+# under `debug_assertions` instead (every `cargo test` has them).
+echo "==> no crate declares [features]"
+if grep -lE '^[[:space:]]*\[features\]' crates/*/Cargo.toml; then
+    echo "the manifests above declare [features]; the workspace has one build"
+    exit 1
+fi
 run cargo build --release
-run cargo build --workspace --all-features
 
 # `BLESS=0`: an exported `BLESS=1` must not re-record a golden inside
 # the gate.
@@ -258,6 +263,12 @@ guards=(
     # (they were identical while the Algorithm 5 scan read a second,
     # config-level `k` that no policy reached).
     the_policys_k_reaches_the_resume_scan
+    # The lifecycle checks run in every debug build, so plain `cargo
+    # test` has them: Figure 4's transition rule rejects each illegal
+    # move, and an event popped behind the shard's last pop stops the
+    # run with an invariant violation.
+    invariants::tests::illegal_transitions_are_caught
+    a_pop_behind_the_last_pop_fails_in_a_debug_build
     # A pause counted twice: a forced pause, or the stale timer after it,
     # adding a second `physical-pause` record, segment move or span.
     a_forced_pause_is_accounted_once
