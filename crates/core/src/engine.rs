@@ -9,12 +9,15 @@
 //! `ReclaimResources()` call becomes an emitted action the resource
 //! manager executes (with real-world latency).
 //!
-//! A reply is a value, not an allocation: [`DatabasePolicy::on_event`]
-//! returns [`Actions`], a `Copy` array of at most
-//! [`Actions::CAPACITY`] entries that reads like a slice and iterates by
-//! value.  The event loop delivers hundreds of thousands of events a
-//! second and most replies hold zero to two actions, so a `Vec` per
-//! event was a `malloc`/`free` pair that bought nothing.
+//! A reply is a value, not an allocation: [`Actions`] is a `Copy` array
+//! of at most [`Actions::CAPACITY`] entries that reads like a slice and
+//! iterates by value.  The event loop delivers hundreds of thousands of
+//! events a second and most replies hold zero to two actions, so a `Vec`
+//! per event was a `malloc`/`free` pair that bought nothing.  Nor is the
+//! reply returned: [`DatabasePolicy::react`] appends to one the caller
+//! owns, so its 136 bytes are written once, where the caller reads them,
+//! instead of being built on the engine's stack and copied out through
+//! the return slot of a dynamically dispatched call.
 //!
 //! The reply also carries the event's decision provenance: with capture
 //! on ([`DatabasePolicy::set_explain_enabled`]), an event that makes a
@@ -242,8 +245,23 @@ impl EngineCounters {
 /// sequence they emit the same actions, which keeps simulator runs
 /// reproducible and the policies directly comparable on identical traces.
 pub trait DatabasePolicy {
-    /// Handle one event at time `now`, returning the actions to execute.
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions;
+    /// Handle one event at time `now`: append the actions to execute to
+    /// `reply`, in the order they must run, and attach the decision the
+    /// event made, if capture is on and it made one.  Entries already in
+    /// `reply` stay in front; a reply that already carries a decision
+    /// must not be handed to an event that decides
+    /// ([`Actions::set_decision`] panics).
+    fn react(&mut self, now: Timestamp, event: EngineEvent, reply: &mut Actions);
+
+    /// [`react`](Self::react) into a fresh reply, returned by value.
+    /// Kept, hidden, only while the performance ledger calls it
+    /// (`crates/ledger/src/layers.rs:50`); tests may call it too.
+    #[doc(hidden)]
+    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
+        let mut reply = Actions::new();
+        self.react(now, event, &mut reply);
+        reply
+    }
 
     /// Current lifecycle state (Figure 4).
     fn state(&self) -> DbState;

@@ -57,12 +57,11 @@ impl OptimalEngine {
 }
 
 impl DatabasePolicy for OptimalEngine {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
-        let mut actions = Actions::new();
+    fn react(&mut self, now: Timestamp, event: EngineEvent, actions: &mut Actions) {
         match event {
             EngineEvent::ActivityStart => {
                 if !self.tracker.login(now) {
-                    return actions;
+                    return;
                 }
                 // The simulator applies zero latency for the optimal
                 // policy, so even a login that allocates is counted as
@@ -75,7 +74,7 @@ impl DatabasePolicy for OptimalEngine {
             }
             EngineEvent::ActivityEnd => {
                 if !self.tracker.logout(now) {
-                    return actions;
+                    return;
                 }
                 // Allocation == demand: reclaim immediately, publish the
                 // exact next start.
@@ -95,7 +94,7 @@ impl DatabasePolicy for OptimalEngine {
             }
             EngineEvent::ProactiveResume => {
                 if self.state != DbState::PhysicallyPaused || self.tracker.serving() {
-                    return actions;
+                    return;
                 }
                 self.counters.proactive_resumes += 1;
                 actions.push(EngineAction::Allocate);
@@ -103,7 +102,7 @@ impl DatabasePolicy for OptimalEngine {
             }
             EngineEvent::ForcedPause => {
                 if self.tracker.serving() || self.state == DbState::PhysicallyPaused {
-                    return actions;
+                    return;
                 }
                 self.state = DbState::PhysicallyPaused;
                 self.counters.physical_pauses += 1;
@@ -112,7 +111,6 @@ impl DatabasePolicy for OptimalEngine {
                 actions.push(EngineAction::Reclaim);
             }
         }
-        actions
     }
 
     fn state(&self) -> DbState {

@@ -369,12 +369,11 @@ impl<P: Predictor> ProactiveEngine<P> {
 }
 
 impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
-        let mut actions = Actions::new();
+    fn react(&mut self, now: Timestamp, event: EngineEvent, actions: &mut Actions) {
         match event {
             EngineEvent::ActivityStart => {
                 if !self.tracker.login(now) {
-                    return actions; // duplicate start: already serving
+                    return; // duplicate start: already serving
                 }
                 self.live_token = None;
                 match self.state {
@@ -390,49 +389,49 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
             }
             EngineEvent::ActivityEnd => {
                 if !self.tracker.logout(now) {
-                    return actions;
+                    return;
                 }
                 if self.needs_reprediction(now) {
                     self.repredict(now);
                 }
                 if self.initial_physical_pause_condition(now) {
-                    self.physical_pause(now, &mut actions);
+                    self.physical_pause(now, actions);
                 } else {
-                    self.record_decision(now, DecisionAction::DeferPause, &mut actions);
-                    self.enter_logical_pause(now, true, &mut actions);
+                    self.record_decision(now, DecisionAction::DeferPause, actions);
+                    self.enter_logical_pause(now, true, actions);
                 }
             }
             EngineEvent::Timer(token) => {
                 if self.live_token != Some(token) {
-                    return actions; // superseded timer
+                    return; // superseded timer
                 }
                 self.live_token = None;
                 if self.tracker.serving() || self.state != DbState::LogicallyPaused {
-                    return actions;
+                    return;
                 }
                 // Lines 24–29: re-trim, re-predict, re-decide.
                 self.repredict(now);
                 if self.recheck_physical_pause_condition(now) {
-                    self.physical_pause(now, &mut actions);
+                    self.physical_pause(now, actions);
                 } else {
                     // Stay logically paused; pause_start is preserved.
-                    self.record_decision(now, DecisionAction::DeferPause, &mut actions);
-                    self.schedule_wake(now, &mut actions);
+                    self.record_decision(now, DecisionAction::DeferPause, actions);
+                    self.schedule_wake(now, actions);
                 }
             }
             EngineEvent::ProactiveResume => {
                 if self.state != DbState::PhysicallyPaused || self.tracker.serving() {
-                    return actions; // raced with a customer login
+                    return; // raced with a customer login
                 }
                 self.counters.proactive_resumes += 1;
-                self.record_decision(now, DecisionAction::ProactiveResume, &mut actions);
+                self.record_decision(now, DecisionAction::ProactiveResume, actions);
                 actions.push(EngineAction::Allocate);
                 // Algorithm 5 line 8: d.LogicalPause().
-                self.enter_logical_pause(now, false, &mut actions);
+                self.enter_logical_pause(now, false, actions);
             }
             EngineEvent::ForcedPause => {
                 if self.tracker.serving() || self.state == DbState::PhysicallyPaused {
-                    return actions;
+                    return;
                 }
                 self.live_token = None;
                 self.state = DbState::PhysicallyPaused;
@@ -443,7 +442,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
                 actions.push(EngineAction::Reclaim);
             }
         }
-        actions
     }
 
     fn state(&self) -> DbState {

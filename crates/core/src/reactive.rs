@@ -77,12 +77,11 @@ impl ReactiveEngine {
 }
 
 impl DatabasePolicy for ReactiveEngine {
-    fn on_event(&mut self, now: Timestamp, event: EngineEvent) -> Actions {
-        let mut actions = Actions::new();
+    fn react(&mut self, now: Timestamp, event: EngineEvent, actions: &mut Actions) {
         match event {
             EngineEvent::ActivityStart => {
                 if !self.tracker.login(now) {
-                    return actions;
+                    return;
                 }
                 self.live_token = None;
                 match self.state {
@@ -96,7 +95,7 @@ impl DatabasePolicy for ReactiveEngine {
             }
             EngineEvent::ActivityEnd => {
                 if !self.tracker.logout(now) {
-                    return actions;
+                    return;
                 }
                 self.tracker
                     .history_mut()
@@ -109,11 +108,11 @@ impl DatabasePolicy for ReactiveEngine {
             }
             EngineEvent::Timer(token) => {
                 if self.live_token != Some(token) {
-                    return actions;
+                    return;
                 }
                 self.live_token = None;
                 if self.tracker.serving() || self.state != DbState::LogicallyPaused {
-                    return actions;
+                    return;
                 }
                 self.state = DbState::PhysicallyPaused;
                 self.counters.physical_pauses += 1;
@@ -127,7 +126,7 @@ impl DatabasePolicy for ReactiveEngine {
             }
             EngineEvent::ForcedPause => {
                 if self.tracker.serving() || self.state == DbState::PhysicallyPaused {
-                    return actions;
+                    return;
                 }
                 self.live_token = None;
                 self.state = DbState::PhysicallyPaused;
@@ -136,7 +135,6 @@ impl DatabasePolicy for ReactiveEngine {
                 actions.push(EngineAction::Reclaim);
             }
         }
-        actions
     }
 
     fn state(&self) -> DbState {

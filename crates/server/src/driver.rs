@@ -485,8 +485,9 @@ impl LiveDriver {
         let batch = std::mem::replace(&mut self.buffer, later);
         for ev in batch.into_values() {
             let shard = self.shards.shard_mut(ev.db);
-            // `ingest` buffers only `[watermark, end)`, inside the
-            // `[start, end)` the inject path clips to, so none is dropped.
+            // `ingest` buffers only `[watermark, end)`, and every shard
+            // last stepped to the watermark, so the inject path, which
+            // refuses what lies behind a shard's horizon, drops none.
             let _ = match ev.kind {
                 LiveEventKind::Login => shard.inject_login(ev.at, ev.db),
                 LiveEventKind::Logout => shard.inject_logout(ev.at, ev.db),

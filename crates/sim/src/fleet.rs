@@ -330,4 +330,114 @@ mod tests {
         let bits = BitSet::new();
         let _ = bits.get(0);
     }
+
+    /// The reply contract, on every arm an arena builds: what an
+    /// engine's `on_event` returns is what its `react` appends to a fresh
+    /// reply, actions and decision alike, and `react` into a reply that
+    /// already holds an entry keeps it in front.  Three twins of each
+    /// engine, decision capture on, take the same seeded event sequences:
+    /// logins, logouts, the live timer and a stale one, pre-warms and
+    /// forced pauses, hours to a day apart.
+    #[test]
+    fn react_appends_what_on_event_returns_on_every_arm() {
+        use prorp_core::{Actions, EngineAction, EngineEvent, TimerToken};
+        use prorp_forecast::{ConfidenceBasis, Knobs, SweepScratch};
+        use prorp_types::{PolicyConfig, Seconds, Timestamp};
+        use prorp_workload::{RegionName, RegionProfile};
+        const DAY: i64 = 86_400;
+        const GAPS: [i64; 6] = [0, 60, 900, 3_600, 7 * 3_600, DAY];
+        // The caller's reply is written in place, not copied out; its
+        // size is unchanged.
+        assert_eq!(std::mem::size_of::<Actions>(), 136);
+        let (start, end) = (Timestamp(0), Timestamp(60 * DAY));
+        let proactive = || SimPolicy::Proactive(PolicyConfig::default());
+        let arms = [
+            ("reactive", SimPolicy::Reactive, false, false),
+            ("incremental", proactive(), false, false),
+            ("incremental-faulty", proactive(), false, true),
+            ("naive", proactive(), true, false),
+            ("naive-faulty", proactive(), true, true),
+            ("optimal", SimPolicy::Optimal, false, false),
+        ];
+        let held = EngineAction::ScheduleTimer(Timestamp(-1), TimerToken(0));
+        for (name, policy, naive, faulty) in arms {
+            let mut builder = SimConfig::builder(policy, start, end, start).naive_predictor(naive);
+            if faulty {
+                builder = builder.forecast_fail_every(3);
+            }
+            let cfg = builder.build().unwrap();
+            let knobs = Knobs::shared(
+                cfg.policy.config(),
+                cfg.fault().breaker,
+                ConfidenceBasis::Windows,
+                SweepScratch::shared(),
+            )
+            .unwrap();
+            let (mut actions, mut decisions) = (0, 0);
+            for seed in 0..24u64 {
+                let trace = RegionProfile::for_region(RegionName::Eu1)
+                    .generate_fleet(1, start, end, seed)
+                    .remove(0);
+                let mut arena = EngineArena::for_config(&cfg, 3);
+                let built = match &arena {
+                    EngineArena::Reactive(_) => "reactive",
+                    EngineArena::Incremental(_) => "incremental",
+                    EngineArena::IncrementalFaulty(_) => "incremental-faulty",
+                    EngineArena::Naive(_) => "naive",
+                    EngineArena::NaiveFaulty(_) => "naive-faulty",
+                    EngineArena::Optimal(_) => "optimal",
+                };
+                assert_eq!(built, name);
+                for twin in 0..3 {
+                    arena.push(&cfg, &trace, &knobs).unwrap();
+                    arena.get_mut(twin).set_explain_enabled(true);
+                }
+                let mut rng = seed;
+                let mut draw = |n: u64| {
+                    rng = rand::splitmix64(rng);
+                    rng % n
+                };
+                let (mut now, mut live) = (start, None);
+                for _ in 0..160 {
+                    now += Seconds(GAPS[draw(6) as usize]);
+                    let event = match draw(10) {
+                        0..=2 => EngineEvent::ActivityStart,
+                        3..=5 => EngineEvent::ActivityEnd,
+                        6 => match live.take() {
+                            Some((at, token)) => {
+                                now = now.max(at);
+                                EngineEvent::Timer(token)
+                            }
+                            None => continue,
+                        },
+                        7 => EngineEvent::Timer(TimerToken(u64::MAX)),
+                        8 => EngineEvent::ProactiveResume,
+                        _ => EngineEvent::ForcedPause,
+                    };
+                    let at = format!("{name}, seed {seed}: {event:?} at {now}");
+                    let returned = arena.get_mut(0).on_event(now, event);
+                    let mut fresh = Actions::new();
+                    arena.get_mut(1).react(now, event, &mut fresh);
+                    assert_eq!(fresh, returned, "{at}");
+                    let mut reply = Actions::new();
+                    reply.push(held);
+                    arena.get_mut(2).react(now, event, &mut reply);
+                    assert_eq!(reply.first(), Some(&held), "{at}: the held entry stays");
+                    assert_eq!(&reply[1..], returned.as_slice(), "{at}");
+                    assert_eq!(reply.decision(), returned.decision(), "{at}");
+                    for action in returned {
+                        if let EngineAction::ScheduleTimer(due, token) = action {
+                            live = Some((due, token));
+                        }
+                    }
+                    actions += returned.len();
+                    decisions += usize::from(returned.decision().is_some());
+                }
+            }
+            assert!(actions > 0, "{name}: the sequences drew actions");
+            if matches!(cfg.policy, SimPolicy::Proactive(_)) {
+                assert!(decisions > 0, "{name}: the sequences drew decisions");
+            }
+        }
+    }
 }

@@ -13,7 +13,7 @@
 //! The policy engines are never instrumented directly.  Instead the
 //! shard's one delivery path (`ShardDriver::deliver`) captures the
 //! engine's [`DbState`] and `Copy` [`EngineCounters`] immediately before
-//! and after each `on_event` call and hands both readings to
+//! and after each `react` call and hands both readings to
 //! `ShardObs::on_engine_event`, which turns the *deltas* into spans:
 //!
 //! * a state change emits a `lifecycle` span (Algorithm 1, Figure 4);

@@ -25,13 +25,14 @@ pub(crate) fn prefetch<T: ?Sized>(value: &T) {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let start = (value as *const T).cast::<i8>();
         let len = std::mem::size_of_val(value);
-        // The first byte of every line the value spans, the last line's
-        // included however the value is aligned.
-        let lines = (0..len)
-            .step_by(LINE)
-            .chain(len.checked_sub(1))
-            .map(|offset| start.wrapping_add(offset));
-        for line in lines {
+        // The first byte of every line the value spans, then its last
+        // byte, so the last line is included however the value is
+        // aligned: one address per `LINE` bytes, plus one.  A plain
+        // counted loop, as the shard loop runs this on every recorded
+        // pop.
+        let count = len.div_ceil(LINE) + usize::from(len > 0);
+        for k in 0..count {
+            let line = start.wrapping_add((k * LINE).min(len - 1));
             // SAFETY: a prefetch never dereferences its address and never
             // faults, whatever the address; `line` lies inside `value`,
             // which the borrow keeps alive for the call.

@@ -240,6 +240,10 @@ pub struct ShardDriver {
     /// The instant of the event popped last; kept, and checked against
     /// every pop, in debug builds only.
     last_pop: Timestamp,
+    /// How far the loop has run: every event before this instant has
+    /// been processed ([`step_until`](Self::step_until)'s last stop), so
+    /// an event injected before it would be processed out of order.
+    horizon: Timestamp,
 }
 
 impl ShardDriver {
@@ -288,6 +292,7 @@ impl ShardDriver {
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             register_done: None,
             last_pop: cfg.start,
+            horizon: cfg.start,
             cfg: cfg.clone(),
         })
     }
@@ -540,7 +545,9 @@ impl ShardDriver {
 
     /// Schedule a login for `id` at `at`.  Returns `false` (and
     /// schedules nothing) outside `[start, end)` — the same clipping
-    /// registration applies to recorded sessions.
+    /// registration applies to recorded sessions — and behind the
+    /// horizon of the last [`step_until`](Self::step_until), which the
+    /// loop has already run past.
     pub fn inject_login(&mut self, at: Timestamp, id: DatabaseId) -> bool {
         self.inject(at, SimEvent::ActivityStart(id))
     }
@@ -565,7 +572,7 @@ impl ShardDriver {
     }
 
     fn inject(&mut self, at: Timestamp, event: SimEvent) -> bool {
-        if at < self.cfg.start || at >= self.cfg.end {
+        if at < self.horizon || at >= self.cfg.end {
             return false;
         }
         self.queue.push(at, event);
@@ -589,10 +596,10 @@ impl ShardDriver {
     /// Execute the side effects an engine requested for database `id` at
     /// column `idx` — which is also its cluster slot and its
     /// `sys.databases` row.
-    fn apply_actions(&mut self, actions: Actions, idx: usize, id: DatabaseId, now: Timestamp) {
+    fn apply_actions(&mut self, actions: &Actions, idx: usize, id: DatabaseId, now: Timestamp) {
         let is_optimal = matches!(self.cfg.policy, SimPolicy::Optimal);
         let end = self.cfg.end;
-        for action in actions {
+        for &action in actions.iter() {
             match action {
                 EngineAction::Allocate => {
                     // Allocation is performed by the event handlers (they
@@ -655,6 +662,7 @@ impl ShardDriver {
     /// arrived before it.  Events at or past the horizon stay queued.
     pub fn step_until(&mut self, horizon: Timestamp) -> Result<(), ProrpError> {
         let stop = horizon.min(self.cfg.end);
+        self.horizon = self.horizon.max(stop);
         while let Some((now, event)) = self.queue.pop_before(stop) {
             if cfg!(debug_assertions) {
                 self.check_time_order(now)?;
@@ -722,22 +730,25 @@ impl ShardDriver {
 
     /// Deliver `event` to the engine at column `idx` — the one path every
     /// engine event takes.  Reads the engine's state (and, with
-    /// observability on, its counters), runs `on_event`, checks in debug
+    /// observability on, its counters), has the engine
+    /// [`react`](DatabasePolicy::react) into `reply`, checks in debug
     /// builds that the event may move the engine between the two states
     /// it read ([`transition_allowed`]), and hands the before and after
-    /// readings to observability.  Returns the state before, the state
-    /// after and the engine's actions.
+    /// readings to observability.  Returns the state before and the state
+    /// after; the engine's actions and decision are in `reply`, which
+    /// each caller builds once per delivery and reads in place.
     fn deliver(
         &mut self,
         now: Timestamp,
         idx: usize,
         id: DatabaseId,
         event: EngineEvent,
-    ) -> Result<(DbState, DbState, Actions), ProrpError> {
+        reply: &mut Actions,
+    ) -> Result<(DbState, DbState), ProrpError> {
         let engine = self.fleet.engines.get_mut(idx);
         let before = engine.state();
         let counters_before = self.obs.as_ref().map(|_| engine.counters());
-        let actions = engine.on_event(now, event);
+        engine.react(now, event, reply);
         let after = engine.state();
         if cfg!(debug_assertions) && !transition_allowed(event, before, after) {
             return Err(ProrpError::InvariantViolation(format!(
@@ -748,7 +759,7 @@ impl ShardDriver {
             let counters_after = self.fleet.engines.get(idx).counters();
             o.on_engine_event(now, id, (before, counters_before), (after, &counters_after));
         }
-        Ok((before, after, actions))
+        Ok((before, after))
     }
 
     /// Account for the engine at column `idx` moving from `before` to
@@ -798,8 +809,9 @@ impl ShardDriver {
                     self.fleet.segments.open_kind(idx),
                     SegmentKind::ProactiveIdleWrong | SegmentKind::ProactiveIdleCorrect
                 );
-                let (before, _, actions) =
-                    self.deliver(now, idx, id, EngineEvent::ActivityStart)?;
+                let mut reply = Actions::new();
+                let (before, _) =
+                    self.deliver(now, idx, id, EngineEvent::ActivityStart, &mut reply)?;
                 let cfg = &self.cfg;
                 let available =
                     before != DbState::PhysicallyPaused || matches!(cfg.policy, SimPolicy::Optimal);
@@ -843,7 +855,7 @@ impl ShardDriver {
                     self.resumes.start(idx, id, now, staged);
                 }
                 // A login decides nothing, so its reply carries no decision.
-                self.apply_actions(actions, idx, id, now);
+                self.apply_actions(&reply, idx, id, now);
             }
             SimEvent::ActivityEnd(id) => {
                 let idx = self.slot_of(id);
@@ -854,21 +866,23 @@ impl ShardDriver {
                 // stage events are rejected by `expected_at`); a hung one
                 // stays for the sweep.
                 self.resumes.supersede(idx);
-                let (before, after, actions) =
-                    self.deliver(now, idx, id, EngineEvent::ActivityEnd)?;
-                self.apply_actions(actions, idx, id, now);
+                let mut reply = Actions::new();
+                let (before, after) =
+                    self.deliver(now, idx, id, EngineEvent::ActivityEnd, &mut reply)?;
+                self.apply_actions(&reply, idx, id, now);
                 self.metadata.set_state_at(idx, after);
-                self.record_decision(now, idx, id, &actions);
+                self.record_decision(now, idx, id, &reply);
                 self.account_pause(now, idx, id, before, after);
             }
             SimEvent::EngineTimer(id, token) => {
                 let idx = self.slot_of(id);
-                let (before, after, actions) =
-                    self.deliver(now, idx, id, EngineEvent::Timer(token))?;
-                self.apply_actions(actions, idx, id, now);
+                let mut reply = Actions::new();
+                let (before, after) =
+                    self.deliver(now, idx, id, EngineEvent::Timer(token), &mut reply)?;
+                self.apply_actions(&reply, idx, id, now);
                 self.account_pause(now, idx, id, before, after);
                 self.metadata.set_state_at(idx, after);
-                self.record_decision(now, idx, id, &actions);
+                self.record_decision(now, idx, id, &reply);
             }
             SimEvent::ResumeOpTick => {
                 let selected = self
@@ -889,9 +903,10 @@ impl ShardDriver {
                 {
                     return Ok(()); // raced with a login
                 }
-                let (_, after, actions) =
-                    self.deliver(now, idx, id, EngineEvent::ProactiveResume)?;
-                if actions.is_empty() {
+                let mut reply = Actions::new();
+                let (_, after) =
+                    self.deliver(now, idx, id, EngineEvent::ProactiveResume, &mut reply)?;
+                if reply.is_empty() {
                     return Ok(()); // the engine declined (e.g. reactive)
                 }
                 self.telemetry
@@ -906,8 +921,8 @@ impl ShardDriver {
                     .segments
                     .transition(idx, now, SegmentKind::ProactiveIdleWrong);
                 self.metadata.set_state_at(idx, after);
-                self.apply_actions(actions, idx, id, now);
-                self.record_decision(now, idx, id, &actions);
+                self.apply_actions(&reply, idx, id, now);
+                self.record_decision(now, idx, id, &reply);
             }
             SimEvent::WorkflowStageDone(id) => {
                 // One stage of a staged resume finished executing: draw
@@ -1074,16 +1089,17 @@ impl ShardDriver {
                 if self.fleet.engines.get(idx).serving() {
                     return Ok(()); // serving: the engine would refuse anyway
                 }
-                let (before, after, actions) =
-                    self.deliver(now, idx, id, EngineEvent::ForcedPause)?;
-                if actions.is_empty() {
+                let mut reply = Actions::new();
+                let (before, after) =
+                    self.deliver(now, idx, id, EngineEvent::ForcedPause, &mut reply)?;
+                if reply.is_empty() {
                     return Ok(()); // refused (already physically paused)
                 }
                 // The operator's decision wins over a resume in flight.
                 self.resumes.supersede(idx);
                 self.account_pause(now, idx, id, before, after);
                 self.metadata.set_state_at(idx, after);
-                self.apply_actions(actions, idx, id, now);
+                self.apply_actions(&reply, idx, id, now);
             }
         }
         Ok(())
@@ -1747,6 +1763,8 @@ mod tests {
     /// Time order is checked once per shard, where the loop pops: an
     /// event popped behind the one popped last stops a debug build's run
     /// with an invariant violation (release builds compile the check out).
+    /// The inject path refuses such an event, so the test queues it
+    /// directly.
     #[test]
     fn a_pop_behind_the_last_pop_fails_in_a_debug_build() {
         if !cfg!(debug_assertions) {
@@ -1764,9 +1782,7 @@ mod tests {
         assert!(driver.inject_login(hour(1), id));
         driver.start();
         driver.step_until(hour(3)).unwrap();
-        // The inject path checks only `[start, end)`, so a logout behind
-        // the shard's clock is queued.
-        assert!(driver.inject_logout(hour(2), id));
+        driver.queue.push(hour(2), SimEvent::ActivityEnd(id));
         let err = driver.step_until(hour(4)).unwrap_err();
         assert_eq!(err.category(), "invariant");
         assert!(
@@ -1774,5 +1790,37 @@ mod tests {
                 .contains("an event at day 0 02:00:00 popped after one at"),
             "{err}"
         );
+    }
+
+    /// Every inject path refuses an instant behind the last
+    /// `step_until` horizon, in every build: the loop has run past it, so
+    /// queuing it would process it out of order.  At the horizon and
+    /// after it, an event is accepted and runs.
+    #[test]
+    fn an_event_behind_the_stepped_horizon_is_refused() {
+        let hour = |h: i64| Timestamp(h * 3_600);
+        let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), hour(24), Timestamp(0))
+            .build()
+            .unwrap();
+        let id = DatabaseId(0);
+        let mut driver = ShardDriver::new(&cfg, 0, 1).unwrap();
+        driver
+            .register(&Trace::new(id, "live", Vec::new()).unwrap())
+            .unwrap();
+        assert!(driver.inject_login(hour(1), id));
+        driver.start();
+        driver.step_until(hour(3)).unwrap();
+        // A horizon behind the last one moves nothing back.
+        driver.step_until(hour(2)).unwrap();
+        let queued = driver.queue.len();
+        let behind = hour(3) - Seconds(1);
+        assert!(!driver.inject_logout(behind, id));
+        assert!(!driver.inject_login(behind, id));
+        assert!(!driver.inject_forced_resume(behind, id));
+        assert!(!driver.inject_forced_pause(behind, id));
+        assert_eq!(driver.queue.len(), queued, "a refusal queues nothing");
+        assert!(driver.inject_logout(hour(3), id));
+        driver.step_until(hour(4)).unwrap();
+        assert_eq!(driver.db_state(id), Some(DbState::LogicallyPaused));
     }
 }

@@ -57,6 +57,13 @@ guards=(
     proactive::tests::a_reply_carries_exactly_the_decision_its_event_made
     a_shards_last_decision_is_its_newest_decision_record
     a_live_drivers_last_decision_is_its_newest_decision_record
+    # An engine writes its reply in place: on every arm an arena builds
+    # (reactive, incremental, naive, each proactive one with and without
+    # forecast faults, optimal), `on_event` returns exactly what `react`
+    # appends to a fresh reply, actions and decision alike, and `react`
+    # keeps what the reply already held in front (a `react` that clears
+    # its reply fails it).
+    fleet::tests::react_appends_what_on_event_returns_on_every_arm
 
     # The incremental prediction index must stay bit-identical to the
     # naive Algorithm 4 scan (single-table interleavings, whole-fleet
@@ -266,9 +273,13 @@ guards=(
     # The lifecycle checks run in every debug build, so plain `cargo
     # test` has them: Figure 4's transition rule rejects each illegal
     # move, and an event popped behind the shard's last pop stops the
-    # run with an invariant violation.
+    # run with an invariant violation.  The inject path refuses, in
+    # every build, an instant behind the shard's last `step_until`
+    # horizon (it was queued and, in a release build, processed out of
+    # order).
     invariants::tests::illegal_transitions_are_caught
     a_pop_behind_the_last_pop_fails_in_a_debug_build
+    an_event_behind_the_stepped_horizon_is_refused
     # A pause counted twice: a forced pause, or the stale timer after it,
     # adding a second `physical-pause` record, segment move or span.
     a_forced_pause_is_accounted_once
