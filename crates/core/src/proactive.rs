@@ -360,7 +360,7 @@ impl<P: Predictor> ProactiveEngine<P> {
         actions.set_decision(DecisionExplain {
             action,
             predicted,
-            history_len: self.tracker.history().logins().len() as u32,
+            history_len: self.tracker.history().view().logins().count() as u32,
             confidence_hits: hits,
             confidence_total: total,
             breaker_open: self.breaker.is_open(now),
@@ -894,7 +894,7 @@ mod tests {
         moved.on_event(t(200), EngineEvent::ActivityEnd);
         moved.restore_history(snapshot);
         let ix = moved.history().clock_index().expect("index reconfigured");
-        assert_eq!(ix.entries().len(), moved.history().logins().len());
+        assert_eq!(ix.entries().len(), moved.history().view().logins().count());
         moved.history().check_invariants();
         // The next cycle predicts from the restored table.
         moved.on_event(t(6 * DAY + 9 * HOUR), EngineEvent::ActivityStart);
@@ -908,19 +908,21 @@ mod tests {
     /// knobs and the breaker its own, and the explain buffer was an
     /// unboxed `Vec`, and 392 while the engine kept its own session flag
     /// beside an activity tracker that buffered any number of events,
-    /// and 336 while decisions waited in a boxed per-engine log (its
-    /// pointer plus a pending flag) for the shard to drain.  Now the
-    /// engine and predictor hold one pointer each to the shard's
+    /// 336 while decisions waited in a boxed per-engine log (its
+    /// pointer plus a pending flag) for the shard to drain, and 328
+    /// while the history view kept a login column beside its rows.  Now
+    /// the engine and predictor hold one pointer each to the shard's
     /// [`Knobs`], the tracker's held login is the one record of an open
-    /// session, and a decision rides the reply behind one capture flag:
-    /// a per-engine field coming back, or one leaving, fails here by
-    /// name, not as an RSS drift.
+    /// session, a decision rides the reply behind one capture flag, and
+    /// the history is one row column plus its clock index: a per-engine
+    /// field coming back, or one leaving, fails here by name, not as an
+    /// RSS drift.
     #[test]
-    fn an_engine_is_328_bytes() {
+    fn an_engine_is_304_bytes() {
         use prorp_forecast::IncrementalPredictor;
         assert_eq!(
             std::mem::size_of::<ProactiveEngine<IncrementalPredictor>>(),
-            328
+            304
         );
     }
 

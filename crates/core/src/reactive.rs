@@ -249,11 +249,12 @@ mod tests {
     }
 
     /// The reactive engine's own size guard, beside the proactive
-    /// engine's `an_engine_is_328_bytes`: a field added to or dropped
+    /// engine's `an_engine_is_304_bytes`: a field added to or dropped
     /// from the baseline fails here by name, not as an RSS drift.  Its
-    /// two durations are still per engine.
+    /// two durations are still per engine.  It was 256 bytes while the
+    /// history view kept a login column beside its rows.
     #[test]
-    fn a_reactive_engine_is_256_bytes() {
-        assert_eq!(std::mem::size_of::<ReactiveEngine>(), 256);
+    fn a_reactive_engine_is_232_bytes() {
+        assert_eq!(std::mem::size_of::<ReactiveEngine>(), 232);
     }
 }

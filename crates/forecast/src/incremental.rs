@@ -35,7 +35,8 @@
 //!
 //! The clock order comes from the history's [`ClockIndex`] when one is
 //! configured over this predictor's period; otherwise the same sweep runs
-//! over the login cache sorted into the scratch buffer.  A mismatched
+//! over the history's login rows, filtered from its one row column and
+//! sorted into the scratch buffer.  A mismatched
 //! index is ignored, never trusted.
 //!
 //! The equivalence is enforced by the `prediction_index` differential
@@ -245,8 +246,8 @@ impl IncrementalPredictor {
             Some(ix) => ix.entries(),
             None => {
                 sorted.clear();
-                let logins = history.logins().iter();
-                sorted.extend(logins.map(|&t| ClockIndex::entry(period, t)));
+                let logins = history.view().logins();
+                sorted.extend(logins.map(|t| ClockIndex::entry(period, t)));
                 sorted.sort_unstable();
                 sorted
             }

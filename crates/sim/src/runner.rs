@@ -364,9 +364,9 @@ impl Shards {
 /// Merge per-shard outcomes into the fleet report.
 ///
 /// Every merged quantity is shard-order-independent: segment totals
-/// and workflow counts are integer sums, per-database rows are
-/// re-ordered to the input-trace order (`order` maps id → input
-/// position, `n` is the fleet size), batch sizes sum element-wise
+/// and workflow counts are integer sums, per-database rows are written
+/// once, in place, at their input-trace position (`order` maps id →
+/// input position, `n` is the fleet size), batch sizes sum element-wise
 /// per tick, and the telemetry counts add up kind by kind.
 /// Fleet KPI fractions are computed once from the summed totals —
 /// never by averaging per-shard ratios — so a shard with zero
@@ -386,8 +386,9 @@ pub fn merge_outcomes(
 ) -> Result<SimReport, ProrpError> {
     {
         let mut segments = SegmentTotals::default();
-        let mut counters: Vec<Option<EngineCounters>> = vec![None; n];
-        let mut history_stats: Vec<Option<StorageStats>> = vec![None; n];
+        let mut counters = vec![EngineCounters::default(); n];
+        let mut history_stats = vec![StorageStats::default(); n];
+        let mut rows = 0;
         let mut forecast_failures = 0u64;
         let mut spill_moves = 0u64;
         let mut balance_moves = 0u64;
@@ -405,13 +406,14 @@ pub fn merge_outcomes(
 
         for outcome in outcomes {
             segments.merge(&outcome.segments);
-            for (id, ctr, stats) in &outcome.dbs {
+            for &(id, ctr, stats) in &outcome.dbs {
                 forecast_failures += ctr.forecast_failures;
                 let at = *order
-                    .get(id)
+                    .get(&id)
                     .ok_or_else(|| ProrpError::Simulation(format!("unknown database {id}")))?;
-                counters[at] = Some(*ctr);
-                history_stats[at] = Some(*stats);
+                counters[at] = ctr;
+                history_stats[at] = stats;
+                rows += 1;
             }
             spill_moves += outcome.spill_moves;
             balance_moves += outcome.balance_moves;
@@ -465,16 +467,12 @@ pub fn merge_outcomes(
         let workflow = WorkflowStats::merge(&shard_workflows);
         let incident_log = IncidentLog::merge(shard_incident_logs);
         check_kpi_identities(&kpi)?;
-
-        fn collect<T>(rows: Vec<Option<T>>, what: &str) -> Result<Vec<T>, ProrpError> {
-            rows.into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    r.ok_or_else(|| {
-                        ProrpError::Simulation(format!("trace {i} missing from merged {what}"))
-                    })
-                })
-                .collect()
+        // The shard stores reject a repeated id, so `n` rows of known
+        // ids are one per trace.
+        if rows != n {
+            return Err(ProrpError::Simulation(format!(
+                "{rows} per-database rows merged for {n} traces"
+            )));
         }
 
         Ok(SimReport {
@@ -483,9 +481,9 @@ pub fn merge_outcomes(
             telemetry,
             telemetry_summary: summary,
             telemetry_window: window,
-            counters: collect(counters, "counters")?,
+            counters,
             resume_batches: ProactiveResumeOp::sum_shard_batches(&shard_batches),
-            history_stats: collect(history_stats, "history stats")?,
+            history_stats,
             spill_moves,
             balance_moves,
             oversubscriptions,
@@ -870,6 +868,40 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(det(&one), det(&four), "deterministic metrics must match");
+    }
+
+    /// One shard's outcome over two daily databases (ids 0 and 1), and
+    /// the id → input-position map a runner would merge it with.
+    fn two_database_outcome(cfg: &SimConfig) -> (ShardOutcome, HashMap<DatabaseId, usize>) {
+        let sessions = daily_trace().sessions;
+        let second = Trace::new(DatabaseId(1), "daily", sessions).unwrap();
+        let mut driver = ShardDriver::new(cfg, 0, 2).unwrap();
+        driver.register(&daily_trace()).unwrap();
+        driver.register(&second).unwrap();
+        driver.start();
+        driver.run_to_end().unwrap();
+        let order = HashMap::from([(DatabaseId(0), 0), (DatabaseId(1), 1)]);
+        (driver.finish().unwrap(), order)
+    }
+
+    #[test]
+    fn a_missing_or_foreign_row_fails_the_merge() {
+        let cfg = config_for(SimPolicy::Proactive(PolicyConfig::default()));
+        let (whole, order) = two_database_outcome(&cfg);
+        let rows = whole.dbs.clone();
+        let report = merge_outcomes(&cfg, &order, 2, vec![whole]).unwrap();
+        assert_eq!(report.counters, [rows[0].1, rows[1].1]);
+        assert_eq!(report.history_stats, [rows[0].2, rows[1].2]);
+
+        let (mut missing, order) = two_database_outcome(&cfg);
+        missing.dbs.pop();
+        let err = merge_outcomes(&cfg, &order, 2, vec![missing]).unwrap_err();
+        assert!(matches!(err, ProrpError::Simulation(_)), "{err}");
+
+        let (mut foreign, order) = two_database_outcome(&cfg);
+        foreign.dbs[1].0 = DatabaseId(7);
+        let err = merge_outcomes(&cfg, &order, 2, vec![foreign]).unwrap_err();
+        assert!(matches!(err, ProrpError::Simulation(_)), "{err}");
     }
 
     #[test]

@@ -682,8 +682,8 @@ impl ShardDriver {
     /// [`NEAR_AHEAD`] places on will touch (see [`crate::prefetch`]):
     /// first a database's engine, row and segment, then, once the
     /// engine's lines are in, the history lines its login or logout
-    /// reads — the newest row and login an in-order insert lands beside,
-    /// and the clock index the predictor sweeps.  A hint only: nothing
+    /// reads — the newest row an in-order insert lands beside, and the
+    /// clock index the predictor sweeps.  A hint only: nothing
     /// here writes, so what the loop computes is the same with it or
     /// without it.
     #[inline]
@@ -700,9 +700,7 @@ impl ShardDriver {
         if let Some(idx) = slot(NEAR_AHEAD) {
             let view = self.fleet.engines.get(idx).history().view();
             let rows = view.rows();
-            let logins = view.logins();
             prefetch(&rows[rows.len().saturating_sub(1)..]);
-            prefetch(&logins[logins.len().saturating_sub(1)..]);
             if let Some(clock) = view.clock_index() {
                 let entries = clock.entries();
                 prefetch(&entries[..entries.len().min(CLOCK_ENTRIES)]);

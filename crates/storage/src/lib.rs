@@ -15,7 +15,8 @@
 //! * [`view`] — the one live-read layer: the visible tuple set with the
 //!   exact semantics of Algorithm 2 (`InsertHistory`) and Algorithm 3
 //!   (`DeleteOldHistory`), including the paper's "keep the oldest tuple to
-//!   determine lifespan" rule, and every read Algorithm 4 performs;
+//!   determine lifespan" rule, and every read Algorithm 4 performs, each
+//!   login read a filter over its one row column;
 //! * [`history`] — the `sys.pause_resume_history` table: that view,
 //!   written once per mutation and backed up as its page image;
 //! * [`metadata`] — the `sys.databases` metadata store with a secondary

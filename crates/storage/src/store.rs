@@ -4,10 +4,12 @@
 //! [`HistoryTable`] alone:
 //!
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
-//!   incremental prediction index consume (window aggregates, the sorted
-//!   login cache, the optional clock-ordered login index, the mutation
-//!   version).  An implementor only says where its [`LiveView`] is; every
-//!   read is a provided delegate to that one layer.
+//!   incremental prediction index consume (window aggregates, the
+//!   optional clock-ordered login index, the mutation version).  An
+//!   implementor only says where its [`LiveView`] is; every read is a
+//!   provided delegate to that one layer, and a read the trait does not
+//!   delegate — the login rows as an iterator, [`LiveView::logins`] —
+//!   is asked of the view itself.
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
 //!   the clock-index and invariant hooks the engines call.
 //!
@@ -84,13 +86,6 @@ pub trait HistoryRead {
     /// that stored a tuple and every trim that deleted at least one.
     fn version(&self) -> u64 {
         self.view().version()
-    }
-
-    /// The sorted login (`event_type = 1`) timestamps — what the
-    /// incremental predictor sorts into clock order itself when no
-    /// matching [`clock_index`](HistoryRead::clock_index) is configured.
-    fn logins(&self) -> &[i64] {
-        self.view().logins()
     }
 
     /// The clock-ordered login index, when one has been configured.
@@ -221,9 +216,11 @@ mod tests {
     #[test]
     fn per_database_footprint_stays_small() {
         // One of these sits in the arena per database, log or no log:
-        // 120 B, the view inline and the log behind one pointer.  A
-        // second per-row structure beside the view crosses the bound.
-        assert!(std::mem::size_of::<HistoryTable>() <= 120);
+        // the view inline (its row column, the optional clock index and
+        // the version) and the log behind one pointer.  It was 96 B
+        // while the view kept a login column beside its rows; a second
+        // per-row structure beside the view fails it.
+        assert_eq!(std::mem::size_of::<HistoryTable>(), 72);
     }
 
     #[test]
@@ -237,7 +234,7 @@ mod tests {
         let read: &dyn HistoryRead = &b;
         assert_eq!(read.len(), 2);
         assert!(!read.is_empty());
-        assert_eq!(read.logins(), &[10]);
+        assert!(read.view().logins().eq([10]));
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! Algorithms 2–4 only ever ask `sys.pause_resume_history` one question —
 //! "what is the visible tuple set?" — so that set is materialised exactly
 //! once, here: one key-sorted `(time_snapshot, event_type)` row column,
-//! the sorted login (`event_type = 1`) subset, the optional [`ClockIndex`] holding those logins in the
-//! seasonal-clock order the incremental predictor sweeps, and the
-//! mutation `version` a mutation log numbers its seqnos by.
+//! the optional [`ClockIndex`] holding its logins (`event_type = 1`) in
+//! the seasonal-clock order the incremental predictor sweeps, and the
+//! mutation `version` a mutation log numbers its seqnos by.  Logins are
+//! not kept apart: like Algorithm 4's `WHERE event_type = 1`, every
+//! login read is a filter over the rows.
 //!
 //! [`LiveView`] owns every decision that depends only on the visible
 //! set: Algorithm 2's `IF NOT EXISTS` probe, Algorithm 3's range
 //! computation (`min_ts`, `history_start`, doomed range, `old`/`deleted`),
-//! login-cache and clock-index maintenance, every read, the
+//! clock-index maintenance, every read, the
 //! [`StorageStats`] and the restore-from-records build.
 //! [`crate::HistoryTable`] holds one and writes every mutation to it
 //! first; its `check_invariants` audits the view against its own page
@@ -23,15 +25,13 @@ use crate::page::{self, Record};
 use prorp_types::{ActivityEvent, EventKind, ProrpError, Seconds, Timestamp};
 use std::ops::Range;
 
-/// The visible tuple set of one database's history plus its read indexes.
+/// The visible tuple set of one database's history plus its read index.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct LiveView {
     /// Visible `(time_snapshot, event_type)` rows, keys strictly
     /// ascending (event type 1 = start, 0 = end).
     rows: Vec<(i64, i64)>,
-    /// Visible login keys, ascending (the rows with event type 1).
-    logins: Vec<i64>,
-    /// Optional clock-ordered index over `logins`.
+    /// Optional clock-ordered index over the login rows.
     clock: Option<ClockIndex>,
     /// Mutation version: bumped whenever the visible set changes.
     version: u64,
@@ -41,47 +41,30 @@ pub struct LiveView {
 /// rows per database) in one allocation instead of three regrowths.
 const ROW_BLOCK: usize = 16;
 
-/// Logins the first login insert reserves (about half the rows).
-const LOGIN_BLOCK: usize = 8;
-
-/// An element of a key-sorted column: a login key, or a row keyed by its
-/// `time_snapshot`.
-trait Keyed: Copy {
-    fn key(self) -> i64;
+/// Whether a row is a login (`event_type = 1`).
+fn is_login(&(_, event_type): &(i64, i64)) -> bool {
+    event_type == 1
 }
 
-impl Keyed for i64 {
-    fn key(self) -> i64 {
-        self
+/// Where `key` sits (`Ok`) or belongs (`Err`) in the sorted duplicate-free
+/// rows — `O(1)` for the in-order appends the activity tracker produces.
+fn locate(rows: &[(i64, i64)], key: i64) -> Result<usize, usize> {
+    match rows.last() {
+        Some(&(newest, _)) if newest >= key => rows.binary_search_by_key(&key, |&(k, _)| k),
+        _ => Err(rows.len()),
     }
 }
 
-impl Keyed for (i64, i64) {
-    fn key(self) -> i64 {
-        self.0
-    }
+/// Index range of `rows` covered by the closed window `[lo, hi]`.
+fn closed_window(rows: &[(i64, i64)], lo: Timestamp, hi: Timestamp) -> Range<usize> {
+    rows.partition_point(|&(k, _)| k < lo.as_secs())
+        ..rows.partition_point(|&(k, _)| k <= hi.as_secs())
 }
 
-/// Where `key` sits (`Ok`) or belongs (`Err`) in a sorted duplicate-free
-/// column — `O(1)` for the in-order appends the activity tracker produces.
-fn locate<T: Keyed>(sorted: &[T], key: i64) -> Result<usize, usize> {
-    match sorted.last() {
-        Some(&newest) if newest.key() >= key => sorted.binary_search_by_key(&key, |&e| e.key()),
-        _ => Err(sorted.len()),
-    }
-}
-
-/// Index range of `sorted` covered by the closed window `[lo, hi]`.
-fn closed_window<T: Keyed>(sorted: &[T], lo: Timestamp, hi: Timestamp) -> Range<usize> {
-    sorted.partition_point(|e| e.key() < lo.as_secs())
-        ..sorted.partition_point(|e| e.key() <= hi.as_secs())
-}
-
-/// Index range of `sorted` strictly between `min_ts` and `history_start`
+/// Index range of `rows` strictly between `min_ts` and `history_start`
 /// — what Algorithm 3 deletes.
-fn doomed<T: Keyed>(sorted: &[T], min_ts: i64, history_start: i64) -> Range<usize> {
-    sorted.partition_point(|e| e.key() <= min_ts)
-        ..sorted.partition_point(|e| e.key() < history_start)
+fn doomed(rows: &[(i64, i64)], min_ts: i64, history_start: i64) -> Range<usize> {
+    rows.partition_point(|&(k, _)| k <= min_ts)..rows.partition_point(|&(k, _)| k < history_start)
 }
 
 impl LiveView {
@@ -91,16 +74,10 @@ impl LiveView {
     }
 
     /// A view over key-ascending `(key, event_type)` rows at `version`,
-    /// with the login cache derived and no clock index.
+    /// with no clock index.
     pub(crate) fn from_sorted(rows: Vec<(i64, i64)>, version: u64) -> LiveView {
-        let logins = rows
-            .iter()
-            .filter(|&&(_, v)| v == 1)
-            .map(|&(k, _)| k)
-            .collect();
         LiveView {
             rows,
-            logins,
             clock: None,
             version,
         }
@@ -142,15 +119,8 @@ impl LiveView {
             self.rows.reserve(ROW_BLOCK);
         }
         self.rows.insert(pos, (key, i64::from(kind.as_i32())));
-        if kind == EventKind::Start {
-            if self.logins.is_empty() {
-                self.logins.reserve(LOGIN_BLOCK);
-            }
-            let (Ok(lp) | Err(lp)) = locate(&self.logins, key);
-            self.logins.insert(lp, key);
-            if let Some(ix) = self.clock.as_mut() {
-                ix.add(key);
-            }
+        if let Some(ix) = self.clock.as_mut().filter(|_| kind == EventKind::Start) {
+            ix.add(key);
         }
         self.version += 1;
         true
@@ -179,12 +149,10 @@ impl LiveView {
         if dead.is_empty() {
             return (outcome, None);
         }
-        let dead_logins = doomed(&self.logins, min_ts, history_start);
-        if !dead_logins.is_empty() {
-            if let Some(ix) = self.clock.as_mut() {
+        if let Some(ix) = self.clock.as_mut() {
+            if self.rows[dead.clone()].iter().any(is_login) {
                 ix.remove_between(min_ts, history_start);
             }
-            self.logins.drain(dead_logins);
         }
         self.rows.drain(dead);
         self.version += 1;
@@ -196,7 +164,7 @@ impl LiveView {
     /// it current: a binary search per login insert, one pass per trim
     /// that deletes a login.
     pub fn configure_clock_index(&mut self, period: Seconds) {
-        self.clock = ClockIndex::rebuilt(period, &self.logins);
+        self.clock = ClockIndex::rebuilt(period, self.logins());
     }
 
     /// `SELECT MIN(time_snapshot), MAX(time_snapshot), COUNT(*) WHERE
@@ -207,12 +175,12 @@ impl LiveView {
         lo: Timestamp,
         hi: Timestamp,
     ) -> Option<(Timestamp, Timestamp, i64)> {
-        let hit = &self.logins[closed_window(&self.logins, lo, hi)];
-        Some((
-            Timestamp(*hit.first()?),
-            Timestamp(*hit.last()?),
-            hit.len() as i64,
-        ))
+        let mut hit = self.rows[closed_window(&self.rows, lo, hi)]
+            .iter()
+            .filter(|r| is_login(r));
+        let first = hit.next()?.0;
+        let (last, count) = hit.fold((first, 1), |(_, n), &(k, _)| (k, n + 1));
+        Some((Timestamp(first), Timestamp(last), count))
     }
 
     /// Whether any event (login *or* logout) falls inside `[lo, hi]`.
@@ -251,9 +219,10 @@ impl LiveView {
         &self.rows
     }
 
-    /// The sorted visible login timestamps.
-    pub fn logins(&self) -> &[i64] {
-        &self.logins
+    /// The visible login timestamps, ascending: the rows with event
+    /// type 1.
+    pub fn logins(&self) -> impl Iterator<Item = i64> + '_ {
+        self.rows.iter().filter(|r| is_login(r)).map(|&(k, _)| k)
     }
 
     /// The clock-ordered login index, when one has been configured.
@@ -297,23 +266,16 @@ impl LiveView {
     /// Assert that this view is exactly what `visible` — the key-ascending
     /// `(key, event_type)` pairs an engine re-derived from its physical
     /// state — materialises to, and that the clock index matches a rebuild
-    /// (sorted, one entry per visible login).
+    /// from the login rows (sorted, one entry per visible login).
     ///
     /// # Panics
     ///
-    /// Panics naming `source` and the diverged column.
+    /// Panics naming `source`, or the clock index, when either diverged.
     pub(crate) fn audit(&self, visible: impl Iterator<Item = (i64, i64)>, source: &str) {
-        let expected = LiveView::from_sorted(visible.collect(), self.version);
-        assert_eq!(
-            self.rows, expected.rows,
-            "visible rows diverged from {source}"
-        );
-        assert_eq!(
-            self.logins, expected.logins,
-            "login cache diverged from {source}"
-        );
+        let expected: Vec<_> = visible.collect();
+        assert_eq!(self.rows, expected, "visible rows diverged from {source}");
         if let Some(ix) = &self.clock {
-            let rebuilt = ClockIndex::rebuilt(ix.period(), &self.logins);
+            let rebuilt = ClockIndex::rebuilt(ix.period(), self.logins());
             assert_eq!(
                 Some(ix),
                 rebuilt.as_ref(),

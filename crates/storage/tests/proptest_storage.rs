@@ -275,7 +275,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(view.events(), events);
             let logins: Vec<i64> = model.iter().filter(|(_, &v)| v == 1).map(|(&k, _)| k).collect();
-            prop_assert_eq!(view.logins(), &logins[..]);
+            prop_assert_eq!(view.logins().collect::<Vec<_>>(), logins.clone());
             for &(lo, width) in &windows {
                 let hi = lo + width;
                 let inside: Vec<i64> = logins.iter().copied().filter(|&t| lo <= t && t <= hi).collect();

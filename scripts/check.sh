@@ -140,13 +140,14 @@ guards=(
     # This is what catches a per-event `Vec` — an engine reply, a sweep
     # result — or a node-allocating map coming back onto the event path.
     # On the default backend the table is its sorted view alone, one
-    # row column reserved a 16-row block at a time: 0.041 / 0.128 per
-    # event, 0.108 / 0.201 while the view's parallel columns regrew row
+    # row column reserved a 16-row block at a time: 0.020 / 0.106 per
+    # event, 0.041 / 0.128 while the view kept a login column beside its
+    # rows, 0.108 / 0.201 while the view's parallel columns regrew row
     # by row and 0.16 / 0.26 while every row was also written into a
     # per-database B+Tree, so the `writes_each_history_row_once` cells
-    # (< 0.065 / < 0.155) fail when a second per-row structure comes
-    # back.  The same loop over log-on tables reads 0.079 / 0.169 as the
-    # view plus its append-only log, against bars of < 0.10 / < 0.195:
+    # (< 0.04 / < 0.125) fail when a second per-row structure comes
+    # back.  The same loop over log-on tables reads 0.058 / 0.147 as the
+    # view plus its append-only log, against bars of < 0.08 / < 0.165:
     # not the view-only table's bars, since the log's amortised growth
     # allocates.  It read 0.17 / 0.27 with runs flushed and merged
     # beneath the log and 0.77 / 0.92 when a mutation also fed a memtable
@@ -158,17 +159,21 @@ guards=(
     a_warm_proactive_loop_writes_each_history_row_once
     a_warm_reactive_lsm_loop_allocates_less_than_once_per_two_events
     a_warm_proactive_lsm_loop_allocates_less_than_once_per_two_events
-    # Its byte cell: a one-shard driver holding 3 000 registered
-    # databases with empty traces keeps 1 177 400 live heap bytes, bar
+    # Its byte cells: a one-shard driver holding 3 000 registered
+    # databases with empty traces keeps 1 105 400 live heap bytes, bar
     # 3 B per database above that.  A second id column (8 B) or id→slot
     # map (≥ 4 B) beside `sys.databases`' own fails it; the fleet's
-    # copy of both read 1 330 120.
+    # copy of both read 1 330 120.  The same driver after a whole
+    # 36-day proactive run over 1 000 EU1 databases keeps 7 822 664
+    # bytes, bar 3 B per database above: a second per-tuple history
+    # column fails it (the view's login column read 8 161 864).
     registering_a_database_keeps_one_id_column_and_one_id_map
+    a_whole_run_keeps_each_history_tuple_once
     # The same two kinds of cell with decision capture on: a decision
     # rides its engine's reply into the trace, so capture adds no byte
     # to a registered database (a boxed per-engine decision log read
     # 1 393 400) and no allocation per decision to a warm loop (bar
-    # < 0.135 per event; it reads 0.128, three allocations above the
+    # < 0.125 per event; it reads 0.106, three allocations above the
     # loop without observability: the trace's growth).
     a_warm_explaining_loop_allocates_nothing_per_decision
     capturing_decisions_allocates_nothing_per_database
@@ -249,13 +254,16 @@ guards=(
     # cache, 576 with the history view's parallel key and value columns,
     # 552 with the run's knobs copied into every engine, 392 / 312 with
     # a session flag beside a tracker that buffered any number of
-    # events, 336 with a boxed decision log) is a named failure, not an RSS drift to bisect — for the
-    # reactive baseline too.  The run's knobs are one allocation per
+    # events, 336 with a boxed decision log, 328 / 256 with the history
+    # view's login column beside its rows) is a named failure, not an
+    # RSS drift to bisect — for the reactive baseline too, and for the
+    # history table itself (72 B, exactly).  The run's knobs are one allocation per
     # shard: every engine and predictor a shard registers points at it,
     # and two shards' differ (one per process bounced its count between
     # cores).
-    proactive::tests::an_engine_is_328_bytes
-    reactive::tests::a_reactive_engine_is_256_bytes
+    proactive::tests::an_engine_is_304_bytes
+    reactive::tests::a_reactive_engine_is_232_bytes
+    store::tests::per_database_footprint_stays_small
     every_engine_points_at_its_shards_one_knobs_allocation
     # A database's slot in the shard's segment book is its open segment
     # alone (16 bytes; 64 while every database kept its own per-kind
@@ -264,6 +272,10 @@ guards=(
     # warm-up reset pass.
     segments::tests::an_open_segment_is_16_bytes
     the_clamped_book_counts_each_segments_overlap_with_the_window
+    # The merge writes each per-database row once, in place: a shard
+    # outcome missing a row, or carrying an id no trace has, is a typed
+    # error, not a default row in the report.
+    runner::tests::a_missing_or_foreign_row_fails_the_merge
 
     # Table 1's `k` has one home, the policy: two proactive runs that
     # differ only in `PolicyConfig::prewarm` must pre-warm differently
